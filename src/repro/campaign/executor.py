@@ -100,42 +100,29 @@ def execute_spec(task: Tuple[int, ScenarioSpec]) -> Dict[str, Any]:
     try:
         row = run_scenario(spec, stall_window=stall_window).to_row()
     except StallError as exc:
-        row = {
-            "name": spec.name,
-            "spec_hash": spec.spec_hash(),
-            "status": "failed",
-            "error": "stall",
-            "stall": exc.to_triage(),
-            "triage": triage_record(spec),
-            "spec": spec.to_json(),
-        }
+        row = _failed_row(spec, "stall", stall=exc.to_triage())
     except Exception as exc:  # noqa: BLE001 — isolation is the contract
-        row = {
-            "name": spec.name,
-            "spec_hash": spec.spec_hash(),
-            "status": "failed",
-            "error": repr(exc),
-            "traceback": traceback.format_exc(),
-            # Everything a replay needs, greppable from the log alone:
-            # spec hash, seed, backend, fault plan hash.
-            "triage": triage_record(spec),
-            "spec": spec.to_json(),
-        }
+        row = _failed_row(spec, repr(exc), traceback=traceback.format_exc())
     row["index"] = index
     return row
 
 
-def _timeout_row(index: int, spec: ScenarioSpec, budget: float) -> Dict[str, Any]:
-    """The failed row of a cell whose worker blew the per-cell budget."""
+def _failed_row(spec: ScenarioSpec, error: str, **extra: Any) -> Dict[str, Any]:
+    """The ``status="failed"`` row of a cell that produced no result.
+
+    ``extra`` is what the failure kind adds (a traceback, the stall
+    payload, the blown budget).  The triage record is everything a
+    replay needs, greppable from the log alone: spec hash, seed,
+    backend, fault plan hash.
+    """
     return {
         "name": spec.name,
         "spec_hash": spec.spec_hash(),
         "status": "failed",
-        "error": "timeout",
-        "timeout": budget,
+        "error": error,
+        **extra,
         "triage": triage_record(spec),
         "spec": spec.to_json(),
-        "index": index,
     }
 
 
@@ -189,7 +176,7 @@ def _timed_pool_rows(
             yield future.result(timeout=budget)
         except FutureTimeoutError:
             timed_out[0] = True
-            yield _timeout_row(index, spec, budget)
+            yield {**_failed_row(spec, "timeout", timeout=budget), "index": index}
 
 
 def _iter_cell_rows(

@@ -31,7 +31,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.faults.injector import injector_for
 from repro.faults.plan import FaultPlan
 from repro.props.batch import batch_verdicts, variant_checks, verdicts_ok
-from repro.workloads.runner import run_scenario, scenario_cache_key, triage_record
+from repro.workloads.runner import (
+    run_scenario,
+    scenario_cache_key,
+    script_senders,
+    triage_record,
+)
 from repro.workloads.spec import ScenarioSpec
 
 #: Bumped on breaking changes to the shrink-cache entry layout.
@@ -54,17 +59,11 @@ Predicate = Callable[[ScenarioSpec], bool]
 
 def _scenario_outcome(spec: ScenarioSpec) -> Dict[str, Any]:
     result = run_scenario(spec)
-    return {
-        "verdicts": batch_verdicts(
-            result.record, extra=variant_checks(spec.variant)
-        ),
-        "truncated": result.truncated,
-    }
+    return {"verdicts": result.verdicts(), "truncated": result.truncated}
 
 
 def _broadcast_outcome(spec: ScenarioSpec) -> Dict[str, Any]:
     from repro.baselines.broadcast import BroadcastMulticast
-    from repro.workloads.runner import _process
 
     topology = spec.build_topology()
     pattern = spec.build_pattern()
@@ -74,9 +73,10 @@ def _broadcast_outcome(spec: ScenarioSpec) -> Dict[str, Any]:
         # crash-burst slice of the plan perturbs it.
         pattern = injector.perturb_pattern(pattern)
     system = BroadcastMulticast(topology, pattern, seed=spec.seed)
+    senders = script_senders(spec, topology)
     skipped = 0
     for send in spec.sends:
-        sender = _process(topology, send.sender)
+        sender = senders[send.sender]
         if not pattern.is_alive(sender, system.time):
             skipped += 1
             continue

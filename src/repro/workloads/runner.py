@@ -1,45 +1,34 @@
 """Scenario runner: drive a topology + failure pattern + send script.
 
 A *send script* is a sequence of :class:`Send` instructions — who
-multicasts to which group, at which round, with which payload.  The runner
-wires an :class:`repro.core.AtomicMulticast` deployment, interleaves the
-sends with execution rounds (so multicasts race each other and crashes),
-runs to quiescence and returns the :class:`repro.model.RunRecord` plus the
-message objects, ready for the property checkers.
-
-The primary entry point is the *spec form*::
+multicasts to which group, at which round, with which payload.  The
+single entry point takes a :class:`repro.workloads.spec.ScenarioSpec` —
+a frozen, hashable value object, so scenarios can be stored, hashed,
+shipped to worker processes and replayed (see :mod:`repro.campaign`)::
 
     spec = ScenarioSpec.capture(topology, pattern, sends, seed=3)
     result = run_scenario(spec)
 
-A :class:`repro.workloads.spec.ScenarioSpec` is a frozen, hashable value
-object, so scenarios can be stored, hashed, shipped to worker processes
-and replayed (see :mod:`repro.campaign`).  The legacy form
-``run_scenario(topology, pattern, sends, ...)`` remains as a shim whose
-tuning parameters are strictly keyword-only; passing them positionally
-(deprecated for several releases) is now a :class:`TypeError`.
+:func:`run_scenario` is one pipeline, written once: rebuild topology and
+pattern, bind the fault injector, check the script against the closed
+model, build a *deployment*, hand it to a *driver* that interleaves the
+sends with execution (so multicasts race each other and crashes) and
+runs to quiescence, audit the injector, finish the
+:class:`repro.model.RunRecord`, write the trace, return a
+:class:`ScenarioResult` ready for the property checkers.  The paper
+states Algorithm 1 over one run model; the three ``spec.backend`` values
+are three admissible schedulers of it and differ in exactly two places:
 
-Three *backends* execute a spec:
+=========== ============================== ===========================
+backend     deployment                     driver
+=========== ============================== ===========================
+``engine``  :func:`_algorithm1_deployment` :func:`_drive_rounds`
+``kernel``  :func:`_kernel_deployment`     :func:`_drive_rounds`
+``async``   :func:`_algorithm1_deployment` :func:`_drive_async`
+=========== ============================== ===========================
 
-* ``backend="engine"`` (default) — the §4.4 shared-object
-  :class:`MulticastSystem`, Algorithm 1 proper, on the round-based
-  :class:`repro.runtime.Scheduler`;
-* ``backend="kernel"`` — the Appendix-A step-level :class:`Kernel`
-  running one :class:`repro.substrates.replicated_log.ReplicatedLogCluster`
-  per destination group.  Groups must be pairwise disjoint (a shared
-  member would need the cross-log coordination that *is* Algorithm 1);
-  each send becomes an ``append`` of the message id at the sender's
-  replica, and the synthesized :class:`RunRecord` marks a delivery when
-  a replica applies that id, so the same §2.2 property checkers judge
-  both backends;
-* ``backend="async"`` (schema v5) — the same Algorithm 1 deployment,
-  but driven by the :class:`repro.runtime.async_driver.AsyncDriver`:
-  every process is an asyncio task, wakes travel through
-  latency-modelled in-memory channels (``spec.delay_model``), and time
-  is either a seeded virtual clock (``spec.clock="virtual"``, fully
-  replayable) or the real wall clock.  The run produces the same
-  :class:`RunRecord` shape, so delivery sets and property verdicts are
-  directly comparable with the round backends.
+All three produce the same :class:`RunRecord` shape, so delivery sets
+and §2.2 property verdicts are directly comparable across backends.
 """
 
 from __future__ import annotations
@@ -49,7 +38,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.engine import MulticastSystem
 from repro.core.group_sequential import AtomicMulticast
@@ -58,7 +47,7 @@ from repro.groups.topology import GroupTopology
 from repro.metrics.trace import TraceRecorder
 from repro.model.errors import PropertyViolation, SimulationError, TopologyError
 from repro.model.failures import FailurePattern, Time
-from repro.model.messages import MessageFactory, MulticastMessage
+from repro.model.messages import MessageBuffer, MessageFactory, MulticastMessage
 from repro.model.processes import ProcessId
 from repro.model.runs import RunRecord
 from repro.runtime.async_driver import AsyncDriver
@@ -132,6 +121,18 @@ def triage_line(spec: ScenarioSpec) -> str:
     )
 
 
+#: The :meth:`TraceRecorder.summary` totals a result row carries: the
+#: scan counters, then the coverage inputs (cache schema 2) — the
+#: explorer fingerprints runs from rows alone, so the row holds every
+#: signal :mod:`repro.explore.coverage` consumes.
+ROW_TRACE_KEYS = (
+    "eligible", "scanned", "actions", "quorum_stalls",
+    "rounds", "skipped", "full_scan_rounds",
+    "quorum_queries", "gamma_queries", "indicator_queries",
+    "wait_reasons", "interleaving",
+)
+
+
 @dataclass
 class ScenarioResult:
     """Everything a test needs to judge a finished run.
@@ -164,9 +165,9 @@ class ScenarioResult:
     system: Optional[MulticastSystem]
     multicaster: Optional[AtomicMulticast]
     rounds: int
+    spec: ScenarioSpec
     skipped_sends: List[Send] = field(default_factory=list)
     unsent_sends: List[Send] = field(default_factory=list)
-    spec: Optional[ScenarioSpec] = None
     truncated: bool = False
     quiescent: bool = True
     kernel: Optional[Kernel] = None
@@ -181,9 +182,7 @@ class ScenarioResult:
     @property
     def backend(self) -> str:
         """Which execution loop produced this result."""
-        if self.spec is not None:
-            return self.spec.backend
-        return "kernel" if self.kernel is not None else "engine"
+        return self.spec.backend
 
     @property
     def tracer(self) -> TraceRecorder:
@@ -206,6 +205,13 @@ class ScenarioResult:
                 return False
         return True
 
+    def verdicts(self) -> Dict[str, int]:
+        """The §2.2 violation counts of the record, plus the spec
+        variant's extra checkers (strict ordering, ...)."""
+        from repro.props.batch import batch_verdicts, variant_checks
+
+        return batch_verdicts(self.record, extra=variant_checks(self.spec.variant))
+
     def to_row(self) -> Dict[str, Any]:
         """The result as one flat, JSON-ready sweep row.
 
@@ -215,12 +221,10 @@ class ScenarioResult:
         results file is self-contained: every row names the scenario
         that produced it and can be replayed from the row alone.
         """
-        from repro.props.batch import batch_verdicts, variant_checks
-
         trace = self.tracer.summary()
         row: Dict[str, Any] = {
-            "name": self.spec.name if self.spec else "",
-            "spec_hash": self.spec.spec_hash() if self.spec else None,
+            "name": self.spec.name,
+            "spec_hash": self.spec.spec_hash(),
             "status": "ok",
             "backend": self.backend,
             "delivered_everywhere": self.delivered_everywhere(),
@@ -231,28 +235,9 @@ class ScenarioResult:
             "skipped_sends": len(self.skipped_sends),
             "unsent_sends": len(self.unsent_sends),
             "deliveries": len(self.record.deliveries),
-            "verdicts": batch_verdicts(
-                self.record,
-                extra=variant_checks(self.spec.variant if self.spec else ""),
-            ),
-            "trace": {
-                "eligible": trace["eligible"],
-                "scanned": trace["scanned"],
-                "actions": trace["actions"],
-                "quorum_stalls": trace["quorum_stalls"],
-                # Coverage inputs (cache schema 2): the explorer
-                # fingerprints runs from rows alone, so the row carries
-                # every signal repro.explore.coverage consumes.
-                "rounds": trace["rounds"],
-                "skipped": trace["skipped"],
-                "full_scan_rounds": trace["full_scan_rounds"],
-                "quorum_queries": trace["quorum_queries"],
-                "gamma_queries": trace["gamma_queries"],
-                "indicator_queries": trace["indicator_queries"],
-                "wait_reasons": trace["wait_reasons"],
-                "interleaving": trace["interleaving"],
-            },
-            "spec": self.spec.to_json() if self.spec else None,
+            "verdicts": self.verdicts(),
+            "trace": {key: trace[key] for key in ROW_TRACE_KEYS},
+            "spec": self.spec.to_json(),
         }
         if self.injector is not None:
             row["faults"] = self.injector.summary()
@@ -268,48 +253,32 @@ class ScenarioResult:
         fault plan hash), so a red run is replayable from the error
         message alone.
         """
-        from repro.props.batch import batch_verdicts, variant_checks
-
-        verdicts = batch_verdicts(
-            self.record,
-            extra=variant_checks(self.spec.variant if self.spec else ""),
-        )
-        suffix = f" {triage_line(self.spec)}" if self.spec else ""
-        bad = {name: count for name, count in verdicts.items() if count}
+        triage = triage_line(self.spec)
+        bad = {name: count for name, count in self.verdicts().items() if count}
         if bad:
             raise PropertyViolation(
-                "+".join(sorted(bad)), f"violation counts {bad}{suffix}"
+                "+".join(sorted(bad)), f"violation counts {bad} {triage}"
             )
         if self.truncated:
             raise PropertyViolation(
                 "termination",
-                f"run truncated before quiescence — proves nothing{suffix}",
+                f"run truncated before quiescence — proves nothing {triage}",
             )
 
 
-_UNSET = object()
-
-
 def run_scenario(
-    spec: Union[ScenarioSpec, GroupTopology],
-    pattern: Optional[FailurePattern] = None,
-    sends: Optional[Sequence[Send]] = None,
-    *legacy_tuning: object,
-    seed: object = _UNSET,
-    variant: object = _UNSET,
-    gamma_lag: object = _UNSET,
-    indicator_lag: object = _UNSET,
-    max_rounds: object = _UNSET,
-    scheduling: object = _UNSET,
+    spec: ScenarioSpec,
+    *,
     trace_path: Optional[str] = None,
     stall_window: Optional[int] = None,
 ) -> ScenarioResult:
     """Execute a scripted scenario to quiescence.
 
-    Primary form: ``run_scenario(spec)`` where ``spec`` is a
-    :class:`ScenarioSpec`; ``trace_path`` and ``stall_window`` are the
-    only other accepted arguments (an output sink and a liveness
-    backstop — execution-harness concerns, not part of the scenario).
+    ``spec`` is a :class:`ScenarioSpec`; ``trace_path`` and
+    ``stall_window`` are the only other accepted arguments (an output
+    sink and a liveness backstop — execution-harness concerns, not part
+    of the scenario).  To vary a tuning axis derive a new spec with
+    :func:`dataclasses.replace`.
 
     ``stall_window`` arms the stall watchdog: a run whose progress
     fingerprint (deliveries for the engine/async backends, applied log
@@ -321,11 +290,10 @@ def run_scenario(
     decides how long a stalled one is allowed to spin — so spec hashes
     and golden traces are unaffected.
 
-    Legacy form: ``run_scenario(topology, pattern, sends, ...)`` with
-    every tuning parameter keyword-only.  Passing tuning parameters
-    positionally — deprecated for several releases — is now a
-    :class:`TypeError`.
-
+    The script is checked against the closed model before anything
+    runs: a send naming an unknown process index raises
+    :class:`ValueError`, a sender outside its destination group raises
+    :class:`SimulationError` — on every backend, crashed sender or not.
     Sends whose sender is already crashed at their round are skipped and
     reported in ``skipped_sends`` (a crashed process cannot multicast).
     Sends still waiting for their round when ``max_rounds`` runs out are
@@ -334,127 +302,147 @@ def run_scenario(
     cases the run proves nothing and ``delivered_everywhere()`` refuses
     success.
 
-    When ``trace_path`` is given, the engine's per-round trace is
-    written there as JSONL (see :mod:`repro.metrics.trace`) after the
-    run finishes.
+    When ``trace_path`` is given, the host's per-round trace is written
+    there as JSONL (see :mod:`repro.metrics.trace`) after the run
+    finishes.
     """
-    supplied = {
-        key: value
-        for key, value in (
-            ("seed", seed),
-            ("variant", variant),
-            ("gamma_lag", gamma_lag),
-            ("indicator_lag", indicator_lag),
-            ("max_rounds", max_rounds),
-            ("scheduling", scheduling),
-        )
-        if value is not _UNSET
-    }
-
-    if isinstance(spec, ScenarioSpec):
-        if pattern is not None or sends is not None or legacy_tuning:
-            raise TypeError(
-                "run_scenario(spec) takes no further positional arguments"
-            )
-        if supplied:
-            raise TypeError(
-                "run_scenario(spec) does not accept tuning overrides "
-                f"({sorted(supplied)}); derive a new spec with "
-                "dataclasses.replace instead"
-            )
-        return _execute(spec, trace_path=trace_path, stall_window=stall_window)
-
-    # -- Legacy shim ------------------------------------------------------
-    topology = spec
-    if pattern is None or sends is None:
+    if not isinstance(spec, ScenarioSpec):
         raise TypeError(
-            "legacy run_scenario(topology, pattern, sends, ...) needs all "
-            "three scenario arguments (or pass a single ScenarioSpec)"
+            "run_scenario takes a ScenarioSpec, not "
+            f"{type(spec).__name__}; build one with "
+            "ScenarioSpec.capture(topology, pattern, sends, ...)"
         )
-    if legacy_tuning:
-        raise TypeError(
-            "run_scenario no longer accepts tuning parameters positionally "
-            f"({len(legacy_tuning)} extra positional argument(s) given); "
-            "pass seed/variant/gamma_lag/indicator_lag/max_rounds/"
-            "scheduling/trace_path as keywords, or build a ScenarioSpec "
-            "with ScenarioSpec.capture(topology, pattern, sends, ...) and "
-            "call run_scenario(spec)"
-        )
-
-    built = ScenarioSpec.capture(
-        topology,
-        pattern,
-        sends,
-        seed=supplied.get("seed", 0),  # type: ignore[arg-type]
-        variant=supplied.get("variant", "vanilla"),  # type: ignore[arg-type]
-        gamma_lag=supplied.get("gamma_lag", 0),  # type: ignore[arg-type]
-        indicator_lag=supplied.get("indicator_lag", 0),  # type: ignore[arg-type]
-        max_rounds=supplied.get("max_rounds", 600),  # type: ignore[arg-type]
-        scheduling=supplied.get("scheduling", "event"),  # type: ignore[arg-type]
-    )
-    return _execute(
-        built,
-        trace_path=trace_path,
-        topology=topology,
-        pattern=pattern,
-        stall_window=stall_window,
-    )
-
-
-def _watchdog_for(
-    window: Optional[int],
-    progress: Any,
-    tracer: TraceRecorder,
-    grace: Time,
-) -> Optional[StallWatchdog]:
-    """Build the runner's stall watchdog (``None`` window = unarmed)."""
-    if window is None:
-        return None
-    return StallWatchdog(
-        progress,
-        window=window,
-        wait_reasons=lambda: tracer.summary()["wait_reasons"],
-        grace=grace,
-    )
-
-
-def _execute(
-    spec: ScenarioSpec,
-    trace_path: Optional[str] = None,
-    topology: Optional[GroupTopology] = None,
-    pattern: Optional[FailurePattern] = None,
-    stall_window: Optional[int] = None,
-) -> ScenarioResult:
-    """Run one spec.  Legacy callers pass their live topology/pattern so
-    object identity is preserved; the spec form rebuilds them."""
-    if topology is None:
-        topology = spec.build_topology()
-    if pattern is None:
-        pattern = spec.build_pattern()
+    topology = spec.build_topology()
+    pattern = spec.build_pattern()
     injector = injector_for(spec.faults, topology, seed=spec.seed)
     if injector is not None:
         # Crash bursts perturb the failure pattern *before* the system
         # is built, so detectors, settle horizons and the record all see
         # the faulted pattern.
         pattern = injector.perturb_pattern(pattern)
-    if spec.backend == "kernel":
-        return _execute_kernel(
-            spec,
-            topology,
-            pattern,
-            injector,
-            trace_path=trace_path,
-            stall_window=stall_window,
+    senders = script_senders(spec, topology)
+    build = _kernel_deployment if spec.backend == "kernel" else _algorithm1_deployment
+    deployment = build(spec, topology, pattern, injector)
+    host = deployment.host
+    pending = sorted(spec.sends, key=lambda s: s.at_round)
+    messages: List[MulticastMessage] = []
+    skipped: List[Send] = []
+
+    def issue(send: Send, t: Time) -> None:
+        sender = senders[send.sender]
+        if not pattern.is_alive(sender, t):
+            skipped.append(send)
+            return
+        messages.append(deployment.multicast(sender, send.group, send.payload))
+
+    def arm_watchdog() -> Optional[StallWatchdog]:
+        # Called by the driver when it starts watching, because the
+        # watchdog baselines its progress fingerprint on construction.
+        if stall_window is None:
+            return None
+        return StallWatchdog(
+            deployment.progress,
+            window=stall_window,
+            wait_reasons=lambda: host.tracer.summary()["wait_reasons"],
+            grace=host.settle_horizon(),
         )
-    if spec.backend == "async":
-        return _execute_async(
-            spec,
-            topology,
-            pattern,
-            injector,
-            trace_path=trace_path,
-            stall_window=stall_window,
+
+    drive = _drive_async if spec.backend == "async" else _drive_rounds
+    driven = drive(spec, deployment, pending, issue, arm_watchdog)
+    unsent = pending[driven.issued :]
+    _audit_injector(
+        injector, spec, host.time, buffer=deployment.buffer, pattern=pattern
+    )
+    record = deployment.finish()
+    if trace_path is not None:
+        host.tracer.write_jsonl(
+            trace_path,
+            meta={
+                "topology": repr(topology),
+                "pattern": str(pattern),
+                "seed": spec.seed,
+                "backend": spec.backend,
+                **deployment.meta,
+                **driven.meta,
+                "spec_hash": spec.spec_hash(),
+                "sends": len(spec.sends),
+                "rounds": driven.rounds,
+            },
         )
+    return ScenarioResult(
+        record=record,
+        messages=messages,
+        system=host if deployment.multicaster else None,
+        multicaster=deployment.multicaster,
+        rounds=driven.rounds,
+        spec=spec,
+        skipped_sends=skipped,
+        unsent_sends=unsent,
+        truncated=bool(unsent) or not driven.quiescent,
+        quiescent=driven.quiescent,
+        kernel=None if deployment.multicaster else host,
+        injector=injector,
+        transport_stats=driven.transport_stats,
+    )
+
+
+def script_senders(spec: ScenarioSpec, topology: GroupTopology) -> Dict[int, ProcessId]:
+    """The ``index -> ProcessId`` map a send script is issued through.
+
+    Checks the whole script against the closed model once, before
+    anything runs, so a malformed spec fails the same way whichever
+    backend executes it and whether or not the offending sender is
+    still alive at its round.
+    """
+    by_index = {p.index: p for p in topology.processes}
+    for send in spec.sends:
+        sender = by_index.get(send.sender)
+        if sender is None:
+            raise ValueError(f"no process with index {send.sender}")
+        if sender not in topology.group(send.group):
+            raise SimulationError(
+                f"closed model: {sender.name} does not belong to {send.group}"
+            )
+    return by_index
+
+
+@dataclass
+class _Deployment:
+    """What the pipeline needs from a built backend, and nothing else.
+
+    ``host`` is the :class:`MulticastSystem` or the :class:`Kernel`:
+    both expose ``time``, ``run(budget, quiescent_rounds=, stop_when=)``,
+    ``last_run_quiescent``, ``settle_horizon()`` and ``tracer``; only
+    the name of their one-round method differs, hence ``step``.
+    """
+
+    host: Union[MulticastSystem, Kernel]
+    step: Callable[[], int]
+    #: Multicast ``payload`` from a (live, member) sender to a group now.
+    multicast: Callable[[ProcessId, str, object], MulticastMessage]
+    #: The stall watchdog's progress fingerprint.
+    progress: Callable[[], int]
+    #: Complete and return the run's :class:`RunRecord`.
+    finish: Callable[[], RunRecord]
+    #: Backend-specific trace ``meta`` entries.
+    meta: Dict[str, Any]
+    multicaster: Optional[AtomicMulticast] = None
+    #: The datagram buffer the admissibility audit inspects (kernel only).
+    buffer: Optional[MessageBuffer] = None
+
+
+def _algorithm1_deployment(
+    spec: ScenarioSpec,
+    topology: GroupTopology,
+    pattern: FailurePattern,
+    injector: Optional[FaultInjector],
+) -> _Deployment:
+    """Algorithm 1 proper: the deployment of ``engine`` *and* ``async``.
+
+    The two backends differ only in who schedules the actors — the
+    lockstep round loop or the :class:`AsyncDriver` — so they share the
+    :class:`MulticastSystem` and its :class:`AtomicMulticast` front end.
+    """
     system = MulticastSystem(
         topology,
         pattern,
@@ -466,120 +454,36 @@ def _execute(
         injector=injector,
     )
     multicaster = AtomicMulticast(system)
-    pending = sorted(spec.sends, key=lambda s: s.at_round)
-    messages: List[MulticastMessage] = []
-    skipped: List[Send] = []
-    rounds = 0
-    cursor = 0
-    while cursor < len(pending) or rounds == 0:
-        # Issue everything scheduled for the current time.
-        while cursor < len(pending) and pending[cursor].at_round <= system.time:
-            send = pending[cursor]
-            cursor += 1
-            sender = _process(topology, send.sender)
-            if not system.is_alive(sender):
-                skipped.append(send)
-                continue
-            messages.append(
-                multicaster.multicast(sender, send.group, send.payload)
-            )
-        if cursor >= len(pending):
-            break
-        system.tick()
-        rounds += 1
-        if rounds >= spec.max_rounds:
-            break
-    unsent = list(pending[cursor:])
-    # The issue loop may have consumed the entire budget; the drain gets
-    # whatever is left, never a negative allowance.
-    budget = max(0, spec.max_rounds - rounds)
-    watchdog = _watchdog_for(
-        stall_window,
-        lambda: len(system.record.deliveries),
-        system.tracer,
-        system.settle_horizon(),
-    )
-    rounds += multicaster.run(
-        max_rounds=budget,
-        stop_when=(
-            watchdog.stop_when(lambda: system.time)
-            if watchdog is not None
-            else None
-        ),
-    )
-    truncated = bool(unsent) or not system.last_run_quiescent
-    _audit_injector(injector, spec, system.time, pattern=pattern)
-    if trace_path is not None:
-        system.tracer.write_jsonl(
-            trace_path,
-            meta={
-                "topology": repr(topology),
-                "pattern": str(pattern),
-                "seed": spec.seed,
-                "variant": spec.variant,
-                "scheduling": spec.scheduling,
-                "spec_hash": spec.spec_hash(),
-                "sends": len(spec.sends),
-                "rounds": rounds,
-            },
-        )
-    return ScenarioResult(
-        record=system.record,
-        messages=messages,
-        system=system,
+    return _Deployment(
+        host=system,
+        step=system.tick,
+        multicast=multicaster.multicast,
+        progress=lambda: len(system.record.deliveries),
+        finish=lambda: system.record,
+        meta={"variant": spec.variant, "scheduling": spec.scheduling},
         multicaster=multicaster,
-        rounds=rounds,
-        skipped_sends=skipped,
-        unsent_sends=unsent,
-        spec=spec,
-        truncated=truncated,
-        quiescent=system.last_run_quiescent,
-        injector=injector,
     )
 
 
-def _audit_injector(
-    injector: Optional[FaultInjector],
-    spec: ScenarioSpec,
-    final_time: Time,
-    buffer: Optional[Any] = None,
-    pattern: Optional[FailurePattern] = None,
-) -> None:
-    """Post-run admissibility audit — a violating injector never passes
-    silently (raises :class:`AdmissibilityError` with the triage line)."""
-    if injector is None:
-        return
-    violations = injector.audit(final_time, buffer=buffer, pattern=pattern)
-    if violations:
-        raise AdmissibilityError(
-            "fault plan left the admissible envelope: "
-            + "; ".join(violations)
-            + " "
-            + triage_line(spec)
-        )
-
-
-def _execute_kernel(
+def _kernel_deployment(
     spec: ScenarioSpec,
     topology: GroupTopology,
     pattern: FailurePattern,
-    injector: Optional[FaultInjector] = None,
-    trace_path: Optional[str] = None,
-    stall_window: Optional[int] = None,
-) -> ScenarioResult:
-    """Run one spec on the Appendix-A kernel backend.
+    injector: Optional[FaultInjector],
+) -> _Deployment:
+    """The Appendix-A kernel backend: one replicated log per group.
 
     Each destination group gets its own
     :class:`~repro.substrates.replicated_log.ReplicatedLogCluster` (one
     log per group, the §4.3 universal construction), all hosted by a
     single :class:`Kernel` so the whole scenario shares one clock, one
-    message buffer and one scheduler.  A :class:`Send` becomes an
-    ``append`` of the minted message id at the sender's replica; a
-    replica *delivers* the message when its log applies that id.  The
-    resulting :class:`RunRecord` feeds the same property checkers as the
-    engine backend (step accounting stays in ``kernel.steps_taken`` —
-    kernel steps are datagram receipts, not engine actions, and charging
-    them as record steps would make the Minimality audit compare
+    message buffer and one scheduler.  A multicast becomes an ``append``
+    of the minted message id at the sender's replica; a replica
+    *delivers* the message when its log applies that id.  The resulting
+    :class:`RunRecord` feeds the same property checkers as the engine
+    backend (step accounting stays in ``kernel.steps_taken`` — kernel
+    steps are datagram receipts, not engine actions, and charging them
+    as record steps would make the Minimality audit compare
     incomparable units).
     """
     for g, h in itertools.combinations(topology.groups, 2):
@@ -623,174 +527,137 @@ def _execute_kernel(
     record = RunRecord(topology.processes, pattern)
     factory = MessageFactory()
     by_mid: Dict[Any, MulticastMessage] = {}
-    pending = sorted(spec.sends, key=lambda s: s.at_round)
-    messages: List[MulticastMessage] = []
-    skipped: List[Send] = []
+
+    def multicast(sender: ProcessId, group: str, payload: object) -> MulticastMessage:
+        message = factory.multicast(sender, topology.group(group).members, payload)
+        by_mid[message.mid] = message
+        record.note_multicast(kernel.time, sender, message)
+        clusters[group].append(sender, message.mid)
+        return message
+
+    def applied() -> int:
+        # Kernel progress = log entries applied anywhere: the
+        # supersede-wait stall keeps datagrams circulating (steps fire
+        # every round), so step counts cannot be the fingerprint —
+        # applied outputs can.
+        return sum(len(entries) for entries in kernel.outputs.values())
+
+    def finish() -> RunRecord:
+        # Synthesize the delivery trace: a replica delivered m when its
+        # log applied m's id.  Sorted by (time, process, apply order) so
+        # the global event list is deterministic; per-process order is
+        # the apply order, which is what Ordering judges.
+        applies: List[Tuple[Time, int, int, ProcessId, MulticastMessage]] = []
+        for p, entries in kernel.outputs.items():
+            for position, (when, value) in enumerate(entries):
+                if (
+                    isinstance(value, tuple)
+                    and len(value) == 3
+                    and value[0] == "applied"
+                    and value[2] in by_mid
+                ):
+                    applies.append((when, p.index, position, p, by_mid[value[2]]))
+        for when, _, _, p, message in sorted(applies, key=lambda e: e[:3]):
+            record.note_delivery(when, p, message)
+        return record
+
+    return _Deployment(
+        host=kernel,
+        step=kernel.round,
+        multicast=multicast,
+        progress=applied,
+        finish=finish,
+        meta={"event_driven": spec.kernel_event_driven()},
+        buffer=kernel.buffer,
+    )
+
+
+@dataclass
+class _Driven:
+    """How a drive ended: what the result and the trace ``meta`` need."""
+
+    rounds: int
+    #: How many of the sorted script's sends were reached (issued or skipped).
+    issued: int
+    quiescent: bool
+    meta: Dict[str, Any] = field(default_factory=dict)
+    transport_stats: Optional[Dict[str, int]] = None
+
+
+def _drive_rounds(
+    spec: ScenarioSpec,
+    deployment: _Deployment,
+    pending: Sequence[Send],
+    issue: Callable[[Send, Time], None],
+    arm_watchdog: Callable[[], Optional[StallWatchdog]],
+) -> _Driven:
+    """The lockstep driver: interleave the script with rounds, then drain."""
+    host = deployment.host
     rounds = 0
     cursor = 0
-    while cursor < len(pending) or rounds == 0:
-        while cursor < len(pending) and pending[cursor].at_round <= kernel.time:
-            send = pending[cursor]
+    while True:
+        # Issue everything scheduled for the current time.
+        while cursor < len(pending) and pending[cursor].at_round <= host.time:
+            issue(pending[cursor], host.time)
             cursor += 1
-            sender = _process(topology, send.sender)
-            group = topology.group(send.group)
-            if sender not in group:
-                raise SimulationError(
-                    f"closed model: {sender.name} does not belong to "
-                    f"{send.group}"
-                )
-            if not pattern.is_alive(sender, kernel.time):
-                skipped.append(send)
-                continue
-            message = factory.multicast(sender, group.members, send.payload)
-            by_mid[message.mid] = message
-            messages.append(message)
-            record.note_multicast(kernel.time, sender, message)
-            clusters[send.group].append(sender, message.mid)
         if cursor >= len(pending):
             break
-        kernel.round()
+        deployment.step()
         rounds += 1
         if rounds >= spec.max_rounds:
             break
-    unsent = list(pending[cursor:])
-    budget = max(0, spec.max_rounds - rounds)
-    # Kernel progress = log entries applied anywhere: the supersede-wait
-    # stall keeps datagrams circulating (steps fire every round), so
-    # step counts cannot be the fingerprint — applied outputs can.
-    watchdog = _watchdog_for(
-        stall_window,
-        lambda: sum(len(entries) for entries in kernel.outputs.values()),
-        kernel.tracer,
-        kernel.settle_horizon(),
-    )
-    rounds += kernel.run(
-        budget,
+    # Only the drain is watched: progress made while the script was
+    # still being issued is the baseline, not a stall.
+    watchdog = arm_watchdog()
+    # The issue loop may have consumed the entire budget; the drain gets
+    # whatever is left, never a negative allowance.
+    rounds += host.run(
+        max(0, spec.max_rounds - rounds),
         quiescent_rounds=2,
         stop_when=(
-            watchdog.stop_when(lambda: kernel.time)
+            watchdog.stop_when(lambda: host.time)
             if watchdog is not None
             else None
         ),
     )
-    quiescent = kernel.last_run_quiescent
-    truncated = bool(unsent) or not quiescent
-    _audit_injector(
-        injector, spec, kernel.time, buffer=kernel.buffer, pattern=pattern
-    )
-    # Synthesize the delivery trace: a replica delivered m when its log
-    # applied m's id.  Sorted by (time, process, apply order) so the
-    # global event list is deterministic; per-process order is the apply
-    # order, which is what Ordering judges.
-    applies: List[Tuple[Time, int, int, ProcessId, MulticastMessage]] = []
-    for p, entries in kernel.outputs.items():
-        for position, (when, value) in enumerate(entries):
-            if (
-                isinstance(value, tuple)
-                and len(value) == 3
-                and value[0] == "applied"
-                and value[2] in by_mid
-            ):
-                applies.append((when, p.index, position, p, by_mid[value[2]]))
-    for when, _, _, p, message in sorted(applies, key=lambda e: e[:3]):
-        record.note_delivery(when, p, message)
-    if trace_path is not None:
-        kernel.tracer.write_jsonl(
-            trace_path,
-            meta={
-                "topology": repr(topology),
-                "pattern": str(pattern),
-                "seed": spec.seed,
-                "backend": "kernel",
-                "event_driven": spec.kernel_event_driven(),
-                "spec_hash": spec.spec_hash(),
-                "sends": len(spec.sends),
-                "rounds": rounds,
-            },
-        )
-    return ScenarioResult(
-        record=record,
-        messages=messages,
-        system=None,
-        multicaster=None,
-        rounds=rounds,
-        skipped_sends=skipped,
-        unsent_sends=unsent,
-        spec=spec,
-        truncated=truncated,
-        quiescent=quiescent,
-        kernel=kernel,
-        injector=injector,
-    )
+    return _Driven(rounds, cursor, host.last_run_quiescent)
 
 
-def _execute_async(
+def _drive_async(
     spec: ScenarioSpec,
-    topology: GroupTopology,
-    pattern: FailurePattern,
-    injector: Optional[FaultInjector] = None,
-    trace_path: Optional[str] = None,
-    stall_window: Optional[int] = None,
-) -> ScenarioResult:
-    """Run one spec on the real-asynchrony backend.
+    deployment: _Deployment,
+    pending: Sequence[Send],
+    issue: Callable[[Send, Time], None],
+    arm_watchdog: Callable[[], Optional[StallWatchdog]],
+) -> _Driven:
+    """The real-asynchrony driver over the same Algorithm 1 deployment.
 
-    The deployment is exactly the engine backend's — the same
-    :class:`MulticastSystem` and :class:`AtomicMulticast` — but instead
-    of the lockstep round loop, an :class:`AsyncDriver` runs every
-    process as an asyncio task and routes shared-object wake-ups through
-    latency-modelled channels (``spec.delay_model``).  Each ``fire`` is
-    atomic under cooperative scheduling, so shared-object operations
-    stay linearizable and the run is an admissible run of the same
-    model; only the interleaving (and hence the round count) differs.
-    With ``spec.clock="virtual"`` the whole run is a pure function of
-    the spec and replays deterministically.
+    Instead of the lockstep round loop, an :class:`AsyncDriver` runs
+    every process as an asyncio task and routes shared-object wake-ups
+    through latency-modelled channels (``spec.delay_model``).  Each
+    ``fire`` is atomic under cooperative scheduling, so shared-object
+    operations stay linearizable and the run is an admissible run of the
+    same model; only the interleaving (and hence the round count)
+    differs.  With ``spec.clock="virtual"`` the whole run is a pure
+    function of the spec and replays deterministically.
     """
-    system = MulticastSystem(
-        topology,
-        pattern,
-        variant=spec.variant,
-        gamma_lag=spec.gamma_lag,
-        indicator_lag=spec.indicator_lag,
-        seed=spec.seed,
-        scheduling=spec.scheduling,
-        injector=injector,
-    )
-    multicaster = AtomicMulticast(system)
     # Virtual runs finish instantly regardless of the round duration, so
     # use the natural 1s = 1 round mapping; wall runs compress rounds to
     # keep real elapsed time bounded (a 600-round budget ≈ 12s).
     round_duration = 1.0 if spec.clock == "virtual" else 0.02
     driver = AsyncDriver(
-        system,
+        deployment.host,
         delay_model=spec.delay_model,
         round_duration=round_duration,
         clock=spec.clock,
         seed=spec.seed,
     )
-    pending = sorted(spec.sends, key=lambda s: s.at_round)
-    messages: List[MulticastMessage] = []
-    skipped: List[Send] = []
-
-    def issue(send: Send, t: Time) -> None:
-        sender = _process(topology, send.sender)
-        if not pattern.is_alive(sender, t):
-            skipped.append(send)
-            return
-        messages.append(
-            multicaster.multicast(sender, send.group, send.payload)
-        )
-
+    watchdog = arm_watchdog()
     # Wall-clock async runs get a real-time backstop on top of the
     # logical window: a hung loop stops producing logical checks, but
     # never stops the wall clock.
-    watchdog = _watchdog_for(
-        stall_window,
-        lambda: len(system.record.deliveries),
-        system.tracer,
-        system.settle_horizon(),
-    )
     if watchdog is not None and spec.clock == "wall":
-        watchdog.wall_budget = max(30.0, stall_window * round_duration * 4)
+        watchdog.wall_budget = max(30.0, watchdog.window * round_duration * 4)
     outcome = driver.run(
         sends=pending,
         issue=issue,
@@ -798,39 +665,34 @@ def _execute_async(
         quiescent_rounds=2,
         watchdog=watchdog,
     )
-    unsent = list(pending[driver.sends_cursor :])
-    truncated = bool(unsent) or not outcome.quiescent
-    _audit_injector(injector, spec, system.time, pattern=pattern)
-    if trace_path is not None:
-        system.tracer.write_jsonl(
-            trace_path,
-            meta={
-                "topology": repr(topology),
-                "pattern": str(pattern),
-                "seed": spec.seed,
-                "variant": spec.variant,
-                "backend": "async",
-                "clock": spec.clock,
-                "delay_model": repr(driver.delay.spec()),
-                "spec_hash": spec.spec_hash(),
-                "sends": len(spec.sends),
-                "rounds": outcome.rounds,
-            },
-        )
-    return ScenarioResult(
-        record=system.record,
-        messages=messages,
-        system=system,
-        multicaster=multicaster,
-        rounds=outcome.rounds,
-        skipped_sends=skipped,
-        unsent_sends=unsent,
-        spec=spec,
-        truncated=truncated,
-        quiescent=outcome.quiescent,
-        injector=injector,
+    return _Driven(
+        outcome.rounds,
+        driver.sends_cursor,
+        outcome.quiescent,
+        meta={"clock": spec.clock, "delay_model": repr(driver.delay.spec())},
         transport_stats=dict(driver.last_transport_stats),
     )
+
+
+def _audit_injector(
+    injector: Optional[FaultInjector],
+    spec: ScenarioSpec,
+    final_time: Time,
+    buffer: Optional[MessageBuffer],
+    pattern: FailurePattern,
+) -> None:
+    """Post-run admissibility audit — a violating injector never passes
+    silently (raises :class:`AdmissibilityError` with the triage line)."""
+    if injector is None:
+        return
+    violations = injector.audit(final_time, buffer=buffer, pattern=pattern)
+    if violations:
+        raise AdmissibilityError(
+            "fault plan left the admissible envelope: "
+            + "; ".join(violations)
+            + " "
+            + triage_line(spec)
+        )
 
 
 def random_sends(
@@ -853,10 +715,3 @@ def random_sends(
             )
         )
     return sends
-
-
-def _process(topology: GroupTopology, index: int) -> ProcessId:
-    for p in topology.processes:
-        if p.index == index:
-            return p
-    raise ValueError(f"no process with index {index}")

@@ -296,7 +296,7 @@ class ScenarioSpec:
         quirks: Tuple[str, ...] = (),
         name: str = "",
     ) -> "ScenarioSpec":
-        """Extract a spec from the live objects a legacy call passes."""
+        """Extract a spec from a live topology, failure pattern and script."""
         return cls(
             topology=TopologySpec.capture(topology),
             crashes=tuple(

@@ -4,14 +4,18 @@ from repro.baselines import BroadcastMulticast
 from repro.groups import paper_figure1_topology
 from repro.model import failure_free, make_processes, pset
 from repro.props import batch_verdicts, variant_checks, verdicts_ok
-from repro.workloads import Send, chain_topology, run_scenario
+from repro.workloads import ScenarioSpec, Send, chain_topology, run_scenario
 
 
 def test_clean_run_has_zero_counts_everywhere():
     topo = chain_topology(2)
     procs = make_processes(3)
     result = run_scenario(
-        topo, failure_free(pset(procs)), [Send(1, "g1", 0), Send(3, "g2", 1)]
+        ScenarioSpec.capture(
+            topo,
+            failure_free(pset(procs)),
+            [Send(1, "g1", 0), Send(3, "g2", 1)],
+        )
     )
     verdicts = batch_verdicts(result.record)
     assert set(verdicts) == {"integrity", "termination", "ordering", "minimality"}
@@ -40,10 +44,12 @@ def test_variant_checks_add_strict_ordering():
     topo = chain_topology(2)
     procs = make_processes(3)
     result = run_scenario(
-        topo,
-        failure_free(pset(procs)),
-        [Send(1, "g1", 0)],
-        variant="strict",
+        ScenarioSpec.capture(
+            topo,
+            failure_free(pset(procs)),
+            [Send(1, "g1", 0)],
+            variant="strict",
+        )
     )
     verdicts = batch_verdicts(result.record, extra=extra)
     assert verdicts["strict_ordering"] == 0

@@ -9,7 +9,7 @@ proves nothing, so the runner now reports the leftovers in
 """
 
 from repro.model import crash_pattern, failure_free, make_processes, pset
-from repro.workloads import Send, chain_topology, run_scenario
+from repro.workloads import ScenarioSpec, Send, chain_topology, run_scenario
 
 
 def _topo_and_pattern():
@@ -23,11 +23,13 @@ class TestTruncation:
         topo, _, pattern = _topo_and_pattern()
         late = Send(3, "g2", at_round=500)
         result = run_scenario(
-            topo,
-            pattern,
-            [Send(1, "g1", 0), late],
-            seed=1,
-            max_rounds=10,
+            ScenarioSpec.capture(
+                topo,
+                pattern,
+                [Send(1, "g1", 0), late],
+                seed=1,
+                max_rounds=10,
+            )
         )
         assert result.unsent_sends == [late]
         # The late send was never issued, not merely undelivered.
@@ -36,11 +38,13 @@ class TestTruncation:
     def test_truncated_script_is_not_a_success(self):
         topo, _, pattern = _topo_and_pattern()
         result = run_scenario(
-            topo,
-            pattern,
-            [Send(1, "g1", 0), Send(3, "g2", 500)],
-            seed=1,
-            max_rounds=10,
+            ScenarioSpec.capture(
+                topo,
+                pattern,
+                [Send(1, "g1", 0), Send(3, "g2", 500)],
+                seed=1,
+                max_rounds=10,
+            )
         )
         # Seed bug: this returned True because only the issued message
         # was checked.  A run that never issued the whole script must
@@ -53,7 +57,9 @@ class TestTruncation:
         dead = Send(1, "g1", at_round=5)  # sender crashed at round 1
         late = Send(3, "g2", at_round=500)
         result = run_scenario(
-            topo, pattern, [dead, late], seed=2, max_rounds=10
+            ScenarioSpec.capture(
+                topo, pattern, [dead, late], seed=2, max_rounds=10
+            )
         )
         assert result.skipped_sends == [dead]
         assert result.unsent_sends == [late]
@@ -61,10 +67,12 @@ class TestTruncation:
     def test_complete_script_has_no_unsent_sends(self):
         topo, _, pattern = _topo_and_pattern()
         result = run_scenario(
-            topo,
-            pattern,
-            [Send(1, "g1", 0), Send(3, "g2", 4)],
-            seed=1,
+            ScenarioSpec.capture(
+                topo,
+                pattern,
+                [Send(1, "g1", 0), Send(3, "g2", 4)],
+                seed=1,
+            )
         )
         assert result.unsent_sends == []
         assert result.delivered_everywhere()

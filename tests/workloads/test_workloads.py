@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.model import crash_pattern, failure_free, make_processes, pset
 from repro.props import assert_run_ok
 from repro.workloads import (
+    ScenarioSpec,
     Send,
     chain_topology,
     disjoint_topology,
@@ -86,10 +87,12 @@ class TestScenarioRunner:
         topo = chain_topology(2)
         procs = make_processes(3)
         result = run_scenario(
-            topo,
-            failure_free(pset(procs)),
-            [Send(1, "g1", 0), Send(3, "g2", 4)],
-            seed=1,
+            ScenarioSpec.capture(
+                topo,
+                failure_free(pset(procs)),
+                [Send(1, "g1", 0), Send(3, "g2", 4)],
+                seed=1,
+            )
         )
         assert len(result.messages) == 2
         assert result.delivered_everywhere()
@@ -100,7 +103,7 @@ class TestScenarioRunner:
         procs = make_processes(3)
         pattern = crash_pattern(pset(procs), {procs[0]: 1})
         result = run_scenario(
-            topo, pattern, [Send(1, "g1", 5)], seed=2
+            ScenarioSpec.capture(topo, pattern, [Send(1, "g1", 5)], seed=2)
         )
         assert result.skipped_sends
         assert result.messages == []
@@ -110,14 +113,18 @@ class TestScenarioRunner:
         procs = make_processes(3)
         with pytest.raises(ValueError):
             run_scenario(
-                topo,
-                failure_free(pset(procs)),
-                [Send(9, "g1", 0)],
+                ScenarioSpec.capture(
+                    topo,
+                    failure_free(pset(procs)),
+                    [Send(9, "g1", 0)],
+                )
             )
 
     def test_empty_script_is_fine(self):
         topo = chain_topology(2)
         procs = make_processes(3)
-        result = run_scenario(topo, failure_free(pset(procs)), [], seed=3)
+        result = run_scenario(
+            ScenarioSpec.capture(topo, failure_free(pset(procs)), [], seed=3)
+        )
         assert result.messages == []
         assert_run_ok(result.record)
