@@ -236,7 +236,8 @@ def test_matrix_rows_as_campaign_sweep(benchmark):
     What each row above checks once, the campaign re-checks as a grid:
     the Figure 1 crash scenario under four seeds and both ordering
     variants, every row verdict-checked in batch.  This is the sweep
-    style bench_campaign.py measures at scale.
+    style the ``campaign-faulted`` workload of ``benchmarks/e2e``
+    measures at scale.
     """
     campaign = Campaign(
         name="table1-mu-row",

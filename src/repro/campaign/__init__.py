@@ -43,12 +43,7 @@ from repro.campaign.cache import (
     shard_cells,
     shard_of,
 )
-from repro.campaign.executor import (
-    MODES,
-    execute_spec,
-    iter_campaign_rows,
-    run_campaign,
-)
+from repro.campaign.executor import MODES, execute_spec, run_campaign
 from repro.campaign.grid import Campaign, CampaignCase, case
 
 __all__ = [
@@ -64,7 +59,6 @@ __all__ = [
     "case",
     "ensure_cache",
     "execute_spec",
-    "iter_campaign_rows",
     "meta_line",
     "row_line",
     "run_campaign",

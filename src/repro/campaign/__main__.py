@@ -207,17 +207,15 @@ def main(argv=None) -> int:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-cell wall-clock budget (process mode only): a cell "
-        "that exceeds it yields a failed row with error='timeout' "
-        "instead of hanging the sweep",
+        help="per-cell wall-clock budget: the sweep runs on a process "
+        "pool (of one with --workers 1) and a cell that exceeds the "
+        "budget yields a failed row with error='timeout' instead of "
+        "hanging the sweep",
     )
     args = parser.parse_args(argv)
 
     if args.resume and not args.out:
         parser.error("--resume requires --out")
-    if args.cell_timeout is not None and args.workers <= 1:
-        parser.error("--cell-timeout needs --workers >= 2 (process mode); "
-                     "use --stall-window for in-process sweeps")
     shard = None
     if args.shard is not None:
         try:
@@ -244,6 +242,7 @@ def main(argv=None) -> int:
     report = run_campaign(
         campaign,
         workers=args.workers,
+        mode="process" if args.cell_timeout is not None else None,
         cache=args.cache_dir,
         out_dir=args.out,
         resume=args.resume,

@@ -126,31 +126,6 @@ def _failed_row(spec: ScenarioSpec, error: str, **extra: Any) -> Dict[str, Any]:
     }
 
 
-def iter_campaign_rows(
-    specs: Sequence[ScenarioSpec],
-    *,
-    workers: int = 1,
-    mp_context: Optional[object] = None,
-    stall_window: Optional[int] = None,
-    cell_timeout: Optional[float] = None,
-) -> Iterator[Dict[str, Any]]:
-    """Stream result rows in spec order.
-
-    With ``workers <= 1`` the specs run serially in-process; otherwise a
-    process pool executes them while this generator yields whatever is
-    ready, still in submission order.  ``stall_window`` and
-    ``cell_timeout`` are the liveness backstops (see
-    :func:`run_campaign`).
-    """
-    return _iter_cell_rows(
-        list(enumerate(specs)),
-        workers=workers,
-        mp_context=mp_context,
-        stall_window=stall_window,
-        cell_timeout=cell_timeout,
-    )
-
-
 def _timed_pool_rows(
     pool: ProcessPoolExecutor,
     batch: Sequence[Tuple[int, ScenarioSpec]],
@@ -182,14 +157,17 @@ def _timed_pool_rows(
 def _iter_cell_rows(
     cells: Sequence[Tuple[int, ScenarioSpec]],
     *,
-    workers: int = 1,
-    mp_context: Optional[object] = None,
+    workers: Optional[int] = None,
     cache: Optional[CampaignCache] = None,
     counters: Optional[Dict[str, int]] = None,
     stall_window: Optional[int] = None,
     cell_timeout: Optional[float] = None,
 ) -> Iterator[Dict[str, Any]]:
     """Stream rows for ``(global index, spec)`` cells, in cell order.
+
+    ``workers`` is the process-pool size; ``None`` runs the cells
+    in-process.  One worker is still a pool: the per-cell budget needs a
+    process it can stop waiting on.
 
     The cache-aware path works in bounded chunks: probe the cache for
     :data:`CACHE_CHUNK` cells, dispatch only the misses (serially or to
@@ -205,8 +183,8 @@ def _iter_cell_rows(
     pool: Optional[ProcessPoolExecutor] = None
     timed_out = [False]
     try:
-        if workers > 1:
-            pool = ProcessPoolExecutor(max_workers=workers, mp_context=mp_context)
+        if workers is not None:
+            pool = ProcessPoolExecutor(max_workers=workers)
 
         def run_batch(batch: List[Tuple[int, ScenarioSpec]]) -> Iterator[Dict[str, Any]]:
             if not batch:
@@ -263,7 +241,6 @@ def run_campaign(
     *,
     workers: int = 1,
     mode: Optional[str] = None,
-    mp_context: Optional[object] = None,
     on_row: Optional[Callable[[Dict[str, Any]], None]] = None,
     cache: Optional[Union[CampaignCache, str]] = None,
     out_dir: Optional[str] = None,
@@ -280,12 +257,13 @@ def run_campaign(
             sequence of :class:`ScenarioSpec` values.
         workers: worker processes for ``mode="process"``.
         mode: ``"serial"`` or ``"process"``; default is serial for
-            ``workers <= 1`` and a process pool otherwise.  Asking for
-            ``mode="serial"`` *and* ``workers > 1`` is a contradiction
-            and raises :class:`ValueError` — silently running serial
-            would mask a misconfigured sweep.
-        mp_context: optional :mod:`multiprocessing` context (e.g.
-            ``multiprocessing.get_context("spawn")``) for the pool.
+            ``workers <= 1`` and a process pool otherwise.  An explicit
+            ``"process"`` always builds the pool, one worker included,
+            so ``cell_timeout`` is enforced and the reported mode is
+            the one that ran.  Asking for ``mode="serial"`` *and*
+            ``workers > 1`` is a contradiction and raises
+            :class:`ValueError` — silently running serial would mask a
+            misconfigured sweep.
         on_row: optional callback invoked with each row as it streams
             in (progress reporting).  Also sees resumed rows.
         cache: a :class:`repro.campaign.cache.CampaignCache` (or a
@@ -350,7 +328,7 @@ def run_campaign(
             "cell_timeout needs mode='process': an in-process sweep cannot "
             "preempt its own cell — arm stall_window instead"
         )
-    effective_workers = workers if mode == "process" else 1
+    pool_workers = workers if mode == "process" else None
     cache_obj = ensure_cache(cache)
     if keep_rows is None:
         keep_rows = out_dir is None
@@ -414,8 +392,7 @@ def run_campaign(
         if not complete:
             for row in _iter_cell_rows(
                 cells[resumed:],
-                workers=effective_workers,
-                mp_context=mp_context,
+                workers=pool_workers,
                 cache=cache_obj,
                 counters=counters,
                 stall_window=stall_window,
@@ -439,7 +416,7 @@ def run_campaign(
         rows=tuple(rows),
         summary=aggregator.summary(),
         mode=mode,
-        workers=effective_workers,
+        workers=pool_workers or 1,
         elapsed=elapsed,
         executed=counters["executed"],
         cached=counters["cached"],

@@ -18,7 +18,7 @@ Two flags turn this into the nightly soak lane:
 ``--compare-random`` additionally runs the pure-sampling ablation
 (``strategy="random"``) under the same seed and budget and prints the
 coverage comparison — the quick console version of the committed
-guided-vs-random curves in ``benchmarks/BENCH_explore.json``.
+guided-vs-random curves in ``BENCH_explore.json`` at the repo root.
 
 The ``supersede-wait`` rediscovery (EXPERIMENTS.md "Exploring the fault
 space") is::

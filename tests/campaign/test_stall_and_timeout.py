@@ -103,6 +103,19 @@ class TestCellTimeout:
         assert row["timeout"] == 1.0
         assert row["spec_hash"] == campaign.specs()[0].spec_hash()
 
+    def test_one_worker_process_mode_still_enforces_the_budget(self):
+        # One worker is still a pool: run in-process, the cell could not
+        # be preempted and the reported mode would be a lie.  No result
+        # can be ready a nanosecond after submission, so the short cell
+        # times out without leaving a long-running worker behind.
+        report = run_campaign(
+            stall_campaign(), mode="process", workers=1, cell_timeout=1e-9
+        )
+        assert (report.mode, report.workers) == ("process", 1)
+        (row,) = report.rows
+        assert row["status"] == "failed"
+        assert row["error"] == "timeout"
+
     def test_cell_timeout_requires_process_mode(self):
         with pytest.raises(ValueError):
             run_campaign(stall_campaign(), cell_timeout=1.0)

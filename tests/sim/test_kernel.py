@@ -151,9 +151,9 @@ def build_quiet(event_driven, seed=0):
 class TestEventDrivenKernel:
     def test_idle_skip_preserves_outputs(self):
         scan_automata, scan = build_quiet(event_driven=False, seed=9)
-        scan.run(6)
         event_automata, event = build_quiet(event_driven=True, seed=9)
-        event.run(6)
+        # No quiescent_rounds: both modes run the full budget, idle or not.
+        assert scan.run(6) == event.run(6) == 6
         assert str(scan.outputs) == str(event.outputs)
         assert scan.total_messages() == event.total_messages()
 

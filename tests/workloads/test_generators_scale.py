@@ -26,7 +26,9 @@ from repro.workloads import (
     chain_topology,
     disjoint_topology,
     hub_topology,
+    random_sends,
     ring_topology,
+    run_scenario,
     sparse_overlap_topology,
 )
 
@@ -174,6 +176,22 @@ class TestGeneratorSpecs:
         )
         assert spec.spec_hash() == (
             "c4b001d866956e5dde6dcdd70ee9539fce633366fd5195373394ba3958afce7d"
+        )
+
+    def test_ring200_runs_on_the_engine(self):
+        # One 200-cycle is one cyclic family: the engine has to find it
+        # from the cycle's certificate, a 2^|G| subset sweep never returns.
+        topology_spec = TopologySpec.from_generator({"kind": "ring", "k": K})
+        topology = topology_spec.build()
+        sends = tuple(random_sends(topology, 10, seed=5, spread_rounds=10))
+        result = run_scenario(
+            ScenarioSpec(
+                topology=topology_spec, sends=sends, seed=5, max_rounds=4000
+            )
+        )
+        assert not result.truncated
+        assert len(result.record.deliveries) == sum(
+            len(topology.group(s.group).members) for s in sends
         )
 
     def test_explicit_map_specs_still_load_v1_payloads(self):
