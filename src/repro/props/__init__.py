@@ -17,8 +17,8 @@ from repro.props.checkers import (
     check_termination,
 )
 from repro.props.relations import (
+    delivery_order_graph,
     find_cycle,
-    local_delivery_edges,
     realtime_edges,
 )
 
@@ -35,7 +35,7 @@ __all__ = [
     "check_pairwise_ordering",
     "check_strict_ordering",
     "check_termination",
+    "delivery_order_graph",
     "find_cycle",
-    "local_delivery_edges",
     "realtime_edges",
 ]

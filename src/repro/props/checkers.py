@@ -27,8 +27,8 @@ from repro.model.messages import MulticastMessage
 from repro.model.processes import ProcessId, ProcessSet
 from repro.model.runs import RunRecord
 from repro.props.relations import (
+    delivery_order_graph,
     find_cycle,
-    local_delivery_edges,
     realtime_edges,
 )
 
@@ -83,7 +83,7 @@ def check_termination(record: RunRecord) -> List[str]:
 
 def check_ordering(record: RunRecord) -> List[str]:
     """§2.2 Ordering: the delivery relation ``|->`` is acyclic."""
-    cycle = find_cycle(local_delivery_edges(record))
+    cycle = find_cycle(delivery_order_graph(record))
     if cycle is None:
         return []
     pretty = " |-> ".join(str(mid) for mid in cycle)
@@ -92,7 +92,7 @@ def check_ordering(record: RunRecord) -> List[str]:
 
 def check_strict_ordering(record: RunRecord) -> List[str]:
     """§6.1 Strict Ordering: ``|-> ∪ ~>`` is acyclic."""
-    edges = local_delivery_edges(record) | realtime_edges(record)
+    edges = delivery_order_graph(record) | realtime_edges(record)
     cycle = find_cycle(edges)
     if cycle is None:
         return []
@@ -105,12 +105,14 @@ def check_pairwise_ordering(record: RunRecord) -> List[str]:
     process delivering ``m'`` delivered ``m`` before."""
     violations: List[str] = []
     orders = {p: record.local_order(p) for p in record.processes}
+    indices = {
+        q: {x.mid: j for j, x in enumerate(q_order)}
+        for q, q_order in orders.items()
+    }
     for p, order in orders.items():
-        index_p = {m.mid: i for i, m in enumerate(order)}
         for i, m in enumerate(order):
             for m_prime in order[i + 1 :]:
-                for q, q_order in orders.items():
-                    index_q = {x.mid: j for j, x in enumerate(q_order)}
+                for q, index_q in indices.items():
                     if m_prime.mid not in index_q:
                         continue
                     pos_m = index_q.get(m.mid)

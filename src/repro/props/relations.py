@@ -4,20 +4,22 @@ Builds, from a :class:`repro.model.RunRecord`:
 
 * the local delivery order ``m |->_p m'`` — ``p`` (in both destination
   groups) delivered ``m`` at a time when it had not delivered ``m'``;
-* the global delivery relation ``|->`` (union over processes);
+* the global delivery relation ``|->`` (union over processes), as a
+  sparse graph with the same reachability rather than pair by pair;
 * the real-time relation ``m ~> m'`` — ``m`` was delivered (somewhere)
   before ``m'`` was multicast.
 
-All relations are returned as edge sets over message ids together with a
-cycle oracle, which is what the Ordering / Strict Ordering / Pairwise
-Ordering checkers consume.
+The last two are returned as edge sets over message ids together with
+a cycle oracle, which is what the Ordering / Strict Ordering checkers
+consume.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from bisect import bisect_right
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.model.messages import MessageId, MulticastMessage
+from repro.model.messages import MessageId
 from repro.model.processes import ProcessId
 from repro.model.runs import RunRecord
 
@@ -25,49 +27,48 @@ from repro.model.runs import RunRecord
 Edge = Tuple[MessageId, MessageId]
 
 
-def local_delivery_edges(record: RunRecord) -> Set[Edge]:
-    """All pairs ``m |->_p m'`` over all processes ``p``.
+def delivery_order_graph(record: RunRecord) -> Set[Edge]:
+    """A sparse graph with the same reachability as ``|->``.
 
     ``m |->_p m'`` holds when ``p`` belongs to both destination groups,
-    delivered ``m``, and at that point had not delivered ``m'`` — which
-    covers both "delivered ``m`` before ``m'``" and "delivered ``m`` and
-    never ``m'``".
+    delivered ``m``, and at that point had not delivered ``m'``.  Each
+    ``|->_p`` is transitive, so per process it is enough to chain the
+    messages ``p`` delivered (by last delivery, should ``p`` deliver one
+    twice) and to point the last of them at every message addressed to
+    ``p`` that ``p`` never delivered.  Every edge here is a ``|->`` edge
+    and every ``|->`` edge is a path here: the two have the same cycles.
     """
+    addressed: Dict[ProcessId, List[MessageId]] = {}
+    for m in record.delivered_messages():
+        for p in m.dst:
+            addressed.setdefault(p, []).append(m.mid)
     edges: Set[Edge] = set()
-    delivered = record.delivered_messages()
-    by_process: Dict[ProcessId, Sequence[MulticastMessage]] = {
-        p: record.local_order(p) for p in record.processes
-    }
-    for p, order in by_process.items():
-        seen_ids = [m.mid for m in order]
-        position = {mid: i for i, mid in enumerate(seen_ids)}
-        for m in order:
-            for m_prime in delivered:
-                if m.mid == m_prime.mid:
-                    continue
-                if p not in m_prime.dst or p not in m.dst:
-                    continue
-                later = position.get(m_prime.mid)
-                if later is None or later > position[m.mid]:
-                    edges.add((m.mid, m_prime.mid))
+    for p in record.processes:
+        position = {m.mid: i for i, m in enumerate(record.local_order(p))}
+        mine = addressed.get(p, ())
+        chain = sorted(
+            (mid for mid in mine if mid in position), key=position.get
+        )
+        edges.update(zip(chain, chain[1:]))
+        if chain:
+            edges.update(
+                (chain[-1], mid) for mid in mine if mid not in position
+            )
     return edges
 
 
 def realtime_edges(record: RunRecord) -> Set[Edge]:
     """All pairs ``m ~> m'``: ``m`` delivered before ``m'`` multicast."""
+    multicast = sorted(record.multicast_messages(), key=record.multicast_time)
+    sent = [record.multicast_time(m) for m in multicast]
     edges: Set[Edge] = set()
-    delivered = record.delivered_messages()
-    multicast = record.multicast_messages()
-    for m in delivered:
-        first = record.first_delivery_time(m)
-        if first is None:
-            continue
-        for m_prime in multicast:
-            if m.mid == m_prime.mid:
-                continue
-            sent = record.multicast_time(m_prime)
-            if sent is not None and first < sent:
-                edges.add((m.mid, m_prime.mid))
+    for m in record.delivered_messages():
+        after = bisect_right(sent, record.first_delivery_time(m))
+        edges.update(
+            (m.mid, later.mid)
+            for later in multicast[after:]
+            if later.mid != m.mid
+        )
     return edges
 
 

@@ -21,8 +21,8 @@ from repro.props import (
     check_pairwise_ordering,
     check_strict_ordering,
     check_termination,
+    delivery_order_graph,
     find_cycle,
-    local_delivery_edges,
 )
 
 PROCS = make_processes(4)
@@ -145,7 +145,7 @@ class TestOrdering:
         record.note_delivery(1, P1, a)  # p1 delivers a, never b
         record.note_delivery(1, P2, b)
         record.note_delivery(2, P2, a)  # p2: b before a
-        edges = local_delivery_edges(record)
+        edges = delivery_order_graph(record)
         assert (a.mid, b.mid) in edges  # from p1's omission
         assert (b.mid, a.mid) in edges  # from p2's order
         assert check_ordering(record) != []
@@ -207,6 +207,30 @@ class TestPairwiseOrdering:
         record.note_delivery(2, P1, b)
         record.note_delivery(1, P2, b)  # b without a first
         assert check_pairwise_ordering(record) != []
+
+    def test_every_violation_is_listed_in_loop_order(self):
+        record, factory = record_with()
+        g123, g23 = by_indices(1, 2, 3), by_indices(2, 3)
+        a = factory.multicast(P1, g123)
+        b = factory.multicast(P2, g123)
+        c = factory.multicast(P3, g23)
+        for m in (a, b, c):
+            record.note_multicast(0, m.src, m)
+        for p, order in ((P1, (a, b)), (P2, (b, c, a)), (P3, (c, b))):
+            for time, m in enumerate(order, 1):
+                record.note_delivery(time, p, m)
+        assert check_pairwise_ordering(record) == [
+            "p1 delivered m(p1#1) then m(p2#1) but p2 delivered m(p2#1) "
+            "without m(p1#1) first",
+            "p1 delivered m(p1#1) then m(p2#1) but p3 delivered m(p2#1) "
+            "without m(p1#1) first",
+            "p2 delivered m(p2#1) then m(p3#1) but p3 delivered m(p3#1) "
+            "without m(p2#1) first",
+            "p2 delivered m(p2#1) then m(p1#1) but p1 delivered m(p1#1) "
+            "without m(p2#1) first",
+            "p3 delivered m(p3#1) then m(p2#1) but p2 delivered m(p2#1) "
+            "without m(p3#1) first",
+        ]
 
 
 class TestMinimality:
