@@ -106,9 +106,12 @@ class Algorithm1Process:
         #: Message ids the scan can never act on again: delivered here,
         #: or addressed to a group this process is not a member of.
         self._done: Set[MessageId] = set()
-        #: Per-group-log version at the last ``discover()``; an unchanged
-        #: log cannot contain new messages, so its re-scan is skipped.
-        self._discover_versions: Dict[str, int] = {}
+        #: Per group log, how many of its ``arrivals`` ``discover()`` has
+        #: learned already.
+        self._discovered: Dict[Group, int] = {}
+        #: Per (log, threshold), how many leading messages of the log
+        #: were seen at that phase or beyond (see :meth:`_order_clear`).
+        self._order_cursors: Dict[Tuple[LogHandle, Phase], int] = {}
         #: ``targets`` of lines 13/22 per destination group, memoized
         #: (``my_groups`` and the intersection structure never change).
         self._targets_cache: Dict[Group, Tuple[Group, ...]] = {}
@@ -139,10 +142,37 @@ class Algorithm1Process:
             self.known[message.mid] = message
             insort(self._known_order, message.mid)
 
-    def _all_at_least(
-        self, messages: Tuple[MulticastMessage, ...], threshold: Phase
+    def _order_clear(
+        self, log: LogHandle, m: MulticastMessage, threshold: Phase
     ) -> bool:
-        return all(self.phase_of(m) >= threshold for m in messages)
+        """The wait of lines 10/28/36: ``∀m' <_L m. PHASE[m'] ≥ threshold``.
+
+        ``PHASE`` only grows and the settled prefix of a log never
+        reorders, so a leading entry found at ``threshold`` stays there:
+        the cursor of ``(log, threshold)`` counts those entries and never
+        moves back.  It advances only inside the settled prefix; the
+        entries between that prefix and ``m`` can still move, and are
+        checked afresh on every call.
+        """
+        rank = log.rank(m)
+        key = (log, threshold)
+        cursor = self._order_cursors.get(key, 0)
+        if rank <= cursor:
+            return True
+        phase = self.phase
+        settled = min(log.settled, rank)
+        while (
+            cursor < settled
+            and phase.get(log.message_at(cursor).mid, START) >= threshold
+        ):
+            cursor += 1
+        self._order_cursors[key] = cursor
+        if cursor < settled:
+            return False
+        for r in range(settled, rank):
+            if phase.get(log.message_at(r).mid, START) < threshold:
+                return False
+        return True
 
     # -- Shared-object accessors ----------------------------------------------
 
@@ -197,18 +227,16 @@ class Algorithm1Process:
     def discover(self) -> None:
         """Learn messages appearing in the logs of this process's groups.
 
-        Each group log keeps a mutation counter; a log whose counter is
-        unchanged since the previous scan cannot hold new messages and is
-        skipped outright.
+        Each group log lists its messages in arrival order, so only the
+        ones appended since the previous scan are read.
         """
         for g in self.my_groups:
-            handle = self._log(g)
-            version = handle.version
-            if self._discover_versions.get(g.name) == version:
-                continue
-            self._discover_versions[g.name] = version
-            for message in handle.messages():
-                self._learn(message)
+            arrivals = self._log(g).arrivals
+            seen = self._discovered.get(g, 0)
+            if seen < len(arrivals):
+                for message in arrivals[seen:]:
+                    self._learn(message)
+                self._discovered[g] = len(arrivals)
 
     def try_actions(self, t: int, budget: Optional[int] = None) -> int:
         """Run one pass over all enabled actions; return how many fired.
@@ -280,7 +308,7 @@ class Algorithm1Process:
             return False
         if m not in log_g:
             return False
-        if not self._all_at_least(log_g.messages_before(m), COMMIT):
+        if not self._order_clear(log_g, m, COMMIT):
             self._waiting(WAIT_ORDER)
             return False
         targets = self._targets(g)
@@ -389,7 +417,7 @@ class Algorithm1Process:
             ilog = self._ilog(g, h)
             if m not in ilog:
                 continue
-            if not self._all_at_least(ilog.messages_before(m), STABLE):
+            if not self._order_clear(ilog, m, STABLE):
                 self._waiting(WAIT_ORDER)
                 continue  # line 28
             if not log_g.mutation_available(self.pid):
@@ -443,7 +471,7 @@ class Algorithm1Process:
             ilog = self._ilog(g, h)
             if m not in ilog:
                 continue
-            if not self._all_at_least(ilog.messages_before(m), DELIVER):
+            if not self._order_clear(ilog, m, DELIVER):
                 self._waiting(WAIT_ORDER)
                 return False
         self.phase[m.mid] = DELIVER  # line 37

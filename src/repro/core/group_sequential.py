@@ -46,6 +46,9 @@ class AtomicMulticast:
         self.system = system
         self._lists: Dict[Group, LogHandle] = {}
         self._pushed: Set[Tuple[ProcessId, MessageId]] = set()
+        #: Per (process, group), how many leading entries of ``L_g`` the
+        #: process has delivered.
+        self._frontier: Dict[Tuple[ProcessId, Group], int] = {}
         system.add_component(self._reduction_actions)
 
     # -- The shared lists L_g ----------------------------------------------------
@@ -90,15 +93,25 @@ class AtomicMulticast:
             handle = self._lists.get(g)
             if handle is None:
                 continue
-            for message in handle.messages():
-                if algo.phase.get(message.mid) == DELIVER:
-                    continue  # move on to the next entry of L_g
-                key = (pid, message.mid)
-                if key not in self._pushed:
-                    algo.multicast(message)
-                    self._pushed.add(key)
-                    fired += 1
-                break  # wait for this entry before pushing the next
+            # L_g is only appended to, never bumped: arrival order is its
+            # <_L order, and the deliver phase is terminal, so the entries
+            # behind the frontier stay delivered.
+            entries = handle.arrivals
+            first = self._frontier.get((pid, g), 0)
+            while (
+                first < len(entries)
+                and algo.phase.get(entries[first].mid) == DELIVER
+            ):
+                first += 1  # move on to the next entry of L_g
+            self._frontier[(pid, g)] = first
+            if first == len(entries):
+                continue
+            message = entries[first]  # wait for it before pushing the next
+            key = (pid, message.mid)
+            if key not in self._pushed:
+                algo.multicast(message)
+                self._pushed.add(key)
+                fired += 1
         return fired
 
     # -- Convenience ------------------------------------------------------------------

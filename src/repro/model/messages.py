@@ -66,7 +66,9 @@ class MulticastMessage:
         if self.src.index != self.mid.sender_index:
             raise ModelError("message id must carry the sender index")
 
-    def __lt__(self, other: "MulticastMessage") -> bool:
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, MulticastMessage):
+            return NotImplemented
         return self.mid < other.mid
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -18,11 +18,24 @@ Logs hold heterogeneous items in Algorithm 1 — messages, position records
 ``(m, h, i)`` and stabilization records ``(m, h)`` — so ordering queries
 are only issued between mutually comparable items; the convenience
 accessors (:meth:`messages_before` etc.) filter by item kind first.
+
+The message items are kept sorted by their ``<_L`` key ``(slot, item)``
+as the log mutates, and the prefix of that order whose items are all
+locked — its length is :attr:`Log.settled` — never changes again:
+
+* a locked item never moves (``bumpAndLock`` on it is a no-op);
+* an unlocked item only moves to a later slot, and it sits after the
+  all-locked prefix already;
+* ``append`` lands at the head slot, after every occupied slot.
+
+So ``messages()[r]`` is final for every ``r < settled``, which is what
+lets a reader keep a cursor over the prefix instead of rescanning it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from bisect import bisect_left, insort
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.model.errors import SpecificationError
 
@@ -42,15 +55,19 @@ class Log:
         self._positions: Dict[Any, int] = {}
         self._locked: Set[Any] = set()
         self._head = 1
-        #: Mutation counter: keys the memoized sorted views below.  The
-        #: action scans re-read ``messages()`` and the record accessors
-        #: every round; re-sorting only after an actual mutation turns
-        #: the steady-state scan from O(n log n) per call into O(1).
-        self._version = 0
-        self._messages_cache: Tuple[Any, ...] = ()
-        self._messages_version = -1
-        self._records_cache: Tuple[Tuple[Any, ...], ...] = ()
-        self._records_version = -1
+        #: ``(slot, item)`` of every message item, sorted — the ``<_L``
+        #: order.  ``append`` pushes at the tail (the head slot exceeds
+        #: every occupied one); ``bump_and_lock`` re-keys one entry.
+        self._message_keys: List[Tuple[int, Any]] = []
+        #: ``messages()`` as a tuple; dropped when a message item moves.
+        self._messages_cache: Optional[Tuple[Any, ...]] = ()
+        #: Length of the longest all-locked prefix of ``_message_keys``.
+        self._settled = 0
+        #: The message items in append order.  Append-only: readers keep
+        #: an index into it and read only what arrived since.
+        self.arrivals: List[Any] = []
+        #: ``records()`` as a tuple; dropped when a record arrives or moves.
+        self._records_cache: Optional[Tuple[Tuple[Any, ...], ...]] = ()
         #: Tuple-shaped records indexed by their head element (the
         #: message id), in insertion order — the per-message accessors
         #: sort these few rows instead of filtering every record.
@@ -69,9 +86,14 @@ class Log:
         position = self._head
         self._positions[datum] = position
         self._head = position + 1
-        self._version += 1
-        if isinstance(datum, tuple) and datum:
-            self._records_by_head.setdefault(datum[0], []).append(datum)
+        if isinstance(datum, tuple):
+            self._records_cache = None
+            if datum:
+                self._records_by_head.setdefault(datum[0], []).append(datum)
+        else:
+            self._message_keys.append((position, datum))
+            self._messages_cache = None
+            self.arrivals.append(datum)
         return position
 
     def pos(self, datum: Any) -> int:
@@ -95,23 +117,26 @@ class Log:
         final = max(k, current)
         self._positions[datum] = final
         self._locked.add(datum)
-        self._version += 1
         if final >= self._head:
             self._head = final + 1
+        if isinstance(datum, tuple):
+            self._records_cache = None
+            return final
+        keys = self._message_keys
+        if final != current:
+            del keys[bisect_left(keys, (current, datum))]
+            insort(keys, (final, datum))
+            self._messages_cache = None
+        settled = self._settled
+        locked = self._locked
+        while settled < len(keys) and keys[settled][1] in locked:
+            settled += 1
+        self._settled = settled
         return final
 
     def locked(self, datum: Any) -> bool:
         """Whether ``datum`` is locked in the log."""
         return datum in self._locked
-
-    @property
-    def version(self) -> int:
-        """Mutation counter — unchanged means every view is unchanged.
-
-        Readers that scan the log every round (message discovery) use
-        this to skip re-reads entirely between mutations.
-        """
-        return self._version
 
     def __contains__(self, datum: Any) -> bool:
         return datum in self._positions
@@ -130,53 +155,51 @@ class Log:
 
     # -- Convenience accessors ---------------------------------------------
 
-    def items(self) -> Tuple[Any, ...]:
-        """Every datum, ordered by ``<_L`` within comparable kinds.
-
-        Items are sorted by slot; ties are broken by the items' own order
-        when comparable, else by insertion order (mixed-kind ties never
-        matter to the algorithm).
-        """
-        def sort_key(entry: Tuple[Any, int]) -> Tuple[int, int]:
-            return (entry[1], 0)
-
-        ordered = sorted(self._positions.items(), key=sort_key)
-        return tuple(datum for datum, _ in ordered)
-
     def messages(self) -> Tuple[Any, ...]:
         """The *message* items of the log, in ``<_L`` order.
 
         Messages are recognized by not being tuples (Algorithm 1 stores
-        records as tuples).  The sorted view is memoized per mutation.
+        records as tuples).
         """
-        if self._messages_version != self._version:
-            present = [d for d in self._positions if not isinstance(d, tuple)]
-            present.sort(key=lambda d: (self._positions[d], d))
-            self._messages_cache = tuple(present)
-            self._messages_version = self._version
+        if self._messages_cache is None:
+            self._messages_cache = tuple(item for _, item in self._message_keys)
         return self._messages_cache
 
+    def rank(self, message: Any) -> int:
+        """How many messages precede ``message``: its index in ``messages()``."""
+        position = self._positions.get(message)
+        if position is None:
+            raise SpecificationError(
+                f"{self.name}: rank of absent message {message!r}"
+            )
+        return bisect_left(self._message_keys, (position, message))
+
+    def message_at(self, rank: int) -> Any:
+        """``messages()[rank]``, without materializing the tuple."""
+        return self._message_keys[rank][1]
+
+    @property
+    def settled(self) -> int:
+        """Length of the longest all-locked prefix of ``messages()``.
+
+        Monotone, and ``messages()[r]`` never changes once ``r < settled``
+        (see the module docstring).
+        """
+        return self._settled
+
     def messages_before(self, datum: Any) -> Tuple[Any, ...]:
-        """Messages ``m'`` with ``m' <_L datum``."""
-        if not isinstance(datum, tuple) and datum in self._positions:
-            # ``messages()`` is sorted by exactly the ``<_L`` key, so the
-            # predecessors of a present message form a prefix.
-            out: List[Any] = []
-            for m in self.messages():
-                if self.precedes(m, datum):
-                    out.append(m)
-                else:
-                    break
-            return tuple(out)
-        return tuple(m for m in self.messages() if self.precedes(m, datum))
+        """Messages ``m'`` with ``m' <_L datum``; ``()`` unless ``datum``
+        is a message of the log."""
+        if isinstance(datum, tuple) or datum not in self._positions:
+            return ()
+        return self.messages()[: self.rank(datum)]
 
     def records(self) -> Tuple[Tuple[Any, ...], ...]:
         """The tuple-shaped records of the log, in insertion-slot order."""
-        if self._records_version != self._version:
+        if self._records_cache is None:
             present = [d for d in self._positions if isinstance(d, tuple)]
             present.sort(key=lambda d: self._positions[d])
             self._records_cache = tuple(present)
-            self._records_version = self._version
         return self._records_cache
 
     def position_records_for(self, message: Any) -> Tuple[Tuple[Any, Any, int], ...]:

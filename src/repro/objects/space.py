@@ -132,10 +132,6 @@ class LogHandle:
 
     # -- Reads (free) --------------------------------------------------------
 
-    @property
-    def version(self) -> int:
-        return self.log.version
-
     def pos(self, datum: Any) -> int:
         return self.log.pos(datum)
 
@@ -153,6 +149,20 @@ class LogHandle:
 
     def messages_before(self, datum: Any) -> Tuple[Any, ...]:
         return self.log.messages_before(datum)
+
+    def rank(self, message: Any) -> int:
+        return self.log.rank(message)
+
+    def message_at(self, rank: int) -> Any:
+        return self.log.message_at(rank)
+
+    @property
+    def settled(self) -> int:
+        return self.log.settled
+
+    @property
+    def arrivals(self) -> List[Any]:
+        return self.log.arrivals
 
     def position_records_for(self, message: Any):
         return self.log.position_records_for(message)

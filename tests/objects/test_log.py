@@ -154,6 +154,9 @@ class TestHeterogeneousItems:
         log.append("m2")
         assert log.messages_before("m2") == ("m1",)
         assert log.messages_before("m1") == ()
+        # Defined for the messages of the log only.
+        assert log.messages_before("ghost") == ()
+        assert log.messages_before(("m1", "g", 1)) == ()
 
 
 class TestPropertyBased:
