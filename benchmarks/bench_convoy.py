@@ -48,10 +48,10 @@ def teardown_module(module):
         assert gaps[-1] > gaps[0]
         assert all(gap > 0 for gap in gaps)
     if SCAN_ROWS:
-        print("\nWake-index scheduling: processes scanned per mode:")
+        print("\nWake-index scheduling: processes scanned of those eligible:")
         print(
             format_table(
-                ("spoke groups", "eligible", "event scanned", "ratio"),
+                ("spoke groups", "eligible", "scanned", "ratio"),
                 SCAN_ROWS,
             )
         )
@@ -65,13 +65,11 @@ def teardown_module(module):
         )
 
 
-def run_convoy(k: int, contended: bool, scheduling: str = "event"):
+def run_convoy(k: int, contended: bool):
     """Drive the convoy workload; return (latency rounds, system)."""
     topo = hub_topology(k)
     procs = make_processes(len(topo.processes))
-    system = MulticastSystem(
-        topo, failure_free(pset(procs)), seed=31, scheduling=scheduling
-    )
+    system = MulticastSystem(topo, failure_free(pset(procs)), seed=31)
     amc = AtomicMulticast(system)
     if contended:
         for i in range(2, k + 1):
@@ -106,19 +104,16 @@ def test_probe_latency_under_contention(benchmark, k):
 
 
 def test_wake_index_scan_ratio(trace_export):
-    """The event scheduler's headline win on the convoy workload.
+    """The wake index's headline win on the convoy workload.
 
-    Same seed, same rounds, byte-identical record — but the wake index
-    scans a fraction of the processes the seed scan engine visited.
+    A scan-everything loop visits every eligible process every round
+    (``scanned == eligible`` by construction — ``tests/core/
+    test_scheduling.py`` holds that differential), so the run's own
+    ``eligible / scanned`` is the ratio against it.
     """
     for k in (4, 6):
-        latency_event, event = run_convoy(k, True, scheduling="event")
-        latency_scan, scan = run_convoy(k, True, scheduling="scan")
-        assert latency_event == latency_scan  # identical schedule
+        _, event = run_convoy(k, True)
         summary = event.tracer.summary()
-        baseline = scan.tracer.summary()
-        assert baseline["scanned"] == baseline["eligible"]
-        assert summary["eligible"] == baseline["eligible"]
         SCAN_ROWS.append(
             (
                 k,
@@ -129,7 +124,7 @@ def test_wake_index_scan_ratio(trace_export):
         )
         trace_export(
             event,
-            meta={"workload": "convoy", "k": k, "scheduling": "event"},
+            meta={"workload": "convoy", "k": k},
             suffix=f"_k{k}",
         )
     # ISSUE acceptance: >= 2x fewer scans on the convoy workload.

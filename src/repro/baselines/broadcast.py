@@ -16,17 +16,15 @@ overhead of the approach.
 
 from __future__ import annotations
 
-import random
 from typing import List, Tuple
 
 from repro.groups.topology import GroupTopology
-from repro.metrics.trace import TraceRecorder
 from repro.model.errors import SimulationError
 from repro.model.failures import FailurePattern, Time
 from repro.model.messages import MessageFactory, MulticastMessage
 from repro.model.processes import ProcessId
 from repro.model.runs import RunRecord
-from repro.runtime import Scheduler, SystemActor
+from repro.runtime import system_scheduler
 
 
 class BroadcastMulticast:
@@ -42,19 +40,13 @@ class BroadcastMulticast:
         self.topology = topology
         self.pattern = pattern
         self.record = RunRecord(topology.processes, pattern)
-        self.tracer = TraceRecorder()
         self.factory = MessageFactory()
         self._order: List[MulticastMessage] = []
         self._delivered_upto = 0
         # One global sequencer actor: each round drains one slot of the
         # total order (the atomic-broadcast ring's decision granularity).
-        self._scheduler = Scheduler(
-            {"abcast": SystemActor(self._advance)},
-            rng=random.Random(seed),
-            tracer=self.tracer,
-            is_alive=lambda _key, _t: True,
-            scheduling="scan",
-        )
+        self._scheduler = system_scheduler("abcast", self._advance, seed)
+        self.tracer = self._scheduler.tracer
 
     @property
     def time(self) -> Time:

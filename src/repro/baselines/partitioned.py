@@ -22,18 +22,16 @@ live, the protocol is genuine and orders correctly.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.groups.topology import GroupTopology
-from repro.metrics.trace import TraceRecorder
 from repro.model.errors import SimulationError, TopologyError
 from repro.model.failures import FailurePattern, Time
 from repro.model.messages import MessageFactory, MulticastMessage
 from repro.model.processes import ProcessId, ProcessSet, pset
 from repro.model.runs import RunRecord
-from repro.runtime import Scheduler, SystemActor
+from repro.runtime import system_scheduler
 
 #: A partitioned timestamp: (clock, partition index) — totally ordered.
 Stamp = Tuple[int, int]
@@ -82,20 +80,14 @@ class PartitionedMulticast:
                     f"group {g.name} is not a union of partitions"
                 )
         self.record = RunRecord(topology.processes, pattern)
-        self.tracer = TraceRecorder()
         self.factory = MessageFactory()
         self._clocks: List[int] = [0] * len(self.partitions)
         self._pending: Dict[object, _Pending] = {}
         self._delivered: Set[Tuple[ProcessId, object]] = set()
         # One actor for the whole partition mesh; partition liveness is
         # checked inside the phases (the "logically correct entity").
-        self._scheduler = Scheduler(
-            {"partitioned": SystemActor(self._advance)},
-            rng=random.Random(seed),
-            tracer=self.tracer,
-            is_alive=lambda _key, _t: True,
-            scheduling="scan",
-        )
+        self._scheduler = system_scheduler("partitioned", self._advance, seed)
+        self.tracer = self._scheduler.tracer
 
     @property
     def time(self) -> Time:

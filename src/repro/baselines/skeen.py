@@ -19,18 +19,16 @@ members, so it is genuine and passes the Minimality audit.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
 from repro.groups.topology import GroupTopology
-from repro.metrics.trace import TraceRecorder
 from repro.model.errors import SimulationError
 from repro.model.failures import FailurePattern, Time
 from repro.model.messages import MessageFactory, MulticastMessage
 from repro.model.processes import ProcessId
 from repro.model.runs import RunRecord
-from repro.runtime import Scheduler, SystemActor
+from repro.runtime import system_scheduler
 
 #: A Skeen timestamp: (clock value, proposer index) — totally ordered.
 SkeenStamp = Tuple[int, int]
@@ -58,7 +56,6 @@ class SkeenMulticast:
         self.topology = topology
         self.pattern = pattern
         self.record = RunRecord(topology.processes, pattern)
-        self.tracer = TraceRecorder()
         self.factory = MessageFactory()
         self._clocks: Dict[ProcessId, int] = {
             p: 0 for p in topology.processes
@@ -68,13 +65,8 @@ class SkeenMulticast:
         # The whole protocol advances as one actor per round; crash
         # filtering happens inside the phases (per destination member),
         # so the actor itself is always schedulable.
-        self._scheduler = Scheduler(
-            {"skeen": SystemActor(self._advance)},
-            rng=random.Random(seed),
-            tracer=self.tracer,
-            is_alive=lambda _key, _t: True,
-            scheduling="scan",
-        )
+        self._scheduler = system_scheduler("skeen", self._advance, seed)
+        self.tracer = self._scheduler.tracer
 
     @property
     def time(self) -> Time:

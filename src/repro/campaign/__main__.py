@@ -7,7 +7,6 @@ and prints the aggregate.  CI uses this as the campaign smoke job; the
 exit status is non-zero when any scenario failed or violated a checked
 property.
 
-``--schedulings`` sweeps the engine's scan-vs-event axis, and
 ``--backends`` adds the Appendix-A kernel backend and/or the
 real-asynchrony ``async`` backend.  The kernel backend requires
 pairwise-disjoint destination groups, so asking for a non-engine
@@ -39,7 +38,6 @@ from repro.workloads.topologies import (
 def smoke_campaign(
     seeds: int = 2,
     max_rounds: int = 600,
-    schedulings: tuple = ("event",),
     backends: tuple = ("engine",),
     delay_models: tuple = (None,),
 ) -> Campaign:
@@ -114,7 +112,6 @@ def smoke_campaign(
         cases=cases,
         seeds=tuple(range(seeds)),
         variants=variants,
-        schedulings=tuple(schedulings),
         backends=tuple(backends),
         delay_models=tuple(delay_models),
         max_rounds=max_rounds,
@@ -165,13 +162,6 @@ def main(argv=None) -> int:
         default=None,
         help="run only hash-prefix shard K of N (e.g. '0/4'); rows keep "
         "their global grid indices so per-shard artifacts merge cleanly",
-    )
-    parser.add_argument(
-        "--schedulings",
-        default="event",
-        metavar="MODES",
-        help="comma-separated engine scheduling modes to sweep "
-        "(e.g. 'event,scan' for a differential matrix; default: event)",
     )
     parser.add_argument(
         "--backends",
@@ -231,9 +221,6 @@ def main(argv=None) -> int:
     )
     campaign = smoke_campaign(
         seeds=args.seeds,
-        schedulings=tuple(
-            mode.strip() for mode in args.schedulings.split(",") if mode.strip()
-        ),
         backends=tuple(
             b.strip() for b in args.backends.split(",") if b.strip()
         ),

@@ -4,8 +4,8 @@ A :class:`Campaign` describes a sweep as data: a set of *cases* — each
 binding a topology to a failure pattern and a send script, the three
 axes that must agree on process indices — crossed with independent grids
 over the scalar axes (seeds, protocol variants, detector lags,
-scheduling modes, execution backends).  :meth:`Campaign.specs` expands
-the grid into frozen
+execution backends, fault plans, delay models).  :meth:`Campaign.specs`
+expands the grid into frozen
 :class:`repro.workloads.spec.ScenarioSpec` values in a deterministic
 order, so the same campaign always produces the same scenario list, the
 same content hashes and — executed by :func:`repro.campaign.run_campaign`
@@ -15,6 +15,7 @@ same content hashes and — executed by :func:`repro.campaign.run_campaign`
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
@@ -82,12 +83,11 @@ class Campaign:
     """A declarative grid of scenarios.
 
     The expansion order is the nested product, outermost to innermost:
-    cases x seeds x variants x gamma_lags x indicator_lags x
-    schedulings x backends x event_drivens x faults x delay_models
-    (the delay axis collapses to a single entry on non-async
-    backends — see :meth:`_delay_axis`).  Every expanded
+    cases x seeds x variants x gamma_lags x indicator_lags x backends x
+    faults x delay_models (the delay axis collapses to a single entry
+    on non-async backends — see :meth:`_delay_axis`).  Every expanded
     spec gets a deterministic label of the form
-    ``case:s<seed>:<variant>[:g<lag>][:i<lag>][:<scheduling>][:<backend>][:ed<0|1>][:f<hash6>]``
+    ``case:s<seed>:<variant>[:g<lag>][:i<lag>][:<backend>][:f<hash6>][:d-<kind>]``
     (non-default axes only, keeping labels short on simple sweeps).
 
     Attributes:
@@ -96,11 +96,8 @@ class Campaign:
         seeds: engine seeds to sweep.
         variants: protocol variants to sweep.
         gamma_lags / indicator_lags: detector lags to sweep.
-        schedulings: engine scheduling modes to sweep.
-        backends: execution backends (``"engine"`` / ``"kernel"``).
-        event_drivens: kernel scheduling modes; ``None`` derives the
-            mode from ``scheduling``, so the default single-``None``
-            axis makes a scan-vs-event sweep cover both loops.
+        backends: execution backends (``"engine"`` / ``"kernel"`` /
+            ``"async"``).
         faults: fault plans to sweep (the nemesis axis); ``None``
             entries run fault-free, and the default single-``None``
             axis keeps pre-nemesis campaigns (and their hashes)
@@ -118,9 +115,7 @@ class Campaign:
     variants: Tuple[str, ...] = ("vanilla",)
     gamma_lags: Tuple[Time, ...] = (0,)
     indicator_lags: Tuple[Time, ...] = (0,)
-    schedulings: Tuple[str, ...] = ("event",)
     backends: Tuple[str, ...] = ("engine",)
-    event_drivens: Tuple[Optional[bool], ...] = (None,)
     faults: Tuple[Optional[FaultPlan], ...] = (None,)
     delay_models: Tuple[Optional[Tuple[Any, ...]], ...] = (None,)
     #: Retained-quirk names stamped onto *every* expanded spec (not an
@@ -138,9 +133,7 @@ class Campaign:
             "variants",
             "gamma_lags",
             "indicator_lags",
-            "schedulings",
             "backends",
-            "event_drivens",
             "faults",
             "delay_models",
         ):
@@ -160,48 +153,38 @@ class Campaign:
     def specs(self) -> Tuple[ScenarioSpec, ...]:
         """Expand the grid into frozen scenario specs, in grid order."""
         expanded = []
-        for kase in self.cases:
-            for seed in self.seeds:
-                for variant in self.variants:
-                    for gamma_lag in self.gamma_lags:
-                        for indicator_lag in self.indicator_lags:
-                            for scheduling in self.schedulings:
-                                for backend in self.backends:
-                                    for event_driven in self.event_drivens:
-                                        for plan in self.faults:
-                                            for dm in self._delay_axis(
-                                                backend
-                                            ):
-                                                expanded.append(
-                                                    ScenarioSpec(
-                                                        topology=kase.topology,
-                                                        crashes=kase.crashes,
-                                                        sends=kase.sends,
-                                                        seed=seed,
-                                                        variant=variant,
-                                                        gamma_lag=gamma_lag,
-                                                        indicator_lag=indicator_lag,
-                                                        max_rounds=self.max_rounds,
-                                                        scheduling=scheduling,
-                                                        backend=backend,
-                                                        event_driven=event_driven,
-                                                        faults=plan,
-                                                        delay_model=dm,
-                                                        quirks=self.quirks,
-                                                        name=self._label(
-                                                            kase.label,
-                                                            seed,
-                                                            variant,
-                                                            gamma_lag,
-                                                            indicator_lag,
-                                                            scheduling,
-                                                            backend,
-                                                            event_driven,
-                                                            plan,
-                                                            dm,
-                                                        ),
-                                                    )
-                                                )
+        for kase, seed, variant, gamma_lag, indicator_lag, backend, plan in (
+            itertools.product(
+                self.cases,
+                self.seeds,
+                self.variants,
+                self.gamma_lags,
+                self.indicator_lags,
+                self.backends,
+                self.faults,
+            )
+        ):
+            for dm in self._delay_axis(backend):
+                axes = dict(
+                    seed=seed,
+                    variant=variant,
+                    gamma_lag=gamma_lag,
+                    indicator_lag=indicator_lag,
+                    backend=backend,
+                    faults=plan,
+                    delay_model=dm,
+                )
+                expanded.append(
+                    ScenarioSpec(
+                        topology=kase.topology,
+                        crashes=kase.crashes,
+                        sends=kase.sends,
+                        max_rounds=self.max_rounds,
+                        quirks=self.quirks,
+                        name=self._label(kase.label, **axes),
+                        **axes,
+                    )
+                )
         return tuple(expanded)
 
     def _delay_axis(
@@ -221,29 +204,24 @@ class Campaign:
     def _label(
         self,
         base: str,
+        *,
         seed: int,
         variant: str,
         gamma_lag: Time,
         indicator_lag: Time,
-        scheduling: str,
         backend: str,
-        event_driven: Optional[bool],
-        plan: Optional[FaultPlan] = None,
-        delay_model: Optional[Tuple[Any, ...]] = None,
+        faults: Optional[FaultPlan],
+        delay_model: Optional[Tuple[Any, ...]],
     ) -> str:
         parts = [base, f"s{seed}", variant]
         if len(self.gamma_lags) > 1 or gamma_lag:
             parts.append(f"g{gamma_lag}")
         if len(self.indicator_lags) > 1 or indicator_lag:
             parts.append(f"i{indicator_lag}")
-        if len(self.schedulings) > 1 or scheduling != "event":
-            parts.append(scheduling)
         if len(self.backends) > 1 or backend != "engine":
             parts.append(backend)
-        if len(self.event_drivens) > 1 or event_driven is not None:
-            parts.append(f"ed{int(bool(event_driven))}")
-        if plan is not None:
-            parts.append(f"f{plan.plan_hash()[:6]}")
+        if faults is not None:
+            parts.append(f"f{faults.plan_hash()[:6]}")
         elif len(self.faults) > 1:
             parts.append("f-none")
         if delay_model is not None:
@@ -293,9 +271,12 @@ class Campaign:
             "variants": list(self.variants),
             "gamma_lags": list(self.gamma_lags),
             "indicator_lags": list(self.indicator_lags),
-            "schedulings": list(self.schedulings),
+            # Wire constants of the two axes PR 16 retired, kept in place
+            # so no ``campaign_hash`` moves; they leave with the ``migrate``
+            # of ROADMAP item 2(c) (see ScenarioSpec.to_json).
+            "schedulings": ["event"],
             "backends": list(self.backends),
-            "event_drivens": list(self.event_drivens),
+            "event_drivens": [None],
             "max_rounds": self.max_rounds,
         }
 

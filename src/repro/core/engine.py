@@ -35,9 +35,9 @@ The seeded random schedule is *unchanged*: the full eligible order is
 shuffled exactly as before and parked processes are merely skipped, so
 the RNG stream — and therefore the :class:`repro.model.RunRecord` trace —
 is byte-identical to the scan-everything engine (a skipped process would
-have fired nothing and recorded nothing).  ``scheduling="scan"`` restores
-the seed behaviour for differential testing; the per-round counters of
-both modes land in :attr:`MulticastSystem.tracer`.
+have fired nothing and recorded nothing).  The seed loop itself is kept
+as a test oracle (``tests/runtime/_oracle.py``) for differential
+testing; the per-round counters land in :attr:`MulticastSystem.tracer`.
 
 Caveat for auxiliary :data:`Component` sources: a component is re-run
 only while its process is awake.  Components whose enabledness is driven
@@ -62,13 +62,13 @@ from repro.model.messages import MessageFactory, MulticastMessage
 from repro.model.processes import ProcessId, ProcessSet
 from repro.model.runs import RunRecord
 from repro.objects.space import ObjectSpace
-from repro.runtime import SCHEDULING_MODES, Scheduler, SharedObjectActor
+from repro.runtime import Scheduler, SharedObjectActor
 
 #: An auxiliary per-process action source (e.g. the Prop. 1 reduction):
 #: called as ``component(pid, t)`` and returns the number of actions fired.
 Component = Callable[[ProcessId, Time], int]
 
-__all__ = ["Component", "MulticastSystem", "SCHEDULING_MODES"]
+__all__ = ["Component", "MulticastSystem"]
 
 
 class MulticastSystem:
@@ -84,8 +84,6 @@ class MulticastSystem:
         pattern: the failure pattern of this run.
         record: the observable trace, consumed by the property checkers.
         tracer: per-round scheduling/stall counters (JSONL-exportable).
-        scheduling: ``"event"`` (wake-index driven, default) or
-            ``"scan"`` (the seed engine's scan-everything loop).
     """
 
     def __init__(
@@ -98,14 +96,11 @@ class MulticastSystem:
         omega_stabilization: Optional[Time] = None,
         seed: int = 0,
         isolation: bool = False,
-        scheduling: str = "event",
         injector: Optional[Any] = None,
         gamma_scope: str = "group",
     ) -> None:
         if pattern.processes != topology.processes:
             raise SimulationError("pattern and topology disagree on processes")
-        if scheduling not in SCHEDULING_MODES:
-            raise SimulationError(f"unknown scheduling mode {scheduling!r}")
         self.topology = topology
         self.pattern = pattern
         self.variant = variant
@@ -199,22 +194,12 @@ class MulticastSystem:
             rng=self._rng,
             tracer=self.tracer,
             is_alive=pattern.is_alive,
-            scheduling=scheduling,
             settle_horizon=lambda: self._settle_time,
             responders=frozenset(
                 p for p in topology.processes if pattern.is_alive(p, 0)
             ),
             injector=injector,
-            alive_instants={
-                when
-                for p, when in pattern.crash_times.items()
-                if p in topology.processes
-            }
-            | {
-                when
-                for p, when in pattern.recovery_times.items()
-                if p in topology.processes
-            },
+            alive_instants=pattern.change_instants(),
         )
 
     # -- Scheduler delegation -------------------------------------------------
@@ -223,16 +208,6 @@ class MulticastSystem:
     def time(self) -> Time:
         """The global round clock (owned by the shared scheduler)."""
         return self._scheduler.time
-
-    @property
-    def scheduling(self) -> str:
-        return self._scheduler.scheduling
-
-    @scheduling.setter
-    def scheduling(self, mode: str) -> None:
-        if mode not in SCHEDULING_MODES:
-            raise SimulationError(f"unknown scheduling mode {mode!r}")
-        self._scheduler.scheduling = mode
 
     @property
     def last_run_quiescent(self) -> bool:

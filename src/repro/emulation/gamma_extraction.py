@@ -20,7 +20,6 @@ observers raise ``failed[π]`` when
 
 from __future__ import annotations
 
-import random
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.engine import MulticastSystem
@@ -33,10 +32,9 @@ from repro.groups.families import (
     path_edges,
 )
 from repro.groups.topology import Group, GroupFamily, GroupTopology
-from repro.metrics.trace import TraceRecorder
 from repro.model.failures import FailurePattern, Time
 from repro.model.processes import ProcessId, ProcessSet, pset
-from repro.runtime import Scheduler, SystemActor
+from repro.runtime import system_scheduler
 
 
 class _PathInstance:
@@ -132,14 +130,8 @@ class GammaExtraction(FailureDetector):
         super().__init__()
         self.topology = topology
         self.pattern = pattern
-        self.tracer = TraceRecorder()
-        self._scheduler = Scheduler(
-            {"gamma-extraction": SystemActor(self._advance)},
-            rng=random.Random(seed),
-            tracer=self.tracer,
-            is_alive=lambda _key, _t: True,
-            scheduling="scan",
-        )
+        self._scheduler = system_scheduler("gamma-extraction", self._advance, seed)
+        self.tracer = self._scheduler.tracer
         self._instances: Dict[ClosedPath, _PathInstance] = {}
         self._family_of: Dict[ClosedPath, GroupFamily] = {}
         for family in topology.cyclic_families():

@@ -12,18 +12,16 @@ delivery broadcasts ``failed`` to ``g ∪ h``.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.engine import MulticastSystem
 from repro.core.group_sequential import AtomicMulticast
 from repro.detectors.base import FailureDetector
 from repro.groups.topology import Group, GroupTopology
-from repro.metrics.trace import TraceRecorder
 from repro.model.errors import DetectorError
 from repro.model.failures import FailurePattern, Time
 from repro.model.processes import ProcessId, ProcessSet, pset
-from repro.runtime import Scheduler, SystemActor
+from repro.runtime import system_scheduler
 
 
 class IndicatorExtraction(FailureDetector):
@@ -52,14 +50,10 @@ class IndicatorExtraction(FailureDetector):
         self.watched: ProcessSet = self.g.intersection(self.h)
         if not self.watched:
             raise DetectorError("the two groups must intersect")
-        self.tracer = TraceRecorder()
-        self._scheduler = Scheduler(
-            {"indicator-extraction": SystemActor(self._advance)},
-            rng=random.Random(seed),
-            tracer=self.tracer,
-            is_alive=lambda _key, _t: True,
-            scheduling="scan",
+        self._scheduler = system_scheduler(
+            "indicator-extraction", self._advance, seed
         )
+        self.tracer = self._scheduler.tracer
         #: line 2: B = A_g at g \ h, A_h at h \ g, bottom inside g ∩ h.
         self._sides: List[Tuple[Group, ProcessSet, MulticastSystem, AtomicMulticast]] = []
         for group, other in ((self.g, self.h), (self.h, self.g)):

@@ -36,18 +36,16 @@ property all the valency arguments hinge on.
 from __future__ import annotations
 
 import itertools
-import random
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.engine import MulticastSystem
 from repro.core.group_sequential import AtomicMulticast
 from repro.detectors.base import BOTTOM, FailureDetector
 from repro.groups.topology import Group, GroupTopology
-from repro.metrics.trace import TraceRecorder
 from repro.model.errors import DetectorError
 from repro.model.failures import FailurePattern, Time, failure_free
 from repro.model.processes import ProcessId, ProcessSet, pset
-from repro.runtime import Scheduler, SystemActor
+from repro.runtime import system_scheduler
 
 #: A configuration: per member of g∩h (sorted), the group it multicasts to.
 Config = Tuple[str, ...]
@@ -90,14 +88,8 @@ class OmegaExtraction(FailureDetector):
         )
         self.seed = seed
         self.max_depth = max_depth
-        self.tracer = TraceRecorder()
-        self._scheduler = Scheduler(
-            {"omega-extraction": SystemActor(self._advance)},
-            rng=random.Random(seed),
-            tracer=self.tracer,
-            is_alive=lambda _key, _t: True,
-            scheduling="scan",
-        )
+        self._scheduler = system_scheduler("omega-extraction", self._advance, seed)
+        self.tracer = self._scheduler.tracer
         #: Sample counts per process (the DAG's occurrence record).
         self._samples: Dict[ProcessId, int] = {p: 0 for p in self.actors}
         #: Sample counts as of two rounds ago, to detect stalling.

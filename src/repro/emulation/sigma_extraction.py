@@ -18,7 +18,6 @@ glues into an ordering violation if two disjoint responsive sets existed.
 from __future__ import annotations
 
 import itertools
-import random
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.engine import MulticastSystem
@@ -26,11 +25,10 @@ from repro.core.group_sequential import AtomicMulticast
 from repro.detectors.base import BOTTOM, FailureDetector
 from repro.emulation.heartbeats import HeartbeatRanking
 from repro.groups.topology import Group, GroupTopology
-from repro.metrics.trace import TraceRecorder
 from repro.model.errors import DetectorError
 from repro.model.failures import FailurePattern, Time
 from repro.model.processes import ProcessId, ProcessSet, pset
-from repro.runtime import Scheduler, SystemActor
+from repro.runtime import system_scheduler
 
 
 class _Instance:
@@ -101,14 +99,8 @@ class SigmaExtraction(FailureDetector):
             raise DetectorError("the groups of G must intersect")
         self.scope: ProcessSet = pset(scope)
         self.ranking = HeartbeatRanking(pattern)
-        self.tracer = TraceRecorder()
-        self._scheduler = Scheduler(
-            {"sigma-extraction": SystemActor(self._advance)},
-            rng=random.Random(seed),
-            tracer=self.tracer,
-            is_alive=lambda _key, _t: True,
-            scheduling="scan",
-        )
+        self._scheduler = system_scheduler("sigma-extraction", self._advance, seed)
+        self.tracer = self._scheduler.tracer
         #: All instances A_{g,x}, keyed by (group, participant set).
         self._instances: Dict[Tuple[Group, ProcessSet], _Instance] = {}
         for g in self.groups:

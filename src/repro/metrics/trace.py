@@ -63,7 +63,7 @@ class RoundTrace:
             scanned``).
         actions: actions fired across the system this round.
         full_scan: whether the scheduler fell back to scanning everyone
-            (detector-settle window, participation change, or scan mode).
+            (detector-settle window, participation change, zero budget).
         quorum_queries: quorum-guard evaluations this round.
         quorum_stalls: quorum-guard evaluations that returned False.
         gamma_queries: gamma oracle consultations.

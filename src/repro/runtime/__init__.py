@@ -3,15 +3,20 @@
 One :class:`ExecutionCore` owns the transport/clock-agnostic semantics
 (actor registry, alive ∩ participation filtering, settle-horizon and
 quiescence accounting, tracer/injector hooks); two drivers execute it:
-the round-based :class:`Scheduler` (a.k.a. :class:`RoundDriver`, the
-lockstep loop with the seeded shuffle) and the :class:`AsyncDriver`
+the round-based :class:`Scheduler` (the lockstep loop with the seeded
+shuffle) and the :class:`AsyncDriver`
 (asyncio tasks over latency-modelled in-memory channels, with a seeded
 :class:`VirtualClock` for deterministic replay).  Hosts adapt their
 execution units to the :class:`Actor` protocol via the adapters in
 :mod:`repro.runtime.actors`.
 """
 
-from repro.runtime.actors import AutomatonActor, SharedObjectActor, SystemActor
+from repro.runtime.actors import (
+    AutomatonActor,
+    SharedObjectActor,
+    SystemActor,
+    system_scheduler,
+)
 from repro.runtime.async_driver import CLOCK_MODES, AsyncDriver, AsyncTransport
 from repro.runtime.clock import VirtualClock
 from repro.runtime.core import ExecutionCore
@@ -26,13 +31,7 @@ from repro.runtime.delay import (
     canonical_delay_spec,
     parse_delay_model,
 )
-from repro.runtime.scheduler import (
-    SCHEDULING_MODES,
-    Actor,
-    RoundDriver,
-    RunOutcome,
-    Scheduler,
-)
+from repro.runtime.scheduler import Actor, RunOutcome, Scheduler
 
 __all__ = [
     "Actor",
@@ -45,10 +44,8 @@ __all__ = [
     "ExecutionCore",
     "ExponentialDelay",
     "FixedDelay",
-    "RoundDriver",
     "RunOutcome",
     "Scheduler",
-    "SCHEDULING_MODES",
     "SharedObjectActor",
     "SlowPairsDelay",
     "SystemActor",
@@ -57,4 +54,5 @@ __all__ = [
     "build_delay_model",
     "canonical_delay_spec",
     "parse_delay_model",
+    "system_scheduler",
 ]

@@ -22,12 +22,13 @@ very objects the actors consult.
 
 from __future__ import annotations
 
+import random
 from typing import Callable, Iterable, Optional, Tuple
 
-from repro.metrics.trace import WAIT_IDLE
+from repro.metrics.trace import WAIT_IDLE, TraceRecorder
 from repro.model.failures import Time
 from repro.model.processes import ProcessId
-from repro.runtime.scheduler import Actor
+from repro.runtime.scheduler import Actor, Scheduler
 
 
 class SharedObjectActor(Actor):
@@ -137,3 +138,21 @@ class SystemActor(Actor):
 
     def wait_reasons(self) -> Iterable[str]:
         return (WAIT_IDLE,)
+
+
+def system_scheduler(
+    key: str, advance: Callable[[Time], int], seed: int
+) -> Scheduler:
+    """The round driver of a whole-system host: one :class:`SystemActor`.
+
+    The single place the baselines and the §5/§6 emulation drivers are
+    wired to the scheduler.  Crash filtering happens inside ``advance``
+    (per destination member, partition or instance), so the actor itself
+    is always schedulable; hosts expose ``scheduler.tracer`` as their own.
+    """
+    return Scheduler(
+        {key: SystemActor(advance)},
+        rng=random.Random(seed),
+        tracer=TraceRecorder(),
+        is_alive=lambda _key, _t: True,
+    )

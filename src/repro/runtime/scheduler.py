@@ -38,9 +38,12 @@ thin delegations.  Two invariants make that safe:
   not a *full scan* and (b) the actor reports :meth:`Actor.parked`.
   Full scans are forced while ``time <= settle_horizon()`` (detector
   outputs may still move), whenever the (scheduled, responder) set pair
-  changes (quorum availability), in ``scheduling="scan"`` mode, and on
-  non-positive action budgets — the same conservative fallbacks the
-  event-driven engine introduced in PR 1.
+  changes (quorum availability), and on non-positive action budgets —
+  the same conservative fallbacks the event-driven engine introduced in
+  PR 1.  These are soundness rules, not options: there is no
+  scan-everything mode.  The seed loops' full-scan body survives as a
+  test oracle (``tests/runtime/_oracle.py``), which the differential
+  suites bind over :meth:`Scheduler.round`.
 """
 
 from __future__ import annotations
@@ -57,12 +60,8 @@ from typing import (
 )
 
 from repro.metrics.trace import TraceRecorder
-from repro.model.errors import SimulationError
 from repro.model.failures import Time
 from repro.runtime.core import Actor, ExecutionCore, Key
-
-#: Supported scheduling modes (also re-exported by repro.core.engine).
-SCHEDULING_MODES = ("event", "scan")
 
 
 @dataclass(frozen=True)
@@ -93,8 +92,6 @@ class Scheduler:
         tracer: per-round counters (see :mod:`repro.metrics.trace`).
         is_alive: ``(key, t) -> bool`` — crash filtering; keys failing
             it are not scheduled at all.
-        scheduling: ``"event"`` (skip parked actors) or ``"scan"``
-            (scan everything — the seed engines' behaviour).
         settle_horizon: callable returning the time by which detector
             outputs have stabilized; full scans are forced up to it and
             quiescence is only trusted past it.
@@ -131,7 +128,6 @@ class Scheduler:
         rng: random.Random,
         tracer: TraceRecorder,
         is_alive: Callable[[Key, Time], bool],
-        scheduling: str = "event",
         settle_horizon: Optional[Callable[[], Time]] = None,
         pre_round: Optional[Callable[[Time], None]] = None,
         responders: Optional[FrozenSet[Key]] = None,
@@ -139,8 +135,6 @@ class Scheduler:
         pending_work: Optional[Callable[[], int]] = None,
         alive_instants: Optional[Iterable[Time]] = None,
     ) -> None:
-        if scheduling not in SCHEDULING_MODES:
-            raise SimulationError(f"unknown scheduling mode {scheduling!r}")
         self.core = ExecutionCore(
             actors,
             tracer,
@@ -153,7 +147,6 @@ class Scheduler:
             alive_instants=alive_instants,
         )
         self._rng = rng
-        self.scheduling = scheduling
         self.time: Time = 0
         #: Whether the most recent :meth:`run` ended in quiescence; True
         #: before any run call — nothing has been cut short yet.
@@ -198,8 +191,7 @@ class Scheduler:
         self._rng.shuffle(order)
         fingerprint_changed = core.note_fingerprint(eligible)
         full_scan = (
-            self.scheduling == "scan"
-            or self.time <= core.settle_horizon()
+            self.time <= core.settle_horizon()
             or fingerprint_changed
             or (action_budget is not None and action_budget <= 0)
         )
@@ -279,8 +271,3 @@ class Scheduler:
             quiescent = idle >= quiescent_rounds
         self.last_run_quiescent = quiescent
         return RunOutcome(rounds=rounds, quiescent=quiescent, fired=total_fired)
-
-
-#: The round-based driver by its role name; :class:`Scheduler` is the
-#: historical alias every host constructs.
-RoundDriver = Scheduler

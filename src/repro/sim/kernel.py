@@ -113,8 +113,8 @@ class Automaton:
     def idle(self) -> bool:
         """True when a step with no datagram cannot change this automaton.
 
-        Event-driven kernels (``Kernel(event_driven=True)``) skip started
-        processes that are idle and have nothing pending in the buffer.
+        The kernel skips started processes that are idle and have
+        nothing pending in the buffer.
         The default is conservative — ``False`` keeps every process
         stepping each round, which is always sound.  Automata that are
         purely message-driven after start-up (they neither poll detectors
@@ -137,7 +137,6 @@ class Kernel:
         automata: Dict[ProcessId, Automaton],
         detectors: Optional[Dict[ProcessId, FailureDetector]] = None,
         seed: int = 0,
-        event_driven: bool = False,
         injector: Optional[Any] = None,
     ) -> None:
         self.pattern = pattern
@@ -153,7 +152,6 @@ class Kernel:
                 p: injector.wrap_detector(d) for p, d in self.detectors.items()
             }
         self.buffer = MessageBuffer(injector)
-        self.event_driven = event_driven
         self.tracer = TraceRecorder()
         self.outputs: Dict[ProcessId, List[Tuple[Time, Any]]] = {
             p: [] for p in automata
@@ -190,23 +188,13 @@ class Kernel:
             rng=self._rng,
             tracer=self.tracer,
             is_alive=pattern.is_alive,
-            scheduling="event" if event_driven else "scan",
             pre_round=self._pre_round if injector is not None else self._drop_crashed,
             settle_horizon=(lambda: injector.horizon) if injector is not None else None,
             injector=injector,
             pending_work=(
                 self.buffer.delayed_count if injector is not None else None
             ),
-            alive_instants={
-                when
-                for p, when in pattern.crash_times.items()
-                if p in self.automata
-            }
-            | {
-                when
-                for p, when in pattern.recovery_times.items()
-                if p in self.automata
-            },
+            alive_instants=pattern.change_instants(),
         )
 
     @property
@@ -313,12 +301,12 @@ class Kernel:
         processes crashed by now are dropped (they will never receive).
         Returns the number of steps taken.
 
-        With ``event_driven=True`` a started process whose automaton
-        reports :meth:`Automaton.idle` and whose inbox is empty is
-        skipped: its step would receive the null message and, by the
-        automaton's own declaration, change nothing.  The full shuffled
-        order is still drawn first, so the schedule of the processes
-        that *do* step is identical to the scan kernel's.
+        A started process whose automaton reports :meth:`Automaton.idle`
+        and whose inbox is empty is skipped: its step would receive the
+        null message and, by the automaton's own declaration, change
+        nothing.  The full shuffled order is still drawn first, so the
+        schedule of the processes that *do* step is identical to a
+        step-everyone kernel's.
 
         The per-round contract itself lives in the shared
         :class:`repro.runtime.Scheduler`; this is a thin delegation.
@@ -326,7 +314,6 @@ class Kernel:
         automaton took on an empty inbox is fair-scheduling overhead,
         not progress, and does not count.
         """
-        self._scheduler.scheduling = "event" if self.event_driven else "scan"
         return self._scheduler.round(participation)
 
     def run(
@@ -345,7 +332,6 @@ class Kernel:
         the full budget executes (the legacy contract) and the flag
         reports whether the run *ended* idle.
         """
-        self._scheduler.scheduling = "event" if self.event_driven else "scan"
         outcome = self._scheduler.run(
             rounds,
             participation,

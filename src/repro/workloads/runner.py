@@ -425,7 +425,7 @@ class _Deployment:
     #: Complete and return the run's :class:`RunRecord`.
     finish: Callable[[], RunRecord]
     #: Backend-specific trace ``meta`` entries.
-    meta: Dict[str, Any]
+    meta: Dict[str, Any] = field(default_factory=dict)
     multicaster: Optional[AtomicMulticast] = None
     #: The datagram buffer the admissibility audit inspects (kernel only).
     buffer: Optional[MessageBuffer] = None
@@ -450,7 +450,6 @@ def _algorithm1_deployment(
         gamma_lag=spec.gamma_lag,
         indicator_lag=spec.indicator_lag,
         seed=spec.seed,
-        scheduling=spec.scheduling,
         injector=injector,
     )
     multicaster = AtomicMulticast(system)
@@ -460,7 +459,7 @@ def _algorithm1_deployment(
         multicast=multicaster.multicast,
         progress=lambda: len(system.record.deliveries),
         finish=lambda: system.record,
-        meta={"variant": spec.variant, "scheduling": spec.scheduling},
+        meta={"variant": spec.variant},
         multicaster=multicaster,
     )
 
@@ -521,7 +520,6 @@ def _kernel_deployment(
         automata,
         detectors,
         seed=spec.seed,
-        event_driven=spec.kernel_event_driven(),
         injector=injector,
     )
     record = RunRecord(topology.processes, pattern)
@@ -567,7 +565,6 @@ def _kernel_deployment(
         multicast=multicast,
         progress=applied,
         finish=finish,
-        meta={"event_driven": spec.kernel_event_driven()},
         buffer=kernel.buffer,
     )
 

@@ -5,8 +5,8 @@ could only be described by an argument list — impossible to hash, store
 in a manifest, or ship to a worker process.  A :class:`ScenarioSpec`
 fixes that: it captures **everything that determines a run** (topology,
 failure pattern, send script, seed, variant, detector lags, round
-budget, scheduling mode) as a frozen, hashable, JSON-round-trippable
-dataclass.  Two specs that compare equal describe byte-identical runs;
+budget) as a frozen, hashable, JSON-round-trippable dataclass.  Two
+specs that compare equal describe byte-identical runs;
 :meth:`ScenarioSpec.spec_hash` is the stable content address the
 campaign subsystem keys its manifests and result rows on.
 
@@ -35,7 +35,8 @@ from repro.model.failures import FailurePattern, Time
 from repro.model.processes import ProcessId, make_processes, pset
 
 #: Bumped on breaking changes to the spec JSON layout.  Version 2 added
-#: the execution-backend axes (``backend``, ``event_driven``); version 3
+#: the execution-backend axis (``backend``, plus a kernel scheduling-mode
+#: key PR 16 retired to a wire constant); version 3
 #: added the ``faults`` axis (a :class:`repro.faults.FaultPlan`);
 #: version 4 added the *generator* form of :class:`TopologySpec` (a
 #: topology addressed by recipe instead of by expanded group map);
@@ -190,7 +191,6 @@ class ScenarioSpec:
         gamma_lag: detection lag of the gamma oracle.
         indicator_lag: detection lag of the intersection indicators.
         max_rounds: total round budget (script issuance + drain).
-        scheduling: engine scheduling mode (``"event"`` or ``"scan"``).
         backend: which execution loop runs the scenario — ``"engine"``
             (the §4.4 shared-object system, the default), ``"kernel"``
             (the Appendix-A step-level kernel driving one replicated log
@@ -206,10 +206,6 @@ class ScenarioSpec:
         clock: the async backend's time source — ``"virtual"`` (seeded
             deterministic, the default, excluded from the hash) or
             ``"wall"`` (real time).  Ignored by the round backends.
-        event_driven: kernel scheduling mode.  ``None`` (the default)
-            derives it from ``scheduling`` (``"event"`` → ``True``), so
-            a scan-vs-event sweep exercises both loops with one axis; an
-            explicit boolean overrides.  Ignored by the engine backend.
         faults: optional :class:`repro.faults.FaultPlan` — the nemesis
             perturbations applied to the run (schema v3).  ``None``, the
             default, runs fault-free and is excluded from
@@ -232,9 +228,7 @@ class ScenarioSpec:
     gamma_lag: Time = 0
     indicator_lag: Time = 0
     max_rounds: int = 600
-    scheduling: str = "event"
     backend: str = "engine"
-    event_driven: Optional[bool] = None
     faults: Optional["FaultPlan"] = None
     delay_model: Optional[Tuple[Any, ...]] = None
     clock: str = "virtual"
@@ -267,12 +261,6 @@ class ScenarioSpec:
                 self, "delay_model", canonical_delay_spec(self.delay_model)
             )
 
-    def kernel_event_driven(self) -> bool:
-        """The effective kernel scheduling mode (see ``event_driven``)."""
-        if self.event_driven is not None:
-            return self.event_driven
-        return self.scheduling == "event"
-
     # -- Construction -----------------------------------------------------
 
     @classmethod
@@ -287,9 +275,7 @@ class ScenarioSpec:
         gamma_lag: Time = 0,
         indicator_lag: Time = 0,
         max_rounds: int = 600,
-        scheduling: str = "event",
         backend: str = "engine",
-        event_driven: Optional[bool] = None,
         faults: Optional[FaultPlan] = None,
         delay_model: Optional[Tuple[Any, ...]] = None,
         clock: str = "virtual",
@@ -308,9 +294,7 @@ class ScenarioSpec:
             gamma_lag=gamma_lag,
             indicator_lag=indicator_lag,
             max_rounds=max_rounds,
-            scheduling=scheduling,
             backend=backend,
-            event_driven=event_driven,
             faults=faults,
             delay_model=delay_model,
             clock=clock,
@@ -354,9 +338,14 @@ class ScenarioSpec:
             "gamma_lag": self.gamma_lag,
             "indicator_lag": self.indicator_lag,
             "max_rounds": self.max_rounds,
-            "scheduling": self.scheduling,
+            # ``scheduling`` / ``event_driven``: wire constants of the two
+            # axes PR 16 retired.  The first was hashed unconditionally
+            # and both sit in every stored row's ``spec``, so they stay
+            # emitted, in place, and no content address moves; they leave
+            # with the one-shot ``migrate`` of ROADMAP item 2(c).
+            "scheduling": "event",
             "backend": self.backend,
-            "event_driven": self.event_driven,
+            "event_driven": None,
             "faults": None if self.faults is None else self.faults.to_json(),
             "delay_model": _delay_spec_to_json(self.delay_model),
             "clock": self.clock,
@@ -368,6 +357,20 @@ class ScenarioSpec:
     def from_json(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
         from repro.workloads.runner import Send
 
+        if data.get("schema", 1) > SPEC_SCHEMA_VERSION:
+            raise SimulationError(
+                f"spec payload has schema {data['schema']}, newer than the "
+                f"supported {SPEC_SCHEMA_VERSION}; its axes would be dropped"
+            )
+        # Retired axes load only at their wire constants: any other
+        # value was hashed, so dropping it would move a content address.
+        for axis, constant in (("scheduling", "event"), ("event_driven", None)):
+            if data.get(axis, constant) != constant:
+                raise SimulationError(
+                    f"spec payload sets the retired axis {axis!r} to "
+                    f"{data[axis]!r}; PR 16 removed the scheduling modes "
+                    f"(only {constant!r} or an absent key still loads)"
+                )
         return cls(
             topology=TopologySpec.from_json(data["topology"]),
             crashes=tuple(
@@ -387,10 +390,8 @@ class ScenarioSpec:
             gamma_lag=int(data["gamma_lag"]),
             indicator_lag=int(data["indicator_lag"]),
             max_rounds=int(data["max_rounds"]),
-            scheduling=data["scheduling"],
-            # Absent in schema-version-1 payloads: engine defaults.
+            # Absent in schema-version-1 payloads: engine default.
             backend=data.get("backend", "engine"),
-            event_driven=data.get("event_driven"),
             # Absent before schema version 3: fault-free.
             faults=(
                 FaultPlan.from_json(data["faults"])
@@ -422,8 +423,7 @@ class ScenarioSpec:
         body.pop("schema", None)
         if self.backend == "engine":
             body.pop("backend", None)
-        if self.event_driven is None:
-            body.pop("event_driven", None)
+        body.pop("event_driven", None)  # was hashed only when not null
         if self.faults is None:
             body.pop("faults", None)
         # Schema-5 axes at their defaults are excluded for the same

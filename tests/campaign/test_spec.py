@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from repro.model import crash_pattern, failure_free, make_processes, pset
+from repro.model import (
+    SimulationError,
+    crash_pattern,
+    failure_free,
+    make_processes,
+    pset,
+)
 from repro.workloads import (
     ScenarioSpec,
     Send,
@@ -77,6 +83,38 @@ class TestScenarioSpec:
         topo = chain_topology(2)
         pattern = failure_free(pset(make_processes(3)))
         spec = ScenarioSpec.capture(topo, pattern)
-        assert (spec.seed, spec.variant, spec.scheduling) == (0, "vanilla", "event")
+        assert (spec.seed, spec.variant, spec.backend) == (0, "vanilla", "engine")
         assert spec.max_rounds == 600
         assert spec.crashes == () and spec.sends == ()
+
+
+class TestLoaderFailsLoudly:
+    """``from_json`` must not silently load what it cannot represent:
+    dropping an axis it does not know, or one PR 16 retired, would hand
+    back a spec with a different content address than the stored one."""
+
+    def test_newer_schema_is_rejected(self):
+        payload = _spec().to_json()
+        payload["schema"] = payload["schema"] + 1
+        with pytest.raises(SimulationError, match="schema"):
+            ScenarioSpec.from_json(payload)
+
+    def test_retired_scan_scheduling_is_rejected(self):
+        payload = _spec().to_json()
+        payload["scheduling"] = "scan"
+        with pytest.raises(SimulationError, match="'scheduling'.*PR 16"):
+            ScenarioSpec.from_json(payload)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_retired_explicit_event_driven_is_rejected(self, value):
+        payload = _spec().to_json()
+        payload["event_driven"] = value
+        with pytest.raises(SimulationError, match="'event_driven'.*PR 16"):
+            ScenarioSpec.from_json(payload)
+
+    def test_retired_axes_load_at_their_constants_or_absent(self):
+        payload = _spec().to_json()
+        assert (payload["scheduling"], payload["event_driven"]) == ("event", None)
+        assert ScenarioSpec.from_json(payload) == _spec()
+        del payload["scheduling"], payload["event_driven"]
+        assert ScenarioSpec.from_json(payload) == _spec()

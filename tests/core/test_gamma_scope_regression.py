@@ -30,6 +30,7 @@ from repro.workloads import (
     random_topology,
     run_scenario,
 )
+from tests.runtime._oracle import scan_everywhere
 
 
 def _falsifying_spec(**overrides):
@@ -49,9 +50,10 @@ def test_wholly_crashed_intersection_terminates():
     assert_run_ok(result.record)
 
 
-def test_wholly_crashed_intersection_terminates_scan_mode():
+def test_wholly_crashed_intersection_terminates_scan_mode(monkeypatch):
     """The fix is not an artifact of event-driven scheduling."""
-    result = run_scenario(_falsifying_spec(scheduling="scan"))
+    scan_everywhere(monkeypatch)
+    result = run_scenario(_falsifying_spec())
     assert result.quiescent
     assert_run_ok(result.record)
 

@@ -2,10 +2,11 @@
 
 Two families of regression tests:
 
-* The wake-index scheduler (``scheduling="event"``) must produce a
-  :class:`RunRecord` byte-identical to the seed scan-everything engine
-  (``scheduling="scan"``) — same seeds, same topologies, crashes or not
-  — while scanning strictly fewer processes on blocked-heavy runs.
+* The wake-index scheduler must produce a :class:`RunRecord`
+  byte-identical to the seed scan-everything engine (the oracle in
+  ``tests/runtime/_oracle.py``, bound with ``force_scan``) — same
+  seeds, same topologies, crashes or not — while scanning strictly
+  fewer processes on blocked-heavy runs.
 
 * ``settle_horizon`` must cover ``omega_stabilization`` (seed bug: it
   only covered crashes + gamma/indicator lags, so a run could be
@@ -21,6 +22,7 @@ from repro.groups import paper_figure1_topology
 from repro.model import crash_pattern, failure_free, make_processes, pset
 from repro.props import assert_run_ok
 from repro.workloads import random_sends
+from tests.runtime._oracle import force_scan
 
 PROCS = make_processes(5)
 ALL = pset(PROCS)
@@ -36,9 +38,11 @@ def record_fingerprint(system):
     )
 
 
-def drive(scheduling, pattern, seed, count=6):
+def drive(scan, pattern, seed, count=6):
     topo = paper_figure1_topology()
-    system = MulticastSystem(topo, pattern, seed=seed, scheduling=scheduling)
+    system = MulticastSystem(topo, pattern, seed=seed)
+    if scan:
+        force_scan(system)
     amc = AtomicMulticast(system)
     for send in random_sends(topo, count, seed=seed):
         sender = next(
@@ -54,38 +58,28 @@ def drive(scheduling, pattern, seed, count=6):
 class TestTraceEquivalence:
     @pytest.mark.parametrize("seed", range(6))
     def test_failure_free_traces_are_byte_identical(self, seed):
-        scan = drive("scan", failure_free(ALL), seed)
-        event = drive("event", failure_free(ALL), seed)
+        scan = drive(True, failure_free(ALL), seed)
+        event = drive(False, failure_free(ALL), seed)
         assert record_fingerprint(scan) == record_fingerprint(event)
         assert_run_ok(event.record)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_crashy_traces_are_byte_identical(self, seed):
         pattern = crash_pattern(ALL, {PROCS[1]: 4})
-        scan = drive("scan", pattern, seed)
-        event = drive("event", pattern, seed)
+        scan = drive(True, pattern, seed)
+        event = drive(False, pattern, seed)
         assert record_fingerprint(scan) == record_fingerprint(event)
         assert_run_ok(event.record)
 
     def test_event_mode_scans_fewer_processes(self):
-        event = drive("event", failure_free(ALL), seed=1)
+        event = drive(False, failure_free(ALL), seed=1)
         summary = event.tracer.summary()
         assert summary["skipped"] > 0
         assert summary["scanned"] < summary["eligible"]
         # The scan baseline scans everyone, every round.
-        scan = drive("scan", failure_free(ALL), seed=1)
+        scan = drive(True, failure_free(ALL), seed=1)
         baseline = scan.tracer.summary()
         assert baseline["scanned"] == baseline["eligible"]
-
-    def test_unknown_scheduling_mode_rejected(self):
-        from repro.model.errors import SimulationError
-
-        with pytest.raises(SimulationError):
-            MulticastSystem(
-                paper_figure1_topology(),
-                failure_free(ALL),
-                scheduling="lazy",
-            )
 
 
 class TestOmegaSettleHorizon:

@@ -112,6 +112,7 @@ def test_pending_work_guards_an_understated_horizon():
     from repro.model.messages import MessageBuffer
     from repro.model.processes import make_processes
     from repro.runtime import Scheduler
+    from tests.runtime._oracle import force_scan
 
     p1, p2 = make_processes(2)
     injector = FaultInjector(
@@ -124,15 +125,16 @@ def test_pending_work_guards_an_understated_horizon():
     assert buffer.delayed_count() == 1
 
     drain = _Drain(buffer, p2)
-    sched = Scheduler(
-        {p2.name: drain},
-        rng=random.Random(0),
-        tracer=TraceRecorder(),
-        is_alive=lambda _key, _t: True,
-        scheduling="scan",
-        pre_round=lambda t: buffer.release(t),
-        settle_horizon=lambda: 0,  # deliberately understated
-        pending_work=buffer.delayed_count,
+    sched = force_scan(
+        Scheduler(
+            {p2.name: drain},
+            rng=random.Random(0),
+            tracer=TraceRecorder(),
+            is_alive=lambda _key, _t: True,
+            pre_round=lambda t: buffer.release(t),
+            settle_horizon=lambda: 0,  # deliberately understated
+            pending_work=buffer.delayed_count,
+        )
     )
     outcome = sched.run(max_rounds=30, quiescent_rounds=2)
     assert outcome.quiescent

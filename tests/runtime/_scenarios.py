@@ -6,7 +6,8 @@ This module defines, as *data plus builders*, every scenario the
 * **engine scenarios** — Algorithm 1 deployments over several topologies,
   seeds, failure patterns and participation restrictions, fingerprinted
   by their :class:`repro.model.RunRecord` (every multicast, delivery and
-  charged step, in order) and, for ``scheduling="scan"``, by the
+  charged step, in order) and, under the scan oracle
+  (:func:`tests.runtime._oracle.force_scan`), by the
   :class:`repro.metrics.trace.TraceRecorder` round stream;
 * **kernel scenarios** — Appendix-A automata (a ping/pong mesh and a
   replicated-log cluster), fingerprinted by their output queues, step
@@ -38,6 +39,7 @@ from repro.workloads import (
     random_sends,
     ring_topology,
 )
+from tests.runtime._oracle import force_scan
 
 #: Seeds of the differential matrix (acceptance floor: >= 20).
 SEEDS = tuple(range(20))
@@ -79,7 +81,8 @@ def trace_fingerprint(tracer):
 
 
 def engine_scenarios():
-    """Yield ``(key, run)`` pairs; ``run(scheduling)`` returns the system.
+    """Yield ``(key, run)`` pairs; ``run(scan)`` returns the system,
+    driven by the scan oracle when ``scan`` is true.
 
     The matrix crosses topologies x seeds x {failure-free, crashy}, plus
     a participation-restricted family on the Figure 1 topology.
@@ -98,7 +101,7 @@ def engine_scenarios():
 
 
 def _engine_runner(factory, pattern_name, seed):
-    def run(scheduling):
+    def run(scan):
         topology = factory()
         processes = sorted(topology.processes)
         if pattern_name == "crash":
@@ -114,9 +117,10 @@ def _engine_runner(factory, pattern_name, seed):
             topology,
             pattern,
             seed=seed,
-            scheduling=scheduling,
             gamma_scope="process",
         )
+        if scan:
+            force_scan(system)
         amc = AtomicMulticast(system)
         for send in random_sends(topology, 6, seed=seed):
             sender = next(p for p in processes if p.index == send.sender)
@@ -129,7 +133,7 @@ def _engine_runner(factory, pattern_name, seed):
 
 
 def _participation_runner(seed):
-    def run(scheduling):
+    def run(scan):
         topology = paper_figure1_topology()
         processes = sorted(topology.processes)
         pattern = failure_free(topology.processes)
@@ -137,9 +141,10 @@ def _participation_runner(seed):
             topology,
             pattern,
             seed=seed,
-            scheduling=scheduling,
             gamma_scope="process",  # pre-fix scoping; see _engine_runner
         )
+        if scan:
+            force_scan(system)
         amc = AtomicMulticast(system)
         participation = pset(processes[:-1])
         amc.multicast(processes[0], topology.groups[0].name)
@@ -198,7 +203,8 @@ def kernel_fingerprint(kernel):
 
 
 def kernel_scenarios():
-    """Yield ``(key, run)``; ``run(event_driven)`` returns the kernel."""
+    """Yield ``(key, run)``; ``run(scan)`` returns the kernel, driven
+    by the scan oracle when ``scan`` is true."""
     for size in (3, 5):
         for seed in SEEDS:
             for pattern_name in ("ff", "crash"):
@@ -211,7 +217,7 @@ def kernel_scenarios():
 
 
 def _pingpong_runner(size, pattern_name, seed):
-    def run(event_driven):
+    def run(scan):
         procs = make_processes(size)
         universe = pset(procs)
         if pattern_name == "crash":
@@ -221,9 +227,9 @@ def _pingpong_runner(size, pattern_name, seed):
         automata = {procs[0]: PingChatter(procs[1:])}
         for p in procs[1:]:
             automata[p] = PingEcho()
-        kernel = Kernel(
-            pattern, automata, seed=seed, event_driven=event_driven
-        )
+        kernel = Kernel(pattern, automata, seed=seed)
+        if scan:
+            force_scan(kernel)
         kernel.run(12)
         return kernel
 
@@ -231,7 +237,7 @@ def _pingpong_runner(size, pattern_name, seed):
 
 
 def _replog_runner(pattern_name, seed):
-    def run(event_driven):
+    def run(scan):
         procs = make_processes(3)
         universe = pset(procs)
         if pattern_name == "crash":
@@ -242,12 +248,10 @@ def _replog_runner(pattern_name, seed):
         cluster.append(procs[0], f"a{seed}")
         cluster.append(procs[1], f"b{seed}")
         kernel = Kernel(
-            pattern,
-            cluster.automata,
-            cluster.detectors,
-            seed=seed,
-            event_driven=event_driven,
+            pattern, cluster.automata, cluster.detectors, seed=seed
         )
+        if scan:
+            force_scan(kernel)
         kernel.run(40)
         return kernel
 

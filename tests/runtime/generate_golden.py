@@ -38,14 +38,14 @@ OUT = os.path.join(os.path.dirname(__file__), "golden.json")
 def main() -> None:
     golden = {"engine": {}, "kernel": {}}
     for key, run in engine_scenarios():
-        system = run("scan")
+        system = run(scan=True)
         golden["engine"][key] = {
             "record": canonical_hash(record_fingerprint(system.record)),
             "trace": canonical_hash(trace_fingerprint(system.tracer)),
             "rounds": len(system.tracer.rounds),
         }
     for key, run in kernel_scenarios():
-        kernel = run(False)
+        kernel = run(scan=True)
         golden["kernel"][key] = {
             "outputs": canonical_hash(kernel_fingerprint(kernel)),
             "steps": sum(kernel.steps_taken.values()),

@@ -6,18 +6,22 @@ and kernel (the loops duplicated in ``MulticastSystem.tick`` and
 ``Kernel.round`` before the ``repro.runtime.Scheduler`` extraction).
 These tests re-run the same scenarios on the current tree and demand:
 
-* **engine, scan mode** — identical :class:`RunRecord` *and* identical
+* **engine, scan oracle** — identical :class:`RunRecord` *and* identical
   per-round :class:`TraceRecorder` stream (the trace pins the shuffle
   order, the scan accounting and the quiescence point);
-* **engine, event mode** — identical :class:`RunRecord` and round count
+* **engine, as shipped** — identical :class:`RunRecord` and round count
   (the RNG-compatibility invariant: the wake-index skips happen *after*
   the full-set shuffle, so the schedule of the processes that do act is
   the scan schedule);
-* **kernel, both modes** — identical output queues and message-buffer
+* **kernel, both** — identical output queues and message-buffer
   accounting (``sent_count`` / ``received_count`` — this is also the
   satellite guarantee that the crash-time-driven drop schedule changes
-  no message count), with scan mode additionally pinned to the exact
-  pre-refactor step total.
+  no message count), with the scan oracle additionally pinned to the
+  exact pre-refactor step total.
+
+"Scan" is no run-time mode: it is the seed loops' full-scan round body,
+kept in ``_oracle.py`` and bound over ``Scheduler.round`` by
+``force_scan`` (the scenario builders take ``scan=True``).
 
 A failure here means the shared scheduler changed an observable
 schedule.  Fix the scheduler — never regenerate ``golden.json`` to make
@@ -63,12 +67,12 @@ def test_matrix_meets_acceptance_floor():
 def test_engine_matches_pre_refactor(key):
     golden = GOLDEN["engine"][key]
 
-    scan = ENGINE_RUNS[key]("scan")
+    scan = ENGINE_RUNS[key](scan=True)
     assert canonical_hash(record_fingerprint(scan.record)) == golden["record"]
     assert canonical_hash(trace_fingerprint(scan.tracer)) == golden["trace"]
     assert len(scan.tracer.rounds) == golden["rounds"]
 
-    event = ENGINE_RUNS[key]("event")
+    event = ENGINE_RUNS[key](scan=False)
     assert canonical_hash(record_fingerprint(event.record)) == golden["record"]
     assert len(event.tracer.rounds) == golden["rounds"]
 
@@ -77,11 +81,11 @@ def test_engine_matches_pre_refactor(key):
 def test_kernel_matches_pre_refactor(key):
     golden = GOLDEN["kernel"][key]
 
-    scan = KERNEL_RUNS[key](False)
+    scan = KERNEL_RUNS[key](scan=True)
     assert canonical_hash(kernel_fingerprint(scan)) == golden["outputs"]
     assert sum(scan.steps_taken.values()) == golden["steps"]
 
-    event = KERNEL_RUNS[key](True)
+    event = KERNEL_RUNS[key](scan=False)
     # Outputs AND buffer accounting identical: skipping idle automata
     # and dropping crashed inboxes by schedule change no observable.
     assert canonical_hash(kernel_fingerprint(event)) == golden["outputs"]

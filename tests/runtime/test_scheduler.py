@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.metrics.trace import TraceRecorder
-from repro.model.errors import SimulationError
 from repro.runtime import Actor, RunOutcome, Scheduler, SystemActor
+from tests.runtime._oracle import force_scan
 
 
 class CountdownActor(Actor):
@@ -43,27 +41,21 @@ class CountdownActor(Actor):
         return ("drained",)
 
 
-def make(actors, seed=7, scheduling="event", **kwargs):
+def make(actors, seed=7, **kwargs):
     return Scheduler(
         actors,
         rng=random.Random(seed),
         tracer=TraceRecorder(),
         is_alive=kwargs.pop("is_alive", lambda _key, _t: True),
-        scheduling=scheduling,
         **kwargs,
     )
-
-
-def test_unknown_mode_rejected_at_construction():
-    with pytest.raises(SimulationError):
-        make({"a": CountdownActor(1)}, scheduling="turbo")
 
 
 def test_one_shuffle_of_the_sorted_set_per_round():
     """The scheduler's only RNG use: sort the eligible keys, shuffle."""
     log = []
     actors = {k: CountdownActor(99, log, k) for k in ("c", "a", "b")}
-    sched = make(actors, seed=42, scheduling="scan")
+    sched = make(actors, seed=42)
     sched.round()
     sched.round()
 
@@ -102,7 +94,7 @@ def test_parked_actors_skipped_after_the_shuffle():
 
 
 def test_scan_mode_never_skips():
-    sched = make({k: CountdownActor(0) for k in "ab"}, scheduling="scan")
+    sched = force_scan(make({k: CountdownActor(0) for k in "ab"}))
     for _ in range(3):
         sched.round()
     for r in sched.tracer.rounds:
@@ -125,7 +117,6 @@ def test_settle_horizon_forces_scans_and_defers_quiescence():
     sched = make(
         {"a": CountdownActor(0)},
         settle_horizon=lambda: horizon,
-        scheduling="event",
     )
     outcome = sched.run(max_rounds=10, quiescent_rounds=2)
     # Idle rounds strictly before the horizon do not count toward
@@ -223,3 +214,31 @@ def test_pending_work_combines_with_settle_horizon():
     outcome = sched.run(max_rounds=10, quiescent_rounds=2)
     assert outcome.quiescent
     assert outcome.rounds == 4  # horizon still gates the idle streak
+
+
+def test_no_host_takes_a_scheduling_mode():
+    """Scan-vs-event is not an option anywhere: the scan loop is a test
+    oracle (``_oracle.py``), so no constructor, spec or grid names it."""
+    import inspect
+
+    from repro.campaign.__main__ import smoke_campaign
+    from repro.campaign.grid import Campaign
+    from repro.core import MulticastSystem
+    from repro.sim import Kernel
+    from repro.workloads import ScenarioSpec
+
+    for target in (
+        Scheduler,
+        MulticastSystem,
+        Kernel,
+        ScenarioSpec,
+        ScenarioSpec.capture,
+        Campaign,
+        smoke_campaign,
+    ):
+        retired = [
+            name
+            for name in inspect.signature(target).parameters
+            if name.startswith(("scheduling", "event_driven"))
+        ]
+        assert not retired, f"{target.__qualname__} still takes {retired}"

@@ -10,6 +10,7 @@ from repro.model import (
     pset,
 )
 from repro.sim import Automaton, Kernel
+from tests.runtime._oracle import force_scan
 
 PROCS = make_processes(3)
 ALL = pset(PROCS)
@@ -136,29 +137,27 @@ class QuietChatter(Chatter):
         return self.sent
 
 
-def build_quiet(event_driven, seed=0):
+def build_quiet(seed=0):
     automata = {
         PROCS[0]: QuietChatter([PROCS[1], PROCS[2]]),
         PROCS[1]: QuietEcho(),
         PROCS[2]: QuietEcho(),
     }
-    kernel = Kernel(
-        failure_free(ALL), automata, seed=seed, event_driven=event_driven
-    )
-    return automata, kernel
+    return automata, Kernel(failure_free(ALL), automata, seed=seed)
 
 
 class TestEventDrivenKernel:
     def test_idle_skip_preserves_outputs(self):
-        scan_automata, scan = build_quiet(event_driven=False, seed=9)
-        event_automata, event = build_quiet(event_driven=True, seed=9)
-        # No quiescent_rounds: both modes run the full budget, idle or not.
+        # The step-everyone reference is the scan oracle, not a mode.
+        scan = force_scan(build_quiet(seed=9)[1])
+        _, event = build_quiet(seed=9)
+        # No quiescent_rounds: both run the full budget, idle or not.
         assert scan.run(6) == event.run(6) == 6
         assert str(scan.outputs) == str(event.outputs)
         assert scan.total_messages() == event.total_messages()
 
     def test_idle_skip_saves_steps(self):
-        _, event = build_quiet(event_driven=True, seed=9)
+        _, event = build_quiet(seed=9)
         event.run(6)
         summary = event.tracer.summary()
         assert summary["skipped"] > 0
@@ -169,13 +168,12 @@ class TestEventDrivenKernel:
 
     def test_default_automaton_is_never_skipped(self):
         automata, kernel = build(seed=9)
-        kernel.event_driven = True
         kernel.run(6)
         # Echo/Chatter keep the conservative idle() == False default.
         assert all(count == 6 for count in kernel.steps_taken.values())
 
     def test_unstarted_process_is_always_stepped(self):
-        _, event = build_quiet(event_driven=True, seed=9)
+        _, event = build_quiet(seed=9)
         event.round()
         # Every process took its start step despite reporting idle.
         assert all(count == 1 for count in event.steps_taken.values())

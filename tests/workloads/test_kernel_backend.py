@@ -4,9 +4,8 @@ A ``backend="kernel"`` spec runs one replicated log per destination
 group on the Appendix-A kernel instead of the Algorithm-1 engine; the
 synthesized :class:`RunRecord` must satisfy the same §2.2 properties.
 These tests cover the backend dispatch, the disjointness requirement,
-the ``event_driven`` knob (and its derivation from ``scheduling``), the
-schema-v2 JSON round trip with v1 backward compatibility, and the new
-Campaign axes.
+agreement with the scan oracle, the schema-v2 JSON round trip with v1
+backward compatibility, and the ``backends`` Campaign axis.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from repro.props.batch import batch_verdicts, verdicts_ok
 from repro.workloads import ScenarioSpec, Send, run_scenario
 from repro.workloads.spec import SPEC_SCHEMA_VERSION, TopologySpec
 from repro.workloads.topologies import disjoint_topology
+from tests.runtime._oracle import scan_everywhere
 
 TOPO = TopologySpec.capture(disjoint_topology(2, group_size=3))
 SENDS = (Send(1, "g1", 0), Send(4, "g2", 0), Send(2, "g1", 1))
@@ -59,26 +59,17 @@ class TestKernelBackend:
         assert len(result.messages) == 1
         assert result.delivered_everywhere()
 
-    def test_event_and_scan_modes_agree_on_deliveries(self):
-        fingerprints = []
-        for event_driven in (False, True):
-            result = run_scenario(kernel_spec(event_driven=event_driven))
-            fingerprints.append(
-                sorted(
-                    (e.time, e.process.name, str(e.message.mid))
-                    for e in result.record.deliveries
-                )
+    def test_event_and_scan_modes_agree_on_deliveries(self, monkeypatch):
+        def deliveries():
+            result = run_scenario(kernel_spec())
+            return sorted(
+                (e.time, e.process.name, str(e.message.mid))
+                for e in result.record.deliveries
             )
-        assert fingerprints[0] == fingerprints[1]
 
-    def test_event_driven_derives_from_scheduling(self):
-        assert kernel_spec(scheduling="event").kernel_event_driven() is True
-        assert kernel_spec(scheduling="scan").kernel_event_driven() is False
-        assert (
-            kernel_spec(scheduling="scan", event_driven=True)
-            .kernel_event_driven()
-            is True
-        )
+        event = deliveries()
+        scan_everywhere(monkeypatch)
+        assert deliveries() == event
 
     def test_intersecting_groups_rejected(self):
         spec = ScenarioSpec(
@@ -114,11 +105,10 @@ class TestSchemaV2:
         assert kernel_spec().to_json()["schema"] == SPEC_SCHEMA_VERSION
 
     def test_round_trip_preserves_backend_axes(self):
-        spec = kernel_spec(event_driven=False)
+        spec = kernel_spec()
         clone = ScenarioSpec.from_json(spec.to_json())
         assert clone == spec
         assert clone.backend == "kernel"
-        assert clone.event_driven is False
         assert clone.spec_hash() == spec.spec_hash()
 
     def test_v1_payload_loads_with_engine_defaults(self):
@@ -128,7 +118,6 @@ class TestSchemaV2:
         payload["schema"] = 1
         clone = ScenarioSpec.from_json(payload)
         assert clone.backend == "engine"
-        assert clone.event_driven is None
 
     def test_hash_ignores_backend_axes_at_their_defaults(self):
         """An engine spec's address must not move with the schema bump."""
@@ -150,28 +139,15 @@ class TestCampaignAxes:
         )
 
     def test_backend_axis_expands_the_grid(self):
-        campaign = self._campaign(
-            backends=("engine", "kernel"), schedulings=("event", "scan")
-        )
+        campaign = self._campaign(backends=("engine", "kernel"))
         specs = campaign.specs()
-        assert len(specs) == 2 * 2 * 2  # seeds x schedulings x backends
+        assert len(specs) == 2 * 2  # seeds x backends
         assert {s.backend for s in specs} == {"engine", "kernel"}
-        assert {s.name for s in specs} == {
-            f"d:s{seed}:vanilla:{mode}:{backend}"
+        assert [s.name for s in specs] == [
+            f"d:s{seed}:vanilla:{backend}"
             for seed in (0, 1)
-            for mode in ("event", "scan")
             for backend in ("engine", "kernel")
-        }
-
-    def test_event_driven_axis_expands_and_labels(self):
-        campaign = self._campaign(
-            backends=("kernel",), event_drivens=(False, True)
-        )
-        specs = campaign.specs()
-        assert len(specs) == 2 * 2
-        assert {s.event_driven for s in specs} == {False, True}
-        assert any(s.name.endswith(":ed1") for s in specs)
-        assert any(s.name.endswith(":ed0") for s in specs)
+        ]
 
     def test_default_axes_keep_labels_short(self):
         specs = self._campaign().specs()
@@ -184,4 +160,6 @@ class TestCampaignAxes:
     def test_manifest_records_the_new_axes(self):
         blob = self._campaign(backends=("engine", "kernel")).to_json()
         assert blob["backends"] == ["engine", "kernel"]
+        # Retired axes stay on the wire as constants: hashes must not move.
+        assert blob["schedulings"] == ["event"]
         assert blob["event_drivens"] == [None]

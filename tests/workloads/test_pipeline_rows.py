@@ -60,11 +60,9 @@ def _disjoint(**fields) -> ScenarioSpec:
 
 SPECS = {
     "figure1-engine-crash": _figure1(seed=5, crashes=((4, 2),)),
+    # The default kernel spec ("event": the kernel skips idle automata).
     "disjoint-kernel-event": _disjoint(
-        seed=3, backend="kernel", event_driven=True, crashes=((3, 5),)
-    ),
-    "disjoint-kernel-scan": _disjoint(
-        seed=3, backend="kernel", event_driven=False
+        seed=3, backend="kernel", crashes=((3, 5),)
     ),
     "figure1-async-uniform": _figure1(
         seed=11, backend="async", delay_model=("uniform", 0.1, 0.9)
@@ -93,8 +91,8 @@ SPECS = {
 #: Recorded at the parent commit (11cd75c), before the runner changed.
 PINS = {
     "figure1-engine-crash": "1daebe396c53f414d4d6df7a786db348490ebf9f82f7fffaf3fe5aa01aa11988",
-    "disjoint-kernel-event": "3b56ef5d2d18663dcca0ef1e8556993bed8fd2eecdb5d553d4875ee80fa4fad8",
-    "disjoint-kernel-scan": "81441f2d8c9c75fdfa735d652e449b9076ac1071b8fd198f83cb20dbb56d3401",
+    # Re-recorded in PR 16; equals what dae5e4d produces for this spec.
+    "disjoint-kernel-event": "565dd5c108fd85a68b06640989e8bad4b2b2d480dbfae2ee034d51eb26abbf5f",
     "figure1-async-uniform": "19cddf8f1cb78edac2552afcafb381d71db48ca32accc59f681c22e50c1245ad",
     "figure1-engine-faulted": "af24c0da4e09f14cdeb3f4e4841996785e558ccf5a7563b919bf11d457a33c10",
     "disjoint-kernel-faulted": "e69c4f191a6c4ddae53a3dfcfb6a961347289dd613e3ed7b0ce90423dca65e05",
