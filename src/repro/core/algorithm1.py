@@ -100,9 +100,9 @@ class Algorithm1Process:
         self._to_multicast: Set[MessageId] = set()
         #: Per-destination-group consensus family, memoized (line 20).
         self._family_keys: Dict[Group, FrozenSet[str]] = {}
-        #: Known message ids in sorted order (the scan order), maintained
-        #: incrementally so each scan avoids re-sorting all of ``known``.
-        self._known_order: List[MessageId] = []
+        #: The scan order: known message ids not in ``_done``, sorted —
+        #: ``_learn`` inserts, a scan that retired ids filters them once.
+        self._scan_order: List[MessageId] = []
         #: Message ids the scan can never act on again: delivered here,
         #: or addressed to a group this process is not a member of.
         self._done: Set[MessageId] = set()
@@ -140,7 +140,7 @@ class Algorithm1Process:
     def _learn(self, message: MulticastMessage) -> None:
         if message.mid not in self.known:
             self.known[message.mid] = message
-            insort(self._known_order, message.mid)
+            insort(self._scan_order, message.mid)
 
     def _order_clear(
         self, log: LogHandle, m: MulticastMessage, threshold: Phase
@@ -265,40 +265,43 @@ class Algorithm1Process:
             else:
                 self._waiting(WAIT_QUORUM)
         done = self._done
-        for mid in self._known_order:
-            if mid in done:
-                continue
-            if budget is not None and fired >= budget:
-                return fired
-            message = self.known[mid]
-            if self.phase.get(mid) == DELIVER:
-                # Delivered messages satisfy no action precondition and
-                # report no wait reason — drop them from future scans.
-                done.add(mid)
-                continue
-            g = self._destination_group(message)
-            if self.pid not in g:
-                done.add(mid)  # never actionable at a non-member
-                continue
-            if self._try_pending(t, message, g):
-                fired += 1
-            if budget is not None and fired >= budget:
-                return fired
-            if self._try_commit(t, message, g):
-                fired += 1
-            if budget is not None and fired >= budget:
-                return fired
-            remaining = None if budget is None else budget - fired
-            fired += self._try_stabilize(t, message, g, remaining)
-            if budget is not None and fired >= budget:
-                return fired
-            if self._try_stable(t, message, g):
-                fired += 1
-            if budget is not None and fired >= budget:
-                return fired
-            if self._try_deliver(t, message, g):
-                fired += 1
-        return fired
+        retired = len(done)
+        try:
+            for mid in self._scan_order:
+                if budget is not None and fired >= budget:
+                    return fired
+                message = self.known[mid]
+                if self.phase.get(mid) == DELIVER:
+                    # Delivered messages satisfy no action precondition
+                    # and report no wait reason — retire them.
+                    done.add(mid)
+                    continue
+                g = self._destination_group(message)
+                if self.pid not in g:
+                    done.add(mid)  # never actionable at a non-member
+                    continue
+                if self._try_pending(t, message, g):
+                    fired += 1
+                if budget is not None and fired >= budget:
+                    return fired
+                if self._try_commit(t, message, g):
+                    fired += 1
+                if budget is not None and fired >= budget:
+                    return fired
+                remaining = None if budget is None else budget - fired
+                fired += self._try_stabilize(t, message, g, remaining)
+                if budget is not None and fired >= budget:
+                    return fired
+                if self._try_stable(t, message, g):
+                    fired += 1
+                if budget is not None and fired >= budget:
+                    return fired
+                if self._try_deliver(t, message, g):
+                    fired += 1
+            return fired
+        finally:
+            if len(done) > retired:
+                self._scan_order = [m for m in self._scan_order if m not in done]
 
     # -- pending(m), lines 8-15 -------------------------------------------------
 

@@ -4,9 +4,9 @@ One :class:`ExecutionCore` owns the transport/clock-agnostic semantics
 (actor registry, alive ∩ participation filtering, settle-horizon and
 quiescence accounting, tracer/injector hooks); two drivers execute it:
 the round-based :class:`Scheduler` (the lockstep loop with the seeded
-shuffle) and the :class:`AsyncDriver`
-(asyncio tasks over latency-modelled in-memory channels, with a seeded
-:class:`VirtualClock` for deterministic replay).  Hosts adapt their
+shuffle) and the :class:`AsyncDriver` (generator tasks over
+latency-modelled in-memory channels, on its own event loop whose
+virtual clock makes a run replay deterministically).  Hosts adapt their
 execution units to the :class:`Actor` protocol via the adapters in
 :mod:`repro.runtime.actors`.
 """
@@ -18,7 +18,6 @@ from repro.runtime.actors import (
     system_scheduler,
 )
 from repro.runtime.async_driver import CLOCK_MODES, AsyncDriver, AsyncTransport
-from repro.runtime.clock import VirtualClock
 from repro.runtime.core import ExecutionCore
 from repro.runtime.delay import (
     DELAY_MODEL_KINDS,
@@ -50,7 +49,6 @@ __all__ = [
     "SlowPairsDelay",
     "SystemActor",
     "UniformDelay",
-    "VirtualClock",
     "build_delay_model",
     "canonical_delay_spec",
     "parse_delay_model",

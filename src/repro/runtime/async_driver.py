@@ -3,23 +3,27 @@
 Where the :class:`repro.runtime.scheduler.Scheduler` advances a logical
 clock in lockstep and shuffles the eligible set once per round, the
 :class:`AsyncDriver` runs every actor of an
-:class:`repro.runtime.core.ExecutionCore` as its own asyncio task and
-lets *time* interleave them: each cross-process wake travels through an
+:class:`repro.runtime.core.ExecutionCore` as its own task and lets
+*time* interleave them: each cross-process wake travels through an
 in-memory channel (:class:`AsyncTransport`) whose latency is drawn from
 a pluggable :class:`repro.runtime.delay.DelayModel`, and each process
 pauses a model-drawn scheduling latency between consecutive steps.  The
-paper's model is exactly this — shared-object operations linearize
-(asyncio's cooperative scheduling makes every ``fire`` atomic), but the
-*schedule* is asynchronous — so a driver run is just another admissible
-run of Algorithm 1, and the §2.2 property checkers judge it unchanged.
+paper's model is exactly this — shared-object operations linearize (a
+task is a generator, so every ``fire`` runs uninterrupted to its next
+``yield``), but the *schedule* is asynchronous — so a driver run is just
+another admissible run of Algorithm 1, and the §2.2 property checkers
+judge it unchanged.
 
-Time is bilingual.  The driver's wall clock (real, or a seeded
-:class:`repro.runtime.clock.VirtualClock`) advances continuously; the
-model-facing *logical* time is ``t = floor(elapsed / round_duration) +
-1``, so crash times, detector lags and settle horizons — all defined in
-round units — keep their meaning.  The host's scheduler clock is synced
-to logical time before every fire, so records, quorum guards and
-detector queries see a monotone clock.
+A run is a schedule with no I/O in it, so the driver owns its event loop
+(:class:`EventLoop`: a FIFO ready queue plus a timer heap) instead of
+renting an I/O framework's tasks, futures and selector.
+
+Time is bilingual.  The loop clock (real or virtual) advances
+continuously; the model-facing *logical* time is ``t = floor(elapsed /
+round_duration) + 1``, so crash times, detector lags and settle horizons
+— all defined in round units — keep their meaning.  The host's scheduler
+clock is synced to logical time before every fire, so records, quorum
+guards and detector queries see a monotone clock.
 
 Fault plans carry over: the driver maps the injector's link verdicts
 onto channel perturbations (``link_delay`` adds rounds of latency to a
@@ -37,14 +41,16 @@ clock pins full byte-determinism for replay.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import random
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+import time
+from collections import deque
+from heapq import heappop, heappush
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
+from typing import Sequence, Tuple, Union
 
 from repro.model.errors import SimulationError
 from repro.model.failures import Time
-from repro.runtime.clock import VirtualClock
 from repro.runtime.core import ExecutionCore, Key
 from repro.runtime.delay import DelayModel, build_delay_model
 from repro.runtime.scheduler import RunOutcome
@@ -62,6 +68,97 @@ MIN_PACE = 0.125
 #: wait condition anyway (round units).  A pure liveness backstop: with
 #: correct wake accounting the event always arrives first.
 POLL_ROUNDS = 4.0
+
+#: Timers closer than this to the loop clock count as due (seconds): the
+#: monotonic clock's resolution, and slack for ``now + (when - now)``.
+CLOCK_RESOLUTION = 1e-9
+
+#: What a task yields to suspend itself: a float sleeps that many loop
+#: seconds, a ``(key, timeout)`` pair parks on ``key``'s wake channel.
+Task = Iterator[Union[float, Tuple[Key, float]]]
+
+
+class _Timer(list):
+    """One scheduled call, ``[when, seq, fn, arg]``.  Being a list, the
+    heap compares timers in C — deadline first, scheduling order on a
+    tie — and cancelling blanks ``fn`` in place, wherever the timer is."""
+
+    __slots__ = ()
+
+    def cancel(self) -> None:
+        self[2] = None
+
+
+class EventLoop:
+    """A FIFO ready queue and a timer heap under a virtual or wall clock.
+
+    One *turn* drops cancelled timers off the heap's head; if nothing is
+    ready, waits for the head's deadline; moves every timer due within
+    :data:`CLOCK_RESOLUTION` to the ready queue in ``(when, seq)`` order;
+    then runs the calls that were ready at that point — calls queued by
+    those run next turn.  So equal deadlines fire in scheduling order, by
+    rule, and a callback that raises leaves :meth:`run` at once.
+
+    The clocks differ only in how they wait.  ``"virtual"`` assigns
+    ``now += when - now``: a run never consults the OS and is a pure
+    function of its inputs.  ``"wall"`` calls ``time.sleep`` — a run
+    performs no I/O, so there is nothing else to wait on.
+    """
+
+    def __init__(self, clock: str = "virtual") -> None:
+        self._ready: Deque[Sequence[Any]] = deque()
+        self._timers: List[_Timer] = []
+        self._seq = 0
+        self._now = 0.0
+        self._stopping = False
+        if clock == "wall":
+            # Instance attributes shadow the virtual methods below.
+            self.time, self._wait = time.monotonic, time.sleep
+
+    def time(self) -> float:
+        """The loop clock, in seconds."""
+        return self._now
+
+    def _wait(self, delay: float) -> None:
+        self._now += delay
+
+    def call_soon(self, fn: Callable, arg: Any) -> None:
+        """Queue ``fn(arg)`` behind everything already ready."""
+        self._ready.append((fn, arg))
+
+    def call_at(self, when: float, fn: Callable, arg: Any) -> _Timer:
+        """Schedule ``fn(arg)`` at loop time ``when``; ``.cancel()`` the
+        returned timer to call it off."""
+        self._seq += 1
+        timer = _Timer((when, self._seq, fn, arg))
+        heappush(self._timers, timer)
+        return timer
+
+    def stop(self) -> None:
+        """Make :meth:`run` return once the current turn is over."""
+        self._stopping = True
+
+    def run(self) -> None:
+        """Take turns until stopped (or until nothing is left to run)."""
+        ready, timers = self._ready, self._timers
+        clock, wait = self.time, self._wait
+        while not self._stopping:
+            while timers and timers[0][2] is None:
+                heappop(timers)
+            if timers:
+                if not ready:
+                    delay = timers[0][0] - clock()
+                    if delay > 0:
+                        wait(delay)
+                due = clock() + CLOCK_RESOLUTION
+                while timers and timers[0][0] < due:
+                    ready.append(heappop(timers))
+            elif not ready:
+                return
+            for _ in range(len(ready)):
+                call = ready.popleft()
+                if call[-2] is not None:
+                    call[-2](call[-1])
 
 
 def derive_async_seed(seed: int, delay_spec: Any) -> int:
@@ -83,8 +180,7 @@ class RetransmitPolicy:
     optimistic retransmissions at exponentially growing, jittered
     offsets, plus the *unconditional* fair-lossy landing at the lossy
     window's close.  All randomness is drawn from the driver's private
-    RNG, so the ladder is byte-deterministic under
-    :class:`repro.runtime.clock.VirtualClock`.
+    RNG, so the ladder is byte-deterministic under the virtual clock.
 
     Attributes:
         base: first backoff offset, in round units.
@@ -125,7 +221,7 @@ class RetransmitPolicy:
 
 
 class AsyncTransport:
-    """In-memory wake channels: one event per actor, deliveries timed.
+    """In-memory wake channels: one flag per actor, deliveries timed.
 
     The engine's shared objects stand in for the payload network (state
     is linearizable the instant it is written); what the transport
@@ -133,17 +229,20 @@ class AsyncTransport:
     condition may have changed.  A delivery scheduled ``latency`` ahead
     means the reader will not notice the write before then, which is
     precisely a channel delay in the shared-memory reading of the model.
+
+    A channel is a pending-wake flag plus a slot for the one task parked
+    on it, so the transport is also what resumes tasks (:meth:`step`).
     """
 
     def __init__(self, loop: Any, keys: Sequence[Key]) -> None:
         self._loop = loop
-        self.events: Dict[Key, asyncio.Event] = {
-            key: asyncio.Event() for key in keys
-        }
+        #: Per key, whether a wake has arrived that no wait has consumed.
+        self.woken: Dict[Key, bool] = dict.fromkeys(keys, False)
+        #: Per parked key, its task and the timer of its park timeout.
+        self._parked: Dict[Key, Tuple[Task, Any]] = {}
         #: Wakes scheduled but not yet landed — nonzero means the system
         #: is *not* quiescent no matter how idle it looks.
         self.in_flight = 0
-        self.delivered = 0
         #: Resilience-layer accounting (see :meth:`deliver_with_retries`):
         #: retransmissions scheduled, acks observed (first landing of a
         #: laddered wake), and retries the ack cancelled.
@@ -154,22 +253,41 @@ class AsyncTransport:
             "retries_cancelled": 0,
         }
 
+    def step(self, task: Task) -> None:
+        """Resume ``task`` until it suspends again (or retires): a sleep's
+        end and a park's timeout call this straight from their timer, a
+        wake resumes a parked task through the ready queue."""
+        request, loop = next(task, None), self._loop
+        if type(request) is tuple:
+            key, timeout = request
+            self._parked[key] = task, loop.call_at(
+                loop.time() + timeout, self._unpark, key
+            )
+        elif request is not None:
+            loop.call_at(loop.time() + request, self.step, task)
+
+    def _unpark(self, key: Key) -> None:
+        self.step(self._parked.pop(key)[0])
+
     def deliver_now(self, key: Key) -> None:
-        """Zero-latency wake (local events: injection, detector ticks)."""
-        event = self.events.get(key)
-        if event is not None:
-            event.set()
+        """Zero-latency wake (local events: injection, detector ticks):
+        a parked task resumes on the loop's next turn, any other finds
+        the flag at its next :meth:`wait`."""
+        if key not in self.woken:
+            return
+        self.woken[key] = True
+        parked = self._parked.pop(key, None)
+        if parked is not None:
+            parked[1].cancel()
+            self._loop.call_soon(self.step, parked[0])
 
     def deliver_at(self, when: float, key: Key) -> None:
         """Schedule a wake to land at loop time ``when``."""
-        if key not in self.events:
-            return
-        self.in_flight += 1
-        self._loop.call_at(when, self._land, key)
+        if key in self.woken:
+            self.in_flight += 1
+            self._loop.call_at(when, self._land, key)
 
-    def deliver_with_retries(
-        self, whens: Sequence[float], key: Key
-    ) -> None:
+    def deliver_with_retries(self, whens: Sequence[float], key: Key) -> None:
         """Schedule one wake with a retransmission ladder.
 
         ``whens`` are the attempt instants (loop times) — the bounded
@@ -179,7 +297,7 @@ class AsyncTransport:
         retransmissions the ack made unnecessary.  Exactly one landing
         happens per call, so ``in_flight`` stays exact.
         """
-        if key not in self.events or not whens:
+        if key not in self.woken or not whens:
             return
         self.in_flight += 1
         ordered = sorted(whens)
@@ -199,17 +317,14 @@ class AsyncTransport:
 
     def _land(self, key: Key) -> None:
         self.in_flight -= 1
-        self.delivered += 1
-        self.events[key].set()
+        self.deliver_now(key)
 
-    async def wait(self, key: Key, timeout: float) -> None:
-        """Park on ``key``'s channel until a wake (or the timeout)."""
-        event = self.events[key]
-        try:
-            await asyncio.wait_for(event.wait(), timeout)
-        except (asyncio.TimeoutError, TimeoutError):
-            pass
-        event.clear()
+    def wait(self, key: Key, timeout: float) -> Task:
+        """Park on ``key``'s channel until a wake (or the timeout); a
+        wake that already arrived is consumed without suspending."""
+        if not self.woken[key]:
+            yield key, timeout
+        self.woken[key] = False
 
 
 class AsyncDriver:
@@ -273,10 +388,8 @@ class AsyncDriver:
         self._transport: Optional[AsyncTransport] = None
         self._current: Optional[Key] = None
         self._t0 = 0.0
-        self._fired_window = 0
-        self._total_fired = 0
-        self._quiescent = False
-        self._stop: Optional[asyncio.Event] = None
+        self._fired_window = self._total_fired = 0
+        self._quiescent = self._stopped = False
 
     # -- Time --------------------------------------------------------------
 
@@ -376,13 +489,13 @@ class AsyncDriver:
 
     # -- Tasks -------------------------------------------------------------
 
-    async def _actor(self, key: Key) -> None:
+    def _actor(self, key: Key) -> Task:
         core = self.core
         actor = core.actors[key]
         transport = self._transport
         rd = self.round_duration
         injector = core.injector
-        while not self._stop.is_set():
+        while not self._stopped:
             t = self.now_t()
             if not core.is_alive(key, t):
                 rejoin = self.system.pattern.recovery_times.get(key)
@@ -393,11 +506,11 @@ class AsyncDriver:
                 # substrate snapshot (the kernel backend exercises the
                 # explicit snapshot/restore path).
                 target = self._t0 + (rejoin - 1) * rd
-                await asyncio.sleep(max(target - self._loop.time(), rd))
+                yield max(target - self._loop.time(), rd)
                 continue
             if injector is not None and injector.suppresses(key, t):
                 # Participation churn: sleep through the window.
-                await asyncio.sleep(rd)
+                yield rd
                 continue
             if t <= core.settle_horizon() or not actor.parked(t):
                 # Forced scans while detectors may still move mirror the
@@ -410,15 +523,15 @@ class AsyncDriver:
                     self._current = None
                 self._fired_window += fired
                 self._total_fired += fired
-                await asyncio.sleep(self._pace(key) * rd)
+                yield self._pace(key) * rd
                 continue
-            await transport.wait(key, POLL_ROUNDS * rd)
+            yield from transport.wait(key, POLL_ROUNDS * rd)
 
-    async def _inject(
+    def _inject(
         self,
         pending: Sequence[Any],
         issue: Optional[Callable[[Any, Time], None]],
-    ) -> None:
+    ) -> Task:
         """Issue each scripted send at the logical time the round driver
         would have: ``t == at_round`` (clamped to the async clock's
         t >= 1), so alive-at-issue races agree across backends."""
@@ -428,36 +541,20 @@ class AsyncDriver:
             target = max(send.at_round - 1, 0) * rd
             remaining = self._t0 + target - loop.time()
             if remaining > 0:
-                await asyncio.sleep(remaining)
+                yield remaining
             t = self.now_t()
             self._sync_time(t)
             self.sends_cursor += 1
             if issue is not None:
                 issue(send, t)
 
-    async def _supervise(
-        self,
-        pending: Sequence[Any],
-        max_rounds: int,
-        quiescent_rounds: int,
-        watchdog: Optional[Any] = None,
-    ) -> None:
-        try:
-            await self._supervise_loop(
-                pending, max_rounds, quiescent_rounds, watchdog
-            )
-        finally:
-            # Whatever ends supervision — quiescence, budget, a raising
-            # watchdog — the run must unwind rather than hang on _stop.
-            self._stop.set()
-
-    async def _supervise_loop(
+    def _supervise(
         self,
         pending: Sequence[Any],
         max_rounds: int,
         quiescent_rounds: int,
         watchdog: Optional[Any],
-    ) -> None:
+    ) -> Task:
         core = self.core
         transport = self._transport
         rd = self.round_duration
@@ -467,7 +564,7 @@ class AsyncDriver:
         crash_instants = list(self.system.pattern.change_instants())
         instant_cursor = 0
         while True:
-            await asyncio.sleep(rd)
+            yield rd
             t = self.now_t()
             self._sync_time(t)
             eligible = core.eligible_order(t)
@@ -509,15 +606,17 @@ class AsyncDriver:
                     break
             else:
                 idle = 0
+        # Not in a ``finally``: a raising watchdog leaves ``run`` by itself,
+        # and a finalizer may run after ``run`` has dropped the loop.
+        self._stopped = True
+        self._loop.stop()
 
     def _all_parked(self, t: Time, eligible: Sequence[Key]) -> bool:
-        transport = self._transport
-        for key in eligible:
-            if transport.events[key].is_set():
-                return False  # an unconsumed wake: someone will act
-            if not self.core.actors[key].parked(t):
-                return False
-        return True
+        woken, actors = self._transport.woken, self.core.actors
+        # An unconsumed wake counts as not parked: someone will act.
+        return not any(
+            woken[key] or not actors[key].parked(t) for key in eligible
+        )
 
     # -- Entry point -------------------------------------------------------
 
@@ -540,67 +639,31 @@ class AsyncDriver:
         driver's budget accounting.
         """
         pending = sorted(sends, key=lambda s: s.at_round)
-        loop = asyncio.new_event_loop()
-        self._loop = loop
+        keys = self.core.sorted_keys
+        loop = self._loop = EventLoop(self.clock)
+        transport = self._transport = AsyncTransport(loop, keys)
+        self._t0 = loop.time()
+        self._stopped = self._quiescent = False
+        self._fired_window = self._total_fired = self.sends_cursor = 0
+        self.system.wake_listener = self._on_wake
+        # The injection task is queued first: the loop starts tasks in
+        # queueing order, so sends due at the clock's first instant are
+        # issued before any actor fires — as the round loop does.
+        for task in (
+            self._inject(pending, issue),
+            *map(self._actor, keys),
+            self._supervise(pending, max_rounds, quiescent_rounds, watchdog),
+        ):
+            loop.call_soon(transport.step, task)
         try:
-            if self.clock == "virtual":
-                VirtualClock().install(loop)
-            return loop.run_until_complete(
-                self._main(
-                    pending, issue, max_rounds, quiescent_rounds, watchdog
-                )
-            )
+            # A raising fire, ``issue`` or watchdog leaves from where it is.
+            loop.run()
+            final_t = min(self.now_t(), max_rounds)
         finally:
-            if self._transport is not None:
-                self.last_transport_stats = dict(self._transport.stats)
+            self.last_transport_stats = dict(transport.stats)
             self.system.wake_listener = None
             self._loop = None
             self._transport = None
-            loop.close()
-
-    async def _main(
-        self,
-        pending: Sequence[Any],
-        issue: Optional[Callable[[Any, Time], None]],
-        max_rounds: int,
-        quiescent_rounds: int,
-        watchdog: Optional[Any] = None,
-    ) -> RunOutcome:
-        loop = self._loop
-        core = self.core
-        self._t0 = loop.time()
-        self._stop = asyncio.Event()
-        self._transport = AsyncTransport(loop, core.sorted_keys)
-        self.system.wake_listener = self._on_wake
-        self._fired_window = 0
-        self._total_fired = 0
-        self._quiescent = False
-        self.sends_cursor = 0
-        # The injection task is created first: asyncio runs tasks in
-        # creation order, so sends due at the clock's first instant are
-        # issued before any actor fires — as the round loop does.
-        tasks: List[asyncio.Task] = [
-            loop.create_task(self._inject(pending, issue))
-        ]
-        tasks.extend(
-            loop.create_task(self._actor(key)) for key in core.sorted_keys
-        )
-        supervisor = loop.create_task(
-            self._supervise(pending, max_rounds, quiescent_rounds, watchdog)
-        )
-        await self._stop.wait()
-        final_t = min(self.now_t(), max_rounds)
-        for task in tasks:
-            task.cancel()
-        supervisor.cancel()
-        results = await asyncio.gather(
-            *tasks, supervisor, return_exceptions=True
-        )
-        for result in results:
-            if isinstance(result, Exception) and not isinstance(
-                result, asyncio.CancelledError
-            ):
-                raise result
         self._sync_time(final_t)
         self._sched.last_run_quiescent = self._quiescent
         return RunOutcome(
@@ -614,6 +677,7 @@ __all__ = [
     "AsyncDriver",
     "AsyncTransport",
     "CLOCK_MODES",
+    "EventLoop",
     "RetransmitPolicy",
     "derive_async_seed",
 ]

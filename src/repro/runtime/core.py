@@ -14,8 +14,8 @@ Two drivers share one core:
   the lockstep loop every golden-pinned run uses: advance a logical
   clock by 1, shuffle the eligible set with the seeded RNG, dispatch.
 * :class:`repro.runtime.async_driver.AsyncDriver` — the real-time
-  loop: the same actors as asyncio tasks over in-memory channels, with
-  wall-clock (or virtual-clock) delay models instead of rounds.
+  loop: the same actors as generator tasks over in-memory channels,
+  with wall-clock (or virtual-clock) delay models instead of rounds.
 
 The split is behaviour-preserving by construction: the round driver
 calls the exact code that used to live inline in ``Scheduler.round``

@@ -630,13 +630,13 @@ def _drive_async(
     """The real-asynchrony driver over the same Algorithm 1 deployment.
 
     Instead of the lockstep round loop, an :class:`AsyncDriver` runs
-    every process as an asyncio task and routes shared-object wake-ups
-    through latency-modelled channels (``spec.delay_model``).  Each
-    ``fire`` is atomic under cooperative scheduling, so shared-object
-    operations stay linearizable and the run is an admissible run of the
-    same model; only the interleaving (and hence the round count)
-    differs.  With ``spec.clock="virtual"`` the whole run is a pure
-    function of the spec and replays deterministically.
+    every process as a task on its own event loop and routes
+    shared-object wake-ups through latency-modelled channels
+    (``spec.delay_model``).  Tasks are never preempted, so each ``fire``
+    is atomic, shared-object operations stay linearizable and the run is
+    an admissible run of the same model; only the interleaving (and
+    hence the round count) differs.  With ``spec.clock="virtual"`` the
+    whole run is a pure function of the spec and replays exactly.
     """
     # Virtual runs finish instantly regardless of the round duration, so
     # use the natural 1s = 1 round mapping; wall runs compress rounds to

@@ -195,7 +195,7 @@ class ScenarioSpec:
             (the §4.4 shared-object system, the default), ``"kernel"``
             (the Appendix-A step-level kernel driving one replicated log
             per destination group; requires pairwise-disjoint groups) or
-            ``"async"`` (the same Algorithm 1 actors as asyncio tasks
+            ``"async"`` (the same Algorithm 1 actors on the async driver
             under a wall- or virtual-clock delay model; schema v5).
         delay_model: the async backend's channel-latency model as a
             canonical spec tuple (see :mod:`repro.runtime.delay`), e.g.

@@ -177,3 +177,38 @@ class TestConsensusUsage:
         system.multicast(procs[1], "g2")
         system.run()
         assert system.space.consensus_objects_used() == 1
+
+
+class TestScanList:
+    def test_scan_list_is_the_sorted_known_minus_the_retired(self, monkeypatch):
+        """``try_actions`` walks only live ids: after every scan of a
+        seeded Figure 1 run (budgeted scans included, whose early returns
+        must filter too) the scan list is ``sorted(known)`` without
+        ``_done`` — same order among live ids as scanning everything."""
+        from repro.core.algorithm1 import Algorithm1Process
+        from repro.workloads import random_sends
+
+        try_actions = Algorithm1Process.try_actions
+        scans = retired = 0
+
+        def checked(proc, t, budget=None):
+            nonlocal scans, retired
+            fired = try_actions(proc, t, budget=budget)
+            assert proc._scan_order == [
+                mid for mid in sorted(proc.known) if mid not in proc._done
+            ]
+            scans += 1
+            retired = max(retired, len(proc._done))
+            return fired
+
+        monkeypatch.setattr(Algorithm1Process, "try_actions", checked)
+        topology = paper_figure1_topology()
+        for budget in (None, 1):
+            system = MulticastSystem(topology, failure_free(ALL), seed=11)
+            for send in random_sends(topology, 24, seed=11):
+                system.multicast(PROCS[send.sender - 1], send.group)
+                system.tick(action_budget=budget)
+            for _ in range(400):
+                system.tick(action_budget=budget)
+            assert_run_ok(system.record)
+        assert scans > 100 and retired > 5

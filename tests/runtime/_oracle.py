@@ -10,13 +10,25 @@ engine and kernel loops did (``golden.json`` holds their fingerprints).
 Bind it over one host with :func:`force_scan`, or over every scheduler a
 test builds indirectly (``run_scenario``) with :func:`scan_everywhere`.
 It is reachable from ``tests/`` only; ``src/`` has no scan mode.
+
+The async driver has the same arrangement.  Its own
+:class:`repro.runtime.async_driver.EventLoop` claims to be asyncio's
+loop minus the I/O, with equal deadlines fired in scheduling order;
+:class:`asyncio_loop` is the reference — a real asyncio loop behind the
+``EventLoop`` surface, under the ``VirtualClock`` shim the driver used
+while it still ran on asyncio — and :func:`asyncio_everywhere` binds it
+over every driver a test builds.
 """
 
 from __future__ import annotations
 
+import asyncio
+import heapq
+import itertools
 from types import MethodType
+from typing import Any
 
-from repro.runtime import Scheduler
+from repro.runtime import Scheduler, async_driver
 
 
 def scan_round(self, participation=None, responders=None, action_budget=None):
@@ -73,3 +85,94 @@ def scan_everywhere(monkeypatch):
     """Scan in every scheduler built until the test ends (pytest fixture
     ``monkeypatch``) — for hosts constructed inside ``run_scenario``."""
     monkeypatch.setattr(Scheduler, "round", scan_round)
+
+
+class VirtualClock:
+    """Virtual time source installable onto one asyncio event loop
+    (``runtime/clock.py`` as it was, moved here verbatim)."""
+
+    def __init__(self, start: float = 0.0) -> None:
+        self._now = float(start)
+
+    def time(self) -> float:
+        """The current virtual time, in seconds."""
+        return self._now
+
+    def install(self, loop: Any) -> None:
+        """Take over ``loop``'s clock and selector wait.
+
+        After this call ``loop.time()`` returns virtual time and any
+        selector wait with a positive timeout advances it by exactly
+        that timeout (the selector is still polled non-blockingly first,
+        so real I/O readiness — there is none in driver runs — would
+        still win).  Install before the loop runs anything.
+        """
+        # Instance attribute shadows the bound method.
+        loop.time = self.time
+        selector = loop._selector
+        inner_select = selector.select
+
+        def select(timeout: Any = None) -> Any:
+            events = inner_select(0)
+            if not events and timeout:
+                self._now += timeout
+            return events
+
+        selector.select = select
+
+
+class _FifoTimer(asyncio.TimerHandle):
+    """A ``TimerHandle`` whose heap order breaks equal deadlines by
+    creation order instead of leaving them to ``heapq``'s layout."""
+
+    _created = itertools.count()
+
+    def __init__(self, when, fn, arg, loop):
+        super().__init__(when, fn, (arg,), loop)
+        self._seq = next(self._created)
+
+    def __lt__(self, other):
+        return (self._when, self._seq) < (other._when, other._seq)
+
+
+class asyncio_loop:
+    """``EventLoop``'s surface — ``time`` / ``call_soon`` / ``call_at``
+    (cancellable) / ``stop`` / ``run`` — over a real asyncio loop."""
+
+    def __init__(self, clock="virtual"):
+        self._loop = asyncio.new_event_loop()
+        if clock == "virtual":
+            VirtualClock().install(self._loop)
+        self.time = self._loop.time
+        self.call_soon = self._loop.call_soon
+        self.stop = self._loop.stop
+
+    def call_at(self, when, fn, arg):
+        # ``BaseEventLoop.call_at`` with the handle class swapped.
+        timer = _FifoTimer(when, fn, arg, self._loop)
+        heapq.heappush(self._loop._scheduled, timer)
+        timer._scheduled = True
+        return timer
+
+    def run(self):
+        # asyncio logs a raising callback and carries on; ``EventLoop``
+        # (and so the driver) expects it to end the run.
+        raised = []
+
+        def end_the_run(loop, context):
+            raised.append(context["exception"])
+            loop.stop()
+
+        self._loop.set_exception_handler(end_the_run)
+        try:
+            self._loop.run_forever()
+        finally:
+            self._loop.close()
+        if raised:
+            raise raised[0]
+
+
+def asyncio_everywhere(monkeypatch):
+    """Run every :class:`AsyncDriver` built until the test ends on
+    :class:`asyncio_loop` (pytest fixture ``monkeypatch``)."""
+    monkeypatch.setattr(async_driver, "EventLoop", asyncio_loop)

@@ -1,5 +1,6 @@
 """Unit coverage for the async driver's parts: delay models, the
-virtual clock, the transport, and the driver's validation surface.
+virtual clock, the transport, and the driver's validation surface
+(the loop's turn rule has its own file, ``test_event_loop.py``).
 
 The end-to-end semantics (delivery-set agreement with the round
 backends, determinism, fault-plan mapping) live in
@@ -10,8 +11,8 @@ pieces in isolation so a regression names its layer.
 
 from __future__ import annotations
 
-import asyncio
 import random
+import time
 
 import pytest
 
@@ -19,9 +20,9 @@ from repro.model.errors import SimulationError
 from repro.runtime.async_driver import (
     AsyncDriver,
     AsyncTransport,
+    EventLoop,
     derive_async_seed,
 )
-from repro.runtime.clock import VirtualClock
 from repro.runtime.delay import (
     DEFAULT_DELAY_SPEC,
     ExponentialDelay,
@@ -125,80 +126,86 @@ class TestDerivedSeed:
 
 class TestVirtualClock:
     def test_sleep_advances_virtual_time_instantly(self):
-        loop = asyncio.new_event_loop()
-        try:
-            VirtualClock().install(loop)
-            start = loop.time()
-            loop.run_until_complete(asyncio.sleep(1000.0))
-            assert loop.time() - start >= 1000.0
-        finally:
-            loop.close()
+        loop = EventLoop("virtual")
+        transport = AsyncTransport(loop, [])
+        start = loop.time()
+        began = time.monotonic()
+        transport.step(iter([1000.0]))
+        loop.run()
+        assert loop.time() - start >= 1000.0
+        assert time.monotonic() - began < 5.0
 
     def test_timer_ordering_is_preserved(self):
-        loop = asyncio.new_event_loop()
-        try:
-            VirtualClock().install(loop)
-            order = []
-
-            async def scenario():
-                loop.call_later(5.0, order.append, "late")
-                loop.call_later(1.0, order.append, "early")
-                await asyncio.sleep(10.0)
-
-            loop.run_until_complete(scenario())
-            assert order == ["early", "late"]
-        finally:
-            loop.close()
+        loop = EventLoop("virtual")
+        order = []
+        loop.call_at(loop.time() + 5.0, order.append, "late")
+        loop.call_at(loop.time() + 1.0, order.append, "early")
+        loop.run()
+        assert order == ["early", "late"]
+        assert loop.time() >= 5.0
 
 
 class TestAsyncTransport:
-    def _run(self, coro):
-        loop = asyncio.new_event_loop()
-        try:
-            VirtualClock().install(loop)
-            return loop.run_until_complete(coro(loop))
-        finally:
-            loop.close()
+    def _run(self, scenario, keys):
+        """Run generator ``scenario(loop, transport)`` as the one task."""
+        loop = EventLoop("virtual")
+        transport = AsyncTransport(loop, keys)
+        finished = []
+
+        def task():
+            yield from scenario(loop, transport)
+            finished.append(True)
+
+        transport.step(task())
+        loop.run()
+        assert finished, "the scenario never ran to its end"
 
     def test_deliver_at_tracks_in_flight(self):
-        async def scenario(loop):
-            transport = AsyncTransport(loop, ["a", "b"])
+        def scenario(loop, transport):
             transport.deliver_at(loop.time() + 2.0, "a")
             assert transport.in_flight == 1
-            await asyncio.sleep(3.0)
+            yield 3.0
             assert transport.in_flight == 0
-            assert transport.delivered == 1
-            assert transport.events["a"].is_set()
-            assert not transport.events["b"].is_set()
+            assert transport.woken == {"a": True, "b": False}
 
-        self._run(scenario)
+        self._run(scenario, ["a", "b"])
 
     def test_wait_consumes_the_wake(self):
-        async def scenario(loop):
-            transport = AsyncTransport(loop, ["a"])
+        def scenario(loop, transport):
             transport.deliver_now("a")
-            await transport.wait("a", timeout=1.0)
-            assert not transport.events["a"].is_set()
+            before = loop.time()
+            yield from transport.wait("a", timeout=1.0)
+            # Consumed without suspending: no time passed.
+            assert loop.time() == before
+            assert not transport.woken["a"]
+            # A wake that finds the task parked resumes it early.
+            transport.deliver_at(loop.time() + 0.5, "a")
+            yield from transport.wait("a", timeout=4.0)
+            assert loop.time() - before == 0.5
+            assert not transport.woken["a"]
 
-        self._run(scenario)
+        self._run(scenario, ["a"])
 
     def test_wait_times_out_quietly(self):
-        async def scenario(loop):
-            transport = AsyncTransport(loop, ["a"])
+        def scenario(loop, transport):
             before = loop.time()
-            await transport.wait("a", timeout=2.0)
+            yield from transport.wait("a", timeout=2.0)
             assert loop.time() - before >= 2.0
+            assert not transport.woken["a"]
 
-        self._run(scenario)
+        self._run(scenario, ["a"])
 
     def test_unknown_destination_is_a_noop(self):
-        async def scenario(loop):
-            transport = AsyncTransport(loop, ["a"])
+        def scenario(loop, transport):
             transport.deliver_now("ghost")
             transport.deliver_at(loop.time() + 1.0, "ghost")
+            transport.deliver_with_retries([loop.time() + 1.0], "ghost")
             assert transport.in_flight == 0
+            assert "ghost" not in transport.woken
+            yield 2.0
+            assert transport.woken == {"a": False}
 
-        self._run(scenario)
+        self._run(scenario, ["a"])
 
 
 class TestDriverValidation:
@@ -226,3 +233,38 @@ class TestDriverValidation:
         outcome = driver.run(max_rounds=50)
         assert system.wake_listener is None
         assert outcome.quiescent
+
+    def test_a_raising_fire_leaves_run_where_it_happened(self, monkeypatch):
+        """p1's fire raises at t = 5: the error must surface then, not
+        after the surviving actors ran on to quiescence or the budget
+        (on asyncio it sat in p1's task until the run was over)."""
+        from repro.runtime.actors import SharedObjectActor
+        from repro.workloads import Send
+
+        system = self._system()
+        p1 = min(system.topology.processes)
+        fire = SharedObjectActor.fire
+
+        def exploding(actor, t, budget=None, parked=None):
+            if actor._pid == p1 and t >= 5:
+                raise RuntimeError("p1 broke")
+            return fire(actor, t, budget, parked)
+
+        monkeypatch.setattr(SharedObjectActor, "fire", exploding)
+        driver = AsyncDriver(system, seed=1)
+        sends = [Send(1, "g1", at_round=r) for r in range(12)]
+        with pytest.raises(RuntimeError, match="p1 broke"):
+            driver.run(
+                sends=sends,
+                issue=lambda send, t: system.multicast(p1, send.group),
+                max_rounds=280,
+            )
+        assert system.time == 5
+        # Torn down as on a clean exit.
+        assert system.wake_listener is None
+        assert set(driver.last_transport_stats) == {
+            "retries_scheduled",
+            "retries_lost",
+            "acked",
+            "retries_cancelled",
+        }

@@ -187,7 +187,7 @@ class TestPlantedStall:
 
 
 class TestAsyncRetransmission:
-    """Seeded retransmission under VirtualClock is a pure function of
+    """Seeded retransmission under the virtual clock is a pure function of
     the spec: delivery sets *and* transport counters replay exactly."""
 
     #: Lossy windows anchored at t=1: the async backend resolves each
