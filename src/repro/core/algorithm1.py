@@ -334,16 +334,16 @@ class Algorithm1Process:
         """``gamma(g)`` as observed by this process now (§3)."""
         if self.stats is not None:
             self.stats.note_gamma_query()
-        return self.mu.gamma_partners(self.pid, t, g)
+        return self.mu.gamma_partners(t, g)
 
     def _consensus_family(self, g: Group) -> FrozenSet[str]:
         """Line 20: ``f = {h : ∃f' ∈ F(g). h ∈ f' ∧ g ∩ h ≠ ∅}``.
 
         Computed from ``F(g)`` — the families of the *group* — so every
         committer of ``(m, g)`` addresses the same ``CONS_{m,f}``
-        instance.  The former ``F(p)`` scoping gave a non-carrier member
-        of ``g`` a different (possibly empty) key, i.e. a private
-        consensus object whose decision could disagree with everyone
+        instance.  Scoped to ``F(p)`` instead, a non-carrier member of
+        ``g`` gets a different (possibly empty) key, i.e. a private
+        consensus object whose decision can disagree with everyone
         else's ``k``, locking the message at inconsistent positions
         across the intersection logs (ROADMAP item 6).
         """
@@ -351,19 +351,10 @@ class Algorithm1Process:
         if cached is not None:
             return cached
         members: Set[str] = set()
-        if getattr(self.mu, "gamma_scope", "group") == "process":
-            # Legacy F(p) scoping, kept for the frozen golden traces.
-            for family in self.topology.families_of_process(self.pid):
-                if g not in family:
-                    continue
-                for h in family:
-                    if g.intersects(h):
-                        members.add(h.name)
-        else:
-            for family in self.topology.families_of_group(g):
-                for h in family:
-                    if g.intersects(h):
-                        members.add(h.name)
+        for family in self.topology.families_of_group(g):
+            for h in family:
+                if g.intersects(h):
+                    members.add(h.name)
         key = frozenset(members)
         self._family_keys[g] = key
         return key

@@ -97,7 +97,6 @@ class MulticastSystem:
         seed: int = 0,
         isolation: bool = False,
         injector: Optional[Any] = None,
-        gamma_scope: str = "group",
     ) -> None:
         if pattern.processes != topology.processes:
             raise SimulationError("pattern and topology disagree on processes")
@@ -136,15 +135,11 @@ class MulticastSystem:
             consensus_gate=self.consensus_ok,
             on_write=self._on_object_write,
         )
-        # ``gamma_scope="process"`` replays the pre-fix per-process
-        # partner/consensus scoping; only the frozen golden runtime
-        # suite should ask for it (see Mu.gamma_scope).
         self.mu = Mu(
             pattern,
             topology,
             gamma_lag=gamma_lag,
             omega_stabilization=omega_stabilization,
-            gamma_scope=gamma_scope,
         )
         self.indicators: Dict[FrozenSet[ProcessId], IndicatorOracle] = {}
         if variant == "strict":
@@ -170,8 +165,6 @@ class MulticastSystem:
         }
         self._components: List[Component] = []
         self._rng = random.Random(seed)
-        self._gamma_lag = gamma_lag
-        self._indicator_lag = indicator_lag
         if injector is not None:
             # Late-Omega windows: postpone leader stabilization before
             # the settle horizon is computed, so quiescence detection
@@ -267,20 +260,16 @@ class MulticastSystem:
     def quorum_ok(self, caller: ProcessId, scope: ProcessSet) -> bool:
         """Whether a ``Sigma_scope`` quorum can respond right now.
 
-        The required quorum is the oracle's current sample: the alive
-        members of the scope (pinned to the full scope when the whole
-        scope is doomed, preserving Intersection).  The operation can
+        The required quorum is ``mu``'s ``Sigma_scope`` sample at the
+        caller (see :class:`repro.detectors.quorum.SigmaOracle` for what
+        it holds under crashes and recoveries).  The operation can
         complete only when that quorum lies within the processes actually
         taking steps — alive and inside the current participation set.
         This is what makes P-fair runs (§6.2) and the sub-runs of the
         necessity constructions (§5) behave as in the message-passing
         model: silent processes cannot be part of a responsive quorum.
         """
-        alive_scope = {q for q in scope if self.pattern.is_alive(q, self.time)}
-        if any(self.pattern.is_correct(q) for q in scope):
-            required = alive_scope
-        else:
-            required = set(scope)
+        required = self.mu.sigma_of(scope).query(caller, self.time)
         if self.injector is not None and self.injector.sigma_noisy(
             frozenset(q.index for q in scope), self.time
         ):
@@ -289,7 +278,7 @@ class MulticastSystem:
             # so any two samples still intersect (Intersection holds) and
             # operations merely stall until the window closes (Liveness
             # constrains only the suffix).
-            required = set(scope)
+            required = scope
         available = required <= self._active
         self.tracer.note_quorum_query(available)
         return available

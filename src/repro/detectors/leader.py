@@ -40,7 +40,7 @@ class OmegaOracle(OracleDetector):
         self,
         pattern: FailurePattern,
         scope: ProcessSet,
-        stabilization_time: int = None,
+        stabilization_time: Optional[Time] = None,
     ) -> None:
         super().__init__(pattern)
         if not scope:

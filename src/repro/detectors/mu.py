@@ -26,6 +26,11 @@ from repro.model.failures import FailurePattern, Time
 from repro.model.processes import ProcessId, ProcessSet
 
 
+def _sigma_key(members: ProcessSet) -> str:
+    """The conjunction's component name of ``Sigma_members``."""
+    return "sigma:" + ",".join(q.name for q in sorted(members))
+
+
 class Mu(FailureDetector):
     """Oracle-backed candidate ``mu_G``.
 
@@ -44,22 +49,10 @@ class Mu(FailureDetector):
         topology: GroupTopology,
         gamma_lag: Time = 0,
         omega_stabilization: Optional[Time] = None,
-        gamma_scope: str = "group",
     ) -> None:
         super().__init__()
-        if gamma_scope not in ("group", "process"):
-            raise DetectorError(f"unknown gamma_scope {gamma_scope!r}")
         self.pattern = pattern
         self.topology = topology
-        #: How ``gamma(g)`` partner sets (and Algorithm 1's consensus
-        #: family keys) are scoped.  ``"group"`` — the default, and the
-        #: correct wiring — derives them uniformly from ``F(g)``, so all
-        #: members of ``g`` gate commit on the same partners and share
-        #: one ``CONS_{m,f}`` instance.  ``"process"`` reproduces the
-        #: pre-fix §3-literal ``F(p)`` scoping, kept only so the golden
-        #: runtime suite can replay its frozen pre-fix traces (see
-        #: ROADMAP item 6 and tests/runtime/_scenarios.py).
-        self.gamma_scope = gamma_scope
         self._sigmas: Dict[FrozenSet[ProcessId], SigmaOracle] = {}
         self._omegas: Dict[Group, OmegaOracle] = {}
         for g in topology.groups:
@@ -78,21 +71,24 @@ class Mu(FailureDetector):
         # ``gamma(g)`` partner sets are constant within one gamma
         # exclusion epoch; Algorithm 1 recomputes them on every commit /
         # stable scan, so this cache carries the engine's hottest path.
-        # Keyed by (g, epoch) under group scoping, (p, g, epoch) under
-        # the legacy process scoping.
-        self._partner_cache: Dict[tuple, Tuple[Group, ...]] = {}
+        self._partner_cache: Dict[Tuple[Group, int], Tuple[Group, ...]] = {}
 
     # -- Component accessors (the API Algorithm 1 consumes) ---------------
 
+    def sigma_of(self, scope: ProcessSet) -> SigmaOracle:
+        """``Sigma_scope``, for the member sets ``mu`` has a conjunct
+        for: a group, or the intersection of two groups."""
+        try:
+            return self._sigmas[scope]
+        except KeyError:
+            names = sorted(q.name for q in scope)
+            raise DetectorError(
+                f"mu has no Sigma component scoped to {names}"
+            ) from None
+
     def sigma(self, g: Group, h: Group) -> SigmaOracle:
         """``Sigma_{g∩h}`` (``Sigma_g`` when ``g == h``)."""
-        shared = g.intersection(h)
-        try:
-            return self._sigmas[shared]
-        except KeyError:
-            raise DetectorError(
-                f"{g.name} and {h.name} do not intersect"
-            ) from None
+        return self.sigma_of(g.intersection(h))
 
     def omega(self, g: Group) -> OmegaOracle:
         """``Omega_g``."""
@@ -131,26 +127,16 @@ class Mu(FailureDetector):
             (o.stabilization_time for o in self._omegas.values()), default=0
         )
 
-    def gamma_partners(self, p: ProcessId, t: Time, g: Group) -> Tuple[Group, ...]:
+    def gamma_partners(self, t: Time, g: Group) -> Tuple[Group, ...]:
         """``gamma(g)`` at ``t`` (§3 derived notation), group-uniform.
 
         Derived from the oracle's exclusion state over ``F(g)`` rather
-        than from ``p``'s own sample over ``F(p)``: every member of ``g``
-        must gate commit/stabilize on the *same* partner set, or a
-        member carrying no intersection of a live family of ``g`` sees
-        no partners, commits early, and decides a stale ordering
-        position for everyone (ROADMAP item 6).  ``p`` stays in the
-        signature for API stability; under the default ``"group"`` scope
-        the answer no longer depends on it (``gamma_scope="process"``
-        replays the legacy per-process view for the golden suite).
+        than from the asking member's own sample over ``F(p)``: every
+        member of ``g`` must gate commit/stabilize on the *same* partner
+        set, or a member carrying no intersection of a live family of
+        ``g`` sees no partners, commits early, and decides a stale
+        ordering position for everyone (ROADMAP item 6).
         """
-        if self.gamma_scope == "process":
-            key: tuple = (p, g, self._gamma.epoch(t))
-            partners = self._partner_cache.get(key)
-            if partners is None:
-                partners = gamma_groups(self._gamma.query(p, t), g)
-                self._partner_cache[key] = partners
-            return partners
         key = (g, self._gamma.epoch(t))
         partners = self._partner_cache.get(key)
         if partners is None:
@@ -166,8 +152,9 @@ class Mu(FailureDetector):
         """The full conjunction sample, keyed by component name."""
         sample: Dict[str, object] = {}
         for members, sigma in self._sigmas.items():
-            key = "sigma:" + ",".join(q.name for q in sorted(members))
-            sample[key] = sigma.query(p, t) if p in members else BOTTOM
+            sample[_sigma_key(members)] = (
+                sigma.query(p, t) if p in members else BOTTOM
+            )
         for g, omega in self._omegas.items():
             sample[f"omega:{g.name}"] = (
                 omega.query(p, t) if p in g.members else BOTTOM
@@ -179,8 +166,7 @@ class Mu(FailureDetector):
         """This detector as a plain named conjunction (for comparisons)."""
         components: Dict[str, FailureDetector] = {}
         for members, sigma in self._sigmas.items():
-            key = "sigma:" + ",".join(q.name for q in sorted(members))
-            components[key] = Restricted(sigma, members)
+            components[_sigma_key(members)] = Restricted(sigma, members)
         for g, omega in self._omegas.items():
             components[f"omega:{g.name}"] = Restricted(omega, g.members)
         components["gamma"] = self._gamma

@@ -13,9 +13,14 @@ LOG_g1∩g3: p5#1 < p2#1) blocked stabilize at p2/p6 forever while the
 run quiesced, violating Termination.
 
 The fix scopes ``gamma(g)`` partner sets and the ``CONS_{m,f}`` family
-key to the *group* (``Mu.gamma_scope="group"``): every member of ``g``
-gates commit on the same live-family partners and proposes to the same
-consensus instance, so the decided position dominates every append.
+key to the *group* — ``Mu.gamma_partners(t, g)`` and
+``Algorithm1Process._consensus_family``, the only scoping ``src/`` has:
+every member of ``g`` gates commit on the same live-family partners and
+proposes to the same consensus instance, so the decided position
+dominates every append.  The per-process derivation lives on as
+``tests/runtime/_oracle.py::process_scoped`` (the golden fixtures replay
+their frozen traces under it); bound over this run it is the negative
+control — the gap is still there to be reproduced.
 
 Falsifying example: seed=365019, topo_seed=42, send_count=10,
 crash_indices={0}, crash_time=0 (found by
@@ -23,14 +28,14 @@ crash_indices={0}, crash_time=0 (found by
 """
 
 from repro.model import crash_pattern, pset
-from repro.props import assert_run_ok
+from repro.props import assert_run_ok, check_integrity, check_termination
 from repro.workloads import (
     ScenarioSpec,
     random_sends,
     random_topology,
     run_scenario,
 )
-from tests.runtime._oracle import scan_everywhere
+from tests.runtime._oracle import process_scoped_everywhere, scan_everywhere
 
 
 def _falsifying_spec(**overrides):
@@ -76,3 +81,17 @@ def test_group_scope_consensus_instances_are_shared():
     assert not duplicates, (
         "messages with more than one consensus instance: %r" % duplicates
     )
+
+
+def test_process_scoping_still_reproduces_the_gap(monkeypatch):
+    """Negative control: under the ``F(p)`` oracle the same run quiesces
+    with Termination violated and private consensus instances — so the
+    three tests above pass because of the scoping, not because the
+    falsifying example stopped exercising it."""
+    process_scoped_everywhere(monkeypatch)
+    result = run_scenario(_falsifying_spec())
+    assert result.quiescent
+    assert len(check_termination(result.record)) == 4
+    assert check_integrity(result.record) == []
+    minted = [message_key for message_key, _family in result.system.space._consensus]
+    assert len(minted) > len(set(minted)), "every message kept to one CONS instance"

@@ -43,6 +43,36 @@ def test_sigma_for_disjoint_pair_raises(fig1):
         mu.sigma(fig1.group("g2"), fig1.group("g4"))
 
 
+def test_sigma_of_group_scope(fig1):
+    mu = Mu(crash_pattern(ALL, {P2: 4}), fig1)
+    g1 = fig1.group("g1")
+    sigma = mu.sigma_of(g1.members)
+    assert sigma.scope == g1.members
+    assert sigma.query(P1, 3) == g1.members
+    assert sigma.query(P1, 4) == g1.members - {P2}
+
+
+def test_sigma_of_intersection_scope(fig1):
+    mu = Mu(failure_free(ALL), fig1)
+    sigma = mu.sigma_of(by_indices(1))  # g1 ∩ g3
+    assert sigma.scope == by_indices(1)
+    assert sigma.query(P1, 0) == by_indices(1)
+
+
+def test_sigma_of_unknown_scope_raises(fig1):
+    mu = Mu(failure_free(ALL), fig1)
+    with pytest.raises(DetectorError):
+        mu.sigma_of(by_indices(1, 5))  # no group, no intersection
+
+
+def test_sigma_is_sigma_of_the_intersection(fig1):
+    mu = Mu(failure_free(ALL), fig1)
+    for g, h in fig1.intersecting_pairs():
+        assert mu.sigma(g, h) is mu.sigma_of(g.intersection(h))
+    for g in fig1.groups:
+        assert mu.sigma(g, g) is mu.sigma_of(g.members)
+
+
 def test_omega_component_scoped_to_group(fig1):
     pattern = crash_pattern(ALL, {P1: 0})
     mu = Mu(pattern, fig1)
@@ -54,7 +84,7 @@ def test_omega_component_scoped_to_group(fig1):
 def test_gamma_partners_match_paper_example(fig1):
     pattern = crash_pattern(ALL, {P2: 10, P3: 10})
     mu = Mu(pattern, fig1)
-    partners = mu.gamma_partners(P1, 50, fig1.group("g1"))
+    partners = mu.gamma_partners(50, fig1.group("g1"))
     assert {g.name for g in partners} == {"g3", "g4"}
 
 

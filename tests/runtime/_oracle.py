@@ -18,6 +18,15 @@ loop minus the I/O, with equal deadlines fired in scheduling order;
 ``EventLoop`` surface, under the ``VirtualClock`` shim the driver used
 while it still ran on asyncio — and :func:`asyncio_everywhere` binds it
 over every driver a test builds.
+
+So does ``gamma(g)``.  ``src/`` scopes the partner sets and the
+``CONS_{m,f}`` family key to the group, ``F(g)``; ``golden.json`` was
+frozen while both were still derived from the asking process's own
+``F(p)`` (the ROADMAP item 6 termination gap).  :func:`process_scoped`
+binds that derivation over one system's processes so the golden
+fixtures keep replaying their v1 traces, and
+:func:`process_scoped_everywhere` over every process a test builds —
+the negative control of ``tests/core/test_gamma_scope_regression.py``.
 """
 
 from __future__ import annotations
@@ -28,6 +37,8 @@ import itertools
 from types import MethodType
 from typing import Any
 
+from repro.core.algorithm1 import Algorithm1Process
+from repro.detectors.cyclicity import gamma_groups
 from repro.runtime import Scheduler, async_driver
 
 
@@ -85,6 +96,45 @@ def scan_everywhere(monkeypatch):
     """Scan in every scheduler built until the test ends (pytest fixture
     ``monkeypatch``) — for hosts constructed inside ``run_scenario``."""
     monkeypatch.setattr(Scheduler, "round", scan_round)
+
+
+def process_gamma_partners(self, t, g):
+    """``gamma(g)`` from ``self``'s (an :class:`Algorithm1Process`) own
+    gamma sample over ``F(p)``."""
+    if self.stats is not None:
+        self.stats.note_gamma_query()
+    return gamma_groups(self.mu.gamma.query(self.pid, t), g)
+
+
+def process_consensus_family(self, g):
+    """Line 20's family key from ``F(p)``: a member of ``g`` carrying no
+    intersection of a family of ``g`` gets a different (possibly empty)
+    key than the carriers do."""
+    return frozenset(
+        h.name
+        for family in self.topology.families_of_process(self.pid)
+        if g in family
+        for h in family
+        if g.intersects(h)
+    )
+
+
+def process_scoped(system):
+    """Scope ``gamma(g)`` and the consensus family of every process of
+    ``system`` (a ``MulticastSystem``) to ``F(p)``.  Returns ``system``
+    for chaining."""
+    for process in system.processes.values():
+        process._gamma_partners = MethodType(process_gamma_partners, process)
+        process._consensus_family = MethodType(process_consensus_family, process)
+    return system
+
+
+def process_scoped_everywhere(monkeypatch):
+    """``F(p)`` scoping in every process built until the test ends
+    (pytest fixture ``monkeypatch``) — for systems constructed inside
+    ``run_scenario``."""
+    monkeypatch.setattr(Algorithm1Process, "_gamma_partners", process_gamma_partners)
+    monkeypatch.setattr(Algorithm1Process, "_consensus_family", process_consensus_family)
 
 
 class VirtualClock:

@@ -39,7 +39,7 @@ from repro.workloads import (
     random_sends,
     ring_topology,
 )
-from tests.runtime._oracle import force_scan
+from tests.runtime._oracle import force_scan, process_scoped
 
 #: Seeds of the differential matrix (acceptance floor: >= 20).
 SEEDS = tuple(range(20))
@@ -113,12 +113,7 @@ def _engine_runner(factory, pattern_name, seed):
         # golden.json was frozen before the ROADMAP item 6 gamma-scoping
         # fix; the suite pins the *runtime loop*, so the fixture replays
         # the pre-fix per-process scoping explicitly.
-        system = MulticastSystem(
-            topology,
-            pattern,
-            seed=seed,
-            gamma_scope="process",
-        )
+        system = process_scoped(MulticastSystem(topology, pattern, seed=seed))
         if scan:
             force_scan(system)
         amc = AtomicMulticast(system)
@@ -137,12 +132,8 @@ def _participation_runner(seed):
         topology = paper_figure1_topology()
         processes = sorted(topology.processes)
         pattern = failure_free(topology.processes)
-        system = MulticastSystem(
-            topology,
-            pattern,
-            seed=seed,
-            gamma_scope="process",  # pre-fix scoping; see _engine_runner
-        )
+        # pre-fix scoping; see _engine_runner
+        system = process_scoped(MulticastSystem(topology, pattern, seed=seed))
         if scan:
             force_scan(system)
         amc = AtomicMulticast(system)
