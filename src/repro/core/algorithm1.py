@@ -19,6 +19,13 @@ lines 30–33        :meth:`Algorithm1Process._try_stable`
 lines 34–37        :meth:`Algorithm1Process._try_deliver`
 =================  ====================================================
 
+Every precondition opens with ``PHASE[m] = …`` (lines 9/17/26/31/35), so
+:meth:`Algorithm1Process.try_actions` reads ``PHASE[m]`` once and runs only
+the action that phase enables; the methods above hold the *remaining*
+preconditions and the effects.  The objects they touch — ``LOG_g`` and the
+``LOG_{g∩h}`` of lines 13/22/27/36 — depend on ``dst(m)`` and ``G(p)``
+alone, and are resolved once per destination group into a :class:`_Route`.
+
 The *strict* variation of §6.1 changes only the ``stable`` precondition:
 a process waits, for every intersecting group ``h``, for either the
 stabilization record ``(m, h)`` or the indicator ``1^{g∩h}`` — supply
@@ -52,6 +59,33 @@ DeliverFn = Callable[[ProcessId, MulticastMessage], None]
 
 #: Supported algorithm variants.
 VARIANTS = ("vanilla", "strict")
+
+
+class _Route:
+    """What the actions on a message addressed to ``g`` touch at one process.
+
+    Attributes:
+        g: the destination group ``dst(m)``.
+        member: whether this process belongs to ``g``; the other fields
+            are only resolved when it does.
+        log: ``LOG_g``.
+        carried: ``((h, LOG_{g∩h}), …)`` over the ``h ∈ G(p)`` with
+            ``g ∩ h ≠ ∅`` (lines 13/22/27/36), ``g`` itself included.
+    """
+
+    __slots__ = ("g", "member", "log", "carried")
+
+    def __init__(
+        self,
+        g: Group,
+        member: bool,
+        log: Optional[LogHandle],
+        carried: Tuple[Tuple[Group, LogHandle], ...],
+    ) -> None:
+        self.g = g
+        self.member = member
+        self.log = log
+        self.carried = carried
 
 
 class Algorithm1Process:
@@ -112,9 +146,10 @@ class Algorithm1Process:
         #: Per (log, threshold), how many leading messages of the log
         #: were seen at that phase or beyond (see :meth:`_order_clear`).
         self._order_cursors: Dict[Tuple[LogHandle, Phase], int] = {}
-        #: ``targets`` of lines 13/22 per destination group, memoized
-        #: (``my_groups`` and the intersection structure never change).
-        self._targets_cache: Dict[Group, Tuple[Group, ...]] = {}
+        #: The route of each destination group seen so far, keyed by
+        #: ``dst(m)`` (``my_groups`` and the intersection structure never
+        #: change, and the space hands out one handle per object).
+        self._routes: Dict[FrozenSet[ProcessId], _Route] = {}
         #: Instrumentation sink (detector-query counters); optional.
         self.stats = stats
         #: Why the last action scan ended blocked: a subset of the
@@ -192,13 +227,20 @@ class Algorithm1Process:
 
     def _targets(self, g: Group) -> Tuple[Group, ...]:
         """Lines 13/22: the local groups whose logs carry ``m``."""
-        cached = self._targets_cache.get(g)
-        if cached is None:
-            cached = tuple(
-                h for h in self.my_groups if h == g or g.intersects(h)
-            )
-            self._targets_cache[g] = cached
-        return cached
+        return tuple(h for h in self.my_groups if h == g or g.intersects(h))
+
+    def _route(self, message: MulticastMessage) -> _Route:
+        """The route of ``dst(m)``, resolved on its first message."""
+        route = self._routes.get(message.dst)
+        if route is None:
+            g = self._destination_group(message)
+            if self.pid in g:
+                carried = tuple((h, self._ilog(g, h)) for h in self._targets(g))
+                route = _Route(g, True, self._log(g), carried)
+            else:
+                route = _Route(g, False, None, ())
+            self._routes[message.dst] = route
+        return route
 
     # -- multicast(m), lines 5-7 ---------------------------------------------
 
@@ -210,13 +252,13 @@ class Algorithm1Process:
         vanilla interface in :mod:`repro.core.group_sequential` enforces
         both.
         """
-        g = self._destination_group(message)
-        if self.pid not in g:
-            raise SimulationError(f"{self.pid} is not in {g.name}")
+        route = self._route(message)
+        if not route.member:
+            raise SimulationError(f"{self.pid} is not in {route.g.name}")
         self._learn(message)
         if self.phase_of(message) != START:
             return  # pre: PHASE[m] = start
-        log_g = self._log(g)
+        log_g = route.log
         if not log_g.mutation_available(self.pid):
             self._to_multicast.add(message.mid)  # retried by the scan
             return
@@ -243,23 +285,32 @@ class Algorithm1Process:
 
         ``budget`` caps the number of actions fired in this scan (finer
         interleaving for latency measurements); ``None`` = fire all.
+
+        Per message the scan reads ``PHASE[m]`` once and tries the one
+        action that phase enables, then the next for as long as each
+        fires: ``pending → commit → stabilize* → stable → deliver``.
+        Trying all five on every visit
+        (``tests/core/_oracle.py::five_tests_scan``) fires the same
+        actions — the four whose phase test fails return before any
+        effect.
         """
         self.discover()
         self.wait_reasons = set()
         fired = 0
+        pid = self.pid
+        known = self.known
+        phases = self.phase
+        routes = self._routes
         for mid in sorted(self._to_multicast):
-            message = self.known[mid]
-            if self.phase_of(message) != START or message in self._log(
-                self._destination_group(message)
-            ):
+            if budget is not None and fired >= budget:
+                return fired
+            message = known[mid]
+            log_g = (routes.get(message.dst) or self._route(message)).log
+            if phases.get(mid, START) != START or message in log_g:
                 self._to_multicast.discard(mid)
                 continue
-            if self._log(self._destination_group(message)).mutation_available(
-                self.pid
-            ):
-                self._log(self._destination_group(message)).append(
-                    self.pid, message
-                )
+            if log_g.mutation_available(pid):
+                log_g.append(pid, message)
                 self._to_multicast.discard(mid)
                 fired += 1
             else:
@@ -270,33 +321,42 @@ class Algorithm1Process:
             for mid in self._scan_order:
                 if budget is not None and fired >= budget:
                     return fired
-                message = self.known[mid]
-                if self.phase.get(mid) == DELIVER:
+                phase = phases.get(mid, START)
+                if phase == DELIVER:
                     # Delivered messages satisfy no action precondition
                     # and report no wait reason — retire them.
                     done.add(mid)
                     continue
-                g = self._destination_group(message)
-                if self.pid not in g:
+                message = known[mid]
+                route = routes.get(message.dst) or self._route(message)
+                if not route.member:
                     done.add(mid)  # never actionable at a non-member
                     continue
-                if self._try_pending(t, message, g):
+                if phase == START:
+                    if not self._try_pending(t, message, route):
+                        continue
                     fired += 1
-                if budget is not None and fired >= budget:
-                    return fired
-                if self._try_commit(t, message, g):
+                    if budget is not None and fired >= budget:
+                        return fired
+                    phase = PENDING
+                if phase == PENDING:
+                    if not self._try_commit(t, message, route):
+                        continue
                     fired += 1
-                if budget is not None and fired >= budget:
-                    return fired
-                remaining = None if budget is None else budget - fired
-                fired += self._try_stabilize(t, message, g, remaining)
-                if budget is not None and fired >= budget:
-                    return fired
-                if self._try_stable(t, message, g):
+                    if budget is not None and fired >= budget:
+                        return fired
+                    phase = COMMIT
+                if phase == COMMIT:
+                    remaining = None if budget is None else budget - fired
+                    fired += self._try_stabilize(t, message, route, remaining)
+                    if budget is not None and fired >= budget:
+                        return fired
+                    if not self._try_stable(t, message, route):
+                        continue
                     fired += 1
-                if budget is not None and fired >= budget:
-                    return fired
-                if self._try_deliver(t, message, g):
+                    if budget is not None and fired >= budget:
+                        return fired
+                if self._try_deliver(t, message, route):  # PHASE[m] = stable
                     fired += 1
             return fired
         finally:
@@ -305,26 +365,24 @@ class Algorithm1Process:
 
     # -- pending(m), lines 8-15 -------------------------------------------------
 
-    def _try_pending(self, t: int, m: MulticastMessage, g: Group) -> bool:
-        log_g = self._log(g)
-        if self.phase_of(m) != START:
-            return False
+    def _try_pending(self, t: int, m: MulticastMessage, route: _Route) -> bool:
+        log_g = route.log
         if m not in log_g:
             return False
         if not self._order_clear(log_g, m, COMMIT):
             self._waiting(WAIT_ORDER)
             return False
-        targets = self._targets(g)
-        if not log_g.mutation_available(self.pid):
+        pid = self.pid
+        if not log_g.mutation_available(pid):
             self._waiting(WAIT_QUORUM)
             return False
-        for h in targets:
-            if not self._ilog(g, h).mutation_available(self.pid, "append", m):
+        for _h, ilog in route.carried:
+            if not ilog.mutation_available(pid, "append", m):
                 self._waiting(WAIT_QUORUM)
                 return False  # wait for a quorum of the carrier
-        for h in targets:
-            position = self._ilog(g, h).append(self.pid, m)
-            log_g.append(self.pid, (m.mid, h.name, position))
+        for h, ilog in route.carried:
+            position = ilog.append(pid, m)
+            log_g.append(pid, (m.mid, h.name, position))
         self.phase[m.mid] = PENDING
         return True
 
@@ -359,11 +417,9 @@ class Algorithm1Process:
         self._family_keys[g] = key
         return key
 
-    def _try_commit(self, t: int, m: MulticastMessage, g: Group) -> bool:
-        if self.phase_of(m) != PENDING:
-            return False
-        log_g = self._log(g)
-        records = log_g.position_records_for(m.mid)
+    def _try_commit(self, t: int, m: MulticastMessage, route: _Route) -> bool:
+        g = route.g
+        records = route.log.position_records_for(m.mid)
         recorded_groups = {r[1] for r in records}
         for h in self._gamma_partners(t, g):
             if h.name not in recorded_groups:
@@ -374,19 +430,17 @@ class Algorithm1Process:
         k = max(r[2] for r in records)  # line 19
         family_key = self._consensus_family(g)  # line 20
         cons = self.space.consensus(m.mid, family_key, g)
-        targets = self._targets(g)
-        if not cons.mutation_available(self.pid):
+        pid = self.pid
+        if not cons.mutation_available(pid):
             self._waiting(WAIT_CONSENSUS)
             return False
-        for h in targets:
-            if not self._ilog(g, h).mutation_available(
-                self.pid, "bumpAndLock", m, k
-            ):
+        for _h, ilog in route.carried:
+            if not ilog.mutation_available(pid, "bumpAndLock", m, k):
                 self._waiting(WAIT_QUORUM)
                 return False
-        k = cons.propose(self.pid, k)  # line 21
-        for h in targets:  # lines 22-23
-            self._ilog(g, h).bump_and_lock(self.pid, m, k)
+        k = cons.propose(pid, k)  # line 21
+        for _h, ilog in route.carried:  # lines 22-23
+            ilog.bump_and_lock(pid, m, k)
         self.phase[m.mid] = COMMIT
         return True
 
@@ -396,19 +450,16 @@ class Algorithm1Process:
         self,
         t: int,
         m: MulticastMessage,
-        g: Group,
+        route: _Route,
         max_fires: Optional[int] = None,
     ) -> int:
-        if self.phase_of(m) != COMMIT:
-            return 0  # pre at line 26: PHASE[m] = commit
         fired = 0
-        log_g = self._log(g)
-        for h in self._targets(g):  # line 27: h in G(p), g ∩ h ≠ ∅
+        log_g = route.log
+        for h, ilog in route.carried:  # line 27: h in G(p), g ∩ h ≠ ∅
             if max_fires is not None and fired >= max_fires:
                 return fired
             if (m.mid, h) in self._stabilized:
                 continue
-            ilog = self._ilog(g, h)
             if m not in ilog:
                 continue
             if not self._order_clear(ilog, m, STABLE):
@@ -424,9 +475,11 @@ class Algorithm1Process:
 
     # -- stable(m), lines 30-33 ---------------------------------------------------
 
-    def _stable_precondition(self, t: int, m: MulticastMessage, g: Group) -> bool:
-        log_g = self._log(g)
-        recorded = {r[1] for r in log_g.stabilization_records_for(m.mid)}
+    def _stable_precondition(
+        self, t: int, m: MulticastMessage, route: _Route
+    ) -> bool:
+        g = route.g
+        recorded = {r[1] for r in route.log.stabilization_records_for(m.mid)}
         if self.variant == "strict":
             # §6.1: wait on every intersecting group, with the indicator
             # 1^{g∩h} as the escape hatch.
@@ -448,21 +501,16 @@ class Algorithm1Process:
                 return False
         return True
 
-    def _try_stable(self, t: int, m: MulticastMessage, g: Group) -> bool:
-        if self.phase_of(m) != COMMIT:
-            return False
-        if not self._stable_precondition(t, m, g):
+    def _try_stable(self, t: int, m: MulticastMessage, route: _Route) -> bool:
+        if not self._stable_precondition(t, m, route):
             return False
         self.phase[m.mid] = STABLE  # line 33
         return True
 
     # -- deliver(m), lines 34-37 -----------------------------------------------------
 
-    def _try_deliver(self, t: int, m: MulticastMessage, g: Group) -> bool:
-        if self.phase_of(m) != STABLE:
-            return False
-        for h in self._targets(g):  # line 36, over the logs at p holding m
-            ilog = self._ilog(g, h)
+    def _try_deliver(self, t: int, m: MulticastMessage, route: _Route) -> bool:
+        for _h, ilog in route.carried:  # line 36, over the logs at p holding m
             if m not in ilog:
                 continue
             if not self._order_clear(ilog, m, DELIVER):

@@ -254,8 +254,8 @@ class MulticastSystem:
         if self.wake_listener is not None:
             self.wake_listener(self.topology.processes)
 
-    def _charge(self, p: ProcessId, reason: str) -> None:
-        self.record.note_step(self.time, p, received=reason)
+    def _charge(self, processes: Tuple[ProcessId, ...], reason: str) -> None:
+        self.record.note_steps(self._scheduler.time, processes, reason)
 
     def quorum_ok(self, caller: ProcessId, scope: ProcessSet) -> bool:
         """Whether a ``Sigma_scope`` quorum can respond right now.

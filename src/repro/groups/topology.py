@@ -25,7 +25,7 @@ class Group:
     are totally ordered by membership so topologies are deterministic.
     """
 
-    __slots__ = ("name", "members", "_key")
+    __slots__ = ("name", "members", "_key", "_hash")
 
     def __init__(self, name: str, members: Iterable[ProcessId]) -> None:
         self.name = name
@@ -33,6 +33,9 @@ class Group:
         if not self.members:
             raise TopologyError(f"group {name!r} is empty")
         self._key = tuple(sorted(self.members))
+        # Groups key every per-group table of Algorithm 1; the members
+        # never change, so neither does their hash.
+        self._hash = hash(self.members)
 
     def __contains__(self, p: ProcessId) -> bool:
         return p in self.members
@@ -47,7 +50,7 @@ class Group:
         return isinstance(other, Group) and self.members == other.members
 
     def __hash__(self) -> int:
-        return hash(self.members)
+        return self._hash
 
     def __lt__(self, other: "Group") -> bool:
         return self._key < other._key

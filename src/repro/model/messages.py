@@ -19,18 +19,24 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Deque, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Deque, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.model.errors import ModelError
 from repro.model.processes import ProcessId, ProcessSet, pset
 
 
-@dataclass(frozen=True, order=True)
-class MessageId:
+class MessageId(NamedTuple):
     """Unique identity of a multicast message.
 
     Ordered lexicographically: this provides the "a priori total order"
     over data items that logs use to break ties within a slot (§4.3).
+
+    A two-field tuple, for the reason :class:`ProcessId` is a one-field
+    one: ``PHASE``, the scan order and every log index are keyed by it, so
+    it hashes and compares in C.  ``hash(MessageId(a, b)) == hash((a, b))``
+    is pinned by ``tests/model/test_messages.py``.  Being a tuple, a bare
+    id is *not* a message item of a :class:`repro.objects.log.Log` — logs
+    tell records from messages by ``isinstance(_, tuple)``.
     """
 
     sender_index: int
@@ -65,6 +71,24 @@ class MulticastMessage:
             )
         if self.src.index != self.mid.sender_index:
             raise ModelError("message id must carry the sender index")
+
+    def __hash__(self) -> int:
+        # The four-field hash the dataclass would generate, computed once:
+        # every ``m in log`` hashes the message.  Lazy, because a message
+        # with an unhashable payload must still construct.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = hash((self.mid, self.src, self.dst, self.payload))
+            self.__dict__["_hash"] = value
+            return value
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A ``str`` payload hashes differently in every interpreter, so
+        # the cached hash must not travel through pickle or copy.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def __lt__(self, other: object) -> bool:
         if not isinstance(other, MulticastMessage):

@@ -121,6 +121,30 @@ class RunRecord:
         self._step_samples.append(detector_sample)
         self._step_counts[process] = self._step_counts.get(process, 0) + 1
 
+    def note_steps(
+        self,
+        time: Time,
+        processes: Sequence[ProcessId],
+        received: Optional[str] = None,
+    ) -> None:
+        """One :meth:`note_step` per process, in order, as one write.
+
+        A shared-object operation charges its invoker and every carrier
+        at once (:mod:`repro.objects.space`); this is that flood's entry
+        point.
+        """
+        n = len(processes)
+        self._step_times.extend([time] * n)
+        self._step_procs.extend(processes)
+        self._step_received.extend([received] * n)
+        self._step_samples.extend([None] * n)
+        counts = self._step_counts
+        for process in processes:
+            try:
+                counts[process] += 1
+            except KeyError:
+                counts[process] = 1
+
     @property
     def steps(self) -> List[Step]:
         """The recorded steps as :class:`Step` objects (lazy view).

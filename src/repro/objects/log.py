@@ -18,6 +18,11 @@ Logs hold heterogeneous items in Algorithm 1 — messages, position records
 ``(m, h, i)`` and stabilization records ``(m, h)`` — so ordering queries
 are only issued between mutually comparable items; the convenience
 accessors (:meth:`messages_before` etc.) filter by item kind first.
+The kinds are told apart by ``isinstance(item, tuple)``: every tuple is a
+record.  :class:`repro.model.MessageId` and :class:`repro.model.ProcessId`
+are tuples, so a *bare* id is not a message item — Algorithm 1 appends
+:class:`repro.model.MulticastMessage` objects (not tuples) and records
+headed by an id, never an id on its own.
 
 The message items are kept sorted by their ``<_L`` key ``(slot, item)``
 as the log mutates, and the prefix of that order whose items are all

@@ -17,8 +17,10 @@ Carriers:
   backing consensus hosted by one of the two groups runs and that group is
   charged.
 
-The space receives a ``charge`` callback (process, reason) from the
+The space receives a ``charge`` callback (processes, reason) from the
 runtime, which turns charges into :class:`repro.model.RunRecord` steps.
+One operation is one call: the processes it charges arrive together, in
+charging order (:func:`billing_order`).
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from repro.model.processes import ProcessId, ProcessSet
 from repro.objects.consensus import AdoptCommitObject, ConsensusObject
 from repro.objects.log import Log
 
-#: Charge callback: (process to charge, human-readable reason).
-ChargeFn = Callable[[ProcessId, str], None]
+#: Charge callback: (processes to charge one step each, in charging
+#: order; human-readable reason).
+ChargeFn = Callable[[Tuple[ProcessId, ...], str], None]
 
 #: Quorum guard: (caller, scope) -> True when a live quorum of ``scope``
 #: is currently able to respond (see MulticastSystem.quorum_ok).
@@ -62,8 +65,19 @@ def _det_label(key: Any) -> str:
     return str(key)
 
 
-def _no_charge(_p: ProcessId, _reason: str) -> None:
+def _no_charge(_processes: Tuple[ProcessId, ...], _reason: str) -> None:
     """Default accounting sink: discard charges."""
+
+
+def billing_order(caller: ProcessId, scope: ProcessSet) -> Tuple[ProcessId, ...]:
+    """Who takes a step for one operation, in charging order: the invoker,
+    then the other members of ``scope`` as the set iterates.
+
+    The order is part of every recorded trace.  Two equal sets may
+    iterate differently, so handles memoise it per scope *object*, never
+    per scope value.
+    """
+    return (caller, *[c for c in scope if c != caller])
 
 
 def _always_available(_p: ProcessId, _scope: ProcessSet) -> bool:
@@ -92,6 +106,11 @@ class LogHandle:
         self._charge = charge
         self._guard = guard
         self._on_write = on_write
+        #: ``(billing order, reason)`` per (caller, op, path) — the scope
+        #: a path charges and the log's name never change.
+        self._bills: Dict[
+            Tuple[ProcessId, str, str], Tuple[Tuple[ProcessId, ...], str]
+        ] = {}
 
     def _notify_write(self) -> None:
         """Report a mutation to the runtime (drives the wake index)."""
@@ -111,22 +130,27 @@ class LogHandle:
         """
         return self._guard(caller, self.carriers)
 
-    def _bill(self, caller: ProcessId, op: str) -> None:
-        reason = f"{self.log.name}.{op}"
-        self._charge(caller, reason)
-        for carrier in self.carriers:
-            if carrier != caller:
-                self._charge(carrier, reason)
+    def _bill(
+        self, caller: ProcessId, op: str, scope: ProcessSet, path: str = ""
+    ) -> None:
+        """Charge one ``op`` by ``caller`` to ``scope``, as one write."""
+        bill = self._bills.get((caller, op, path))
+        if bill is None:
+            bill = self._bills[caller, op, path] = (
+                billing_order(caller, scope),
+                f"{self.log.name}.{op}{path}",
+            )
+        self._charge(*bill)
 
     # -- Mutations (charged) -----------------------------------------------
 
     def append(self, caller: ProcessId, datum: Any) -> int:
-        self._bill(caller, "append")
+        self._bill(caller, "append", self.carriers)
         self._notify_write()
         return self.log.append(datum)
 
     def bump_and_lock(self, caller: ProcessId, datum: Any, k: int) -> int:
-        self._bill(caller, "bumpAndLock")
+        self._bill(caller, "bumpAndLock", self.carriers)
         self._notify_write()
         return self.log.bump_and_lock(datum, k)
 
@@ -235,20 +259,12 @@ class IntersectionLogHandle(LogHandle):
         return True
 
     def _bill_op(self, caller: ProcessId, op: str, signature: Tuple[Any, ...]) -> None:
-        fast = self._classify(caller, signature)
-        reason = f"{self.log.name}.{op}"
-        if fast:
+        if self._classify(caller, signature):
             self.fast_ops += 1
-            self._charge(caller, reason + "[fast]")
-            for carrier in self.carriers:
-                if carrier != caller:
-                    self._charge(carrier, reason + "[fast]")
+            self._bill(caller, op, self.carriers, "[fast]")
         else:
             self.slow_ops += 1
-            self._charge(caller, reason + "[slow]")
-            for carrier in self._slow_scope():
-                if carrier != caller:
-                    self._charge(carrier, reason + "[slow]")
+            self._bill(caller, op, self._slow_scope(), "[slow]")
 
     def append(self, caller: ProcessId, datum: Any) -> int:
         self._bill_op(caller, "append", ("append", datum))
@@ -287,11 +303,11 @@ class ConsensusHandle:
         return self._gate is None or self._gate(caller, self.host_group)
 
     def propose(self, caller: ProcessId, value: Any) -> Any:
-        reason = f"{self.cons.name}.propose"
-        self._charge(caller, reason)
-        for carrier in self.host_group.members:
-            if carrier != caller:
-                self._charge(carrier, reason)
+        # No memo here: CONS_{m,f} sees one proposal per member of g.
+        self._charge(
+            billing_order(caller, self.host_group.members),
+            f"{self.cons.name}.propose",
+        )
         return self.cons.propose(value)
 
     @property
@@ -327,16 +343,6 @@ class ObjectSpace:
         self._group_logs: Dict[Group, LogHandle] = {}
         self._intersection_logs: Dict[frozenset, IntersectionLogHandle] = {}
         self._consensus: Dict[Tuple[Any, Any], ConsensusHandle] = {}
-
-    def set_charge(self, charge: ChargeFn) -> None:
-        """Swap the accounting sink (the engine binds it per run)."""
-        self._charge = charge
-        for handle in self._group_logs.values():
-            handle._charge = charge
-        for handle in self._intersection_logs.values():
-            handle._charge = charge
-        for handle in self._consensus.values():
-            handle._charge = charge
 
     def group_log(self, g: Group) -> LogHandle:
         """``LOG_g``, carried by the members of ``g``."""

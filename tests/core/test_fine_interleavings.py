@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import AtomicMulticast, MulticastSystem
+from repro.groups import paper_figure1_topology
 from repro.model import crash_pattern, failure_free, make_processes, pset
 from repro.props import assert_run_ok
 from repro.workloads import hub_topology, random_sends, ring_topology
@@ -92,3 +93,29 @@ def test_fine_and_coarse_agree_on_delivery_sets():
         }
 
     assert run(fine=True) == run(fine=False)
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+def test_deferred_line7_appends_count_against_the_budget(budget):
+    """Two multicasts deferred on their quorums become appendable in the
+    same scan: a budgeted scan fires at most ``budget`` of them (the
+    deferred loop used to ignore the budget and fire both)."""
+    topo = paper_figure1_topology()
+    p1 = min(topo.processes)
+    system = MulticastSystem(topo, failure_free(topo.processes), seed=0)
+    system.tick(participation=frozenset({p1}))  # alone, p1 is no quorum
+    deferred = {system.multicast(p1, "g1").mid, system.multicast(p1, "g3").mid}
+    process = system.processes[p1]
+    assert process._to_multicast == deferred
+
+    scans = []
+    scan = process.try_actions
+
+    def recording_scan(t, budget=None):
+        scans.append(scan(t, budget=budget))
+        return scans[-1]
+
+    process.try_actions = recording_scan
+    system.tick(action_budget=budget)
+    assert scans == [budget]
+    assert len(process._to_multicast) == 2 - budget

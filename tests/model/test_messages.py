@@ -1,5 +1,8 @@
 """Tests for multicast messages, datagrams and the message buffer."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.model import (
@@ -46,6 +49,62 @@ class TestMulticastMessage:
         factory = MessageFactory()
         m = factory.multicast(P1, by_indices(1), payload={"op": "put"})
         assert m.payload == {"op": "put"}
+
+
+class TestIdentityContract:
+    """A message id is a two-field tuple, hashed and compared in C; a
+    message computes its four-field hash once and keeps it to itself."""
+
+    def test_id_hash_is_the_field_tuples_hash(self):
+        # Frozen like a golden: these values order sets of ids.
+        for sender, sequence in ((1, 1), (2, 7), (200, 480), (3, 10**6)):
+            assert hash(MessageId(sender, sequence)) == hash((sender, sequence))
+
+    def test_id_hash_and_comparisons_are_tuples_own(self):
+        for dunder in ("__hash__", "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+            assert getattr(MessageId, dunder) is getattr(tuple, dunder), dunder
+
+    def test_id_rendering_and_fields_are_unchanged(self):
+        mid = MessageId(sender_index=3, sequence=14)
+        assert (repr(mid), str(mid)) == ("m(p3#14)",) * 2
+        assert (mid.sender_index, mid.sequence) == (3, 14)
+
+    def test_id_sorting_equals_sorting_by_field_tuples(self):
+        ids = [MessageId(a, b) for a, b in ((2, 1), (1, 9), (1, 2), (3, 1), (2, 1))]
+        assert sorted(ids) == sorted(ids, key=lambda m: (m.sender_index, m.sequence))
+        assert sorted(ids)[0] == MessageId(1, 2)
+
+    def test_id_pickle_and_deepcopy_round_trip(self):
+        mid = MessageId(2, 5)
+        for clone in (pickle.loads(pickle.dumps(mid)), copy.deepcopy(mid)):
+            assert type(clone) is MessageId
+            assert clone == mid and hash(clone) == hash(mid)
+
+    def test_message_hash_is_the_four_field_hash_computed_once(self):
+        m = MessageFactory().multicast(P1, by_indices(1, 2), payload="x")
+        assert "_hash" not in vars(m)
+        assert hash(m) == hash((m.mid, m.src, m.dst, m.payload))
+        assert vars(m)["_hash"] == hash(m)
+        twin = MulticastMessage(m.mid, m.src, m.dst, "x")
+        assert twin == m and hash(twin) == hash(m)
+        assert len({m, twin}) == 1
+
+    def test_message_hash_cache_does_not_travel(self):
+        # A str payload hashes differently in every interpreter: a
+        # message pickled after being hashed must not carry the value.
+        m = MessageFactory().multicast(P1, by_indices(1, 2), payload="x")
+        hash(m)
+        for clone in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert "_hash" not in vars(clone)
+            assert clone == m and hash(clone) == hash(m)
+        assert "_hash" not in m.__getstate__()
+
+    def test_unhashable_payload_constructs_and_raises_only_when_hashed(self):
+        m = MessageFactory().multicast(P1, by_indices(1), payload={"op": "put"})
+        assert m == MulticastMessage(m.mid, m.src, m.dst, {"op": "put"})
+        with pytest.raises(TypeError):
+            hash(m)
+        assert "_hash" not in vars(m)
 
 
 class TestMessageBuffer:

@@ -1,5 +1,7 @@
 """Tests for run records."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.model import (
     MessageFactory,
     RunRecord,
@@ -72,3 +74,42 @@ def test_delivered_and_multicast_message_sets_deduplicate():
     record.note_delivery(2, P2, m)
     assert record.multicast_messages() == (m,)
     assert record.delivered_messages() == (m,)
+
+
+_PROCESSES = st.sampled_from((P1, P2, P3))
+_REASONS = st.sampled_from((None, "LOG_g1.append", "LOG_g1∩g2.bumpAndLock[fast]"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("one"), st.integers(0, 9), _PROCESSES, _REASONS),
+            st.tuples(
+                st.just("many"),
+                st.integers(0, 9),
+                st.lists(_PROCESSES, max_size=4).map(tuple),
+                _REASONS,
+            ),
+        ),
+        max_size=30,
+    )
+)
+def test_note_steps_is_one_note_step_per_process(writes):
+    """Any interleaving of the two recorders reads back as the flattened
+    ``note_step`` sequence — steps, per-process counts and their order."""
+    record, flat = make_record(), make_record()
+    for kind, time, who, reason in writes:
+        if kind == "one":
+            record.note_step(time, who, received=reason)
+            flat.note_step(time, who, received=reason)
+        else:
+            record.note_steps(time, who, reason)
+            for process in who:
+                flat.note_step(time, process, received=reason)
+        assert len(record.steps) == len(flat.steps)  # the lazy view keeps up
+    assert record.steps == flat.steps
+    assert record.step_counts() == flat.step_counts()
+    assert list(record.step_counts()) == list(flat.step_counts())
+    for process in ALL:
+        assert record.steps_of(process) == flat.steps_of(process)

@@ -158,6 +158,23 @@ class TestHeterogeneousItems:
         assert log.messages_before("ghost") == ()
         assert log.messages_before(("m1", "g", 1)) == ()
 
+    def test_a_bare_message_id_is_a_record_not_a_message(self):
+        """Ids are tuples, and tuples are records: a log holds messages
+        (and records *headed* by an id), never a bare id as a message."""
+        from repro.model import MessageFactory, by_indices, make_processes
+        from repro.model.messages import MessageId
+
+        (p1,) = make_processes(1)
+        m = MessageFactory().multicast(p1, by_indices(1))
+        log = Log()
+        log.append(m)
+        log.append((m.mid, "g1", 1))
+        log.append(MessageId(1, 7))
+        assert log.messages() == (m,) and log.arrivals == [m]
+        assert MessageId(1, 7) in log.records()
+        assert log.messages_before(MessageId(1, 7)) == ()
+        assert log.position_records_for(m.mid) == ((m.mid, "g1", 1),)
+
 
 class TestPropertyBased:
     @settings(max_examples=60, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 from repro.groups import paper_figure1_topology
 from repro.model import SpecificationError, make_processes
 from repro.objects import ObjectSpace
+from repro.objects.space import billing_order
 
 PROCS = make_processes(5)
 P1, P2, P3, P4, P5 = PROCS
@@ -15,9 +16,11 @@ class Ledger:
 
     def __init__(self):
         self.charges = []
+        self.writes = []
 
-    def __call__(self, process, reason):
-        self.charges.append((process, reason))
+    def __call__(self, processes, reason):
+        self.writes.append((processes, reason))
+        self.charges.extend((process, reason) for process in processes)
 
     def charged(self):
         return {p for p, _ in self.charges}
@@ -118,14 +121,65 @@ def test_consensus_propose_charges_host_group(fig1):
     assert handle.decided
 
 
-def test_set_charge_rebinds_existing_handles(fig1):
-    space = ObjectSpace()
-    g1 = fig1.group("g1")
-    log = space.group_log(g1)
+def loop_order(caller, scope):
+    """The sequence the per-carrier charge loop billed in: the invoker,
+    then every other member as the scope iterates."""
+    return (caller,) + tuple(c for c in scope if c != caller)
+
+
+def test_billing_order_equals_the_per_carrier_loop(fig1):
+    g3, g4 = fig1.group("g3"), fig1.group("g4")
+    for caller in PROCS:
+        for scope in (g3.members, g4.members, g3.intersection(g4)):
+            assert billing_order(caller, scope) == loop_order(caller, scope)
+
+
+def test_group_log_bills_one_write_in_loop_order(fig1):
     ledger = Ledger()
-    space.set_charge(ledger)
-    log.append(P1, "m")
-    assert ledger.charged() == {P1, P2}
+    g3 = fig1.group("g3")
+    log = ObjectSpace(ledger).group_log(g3)
+    log.append(P3, "a")
+    log.bump_and_lock(P4, "a", 3)
+    log.append(P3, "b")  # memoised order
+    assert ledger.writes == [
+        (loop_order(P3, g3.members), "LOG_g3.append"),
+        (loop_order(P4, g3.members), "LOG_g3.bumpAndLock"),
+        (loop_order(P3, g3.members), "LOG_g3.append"),
+    ]
+
+
+@pytest.mark.parametrize("isolation", [False, True])
+def test_intersection_log_bills_one_write_per_path_in_loop_order(fig1, isolation):
+    ledger = Ledger()
+    g3, g4 = fig1.group("g3"), fig1.group("g4")  # g3 ∩ g4 = {p1, p4}
+    log = ObjectSpace(ledger, isolation=isolation).intersection_log(g3, g4)
+    shared = log.carriers
+    slow = shared if isolation else g3.members  # host = smaller name
+    log.append(P1, "a")
+    log.append(P1, "b")
+    log.append(P4, "b")  # contention: P4 sees "b" first
+    log.bump_and_lock(P4, "a", 2)  # still behind the established order
+    log.append(P4, "c")  # past it: P4 establishes the next operation
+    assert (log.fast_ops, log.slow_ops) == (3, 2)
+    assert ledger.writes == [
+        (loop_order(P1, shared), "LOG_g3∩g4.append[fast]"),
+        (loop_order(P1, shared), "LOG_g3∩g4.append[fast]"),
+        (loop_order(P4, slow), "LOG_g3∩g4.append[slow]"),
+        (loop_order(P4, slow), "LOG_g3∩g4.bumpAndLock[slow]"),
+        (loop_order(P4, shared), "LOG_g3∩g4.append[fast]"),
+    ]
+
+
+def test_consensus_bills_one_write_in_loop_order(fig1):
+    ledger = Ledger()
+    g3 = fig1.group("g3")
+    handle = ObjectSpace(ledger).consensus("m", "f", g3)
+    handle.propose(P4, 7)
+    handle.propose(P1, 9)
+    assert ledger.writes == [
+        (loop_order(P4, g3.members), "CONS[m,f].propose"),
+        (loop_order(P1, g3.members), "CONS[m,f].propose"),
+    ]
 
 
 def test_stats_reporting(fig1):

@@ -177,3 +177,20 @@ class TestEventDrivenKernel:
         event.round()
         # Every process took its start step despite reporting idle.
         assert all(count == 1 for count in event.steps_taken.values())
+
+
+def test_snapshot_hash_addresses_message_ids_by_their_fields():
+    """The kernel backend replicates ``message.mid``, so durable-state
+    snapshots hold bare ``MessageId``s — the one ``default=str`` site
+    that does.  As tuples they encode as ``[sender, sequence]`` (not as
+    their ``repr``): still a function of the durable state alone."""
+    from repro.model.messages import MessageId
+    from repro.sim.kernel import snapshot_hash
+
+    snapshot = {"applied": [MessageId(1, 2)], "proposal": MessageId(2, 1)}
+    assert snapshot_hash(snapshot) == snapshot_hash(
+        {"applied": [[1, 2]], "proposal": [2, 1]}
+    )
+    assert snapshot_hash(snapshot) != snapshot_hash(
+        {"applied": [MessageId(1, 3)], "proposal": MessageId(2, 1)}
+    )
