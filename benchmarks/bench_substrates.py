@@ -42,7 +42,10 @@ def teardown_module(module):
 def test_consensus_rounds_to_decision(benchmark, size, crashes):
     procs = make_processes(size)
     scope = pset(procs)
-    crash_times = {procs[i]: 10 for i in range(crashes)}
+    # Round 6 is inside the leader's accept phase (a failure-free
+    # decision takes 9 rounds on 5 members), so the crash rows measure
+    # the failover, not a decision that beat the crash.
+    crash_times = {procs[i]: 6 for i in range(crashes)}
     pattern = crash_pattern(scope, crash_times)
 
     def decide():

@@ -128,8 +128,8 @@ class CampaignCache:
         }
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(body, fh, sort_keys=True, default=str)
-            fh.write("\n")
+            # ``dumps``, not ``dump``: same bytes, through the C encoder.
+            fh.write(json.dumps(body, sort_keys=True, default=str) + "\n")
         os.replace(tmp, path)
         self.stored += 1
         return True

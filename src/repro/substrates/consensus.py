@@ -15,12 +15,19 @@ gated by ``Omega``:
 
 The detector handed to each process must provide samples shaped as
 ``{"omega": leader, "sigma": quorum}`` — see :class:`OmegaSigmaSampler`.
+
+What reaches the buffer is kept to what another process has to read: a
+process never mails itself (its own acceptor handles PREPARE / ACCEPT,
+and the proposer the reply, inside the sending step), a DECIDE is
+relayed onward only (not back to whoever sent it), and the instance's
+lowest ballot goes straight to its accept phase.  DESIGN.md §16 "What a
+slot costs" has the ledger and the safety arguments.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, NamedTuple, Optional, Set, Tuple
 
 from repro.detectors.base import FailureDetector
 from repro.detectors.leader import OmegaOracle
@@ -34,6 +41,38 @@ from repro.sim.kernel import Automaton, Context
 Ballot = Tuple[int, int]
 
 NO_BALLOT: Ballot = (0, 0)
+
+
+def check_policy(supersede: str, retransmit_interval: Optional[int]) -> None:
+    """Reject an unknown ``supersede`` policy or a non-positive timer."""
+    if supersede not in ("abandon", "wait"):
+        raise ValueError(
+            f"unknown supersede policy {supersede!r}; "
+            "expected 'abandon' or 'wait'"
+        )
+    if retransmit_interval is not None and retransmit_interval < 1:
+        raise ValueError(
+            f"retransmit_interval must be >= 1 round, "
+            f"got {retransmit_interval!r}"
+        )
+
+
+class Membership(NamedTuple):
+    """A scope as one of its members addresses it.
+
+    Immutable, so the slots of one replicated-log replica share a single
+    instance instead of sorting the scope once per slot.
+    """
+
+    #: Every member, sorted — ``members[0]`` owns the lowest ballot.
+    members: Tuple[ProcessId, ...]
+    #: Every member but the owner: where its PREPARE / ACCEPT / DECIDE go.
+    others: Tuple[ProcessId, ...]
+
+    @classmethod
+    def of(cls, pid: ProcessId, scope: Iterable[ProcessId]) -> "Membership":
+        members = tuple(sorted(scope))
+        return cls(members, tuple(p for p in members if p != pid))
 
 
 class OmegaSigmaSampler(FailureDetector):
@@ -85,32 +124,28 @@ class ConsensusAutomaton(Automaton):
     ``interval`` rounds, so a PREPARE/ACCEPT lost to a drop, a partition
     crossing, or a crashed-then-recovered acceptor is eventually
     re-offered (all phase messages are idempotent at the acceptor).
-    ``None`` (the default) never retransmits — reliable-link runs are
-    byte-identical to every previous release, which the golden
-    differential suite pins.
+    ``None`` (the default) never retransmits, so a reliable-link run's
+    datagram count is exact — the golden differential suite pins it.
+
+    ``scope`` is the instance's member set, or the :class:`Membership`
+    a caller already derived from it for this ``pid``.
     """
 
     def __init__(
         self,
         pid: ProcessId,
-        scope: ProcessSet,
+        scope: Iterable[ProcessId],
         supersede: str = "abandon",
         retransmit_interval: Optional[int] = None,
     ) -> None:
-        if supersede not in ("abandon", "wait"):
-            raise ValueError(
-                f"unknown supersede policy {supersede!r}; "
-                "expected 'abandon' or 'wait'"
-            )
-        if retransmit_interval is not None and retransmit_interval < 1:
-            raise ValueError(
-                f"retransmit_interval must be >= 1 round, "
-                f"got {retransmit_interval!r}"
-            )
+        check_policy(supersede, retransmit_interval)
         self.pid = pid
         self.supersede = supersede
         self.retransmit_interval = retransmit_interval
-        self.scope = sorted(scope)
+        # A replicated log hands every slot its replica's one Membership.
+        self.scope, self._others = (
+            scope if isinstance(scope, Membership) else Membership.of(pid, scope)
+        )
         self.proposal: Any = None
         self.decision: Any = None
         # Acceptor state.
@@ -153,10 +188,12 @@ class ConsensusAutomaton(Automaton):
         """Rejoin from :meth:`snapshot`; volatile proposer state is lost.
 
         The resumed ballot counter starts at the promised round: the
-        automaton's own acceptor promised every ballot this proposer
-        ever prepared (it is in its own scope), so the next fresh ballot
-        is strictly above anything it used before the crash — ballot
-        uniqueness survives recovery.
+        automaton's own acceptor handled every PREPARE / ACCEPT this
+        proposer ever issued in the step that sent it (:meth:`_announce`)
+        and so promised that ballot or a higher one, hence the next
+        fresh ballot is strictly above anything it used before the
+        crash — ballot uniqueness survives recovery, and the lowest
+        ballot's phase-1 exemption is never claimed twice.
         """
         self.proposal = snapshot["proposal"]
         self.decision = snapshot["decision"]
@@ -185,7 +222,8 @@ class ConsensusAutomaton(Automaton):
             (ballot,) = body
             if ballot > self.promised:
                 self.promised = ballot
-            ctx.send(
+            self._send(
+                ctx,
                 src,
                 "PROMISE",
                 ballot,
@@ -218,9 +256,9 @@ class ConsensusAutomaton(Automaton):
                 self.promised = ballot
                 self.accepted_ballot = ballot
                 self.accepted_value = value
-                ctx.send(src, "ACCEPTED", ballot)
+                self._send(ctx, src, "ACCEPTED", ballot)
             else:
-                ctx.send(src, "NACK", ballot)
+                self._send(ctx, src, "NACK", ballot)
         elif tag == "ACCEPTED":
             (ballot,) = body
             if ballot == self._ballot and self._phase == "accept":
@@ -241,7 +279,14 @@ class ConsensusAutomaton(Automaton):
             if self.decision is None:
                 self.decision = value
                 ctx.output(("decide", value))
-                ctx.broadcast(self.scope, "DECIDE", value)
+                # Folklore relay, onward only: ``src`` has decided by
+                # construction, and every other member still gets a copy
+                # from every decider — so a decision one correct process
+                # learns reaches all of them even if the decider crashed
+                # mid-broadcast.
+                ctx.broadcast(
+                    [p for p in self._others if p != src], "DECIDE", value
+                )
 
     def _progress(self, ctx: Context) -> None:
         sample = ctx.detector or {}
@@ -260,10 +305,19 @@ class ConsensusAutomaton(Automaton):
         if self._phase is None:
             # Start a fresh, higher ballot.
             self._ballot = (self._ballot[0] + 1, self.pid.index)
-            self._phase = "prepare"
-            self._promises = {}
-            self._arm_resend(ctx)
-            ctx.broadcast(self.scope, "PREPARE", self._ballot)
+            if self._ballot == (1, self.scope[0].index):
+                # The instance's lowest ballot: rounds start at 1 and no
+                # member sorts below ``scope[0]``, so no acceptor can
+                # have accepted anything under it and phase 1 has
+                # nothing to learn.  Formed at most once (see
+                # :meth:`restore`); a NACK falls back to round 2 and a
+                # full phase 1.
+                self._start_accept(ctx, self.proposal)
+            else:
+                self._phase = "prepare"
+                self._promises = {}
+                self._arm_resend(ctx)
+                self._announce(ctx, "PREPARE", self._ballot)
         elif self._phase == "prepare" and all(
             q in self._promises for q in quorum
         ):
@@ -272,14 +326,8 @@ class ConsensusAutomaton(Automaton):
             for acc in self._promises.values():
                 if acc[0] > best[0]:
                     best = acc
-            self._value_in_flight = (
-                best[1] if best[0] > NO_BALLOT else self.proposal
-            )
-            self._phase = "accept"
-            self._accepts = set()
-            self._arm_resend(ctx)
-            ctx.broadcast(
-                self.scope, "ACCEPT", self._ballot, self._value_in_flight
+            self._start_accept(
+                ctx, best[1] if best[0] > NO_BALLOT else self.proposal
             )
         elif self._phase == "accept" and all(
             q in self._accepts for q in quorum
@@ -287,7 +335,7 @@ class ConsensusAutomaton(Automaton):
             if self.decision is None:
                 self.decision = self._value_in_flight
                 ctx.output(("decide", self._value_in_flight))
-            ctx.broadcast(self.scope, "DECIDE", self._value_in_flight)
+            ctx.broadcast(self._others, "DECIDE", self._value_in_flight)
             self._phase = "done"
         elif (
             self.retransmit_interval is not None
@@ -300,15 +348,37 @@ class ConsensusAutomaton(Automaton):
             # duplicate can only re-elicit the lost reply.
             self._arm_resend(ctx)
             if self._phase == "prepare":
-                ctx.broadcast(self.scope, "PREPARE", self._ballot)
+                self._announce(ctx, "PREPARE", self._ballot)
             elif self._phase == "accept":
-                ctx.broadcast(
-                    self.scope, "ACCEPT", self._ballot, self._value_in_flight
+                self._announce(
+                    ctx, "ACCEPT", self._ballot, self._value_in_flight
                 )
+
+    def _start_accept(self, ctx: Context, value: Any) -> None:
+        self._value_in_flight = value
+        self._phase = "accept"
+        self._accepts = set()
+        self._arm_resend(ctx)
+        self._announce(ctx, "ACCEPT", self._ballot, value)
 
     def _arm_resend(self, ctx: Context) -> None:
         if self.retransmit_interval is not None:
             self._next_resend = ctx.time + self.retransmit_interval
+
+    # A process never mails itself: what it addresses to itself it handles
+    # within the sending step — local computation inside one Appendix-A
+    # step, through the same ``_handle`` a datagram would have reached.
+
+    def _send(self, ctx: Context, dst: ProcessId, tag: str, *body: Any) -> None:
+        if dst == self.pid:
+            self._handle(ctx, dst, tag, body)
+        else:
+            ctx.send(dst, tag, *body)
+
+    def _announce(self, ctx: Context, tag: str, *body: Any) -> None:
+        """PREPARE / ACCEPT to the whole scope, this process included."""
+        ctx.broadcast(self._others, tag, *body)
+        self._handle(ctx, self.pid, tag, body)
 
 
 class ConsensusCluster:

@@ -24,7 +24,12 @@ from repro.model.messages import Datagram
 from repro.model.processes import ProcessId, ProcessSet
 from repro.sim.kernel import Automaton, Context
 from repro.sim.kernel import snapshot_hash  # noqa: F401 - re-export
-from repro.substrates.consensus import ConsensusAutomaton, OmegaSigmaSampler
+from repro.substrates.consensus import (
+    ConsensusAutomaton,
+    Membership,
+    OmegaSigmaSampler,
+    check_policy,
+)
 
 
 class ReplicatedLogAutomaton(Automaton):
@@ -41,8 +46,14 @@ class ReplicatedLogAutomaton(Automaton):
         supersede: str = "abandon",
         retransmit_interval: Optional[int] = None,
     ) -> None:
+        # Here, not at the first slot: a bad argument must fail the
+        # construction, not a step in the middle of a run.
+        check_policy(supersede, retransmit_interval)
         self.pid = pid
-        self.scope = sorted(scope)
+        #: One sorted scope and one "everyone else" sequence, shared by
+        #: every slot's automaton.
+        self._membership = Membership.of(pid, scope)
+        self.scope = self._membership.members
         self.supersede = supersede
         self.retransmit_interval = retransmit_interval
         self._slots: Dict[int, ConsensusAutomaton] = {}
@@ -100,14 +111,7 @@ class ReplicatedLogAutomaton(Automaton):
         self._pending = list(snapshot["pending"])
         self._slots = {}
         for slot, state in snapshot["slots"].items():
-            automaton = ConsensusAutomaton(
-                self.pid,
-                frozenset(self.scope),
-                supersede=self.supersede,
-                retransmit_interval=self.retransmit_interval,
-            )
-            automaton.restore(state)
-            self._slots[int(slot)] = automaton
+            self._slot(int(slot)).restore(state)
 
     def idle(self) -> bool:
         """Nothing pending and no slot open at the apply head.
@@ -129,13 +133,12 @@ class ReplicatedLogAutomaton(Automaton):
     def _slot(self, index: int) -> ConsensusAutomaton:
         automaton = self._slots.get(index)
         if automaton is None:
-            automaton = ConsensusAutomaton(
+            automaton = self._slots[index] = ConsensusAutomaton(
                 self.pid,
-                frozenset(self.scope),
+                self._membership,
                 supersede=self.supersede,
                 retransmit_interval=self.retransmit_interval,
             )
-            self._slots[index] = automaton
         return automaton
 
     def on_step(self, ctx: Context, datagram: Optional[Datagram]) -> None:
@@ -145,9 +148,10 @@ class ReplicatedLogAutomaton(Automaton):
             # around the crash window.  One shot suffices — the host
             # buffer is fair-lossy, so a dropped request is re-enqueued.
             self._catchup_needed = False
-            peers = [p for p in self.scope if p != self.pid]
-            if peers:
-                ctx.broadcast(peers, "CATCHUP", self._next_slot)
+            if self._membership.others:
+                ctx.broadcast(
+                    self._membership.others, "CATCHUP", self._next_slot
+                )
         if datagram is not None and datagram.tag == "CATCHUP":
             # Log-level request (no slot prefix): replay our applied
             # decisions from the requested slot on as ordinary DECIDE

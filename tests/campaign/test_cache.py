@@ -15,7 +15,7 @@ from repro.campaign import (
     shard_of,
     write_manifest,
 )
-from repro.campaign.cache import ensure_cache
+from repro.campaign.cache import CACHE_SCHEMA_VERSION, ensure_cache
 from repro.faults.nemesis import random_plan
 from repro.metrics.sweep import summarize_results_file
 from repro.workloads import ScenarioSpec, Send, TopologySpec, scenario_cache_key
@@ -98,6 +98,25 @@ class TestCampaignCache:
         assert hit is not None and "index" not in hit
         assert hit["rounds"] == 7
         assert cache.stats() == {"hits": 1, "misses": 1, "stored": 1}
+
+    def test_stored_bytes_are_the_json_dump_rendering(self, tmp_path):
+        # ``put`` writes through ``json.dumps`` (the C encoder); the file
+        # must stay what ``json.dump`` wrote, ``default=str`` included.
+        cache = CampaignCache(str(tmp_path))
+        spec = self.spec()
+        row = self.ok_row(spec, scope=frozenset({2}), nested={"b": (1, 2), "a": None})
+        assert cache.put(spec, row)
+        body = {
+            "schema": CACHE_SCHEMA_VERSION,
+            "key": cache.key_for(spec),
+            "row": {k: v for k, v in row.items() if k != "index"},
+        }
+        reference = tmp_path / "reference.json"
+        with open(reference, "w", encoding="utf-8") as fh:
+            json.dump(body, fh, sort_keys=True, default=str)
+            fh.write("\n")
+        assert read_bytes(cache.path_for(spec)) == read_bytes(reference)
+        assert b"frozenset({2})" in read_bytes(reference)
 
     def test_hit_is_relabelled_from_the_live_spec(self, tmp_path):
         cache = CampaignCache(str(tmp_path))

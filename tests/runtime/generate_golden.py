@@ -1,15 +1,21 @@
-"""Regenerate ``golden.json`` — the pre-refactor fingerprints.
+"""Regenerate ``golden.json`` — the differential suite's fingerprints.
 
 Usage::
 
     PYTHONPATH=src:tests python tests/runtime/generate_golden.py
 
-The committed ``golden.json`` was produced by running this script at the
-last commit *before* the ``repro.runtime`` extraction (91a52c1), so the
-differential suite proves the shared scheduler reproduces the seed
-engine's and kernel's observable behaviour exactly.  Re-running it on a
-later tree only confirms self-consistency — never regenerate it to
-paper over a differential failure.
+The committed ``golden.json`` is exactly what this script writes on the
+committed tree; CI's ``runtime-differential`` job re-runs it and fails on
+any diff.  The 168 engine and 80 ``kernel:pingpong*`` fingerprints are
+still the ones produced at the last commit *before* the
+``repro.runtime`` extraction (91a52c1) — they pin the runtime loop, and
+every commit since reproduces them byte for byte.  The 20
+``kernel:replog3:*`` fingerprints were re-versioned once, in PR 20,
+under DESIGN.md §13 policy (2): the §4.3 consensus deliberately sends
+fewer datagrams (CHANGES.md lists the keys and the reason).
+
+Regenerate only for such a deliberate, documented behaviour change, in
+the PR that makes it — never to paper over a differential failure.
 """
 
 from __future__ import annotations

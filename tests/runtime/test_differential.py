@@ -25,7 +25,10 @@ kept in ``_oracle.py`` and bound over ``Scheduler.round`` by
 
 A failure here means the shared scheduler changed an observable
 schedule.  Fix the scheduler — never regenerate ``golden.json`` to make
-a failure disappear.
+a failure disappear.  (The 20 ``kernel:replog3:*`` entries are the one
+exception on record: PR 20 changed the consensus protocol's message
+pattern on purpose and re-versioned them under DESIGN.md §13 policy (2);
+the engine and ``pingpong`` entries are still the pre-refactor ones.)
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.model import crash_pattern, failure_free, make_processes, pset
 from repro.sim import Kernel
-from repro.substrates import ReplicatedLogCluster
+from repro.substrates import ReplicatedLogAutomaton, ReplicatedLogCluster
 from repro.workloads.runner import Send, run_scenario
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology
@@ -29,6 +29,21 @@ def run_log(pattern, appends, seed, rounds=600):
         ),
     )
     return cluster
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"supersede": "bogus"}, "unknown supersede policy 'bogus'"),
+        ({"retransmit_interval": 0}, "retransmit_interval must be >= 1 round"),
+    ],
+)
+def test_bad_policy_arguments_fail_at_construction(bad, message):
+    """Not at the first slot, i.e. inside ``Kernel.step_process`` mid-run."""
+    with pytest.raises(ValueError, match=message):
+        ReplicatedLogAutomaton(PROCS[0], SCOPE, **bad)
+    with pytest.raises(ValueError, match=message):
+        ReplicatedLogCluster(failure_free(SCOPE), SCOPE, **bad)
 
 
 def test_single_append_replicates_everywhere():
