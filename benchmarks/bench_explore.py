@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import json
 import os
-import time
+
+import pytest
 
 from repro.explore import Explorer
 from repro.explore.__main__ import base_cells
@@ -89,12 +90,11 @@ def teardown_module(module):
         fh.write("\n")
 
 
+@pytest.mark.xfail(strict=True, reason="606 vs 610 since PR 20; ROADMAP item 6")
 def test_guided_dominates_random_on_healthy_bases():
     bases = base_cells(("engine", "kernel"))
-    started = time.perf_counter()
     guided_avg, guided_finals, _ = _campaigns(bases, "guided")
     random_avg, random_finals, _ = _campaigns(bases, "random")
-    BENCH["healthy_seconds"] = round(time.perf_counter() - started, 2)
     _record("healthy", "guided", guided_avg, guided_finals)
     _record("healthy", "random", random_avg, random_finals)
 
@@ -109,10 +109,8 @@ def test_guided_dominates_random_on_healthy_bases():
 
 def test_guided_dominates_random_on_the_rediscovery_cell():
     bases = base_cells(("kernel",), quirks=("supersede-wait",))
-    started = time.perf_counter()
     guided_avg, guided_finals, guided_triage = _campaigns(bases, "guided")
     random_avg, random_finals, _ = _campaigns(bases, "random")
-    BENCH["quirked_seconds"] = round(time.perf_counter() - started, 2)
     _record("quirked", "guided", guided_avg, guided_finals)
     _record("quirked", "random", random_avg, random_finals)
 

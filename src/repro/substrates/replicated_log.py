@@ -4,9 +4,13 @@ The group logs ``LOG_g`` of Algorithm 1 are "built atop consensus in ``g``
 using a universal construction [28]".  This module is that construction
 at the message-passing level: an unbounded list of consensus slots, each
 decided by a :class:`repro.substrates.consensus.ConsensusAutomaton`
-instance over the carrier scope.  A replica applies decided slots in
-order, yielding identical log prefixes at every member (state-machine
-replication).
+instance over the carrier scope.  A consensus value is opaque to the
+protocol, so a slot decides a *batch*: the tuple of everything queued at
+the replica that opened it.  A replica drives its head slot only — the
+first undecided one — and applies decided slots in order, each value at
+most once, yielding identical log prefixes at every member
+(state-machine replication).  DESIGN.md §16 "What a slot costs" has the
+ledger.
 
 The contention-free fast path of Proposition 47 (adopt–commit before
 consensus) is exercised separately in
@@ -17,7 +21,7 @@ consensus, which is the slow-path cost the fast path avoids.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.model.failures import FailurePattern, Time
 from repro.model.messages import Datagram
@@ -33,10 +37,15 @@ from repro.substrates.consensus import (
 
 
 class ReplicatedLogAutomaton(Automaton):
-    """Per-process code: a pipeline of consensus slots.
+    """Per-process code: a queue of appends in front of consensus slots.
 
     Each slot multiplexes a full :class:`ConsensusAutomaton` over tagged
-    datagrams (``slot`` is prepended to every message body).
+    datagrams (``slot`` is prepended to every message body); only the
+    head slot is ever proposed in.  Opening it proposes the whole queue
+    as one batch — no size cap and no linger timer: a batch is whatever
+    arrived while the previous slot was deciding.  ``CATCHUP`` and
+    ``FORWARD`` are the log's own messages: a non-leader's batch joins
+    the receiver's queue rather than contending for the sender's slot.
     """
 
     def __init__(
@@ -59,6 +68,11 @@ class ReplicatedLogAutomaton(Automaton):
         self._slots: Dict[int, ConsensusAutomaton] = {}
         self._pending: List[Any] = []
         self.applied: List[Any] = []
+        #: The decided batch of every applied slot (``_next_slot`` of
+        #: them), and the values of ``applied`` as a set: a value is
+        #: applied at most once however many batches repeat it.
+        self._batches: List[Tuple[Any, ...]] = []
+        self._applied_values: Set[Any] = set()
         self._next_slot = 0
         #: Set by :meth:`restore`: the rejoined replica must ask its
         #: peers for decisions that completed around its crash window.
@@ -69,17 +83,21 @@ class ReplicatedLogAutomaton(Automaton):
         self._slot_ctx = _SlotContext()
 
     def append(self, value: Any) -> None:
-        """Client call: replicate ``value`` (at-least-once per slot)."""
+        """Client call: replicate ``value`` — queued until a slot carries
+        it, applied at most once at every replica (values are identities
+        and must be hashable: one appended twice is still applied once)."""
         self._pending.append(value)
 
     # -- Durable state (crash–recovery) ----------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        """Durable replica state: the applied prefix plus every slot's
-        acceptor state (see :meth:`ConsensusAutomaton.snapshot`)."""
+        """Durable replica state: the applied prefix, the decided batch
+        of every applied slot, the queue, plus every slot's acceptor
+        state (see :meth:`ConsensusAutomaton.snapshot`)."""
         return {
             "next_slot": self._next_slot,
             "applied": list(self.applied),
+            "batches": list(self._batches),
             "pending": list(self._pending),
             "slots": {
                 slot: automaton.snapshot()
@@ -108,6 +126,8 @@ class ReplicatedLogAutomaton(Automaton):
         self._catchup_needed = True
         self._next_slot = int(snapshot["next_slot"])
         self.applied = list(snapshot["applied"])
+        self._applied_values = set(self.applied)
+        self._batches = list(snapshot["batches"])
         self._pending = list(snapshot["pending"])
         self._slots = {}
         for slot, state in snapshot["slots"].items():
@@ -152,7 +172,8 @@ class ReplicatedLogAutomaton(Automaton):
                 ctx.broadcast(
                     self._membership.others, "CATCHUP", self._next_slot
                 )
-        if datagram is not None and datagram.tag == "CATCHUP":
+        tag = None if datagram is None else datagram.tag
+        if tag == "CATCHUP":
             # Log-level request (no slot prefix): replay our applied
             # decisions from the requested slot on as ordinary DECIDE
             # messages — idempotent at the laggard, and exactly what a
@@ -161,36 +182,52 @@ class ReplicatedLogAutomaton(Automaton):
             for slot_index in range(from_slot, self._next_slot):
                 ctx.send(
                     datagram.src, "DECIDE", slot_index,
-                    self.applied[slot_index],
+                    self._batches[slot_index],
                 )
-        elif datagram is not None:
+        elif tag == "FORWARD":
+            # Log-level too: a non-leader's batch joins this replica's
+            # queue and rides the next slot it opens (or its own next
+            # forward), whatever slot the sender was at.  Validity holds
+            # (some member appended every value); a value that ends up in
+            # two batches is dropped at apply.
+            for value in datagram.body[1]:
+                if (
+                    value not in self._applied_values
+                    and value not in self._pending
+                ):
+                    self._pending.append(value)
+        elif tag is not None:
             slot_index = datagram.body[0]
             slot_ctx.bind(ctx, slot_index)
             self._slot(slot_index)._handle(
-                slot_ctx, datagram.src, datagram.tag, datagram.body[1:]
+                slot_ctx, datagram.src, tag, datagram.body[1:]
             )
-        # Drive the current head slot: propose the head pending value, and
-        # keep progressing the slot while it is undecided — a leader with
-        # nothing to append still runs ballots for forwarded proposals.
+        # Drive the current head slot: opening it proposes everything
+        # queued as one batch, and it keeps progressing while undecided.
         head = self._slots.get(self._next_slot)
-        if self._pending:
+        if self._pending and (head is None or head.proposal is None):
             head = self._slot(self._next_slot)
-            head.propose(self._pending[0])
+            head.propose(tuple(self._pending))
         if head is not None and head.decision is None:
             slot_ctx.bind(ctx, self._next_slot)
             head._progress(slot_ctx)
-        # Apply decided slots in order.
+        # Apply decided slots in order, each value at most once.
         while True:
             head = self._slots.get(self._next_slot)
             if head is None or head.decision is None:
                 break
-            decided = head.decision
-            self.applied.append(decided)
-            ctx.output(("applied", self._next_slot, decided))
-            if self._pending and self._pending[0] == decided:
-                self._pending.pop(0)
-            elif decided in self._pending:
-                self._pending.remove(decided)
+            batch = head.decision
+            self._batches.append(batch)
+            for value in batch:
+                if value not in self._applied_values:
+                    self._applied_values.add(value)
+                    ctx.output(("applied", len(self.applied), value))
+                    self.applied.append(value)
+            self._pending = [
+                value
+                for value in self._pending
+                if value not in self._applied_values
+            ]
             self._next_slot += 1
 
 

@@ -27,7 +27,8 @@ A failure here means the shared scheduler changed an observable
 schedule.  Fix the scheduler — never regenerate ``golden.json`` to make
 a failure disappear.  (The 20 ``kernel:replog3:*`` entries are the one
 exception on record: PR 20 changed the consensus protocol's message
-pattern on purpose and re-versioned them under DESIGN.md §13 policy (2);
+pattern and PR 21 what a log slot decides, each on purpose, and
+re-versioned them under DESIGN.md §13 policy (2);
 the engine and ``pingpong`` entries are still the pre-refactor ones.)
 """
 

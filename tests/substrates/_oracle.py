@@ -1,4 +1,4 @@
-"""The retired message pattern of the §4.3 consensus, as a test oracle.
+"""The retired patterns of the §4.3 substrates, as test oracles.
 
 Until PR 20 a ballot cost 45 datagrams on a 5-member scope: every
 process mailed itself its own PREPARE / ACCEPT and the replies to them,
@@ -9,9 +9,14 @@ of the shipped automaton (same ``_handle`` / ``_progress`` bodies), so a
 test can run "the parent's protocol" next to the current one: the
 counted ledger (45 vs 24), and liveness wherever the parent had it.
 
-``tests/substrates/test_slot_cost.py`` checks the oracle is faithful:
-under it, two kernel row pins recorded before PR 20 reproduce byte for
-byte.
+Until PR 21 a log slot decided one value and a forwarded value raced
+for its sender's slot; :class:`SingleValueSlots` is that replica body on
+the shipped class.  The two compose: ``single_value_slots()`` alone is
+PR 21's parent, with ``flooding()`` it is PR 20's.
+
+``tests/substrates/test_slot_cost.py`` checks both are faithful: the 20
+``kernel:replog3:*`` goldens and the kernel row pins recorded before
+each PR reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from contextlib import contextmanager
 
 from repro.substrates import consensus, replicated_log
 from repro.substrates.consensus import ConsensusAutomaton
+from repro.substrates.replicated_log import ReplicatedLogAutomaton
 
 
 class _FloodingContext:
@@ -75,3 +81,47 @@ def flooding():
     finally:
         for module in modules:
             module.ConsensusAutomaton = ConsensusAutomaton
+
+
+class SingleValueSlots(ReplicatedLogAutomaton):
+    """The log until PR 21: a slot decides one bare value — the head of
+    the queue — a FORWARD is its slot's (adopted only by a slot that has
+    no proposal yet), and a value decided twice is applied twice."""
+
+    def on_step(self, ctx, datagram):
+        slot_ctx = self._slot_ctx
+        if self._catchup_needed:
+            self._catchup_needed = False
+            if self._membership.others:
+                ctx.broadcast(self._membership.others, "CATCHUP", self._next_slot)
+        if datagram is not None and datagram.tag == "CATCHUP":
+            for slot in range(datagram.body[0], self._next_slot):
+                ctx.send(datagram.src, "DECIDE", slot, self.applied[slot])
+        elif datagram is not None:
+            slot_ctx.bind(ctx, datagram.body[0])
+            self._slot(datagram.body[0])._handle(
+                slot_ctx, datagram.src, datagram.tag, datagram.body[1:]
+            )
+        head = self._slots.get(self._next_slot)
+        if self._pending:
+            head = self._slot(self._next_slot)
+            head.propose(self._pending[0])
+        if head is not None and head.decision is None:
+            slot_ctx.bind(ctx, self._next_slot)
+            head._progress(slot_ctx)
+        while (head := self._slots.get(self._next_slot)) and head.decision is not None:
+            self.applied.append(head.decision)
+            ctx.output(("applied", self._next_slot, head.decision))
+            if head.decision in self._pending:
+                self._pending.remove(head.decision)
+            self._next_slot += 1
+
+
+@contextmanager
+def single_value_slots():
+    """Inside the block, every replicated-log replica built is the oracle."""
+    replicated_log.ReplicatedLogAutomaton = SingleValueSlots
+    try:
+        yield
+    finally:
+        replicated_log.ReplicatedLogAutomaton = ReplicatedLogAutomaton

@@ -5,7 +5,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.model import crash_pattern, failure_free, make_processes, pset
+from repro.model.messages import MessageBuffer
 from repro.sim import Kernel
+from repro.sim.kernel import Context
 from repro.substrates import ReplicatedLogAutomaton, ReplicatedLogCluster
 from repro.workloads.runner import Send, run_scenario
 from repro.workloads.spec import ScenarioSpec, TopologySpec
@@ -113,6 +115,95 @@ def test_rejoined_replica_catches_up_on_decisions_made_before_its_crash():
     # The run resolves promptly (17 rounds when pinned) rather than
     # riding the 240-round budget the way the unfixed laggard did.
     assert row["rounds"] < 60
+
+
+# -- A slot decides a batch; a forwarded batch joins the receiver's queue ------
+
+BUSY_LEADER = tuple(Send(1, "g1", at) for at in range(0, 90, 2))
+DROPPED_FORWARDS = FaultPlan(
+    (FaultEvent(kind="link_drop", src=3, dst=1, start=0, until=6, amount=2),)
+)
+
+
+@pytest.mark.parametrize(
+    "faults", [None, DROPPED_FORWARDS], ids=["reliable", "link_drop"]
+)
+@pytest.mark.parametrize("seed", range(5))
+def test_a_forwarded_value_rides_the_next_slot(seed, faults):
+    """A non-leader's append is not starved by a busy leader.
+
+    The leader appends every other round for 90 rounds; ``p3`` appends
+    once, at round 1.  While a FORWARD was its sender's slot's, it lost
+    to the leader's own value slot after slot: ``p3``'s value was applied
+    at round 68 / 55 / 98 / 31 / 80 (seeds 0-4).
+    """
+    topo = TopologySpec.capture(disjoint_topology(1, group_size=5))
+    spec = ScenarioSpec(
+        topology=topo,
+        sends=BUSY_LEADER + (Send(3, "g1", 1),),
+        backend="kernel",
+        max_rounds=600,
+        seed=seed,
+        faults=faults,
+    )
+    result = run_scenario(spec)
+    result.assert_ok()
+    assert result.delivered_everywhere()
+    (forwarded,) = [m for m in result.messages if m.src == PROCS[2]]
+    applied_by = max(
+        result.record.delivery_time(p, forwarded) for p in forwarded.dst
+    )
+    assert applied_by <= 20
+    if faults is not None:
+        assert result.injector.stats["dropped"] >= 1
+
+
+def test_a_value_that_reached_two_leaders_is_applied_once(wire):
+    # Omega rotates until round 9: p2's append is forwarded to whoever
+    # leads that round, who queues it — and is proposed again by p1 once
+    # p1 is the stable leader and has been forwarded it too.
+    topo = TopologySpec.capture(disjoint_topology(1, group_size=3))
+    plan = FaultPlan((FaultEvent(kind="omega_late", group="g1", until=9),))
+    sends = (Send(2, "g1", 0), Send(1, "g1", 0), Send(1, "g1", 3))
+    for seed in range(5):
+        del wire[:]
+        spec = ScenarioSpec(
+            topology=topo, sends=sends, backend="kernel",
+            max_rounds=300, seed=seed, faults=plan,
+        )
+        result = run_scenario(spec)
+        result.assert_ok()
+        assert result.delivered_everywhere()
+        twice = result.messages[0].mid
+        forwarded_to = {
+            d.dst for d in wire if d.tag == "FORWARD" and twice in d.body[1]
+        }
+        proposers = {
+            d.src for d in wire if d.tag == "ACCEPT" and twice in d.body[2]
+        }
+        assert PROCS[2] in forwarded_to and PROCS[0] in proposers
+        for log in result.kernel.automata.values():
+            assert log.applied.count(twice) == 1
+            assert sorted(log.applied) == sorted(m.mid for m in result.messages)
+
+
+def test_a_value_decided_in_two_batches_is_applied_once():
+    """At-most-once is the apply loop's, whatever the slots decided."""
+    log = ReplicatedLogAutomaton(PROCS[1], SCOPE)
+    log.append("x")
+    buffer, outputs = MessageBuffer(), []
+    sample = {"omega": PROCS[0], "sigma": SCOPE}
+    for slot, batch in enumerate([("x", "y"), ("y", "z", "x"), ("z",)]):
+        buffer.send(PROCS[0], PROCS[1], "DECIDE", (slot, batch))
+        ctx = Context(PROCS[1], slot, sample, buffer, outputs)
+        log.on_step(ctx, buffer.receive(PROCS[1]))
+    assert log.applied == ["x", "y", "z"]
+    assert [out for _, out in outputs if out[0] == "applied"] == [
+        ("applied", 0, "x"), ("applied", 1, "y"), ("applied", 2, "z"),
+    ]
+    assert log.idle() and log.snapshot()["batches"] == [
+        ("x", "y"), ("y", "z", "x"), ("z",),
+    ]
 
 
 @settings(

@@ -3,13 +3,16 @@
 Three moves, one section each: (A) a process never mails itself,
 (B) DECIDE is relayed onward only and still reaches everyone when the
 decider dies mid-broadcast, (C) only the instance's lowest ballot skips
-phase 1, and only once.  A last section runs the shipped protocol next
-to the retired one (``_oracle.FloodingConsensus``) under random fault
-plans.
+phase 1, and only once.  The ledger also counts what a slot *carries*:
+everything queued at the leader when it opens.  A last section runs the
+shipped protocol next to the retired ones (``_oracle.FloodingConsensus``,
+``_oracle.SingleValueSlots``) under random fault plans.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import random
 from collections import Counter
 
@@ -30,7 +33,12 @@ from repro.substrates import (
 from repro.workloads.runner import Send, run_scenario
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology
-from tests.substrates._oracle import flooding
+from tests.runtime._scenarios import (
+    canonical_hash,
+    kernel_fingerprint,
+    kernel_scenarios,
+)
+from tests.substrates._oracle import flooding, single_value_slots
 from tests.workloads import test_pipeline_rows as pipeline_rows
 
 
@@ -143,48 +151,96 @@ class TestNoSelfAddressedMail:
 class TestTheLedger:
     """Failure-free, every append at the leader: the per-slot cost is exact."""
 
-    SLOTS = 6
+    APPENDS = 6
 
     def ledger(self, wire):
         procs = make_processes(5)
-        appends = [(procs[0], f"v{i}") for i in range(self.SLOTS)]
+        appends = [(procs[0], f"v{i}") for i in range(self.APPENDS)]
         cluster, kernel = run_log(pset(procs), appends)
-        assert all(len(cluster.applied_at(p)) == self.SLOTS for p in procs)
+        assert all(len(cluster.applied_at(p)) == self.APPENDS for p in procs)
         assert kernel.buffer.received_count == len(wire)
         per_tag = Counter(d.tag for d in wire)
         leader_receipts = sum(1 for d in wire if d.dst == procs[0])
         return per_tag, leader_receipts
 
     def test_a_slot_costs_24_datagrams_and_its_leader_4_receipts(self, wire):
+        # Six appends queued when the head slot opens are one slot.
         per_tag, leader_receipts = self.ledger(wire)
-        assert per_tag == {
-            "ACCEPT": 4 * self.SLOTS,
-            "ACCEPTED": 4 * self.SLOTS,
-            "DECIDE": 16 * self.SLOTS,
-        }
-        assert leader_receipts == 4 * self.SLOTS
+        assert per_tag == {"ACCEPT": 4, "ACCEPTED": 4, "DECIDE": 16}
+        assert leader_receipts == 4
+        assert {d.body[0] for d in wire} == {0}
 
-    def test_the_retired_pattern_cost_45_and_17(self, wire):
-        with flooding():
+    def test_a_value_appended_while_a_slot_is_open_rides_the_next_one(self, wire):
+        procs = make_processes(5)
+        pattern = failure_free(pset(procs))
+        cluster = ReplicatedLogCluster(pattern, pset(procs))
+        kernel = Kernel(pattern, cluster.automata, cluster.detectors, seed=1)
+        cluster.append(procs[0], "v0")
+        kernel.round()  # the leader opens slot 0 with what it holds
+        cluster.append(procs[0], "v1")
+        cluster.append(procs[0], "v2")
+        kernel.run(100, stop_when=lambda: kernel.buffer.in_transit() == 0)
+        assert {cluster.applied_at(p) for p in procs} == {("v0", "v1", "v2")}
+        decided = {d.body for d in wire if d.tag == "DECIDE"}
+        assert decided == {(0, ("v0",)), (1, ("v1", "v2"))}
+        assert len(wire) == 2 * 24
+
+    def test_one_value_a_slot_cost_24_and_4_per_append(self, wire):
+        with single_value_slots():
             per_tag, leader_receipts = self.ledger(wire)
         assert per_tag == {
-            "PREPARE": 5 * self.SLOTS,
-            "PROMISE": 5 * self.SLOTS,
-            "ACCEPT": 5 * self.SLOTS,
-            "ACCEPTED": 5 * self.SLOTS,
-            "DECIDE": 25 * self.SLOTS,
+            "ACCEPT": 4 * self.APPENDS,
+            "ACCEPTED": 4 * self.APPENDS,
+            "DECIDE": 16 * self.APPENDS,
         }
-        assert leader_receipts == 17 * self.SLOTS
+        assert leader_receipts == 4 * self.APPENDS
+
+    def test_the_retired_pattern_cost_45_and_17(self, wire):
+        with single_value_slots(), flooding():
+            per_tag, leader_receipts = self.ledger(wire)
+        assert per_tag == {
+            "PREPARE": 5 * self.APPENDS,
+            "PROMISE": 5 * self.APPENDS,
+            "ACCEPT": 5 * self.APPENDS,
+            "ACCEPTED": 5 * self.APPENDS,
+            "DECIDE": 25 * self.APPENDS,
+        }
+        assert leader_receipts == 17 * self.APPENDS
+
+
+class TestTheOraclesAreTheParents:
+    """Under the oracles, what earlier commits pinned comes back byte for byte."""
+
+    def test_single_value_slots_reproduce_the_pr20_goldens(self):
+        path = os.path.join(os.path.dirname(__file__), "replog3_pr20.json")
+        with open(path, encoding="utf-8") as fh:
+            retired = json.load(fh)
+        assert len(retired) == 20
+        with single_value_slots():
+            for key, run in kernel_scenarios():
+                if key in retired:
+                    kernel = run(scan=True)
+                    assert retired.pop(key) == {
+                        "outputs": canonical_hash(kernel_fingerprint(kernel)),
+                        "steps": sum(kernel.steps_taken.values()),
+                    }, key
+        assert not retired
+
+    def test_single_value_slots_reproduce_the_pr20_row_pin(self):
+        retired = "57a4cb6c286c15bbb71ba26f361f9fa7cb4e2ec435ba9c2ef77264a4493553b3"
+        spec = pipeline_rows.SPECS["disjoint-kernel-faulted"]
+        with single_value_slots():
+            assert pipeline_rows.row_digest(spec) == retired
 
 
 @pytest.mark.parametrize("label", ["disjoint-kernel-event", "disjoint-kernel-faulted"])
 def test_the_oracle_is_the_parents_protocol(label):
-    """Under the oracle the kernel row pins recorded before PR 20 come back."""
+    """Under both oracles the kernel row pins recorded before PR 20 come back."""
     retired = {
         "disjoint-kernel-event": "565dd5c108fd85a68b06640989e8bad4b2b2d480dbfae2ee034d51eb26abbf5f",
         "disjoint-kernel-faulted": "e69c4f191a6c4ddae53a3dfcfb6a961347289dd613e3ed7b0ce90423dca65e05",
     }
-    with flooding():
+    with single_value_slots(), flooding():
         assert pipeline_rows.row_digest(pipeline_rows.SPECS[label]) == retired[label]
 
 
@@ -461,3 +517,32 @@ def test_safe_and_as_live_as_the_retired_protocol(wire, cell):
     if parent.delivered_everywhere() and not parent.truncated:
         assert result.delivered_everywhere() and not result.truncated
         assert row["verdicts"]["termination"] == 0
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(cell=faulted_cells())
+def test_batched_slots_next_to_single_value_slots(cell):
+    _, spec = cell
+    result = run_scenario(spec)
+    logs = result.kernel.automata
+    longest = max((log.applied for log in logs.values()), key=len)
+    for p, log in logs.items():
+        # At most once, one order, and the batches are where it came from.
+        assert len(set(log.applied)) == len(log.applied)
+        assert log.applied == longest[: len(log.applied)]
+        flat = [v for batch in log.snapshot()["batches"] for v in batch]
+        assert list(dict.fromkeys(flat)) == log.applied
+        # Per-origin FIFO: a sender's ids are minted in append order.
+        own = [mid for mid in log.applied if mid.sender_index == p.index]
+        assert own == sorted(own)
+    with single_value_slots():
+        parent = run_scenario(spec)
+    if parent.delivered_everywhere():
+        assert result.delivered_everywhere()
+        for p in result.record.pattern.correct:
+            assert set(logs[p].applied) == set(parent.kernel.automata[p].applied)

@@ -96,7 +96,9 @@ PINS = {
     "disjoint-kernel-event": "7c62307a6641eb536d96198b5ac32b0828e63989eeabb96f89123933bb83ea12",
     "figure1-async-uniform": "19cddf8f1cb78edac2552afcafb381d71db48ca32accc59f681c22e50c1245ad",
     "figure1-engine-faulted": "af24c0da4e09f14cdeb3f4e4841996785e558ccf5a7563b919bf11d457a33c10",
-    "disjoint-kernel-faulted": "57a4cb6c286c15bbb71ba26f361f9fa7cb4e2ec435ba9c2ef77264a4493553b3",
+    # Re-recorded again in PR 21: a log slot decides a batch and a forwarded
+    # value joins the leader's queue (DESIGN.md §16).
+    "disjoint-kernel-faulted": "fbe654d979ac4f2921edf8fecd8fe4c9f965f1c7ad0469207285599b1f512ad7",
     "figure1-async-faulted": "bd8a0782274ea23b7181ea437f07604aabf1ddc0398557abac3b4b6a37a6c29c",
     "figure1-engine-truncated": "7a94fa6fbfba56f852611e35abad1680ba60cee084edc50caf23f822ff12bc90",
 }
