@@ -16,71 +16,39 @@ overhead of the approach.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Callable, List, Optional
 
+from repro.baselines.base import BaselineMulticast
 from repro.groups.topology import GroupTopology
-from repro.model.errors import SimulationError
 from repro.model.failures import FailurePattern, Time
-from repro.model.messages import MessageFactory, MulticastMessage
-from repro.model.processes import ProcessId
-from repro.model.runs import RunRecord
-from repro.runtime import system_scheduler
+from repro.model.messages import MulticastMessage
 
 
-class BroadcastMulticast:
+class BroadcastMulticast(BaselineMulticast):
     """Atomic multicast implemented over a global atomic broadcast.
 
-    Same client API shape as the genuine engine: ``multicast`` then
-    ``run``; the trace lands in ``record`` for the property checkers.
+    One global sequencer: each round drains one slot of the total order
+    (the atomic-broadcast ring's decision granularity), and the clock
+    advances even when nothing was proposed.
     """
 
     def __init__(
         self, topology: GroupTopology, pattern: FailurePattern, seed: int = 0
     ) -> None:
-        self.topology = topology
-        self.pattern = pattern
-        self.record = RunRecord(topology.processes, pattern)
-        self.factory = MessageFactory()
+        super().__init__(topology, pattern, seed)
         self._order: List[MulticastMessage] = []
         self._delivered_upto = 0
-        # One global sequencer actor: each round drains one slot of the
-        # total order (the atomic-broadcast ring's decision granularity).
-        self._scheduler = system_scheduler("abcast", self._advance, seed)
-        self.tracer = self._scheduler.tracer
 
-    @property
-    def time(self) -> Time:
-        return self._scheduler.time
-
-    @property
-    def last_run_quiescent(self) -> bool:
-        return self._scheduler.last_run_quiescent
-
-    def multicast(
-        self, src: ProcessId, group: str, payload: object = None
-    ) -> MulticastMessage:
-        """Broadcast ``payload``: it enters the global total order."""
-        if not self.pattern.is_alive(src, self.time):
-            raise SimulationError(f"{src} is crashed and cannot multicast")
-        g = self.topology.group(group)
-        if src not in g:
-            raise SimulationError(f"{src.name} does not belong to {group}")
-        message = self.factory.multicast(src, g.members, payload)
-        self.record.note_multicast(self.time, src, message)
+    def _admit(self, message: MulticastMessage) -> None:
+        """Broadcast: the message enters the global total order."""
         self._order.append(message)
-        return message
 
-    def tick(self) -> bool:
+    def _advance(self, t: Time) -> int:
         """Process the next message of the global order.
 
         Every alive process takes a step for it (the non-genuine cost);
-        destination members additionally deliver.  Returns whether a
-        message was processed; the clock advances either way (a slot of
-        the broadcast ring elapses even when nothing was proposed).
+        destination members additionally deliver.
         """
-        return self._scheduler.round() > 0
-
-    def _advance(self, t: Time) -> int:
         if self._delivered_upto >= len(self._order):
             return 0
         message = self._order[self._delivered_upto]
@@ -93,9 +61,11 @@ class BroadcastMulticast:
                 self.record.note_delivery(t, p, message)
         return 1
 
-    def run(self, max_rounds: int = 10_000) -> int:
+    def run(
+        self,
+        max_rounds: int = 10_000,
+        quiescent_rounds: int = 1,
+        stop_when: Optional[Callable[[], bool]] = None,
+    ) -> int:
         """Drain the global order; quiescent after one empty slot."""
-        return self._scheduler.run(max_rounds, quiescent_rounds=1).rounds
-
-    def delivered_at(self, p: ProcessId) -> Tuple[MulticastMessage, ...]:
-        return self.record.local_order(p)
+        return super().run(max_rounds, quiescent_rounds, stop_when)

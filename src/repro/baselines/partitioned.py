@@ -25,13 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.baselines.base import BaselineMulticast
 from repro.groups.topology import GroupTopology
-from repro.model.errors import SimulationError, TopologyError
+from repro.model.errors import TopologyError
 from repro.model.failures import FailurePattern, Time
-from repro.model.messages import MessageFactory, MulticastMessage
+from repro.model.messages import MulticastMessage
 from repro.model.processes import ProcessId, ProcessSet, pset
-from repro.model.runs import RunRecord
-from repro.runtime import system_scheduler
 
 #: A partitioned timestamp: (clock, partition index) — totally ordered.
 Stamp = Tuple[int, int]
@@ -45,7 +44,7 @@ class _Pending:
     final: Optional[Stamp] = None
 
 
-class PartitionedMulticast:
+class PartitionedMulticast(BaselineMulticast):
     """Genuine atomic multicast under the disjoint-partition assumption.
 
     Args:
@@ -60,8 +59,7 @@ class PartitionedMulticast:
         partitions: Sequence[ProcessSet],
         seed: int = 0,
     ) -> None:
-        self.topology = topology
-        self.pattern = pattern
+        super().__init__(topology, pattern, seed)
         self.partitions: Tuple[ProcessSet, ...] = tuple(
             pset(part) for part in partitions
         )
@@ -79,23 +77,9 @@ class PartitionedMulticast:
                 raise TopologyError(
                     f"group {g.name} is not a union of partitions"
                 )
-        self.record = RunRecord(topology.processes, pattern)
-        self.factory = MessageFactory()
         self._clocks: List[int] = [0] * len(self.partitions)
         self._pending: Dict[object, _Pending] = {}
         self._delivered: Set[Tuple[ProcessId, object]] = set()
-        # One actor for the whole partition mesh; partition liveness is
-        # checked inside the phases (the "logically correct entity").
-        self._scheduler = system_scheduler("partitioned", self._advance, seed)
-        self.tracer = self._scheduler.tracer
-
-    @property
-    def time(self) -> Time:
-        return self._scheduler.time
-
-    @property
-    def last_run_quiescent(self) -> bool:
-        return self._scheduler.last_run_quiescent
 
     # -- Helpers ---------------------------------------------------------------------
 
@@ -112,28 +96,12 @@ class PartitionedMulticast:
             for p in self.partitions[index]
         )
 
-    # -- Client interface ---------------------------------------------------------------
+    # -- Protocol ----------------------------------------------------------------------------
 
-    def multicast(
-        self, src: ProcessId, group: str, payload: object = None
-    ) -> MulticastMessage:
-        if not self.pattern.is_alive(src, self.time):
-            raise SimulationError(f"{src} is crashed and cannot multicast")
-        g = self.topology.group(group)
-        if src not in g:
-            raise SimulationError(f"{src.name} does not belong to {group}")
-        message = self.factory.multicast(src, g.members, payload)
-        self.record.note_multicast(self.time, src, message)
+    def _admit(self, message: MulticastMessage) -> None:
         self._pending[message.mid] = _Pending(
             message, self._partitions_of(message)
         )
-        return message
-
-    # -- Protocol ----------------------------------------------------------------------------
-
-    def tick(self) -> int:
-        """One protocol round (delegated to the shared scheduler)."""
-        return self._scheduler.round()
 
     def _advance(self, t: Time) -> int:
         fired = 0
@@ -198,10 +166,6 @@ class PartitionedMulticast:
                     return False
         return True
 
-    def run(self, max_rounds: int = 200) -> int:
-        """Run until two consecutive idle rounds (or ``max_rounds``)."""
-        return self._scheduler.run(max_rounds, quiescent_rounds=2).rounds
-
     def blocked_messages(self) -> Tuple[MulticastMessage, ...]:
         """Messages stuck behind a fully crashed partition."""
         return tuple(
@@ -209,6 +173,3 @@ class PartitionedMulticast:
             for pending in self._pending.values()
             if pending.final is None
         )
-
-    def delivered_at(self, p: ProcessId) -> Tuple[MulticastMessage, ...]:
-        return self.record.local_order(p)

@@ -22,13 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
+from repro.baselines.base import BaselineMulticast
 from repro.groups.topology import GroupTopology
-from repro.model.errors import SimulationError
 from repro.model.failures import FailurePattern, Time
-from repro.model.messages import MessageFactory, MulticastMessage
+from repro.model.messages import MulticastMessage
 from repro.model.processes import ProcessId
-from repro.model.runs import RunRecord
-from repro.runtime import system_scheduler
 
 #: A Skeen timestamp: (clock value, proposer index) — totally ordered.
 SkeenStamp = Tuple[int, int]
@@ -41,7 +39,7 @@ class _MessageState:
     final: Optional[SkeenStamp] = None
 
 
-class SkeenMulticast:
+class SkeenMulticast(BaselineMulticast):
     """Failure-free genuine atomic multicast (Skeen's protocol).
 
     ``run`` executes the three phases round by round; if a destination
@@ -53,44 +51,17 @@ class SkeenMulticast:
     def __init__(
         self, topology: GroupTopology, pattern: FailurePattern, seed: int = 0
     ) -> None:
-        self.topology = topology
-        self.pattern = pattern
-        self.record = RunRecord(topology.processes, pattern)
-        self.factory = MessageFactory()
+        super().__init__(topology, pattern, seed)
         self._clocks: Dict[ProcessId, int] = {
             p: 0 for p in topology.processes
         }
         self._states: Dict[object, _MessageState] = {}
         self._delivered: Set[Tuple[ProcessId, object]] = set()
-        # The whole protocol advances as one actor per round; crash
-        # filtering happens inside the phases (per destination member),
-        # so the actor itself is always schedulable.
-        self._scheduler = system_scheduler("skeen", self._advance, seed)
-        self.tracer = self._scheduler.tracer
 
-    @property
-    def time(self) -> Time:
-        return self._scheduler.time
-
-    @property
-    def last_run_quiescent(self) -> bool:
-        return self._scheduler.last_run_quiescent
-
-    # -- Client interface ---------------------------------------------------------
-
-    def multicast(
-        self, src: ProcessId, group: str, payload: object = None
-    ) -> MulticastMessage:
-        if not self.pattern.is_alive(src, self.time):
-            raise SimulationError(f"{src} is crashed and cannot multicast")
-        g = self.topology.group(group)
-        if src not in g:
-            raise SimulationError(f"{src.name} does not belong to {group}")
-        message = self.factory.multicast(src, g.members, payload)
-        self.record.note_multicast(self.time, src, message)
+    def _admit(self, message: MulticastMessage) -> None:
+        """Phase 1: the sender sends the message to its group."""
         self._states[message.mid] = _MessageState(message)
-        self.record.note_step(self.time, src, received="skeen.send")
-        return message
+        self.record.note_step(self.time, message.src, received="skeen.send")
 
     # -- Protocol phases --------------------------------------------------------------
 
@@ -140,10 +111,6 @@ class SkeenMulticast:
                 return False
         return True
 
-    def tick(self) -> int:
-        """One protocol round (delegated to the shared scheduler)."""
-        return self._scheduler.round()
-
     def _advance(self, t: Time) -> int:
         fired = 0
         for state in list(self._states.values()):
@@ -168,10 +135,6 @@ class SkeenMulticast:
                     fired += 1
         return fired
 
-    def run(self, max_rounds: int = 200) -> int:
-        """Run until two consecutive idle rounds (or ``max_rounds``)."""
-        return self._scheduler.run(max_rounds, quiescent_rounds=2).rounds
-
     # -- Introspection --------------------------------------------------------------------
 
     def blocked_messages(self) -> Tuple[MulticastMessage, ...]:
@@ -187,6 +150,3 @@ class SkeenMulticast:
             if expected - got:
                 blocked.append(state.message)
         return tuple(blocked)
-
-    def delivered_at(self, p: ProcessId) -> Tuple[MulticastMessage, ...]:
-        return self.record.local_order(p)

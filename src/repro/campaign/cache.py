@@ -33,10 +33,9 @@ grid indices so they can be merged by concatenation.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro._content import entry_path, read_entry, write_entry
 from repro.workloads.runner import scenario_cache_key
 from repro.workloads.spec import ScenarioSpec
 
@@ -50,10 +49,9 @@ CACHE_SCHEMA_VERSION = 2
 class CampaignCache:
     """A content-addressed store of finished sweep rows.
 
-    One file per cell, ``<root>/<key[:2]>/<key>.json``, holding the row
+    One file per cell (layout: :mod:`repro._content`), holding the row
     minus its grid ``index`` (the index describes the row's position in
-    one particular campaign, not the cell's identity).  The two-level
-    fan-out keeps directories small on million-cell sweeps.
+    one particular campaign, not the cell's identity).
 
     Attributes:
         root: the cache directory (created lazily on first store).
@@ -75,8 +73,7 @@ class CampaignCache:
 
     def path_for(self, spec: ScenarioSpec) -> str:
         """Where the cell's row lives (whether or not it exists yet)."""
-        key = self.key_for(spec)
-        return os.path.join(self.root, key[:2], key + ".json")
+        return entry_path(self.root, self.key_for(spec))
 
     # -- Lookup ------------------------------------------------------------
 
@@ -88,12 +85,7 @@ class CampaignCache:
         re-labelled from the live spec so the replayed row is
         byte-identical to what executing this spec would have produced.
         """
-        try:
-            with open(self.path_for(spec), encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
+        entry = read_entry(self.path_for(spec))
         row = entry.get("row") if isinstance(entry, dict) else None
         if (
             not isinstance(row, dict)
@@ -119,18 +111,15 @@ class CampaignCache:
         """
         if row.get("status") != "ok":
             return False
-        path = self.path_for(spec)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        body = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "key": self.key_for(spec),
-            "row": {k: v for k, v in row.items() if k != "index"},
-        }
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            # ``dumps``, not ``dump``: same bytes, through the C encoder.
-            fh.write(json.dumps(body, sort_keys=True, default=str) + "\n")
-        os.replace(tmp, path)
+        key = self.key_for(spec)
+        write_entry(
+            entry_path(self.root, key),
+            {
+                "schema": CACHE_SCHEMA_VERSION,
+                "key": key,
+                "row": {k: v for k, v in row.items() if k != "index"},
+            },
+        )
         self.stored += 1
         return True
 

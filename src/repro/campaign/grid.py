@@ -14,12 +14,11 @@ same content hashes and — executed by :func:`repro.campaign.run_campaign`
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
+from repro._content import content_hash
 from repro.faults.plan import FaultPlan
 from repro.groups.topology import GroupTopology
 from repro.model.failures import FailurePattern, Time
@@ -282,7 +281,4 @@ class Campaign:
 
     def campaign_hash(self) -> str:
         """Content address of the whole grid (sha256 hex)."""
-        canonical = json.dumps(
-            self.to_json(), sort_keys=True, separators=(",", ":"), default=str
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return content_hash(self.to_json())

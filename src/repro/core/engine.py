@@ -62,7 +62,7 @@ from repro.model.messages import MessageFactory, MulticastMessage
 from repro.model.processes import ProcessId, ProcessSet
 from repro.model.runs import RunRecord
 from repro.objects.space import ObjectSpace
-from repro.runtime import Scheduler, SharedObjectActor
+from repro.runtime import RoundHost, Scheduler, SharedObjectActor
 
 #: An auxiliary per-process action source (e.g. the Prop. 1 reduction):
 #: called as ``component(pid, t)`` and returns the number of actions fired.
@@ -71,7 +71,7 @@ Component = Callable[[ProcessId, Time], int]
 __all__ = ["Component", "MulticastSystem"]
 
 
-class MulticastSystem:
+class MulticastSystem(RoundHost):
     """One deployment of Algorithm 1 over a topology and failure pattern.
 
     The ``multicast`` method is the *group-sequential* interface (the
@@ -115,7 +115,7 @@ class MulticastSystem:
         if injector is not None:
             gamma_lag = gamma_lag + injector.extra_gamma_lag()
         self.record = RunRecord(topology.processes, pattern)
-        self.tracer = TraceRecorder()
+        tracer = TraceRecorder()
         #: Wake index: shared-object name -> processes that read it.
         self._wake_index: Dict[str, FrozenSet[ProcessId]] = (
             self._build_wake_index(topology)
@@ -159,12 +159,11 @@ class MulticastSystem:
                 on_deliver=self._on_deliver,
                 variant=variant,
                 indicators=self.indicators,
-                stats=self.tracer,
+                stats=tracer,
             )
             for p in sorted(topology.processes)
         }
         self._components: List[Component] = []
-        self._rng = random.Random(seed)
         if injector is not None:
             # Late-Omega windows: postpone leader stabilization before
             # the settle horizon is computed, so quiescence detection
@@ -174,7 +173,12 @@ class MulticastSystem:
         # Last alive-set change: the final crash, or (under the
         # crash–recovery overlay) the final rejoin if later.
         last_change = max(pattern.change_instants(), default=0)
-        self._settle_time: Time = (
+        # The time by which all detector outputs have stabilized: the
+        # last crash plus the gamma and indicator detection lags, *and*
+        # the Omega stabilization time — actions blocked on the §4.3
+        # consensus construction only re-enable once the leader oracles
+        # have settled (see :meth:`consensus_ok`).
+        settle_time: Time = (
             max(
                 last_change + gamma_lag + indicator_lag,
                 self.mu.omega_settle_time(),
@@ -182,32 +186,20 @@ class MulticastSystem:
             )
             + 1
         )
-        self._scheduler: Scheduler = Scheduler(
-            {p: SharedObjectActor(self, p) for p in sorted(topology.processes)},
-            rng=self._rng,
-            tracer=self.tracer,
-            is_alive=pattern.is_alive,
-            settle_horizon=lambda: self._settle_time,
-            responders=frozenset(
-                p for p in topology.processes if pattern.is_alive(p, 0)
-            ),
-            injector=injector,
-            alive_instants=pattern.change_instants(),
+        super().__init__(
+            scheduler=Scheduler(
+                {p: SharedObjectActor(self, p) for p in sorted(topology.processes)},
+                rng=random.Random(seed),
+                tracer=tracer,
+                is_alive=pattern.is_alive,
+                settle_horizon=lambda: settle_time,
+                responders=frozenset(
+                    p for p in topology.processes if pattern.is_alive(p, 0)
+                ),
+                injector=injector,
+                alive_instants=pattern.change_instants(),
+            )
         )
-
-    # -- Scheduler delegation -------------------------------------------------
-
-    @property
-    def time(self) -> Time:
-        """The global round clock (owned by the shared scheduler)."""
-        return self._scheduler.time
-
-    @property
-    def last_run_quiescent(self) -> bool:
-        """Whether the most recent :meth:`run` ended in quiescence (True)
-        or by exhausting its round budget (False).  True before any
-        :meth:`run` call — nothing has been cut short yet."""
-        return self._scheduler.last_run_quiescent
 
     @property
     def _active(self) -> FrozenSet[ProcessId]:
@@ -350,31 +342,12 @@ class MulticastSystem:
         responders: Optional[ProcessSet] = None,
         action_budget: Optional[int] = None,
     ) -> int:
-        """One round: advance the clock, let live processes act.
-
-        ``participation`` restricts who *acts* this round; ``responders``
-        (defaulting to the participation set) restricts who may answer
-        quorum requests — CHT-style simulated runs schedule one actor per
-        step while the other scheduled processes still serve quorums.
-        ``action_budget`` caps actions per process per round (finest
-        interleaving = 1, used by latency measurements).  Returns the
-        number of actions fired across the system.
-
-        The per-round contract itself (clock, filtering, shuffle,
-        dispatch, tracer accounting) lives in the shared
-        :class:`repro.runtime.Scheduler`; this is a thin delegation.
+        """One round: advance the clock, let live processes act; returns
+        the number of actions fired across the system.  The arguments
+        and the per-round contract are :meth:`repro.runtime.Scheduler.round`'s
+        (``action_budget=1`` is what latency measurements use).
         """
         return self._scheduler.round(participation, responders, action_budget)
-
-    def settle_horizon(self) -> Time:
-        """A time by which all detector outputs have stabilized.
-
-        Covers the last crash plus the gamma and indicator detection
-        lags, *and* the Omega stabilization time: actions blocked on the
-        §4.3 consensus construction only re-enable once the leader
-        oracles have settled (see :meth:`consensus_ok`).
-        """
-        return self._settle_time
 
     def run(
         self,
@@ -383,15 +356,11 @@ class MulticastSystem:
         quiescent_rounds: int = 2,
         stop_when: Optional[Callable[[], bool]] = None,
     ) -> int:
-        """Run rounds until quiescence (or ``max_rounds``).
-
-        Quiescence requires ``quiescent_rounds`` consecutive idle rounds
-        *after* the detector settle horizon, since actions blocked on
-        ``gamma``, an indicator or an unstable Omega may re-enable when
-        the detectors settle.  ``stop_when`` is evaluated after every
-        round and cuts the run short without claiming quiescence (the
-        stall watchdog plugs in here).  Returns the number of rounds
-        executed; :attr:`last_run_quiescent` reports how the run ended.
+        """Run rounds until quiescence (or ``max_rounds``) — see
+        :meth:`repro.runtime.Scheduler.run`; here the settle horizon
+        covers ``gamma``, the indicators and Omega.  Returns the number
+        of rounds executed; :attr:`last_run_quiescent` reports how the
+        run ended.
         """
         outcome = self._scheduler.run(
             max_rounds, participation, quiescent_rounds, stop_when=stop_when

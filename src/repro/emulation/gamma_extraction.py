@@ -22,9 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.core.engine import MulticastSystem
-from repro.core.group_sequential import AtomicMulticast
-from repro.detectors.base import FailureDetector
+from repro.emulation.extraction import Extraction, _SubRun
 from repro.groups.families import (
     ClosedPath,
     cpaths,
@@ -34,10 +32,9 @@ from repro.groups.families import (
 from repro.groups.topology import Group, GroupFamily, GroupTopology
 from repro.model.failures import FailurePattern, Time
 from repro.model.processes import ProcessId, ProcessSet, pset
-from repro.runtime import system_scheduler
 
 
-class _PathInstance:
+class _PathInstance(_SubRun):
     """The per-path state: instance ``A_π`` plus the chain bookkeeping."""
 
     def __init__(
@@ -56,35 +53,30 @@ class _PathInstance:
         members: Set[ProcessId] = set()
         for g in family:
             members |= set(g.members)
-        #: line 2: everyone in the family except the wrap edge.
-        self.participants: ProcessSet = pset(members - wrap)
-        self.system = MulticastSystem(topology, pattern, seed=seed)
-        self.multicaster = AtomicMulticast(self.system)
-        self._started = False
+        #: line 2: everyone in the family except the wrap edge takes
+        #: part; lines 4-5: the first intersection multicasts stage 0.
+        participants = pset(members - wrap)
+        super().__init__(
+            topology,
+            pattern,
+            seed,
+            path[0],
+            participants,
+            starters=path[0].intersection(path[1]) & participants,
+            payload=("chain", 0),
+        )
         #: Stages whose relay multicast was already issued per process.
         self._relayed: Set[Tuple[ProcessId, int]] = set()
         #: Delivered stages observed per process (for the signal action).
         self._signalled: Set[Tuple[ProcessId, int]] = set()
 
-    def start(self) -> None:
-        """Lines 4-5: the first intersection multicasts stage 0."""
-        starters = self.path[0].intersection(self.path[1])
-        for p in sorted(starters & self.participants):
-            if self.system.is_alive(p):
-                self.multicaster.multicast(
-                    p, self.path[0].name, payload=("chain", 0)
-                )
-        self._started = True
-
-    def tick(self) -> int:
+    def tick(self) -> List[Tuple[ProcessId, int]]:
         """Advance the instance one round; return new signals.
 
         A *signal* is a pair ``(p, i)``: process ``p`` observed the
         delivery of stage ``i`` and belongs to ``π[i+1]`` (line 8).
         """
-        if not self._started:
-            self.start()
-        self.system.tick(participation=self.participants)
+        super().tick()
         signals: List[Tuple[ProcessId, int]] = []
         for p in sorted(self.participants):
             for message in self.system.record.local_order(p):
@@ -112,7 +104,7 @@ class _PathInstance:
         return signals
 
 
-class GammaExtraction(FailureDetector):
+class GammaExtraction(Extraction):
     """The emulated cyclicity detector (Algorithm 3).
 
     Notifications ``send(π, i) to f`` are modelled as reliable broadcasts
@@ -127,11 +119,7 @@ class GammaExtraction(FailureDetector):
         pattern: FailurePattern,
         seed: int = 0,
     ) -> None:
-        super().__init__()
-        self.topology = topology
-        self.pattern = pattern
-        self._scheduler = system_scheduler("gamma-extraction", self._advance, seed)
-        self.tracer = self._scheduler.tracer
+        super().__init__(topology, pattern, seed)
         self._instances: Dict[ClosedPath, _PathInstance] = {}
         self._family_of: Dict[ClosedPath, GroupFamily] = {}
         for family in topology.cyclic_families():
@@ -150,15 +138,8 @@ class GammaExtraction(FailureDetector):
 
     # -- Execution ----------------------------------------------------------------
 
-    @property
-    def time(self) -> Time:
-        return self._scheduler.time
-
-    def tick(self) -> None:
-        """One global round: instances advance, notifications travel."""
-        self._scheduler.round()
-
     def _advance(self, t: Time) -> int:
+        """One global round: notifications travel, instances advance."""
         # Deliver due notifications to live recipients.
         still_flying = []
         for due, recipients, path, stage in self._in_flight:
@@ -179,10 +160,6 @@ class GammaExtraction(FailureDetector):
                     (t + 1, pset(members), path, stage)
                 )
         return 1
-
-    def run(self, rounds: int) -> None:
-        """Advance exactly ``rounds`` global rounds (fixed budget)."""
-        self._scheduler.run(rounds, halt_on_quiescence=False)
 
     # -- The update rule (lines 11-13) ------------------------------------------------
 

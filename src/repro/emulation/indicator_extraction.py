@@ -14,17 +14,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.engine import MulticastSystem
-from repro.core.group_sequential import AtomicMulticast
-from repro.detectors.base import FailureDetector
-from repro.groups.topology import Group, GroupTopology
+from repro.emulation.extraction import Extraction, _SubRun
+from repro.groups.topology import GroupTopology
 from repro.model.errors import DetectorError
 from repro.model.failures import FailurePattern, Time
 from repro.model.processes import ProcessId, ProcessSet, pset
-from repro.runtime import system_scheduler
 
 
-class IndicatorExtraction(FailureDetector):
+class IndicatorExtraction(Extraction):
     """The emulated ``1^{g∩h}`` (Algorithm 4).
 
     Attributes:
@@ -42,30 +39,27 @@ class IndicatorExtraction(FailureDetector):
         h_name: str,
         seed: int = 0,
     ) -> None:
-        super().__init__()
-        self.topology = topology
-        self.pattern = pattern
+        super().__init__(topology, pattern, seed)
         self.g = topology.group(g_name)
         self.h = topology.group(h_name)
         self.watched: ProcessSet = self.g.intersection(self.h)
         if not self.watched:
             raise DetectorError("the two groups must intersect")
-        self._scheduler = system_scheduler(
-            "indicator-extraction", self._advance, seed
-        )
-        self.tracer = self._scheduler.tracer
-        #: line 2: B = A_g at g \ h, A_h at h \ g, bottom inside g ∩ h.
-        self._sides: List[Tuple[Group, ProcessSet, MulticastSystem, AtomicMulticast]] = []
-        for group, other in ((self.g, self.h), (self.h, self.g)):
-            participants = pset(group.members - other.members)
-            system = MulticastSystem(
-                topology, pattern, variant="strict", seed=seed
+        #: line 2: B = A_g at g \ h, A_h at h \ g, bottom inside g ∩ h;
+        #: lines 4-5: each side's members multicast their identities.
+        self._sides: List[_SubRun] = [
+            _SubRun(
+                topology,
+                pattern,
+                seed + index,
+                group,
+                pset(group.members - other.members),
+                variant="strict",
             )
-            seed += 1
-            self._sides.append(
-                (group, participants, system, AtomicMulticast(system))
+            for index, (group, other) in enumerate(
+                ((self.g, self.h), (self.h, self.g))
             )
-        self._started = False
+        ]
         #: Per-process failed flag (line 3).
         self._failed: Dict[ProcessId, bool] = {
             p: False for p in topology.processes
@@ -73,25 +67,8 @@ class IndicatorExtraction(FailureDetector):
         #: Failed broadcasts in flight: (deliver_at, recipient).
         self._in_flight: List[Tuple[Time, ProcessId]] = []
 
-    def _start(self) -> None:
-        """Lines 4-5: each side multicasts the members' identities."""
-        for group, participants, system, multicaster in self._sides:
-            for p in sorted(participants):
-                if system.is_alive(p):
-                    multicaster.multicast(p, group.name, payload=p)
-        self._started = True
-
-    @property
-    def time(self) -> Time:
-        return self._scheduler.time
-
-    def tick(self) -> None:
-        """One round: both side instances advance; flags propagate."""
-        self._scheduler.round()
-
     def _advance(self, t: Time) -> int:
-        if not self._started:
-            self._start()
+        """One round: flags propagate; both side instances advance."""
         still_flying = []
         for due, recipient in self._in_flight:
             if due > t:
@@ -100,19 +77,15 @@ class IndicatorExtraction(FailureDetector):
                 self._failed[recipient] = True
         self._in_flight = still_flying
         everyone = pset(self.g.members | self.h.members)
-        for group, participants, system, multicaster in self._sides:
-            system.tick(participation=participants)
-            for p in participants:
-                if system.record.local_order(p) and not self._failed[p]:
+        for side in self._sides:
+            side.tick()
+            for p in side.participants:
+                if side.delivered_at(p) and not self._failed[p]:
                     # line 6-7: delivery observed -> send failed to g ∪ h.
                     self._failed[p] = True
                     for q in everyone:
                         self._in_flight.append((t + 1, q))
         return 1
-
-    def run(self, rounds: int) -> None:
-        """Advance exactly ``rounds`` global rounds (fixed budget)."""
-        self._scheduler.run(rounds, halt_on_quiescence=False)
 
     def query(self, p: ProcessId, t: Time) -> bool:
         """Lines 10-11: the local failed flag."""

@@ -40,12 +40,12 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.engine import MulticastSystem
 from repro.core.group_sequential import AtomicMulticast
-from repro.detectors.base import BOTTOM, FailureDetector
+from repro.detectors.base import BOTTOM
+from repro.emulation.extraction import Extraction
 from repro.groups.topology import Group, GroupTopology
 from repro.model.errors import DetectorError
 from repro.model.failures import FailurePattern, Time, failure_free
 from repro.model.processes import ProcessId, ProcessSet, pset
-from repro.runtime import system_scheduler
 
 #: A configuration: per member of g∩h (sorted), the group it multicasts to.
 Config = Tuple[str, ...]
@@ -54,7 +54,7 @@ Config = Tuple[str, ...]
 Schedule = Tuple[ProcessId, ...]
 
 
-class OmegaExtraction(FailureDetector):
+class OmegaExtraction(Extraction):
     """The emulated ``Omega_{g∩h}`` (Algorithm 5).
 
     Attributes:
@@ -74,9 +74,7 @@ class OmegaExtraction(FailureDetector):
         seed: int = 0,
         max_depth: int = 6,
     ) -> None:
-        super().__init__()
-        self.topology = topology
-        self.pattern = pattern
+        super().__init__(topology, pattern, seed)
         self.g = topology.group(g_name)
         self.h = topology.group(h_name)
         self.scope: ProcessSet = self.g.intersection(self.h)
@@ -88,8 +86,6 @@ class OmegaExtraction(FailureDetector):
         )
         self.seed = seed
         self.max_depth = max_depth
-        self._scheduler = system_scheduler("omega-extraction", self._advance, seed)
-        self.tracer = self._scheduler.tracer
         #: Sample counts per process (the DAG's occurrence record).
         self._samples: Dict[ProcessId, int] = {p: 0 for p in self.actors}
         #: Sample counts as of two rounds ago, to detect stalling.
@@ -104,15 +100,8 @@ class OmegaExtraction(FailureDetector):
 
     # -- Sample -----------------------------------------------------------------
 
-    @property
-    def time(self) -> Time:
-        return self._scheduler.time
-
-    def tick(self) -> None:
-        """One collaborative sampling round (the *Sample* procedure)."""
-        self._scheduler.round()
-
     def _advance(self, t: Time) -> int:
+        """One collaborative sampling round (the *Sample* procedure)."""
         marks = dict(self._samples)
         for p in self.actors:
             if self.pattern.is_alive(p, t):
@@ -121,10 +110,6 @@ class OmegaExtraction(FailureDetector):
         if len(self._history_marks) > 3:
             self._history_marks.pop(0)
         return 1
-
-    def run(self, rounds: int) -> None:
-        """Advance exactly ``rounds`` sampling rounds (fixed budget)."""
-        self._scheduler.run(rounds, halt_on_quiescence=False)
 
     def _alive_view(self) -> FrozenSet[ProcessId]:
         """Processes whose samples are still growing.

@@ -20,52 +20,16 @@ from __future__ import annotations
 import itertools
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.core.engine import MulticastSystem
-from repro.core.group_sequential import AtomicMulticast
-from repro.detectors.base import BOTTOM, FailureDetector
+from repro.detectors.base import BOTTOM
+from repro.emulation.extraction import Extraction, _SubRun
 from repro.emulation.heartbeats import HeartbeatRanking
 from repro.groups.topology import Group, GroupTopology
 from repro.model.errors import DetectorError
 from repro.model.failures import FailurePattern, Time
 from repro.model.processes import ProcessId, ProcessSet, pset
-from repro.runtime import system_scheduler
 
 
-class _Instance:
-    """One instance ``A_{g,x}``: a full deployment restricted to ``x``."""
-
-    def __init__(
-        self,
-        topology: GroupTopology,
-        pattern: FailurePattern,
-        group: Group,
-        participants: ProcessSet,
-        seed: int,
-    ) -> None:
-        self.group = group
-        self.participants = participants
-        self.system = MulticastSystem(topology, pattern, seed=seed)
-        self.multicaster = AtomicMulticast(self.system)
-        self._started = False
-
-    def start(self) -> None:
-        """Line 5-7: every participant multicasts its identity."""
-        for p in sorted(self.participants):
-            if self.system.is_alive(p):
-                self.multicaster.multicast(p, self.group.name, payload=p)
-        self._started = True
-
-    def tick(self) -> None:
-        if not self._started:
-            self.start()
-        self.system.tick(participation=self.participants)
-
-    def delivered_at(self, p: ProcessId) -> bool:
-        """Whether ``A_{g,x}`` delivered some identity at ``p``."""
-        return bool(self.system.record.local_order(p))
-
-
-class SigmaExtraction(FailureDetector):
+class SigmaExtraction(Extraction):
     """The emulated ``Sigma_{∩_{g∈G} g}`` (Algorithm 2).
 
     Attributes:
@@ -84,11 +48,9 @@ class SigmaExtraction(FailureDetector):
         seed: int = 0,
         max_subset_size: Optional[int] = None,
     ) -> None:
-        super().__init__()
+        super().__init__(topology, pattern, seed)
         if not 1 <= len(group_names) <= 2:
             raise DetectorError("Algorithm 2 takes one or two groups")
-        self.topology = topology
-        self.pattern = pattern
         self.groups: Tuple[Group, ...] = tuple(
             topology.group(name) for name in group_names
         )
@@ -99,39 +61,28 @@ class SigmaExtraction(FailureDetector):
             raise DetectorError("the groups of G must intersect")
         self.scope: ProcessSet = pset(scope)
         self.ranking = HeartbeatRanking(pattern)
-        self._scheduler = system_scheduler("sigma-extraction", self._advance, seed)
-        self.tracer = self._scheduler.tracer
-        #: All instances A_{g,x}, keyed by (group, participant set).
-        self._instances: Dict[Tuple[Group, ProcessSet], _Instance] = {}
+        #: All instances A_{g,x} — a full deployment restricted to x, in
+        #: which every participant multicasts its identity (lines 5-7) —
+        #: keyed by (group, participant set).
+        self._instances: Dict[Tuple[Group, ProcessSet], _SubRun] = {}
         for g in self.groups:
             members = sorted(g.members)
             limit = max_subset_size or len(members)
             for size in range(1, min(limit, len(members)) + 1):
                 for combo in itertools.combinations(members, size):
                     x = pset(combo)
-                    self._instances[(g, x)] = _Instance(
-                        topology, pattern, g, x, seed=seed + len(self._instances)
+                    self._instances[(g, x)] = _SubRun(
+                        topology, pattern, seed + len(self._instances), g, x
                     )
 
     # -- Execution -------------------------------------------------------------
 
-    @property
-    def time(self) -> Time:
-        return self._scheduler.time
-
-    def tick(self) -> None:
-        """One global round: every instance advances, heartbeats beat."""
-        self._scheduler.round()
-
     def _advance(self, t: Time) -> int:
+        """One global round: heartbeats beat, every instance advances."""
         self.ranking.advance(t)
         for instance in self._instances.values():
             instance.tick()
         return 1
-
-    def run(self, rounds: int) -> None:
-        """Advance exactly ``rounds`` global rounds (fixed budget)."""
-        self._scheduler.run(rounds, halt_on_quiescence=False)
 
     # -- The emulated detector ---------------------------------------------------
 

@@ -16,8 +16,8 @@ coverage everybody reproduces.  Counts accumulate over every evaluated
 run, not just admitted entries — a fingerprint that every random draw
 hits decays toward zero energy even though some corpus entry owns it.
 
-Persistence is one JSON file per entry under the corpus root (same
-two-level fan-out and atomic-write discipline as the campaign cache).
+Persistence is one JSON file per entry under the corpus root (the
+campaign cache's layout, :mod:`repro._content`).
 Global fingerprint counts are rebuilt from the entries on load; counts
 contributed by *rejected* runs are not persisted, so a reloaded corpus
 starts with slightly flatter energies than the live one had.  That is a
@@ -27,12 +27,12 @@ evaluation instead of one per admission.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
+from repro._content import entry_path, read_entry, write_entry
 from repro.explore.coverage import coverage_of
 from repro.workloads.runner import scenario_cache_key
 from repro.workloads.spec import ScenarioSpec
@@ -100,8 +100,7 @@ class Corpus:
     # -- Persistence -------------------------------------------------------
 
     def _path(self, key: str) -> str:
-        assert self.root is not None
-        return os.path.join(self.root, key[:2], key + ".json")
+        return entry_path(self.root, key)
 
     def _load(self, root: str) -> None:
         for shard in sorted(os.listdir(root)):
@@ -111,30 +110,23 @@ class Corpus:
             for name in sorted(os.listdir(shard_dir)):
                 if not name.endswith(".json"):
                     continue
+                data = read_entry(os.path.join(shard_dir, name))
+                if (
+                    not isinstance(data, dict)
+                    or data.get("schema") != CORPUS_SCHEMA_VERSION
+                ):
+                    continue
                 try:
-                    with open(
-                        os.path.join(shard_dir, name), encoding="utf-8"
-                    ) as fh:
-                        data = json.load(fh)
-                    if data.get("schema") != CORPUS_SCHEMA_VERSION:
-                        continue
                     entry = CorpusEntry.from_json(data)
-                except (OSError, ValueError, KeyError):
+                except (ValueError, KeyError):
                     continue  # corruption is a missing entry, never a crash
                 self.entries[entry.key] = entry
                 for fp in entry.fingerprints:
                     self.counts[fp] = self.counts.get(fp, 0) + 1
 
     def _persist(self, entry: CorpusEntry) -> None:
-        if self.root is None:
-            return
-        path = self._path(entry.key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry.to_json(), fh, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
+        if self.root is not None:
+            write_entry(self._path(entry.key), entry.to_json())
 
     # -- Admission ---------------------------------------------------------
 

@@ -12,11 +12,11 @@ closes the gap:
   to one run, consulted by the scheduler (churn), the message buffer
   (link faults), the kernel's detector modules and the engine's quorum
   guard (detector noise), with a post-run admissibility audit;
-* :mod:`repro.faults.nemesis` — seeded random plan generation and the
-  nemesis campaign grid (imported lazily: it depends on the workloads
-  and campaign layers, which in turn import :mod:`repro.faults.plan`);
+* :mod:`repro.faults.nemesis` — seeded random plan generation from
+  the named mixes;
 * :mod:`repro.faults.shrink` — the ddmin counterexample shrinker and
-  self-contained repro files (lazy for the same reason).
+  self-contained repro files (imported lazily: it depends on the
+  workloads layer, which in turn imports :mod:`repro.faults.plan`).
 
 Import :class:`FaultPlan`/:class:`FaultInjector` from here; import the
 harnesses from their submodules (``repro.faults.nemesis``,

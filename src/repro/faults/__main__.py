@@ -98,26 +98,29 @@ def matrix_specs(
     return specs
 
 
+def shrink_demo_spec() -> ScenarioSpec:
+    """The spec ``--shrink-demo`` minimizes under the broadcast harness."""
+    return ScenarioSpec(
+        topology=TopologySpec.capture(disjoint_topology(2, group_size=3)),
+        # One send, one destination group: every step g2 takes for it is
+        # non-genuine, so the baseline's Minimality violation is intrinsic.
+        sends=(Send(1, "g1", 0),),
+        faults=random_plan(7, "full", process_count=6, groups=("g1", "g2")),
+        name="broadcast-baseline",
+    )
+
+
 def shrink_demo(out: str = "") -> int:
     """Minimize a violating plan against the broadcast baseline."""
     from repro.faults.shrink import (
-        harness_violates,
         repro_payload,
         replay_repro,
         shrink_plan,
         write_repro,
     )
 
-    topology = TopologySpec.capture(disjoint_topology(2, group_size=3))
-    plan = random_plan(7, "full", process_count=6, groups=("g1", "g2"))
-    spec = ScenarioSpec(
-        topology=topology,
-        # One send, one destination group: every step g2 takes for it is
-        # non-genuine, so the baseline's Minimality violation is intrinsic.
-        sends=(Send(1, "g1", 0),),
-        faults=plan,
-        name="broadcast-baseline",
-    )
+    spec = shrink_demo_spec()
+    plan = spec.faults
     minimal, shrinker = shrink_plan(spec, harness="broadcast")
     payload = repro_payload(
         spec, minimal, plan, harness="broadcast", shrinker=shrinker

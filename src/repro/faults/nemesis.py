@@ -19,9 +19,8 @@ pinned to full scopes).
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.model.errors import ModelError
@@ -31,53 +30,6 @@ from repro.model.errors import ModelError
 #: seeded draw streams byte-identical (each name seeds its own RNG), so
 #: every frozen plan hash of the old mixes survives the new kinds.
 MIXES = ("links", "detectors", "full", "recovery", "chaos")
-
-#: The event families a *weighted* mix draws from (see
-#: :func:`random_plan`'s ``weights``): the named-mix families plus
-#: ``"crashes"``, which named mixes only reach via ``with_crashes``,
-#: and ``"recovery"`` (partition / crash-recover / flaky-link events).
-FAMILIES = ("links", "detectors", "schedule", "crashes", "recovery")
-
-
-def normalize_weights(
-    weights: Mapping[str, float]
-) -> Dict[str, float]:
-    """Validate a family-weight mapping and normalize it to sum 1, once.
-
-    Rejects unknown families, non-numeric, negative, NaN and infinite
-    weights, and all-zero mappings — a malformed weight must fail loudly
-    at plan-draw time, not silently skew a corpus.  The result is the
-    canonical form :func:`random_plan` seeds its RNG stream from, so two
-    weight mappings that normalize equal draw identical plans.
-    """
-    if not weights:
-        raise ModelError("nemesis weights: empty mapping")
-    normalized: Dict[str, float] = {}
-    for family in sorted(weights):
-        if family not in FAMILIES:
-            raise ModelError(
-                f"nemesis weights: unknown family {family!r}; "
-                f"pick from {FAMILIES}"
-            )
-        value = weights[family]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ModelError(
-                f"nemesis weights: {family} weight {value!r} is not a number"
-            )
-        value = float(value)
-        if math.isnan(value) or math.isinf(value):
-            raise ModelError(
-                f"nemesis weights: {family} weight {value!r} is not finite"
-            )
-        if value < 0:
-            raise ModelError(
-                f"nemesis weights: {family} weight {value} is negative"
-            )
-        normalized[family] = value
-    total = sum(normalized.values())
-    if total <= 0:
-        raise ModelError("nemesis weights: all weights are zero")
-    return {family: value / total for family, value in normalized.items()}
 
 
 def _link_events(
@@ -154,7 +106,7 @@ def _detector_events(
 def _schedule_events(
     rng: random.Random, process_count: int, horizon: int
 ) -> List[FaultEvent]:
-    """Participation churn (and, sparingly, a staggered crash burst)."""
+    """Participation churn."""
     events: List[FaultEvent] = []
     if process_count >= 2 and rng.random() < 0.6:
         victim = rng.randint(1, process_count)
@@ -166,24 +118,6 @@ def _schedule_events(
             )
         )
     return events
-
-
-def _crash_events(
-    rng: random.Random, process_count: int, horizon: int
-) -> List[FaultEvent]:
-    """A single staggered crash burst (admissible: §5.2 environments
-    are closed under extra crashes)."""
-    if process_count < 3:
-        return []
-    victim = rng.randint(1, process_count)
-    return [
-        FaultEvent(
-            kind="crash_burst",
-            start=rng.randint(2, max(2, horizon // 2)),
-            amount=rng.randint(1, 3),
-            targets=(victim,),
-        )
-    ]
 
 
 def _recovery_events(
@@ -232,68 +166,27 @@ def random_plan(
     process_count: int = 0,
     groups: Sequence[str] = (),
     horizon: int = 12,
-    with_crashes: bool = False,
-    weights: Optional[Mapping[str, float]] = None,
 ) -> FaultPlan:
-    """Draw one admissible fault plan from a named or weighted mix.
+    """Draw one admissible fault plan from a named mix.
 
     Args:
-        seed: the draw is a pure function of ``(seed, mix/weights, …)``.
+        seed: the draw is a pure function of ``(seed, mix, …)``; each
+            mix seeds its own RNG stream (the frozen-hash test pins
+            them).
         mix: ``"links"`` (delay/reorder/dup/drop), ``"detectors"``
             (sigma noise, late omega, gamma delay), ``"full"`` (both,
             plus churn), ``"recovery"`` (partition / crash-recover /
-            flaky link) or ``"chaos"`` (everything).  Ignored when
-            ``weights`` is given.
+            flaky link) or ``"chaos"`` (everything).
         process_count: universe size (for churn victim selection).
         groups: group names (for detector-noise scoping).
         horizon: rough upper bound for window starts; actual plan
             horizons run a few rounds past it (windows opened near the
             bound still close).
-        with_crashes: also draw a staggered crash burst (off by default:
-            crash axes usually come from the spec's own pattern).
-            Ignored when ``weights`` is given — weighted mixes reach
-            crashes through the ``"crashes"`` family weight.
-        weights: optional :data:`FAMILIES` → relative-weight mapping
-            defining a *custom* mix.  Validated and normalized exactly
-            once by :func:`normalize_weights` (negative/NaN/infinite
-            weights and all-zero mappings are rejected); the heaviest
-            family always draws and lighter families draw with
-            probability proportional to their weight.  ``None`` (the
-            default) keeps the named-mix draw stream byte-identical to
-            every previous release — the frozen-hash test pins this.
     """
-    if weights is not None:
-        normalized = normalize_weights(weights)
-        label = ",".join(
-            f"{family}={normalized[family]:.6f}"
-            for family in sorted(normalized)
-        )
-        rng = random.Random(f"nemesis:w[{label}]:{seed}")
-        peak = max(normalized.values())
-        drawers = {
-            "links": lambda: _link_events(rng, process_count, horizon),
-            "detectors": lambda: _detector_events(rng, groups, horizon),
-            "schedule": lambda: _schedule_events(
-                rng, process_count, horizon
-            ),
-            "crashes": lambda: _crash_events(rng, process_count, horizon),
-            "recovery": lambda: _recovery_events(
-                rng, process_count, horizon
-            ),
-        }
-        events: List[FaultEvent] = []
-        for family in sorted(normalized):
-            if normalized[family] <= 0:
-                continue
-            # The heaviest family has probability 1 (random() < 1.0
-            # always holds); zero-weight families never fire.
-            if rng.random() < normalized[family] / peak:
-                events.extend(drawers[family]())
-        return FaultPlan(tuple(events))
     if mix not in MIXES:
         raise ModelError(f"unknown nemesis mix {mix!r}; pick from {MIXES}")
     rng = random.Random(f"nemesis:{mix}:{seed}")
-    events = []
+    events: List[FaultEvent] = []
     if mix in ("links", "full", "chaos"):
         events.extend(_link_events(rng, process_count, horizon))
     if mix in ("detectors", "full", "chaos"):
@@ -302,32 +195,4 @@ def random_plan(
         events.extend(_schedule_events(rng, process_count, horizon))
     if mix in ("recovery", "chaos"):
         events.extend(_recovery_events(rng, process_count, horizon))
-    if with_crashes and process_count >= 3:
-        victim = rng.randint(1, process_count)
-        events.append(
-            FaultEvent(
-                kind="crash_burst",
-                start=rng.randint(2, max(2, horizon // 2)),
-                amount=rng.randint(1, 3),
-                targets=(victim,),
-            )
-        )
     return FaultPlan(tuple(events))
-
-
-def nemesis_plans(
-    seeds: Iterable[int],
-    mixes: Sequence[str] = MIXES,
-    process_count: int = 0,
-    groups: Sequence[str] = (),
-    horizon: int = 12,
-) -> Dict[Tuple[str, int], FaultPlan]:
-    """The plan grid of a nemesis campaign: ``(mix, seed) -> plan``."""
-    return {
-        (mix, seed): random_plan(
-            seed, mix, process_count=process_count,
-            groups=groups, horizon=horizon,
-        )
-        for mix in mixes
-        for seed in seeds
-    }

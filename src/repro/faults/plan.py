@@ -60,11 +60,10 @@ promises after every run.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
+from repro._content import content_hash
 from repro.model.errors import ModelError
 from repro.model.failures import Time
 
@@ -434,10 +433,7 @@ class FaultPlan:
         """
         body = self.to_json()
         body.pop("schema", None)
-        canonical = json.dumps(
-            body, sort_keys=True, separators=(",", ":"), default=str
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return content_hash(body)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if not self.events:

@@ -23,18 +23,20 @@ This module sits above the workloads layer, so import it as
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import os
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.faults.injector import injector_for
+from repro._content import entry_path, read_entry, write_entry
 from repro.faults.plan import FaultPlan
-from repro.props.batch import batch_verdicts, variant_checks, verdicts_ok
+from repro.props.batch import verdicts_ok
 from repro.workloads.runner import (
+    ScenarioResult,
+    _broadcast_deployment,
+    run_deployment,
     run_scenario,
     scenario_cache_key,
-    script_senders,
     triage_record,
 )
 from repro.workloads.spec import ScenarioSpec
@@ -48,51 +50,18 @@ Predicate = Callable[[ScenarioSpec], bool]
 
 # -- Harnesses ----------------------------------------------------------------
 #
-# A harness turns a spec into a checkable outcome.  ``"scenario"`` is
-# the real system (Algorithm 1 / the kernel's replicated logs, via
-# ``run_scenario``); ``"broadcast"`` is the §2.3 non-genuine baseline —
-# atomic multicast over a global atomic broadcast — whose Minimality
-# violation is intrinsic, which makes it the canonical shrinker fixture:
-# the minimal failing plan is the *empty* plan.  Repro files name their
-# harness so a replay judges the run the same way the hunt did.
+# A harness is ``run_deployment`` with a builder, judged by the result's
+# verdicts and truncation.  ``"scenario"`` is the real system (Algorithm
+# 1 / the kernel's replicated logs, picked from ``spec.backend``);
+# ``"broadcast"`` is the §2.3 non-genuine baseline — atomic multicast
+# over a global atomic broadcast — whose Minimality violation is
+# intrinsic, which makes it the canonical shrinker fixture: the minimal
+# failing plan is the *empty* plan.  Repro files name their harness so a
+# replay judges the run the same way the hunt did.
 
-
-def _scenario_outcome(spec: ScenarioSpec) -> Dict[str, Any]:
-    result = run_scenario(spec)
-    return {"verdicts": result.verdicts(), "truncated": result.truncated}
-
-
-def _broadcast_outcome(spec: ScenarioSpec) -> Dict[str, Any]:
-    from repro.baselines.broadcast import BroadcastMulticast
-
-    topology = spec.build_topology()
-    pattern = spec.build_pattern()
-    injector = injector_for(spec.faults, topology, seed=spec.seed)
-    if injector is not None:
-        # The baseline has no buffer and samples no detectors; only the
-        # crash-burst slice of the plan perturbs it.
-        pattern = injector.perturb_pattern(pattern)
-    system = BroadcastMulticast(topology, pattern, seed=spec.seed)
-    senders = script_senders(spec, topology)
-    skipped = 0
-    for send in spec.sends:
-        sender = senders[send.sender]
-        if not pattern.is_alive(sender, system.time):
-            skipped += 1
-            continue
-        system.multicast(sender, send.group, send.payload)
-    rounds = system.run(max_rounds=spec.max_rounds)
-    return {
-        "verdicts": batch_verdicts(
-            system.record, extra=variant_checks(spec.variant)
-        ),
-        "truncated": rounds >= spec.max_rounds,
-    }
-
-
-HARNESSES: Dict[str, Callable[[ScenarioSpec], Dict[str, Any]]] = {
-    "scenario": _scenario_outcome,
-    "broadcast": _broadcast_outcome,
+HARNESSES: Dict[str, Callable[[ScenarioSpec], ScenarioResult]] = {
+    "scenario": run_scenario,
+    "broadcast": functools.partial(run_deployment, build=_broadcast_deployment),
 }
 
 
@@ -104,7 +73,8 @@ def run_harness(harness: str, spec: ScenarioSpec) -> Dict[str, Any]:
         raise ValueError(
             f"unknown harness {harness!r}; pick from {sorted(HARNESSES)}"
         ) from None
-    return runner(spec)
+    result = runner(spec)
+    return {"verdicts": result.verdicts(), "truncated": result.truncated}
 
 
 def harness_violates(harness: str) -> Predicate:
@@ -122,11 +92,6 @@ def harness_violates(harness: str) -> Predicate:
     return violates
 
 
-def default_violates(spec: ScenarioSpec) -> bool:
-    """Whether the spec's ``run_scenario`` run fails a checker."""
-    return harness_violates("scenario")(spec)
-
-
 class ShrinkCache:
     """Persistent memo of ``(harness, cell) -> violates`` verdicts.
 
@@ -135,9 +100,8 @@ class ShrinkCache:
     same :func:`scenario_cache_key` the :class:`repro.campaign`
     result cache keys on), so its verdicts survive across processes:
     re-shrinking a re-found failure in a later explorer invocation is
-    O(cache hits) instead of O(runs).  Layout mirrors the campaign
-    cache (one JSON file per cell, two-level fan-out, atomic writes,
-    corruption = miss).
+    O(cache hits) instead of O(runs).  Layout is the campaign cache's
+    (:mod:`repro._content`).
     """
 
     def __init__(self, root: str) -> None:
@@ -151,17 +115,11 @@ class ShrinkCache:
         return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
     def path_for(self, harness: str, spec: ScenarioSpec) -> str:
-        key = self.key_for(harness, spec)
-        return os.path.join(self.root, key[:2], key + ".json")
+        return entry_path(self.root, self.key_for(harness, spec))
 
     def get(self, harness: str, spec: ScenarioSpec) -> Optional[bool]:
         """The stored verdict, or ``None`` to evaluate."""
-        try:
-            with open(self.path_for(harness, spec), encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
+        entry = read_entry(self.path_for(harness, spec))
         if (
             not isinstance(entry, dict)
             or entry.get("schema") != SHRINK_CACHE_SCHEMA_VERSION
@@ -173,19 +131,15 @@ class ShrinkCache:
         return entry["violates"]
 
     def put(self, harness: str, spec: ScenarioSpec, violates: bool) -> None:
-        path = self.path_for(harness, spec)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        body = {
-            "schema": SHRINK_CACHE_SCHEMA_VERSION,
-            "harness": harness,
-            "triage": triage_record(spec),
-            "violates": violates,
-        }
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(body, fh, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
+        write_entry(
+            self.path_for(harness, spec),
+            {
+                "schema": SHRINK_CACHE_SCHEMA_VERSION,
+                "harness": harness,
+                "triage": triage_record(spec),
+                "violates": violates,
+            },
+        )
         self.stored += 1
 
 
@@ -208,8 +162,8 @@ class PlanShrinker:
     Args:
         spec: the scenario (its ``faults`` field is overwritten by each
             candidate plan during the search).
-        violates: the failure predicate; defaults to
-            :func:`default_violates`.  Must be deterministic — runs are,
+        violates: the failure predicate; defaults to ``harness``'s
+            (:func:`harness_violates`).  Must be deterministic — runs are,
             so any predicate built on :func:`run_scenario` qualifies.
         cache: optional :class:`ShrinkCache` (or directory path) for
             verdict persistence across invocations.  Only sound when

@@ -6,16 +6,16 @@ quiescence accounting, tracer/injector hooks); two drivers execute it:
 the round-based :class:`Scheduler` (the lockstep loop with the seeded
 shuffle) and the :class:`AsyncDriver` (generator tasks over
 latency-modelled in-memory channels, on its own event loop whose
-virtual clock makes a run replay deterministically).  Hosts adapt their
-execution units to the :class:`Actor` protocol via the adapters in
-:mod:`repro.runtime.actors`.
+virtual clock makes a run replay deterministically).  Hosts subclass
+:class:`RoundHost` and adapt their execution units to the :class:`Actor`
+protocol via the adapters in :mod:`repro.runtime.actors`.
 """
 
 from repro.runtime.actors import (
     AutomatonActor,
+    RoundHost,
     SharedObjectActor,
     SystemActor,
-    system_scheduler,
 )
 from repro.runtime.async_driver import CLOCK_MODES, AsyncDriver, AsyncTransport
 from repro.runtime.core import ExecutionCore
@@ -43,6 +43,7 @@ __all__ = [
     "ExecutionCore",
     "ExponentialDelay",
     "FixedDelay",
+    "RoundHost",
     "RunOutcome",
     "Scheduler",
     "SharedObjectActor",
@@ -52,5 +53,4 @@ __all__ = [
     "build_delay_model",
     "canonical_delay_spec",
     "parse_delay_model",
-    "system_scheduler",
 ]

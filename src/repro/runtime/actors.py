@@ -13,6 +13,9 @@ Three adapters cover every loop in the repo:
   baselines and the §5/§6 emulation drivers, which advance an entire
   deployment per round and have no per-process schedule of their own).
 
+:class:`RoundHost` is the one base of every host: it owns the scheduler
+the actors run under.
+
 The adapters deliberately hold a back-reference to their host instead of
 copying its state: the dirty set, the started set and the message buffer
 are live, shared structures, and the host's public mutators
@@ -120,9 +123,7 @@ class SystemActor(Actor):
     """A whole subsystem as one always-eligible actor.
 
     Wraps a ``fire(t) -> int`` callable that advances the entire
-    deployment by one round and reports how many actions it fired — the
-    shape of the baselines' and emulation drivers' old ``tick`` bodies,
-    minus the clock bump the scheduler now owns.
+    deployment by one round and reports how many actions it fired.
     """
 
     def __init__(self, advance: Callable[[Time], int]) -> None:
@@ -140,19 +141,62 @@ class SystemActor(Actor):
         return (WAIT_IDLE,)
 
 
-def system_scheduler(
-    key: str, advance: Callable[[Time], int], seed: int
-) -> Scheduler:
-    """The round driver of a whole-system host: one :class:`SystemActor`.
+class RoundHost:
+    """The host protocol: what a driver of rounds may ask of a host.
 
-    The single place the baselines and the §5/§6 emulation drivers are
-    wired to the scheduler.  Crash filtering happens inside ``advance``
-    (per destination member, partition or instance), so the actor itself
-    is always schedulable; hosts expose ``scheduler.tracer`` as their own.
+    A per-process host (:class:`repro.core.MulticastSystem`,
+    :class:`repro.sim.Kernel`) hands in the scheduler it built over one
+    actor per process and keeps its own ``tick`` / ``round`` / ``run``.
+    A *whole-system* host — the baselines and the §5/§6 extractions,
+    which advance an entire deployment per round — hands in none: it is
+    one :class:`SystemActor` firing :meth:`_advance`, which does the
+    crash filtering itself (per member, partition or instance), so the
+    actor is always eligible.
     """
-    return Scheduler(
-        {key: SystemActor(advance)},
-        rng=random.Random(seed),
-        tracer=TraceRecorder(),
-        is_alive=lambda _key, _t: True,
-    )
+
+    def __init__(
+        self, seed: int = 0, scheduler: Optional[Scheduler] = None
+    ) -> None:
+        self._scheduler = scheduler or Scheduler(
+            {type(self).__name__: SystemActor(self._advance)},
+            rng=random.Random(seed),
+            tracer=TraceRecorder(),
+            is_alive=lambda _key, _t: True,
+        )
+        self.tracer = self._scheduler.tracer
+
+    def _advance(self, t: Time) -> int:
+        """One round of a whole-system host; returns the actions fired."""
+        raise NotImplementedError
+
+    @property
+    def time(self) -> Time:
+        """The global round clock (owned by the scheduler)."""
+        return self._scheduler.time
+
+    @property
+    def last_run_quiescent(self) -> bool:
+        """Whether the most recent :meth:`run` ended in quiescence, not
+        by its budget or ``stop_when``.  True before any run."""
+        return self._scheduler.last_run_quiescent
+
+    def settle_horizon(self) -> Time:
+        """A time by which all detector outputs have stabilized."""
+        return self._scheduler.settle_horizon()
+
+    def tick(self) -> int:
+        """One round; returns the productive actions fired."""
+        return self._scheduler.round()
+
+    def run(
+        self,
+        max_rounds: int = 200,
+        quiescent_rounds: int = 2,
+        stop_when: Optional[Callable[[], bool]] = None,
+    ) -> int:
+        """Run until ``quiescent_rounds`` consecutive idle rounds, the
+        ``max_rounds`` budget or ``stop_when``; returns the rounds
+        executed."""
+        return self._scheduler.run(
+            max_rounds, quiescent_rounds=quiescent_rounds, stop_when=stop_when
+        ).rounds

@@ -172,52 +172,30 @@ def derive_async_seed(seed: int, delay_spec: Any) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
-class RetransmitPolicy:
-    """Seeded exponential backoff with jitter and a bounded budget.
+#: The ack/retransmit resilience layer's backoff: when the fault plan
+#: drops a wake, the sender schedules up to ``RETRY_BUDGET`` optimistic
+#: retransmissions — the first ``RETRY_BASE`` round units out, each gap
+#: ``RETRY_FACTOR`` times the last and stretched by up to
+#: ``RETRY_JITTER`` of itself — plus the *unconditional* fair-lossy
+#: landing at the lossy window's close (never part of the budget).
+RETRY_BASE = 0.5
+RETRY_FACTOR = 2.0
+RETRY_JITTER = 0.25
+RETRY_BUDGET = 3
 
-    Governs the driver's ack/retransmit resilience layer: when the
-    fault plan drops a wake, the sender schedules up to ``budget``
-    optimistic retransmissions at exponentially growing, jittered
-    offsets, plus the *unconditional* fair-lossy landing at the lossy
-    window's close.  All randomness is drawn from the driver's private
-    RNG, so the ladder is byte-deterministic under the virtual clock.
 
-    Attributes:
-        base: first backoff offset, in round units.
-        factor: multiplicative growth per retry.
-        jitter: fraction of the offset randomized per retry (``0.25``
-            means each offset stretches by up to 25%).
-        budget: maximum optimistic retransmissions per dropped wake
-            (the fair-lossy backstop is never part of the budget).
+def _retry_offsets(rng: random.Random) -> List[float]:
+    """Cumulative backoff offsets (round units) of each retry.
+
+    Draws one ``rng.random()`` per retry from the driver's private RNG,
+    so the ladder is byte-deterministic under the virtual clock.
     """
-
-    __slots__ = ("base", "factor", "jitter", "budget")
-
-    def __init__(
-        self,
-        base: float = 0.5,
-        factor: float = 2.0,
-        jitter: float = 0.25,
-        budget: int = 3,
-    ) -> None:
-        if base <= 0 or factor < 1.0 or budget < 0 or not 0 <= jitter <= 1:
-            raise SimulationError(
-                "retransmit policy needs base > 0, factor >= 1, "
-                "budget >= 0 and jitter in [0, 1]"
-            )
-        self.base = float(base)
-        self.factor = float(factor)
-        self.jitter = float(jitter)
-        self.budget = int(budget)
-
-    def offsets(self, rng: random.Random) -> List[float]:
-        """Cumulative backoff offsets (round units) of each retry."""
-        delay, elapsed, out = self.base, 0.0, []
-        for _ in range(self.budget):
-            elapsed += delay * (1.0 + self.jitter * rng.random())
-            out.append(elapsed)
-            delay *= self.factor
-        return out
+    delay, elapsed, out = RETRY_BASE, 0.0, []
+    for _ in range(RETRY_BUDGET):
+        elapsed += delay * (1.0 + RETRY_JITTER * rng.random())
+        out.append(elapsed)
+        delay *= RETRY_FACTOR
+    return out
 
 
 class AsyncTransport:
@@ -344,9 +322,6 @@ class AsyncDriver:
             ``"wall"`` (real time, real nondeterminism).
         seed: scenario seed; the driver derives its private latency RNG
             from ``(seed, delay spec)``.
-        retransmit: the :class:`RetransmitPolicy` of the resilience
-            layer (``None`` = defaults).  Only consulted when the fault
-            plan drops a wake.
     """
 
     def __init__(
@@ -357,7 +332,6 @@ class AsyncDriver:
         round_duration: float = 1.0,
         clock: str = "virtual",
         seed: int = 0,
-        retransmit: Optional[RetransmitPolicy] = None,
     ) -> None:
         if clock not in CLOCK_MODES:
             raise SimulationError(
@@ -377,7 +351,6 @@ class AsyncDriver:
         self.round_duration = float(round_duration)
         self.clock = clock
         self.rng = random.Random(derive_async_seed(seed, self.delay.spec()))
-        self.retransmit = retransmit or RetransmitPolicy()
         #: Transport resilience stats of the last completed run (the
         #: transport itself is torn down at run end).
         self.last_transport_stats: Dict[str, int] = {}
@@ -470,7 +443,7 @@ class AsyncDriver:
             + (max(float(verdict.retransmit_at - t), 1.0) + latency) * rd
         )
         ladder = [final]
-        for offset in self.retransmit.offsets(self.rng):
+        for offset in _retry_offsets(self.rng):
             when = now + (1.0 + offset + latency) * rd
             if when >= final:
                 break
@@ -678,6 +651,5 @@ __all__ = [
     "AsyncTransport",
     "CLOCK_MODES",
     "EventLoop",
-    "RetransmitPolicy",
     "derive_async_seed",
 ]

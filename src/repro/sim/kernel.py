@@ -15,18 +15,17 @@ The kernel hosts the genuine message-passing substrates of §4.3
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro._content import content_hash
 from repro.detectors.base import FailureDetector
 from repro.metrics.trace import TraceRecorder
 from repro.model.errors import SimulationError
 from repro.model.failures import FailurePattern, Time
 from repro.model.messages import Datagram, MessageBuffer
 from repro.model.processes import ProcessId, ProcessSet
-from repro.runtime import AutomatonActor, Scheduler
+from repro.runtime import AutomatonActor, RoundHost, Scheduler
 
 
 class Context:
@@ -94,10 +93,7 @@ def snapshot_hash(snapshot: Any) -> str:
     durable state produce identical addresses — the kernel's rejoin
     path records one per recovery for triage.
     """
-    canonical = json.dumps(
-        snapshot, sort_keys=True, separators=(",", ":"), default=str
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_hash(snapshot)
 
 
 class Automaton:
@@ -123,7 +119,7 @@ class Automaton:
         return False
 
 
-class Kernel:
+class Kernel(RoundHost):
     """Drives a set of automata over the shared message buffer.
 
     Attributes:
@@ -152,7 +148,6 @@ class Kernel:
                 p: injector.wrap_detector(d) for p, d in self.detectors.items()
             }
         self.buffer = MessageBuffer(injector)
-        self.tracer = TraceRecorder()
         self.outputs: Dict[ProcessId, List[Tuple[Time, Any]]] = {
             p: [] for p in automata
         }
@@ -160,7 +155,6 @@ class Kernel:
         self._started: set = set()
         #: Reusable per-step context view (see :meth:`Context.bind`).
         self._ctx = Context(None, 0, None, self.buffer, [])
-        self._rng = random.Random(seed)
         #: Crash-time drop schedule: instead of sweeping every inbox each
         #: round, pending datagrams are dropped once when their owner's
         #: crash time arrives (and on any later round where new datagrams
@@ -183,40 +177,21 @@ class Kernel:
         self._recover_cursor = 0
         self._snapshots: Dict[ProcessId, Any] = {}
         self.recoveries: List[Tuple[Time, ProcessId, Optional[str]]] = []
-        self._scheduler: Scheduler = Scheduler(
-            {p: AutomatonActor(self, p) for p in sorted(self.automata)},
-            rng=self._rng,
-            tracer=self.tracer,
-            is_alive=pattern.is_alive,
-            pre_round=self._pre_round if injector is not None else self._drop_crashed,
-            settle_horizon=(lambda: injector.horizon) if injector is not None else None,
-            injector=injector,
-            pending_work=(
-                self.buffer.delayed_count if injector is not None else None
-            ),
-            alive_instants=pattern.change_instants(),
+        super().__init__(
+            scheduler=Scheduler(
+                {p: AutomatonActor(self, p) for p in sorted(self.automata)},
+                rng=random.Random(seed),
+                tracer=TraceRecorder(),
+                is_alive=pattern.is_alive,
+                pre_round=self._pre_round if injector is not None else self._drop_crashed,
+                settle_horizon=(lambda: injector.horizon) if injector is not None else None,
+                injector=injector,
+                pending_work=(
+                    self.buffer.delayed_count if injector is not None else None
+                ),
+                alive_instants=pattern.change_instants(),
+            )
         )
-
-    @property
-    def time(self) -> Time:
-        """The global round clock (owned by the shared scheduler)."""
-        return self._scheduler.time
-
-    def settle_horizon(self) -> Time:
-        """The detectors' stabilization time (0 when none declared)."""
-        return self._scheduler.settle_horizon()
-
-    @property
-    def last_run_quiescent(self) -> bool:
-        """Whether the most recent :meth:`run` *ended* quiescent.
-
-        With an explicit ``quiescent_rounds`` the run halts on
-        quiescence like :meth:`repro.core.MulticastSystem.run`; without
-        one the full round budget executes and this flag reports whether
-        the final round(s) were productive — ``False`` flags a run cut
-        short mid-protocol.  True before any :meth:`run` call.
-        """
-        return self._scheduler.last_run_quiescent
 
     def _pre_round(self, t: Time) -> None:
         """Faulted-run round prologue: release delayed datagrams, then
@@ -295,24 +270,13 @@ class Kernel:
         self.steps_taken[p] += 1
 
     def round(self, participation: Optional[ProcessSet] = None) -> int:
-        """One fair round: every eligible alive process takes one step.
+        """One fair round: every eligible alive process takes one step,
+        in seeded-random order (:meth:`repro.runtime.Scheduler.round`).
 
-        The intra-round order is seeded-random.  Datagrams addressed to
-        processes crashed by now are dropped (they will never receive).
-        Returns the number of steps taken.
-
-        A started process whose automaton reports :meth:`Automaton.idle`
-        and whose inbox is empty is skipped: its step would receive the
-        null message and, by the automaton's own declaration, change
-        nothing.  The full shuffled order is still drawn first, so the
-        schedule of the processes that *do* step is identical to a
-        step-everyone kernel's.
-
-        The per-round contract itself lives in the shared
-        :class:`repro.runtime.Scheduler`; this is a thin delegation.
-        Returns the number of *productive* steps — a step an idle
-        automaton took on an empty inbox is fair-scheduling overhead,
-        not progress, and does not count.
+        Datagrams addressed to processes crashed by now are dropped
+        (they will never receive).  What is skipped and what counts as
+        *productive* — the return value — is
+        :class:`repro.runtime.AutomatonActor`'s rule.
         """
         return self._scheduler.round(participation)
 
@@ -330,7 +294,8 @@ class Kernel:
         same semantics as :meth:`repro.core.MulticastSystem.run` — and
         :attr:`last_run_quiescent` reports whether it did.  Without it
         the full budget executes (the legacy contract) and the flag
-        reports whether the run *ended* idle.
+        reports whether the run *ended* idle — ``False`` flags a run cut
+        short mid-protocol.
         """
         outcome = self._scheduler.run(
             rounds,

@@ -9,37 +9,41 @@ shipped to worker processes and replayed (see :mod:`repro.campaign`)::
     spec = ScenarioSpec.capture(topology, pattern, sends, seed=3)
     result = run_scenario(spec)
 
-:func:`run_scenario` is one pipeline, written once: rebuild topology and
-pattern, bind the fault injector, check the script against the closed
-model, build a *deployment*, hand it to a *driver* that interleaves the
-sends with execution (so multicasts race each other and crashes) and
-runs to quiescence, audit the injector, finish the
+:func:`run_deployment` is one pipeline, written once: rebuild topology
+and pattern, bind the fault injector, check the script against the
+closed model, build a *deployment*, hand it to its *driver*, which
+interleaves the sends with execution (so multicasts race each other and
+crashes) and runs to quiescence, audit the injector, finish the
 :class:`repro.model.RunRecord`, write the trace, return a
 :class:`ScenarioResult` ready for the property checkers.  The paper
-states Algorithm 1 over one run model; the three ``spec.backend`` values
-are three admissible schedulers of it and differ in exactly two places:
+states every construction over one run model; a protocol on the
+pipeline is one builder function.  :func:`run_scenario` picks Algorithm
+1's from ``spec.backend`` — three admissible schedulers of one
+algorithm — and the shrinker's ``"broadcast"`` harness
+(:mod:`repro.faults.shrink`) passes the §2.3 baseline's:
 
-=========== ============================== ===========================
-backend     deployment                     driver
-=========== ============================== ===========================
-``engine``  :func:`_algorithm1_deployment` :func:`_drive_rounds`
-``kernel``  :func:`_kernel_deployment`     :func:`_drive_rounds`
-``async``   :func:`_algorithm1_deployment` :func:`_drive_async`
-=========== ============================== ===========================
+============= ============================== ===========================
+run           deployment                     driver
+============= ============================== ===========================
+``engine``    :func:`_algorithm1_deployment` :func:`_drive_rounds`
+``kernel``    :func:`_kernel_deployment`     :func:`_drive_rounds`
+``async``     :func:`_algorithm1_deployment` :func:`_drive_async`
+``broadcast`` :func:`_broadcast_deployment`  :func:`_drive_rounds`
+============= ============================== ===========================
 
-All three produce the same :class:`RunRecord` shape, so delivery sets
-and §2.2 property verdicts are directly comparable across backends.
+All produce the same :class:`RunRecord` shape, so delivery sets and §2.2
+property verdicts are directly comparable across them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro._content import content_hash
+from repro.baselines.broadcast import BroadcastMulticast
 from repro.core.engine import MulticastSystem
 from repro.core.group_sequential import AtomicMulticast
 from repro.faults.injector import AdmissibilityError, FaultInjector, injector_for
@@ -50,6 +54,7 @@ from repro.model.failures import FailurePattern, Time
 from repro.model.messages import MessageBuffer, MessageFactory, MulticastMessage
 from repro.model.processes import ProcessId
 from repro.model.runs import RunRecord
+from repro.runtime.actors import RoundHost
 from repro.runtime.async_driver import AsyncDriver
 from repro.runtime.watchdog import StallWatchdog
 from repro.sim.kernel import Kernel
@@ -105,10 +110,7 @@ def scenario_cache_key(spec: ScenarioSpec) -> str:
     re-labels hits from the live spec (see
     :class:`repro.campaign.cache.CampaignCache`).
     """
-    canonical = json.dumps(
-        triage_record(spec), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_hash(triage_record(spec))
 
 
 def triage_line(spec: ScenarioSpec) -> str:
@@ -155,22 +157,22 @@ class ScenarioResult:
             productive half of ``truncated``, surfaced on its own so
             sweep rows can distinguish "budget ran out" from "script was
             never finished".
-        system / multicaster: the engine deployment (``None`` for
-            kernel-backed runs).
-        kernel: the step-level kernel (``None`` for engine-backed runs).
+        host: the deployment's :class:`RoundHost`, also readable by type
+            as ``system`` (Algorithm 1) or ``kernel``.
+        multicaster: the engine deployment's front end (``None`` for
+            every other host).
     """
 
     record: RunRecord
     messages: List[MulticastMessage]
-    system: Optional[MulticastSystem]
-    multicaster: Optional[AtomicMulticast]
+    host: RoundHost
     rounds: int
     spec: ScenarioSpec
+    multicaster: Optional[AtomicMulticast] = None
     skipped_sends: List[Send] = field(default_factory=list)
     unsent_sends: List[Send] = field(default_factory=list)
     truncated: bool = False
     quiescent: bool = True
-    kernel: Optional[Kernel] = None
     #: The bound :class:`repro.faults.FaultInjector` of a faulted run
     #: (``None`` for fault-free runs) — its stats feed the result row.
     injector: Optional[FaultInjector] = None
@@ -185,12 +187,17 @@ class ScenarioResult:
         return self.spec.backend
 
     @property
+    def system(self) -> Optional[MulticastSystem]:
+        return self.host if isinstance(self.host, MulticastSystem) else None
+
+    @property
+    def kernel(self) -> Optional[Kernel]:
+        return self.host if isinstance(self.host, Kernel) else None
+
+    @property
     def tracer(self) -> TraceRecorder:
         """The per-round trace of whichever loop ran the scenario."""
-        if self.system is not None:
-            return self.system.tracer
-        assert self.kernel is not None
-        return self.kernel.tracer
+        return self.host.tracer
 
     def delivered_everywhere(self) -> bool:
         if self.unsent_sends or self.truncated:
@@ -306,6 +313,33 @@ def run_scenario(
     there as JSONL (see :mod:`repro.metrics.trace`) after the run
     finishes.
     """
+    # A non-spec has no backend; run_deployment rejects it by type.
+    kernel = getattr(spec, "backend", None) == "kernel"
+    return run_deployment(
+        spec,
+        _kernel_deployment if kernel else _algorithm1_deployment,
+        trace_path=trace_path,
+        stall_window=stall_window,
+    )
+
+
+def run_deployment(
+    spec: ScenarioSpec,
+    build: Callable[
+        [ScenarioSpec, GroupTopology, FailurePattern, Optional[FaultInjector]],
+        "_Deployment",
+    ],
+    *,
+    trace_path: Optional[str] = None,
+    stall_window: Optional[int] = None,
+) -> ScenarioResult:
+    """The pipeline behind :func:`run_scenario`, over any deployment.
+
+    ``build(spec, topology, pattern, injector)`` returns the
+    :class:`_Deployment` to run — the one place a protocol or a backend
+    differs from another; everything :func:`run_scenario` documents
+    holds for every builder.
+    """
     if not isinstance(spec, ScenarioSpec):
         raise TypeError(
             "run_scenario takes a ScenarioSpec, not "
@@ -321,7 +355,6 @@ def run_scenario(
         # the faulted pattern.
         pattern = injector.perturb_pattern(pattern)
     senders = script_senders(spec, topology)
-    build = _kernel_deployment if spec.backend == "kernel" else _algorithm1_deployment
     deployment = build(spec, topology, pattern, injector)
     host = deployment.host
     pending = sorted(spec.sends, key=lambda s: s.at_round)
@@ -347,8 +380,7 @@ def run_scenario(
             grace=host.settle_horizon(),
         )
 
-    drive = _drive_async if spec.backend == "async" else _drive_rounds
-    driven = drive(spec, deployment, pending, issue, arm_watchdog)
+    driven = deployment.drive(spec, deployment, pending, issue, arm_watchdog)
     unsent = pending[driven.issued :]
     _audit_injector(
         injector, spec, host.time, buffer=deployment.buffer, pattern=pattern
@@ -372,15 +404,14 @@ def run_scenario(
     return ScenarioResult(
         record=record,
         messages=messages,
-        system=host if deployment.multicaster else None,
-        multicaster=deployment.multicaster,
+        host=host,
         rounds=driven.rounds,
         spec=spec,
+        multicaster=deployment.multicaster,
         skipped_sends=skipped,
         unsent_sends=unsent,
         truncated=bool(unsent) or not driven.quiescent,
         quiescent=driven.quiescent,
-        kernel=None if deployment.multicaster else host,
         injector=injector,
         transport_stats=driven.transport_stats,
     )
@@ -408,16 +439,19 @@ def script_senders(spec: ScenarioSpec, topology: GroupTopology) -> Dict[int, Pro
 
 @dataclass
 class _Deployment:
-    """What the pipeline needs from a built backend, and nothing else.
+    """What the pipeline needs from a built deployment, and nothing else.
 
-    ``host`` is the :class:`MulticastSystem` or the :class:`Kernel`:
-    both expose ``time``, ``run(budget, quiescent_rounds=, stop_when=)``,
-    ``last_run_quiescent``, ``settle_horizon()`` and ``tracer``; only
-    the name of their one-round method differs, hence ``step``.
+    ``host`` is a :class:`RoundHost`: ``time``, ``tracer``,
+    ``last_run_quiescent``, ``settle_horizon()`` and ``run(budget,
+    quiescent_rounds=, stop_when=)`` are its protocol.  ``step`` is its
+    one-round method, named because the benchmark times
+    ``MulticastSystem.tick`` and ``Kernel.round`` as themselves.
     """
 
-    host: Union[MulticastSystem, Kernel]
+    host: RoundHost
     step: Callable[[], int]
+    #: ``(spec, deployment, pending, issue, arm_watchdog) -> _Driven``.
+    drive: Callable[..., "_Driven"]
     #: Multicast ``payload`` from a (live, member) sender to a group now.
     multicast: Callable[[ProcessId, str, object], MulticastMessage]
     #: The stall watchdog's progress fingerprint.
@@ -456,6 +490,7 @@ def _algorithm1_deployment(
     return _Deployment(
         host=system,
         step=system.tick,
+        drive=_drive_async if spec.backend == "async" else _drive_rounds,
         multicast=multicaster.multicast,
         progress=lambda: len(system.record.deliveries),
         finish=lambda: system.record,
@@ -562,10 +597,33 @@ def _kernel_deployment(
     return _Deployment(
         host=kernel,
         step=kernel.round,
+        drive=_drive_rounds,
         multicast=multicast,
         progress=applied,
         finish=finish,
         buffer=kernel.buffer,
+    )
+
+
+def _broadcast_deployment(
+    spec: ScenarioSpec,
+    topology: GroupTopology,
+    pattern: FailurePattern,
+    injector: Optional[FaultInjector],
+) -> _Deployment:
+    """The §2.3 non-genuine baseline: multicast atop a global broadcast.
+
+    The baseline has no buffer and samples no detectors, so only the
+    crash slice of a fault plan (already in ``pattern``) perturbs it.
+    """
+    system = BroadcastMulticast(topology, pattern, seed=spec.seed)
+    return _Deployment(
+        host=system,
+        step=system.tick,
+        drive=_drive_rounds,
+        multicast=system.multicast,
+        progress=lambda: len(system.record.deliveries),
+        finish=lambda: system.record,
     )
 
 

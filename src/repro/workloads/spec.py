@@ -23,11 +23,10 @@ but will not round-trip.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
+from repro._content import content_hash
 from repro.faults.plan import FaultPlan
 from repro.groups.topology import GroupTopology, topology_from_indices
 from repro.model.errors import SimulationError
@@ -435,7 +434,4 @@ class ScenarioSpec:
         # Schema-6 axis: a quirk-free spec hashes as it did pre-v6.
         if not self.quirks:
             body.pop("quirks", None)
-        canonical = json.dumps(
-            body, sort_keys=True, separators=(",", ":"), default=str
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return content_hash(body)

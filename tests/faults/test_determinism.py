@@ -14,6 +14,7 @@ import re
 import repro.faults.injector as injector_module
 import repro.faults.nemesis as nemesis_module
 from repro.faults.nemesis import random_plan
+from repro.faults.plan import FaultEvent, plan_of
 from repro.workloads.runner import Send, run_scenario, triage_line, triage_record
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology
@@ -22,8 +23,11 @@ TOPOLOGY = TopologySpec.capture(disjoint_topology(2, group_size=3))
 
 
 def faulted_spec(backend):
-    plan = random_plan(
-        3, "full", process_count=6, groups=("g1", "g2"), with_crashes=True
+    # The seed-3 "full" draw plus a staggered crash burst (crash axes
+    # otherwise come from the spec's own pattern).
+    plan = plan_of(
+        *random_plan(3, "full", process_count=6, groups=("g1", "g2")),
+        FaultEvent(kind="crash_burst", start=6, amount=2, targets=(3,)),
     )
     return ScenarioSpec(
         topology=TOPOLOGY,

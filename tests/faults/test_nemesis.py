@@ -11,13 +11,7 @@ raises otherwise, which surfaces here as a scenario failure).
 import pytest
 
 from repro.faults.__main__ import matrix_specs
-from repro.faults.nemesis import (
-    FAMILIES,
-    MIXES,
-    nemesis_plans,
-    normalize_weights,
-    random_plan,
-)
+from repro.faults.nemesis import MIXES, random_plan
 from repro.faults.plan import DETECTOR_KINDS, LINK_KINDS
 from repro.model.errors import ModelError
 from repro.workloads.runner import run_scenario
@@ -51,14 +45,9 @@ class TestRandomPlan:
         for mix in MIXES:
             for seed in range(20):
                 plan = random_plan(
-                    seed, mix, process_count=5, groups=("g1",),
-                    with_crashes=True,
+                    seed, mix, process_count=5, groups=("g1",)
                 )
                 assert plan.horizon() < 100
-
-    def test_plan_grid_is_keyed_by_mix_and_seed(self):
-        grid = nemesis_plans(range(3), mixes=("links", "full"))
-        assert set(grid) == {(m, s) for m in ("links", "full") for s in range(3)}
 
 
 class TestSmokeMatrix:
@@ -75,20 +64,17 @@ class TestSmokeMatrix:
 
 
 class TestWeightedMixes:
-    """The ``weights=`` axis of random_plan and its validation."""
+    """The named mixes are the one way to draw a plan (the ``weights=``
+    axis this class was named for is gone)."""
 
-    #: Frozen plan hashes: the legacy (named-mix) and weighted RNG
-    #: streams are pinned so refactors cannot silently re-seed either —
-    #: corpus entries, cached rows and repro files all address plans by
-    #: these hashes.
+    #: Frozen plan hashes: the named-mix RNG streams are pinned so
+    #: refactors cannot silently re-seed them — corpus entries, cached
+    #: rows and repro files all address plans by these hashes.
     LEGACY_FULL_S11 = (
         "aa08df74eff7bc25723c289ead559133fe206b17a2c04c38995a38a1fb0de112"
     )
     LEGACY_LINKS_S3 = (
         "68eb05743ac98cd6e80660c93a42a5555d4b57a2635cf0aaefb8ce34034ffdb6"
-    )
-    WEIGHTED_S11 = (
-        "53d9e6f1a192eb4177b8f50364da3dd7e24b3fc7ffbb5efc785033a13f858f70"
     )
     RECOVERY_S11 = (
         "e68bbf6ead4376697bed5030afa7c2f0a8735821ffa34ce7e7f5a23045eb6c43"
@@ -122,48 +108,6 @@ class TestWeightedMixes:
         assert "partition" in kinds or "crash_recover" in kinds
         assert any(k.startswith("link_") for k in kinds)
 
-    def test_weighted_stream_is_frozen(self):
-        plan = random_plan(
-            11, "full", process_count=5, groups=("g1", "g2"),
-            weights={"links": 2.0, "detectors": 1.0},
-        )
-        assert plan.plan_hash() == self.WEIGHTED_S11
-
-    def test_weights_normalize_once_so_scale_is_irrelevant(self):
-        kwargs = dict(process_count=5, groups=("g1", "g2"))
-        a = random_plan(11, "full", weights={"links": 2, "detectors": 1},
-                        **kwargs)
-        b = random_plan(11, "full", weights={"links": 4, "detectors": 2},
-                        **kwargs)
-        c = random_plan(11, "full",
-                        weights={"links": 0.5, "detectors": 0.25}, **kwargs)
-        assert a == b == c
-
-    def test_weights_replace_the_named_mix(self):
-        kwargs = dict(process_count=5, groups=("g1", "g2"))
-        weights = {"links": 2.0, "detectors": 1.0}
-        assert random_plan(11, "links", weights=weights, **kwargs) == \
-            random_plan(11, "full", weights=weights, **kwargs)
-
-    def test_weighted_families_gate_the_drawn_kinds(self):
-        for seed in range(10):
-            plan = random_plan(
-                seed, "full", process_count=5, groups=("g1",),
-                weights={"links": 1.0},
-            )
-            assert {e.kind for e in plan} <= set(LINK_KINDS)
-
-    def test_normalized_weights_sum_to_one(self):
-        normalized = normalize_weights({"links": 3, "crashes": 1})
-        assert sum(normalized.values()) == pytest.approx(1.0)
-        assert normalized == {"links": 0.75, "crashes": 0.25}
-        uniform = normalize_weights({f: 1 for f in FAMILIES})
-        assert set(uniform) == set(FAMILIES)
-        assert all(
-            w == pytest.approx(1 / len(FAMILIES))
-            for w in uniform.values()
-        )
-
     @pytest.mark.parametrize(
         "weights",
         [
@@ -178,7 +122,7 @@ class TestWeightedMixes:
         ],
     )
     def test_malformed_weights_fail_loudly(self, weights):
-        with pytest.raises(ModelError):
-            normalize_weights(weights)
-        with pytest.raises(ModelError):
+        """No shape of ``weights`` is accepted any more: the second way
+        to draw a plan stays deleted."""
+        with pytest.raises(TypeError):
             random_plan(0, "full", process_count=5, weights=weights)

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.faults.__main__ import shrink_demo_spec
+from repro.faults.injector import AdmissibilityError, FaultInjector
 from repro.faults.nemesis import random_plan
 from repro.faults.plan import FaultEvent, FaultPlan, plan_of
 from repro.faults.shrink import (
+    HARNESSES,
     PlanShrinker,
     ShrinkCache,
     ensure_shrink_cache,
@@ -19,6 +22,7 @@ from repro.faults.shrink import (
 from repro.workloads.runner import Send
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology
+from tests.faults._oracle import broadcast_outcome
 
 TOPOLOGY = TopologySpec.capture(disjoint_topology(2, group_size=3))
 
@@ -132,6 +136,54 @@ class TestBroadcastBaseline:
     def test_unknown_harness_is_rejected(self):
         with pytest.raises(ValueError):
             run_harness("chaos", spec_with())
+
+
+class TestBroadcastOnThePipeline:
+    """The broadcast harness is ``run_deployment`` with another builder:
+    it gets the script interleaving, the skipped-send accounting and the
+    injector audit of the three backends (all red at the parent, whose
+    hand-rolled copy had none of them)."""
+
+    def test_a_send_is_issued_at_its_round(self):
+        result = HARNESSES["broadcast"](
+            spec_with(sends=(Send(1, "g1", 0), Send(1, "g1", at_round=3)))
+        )
+        assert [e.time for e in result.record.multicasts] == [0, 3]
+        assert not result.truncated
+
+    def test_a_sender_crashed_at_its_round_is_skipped(self):
+        late = Send(1, "g1", at_round=3)
+        result = HARNESSES["broadcast"](
+            spec_with(sends=(Send(2, "g1", 0), late), crashes=((1, 2),))
+        )
+        assert result.skipped_sends == [late]
+        assert len(result.messages) == 1
+
+    def test_an_inadmissible_plan_is_refused_with_the_triage_line(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(
+            FaultInjector, "audit", lambda self, *a, **kw: ["left the envelope"]
+        )
+        spec = spec_with(plan_of(CULPRIT_A))
+        with pytest.raises(AdmissibilityError, match="left the envelope") as err:
+            run_harness("broadcast", spec)
+        assert f"[triage spec_hash={spec.spec_hash()}" in str(err.value)
+
+
+def _at_round_zero_specs():
+    """Every spec the suite above and ``--shrink-demo`` hand the
+    broadcast harness, plus each one-event plan ddmin can probe."""
+    plan = random_plan(7, "full", process_count=6, groups=("g1", "g2"))
+    specs = [spec_with(None), spec_with(plan), shrink_demo_spec()]
+    specs += [spec_with(plan_of(event)) for event in plan]
+    return specs
+
+
+@pytest.mark.parametrize("spec", _at_round_zero_specs(), ids=lambda s: s.spec_hash()[:8])
+def test_pipeline_agrees_with_the_retired_broadcast_body(spec):
+    assert all(send.at_round == 0 for send in spec.sends)
+    assert run_harness("broadcast", spec) == broadcast_outcome(spec)
 
 
 class TestShrinkCache:

@@ -1,8 +1,8 @@
-"""The stall watchdog and the async retransmission policy.
+"""The stall watchdog and the async retransmission backoff.
 
 Unit half: :class:`StallWatchdog` fires exactly at its no-progress
 window (never during grace, never while the fingerprint moves) and
-:class:`RetransmitPolicy` draws deterministic, strictly increasing
+``_retry_offsets`` draws deterministic, strictly increasing
 backoff ladders.  Integration half: the planted ``supersede-wait``
 stall — the retained PR 4 liveness bug — converts from a 240-round
 budget burn into a :class:`StallError` carrying the wait-reason
@@ -18,7 +18,7 @@ import pytest
 
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.model.errors import SimulationError
-from repro.runtime.async_driver import RetransmitPolicy
+from repro.runtime.async_driver import RETRY_BUDGET, _retry_offsets
 from repro.runtime.watchdog import StallError, StallWatchdog
 from repro.workloads.runner import Send, run_scenario
 from repro.workloads.spec import ScenarioSpec, TopologySpec
@@ -114,28 +114,23 @@ class TestStallWatchdog:
 
 class TestRetransmitPolicy:
     def test_offsets_are_deterministic_per_seed(self):
-        policy = RetransmitPolicy()
-        a = policy.offsets(random.Random(42))
-        b = policy.offsets(random.Random(42))
+        a = _retry_offsets(random.Random(42))
+        b = _retry_offsets(random.Random(42))
         assert a == b
-        assert a != policy.offsets(random.Random(43))
+        assert a != _retry_offsets(random.Random(43))
 
     def test_offsets_are_strictly_increasing_and_bounded(self):
-        policy = RetransmitPolicy(base=0.5, factor=2.0, jitter=0.25, budget=4)
-        offsets = policy.offsets(random.Random(7))
-        assert len(offsets) == policy.budget
+        rng = random.Random(7)
+        offsets = _retry_offsets(rng)
+        assert len(offsets) == RETRY_BUDGET
         assert all(b > a for a, b in zip(offsets, offsets[1:]))
         assert offsets[0] > 0.0
-
-    def test_rejects_degenerate_settings(self):
-        with pytest.raises(SimulationError):
-            RetransmitPolicy(base=0.0)
-        with pytest.raises(SimulationError):
-            RetransmitPolicy(factor=0.5)
-        with pytest.raises(SimulationError):
-            RetransmitPolicy(jitter=-0.1)
-        with pytest.raises(SimulationError):
-            RetransmitPolicy(budget=-1)
+        # One draw per retry, nothing else: the async sim_digests hang
+        # on the driver RNG's stream position.
+        reference = random.Random(7)
+        for _ in range(RETRY_BUDGET):
+            reference.random()
+        assert rng.random() == reference.random()
 
 
 class TestPlantedStall:
