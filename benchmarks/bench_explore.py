@@ -90,7 +90,7 @@ def teardown_module(module):
         fh.write("\n")
 
 
-@pytest.mark.xfail(strict=True, reason="606 vs 610 since PR 20; ROADMAP item 6")
+@pytest.mark.xfail(strict=True, reason="606 vs 610 since PR 20, a 624-624 tie since PR 23; ROADMAP item 6")
 def test_guided_dominates_random_on_healthy_bases():
     bases = base_cells(("engine", "kernel"))
     guided_avg, guided_finals, _ = _campaigns(bases, "guided")

@@ -7,8 +7,8 @@ Three adapters cover every loop in the repo:
   parking is driven by the system's wake-index dirty set.
 * :class:`AutomatonActor` — one Appendix-A automaton inside a
   :class:`repro.sim.Kernel`; parking is driven by the automaton's
-  :meth:`~repro.sim.kernel.Automaton.idle` declaration plus the message
-  buffer's pending queue.
+  :meth:`~repro.sim.kernel.Automaton.idle` declaration, the message
+  buffer's pending queue and the detector sample of its last step.
 * :class:`SystemActor` — a whole subsystem as a single actor (the
   baselines and the §5/§6 emulation drivers, which advance an entire
   deployment per round and have no per-process schedule of their own).
@@ -76,16 +76,19 @@ class SharedObjectActor(Actor):
 
 
 class AutomatonActor(Actor):
-    """One Appendix-A automaton, parked via ``idle()`` + empty inbox.
+    """One Appendix-A automaton, parked while it only waits.
 
-    A started process whose automaton reports idle and whose inbox is
-    empty may be skipped: its step would receive the null message and,
-    by the automaton's own declaration, change nothing.  The same test
-    defines *productivity* — :meth:`fire` always takes the step (fair
-    rounds step everyone on a full scan) but returns 0 when the step was
-    declared changeless beforehand, so quiescence detection sees through
-    no-op steps.  Skipped automata are accounted as idle waits, matching
-    the event-driven kernel's accounting.
+    A started process with an empty inbox, whose automaton reports idle
+    and whose detector module answers what it answered at the process's
+    last step, may be skipped: its step would receive the null message
+    under the very sample :meth:`~repro.sim.kernel.Automaton.idle`
+    speaks of and, by the automaton's own declaration, change nothing.
+    A datagram or a moved detector output is what wakes it.  The same
+    test defines *productivity* — :meth:`fire` always takes the step
+    (fair rounds step everyone on a full scan) but returns 0 when the
+    step was declared changeless beforehand, so quiescence detection
+    sees through no-op steps.  Skipped automata are accounted as idle
+    waits, matching the event-driven kernel's accounting.
     """
 
     SKIP_WAIT: Tuple[str, ...] = (WAIT_IDLE,)
@@ -97,12 +100,19 @@ class AutomatonActor(Actor):
         # resolving them per parked() call showed up in profiles.
         self._automaton = kernel.automata[pid]
         self._buffer = kernel.buffer
+        self._detector = kernel.detectors.get(pid)
 
     def parked(self, t: Time) -> bool:
+        pid = self._pid
         return (
-            self._pid in self._kernel._started
+            pid in self._kernel._started
+            and not self._buffer.has_pending(pid)
             and self._automaton.idle()
-            and not self._buffer.has_pending(self._pid)
+            # By value: a wrapped module builds its sample per query.
+            and (
+                self._detector is None
+                or self._detector.query(pid, t) == self._kernel._sampled[pid]
+            )
         )
 
     def fire(
@@ -111,9 +121,22 @@ class AutomatonActor(Actor):
         budget: Optional[int] = None,
         parked: Optional[bool] = None,
     ) -> int:
-        productive = not self.parked(t) if parked is None else not parked
-        self._kernel.step_process(self._pid)
-        return 1 if productive else 0
+        kernel, pid = self._kernel, self._pid
+        if parked is None:
+            # A full scan never asked.  The step samples the module
+            # itself, so judge it against the sample before: a second
+            # query would double what a noisy module counts per step.
+            parked = (
+                pid in kernel._started
+                and not self._buffer.has_pending(pid)
+                and self._automaton.idle()
+            )
+            before = kernel._sampled.get(pid)
+            kernel.step_process(pid)
+            parked = parked and kernel._sampled[pid] == before
+        else:
+            kernel.step_process(pid)
+        return 0 if parked else 1
 
     def wait_reasons(self) -> Iterable[str]:
         return (WAIT_IDLE,)

@@ -107,14 +107,18 @@ class Automaton:
         raise NotImplementedError
 
     def idle(self) -> bool:
-        """True when a step with no datagram cannot change this automaton.
+        """True when a step with no datagram, *under the detector sample
+        of this automaton's last step*, cannot change it.
 
-        The kernel skips started processes that are idle and have
-        nothing pending in the buffer.
+        The kernel skips a started process that is idle, has nothing
+        pending in the buffer and whose detector module still answers
+        that sample; a datagram or a moved detector output wakes it.  An
+        automaton that acts on the clock (a timer, a throttle) is not
+        idle while one is running.
         The default is conservative — ``False`` keeps every process
-        stepping each round, which is always sound.  Automata that are
-        purely message-driven after start-up (they neither poll detectors
-        nor act spontaneously) may override this to report quiescence.
+        stepping each round, which is always sound.  Automata that wait
+        on mail and on their detector only may override this to report
+        quiescence.
         """
         return False
 
@@ -153,6 +157,8 @@ class Kernel(RoundHost):
         }
         self.steps_taken: Dict[ProcessId, int] = {p: 0 for p in automata}
         self._started: set = set()
+        #: The detector sample each process took its last step under.
+        self._sampled: Dict[ProcessId, Any] = {}
         #: Reusable per-step context view (see :meth:`Context.bind`).
         self._ctx = Context(None, 0, None, self.buffer, [])
         #: Crash-time drop schedule: instead of sweeping every inbox each
@@ -259,7 +265,7 @@ class Kernel(RoundHost):
         if not self.pattern.is_alive(p, t):
             raise SimulationError(f"{p} is crashed and cannot step")
         detector = self.detectors.get(p)
-        sample = detector.query(p, t) if detector else None
+        sample = self._sampled[p] = detector.query(p, t) if detector else None
         ctx = self._ctx.bind(p, t, sample, self.outputs[p])
         automaton = self.automata[p]
         if p not in self._started:

@@ -18,8 +18,8 @@ The detector handed to each process must provide samples shaped as
 
 What reaches the buffer is kept to what another process has to read: a
 process never mails itself (its own acceptor handles PREPARE / ACCEPT,
-and the proposer the reply, inside the sending step), a DECIDE is
-relayed onward only (not back to whoever sent it), and the instance's
+and the proposer the reply, inside the sending step), a DECIDE goes from
+the decider to every other member and no further, and the instance's
 lowest ballot goes straight to its accept phase.  DESIGN.md §16 "What a
 slot costs" has the ledger and the safety arguments.
 """
@@ -166,6 +166,13 @@ class ConsensusAutomaton(Automaton):
         if self.proposal is None:
             self.proposal = value
 
+    def withdraw(self) -> None:
+        """Take the proposal back and stop proposing.  The acceptor state
+        stays, so a value this proposer got accepted is still there for
+        the next ballot's phase 1 to find."""
+        self.proposal = None
+        self._phase = None
+
     # -- Durable state (crash–recovery) ----------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
@@ -277,16 +284,11 @@ class ConsensusAutomaton(Automaton):
         elif tag == "DECIDE":
             (value,) = body
             if self.decision is None:
+                # Learned, not relayed: the decider addressed every
+                # member itself, and a member it died before reaching
+                # asks the next ``Omega`` leader (the log's CATCHUP).
                 self.decision = value
                 ctx.output(("decide", value))
-                # Folklore relay, onward only: ``src`` has decided by
-                # construction, and every other member still gets a copy
-                # from every decider — so a decision one correct process
-                # learns reaches all of them even if the decider crashed
-                # mid-broadcast.
-                ctx.broadcast(
-                    [p for p in self._others if p != src], "DECIDE", value
-                )
 
     def _progress(self, ctx: Context) -> None:
         sample = ctx.detector or {}
@@ -353,6 +355,28 @@ class ConsensusAutomaton(Automaton):
                 self._announce(
                     ctx, "ACCEPT", self._ballot, self._value_in_flight
                 )
+
+    def awaits_mail(self, sample: Dict[str, Any]) -> bool:
+        """Whether :meth:`_progress` under ``sample`` changes nothing.
+
+        So for an instance that is decided or has nothing to propose,
+        and for a leader mid-ballot whose quorum is incomplete under
+        ``sample["sigma"]`` with no retransmission timer running: only a
+        datagram, or another sample, moves it.  A demoted proposer and
+        an armed timer act on the clock, and a complete quorum or a
+        ballot yet to open acts on the next step.
+        """
+        if self.decision is not None or self.proposal is None:
+            return True
+        if sample.get("omega") != self.pid or self.retransmit_interval is not None:
+            return False
+        if self._phase == "prepare":
+            replied = self._promises
+        elif self._phase == "accept":
+            replied = self._accepts
+        else:
+            return False
+        return not all(q in replied for q in sample.get("sigma", ()))
 
     def _start_accept(self, ctx: Context, value: Any) -> None:
         self._value_in_flight = value

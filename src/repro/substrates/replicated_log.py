@@ -9,8 +9,19 @@ protocol, so a slot decides a *batch*: the tuple of everything queued at
 the replica that opened it.  A replica drives its head slot only — the
 first undecided one — and applies decided slots in order, each value at
 most once, yielding identical log prefixes at every member
-(state-machine replication).  DESIGN.md §16 "What a slot costs" has the
-ledger.
+(state-machine replication).
+
+``Omega_g`` is what keeps the log gap-free when a proposer dies: the
+replica it names leader proposes the empty batch in a head slot it knows
+open and holds no proposal in (an ordinary ballot, so phase 1 adopts
+whatever was accepted), and a replica whose ``Omega_g`` output moves
+while its head is open asks the new leader, which has decided the slot
+or takes it over.  Both are enabled by the detector's output, never by a
+clock, and a failure-free run executes neither.  A replica that only
+waits — for a datagram, under the sample of its last step — says so
+through :meth:`ReplicatedLogAutomaton.idle` and takes no step until one
+of the two changes.  DESIGN.md §16 "What a slot costs" has the ledger
+and the arguments.
 
 The contention-free fast path of Proposition 47 (adopt–commit before
 consensus) is exercised separately in
@@ -45,7 +56,11 @@ class ReplicatedLogAutomaton(Automaton):
     as one batch — no size cap and no linger timer: a batch is whatever
     arrived while the previous slot was deciding.  ``CATCHUP`` and
     ``FORWARD`` are the log's own messages: a non-leader's batch joins
-    the receiver's queue rather than contending for the sender's slot.
+    the receiver's queue rather than contending for the sender's slot,
+    and ``CATCHUP(next_slot, horizon)`` — from a rejoined replica to
+    everyone, from a replica whose leader changed to the new one — asks
+    for the decisions from ``next_slot`` on and names the slots its
+    sender knows open.
     """
 
     def __init__(
@@ -77,6 +92,14 @@ class ReplicatedLogAutomaton(Automaton):
         #: Set by :meth:`restore`: the rejoined replica must ask its
         #: peers for decisions that completed around its crash window.
         self._catchup_needed = False
+        #: The highest slot this replica knows someone opened: it holds
+        #: an instance of it (its own, a datagram's, or restored
+        #: acceptor state) or a peer's ``CATCHUP`` named it.  The head is
+        #: *known open* while ``_next_slot <= _horizon``.
+        self._horizon = -1
+        #: The detector sample of the last step (volatile): ``idle`` is
+        #: relative to it, and ``Omega`` *moved* when a step's differs.
+        self._sample: Dict[str, Any] = {}
         #: One reusable slot-context view, rebound per call — the kernel
         #: steps this automaton once per process per round, and a fresh
         #: wrapper allocation per step showed up in profiles.
@@ -124,6 +147,8 @@ class ReplicatedLogAutomaton(Automaton):
         buffer makes it reliable.
         """
         self._catchup_needed = True
+        self._horizon = -1
+        self._sample = {}
         self._next_slot = int(snapshot["next_slot"])
         self.applied = list(snapshot["applied"])
         self._applied_values = set(self.applied)
@@ -134,21 +159,26 @@ class ReplicatedLogAutomaton(Automaton):
             self._slot(int(slot)).restore(state)
 
     def idle(self) -> bool:
-        """Nothing pending and no slot open at the apply head.
+        """A null step under the last step's sample would change nothing.
 
-        A null step only drives the head slot (propose / progress), and
-        the apply loop leaves the head either absent or undecided — so
-        with no pending value and no head automaton, a step without a
-        datagram provably changes nothing.  Later slots opened by
-        incoming datagrams progress on receipt, which un-parks the
-        process through the buffer check.  A freshly rejoined replica
-        is never idle: its first step must send the catch-up request.
+        Such a step only drives the head slot, which the apply loop left
+        absent or undecided.  With no proposal there it would open one —
+        for what is queued, or as the ``Omega`` leader of a head known
+        open (:meth:`_take_over`) — and otherwise wait; with one it is
+        the consensus instance's call
+        (:meth:`ConsensusAutomaton.awaits_mail`).  Slots past the head
+        move on receipt only.  A freshly rejoined replica is never idle:
+        its first step must send the catch-up request.
         """
-        return (
-            not self._catchup_needed
-            and not self._pending
-            and self._slots.get(self._next_slot) is None
-        )
+        if self._catchup_needed:
+            return False
+        head = self._slots.get(self._next_slot)
+        if head is None or head.proposal is None:
+            return not self._pending and not (
+                self._next_slot <= self._horizon
+                and self._sample.get("omega") == self.pid
+            )
+        return head.awaits_mail(self._sample)
 
     def _slot(self, index: int) -> ConsensusAutomaton:
         automaton = self._slots.get(index)
@@ -159,10 +189,25 @@ class ReplicatedLogAutomaton(Automaton):
                 supersede=self.supersede,
                 retransmit_interval=self.retransmit_interval,
             )
+            if index > self._horizon:
+                self._horizon = index
         return automaton
+
+    def _take_over(self) -> ConsensusAutomaton:
+        """``Omega`` names this replica and its head is open with no
+        proposal of its own: whoever drove the slot is gone.  Propose
+        the no-op batch there, under an ordinary ballot — phase 1 adopts
+        whatever an acceptor holds, so the log stays gap-free."""
+        head = self._slot(self._next_slot)
+        head.propose(())
+        return head
 
     def on_step(self, ctx: Context, datagram: Optional[Datagram]) -> None:
         slot_ctx = self._slot_ctx
+        sample = ctx.detector or {}
+        leader = sample.get("omega")
+        last_leader = self._sample.get("omega")
+        self._sample = sample
         if self._catchup_needed:
             # First post-rejoin step: ask every peer for decisions made
             # around the crash window.  One shot suffices — the host
@@ -170,20 +215,27 @@ class ReplicatedLogAutomaton(Automaton):
             self._catchup_needed = False
             if self._membership.others:
                 ctx.broadcast(
-                    self._membership.others, "CATCHUP", self._next_slot
+                    self._membership.others,
+                    "CATCHUP",
+                    self._next_slot,
+                    self._horizon,
                 )
         tag = None if datagram is None else datagram.tag
         if tag == "CATCHUP":
             # Log-level request (no slot prefix): replay our applied
             # decisions from the requested slot on as ordinary DECIDE
-            # messages — idempotent at the laggard, and exactly what a
-            # non-dropped broadcast would have delivered.
-            (from_slot,) = datagram.body
+            # messages — idempotent at the laggard, and exactly what the
+            # decider's own broadcast would have delivered.  The slots
+            # the laggard knows open and we have not decided are ours to
+            # take over, now or when ``Omega`` names us.
+            from_slot, horizon = datagram.body
             for slot_index in range(from_slot, self._next_slot):
                 ctx.send(
                     datagram.src, "DECIDE", slot_index,
                     self._batches[slot_index],
                 )
+            if horizon > self._horizon:
+                self._horizon = horizon
         elif tag == "FORWARD":
             # Log-level too: a non-leader's batch joins this replica's
             # queue and rides the next slot it opens (or its own next
@@ -205,9 +257,16 @@ class ReplicatedLogAutomaton(Automaton):
         # Drive the current head slot: opening it proposes everything
         # queued as one batch, and it keeps progressing while undecided.
         head = self._slots.get(self._next_slot)
-        if self._pending and (head is None or head.proposal is None):
-            head = self._slot(self._next_slot)
-            head.propose(tuple(self._pending))
+        if head is not None and head.proposal == () and leader != self.pid:
+            # The no-op is the leader's to propose, not a value to
+            # forward: demoted, this replica is a learner again.
+            head.withdraw()
+        if head is None or head.proposal is None:
+            if self._pending:
+                head = self._slot(self._next_slot)
+                head.propose(tuple(self._pending))
+            elif leader == self.pid and self._next_slot <= self._horizon:
+                head = self._take_over()
         if head is not None and head.decision is None:
             slot_ctx.bind(ctx, self._next_slot)
             head._progress(slot_ctx)
@@ -229,6 +288,16 @@ class ReplicatedLogAutomaton(Automaton):
                 if value not in self._applied_values
             ]
             self._next_slot += 1
+        if (
+            leader != last_leader
+            and last_leader is not None
+            and leader not in (None, self.pid)
+            and self._next_slot <= self._horizon
+        ):
+            # ``Omega`` moved while the head is open: whoever was to
+            # send its DECIDE may be gone, so ask the new leader, which
+            # has decided the slot or takes it over.
+            ctx.send(leader, "CATCHUP", self._next_slot, self._horizon)
 
 
 class _SlotContext:

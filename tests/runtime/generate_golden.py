@@ -10,10 +10,12 @@ any diff.  The 168 engine and 80 ``kernel:pingpong*`` fingerprints are
 still the ones produced at the last commit *before* the
 ``repro.runtime`` extraction (91a52c1) — they pin the runtime loop, and
 every commit since reproduces them byte for byte.  The 20
-``kernel:replog3:*`` fingerprints were re-versioned twice under
+``kernel:replog3:*`` fingerprints were re-versioned three times under
 DESIGN.md §13 policy (2): in PR 20 (the §4.3 consensus deliberately
-sends fewer datagrams) and in PR 21 (a log slot decides a batch);
-CHANGES.md lists the keys and the reason each time.
+sends fewer datagrams), in PR 21 (a log slot decides a batch) and in
+PR 23 (a learner does not relay DECIDE); CHANGES.md lists the keys and
+the reason each time, and ``tests/substrates/replog3_pr2*.json`` keep
+the retired values for the oracles to reproduce.
 
 Regenerate only for such a deliberate, documented behaviour change, in
 the PR that makes it — never to paper over a differential failure.

@@ -26,8 +26,8 @@ kept in ``_oracle.py`` and bound over ``Scheduler.round`` by
 A failure here means the shared scheduler changed an observable
 schedule.  Fix the scheduler — never regenerate ``golden.json`` to make
 a failure disappear.  (The 20 ``kernel:replog3:*`` entries are the one
-exception on record: PR 20 changed the consensus protocol's message
-pattern and PR 21 what a log slot decides, each on purpose, and
+exception on record: PR 20 and PR 23 changed the consensus protocol's
+message pattern and PR 21 what a log slot decides, each on purpose, and
 re-versioned them under DESIGN.md §13 policy (2);
 the engine and ``pingpong`` entries are still the pre-refactor ones.)
 """

@@ -11,10 +11,19 @@ counted ledger (45 vs 24), and liveness wherever the parent had it.
 
 Until PR 21 a log slot decided one value and a forwarded value raced
 for its sender's slot; :class:`SingleValueSlots` is that replica body on
-the shipped class.  The two compose: ``single_value_slots()`` alone is
-PR 21's parent, with ``flooding()`` it is PR 20's.
+the shipped class.
 
-``tests/substrates/test_slot_cost.py`` checks both are faithful: the 20
+Until PR 23 every learner relayed the DECIDE it learned to everyone but
+its sender, a replica whose head slot was open stepped every round, and
+nobody proposed in a slot whose proposer had died:
+:class:`RelayingConsensus` and :class:`OrphaningLog` are those.
+
+Each layer is a mix-in its context manager puts on top of whatever the
+modules hold, so they nest — oldest habit innermost: ``relaying()`` alone
+is PR 23's parent, ``relaying(), single_value_slots()`` PR 21's, and
+``relaying(), single_value_slots(), flooding()`` PR 20's.
+
+``tests/substrates/test_slot_cost.py`` checks they are faithful: the 20
 ``kernel:replog3:*`` goldens and the kernel row pins recorded before
 each PR reproduce byte for byte.
 """
@@ -24,8 +33,21 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from repro.substrates import consensus, replicated_log
-from repro.substrates.consensus import ConsensusAutomaton
-from repro.substrates.replicated_log import ReplicatedLogAutomaton
+
+
+@contextmanager
+def _layer(mixin, name, *modules):
+    """Inside the block, ``name`` in ``modules`` is ``mixin`` over what
+    it was."""
+    base = getattr(modules[0], name)
+    layered = type(mixin.__name__, (mixin, base), {})
+    for module in modules:
+        setattr(module, name, layered)
+    try:
+        yield
+    finally:
+        for module in modules:
+            setattr(module, name, base)
 
 
 class _FloodingContext:
@@ -44,8 +66,8 @@ class _FloodingContext:
         self._ctx.broadcast(self._scope if tag == "DECIDE" else dsts, tag, *body)
 
 
-class FloodingConsensus(ConsensusAutomaton):
-    """:class:`ConsensusAutomaton` with the pre-PR-20 wire behaviour."""
+class FloodingConsensus:
+    """The consensus automaton with the pre-PR-20 wire behaviour."""
 
     def _handle(self, ctx, src, tag, body):
         super()._handle(_FloodingContext(ctx, self.scope), src, tag, body)
@@ -70,20 +92,56 @@ class FloodingConsensus(ConsensusAutomaton):
             super()._start_accept(ctx, value)
 
 
-@contextmanager
 def flooding():
     """Inside the block, every consensus instance built is the oracle."""
-    modules = (consensus, replicated_log)
-    for module in modules:
-        module.ConsensusAutomaton = FloodingConsensus
-    try:
-        yield
-    finally:
-        for module in modules:
-            module.ConsensusAutomaton = ConsensusAutomaton
+    return _layer(FloodingConsensus, "ConsensusAutomaton", consensus, replicated_log)
 
 
-class SingleValueSlots(ReplicatedLogAutomaton):
+class RelayingConsensus:
+    """The learner until PR 23: what it learns it tells everyone else."""
+
+    def _handle(self, ctx, src, tag, body):
+        learns = tag == "DECIDE" and self.decision is None
+        super()._handle(ctx, src, tag, body)
+        if learns:
+            # Folklore relay, onward only: ``src`` has decided by
+            # construction, and every other member still gets a copy
+            # from every decider — so a decision one correct process
+            # learns reaches all of them even if the decider crashed
+            # mid-broadcast.
+            ctx.broadcast([p for p in self._others if p != src], "DECIDE", body[0])
+
+
+class OrphaningLog:
+    """The replica until PR 23: it steps every round while its head slot
+    is open, and a slot whose proposer died stays open for good."""
+
+    def idle(self):
+        """Nothing pending and no slot open at the apply head."""
+        return (
+            not self._catchup_needed
+            and not self._pending
+            and self._slots.get(self._next_slot) is None
+        )
+
+    def on_step(self, ctx, datagram):
+        self._sample = {}  # no last output, so ``Omega`` never moved
+        super().on_step(ctx, datagram)
+
+    def _take_over(self):
+        return self._slots.get(self._next_slot)
+
+
+@contextmanager
+def relaying():
+    """Inside the block, every consensus instance and every log replica
+    built is PR 23's parent."""
+    with _layer(RelayingConsensus, "ConsensusAutomaton", consensus, replicated_log):
+        with _layer(OrphaningLog, "ReplicatedLogAutomaton", replicated_log):
+            yield
+
+
+class SingleValueSlots:
     """The log until PR 21: a slot decides one bare value — the head of
     the queue — a FORWARD is its slot's (adopted only by a slot that has
     no proposal yet), and a value decided twice is applied twice."""
@@ -117,11 +175,6 @@ class SingleValueSlots(ReplicatedLogAutomaton):
             self._next_slot += 1
 
 
-@contextmanager
 def single_value_slots():
     """Inside the block, every replicated-log replica built is the oracle."""
-    replicated_log.ReplicatedLogAutomaton = SingleValueSlots
-    try:
-        yield
-    finally:
-        replicated_log.ReplicatedLogAutomaton = ReplicatedLogAutomaton
+    return _layer(SingleValueSlots, "ReplicatedLogAutomaton", replicated_log)

@@ -1,12 +1,14 @@
 """What the §4.3 consensus puts on the wire (DESIGN.md §16 "What a slot costs").
 
 Three moves, one section each: (A) a process never mails itself,
-(B) DECIDE is relayed onward only and still reaches everyone when the
-decider dies mid-broadcast, (C) only the instance's lowest ballot skips
-phase 1, and only once.  The ledger also counts what a slot *carries*:
-everything queued at the leader when it opens.  A last section runs the
-shipped protocol next to the retired ones (``_oracle.FloodingConsensus``,
-``_oracle.SingleValueSlots``) under random fault plans.
+(B) DECIDE goes from the decider to everyone else and no further, and
+still reaches everyone when the decider dies mid-broadcast because the
+next ``Omega`` leader is asked, (C) only the instance's lowest ballot
+skips phase 1, and only once.  The ledger also counts what a slot
+*carries*: everything queued at the leader when it opens.  A last
+section runs the shipped protocol next to the retired ones
+(``_oracle.FloodingConsensus``, ``_oracle.SingleValueSlots``,
+``_oracle.RelayingConsensus`` / ``OrphaningLog``) under random fault plans.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.sim.kernel import Context
 from repro.substrates import (
     ConsensusAutomaton,
     ConsensusCluster,
+    ReplicatedLogAutomaton,
     ReplicatedLogCluster,
 )
 from repro.workloads.runner import Send, run_scenario
@@ -38,7 +41,7 @@ from tests.runtime._scenarios import (
     kernel_fingerprint,
     kernel_scenarios,
 )
-from tests.substrates._oracle import flooding, single_value_slots
+from tests.substrates._oracle import flooding, relaying, single_value_slots
 from tests.workloads import test_pipeline_rows as pipeline_rows
 
 
@@ -66,23 +69,25 @@ def kernel_spec(group_size, sends, groups=1, **fields):
 
 
 class Bench:
-    """One consensus instance driven by hand, an Appendix-A step at a time.
+    """One consensus instance (or one log) driven by hand, an Appendix-A
+    step at a time.
 
     Real automata, a real :class:`MessageBuffer`, real step contexts; the
     test picks who steps, what that step receives and what ``Omega``
-    currently says.
+    and ``Sigma`` currently say.
     """
 
-    def __init__(self, size, leader=0):
+    def __init__(self, size, leader=0, automaton=ConsensusAutomaton):
         self.procs = make_processes(size)
         self.scope = pset(self.procs)
         self.buffer = MessageBuffer()
-        self.automata = {p: ConsensusAutomaton(p, self.scope) for p in self.procs}
+        self.automata = {p: automaton(p, self.scope) for p in self.procs}
         self.leader = self.procs[leader]
+        self.quorum = self.scope
 
     def step(self, p):
         """``p`` receives its oldest pending datagram (or null) and moves."""
-        sample = {"omega": self.leader, "sigma": self.scope}
+        sample = {"omega": self.leader, "sigma": self.quorum}
         ctx = Context(p, 0, sample, self.buffer, [])
         self.automata[p].on_step(ctx, self.buffer.receive(p))
 
@@ -163,12 +168,29 @@ class TestTheLedger:
         leader_receipts = sum(1 for d in wire if d.dst == procs[0])
         return per_tag, leader_receipts
 
-    def test_a_slot_costs_24_datagrams_and_its_leader_4_receipts(self, wire):
+    def test_a_slot_costs_12_datagrams_and_its_leader_4_receipts(self, wire):
         # Six appends queued when the head slot opens are one slot.
         per_tag, leader_receipts = self.ledger(wire)
-        assert per_tag == {"ACCEPT": 4, "ACCEPTED": 4, "DECIDE": 16}
+        assert per_tag == {"ACCEPT": 4, "ACCEPTED": 4, "DECIDE": 4}
         assert leader_receipts == 4
         assert {d.body[0] for d in wire} == {0}
+
+    def test_a_learner_takes_2_steps_a_slot_and_none_between_them(self):
+        procs = make_processes(5)
+        pattern = failure_free(pset(procs))
+        cluster = ReplicatedLogCluster(pattern, pset(procs))
+        kernel = Kernel(pattern, cluster.automata, cluster.detectors, seed=1)
+        kernel.round()  # everyone's first step, nothing to do yet
+        slots = 3
+        for slot in range(slots):
+            cluster.append(procs[0], f"v{slot}")
+            kernel.run(40, quiescent_rounds=2)
+            assert kernel.last_run_quiescent
+        assert {cluster.applied_at(p) for p in procs} == {("v0", "v1", "v2")}
+        # The ACCEPT and the DECIDE: a learner that has accepted is parked.
+        assert [kernel.steps_taken[p] - 1 for p in procs[1:]] == [2 * slots] * 4
+        # The opening and the 4 ACCEPTED (``Sigma`` is the whole scope here).
+        assert kernel.steps_taken[procs[0]] - 1 == 5 * slots
 
     def test_a_value_appended_while_a_slot_is_open_rides_the_next_one(self, wire):
         procs = make_processes(5)
@@ -183,10 +205,16 @@ class TestTheLedger:
         assert {cluster.applied_at(p) for p in procs} == {("v0", "v1", "v2")}
         decided = {d.body for d in wire if d.tag == "DECIDE"}
         assert decided == {(0, ("v0",)), (1, ("v1", "v2"))}
-        assert len(wire) == 2 * 24
+        assert len(wire) == 2 * 12
+
+    def test_a_slot_costs_24_datagrams_and_its_leader_4_receipts_while_every_learner_relays(self, wire):
+        with relaying():
+            per_tag, leader_receipts = self.ledger(wire)
+        assert per_tag == {"ACCEPT": 4, "ACCEPTED": 4, "DECIDE": 16}
+        assert leader_receipts == 4
 
     def test_one_value_a_slot_cost_24_and_4_per_append(self, wire):
-        with single_value_slots():
+        with relaying(), single_value_slots():
             per_tag, leader_receipts = self.ledger(wire)
         assert per_tag == {
             "ACCEPT": 4 * self.APPENDS,
@@ -196,7 +224,7 @@ class TestTheLedger:
         assert leader_receipts == 4 * self.APPENDS
 
     def test_the_retired_pattern_cost_45_and_17(self, wire):
-        with single_value_slots(), flooding():
+        with relaying(), single_value_slots(), flooding():
             per_tag, leader_receipts = self.ledger(wire)
         assert per_tag == {
             "PREPARE": 5 * self.APPENDS,
@@ -208,43 +236,66 @@ class TestTheLedger:
         assert leader_receipts == 17 * self.APPENDS
 
 
+def retired_goldens(name):
+    path = os.path.join(os.path.dirname(__file__), name)
+    with open(path, encoding="utf-8") as fh:
+        retired = json.load(fh)
+    assert len(retired) == 20
+    return retired
+
+
+def assert_goldens_reproduce(retired):
+    for key, run in kernel_scenarios():
+        if key in retired:
+            kernel = run(scan=True)
+            assert retired.pop(key) == {
+                "outputs": canonical_hash(kernel_fingerprint(kernel)),
+                "steps": sum(kernel.steps_taken.values()),
+            }, key
+    assert not retired
+
+
 class TestTheOraclesAreTheParents:
     """Under the oracles, what earlier commits pinned comes back byte for byte."""
 
+    def test_relaying_reproduces_the_pr22_goldens(self):
+        with relaying():
+            assert_goldens_reproduce(retired_goldens("replog3_pr22.json"))
+
+    @pytest.mark.parametrize(
+        "label, retired",
+        [
+            ("disjoint-kernel-event", "7c62307a6641eb536d96198b5ac32b0828e63989eeabb96f89123933bb83ea12"),
+            ("disjoint-kernel-faulted", "fbe654d979ac4f2921edf8fecd8fe4c9f965f1c7ad0469207285599b1f512ad7"),
+        ],
+    )
+    def test_relaying_reproduces_the_pr22_row_pins(self, label, retired):
+        with relaying():
+            assert pipeline_rows.row_digest(pipeline_rows.SPECS[label]) == retired
+
     def test_single_value_slots_reproduce_the_pr20_goldens(self):
-        path = os.path.join(os.path.dirname(__file__), "replog3_pr20.json")
-        with open(path, encoding="utf-8") as fh:
-            retired = json.load(fh)
-        assert len(retired) == 20
-        with single_value_slots():
-            for key, run in kernel_scenarios():
-                if key in retired:
-                    kernel = run(scan=True)
-                    assert retired.pop(key) == {
-                        "outputs": canonical_hash(kernel_fingerprint(kernel)),
-                        "steps": sum(kernel.steps_taken.values()),
-                    }, key
-        assert not retired
+        with relaying(), single_value_slots():
+            assert_goldens_reproduce(retired_goldens("replog3_pr20.json"))
 
     def test_single_value_slots_reproduce_the_pr20_row_pin(self):
         retired = "57a4cb6c286c15bbb71ba26f361f9fa7cb4e2ec435ba9c2ef77264a4493553b3"
         spec = pipeline_rows.SPECS["disjoint-kernel-faulted"]
-        with single_value_slots():
+        with relaying(), single_value_slots():
             assert pipeline_rows.row_digest(spec) == retired
 
 
 @pytest.mark.parametrize("label", ["disjoint-kernel-event", "disjoint-kernel-faulted"])
 def test_the_oracle_is_the_parents_protocol(label):
-    """Under both oracles the kernel row pins recorded before PR 20 come back."""
+    """Under all three oracles the kernel row pins recorded before PR 20 come back."""
     retired = {
         "disjoint-kernel-event": "565dd5c108fd85a68b06640989e8bad4b2b2d480dbfae2ee034d51eb26abbf5f",
         "disjoint-kernel-faulted": "e69c4f191a6c4ddae53a3dfcfb6a961347289dd613e3ed7b0ce90423dca65e05",
     }
-    with single_value_slots(), flooding():
+    with relaying(), single_value_slots(), flooding():
         assert pipeline_rows.row_digest(pipeline_rows.SPECS[label]) == retired[label]
 
 
-# -- (B) DECIDE is relayed onward only ----------------------------------------
+# -- (B) DECIDE goes decider -> others; Omega carries the relay ---------------
 
 
 class TestRelay:
@@ -274,25 +325,33 @@ class TestRelay:
     @pytest.mark.parametrize("size", [3, 5])
     @pytest.mark.parametrize("seed", range(10))
     def test_one_member_received_it_and_the_decider_is_gone(self, size, seed):
+        # Without timeouts the property needs ``Omega``: the dead
+        # decider's output moves to a correct member, who has the
+        # decision and is asked for it, or has not and takes the slot over.
         for sole_recipient in range(1, size):
-            bench = Bench(size)
-            leader, others = bench.procs[0], list(bench.procs[1:])
-            bench.automata[leader].propose("v")
-            order = random.Random(seed)
-            while bench.automata[leader].decision is None:
-                p = order.choice(bench.procs)
-                bench.step(p)
-            # The leader's deciding step just ended: its DECIDEs are in
-            # the buffer and nobody has read one.  It crashed mid-
-            # broadcast — only one copy ever left.
-            decides = bench.pending("DECIDE")
-            assert {d.src for d in decides} == {leader}
-            assert {d.dst for d in decides} >= set(others)
-            for d in decides:
-                if d.dst != bench.procs[sole_recipient]:
-                    bench.buffer.receive_specific(d.dst, d)
-            bench.drain(others, order)
-            assert [bench.automata[p].decision for p in others] == ["v"] * len(others)
+            for successor in range(1, size):
+                bench = Bench(size, automaton=ReplicatedLogAutomaton)
+                leader, others = bench.procs[0], list(bench.procs[1:])
+                bench.automata[leader].append("v")
+                order = random.Random(seed)
+                while not bench.automata[leader].applied:
+                    p = order.choice(bench.procs)
+                    bench.step(p)
+                # The leader's deciding step just ended: its DECIDEs are in
+                # the buffer and nobody has read one.  It crashed mid-
+                # broadcast — only one copy ever left.
+                decides = bench.pending("DECIDE")
+                assert {d.src for d in decides} == {leader}
+                assert {d.dst for d in decides} >= set(others)
+                for d in decides:
+                    if d.dst != bench.procs[sole_recipient]:
+                        bench.buffer.receive_specific(d.dst, d)
+                bench.leader, bench.quorum = bench.procs[successor], pset(others)
+                order.shuffle(others)
+                for p in others:
+                    bench.step(p)  # the step that samples the new output
+                bench.drain(others, order)
+                assert [bench.automata[p].applied for p in others] == [["v"]] * len(others)
 
     @pytest.mark.parametrize("victim", [4, 5])
     @pytest.mark.parametrize("start", [2, 3, 4, 6])
@@ -512,7 +571,7 @@ def test_safe_and_as_live_as_the_retired_protocol(wire, cell):
     assert row["verdicts"]["integrity"] == 0
     assert all(d.src != d.dst for d in wire)
     assert_phase_1_discipline(wire, {make_processes(size)[0]: (1, 1)})
-    with flooding():
+    with relaying(), flooding():
         parent = run_scenario(spec)
     if parent.delivered_everywhere() and not parent.truncated:
         assert result.delivered_everywhere() and not result.truncated
@@ -540,7 +599,7 @@ def test_batched_slots_next_to_single_value_slots(cell):
         # Per-origin FIFO: a sender's ids are minted in append order.
         own = [mid for mid in log.applied if mid.sender_index == p.index]
         assert own == sorted(own)
-    with single_value_slots():
+    with relaying(), single_value_slots():
         parent = run_scenario(spec)
     if parent.delivered_everywhere():
         assert result.delivered_everywhere()

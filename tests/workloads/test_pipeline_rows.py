@@ -91,14 +91,15 @@ SPECS = {
 #: Recorded at the parent commit (11cd75c), before the runner changed.
 PINS = {
     "figure1-engine-crash": "1daebe396c53f414d4d6df7a786db348490ebf9f82f7fffaf3fe5aa01aa11988",
-    # The two kernel pins were re-recorded in PR 20: the §4.3 consensus
-    # sends fewer datagrams on purpose (DESIGN.md §16 "What a slot costs").
-    "disjoint-kernel-event": "7c62307a6641eb536d96198b5ac32b0828e63989eeabb96f89123933bb83ea12",
+    # The two kernel pins were re-recorded in PR 20 (the §4.3 consensus
+    # sends fewer datagrams), PR 21 (a log slot decides a batch) and PR 23
+    # (DECIDE is not relayed, a waiting replica is parked, ``Omega_g`` takes
+    # an orphaned slot over) — each on purpose, DESIGN.md §16; the parents'
+    # values live on in tests/substrates/test_slot_cost.py.
+    "disjoint-kernel-event": "9eb03fddc476be7e4cc36c568de4658ea0bd480fb460a59e76394b54bd6799da",
     "figure1-async-uniform": "19cddf8f1cb78edac2552afcafb381d71db48ca32accc59f681c22e50c1245ad",
     "figure1-engine-faulted": "af24c0da4e09f14cdeb3f4e4841996785e558ccf5a7563b919bf11d457a33c10",
-    # Re-recorded again in PR 21: a log slot decides a batch and a forwarded
-    # value joins the leader's queue (DESIGN.md §16).
-    "disjoint-kernel-faulted": "fbe654d979ac4f2921edf8fecd8fe4c9f965f1c7ad0469207285599b1f512ad7",
+    "disjoint-kernel-faulted": "342ac8d2c5804e8d2b72ed93343236379bb4fab7d559598871a22bb7c69895e7",
     "figure1-async-faulted": "bd8a0782274ea23b7181ea437f07604aabf1ddc0398557abac3b4b6a37a6c29c",
     "figure1-engine-truncated": "7a94fa6fbfba56f852611e35abad1680ba60cee084edc50caf23f822ff12bc90",
 }
