@@ -56,21 +56,24 @@ def main() -> None:
           f"x {len(campaign.variants)} variants)\n")
 
     # workers=2 fans out over a process pool; workers=1 runs in-process.
-    # Either way the aggregated rows are byte-identical.
-    report = run_campaign(campaign, workers=2)
+    # Either way the aggregated rows are byte-identical.  out_dir writes
+    # the artifacts as rows arrive; on_row sees each row for the table.
+    out = tempfile.mkdtemp(prefix="campaign-")
+    rows = []
+    report = run_campaign(
+        campaign, workers=2, out_dir=out, on_row=rows.append
+    )
 
-    print(sweep_table(report.rows))
+    print(sweep_table(rows))
     summary = report.summary
     print(f"\n{summary['ok']}/{summary['scenarios']} scenarios ok, "
           f"{summary['delivered']} delivered everywhere, "
           f"{sum(summary['violations'].values())} property violations, "
           f"mean rounds {summary['mean_rounds']}")
 
-    out = tempfile.mkdtemp(prefix="campaign-")
-    paths = report.write(out)
-    print(f"\nArtifacts: {paths['manifest']}\n           {paths['results']}")
+    print(f"\nArtifacts: {out}/manifest.json\n           {out}/results.jsonl")
 
-    if report.failed_rows() or sum(summary["violations"].values()):
+    if summary["failed"] or sum(summary["violations"].values()):
         sys.exit(1)
 
 

@@ -9,14 +9,15 @@ The pipeline is ``spec -> executor -> aggregator``:
    failure isolation and deterministic, worker-count-independent row
    ordering;
 3. the streaming :class:`repro.metrics.sweep.SweepAggregator` folds rows
-   into campaign totals, and :class:`CampaignReport` serializes the whole
-   sweep as a ``manifest.json`` + ``results.jsonl`` pair whose bytes do
-   not depend on how the sweep was executed.
+   into campaign totals on the returned :class:`CampaignReport`, and
+   ``run_campaign(out_dir=...)`` writes the sweep as a ``manifest.json``
+   + ``results.jsonl`` pair whose bytes do not depend on how the sweep
+   was executed.
 
 The scale-out layer rides on the same pipeline: a
 :class:`repro.campaign.cache.CampaignCache` replays previously executed
 cells byte-identically (``run_campaign(cache=...)``), ``out_dir=``
-streams the artifacts row-by-row in O(1) memory, ``resume=True``
+appends each row to the artifact as it arrives, ``resume=True``
 continues an interrupted sweep from its first missing cell, and
 ``shard=(k, n)`` splits the grid by cache-key prefix for multi-host
 sweeps.

@@ -24,7 +24,7 @@ import sys
 from repro.campaign.executor import run_campaign
 from repro.campaign.grid import Campaign, case
 from repro.groups.topology import paper_figure1_topology
-from repro.metrics.sweep import sweep_table
+from repro.metrics.sweep import sweep_exit_status, sweep_table
 from repro.runtime.delay import parse_delay_model
 from repro.workloads.runner import Send
 from repro.workloads.topologies import (
@@ -226,6 +226,7 @@ def main(argv=None) -> int:
         ),
         delay_models=delay_models,
     )
+    rows: list = []  # the smoke table below wants the rows
     report = run_campaign(
         campaign,
         workers=args.workers,
@@ -234,12 +235,12 @@ def main(argv=None) -> int:
         out_dir=args.out,
         resume=args.resume,
         shard=shard,
-        keep_rows=True,  # the smoke table below wants the rows
         stall_window=args.stall_window,
         cell_timeout=args.cell_timeout,
+        on_row=rows.append,
     )
 
-    print(sweep_table(report.rows))
+    print(sweep_table(rows))
     print()
     summary = report.summary
     print(
@@ -255,8 +256,7 @@ def main(argv=None) -> int:
     if args.out:
         print(f"streamed {args.out}/manifest.json and {args.out}/results.jsonl")
 
-    bad = summary["failed"] + summary["violating_scenarios"] + summary["truncated"]
-    return 1 if bad else 0
+    return sweep_exit_status(summary)
 
 
 if __name__ == "__main__":

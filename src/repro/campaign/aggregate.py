@@ -14,23 +14,19 @@ mode: those describe the machine, not the campaign, and keeping them
 out is what makes the files byte-identical across executors.  Timing
 lives on the in-memory :class:`CampaignReport` only.
 
-Both artifacts can be produced two ways with identical bytes: from a
-finished in-memory report (:meth:`CampaignReport.write`, the historical
-path) or *streamed* while the sweep runs (:func:`write_manifest` +
-:class:`ResultsWriter`, the ``run_campaign(out_dir=...)`` path) — row
-by row, holding nothing, so a million-cell grid costs O(1) memory.  The
-streamed results file is also the resume medium:
-:func:`scan_partial_results` walks a partial file after an interrupt,
-recovers the valid row prefix, and tells the executor where to truncate
-and continue.
+Both artifacts have one writer, ``run_campaign(out_dir=...)``:
+:func:`write_manifest` up front, then :class:`ResultsWriter` appending
+each row as it arrives, so the sweep never holds its rows.  The results
+file is also the resume medium: :func:`scan_partial_results` walks a
+partial file after an interrupt, recovers the valid row prefix, and
+tells the executor where to truncate and continue.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.workloads.spec import ScenarioSpec
 
@@ -90,8 +86,8 @@ class CampaignReport:
             lists).
         specs: the expanded scenario specs, in execution order.
         rows: one result row per spec, in the same order.  Empty when
-            the sweep streamed its rows to disk (``streamed=True``) —
-            the artifact, not this object, holds them.
+            the sweep wrote to an ``out_dir`` — the artifact, not this
+            object, holds them.
         summary: the worker-count-independent aggregate
             (:meth:`repro.metrics.sweep.SweepAggregator.summary`).
         mode: ``"serial"`` or ``"process"`` — how this report was made.
@@ -103,11 +99,6 @@ class CampaignReport:
         resumed: rows recovered from a partial results file.
         shard: ``(shard index, shard count)`` for a sharded sweep, else
             ``None``.
-        cell_count: rows this sweep owns — ``None`` means the whole
-            grid (``len(specs)``); a sharded sweep records its subset.
-        streamed: whether rows went straight to ``results.jsonl``
-            (:meth:`write` refuses to run again — the artifacts already
-            exist and this object no longer holds the rows).
     """
 
     name: str
@@ -122,8 +113,6 @@ class CampaignReport:
     cached: int = 0
     resumed: int = 0
     shard: Optional[Tuple[int, int]] = None
-    cell_count: Optional[int] = None
-    streamed: bool = False
 
     # -- Row access -------------------------------------------------------
 
@@ -133,72 +122,8 @@ class CampaignReport:
     def failed_rows(self) -> Tuple[Dict[str, Any], ...]:
         return tuple(r for r in self.rows if r.get("status") != "ok")
 
-    # -- Serialization ----------------------------------------------------
 
-    def manifest(self) -> Dict[str, Any]:
-        """The campaign's identity and scenario inventory."""
-        return {
-            "schema": CAMPAIGN_SCHEMA_VERSION,
-            "name": self.name,
-            "campaign_hash": self.campaign_hash,
-            "scenarios": [
-                {
-                    "index": index,
-                    "name": spec.name,
-                    "spec_hash": spec.spec_hash(),
-                    "spec": spec.to_json(),
-                }
-                for index, spec in enumerate(self.specs)
-            ],
-        }
-
-    def iter_results_jsonl(self) -> Iterator[str]:
-        """The results as JSONL lines: meta, rows, summary.
-
-        Deterministic by construction — rows are in spec order, keys are
-        sorted, and nothing machine-specific is included — so serial and
-        parallel sweeps of the same campaign serialize byte-identically.
-        """
-        scenarios = (
-            self.cell_count if self.cell_count is not None else len(self.specs)
-        )
-        yield meta_line(self.name, self.campaign_hash, scenarios, self.shard)
-        for row in self.rows:
-            yield row_line(row)
-        yield summary_line(self.summary)
-
-    def results_jsonl(self) -> str:
-        """The whole results file as one string (byte-identity checks)."""
-        return "\n".join(self.iter_results_jsonl()) + "\n"
-
-    def write(self, directory: str) -> Dict[str, str]:
-        """Write ``manifest.json`` + ``results.jsonl`` into ``directory``.
-
-        Returns the paths written, keyed by artifact name.  Refused for
-        streamed reports: their artifacts were written row-by-row while
-        the sweep ran and this object no longer holds the rows.
-        """
-        if self.streamed:
-            raise ValueError(
-                "this report streamed its rows to disk while running; "
-                "the artifacts already exist in the sweep's out_dir"
-            )
-        os.makedirs(directory, exist_ok=True)
-        manifest_path = os.path.join(directory, "manifest.json")
-        results_path = os.path.join(directory, "results.jsonl")
-        write_manifest(
-            manifest_path,
-            name=self.name,
-            campaign_hash=self.campaign_hash,
-            specs=self.specs,
-        )
-        with open(results_path, "w", encoding="utf-8") as fh:
-            for line in self.iter_results_jsonl():
-                fh.write(line + "\n")
-        return {"manifest": manifest_path, "results": results_path}
-
-
-# -- Streaming manifest -----------------------------------------------------
+# -- Manifest ---------------------------------------------------------------
 
 
 def write_manifest(
@@ -208,36 +133,27 @@ def write_manifest(
     campaign_hash: str,
     specs: Sequence[ScenarioSpec],
 ) -> str:
-    """Write ``manifest.json`` one scenario at a time.
+    """Write ``manifest.json``: the campaign's identity and inventory.
 
-    Byte-identical to ``json.dump(report.manifest(), fh, sort_keys=True,
-    indent=2, default=str)`` (pinned by tests) without ever building the
-    scenario list in memory — the manifest of a 10^6-cell grid costs as
-    much RAM as one entry.  Idempotent, so a resumed sweep simply
-    rewrites it.
+    Idempotent, so a resumed sweep simply rewrites it.
     """
+    manifest = {
+        "schema": CAMPAIGN_SCHEMA_VERSION,
+        "name": name,
+        "campaign_hash": campaign_hash,
+        "scenarios": [
+            {
+                "index": index,
+                "name": spec.name,
+                "spec_hash": spec.spec_hash(),
+                "spec": spec.to_json(),
+            }
+            for index, spec in enumerate(specs)
+        ],
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{\n")
-        fh.write(f'  "campaign_hash": {json.dumps(campaign_hash)},\n')
-        fh.write(f'  "name": {json.dumps(name)},\n')
-        if not specs:
-            fh.write('  "scenarios": [],\n')
-        else:
-            fh.write('  "scenarios": [\n')
-            for index, spec in enumerate(specs):
-                entry = {
-                    "index": index,
-                    "name": spec.name,
-                    "spec_hash": spec.spec_hash(),
-                    "spec": spec.to_json(),
-                }
-                blob = json.dumps(entry, sort_keys=True, indent=2, default=str)
-                body = "\n".join("    " + line for line in blob.splitlines())
-                fh.write(body)
-                fh.write(",\n" if index + 1 < len(specs) else "\n")
-            fh.write("  ],\n")
-        fh.write(f'  "schema": {CAMPAIGN_SCHEMA_VERSION}\n')
-        fh.write("}\n")
+        json.dump(manifest, fh, sort_keys=True, indent=2, default=str)
+        fh.write("\n")
     return path
 
 
@@ -247,12 +163,11 @@ def write_manifest(
 class ResultsWriter:
     """Appends results.jsonl lines as rows arrive (O(1) memory).
 
-    The byte layout is exactly :meth:`CampaignReport.iter_results_jsonl`
-    — same meta, same row serialization, same summary — so a streamed
-    sweep and an in-memory sweep of the same campaign produce identical
-    files.  Every line is flushed as written: an interrupted sweep
-    leaves at worst one torn trailing line, which
-    :func:`scan_partial_results` discards on resume.
+    One meta line, one line per row in spec order, one summary line —
+    keys sorted, nothing machine-specific — so serial and parallel
+    sweeps of the same campaign write identical files.  Every line is
+    flushed as written: an interrupted sweep leaves at worst one torn
+    trailing line, which :func:`scan_partial_results` discards on resume.
     """
 
     def __init__(

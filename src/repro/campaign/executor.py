@@ -23,9 +23,9 @@ On top of the seed executor this module owns the *scale-out* layer:
   cell's ``(spec_hash, seed, backend, fault_plan_hash)`` so reruns
   execute only new grid cells — a hit replays the stored row
   byte-identically;
-* streaming artifacts (``out_dir=``) — rows go straight to
-  ``results.jsonl`` through the :class:`SweepAggregator` without the
-  executor retaining them, so a 10^6-cell grid sweeps in O(1) memory;
+* the artifacts (``out_dir=``, their only writer) — rows go straight
+  to ``results.jsonl`` through the :class:`SweepAggregator` without the
+  executor retaining them;
 * resume-after-interrupt (``resume=True``) — a partial results file is
   scanned, its valid row prefix kept, and execution continues from the
   first missing cell; the finished artifact is byte-identical to an
@@ -245,7 +245,6 @@ def run_campaign(
     cache: Optional[Union[CampaignCache, str]] = None,
     out_dir: Optional[str] = None,
     resume: bool = False,
-    keep_rows: Optional[bool] = None,
     shard: Optional[Tuple[int, int]] = None,
     stall_window: Optional[int] = None,
     cell_timeout: Optional[float] = None,
@@ -270,18 +269,16 @@ def run_campaign(
             directory path) — cells with a stored ``ok`` row replay it
             byte-identically instead of executing; fresh rows are
             stored back.  ``failed`` rows are never cache-hit.
-        out_dir: stream the artifacts while running: ``manifest.json``
+        out_dir: write the artifacts while running: ``manifest.json``
             up front, then each row appended (and flushed) to
-            ``results.jsonl`` as it arrives, so the sweep never holds
-            its rows and an interrupt loses at most one torn line.
+            ``results.jsonl`` as it arrives, so an interrupt loses at
+            most one torn line.  The artifact then holds the rows and
+            the returned report does not (``rows == ()``; collect them
+            through ``on_row`` if needed).
         resume: continue a partial ``results.jsonl`` in ``out_dir``:
             its valid row prefix is kept (fed to the aggregator, not
             re-executed) and execution picks up at the first missing
             cell.  Requires ``out_dir``.
-        keep_rows: retain rows on the returned report.  Defaults to
-            ``True`` for in-memory sweeps and ``False`` when streaming
-            to ``out_dir`` (the artifact holds them; keeping both would
-            defeat the O(1)-memory point, but small sweeps may opt in).
         shard: ``(shard index, shard count)`` — execute only this
             sweep's hash-prefix shard of the grid (see
             :func:`repro.campaign.cache.shard_cells`).  Rows keep their
@@ -330,8 +327,6 @@ def run_campaign(
         )
     pool_workers = workers if mode == "process" else None
     cache_obj = ensure_cache(cache)
-    if keep_rows is None:
-        keep_rows = out_dir is None
 
     cells: List[Tuple[int, ScenarioSpec]] = list(enumerate(specs))
     if shard is not None:
@@ -344,7 +339,7 @@ def run_campaign(
 
     def consume(row: Dict[str, Any]) -> None:
         aggregator.add(row)
-        if keep_rows:
+        if out_dir is None:
             rows.append(row)
         if on_row is not None:
             on_row(row)
@@ -366,14 +361,14 @@ def run_campaign(
             results_path,
             name=name,
             campaign_hash=campaign_hash,
-            scenarios=len(cells) if shard is not None else len(specs),
+            scenarios=len(cells),
             shard=shard,
         )
         if resume and os.path.exists(results_path):
             scan = scan_partial_results(
                 results_path,
                 campaign_hash=campaign_hash,
-                scenarios=len(cells) if shard is not None else len(specs),
+                scenarios=len(cells),
                 expected=expected,
                 consume=consume,
             )
@@ -422,6 +417,4 @@ def run_campaign(
         cached=counters["cached"],
         resumed=resumed,
         shard=shard,
-        cell_count=len(cells) if shard is not None else None,
-        streamed=out_dir is not None,
     )

@@ -163,10 +163,6 @@ class Algorithm1Process:
     def _waiting(self, reason: str) -> None:
         self.wait_reasons.add(reason)
 
-    def is_idle(self) -> bool:
-        """Whether the last scan found nothing to do and nothing to wait on."""
-        return not self.wait_reasons and not self._to_multicast
-
     # -- Phase bookkeeping ---------------------------------------------------
 
     def phase_of(self, message: MulticastMessage) -> Phase:

@@ -1,7 +1,7 @@
 """Failure detectors: Sigma, Omega, gamma, 1^P, perfect P, restriction,
 conjunction, the candidate mu (§3), and a property-validation harness."""
 
-from repro.detectors.base import BOTTOM, DetectorSample, FailureDetector, OracleDetector
+from repro.detectors.base import BOTTOM, FailureDetector, OracleDetector
 from repro.detectors.comparison import (
     GammaFromIndicators,
     distinguishing_scenario_gamma_vs_indicator,
@@ -24,7 +24,6 @@ from repro.detectors.validation import (
 
 __all__ = [
     "BOTTOM",
-    "DetectorSample",
     "FailureDetector",
     "OracleDetector",
     "GammaFromIndicators",

@@ -14,7 +14,6 @@ detectors outside their scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from repro.model.failures import FailurePattern, Time
@@ -71,18 +70,6 @@ class FailureDetector:
     def history(self) -> Tuple[Tuple[ProcessId, Time, Any], ...]:
         """All recorded ``(process, time, value)`` samples, in query order."""
         return tuple(self._history)
-
-    def reset_history(self) -> None:
-        self._history.clear()
-
-
-@dataclass(frozen=True)
-class DetectorSample:
-    """One recorded sample, for validation reports."""
-
-    process: ProcessId
-    time: Time
-    value: Any
 
 
 class OracleDetector(FailureDetector):

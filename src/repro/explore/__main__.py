@@ -110,7 +110,7 @@ class _GracefulStop:
     """SIGINT/SIGTERM → stop at the next iteration boundary.
 
     The first signal requests a graceful stop: the explorer finishes
-    its in-flight iteration (corpus entries and shrink verdicts are
+    its in-flight iteration (corpus entries and cached rows are
     write-through, so nothing needs an explicit flush), prints the
     partial ledger and writes a partial ``report.json`` marked
     ``interrupted``.  A second signal restores the default disposition
@@ -191,20 +191,13 @@ def main(argv=None) -> int:
         help="round budget per run (default: 240; async floors at 400)",
     )
     parser.add_argument(
-        "--harness", default="scenario",
-        help="shrink/triage harness (default: scenario)",
-    )
-    parser.add_argument(
         "--corpus-dir", default=None, metavar="DIR",
         help="persistent corpus directory (default: in-memory)",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="campaign result cache (shared with python -m repro.campaign)",
-    )
-    parser.add_argument(
-        "--shrink-cache-dir", default=None, metavar="DIR",
-        help="persistent shrink-verdict cache",
+        help="campaign result cache (shared with python -m repro.campaign; "
+        "search iterations and shrink probes both land here)",
     )
     parser.add_argument(
         "--out", default=None, metavar="DIR",
@@ -234,13 +227,10 @@ def main(argv=None) -> int:
         bases,
         seed=args.seed,
         strategy=args.strategy,
-        harness=args.harness,
         epsilon=args.epsilon,
         corpus=args.corpus_dir,
         cache=args.cache_dir,
-        shrink_cache=args.shrink_cache_dir,
         out_dir=args.out,
-        mutate_delay="async" in backends,
     )
     stop = _GracefulStop().install()
     try:
@@ -276,13 +266,7 @@ def main(argv=None) -> int:
         )
 
     if args.compare_random and not report.interrupted:
-        ablation = Explorer(
-            bases,
-            seed=args.seed,
-            strategy="random",
-            harness=args.harness,
-            mutate_delay="async" in backends,
-        )
+        ablation = Explorer(bases, seed=args.seed, strategy="random")
         random_report = ablation.run(
             iterations=iterations, wall_budget=args.wall_budget
         )

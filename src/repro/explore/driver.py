@@ -17,12 +17,13 @@ onto scenario specs:
    the spec as a future parent) and append one point to the
    coverage-vs-iterations curve;
 4. **triage** — when the row violates (a checker fires, the run is
-   truncated, or the harness itself crashes), auto-invoke the ddmin
-   :class:`repro.faults.shrink.PlanShrinker` (memoized through the
-   persistent :class:`ShrinkCache`), write a self-contained repro file,
-   and deduplicate by ``(harness, violated properties, shrunk plan
-   hash)`` — a hundred witnesses of one bug are one triage record with
-   ``count=100``.
+   truncated, or the harness itself crashes), run ddmin
+   (:func:`repro.faults.shrink.shrink_plan`) with step 2 as its
+   predicate — a probe is evaluated and judged exactly like the witness
+   was, through the same cache, but never fed to the corpus or the
+   curve — write a self-contained repro file, and deduplicate by
+   ``(harness, violated properties, shrunk plan hash)`` — a hundred
+   witnesses of one bug are one triage record with ``count=100``.
 
 ``strategy="random"`` disables steps 1's corpus half (every draw is a
 fresh ``random_plan``), which is exactly the ablation the committed
@@ -41,7 +42,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.campaign.cache import CampaignCache, ensure_cache
 from repro.campaign.executor import execute_spec
@@ -49,13 +50,7 @@ from repro.explore.corpus import Corpus
 from repro.explore.mutate import MutationEngine
 from repro.faults.nemesis import MIXES, random_plan
 from repro.faults.plan import FaultPlan
-from repro.faults.shrink import (
-    ShrinkCache,
-    ensure_shrink_cache,
-    repro_payload,
-    shrink_plan,
-    write_repro,
-)
+from repro.faults.shrink import repro_payload, shrink_plan, write_repro
 from repro.workloads.runner import scenario_cache_key, triage_record
 from repro.workloads.spec import ScenarioSpec
 
@@ -63,6 +58,10 @@ from repro.workloads.spec import ScenarioSpec
 #: ``random`` the pure-sampling ablation (fresh ``random_plan`` draws
 #: only, no corpus feedback).
 STRATEGIES = ("guided", "random")
+
+#: The judge every triage key, record and repro file names: the real
+#: system, run by :func:`execute_spec` and read off its row.
+HARNESS = "scenario"
 
 #: Error types that mark an *inadmissible probe*, not a violation.
 #: Mutated events are admissible one by one (the ``FaultEvent``
@@ -104,11 +103,10 @@ class ExploreReport:
     curve: List[Dict[str, int]] = field(default_factory=list)
     triage: List[Dict[str, Any]] = field(default_factory=list)
     cache: Optional[Dict[str, int]] = None
-    shrink_cache: Optional[Dict[str, int]] = None
     #: True when the campaign stopped early on a stop request (SIGINT /
     #: SIGTERM) rather than exhausting its budget — the report is then
     #: *partial* but internally consistent: the in-flight iteration
-    #: completed and every corpus entry and shrink verdict is on disk.
+    #: completed and every corpus entry and evaluated cell is on disk.
     interrupted: bool = False
 
     @property
@@ -140,7 +138,6 @@ class ExploreReport:
             "curve": self.curve,
             "triage": self.triage,
             "cache": self.cache,
-            "shrink_cache": self.shrink_cache,
             "interrupted": self.interrupted,
         }
 
@@ -206,18 +203,16 @@ class Explorer:
         seed: the campaign seed; the whole run is a pure function of
             ``(bases, seed, budget, caches on disk)``.
         strategy: ``"guided"`` or ``"random"`` (the ablation).
-        harness: the failure predicate namespace for shrinking
-            (:data:`repro.faults.shrink.HARNESSES`).
         epsilon: fresh-draw probability once the corpus is non-empty.
-        mixes: named nemesis mixes fresh draws sample from.
         corpus: a :class:`Corpus`, a directory path, or ``None`` for an
             in-memory corpus.
-        cache: campaign result cache (instance, path or ``None``).
-        shrink_cache: shrink verdict cache (instance, path or ``None``).
+        cache: campaign result cache (instance, path or ``None``);
+            search iterations and shrink probes share it.
         out_dir: where repro files are written (``None`` keeps payloads
             in the triage records only).
-        mutate_delay: enable the async delay-model mutation axis.
-        horizon: window bound for freshly drawn mutation events.
+
+    The async delay-model mutation axis is in play when some base runs
+    on ``backend="async"``.
     """
 
     def __init__(
@@ -225,15 +220,10 @@ class Explorer:
         bases: Sequence[ScenarioSpec],
         seed: int = 0,
         strategy: str = "guided",
-        harness: str = "scenario",
         epsilon: float = 0.25,
-        mixes: Tuple[str, ...] = MIXES,
         corpus: Optional[Any] = None,
         cache: Optional[Any] = None,
-        shrink_cache: Optional[Any] = None,
         out_dir: Optional[str] = None,
-        mutate_delay: bool = False,
-        horizon: int = 12,
     ) -> None:
         if not bases:
             raise ValueError("explorer needs at least one base scenario")
@@ -246,19 +236,13 @@ class Explorer:
         self.bases = tuple(bases)
         self.seed = seed
         self.strategy = strategy
-        self.harness = harness
         self.epsilon = epsilon
-        self.mixes = tuple(mixes)
         if isinstance(corpus, str):
             corpus = Corpus(corpus)
         self.corpus = corpus if corpus is not None else Corpus()
         self.cache: Optional[CampaignCache] = ensure_cache(cache)
-        self.shrink_cache: Optional[ShrinkCache] = ensure_shrink_cache(
-            shrink_cache
-        )
         self.out_dir = out_dir
-        self.mutate_delay = mutate_delay
-        self.horizon = horizon
+        self.mutate_delay = any(base.backend == "async" for base in self.bases)
         self.rng = random.Random(f"explore:{seed}")
         self.iterations = 0
         self.executed = 0
@@ -279,7 +263,6 @@ class Explorer:
         return MutationEngine(
             process_count=topology.process_count,
             groups=tuple(name for name, _ in topology.groups),
-            horizon=self.horizon,
             mutate_delay=self.mutate_delay,
         )
 
@@ -287,7 +270,7 @@ class Explorer:
         """A fresh adversary: random base, random seed, random_plan mix."""
         base = self.rng.choice(self.bases)
         seed = self.rng.randrange(1 << 16)
-        mix = self.rng.choice(self.mixes)
+        mix = self.rng.choice(MIXES)
         topology = base.topology
         plan = random_plan(
             seed,
@@ -341,6 +324,10 @@ class Explorer:
             self.cache.put(spec, row)
         return row
 
+    def _violates(self, spec: ScenarioSpec) -> bool:
+        """The shrinker's predicate: the search's own judgement."""
+        return bool(self.violated_properties(self._evaluate(spec)))
+
     @staticmethod
     def violated_properties(row: Dict[str, Any]) -> List[str]:
         """The violation labels of one row (empty = clean run).
@@ -384,33 +371,23 @@ class Explorer:
             return
 
         original = spec.faults or FaultPlan()
-        minimal: Optional[FaultPlan] = None
-        shrinker = None
+        minimal = shrinker = None
         if row.get("status") == "ok":
-            try:
-                minimal, shrinker = shrink_plan(
-                    spec, harness=self.harness, cache=self.shrink_cache
-                )
-            except ValueError:
-                # The campaign row and the shrink harness disagree (e.g.
-                # a custom harness judging a scenario row): triage the
-                # witness unshrunk rather than dropping it.
-                minimal = None
-
-        plan_hash = (
-            minimal.plan_hash() if minimal is not None else original.plan_hash()
-        )
-        key = f"{self.harness}|{label}|{plan_hash}"
+            # A harness crash is triaged unshrunk; anything else shrinks
+            # under the judgement that flagged it.
+            minimal, shrinker = shrink_plan(spec, violates=self._violates)
+        triaged_plan = minimal if minimal is not None else original
+        plan_hash = triaged_plan.plan_hash()
+        key = f"{HARNESS}|{label}|{plan_hash}"
         self._triaged_cells[cell] = key
         existing = self.triage.get(key)
         if existing is not None:
             existing["count"] += 1
             return
 
-        triaged_plan = minimal if minimal is not None else original
         record: Dict[str, Any] = {
             "key": key,
-            "harness": self.harness,
+            "harness": HARNESS,
             "properties": violated,
             "plan_hash": plan_hash,
             # The minimal plan's kind set — the coarse *class* of the
@@ -422,10 +399,9 @@ class Explorer:
             "witness": triage_record(spec),
             "original_events": len(original),
         }
-        if minimal is not None and shrinker is not None:
+        if minimal is not None:
             payload = repro_payload(
-                spec, minimal, original, harness=self.harness,
-                shrinker=shrinker,
+                spec, minimal, original, harness=HARNESS, shrinker=shrinker
             )
             record["minimal_events"] = len(minimal)
             record["minimal_plan"] = minimal.to_json()
@@ -461,7 +437,7 @@ class Explorer:
         ``should_stop`` (a nullary callable) is polled between
         iterations: when it returns True the campaign stops at that
         boundary and the report comes back with ``interrupted=True``.
-        Nothing is lost on an interrupt — the corpus and shrink cache
+        Nothing is lost on an interrupt — the corpus and result cache
         persist write-through per entry, so the partial report plus the
         on-disk state are exactly the campaign prefix that ran.
         """
@@ -519,7 +495,7 @@ class Explorer:
         )
         return ExploreReport(
             strategy=self.strategy,
-            harness=self.harness,
+            harness=HARNESS,
             seed=self.seed,
             iterations=self.iterations,
             elapsed=elapsed,
@@ -529,14 +505,5 @@ class Explorer:
             curve=list(self.curve),
             triage=records,
             cache=self.cache.stats() if self.cache is not None else None,
-            shrink_cache=(
-                {
-                    "hits": self.shrink_cache.hits,
-                    "misses": self.shrink_cache.misses,
-                    "stored": self.shrink_cache.stored,
-                }
-                if self.shrink_cache is not None
-                else None
-            ),
             interrupted=interrupted,
         )

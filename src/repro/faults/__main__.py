@@ -28,7 +28,7 @@ from typing import List, Tuple
 from repro.campaign.executor import run_campaign
 from repro.faults.nemesis import MIXES, random_plan
 from repro.groups.topology import paper_figure1_topology
-from repro.metrics.sweep import sweep_table
+from repro.metrics.sweep import sweep_exit_status, sweep_table
 from repro.workloads.runner import Send
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology
@@ -197,9 +197,12 @@ def main(argv=None) -> int:
             b.strip() for b in args.backends.split(",") if b.strip()
         ),
     )
-    report = run_campaign(specs, workers=args.workers)
+    rows: list = []
+    report = run_campaign(
+        specs, workers=args.workers, out_dir=args.out, on_row=rows.append
+    )
 
-    print(sweep_table(report.rows))
+    print(sweep_table(rows))
     print()
     summary = report.summary
     print(
@@ -210,11 +213,9 @@ def main(argv=None) -> int:
         f"[{report.elapsed:.2f}s]"
     )
     if args.out:
-        paths = report.write(args.out)
-        print(f"wrote {paths['manifest']} and {paths['results']}")
+        print(f"wrote {args.out}/manifest.json and {args.out}/results.jsonl")
 
-    bad = summary["failed"] + summary["violating_scenarios"] + summary["truncated"]
-    status = 1 if bad else 0
+    status = sweep_exit_status(summary)
     if args.shrink_demo:
         status = max(status, shrink_demo(args.repro_out))
     return status

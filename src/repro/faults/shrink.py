@@ -6,7 +6,12 @@ debugging (Zeller's ddmin) over the plan's event set: it repeatedly
 re-runs the scenario under event subsets and their complements, keeping
 the smallest plan whose run still *fails* — where "fails" is any
 predicate, by default "some §2.2 property checker reports a violation
-(or the run never proves anything because it was truncated)".
+(or the run never proves anything because it was truncated)".  The
+shrinker is pure ddmin over that predicate with an in-run memo; the
+explorer passes its own judgement (:meth:`Explorer._violates` — the
+cache-fronted ``execute_spec`` row through ``violated_properties``), and
+the named :data:`HARNESSES` serve the ``"broadcast"`` demo and the
+replay of committed repro files.
 
 The minimized counterexample is emitted as a **repro file**: one JSON
 document carrying the spec (with the minimal plan inlined), its content
@@ -24,11 +29,9 @@ This module sits above the workloads layer, so import it as
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro._content import entry_path, read_entry, write_entry
 from repro.faults.plan import FaultPlan
 from repro.props.batch import verdicts_ok
 from repro.workloads.runner import (
@@ -36,13 +39,9 @@ from repro.workloads.runner import (
     _broadcast_deployment,
     run_deployment,
     run_scenario,
-    scenario_cache_key,
     triage_record,
 )
 from repro.workloads.spec import ScenarioSpec
-
-#: Bumped on breaking changes to the shrink-cache entry layout.
-SHRINK_CACHE_SCHEMA_VERSION = 1
 
 #: ``(spec-with-plan) -> True when the run still violates``.
 Predicate = Callable[[ScenarioSpec], bool]
@@ -92,70 +91,6 @@ def harness_violates(harness: str) -> Predicate:
     return violates
 
 
-class ShrinkCache:
-    """Persistent memo of ``(harness, cell) -> violates`` verdicts.
-
-    The shrinker's predicate is a pure function of the harness and the
-    campaign cell identity (spec hash, seed, backend, plan hash — the
-    same :func:`scenario_cache_key` the :class:`repro.campaign`
-    result cache keys on), so its verdicts survive across processes:
-    re-shrinking a re-found failure in a later explorer invocation is
-    O(cache hits) instead of O(runs).  Layout is the campaign cache's
-    (:mod:`repro._content`).
-    """
-
-    def __init__(self, root: str) -> None:
-        self.root = root
-        self.hits = 0
-        self.misses = 0
-        self.stored = 0
-
-    def key_for(self, harness: str, spec: ScenarioSpec) -> str:
-        body = f"{harness}:{scenario_cache_key(spec)}"
-        return hashlib.sha256(body.encode("utf-8")).hexdigest()
-
-    def path_for(self, harness: str, spec: ScenarioSpec) -> str:
-        return entry_path(self.root, self.key_for(harness, spec))
-
-    def get(self, harness: str, spec: ScenarioSpec) -> Optional[bool]:
-        """The stored verdict, or ``None`` to evaluate."""
-        entry = read_entry(self.path_for(harness, spec))
-        if (
-            not isinstance(entry, dict)
-            or entry.get("schema") != SHRINK_CACHE_SCHEMA_VERSION
-            or not isinstance(entry.get("violates"), bool)
-        ):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry["violates"]
-
-    def put(self, harness: str, spec: ScenarioSpec, violates: bool) -> None:
-        write_entry(
-            self.path_for(harness, spec),
-            {
-                "schema": SHRINK_CACHE_SCHEMA_VERSION,
-                "harness": harness,
-                "triage": triage_record(spec),
-                "violates": violates,
-            },
-        )
-        self.stored += 1
-
-
-def ensure_shrink_cache(
-    cache: Optional[Union[str, "ShrinkCache"]],
-) -> Optional["ShrinkCache"]:
-    """Coerce a cache argument (directory path or instance) to a cache."""
-    if cache is None or isinstance(cache, ShrinkCache):
-        return cache
-    if isinstance(cache, str):
-        return ShrinkCache(cache)
-    raise TypeError(
-        f"cache must be a ShrinkCache or a directory path, got {cache!r}"
-    )
-
-
 class PlanShrinker:
     """ddmin over the events of a fault plan.
 
@@ -165,55 +100,35 @@ class PlanShrinker:
         violates: the failure predicate; defaults to ``harness``'s
             (:func:`harness_violates`).  Must be deterministic — runs are,
             so any predicate built on :func:`run_scenario` qualifies.
-        cache: optional :class:`ShrinkCache` (or directory path) for
-            verdict persistence across invocations.  Only sound when
-            ``violates`` really is the named ``harness``'s predicate —
-            custom predicates should not share a cache directory with
-            harness runs.
-        harness: the cache namespace (and the predicate when
-            ``violates`` is not given).
+        harness: the named predicate when ``violates`` is not given.
 
     Attributes:
         probes: ``_fails`` queries, counting every memo hit.
-        evaluations: predicate calls actually executed (cache misses).
-        cache_hits: probes answered from the in-memory memo or the
-            persistent cache.
+        evaluations: predicate calls actually made (memo misses).
+        cache_hits: probes answered from the in-run memo.
     """
 
     def __init__(
         self,
         spec: ScenarioSpec,
         violates: Optional[Predicate] = None,
-        cache: Optional[Union[str, "ShrinkCache"]] = None,
         harness: str = "scenario",
     ) -> None:
         self.spec = spec
-        self.harness = harness
         self.violates = violates or harness_violates(harness)
         self.probes = 0
         self.evaluations = 0
         self.cache_hits = 0
-        self._cache: Dict[str, bool] = {}
-        self._store = ensure_shrink_cache(cache)
+        self._memo: Dict[str, bool] = {}
 
     def _fails(self, plan: FaultPlan) -> bool:
         self.probes += 1
         key = plan.plan_hash()
-        if key in self._cache:
+        if key in self._memo:
             self.cache_hits += 1
-            return self._cache[key]
-        candidate = self.spec.faulted(plan)
-        if self._store is not None:
-            stored = self._store.get(self.harness, candidate)
-            if stored is not None:
-                self.cache_hits += 1
-                self._cache[key] = stored
-                return stored
+            return self._memo[key]
         self.evaluations += 1
-        verdict = self.violates(candidate)
-        self._cache[key] = verdict
-        if self._store is not None:
-            self._store.put(self.harness, candidate, verdict)
+        verdict = self._memo[key] = self.violates(self.spec.faulted(plan))
         return verdict
 
     def stats(self) -> Dict[str, int]:
@@ -293,21 +208,17 @@ def shrink_plan(
     plan: Optional[FaultPlan] = None,
     violates: Optional[Predicate] = None,
     harness: str = "scenario",
-    cache: Optional[Union[str, ShrinkCache]] = None,
 ) -> Tuple[FaultPlan, PlanShrinker]:
     """Minimize ``plan`` (default: the spec's own) for ``spec``.
 
     Returns the minimal failing plan and the shrinker (for its cost
     stats).  ``harness`` selects the failure predicate when ``violates``
-    is not given; ``cache`` persists verdicts across invocations (see
-    :class:`ShrinkCache`).  Raises :class:`ValueError` when the starting
-    plan does not fail — there is nothing to shrink.
+    is not given.  Raises :class:`ValueError` when the starting plan
+    does not fail — there is nothing to shrink.
     """
     if plan is None:
         plan = spec.faults or FaultPlan()
-    shrinker = PlanShrinker(
-        spec, violates, cache=cache, harness=harness
-    )
+    shrinker = PlanShrinker(spec, violates, harness=harness)
     return shrinker.shrink(plan), shrinker
 
 

@@ -82,6 +82,13 @@ class SweepAggregator:
         }
 
 
+def sweep_exit_status(summary: Mapping[str, Any]) -> int:
+    """A sweep CLI's exit status: 1 when any scenario failed, violated a
+    property or truncated."""
+    bad = summary["failed"] + summary["violating_scenarios"] + summary["truncated"]
+    return 1 if bad else 0
+
+
 def summarize_rows(rows: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
     """One-shot aggregation (equivalent to streaming every row)."""
     aggregator = SweepAggregator()

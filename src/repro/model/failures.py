@@ -107,10 +107,6 @@ class FailurePattern:
     def is_correct(self, p: ProcessId) -> bool:
         return p not in self.crash_times or p in self.recovery_times
 
-    def alive_at(self, t: Time) -> ProcessSet:
-        """Processes not crashed at time ``t``."""
-        return pset(p for p in self.processes if self.is_alive(p, t))
-
     def set_faulty_at(self, group: Iterable[ProcessId], t: Time) -> bool:
         """Whether *every* process of ``group`` is crashed at time ``t``.
 
@@ -119,10 +115,6 @@ class FailurePattern:
         An empty group is vacuously faulty.
         """
         return all(not self.is_alive(p, t) for p in group)
-
-    def set_eventually_faulty(self, group: Iterable[ProcessId]) -> bool:
-        """Whether every member of ``group`` eventually crashes."""
-        return all(self.is_faulty(p) for p in group)
 
     def crash_time_of_set(self, group: Iterable[ProcessId]) -> Optional[Time]:
         """First time at which all of ``group`` is crashed, if ever.

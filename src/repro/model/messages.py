@@ -316,14 +316,6 @@ class MessageBuffer:
             released += 1
         return released
 
-    def overdue_delayed(self, now: int) -> int:
-        """Delayed datagrams already receivable but not yet released.
-
-        Nonzero after a :meth:`release` sweep means a host forgot to
-        run the sweep — the admissibility audit flags it.
-        """
-        return sum(1 for ready, _, _ in self._delayed if ready <= now)
-
     def delayed_count(self) -> int:
         """Datagrams currently sequestered by link faults."""
         return len(self._delayed)

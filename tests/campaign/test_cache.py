@@ -162,15 +162,15 @@ class TestWarmSweep:
     def test_matrix_rerun_executes_nothing_and_matches_bytes(self, tmp_path):
         campaign = matrix_campaign(seeds=20)
         cache_dir = str(tmp_path / "cache")
-        cold = run_campaign(campaign, cache=cache_dir)
+        a, b = str(tmp_path / "cold"), str(tmp_path / "warm")
+        cold = run_campaign(campaign, cache=cache_dir, out_dir=a)
         assert cold.executed == len(campaign.specs()) == 20 * 2 * 2
         assert cold.summary["failed"] == 0
 
-        warm = run_campaign(campaign, cache=cache_dir)
+        warm = run_campaign(campaign, cache=cache_dir, out_dir=b)
         assert warm.executed == 0
         assert warm.cached == len(campaign.specs())
-        assert warm.rows == cold.rows
-        assert warm.results_jsonl() == cold.results_jsonl()
+        assert read_bytes(f"{a}/results.jsonl") == read_bytes(f"{b}/results.jsonl")
 
     def test_streamed_warm_rerun_is_byte_identical(self, tmp_path):
         campaign = small_campaign()
@@ -205,37 +205,28 @@ class TestSerialWorkersContradiction:
 
 
 class TestStreaming:
-    def test_streamed_artifacts_match_the_in_memory_writer(self, tmp_path):
-        campaign = small_campaign()
-        streamed, legacy = str(tmp_path / "s"), str(tmp_path / "l")
-        report = run_campaign(campaign, out_dir=streamed)
-        assert report.streamed and report.rows == ()
-        run_campaign(campaign).write(legacy)
-        for artifact in ("results.jsonl", "manifest.json"):
-            assert read_bytes(f"{streamed}/{artifact}") == read_bytes(
-                f"{legacy}/{artifact}"
-            )
-
-    def test_streamed_report_refuses_a_second_write(self, tmp_path):
-        report = run_campaign(small_campaign(), out_dir=str(tmp_path / "s"))
-        with pytest.raises(ValueError, match="streamed"):
-            report.write(str(tmp_path / "again"))
-
     def test_manifest_stream_matches_json_dump(self, tmp_path):
         campaign = small_campaign()
-        report = run_campaign(campaign)
-        path = str(tmp_path / "manifest.json")
-        write_manifest(
-            path,
-            name=report.name,
-            campaign_hash=report.campaign_hash,
-            specs=report.specs,
-        )
+        out = str(tmp_path / "s")
+        run_campaign(campaign, out_dir=out)
+        manifest = {
+            "schema": 1,
+            "name": campaign.name,
+            "campaign_hash": campaign.campaign_hash(),
+            "scenarios": [
+                {
+                    "index": index,
+                    "name": spec.name,
+                    "spec_hash": spec.spec_hash(),
+                    "spec": spec.to_json(),
+                }
+                for index, spec in enumerate(campaign.specs())
+            ],
+        }
         expected = (
-            json.dumps(report.manifest(), sort_keys=True, indent=2, default=str)
-            + "\n"
+            json.dumps(manifest, sort_keys=True, indent=2, default=str) + "\n"
         ).encode()
-        assert read_bytes(path) == expected
+        assert read_bytes(f"{out}/manifest.json") == expected
 
     def test_empty_manifest_stream_matches_json_dump(self, tmp_path):
         path = str(tmp_path / "manifest.json")
@@ -387,11 +378,11 @@ class TestSharding:
             out = str(tmp_path / f"shard{k}")
             report = run_campaign(campaign, out_dir=out, shard=(k, 2))
             assert report.shard == (k, 2)
-            owned += report.cell_count
+            owned += report.summary["scenarios"]
             with open(f"{out}/results.jsonl") as fh:
                 meta = json.loads(fh.readline())
                 assert meta["shard"] == [k, 2]
-                assert meta["scenarios"] == report.cell_count
+                assert meta["scenarios"] == report.summary["scenarios"]
                 for line in fh:
                     record = json.loads(line)
                     if record.get("type") == "row":

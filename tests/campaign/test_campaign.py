@@ -1,6 +1,7 @@
 """Campaign grids and executors: expansion, equivalence, isolation."""
 
 import json
+import os
 
 import pytest
 
@@ -71,20 +72,31 @@ class TestGrid:
             )
 
 
+def artifact_bytes(out_dir):
+    """The two files a sweep's ``out_dir`` holds, as bytes."""
+    files = {}
+    for artifact in ("manifest.json", "results.jsonl"):
+        with open(os.path.join(out_dir, artifact), "rb") as fh:
+            files[artifact] = fh.read()
+    return files
+
+
 class TestExecutor:
-    def test_serial_and_parallel_are_byte_identical(self):
+    def test_serial_and_parallel_are_byte_identical(self, tmp_path):
         campaign = small_campaign()
-        serial = run_campaign(campaign, workers=1)
-        parallel = run_campaign(campaign, workers=2, mode="process")
+        a, b = str(tmp_path / "serial"), str(tmp_path / "pool")
+        serial = run_campaign(campaign, workers=1, out_dir=a)
+        parallel = run_campaign(campaign, workers=2, mode="process", out_dir=b)
         assert serial.mode == "serial" and parallel.mode == "process"
-        assert serial.results_jsonl() == parallel.results_jsonl()
+        assert artifact_bytes(a) == artifact_bytes(b)
         assert serial.summary == parallel.summary
 
-    def test_aggregate_is_worker_count_independent(self):
+    def test_aggregate_is_worker_count_independent(self, tmp_path):
         campaign = small_campaign(seeds=(0, 1, 2))
-        two = run_campaign(campaign, workers=2)
-        three = run_campaign(campaign, workers=3)
-        assert two.results_jsonl() == three.results_jsonl()
+        a, b = str(tmp_path / "two"), str(tmp_path / "three")
+        two = run_campaign(campaign, workers=2, out_dir=a)
+        three = run_campaign(campaign, workers=3, out_dir=b)
+        assert artifact_bytes(a) == artifact_bytes(b)
         assert two.summary == three.summary
 
     def test_rows_arrive_in_spec_order(self):
@@ -124,9 +136,10 @@ class TestExecutor:
 class TestArtifacts:
     def test_write_produces_manifest_and_results(self, tmp_path):
         campaign = small_campaign()
-        report = run_campaign(campaign, workers=1)
-        paths = report.write(str(tmp_path / "out"))
-        records = read_jsonl(paths["results"])
+        out = str(tmp_path / "out")
+        report = run_campaign(campaign, workers=1, out_dir=out)
+        assert report.rows == ()  # the artifact holds them
+        records = read_jsonl(os.path.join(out, "results.jsonl"))
         assert records[0]["type"] == "meta"
         assert records[0]["schema"] == CAMPAIGN_SCHEMA_VERSION
         assert records[0]["campaign_hash"] == campaign.campaign_hash()
@@ -134,16 +147,16 @@ class TestArtifacts:
         assert len(body) == len(campaign.specs())
         assert records[-1]["type"] == "summary"
         assert records[-1]["scenarios"] == len(body)
-        with open(paths["manifest"], encoding="utf-8") as fh:
+        with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
             manifest = json.load(fh)
         assert [s["spec_hash"] for s in manifest["scenarios"]] == [
             s.spec_hash() for s in campaign.specs()
         ]
 
     def test_rows_replay_from_the_results_file(self, tmp_path):
-        report = run_campaign(small_campaign(), workers=1)
-        paths = report.write(str(tmp_path))
-        row = [r for r in read_jsonl(paths["results"]) if r["type"] == "row"][0]
+        run_campaign(small_campaign(), workers=1, out_dir=str(tmp_path))
+        results = os.path.join(str(tmp_path), "results.jsonl")
+        row = [r for r in read_jsonl(results) if r["type"] == "row"][0]
         spec = ScenarioSpec.from_json(row["spec"])
         assert spec.spec_hash() == row["spec_hash"]
         from repro.workloads import run_scenario

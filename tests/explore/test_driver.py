@@ -4,12 +4,15 @@ import json
 
 import pytest
 
+from repro.explore import driver
 from repro.explore.driver import (
     Explorer,
     load_baseline,
     matches_baseline,
 )
-from repro.explore.__main__ import base_cells
+from repro.explore.__main__ import base_cells, main
+from repro.faults import shrink
+from repro.workloads import scenario_cache_key
 from repro.workloads.runner import Send
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology
@@ -111,6 +114,77 @@ class TestCacheReuse:
         report = explorer.run(iterations=4)
         assert report.cache is not None
         assert report.cache["stored"] + report.cache["hits"] >= 1
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Every candidate spec a shrinker asks its predicate about."""
+    seen = []
+    fails = shrink.PlanShrinker._fails
+
+    def spy(self, plan):
+        seen.append(self.spec.faulted(plan))
+        return fails(self, plan)
+
+    monkeypatch.setattr(shrink.PlanShrinker, "_fails", spy)
+    return seen
+
+
+def quirked(**kwargs):
+    """The 24-iteration campaign that triages the planted stall twice."""
+    return Explorer(
+        [kernel_base(quirks=("supersede-wait",))], seed=7, **kwargs
+    )
+
+
+class TestOneJudgement:
+    """A shrink probe is run, judged and cached like a search iteration."""
+
+    def test_every_probe_goes_through_execute_spec(self, monkeypatch, probes):
+        executed, harness_runs = set(), []
+        execute_spec, run_harness = driver.execute_spec, shrink.run_harness
+
+        def spy_execute(unit):
+            executed.add(scenario_cache_key(unit[1]))
+            return execute_spec(unit)
+
+        def spy_harness(harness, spec):
+            harness_runs.append(harness)
+            return run_harness(harness, spec)
+
+        monkeypatch.setattr(driver, "execute_spec", spy_execute)
+        monkeypatch.setattr(shrink, "run_harness", spy_harness)
+        explorer = quirked()
+        report = explorer.run(iterations=24)
+        assert probes and {scenario_cache_key(s) for s in probes} <= executed
+        # The named harness runs once per repro payload, never per probe.
+        assert harness_runs == ["scenario"] * len(report.triage)
+        # Probes are judged, not accounted: the corpus saw the search only.
+        assert explorer.corpus.evaluated == 24
+        assert [r["minimal_events"] for r in report.triage] == [1, 1]
+
+    def test_probes_share_the_campaign_cache(self, tmp_path, probes):
+        cache_dir = str(tmp_path / "cache")
+        first = quirked(cache=cache_dir)
+        report_first = first.run(iterations=24)
+        assert probes
+        for candidate in probes:
+            assert first.cache.get(candidate) is not None
+        probed = len(probes)
+
+        second = quirked(cache=cache_dir)
+        report_second = second.run(iterations=24)
+        assert len(probes) == 2 * probed  # the same ddmin walk ...
+        assert second.executed == 0  # ... answered from the cache
+        first_json, second_json = stripped(report_first), stripped(report_second)
+        first_json.pop("cache"), second_json.pop("cache")
+        assert second_json == first_json
+
+    def test_there_is_no_harness_flag_to_mistype(self, capsys):
+        with pytest.raises(SystemExit) as error:
+            main(["--harness", "typo"])
+        assert error.value.code == 2
+        assert "--harness" in capsys.readouterr().err
 
 
 class TestViolatedProperties:

@@ -9,8 +9,6 @@ from repro.faults.plan import FaultEvent, FaultPlan, plan_of
 from repro.faults.shrink import (
     HARNESSES,
     PlanShrinker,
-    ShrinkCache,
-    ensure_shrink_cache,
     harness_violates,
     load_repro,
     replay_repro,
@@ -187,48 +185,12 @@ def test_pipeline_agrees_with_the_retired_broadcast_body(spec):
 
 
 class TestShrinkCache:
-    """Persistent memoization of shrink verdicts across invocations."""
+    """The shrinker's cost accounting (the class name is the test's id;
+    probes are cached as ``CampaignCache`` cells, pinned in
+    ``tests/explore/test_driver.py``)."""
 
     def _plan(self):
         return random_plan(7, "full", process_count=6, groups=("g1", "g2"))
-
-    def test_second_shrink_costs_zero_evaluations(self, tmp_path):
-        cache = str(tmp_path / "shrink-cache")
-        spec = spec_with(self._plan())
-        first_minimal, first = shrink_plan(
-            spec, harness="broadcast", cache=cache
-        )
-        assert first.evaluations > 0
-        second_minimal, second = shrink_plan(
-            spec, harness="broadcast", cache=cache
-        )
-        assert second_minimal == first_minimal
-        assert second.evaluations == 0
-        assert second.cache_hits == second.probes
-
-    def test_verdicts_are_namespaced_by_harness(self, tmp_path):
-        cache = ShrinkCache(str(tmp_path / "shrink-cache"))
-        spec = spec_with(self._plan())
-        cache.put("broadcast", spec, True)
-        assert cache.get("broadcast", spec) is True
-        assert cache.get("scenario", spec) is None
-
-    def test_corruption_is_a_miss(self, tmp_path):
-        cache = ShrinkCache(str(tmp_path / "shrink-cache"))
-        spec = spec_with(self._plan())
-        cache.put("broadcast", spec, True)
-        with open(cache.path_for("broadcast", spec), "w") as fh:
-            fh.write("{torn")
-        assert cache.get("broadcast", spec) is None
-        assert cache.misses == 1
-
-    def test_cache_argument_coercion(self, tmp_path):
-        cache = ShrinkCache(str(tmp_path / "c"))
-        assert ensure_shrink_cache(cache) is cache
-        assert ensure_shrink_cache(None) is None
-        assert isinstance(ensure_shrink_cache(str(tmp_path)), ShrinkCache)
-        with pytest.raises(TypeError):
-            ensure_shrink_cache(42)
 
     def test_stats_ride_the_repro_payload(self):
         spec = spec_with(self._plan())

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.metrics import SweepAggregator, summarize_rows, sweep_table
+from repro.metrics.sweep import sweep_exit_status
 
 
 def _ok_row(name="r", rounds=5, delivered=True, truncated=False, violations=0):
@@ -58,6 +59,23 @@ class TestAggregation:
         summary = summarize_rows([])
         assert summary["scenarios"] == 0
         assert summary["mean_rounds"] == 0.0
+
+
+class TestExitStatus:
+    """The one exit rule of ``python -m repro.campaign`` / ``repro.faults``."""
+
+    @pytest.mark.parametrize(
+        "rows, status",
+        [
+            ([], 0),
+            ([_ok_row()], 0),
+            ([_ok_row(), _failed_row()], 1),
+            ([_ok_row(violations=1)], 1),
+            ([_ok_row(truncated=True)], 1),
+        ],
+    )
+    def test_red_on_failed_violating_or_truncated(self, rows, status):
+        assert sweep_exit_status(summarize_rows(rows)) == status
 
 
 class TestTable:
