@@ -48,7 +48,6 @@ must call :meth:`MulticastSystem.wake_all`.
 
 from __future__ import annotations
 
-import random
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.algorithm1 import Algorithm1Process
@@ -189,23 +188,13 @@ class MulticastSystem(RoundHost):
         super().__init__(
             scheduler=Scheduler(
                 {p: SharedObjectActor(self, p) for p in sorted(topology.processes)},
-                rng=random.Random(seed),
-                tracer=tracer,
-                is_alive=pattern.is_alive,
-                settle_horizon=lambda: settle_time,
-                responders=frozenset(
-                    p for p in topology.processes if pattern.is_alive(p, 0)
-                ),
+                seed,
+                tracer,
+                pattern,
+                settle_horizon=settle_time,
                 injector=injector,
-                alive_instants=pattern.change_instants(),
             )
         )
-
-    @property
-    def _active(self) -> FrozenSet[ProcessId]:
-        """Processes able to respond to quorum requests *right now*:
-        the alive processes within the current responder set."""
-        return self._scheduler.responders
 
     # -- Wiring ---------------------------------------------------------------
 
@@ -271,7 +260,7 @@ class MulticastSystem(RoundHost):
             # operations merely stall until the window closes (Liveness
             # constrains only the suffix).
             required = scope
-        available = required <= self._active
+        available = required <= self._scheduler.responders
         self.tracer.note_quorum_query(available)
         return available
 

@@ -12,7 +12,7 @@ scenario specs instead of byte strings):
   *fingerprint set* built from signals the :class:`TraceRecorder`
   already emits — wait-reason histograms, detector-consultation
   counts, quorum stalls, and the interleaving transition stream the
-  :class:`repro.runtime.core.ExecutionCore` records;
+  :class:`repro.runtime.Scheduler` records;
 * :mod:`repro.explore.corpus` keeps the content-addressed corpus of
   entries that contributed novel coverage, with an energy schedule
   favouring entries whose fingerprints are globally rare;

@@ -115,7 +115,7 @@ class TraceRecorder:
         self._wait_reasons: Dict[str, int] = {}
         # Interleaving transitions: compact signatures of *changes* in
         # the (eligible, responders) participation state, reported by
-        # ExecutionCore.note_fingerprint.  A whole-run stream — not a
+        # Scheduler.note_fingerprint.  A whole-run stream — not a
         # per-round counter — because transitions are rare (crash
         # epochs, churn windows) and their *sequence* is the coverage
         # signal the explorer fingerprints schedules by.

@@ -138,7 +138,7 @@ class FailurePattern:
         """Every instant at which the alive set changes, sorted.
 
         Crash times plus recovery times — the epoch boundaries that
-        alive-set caches (detector oracles, the execution core's
+        alive-set caches (detector oracles, the scheduler's
         eligible-order memo) must respect.  Crash-stop patterns reduce
         to the sorted crash times.
         """
@@ -262,32 +262,29 @@ class Environment:
             return False
         return len(members) <= self.max_failures
 
-    def staggered_patterns(
+    def patterns(
         self,
         start: Time = 0,
-        gap: Time = 1,
+        gap: Time = 0,
         subsets: Optional[Sequence[ProcessSet]] = None,
     ) -> Iterator[FailurePattern]:
-        """Enumerate patterns whose faulty sets crash one member at a time.
+        """Enumerate representative patterns of the environment.
 
-        The companion of :meth:`patterns` for *staggered* bursts: instead
-        of the whole candidate set crashing simultaneously, its members
-        (in process order) crash ``gap`` rounds apart starting at
-        ``start``.  This is the shape a nemesis ``crash_burst`` event
-        produces, and the shape under which crash-monotonicity and
-        quorum-handover bugs actually surface — simultaneous crashes let
-        an implementation conflate "the set failed" with "the set failed
-        atomically".
-
-        Yields the failure-free pattern first, then one staggered pattern
-        per candidate faulty set (every subset of non-reliable processes
+        Yields the failure-free pattern first, then one pattern per
+        candidate faulty set (every subset of non-reliable processes
         within the bound, or the caller-provided ``subsets``), skipping
-        any that fall outside the environment.
+        any that fall outside the environment.  The set's members (in
+        process order) crash ``gap`` rounds apart starting at ``start``:
+        ``gap=0`` crashes the whole set at once, a positive ``gap`` is the
+        *staggered* burst a nemesis ``crash_burst`` event produces — the
+        shape under which crash-monotonicity and quorum-handover bugs
+        surface, since simultaneous crashes let an implementation conflate
+        "the set failed" with "the set failed atomically".
         """
         if start < 0:
-            raise ModelError("staggered start must be non-negative")
+            raise ModelError("crash start must be non-negative")
         if gap < 0:
-            raise ModelError("staggered gap must be non-negative")
+            raise ModelError("crash gap must be non-negative")
         yield failure_free(self.processes)
         candidates: Iterable[ProcessSet]
         if subsets is not None:
@@ -301,39 +298,7 @@ class Environment:
                 continue
             pattern = FailurePattern(
                 self.processes,
-                {
-                    p: start + offset * gap
-                    for offset, p in enumerate(sorted(faulty))
-                },
-            )
-            if self.contains(pattern):
-                yield pattern
-
-    def patterns(
-        self,
-        crash_time: Time = 0,
-        subsets: Optional[Sequence[ProcessSet]] = None,
-    ) -> Iterator[FailurePattern]:
-        """Enumerate representative patterns of the environment.
-
-        Yields the failure-free pattern plus, for every candidate faulty
-        set (by default every subset of non-reliable processes within the
-        bound, or the caller-provided ``subsets``), the pattern crashing
-        that set at ``crash_time``.
-        """
-        yield failure_free(self.processes)
-        candidates: Iterable[ProcessSet]
-        if subsets is not None:
-            candidates = subsets
-        else:
-            candidates = _subsets_upto(
-                pset(self.processes - self.reliable), self.max_failures
-            )
-        for faulty in candidates:
-            if not faulty:
-                continue
-            pattern = FailurePattern(
-                self.processes, {p: crash_time for p in faulty}
+                {p: start + i * gap for i, p in enumerate(sorted(faulty))},
             )
             if self.contains(pattern):
                 yield pattern

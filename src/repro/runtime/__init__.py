@@ -1,14 +1,14 @@
 """repro.runtime — the shared execution loop of every scenario family.
 
-One :class:`ExecutionCore` owns the transport/clock-agnostic semantics
-(actor registry, alive ∩ participation filtering, settle-horizon and
-quiescence accounting, tracer/injector hooks); two drivers execute it:
-the round-based :class:`Scheduler` (the lockstep loop with the seeded
-shuffle) and the :class:`AsyncDriver` (generator tasks over
-latency-modelled in-memory channels, on its own event loop whose
-virtual clock makes a run replay deterministically).  Hosts subclass
-:class:`RoundHost` and adapt their execution units to the :class:`Actor`
-protocol via the adapters in :mod:`repro.runtime.actors`.
+One :class:`Scheduler` holds a run: its failure pattern, its seeded
+schedule, its actors, and the eligibility, responder and quiescence
+accounting over them.  Its clock advances in one of two ways: its own
+lockstep :meth:`Scheduler.round` (one seeded shuffle per round), or the
+:class:`AsyncDriver` (generator tasks over latency-modelled in-memory
+channels, on its own event loop whose virtual clock makes a run replay
+deterministically).  Hosts subclass :class:`RoundHost` and adapt their
+execution units to the :class:`Actor` protocol via the adapters in
+:mod:`repro.runtime.actors`.
 """
 
 from repro.runtime.actors import (
@@ -18,7 +18,6 @@ from repro.runtime.actors import (
     SystemActor,
 )
 from repro.runtime.async_driver import CLOCK_MODES, AsyncDriver, AsyncTransport
-from repro.runtime.core import ExecutionCore
 from repro.runtime.delay import (
     DELAY_MODEL_KINDS,
     DelayModel,
@@ -40,7 +39,6 @@ __all__ = [
     "CLOCK_MODES",
     "DELAY_MODEL_KINDS",
     "DelayModel",
-    "ExecutionCore",
     "ExponentialDelay",
     "FixedDelay",
     "RoundHost",

@@ -25,7 +25,6 @@ very objects the actors consult.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Iterable, Optional, Tuple
 
 from repro.metrics.trace import WAIT_IDLE, TraceRecorder
@@ -182,9 +181,8 @@ class RoundHost:
     ) -> None:
         self._scheduler = scheduler or Scheduler(
             {type(self).__name__: SystemActor(self._advance)},
-            rng=random.Random(seed),
-            tracer=TraceRecorder(),
-            is_alive=lambda _key, _t: True,
+            seed,
+            TraceRecorder(),
         )
         self.tracer = self._scheduler.tracer
 
@@ -205,7 +203,7 @@ class RoundHost:
 
     def settle_horizon(self) -> Time:
         """A time by which all detector outputs have stabilized."""
-        return self._scheduler.settle_horizon()
+        return self._scheduler.settle_horizon
 
     def tick(self) -> int:
         """One round; returns the productive actions fired."""

@@ -2,12 +2,12 @@
 
 Where the :class:`repro.runtime.scheduler.Scheduler` advances a logical
 clock in lockstep and shuffles the eligible set once per round, the
-:class:`AsyncDriver` runs every actor of an
-:class:`repro.runtime.core.ExecutionCore` as its own task and lets
-*time* interleave them: each cross-process wake travels through an
-in-memory channel (:class:`AsyncTransport`) whose latency is drawn from
-a pluggable :class:`repro.runtime.delay.DelayModel`, and each process
-pauses a model-drawn scheduling latency between consecutive steps.  The
+:class:`AsyncDriver` runs every actor of that same scheduler as its own
+task and lets *time* interleave them: each cross-process wake travels
+through an in-memory channel (:class:`AsyncTransport`) whose latency is
+drawn from a pluggable :class:`repro.runtime.delay.DelayModel`, and
+each process pauses a model-drawn scheduling latency between consecutive
+steps.  The
 paper's model is exactly this — shared-object operations linearize (a
 task is a generator, so every ``fire`` runs uninterrupted to its next
 ``yield``), but the *schedule* is asynchronous — so a driver run is just
@@ -20,10 +20,10 @@ renting an I/O framework's tasks, futures and selector.
 
 Time is bilingual.  The loop clock (real or virtual) advances
 continuously; the model-facing *logical* time is ``t = floor(elapsed /
-round_duration) + 1``, so crash times, detector lags and settle horizons
-— all defined in round units — keep their meaning.  The host's scheduler
-clock is synced to logical time before every fire, so records, quorum
-guards and detector queries see a monotone clock.
+ROUND_SECONDS[clock]) + 1``, so crash times, detector lags and settle
+horizons — all defined in round units — keep their meaning.  The
+scheduler's clock is synced to logical time before every fire, so
+records, quorum guards and detector queries see a monotone clock.
 
 Fault plans carry over: the driver maps the injector's link verdicts
 onto channel perturbations (``link_delay`` adds rounds of latency to a
@@ -51,12 +51,17 @@ from typing import Sequence, Tuple, Union
 
 from repro.model.errors import SimulationError
 from repro.model.failures import Time
-from repro.runtime.core import ExecutionCore, Key
 from repro.runtime.delay import DelayModel, build_delay_model
-from repro.runtime.scheduler import RunOutcome
+from repro.runtime.scheduler import Key, RunOutcome
+
+#: Loop seconds per round unit, per clock source.  Virtual runs cost
+#: nothing however long a round is, so one second is one round; wall
+#: runs compress rounds to keep real elapsed time bounded (a 600-round
+#: budget is about 12 s).
+ROUND_SECONDS = {"virtual": 1.0, "wall": 0.02}
 
 #: Clock sources the driver accepts.
-CLOCK_MODES = ("virtual", "wall")
+CLOCK_MODES = tuple(ROUND_SECONDS)
 
 #: Floor on the pacing sleep between consecutive steps of one actor
 #: (round units).  Keeps a productive actor from monopolizing the loop
@@ -309,17 +314,16 @@ class AsyncDriver:
     """Drive a :class:`repro.core.MulticastSystem` under asynchrony.
 
     Args:
-        system: the engine deployment to drive.  The driver reuses the
-            system's :class:`ExecutionCore` (actors, eligibility,
-            responders, settle horizon) and installs itself as the
-            system's wake listener for the duration of :meth:`run`.
+        system: the engine deployment to drive.  The driver drives the
+            system's :class:`repro.runtime.Scheduler` (actors,
+            eligibility, responders, settle horizon, failure pattern)
+            and installs itself as the system's wake listener for the
+            duration of :meth:`run`.
         delay_model: a :class:`DelayModel`, a delay spec tuple, or
             ``None`` for the default (see :mod:`repro.runtime.delay`).
-        round_duration: wall seconds per round unit.  Virtual-clock runs
-            conventionally use 1.0 (time is free); wall-clock runs pick
-            the real pacing.
         clock: ``"virtual"`` (seeded-deterministic, the default) or
-            ``"wall"`` (real time, real nondeterminism).
+            ``"wall"`` (real time, real nondeterminism); it fixes
+            :attr:`round_duration` (:data:`ROUND_SECONDS`).
         seed: scenario seed; the driver derives its private latency RNG
             from ``(seed, delay spec)``.
     """
@@ -329,7 +333,6 @@ class AsyncDriver:
         system: Any,
         *,
         delay_model: Any = None,
-        round_duration: float = 1.0,
         clock: str = "virtual",
         seed: int = 0,
     ) -> None:
@@ -337,18 +340,16 @@ class AsyncDriver:
             raise SimulationError(
                 f"unknown clock {clock!r}; expected one of {CLOCK_MODES}"
             )
-        if round_duration <= 0:
-            raise SimulationError("round_duration must be positive")
         self.system = system
         self._sched = system._scheduler
-        self.core: ExecutionCore = self._sched.core
         self.injector = system.injector
         self.delay: DelayModel = (
             delay_model
             if isinstance(delay_model, DelayModel)
             else build_delay_model(delay_model)
         )
-        self.round_duration = float(round_duration)
+        #: Loop seconds per round unit.
+        self.round_duration = ROUND_SECONDS[clock]
         self.clock = clock
         self.rng = random.Random(derive_async_seed(seed, self.delay.spec()))
         #: Transport resilience stats of the last completed run (the
@@ -463,15 +464,16 @@ class AsyncDriver:
     # -- Tasks -------------------------------------------------------------
 
     def _actor(self, key: Key) -> Task:
-        core = self.core
-        actor = core.actors[key]
+        sched = self._sched
+        pattern = sched.pattern
+        actor = sched.actors[key]
         transport = self._transport
         rd = self.round_duration
-        injector = core.injector
+        injector = self.injector
         while not self._stopped:
             t = self.now_t()
-            if not core.is_alive(key, t):
-                rejoin = self.system.pattern.recovery_times.get(key)
+            if not pattern.is_alive(key, t):
+                rejoin = pattern.recovery_times.get(key)
                 if rejoin is None or rejoin <= t:
                     return  # crash-stop: the task retires
                 # Crash-recovery: park until the rejoin instant.  The
@@ -485,7 +487,7 @@ class AsyncDriver:
                 # Participation churn: sleep through the window.
                 yield rd
                 continue
-            if t <= core.settle_horizon() or not actor.parked(t):
+            if t <= sched.settle_horizon or not actor.parked(t):
                 # Forced scans while detectors may still move mirror the
                 # round driver's full-scan window.
                 self._sync_time(t)
@@ -528,35 +530,35 @@ class AsyncDriver:
         quiescent_rounds: int,
         watchdog: Optional[Any],
     ) -> Task:
-        core = self.core
+        sched = self._sched
         transport = self._transport
         rd = self.round_duration
         idle = 0
         # Crash *and* recovery instants: a rejoin changes quorum
         # availability just as a crash does, so it forces wakes too.
-        crash_instants = list(self.system.pattern.change_instants())
+        instants = sched.instants
         instant_cursor = 0
         while True:
             yield rd
             t = self.now_t()
             self._sync_time(t)
-            eligible = core.eligible_order(t)
-            core.refresh_responders(t, tuple(eligible), None)
+            eligible = sched.eligible_order(t)
+            sched.refresh_responders(t, tuple(eligible), None)
             # Record participation transitions exactly like the round
-            # drivers do, so async runs carry the same interleaving
+            # loop does, so async runs carry the same interleaving
             # fingerprint stream the explorer uses as coverage.
-            core.note_fingerprint(tuple(eligible))
+            sched.note_fingerprint(tuple(eligible))
             # Forced wakes: the async analogue of the round driver's
             # full-scan triggers — detector settle window, and crossings
             # of crash instants (quorum availability changed).
             woke = False
             while (
-                instant_cursor < len(crash_instants)
-                and crash_instants[instant_cursor] <= t
+                instant_cursor < len(instants)
+                and instants[instant_cursor] <= t
             ):
                 instant_cursor += 1
                 woke = True
-            if woke or t <= core.settle_horizon() + 1:
+            if woke or t <= sched.settle_horizon + 1:
                 for key in eligible:
                     transport.deliver_now(key)
             if watchdog is not None:
@@ -569,8 +571,8 @@ class AsyncDriver:
                 window > 0
                 or transport.in_flight > 0
                 or self.sends_cursor < len(pending)
-                or t < core.settle_horizon()
-                or core.has_pending_work()
+                or t < sched.settle_horizon
+                or sched.has_pending_work()
             )
             if not busy and self._all_parked(t, eligible):
                 idle += 1
@@ -585,7 +587,7 @@ class AsyncDriver:
         self._loop.stop()
 
     def _all_parked(self, t: Time, eligible: Sequence[Key]) -> bool:
-        woken, actors = self._transport.woken, self.core.actors
+        woken, actors = self._transport.woken, self._sched.actors
         # An unconsumed wake counts as not parked: someone will act.
         return not any(
             woken[key] or not actors[key].parked(t) for key in eligible
@@ -612,7 +614,7 @@ class AsyncDriver:
         driver's budget accounting.
         """
         pending = sorted(sends, key=lambda s: s.at_round)
-        keys = self.core.sorted_keys
+        keys = self._sched.sorted_keys
         loop = self._loop = EventLoop(self.clock)
         transport = self._transport = AsyncTransport(loop, keys)
         self._t0 = loop.time()

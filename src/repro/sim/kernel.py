@@ -15,7 +15,6 @@ The kernel hosts the genuine message-passing substrates of §4.3
 
 from __future__ import annotations
 
-import random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._content import content_hash
@@ -186,16 +185,15 @@ class Kernel(RoundHost):
         super().__init__(
             scheduler=Scheduler(
                 {p: AutomatonActor(self, p) for p in sorted(self.automata)},
-                rng=random.Random(seed),
-                tracer=TraceRecorder(),
-                is_alive=pattern.is_alive,
+                seed,
+                TraceRecorder(),
+                pattern,
+                settle_horizon=injector.horizon if injector is not None else 0,
                 pre_round=self._pre_round if injector is not None else self._drop_crashed,
-                settle_horizon=(lambda: injector.horizon) if injector is not None else None,
                 injector=injector,
                 pending_work=(
                     self.buffer.delayed_count if injector is not None else None
                 ),
-                alive_instants=pattern.change_instants(),
             )
         )
 

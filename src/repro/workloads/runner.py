@@ -696,14 +696,9 @@ def _drive_async(
     hence the round count) differs.  With ``spec.clock="virtual"`` the
     whole run is a pure function of the spec and replays exactly.
     """
-    # Virtual runs finish instantly regardless of the round duration, so
-    # use the natural 1s = 1 round mapping; wall runs compress rounds to
-    # keep real elapsed time bounded (a 600-round budget ≈ 12s).
-    round_duration = 1.0 if spec.clock == "virtual" else 0.02
     driver = AsyncDriver(
         deployment.host,
         delay_model=spec.delay_model,
-        round_duration=round_duration,
         clock=spec.clock,
         seed=spec.seed,
     )
@@ -712,7 +707,7 @@ def _drive_async(
     # logical window: a hung loop stops producing logical checks, but
     # never stops the wall clock.
     if watchdog is not None and spec.clock == "wall":
-        watchdog.wall_budget = max(30.0, watchdog.window * round_duration * 4)
+        watchdog.wall_budget = max(30.0, watchdog.window * driver.round_duration * 4)
     outcome = driver.run(
         sends=pending,
         issue=issue,

@@ -32,6 +32,7 @@ from repro.groups.topology import GroupTopology, topology_from_indices
 from repro.model.errors import SimulationError
 from repro.model.failures import FailurePattern, Time
 from repro.model.processes import ProcessId, make_processes, pset
+from repro.runtime.async_driver import CLOCK_MODES
 
 #: Bumped on breaking changes to the spec JSON layout.  Version 2 added
 #: the execution-backend axis (``backend``, plus a kernel scheduling-mode
@@ -51,9 +52,6 @@ SPEC_SCHEMA_VERSION = 6
 #: shared-object engine of §4.4, the step-level Appendix-A kernel, or
 #: the real-time asynchronous driver over the engine's actors.
 BACKENDS = ("engine", "kernel", "async")
-
-#: Clock sources of the async backend (see repro.runtime.async_driver).
-CLOCKS = ("virtual", "wall")
 
 #: Named, replayable legacy behaviours a scenario may opt back into
 #: (schema v6).  A *quirk* re-enables a retired code path byte-for-byte
@@ -239,9 +237,9 @@ class ScenarioSpec:
             raise SimulationError(
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
-        if self.clock not in CLOCKS:
+        if self.clock not in CLOCK_MODES:
             raise SimulationError(
-                f"unknown clock {self.clock!r}; expected one of {CLOCKS}"
+                f"unknown clock {self.clock!r}; expected one of {CLOCK_MODES}"
             )
         for quirk in self.quirks:
             if quirk not in KNOWN_QUIRKS:

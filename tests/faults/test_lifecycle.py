@@ -105,8 +105,6 @@ def test_pending_work_guards_an_understated_horizon():
     horizon: a host that understates its settle horizon (say, a future
     event kind with a miscomputed ``ends_by``) would otherwise go
     quiescent with datagrams still sequestered."""
-    import random
-
     from repro.faults.injector import FaultInjector
     from repro.metrics.trace import TraceRecorder
     from repro.model.messages import MessageBuffer
@@ -128,11 +126,10 @@ def test_pending_work_guards_an_understated_horizon():
     sched = force_scan(
         Scheduler(
             {p2.name: drain},
-            rng=random.Random(0),
-            tracer=TraceRecorder(),
-            is_alive=lambda _key, _t: True,
+            0,
+            TraceRecorder(),
+            settle_horizon=0,  # deliberately understated
             pre_round=lambda t: buffer.release(t),
-            settle_horizon=lambda: 0,  # deliberately understated
             pending_work=buffer.delayed_count,
         )
     )

@@ -131,7 +131,7 @@ class TestEnvironment:
     def test_pattern_enumeration_with_explicit_subsets(self):
         env = all_patterns_environment(ALL)
         subsets = [by_indices(1, 2)]
-        patterns = list(env.patterns(crash_time=3, subsets=subsets))
+        patterns = list(env.patterns(start=3, subsets=subsets))
         assert len(patterns) == 2
         assert patterns[1].faulty == by_indices(1, 2)
         assert patterns[1].crash_times[P1] == 3
@@ -140,15 +140,13 @@ class TestEnvironment:
 class TestStaggeredPatterns:
     def test_starts_failure_free(self):
         env = Environment(ALL, max_failures=2)
-        patterns = list(env.staggered_patterns())
+        patterns = list(env.patterns(gap=1))
         assert patterns[0].faulty == frozenset()
 
     def test_members_crash_gap_rounds_apart_in_process_order(self):
         env = all_patterns_environment(ALL)
         patterns = list(
-            env.staggered_patterns(
-                start=4, gap=3, subsets=[by_indices(1, 2, 3)]
-            )
+            env.patterns(start=4, gap=3, subsets=[by_indices(1, 2, 3)])
         )
         assert len(patterns) == 2
         staggered = patterns[1]
@@ -159,32 +157,31 @@ class TestStaggeredPatterns:
     def test_zero_gap_degenerates_to_simultaneous(self):
         env = all_patterns_environment(ALL)
         subsets = [by_indices(1, 2)]
-        staggered = list(env.staggered_patterns(start=5, gap=0, subsets=subsets))
-        simultaneous = list(env.patterns(crash_time=5, subsets=subsets))
-        assert staggered == simultaneous
+        _, simultaneous = env.patterns(start=5, gap=0, subsets=subsets)
+        assert simultaneous.crash_times == {P1: 5, P2: 5}
 
     def test_same_faulty_sets_as_simultaneous_enumeration(self):
         env = Environment(ALL, max_failures=2, reliable=by_indices(4))
-        staggered = {p.faulty for p in env.staggered_patterns()}
+        staggered = {p.faulty for p in env.patterns(gap=1)}
         simultaneous = {p.faulty for p in env.patterns()}
         assert staggered == simultaneous
 
     def test_out_of_environment_subsets_are_skipped(self):
         env = Environment(ALL, max_failures=1)
         patterns = list(
-            env.staggered_patterns(subsets=[by_indices(1, 2), by_indices(3)])
+            env.patterns(gap=1, subsets=[by_indices(1, 2), by_indices(3)])
         )
         assert [p.faulty for p in patterns[1:]] == [by_indices(3)]
 
     def test_patterns_stay_monotone(self):
         env = all_patterns_environment(ALL)
-        for pattern in env.staggered_patterns(start=2, gap=2):
+        for pattern in env.patterns(start=2, gap=2):
             for t in range(12):
                 assert pattern.at(t) <= pattern.at(t + 1)
 
     def test_negative_parameters_are_rejected(self):
         env = all_patterns_environment(ALL)
         with pytest.raises(ModelError):
-            list(env.staggered_patterns(start=-1))
+            list(env.patterns(start=-1))
         with pytest.raises(ModelError):
-            list(env.staggered_patterns(gap=-1))
+            list(env.patterns(gap=-1))

@@ -11,6 +11,12 @@ Bind it over one host with :func:`force_scan`, or over every scheduler a
 test builds indirectly (``run_scenario``) with :func:`scan_everywhere`.
 It is reachable from ``tests/`` only; ``src/`` has no scan mode.
 
+The eligible set has the same arrangement one level down.
+``Scheduler.eligible_order`` recomputes the alive filter only when the
+clock crosses one of the failure pattern's change instants;
+:func:`swept_eligible_order` is the per-round sweep it replaced, which
+``tests/runtime/test_eligibility.py`` compares it against.
+
 The async driver has the same arrangement.  Its own
 :class:`repro.runtime.async_driver.EventLoop` claims to be asyncio's
 loop minus the I/O, with equal deadlines fired in scheduling order;
@@ -45,22 +51,21 @@ from repro.runtime import Scheduler, async_driver
 def scan_round(self, participation=None, responders=None, action_budget=None):
     """One round of ``self`` (a :class:`Scheduler`) with nobody skipped."""
     self.time += 1
-    core = self.core
-    if core.pre_round is not None:
-        core.pre_round(self.time)
-    order = core.eligible_order(self.time, participation)
+    if self.pre_round is not None:
+        self.pre_round(self.time)
+    order = self.eligible_order(self.time, participation)
     # ``order`` is already sorted (it filters the pre-sorted keys);
     # snapshot it before the shuffle for fingerprinting.
     eligible = tuple(order)
-    core.refresh_responders(self.time, eligible, responders)
+    self.refresh_responders(self.time, eligible, responders)
     self._rng.shuffle(order)
-    fingerprint_changed = core.note_fingerprint(eligible)
+    fingerprint_changed = self.note_fingerprint(eligible)
     full_scan = True
-    tracer = core.tracer
+    tracer = self.tracer
     tracer.begin_round(self.time, len(order), full_scan)
     fired = 0
     parked_hint = None if full_scan else False
-    actors = core.actors
+    actors = self.actors
     for key in order:
         actor = actors[key]
         if not full_scan and actor.parked(self.time):
@@ -96,6 +101,29 @@ def scan_everywhere(monkeypatch):
     """Scan in every scheduler built until the test ends (pytest fixture
     ``monkeypatch``) — for hosts constructed inside ``run_scenario``."""
     monkeypatch.setattr(Scheduler, "round", scan_round)
+
+
+def swept_eligible_order(self, now, participation=None):
+    """``self.eligible_order(now, participation)`` (a :class:`Scheduler`)
+    by the per-round alive sweep the scheduler ran when a host gave no
+    crash instants: every key asked ``is_alive`` every round, no epoch
+    memo, then the churn filter."""
+    is_alive = self.pattern.is_alive
+    if participation is None:
+        order = [key for key in self.sorted_keys if is_alive(key, now)]
+    else:
+        order = [
+            key
+            for key in self.sorted_keys
+            if is_alive(key, now) and key in participation
+        ]
+    if self.injector is not None:
+        order = [
+            key
+            for key in order
+            if not self.injector.suppresses(key, now)
+        ]
+    return order
 
 
 def process_gamma_partners(self, t, g):

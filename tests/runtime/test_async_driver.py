@@ -223,10 +223,6 @@ class TestDriverValidation:
         with pytest.raises(SimulationError):
             AsyncDriver(self._system(), clock="sundial")
 
-    def test_nonpositive_round_duration_raises(self):
-        with pytest.raises(SimulationError):
-            AsyncDriver(self._system(), round_duration=0)
-
     def test_wake_listener_cleared_after_run(self):
         system = self._system()
         driver = AsyncDriver(system, seed=1)

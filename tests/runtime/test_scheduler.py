@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 
 from repro.metrics.trace import TraceRecorder
+from repro.model.failures import FailurePattern
+from repro.model.processes import make_processes, pset
 from repro.runtime import Actor, RunOutcome, Scheduler, SystemActor
 from tests.runtime._oracle import force_scan
 
@@ -42,13 +44,7 @@ class CountdownActor(Actor):
 
 
 def make(actors, seed=7, **kwargs):
-    return Scheduler(
-        actors,
-        rng=random.Random(seed),
-        tracer=TraceRecorder(),
-        is_alive=kwargs.pop("is_alive", lambda _key, _t: True),
-        **kwargs,
-    )
+    return Scheduler(actors, seed, TraceRecorder(), **kwargs)
 
 
 def test_one_shuffle_of_the_sorted_set_per_round():
@@ -116,7 +112,7 @@ def test_settle_horizon_forces_scans_and_defers_quiescence():
     horizon = 3
     sched = make(
         {"a": CountdownActor(0)},
-        settle_horizon=lambda: horizon,
+        settle_horizon=horizon,
     )
     outcome = sched.run(max_rounds=10, quiescent_rounds=2)
     # Idle rounds strictly before the horizon do not count toward
@@ -164,18 +160,17 @@ def test_pre_round_hook_sees_the_advanced_clock():
 
 
 def test_responders_filtered_by_liveness_and_default_to_scheduled():
-    alive = {"a": True, "b": True}
+    a, b = make_processes(2)
     sched = make(
-        {k: CountdownActor(9) for k in "ab"},
-        is_alive=lambda key, _t: alive[key],
+        {k: CountdownActor(9) for k in (a, b)},
+        pattern=FailurePattern(pset((a, b)), {b: 3}),
     )
     sched.round()
-    assert sched.responders == frozenset("ab")
-    sched.round(responders=("a", "b"))
-    assert sched.responders == frozenset("ab")
-    alive["b"] = False
-    sched.round(responders=("a", "b"))
-    assert sched.responders == frozenset("a")
+    assert sched.responders == frozenset((a, b))
+    sched.round(responders=(a, b))
+    assert sched.responders == frozenset((a, b))
+    sched.round(responders=(a, b))
+    assert sched.responders == frozenset((a,))
 
 
 def test_zero_action_budget_forces_full_scan():
@@ -208,7 +203,7 @@ def test_pending_work_defers_quiescence():
 def test_pending_work_combines_with_settle_horizon():
     sched = make(
         {"a": CountdownActor(0)},
-        settle_horizon=lambda: 3,
+        settle_horizon=3,
         pending_work=lambda: 0,
     )
     outcome = sched.run(max_rounds=10, quiescent_rounds=2)
@@ -242,3 +237,23 @@ def test_no_host_takes_a_scheduling_mode():
             if name.startswith(("scheduling", "event_driven"))
         ]
         assert not retired, f"{target.__qualname__} still takes {retired}"
+
+
+def test_a_scheduler_is_built_from_the_failure_pattern():
+    """Liveness, its change instants and the first responders come from
+    one ``pattern``, the seed is an int and the round length a per-clock
+    constant: no constructor takes a value the pattern or the clock would
+    contradict, and no core object sits between the scheduler and the
+    async driver."""
+    import importlib.util
+    import inspect
+
+    import repro.runtime
+    from repro.runtime import AsyncDriver
+
+    taken = inspect.signature(Scheduler).parameters
+    for name in ("is_alive", "alive_instants", "responders", "rng"):
+        assert name not in taken, f"Scheduler still takes {name}"
+    assert "round_duration" not in inspect.signature(AsyncDriver).parameters
+    assert not [name for name in dir(repro.runtime) if name.endswith("Core")]
+    assert importlib.util.find_spec("repro.runtime.core") is None
