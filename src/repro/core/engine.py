@@ -52,7 +52,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.algorithm1 import Algorithm1Process
 from repro.detectors.indicator import IndicatorOracle
-from repro.detectors.mu import Mu
+from repro.detectors.mu import Mu, build_mu
 from repro.groups.topology import Group, GroupTopology
 from repro.metrics.trace import TraceRecorder
 from repro.model.errors import SimulationError
@@ -90,9 +90,8 @@ class MulticastSystem(RoundHost):
         topology: GroupTopology,
         pattern: FailurePattern,
         variant: str = "vanilla",
-        gamma_lag: Time = 0,
+        mu: Optional[Mu] = None,
         indicator_lag: Time = 0,
-        omega_stabilization: Optional[Time] = None,
         seed: int = 0,
         isolation: bool = False,
         injector: Optional[Any] = None,
@@ -103,16 +102,11 @@ class MulticastSystem(RoundHost):
         self.pattern = pattern
         self.variant = variant
         #: Optional :class:`repro.faults.FaultInjector`.  The engine has
-        #: no message buffer (shared objects stand in for the network),
-        #: so only the detector-noise and churn slices of a plan apply
-        #: here: ``gamma_delay`` widens the gamma lag, ``omega_late``
-        #: postpones leader stabilization, ``sigma_noise`` pins the
-        #: quorum requirement to the full scope for the window, ``churn``
-        #: filters the scheduler.  ``None`` keeps every code path
-        #: byte-identical to the fault-free engine.
+        #: no message buffer, so only churn (the scheduler filters on it)
+        #: and the plan horizon reach it; detector faults are in ``mu``.
+        #: ``None`` keeps every code path byte-identical to the fault-free
+        #: engine.
         self.injector = injector
-        if injector is not None:
-            gamma_lag = gamma_lag + injector.extra_gamma_lag()
         self.record = RunRecord(topology.processes, pattern)
         tracer = TraceRecorder()
         #: Wake index: shared-object name -> processes that read it.
@@ -134,12 +128,8 @@ class MulticastSystem(RoundHost):
             consensus_gate=self.consensus_ok,
             on_write=self._on_object_write,
         )
-        self.mu = Mu(
-            pattern,
-            topology,
-            gamma_lag=gamma_lag,
-            omega_stabilization=omega_stabilization,
-        )
+        #: The run's detector (the pattern oracles when not given).
+        self.mu = build_mu(pattern, topology) if mu is None else mu
         self.indicators: Dict[FrozenSet[ProcessId], IndicatorOracle] = {}
         if variant == "strict":
             for g, h in topology.intersecting_pairs():
@@ -163,12 +153,6 @@ class MulticastSystem(RoundHost):
             for p in sorted(topology.processes)
         }
         self._components: List[Component] = []
-        if injector is not None:
-            # Late-Omega windows: postpone leader stabilization before
-            # the settle horizon is computed, so quiescence detection
-            # keeps waiting the windows out.
-            for group_name, until in injector.omega_delays():
-                self.mu.delay_omega(group_name, until)
         # Last alive-set change: the final crash, or (under the
         # crash–recovery overlay) the final rejoin if later.
         last_change = max(pattern.change_instants(), default=0)
@@ -179,7 +163,7 @@ class MulticastSystem(RoundHost):
         # have settled (see :meth:`consensus_ok`).
         settle_time: Time = (
             max(
-                last_change + gamma_lag + indicator_lag,
+                last_change + self.mu.gamma.detection_lag + indicator_lag,
                 self.mu.omega_settle_time(),
                 injector.horizon if injector is not None else 0,
             )
@@ -251,15 +235,6 @@ class MulticastSystem(RoundHost):
         model: silent processes cannot be part of a responsive quorum.
         """
         required = self.mu.sigma_of(scope).query(caller, self.time)
-        if self.injector is not None and self.injector.sigma_noisy(
-            frozenset(q.index for q in scope), self.time
-        ):
-            # Transient false suspicion, rendered admissibly: during the
-            # noise window the Sigma sample is pinned to the full scope,
-            # so any two samples still intersect (Intersection holds) and
-            # operations merely stall until the window closes (Liveness
-            # constrains only the suffix).
-            required = scope
         available = required <= self._scheduler.responders
         self.tracer.note_quorum_query(available)
         return available

@@ -10,7 +10,7 @@ from repro.detectors.comparison import (
 from repro.detectors.cyclicity import GammaOracle, gamma_groups
 from repro.detectors.indicator import IndicatorOracle
 from repro.detectors.leader import OmegaOracle
-from repro.detectors.mu import Mu
+from repro.detectors.mu import Mu, build_mu
 from repro.detectors.perfect import PerfectOracle
 from repro.detectors.quorum import SigmaOracle
 from repro.detectors.restriction import Conjunction, Restricted
@@ -34,6 +34,7 @@ __all__ = [
     "IndicatorOracle",
     "OmegaOracle",
     "Mu",
+    "build_mu",
     "PerfectOracle",
     "SigmaOracle",
     "Conjunction",

@@ -14,7 +14,7 @@ detectors outside their scope.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.model.failures import FailurePattern, Time
 from repro.model.processes import ProcessId
@@ -52,6 +52,11 @@ class FailureDetector:
 
     #: short class label, e.g. "Sigma", used in diagnostics.
     kind: str = "D"
+
+    #: The sorted times at which :meth:`query`'s answer may change, when
+    #: the answer is a pure function of that epoch; ``None`` when it is
+    #: not, and a caller caching samples must then ask on every call.
+    instants: Optional[Sequence[Time]] = None
 
     def __init__(self) -> None:
         self._history: List[Tuple[ProcessId, Time, Any]] = []

@@ -16,7 +16,7 @@ the start.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.detectors.base import OracleDetector
 from repro.model.errors import DetectorError
@@ -73,6 +73,11 @@ class OmegaOracle(OracleDetector):
             }
         )
         self._samples: Dict[int, Optional[ProcessId]] = {}
+
+    @property
+    def instants(self) -> List[Time]:
+        """The scope's crash and recovery instants and the stabilization time."""
+        return sorted(set(self._crash_instants) | {self.stabilization_time})
 
     def query(self, p: ProcessId, t: Time) -> ProcessId:
         """The current leader estimate for the scope."""

@@ -6,21 +6,22 @@ Note that the first conjunct ranges over *all* pairs, including ``g = h``:
 ``Sigma_{g∩g} = Sigma_g``, which combined with ``Omega_g`` makes consensus
 wait-free solvable inside every destination group (§4).
 
-:class:`Mu` is a facade bundling the oracle components with convenient
-accessors; it also exposes itself as a plain :class:`Conjunction` for the
-comparison harness.
+:class:`Mu` is a value, the record of those components; :func:`build_mu`
+builds the pattern-oracle one, and any component answering the same
+queries may stand in (:meth:`repro.faults.FaultInjector.perturb_mu`'s
+do).  It also exposes itself as a plain :class:`Conjunction`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from repro.detectors.base import BOTTOM, FailureDetector
 from repro.detectors.cyclicity import GammaOracle, gamma_groups
 from repro.detectors.leader import OmegaOracle
 from repro.detectors.quorum import SigmaOracle
 from repro.detectors.restriction import Conjunction, Restricted
-from repro.groups.topology import Group, GroupFamily, GroupTopology
+from repro.groups.topology import Group, GroupTopology
 from repro.model.errors import DetectorError
 from repro.model.failures import FailurePattern, Time
 from repro.model.processes import ProcessId, ProcessSet
@@ -32,42 +33,30 @@ def _sigma_key(members: ProcessSet) -> str:
 
 
 class Mu(FailureDetector):
-    """Oracle-backed candidate ``mu_G``.
+    """``mu_G`` as the record of its components.
 
     Attributes:
-        pattern: the run's failure pattern.
         topology: the destination groups ``G``.
-        gamma_lag: detection lag of the gamma component.
-        omega_stabilization: stabilization time of the Omega components.
+        sigmas: ``Sigma_P`` per scope ``P`` — every group's member set and
+            every non-empty intersection of two groups.
+        omegas: ``Omega_g`` per group ``g``.
+        gamma: the cyclicity component.
     """
 
     kind = "mu"
 
     def __init__(
         self,
-        pattern: FailurePattern,
         topology: GroupTopology,
-        gamma_lag: Time = 0,
-        omega_stabilization: Optional[Time] = None,
+        sigmas: Dict[FrozenSet[ProcessId], FailureDetector],
+        omegas: Dict[Group, FailureDetector],
+        gamma: GammaOracle,
     ) -> None:
         super().__init__()
-        self.pattern = pattern
         self.topology = topology
-        self._sigmas: Dict[FrozenSet[ProcessId], SigmaOracle] = {}
-        self._omegas: Dict[Group, OmegaOracle] = {}
-        for g in topology.groups:
-            restricted = pattern.restricted_to(g.members)
-            self._omegas[g] = OmegaOracle(
-                restricted, g.members, stabilization_time=omega_stabilization
-            )
-            self._sigmas[g.members] = SigmaOracle(restricted, g.members)
-        for g, h in topology.intersecting_pairs():
-            shared = g.intersection(h)
-            if shared not in self._sigmas:
-                self._sigmas[shared] = SigmaOracle(
-                    pattern.restricted_to(shared), shared
-                )
-        self._gamma = GammaOracle(pattern, topology, detection_lag=gamma_lag)
+        self.sigmas = sigmas
+        self.omegas = omegas
+        self.gamma = gamma
         # ``gamma(g)`` partner sets are constant within one gamma
         # exclusion epoch; Algorithm 1 recomputes them on every commit /
         # stable scan, so this cache carries the engine's hottest path.
@@ -75,45 +64,27 @@ class Mu(FailureDetector):
 
     # -- Component accessors (the API Algorithm 1 consumes) ---------------
 
-    def sigma_of(self, scope: ProcessSet) -> SigmaOracle:
+    def sigma_of(self, scope: ProcessSet) -> FailureDetector:
         """``Sigma_scope``, for the member sets ``mu`` has a conjunct
         for: a group, or the intersection of two groups."""
         try:
-            return self._sigmas[scope]
+            return self.sigmas[scope]
         except KeyError:
             names = sorted(q.name for q in scope)
             raise DetectorError(
                 f"mu has no Sigma component scoped to {names}"
             ) from None
 
-    def sigma(self, g: Group, h: Group) -> SigmaOracle:
+    def sigma(self, g: Group, h: Group) -> FailureDetector:
         """``Sigma_{g∩h}`` (``Sigma_g`` when ``g == h``)."""
         return self.sigma_of(g.intersection(h))
 
-    def omega(self, g: Group) -> OmegaOracle:
+    def omega(self, g: Group) -> FailureDetector:
         """``Omega_g``."""
         try:
-            return self._omegas[g]
+            return self.omegas[g]
         except KeyError:
             raise DetectorError(f"unknown group {g.name}") from None
-
-    @property
-    def gamma(self) -> GammaOracle:
-        return self._gamma
-
-    def delay_omega(self, group_name: Optional[str], until: Time) -> None:
-        """Raise the stabilization time of ``Omega_g`` to at least ``until``.
-
-        Used by the fault layer's ``omega_late`` injector: before the new
-        stabilization time the oracle keeps reporting the smallest *alive*
-        scope member (which may be faulty and may change) — exactly the
-        arbitrary-finite-prefix misbehaviour the detector definition
-        allows.  ``group_name=None`` delays every group's oracle.  Callers
-        relying on :meth:`omega_settle_time` must re-read it afterwards.
-        """
-        for g, omega in self._omegas.items():
-            if group_name is None or g.name == group_name:
-                omega.stabilization_time = max(omega.stabilization_time, until)
 
     def omega_settle_time(self) -> Time:
         """The latest stabilization time across the ``Omega_g`` components.
@@ -124,7 +95,7 @@ class Mu(FailureDetector):
         guaranteed after Omega stabilizes).
         """
         return max(
-            (o.stabilization_time for o in self._omegas.values()), default=0
+            (o.stabilization_time for o in self.omegas.values()), default=0
         )
 
     def gamma_partners(self, t: Time, g: Group) -> Tuple[Group, ...]:
@@ -137,11 +108,11 @@ class Mu(FailureDetector):
         ``g`` sees no partners, commits early, and decides a stale
         ordering position for everyone (ROADMAP item 6).
         """
-        key = (g, self._gamma.epoch(t))
+        key = (g, self.gamma.epoch(t))
         partners = self._partner_cache.get(key)
         if partners is None:
             partners = gamma_groups(
-                self._gamma.trusted_families_of_group(g, t), g
+                self.gamma.trusted_families_of_group(g, t), g
             )
             self._partner_cache[key] = partners
         return partners
@@ -151,23 +122,43 @@ class Mu(FailureDetector):
     def query(self, p: ProcessId, t: Time) -> Dict[str, object]:
         """The full conjunction sample, keyed by component name."""
         sample: Dict[str, object] = {}
-        for members, sigma in self._sigmas.items():
+        for members, sigma in self.sigmas.items():
             sample[_sigma_key(members)] = (
                 sigma.query(p, t) if p in members else BOTTOM
             )
-        for g, omega in self._omegas.items():
+        for g, omega in self.omegas.items():
             sample[f"omega:{g.name}"] = (
                 omega.query(p, t) if p in g.members else BOTTOM
             )
-        sample["gamma"] = self._gamma.query(p, t)
+        sample["gamma"] = self.gamma.query(p, t)
         return sample
 
     def as_conjunction(self) -> Conjunction:
         """This detector as a plain named conjunction (for comparisons)."""
         components: Dict[str, FailureDetector] = {}
-        for members, sigma in self._sigmas.items():
+        for members, sigma in self.sigmas.items():
             components[_sigma_key(members)] = Restricted(sigma, members)
-        for g, omega in self._omegas.items():
+        for g, omega in self.omegas.items():
             components[f"omega:{g.name}"] = Restricted(omega, g.members)
-        components["gamma"] = self._gamma
+        components["gamma"] = self.gamma
         return Conjunction(components)
+
+
+def build_mu(
+    pattern: FailurePattern, topology: GroupTopology, gamma_lag: Time = 0
+) -> Mu:
+    """The pattern-oracle ``mu`` of a run: each ``Sigma`` / ``Omega``
+    component over its scope's restriction of ``pattern``, and ``gamma``
+    with detection lag ``gamma_lag``."""
+    sigmas: Dict[FrozenSet[ProcessId], FailureDetector] = {}
+    omegas: Dict[Group, FailureDetector] = {}
+    for g in topology.groups:
+        restricted = pattern.restricted_to(g.members)
+        omegas[g] = OmegaOracle(restricted, g.members)
+        sigmas[g.members] = SigmaOracle(restricted, g.members)
+    for g, h in topology.intersecting_pairs():
+        shared = g.intersection(h)
+        if shared not in sigmas:
+            sigmas[shared] = SigmaOracle(pattern.restricted_to(shared), shared)
+    gamma = GammaOracle(pattern, topology, detection_lag=gamma_lag)
+    return Mu(topology, sigmas, omegas, gamma)

@@ -50,7 +50,7 @@ class SigmaOracle(OracleDetector):
         # single constant sample on failure-free patterns, where kernel
         # runs issue one query per process per round).  Recovery makes
         # the alive set non-monotone, but each epoch is still constant.
-        self._crash_instants = sorted(
+        self.instants = sorted(
             {
                 when
                 for q, when in pattern.crash_times.items()
@@ -75,7 +75,7 @@ class SigmaOracle(OracleDetector):
             # Entire scope eventually crashes: Liveness is vacuous, keep
             # Intersection by answering the constant full scope.
             return self.scope
-        epoch = bisect_right(self._crash_instants, t)
+        epoch = bisect_right(self.instants, t)
         sample = self._samples.get(epoch)
         if sample is None:
             alive = pset(q for q in self.scope if self.pattern.is_alive(q, t))

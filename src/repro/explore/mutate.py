@@ -215,6 +215,12 @@ class MutationEngine:
         rng: random.Random,
         other: Optional[FaultPlan],
     ) -> FaultPlan:
+        if other is not None:
+            # A partner drawn from another base may scope detector events
+            # to groups this base's topology lacks: those do not transplant.
+            other = FaultPlan(
+                tuple(e for e in other.events if e.group in (None,) + self.groups)
+            )
         if other is None or other.is_empty():
             return plan
         keep_self = [i for i in range(len(plan)) if rng.random() < 0.5]

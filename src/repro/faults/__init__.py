@@ -9,9 +9,9 @@ closes the gap:
   perturbation (the nemesis analogue of
   :class:`repro.workloads.ScenarioSpec`);
 * :mod:`repro.faults.injector` — :class:`FaultInjector`, one plan bound
-  to one run, consulted by the scheduler (churn), the message buffer
-  (link faults), the kernel's detector modules and the engine's quorum
-  guard (detector noise), with a post-run admissibility audit;
+  to one run, consulted by the scheduler (churn) and the message buffer
+  (link faults), mapping the run's ``mu`` to its perturbed components
+  (detector noise), with a post-run admissibility audit;
 * :mod:`repro.faults.nemesis` — seeded random plan generation from
   the named mixes;
 * :mod:`repro.faults.shrink` — the ddmin counterexample shrinker and

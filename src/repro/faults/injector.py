@@ -10,12 +10,13 @@ slice of the injector they understand:
   through :meth:`FaultInjector.on_send` (delay / duplicate / drop with
   retransmit) and every ``receive`` through
   :meth:`FaultInjector.pick_receive` (bounded reordering);
-* :class:`repro.sim.Kernel` wraps its detector modules with
-  :meth:`FaultInjector.wrap_detector` (Sigma/Omega noise);
-* :class:`repro.core.engine.MulticastSystem` consults
-  :meth:`FaultInjector.sigma_noisy`, :meth:`FaultInjector.omega_delays`
-  and :meth:`FaultInjector.extra_gamma_lag` when building its oracles
-  and evaluating its quorum guard.
+* the detectors the hosts sample are the run's ``mu`` components, and
+  :meth:`FaultInjector.perturb_mu` maps them the way
+  :meth:`FaultInjector.perturb_pattern` maps the failure pattern: each
+  detector event kind is one component wrapper (:class:`NoisySigma`,
+  :class:`LateOmega`, a re-lagged ``gamma``), and the two wrappers ask
+  the window predicates :meth:`FaultInjector.sigma_noisy` /
+  :meth:`FaultInjector.omega_unstable`.
 
 Three invariants keep faulted runs honest:
 
@@ -40,9 +41,12 @@ import random
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.detectors.base import FailureDetector
+from repro.detectors.cyclicity import GammaOracle
+from repro.detectors.mu import Mu
 from repro.model.errors import ModelError
 from repro.model.failures import FailurePattern, Time
-from repro.faults.plan import FaultEvent, FaultPlan
+from repro.model.processes import ProcessId, ProcessSet
+from repro.faults.plan import FaultEvent, FaultPlan, FaultPlanError
 
 
 class AdmissibilityError(ModelError):
@@ -189,7 +193,6 @@ class FaultInjector:
                 raise AdmissibilityError(
                     f"crash_recover targets unknown process index {index}"
                 )
-        self._perturbed_pattern = perturbed
         return perturbed
 
     # -- Scheduler hook (participation churn) -----------------------------
@@ -327,18 +330,51 @@ class FaultInjector:
                 return pick
         return 0
 
-    # -- Detector hooks ----------------------------------------------------
+    # -- Detector (the run's mu) -----------------------------------------
 
-    def _scope_noisy(self, scope_indices: FrozenSet[int], t: Time) -> bool:
-        for event in self._sigma_noise:
-            if not event.active(t):
-                continue
-            if event.group is None:
-                return True
-            members = self.groups.get(event.group)
-            if members is not None and scope_indices <= members:
-                return True
-        return False
+    def perturb_mu(self, mu: Mu) -> Mu:
+        """``mu`` under the plan's detector events — the detector twin of
+        :meth:`perturb_pattern`, one component wrapper per kind: a
+        :class:`NoisySigma` for every ``Sigma`` a ``sigma_noise`` event
+        covers, a :class:`LateOmega` for every ``Omega_g`` an
+        ``omega_late`` event covers, and ``gamma`` rebuilt with the
+        ``gamma_delay`` lags added.  An event naming a group the
+        topology lacks raises :class:`FaultPlanError`."""
+        if not (self._sigma_noise or self._omega_late or self._gamma):
+            return mu
+        gamma = mu.gamma
+        if self._gamma:
+            lag = gamma.detection_lag + sum(e.amount for e in self._gamma)
+            gamma = GammaOracle(gamma.pattern, gamma.topology, detection_lag=lag)
+        sigmas = dict(mu.sigmas)
+        for scope, sigma in mu.sigmas.items():
+            if self._covers(self._sigma_noise, scope):
+                sigmas[scope] = NoisySigma(sigma, self)
+        omegas = dict(mu.omegas)
+        for g, omega in mu.omegas.items():
+            if self._covers(self._omega_late, g.members):
+                floor = max(
+                    (e.until for e in self._omega_late if e.group in (None, g.name)),
+                    default=0,
+                )
+                omegas[g] = LateOmega(omega, floor, self)
+        return Mu(mu.topology, sigmas, omegas, gamma)
+
+    def _covers(self, events: Tuple[FaultEvent, ...], scope: ProcessSet) -> bool:
+        """Whether one of ``events`` covers ``scope`` (each is resolved)."""
+        indices = frozenset(q.index for q in scope)
+        return any([self._scopes(event, indices) for event in events])
+
+    def _scopes(self, event: FaultEvent, scope_indices: FrozenSet[int]) -> bool:
+        if event.group is None:
+            return True
+        members = self.groups.get(event.group)
+        if members is None:
+            raise FaultPlanError(
+                f"{event.kind} names group {event.group!r}; the topology "
+                f"has {sorted(self.groups)}"
+            )
+        return scope_indices <= members
 
     def sigma_noisy(self, scope_indices: FrozenSet[int], t: Time) -> bool:
         """Whether ``Sigma`` over this scope is inside a noise window.
@@ -348,42 +384,19 @@ class FaultInjector:
         always contains an alive scope member), so Intersection holds;
         Liveness only constrains the suffix after the window.
         """
-        noisy = self._scope_noisy(scope_indices, t)
-        if noisy:
-            self.stats["sigma_noised"] += 1
-        return noisy
-
-    def omega_delays(self) -> Tuple[Tuple[Optional[str], Time], ...]:
-        """The plan's ``(group, stabilization floor)`` pairs."""
-        return tuple((e.group, e.until) for e in self._omega_late)
+        for event in self._sigma_noise:
+            if event.active(t) and self._scopes(event, scope_indices):
+                self.stats["sigma_noised"] += 1
+                return True
+        return False
 
     def omega_unstable(self, scope_indices: FrozenSet[int], t: Time) -> bool:
         """Whether ``Omega`` over this scope is still inside a noise
         window (the reported leader may rotate among alive members)."""
         for event in self._omega_late:
-            if t >= event.until:
-                continue
-            if event.group is None:
-                return True
-            members = self.groups.get(event.group)
-            if members is not None and scope_indices <= members:
+            if t < event.until and self._scopes(event, scope_indices):
                 return True
         return False
-
-    def extra_gamma_lag(self) -> Time:
-        """Additional gamma detection lag contributed by the plan."""
-        return sum(e.amount for e in self._gamma)
-
-    def wrap_detector(self, detector: FailureDetector) -> FailureDetector:
-        """Wrap a kernel detector module with the plan's noise.
-
-        Only samplers exposing ``sigma`` / ``omega`` oracle attributes
-        (the :class:`repro.substrates.consensus.OmegaSigmaSampler`
-        shape) are perturbed; anything else passes through untouched.
-        """
-        if hasattr(detector, "sigma") or hasattr(detector, "omega"):
-            return _NoisySampler(detector, self)
-        return detector
 
     # -- Audit -------------------------------------------------------------
 
@@ -475,50 +488,53 @@ class FaultInjector:
         }
 
 
-class _NoisySampler(FailureDetector):
-    """A kernel detector module filtered through the plan's noise.
+class NoisySigma(FailureDetector):
+    """``Sigma`` under ``sigma_noise``: the full scope inside a window
+    (operations stall, admissibly, until it closes), the wrapped sample
+    outside.  :meth:`FaultInjector.sigma_noisy` is asked on every query."""
 
-    Wraps samplers shaped like
-    :class:`repro.substrates.consensus.OmegaSigmaSampler`: dict samples
-    with ``"sigma"`` / ``"omega"`` entries, oracles with a ``scope``.
-    During a ``sigma_noise`` window the quorum sample is pinned to the
-    full scope (operations must hear from everyone, including the
-    crashed — they stall, admissibly, until the window closes).  During
-    an ``omega_late`` window the reported leader rotates among the
-    alive scope members — deterministically by time, so replays are
-    byte-identical without consuming injector randomness.
-    """
-
-    kind = "noisy"
+    kind = "Sigma"
 
     def __init__(self, inner: FailureDetector, injector: FaultInjector) -> None:
         super().__init__()
         self.inner = inner
-        self.injector = injector
+        self.scope = inner.scope
+        self._indices = frozenset(q.index for q in inner.scope)
+        self._injector = injector
 
-    def query(self, p, t):  # noqa: ANN001 - FailureDetector signature
-        sample = self.inner.query(p, t)
-        if not isinstance(sample, dict):
-            return sample
-        sample = dict(sample)
-        sigma = getattr(self.inner, "sigma", None)
-        if sigma is not None and "sigma" in sample:
-            scope = frozenset(q.index for q in sigma.scope)
-            if self.injector.sigma_noisy(scope, t):
-                sample["sigma"] = sigma.scope
-        omega = getattr(self.inner, "omega", None)
-        if omega is not None and "omega" in sample:
-            scope = frozenset(q.index for q in omega.scope)
-            if self.injector.omega_unstable(scope, t):
-                alive = [
-                    q
-                    for q in sorted(omega.scope)
-                    if omega.pattern.is_alive(q, t)
-                ]
-                if alive:
-                    self.injector.stats["omega_rotated"] += 1
-                    sample["omega"] = alive[t % len(alive)]
-        return sample
+    def query(self, p: ProcessId, t: Time) -> Any:
+        if self._injector.sigma_noisy(self._indices, t):
+            return self.scope
+        return self.inner.query(p, t)
+
+
+class LateOmega(FailureDetector):
+    """``Omega_g`` under ``omega_late``: :attr:`stabilization_time` floored
+    at ``floor`` (the engine reads that), and samples rotating among the
+    alive members by time while :meth:`FaultInjector.omega_unstable`
+    holds (the kernel reads those), the wrapped ones otherwise."""
+
+    kind = "Omega"
+
+    def __init__(
+        self, inner: FailureDetector, floor: Time, injector: FaultInjector
+    ) -> None:
+        super().__init__()
+        self.inner = inner
+        self.eventual_leader = inner.eventual_leader
+        self.stabilization_time = max(inner.stabilization_time, floor)
+        self._members = sorted(inner.scope)
+        self._indices = frozenset(q.index for q in inner.scope)
+        self._injector = injector
+
+    def query(self, p: ProcessId, t: Time) -> Any:
+        if self._injector.omega_unstable(self._indices, t):
+            pattern = self.inner.pattern
+            alive = [q for q in self._members if pattern.is_alive(q, t)]
+            if alive:
+                self._injector.stats["omega_rotated"] += 1
+                return alive[t % len(alive)]
+        return self.inner.query(p, t)
 
 
 def group_index_map(topology) -> Dict[str, FrozenSet[int]]:

@@ -256,8 +256,8 @@ class FaultEvent:
         if self.kind == "crash_burst":
             return self.start + (len(self.targets) - 1) * self.amount + 1
         if self.kind == "gamma_delay":
-            # Lag shifts detection; the engine folds it into its own
-            # settle time, so the event itself is over immediately.
+            # Lag shifts detection; the ``gamma`` component carries it,
+            # so the event itself is over immediately.
             return 0
         if self.kind == "omega_late":
             return self.until

@@ -107,7 +107,7 @@ class AutomatonActor(Actor):
             pid in self._kernel._started
             and not self._buffer.has_pending(pid)
             and self._automaton.idle()
-            # By value: a wrapped module builds its sample per query.
+            # By value: a perturbed sampler builds its sample per query.
             and (
                 self._detector is None
                 or self._detector.query(pid, t) == self._kernel._sampled[pid]
@@ -124,7 +124,7 @@ class AutomatonActor(Actor):
         if parked is None:
             # A full scan never asked.  The step samples the module
             # itself, so judge it against the sample before: a second
-            # query would double what a noisy module counts per step.
+            # query would double what a perturbed component counts per step.
             parked = (
                 pid in kernel._started
                 and not self._buffer.has_pending(pid)

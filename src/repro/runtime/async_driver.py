@@ -30,7 +30,7 @@ onto channel perturbations (``link_delay`` adds rounds of latency to a
 wake, ``link_drop`` drops it and re-delivers at the fair-lossy
 retransmission time, duplication is a harmless extra wake) and honours
 participation churn by putting suppressed actors to sleep through their
-windows.  Detector noise already applies inside the host's oracles.
+windows.  Detector noise already applies inside the host's ``mu``.
 
 What the golden suite does *not* pin here: wall-clock interleavings are
 real nondeterminism, so two async runs may order concurrent deliveries

@@ -140,16 +140,11 @@ class Kernel(RoundHost):
     ) -> None:
         self.pattern = pattern
         self.automata = dict(automata)
-        #: Optional :class:`repro.faults.FaultInjector` — link faults run
-        #: through the buffer, detector noise through wrapped modules,
-        #: churn through the scheduler.  ``None`` (the default) keeps
-        #: every code path byte-identical to the fault-free kernel.
-        self.injector = injector
         self.detectors = detectors or {}
-        if injector is not None:
-            self.detectors = {
-                p: injector.wrap_detector(d) for p, d in self.detectors.items()
-            }
+        # An optional :class:`repro.faults.FaultInjector` runs link faults
+        # through the buffer and churn through the scheduler (detector
+        # faults are in ``detectors``); ``None`` keeps every code path
+        # byte-identical to the fault-free kernel.
         self.buffer = MessageBuffer(injector)
         self.outputs: Dict[ProcessId, List[Tuple[Time, Any]]] = {
             p: [] for p in automata

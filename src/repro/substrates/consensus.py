@@ -27,7 +27,7 @@ slot costs" has the ledger and the safety arguments.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Dict, Iterable, NamedTuple, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.detectors.base import FailureDetector
 from repro.detectors.leader import OmegaOracle
@@ -76,35 +76,41 @@ class Membership(NamedTuple):
 
 
 class OmegaSigmaSampler(FailureDetector):
-    """Bundles ``Omega_P`` and ``Sigma_P`` samples for the consensus code."""
+    """Bundles ``Omega_P`` and ``Sigma_P`` samples for the consensus code.
+
+    One sampler serves every member of the scope.  When both components
+    list their change :attr:`~repro.detectors.base.FailureDetector.instants`
+    (the pattern oracles do; a perturbed component does not), a sample is
+    built once per process and inter-instant interval, not once per step.
+    """
 
     kind = "OmegaSigma"
 
-    def __init__(self, pattern: FailurePattern, scope: ProcessSet, **kwargs) -> None:
+    def __init__(self, omega: FailureDetector, sigma: FailureDetector) -> None:
         super().__init__()
-        restricted = pattern.restricted_to(scope)
-        self.omega = OmegaOracle(restricted, scope, **kwargs)
-        self.sigma = SigmaOracle(restricted, scope)
-        # Both oracle outputs are pure functions of the crash epoch (plus
-        # Omega's stabilization boundary), so the bundled sample dict can
-        # be built once per inter-instant interval instead of once per
-        # step — the kernel queries it for every process every round.
-        self._instants = sorted(
-            set(self.sigma._crash_instants)
-            | set(self.omega._crash_instants)
-            | {self.omega.stabilization_time}
-        )
+        self.omega = omega
+        self.sigma = sigma
+        self._instants: Optional[List[Time]] = None
+        if omega.instants is not None and sigma.instants is not None:
+            self._instants = sorted(set(omega.instants) | set(sigma.instants))
         self._cache: Dict[Tuple[ProcessId, int], Dict[str, Any]] = {}
 
+    @classmethod
+    def of(cls, pattern: FailurePattern, scope: ProcessSet) -> "OmegaSigmaSampler":
+        """The sampler over ``scope``'s pattern oracles."""
+        restricted = pattern.restricted_to(scope)
+        return cls(OmegaOracle(restricted, scope), SigmaOracle(restricted, scope))
+
     def query(self, p: ProcessId, t: Time) -> Dict[str, Any]:
+        if self._instants is None:
+            return {"omega": self.omega.query(p, t), "sigma": self.sigma.query(p, t)}
         key = (p, bisect_right(self._instants, t))
         sample = self._cache.get(key)
         if sample is None:
-            sample = {
+            sample = self._cache[key] = {
                 "omega": self.omega.query(p, t),
                 "sigma": self.sigma.query(p, t),
             }
-            self._cache[key] = sample
         return sample
 
 
@@ -408,27 +414,17 @@ class ConsensusAutomaton(Automaton):
 class ConsensusCluster:
     """Convenience wrapper: one consensus instance over a process set.
 
-    Builds the automata and the ``Omega ∧ Sigma`` samplers, exposes
+    Builds the automata and the ``Omega ∧ Sigma`` sampler they share, exposes
     ``propose`` / ``decided`` and runs on a caller-provided kernel.
     """
 
-    def __init__(
-        self,
-        pattern: FailurePattern,
-        scope: ProcessSet,
-        omega_stabilization: Optional[Time] = None,
-    ) -> None:
-        self.scope = scope
+    def __init__(self, pattern: FailurePattern, scope: ProcessSet) -> None:
         self.automata: Dict[ProcessId, ConsensusAutomaton] = {
             p: ConsensusAutomaton(p, scope) for p in sorted(scope)
         }
-        kwargs = {}
-        if omega_stabilization is not None:
-            kwargs["stabilization_time"] = omega_stabilization
-        self.detectors: Dict[ProcessId, OmegaSigmaSampler] = {
-            p: OmegaSigmaSampler(pattern, scope, **kwargs)
-            for p in sorted(scope)
-        }
+        self.detectors: Dict[ProcessId, OmegaSigmaSampler] = dict.fromkeys(
+            self.automata, OmegaSigmaSampler.of(pattern, scope)
+        )
 
     def propose(self, p: ProcessId, value: Any) -> None:
         self.automata[p].propose(value)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.model.failures import FailurePattern, Time
+from repro.model.failures import FailurePattern
 from repro.model.messages import Datagram
 from repro.model.processes import ProcessId, ProcessSet
 from repro.sim.kernel import Automaton, Context
@@ -339,17 +339,16 @@ class _SlotContext:
 
 
 class ReplicatedLogCluster:
-    """One replicated log over a scope, with its detector samplers."""
+    """One replicated log over a scope, with the detector sampler its
+    replicas share."""
 
     def __init__(
         self,
         pattern: FailurePattern,
         scope: ProcessSet,
-        omega_stabilization: Optional[Time] = None,
         supersede: str = "abandon",
         retransmit_interval: Optional[int] = None,
     ) -> None:
-        self.scope = scope
         self.automata: Dict[ProcessId, ReplicatedLogAutomaton] = {
             p: ReplicatedLogAutomaton(
                 p,
@@ -359,13 +358,9 @@ class ReplicatedLogCluster:
             )
             for p in sorted(scope)
         }
-        kwargs = {}
-        if omega_stabilization is not None:
-            kwargs["stabilization_time"] = omega_stabilization
-        self.detectors: Dict[ProcessId, OmegaSigmaSampler] = {
-            p: OmegaSigmaSampler(pattern, scope, **kwargs)
-            for p in sorted(scope)
-        }
+        self.detectors: Dict[ProcessId, OmegaSigmaSampler] = dict.fromkeys(
+            self.automata, OmegaSigmaSampler.of(pattern, scope)
+        )
 
     def append(self, p: ProcessId, value: Any) -> None:
         self.automata[p].append(value)

@@ -46,6 +46,7 @@ from repro._content import content_hash
 from repro.baselines.broadcast import BroadcastMulticast
 from repro.core.engine import MulticastSystem
 from repro.core.group_sequential import AtomicMulticast
+from repro.detectors.mu import build_mu
 from repro.faults.injector import AdmissibilityError, FaultInjector, injector_for
 from repro.groups.topology import GroupTopology
 from repro.metrics.trace import TraceRecorder
@@ -58,6 +59,7 @@ from repro.runtime.actors import RoundHost
 from repro.runtime.async_driver import AsyncDriver
 from repro.runtime.watchdog import StallWatchdog
 from repro.sim.kernel import Kernel
+from repro.substrates.consensus import OmegaSigmaSampler
 from repro.substrates.replicated_log import ReplicatedLogCluster
 from repro.workloads.spec import ScenarioSpec
 
@@ -477,11 +479,14 @@ def _algorithm1_deployment(
     lockstep round loop or the :class:`AsyncDriver` — so they share the
     :class:`MulticastSystem` and its :class:`AtomicMulticast` front end.
     """
+    mu = build_mu(pattern, topology, spec.gamma_lag)
+    if injector is not None:
+        mu = injector.perturb_mu(mu)
     system = MulticastSystem(
         topology,
         pattern,
         variant=spec.variant,
-        gamma_lag=spec.gamma_lag,
+        mu=mu,
         indicator_lag=spec.indicator_lag,
         seed=spec.seed,
         injector=injector,
@@ -550,6 +555,14 @@ def _kernel_deployment(
     for cluster in clusters.values():
         automata.update(cluster.automata)
         detectors.update(cluster.detectors)
+    if injector is not None:
+        # A group's replicas share one sampler over the run's perturbed
+        # ``Omega_g`` and ``Sigma_g``.  A fault-free run builds no ``Mu``:
+        # the clusters' samplers hold the same oracles.
+        mu = injector.perturb_mu(build_mu(pattern, topology))
+        for g in topology.groups:
+            sampler = OmegaSigmaSampler(mu.omega(g), mu.sigma_of(g.members))
+            detectors.update(dict.fromkeys(clusters[g.name].automata, sampler))
     kernel = Kernel(
         pattern,
         automata,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import DELIVER, MulticastSystem, Phase
+from repro.detectors import build_mu
 from repro.groups import paper_figure1_topology
 from repro.model import (
     SimulationError,
@@ -112,9 +113,10 @@ class TestCrashTolerance:
 
     def test_gamma_lag_delays_but_does_not_block(self):
         pattern = crash_pattern(ALL, {P2: 1})
-        eager = MulticastSystem(paper_figure1_topology(), pattern, seed=8)
+        topo = paper_figure1_topology()
+        eager = MulticastSystem(topo, pattern, seed=8)
         lagged = MulticastSystem(
-            paper_figure1_topology(), pattern, gamma_lag=25, seed=8
+            topo, pattern, mu=build_mu(pattern, topo, 25), seed=8
         )
         m1 = eager.multicast(P1, "g1")
         m2 = lagged.multicast(P1, "g1")

@@ -11,10 +11,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import MulticastSystem
 from repro.core.group_sequential import AtomicMulticast
+from repro.detectors import build_mu
 from repro.groups import paper_figure1_topology
 from repro.model import crash_pattern, failure_free, make_processes, pset
 from repro.props import assert_run_ok, check_pairwise_ordering
 from repro.workloads import chain_topology, random_sends, ring_topology
+from tests.core._detectors import late_omega_mu
 
 PROCS5 = make_processes(5)
 ALL5 = pset(PROCS5)
@@ -23,11 +25,9 @@ ALL5 = pset(PROCS5)
 class TestOmegaInstability:
     def test_late_omega_stabilization_preserves_properties(self):
         pattern = crash_pattern(ALL5, {PROCS5[1]: 2})
+        topo = paper_figure1_topology()
         system = MulticastSystem(
-            paper_figure1_topology(),
-            pattern,
-            omega_stabilization=40,
-            seed=1,
+            topo, pattern, mu=late_omega_mu(pattern, topo, 40), seed=1
         )
         m = system.multicast(PROCS5[0], "g1")
         system.run(max_rounds=300)
@@ -48,7 +48,10 @@ class TestOmegaInstability:
         procs = make_processes(4)
         pattern = crash_pattern(pset(procs), {procs[1]: 5})
         system = MulticastSystem(
-            topo, pattern, omega_stabilization=stabilization, seed=seed
+            topo,
+            pattern,
+            mu=late_omega_mu(pattern, topo, stabilization),
+            seed=seed,
         )
         amc = AtomicMulticast(system)
         for send in random_sends(topo, 5, seed=seed):
@@ -74,11 +77,12 @@ class TestCombinedLags:
         self, gamma_lag, indicator_lag, seed
     ):
         pattern = crash_pattern(ALL5, {PROCS5[1]: 3})
+        topo = paper_figure1_topology()
         system = MulticastSystem(
-            paper_figure1_topology(),
+            topo,
             pattern,
             variant="strict",
-            gamma_lag=gamma_lag,
+            mu=build_mu(pattern, topo, gamma_lag),
             indicator_lag=indicator_lag,
             seed=seed,
         )

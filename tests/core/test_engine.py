@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import MulticastSystem
+from repro.detectors import build_mu
 from repro.groups import paper_figure1_topology
 from repro.model import (
     SimulationError,
@@ -88,9 +89,8 @@ class TestClockAndCrash:
 
     def test_settle_horizon_covers_lags(self):
         pattern = crash_pattern(ALL, {PROCS[1]: 7})
-        system = MulticastSystem(
-            paper_figure1_topology(), pattern, gamma_lag=5
-        )
+        topo = paper_figure1_topology()
+        system = MulticastSystem(topo, pattern, mu=build_mu(pattern, topo, 5))
         assert system.settle_horizon() >= 12
 
     def test_is_alive_tracks_pattern(self):

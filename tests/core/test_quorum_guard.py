@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import MulticastSystem
-from repro.detectors import Mu, check_sigma
+from repro.detectors import build_mu, check_sigma
 from repro.detectors.quorum import SigmaOracle
 from repro.faults.nemesis import random_plan
 from repro.groups import paper_figure1_topology
@@ -75,7 +75,7 @@ def test_guard_waits_for_a_down_but_recovering_member():
 def test_witness_samples_intersect_where_the_retired_formula_s_do_not():
     topology, pattern, (p1, p2, p3) = figure1_witness()
     g1 = topology.group("g1").members
-    sigma = Mu(pattern, topology).sigma_of(g1)
+    sigma = build_mu(pattern, topology).sigma_of(g1)
     asked = [(p, t) for t in range(9) for p in (p1, p2) if pattern.is_alive(p, t)]
     assert check_sigma([(p, t, sigma.query(p, t)) for p, t in asked], pattern, g1) == []
     retired = check_sigma(
@@ -205,7 +205,7 @@ def cases(draw, recoveries):
 @given(cases(recoveries=False), st.integers(0, 20))
 def test_oracle_equals_the_retired_formula_on_crash_stop_patterns(case, t):
     topology, pattern, caller = case
-    mu = Mu(pattern, topology)
+    mu = build_mu(pattern, topology)
     for scope in sigma_scopes(topology):
         assert mu.sigma_of(scope).query(caller, t) == handrolled_required(
             pattern, scope, t
@@ -216,7 +216,7 @@ def test_oracle_equals_the_retired_formula_on_crash_stop_patterns(case, t):
 @given(cases(recoveries=True), st.integers(0, 20))
 def test_oracle_differs_exactly_on_a_down_recovering_member(case, t):
     topology, pattern, caller = case
-    mu = Mu(pattern, topology)
+    mu = build_mu(pattern, topology)
     for scope in sigma_scopes(topology):
         recovering_and_down = {
             q

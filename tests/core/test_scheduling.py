@@ -8,7 +8,7 @@ Two families of regression tests:
   seeds, same topologies, crashes or not — while scanning strictly
   fewer processes on blocked-heavy runs.
 
-* ``settle_horizon`` must cover ``omega_stabilization`` (seed bug: it
+* ``settle_horizon`` must cover ``Omega``'s stabilization (seed bug: it
   only covered crashes + gamma/indicator lags, so a run could be
   declared quiescent — and consensus-blocked messages abandoned —
   before the leader oracles ever stabilized).
@@ -22,6 +22,7 @@ from repro.groups import paper_figure1_topology
 from repro.model import crash_pattern, failure_free, make_processes, pset
 from repro.props import assert_run_ok
 from repro.workloads import random_sends
+from tests.core._detectors import late_omega_mu
 from tests.runtime._oracle import force_scan
 
 PROCS = make_processes(5)
@@ -87,10 +88,9 @@ class TestOmegaSettleHorizon:
         # Seed bug: settle_horizon() ignored omega_stabilization, so a
         # failure-free run with a late-stabilizing leader oracle was
         # declared quiescent at time ~1.
+        topo, pattern = paper_figure1_topology(), failure_free(ALL)
         system = MulticastSystem(
-            paper_figure1_topology(),
-            failure_free(ALL),
-            omega_stabilization=50,
+            topo, pattern, mu=late_omega_mu(pattern, topo, 50)
         )
         assert system.settle_horizon() > 50
 
@@ -99,8 +99,9 @@ class TestOmegaSettleHorizon:
         # only after Omega_g stabilizes; deliveries gated on CONS must
         # therefore come after the stabilization time.
         topo = paper_figure1_topology()
+        pattern = failure_free(ALL)
         system = MulticastSystem(
-            topo, failure_free(ALL), seed=3, omega_stabilization=40
+            topo, pattern, seed=3, mu=late_omega_mu(pattern, topo, 40)
         )
         amc = AtomicMulticast(system)
         p1 = sorted(topo.processes)[0]
@@ -117,8 +118,9 @@ class TestOmegaSettleHorizon:
         # horizon the engine went quiescent (two idle rounds) long
         # before t=40 and gave up on the consensus-blocked message.
         topo = paper_figure1_topology()
+        pattern = failure_free(ALL)
         system = MulticastSystem(
-            topo, failure_free(ALL), seed=5, omega_stabilization=40
+            topo, pattern, seed=5, mu=late_omega_mu(pattern, topo, 40)
         )
         amc = AtomicMulticast(system)
         p1 = sorted(topo.processes)[0]

@@ -8,7 +8,7 @@ from repro.campaign.executor import execute_spec
 from repro.explore.corpus import Corpus
 from repro.explore.mutate import MAX_STACK, MutationEngine, random_event
 from repro.faults.nemesis import random_plan
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.workloads.runner import Send, scenario_cache_key
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology
@@ -168,6 +168,23 @@ class TestMutationEngine:
         # Some splice keeps both parents' events.
         union = left.spliced(right, [0], [0])
         assert union.plan_hash() in spliced
+
+    def test_splice_keeps_only_groups_this_base_has(self):
+        # A partner from a Figure 1 base scopes a detector event to g4;
+        # on a two-group base it would name a group the topology lacks.
+        engine = self.engine()
+        left = FaultPlan((FaultEvent(kind="gamma_delay", amount=1),))
+        right = FaultPlan((
+            FaultEvent(kind="omega_late", group="g4", until=9),
+            FaultEvent(kind="sigma_noise", group="g2", start=1, until=4),
+        ))
+        rng = random.Random(5)
+        named = {
+            e.group
+            for _ in range(40)
+            for e in engine._op_splice(left, rng, right).events
+        }
+        assert named == {None, "g2"}
 
     def test_delay_axis_only_mutates_async_specs(self):
         engine = self.engine(mutate_delay=True)

@@ -1,24 +1,32 @@
 """Tests for the fault injector: hooks, budgets, audit."""
 
+import re
+
 import pytest
 
+from repro.detectors import build_mu
 from repro.faults.injector import (
     AdmissibilityError,
     BENIGN_SEND,
     FaultInjector,
+    LateOmega,
     derive_injector_seed,
     group_index_map,
     injector_for,
 )
-from repro.faults.plan import FaultEvent, FaultPlan, plan_of
+from repro.faults.plan import FaultEvent, FaultPlan, FaultPlanError, plan_of
+from repro.groups import paper_figure1_topology
 from repro.model.failures import crash_pattern, failure_free
 from repro.model.messages import MessageBuffer
 from repro.model.processes import make_processes, pset
+from repro.workloads import ScenarioSpec, Send, TopologySpec, run_scenario
 from repro.workloads.topologies import disjoint_topology
 
 PROCS = make_processes(4)
 ALL = pset(PROCS)
 P1, P2, P3, P4 = PROCS
+#: ``g1 = {p1, p2}``, ``g2 = {p3, p4}``.
+PAIRS = disjoint_topology(2, group_size=2)
 
 
 def make_injector(*events, seed=0):
@@ -146,20 +154,67 @@ class TestDetectorHooks:
         assert injector.sigma_noisy(frozenset({1, 2, 3}), 1)
 
     def test_omega_delays_and_instability(self):
-        injector = make_injector(
-            FaultEvent(kind="omega_late", group="g2", until=7)
+        injector = injector_for(
+            plan_of(FaultEvent(kind="omega_late", group="g2", until=7)), PAIRS
         )
-        assert injector.omega_delays() == (("g2", 7),)
-        injector.groups = {"g2": frozenset({3, 4})}
+        mu = injector.perturb_mu(build_mu(failure_free(ALL), PAIRS))
+        g1, g2 = PAIRS.groups
+        late = mu.omega(g2)
+        assert isinstance(late, LateOmega)
+        assert late.stabilization_time == 7 == mu.omega_settle_time()
+        assert not isinstance(mu.omega(g1), LateOmega)
         assert injector.omega_unstable(frozenset({3, 4}), 5)
         assert not injector.omega_unstable(frozenset({3, 4}), 7)
+        # Rotating among the alive members before the floor, then the
+        # eventual leader.
+        assert [late.query(P3, t) for t in (5, 6, 7, 8)] == [P4, P3, P3, P3]
+        assert injector.stats["omega_rotated"] == 2
 
     def test_gamma_lag_accumulates(self):
-        injector = make_injector(
-            FaultEvent(kind="gamma_delay", amount=2),
-            FaultEvent(kind="gamma_delay", amount=3),
+        injector = injector_for(
+            plan_of(
+                FaultEvent(kind="gamma_delay", amount=2),
+                FaultEvent(kind="gamma_delay", amount=3),
+            ),
+            PAIRS,
         )
-        assert injector.extra_gamma_lag() == 5
+        mu = build_mu(failure_free(ALL), PAIRS, gamma_lag=1)
+        assert injector.perturb_mu(mu).gamma.detection_lag == 6
+        assert mu.gamma.detection_lag == 1
+
+    def test_plan_without_detector_events_leaves_mu_alone(self):
+        injector = injector_for(
+            plan_of(FaultEvent(kind="link_delay", until=4, amount=2)), PAIRS
+        )
+        mu = build_mu(failure_free(ALL), PAIRS)
+        assert injector.perturb_mu(mu) is mu
+
+
+class TestUnknownDetectorGroups:
+    """A detector event naming a group the topology lacks used to do
+    nothing, silently — the run was ``ok`` and the audit clean."""
+
+    @pytest.mark.parametrize("kind", ["sigma_noise", "omega_late"])
+    @pytest.mark.parametrize(
+        "backend, topology",
+        [
+            ("engine", paper_figure1_topology()),
+            ("kernel", disjoint_topology(3, group_size=3)),
+        ],
+        ids=["engine-figure1", "kernel-disjoint3x3"],
+    )
+    def test_is_rejected_naming_the_topology_groups(self, backend, topology, kind):
+        event = FaultEvent(kind=kind, group="g9", start=1, until=6)
+        spec = ScenarioSpec(
+            topology=TopologySpec.capture(topology),
+            sends=(Send(1, "g1", 0),),
+            backend=backend,
+            faults=plan_of(event),
+            max_rounds=200,
+        )
+        names = sorted(g.name for g in topology.groups)
+        with pytest.raises(FaultPlanError, match=re.escape(f"'g9'; the topology has {names}")):
+            run_scenario(spec)
 
 
 class TestBufferIntegration:

@@ -3,19 +3,26 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.detectors import OmegaOracle, SigmaOracle
 from repro.model import crash_pattern, failure_free, make_processes, pset
 from repro.sim import Kernel
-from repro.substrates import ConsensusCluster
+from repro.substrates import ConsensusCluster, OmegaSigmaSampler
 
 PROCS = make_processes(4)
 SCOPE = pset(PROCS)
 
 
 def run_consensus(pattern, proposals, seed, rounds=300, omega_stab=None):
-    cluster = ConsensusCluster(pattern, SCOPE, omega_stabilization=omega_stab)
+    cluster = ConsensusCluster(pattern, SCOPE)
+    detectors = cluster.detectors
+    if omega_stab is not None:
+        restricted = pattern.restricted_to(SCOPE)
+        omega = OmegaOracle(restricted, SCOPE, stabilization_time=omega_stab)
+        sampler = OmegaSigmaSampler(omega, SigmaOracle(restricted, SCOPE))
+        detectors = dict.fromkeys(SCOPE, sampler)
     for p, value in proposals.items():
         cluster.propose(p, value)
-    kernel = Kernel(pattern, cluster.automata, cluster.detectors, seed=seed)
+    kernel = Kernel(pattern, cluster.automata, detectors, seed=seed)
     kernel.run(
         rounds,
         stop_when=lambda: cluster.decided_everywhere(pattern.correct),

@@ -21,6 +21,7 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.detectors import OmegaOracle, SigmaOracle
 from repro.faults.nemesis import random_plan
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.model import crash_pattern, failure_free, make_processes, pset
@@ -30,6 +31,7 @@ from repro.sim.kernel import Context
 from repro.substrates import (
     ConsensusAutomaton,
     ConsensusCluster,
+    OmegaSigmaSampler,
     ReplicatedLogAutomaton,
     ReplicatedLogCluster,
 )
@@ -116,13 +118,15 @@ class TestNoSelfAddressedMail:
         # these crashes lands inside the leader's ballot and the second
         # member has to take over.
         procs = make_processes(4)
-        pattern = crash_pattern(pset(procs), {procs[0]: crash_at})
-        cluster = ConsensusCluster(
-            pattern, pset(procs), omega_stabilization=crash_at + 2
-        )
+        scope = pset(procs)
+        pattern = crash_pattern(scope, {procs[0]: crash_at})
+        cluster = ConsensusCluster(pattern, scope)
+        restricted = pattern.restricted_to(scope)
+        omega = OmegaOracle(restricted, scope, stabilization_time=crash_at + 2)
+        sampler = OmegaSigmaSampler(omega, SigmaOracle(restricted, scope))
         for p in procs:
             cluster.propose(p, f"v{p.index}")
-        kernel = Kernel(pattern, cluster.automata, cluster.detectors, seed=4)
+        kernel = Kernel(pattern, cluster.automata, dict.fromkeys(procs, sampler), seed=4)
         kernel.run(300, stop_when=lambda: cluster.decided_everywhere(pattern.correct))
         assert cluster.decided_everywhere(pattern.correct)
         assert len({cluster.decision_at(p) for p in pattern.correct}) == 1

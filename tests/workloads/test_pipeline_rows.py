@@ -80,6 +80,13 @@ SPECS = {
         backend="async",
         faults=random_plan(6, "detectors", 5, FIGURE1_GROUPS),
     ),
+    # All three detector kinds on the kernel: the group samplers run over
+    # the perturbed ``Sigma_g`` / ``Omega_g`` components.
+    "disjoint-kernel-detectors": _disjoint(
+        seed=3,
+        backend="kernel",
+        faults=random_plan(3, "detectors", 9, DISJOINT_GROUPS),
+    ),
     "figure1-engine-truncated": ScenarioSpec(
         topology=FIGURE1,
         sends=FIGURE1_SENDS + (Send(2, "g1", 500),),
@@ -101,6 +108,8 @@ PINS = {
     "figure1-engine-faulted": "af24c0da4e09f14cdeb3f4e4841996785e558ccf5a7563b919bf11d457a33c10",
     "disjoint-kernel-faulted": "342ac8d2c5804e8d2b72ed93343236379bb4fab7d559598871a22bb7c69895e7",
     "figure1-async-faulted": "bd8a0782274ea23b7181ea437f07604aabf1ddc0398557abac3b4b6a37a6c29c",
+    # Recorded at the commit before ``mu`` became a record of components.
+    "disjoint-kernel-detectors": "9372ff8b019d38d0b2252db14a54408c9684f3f610b31989101e4bd4cbcd7393",
     "figure1-engine-truncated": "7a94fa6fbfba56f852611e35abad1680ba60cee084edc50caf23f822ff12bc90",
 }
 
@@ -119,6 +128,11 @@ def test_every_spec_is_pinned():
 @pytest.mark.parametrize("label", sorted(SPECS))
 def test_row_matches_parent_commit(label):
     assert row_digest(SPECS[label]) == PINS[label]
+
+
+def test_kernel_detector_pin_exercises_both_wrappers():
+    stats = run_scenario(SPECS["disjoint-kernel-detectors"]).injector.stats
+    assert stats["sigma_noised"] > 0 and stats["omega_rotated"] > 0
 
 
 def test_truncated_pin_really_leaves_sends_unsent():
