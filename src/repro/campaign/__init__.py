@@ -35,6 +35,7 @@ from repro.campaign.aggregate import (
     row_line,
     scan_partial_results,
     summary_line,
+    sweep_hash,
     write_manifest,
 )
 from repro.campaign.cache import (
@@ -67,5 +68,6 @@ __all__ = [
     "shard_cells",
     "shard_of",
     "summary_line",
+    "sweep_hash",
     "write_manifest",
 ]

@@ -2,9 +2,10 @@
 
 A finished sweep is two artifacts:
 
-* ``manifest.json`` — the campaign's identity: name, grid hash, and the
-  ordered scenario list with per-spec content hashes.  Enough to replay
-  any row (or the whole sweep) without the code that built the grid.
+* ``manifest.json`` — the sweep's identity: name, sweep hash, and the
+  ordered scenario list with per-spec content hashes (the *inventory*
+  the sweep hash is taken over).  Enough to replay any row (or the whole
+  sweep) without the code that built the grid.
 * ``results.jsonl`` — one meta line, one line per scenario row (in spec
   order), one summary line; the same ``meta / body / summary`` layout as
   the engine traces, readable with :func:`repro.metrics.read_jsonl`.
@@ -19,19 +20,46 @@ Both artifacts have one writer, ``run_campaign(out_dir=...)``:
 each row as it arrives, so the sweep never holds its rows.  The results
 file is also the resume medium: :func:`scan_partial_results` walks a
 partial file after an interrupt, recovers the valid row prefix, and
-tells the executor where to truncate and continue.
+tells the executor where to truncate and continue.  A sweep is named
+by what it runs — :func:`sweep_hash` over its inventory, the same for a
+:class:`repro.campaign.grid.Campaign` and a bare spec list — and a
+partial file resumes only under the byte-identical meta line.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro._content import content_hash
 from repro.workloads.spec import ScenarioSpec
 
 #: Bumped on breaking changes to the results/manifest layout.
 CAMPAIGN_SCHEMA_VERSION = 1
+
+
+# -- Sweep identity ---------------------------------------------------------
+
+
+def sweep_inventory(specs: Sequence[ScenarioSpec]) -> List[Tuple[str, str]]:
+    """What a sweep runs, as its manifest lists it: ``(name, spec_hash)``
+    per cell, in grid order."""
+    return [(spec.name, spec.spec_hash()) for spec in specs]
+
+
+def inventory_hash(name: str, inventory: Sequence[Tuple[str, str]]) -> str:
+    """Content address of a sweep named ``name`` running ``inventory``."""
+    return content_hash({"name": name, "inventory": list(inventory)})
+
+
+def sweep_hash(name: str, specs: Sequence[ScenarioSpec]) -> str:
+    """The sweep's identity (sha256 hex): its name plus its inventory.
+
+    Two sweeps share it exactly when they run the same labelled cells in
+    the same order, however the cell list was built.
+    """
+    return inventory_hash(name, sweep_inventory(specs))
 
 
 # -- Line formats (the single source of results.jsonl bytes) ----------------
@@ -82,8 +110,7 @@ class CampaignReport:
 
     Attributes:
         name: campaign name.
-        campaign_hash: content hash of the grid (empty for ad-hoc spec
-            lists).
+        campaign_hash: the :func:`sweep_hash` of ``name`` and ``specs``.
         specs: the expanded scenario specs, in execution order.
         rows: one result row per spec, in the same order.  Empty when
             the sweep wrote to an ``out_dir`` — the artifact, not this
@@ -119,9 +146,6 @@ class CampaignReport:
     def ok_rows(self) -> Tuple[Dict[str, Any], ...]:
         return tuple(r for r in self.rows if r.get("status") == "ok")
 
-    def failed_rows(self) -> Tuple[Dict[str, Any], ...]:
-        return tuple(r for r in self.rows if r.get("status") != "ok")
-
 
 # -- Manifest ---------------------------------------------------------------
 
@@ -132,10 +156,13 @@ def write_manifest(
     name: str,
     campaign_hash: str,
     specs: Sequence[ScenarioSpec],
+    inventory: Sequence[Tuple[str, str]],
 ) -> str:
-    """Write ``manifest.json``: the campaign's identity and inventory.
+    """Write ``manifest.json``: the sweep's identity and inventory.
 
-    Idempotent, so a resumed sweep simply rewrites it.
+    ``inventory`` is :func:`sweep_inventory` of ``specs``, computed once
+    by the caller that also hashed it.  Idempotent, so a resumed sweep
+    simply rewrites it.
     """
     manifest = {
         "schema": CAMPAIGN_SCHEMA_VERSION,
@@ -144,11 +171,13 @@ def write_manifest(
         "scenarios": [
             {
                 "index": index,
-                "name": spec.name,
-                "spec_hash": spec.spec_hash(),
+                "name": label,
+                "spec_hash": spec_hash,
                 "spec": spec.to_json(),
             }
-            for index, spec in enumerate(specs)
+            for index, (spec, (label, spec_hash)) in enumerate(
+                zip(specs, inventory)
+            )
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -168,19 +197,12 @@ class ResultsWriter:
     sweeps of the same campaign write identical files.  Every line is
     flushed as written: an interrupted sweep leaves at worst one torn
     trailing line, which :func:`scan_partial_results` discards on resume.
+    ``meta`` is the sweep's :func:`meta_line`.
     """
 
-    def __init__(
-        self,
-        path: str,
-        *,
-        name: str,
-        campaign_hash: str,
-        scenarios: int,
-        shard: Optional[Tuple[int, int]] = None,
-    ) -> None:
+    def __init__(self, path: str, meta: str) -> None:
         self.path = path
-        self._meta = meta_line(name, campaign_hash, scenarios, shard)
+        self._meta = meta
         self._fh: Optional[Any] = None
 
     def start(self) -> None:
@@ -242,17 +264,18 @@ class PartialScan:
 def scan_partial_results(
     path: str,
     *,
-    campaign_hash: str,
-    scenarios: int,
+    meta: str,
     expected: Sequence[int],
     consume: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> PartialScan:
     """Walk a partial results file and find the resume point.
 
-    The file must open with a meta line matching this sweep's identity
-    (``campaign_hash`` and cell count) — a mismatch raises
+    The file must open with ``meta``, the :func:`meta_line` this sweep
+    would write, byte for byte — name, sweep hash, cell count and shard
+    in one comparison.  Any other complete first line raises
     :class:`ValueError` rather than silently clobbering some other
-    campaign's artifact.  Rows are validated against ``expected`` (the
+    sweep's artifact (a torn one means nothing was written: start
+    fresh).  Rows are validated against ``expected`` (the
     global grid indices this sweep will emit, in order); the scan stops
     at the first torn, unparsable or out-of-sequence line, and each
     valid row is passed to ``consume`` (the executor feeds its
@@ -265,6 +288,16 @@ def scan_partial_results(
         for lineno, raw in enumerate(iter(fh.readline, b"")):
             if not raw.endswith(b"\n"):
                 break  # torn tail from the interrupt — discard
+            if lineno == 0:
+                found = raw[:-1].decode("utf-8", "replace")
+                if found != meta:
+                    raise ValueError(
+                        f"results file {path!r} belongs to a different "
+                        f"campaign: expected meta line {meta}, found "
+                        f"{found}; refusing to resume over it"
+                    )
+                offset += len(raw)
+                continue
             try:
                 record = json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, ValueError):
@@ -272,21 +305,6 @@ def scan_partial_results(
             if not isinstance(record, dict):
                 break
             kind = record.get("type")
-            if lineno == 0:
-                if kind != "meta":
-                    break
-                if (
-                    record.get("campaign_hash") != campaign_hash
-                    or record.get("scenarios") != scenarios
-                ):
-                    raise ValueError(
-                        f"results file {path!r} belongs to a different "
-                        f"campaign (hash {record.get('campaign_hash')!r}, "
-                        f"{record.get('scenarios')!r} scenarios); refusing "
-                        f"to resume over it"
-                    )
-                offset += len(raw)
-                continue
             if kind == "summary":
                 if rows != len(expected):
                     raise ValueError(

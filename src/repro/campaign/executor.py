@@ -61,7 +61,10 @@ from typing import (
 from repro.campaign.aggregate import (
     CampaignReport,
     ResultsWriter,
+    inventory_hash,
+    meta_line,
     scan_partial_results,
+    sweep_inventory,
     write_manifest,
 )
 from repro.campaign.cache import CampaignCache, ensure_cache, shard_cells
@@ -278,7 +281,9 @@ def run_campaign(
         resume: continue a partial ``results.jsonl`` in ``out_dir``:
             its valid row prefix is kept (fed to the aggregator, not
             re-executed) and execution picks up at the first missing
-            cell.  Requires ``out_dir``.
+            cell.  The file's meta line must be the one this sweep
+            writes (name, sweep hash, cell count, shard); any other
+            raises :class:`ValueError`.  Requires ``out_dir``.
         shard: ``(shard index, shard count)`` — execute only this
             sweep's hash-prefix shard of the grid (see
             :func:`repro.campaign.cache.shard_cells`).  Rows keep their
@@ -301,12 +306,10 @@ def run_campaign(
     """
     if isinstance(campaign, Campaign):
         name = campaign.name
-        campaign_hash = campaign.campaign_hash()
         specs = campaign.specs()
     else:
         specs = tuple(campaign)
         name = "adhoc"
-        campaign_hash = ""
     if mode is None:
         mode = "process" if workers > 1 else "serial"
     if mode not in MODES:
@@ -327,6 +330,8 @@ def run_campaign(
         )
     pool_workers = workers if mode == "process" else None
     cache_obj = ensure_cache(cache)
+    inventory = sweep_inventory(specs)
+    campaign_hash = inventory_hash(name, inventory)
 
     cells: List[Tuple[int, ScenarioSpec]] = list(enumerate(specs))
     if shard is not None:
@@ -355,20 +360,15 @@ def run_campaign(
             name=name,
             campaign_hash=campaign_hash,
             specs=specs,
+            inventory=inventory,
         )
         results_path = os.path.join(out_dir, "results.jsonl")
-        writer = ResultsWriter(
-            results_path,
-            name=name,
-            campaign_hash=campaign_hash,
-            scenarios=len(cells),
-            shard=shard,
-        )
+        meta = meta_line(name, campaign_hash, len(cells), shard)
+        writer = ResultsWriter(results_path, meta)
         if resume and os.path.exists(results_path):
             scan = scan_partial_results(
                 results_path,
-                campaign_hash=campaign_hash,
-                scenarios=len(cells),
+                meta=meta,
                 expected=expected,
                 consume=consume,
             )

@@ -266,37 +266,20 @@ class ScenarioSpec:
         topology: GroupTopology,
         pattern: FailurePattern,
         sends: Sequence["Send"] = (),
-        *,
-        seed: int = 0,
-        variant: str = "vanilla",
-        gamma_lag: Time = 0,
-        indicator_lag: Time = 0,
-        max_rounds: int = 600,
-        backend: str = "engine",
-        faults: Optional[FaultPlan] = None,
-        delay_model: Optional[Tuple[Any, ...]] = None,
-        clock: str = "virtual",
-        quirks: Tuple[str, ...] = (),
-        name: str = "",
+        **axes: Any,
     ) -> "ScenarioSpec":
-        """Extract a spec from a live topology, failure pattern and script."""
+        """Extract a spec from a live topology, failure pattern and script.
+
+        ``axes`` are the remaining fields, by keyword, at the dataclass's
+        own defaults when absent.
+        """
         return cls(
             topology=TopologySpec.capture(topology),
             crashes=tuple(
                 sorted((p.index, t) for p, t in pattern.crash_times.items())
             ),
             sends=tuple(sends),
-            seed=seed,
-            variant=variant,
-            gamma_lag=gamma_lag,
-            indicator_lag=indicator_lag,
-            max_rounds=max_rounds,
-            backend=backend,
-            faults=faults,
-            delay_model=delay_model,
-            clock=clock,
-            quirks=quirks,
-            name=name,
+            **axes,
         )
 
     def faulted(self, plan: Optional[FaultPlan]) -> "ScenarioSpec":

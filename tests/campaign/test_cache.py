@@ -9,10 +9,12 @@ from repro.campaign import (
     Campaign,
     CampaignCache,
     case,
+    meta_line,
     run_campaign,
     scan_partial_results,
     shard_cells,
     shard_of,
+    sweep_hash,
     write_manifest,
 )
 from repro.campaign.cache import CACHE_SCHEMA_VERSION, ensure_cache
@@ -56,6 +58,20 @@ def matrix_campaign(seeds=20):
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def campaign_meta(campaign):
+    """The meta line ``run_campaign(campaign, out_dir=...)`` writes."""
+    specs = campaign.specs()
+    return meta_line(campaign.name, sweep_hash(campaign.name, specs), len(specs))
+
+
+def adhoc_specs(tag, seeds=(0, 1)):
+    """A bare spec list: ``run_campaign`` names it ``"adhoc"``."""
+    return [
+        ScenarioSpec(topology=TOPO, sends=SENDS, seed=seed, name=f"{tag}{seed}")
+        for seed in seeds
+    ]
 
 
 class TestCacheKey:
@@ -212,7 +228,7 @@ class TestStreaming:
         manifest = {
             "schema": 1,
             "name": campaign.name,
-            "campaign_hash": campaign.campaign_hash(),
+            "campaign_hash": sweep_hash(campaign.name, campaign.specs()),
             "scenarios": [
                 {
                     "index": index,
@@ -230,7 +246,7 @@ class TestStreaming:
 
     def test_empty_manifest_stream_matches_json_dump(self, tmp_path):
         path = str(tmp_path / "manifest.json")
-        write_manifest(path, name="void", campaign_hash="", specs=())
+        write_manifest(path, name="void", campaign_hash="", specs=(), inventory=())
         expected = (
             json.dumps(
                 {"schema": 1, "name": "void", "campaign_hash": "", "scenarios": []},
@@ -296,6 +312,70 @@ class TestResume:
         with pytest.raises(ValueError, match="different campaign"):
             run_campaign(other, out_dir=out, resume=True)
 
+    def refused(self, out, resume):
+        """``resume()`` raises, naming the meta line it expected and the
+        one it found in ``out``; the artifact is left untouched."""
+        path = f"{out}/results.jsonl"
+        before = read_bytes(path)
+        found = before.split(b"\n", 1)[0].decode()
+        with pytest.raises(ValueError, match="different campaign") as info:
+            resume()
+        assert f"found {found}" in str(info.value)
+        assert read_bytes(path) == before
+        return str(info.value)
+
+    def test_resume_refuses_a_partial_foreign_adhoc_sweep(self, tmp_path):
+        out = str(tmp_path / "adhoc")
+
+        def bomb(row):
+            raise KeyboardInterrupt  # after the first row is written
+
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(adhoc_specs("a"), out_dir=out, on_row=bomb)
+        other = adhoc_specs("b", seeds=(5, 6))  # same cell count
+        message = self.refused(
+            out, lambda: run_campaign(other, out_dir=out, resume=True)
+        )
+        expected = meta_line("adhoc", sweep_hash("adhoc", other), 2)
+        assert f"expected meta line {expected}" in message
+
+    def test_resume_refuses_a_complete_foreign_adhoc_sweep(self, tmp_path):
+        out = str(tmp_path / "adhoc")
+        run_campaign(adhoc_specs("a"), out_dir=out)
+        # The same cells under other labels are another sweep.
+        other = adhoc_specs("b")
+        message = self.refused(
+            out, lambda: run_campaign(other, out_dir=out, resume=True)
+        )
+        expected = meta_line("adhoc", sweep_hash("adhoc", other), 2)
+        assert f"expected meta line {expected}" in message
+
+    def test_resume_refuses_another_shards_file(self, tmp_path):
+        campaign = small_campaign(seeds=(0, 1, 2, 3))
+        cells = list(enumerate(campaign.specs()))
+        count, k, other = next(
+            (n, k, j)
+            for n in range(2, 8)
+            for k in range(n)
+            for j in range(k + 1, n)
+            if len(shard_cells(cells, n, k)) == len(shard_cells(cells, n, j)) > 0
+        )
+        out = str(tmp_path / "shard")
+        run_campaign(campaign, out_dir=out, shard=(k, count))
+        path = f"{out}/results.jsonl"
+        with open(path, "rb") as fh:
+            meta = fh.readline()
+        with open(path, "wb") as fh:
+            fh.write(meta)  # cut back to the meta line
+        message = self.refused(
+            out,
+            lambda: run_campaign(
+                campaign, out_dir=out, resume=True, shard=(other, count)
+            ),
+        )
+        assert f'"shard": [{other}, {count}]' in message
+        assert f'"shard": [{k}, {count}]' in message
+
     def test_scan_stops_at_an_out_of_sequence_row(self, tmp_path):
         campaign, out = self.interrupted_sweep(tmp_path, stop_at=2, torn=False)
         path = f"{out}/results.jsonl"
@@ -304,8 +384,7 @@ class TestResume:
         seen = []
         scan = scan_partial_results(
             path,
-            campaign_hash=campaign.campaign_hash(),
-            scenarios=len(campaign.specs()),
+            meta=campaign_meta(campaign),
             expected=list(range(len(campaign.specs()))),
             consume=seen.append,
         )
@@ -321,8 +400,7 @@ class TestResume:
         with pytest.raises(ValueError, match="corrupt"):
             scan_partial_results(
                 path,
-                campaign_hash=campaign.campaign_hash(),
-                scenarios=len(campaign.specs()),
+                meta=campaign_meta(campaign),
                 expected=list(range(len(campaign.specs()))),
             )
 

@@ -5,15 +5,13 @@ import os
 
 import pytest
 
-from repro.campaign import Campaign, CampaignCase, case, run_campaign
+from repro.campaign import Campaign, CampaignCase, case, run_campaign, sweep_hash
 from repro.campaign.aggregate import CAMPAIGN_SCHEMA_VERSION
 from repro.metrics import read_jsonl
-from repro.model import crash_pattern, make_processes, pset
 from repro.workloads import ScenarioSpec, Send, TopologySpec, chain_topology, ring_topology
 
 
 def small_campaign(seeds=(0, 1), variants=("vanilla",)) -> Campaign:
-    procs = make_processes(3)
     return Campaign(
         name="unit",
         cases=(
@@ -21,7 +19,7 @@ def small_campaign(seeds=(0, 1), variants=("vanilla",)) -> Campaign:
             case(
                 "chain-crash",
                 chain_topology(2),
-                pattern=crash_pattern(pset(procs), {procs[0]: 1}),
+                crashes=((1, 1),),
                 sends=(Send(1, "g1", 5),),
             ),
         ),
@@ -45,21 +43,11 @@ class TestGrid:
         assert [s.name for s in a[:2]] == ["chain:s0:vanilla", "chain:s1:vanilla"]
 
     def test_campaign_hash_tracks_content(self):
-        assert small_campaign().campaign_hash() == small_campaign().campaign_hash()
-        assert (
-            small_campaign(seeds=(0,)).campaign_hash()
-            != small_campaign(seeds=(1,)).campaign_hash()
-        )
+        def hashed(campaign):
+            return sweep_hash(campaign.name, campaign.specs())
 
-    def test_case_rejects_pattern_and_crashes_together(self):
-        procs = make_processes(3)
-        with pytest.raises(ValueError):
-            case(
-                "bad",
-                chain_topology(2),
-                pattern=crash_pattern(pset(procs), {procs[0]: 1}),
-                crashes=((1, 1),),
-            )
+        assert hashed(small_campaign()) == hashed(small_campaign())
+        assert hashed(small_campaign(seeds=(0,))) != hashed(small_campaign(seeds=(1,)))
 
     def test_empty_axes_rejected(self):
         with pytest.raises(ValueError):
@@ -142,7 +130,7 @@ class TestArtifacts:
         records = read_jsonl(os.path.join(out, "results.jsonl"))
         assert records[0]["type"] == "meta"
         assert records[0]["schema"] == CAMPAIGN_SCHEMA_VERSION
-        assert records[0]["campaign_hash"] == campaign.campaign_hash()
+        assert records[0]["campaign_hash"] == sweep_hash(campaign.name, campaign.specs())
         body = [r for r in records if r["type"] == "row"]
         assert len(body) == len(campaign.specs())
         assert records[-1]["type"] == "summary"

@@ -1,5 +1,6 @@
 """Tests for the campaign `faults` axis and failed-row triage."""
 
+from repro.campaign.aggregate import sweep_hash
 from repro.campaign.executor import execute_spec, run_campaign
 from repro.campaign.grid import Campaign, case
 from repro.faults.nemesis import random_plan
@@ -26,13 +27,17 @@ def small_campaign(**kwargs):
     )
 
 
+def hashed(campaign):
+    return sweep_hash(campaign.name, campaign.specs())
+
+
 class TestFaultsAxis:
     def test_default_axis_changes_nothing(self):
         with_default = small_campaign()
         explicit = small_campaign(faults=(None,))
         assert with_default.specs() == explicit.specs()
-        assert with_default.campaign_hash() == explicit.campaign_hash()
-        assert "faults" not in with_default.to_json()
+        assert hashed(with_default) == hashed(explicit)
+        assert all(s.faults is None for s in with_default.specs())
 
     def test_axis_expands_innermost(self):
         campaign = small_campaign(faults=(None, PLAN))
@@ -48,9 +53,10 @@ class TestFaultsAxis:
 
     def test_non_default_axis_is_in_the_manifest(self):
         campaign = small_campaign(faults=(PLAN,))
-        body = campaign.to_json()
-        assert body["faults"] == [PLAN.to_json()]
-        assert campaign.campaign_hash() != small_campaign().campaign_hash()
+        assert [s.to_json()["faults"] for s in campaign.specs()] == [
+            PLAN.to_json()
+        ] * 2
+        assert hashed(campaign) != hashed(small_campaign())
 
     def test_faulted_campaign_runs_green(self):
         report = run_campaign(small_campaign(faults=(None, PLAN)))
