@@ -1,8 +1,8 @@
 """Content addresses and the on-disk store keyed by them.
 
 One canonical form behind every hash the repo hands out (spec, plan,
-campaign, cache key, snapshot) and one layout behind every store keyed
-by such a hash (campaign cache, shrink cache, corpus).
+campaign, snapshot) and one layout behind every store keyed by such a
+hash (campaign cache, corpus).
 """
 
 from __future__ import annotations

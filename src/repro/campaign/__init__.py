@@ -19,7 +19,7 @@ The scale-out layer rides on the same pipeline: a
 cells byte-identically (``run_campaign(cache=...)``), ``out_dir=``
 appends each row to the artifact as it arrives, ``resume=True``
 continues an interrupted sweep from its first missing cell, and
-``shard=(k, n)`` splits the grid by cache-key prefix for multi-host
+``shard=(k, n)`` splits the grid by ``spec_hash`` prefix for multi-host
 sweeps.
 
 ``python -m repro.campaign`` runs a small built-in smoke sweep (see

@@ -1,12 +1,11 @@
 """The campaign result cache and the hash-prefix grid shards.
 
-A sweep row is a pure function of its grid cell — the scenario's content
-hash, the schedule seed, the backend and the fault plan hash (see
-:func:`repro.workloads.runner.scenario_cache_key`).  The
-:class:`CampaignCache` stores one JSON file per cell under that key, so
-a rerun of a campaign executes only the cells it has never seen: a cache
-hit replays the stored row byte-identically into ``results.jsonl``
-instead of re-running the scenario.
+A sweep row is a pure function of its grid cell, and a cell's one
+content address is :meth:`repro.workloads.spec.ScenarioSpec.spec_hash`.
+The :class:`CampaignCache` stores one JSON file per cell under that
+address, so a rerun of a campaign executes only the cells it has never
+seen: a cache hit replays the stored row byte-identically into
+``results.jsonl`` instead of re-running the scenario.
 
 Three policies keep cached sweeps honest:
 
@@ -14,7 +13,7 @@ Three policies keep cached sweeps honest:
   of the *harness* (an exception, a broken checker) rather than a fact
   about the scenario; caching it would freeze a transient failure into
   every future sweep, so failed cells are always re-executed.
-* **Label-independent identity.**  The key excludes the spec's
+* **Label-independent identity.**  ``spec_hash`` excludes the spec's
   free-form label, and a hit is re-labelled from the live spec
   (``name`` + ``spec`` fields), so two campaigns sweeping the same cell
   under different names share one entry yet each serializes its own
@@ -23,10 +22,10 @@ Three policies keep cached sweeps honest:
   writer, a disk hiccup) silently degrades to re-execution; writes are
   atomic (`os.replace`) so a reader never observes a half-written row.
 
-:func:`shard_of` / :func:`shard_cells` split a grid by cache-key prefix
+:func:`shard_of` / :func:`shard_cells` split a grid by ``spec_hash`` prefix
 — the first step toward multi-host sweeps: every host runs
 ``run_campaign(campaign, shard=(k, n))``, the shards partition the grid
-deterministically (the key is content-addressed, so the split is stable
+deterministically (the address is content-derived, so the split is stable
 across hosts and reruns), and the per-shard artifacts keep the global
 grid indices so they can be merged by concatenation.
 """
@@ -36,7 +35,6 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro._content import entry_path, read_entry, write_entry
-from repro.workloads.runner import scenario_cache_key
 from repro.workloads.spec import ScenarioSpec
 
 #: Bumped on breaking changes to the cached-row layout.  Version 2 grew
@@ -67,13 +65,9 @@ class CampaignCache:
 
     # -- Addressing --------------------------------------------------------
 
-    def key_for(self, spec: ScenarioSpec) -> str:
-        """The cell's cache key (see :func:`scenario_cache_key`)."""
-        return scenario_cache_key(spec)
-
     def path_for(self, spec: ScenarioSpec) -> str:
         """Where the cell's row lives (whether or not it exists yet)."""
-        return entry_path(self.root, self.key_for(spec))
+        return entry_path(self.root, spec.spec_hash())
 
     # -- Lookup ------------------------------------------------------------
 
@@ -111,7 +105,7 @@ class CampaignCache:
         """
         if row.get("status") != "ok":
             return False
-        key = self.key_for(spec)
+        key = spec.spec_hash()
         write_entry(
             entry_path(self.root, key),
             {
@@ -147,13 +141,13 @@ def ensure_cache(
 def shard_of(spec: ScenarioSpec, shards: int) -> int:
     """Which of ``shards`` hash-prefix shards this cell belongs to.
 
-    Derived from the leading 64 bits of the cell's cache key, so the
+    Derived from the leading 64 bits of the cell's ``spec_hash``, so the
     assignment is a pure function of content — stable across hosts,
     reruns and grid re-orderings — and uniform for any shard count.
     """
     if shards < 1:
         raise ValueError(f"shard count must be >= 1, got {shards}")
-    return int(scenario_cache_key(spec)[:16], 16) % shards
+    return int(spec.spec_hash()[:16], 16) % shards
 
 
 def shard_cells(

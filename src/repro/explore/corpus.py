@@ -1,11 +1,11 @@
 """The exploration corpus: entries that bought novel coverage.
 
 AFL's central data structure, transplanted: a corpus entry is a
-scenario spec (the cell identity: spec hash, seed, backend, fault plan,
-delay model) remembered because its run contributed at least one
-fingerprint nobody had produced before.  Entries are content-addressed
-by :func:`repro.workloads.runner.scenario_cache_key` — the same key the
-campaign result cache uses — so corpus persistence, result caching and
+scenario spec remembered because its run contributed at least one
+fingerprint nobody had produced before.  Entries are keyed by the
+spec's one content address,
+:meth:`repro.workloads.spec.ScenarioSpec.spec_hash` — the key of the
+campaign result cache too — so corpus persistence, result caching and
 shrink memoization all speak one address space.
 
 The **energy schedule** decides which parent the mutation engine
@@ -34,7 +34,7 @@ from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro._content import entry_path, read_entry, write_entry
 from repro.explore.coverage import coverage_of
-from repro.workloads.runner import scenario_cache_key
+from repro.model.errors import SimulationError
 from repro.workloads.spec import ScenarioSpec
 
 #: Bumped on breaking changes to the corpus entry layout.
@@ -46,7 +46,7 @@ class CorpusEntry:
     """One admitted scenario and the coverage it bought.
 
     Attributes:
-        key: the cell's content address (:func:`scenario_cache_key`).
+        key: the cell's content address (``spec.spec_hash()``).
         spec: the full scenario (replayable on its own).
         fingerprints: the run's whole fingerprint set.
         novel: the subset that was unseen at admission time — the
@@ -118,8 +118,10 @@ class Corpus:
                     continue
                 try:
                     entry = CorpusEntry.from_json(data)
-                except (ValueError, KeyError):
-                    continue  # corruption is a missing entry, never a crash
+                except (ValueError, KeyError, SimulationError):
+                    # Corruption, or a spec this build cannot load (another
+                    # schema, an unknown quirk): a missing entry, never a crash.
+                    continue
                 self.entries[entry.key] = entry
                 for fp in entry.fingerprints:
                     self.counts[fp] = self.counts.get(fp, 0) + 1
@@ -147,7 +149,7 @@ class Corpus:
         if not novel:
             return None, novel
         entry = CorpusEntry(
-            key=scenario_cache_key(spec),
+            key=spec.spec_hash(),
             spec=spec,
             fingerprints=fps,
             novel=novel,

@@ -51,7 +51,7 @@ from repro.explore.mutate import MutationEngine
 from repro.faults.nemesis import MIXES, random_plan
 from repro.faults.plan import FaultPlan
 from repro.faults.shrink import repro_payload, shrink_plan, write_repro
-from repro.workloads.runner import scenario_cache_key, triage_record
+from repro.workloads.runner import triage_record
 from repro.workloads.spec import ScenarioSpec
 
 #: Exploration strategies: ``guided`` is the coverage-guided search,
@@ -364,7 +364,7 @@ class Explorer:
     ) -> None:
         self.violations += 1
         label = ",".join(violated)
-        cell = scenario_cache_key(spec)
+        cell = spec.spec_hash()
         known = self._triaged_cells.get(cell)
         if known is not None:
             self.triage[known]["count"] += 1

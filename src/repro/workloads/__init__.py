@@ -5,7 +5,6 @@ from repro.workloads.runner import (
     Send,
     random_sends,
     run_scenario,
-    scenario_cache_key,
     triage_line,
     triage_record,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "TopologySpec",
     "random_sends",
     "run_scenario",
-    "scenario_cache_key",
     "triage_line",
     "triage_record",
     "GENERATORS",

@@ -42,7 +42,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro._content import content_hash
 from repro.baselines.broadcast import BroadcastMulticast
 from repro.core.engine import MulticastSystem
 from repro.core.group_sequential import AtomicMulticast
@@ -98,21 +97,6 @@ def triage_record(spec: ScenarioSpec) -> Dict[str, Any]:
             spec.faults.plan_hash() if spec.faults is not None else None
         ),
     }
-
-
-def scenario_cache_key(spec: ScenarioSpec) -> str:
-    """Stable content address of one grid cell's *result* (sha256 hex).
-
-    A result row is a pure function of ``(spec_hash, seed, backend,
-    fault_plan_hash)`` — exactly the :func:`triage_record` fields — so
-    the key is the hash of that record's canonical JSON.  Crucially the
-    spec's free-form label is *not* part of the key (``spec_hash``
-    already excludes it): two campaigns that sweep the same cell under
-    different labels share one cache entry, and the campaign cache
-    re-labels hits from the live spec (see
-    :class:`repro.campaign.cache.CampaignCache`).
-    """
-    return content_hash(triage_record(spec))
 
 
 def triage_line(spec: ScenarioSpec) -> str:
@@ -487,7 +471,6 @@ def _algorithm1_deployment(
         pattern,
         variant=spec.variant,
         mu=mu,
-        indicator_lag=spec.indicator_lag,
         seed=spec.seed,
         injector=injector,
     )

@@ -4,11 +4,12 @@
 could only be described by an argument list — impossible to hash, store
 in a manifest, or ship to a worker process.  A :class:`ScenarioSpec`
 fixes that: it captures **everything that determines a run** (topology,
-failure pattern, send script, seed, variant, detector lags, round
+failure pattern, send script, seed, variant, detector lag, round
 budget) as a frozen, hashable, JSON-round-trippable dataclass.  Two
 specs that compare equal describe byte-identical runs;
-:meth:`ScenarioSpec.spec_hash` is the stable content address the
-campaign subsystem keys its manifests and result rows on.
+:meth:`ScenarioSpec.spec_hash` is the one content address a cell has —
+manifests, result rows, the campaign cache, grid shards and the
+explorer's corpus all key on it.
 
 Deliberately *not* part of a spec: output sinks such as
 ``trace_path``.  Where a trace lands does not change what the scenario
@@ -34,27 +35,19 @@ from repro.model.failures import FailurePattern, Time
 from repro.model.processes import ProcessId, make_processes, pset
 from repro.runtime.async_driver import CLOCK_MODES
 
-#: Bumped on breaking changes to the spec JSON layout.  Version 2 added
-#: the execution-backend axis (``backend``, plus a kernel scheduling-mode
-#: key PR 16 retired to a wire constant); version 3
-#: added the ``faults`` axis (a :class:`repro.faults.FaultPlan`);
-#: version 4 added the *generator* form of :class:`TopologySpec` (a
-#: topology addressed by recipe instead of by expanded group map);
-#: version 5 added the asynchronous backend and its axes
-#: (``delay_model``, ``clock``); version 6 added the ``quirks`` axis
-#: (named, replayable legacy behaviours such as the pre-fix superseded-
-#: proposer stall).  Older payloads load unchanged: v1–v3 topologies
-#: always carry the explicit ``groups`` map, which still round-trips
-#: byte-identically, and the v5/v6 axes default to absent.
-SPEC_SCHEMA_VERSION = 6
+#: The spec wire layout's version, bumped on any change to it (a new
+#: field included).  The schema is part of every content address, and
+#: :meth:`ScenarioSpec.from_json` reads this one only: a payload of any
+#: other schema fails loudly instead of loading under a moved address.
+SPEC_SCHEMA_VERSION = 7
 
 #: The execution backends a scenario can run on: the round-based
 #: shared-object engine of §4.4, the step-level Appendix-A kernel, or
 #: the real-time asynchronous driver over the engine's actors.
 BACKENDS = ("engine", "kernel", "async")
 
-#: Named, replayable legacy behaviours a scenario may opt back into
-#: (schema v6).  A *quirk* re-enables a retired code path byte-for-byte
+#: Named, replayable legacy behaviours a scenario may opt back into.
+#: A *quirk* re-enables a retired code path byte-for-byte
 #: so a historical bug stays a reachable, content-addressed target for
 #: the fault/schedule explorer instead of vanishing with its fix:
 #:
@@ -186,32 +179,25 @@ class ScenarioSpec:
         seed: engine scheduling seed.
         variant: protocol variant (``"vanilla"``, ``"strict"``, ...).
         gamma_lag: detection lag of the gamma oracle.
-        indicator_lag: detection lag of the intersection indicators.
         max_rounds: total round budget (script issuance + drain).
         backend: which execution loop runs the scenario — ``"engine"``
             (the §4.4 shared-object system, the default), ``"kernel"``
             (the Appendix-A step-level kernel driving one replicated log
             per destination group; requires pairwise-disjoint groups) or
             ``"async"`` (the same Algorithm 1 actors on the async driver
-            under a wall- or virtual-clock delay model; schema v5).
+            under a wall- or virtual-clock delay model).
         delay_model: the async backend's channel-latency model as a
             canonical spec tuple (see :mod:`repro.runtime.delay`), e.g.
             ``("uniform", 0.1, 0.9)``.  ``None`` (the default) uses the
-            driver default and is excluded from :meth:`spec_hash`, so
-            pre-v5 scenario addresses are stable.  Ignored by the round
-            backends.
+            driver default.  Ignored by the round backends.
         clock: the async backend's time source — ``"virtual"`` (seeded
-            deterministic, the default, excluded from the hash) or
-            ``"wall"`` (real time).  Ignored by the round backends.
+            deterministic, the default) or ``"wall"`` (real time).
+            Ignored by the round backends.
         faults: optional :class:`repro.faults.FaultPlan` — the nemesis
-            perturbations applied to the run (schema v3).  ``None``, the
-            default, runs fault-free and is excluded from
-            :meth:`spec_hash`, so pre-nemesis scenario addresses are
-            stable.
-        quirks: named legacy behaviours to replay (schema v6), each a
-            member of :data:`KNOWN_QUIRKS`; stored sorted.  The empty
-            default is excluded from :meth:`spec_hash`, so pre-v6
-            scenario addresses are stable.
+            perturbations applied to the run.  ``None``, the default,
+            runs fault-free.
+        quirks: named legacy behaviours to replay, each a member of
+            :data:`KNOWN_QUIRKS`; stored sorted.
         name: free-form label for reports.  Excluded from equality and
             from :meth:`spec_hash` — a label is not part of the
             scenario's identity.
@@ -223,7 +209,6 @@ class ScenarioSpec:
     seed: int = 0
     variant: str = "vanilla"
     gamma_lag: Time = 0
-    indicator_lag: Time = 0
     max_rounds: int = 600
     backend: str = "engine"
     faults: Optional["FaultPlan"] = None
@@ -305,7 +290,7 @@ class ScenarioSpec:
     # -- Serialization -----------------------------------------------------
 
     def to_json(self) -> Dict[str, Any]:
-        """A JSON-ready dict; inverse of :meth:`from_json`."""
+        """Every field, plus the schema; inverse of :meth:`from_json`."""
         return {
             "schema": SPEC_SCHEMA_VERSION,
             "topology": self.topology.to_json(),
@@ -316,16 +301,8 @@ class ScenarioSpec:
             "seed": self.seed,
             "variant": self.variant,
             "gamma_lag": self.gamma_lag,
-            "indicator_lag": self.indicator_lag,
             "max_rounds": self.max_rounds,
-            # ``scheduling`` / ``event_driven``: wire constants of the two
-            # axes PR 16 retired.  The first was hashed unconditionally
-            # and both sit in every stored row's ``spec``, so they stay
-            # emitted, in place, and no content address moves; they leave
-            # with the one-shot ``migrate`` of ROADMAP item 2(c).
-            "scheduling": "event",
             "backend": self.backend,
-            "event_driven": None,
             "faults": None if self.faults is None else self.faults.to_json(),
             "delay_model": _delay_spec_to_json(self.delay_model),
             "clock": self.clock,
@@ -337,20 +314,11 @@ class ScenarioSpec:
     def from_json(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
         from repro.workloads.runner import Send
 
-        if data.get("schema", 1) > SPEC_SCHEMA_VERSION:
+        if data.get("schema") != SPEC_SCHEMA_VERSION:
             raise SimulationError(
-                f"spec payload has schema {data['schema']}, newer than the "
-                f"supported {SPEC_SCHEMA_VERSION}; its axes would be dropped"
+                f"spec payload has schema {data.get('schema')!r}; only schema "
+                f"{SPEC_SCHEMA_VERSION} loads (its content address would differ)"
             )
-        # Retired axes load only at their wire constants: any other
-        # value was hashed, so dropping it would move a content address.
-        for axis, constant in (("scheduling", "event"), ("event_driven", None)):
-            if data.get(axis, constant) != constant:
-                raise SimulationError(
-                    f"spec payload sets the retired axis {axis!r} to "
-                    f"{data[axis]!r}; PR 16 removed the scheduling modes "
-                    f"(only {constant!r} or an absent key still loads)"
-                )
         return cls(
             topology=TopologySpec.from_json(data["topology"]),
             crashes=tuple(
@@ -368,51 +336,28 @@ class ScenarioSpec:
             seed=int(data["seed"]),
             variant=data["variant"],
             gamma_lag=int(data["gamma_lag"]),
-            indicator_lag=int(data["indicator_lag"]),
             max_rounds=int(data["max_rounds"]),
-            # Absent in schema-version-1 payloads: engine default.
-            backend=data.get("backend", "engine"),
-            # Absent before schema version 3: fault-free.
+            backend=data["backend"],
             faults=(
-                FaultPlan.from_json(data["faults"])
-                if data.get("faults") is not None
-                else None
+                None
+                if data["faults"] is None
+                else FaultPlan.from_json(data["faults"])
             ),
-            # Absent before schema version 5: round backends, no delay
-            # axis.  __post_init__ canonicalizes the JSON lists back
-            # into the tuple form.
-            delay_model=data.get("delay_model"),
-            clock=data.get("clock", "virtual"),
-            # Absent before schema version 6: no legacy behaviours.
-            quirks=tuple(data.get("quirks", ())),
-            name=data.get("name", ""),
+            # __post_init__ canonicalizes the JSON lists back into tuples.
+            delay_model=data["delay_model"],
+            clock=data["clock"],
+            quirks=tuple(data["quirks"]),
+            name=data["name"],
         )
 
     def spec_hash(self) -> str:
-        """Content address of the scenario (sha256 hex).
+        """Content address of the scenario (sha256 hex): the hash of the
+        wire form minus the label.
 
-        The label (``name``) is excluded: renaming a scenario must not
-        change its identity, and deduplication across campaigns relies
-        on that.  The schema version and any schema-2 backend axis still
-        at its default are excluded too, so future additive schema bumps
-        stop reshuffling the addresses of scenarios they do not affect —
-        an engine-backed spec describes the same run it always did.
+        Renaming a scenario must not change its identity — deduplication
+        across campaigns relies on that — so ``name`` is the one key left
+        out.  The schema stays in: a layout change moves every address.
         """
         body = self.to_json()
-        body.pop("name", None)
-        body.pop("schema", None)
-        if self.backend == "engine":
-            body.pop("backend", None)
-        body.pop("event_driven", None)  # was hashed only when not null
-        if self.faults is None:
-            body.pop("faults", None)
-        # Schema-5 axes at their defaults are excluded for the same
-        # reason as the schema-2 backend: pre-v5 addresses must not move.
-        if self.delay_model is None:
-            body.pop("delay_model", None)
-        if self.clock == "virtual":
-            body.pop("clock", None)
-        # Schema-6 axis: a quirk-free spec hashes as it did pre-v6.
-        if not self.quirks:
-            body.pop("quirks", None)
+        del body["name"]
         return content_hash(body)

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro._content import content_hash
+from repro.groups import paper_figure1_topology
 from repro.model import (
     SimulationError,
     crash_pattern,
@@ -88,33 +90,68 @@ class TestScenarioSpec:
         assert spec.crashes == () and spec.sends == ()
 
 
+class TestWireForm:
+    """Schema 7's one rule: the address is the hash of the wire form
+    minus the label."""
+
+    FIGURE1 = ScenarioSpec(topology=TopologySpec.capture(paper_figure1_topology()))
+
+    def test_every_field_is_on_the_wire(self):
+        assert self.FIGURE1.to_json() == {
+            "backend": "engine",
+            "clock": "virtual",
+            "crashes": [],
+            "delay_model": None,
+            "faults": None,
+            "gamma_lag": 0,
+            "max_rounds": 600,
+            "name": "",
+            "quirks": [],
+            "schema": 7,
+            "seed": 0,
+            "sends": [],
+            "topology": {
+                "groups": {"g1": [1, 2], "g2": [2, 3], "g3": [1, 3, 4], "g4": [1, 4, 5]},
+                "process_count": 5,
+            },
+            "variant": "vanilla",
+        }
+
+    def test_the_address_is_pinned(self):
+        # Moves only with a schema bump; re-pin with a changelog entry.
+        assert self.FIGURE1.spec_hash() == (
+            "658ae9cba98a31cc8ab85fb7ac2606f5a26c5e4a35f357bfd1acfaeb2155279d"
+        )
+
+    def test_the_label_is_the_one_key_left_out(self):
+        for spec in (self.FIGURE1, _spec().labelled("row-7")):
+            body = spec.to_json()
+            del body["name"]
+            assert spec.spec_hash() == content_hash(body)
+
+    def test_a_schema_6_payload_is_rejected(self):
+        payload = self.FIGURE1.to_json()
+        payload["schema"] = 6
+        with pytest.raises(SimulationError, match="schema 6.*schema 7"):
+            ScenarioSpec.from_json(payload)
+
+
 class TestLoaderFailsLoudly:
-    """``from_json`` must not silently load what it cannot represent:
-    dropping an axis it does not know, or one PR 16 retired, would hand
-    back a spec with a different content address than the stored one."""
+    """``from_json`` must not silently load what it cannot represent: a
+    payload of another schema would come back under a different content
+    address than the one it was stored with."""
 
     def test_newer_schema_is_rejected(self):
-        payload = _spec().to_json()
-        payload["schema"] = payload["schema"] + 1
-        with pytest.raises(SimulationError, match="schema"):
-            ScenarioSpec.from_json(payload)
+        # Older and newer alike: any schema but 7.
+        for schema in (None, 1, 6, 8):
+            payload = _spec().to_json()
+            payload["schema"] = schema
+            with pytest.raises(SimulationError, match="schema"):
+                ScenarioSpec.from_json(payload)
 
-    def test_retired_scan_scheduling_is_rejected(self):
-        payload = _spec().to_json()
-        payload["scheduling"] = "scan"
-        with pytest.raises(SimulationError, match="'scheduling'.*PR 16"):
-            ScenarioSpec.from_json(payload)
-
-    @pytest.mark.parametrize("value", [True, False])
-    def test_retired_explicit_event_driven_is_rejected(self, value):
-        payload = _spec().to_json()
-        payload["event_driven"] = value
-        with pytest.raises(SimulationError, match="'event_driven'.*PR 16"):
-            ScenarioSpec.from_json(payload)
-
-    def test_retired_axes_load_at_their_constants_or_absent(self):
-        payload = _spec().to_json()
-        assert (payload["scheduling"], payload["event_driven"]) == ("event", None)
-        assert ScenarioSpec.from_json(payload) == _spec()
-        del payload["scheduling"], payload["event_driven"]
-        assert ScenarioSpec.from_json(payload) == _spec()
+    def test_every_key_is_required(self):
+        for key in _spec().to_json():
+            payload = _spec().to_json()
+            del payload[key]
+            with pytest.raises((KeyError, SimulationError)):
+                ScenarioSpec.from_json(payload)

@@ -1,5 +1,6 @@
 """The corpus (admission, energy, persistence) and the mutation engine."""
 
+import json
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from repro.explore.corpus import Corpus
 from repro.explore.mutate import MAX_STACK, MutationEngine, random_event
 from repro.faults.nemesis import random_plan
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.workloads.runner import Send, scenario_cache_key
+from repro.workloads.runner import Send
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology
 
@@ -58,7 +59,7 @@ class TestCorpusAdmission:
             assert entry.novel == novel
             assert novel <= entry.fingerprints
             assert not (novel & set(corpus.entries[
-                scenario_cache_key(s1)].fingerprints))
+                s1.spec_hash()].fingerprints))
 
 
 class TestEnergySchedule:
@@ -77,7 +78,7 @@ class TestEnergySchedule:
         entry_rare, novel = corpus.consider(rare, row_rare)
         if entry_rare is None:
             pytest.skip("faulted run bought no coverage on this seed")
-        entry_common = corpus.entries[scenario_cache_key(common)]
+        entry_common = corpus.entries[common.spec_hash()]
         assert corpus.energy(entry_rare) > corpus.energy(entry_common)
 
     def test_pick_is_deterministic(self):
@@ -114,6 +115,25 @@ class TestPersistence:
         path = corpus._path(entry.key)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("{torn")
+        assert Corpus(root).entries == {}
+
+    @pytest.mark.parametrize(
+        "axis, value",
+        [("schema", 99), ("quirks", ["tabs-vs-spaces"])],
+        ids=["schema-99", "unknown-quirk"],
+    )
+    def test_an_unloadable_spec_is_a_missing_entry(self, tmp_path, axis, value):
+        # Another schema, or a quirk this build does not know, makes the
+        # spec loader raise; the corpus skips the entry instead of crashing.
+        root = str(tmp_path / "corpus")
+        entry, _ = Corpus(root).consider(*evaluated(spec()))
+        assert entry.key in Corpus(root).entries
+        path = Corpus(root)._path(entry.key)
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["spec"][axis] = value
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
         assert Corpus(root).entries == {}
 
 

@@ -12,10 +12,10 @@ from repro.explore.driver import (
 )
 from repro.explore.__main__ import base_cells, main
 from repro.faults import shrink
-from repro.workloads import scenario_cache_key
 from repro.workloads.runner import Send
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology
+from tests.explore.test_rediscovery import BUDGET_ITERATIONS
 
 TOPO = TopologySpec.capture(disjoint_topology(2, group_size=3))
 
@@ -131,7 +131,8 @@ def probes(monkeypatch):
 
 
 def quirked(**kwargs):
-    """The 24-iteration campaign that triages the planted stall twice."""
+    """The campaign that triages the planted stall; run it for the
+    documented rediscovery budget (``BUDGET_ITERATIONS``)."""
     return Explorer(
         [kernel_base(quirks=("supersede-wait",))], seed=7, **kwargs
     )
@@ -145,7 +146,7 @@ class TestOneJudgement:
         execute_spec, run_harness = driver.execute_spec, shrink.run_harness
 
         def spy_execute(unit):
-            executed.add(scenario_cache_key(unit[1]))
+            executed.add(unit[1].spec_hash())
             return execute_spec(unit)
 
         def spy_harness(harness, spec):
@@ -155,25 +156,26 @@ class TestOneJudgement:
         monkeypatch.setattr(driver, "execute_spec", spy_execute)
         monkeypatch.setattr(shrink, "run_harness", spy_harness)
         explorer = quirked()
-        report = explorer.run(iterations=24)
-        assert probes and {scenario_cache_key(s) for s in probes} <= executed
+        report = explorer.run(iterations=BUDGET_ITERATIONS)
+        assert probes and {s.spec_hash() for s in probes} <= executed
         # The named harness runs once per repro payload, never per probe.
         assert harness_runs == ["scenario"] * len(report.triage)
         # Probes are judged, not accounted: the corpus saw the search only.
-        assert explorer.corpus.evaluated == 24
-        assert [r["minimal_events"] for r in report.triage] == [1, 1]
+        assert explorer.corpus.evaluated == BUDGET_ITERATIONS
+        # Every record shrank to a single event.
+        assert {r["minimal_events"] for r in report.triage} == {1}
 
     def test_probes_share_the_campaign_cache(self, tmp_path, probes):
         cache_dir = str(tmp_path / "cache")
         first = quirked(cache=cache_dir)
-        report_first = first.run(iterations=24)
+        report_first = first.run(iterations=BUDGET_ITERATIONS)
         assert probes
         for candidate in probes:
             assert first.cache.get(candidate) is not None
         probed = len(probes)
 
         second = quirked(cache=cache_dir)
-        report_second = second.run(iterations=24)
+        report_second = second.run(iterations=BUDGET_ITERATIONS)
         assert len(probes) == 2 * probed  # the same ddmin walk ...
         assert second.executed == 0  # ... answered from the cache
         first_json, second_json = stripped(report_first), stripped(report_second)
@@ -262,10 +264,7 @@ class TestBaseline:
             assert record["kinds"] == sorted(set(record["kinds"]))
 
     def test_new_keys_against_a_baseline(self, tmp_path):
-        explorer = Explorer(
-            [kernel_base(quirks=("supersede-wait",))], seed=7
-        )
-        report = explorer.run(iterations=24)
+        report = quirked().run(iterations=BUDGET_ITERATIONS)
         assert report.triage_keys  # the quirk yields violations
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps({"known": report.triage_keys}))

@@ -260,7 +260,11 @@ def assert_goldens_reproduce(retired):
 
 
 class TestTheOraclesAreTheParents:
-    """Under the oracles, what earlier commits pinned comes back byte for byte."""
+    """Under the oracles, what earlier commits pinned comes back byte for byte.
+
+    The row pins were re-recorded once, for spec schema 7: a row embeds its
+    ``spec`` and ``spec_hash``, and nothing else in it moved.
+    """
 
     def test_relaying_reproduces_the_pr22_goldens(self):
         with relaying():
@@ -269,8 +273,8 @@ class TestTheOraclesAreTheParents:
     @pytest.mark.parametrize(
         "label, retired",
         [
-            ("disjoint-kernel-event", "7c62307a6641eb536d96198b5ac32b0828e63989eeabb96f89123933bb83ea12"),
-            ("disjoint-kernel-faulted", "fbe654d979ac4f2921edf8fecd8fe4c9f965f1c7ad0469207285599b1f512ad7"),
+            ("disjoint-kernel-event", "c117ccfd470d00471e2b22123728a110371b7d8f95c5fdd6adfb6ffe4f76dbf2"),
+            ("disjoint-kernel-faulted", "df1aa9f0b571e71af27f06d520ea5ad8c9350304ff7119f035bd160033914e6c"),
         ],
     )
     def test_relaying_reproduces_the_pr22_row_pins(self, label, retired):
@@ -282,7 +286,7 @@ class TestTheOraclesAreTheParents:
             assert_goldens_reproduce(retired_goldens("replog3_pr20.json"))
 
     def test_single_value_slots_reproduce_the_pr20_row_pin(self):
-        retired = "57a4cb6c286c15bbb71ba26f361f9fa7cb4e2ec435ba9c2ef77264a4493553b3"
+        retired = "652f000596642ac3c3e6bab052c38630f6bd1bb29729ad8b8025aed8c2137e90"
         spec = pipeline_rows.SPECS["disjoint-kernel-faulted"]
         with relaying(), single_value_slots():
             assert pipeline_rows.row_digest(spec) == retired
@@ -290,10 +294,11 @@ class TestTheOraclesAreTheParents:
 
 @pytest.mark.parametrize("label", ["disjoint-kernel-event", "disjoint-kernel-faulted"])
 def test_the_oracle_is_the_parents_protocol(label):
-    """Under all three oracles the kernel row pins recorded before PR 20 come back."""
+    """Under all three oracles the kernel row pins recorded before PR 20 come
+    back (re-recorded, like the class above, for spec schema 7)."""
     retired = {
-        "disjoint-kernel-event": "565dd5c108fd85a68b06640989e8bad4b2b2d480dbfae2ee034d51eb26abbf5f",
-        "disjoint-kernel-faulted": "e69c4f191a6c4ddae53a3dfcfb6a961347289dd613e3ed7b0ce90423dca65e05",
+        "disjoint-kernel-event": "8708720626ce67613ffd5a35714db2586a83d88b834b23b26a8015c022f6e874",
+        "disjoint-kernel-faulted": "19431eb3b35d26bc2b3704c30f473a88d56d4d1d2dc481da4145b3eece4c1b2e",
     }
     with relaying(), single_value_slots(), flooding():
         assert pipeline_rows.row_digest(pipeline_rows.SPECS[label]) == retired[label]

@@ -65,6 +65,7 @@ def test_the_soak_witnesses_are_committed():
 def test_a_soak_witness_replays_clean(path):
     payload = load_repro(path)
     assert payload["truncated"]  # what PR 22 read
+    assert payload["triage"]["spec_hash"] == ScenarioSpec.from_json(payload["spec"]).spec_hash()
     replay = replay_repro(payload)
     assert not any(replay["verdicts"].values())
     assert replay["truncated"] is False

@@ -191,9 +191,9 @@ class TestVirtualClockDeterminism:
 
 class TestSpecSchemaV5:
     def test_schema_version(self):
-        # v5 added the async axes below; v6 added the quirks axis
-        # (tests/workloads/test_spec_quirks.py).
-        assert SPEC_SCHEMA_VERSION == 6
+        # v5 added the async axes below; v6 the quirks axis; v7 put every
+        # field on the wire and in the hash (tests/campaign/test_spec.py).
+        assert SPEC_SCHEMA_VERSION == 7
 
     def test_json_round_trip(self):
         spec = async_spec(
@@ -204,18 +204,8 @@ class TestSpecSchemaV5:
         assert loaded == spec
         assert loaded.spec_hash() == spec.spec_hash()
 
-    def test_old_json_loads_unchanged(self):
-        # A pre-v5 payload has no delay_model/clock keys.
-        body = ScenarioSpec(topology=TOPO, sends=SENDS, seed=3).to_json()
-        del body["delay_model"]
-        body.pop("clock", None)
-        loaded = ScenarioSpec.from_json(body)
-        assert loaded.delay_model is None
-        assert loaded.clock == "virtual"
-
     def test_spec_hash_pinned_for_pre_v5_specs(self):
-        # Defaults must not move any existing content address: the hash
-        # body drops delay_model=None and clock="virtual" entirely.
+        # Spelling the defaults out names the same scenario.
         spec = ScenarioSpec(topology=TOPO, sends=SENDS, seed=3)
         explicit = ScenarioSpec(
             topology=TOPO, sends=SENDS, seed=3, delay_model=None, clock="virtual"

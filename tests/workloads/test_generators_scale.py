@@ -170,12 +170,13 @@ class TestGeneratorSpecs:
 
     def test_generator_spec_hash_is_frozen(self):
         # Campaign caches key on this address: silent drift invalidates
-        # every stored sweep.  Re-pin only with a changelog entry.
+        # every stored sweep.  Re-pin only with a changelog entry (last:
+        # spec schema 7).
         spec = ScenarioSpec(
             topology=TopologySpec.from_generator({"kind": "ring", "k": K})
         )
         assert spec.spec_hash() == (
-            "c4b001d866956e5dde6dcdd70ee9539fce633366fd5195373394ba3958afce7d"
+            "7e24e88e83f49dffd3c6051e94db352ac3e3e435b59dd722f4c3ae4ab5588874"
         )
 
     def test_ring200_runs_on_the_engine(self):

@@ -96,21 +96,23 @@ SPECS = {
 }
 
 #: Recorded at the parent commit (11cd75c), before the runner changed.
+#: Every pin was re-recorded when spec schema 7 moved the ``spec`` and
+#: ``spec_hash`` a row embeds; the rest of each row is unchanged.
 PINS = {
-    "figure1-engine-crash": "1daebe396c53f414d4d6df7a786db348490ebf9f82f7fffaf3fe5aa01aa11988",
+    "figure1-engine-crash": "6661648b29913d418ba526d1886d3c5cabf3aa815228570c3cf31b94c9267ef3",
     # The two kernel pins were re-recorded in PR 20 (the §4.3 consensus
     # sends fewer datagrams), PR 21 (a log slot decides a batch) and PR 23
     # (DECIDE is not relayed, a waiting replica is parked, ``Omega_g`` takes
     # an orphaned slot over) — each on purpose, DESIGN.md §16; the parents'
     # values live on in tests/substrates/test_slot_cost.py.
-    "disjoint-kernel-event": "9eb03fddc476be7e4cc36c568de4658ea0bd480fb460a59e76394b54bd6799da",
-    "figure1-async-uniform": "19cddf8f1cb78edac2552afcafb381d71db48ca32accc59f681c22e50c1245ad",
-    "figure1-engine-faulted": "af24c0da4e09f14cdeb3f4e4841996785e558ccf5a7563b919bf11d457a33c10",
-    "disjoint-kernel-faulted": "342ac8d2c5804e8d2b72ed93343236379bb4fab7d559598871a22bb7c69895e7",
-    "figure1-async-faulted": "bd8a0782274ea23b7181ea437f07604aabf1ddc0398557abac3b4b6a37a6c29c",
+    "disjoint-kernel-event": "f41d483c095eb157be8a21279654972456357e4b7168a37471e4276cc10e9e5e",
+    "figure1-async-uniform": "36840e7a3772aa133478211433081d2f4d4ffc443c97fab76b80e5aef75cc7b7",
+    "figure1-engine-faulted": "6fef3c88046bcda4084248f285dbc93bb9b88ab1dd2cbbe76afc601bb60f8512",
+    "disjoint-kernel-faulted": "9eb7f31152335aafa675370bdf6984aa68894bef8b7d4660315ad2d3951d81ed",
+    "figure1-async-faulted": "5aefbe433187b528bd8bdc64fcc1dae896014a2ddf83e31f5129a8788ccc3568",
     # Recorded at the commit before ``mu`` became a record of components.
-    "disjoint-kernel-detectors": "9372ff8b019d38d0b2252db14a54408c9684f3f610b31989101e4bd4cbcd7393",
-    "figure1-engine-truncated": "7a94fa6fbfba56f852611e35abad1680ba60cee084edc50caf23f822ff12bc90",
+    "disjoint-kernel-detectors": "0cf5b83992219a245f5a00cb525d76865f357c89bcd31df8b0ed30b3fc17773d",
+    "figure1-engine-truncated": "a8fc4a452dbe80dc279a52af34a00a3fb17832ab3d099a494ec2bf619cc57b53",
 }
 
 

@@ -4,7 +4,7 @@ A quirk re-enables a retired code path so a *fixed* bug stays
 reachable as a search target: the explorer's rediscovery gate
 (``tests/explore/test_rediscovery.py``) needs the superseded-proposer
 stall to exist somewhere.  These tests pin the axis's contract — schema
-round-trip, content-address stability for quirk-free specs, validation
+round-trip, content addressing, validation
 — and the quirk's behaviour at the workloads layer: a quirked kernel
 run under late-Omega rotation stalls forever, the fixed path and the
 quirk-free spec do not.
@@ -43,18 +43,6 @@ class TestQuirksAxis:
         twin = ScenarioSpec.from_json(spec.to_json())
         assert twin == spec
         assert twin.quirks == ("supersede-wait",)
-
-    def test_quirk_free_specs_hash_as_they_did_pre_v6(self):
-        # The empty quirk tuple is popped from the hash body, so every
-        # pre-v6 content address (cached rows, corpus entries, repro
-        # files) stays valid.
-        spec = kernel_spec()
-        assert "quirks" not in spec.to_json() or spec.to_json()["quirks"] == []
-        legacy_body = {
-            k: v for k, v in spec.to_json().items() if k != "quirks"
-        }
-        twin = ScenarioSpec.from_json(legacy_body)
-        assert twin.spec_hash() == spec.spec_hash()
 
     def test_quirks_are_part_of_the_content_address(self):
         assert (
