@@ -35,7 +35,7 @@ stabilization record ``(m, h)`` or the indicator ``1^{g∩h}`` — supply
 from __future__ import annotations
 
 from bisect import insort
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.detectors.indicator import IndicatorOracle
 from repro.detectors.mu import Mu
@@ -140,9 +140,12 @@ class Algorithm1Process:
         #: Message ids the scan can never act on again: delivered here,
         #: or addressed to a group this process is not a member of.
         self._done: Set[MessageId] = set()
-        #: Per group log, how many of its ``arrivals`` ``discover()`` has
-        #: learned already.
-        self._discovered: Dict[Group, int] = {}
+        #: Per group of this process, ``[arrivals, seen]``: its log's
+        #: live ``arrivals`` list (append-only) and how many of them
+        #: ``discover()`` has learned already.
+        self._feeds: List[List[Any]] = [
+            [space.group_log(g).arrivals, 0] for g in self.my_groups
+        ]
         #: Per (log, threshold), how many leading messages of the log
         #: were seen at that phase or beyond (see :meth:`_order_clear`).
         self._order_cursors: Dict[Tuple[LogHandle, Phase], int] = {}
@@ -268,13 +271,12 @@ class Algorithm1Process:
         Each group log lists its messages in arrival order, so only the
         ones appended since the previous scan are read.
         """
-        for g in self.my_groups:
-            arrivals = self._log(g).arrivals
-            seen = self._discovered.get(g, 0)
+        for feed in self._feeds:
+            arrivals, seen = feed
             if seen < len(arrivals):
                 for message in arrivals[seen:]:
                     self._learn(message)
-                self._discovered[g] = len(arrivals)
+                feed[1] = len(arrivals)
 
     def try_actions(self, t: int, budget: Optional[int] = None) -> int:
         """Run one pass over all enabled actions; return how many fired.

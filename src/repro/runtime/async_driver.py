@@ -104,28 +104,24 @@ class EventLoop:
     those run next turn.  So equal deadlines fire in scheduling order, by
     rule, and a callback that raises leaves :meth:`run` at once.
 
+    The loop clock is the attribute :attr:`now`, in seconds, and it moves
+    only between calls: every call of one turn reads the same instant.
     The clocks differ only in how they wait.  ``"virtual"`` assigns
     ``now += when - now``: a run never consults the OS and is a pure
     function of its inputs.  ``"wall"`` calls ``time.sleep`` — a run
-    performs no I/O, so there is nothing else to wait on.
+    performs no I/O, so there is nothing else to wait on — and reads
+    ``time.monotonic()`` into ``now`` at the start of each turn and
+    after each sleep.
     """
 
     def __init__(self, clock: str = "virtual") -> None:
         self._ready: Deque[Sequence[Any]] = deque()
         self._timers: List[_Timer] = []
         self._seq = 0
-        self._now = 0.0
         self._stopping = False
-        if clock == "wall":
-            # Instance attributes shadow the virtual methods below.
-            self.time, self._wait = time.monotonic, time.sleep
-
-    def time(self) -> float:
-        """The loop clock, in seconds."""
-        return self._now
-
-    def _wait(self, delay: float) -> None:
-        self._now += delay
+        self._wall = clock == "wall"
+        #: The loop clock, in seconds.
+        self.now = time.monotonic() if self._wall else 0.0
 
     def call_soon(self, fn: Callable, arg: Any) -> None:
         """Queue ``fn(arg)`` behind everything already ready."""
@@ -145,17 +141,22 @@ class EventLoop:
 
     def run(self) -> None:
         """Take turns until stopped (or until nothing is left to run)."""
-        ready, timers = self._ready, self._timers
-        clock, wait = self.time, self._wait
+        ready, timers, wall = self._ready, self._timers, self._wall
         while not self._stopping:
+            if wall:
+                self.now = time.monotonic()
             while timers and timers[0][2] is None:
                 heappop(timers)
             if timers:
                 if not ready:
-                    delay = timers[0][0] - clock()
+                    delay = timers[0][0] - self.now
                     if delay > 0:
-                        wait(delay)
-                due = clock() + CLOCK_RESOLUTION
+                        if wall:
+                            time.sleep(delay)
+                            self.now = time.monotonic()
+                        else:
+                            self.now += delay
+                due = self.now + CLOCK_RESOLUTION
                 while timers and timers[0][0] < due:
                     ready.append(heappop(timers))
             elif not ready:
@@ -244,31 +245,20 @@ class AsyncTransport:
         if type(request) is tuple:
             key, timeout = request
             self._parked[key] = task, loop.call_at(
-                loop.time() + timeout, self._unpark, key
+                loop.now + timeout, self._unpark, key
             )
         elif request is not None:
-            loop.call_at(loop.time() + request, self.step, task)
+            loop.call_at(loop.now + request, self.step, task)
 
     def _unpark(self, key: Key) -> None:
         self.step(self._parked.pop(key)[0])
 
     def deliver_now(self, key: Key) -> None:
         """Zero-latency wake (local events: injection, detector ticks):
-        a parked task resumes on the loop's next turn, any other finds
-        the flag at its next :meth:`wait`."""
-        if key not in self.woken:
-            return
-        self.woken[key] = True
-        parked = self._parked.pop(key, None)
-        if parked is not None:
-            parked[1].cancel()
-            self._loop.call_soon(self.step, parked[0])
-
-    def deliver_at(self, when: float, key: Key) -> None:
-        """Schedule a wake to land at loop time ``when``."""
+        it lands at once."""
         if key in self.woken:
             self.in_flight += 1
-            self._loop.call_at(when, self._land, key)
+            self._land(key)
 
     def deliver_with_retries(self, whens: Sequence[float], key: Key) -> None:
         """Schedule one wake with a retransmission ladder.
@@ -299,8 +289,16 @@ class AsyncTransport:
             handles.append(self._loop.call_at(when, _ack, i))
 
     def _land(self, key: Key) -> None:
+        """A wake counted in :attr:`in_flight` lands — as a timer
+        callback, or at once from :meth:`deliver_now`: a parked task
+        resumes on the loop's next turn, any other finds the flag at its
+        next :meth:`wait`."""
         self.in_flight -= 1
-        self.deliver_now(key)
+        self.woken[key] = True
+        parked = self._parked.pop(key, None)
+        if parked is not None:
+            parked[1].cancel()
+            self._loop.call_soon(self.step, parked[0])
 
     def wait(self, key: Key, timeout: float) -> Task:
         """Park on ``key``'s channel until a wake (or the timeout); a
@@ -369,7 +367,7 @@ class AsyncDriver:
 
     def now_t(self) -> Time:
         """Logical (round-unit) time of the driving clock."""
-        elapsed = self._loop.time() - self._t0
+        elapsed = self._loop.now - self._t0
         return int(elapsed / self.round_duration + 1e-9) + 1
 
     def _sync_time(self, t: Time) -> None:
@@ -383,7 +381,12 @@ class AsyncDriver:
     def _on_wake(self, woken: Any) -> None:
         """The host dirtied ``woken`` readers: route wakes through the
         channels.  Called synchronously from inside a fire (writer known)
-        or from driver-level events like send injection (writer None)."""
+        or from driver-level events like send injection (writer None).
+
+        A writer's wake to each other reader draws one channel latency,
+        takes the fault plan's verdict when one is installed, and becomes
+        one timer that lands it (:meth:`AsyncTransport._land`).
+        """
         transport = self._transport
         if transport is None:
             return
@@ -392,30 +395,28 @@ class AsyncDriver:
             for dst in woken:
                 transport.deliver_now(dst)
             return
-        now = self._loop.time()
-        t = self.now_t()
+        loop, injector, rng = self._loop, self.injector, self.rng
+        latency_of, land = self.delay.latency, transport._land
+        now, rd, s = loop.now, self.round_duration, src.index
+        if injector is not None:
+            t = self.now_t()
         for dst in woken:
             if dst == src:
                 # The writer re-checks itself on its next loop turn.
                 continue
-            self._deliver(src, dst, t, now)
-
-    def _deliver(self, src: Key, dst: Key, t: Time, now: float) -> None:
-        """Route one wake through the channel model + resilience layer."""
-        transport = self._transport
-        rd = self.round_duration
-        latency = self.delay.latency(src.index, dst.index, self.rng)
-        if self.injector is not None:
-            verdict = self.injector.on_send(src.index, dst.index, t)
-            if verdict.dropped:
-                transport.deliver_with_retries(
-                    self._retry_ladder(src, dst, t, verdict, latency), dst
-                )
-                return
-            latency += float(verdict.delay)
-            # Duplicated wakes would be harmless no-ops on an event
-            # channel; the verdict's copies need no realization.
-        transport.deliver_at(now + max(latency, 0.0) * rd, dst)
+            latency = latency_of(s, dst.index, rng)
+            if injector is not None:
+                verdict = injector.on_send(s, dst.index, t)
+                if verdict.dropped:
+                    transport.deliver_with_retries(
+                        self._retry_ladder(src, dst, t, verdict, latency), dst
+                    )
+                    continue
+                latency += float(verdict.delay)
+                # Duplicated wakes would be harmless no-ops on an event
+                # channel; the verdict's copies need no realization.
+            transport.in_flight += 1
+            loop.call_at(now + max(latency, 0.0) * rd, land, dst)
 
     def _retry_ladder(
         self,
@@ -438,7 +439,7 @@ class AsyncDriver:
         """
         transport = self._transport
         rd = self.round_duration
-        now = self._loop.time()
+        now = self._loop.now
         final = (
             now
             + (max(float(verdict.retransmit_at - t), 1.0) + latency) * rd
@@ -481,7 +482,7 @@ class AsyncDriver:
                 # substrate snapshot (the kernel backend exercises the
                 # explicit snapshot/restore path).
                 target = self._t0 + (rejoin - 1) * rd
-                yield max(target - self._loop.time(), rd)
+                yield max(target - self._loop.now, rd)
                 continue
             if injector is not None and injector.suppresses(key, t):
                 # Participation churn: sleep through the window.
@@ -514,7 +515,7 @@ class AsyncDriver:
         rd = self.round_duration
         for send in pending:
             target = max(send.at_round - 1, 0) * rd
-            remaining = self._t0 + target - loop.time()
+            remaining = self._t0 + target - loop.now
             if remaining > 0:
                 yield remaining
             t = self.now_t()
@@ -617,7 +618,7 @@ class AsyncDriver:
         keys = self._sched.sorted_keys
         loop = self._loop = EventLoop(self.clock)
         transport = self._transport = AsyncTransport(loop, keys)
-        self._t0 = loop.time()
+        self._t0 = loop.now
         self._stopped = self._quiescent = False
         self._fired_window = self._total_fired = self.sends_cursor = 0
         self.system.wake_listener = self._on_wake

@@ -27,6 +27,7 @@ The three paper-motivated shapes:
 from __future__ import annotations
 
 import random
+from math import log
 from typing import Any, Sequence, Tuple
 
 from repro.model.errors import SimulationError
@@ -67,7 +68,11 @@ class FixedDelay(DelayModel):
 
 
 class UniformDelay(DelayModel):
-    """Latency ~ Uniform[lo, hi] rounds on every channel."""
+    """Latency ~ Uniform[lo, hi] rounds on every channel.
+
+    The draw is ``rng.uniform(lo, hi)``'s formula, written out so a
+    virtual-clock replay depends on ``rng.random()`` alone.
+    """
 
     def __init__(self, lo: float, hi: float) -> None:
         if not (0 <= lo <= hi):
@@ -78,7 +83,7 @@ class UniformDelay(DelayModel):
         self.hi = float(hi)
 
     def latency(self, src: int, dst: int, rng: random.Random) -> float:
-        return rng.uniform(self.lo, self.hi)
+        return self.lo + (self.hi - self.lo) * rng.random()
 
     def spec(self) -> Tuple[Any, ...]:
         return ("uniform", self.lo, self.hi)
@@ -90,6 +95,10 @@ class ExponentialDelay(DelayModel):
     The cap keeps the model inside the admissible envelope the round
     world assumes — every wake lands within a known number of rounds,
     so quiescence detection and the fault-plan horizon stay meaningful.
+
+    The draw is ``rng.expovariate(1.0 / mean)``'s formula, written out
+    so a virtual-clock replay depends on ``rng.random()`` alone; it
+    divides by the rate, since multiplying by ``mean`` is not bit-equal.
     """
 
     def __init__(self, mean: float, cap: float) -> None:
@@ -97,9 +106,10 @@ class ExponentialDelay(DelayModel):
             raise SimulationError("exponential delay needs mean > 0, cap > 0")
         self.mean = float(mean)
         self.cap = float(cap)
+        self._rate = 1.0 / self.mean
 
     def latency(self, src: int, dst: int, rng: random.Random) -> float:
-        return min(rng.expovariate(1.0 / self.mean), self.cap)
+        return min(-log(1.0 - rng.random()) / self._rate, self.cap)
 
     def spec(self) -> Tuple[Any, ...]:
         return ("exponential", self.mean, self.cap)

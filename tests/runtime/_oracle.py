@@ -214,16 +214,19 @@ class _FifoTimer(asyncio.TimerHandle):
 
 
 class asyncio_loop:
-    """``EventLoop``'s surface — ``time`` / ``call_soon`` / ``call_at``
+    """``EventLoop``'s surface — ``now`` / ``call_soon`` / ``call_at``
     (cancellable) / ``stop`` / ``run`` — over a real asyncio loop."""
 
     def __init__(self, clock="virtual"):
         self._loop = asyncio.new_event_loop()
         if clock == "virtual":
             VirtualClock().install(self._loop)
-        self.time = self._loop.time
         self.call_soon = self._loop.call_soon
         self.stop = self._loop.stop
+
+    @property
+    def now(self):
+        return self._loop.time()
 
     def call_at(self, when, fn, arg):
         # ``BaseEventLoop.call_at`` with the handle class swapped.

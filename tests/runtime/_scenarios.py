@@ -11,14 +11,20 @@ This module defines, as *data plus builders*, every scenario the
   :class:`repro.metrics.trace.TraceRecorder` round stream;
 * **kernel scenarios** — Appendix-A automata (a ping/pong mesh and a
   replicated-log cluster), fingerprinted by their output queues, step
-  counts and message-buffer accounting.
+  counts and message-buffer accounting;
+* **async scenarios** — Algorithm 1 on the async driver's virtual clock,
+  Figure 1 and ``disjoint3x3`` under every delay-model kind, with and
+  without a ``full`` nemesis plan, fingerprinted by their
+  :class:`repro.model.RunRecord`, logical rounds and transport stats.
 
-``generate_golden.py`` ran these builders against the **pre-refactor**
-engine and kernel (commit 91a52c1) and froze the resulting hashes into
-``golden.json``; ``test_differential.py`` re-runs them against the
-current tree and compares.  A mismatch means the shared scheduler
-changed an observable schedule — the one thing the refactor promised
-not to do.
+``generate_golden.py`` ran the engine and kernel builders against the
+**pre-refactor** engine and kernel (commit 91a52c1) and froze the
+resulting hashes into ``golden.json``; ``test_differential.py`` re-runs
+them against the current tree and compares.  A mismatch means the shared
+scheduler changed an observable schedule — the one thing the refactor
+promised not to do.  The async entries were frozen before the driver's
+wake path became one timer per landing, and pin that schedule the same
+way: every latency draw, deadline and ``(when, seq)`` tie.
 """
 
 from __future__ import annotations
@@ -29,16 +35,20 @@ from dataclasses import asdict
 
 from repro.core import MulticastSystem
 from repro.core.group_sequential import AtomicMulticast
+from repro.faults.nemesis import random_plan
 from repro.groups import paper_figure1_topology
 from repro.model import crash_pattern, failure_free, make_processes, pset
 from repro.sim import Automaton, Kernel
 from repro.substrates import ReplicatedLogCluster
 from repro.workloads import (
+    ScenarioSpec,
     chain_topology,
     disjoint_topology,
     random_sends,
     ring_topology,
+    run_scenario,
 )
+from repro.workloads.spec import TopologySpec
 from tests.runtime._oracle import force_scan, process_scoped
 
 #: Seeds of the differential matrix (acceptance floor: >= 20).
@@ -245,5 +255,75 @@ def _replog_runner(pattern_name, seed):
             force_scan(kernel)
         kernel.run(40)
         return kernel
+
+    return run
+
+
+# -- Async scenarios ----------------------------------------------------------
+
+#: The async cells' topologies: the paper's intersecting example and a
+#: disjoint one (no intersection logs, so every wake is a group wake).
+ASYNC_TOPOLOGIES = (
+    ("figure1", paper_figure1_topology),
+    ("disjoint3x3", lambda: disjoint_topology(3, 3)),
+)
+
+#: One spec per delay-model kind.  ``fixed`` makes nearly every deadline
+#: tie, so it pins the ``(when, seq)`` order; ``exponential`` is capped
+#: at 2 so the cap binds; ``slow_pairs`` slows one directed pair each way.
+ASYNC_DELAY_MODELS = (
+    ("fixed", ("fixed", 0.5)),
+    ("uniform", ("uniform", 0.1, 0.9)),
+    ("exponential", ("exponential", 1.0, 2.0)),
+    ("slow_pairs", ("slow_pairs", 4.0, ((1, 2), (2, 1)), 0.1, 0.9)),
+)
+
+#: The async cells' run and plan seed.  Its ``full`` plan drops links
+#: on both topologies, so the retransmission ladder is pinned too.
+ASYNC_SEED = 8
+
+
+def async_fingerprint(result):
+    """Record, rounds and transport stats of one async run."""
+    return {
+        "record": canonical_hash(record_fingerprint(result.record)),
+        "rounds": result.rounds,
+        "transport": dict(result.transport_stats),
+    }
+
+
+def async_scenarios():
+    """Yield ``(key, run)``; ``run()`` returns the ``ScenarioResult`` of
+    one virtual-clock async cell."""
+    for topo_name, factory in ASYNC_TOPOLOGIES:
+        for delay_name, delay in ASYNC_DELAY_MODELS:
+            for mix in ("none", "full"):
+                key = f"async:{topo_name}:{delay_name}:{mix}"
+                yield key, _async_runner(factory, delay, mix)
+
+
+def _async_runner(factory, delay, mix):
+    def run():
+        topology = factory()
+        captured = TopologySpec.capture(topology)
+        plan = None
+        if mix == "full":
+            plan = random_plan(
+                ASYNC_SEED,
+                mix,
+                process_count=captured.process_count,
+                groups=tuple(name for name, _ in captured.groups),
+                horizon=12,
+            )
+        spec = ScenarioSpec(
+            topology=captured,
+            sends=tuple(random_sends(topology, 12, seed=ASYNC_SEED)),
+            seed=ASYNC_SEED,
+            max_rounds=300,
+            backend="async",
+            delay_model=delay,
+            faults=plan,
+        )
+        return run_scenario(spec)
 
     return run

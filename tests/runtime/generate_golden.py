@@ -15,7 +15,9 @@ DESIGN.md §13 policy (2): in PR 20 (the §4.3 consensus deliberately
 sends fewer datagrams), in PR 21 (a log slot decides a batch) and in
 PR 23 (a learner does not relay DECIDE); CHANGES.md lists the keys and
 the reason each time, and ``tests/substrates/replog3_pr2*.json`` keep
-the retired values for the oracles to reproduce.
+the retired values for the oracles to reproduce.  The 16 ``async:*``
+fingerprints were recorded before the async driver's wake path was
+folded into one timer per landing; that change replays them unchanged.
 
 Regenerate only for such a deliberate, documented behaviour change, in
 the PR that makes it — never to paper over a differential failure.
@@ -33,6 +35,8 @@ sys.path.insert(
 )
 
 from _scenarios import (  # noqa: E402
+    async_fingerprint,
+    async_scenarios,
     canonical_hash,
     engine_scenarios,
     kernel_fingerprint,
@@ -45,7 +49,7 @@ OUT = os.path.join(os.path.dirname(__file__), "golden.json")
 
 
 def main() -> None:
-    golden = {"engine": {}, "kernel": {}}
+    golden = {"async": {}, "engine": {}, "kernel": {}}
     for key, run in engine_scenarios():
         system = run(scan=True)
         golden["engine"][key] = {
@@ -59,12 +63,15 @@ def main() -> None:
             "outputs": canonical_hash(kernel_fingerprint(kernel)),
             "steps": sum(kernel.steps_taken.values()),
         }
+    for key, run in async_scenarios():
+        golden["async"][key] = async_fingerprint(run())
     with open(OUT, "w", encoding="utf-8") as fh:
         json.dump(golden, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(
         f"wrote {OUT}: {len(golden['engine'])} engine + "
-        f"{len(golden['kernel'])} kernel scenarios"
+        f"{len(golden['kernel'])} kernel + "
+        f"{len(golden['async'])} async scenarios"
     )
 
 

@@ -11,7 +11,9 @@ pieces in isolation so a regression names its layer.
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 import time
 
 import pytest
@@ -33,6 +35,7 @@ from repro.runtime.delay import (
     canonical_delay_spec,
     parse_delay_model,
 )
+from tests.runtime._scenarios import async_scenarios
 
 
 class TestDelayModels:
@@ -114,6 +117,66 @@ class TestDelayModels:
             parse_delay_model("warp:9")
 
 
+#: (model, the stdlib draw it must equal bit for bit).  The exponential
+#: sets include caps that bind often (mean 1, cap 2) and almost never.
+STDLIB_DRAWS = [
+    (UniformDelay(0.1, 0.9), lambda rng: rng.uniform(0.1, 0.9)),
+    (UniformDelay(0.0, 3.7), lambda rng: rng.uniform(0.0, 3.7)),
+    (UniformDelay(0.5, 0.5), lambda rng: rng.uniform(0.5, 0.5)),
+    (
+        ExponentialDelay(1.0, 8.0),
+        lambda rng: min(rng.expovariate(1 / 1.0), 8.0),
+    ),
+    (
+        ExponentialDelay(1.0, 2.0),
+        lambda rng: min(rng.expovariate(1 / 1.0), 2.0),
+    ),
+    (
+        ExponentialDelay(0.3, 50.0),
+        lambda rng: min(rng.expovariate(1 / 0.3), 50.0),
+    ),
+    (
+        ExponentialDelay(2.5, 4.0),
+        lambda rng: min(rng.expovariate(1 / 2.5), 4.0),
+    ),
+]
+
+
+class TestDelayFormulas:
+    """The uniform and exponential draws are the stdlib's formulas,
+    written out in ``repro.runtime.delay``.  So the formula is the
+    repository's own: a CPython change to ``uniform`` or
+    ``expovariate`` can no longer move a virtual-clock replay.  These
+    twin-seed runs pin that the written-out forms are bit-equal to the
+    stdlib calls they replaced, and so replay every recorded run."""
+
+    DRAWS = 10_000
+
+    @pytest.mark.parametrize(
+        "model, stdlib",
+        STDLIB_DRAWS,
+        ids=[repr(model.spec()) for model, _ in STDLIB_DRAWS],
+    )
+    def test_bit_equal_to_the_stdlib_draw(self, model, stdlib):
+        ours, theirs = random.Random(11), random.Random(11)
+        drawn = [model.latency(1, 2, ours) for _ in range(self.DRAWS)]
+        assert drawn == [stdlib(theirs) for _ in range(self.DRAWS)]
+        if isinstance(model, ExponentialDelay) and model.cap <= 4 * model.mean:
+            assert drawn.count(model.cap) > 0  # the cap binds
+
+    def test_slow_pairs_bit_equal_to_the_stdlib_draw(self):
+        slow = [(1, 2), (3, 3)]
+        model = SlowPairsDelay(4.0, slow, lo=0.2, hi=1.1)
+        channels = [(1, 2), (2, 1), (3, 3), (4, 5)]
+        ours, theirs = random.Random(12), random.Random(12)
+        for i in range(self.DRAWS):
+            src, dst = channels[i % len(channels)]
+            expected = theirs.uniform(0.2, 1.1)
+            if (src, dst) in slow:
+                expected *= 4.0
+            assert model.latency(src, dst, ours) == expected
+
+
 class TestDerivedSeed:
     def test_pure_function_of_seed_and_spec(self):
         spec = ("uniform", 0.1, 0.9)
@@ -128,21 +191,21 @@ class TestVirtualClock:
     def test_sleep_advances_virtual_time_instantly(self):
         loop = EventLoop("virtual")
         transport = AsyncTransport(loop, [])
-        start = loop.time()
+        start = loop.now
         began = time.monotonic()
         transport.step(iter([1000.0]))
         loop.run()
-        assert loop.time() - start >= 1000.0
+        assert loop.now - start >= 1000.0
         assert time.monotonic() - began < 5.0
 
     def test_timer_ordering_is_preserved(self):
         loop = EventLoop("virtual")
         order = []
-        loop.call_at(loop.time() + 5.0, order.append, "late")
-        loop.call_at(loop.time() + 1.0, order.append, "early")
+        loop.call_at(loop.now + 5.0, order.append, "late")
+        loop.call_at(loop.now + 1.0, order.append, "early")
         loop.run()
         assert order == ["early", "late"]
-        assert loop.time() >= 5.0
+        assert loop.now >= 5.0
 
 
 class TestAsyncTransport:
@@ -161,8 +224,11 @@ class TestAsyncTransport:
         assert finished, "the scenario never ran to its end"
 
     def test_deliver_at_tracks_in_flight(self):
+        """A wake timed to land at a given instant (a one-rung ladder)
+        is in flight until it lands."""
+
         def scenario(loop, transport):
-            transport.deliver_at(loop.time() + 2.0, "a")
+            transport.deliver_with_retries([loop.now + 2.0], "a")
             assert transport.in_flight == 1
             yield 3.0
             assert transport.in_flight == 0
@@ -173,24 +239,24 @@ class TestAsyncTransport:
     def test_wait_consumes_the_wake(self):
         def scenario(loop, transport):
             transport.deliver_now("a")
-            before = loop.time()
+            before = loop.now
             yield from transport.wait("a", timeout=1.0)
             # Consumed without suspending: no time passed.
-            assert loop.time() == before
+            assert loop.now == before
             assert not transport.woken["a"]
             # A wake that finds the task parked resumes it early.
-            transport.deliver_at(loop.time() + 0.5, "a")
+            transport.deliver_with_retries([loop.now + 0.5], "a")
             yield from transport.wait("a", timeout=4.0)
-            assert loop.time() - before == 0.5
+            assert loop.now - before == 0.5
             assert not transport.woken["a"]
 
         self._run(scenario, ["a"])
 
     def test_wait_times_out_quietly(self):
         def scenario(loop, transport):
-            before = loop.time()
+            before = loop.now
             yield from transport.wait("a", timeout=2.0)
-            assert loop.time() - before >= 2.0
+            assert loop.now - before >= 2.0
             assert not transport.woken["a"]
 
         self._run(scenario, ["a"])
@@ -198,8 +264,7 @@ class TestAsyncTransport:
     def test_unknown_destination_is_a_noop(self):
         def scenario(loop, transport):
             transport.deliver_now("ghost")
-            transport.deliver_at(loop.time() + 1.0, "ghost")
-            transport.deliver_with_retries([loop.time() + 1.0], "ghost")
+            transport.deliver_with_retries([loop.now + 1.0], "ghost")
             assert transport.in_flight == 0
             assert "ghost" not in transport.woken
             yield 2.0
@@ -264,3 +329,55 @@ class TestDriverValidation:
             "acked",
             "retries_cancelled",
         }
+
+
+#: Frames of ``runtime/async_driver.py`` and ``runtime/delay.py`` per
+#: landed wake or fire on :func:`test_wake_cost_ledger`'s cell: the
+#: measured 4.91 plus 10 %.
+WAKE_FRAMES_CEILING = 5.40
+
+
+def test_wake_cost_ledger():
+    """The async driver's own frames per landed wake or fire.
+
+    The golden Figure 1 ``exponential`` cell without a plan
+    (``tests/runtime/_scenarios.py``) runs under ``sys.setprofile``.
+    The ledger counts ``call`` events (generator resumptions included)
+    whose code lives in ``runtime/async_driver.py`` or
+    ``runtime/delay.py``, and divides by the wakes that landed (every
+    landing, timed or zero-latency, runs ``AsyncTransport._land`` once)
+    plus the actors' fires.  Only the repository's own frames count, so
+    no stdlib frame (``random``, ``heapq``) moves the number between
+    Python versions.
+
+    With a wake routed ``_on_wake`` → ``_deliver`` → ``latency`` →
+    ``expovariate`` → ``deliver_at`` → ``call_at``, landed by ``_land``
+    → ``deliver_now``, and the loop clock read through ``EventLoop.time()``,
+    this cell read 12.02 (``deliver_now`` counting the landings).
+    """
+    run = dict(async_scenarios())["async:figure1:exponential:none"]
+    own = tuple(
+        os.path.join("runtime", name) for name in ("async_driver.py", "delay.py")
+    )
+    actors = os.path.join("runtime", "actors.py")
+    counts = {"own": 0, "landed": 0, "fires": 0}
+
+    def profile(frame, event, _arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code.co_filename.endswith(own):
+            counts["own"] += 1
+            if code.co_name == "_land":
+                counts["landed"] += 1
+        elif code.co_name == "fire" and code.co_filename.endswith(actors):
+            counts["fires"] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    assert result.delivered_everywhere() and counts["landed"] > 0
+    per_event = counts["own"] / (counts["landed"] + counts["fires"])
+    assert per_event <= WAKE_FRAMES_CEILING, counts

@@ -17,7 +17,10 @@ These tests re-run the same scenarios on the current tree and demand:
   accounting (``sent_count`` / ``received_count`` — this is also the
   satellite guarantee that the crash-time-driven drop schedule changes
   no message count), with the scan oracle additionally pinned to the
-  exact pre-refactor step total.
+  exact pre-refactor step total;
+* **async, virtual clock** — identical :class:`RunRecord`, logical
+  rounds and transport stats, recorded before the driver's wake path
+  became one timer per landing.
 
 "Scan" is no run-time mode: it is the seed loops' full-scan round body,
 kept in ``_oracle.py`` and bound over ``Scheduler.round`` by
@@ -40,6 +43,8 @@ import os
 import pytest
 
 from tests.runtime._scenarios import (
+    async_fingerprint,
+    async_scenarios,
     canonical_hash,
     engine_scenarios,
     kernel_fingerprint,
@@ -54,6 +59,7 @@ with open(GOLDEN_PATH, encoding="utf-8") as fh:
 
 ENGINE_RUNS = dict(engine_scenarios())
 KERNEL_RUNS = dict(kernel_scenarios())
+ASYNC_RUNS = dict(async_scenarios())
 
 
 def test_matrix_meets_acceptance_floor():
@@ -65,6 +71,7 @@ def test_matrix_meets_acceptance_floor():
     assert any(":participation:" in k for k in keys)
     assert set(ENGINE_RUNS) == keys
     assert set(KERNEL_RUNS) == set(GOLDEN["kernel"])
+    assert set(ASYNC_RUNS) == set(GOLDEN["async"])
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN["engine"]))
@@ -94,3 +101,8 @@ def test_kernel_matches_pre_refactor(key):
     # and dropping crashed inboxes by schedule change no observable.
     assert canonical_hash(kernel_fingerprint(event)) == golden["outputs"]
     assert sum(event.steps_taken.values()) <= golden["steps"]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN["async"]))
+def test_async_matches_golden(key):
+    assert async_fingerprint(ASYNC_RUNS[key]()) == GOLDEN["async"][key]

@@ -51,7 +51,7 @@ class TestTurnRule:
         loop = EventLoop()
         seen = []
         head = loop.call_at(1.0, seen.append, "cancelled")
-        loop.call_at(3.0, lambda _: seen.append(loop.time()), None)
+        loop.call_at(3.0, lambda _: seen.append(loop.now), None)
         head.cancel()
         loop.run()
         # One advance, 0 -> 3: the clock never rested at the dead deadline.
@@ -89,11 +89,11 @@ class TestTurnRule:
         loop.call_at(2.0, seen.append, "later")
         with pytest.raises(RuntimeError):
             loop.run()
-        assert loop.time() == 1.0 and seen == []
+        assert loop.now == 1.0 and seen == []
 
     def test_wall_clock_really_sleeps(self):
         loop = EventLoop("wall")
-        begin = loop.time()
+        begin = loop.now
         assert fired_on(loop, [("late", begin + 0.005)], begin + 0.01) == ["late"]
         assert 0.01 <= time.monotonic() - begin < 1.0
 
