@@ -188,23 +188,24 @@ class Algorithm1Process:
         entries between that prefix and ``m`` can still move, and are
         checked afresh on every call.
         """
-        rank = log.rank(m)
+        shared = log.log
+        rank = shared.rank(m)
         key = (log, threshold)
         cursor = self._order_cursors.get(key, 0)
         if rank <= cursor:
             return True
         phase = self.phase
-        settled = min(log.settled, rank)
-        while (
-            cursor < settled
-            and phase.get(log.message_at(cursor).mid, START) >= threshold
-        ):
+        order = shared.order
+        settled = shared.settled
+        if settled > rank:
+            settled = rank
+        while cursor < settled and phase.get(order[cursor][1].mid, START) >= threshold:
             cursor += 1
         self._order_cursors[key] = cursor
         if cursor < settled:
             return False
         for r in range(settled, rank):
-            if phase.get(log.message_at(r).mid, START) < threshold:
+            if phase.get(order[r][1].mid, START) < threshold:
                 return False
         return True
 

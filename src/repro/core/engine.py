@@ -234,8 +234,9 @@ class MulticastSystem(RoundHost):
         necessity constructions (§5) behave as in the message-passing
         model: silent processes cannot be part of a responsive quorum.
         """
-        required = self.mu.sigma_of(scope).query(caller, self.time)
-        available = required <= self._scheduler.responders
+        scheduler = self._scheduler
+        required = self.mu.sigma_of(scope).query(caller, scheduler.time)
+        available = required <= scheduler.responders
         self.tracer.note_quorum_query(available)
         return available
 

@@ -20,7 +20,7 @@ so concurrent helpers are harmless.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from repro.core.algorithm1 import Algorithm1Process
 from repro.core.engine import MulticastSystem
@@ -44,26 +44,25 @@ class AtomicMulticast:
 
     def __init__(self, system: MulticastSystem) -> None:
         self.system = system
-        self._lists: Dict[Group, LogHandle] = {}
-        self._pushed: Set[Tuple[ProcessId, MessageId]] = set()
-        #: Per (process, group), how many leading entries of ``L_g`` the
-        #: process has delivered.
-        self._frontier: Dict[Tuple[ProcessId, Group], int] = {}
-        system.add_component(self._reduction_actions)
-
-    # -- The shared lists L_g ----------------------------------------------------
-
-    def _list_of(self, g: Group) -> LogHandle:
-        handle = self._lists.get(g)
-        if handle is None:
-            handle = LogHandle(
+        #: The shared lists ``L_g``, one per group.
+        self._lists: Dict[Group, LogHandle] = {
+            g: LogHandle(
                 Log(f"L_{g.name}"),
                 g.members,
-                self.system._charge,
-                on_write=self.system._on_object_write,
+                system._charge,
+                on_write=system._on_object_write,
             )
-            self._lists[g] = handle
-        return handle
+            for g in system.topology.groups
+        }
+        self._pushed: Set[Tuple[ProcessId, MessageId]] = set()
+        #: Per process, one ``[arrivals, frontier]`` feed per group ``g``
+        #: of it: the live entry list of ``L_g`` (append-only) and how
+        #: many leading entries of it the process has delivered.
+        self._feeds: Dict[ProcessId, List[List[Any]]] = {
+            p: [[self._lists[g].arrivals, 0] for g in algo.my_groups]
+            for p, algo in system.processes.items()
+        }
+        system.add_component(self._reduction_actions)
 
     # -- Client interface ----------------------------------------------------------
 
@@ -80,7 +79,7 @@ class AtomicMulticast:
             )
         message = self.system.factory.multicast(src, g.members, payload)
         self.system.record.note_multicast(self.system.time, src, message)
-        self._list_of(g).append(src, message)
+        self._lists[g].append(src, message)
         return message
 
     # -- The helping component, ticked by the engine -------------------------------
@@ -89,22 +88,17 @@ class AtomicMulticast:
         """Push the first locally-undelivered entry of each ``L_g``."""
         fired = 0
         algo: Algorithm1Process = self.system.processes[pid]
-        for g in algo.my_groups:
-            handle = self._lists.get(g)
-            if handle is None:
-                continue
+        phase = algo.phase
+        for feed in self._feeds[pid]:
             # L_g is only appended to, never bumped: arrival order is its
             # <_L order, and the deliver phase is terminal, so the entries
             # behind the frontier stay delivered.
-            entries = handle.arrivals
-            first = self._frontier.get((pid, g), 0)
-            while (
-                first < len(entries)
-                and algo.phase.get(entries[first].mid) == DELIVER
-            ):
+            entries, first = feed
+            size = len(entries)
+            while first < size and phase.get(entries[first].mid) == DELIVER:
                 first += 1  # move on to the next entry of L_g
-            self._frontier[(pid, g)] = first
-            if first == len(entries):
+            feed[1] = first
+            if first == size:
                 continue
             message = entries[first]  # wait for it before pushing the next
             key = (pid, message.mid)

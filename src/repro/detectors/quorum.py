@@ -71,9 +71,11 @@ class SigmaOracle(OracleDetector):
         (return ``⊥`` outside ``P``) is layered on by
         :class:`repro.detectors.restriction.Restricted`.
         """
-        if not self._scope_correct:
+        if not self._scope_correct or not self.instants:
             # Entire scope eventually crashes: Liveness is vacuous, keep
-            # Intersection by answering the constant full scope.
+            # Intersection by answering the constant full scope.  With no
+            # crash or recovery in the scope, the full scope is also what
+            # the epoch path below would compute: everyone, always alive.
             return self.scope
         epoch = bisect_right(self.instants, t)
         sample = self._samples.get(epoch)

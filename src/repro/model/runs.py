@@ -73,16 +73,18 @@ class RunRecord:
         self.pattern = pattern
         self.multicasts: List[MulticastEvent] = []
         self.deliveries: List[DeliveryEvent] = []
-        # Steps are kept as parallel arrays: the step flood (invoker +
-        # every carrier, per shared-object operation) dominates record
-        # growth, and four flat lists append an order of magnitude
-        # faster than one frozen dataclass per charge.  ``steps``
-        # materializes the Step view lazily for checkers and tests.
-        self._step_times: List[Time] = []
-        self._step_procs: List[ProcessId] = []
-        self._step_received: List[Optional[str]] = []
-        self._step_samples: List[Any] = []
-        self._steps_cache: Optional[List[Step]] = None
+        # Steps are kept as one ``(time, processes, received, sample)``
+        # entry per charge: the step flood (invoker + every carrier, per
+        # shared-object operation) dominates record growth, and one
+        # tuple append per operation is far cheaper than one frozen
+        # dataclass per step.  ``steps`` materializes the Step view
+        # lazily for checkers and tests.
+        self._entries: List[
+            Tuple[Time, Tuple[ProcessId, ...], Optional[str], Any]
+        ] = []
+        self._steps_cache: List[Step] = []
+        #: How many entries ``_steps_cache`` has flattened so far.
+        self._steps_flattened = 0
         self._local_orders: Dict[ProcessId, List[MulticastMessage]] = {}
         self._delivery_times: Dict[Tuple[ProcessId, Any], Time] = {}
         self._times_by_mid: Dict[Any, Dict[ProcessId, Time]] = {}
@@ -115,29 +117,25 @@ class RunRecord:
         received: Optional[str] = None,
         detector_sample: Any = None,
     ) -> None:
-        self._step_times.append(time)
-        self._step_procs.append(process)
-        self._step_received.append(received)
-        self._step_samples.append(detector_sample)
+        self._entries.append((time, (process,), received, detector_sample))
         self._step_counts[process] = self._step_counts.get(process, 0) + 1
 
     def note_steps(
         self,
         time: Time,
-        processes: Sequence[ProcessId],
+        processes: Tuple[ProcessId, ...],
         received: Optional[str] = None,
     ) -> None:
         """One :meth:`note_step` per process, in order, as one write.
 
         A shared-object operation charges its invoker and every carrier
         at once (:mod:`repro.objects.space`); this is that flood's entry
-        point.
+        point.  The entry keeps ``processes`` itself, so any other
+        sequence than a tuple is copied first.
         """
-        n = len(processes)
-        self._step_times.extend([time] * n)
-        self._step_procs.extend(processes)
-        self._step_received.extend([received] * n)
-        self._step_samples.extend([None] * n)
+        if type(processes) is not tuple:
+            processes = tuple(processes)
+        self._entries.append((time, processes, received, None))
         counts = self._step_counts
         for process in processes:
             try:
@@ -149,22 +147,19 @@ class RunRecord:
     def steps(self) -> List[Step]:
         """The recorded steps as :class:`Step` objects (lazy view).
 
-        Materialized from the parallel arrays on first access and cached
-        until further steps arrive; treat the returned list as
-        read-only.
+        Flattened from the per-charge entries on access, extending the
+        cached list by the entries recorded since; treat the returned
+        list as read-only.
         """
         cache = self._steps_cache
-        if cache is None or len(cache) != len(self._step_times):
-            cache = [
+        entries = self._entries
+        if self._steps_flattened < len(entries):
+            cache.extend(
                 Step(t, p, r, d)
-                for t, p, r, d in zip(
-                    self._step_times,
-                    self._step_procs,
-                    self._step_received,
-                    self._step_samples,
-                )
-            ]
-            self._steps_cache = cache
+                for t, ps, r, d in entries[self._steps_flattened :]
+                for p in ps
+            )
+            self._steps_flattened = len(entries)
         return cache
 
     # -- Derived queries (used by checkers and metrics) -------------------
@@ -216,5 +211,5 @@ class RunRecord:
         return (
             f"RunRecord({len(self.multicasts)} multicasts, "
             f"{len(self.deliveries)} deliveries, "
-            f"{len(self._step_times)} steps)"
+            f"{sum(self._step_counts.values())} steps)"
         )

@@ -35,6 +35,10 @@ locked — its length is :attr:`Log.settled` — never changes again:
 
 So ``messages()[r]`` is final for every ``r < settled``, which is what
 lets a reader keep a cursor over the prefix instead of rescanning it.
+
+Records are filed at insertion too: per message head, the ``(m, h, i)``
+rows and the ``(m, h)`` rows each keep their own tuple in slot order, so
+the per-message accessors return a stored tuple.
 """
 
 from __future__ import annotations
@@ -61,22 +65,29 @@ class Log:
         self._locked: Set[Any] = set()
         self._head = 1
         #: ``(slot, item)`` of every message item, sorted — the ``<_L``
-        #: order.  ``append`` pushes at the tail (the head slot exceeds
-        #: every occupied one); ``bump_and_lock`` re-keys one entry.
-        self._message_keys: List[Tuple[int, Any]] = []
+        #: order, so ``order[r][1]`` is ``messages()[r]``.  ``append``
+        #: pushes at the tail (the head slot exceeds every occupied one);
+        #: ``bump_and_lock`` re-keys one entry.  Readers index it in
+        #: place and never mutate it.
+        self.order: List[Tuple[int, Any]] = []
         #: ``messages()`` as a tuple; dropped when a message item moves.
         self._messages_cache: Optional[Tuple[Any, ...]] = ()
-        #: Length of the longest all-locked prefix of ``_message_keys``.
-        self._settled = 0
+        #: Length of the longest all-locked prefix of ``order``.
+        #: Monotone, and ``order[r]`` never changes once ``r < settled``
+        #: (see the module docstring).
+        self.settled = 0
         #: The message items in append order.  Append-only: readers keep
         #: an index into it and read only what arrived since.
         self.arrivals: List[Any] = []
         #: ``records()`` as a tuple; dropped when a record arrives or moves.
         self._records_cache: Optional[Tuple[Tuple[Any, ...], ...]] = ()
-        #: Tuple-shaped records indexed by their head element (the
-        #: message id), in insertion order — the per-message accessors
-        #: sort these few rows instead of filtering every record.
-        self._records_by_head: Dict[Any, List[Tuple[Any, ...]]] = {}
+        #: The records of each ``(head, arity)`` in slot order, ties in
+        #: append order — what the per-message accessors return.  An
+        #: append lands last; a bump re-sorts only its own row tuple.
+        self._rows: Dict[Tuple[Any, int], Tuple[Tuple[Any, ...], ...]] = {}
+        #: The append slot of each record a bump moved: slot ties among
+        #: rows break on it (append slots grow with append order).
+        self._record_origins: Dict[Tuple[Any, ...], int] = {}
 
     # -- Core interface (§4.3) -------------------------------------------
 
@@ -94,9 +105,11 @@ class Log:
         if isinstance(datum, tuple):
             self._records_cache = None
             if datum:
-                self._records_by_head.setdefault(datum[0], []).append(datum)
+                rows = self._rows
+                key = (datum[0], len(datum))
+                rows[key] = rows.get(key, ()) + (datum,)
         else:
-            self._message_keys.append((position, datum))
+            self.order.append((position, datum))
             self._messages_cache = None
             self.arrivals.append(datum)
         return position
@@ -126,18 +139,33 @@ class Log:
             self._head = final + 1
         if isinstance(datum, tuple):
             self._records_cache = None
+            if final != current and datum:
+                self._refile(datum, current)
             return final
-        keys = self._message_keys
+        keys = self.order
         if final != current:
             del keys[bisect_left(keys, (current, datum))]
             insort(keys, (final, datum))
             self._messages_cache = None
-        settled = self._settled
+        settled = self.settled
         locked = self._locked
         while settled < len(keys) and keys[settled][1] in locked:
             settled += 1
-        self._settled = settled
+        self.settled = settled
         return final
+
+    def _refile(self, record: Tuple[Any, ...], origin: int) -> None:
+        """Re-sort the rows of ``record``'s head and arity after a bump
+        moved it away from ``origin``, its append slot."""
+        positions, origins = self._positions, self._record_origins
+        origins[record] = origin
+        key = (record[0], len(record))
+        self._rows[key] = tuple(
+            sorted(
+                self._rows[key],
+                key=lambda r: (positions[r], origins.get(r, positions[r])),
+            )
+        )
 
     def locked(self, datum: Any) -> bool:
         """Whether ``datum`` is locked in the log."""
@@ -167,7 +195,7 @@ class Log:
         records as tuples).
         """
         if self._messages_cache is None:
-            self._messages_cache = tuple(item for _, item in self._message_keys)
+            self._messages_cache = tuple(item for _, item in self.order)
         return self._messages_cache
 
     def rank(self, message: Any) -> int:
@@ -177,20 +205,7 @@ class Log:
             raise SpecificationError(
                 f"{self.name}: rank of absent message {message!r}"
             )
-        return bisect_left(self._message_keys, (position, message))
-
-    def message_at(self, rank: int) -> Any:
-        """``messages()[rank]``, without materializing the tuple."""
-        return self._message_keys[rank][1]
-
-    @property
-    def settled(self) -> int:
-        """Length of the longest all-locked prefix of ``messages()``.
-
-        Monotone, and ``messages()[r]`` never changes once ``r < settled``
-        (see the module docstring).
-        """
-        return self._settled
+        return bisect_left(self.order, (position, message))
 
     def messages_before(self, datum: Any) -> Tuple[Any, ...]:
         """Messages ``m'`` with ``m' <_L datum``; ``()`` unless ``datum``
@@ -209,21 +224,11 @@ class Log:
 
     def position_records_for(self, message: Any) -> Tuple[Tuple[Any, Any, int], ...]:
         """Records ``(m, h, i)`` of ``message`` (written at line 14)."""
-        rows = self._records_by_head.get(message)
-        if not rows:
-            return ()
-        out = [r for r in rows if len(r) == 3]
-        out.sort(key=lambda r: self._positions[r])
-        return tuple(out)
+        return self._rows.get((message, 3), ())
 
     def stabilization_records_for(self, message: Any) -> Tuple[Tuple[Any, Any], ...]:
         """Records ``(m, h)`` of ``message`` (written at line 29)."""
-        rows = self._records_by_head.get(message)
-        if not rows:
-            return ()
-        out = [r for r in rows if len(r) == 2]
-        out.sort(key=lambda r: self._positions[r])
-        return tuple(out)
+        return self._rows.get((message, 2), ())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.name}[{len(self._positions)} items, head={self._head}]"

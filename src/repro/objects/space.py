@@ -112,11 +112,6 @@ class LogHandle:
             Tuple[ProcessId, str, str], Tuple[Tuple[ProcessId, ...], str]
         ] = {}
 
-    def _notify_write(self) -> None:
-        """Report a mutation to the runtime (drives the wake index)."""
-        if self._on_write is not None:
-            self._on_write(self.log.name)
-
     @property
     def name(self) -> str:
         return self.log.name
@@ -146,12 +141,14 @@ class LogHandle:
 
     def append(self, caller: ProcessId, datum: Any) -> int:
         self._bill(caller, "append", self.carriers)
-        self._notify_write()
+        if self._on_write is not None:
+            self._on_write(self.log.name)
         return self.log.append(datum)
 
     def bump_and_lock(self, caller: ProcessId, datum: Any, k: int) -> int:
         self._bill(caller, "bumpAndLock", self.carriers)
-        self._notify_write()
+        if self._on_write is not None:
+            self._on_write(self.log.name)
         return self.log.bump_and_lock(datum, k)
 
     # -- Reads (free) --------------------------------------------------------
@@ -173,16 +170,6 @@ class LogHandle:
 
     def messages_before(self, datum: Any) -> Tuple[Any, ...]:
         return self.log.messages_before(datum)
-
-    def rank(self, message: Any) -> int:
-        return self.log.rank(message)
-
-    def message_at(self, rank: int) -> Any:
-        return self.log.message_at(rank)
-
-    @property
-    def settled(self) -> int:
-        return self.log.settled
 
     @property
     def arrivals(self) -> List[Any]:
@@ -268,12 +255,14 @@ class IntersectionLogHandle(LogHandle):
 
     def append(self, caller: ProcessId, datum: Any) -> int:
         self._bill_op(caller, "append", ("append", datum))
-        self._notify_write()
+        if self._on_write is not None:
+            self._on_write(self.log.name)
         return self.log.append(datum)
 
     def bump_and_lock(self, caller: ProcessId, datum: Any, k: int) -> int:
         self._bill_op(caller, "bumpAndLock", ("bumpAndLock", datum, k))
-        self._notify_write()
+        if self._on_write is not None:
+            self._on_write(self.log.name)
         return self.log.bump_and_lock(datum, k)
 
 

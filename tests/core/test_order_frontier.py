@@ -21,7 +21,7 @@ from repro.faults.nemesis import random_plan
 from repro.groups import paper_figure1_topology
 from repro.model import failure_free, make_processes, pset
 from repro.model.messages import MessageFactory
-from repro.objects.space import LogHandle, ObjectSpace
+from repro.objects.space import ObjectSpace
 from repro.workloads import (
     ScenarioSpec,
     Send,
@@ -65,22 +65,34 @@ BACKENDS = {
 }
 
 
-class MonotonePhases(dict):
-    """``PHASE`` with the premise of the cursor asserted on every write."""
-
-    def __setitem__(self, mid, phase):
-        assert phase >= self.get(mid, START), f"PHASE[{mid}] lowered to {phase}"
-        super().__setitem__(mid, phase)
-
-
 class OrderWaitAudit:
     """What the checked runs saw: outcomes per call, entries visited."""
 
     def __init__(self):
         self.outcomes = {True: 0, False: 0}
+        #: Log entries whose phase an order wait read.
         self.visited = 0
+        #: Whether an order wait is running (its ``PHASE`` reads count).
+        self.waiting = False
         #: (process, log, threshold) triples that were waited on.
         self.waits = set()
+
+
+class MonotonePhases(dict):
+    """``PHASE`` with the premise of the cursor asserted on every write,
+    and the reads an order wait makes — one per entry it visits — counted
+    into ``audit``."""
+
+    audit = None
+
+    def __setitem__(self, mid, phase):
+        assert phase >= self.get(mid, START), f"PHASE[{mid}] lowered to {phase}"
+        super().__setitem__(mid, phase)
+
+    def get(self, mid, default=None):
+        if self.audit is not None and self.audit.waiting:
+            self.audit.visited += 1
+        return super().get(mid, default)
 
 
 @pytest.fixture
@@ -88,10 +100,13 @@ def audit(monkeypatch):
     seen = OrderWaitAudit()
     order_clear = Algorithm1Process._order_clear
     init = Algorithm1Process.__init__
-    message_at = LogHandle.message_at
 
     def checked_order_clear(self, log, m, threshold):
-        got = order_clear(self, log, m, threshold)
+        seen.waiting = True
+        try:
+            got = order_clear(self, log, m, threshold)
+        finally:
+            seen.waiting = False
         by_definition = all(
             self.phase_of(earlier) >= threshold
             for earlier in _oracle.messages_before(log.log, m)
@@ -104,14 +119,10 @@ def audit(monkeypatch):
     def init_with_monotone_phases(self, *args, **kwargs):
         init(self, *args, **kwargs)
         self.phase = MonotonePhases()
-
-    def counted_message_at(self, rank):
-        seen.visited += 1
-        return message_at(self, rank)
+        self.phase.audit = seen
 
     monkeypatch.setattr(Algorithm1Process, "_order_clear", checked_order_clear)
     monkeypatch.setattr(Algorithm1Process, "__init__", init_with_monotone_phases)
-    monkeypatch.setattr(LogHandle, "message_at", counted_message_at)
     return seen
 
 

@@ -86,7 +86,7 @@ _REASONS = st.sampled_from((None, "LOG_g1.append", "LOG_g1∩g2.bumpAndLock[fast
         st.one_of(
             st.tuples(st.just("one"), st.integers(0, 9), _PROCESSES, _REASONS),
             st.tuples(
-                st.just("many"),
+                st.sampled_from(("many", "many-list")),
                 st.integers(0, 9),
                 st.lists(_PROCESSES, max_size=4).map(tuple),
                 _REASONS,
@@ -97,14 +97,24 @@ _REASONS = st.sampled_from((None, "LOG_g1.append", "LOG_g1∩g2.bumpAndLock[fast
 )
 def test_note_steps_is_one_note_step_per_process(writes):
     """Any interleaving of the two recorders reads back as the flattened
-    ``note_step`` sequence — steps, per-process counts and their order."""
+    ``note_step`` sequence — steps, per-process counts and their order.
+
+    A list handed to ``note_steps`` is cleared and refilled right after
+    the call: the record keeps a copy, so what it read back is unchanged.
+    """
     record, flat = make_record(), make_record()
     for kind, time, who, reason in writes:
         if kind == "one":
             record.note_step(time, who, received=reason)
             flat.note_step(time, who, received=reason)
-        else:
+        elif kind == "many":
             record.note_steps(time, who, reason)
+            for process in who:
+                flat.note_step(time, process, received=reason)
+        else:
+            processes = list(who)
+            record.note_steps(time, processes, reason)
+            processes[:] = [P3, P2, P1]
             for process in who:
                 flat.note_step(time, process, received=reason)
         assert len(record.steps) == len(flat.steps)  # the lazy view keeps up

@@ -1,4 +1,4 @@
-"""The log's message order by definition: sort everything, probe every pair.
+"""The log's orders by definition: sort everything, probe every pair.
 
 ``repro.objects.log.Log`` keeps its message items in an incrementally
 maintained sorted key list and answers the order waits of Algorithm 1
@@ -6,9 +6,15 @@ from ranks and a settled-prefix length; these are the per-read re-sort
 and the pairwise ``precedes`` walk it replaced, kept verbatim (as
 functions of the log) as the reference the differential tests in
 ``test_log_order_differential.py`` and
-``tests/core/test_order_frontier.py`` compare against.  They read only
-the log's slot table (``pos`` / ``in``), never the structures under
-test.  O(n log n) per read — test logs only.
+``tests/core/test_order_frontier.py`` compare against.
+
+The log also files each message's records at insertion; the
+filter-and-sort accessors it replaced are the reference of
+``test_records_index_differential.py``.
+
+All of them read only the log's slot table (``pos`` / ``in``, in
+insertion order), never the structures under test.  O(n log n) per
+read — test logs only.
 """
 
 from __future__ import annotations
@@ -53,3 +59,25 @@ def messages_before(log: Log, datum: Any) -> Tuple[Any, ...]:
                 break
         return tuple(out)
     return tuple(m for m in messages(log) if precedes(log, m, datum))
+
+
+def _records_for(log: Log, message: Any, arity: int) -> Tuple[Tuple[Any, ...], ...]:
+    """The ``arity``-long records headed by ``message``, sorted by slot
+    (stable: ties stay in insertion order)."""
+    rows = [
+        r
+        for r in log._positions
+        if isinstance(r, tuple) and len(r) == arity and r[0] == message
+    ]
+    rows.sort(key=lambda r: log._positions[r])
+    return tuple(rows)
+
+
+def position_records_for(log: Log, message: Any) -> Tuple[Tuple[Any, ...], ...]:
+    """Records ``(m, h, i)`` of ``message``."""
+    return _records_for(log, message, 3)
+
+
+def stabilization_records_for(log: Log, message: Any) -> Tuple[Tuple[Any, ...], ...]:
+    """Records ``(m, h)`` of ``message``."""
+    return _records_for(log, message, 2)

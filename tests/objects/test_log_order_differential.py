@@ -1,8 +1,8 @@
 """The log's incremental message order against the sort-and-probe oracle.
 
 ``Log`` answers ``messages()`` / ``messages_before`` / ``rank`` from a
-sorted key list it patches on every mutation, and promises that the
-all-locked prefix of that order (``settled``) is final.  Random
+sorted key list (``order``) it patches on every mutation, and promises
+that the all-locked prefix of that order (``settled``) is final.  Random
 ``append`` / ``bump_and_lock`` sequences — messages and records mixed,
 bump targets drawn so that slot ties happen — are replayed against
 ``_oracle``, which re-sorts the slot table on every read.
@@ -59,7 +59,7 @@ def test_order_views_match_the_oracle_after_every_operation(ops):
         assert log.arrivals == arrivals
         for index, m in enumerate(expected):
             assert log.rank(m) == index
-            assert log.message_at(index) == m
+            assert log.order[index] == (log.pos(m), m)
             assert log.messages_before(m) == _oracle.messages_before(log, m)
         # ``settled`` is the all-locked prefix, only grows, and what it
         # covers never changes again.
