@@ -90,7 +90,7 @@ def teardown_module(module):
         fh.write("\n")
 
 
-@pytest.mark.xfail(strict=True, reason="605 vs 624 since spec schema 7 (617 before); within corpus-order noise, ROADMAP item 6")
+@pytest.mark.xfail(strict=True, reason="619 vs 624 since spec schema 8 (605 at schema 7, 617 before); within corpus-order noise, ROADMAP item 6")
 def test_guided_dominates_random_on_healthy_bases():
     bases = base_cells(("engine", "kernel"))
     guided_avg, guided_finals, _ = _campaigns(bases, "guided")

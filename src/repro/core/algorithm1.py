@@ -402,7 +402,8 @@ class Algorithm1Process:
         ``g`` gets a different (possibly empty) key, i.e. a private
         consensus object whose decision can disagree with everyone
         else's ``k``, locking the message at inconsistent positions
-        across the intersection logs (ROADMAP item 6).
+        across the intersection logs (DESIGN.md §13, "Golden-versioning
+        policy").
         """
         cached = self._family_keys.get(g)
         if cached is not None:

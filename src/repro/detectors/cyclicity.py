@@ -107,8 +107,8 @@ class GammaOracle(OracleDetector):
         of a live family ``f ∋ g`` (so ``f ∉ F(p)``) would otherwise see
         an empty partner set and propose an ordering position before the
         carriers of ``f`` have written their ``(m, h, ·)`` records,
-        poisoning ``CONS_m`` with a stale value (the ROADMAP item 6
-        termination gap).  The oracle's exclusion state is the same one
+        poisoning ``CONS_m`` with a stale value (the termination gap of
+        DESIGN.md §13, "Golden-versioning policy").  The oracle's exclusion state is the same one
         :meth:`query` consults, so Accuracy and Completeness carry over
         family-by-family.
         """

@@ -106,7 +106,8 @@ class Mu(FailureDetector):
         member of ``g`` must gate commit/stabilize on the *same* partner
         set, or a member carrying no intersection of a live family of
         ``g`` sees no partners, commits early, and decides a stale
-        ordering position for everyone (ROADMAP item 6).
+        ordering position for everyone (DESIGN.md §13, "Golden-versioning
+        policy").
         """
         key = (g, self.gamma.epoch(t))
         partners = self._partner_cache.get(key)

@@ -12,7 +12,7 @@ Mutations act on the three adversary axes a scenario exposes:
   different shuffle stream over the same adversary);
 * **delay model** — for the async backend: switch the distribution
   kind, jitter its parameters, or grow/shrink/retune the slow-pairs
-  set (the adversarial pair *search* ROADMAP item 1 names).
+  set (the adversarial pair search of DESIGN.md §15, "Mutation").
 
 Every operator is admissible by construction: fault events pass
 ``FaultEvent.__post_init__``, delay specs pass

@@ -5,10 +5,10 @@ schedule, its actors, and the eligibility, responder and quiescence
 accounting over them.  Its clock advances in one of two ways: its own
 lockstep :meth:`Scheduler.round` (one seeded shuffle per round), or the
 :class:`AsyncDriver` (generator tasks over latency-modelled in-memory
-channels, on its own event loop whose virtual clock makes a run replay
-deterministically).  Hosts subclass :class:`RoundHost` and adapt their
-execution units to the :class:`Actor` protocol via the adapters in
-:mod:`repro.runtime.actors`.
+channels, on its own event loop whose round-unit clock makes a run
+replay deterministically).  Hosts subclass :class:`RoundHost` and adapt
+their execution units to the :class:`Actor` protocol via the adapters
+in :mod:`repro.runtime.actors`.
 """
 
 from repro.runtime.actors import (
@@ -17,7 +17,7 @@ from repro.runtime.actors import (
     SharedObjectActor,
     SystemActor,
 )
-from repro.runtime.async_driver import CLOCK_MODES, AsyncDriver, AsyncTransport
+from repro.runtime.async_driver import AsyncDriver, AsyncTransport
 from repro.runtime.delay import (
     DELAY_MODEL_KINDS,
     DelayModel,
@@ -36,7 +36,6 @@ __all__ = [
     "AsyncDriver",
     "AsyncTransport",
     "AutomatonActor",
-    "CLOCK_MODES",
     "DELAY_MODEL_KINDS",
     "DelayModel",
     "ExponentialDelay",

@@ -1,4 +1,4 @@
-"""The asynchronous driver: the same actors, under real (or virtual) time.
+"""The asynchronous driver: the same actors, under modelled latencies.
 
 Where the :class:`repro.runtime.scheduler.Scheduler` advances a logical
 clock in lockstep and shuffles the eligible set once per round, the
@@ -18,12 +18,12 @@ A run is a schedule with no I/O in it, so the driver owns its event loop
 (:class:`EventLoop`: a FIFO ready queue plus a timer heap) instead of
 renting an I/O framework's tasks, futures and selector.
 
-Time is bilingual.  The loop clock (real or virtual) advances
-continuously; the model-facing *logical* time is ``t = floor(elapsed /
-ROUND_SECONDS[clock]) + 1``, so crash times, detector lags and settle
-horizons — all defined in round units — keep their meaning.  The
-scheduler's clock is synced to logical time before every fire, so
-records, quorum guards and detector queries see a monotone clock.
+Loop time is round time.  The loop clock starts at ``0.0`` and advances
+continuously in round units; the model-facing *logical* time is ``t =
+floor(now) + 1``, so crash times, detector lags and settle horizons keep
+their meaning.  The scheduler's clock is synced to logical time before
+every fire, so records, quorum guards and detector queries see a
+monotone clock.
 
 Fault plans carry over: the driver maps the injector's link verdicts
 onto channel perturbations (``link_delay`` adds rounds of latency to a
@@ -32,36 +32,22 @@ retransmission time, duplication is a harmless extra wake) and honours
 participation churn by putting suppressed actors to sleep through their
 windows.  Detector noise already applies inside the host's ``mu``.
 
-What the golden suite does *not* pin here: wall-clock interleavings are
-real nondeterminism, so two async runs may order concurrent deliveries
-differently.  The differential agreement suite pins what must hold
-regardless — delivery sets and property verdicts — and the virtual
-clock pins full byte-determinism for replay.
+A run is a pure function of its inputs: the loop never consults the OS,
+and every latency is drawn from a private RNG seeded by the scenario.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-import time
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
 from typing import Sequence, Tuple, Union
 
-from repro.model.errors import SimulationError
 from repro.model.failures import Time
 from repro.runtime.delay import DelayModel, build_delay_model
 from repro.runtime.scheduler import Key, RunOutcome
-
-#: Loop seconds per round unit, per clock source.  Virtual runs cost
-#: nothing however long a round is, so one second is one round; wall
-#: runs compress rounds to keep real elapsed time bounded (a 600-round
-#: budget is about 12 s).
-ROUND_SECONDS = {"virtual": 1.0, "wall": 0.02}
-
-#: Clock sources the driver accepts.
-CLOCK_MODES = tuple(ROUND_SECONDS)
 
 #: Floor on the pacing sleep between consecutive steps of one actor
 #: (round units).  Keeps a productive actor from monopolizing the loop
@@ -74,12 +60,12 @@ MIN_PACE = 0.125
 #: correct wake accounting the event always arrives first.
 POLL_ROUNDS = 4.0
 
-#: Timers closer than this to the loop clock count as due (seconds): the
-#: monotonic clock's resolution, and slack for ``now + (when - now)``.
+#: Timers closer than this to the loop clock count as due (round units):
+#: slack for the float arithmetic of ``now + (when - now)``.
 CLOCK_RESOLUTION = 1e-9
 
-#: What a task yields to suspend itself: a float sleeps that many loop
-#: seconds, a ``(key, timeout)`` pair parks on ``key``'s wake channel.
+#: What a task yields to suspend itself: a float sleeps that many round
+#: units, a ``(key, timeout)`` pair parks on ``key``'s wake channel.
 Task = Iterator[Union[float, Tuple[Key, float]]]
 
 
@@ -95,33 +81,29 @@ class _Timer(list):
 
 
 class EventLoop:
-    """A FIFO ready queue and a timer heap under a virtual or wall clock.
+    """A FIFO ready queue and a timer heap under a logical clock.
 
     One *turn* drops cancelled timers off the heap's head; if nothing is
-    ready, waits for the head's deadline; moves every timer due within
-    :data:`CLOCK_RESOLUTION` to the ready queue in ``(when, seq)`` order;
-    then runs the calls that were ready at that point — calls queued by
-    those run next turn.  So equal deadlines fire in scheduling order, by
-    rule, and a callback that raises leaves :meth:`run` at once.
+    ready, advances the clock to the head's deadline; moves every timer
+    due within :data:`CLOCK_RESOLUTION` to the ready queue in ``(when,
+    seq)`` order; then runs the calls that were ready at that point —
+    calls queued by those run next turn.  So equal deadlines fire in
+    scheduling order, by rule, and a callback that raises leaves
+    :meth:`run` at once.
 
-    The loop clock is the attribute :attr:`now`, in seconds, and it moves
-    only between calls: every call of one turn reads the same instant.
-    The clocks differ only in how they wait.  ``"virtual"`` assigns
-    ``now += when - now``: a run never consults the OS and is a pure
-    function of its inputs.  ``"wall"`` calls ``time.sleep`` — a run
-    performs no I/O, so there is nothing else to wait on — and reads
-    ``time.monotonic()`` into ``now`` at the start of each turn and
-    after each sleep.
+    The loop clock is the attribute :attr:`now`, in round units from
+    ``0.0``, and it moves only between calls: every call of one turn
+    reads the same instant.  Waiting is ``now += when - now``, so a run
+    never consults the OS and is a pure function of its inputs.
     """
 
-    def __init__(self, clock: str = "virtual") -> None:
+    def __init__(self) -> None:
         self._ready: Deque[Sequence[Any]] = deque()
         self._timers: List[_Timer] = []
         self._seq = 0
         self._stopping = False
-        self._wall = clock == "wall"
-        #: The loop clock, in seconds.
-        self.now = time.monotonic() if self._wall else 0.0
+        #: The loop clock, in round units.
+        self.now = 0.0
 
     def call_soon(self, fn: Callable, arg: Any) -> None:
         """Queue ``fn(arg)`` behind everything already ready."""
@@ -141,21 +123,15 @@ class EventLoop:
 
     def run(self) -> None:
         """Take turns until stopped (or until nothing is left to run)."""
-        ready, timers, wall = self._ready, self._timers, self._wall
+        ready, timers = self._ready, self._timers
         while not self._stopping:
-            if wall:
-                self.now = time.monotonic()
             while timers and timers[0][2] is None:
                 heappop(timers)
             if timers:
                 if not ready:
                     delay = timers[0][0] - self.now
                     if delay > 0:
-                        if wall:
-                            time.sleep(delay)
-                            self.now = time.monotonic()
-                        else:
-                            self.now += delay
+                        self.now += delay
                 due = self.now + CLOCK_RESOLUTION
                 while timers and timers[0][0] < due:
                     ready.append(heappop(timers))
@@ -171,8 +147,8 @@ def derive_async_seed(seed: int, delay_spec: Any) -> int:
     """The driver RNG seed: a pure function of (run seed, delay spec).
 
     Mirrors :func:`repro.faults.injector.derive_injector_seed`: latency
-    randomness must never touch the host's schedule RNG, and a virtual
-    clock replay must redraw the identical latency stream.
+    randomness must never touch the host's schedule RNG, and a replay
+    must redraw the identical latency stream.
     """
     blob = f"async:{seed}:{delay_spec!r}".encode("utf-8")
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
@@ -194,7 +170,7 @@ def _retry_offsets(rng: random.Random) -> List[float]:
     """Cumulative backoff offsets (round units) of each retry.
 
     Draws one ``rng.random()`` per retry from the driver's private RNG,
-    so the ladder is byte-deterministic under the virtual clock.
+    so the ladder is byte-deterministic.
     """
     delay, elapsed, out = RETRY_BASE, 0.0, []
     for _ in range(RETRY_BUDGET):
@@ -319,9 +295,6 @@ class AsyncDriver:
             duration of :meth:`run`.
         delay_model: a :class:`DelayModel`, a delay spec tuple, or
             ``None`` for the default (see :mod:`repro.runtime.delay`).
-        clock: ``"virtual"`` (seeded-deterministic, the default) or
-            ``"wall"`` (real time, real nondeterminism); it fixes
-            :attr:`round_duration` (:data:`ROUND_SECONDS`).
         seed: scenario seed; the driver derives its private latency RNG
             from ``(seed, delay spec)``.
     """
@@ -331,13 +304,8 @@ class AsyncDriver:
         system: Any,
         *,
         delay_model: Any = None,
-        clock: str = "virtual",
         seed: int = 0,
     ) -> None:
-        if clock not in CLOCK_MODES:
-            raise SimulationError(
-                f"unknown clock {clock!r}; expected one of {CLOCK_MODES}"
-            )
         self.system = system
         self._sched = system._scheduler
         self.injector = system.injector
@@ -346,9 +314,6 @@ class AsyncDriver:
             if isinstance(delay_model, DelayModel)
             else build_delay_model(delay_model)
         )
-        #: Loop seconds per round unit.
-        self.round_duration = ROUND_SECONDS[clock]
-        self.clock = clock
         self.rng = random.Random(derive_async_seed(seed, self.delay.spec()))
         #: Transport resilience stats of the last completed run (the
         #: transport itself is torn down at run end).
@@ -359,16 +324,14 @@ class AsyncDriver:
         self._loop: Any = None
         self._transport: Optional[AsyncTransport] = None
         self._current: Optional[Key] = None
-        self._t0 = 0.0
         self._fired_window = self._total_fired = 0
         self._quiescent = self._stopped = False
 
     # -- Time --------------------------------------------------------------
 
     def now_t(self) -> Time:
-        """Logical (round-unit) time of the driving clock."""
-        elapsed = self._loop.now - self._t0
-        return int(elapsed / self.round_duration + 1e-9) + 1
+        """Logical time: the round the loop clock is in, from 1."""
+        return int(self._loop.now + 1e-9) + 1
 
     def _sync_time(self, t: Time) -> None:
         """Push logical time into the host's scheduler clock (monotone:
@@ -397,7 +360,7 @@ class AsyncDriver:
             return
         loop, injector, rng = self._loop, self.injector, self.rng
         latency_of, land = self.delay.latency, transport._land
-        now, rd, s = loop.now, self.round_duration, src.index
+        now, s = loop.now, src.index
         if injector is not None:
             t = self.now_t()
         for dst in woken:
@@ -416,7 +379,7 @@ class AsyncDriver:
                 # Duplicated wakes would be harmless no-ops on an event
                 # channel; the verdict's copies need no realization.
             transport.in_flight += 1
-            loop.call_at(now + max(latency, 0.0) * rd, land, dst)
+            loop.call_at(now + max(latency, 0.0), land, dst)
 
     def _retry_ladder(
         self,
@@ -438,15 +401,11 @@ class AsyncDriver:
         degradation the round hosts cannot express.
         """
         transport = self._transport
-        rd = self.round_duration
         now = self._loop.now
-        final = (
-            now
-            + (max(float(verdict.retransmit_at - t), 1.0) + latency) * rd
-        )
+        final = now + (max(float(verdict.retransmit_at - t), 1.0) + latency)
         ladder = [final]
         for offset in _retry_offsets(self.rng):
-            when = now + (1.0 + offset + latency) * rd
+            when = now + (1.0 + offset + latency)
             if when >= final:
                 break
             probe_t = t + 1 + int(offset)
@@ -469,7 +428,6 @@ class AsyncDriver:
         pattern = sched.pattern
         actor = sched.actors[key]
         transport = self._transport
-        rd = self.round_duration
         injector = self.injector
         while not self._stopped:
             t = self.now_t()
@@ -481,12 +439,11 @@ class AsyncDriver:
                 # actor's in-memory state stands in for the durable
                 # substrate snapshot (the kernel backend exercises the
                 # explicit snapshot/restore path).
-                target = self._t0 + (rejoin - 1) * rd
-                yield max(target - self._loop.now, rd)
+                yield max(rejoin - 1 - self._loop.now, 1.0)
                 continue
             if injector is not None and injector.suppresses(key, t):
                 # Participation churn: sleep through the window.
-                yield rd
+                yield 1.0
                 continue
             if t <= sched.settle_horizon or not actor.parked(t):
                 # Forced scans while detectors may still move mirror the
@@ -499,9 +456,9 @@ class AsyncDriver:
                     self._current = None
                 self._fired_window += fired
                 self._total_fired += fired
-                yield self._pace(key) * rd
+                yield self._pace(key)
                 continue
-            yield from transport.wait(key, POLL_ROUNDS * rd)
+            yield from transport.wait(key, POLL_ROUNDS)
 
     def _inject(
         self,
@@ -512,10 +469,8 @@ class AsyncDriver:
         would have: ``t == at_round`` (clamped to the async clock's
         t >= 1), so alive-at-issue races agree across backends."""
         loop = self._loop
-        rd = self.round_duration
         for send in pending:
-            target = max(send.at_round - 1, 0) * rd
-            remaining = self._t0 + target - loop.now
+            remaining = max(send.at_round - 1, 0) - loop.now
             if remaining > 0:
                 yield remaining
             t = self.now_t()
@@ -533,14 +488,13 @@ class AsyncDriver:
     ) -> Task:
         sched = self._sched
         transport = self._transport
-        rd = self.round_duration
         idle = 0
         # Crash *and* recovery instants: a rejoin changes quorum
         # availability just as a crash does, so it forces wakes too.
         instants = sched.instants
         instant_cursor = 0
         while True:
-            yield rd
+            yield 1.0
             t = self.now_t()
             self._sync_time(t)
             eligible = sched.eligible_order(t)
@@ -616,9 +570,8 @@ class AsyncDriver:
         """
         pending = sorted(sends, key=lambda s: s.at_round)
         keys = self._sched.sorted_keys
-        loop = self._loop = EventLoop(self.clock)
+        loop = self._loop = EventLoop()
         transport = self._transport = AsyncTransport(loop, keys)
-        self._t0 = loop.now
         self._stopped = self._quiescent = False
         self._fired_window = self._total_fired = self.sends_cursor = 0
         self.system.wake_listener = self._on_wake
@@ -652,7 +605,6 @@ class AsyncDriver:
 __all__ = [
     "AsyncDriver",
     "AsyncTransport",
-    "CLOCK_MODES",
     "EventLoop",
     "derive_async_seed",
 ]

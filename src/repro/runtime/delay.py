@@ -1,18 +1,18 @@
-"""Wall-clock delay models for the asynchronous driver.
+"""Delay models for the asynchronous driver.
 
 A :class:`DelayModel` answers one question: *how long does the channel
 from process ``src`` to process ``dst`` take, in round units?*  The
-:class:`repro.runtime.async_driver.AsyncDriver` multiplies the answer by
-its ``round_duration`` to place wake deliveries on the event loop, and
-uses the self-pair ``(i, i)`` as a process's local scheduling latency
-between consecutive steps.
+:class:`repro.runtime.async_driver.AsyncDriver` adds the answer to its
+loop clock to place wake deliveries on the event loop, and uses the
+self-pair ``(i, i)`` as a process's local scheduling latency between
+consecutive steps.
 
 Models are addressed by *spec* — a flat JSON-able tuple such as
 ``("uniform", 0.1, 0.9)`` — so a scenario's delay axis lives inside its
 :class:`repro.workloads.spec.ScenarioSpec` (schema v5) and hashes with
 it.  All randomness flows through the RNG the caller passes (the async
 driver derives one from the scenario seed, never touching the schedule
-RNG), so a virtual-clock run is byte-replayable from its spec alone.
+RNG), so a run is byte-replayable from its spec alone.
 
 The three paper-motivated shapes:
 
@@ -71,7 +71,7 @@ class UniformDelay(DelayModel):
     """Latency ~ Uniform[lo, hi] rounds on every channel.
 
     The draw is ``rng.uniform(lo, hi)``'s formula, written out so a
-    virtual-clock replay depends on ``rng.random()`` alone.
+    replay depends on ``rng.random()`` alone.
     """
 
     def __init__(self, lo: float, hi: float) -> None:
@@ -97,7 +97,7 @@ class ExponentialDelay(DelayModel):
     so quiescence detection and the fault-plan horizon stay meaningful.
 
     The draw is ``rng.expovariate(1.0 / mean)``'s formula, written out
-    so a virtual-clock replay depends on ``rng.random()`` alone; it
+    so a replay depends on ``rng.random()`` alone; it
     divides by the rate, since multiplying by ``mean`` is not bit-equal.
     """
 

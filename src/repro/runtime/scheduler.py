@@ -20,9 +20,8 @@ responder (quorum) set with its change fingerprint, and the settle
 horizon and hidden pending work that gate quiescence.  Time advances in
 one of two ways: :meth:`Scheduler.round` adds 1 to the clock and
 dispatches one seeded shuffle of the eligible set, while
-:class:`repro.runtime.async_driver.AsyncDriver` pushes a real (or
-virtual) clock into :attr:`Scheduler.time` and fires the same actors as
-tasks.
+:class:`repro.runtime.async_driver.AsyncDriver` pushes its loop clock's
+round into :attr:`Scheduler.time` and fires the same actors as tasks.
 
 Hosts adapt their unit of execution to the small :class:`Actor`
 protocol (see :mod:`repro.runtime.actors`) and keep their public APIs as

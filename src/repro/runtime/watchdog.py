@@ -4,16 +4,15 @@ A *stall* is a run that keeps consuming budget without making useful
 progress — the superseded-proposer bug (``supersede-wait`` quirk) is the
 canonical specimen: the kernel keeps circulating datagrams forever while
 no replica ever applies another log entry.  Without a backstop such a
-run burns its entire round budget (virtual time) or hangs a sweep for
-real wall-clock time; with one, it fails *fast* and fails *descriptive*.
+run burns its entire round budget; with one, it fails *fast* and fails
+*descriptive*.
 
 :class:`StallWatchdog` is a ``stop_when``-style probe the drivers call
 once per round (or per supervision tick, for the async driver).  It
 watches a caller-supplied *progress fingerprint* — deliveries recorded,
 log entries applied — and raises :class:`StallError` once the
 fingerprint has not changed for ``window`` consecutive checks past the
-detector settle horizon, or once an optional *wall-clock* budget since
-the last progress elapses.  The error carries the wait-reason histogram
+detector settle horizon.  The error carries the wait-reason histogram
 of the stalled suffix, so the triage record says not just "it stalled"
 but *what everyone was waiting for* — the histogram is how the
 supersede-wait stall was originally diagnosed.
@@ -27,7 +26,6 @@ therefore untouched by watchdog configuration.
 
 from __future__ import annotations
 
-import time as _time
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.model.errors import SimulationError
@@ -44,9 +42,6 @@ class StallError(SimulationError):
         stalled_checks: how many consecutive progress checks saw no
             change before the watchdog gave up.
         at_time: logical time at which the watchdog fired.
-        wall_elapsed: wall seconds since the last progress, when the
-            wall-clock budget (not the round window) tripped the
-            watchdog; ``None`` otherwise.
     """
 
     def __init__(
@@ -56,24 +51,19 @@ class StallError(SimulationError):
         wait_reasons: Optional[Mapping[str, int]] = None,
         stalled_checks: int = 0,
         at_time: int = 0,
-        wall_elapsed: Optional[float] = None,
     ) -> None:
         super().__init__(message)
         self.wait_reasons: Dict[str, int] = dict(wait_reasons or {})
         self.stalled_checks = stalled_checks
         self.at_time = at_time
-        self.wall_elapsed = wall_elapsed
 
     def to_triage(self) -> Dict[str, Any]:
         """The stall as one JSON-ready triage payload."""
-        payload: Dict[str, Any] = {
+        return {
             "at_time": self.at_time,
             "stalled_checks": self.stalled_checks,
             "wait_reasons": dict(self.wait_reasons),
         }
-        if self.wall_elapsed is not None:
-            payload["wall_elapsed"] = round(self.wall_elapsed, 3)
-        return payload
 
 
 class StallWatchdog:
@@ -96,12 +86,6 @@ class StallWatchdog:
         grace: logical time before which the watchdog never fires —
             pass the settle horizon: detector-blocked idling during
             stabilization is convergence, not a stall.
-        wall_budget: optional wall-clock seconds since the last progress
-            after which the watchdog fires regardless of the round
-            window — the backstop for wall-clock async runs where a hung
-            loop stops producing checks of its own.
-        clock: wall-clock source (injectable for tests); defaults to
-            :func:`time.monotonic`.
     """
 
     def __init__(
@@ -111,22 +95,15 @@ class StallWatchdog:
         window: int = 64,
         wait_reasons: Optional[Callable[[], Mapping[str, int]]] = None,
         grace: int = 0,
-        wall_budget: Optional[float] = None,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if window < 1:
             raise SimulationError("watchdog window must be >= 1 check")
-        if wall_budget is not None and wall_budget <= 0:
-            raise SimulationError("watchdog wall_budget must be positive")
         self.progress = progress
         self.window = int(window)
         self.wait_reasons = wait_reasons
         self.grace = int(grace)
-        self.wall_budget = wall_budget
-        self._clock = clock or _time.monotonic
         self._last: Any = progress()
         self._idle = 0
-        self._last_wall = self._clock()
 
     def _histogram(self) -> Dict[str, int]:
         if self.wait_reasons is None:
@@ -139,7 +116,6 @@ class StallWatchdog:
         if current != self._last:
             self._last = current
             self._idle = 0
-            self._last_wall = self._clock()
             return
         if t <= self.grace:
             return
@@ -152,18 +128,6 @@ class StallWatchdog:
                 stalled_checks=self._idle,
                 at_time=t,
             )
-        if self.wall_budget is not None:
-            elapsed = self._clock() - self._last_wall
-            if elapsed >= self.wall_budget:
-                raise StallError(
-                    f"no progress for {elapsed:.1f}s of wall time "
-                    f"(t={t}, budget={self.wall_budget}s) — stalled run "
-                    f"cut short",
-                    wait_reasons=self._histogram(),
-                    stalled_checks=self._idle,
-                    at_time=t,
-                    wall_elapsed=elapsed,
-                )
 
     def stop_when(self, now: Callable[[], int]) -> Callable[[], bool]:
         """Adapt the watchdog to a driver's ``stop_when`` slot.

@@ -681,7 +681,7 @@ def _drive_async(
     issue: Callable[[Send, Time], None],
     arm_watchdog: Callable[[], Optional[StallWatchdog]],
 ) -> _Driven:
-    """The real-asynchrony driver over the same Algorithm 1 deployment.
+    """The asynchronous driver over the same Algorithm 1 deployment.
 
     Instead of the lockstep round loop, an :class:`AsyncDriver` runs
     every process as a task on its own event loop and routes
@@ -689,33 +689,26 @@ def _drive_async(
     (``spec.delay_model``).  Tasks are never preempted, so each ``fire``
     is atomic, shared-object operations stay linearizable and the run is
     an admissible run of the same model; only the interleaving (and
-    hence the round count) differs.  With ``spec.clock="virtual"`` the
-    whole run is a pure function of the spec and replays exactly.
+    hence the round count) differs.  The loop clock counts rounds and
+    every latency comes from an RNG seeded by the spec, so the run is a
+    pure function of the spec and replays exactly; the watchdog checks
+    once per round, as on the round backends.
     """
     driver = AsyncDriver(
-        deployment.host,
-        delay_model=spec.delay_model,
-        clock=spec.clock,
-        seed=spec.seed,
+        deployment.host, delay_model=spec.delay_model, seed=spec.seed
     )
-    watchdog = arm_watchdog()
-    # Wall-clock async runs get a real-time backstop on top of the
-    # logical window: a hung loop stops producing logical checks, but
-    # never stops the wall clock.
-    if watchdog is not None and spec.clock == "wall":
-        watchdog.wall_budget = max(30.0, watchdog.window * driver.round_duration * 4)
     outcome = driver.run(
         sends=pending,
         issue=issue,
         max_rounds=spec.max_rounds,
         quiescent_rounds=2,
-        watchdog=watchdog,
+        watchdog=arm_watchdog(),
     )
     return _Driven(
         outcome.rounds,
         driver.sends_cursor,
         outcome.quiescent,
-        meta={"clock": spec.clock, "delay_model": repr(driver.delay.spec())},
+        meta={"delay_model": repr(driver.delay.spec())},
         transport_stats=dict(driver.last_transport_stats),
     )
 

@@ -5,11 +5,11 @@ could only be described by an argument list — impossible to hash, store
 in a manifest, or ship to a worker process.  A :class:`ScenarioSpec`
 fixes that: it captures **everything that determines a run** (topology,
 failure pattern, send script, seed, variant, detector lag, round
-budget) as a frozen, hashable, JSON-round-trippable dataclass.  Two
-specs that compare equal describe byte-identical runs;
-:meth:`ScenarioSpec.spec_hash` is the one content address a cell has —
-manifests, result rows, the campaign cache, grid shards and the
-explorer's corpus all key on it.
+budget, backend, delay model, fault plan, quirks) as a frozen,
+hashable, JSON-round-trippable dataclass.  Two specs that compare equal
+describe byte-identical runs; :meth:`ScenarioSpec.spec_hash` is the one
+content address a cell has — manifests, result rows, the campaign
+cache, grid shards and the explorer's corpus all key on it.
 
 Deliberately *not* part of a spec: output sinks such as
 ``trace_path``.  Where a trace lands does not change what the scenario
@@ -24,8 +24,8 @@ but will not round-trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import AbstractSet, Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro._content import content_hash
 from repro.faults.plan import FaultPlan
@@ -33,17 +33,16 @@ from repro.groups.topology import GroupTopology, topology_from_indices
 from repro.model.errors import SimulationError
 from repro.model.failures import FailurePattern, Time
 from repro.model.processes import ProcessId, make_processes, pset
-from repro.runtime.async_driver import CLOCK_MODES
 
 #: The spec wire layout's version, bumped on any change to it (a new
 #: field included).  The schema is part of every content address, and
 #: :meth:`ScenarioSpec.from_json` reads this one only: a payload of any
 #: other schema fails loudly instead of loading under a moved address.
-SPEC_SCHEMA_VERSION = 7
+SPEC_SCHEMA_VERSION = 8
 
 #: The execution backends a scenario can run on: the round-based
 #: shared-object engine of §4.4, the step-level Appendix-A kernel, or
-#: the real-time asynchronous driver over the engine's actors.
+#: the asynchronous driver over the engine's actors.
 BACKENDS = ("engine", "kernel", "async")
 
 #: Named, replayable legacy behaviours a scenario may opt back into.
@@ -66,6 +65,14 @@ def _delay_spec_to_json(spec: Any) -> Any:
     if isinstance(spec, (tuple, list)):
         return [_delay_spec_to_json(item) for item in spec]
     return spec
+
+
+def _check_keys(what: str, data: Mapping[str, Any], keys: AbstractSet[str]) -> None:
+    """Raise on a key the wire form never writes: the payload would load
+    under an address that differs from the hash of its own body."""
+    unknown = set(data) - keys
+    if unknown:
+        raise SimulationError(f"{what} payload has unknown keys {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -149,7 +156,9 @@ class TopologySpec:
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "TopologySpec":
-        if "generator" in data:
+        form = "generator" if "generator" in data else "groups"
+        _check_keys("topology", data, {"process_count", form})
+        if form == "generator":
             return cls(
                 process_count=int(data["process_count"]),
                 groups=(),
@@ -170,6 +179,10 @@ class TopologySpec:
 class ScenarioSpec:
     """Everything that determines one ``run_scenario`` execution.
 
+    Every field is logical: crash times, budgets and latencies are in
+    rounds on all three backends, and no field names a host or a clock.
+    So a spec is one run, and running it again replays it byte for byte.
+
     Attributes:
         topology: the destination groups, as a :class:`TopologySpec`.
         crashes: ``(process index, crash time)`` pairs, sorted — the
@@ -184,15 +197,13 @@ class ScenarioSpec:
             (the §4.4 shared-object system, the default), ``"kernel"``
             (the Appendix-A step-level kernel driving one replicated log
             per destination group; requires pairwise-disjoint groups) or
-            ``"async"`` (the same Algorithm 1 actors on the async driver
-            under a wall- or virtual-clock delay model).
+            ``"async"`` (the same Algorithm 1 actors on the async driver,
+            whose clock counts rounds too).
         delay_model: the async backend's channel-latency model as a
-            canonical spec tuple (see :mod:`repro.runtime.delay`), e.g.
-            ``("uniform", 0.1, 0.9)``.  ``None`` (the default) uses the
-            driver default.  Ignored by the round backends.
-        clock: the async backend's time source — ``"virtual"`` (seeded
-            deterministic, the default) or ``"wall"`` (real time).
-            Ignored by the round backends.
+            canonical spec tuple (see :mod:`repro.runtime.delay`), in
+            round units, e.g. ``("uniform", 0.1, 0.9)``.  ``None`` (the
+            default) uses the driver default.  Ignored by the round
+            backends.
         faults: optional :class:`repro.faults.FaultPlan` — the nemesis
             perturbations applied to the run.  ``None``, the default,
             runs fault-free.
@@ -213,7 +224,6 @@ class ScenarioSpec:
     backend: str = "engine"
     faults: Optional["FaultPlan"] = None
     delay_model: Optional[Tuple[Any, ...]] = None
-    clock: str = "virtual"
     quirks: Tuple[str, ...] = ()
     name: str = field(default="", compare=False)
 
@@ -221,10 +231,6 @@ class ScenarioSpec:
         if self.backend not in BACKENDS:
             raise SimulationError(
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
-            )
-        if self.clock not in CLOCK_MODES:
-            raise SimulationError(
-                f"unknown clock {self.clock!r}; expected one of {CLOCK_MODES}"
             )
         for quirk in self.quirks:
             if quirk not in KNOWN_QUIRKS:
@@ -305,7 +311,6 @@ class ScenarioSpec:
             "backend": self.backend,
             "faults": None if self.faults is None else self.faults.to_json(),
             "delay_model": _delay_spec_to_json(self.delay_model),
-            "clock": self.clock,
             "quirks": list(self.quirks),
             "name": self.name,
         }
@@ -319,6 +324,7 @@ class ScenarioSpec:
                 f"spec payload has schema {data.get('schema')!r}; only schema "
                 f"{SPEC_SCHEMA_VERSION} loads (its content address would differ)"
             )
+        _check_keys("spec", data, {f.name for f in fields(cls)} | {"schema"})
         return cls(
             topology=TopologySpec.from_json(data["topology"]),
             crashes=tuple(
@@ -345,7 +351,6 @@ class ScenarioSpec:
             ),
             # __post_init__ canonicalizes the JSON lists back into tuples.
             delay_model=data["delay_model"],
-            clock=data["clock"],
             quirks=tuple(data["quirks"]),
             name=data["name"],
         )

@@ -91,15 +91,13 @@ class TestScenarioSpec:
 
 
 class TestWireForm:
-    """Schema 7's one rule: the address is the hash of the wire form
-    minus the label."""
+    """The address is the hash of the wire form minus the label."""
 
     FIGURE1 = ScenarioSpec(topology=TopologySpec.capture(paper_figure1_topology()))
 
     def test_every_field_is_on_the_wire(self):
         assert self.FIGURE1.to_json() == {
             "backend": "engine",
-            "clock": "virtual",
             "crashes": [],
             "delay_model": None,
             "faults": None,
@@ -107,7 +105,7 @@ class TestWireForm:
             "max_rounds": 600,
             "name": "",
             "quirks": [],
-            "schema": 7,
+            "schema": 8,
             "seed": 0,
             "sends": [],
             "topology": {
@@ -120,7 +118,7 @@ class TestWireForm:
     def test_the_address_is_pinned(self):
         # Moves only with a schema bump; re-pin with a changelog entry.
         assert self.FIGURE1.spec_hash() == (
-            "658ae9cba98a31cc8ab85fb7ac2606f5a26c5e4a35f357bfd1acfaeb2155279d"
+            "802e2e5051bf98ac8b671d135c7d38db3904143197d33f17c696a8b0bf36238d"
         )
 
     def test_the_label_is_the_one_key_left_out(self):
@@ -132,7 +130,7 @@ class TestWireForm:
     def test_a_schema_6_payload_is_rejected(self):
         payload = self.FIGURE1.to_json()
         payload["schema"] = 6
-        with pytest.raises(SimulationError, match="schema 6.*schema 7"):
+        with pytest.raises(SimulationError, match="schema 6.*schema 8"):
             ScenarioSpec.from_json(payload)
 
 
@@ -142,8 +140,8 @@ class TestLoaderFailsLoudly:
     address than the one it was stored with."""
 
     def test_newer_schema_is_rejected(self):
-        # Older and newer alike: any schema but 7.
-        for schema in (None, 1, 6, 8):
+        # Older and newer alike: any schema but 8.
+        for schema in (None, 1, 6, 7, 9):
             payload = _spec().to_json()
             payload["schema"] = schema
             with pytest.raises(SimulationError, match="schema"):
@@ -154,4 +152,21 @@ class TestLoaderFailsLoudly:
             payload = _spec().to_json()
             del payload[key]
             with pytest.raises((KeyError, SimulationError)):
+                ScenarioSpec.from_json(payload)
+
+    def test_an_unknown_key_is_rejected(self):
+        # An extra key would load under an address that is not the hash
+        # of the payload's own body: a stale schema-7 ``clock``, say.
+        for key in ("clock", "extra"):
+            payload = _spec().to_json()
+            payload[key] = "virtual"
+            with pytest.raises(SimulationError, match=key):
+                ScenarioSpec.from_json(payload)
+        for topology in (
+            TopologySpec.capture(chain_topology(2)),
+            TopologySpec.from_generator({"kind": "ring", "k": 4}),
+        ):
+            payload = {**_spec().to_json(), "topology": topology.to_json()}
+            payload["topology"]["extra"] = 1
+            with pytest.raises(SimulationError, match="extra"):
                 ScenarioSpec.from_json(payload)

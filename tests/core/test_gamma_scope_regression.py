@@ -1,4 +1,5 @@
-"""Pinned regression: the ROADMAP item 6 termination gap.
+"""Pinned regression: the gamma-scope termination gap (DESIGN.md §13,
+"Golden-versioning policy").
 
 ``random_topology(42)`` (g1={1,2,3,6}, g2={2,4}, g3={2,5,6,7},
 g4={1,7}) with p1 crashed at t=0 makes g1∩g4={p1} wholly faulty from

@@ -161,6 +161,6 @@ def test_known_ordering_violation_is_still_caught():
         ),
     )
     # The README's triage line names this cell by its schema-6 address,
-    # a653af6037821f9c…; spec schema 7 moved it.
-    assert spec.spec_hash().startswith("73c6d34a5977035c")
+    # a653af6037821f9c…; spec schemas 7 and 8 moved it.
+    assert spec.spec_hash().startswith("c5b2270df21fc53e")
     assert run_scenario(spec).verdicts()["ordering"] == 1

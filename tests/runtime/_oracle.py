@@ -28,9 +28,10 @@ over every driver a test builds.
 So does ``gamma(g)``.  ``src/`` scopes the partner sets and the
 ``CONS_{m,f}`` family key to the group, ``F(g)``; ``golden.json`` was
 frozen while both were still derived from the asking process's own
-``F(p)`` (the ROADMAP item 6 termination gap).  :func:`process_scoped`
-binds that derivation over one system's processes so the golden
-fixtures keep replaying their v1 traces, and
+``F(p)`` (the termination gap of DESIGN.md §13, "Golden-versioning
+policy").  :func:`process_scoped` binds that derivation over one
+system's processes so the golden fixtures keep replaying their v1
+traces, and
 :func:`process_scoped_everywhere` over every process a test builds —
 the negative control of ``tests/core/test_gamma_scope_regression.py``.
 """
@@ -217,10 +218,9 @@ class asyncio_loop:
     """``EventLoop``'s surface — ``now`` / ``call_soon`` / ``call_at``
     (cancellable) / ``stop`` / ``run`` — over a real asyncio loop."""
 
-    def __init__(self, clock="virtual"):
+    def __init__(self):
         self._loop = asyncio.new_event_loop()
-        if clock == "virtual":
-            VirtualClock().install(self._loop)
+        VirtualClock().install(self._loop)
         self.call_soon = self._loop.call_soon
         self.stop = self._loop.stop
 

@@ -120,8 +120,8 @@ def _engine_runner(factory, pattern_name, seed):
             )
         else:
             pattern = failure_free(topology.processes)
-        # golden.json was frozen before the ROADMAP item 6 gamma-scoping
-        # fix; the suite pins the *runtime loop*, so the fixture replays
+        # golden.json was frozen before the gamma-scoping fix (DESIGN.md
+        # §13); the suite pins the *runtime loop*, so the fixture replays
         # the pre-fix per-process scoping explicitly.
         system = process_scoped(MulticastSystem(topology, pattern, seed=seed))
         if scan:

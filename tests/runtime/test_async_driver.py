@@ -1,5 +1,5 @@
 """Unit coverage for the async driver's parts: delay models, the
-virtual clock, the transport, and the driver's validation surface
+loop clock, the transport, and the driver's validation surface
 (the loop's turn rule has its own file, ``test_event_loop.py``).
 
 The end-to-end semantics (delivery-set agreement with the round
@@ -146,7 +146,7 @@ class TestDelayFormulas:
     """The uniform and exponential draws are the stdlib's formulas,
     written out in ``repro.runtime.delay``.  So the formula is the
     repository's own: a CPython change to ``uniform`` or
-    ``expovariate`` can no longer move a virtual-clock replay.  These
+    ``expovariate`` can no longer move a replay.  These
     twin-seed runs pin that the written-out forms are bit-equal to the
     stdlib calls they replaced, and so replay every recorded run."""
 
@@ -189,7 +189,7 @@ class TestDerivedSeed:
 
 class TestVirtualClock:
     def test_sleep_advances_virtual_time_instantly(self):
-        loop = EventLoop("virtual")
+        loop = EventLoop()
         transport = AsyncTransport(loop, [])
         start = loop.now
         began = time.monotonic()
@@ -199,7 +199,7 @@ class TestVirtualClock:
         assert time.monotonic() - began < 5.0
 
     def test_timer_ordering_is_preserved(self):
-        loop = EventLoop("virtual")
+        loop = EventLoop()
         order = []
         loop.call_at(loop.now + 5.0, order.append, "late")
         loop.call_at(loop.now + 1.0, order.append, "early")
@@ -211,7 +211,7 @@ class TestVirtualClock:
 class TestAsyncTransport:
     def _run(self, scenario, keys):
         """Run generator ``scenario(loop, transport)`` as the one task."""
-        loop = EventLoop("virtual")
+        loop = EventLoop()
         transport = AsyncTransport(loop, keys)
         finished = []
 
@@ -283,10 +283,6 @@ class TestDriverValidation:
         return MulticastSystem(
             topology, FailurePattern(topology.processes, {})
         )
-
-    def test_unknown_clock_raises(self):
-        with pytest.raises(SimulationError):
-            AsyncDriver(self._system(), clock="sundial")
 
     def test_wake_listener_cleared_after_run(self):
         system = self._system()

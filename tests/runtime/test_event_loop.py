@@ -4,16 +4,13 @@
 things are pinned here.  The turn rule, case by case: equal deadlines
 fire in scheduling order (asyncio fires ``x, B, A`` on the first
 schedule below — ``heapq`` layout, not a rule), a cancelled timer is as
-good as absent, near-equal deadlines share a turn, and the wall clock
-really waits.  And the claim that nothing else changed: whole scenario
+good as absent, and near-equal deadlines share a turn.  And the claim that nothing else changed: whole scenario
 rows and delivery streams agree with the same driver run on
 ``tests.runtime._oracle.asyncio_loop`` — a real asyncio loop whose only
 edit is that FIFO tie rule.
 """
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -90,12 +87,6 @@ class TestTurnRule:
         with pytest.raises(RuntimeError):
             loop.run()
         assert loop.now == 1.0 and seen == []
-
-    def test_wall_clock_really_sleeps(self):
-        loop = EventLoop("wall")
-        begin = loop.now
-        assert fired_on(loop, [("late", begin + 0.005)], begin + 0.01) == ["late"]
-        assert 0.01 <= time.monotonic() - begin < 1.0
 
 
 TOPOLOGIES = {

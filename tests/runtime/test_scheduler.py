@@ -241,8 +241,8 @@ def test_no_host_takes_a_scheduling_mode():
 
 def test_a_scheduler_is_built_from_the_failure_pattern():
     """Liveness, its change instants and the first responders come from
-    one ``pattern``, the seed is an int and the round length a per-clock
-    constant: no constructor takes a value the pattern or the clock would
+    one ``pattern``, the seed is an int and the async loop clock counts
+    rounds: no constructor takes a value the pattern or the round would
     contradict, and no core object sits between the scheduler and the
     async driver."""
     import importlib.util
@@ -254,6 +254,7 @@ def test_a_scheduler_is_built_from_the_failure_pattern():
     taken = inspect.signature(Scheduler).parameters
     for name in ("is_alive", "alive_instants", "responders", "rng"):
         assert name not in taken, f"Scheduler still takes {name}"
-    assert "round_duration" not in inspect.signature(AsyncDriver).parameters
+    for name in ("round_duration", "clock"):
+        assert name not in inspect.signature(AsyncDriver).parameters
     assert not [name for name in dir(repro.runtime) if name.endswith("Core")]
     assert importlib.util.find_spec("repro.runtime.core") is None

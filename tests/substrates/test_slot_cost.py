@@ -262,8 +262,8 @@ def assert_goldens_reproduce(retired):
 class TestTheOraclesAreTheParents:
     """Under the oracles, what earlier commits pinned comes back byte for byte.
 
-    The row pins were re-recorded once, for spec schema 7: a row embeds its
-    ``spec`` and ``spec_hash``, and nothing else in it moved.
+    The row pins were re-recorded through the oracles once, when
+    ``row_digest`` stopped covering a row's ``spec`` and ``spec_hash``.
     """
 
     def test_relaying_reproduces_the_pr22_goldens(self):
@@ -273,8 +273,8 @@ class TestTheOraclesAreTheParents:
     @pytest.mark.parametrize(
         "label, retired",
         [
-            ("disjoint-kernel-event", "c117ccfd470d00471e2b22123728a110371b7d8f95c5fdd6adfb6ffe4f76dbf2"),
-            ("disjoint-kernel-faulted", "df1aa9f0b571e71af27f06d520ea5ad8c9350304ff7119f035bd160033914e6c"),
+            ("disjoint-kernel-event", "c1850e6212ccd5137313904baee9dbcde0eef5cf9c504f78cd73f53424dfa471"),
+            ("disjoint-kernel-faulted", "b9e2078743291a056cc01bc404a967503217e2fb2887a9e85d7df039fea774b8"),
         ],
     )
     def test_relaying_reproduces_the_pr22_row_pins(self, label, retired):
@@ -286,7 +286,7 @@ class TestTheOraclesAreTheParents:
             assert_goldens_reproduce(retired_goldens("replog3_pr20.json"))
 
     def test_single_value_slots_reproduce_the_pr20_row_pin(self):
-        retired = "652f000596642ac3c3e6bab052c38630f6bd1bb29729ad8b8025aed8c2137e90"
+        retired = "4d09f0e0c36718ab8f40d9534d654ca9b7a166728dab536e379c826ba6351ff4"
         spec = pipeline_rows.SPECS["disjoint-kernel-faulted"]
         with relaying(), single_value_slots():
             assert pipeline_rows.row_digest(spec) == retired
@@ -295,10 +295,10 @@ class TestTheOraclesAreTheParents:
 @pytest.mark.parametrize("label", ["disjoint-kernel-event", "disjoint-kernel-faulted"])
 def test_the_oracle_is_the_parents_protocol(label):
     """Under all three oracles the kernel row pins recorded before PR 20 come
-    back (re-recorded, like the class above, for spec schema 7)."""
+    back (re-recorded, like the class above, without the row's address)."""
     retired = {
-        "disjoint-kernel-event": "8708720626ce67613ffd5a35714db2586a83d88b834b23b26a8015c022f6e874",
-        "disjoint-kernel-faulted": "19431eb3b35d26bc2b3704c30f473a88d56d4d1d2dc481da4145b3eece4c1b2e",
+        "disjoint-kernel-event": "77574542c4b1ec0fe4bd46819faa1b8c60e340addea1f87976e2a7a2ca867036",
+        "disjoint-kernel-faulted": "4339e5304c3417cf2955a7f2e7af7298661dda9d9a6db965be5a8413c22e09e7",
     }
     with relaying(), single_value_slots(), flooding():
         assert pipeline_rows.row_digest(pipeline_rows.SPECS[label]) == retired[label]

@@ -73,6 +73,19 @@ def test_cited_paths_resolve(doc):
     assert not stale, "stale citations:\n" + "\n".join(stale)
 
 
+def test_code_cites_no_roadmap_item():
+    # Item numbers outlive their meaning; code cites DESIGN.md or
+    # EXPERIMENTS.md sections instead.
+    cited = []
+    for tree in ("src", "tests"):
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            text = path.read_text()
+            for hit in re.finditer(r"ROADMAP\s+item", text):
+                lineno = text.count("\n", 0, hit.start()) + 1
+                cited.append(f"{path.relative_to(ROOT)}:{lineno}")
+    assert not cited, "roadmap citations:\n" + "\n".join(cited)
+
+
 def test_a_stale_citation_is_caught(tmp_path):
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "a.py").write_text("class Present:\n    def test_x(self):\n        pass\n")

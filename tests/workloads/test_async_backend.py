@@ -1,15 +1,12 @@
 """The ``backend="async"`` execution backend (spec schema v5).
 
-Covers the runner dispatch, the spec v5 JSON round trip (with v4
-backward compatibility and spec-hash pinning), the seeded virtual-clock
-determinism contract that makes async counterexamples replayable under
-ddmin/repro files, the Campaign ``delay_models`` axis, and a bounded
-wall-clock smoke run.
+Covers the runner dispatch, the spec JSON round trip and spec-hash
+pinning, the determinism contract that makes async counterexamples
+replayable under ddmin/repro files, and the Campaign ``delay_models``
+axis.
 """
 
 from __future__ import annotations
-
-import signal
 
 import pytest
 
@@ -47,26 +44,6 @@ def trace(result):
         (e.time, e.process.name, str(e.message.mid))
         for e in result.record.deliveries
     ]
-
-
-class timeout_guard:
-    """SIGALRM-based hard timeout: a liveness bug fails, not hangs."""
-
-    def __init__(self, seconds: int) -> None:
-        self.seconds = seconds
-
-    def __enter__(self):
-        def expired(signum, frame):
-            raise TimeoutError(f"test exceeded {self.seconds}s wall clock")
-
-        self._previous = signal.signal(signal.SIGALRM, expired)
-        signal.alarm(self.seconds)
-        return self
-
-    def __exit__(self, *exc):
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, self._previous)
-        return False
 
 
 class TestAsyncBackend:
@@ -118,19 +95,10 @@ class TestAsyncBackend:
         assert result.quiescent
         assert verdicts_ok(batch_verdicts(result.record))
 
-    def test_wall_clock_smoke(self):
-        # Real time: bounded by the guard so a liveness regression
-        # fails fast instead of hanging the runner.
-        with timeout_guard(60):
-            result = run_scenario(
-                async_spec(clock="wall", sends=SENDS[:2], max_rounds=600)
-            )
-        assert result.quiescent
-        assert verdicts_ok(batch_verdicts(result.record))
-
 
 class TestVirtualClockDeterminism:
-    """Satellite: seeded virtual-clock mode makes async runs replayable."""
+    """The round-unit loop clock and seeded latencies make async runs
+    replayable."""
 
     def test_same_spec_same_trace(self):
         spec = async_spec(delay_model=("exponential", 1.0, 8.0))
@@ -164,8 +132,8 @@ class TestVirtualClockDeterminism:
         assert fresh["truncated"] == payload["truncated"]
 
     def test_ddmin_runs_over_async_specs(self):
-        # The shrinker only needs a deterministic predicate; virtual
-        # clock runs qualify.  Predicate: "the plan still drops a
+        # The shrinker only needs a deterministic predicate; async runs
+        # qualify.  Predicate: "the plan still drops a
         # datagram", which ddmin minimizes to the single drop event.
         plan = FaultPlan(
             (
@@ -192,13 +160,13 @@ class TestVirtualClockDeterminism:
 class TestSpecSchemaV5:
     def test_schema_version(self):
         # v5 added the async axes below; v6 the quirks axis; v7 put every
-        # field on the wire and in the hash (tests/campaign/test_spec.py).
-        assert SPEC_SCHEMA_VERSION == 7
+        # field on the wire and in the hash (tests/campaign/test_spec.py);
+        # v8 dropped the async ``clock``, whose loop now counts rounds.
+        assert SPEC_SCHEMA_VERSION == 8
 
     def test_json_round_trip(self):
         spec = async_spec(
             delay_model=("slow_pairs", 4.0, ((1, 2), (2, 1)), 0.1, 0.9),
-            clock="wall",
         )
         loaded = ScenarioSpec.from_json(spec.to_json())
         assert loaded == spec
@@ -208,17 +176,16 @@ class TestSpecSchemaV5:
         # Spelling the defaults out names the same scenario.
         spec = ScenarioSpec(topology=TOPO, sends=SENDS, seed=3)
         explicit = ScenarioSpec(
-            topology=TOPO, sends=SENDS, seed=3, delay_model=None, clock="virtual"
+            topology=TOPO, sends=SENDS, seed=3, delay_model=None
         )
         assert spec.spec_hash() == explicit.spec_hash()
 
-    def test_delay_model_and_clock_move_the_hash(self):
+    def test_delay_model_moves_the_hash(self):
         base = async_spec()
         assert (
             async_spec(delay_model=("fixed", 0.5)).spec_hash()
             != base.spec_hash()
         )
-        assert async_spec(clock="wall").spec_hash() != base.spec_hash()
 
     def test_delay_model_is_canonicalized(self):
         # JSON round trips turn tuples into lists; both spell one spec.
@@ -230,8 +197,6 @@ class TestSpecSchemaV5:
     def test_bad_delay_model_fails_at_capture(self):
         with pytest.raises(SimulationError):
             async_spec(delay_model=("warp", 9))
-        with pytest.raises(SimulationError):
-            async_spec(clock="sundial")
 
 
 class TestCampaignDelayAxis:

@@ -14,7 +14,7 @@ seeds per fault mix to check — is semantic agreement:
 * **verdict maps**: the violation-count map of the async run equals the
   round run's, fault mix by fault mix.
 
-Wall-clock nondeterminism is tolerated (round *counts* may differ);
+A different schedule is tolerated (round *counts* may differ);
 property violations are not.  Crash times deliberately avoid ``t = 1``:
 the async clock starts at logical ``t = 1``, so a send scripted at
 round 0 is issued at ``t = 1`` there and at ``t = 0`` on the round
@@ -166,9 +166,9 @@ class TestEngineVsAsync:
             ), (mix, seed)
 
     def test_round_counts_may_differ_but_sets_never(self):
-        """Wall-clock nondeterminism shows up as differing round counts
-        across delay models — the tolerated axis — while delivery sets
-        stay pinned."""
+        """A delay model moves the schedule, which shows up as differing
+        round counts — the tolerated axis — while delivery sets stay
+        pinned."""
         fingerprints = set()
         rounds = set()
         for dm in (

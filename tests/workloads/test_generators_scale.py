@@ -171,12 +171,12 @@ class TestGeneratorSpecs:
     def test_generator_spec_hash_is_frozen(self):
         # Campaign caches key on this address: silent drift invalidates
         # every stored sweep.  Re-pin only with a changelog entry (last:
-        # spec schema 7).
+        # spec schema 8).
         spec = ScenarioSpec(
             topology=TopologySpec.from_generator({"kind": "ring", "k": K})
         )
         assert spec.spec_hash() == (
-            "7e24e88e83f49dffd3c6051e94db352ac3e3e435b59dd722f4c3ae4ab5588874"
+            "2a7bb9ae89c5d1e481d518018b4af737c99fb28e9b185136227d869c483cf979"
         )
 
     def test_ring200_runs_on_the_engine(self):
