@@ -19,12 +19,14 @@ from __future__ import annotations
 import pytest
 
 from conftest import run_once
-from repro.core import MulticastSystem
 from repro.core.algorithm1 import Algorithm1Process
-from repro.metrics import format_table
-from repro.model import failure_free, make_processes, pset
-from repro.props import assert_run_ok
-from repro.workloads import Send, chain_topology, ring_topology
+from repro.core.engine import MulticastSystem
+from repro.metrics.summary import format_table
+from repro.model.failures import failure_free
+from repro.model.processes import make_processes, pset
+from repro.props.checkers import assert_run_ok
+from repro.workloads.runner import Send
+from repro.workloads.topologies import chain_topology, ring_topology
 
 ROWS = []
 

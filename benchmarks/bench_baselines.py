@@ -17,12 +17,16 @@ from __future__ import annotations
 import pytest
 
 from conftest import run_once
-from repro.baselines import BroadcastMulticast, PartitionedMulticast, SkeenMulticast
-from repro.groups import topology_from_indices
-from repro.metrics import format_table
-from repro.model import by_indices, crash_pattern, failure_free, make_processes, pset
-from repro.props import check_minimality, check_ordering, check_termination
-from repro.workloads import ScenarioSpec, Send, run_scenario
+from repro.baselines.broadcast import BroadcastMulticast
+from repro.baselines.partitioned import PartitionedMulticast
+from repro.baselines.skeen import SkeenMulticast
+from repro.groups.topology import topology_from_indices
+from repro.metrics.summary import format_table
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import by_indices, make_processes, pset
+from repro.props.checkers import check_minimality, check_ordering, check_termination
+from repro.workloads.runner import Send, run_scenario
+from repro.workloads.spec import ScenarioSpec
 
 #: A topology every baseline can host: two groups sharing a partition.
 TOPO = topology_from_indices(5, {"g": [1, 2, 3], "h": [2, 3, 4]})

@@ -21,12 +21,16 @@ from __future__ import annotations
 import pytest
 
 from conftest import run_once
-from repro.campaign import Campaign, case, run_campaign
-from repro.core import AtomicMulticast, MulticastSystem
-from repro.metrics import format_table
-from repro.model import failure_free, make_processes, pset
-from repro.props import assert_run_ok
-from repro.workloads import Send, hub_topology
+from repro.campaign.executor import run_campaign
+from repro.campaign.grid import Campaign, case
+from repro.core.engine import MulticastSystem
+from repro.core.group_sequential import AtomicMulticast
+from repro.metrics.summary import format_table
+from repro.model.failures import failure_free
+from repro.model.processes import make_processes, pset
+from repro.props.checkers import assert_run_ok
+from repro.workloads.runner import Send
+from repro.workloads.topologies import hub_topology
 
 ROWS = []
 SCAN_ROWS = []

@@ -28,9 +28,9 @@ import os
 
 import pytest
 
-from repro.explore import Explorer
 from repro.explore.__main__ import base_cells
-from repro.metrics import format_table
+from repro.explore.driver import Explorer
+from repro.metrics.summary import format_table
 
 ITERATIONS = 96
 SEEDS = (0, 1, 2, 3, 4)

@@ -13,12 +13,15 @@ from __future__ import annotations
 import pytest
 
 from conftest import run_once
-from repro.detectors import check_gamma, check_omega, check_sigma
-from repro.emulation import GammaExtraction, OmegaExtraction, SigmaExtraction
-from repro.groups import topology_from_indices
-from repro.metrics import format_table
-from repro.model import crash_pattern, failure_free, make_processes, pset
-from repro.workloads import ring_topology
+from repro.detectors.validation import check_gamma, check_omega, check_sigma
+from repro.emulation.gamma_extraction import GammaExtraction
+from repro.emulation.omega_extraction import OmegaExtraction
+from repro.emulation.sigma_extraction import SigmaExtraction
+from repro.groups.topology import topology_from_indices
+from repro.metrics.summary import format_table
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import make_processes, pset
+from repro.workloads.topologies import ring_topology
 
 SIGMA_ROWS = []
 GAMMA_ROWS = []

@@ -11,11 +11,13 @@ from __future__ import annotations
 import pytest
 
 from conftest import run_once
-from repro.detectors import GammaOracle, gamma_groups
-from repro.groups import cpaths, hamiltonian_cycles, paper_figure1_topology
-from repro.metrics import format_table
-from repro.model import crash_pattern, make_processes, pset
-from repro.workloads import hub_topology, ring_topology
+from repro.detectors.cyclicity import GammaOracle, gamma_groups
+from repro.groups.families import cpaths, hamiltonian_cycles
+from repro.groups.topology import paper_figure1_topology
+from repro.metrics.summary import format_table
+from repro.model.failures import crash_pattern
+from repro.model.processes import make_processes, pset
+from repro.workloads.topologies import hub_topology, ring_topology
 
 ROWS = []
 

@@ -18,11 +18,12 @@ from __future__ import annotations
 import pytest
 
 from conftest import run_once
-from repro.baselines import BroadcastMulticast
-from repro.core import MulticastSystem
-from repro.metrics import format_table
-from repro.model import failure_free, make_processes, pset
-from repro.workloads import disjoint_topology
+from repro.baselines.broadcast import BroadcastMulticast
+from repro.core.engine import MulticastSystem
+from repro.metrics.summary import format_table
+from repro.model.failures import failure_free
+from repro.model.processes import make_processes, pset
+from repro.workloads.topologies import disjoint_topology
 
 LOAD = 8  # messages, all to g1
 ROWS = []

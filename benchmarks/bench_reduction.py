@@ -14,11 +14,13 @@ from __future__ import annotations
 import pytest
 
 from conftest import run_once
-from repro.core import AtomicMulticast, MulticastSystem
-from repro.groups import paper_figure1_topology
-from repro.metrics import format_table
-from repro.model import crash_pattern, failure_free, make_processes, pset
-from repro.props import assert_run_ok
+from repro.core.engine import MulticastSystem
+from repro.core.group_sequential import AtomicMulticast
+from repro.groups.topology import paper_figure1_topology
+from repro.metrics.summary import format_table
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import make_processes, pset
+from repro.props.checkers import assert_run_ok
 
 PROCS = make_processes(5)
 ALL = pset(PROCS)

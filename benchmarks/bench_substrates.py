@@ -15,13 +15,17 @@ from __future__ import annotations
 import pytest
 
 from conftest import run_once
-from repro.core import MulticastSystem
-from repro.groups import topology_from_indices
-from repro.metrics import format_table
-from repro.model import crash_pattern, failure_free, make_processes, pset
-from repro.sim import Kernel
-from repro.substrates import ConsensusCluster, ReplicatedLogCluster
-from repro.workloads import ScenarioSpec, random_sends, run_scenario, ring_topology
+from repro.core.engine import MulticastSystem
+from repro.groups.topology import topology_from_indices
+from repro.metrics.summary import format_table
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import make_processes, pset
+from repro.sim.kernel import Kernel
+from repro.substrates.consensus import ConsensusCluster
+from repro.substrates.replicated_log import ReplicatedLogCluster
+from repro.workloads.runner import random_sends, run_scenario
+from repro.workloads.spec import ScenarioSpec
+from repro.workloads.topologies import ring_topology
 
 CONSENSUS_ROWS = []
 LOG_ROWS = []

@@ -25,13 +25,16 @@ from __future__ import annotations
 import pytest
 
 from conftest import run_once
-from repro.baselines import BroadcastMulticast
-from repro.campaign import Campaign, case, run_campaign
-from repro.core import MulticastSystem
-from repro.groups import paper_figure1_topology
-from repro.metrics import format_table
-from repro.model import by_indices, crash_pattern, failure_free, make_processes, pset
-from repro.props import (
+from repro.baselines.broadcast import BroadcastMulticast
+from repro.campaign.executor import run_campaign
+from repro.campaign.grid import Campaign, case
+from repro.core.engine import MulticastSystem
+from repro.groups.topology import paper_figure1_topology
+from repro.metrics.summary import format_table
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import by_indices, make_processes, pset
+from repro.props.batch import verdicts_ok
+from repro.props.checkers import (
     check_group_parallelism,
     check_integrity,
     check_minimality,
@@ -39,9 +42,10 @@ from repro.props import (
     check_pairwise_ordering,
     check_strict_ordering,
     check_termination,
-    verdicts_ok,
 )
-from repro.workloads import ScenarioSpec, Send, chain_topology, run_scenario
+from repro.workloads.runner import Send, run_scenario
+from repro.workloads.spec import ScenarioSpec
+from repro.workloads.topologies import chain_topology
 
 PROCS = make_processes(5)
 ALL = pset(PROCS)

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Campaign sweep: run a grid of seeded scenarios through the campaign API.
 
-A :class:`repro.campaign.Campaign` is a declarative grid: a handful of
+A :class:`repro.campaign.grid.Campaign` is a declarative grid: a handful of
 named cases (topology + failure pattern + send script) crossed with
 seeds and protocol variants.  ``Campaign.specs()`` expands the grid into
-frozen, hashable :class:`repro.workloads.ScenarioSpec` values;
+frozen, hashable :class:`repro.workloads.spec.ScenarioSpec` values;
 ``run_campaign`` executes them — serially or on a process pool — and
 aggregates one JSON-ready row per scenario, property verdicts included.
 
@@ -17,9 +17,11 @@ import sys
 import tempfile
 
 from repro import crash_pattern, make_processes, paper_figure1_topology, pset
-from repro.campaign import Campaign, case, run_campaign
-from repro.metrics import sweep_table
-from repro.workloads import Send, ring_topology
+from repro.campaign.executor import run_campaign
+from repro.campaign.grid import Campaign, case
+from repro.metrics.sweep import sweep_table
+from repro.workloads.runner import Send
+from repro.workloads.topologies import ring_topology
 
 
 def main() -> None:

@@ -24,8 +24,8 @@ from repro import (
     paper_figure1_topology,
     pset,
 )
-from repro.metrics import format_table, latency_of
-from repro.workloads import chain_topology
+from repro.metrics.summary import format_table, latency_of
+from repro.workloads.topologies import chain_topology
 
 
 def convoy_demo() -> None:

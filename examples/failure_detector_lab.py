@@ -18,10 +18,12 @@ checkers as the ideal oracles.
 """
 
 from repro import by_indices, crash_pattern, make_processes, pset
-from repro.detectors import check_gamma, check_indicator, check_sigma
-from repro.emulation import GammaExtraction, IndicatorExtraction, SigmaExtraction
-from repro.groups import topology_from_indices
-from repro.workloads import chain_topology, ring_topology
+from repro.detectors.validation import check_gamma, check_indicator, check_sigma
+from repro.emulation.gamma_extraction import GammaExtraction
+from repro.emulation.indicator_extraction import IndicatorExtraction
+from repro.emulation.sigma_extraction import SigmaExtraction
+from repro.groups.topology import topology_from_indices
+from repro.workloads.topologies import chain_topology, ring_topology
 
 
 def sigma_lab() -> None:

@@ -11,10 +11,15 @@ shows (i) convergence, (ii) real-time order preservation across sequential
 clients, and (iii) a replica crash being absorbed.
 """
 
-from repro import crash_pattern, make_processes, pset, topology_from_indices
-from repro.core import MulticastSystem
+from repro import (
+    MulticastSystem,
+    crash_pattern,
+    make_processes,
+    pset,
+    topology_from_indices,
+)
 from repro.core.smr import ReplicatedStateMachine
-from repro.props import check_strict_ordering
+from repro.props.checkers import check_strict_ordering
 
 
 def main() -> None:

@@ -30,62 +30,32 @@ Packages:
 * :mod:`repro.baselines` — broadcast-based, Skeen, partitioned (§2.3, §7);
 * :mod:`repro.props` — executable correctness properties (§2.2);
 * :mod:`repro.workloads`, :mod:`repro.metrics` — harness utilities.
+
+This module re-exports the ten names the quickstart and ``examples/``
+use; the sub-packages re-export nothing.  Import every other name from
+the module that defines it (``from repro.workloads.runner import
+run_scenario``).
 """
 
-from repro.core import AtomicMulticast, MulticastSystem
-from repro.detectors import (
-    GammaOracle,
-    IndicatorOracle,
-    Mu,
-    OmegaOracle,
-    PerfectOracle,
-    SigmaOracle,
-)
-from repro.groups import (
-    Group,
-    GroupTopology,
-    paper_figure1_topology,
-    topology_from_indices,
-)
-from repro.model import (
-    Environment,
-    FailurePattern,
-    MulticastMessage,
-    ProcessId,
-    all_patterns_environment,
-    by_indices,
-    crash_pattern,
-    failure_free,
-    make_processes,
-    pset,
-)
-from repro.props import assert_run_ok
+from repro.core.engine import MulticastSystem
+from repro.core.group_sequential import AtomicMulticast
+from repro.groups.topology import paper_figure1_topology, topology_from_indices
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import by_indices, make_processes, pset
+from repro.props.checkers import assert_run_ok
 
 __version__ = "1.0.0"
 
 __all__ = [
     "AtomicMulticast",
     "MulticastSystem",
-    "GammaOracle",
-    "IndicatorOracle",
-    "Mu",
-    "OmegaOracle",
-    "PerfectOracle",
-    "SigmaOracle",
-    "Group",
-    "GroupTopology",
-    "paper_figure1_topology",
-    "topology_from_indices",
-    "Environment",
-    "FailurePattern",
-    "MulticastMessage",
-    "ProcessId",
-    "all_patterns_environment",
+    "assert_run_ok",
     "by_indices",
     "crash_pattern",
     "failure_free",
     "make_processes",
+    "paper_figure1_topology",
     "pset",
-    "assert_run_ok",
+    "topology_from_indices",
     "__version__",
 ]

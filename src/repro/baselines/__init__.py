@@ -1,13 +1,3 @@
 """Comparator protocols: the non-genuine broadcast-based baseline (§2.3),
 Skeen's failure-free classic [5, 22], and the disjoint-partition
 architecture of the prior fault-tolerant protocols (§7)."""
-
-from repro.baselines.broadcast import BroadcastMulticast
-from repro.baselines.partitioned import PartitionedMulticast
-from repro.baselines.skeen import SkeenMulticast
-
-__all__ = [
-    "BroadcastMulticast",
-    "PartitionedMulticast",
-    "SkeenMulticast",
-]

@@ -12,7 +12,7 @@ from repro.model.failures import FailurePattern
 from repro.model.messages import MessageFactory, MulticastMessage
 from repro.model.processes import ProcessId
 from repro.model.runs import RunRecord
-from repro.runtime import RoundHost
+from repro.runtime.actors import RoundHost
 
 
 class BaselineMulticast(RoundHost):

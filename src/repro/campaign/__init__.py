@@ -25,49 +25,3 @@ sweeps.
 ``python -m repro.campaign`` runs a small built-in smoke sweep (see
 :mod:`repro.campaign.__main__`).
 """
-
-from repro.campaign.aggregate import (
-    CAMPAIGN_SCHEMA_VERSION,
-    CampaignReport,
-    PartialScan,
-    ResultsWriter,
-    meta_line,
-    row_line,
-    scan_partial_results,
-    summary_line,
-    sweep_hash,
-    write_manifest,
-)
-from repro.campaign.cache import (
-    CACHE_SCHEMA_VERSION,
-    CampaignCache,
-    ensure_cache,
-    shard_cells,
-    shard_of,
-)
-from repro.campaign.executor import MODES, execute_spec, run_campaign
-from repro.campaign.grid import Campaign, CampaignCase, case
-
-__all__ = [
-    "CACHE_SCHEMA_VERSION",
-    "CAMPAIGN_SCHEMA_VERSION",
-    "Campaign",
-    "CampaignCache",
-    "CampaignCase",
-    "CampaignReport",
-    "MODES",
-    "PartialScan",
-    "ResultsWriter",
-    "case",
-    "ensure_cache",
-    "execute_spec",
-    "meta_line",
-    "row_line",
-    "run_campaign",
-    "scan_partial_results",
-    "shard_cells",
-    "shard_of",
-    "summary_line",
-    "sweep_hash",
-    "write_manifest",
-]

@@ -8,8 +8,9 @@ fault plans, delay models).  :meth:`Campaign.specs`
 expands the grid into frozen
 :class:`repro.workloads.spec.ScenarioSpec` values in a deterministic
 order, so the same campaign always produces the same scenario list, the
-same content hashes and — executed by :func:`repro.campaign.run_campaign`
-— byte-identical results regardless of worker count.
+same content hashes and — executed by
+:func:`repro.campaign.executor.run_campaign` — byte-identical results
+regardless of worker count.
 """
 
 from __future__ import annotations

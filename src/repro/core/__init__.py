@@ -9,27 +9,3 @@
 * :class:`SpanningTreeMulticast` — the §7 failure-free strongly genuine
   sketch (spanning-tree delivery orders).
 """
-
-from repro.core.algorithm1 import Algorithm1Process, VARIANTS
-from repro.core.engine import MulticastSystem
-from repro.core.group_sequential import AtomicMulticast
-from repro.core.phases import COMMIT, DELIVER, PENDING, STABLE, START, Phase
-from repro.core.smr import ReplicatedStateMachine, kv_apply
-from repro.core.spanning_tree import SpanningTreeMulticast, spanning_tree_order
-
-__all__ = [
-    "Algorithm1Process",
-    "VARIANTS",
-    "MulticastSystem",
-    "AtomicMulticast",
-    "COMMIT",
-    "DELIVER",
-    "PENDING",
-    "STABLE",
-    "START",
-    "Phase",
-    "ReplicatedStateMachine",
-    "kv_apply",
-    "SpanningTreeMulticast",
-    "spanning_tree_order",
-]

@@ -7,7 +7,7 @@ linearization").  Each round advances the global clock by one, then lets
 every live process scan its enabled actions, in a seeded random order — an
 adversarially shuffled, yet reproducible, schedule.
 
-Crash injection follows the run's :class:`repro.model.FailurePattern`:
+Crash injection follows the run's :class:`repro.model.failures.FailurePattern`:
 from its crash time on, a process takes no further step.  *Participation
 sets* restrict which processes are scheduled at all; they express the
 P-fair runs of §6.2 (group parallelism) and the emulation constructions of
@@ -33,7 +33,7 @@ condition —
 
 The seeded random schedule is *unchanged*: the full eligible order is
 shuffled exactly as before and parked processes are merely skipped, so
-the RNG stream — and therefore the :class:`repro.model.RunRecord` trace —
+the RNG stream — and therefore the :class:`repro.model.runs.RunRecord` trace —
 is byte-identical to the scan-everything engine (a skipped process would
 have fired nothing and recorded nothing).  The seed loop itself is kept
 as a test oracle (``tests/runtime/_oracle.py``) for differential
@@ -61,7 +61,8 @@ from repro.model.messages import MessageFactory, MulticastMessage
 from repro.model.processes import ProcessId, ProcessSet
 from repro.model.runs import RunRecord
 from repro.objects.space import ObjectSpace
-from repro.runtime import RoundHost, Scheduler, SharedObjectActor
+from repro.runtime.actors import RoundHost, SharedObjectActor
+from repro.runtime.scheduler import Scheduler
 
 #: An auxiliary per-process action source (e.g. the Prop. 1 reduction):
 #: called as ``component(pid, t)`` and returns the number of actions fired.
@@ -101,7 +102,7 @@ class MulticastSystem(RoundHost):
         self.topology = topology
         self.pattern = pattern
         self.variant = variant
-        #: Optional :class:`repro.faults.FaultInjector`.  The engine has
+        #: Optional :class:`repro.faults.injector.FaultInjector`.  The engine has
         #: no message buffer, so only churn (the scheduler filters on it)
         #: and the plan horizon reach it; detector faults are in ``mu``.
         #: ``None`` keeps every code path byte-identical to the fault-free
@@ -309,7 +310,8 @@ class MulticastSystem(RoundHost):
     ) -> int:
         """One round: advance the clock, let live processes act; returns
         the number of actions fired across the system.  The arguments
-        and the per-round contract are :meth:`repro.runtime.Scheduler.round`'s
+        and the per-round contract are
+        :meth:`repro.runtime.scheduler.Scheduler.round`'s
         (``action_budget=1`` is what latency measurements use).
         """
         return self._scheduler.round(participation, responders, action_budget)
@@ -322,7 +324,7 @@ class MulticastSystem(RoundHost):
         stop_when: Optional[Callable[[], bool]] = None,
     ) -> int:
         """Run rounds until quiescence (or ``max_rounds``) — see
-        :meth:`repro.runtime.Scheduler.run`; here the settle horizon
+        :meth:`repro.runtime.scheduler.Scheduler.run`; here the settle horizon
         covers ``gamma``, the indicators and Omega.  Returns the number
         of rounds executed; :attr:`last_run_quiescent` reports how the
         run ended.

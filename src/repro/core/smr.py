@@ -7,7 +7,7 @@ delivered before d, breaking linearizability" [3].  This module is that
 application layer:
 
 * a :class:`ReplicatedStateMachine` funnels commands through a strict
-  :class:`repro.core.MulticastSystem` deployment and applies deliveries,
+  :class:`repro.core.engine.MulticastSystem` deployment and applies deliveries,
   in order, to a deterministic state machine per replica;
 * sharded machines are supported naturally: one machine per destination
   group, cross-group commands multicast to group unions.

@@ -8,7 +8,7 @@ wait-free solvable inside every destination group (§4).
 
 :class:`Mu` is a value, the record of those components; :func:`build_mu`
 builds the pattern-oracle one, and any component answering the same
-queries may stand in (:meth:`repro.faults.FaultInjector.perturb_mu`'s
+queries may stand in (:meth:`repro.faults.injector.FaultInjector.perturb_mu`'s
 do).  It also exposes itself as a plain :class:`Conjunction`.
 """
 

@@ -152,27 +152,3 @@ def check_indicator(
                     f"t={death_time}"
                 )
     return violations
-
-
-def check_perfect(history: History, pattern: FailurePattern) -> List[str]:
-    """Check strong accuracy and strong completeness of ``P``."""
-    violations: List[str] = []
-    for p, t, value in history:
-        if value is None:
-            continue
-        premature = set(value) - set(pattern.at(t))
-        if premature:
-            violations.append(
-                f"strong accuracy violated at {p.name} t={t}: suspected "
-                f"{sorted(premature)} before any crash"
-            )
-    for p, samples in _samples_by_process(history).items():
-        if not pattern.is_correct(p) or not samples:
-            continue
-        _, last = samples[-1]
-        if last is not None and not set(pattern.faulty) <= set(last):
-            violations.append(
-                f"strong completeness suspect at {p.name}: final suspicion "
-                f"misses {sorted(set(pattern.faulty) - set(last))}"
-            )
-    return violations

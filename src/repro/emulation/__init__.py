@@ -1,16 +1,2 @@
 """Necessity constructions: extracting the components of mu from a
 multicast black box (Algorithms 2-5, §5 and §6)."""
-
-from repro.emulation.gamma_extraction import GammaExtraction
-from repro.emulation.heartbeats import HeartbeatRanking
-from repro.emulation.indicator_extraction import IndicatorExtraction
-from repro.emulation.omega_extraction import OmegaExtraction
-from repro.emulation.sigma_extraction import SigmaExtraction
-
-__all__ = [
-    "GammaExtraction",
-    "HeartbeatRanking",
-    "IndicatorExtraction",
-    "OmegaExtraction",
-    "SigmaExtraction",
-]

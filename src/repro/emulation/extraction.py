@@ -13,7 +13,7 @@ from repro.detectors.base import FailureDetector
 from repro.groups.topology import Group, GroupTopology
 from repro.model.failures import FailurePattern
 from repro.model.processes import ProcessId, ProcessSet
-from repro.runtime import RoundHost
+from repro.runtime.actors import RoundHost
 
 
 class Extraction(RoundHost, FailureDetector):

@@ -12,7 +12,7 @@ scenario specs instead of byte strings):
   *fingerprint set* built from signals the :class:`TraceRecorder`
   already emits — wait-reason histograms, detector-consultation
   counts, quorum stalls, and the interleaving transition stream the
-  :class:`repro.runtime.Scheduler` records;
+  :class:`repro.runtime.scheduler.Scheduler` records;
 * :mod:`repro.explore.corpus` keeps the content-addressed corpus of
   entries that contributed novel coverage, with an energy schedule
   favouring entries whose fingerprints are globally rare;
@@ -30,17 +30,3 @@ scenario specs instead of byte strings):
 CI job runs it under a wall-clock budget and fails only on violations
 absent from the committed baseline.
 """
-
-from repro.explore.corpus import Corpus, CorpusEntry
-from repro.explore.coverage import coverage_of
-from repro.explore.driver import ExploreReport, Explorer
-from repro.explore.mutate import MutationEngine
-
-__all__ = [
-    "Corpus",
-    "CorpusEntry",
-    "coverage_of",
-    "ExploreReport",
-    "Explorer",
-    "MutationEngine",
-]

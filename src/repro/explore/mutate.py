@@ -37,6 +37,7 @@ from repro.faults.plan import (
     LINK_KINDS,
     RECOVERY_KINDS,
 )
+from repro.model.errors import SimulationError
 from repro.workloads.spec import ScenarioSpec
 
 #: How many mutation operators one ``mutate`` call may stack (1-3, an
@@ -300,7 +301,7 @@ class MutationEngine:
             return dataclasses.replace(
                 spec, delay_model=canonical_delay_spec(candidate)
             )
-        except Exception:
+        except SimulationError:
             return spec  # an out-of-envelope jitter keeps the parent
 
     def _random_slow_pairs(self, rng: random.Random) -> Tuple[Any, ...]:

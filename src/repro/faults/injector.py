@@ -4,7 +4,7 @@ A :class:`repro.faults.plan.FaultPlan` is pure data; the injector is its
 executable form, bound to one run.  The execution hosts each consult the
 slice of the injector they understand:
 
-* :class:`repro.runtime.Scheduler` asks :meth:`FaultInjector.suppresses`
+* :class:`repro.runtime.scheduler.Scheduler` asks :meth:`FaultInjector.suppresses`
   before scheduling an actor (participation churn);
 * :class:`repro.model.messages.MessageBuffer` routes every ``send``
   through :meth:`FaultInjector.on_send` (delay / duplicate / drop with

@@ -37,7 +37,7 @@ unfair:
   an eventual property), and ``gamma_delay`` adds finite detection lag;
 * ``crash_burst`` adds crashes — every environment considered in §5.2
   is closed under early/extra crashes, and monotonicity is preserved by
-  construction (:meth:`repro.model.FailurePattern.with_crash`);
+  construction (:meth:`repro.model.failures.FailurePattern.with_crash`);
 * ``churn`` suspends processes for a finite window, which is just
   asynchrony (any finite step delay is an admissible schedule);
 * recovery events (``partition``, ``crash_recover``, ``link_flaky``)

@@ -1,48 +1,2 @@
 """Destination-group combinatorics: topologies, intersection graphs,
 cyclic families and closed paths (§3 of the paper)."""
-
-from repro.groups.families import (
-    ClosedPath,
-    cpaths,
-    family_eventually_faulty,
-    family_fault_time,
-    family_faulty_at,
-    family_name,
-    faulty_edges_at,
-    hamiltonian_cycles,
-    intersection_adjacency,
-    is_chordless_cycle_family,
-    is_cyclic_family,
-    path_direction,
-    path_edges,
-    paths_equivalent,
-)
-from repro.groups.topology import (
-    Group,
-    GroupFamily,
-    GroupTopology,
-    paper_figure1_topology,
-    topology_from_indices,
-)
-
-__all__ = [
-    "ClosedPath",
-    "cpaths",
-    "family_eventually_faulty",
-    "family_fault_time",
-    "family_faulty_at",
-    "family_name",
-    "faulty_edges_at",
-    "hamiltonian_cycles",
-    "intersection_adjacency",
-    "is_chordless_cycle_family",
-    "is_cyclic_family",
-    "path_direction",
-    "path_edges",
-    "paths_equivalent",
-    "Group",
-    "GroupFamily",
-    "GroupTopology",
-    "paper_figure1_topology",
-    "topology_from_indices",
-]

@@ -1,47 +1,1 @@
 """Run metrics, per-round trace instrumentation and table formatting."""
-
-from repro.metrics.summary import (
-    RunSummary,
-    format_table,
-    latency_of,
-    steps_at,
-    summarize,
-)
-from repro.metrics.sweep import (
-    SweepAggregator,
-    summarize_rows,
-    sweep_table,
-)
-from repro.metrics.trace import (
-    TRACE_SCHEMA_VERSION,
-    WAIT_CONSENSUS,
-    WAIT_GAMMA,
-    WAIT_IDLE,
-    WAIT_INDICATOR,
-    WAIT_ORDER,
-    WAIT_QUORUM,
-    RoundTrace,
-    TraceRecorder,
-    read_jsonl,
-)
-
-__all__ = [
-    "RunSummary",
-    "format_table",
-    "latency_of",
-    "steps_at",
-    "summarize",
-    "SweepAggregator",
-    "summarize_rows",
-    "sweep_table",
-    "TRACE_SCHEMA_VERSION",
-    "WAIT_CONSENSUS",
-    "WAIT_GAMMA",
-    "WAIT_IDLE",
-    "WAIT_INDICATOR",
-    "WAIT_ORDER",
-    "WAIT_QUORUM",
-    "RoundTrace",
-    "TraceRecorder",
-    "read_jsonl",
-]

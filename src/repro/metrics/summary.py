@@ -1,6 +1,6 @@
 """Run metrics: the quantities the benchmark harness reports.
 
-Given a :class:`repro.model.RunRecord`, compute per-process step counts,
+Given a :class:`repro.model.runs.RunRecord`, compute per-process step counts,
 delivery latencies (multicast round -> delivery round), protocol work
 distribution and the genuineness footprint (steps at processes no message
 was addressed to).  Also provides a minimal fixed-width table formatter

@@ -39,15 +39,6 @@ WAIT_ORDER = "order"  # waiting for earlier log entries to progress
 WAIT_INDICATOR = "indicator"  # strict variant: waiting on 1^{g∩h}
 WAIT_IDLE = "idle"  # nothing known to do
 
-WAIT_REASONS = (
-    WAIT_QUORUM,
-    WAIT_GAMMA,
-    WAIT_CONSENSUS,
-    WAIT_ORDER,
-    WAIT_INDICATOR,
-    WAIT_IDLE,
-)
-
 
 @dataclass(slots=True)
 class RoundTrace:

@@ -2,62 +2,3 @@
 
 This package is the executable rendering of Appendix A of the paper.
 """
-
-from repro.model.errors import (
-    DetectorError,
-    ModelError,
-    PropertyViolation,
-    ReproError,
-    SimulationError,
-    SpecificationError,
-    TopologyError,
-)
-from repro.model.failures import (
-    Environment,
-    FailurePattern,
-    Time,
-    all_patterns_environment,
-    crash_pattern,
-    failure_free,
-)
-from repro.model.messages import (
-    Datagram,
-    MessageBuffer,
-    MessageFactory,
-    MessageId,
-    MulticastMessage,
-    NULL_MESSAGE,
-)
-from repro.model.processes import ProcessId, ProcessSet, by_indices, make_processes, pset
-from repro.model.runs import DeliveryEvent, MulticastEvent, RunRecord, Step
-
-__all__ = [
-    "DetectorError",
-    "ModelError",
-    "PropertyViolation",
-    "ReproError",
-    "SimulationError",
-    "SpecificationError",
-    "TopologyError",
-    "Environment",
-    "FailurePattern",
-    "Time",
-    "all_patterns_environment",
-    "crash_pattern",
-    "failure_free",
-    "Datagram",
-    "MessageBuffer",
-    "MessageFactory",
-    "MessageId",
-    "MulticastMessage",
-    "NULL_MESSAGE",
-    "ProcessId",
-    "ProcessSet",
-    "by_indices",
-    "make_processes",
-    "pset",
-    "DeliveryEvent",
-    "MulticastEvent",
-    "RunRecord",
-    "Step",
-]

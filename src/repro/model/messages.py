@@ -157,7 +157,7 @@ class MessageBuffer:
     receive steps is eventually received) is the scheduler's obligation and
     is supported by FIFO extraction order per destination.
 
-    With a :class:`repro.faults.FaultInjector` attached the buffer models
+    With a :class:`repro.faults.injector.FaultInjector` attached the buffer models
     admissible link faults: a send may be delayed (sequestered until an
     absolute release time), duplicated (bounded extra copies) or dropped
     with a mandatory retransmission (fair-lossy links), and extraction

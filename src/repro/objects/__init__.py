@@ -1,22 +1,2 @@
 """Shared objects of Algorithm 1: logs, consensus, adopt-commit, and the
 object space with genuineness-aware step accounting (§4.3)."""
-
-from repro.objects.consensus import AdoptCommitObject, AdoptCommitOutcome, ConsensusObject
-from repro.objects.log import Log
-from repro.objects.space import (
-    ConsensusHandle,
-    IntersectionLogHandle,
-    LogHandle,
-    ObjectSpace,
-)
-
-__all__ = [
-    "AdoptCommitObject",
-    "AdoptCommitOutcome",
-    "ConsensusObject",
-    "Log",
-    "ConsensusHandle",
-    "IntersectionLogHandle",
-    "LogHandle",
-    "ObjectSpace",
-]

@@ -18,7 +18,7 @@ Carriers:
   charged.
 
 The space receives a ``charge`` callback (processes, reason) from the
-runtime, which turns charges into :class:`repro.model.RunRecord` steps.
+runtime, which turns charges into :class:`repro.model.runs.RunRecord` steps.
 One operation is one call: the processes it charges arrive together, in
 charging order (:func:`billing_order`).
 """
@@ -57,7 +57,7 @@ def _det_label(key: Any) -> str:
 
     ``repr(frozenset)`` follows string hash order, which varies per
     interpreter run (PYTHONHASHSEED); object names feed the step-charge
-    reasons in the :class:`repro.model.RunRecord`, so they must render
+    reasons in the :class:`repro.model.runs.RunRecord`, so they must render
     identically across processes for traces to be reproducible.
     """
     if isinstance(key, (frozenset, set)):

@@ -1,6 +1,6 @@
 """Executable correctness properties of atomic multicast.
 
-Each checker inspects a finished :class:`repro.model.RunRecord` and
+Each checker inspects a finished :class:`repro.model.runs.RunRecord` and
 returns a list of violations (empty = the property holds on this run):
 
 * :func:`check_integrity` — §2.2 Integrity;
@@ -14,7 +14,7 @@ returns a list of violations (empty = the property holds on this run):
   executed under a participation set.
 
 :func:`assert_run_ok` bundles the §2.2 properties and raises
-:class:`repro.model.PropertyViolation` on the first failure — the idiom
+:class:`repro.model.errors.PropertyViolation` on the first failure — the idiom
 used throughout the test-suite.
 """
 

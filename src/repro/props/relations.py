@@ -1,6 +1,6 @@
 """The delivery relations of the paper (§2.2, §6.1, §7).
 
-Builds, from a :class:`repro.model.RunRecord`:
+Builds, from a :class:`repro.model.runs.RunRecord`:
 
 * the local delivery order ``m |->_p m'`` — ``p`` (in both destination
   groups) delivered ``m`` at a time when it had not delivered ``m'``;

@@ -3,10 +3,10 @@
 Three adapters cover every loop in the repo:
 
 * :class:`SharedObjectActor` — one Algorithm 1 process (plus its
-  auxiliary components) inside a :class:`repro.core.MulticastSystem`;
+  auxiliary components) inside a :class:`repro.core.engine.MulticastSystem`;
   parking is driven by the system's wake-index dirty set.
 * :class:`AutomatonActor` — one Appendix-A automaton inside a
-  :class:`repro.sim.Kernel`; parking is driven by the automaton's
+  :class:`repro.sim.kernel.Kernel`; parking is driven by the automaton's
   :meth:`~repro.sim.kernel.Automaton.idle` declaration, the message
   buffer's pending queue and the detector sample of its last step.
 * :class:`SystemActor` — a whole subsystem as a single actor (the
@@ -166,8 +166,8 @@ class SystemActor(Actor):
 class RoundHost:
     """The host protocol: what a driver of rounds may ask of a host.
 
-    A per-process host (:class:`repro.core.MulticastSystem`,
-    :class:`repro.sim.Kernel`) hands in the scheduler it built over one
+    A per-process host (:class:`repro.core.engine.MulticastSystem`,
+    :class:`repro.sim.kernel.Kernel`) hands in the scheduler it built over one
     actor per process and keeps its own ``tick`` / ``round`` / ``run``.
     A *whole-system* host — the baselines and the §5/§6 extractions,
     which advance an entire deployment per round — hands in none: it is

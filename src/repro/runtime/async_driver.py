@@ -285,11 +285,11 @@ class AsyncTransport:
 
 
 class AsyncDriver:
-    """Drive a :class:`repro.core.MulticastSystem` under asynchrony.
+    """Drive a :class:`repro.core.engine.MulticastSystem` under asynchrony.
 
     Args:
         system: the engine deployment to drive.  The driver drives the
-            system's :class:`repro.runtime.Scheduler` (actors,
+            system's :class:`repro.runtime.scheduler.Scheduler` (actors,
             eligibility, responders, settle horizon, failure pattern)
             and installs itself as the system's wake listener for the
             duration of :meth:`run`.
@@ -393,7 +393,7 @@ class AsyncDriver:
 
         The ladder holds every bounded backoff retransmission whose
         probe time faces a *clear* channel
-        (:meth:`repro.faults.FaultInjector.link_clear` — attempts
+        (:meth:`repro.faults.injector.FaultInjector.link_clear` — attempts
         inside the lossy window are lost and not scheduled), plus the
         unconditional fair-lossy landing at the window close.  The
         earliest rung acks the rest, so with a clear early retry the

@@ -31,7 +31,7 @@ thin delegations.  Two invariants make that safe:
   the seed loops did: one shuffle of the sorted eligible set per round,
   nothing else.  Parked actors are skipped *after* the shuffle, so the
   schedule of the actors that do act — and therefore every
-  :class:`repro.model.RunRecord` trace — is byte-identical to a
+  :class:`repro.model.runs.RunRecord` trace — is byte-identical to a
   scan-everything run (``tests/runtime`` holds the pre-refactor golden
   fingerprints that pin this down).
 
@@ -172,8 +172,8 @@ class Scheduler:
             only trusted past it.
         pre_round: optional hook run right after the clock advances and
             before eligibility is computed (crash-time cleanup).
-        injector: optional :class:`repro.faults.FaultInjector`; its
-            :meth:`~repro.faults.FaultInjector.suppresses` hook models
+        injector: optional :class:`repro.faults.injector.FaultInjector`; its
+            :meth:`~repro.faults.injector.FaultInjector.suppresses` hook models
             participation churn — a suppressed actor takes no step this
             round (finite asynchrony: churn windows are bounded, so
             fairness holds in the suffix) and answers no quorum request.

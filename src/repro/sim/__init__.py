@@ -1,5 +1,1 @@
 """Step-level simulation kernel for message-passing automata (Appendix A)."""
-
-from repro.sim.kernel import Automaton, Context, Kernel
-
-__all__ = ["Automaton", "Context", "Kernel"]

@@ -24,7 +24,8 @@ from repro.model.errors import SimulationError
 from repro.model.failures import FailurePattern, Time
 from repro.model.messages import Datagram, MessageBuffer
 from repro.model.processes import ProcessId, ProcessSet
-from repro.runtime import AutomatonActor, RoundHost, Scheduler
+from repro.runtime.actors import AutomatonActor, RoundHost
+from repro.runtime.scheduler import Scheduler
 
 
 class Context:
@@ -141,7 +142,7 @@ class Kernel(RoundHost):
         self.pattern = pattern
         self.automata = dict(automata)
         self.detectors = detectors or {}
-        # An optional :class:`repro.faults.FaultInjector` runs link faults
+        # An optional :class:`repro.faults.injector.FaultInjector` runs link faults
         # through the buffer and churn through the scheduler (detector
         # faults are in ``detectors``); ``None`` keeps every code path
         # byte-identical to the fault-free kernel.
@@ -270,12 +271,12 @@ class Kernel(RoundHost):
 
     def round(self, participation: Optional[ProcessSet] = None) -> int:
         """One fair round: every eligible alive process takes one step,
-        in seeded-random order (:meth:`repro.runtime.Scheduler.round`).
+        in seeded-random order (:meth:`repro.runtime.scheduler.Scheduler.round`).
 
         Datagrams addressed to processes crashed by now are dropped
         (they will never receive).  What is skipped and what counts as
         *productive* — the return value — is
-        :class:`repro.runtime.AutomatonActor`'s rule.
+        :class:`repro.runtime.actors.AutomatonActor`'s rule.
         """
         return self._scheduler.round(participation)
 
@@ -290,7 +291,7 @@ class Kernel(RoundHost):
 
         With ``quiescent_rounds`` set, the run additionally halts once
         that many consecutive rounds take zero productive steps — the
-        same semantics as :meth:`repro.core.MulticastSystem.run` — and
+        same semantics as :meth:`repro.core.engine.MulticastSystem.run` — and
         :attr:`last_run_quiescent` reports whether it did.  Without it
         the full budget executes (the legacy contract) and the flag
         reports whether the run *ended* idle — ``False`` flags a run cut

@@ -1,26 +1,3 @@
 """Genuine message-passing substrates (§4.3): ABD registers from Sigma,
 adopt-commit from Sigma_{g∩h}, leader consensus from Omega ∧ Sigma, and a
 consensus-based replicated log (universal construction)."""
-
-from repro.substrates.abd import RegisterAutomaton, Timestamp
-from repro.substrates.adopt_commit import AdoptCommitAutomaton
-from repro.substrates.consensus import (
-    ConsensusAutomaton,
-    ConsensusCluster,
-    OmegaSigmaSampler,
-)
-from repro.substrates.replicated_log import (
-    ReplicatedLogAutomaton,
-    ReplicatedLogCluster,
-)
-
-__all__ = [
-    "RegisterAutomaton",
-    "Timestamp",
-    "AdoptCommitAutomaton",
-    "ConsensusAutomaton",
-    "ConsensusCluster",
-    "OmegaSigmaSampler",
-    "ReplicatedLogAutomaton",
-    "ReplicatedLogCluster",
-]

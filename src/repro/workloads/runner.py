@@ -14,7 +14,7 @@ and pattern, bind the fault injector, check the script against the
 closed model, build a *deployment*, hand it to its *driver*, which
 interleaves the sends with execution (so multicasts race each other and
 crashes) and runs to quiescence, audit the injector, finish the
-:class:`repro.model.RunRecord`, write the trace, return a
+:class:`repro.model.runs.RunRecord`, write the trace, return a
 :class:`ScenarioResult` ready for the property checkers.  The paper
 states every construction over one run model; a protocol on the
 pipeline is one builder function.  :func:`run_scenario` picks Algorithm
@@ -159,7 +159,7 @@ class ScenarioResult:
     unsent_sends: List[Send] = field(default_factory=list)
     truncated: bool = False
     quiescent: bool = True
-    #: The bound :class:`repro.faults.FaultInjector` of a faulted run
+    #: The bound :class:`repro.faults.injector.FaultInjector` of a faulted run
     #: (``None`` for fault-free runs) — its stats feed the result row.
     injector: Optional[FaultInjector] = None
     #: Async-backend ack/retransmit counters

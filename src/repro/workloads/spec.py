@@ -204,7 +204,7 @@ class ScenarioSpec:
             round units, e.g. ``("uniform", 0.1, 0.9)``.  ``None`` (the
             default) uses the driver default.  Ignored by the round
             backends.
-        faults: optional :class:`repro.faults.FaultPlan` — the nemesis
+        faults: optional :class:`repro.faults.plan.FaultPlan` — the nemesis
             perturbations applied to the run.  ``None``, the default,
             runs fault-free.
         quirks: named legacy behaviours to replay, each a member of

@@ -14,7 +14,7 @@ benchmarks:
   output-sensitive).
 
 Every generator is registered in :data:`GENERATORS` under a ``kind``
-name, so a :class:`repro.workloads.TopologySpec` can address a topology
+name, so a :class:`repro.workloads.spec.TopologySpec` can address a topology
 by *recipe* (``{"kind": "ring", "k": 200}``) instead of by expanded
 group map — see :func:`build_generator`.
 """
@@ -149,7 +149,7 @@ def sparse_overlap_topology(
 
 #: The generator registry: ``kind`` name -> topology factory.  Factories
 #: take only JSON-scalar keyword parameters so a recipe round-trips
-#: through :class:`repro.workloads.TopologySpec` JSON unchanged.
+#: through :class:`repro.workloads.spec.TopologySpec` JSON unchanged.
 GENERATORS: Dict[str, Callable[..., GroupTopology]] = {
     "ring": ring_topology,
     "chain": chain_topology,

@@ -2,28 +2,20 @@
 
 import pytest
 
-from repro.baselines import (
-    BroadcastMulticast,
-    PartitionedMulticast,
-    SkeenMulticast,
-)
-from repro.groups import paper_figure1_topology
-from repro.model import (
-    SimulationError,
-    TopologyError,
-    by_indices,
-    crash_pattern,
-    failure_free,
-    make_processes,
-    pset,
-)
-from repro.props import (
+from repro.baselines.broadcast import BroadcastMulticast
+from repro.baselines.partitioned import PartitionedMulticast
+from repro.baselines.skeen import SkeenMulticast
+from repro.groups.topology import paper_figure1_topology
+from repro.model.errors import SimulationError, TopologyError
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import by_indices, make_processes, pset
+from repro.props.checkers import (
     check_integrity,
     check_minimality,
     check_ordering,
     check_termination,
 )
-from repro.workloads import disjoint_topology
+from repro.workloads.topologies import disjoint_topology
 
 PROCS = make_processes(5)
 ALL = pset(PROCS)
@@ -156,7 +148,7 @@ class TestPartitionedBaseline:
     def test_overlapping_groups_via_shared_partition(self):
         """Intersecting groups work when the intersection is a partition
         — the decomposition the prior protocols assume (§7)."""
-        from repro.groups import topology_from_indices
+        from repro.groups.topology import topology_from_indices
 
         topo = topology_from_indices(
             4, {"g": [1, 2, 3], "h": [2, 3, 4]}

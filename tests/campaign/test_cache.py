@@ -5,22 +5,25 @@ import os
 
 import pytest
 
-from repro.campaign import (
-    Campaign,
-    CampaignCache,
-    case,
+from repro.campaign.aggregate import (
     meta_line,
-    run_campaign,
     scan_partial_results,
-    shard_cells,
-    shard_of,
     sweep_hash,
     write_manifest,
 )
-from repro.campaign.cache import CACHE_SCHEMA_VERSION, ensure_cache
+from repro.campaign.cache import (
+    CACHE_SCHEMA_VERSION,
+    CampaignCache,
+    ensure_cache,
+    shard_cells,
+    shard_of,
+)
+from repro.campaign.executor import run_campaign
+from repro.campaign.grid import Campaign, case
 from repro.faults.nemesis import random_plan
 from repro.metrics.sweep import summarize_results_file
-from repro.workloads import ScenarioSpec, Send, TopologySpec
+from repro.workloads.runner import Send
+from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import chain_topology, disjoint_topology
 
 TOPO = TopologySpec.capture(disjoint_topology(2, group_size=3))

@@ -5,10 +5,13 @@ import os
 
 import pytest
 
-from repro.campaign import Campaign, CampaignCase, case, run_campaign, sweep_hash
-from repro.campaign.aggregate import CAMPAIGN_SCHEMA_VERSION
-from repro.metrics import read_jsonl
-from repro.workloads import ScenarioSpec, Send, TopologySpec, chain_topology, ring_topology
+from repro.campaign.aggregate import CAMPAIGN_SCHEMA_VERSION, sweep_hash
+from repro.campaign.executor import run_campaign
+from repro.campaign.grid import Campaign, CampaignCase, case
+from repro.metrics.trace import read_jsonl
+from repro.workloads.runner import Send
+from repro.workloads.spec import ScenarioSpec, TopologySpec
+from repro.workloads.topologies import chain_topology, ring_topology
 
 
 def small_campaign(seeds=(0, 1), variants=("vanilla",)) -> Campaign:
@@ -147,7 +150,7 @@ class TestArtifacts:
         row = [r for r in read_jsonl(results) if r["type"] == "row"][0]
         spec = ScenarioSpec.from_json(row["spec"])
         assert spec.spec_hash() == row["spec_hash"]
-        from repro.workloads import run_scenario
+        from repro.workloads.runner import run_scenario
 
         replay = run_scenario(spec)
         assert replay.rounds == row["rounds"]

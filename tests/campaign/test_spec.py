@@ -5,21 +5,13 @@ import json
 import pytest
 
 from repro._content import content_hash
-from repro.groups import paper_figure1_topology
-from repro.model import (
-    SimulationError,
-    crash_pattern,
-    failure_free,
-    make_processes,
-    pset,
-)
-from repro.workloads import (
-    ScenarioSpec,
-    Send,
-    TopologySpec,
-    chain_topology,
-    ring_topology,
-)
+from repro.groups.topology import paper_figure1_topology
+from repro.model.errors import SimulationError
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import make_processes, pset
+from repro.workloads.runner import Send
+from repro.workloads.spec import ScenarioSpec, TopologySpec
+from repro.workloads.topologies import chain_topology, ring_topology
 
 
 def _spec(**overrides):

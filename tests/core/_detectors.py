@@ -5,7 +5,8 @@ than the pattern oracles swaps a component in rather than passing the
 engine a knob.
 """
 
-from repro.detectors import Mu, OmegaOracle, build_mu
+from repro.detectors.leader import OmegaOracle
+from repro.detectors.mu import Mu, build_mu
 
 
 def late_omega_mu(pattern, topology, stabilization):

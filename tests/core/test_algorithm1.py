@@ -2,19 +2,15 @@
 
 import pytest
 
-from repro.core import DELIVER, MulticastSystem, Phase
-from repro.detectors import build_mu
-from repro.groups import paper_figure1_topology
-from repro.model import (
-    SimulationError,
-    by_indices,
-    crash_pattern,
-    failure_free,
-    make_processes,
-    pset,
-)
-from repro.props import assert_run_ok, check_minimality
-from repro.workloads import chain_topology, disjoint_topology, ring_topology
+from repro.core.engine import MulticastSystem
+from repro.core.phases import DELIVER, Phase
+from repro.detectors.mu import build_mu
+from repro.groups.topology import paper_figure1_topology
+from repro.model.errors import SimulationError
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import by_indices, make_processes, pset
+from repro.props.checkers import assert_run_ok, check_minimality
+from repro.workloads.topologies import chain_topology, disjoint_topology, ring_topology
 
 PROCS = make_processes(5)
 ALL = pset(PROCS)
@@ -188,7 +184,7 @@ class TestScanList:
         must filter too) the scan list is ``sorted(known)`` without
         ``_done`` — same order among live ids as scanning everything."""
         from repro.core.algorithm1 import Algorithm1Process
-        from repro.workloads import random_sends
+        from repro.workloads.runner import random_sends
 
         try_actions = Algorithm1Process.try_actions
         scans = retired = 0

@@ -10,14 +10,12 @@ commit(m) waits forever for a (m, h, ·) record nobody can write.
 
 import pytest
 
-from repro.core import MulticastSystem
-from repro.groups import (
-    is_chordless_cycle_family,
-    paper_figure1_topology,
-    topology_from_indices,
-)
-from repro.model import crash_pattern, failure_free, make_processes, pset
-from repro.props import assert_run_ok
+from repro.core.engine import MulticastSystem
+from repro.groups.families import is_chordless_cycle_family
+from repro.groups.topology import paper_figure1_topology, topology_from_indices
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import make_processes, pset
+from repro.props.checkers import assert_run_ok
 
 
 @pytest.fixture()

@@ -9,13 +9,15 @@ stay safe at all times and live once the detectors stabilize.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import MulticastSystem
+from repro.core.engine import MulticastSystem
 from repro.core.group_sequential import AtomicMulticast
-from repro.detectors import build_mu
-from repro.groups import paper_figure1_topology
-from repro.model import crash_pattern, failure_free, make_processes, pset
-from repro.props import assert_run_ok, check_pairwise_ordering
-from repro.workloads import chain_topology, random_sends, ring_topology
+from repro.detectors.mu import build_mu
+from repro.groups.topology import paper_figure1_topology
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import make_processes, pset
+from repro.props.checkers import assert_run_ok, check_pairwise_ordering
+from repro.workloads.runner import random_sends
+from repro.workloads.topologies import chain_topology, ring_topology
 from tests.core._detectors import late_omega_mu
 
 PROCS5 = make_processes(5)

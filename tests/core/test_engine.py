@@ -2,18 +2,13 @@
 
 import pytest
 
-from repro.core import MulticastSystem
-from repro.detectors import build_mu
-from repro.groups import paper_figure1_topology
-from repro.model import (
-    SimulationError,
-    by_indices,
-    crash_pattern,
-    failure_free,
-    make_processes,
-    pset,
-)
-from repro.workloads import chain_topology
+from repro.core.engine import MulticastSystem
+from repro.detectors.mu import build_mu
+from repro.groups.topology import paper_figure1_topology
+from repro.model.errors import SimulationError
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import by_indices, make_processes, pset
+from repro.workloads.topologies import chain_topology
 
 PROCS = make_processes(5)
 ALL = pset(PROCS)

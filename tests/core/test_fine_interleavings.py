@@ -9,11 +9,14 @@ hold, and the outcomes must match the coarse runs.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import AtomicMulticast, MulticastSystem
-from repro.groups import paper_figure1_topology
-from repro.model import crash_pattern, failure_free, make_processes, pset
-from repro.props import assert_run_ok
-from repro.workloads import hub_topology, random_sends, ring_topology
+from repro.core.engine import MulticastSystem
+from repro.core.group_sequential import AtomicMulticast
+from repro.groups.topology import paper_figure1_topology
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import make_processes, pset
+from repro.props.checkers import assert_run_ok
+from repro.workloads.runner import random_sends
+from repro.workloads.topologies import hub_topology, ring_topology
 
 SLOW = settings(
     max_examples=10,

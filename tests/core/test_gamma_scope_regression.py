@@ -28,14 +28,12 @@ crash_indices={0}, crash_time=0 (found by
 ``test_random_runs.py::test_random_topology_runs_satisfy_all_properties``).
 """
 
-from repro.model import crash_pattern, pset
-from repro.props import assert_run_ok, check_integrity, check_termination
-from repro.workloads import (
-    ScenarioSpec,
-    random_sends,
-    random_topology,
-    run_scenario,
-)
+from repro.model.failures import crash_pattern
+from repro.model.processes import pset
+from repro.props.checkers import assert_run_ok, check_integrity, check_termination
+from repro.workloads.runner import random_sends, run_scenario
+from repro.workloads.spec import ScenarioSpec
+from repro.workloads.topologies import random_topology
 from tests.runtime._oracle import process_scoped_everywhere, scan_everywhere
 
 

@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.core import AtomicMulticast, MulticastSystem
-from repro.groups import paper_figure1_topology
-from repro.model import (
-    SimulationError,
-    crash_pattern,
-    failure_free,
-    make_processes,
-    pset,
-)
-from repro.props import assert_run_ok
+from repro.core.engine import MulticastSystem
+from repro.core.group_sequential import AtomicMulticast
+from repro.groups.topology import paper_figure1_topology
+from repro.model.errors import SimulationError
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import make_processes, pset
+from repro.props.checkers import assert_run_ok
 
 PROCS = make_processes(5)
 ALL = pset(PROCS)

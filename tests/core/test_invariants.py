@@ -17,11 +17,14 @@ rounds):
 
 import pytest
 
-from repro.core import COMMIT, DELIVER, MulticastSystem, Phase
+from repro.core.engine import MulticastSystem
 from repro.core.group_sequential import AtomicMulticast
-from repro.groups import paper_figure1_topology
-from repro.model import crash_pattern, failure_free, make_processes, pset
-from repro.workloads import random_sends, ring_topology
+from repro.core.phases import COMMIT, DELIVER, Phase
+from repro.groups.topology import paper_figure1_topology
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import make_processes, pset
+from repro.workloads.runner import random_sends
+from repro.workloads.topologies import ring_topology
 
 PROCS5 = make_processes(5)
 ALL5 = pset(PROCS5)

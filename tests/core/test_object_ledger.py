@@ -11,8 +11,9 @@ what is fixed per object or per run shows up as a number, not a feeling.
 import os
 import sys
 
-from repro.groups import paper_figure1_topology
-from repro.workloads import ScenarioSpec, Send, TopologySpec, run_scenario
+from repro.groups.topology import paper_figure1_topology
+from repro.workloads.runner import Send, run_scenario
+from repro.workloads.spec import ScenarioSpec, TopologySpec
 
 #: Source files whose frames the ledger counts: the object layer, the run
 #: record, the engine's guard and charge sink, the Proposition 1

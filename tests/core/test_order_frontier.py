@@ -14,23 +14,19 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import AtomicMulticast, MulticastSystem
 from repro.core.algorithm1 import Algorithm1Process
+from repro.core.engine import MulticastSystem
+from repro.core.group_sequential import AtomicMulticast
 from repro.core.phases import COMMIT, DELIVER, STABLE, START, Phase
 from repro.faults.nemesis import random_plan
-from repro.groups import paper_figure1_topology
-from repro.model import failure_free, make_processes, pset
+from repro.groups.topology import paper_figure1_topology
+from repro.model.failures import failure_free
 from repro.model.messages import MessageFactory
+from repro.model.processes import make_processes, pset
 from repro.objects.space import ObjectSpace
-from repro.workloads import (
-    ScenarioSpec,
-    Send,
-    TopologySpec,
-    hub_topology,
-    random_sends,
-    ring_topology,
-    run_scenario,
-)
+from repro.workloads.runner import Send, random_sends, run_scenario
+from repro.workloads.spec import ScenarioSpec, TopologySpec
+from repro.workloads.topologies import hub_topology, ring_topology
 
 from ..objects import _oracle
 

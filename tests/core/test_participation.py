@@ -3,11 +3,12 @@ drives §5 (necessity sub-runs) and §6.2 (group parallelism)."""
 
 import pytest
 
-from repro.core import MulticastSystem
-from repro.groups import topology_from_indices
-from repro.model import by_indices, crash_pattern, failure_free, make_processes, pset
-from repro.props import check_group_parallelism
-from repro.workloads import chain_topology
+from repro.core.engine import MulticastSystem
+from repro.groups.topology import topology_from_indices
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import by_indices, make_processes, pset
+from repro.props.checkers import check_group_parallelism
+from repro.workloads.topologies import chain_topology
 
 
 def two_groups():

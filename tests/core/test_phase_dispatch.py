@@ -15,15 +15,10 @@ import pytest
 
 from repro.core.algorithm1 import Algorithm1Process
 from repro.core.phases import DELIVER
-from repro.groups import paper_figure1_topology
+from repro.groups.topology import paper_figure1_topology
 from repro.objects.space import ObjectSpace
-from repro.workloads import (
-    ScenarioSpec,
-    Send,
-    TopologySpec,
-    random_sends,
-    run_scenario,
-)
+from repro.workloads.runner import Send, random_sends, run_scenario
+from repro.workloads.spec import ScenarioSpec, TopologySpec
 
 from ._oracle import five_tests_scan
 from .test_order_frontier import BACKENDS, FAULTS as ALL_FAULTS, TOPOLOGIES

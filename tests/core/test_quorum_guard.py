@@ -20,21 +20,20 @@ history.  Three things are pinned here:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import MulticastSystem
-from repro.detectors import build_mu, check_sigma
+from repro.core.engine import MulticastSystem
+from repro.detectors.mu import build_mu
 from repro.detectors.quorum import SigmaOracle
+from repro.detectors.validation import check_sigma
 from repro.faults.nemesis import random_plan
-from repro.groups import paper_figure1_topology
+from repro.groups.topology import paper_figure1_topology
 from repro.model.failures import FailurePattern
-from repro.workloads import (
-    ScenarioSpec,
-    TopologySpec,
+from repro.workloads.runner import random_sends, run_scenario
+from repro.workloads.spec import ScenarioSpec, TopologySpec
+from repro.workloads.topologies import (
     chain_topology,
     disjoint_topology,
     hub_topology,
-    random_sends,
     ring_topology,
-    run_scenario,
 )
 
 from ._oracle import handrolled_required

@@ -5,23 +5,23 @@ Minimality.  This is the executable counterpart of §4.4."""
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.model import crash_pattern, make_processes, pset
-from repro.props import (
+from repro.model.failures import crash_pattern
+from repro.model.processes import make_processes, pset
+from repro.props.checkers import (
     assert_run_ok,
     check_integrity,
     check_minimality,
     check_ordering,
     check_termination,
 )
-from repro.workloads import (
-    ScenarioSpec,
+from repro.workloads.runner import random_sends, run_scenario
+from repro.workloads.spec import ScenarioSpec
+from repro.workloads.topologies import (
     chain_topology,
     disjoint_topology,
     hub_topology,
-    random_sends,
     random_topology,
     ring_topology,
-    run_scenario,
 )
 
 SLOW = settings(

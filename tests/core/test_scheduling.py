@@ -16,12 +16,13 @@ Two families of regression tests:
 
 import pytest
 
-from repro.core import MulticastSystem
+from repro.core.engine import MulticastSystem
 from repro.core.group_sequential import AtomicMulticast
-from repro.groups import paper_figure1_topology
-from repro.model import crash_pattern, failure_free, make_processes, pset
-from repro.props import assert_run_ok
-from repro.workloads import random_sends
+from repro.groups.topology import paper_figure1_topology
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import make_processes, pset
+from repro.props.checkers import assert_run_ok
+from repro.workloads.runner import random_sends
 from tests.core._detectors import late_omega_mu
 from tests.runtime._oracle import force_scan
 

@@ -2,17 +2,13 @@
 
 import pytest
 
-from repro.core import MulticastSystem
+from repro.core.engine import MulticastSystem
 from repro.core.smr import ReplicatedStateMachine, kv_apply
-from repro.groups import paper_figure1_topology, topology_from_indices
-from repro.model import (
-    SimulationError,
-    crash_pattern,
-    failure_free,
-    make_processes,
-    pset,
-)
-from repro.props import check_strict_ordering
+from repro.groups.topology import paper_figure1_topology, topology_from_indices
+from repro.model.errors import SimulationError
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import make_processes, pset
+from repro.props.checkers import check_strict_ordering
 
 PROCS = make_processes(5)
 ALL = pset(PROCS)

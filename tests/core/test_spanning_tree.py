@@ -3,15 +3,16 @@
 import pytest
 
 from repro.core.spanning_tree import SpanningTreeMulticast, spanning_tree_order
-from repro.groups import paper_figure1_topology
-from repro.model import failure_free, make_processes, pset
-from repro.props import (
+from repro.groups.topology import paper_figure1_topology
+from repro.model.failures import failure_free
+from repro.model.processes import make_processes, pset
+from repro.props.checkers import (
     check_integrity,
     check_minimality,
     check_ordering,
     check_termination,
 )
-from repro.workloads import chain_topology, disjoint_topology, ring_topology
+from repro.workloads.topologies import chain_topology, disjoint_topology, ring_topology
 
 PROCS5 = make_processes(5)
 ALL5 = pset(PROCS5)

@@ -2,18 +2,14 @@
 
 import pytest
 
-from repro.core import MulticastSystem
+from repro.core.engine import MulticastSystem
 from repro.core.group_sequential import AtomicMulticast
-from repro.groups import paper_figure1_topology
-from repro.model import (
-    SimulationError,
-    crash_pattern,
-    failure_free,
-    make_processes,
-    pset,
-)
-from repro.props import assert_run_ok, check_strict_ordering
-from repro.workloads import ring_topology
+from repro.groups.topology import paper_figure1_topology
+from repro.model.errors import SimulationError
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import make_processes, pset
+from repro.props.checkers import assert_run_ok, check_strict_ordering
+from repro.workloads.topologies import ring_topology
 
 PROCS = make_processes(5)
 ALL = pset(PROCS)
@@ -112,7 +108,7 @@ class TestStrictVsVanillaBehaviour:
         stable precondition is vacuous; strict still coordinates with
         every intersecting group, which costs extra stabilization
         records."""
-        from repro.workloads import chain_topology
+        from repro.workloads.topologies import chain_topology
 
         topo = chain_topology(3)
         procs = make_processes(4)

@@ -2,15 +2,17 @@
 
 import pytest
 
-from repro.detectors import GammaOracle, check_gamma
 from repro.detectors.comparison import (
     GammaFromIndicators,
     distinguishing_scenario_gamma_vs_indicator,
     gamma_histories_agree,
 )
-from repro.groups import paper_figure1_topology
-from repro.model import crash_pattern, failure_free, make_processes, pset
-from repro.workloads import ring_topology
+from repro.detectors.cyclicity import GammaOracle
+from repro.detectors.validation import check_gamma
+from repro.groups.topology import paper_figure1_topology
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import make_processes, pset
+from repro.workloads.topologies import ring_topology
 
 PROCS5 = make_processes(5)
 ALL5 = pset(PROCS5)
@@ -97,7 +99,7 @@ class TestCorollary52:
         )
 
     def test_disjoint_pair_has_no_witness(self):
-        from repro.groups import topology_from_indices
+        from repro.groups.topology import topology_from_indices
 
         topo = topology_from_indices(4, {"a": [1, 2], "b": [3, 4]})
         assert (

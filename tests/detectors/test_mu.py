@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.detectors import BOTTOM, build_mu, check_omega, check_sigma
-from repro.groups import paper_figure1_topology, topology_from_indices
-from repro.model import (
-    DetectorError,
-    by_indices,
-    crash_pattern,
-    failure_free,
-    make_processes,
-    pset,
-)
+from repro.detectors.base import BOTTOM
+from repro.detectors.mu import build_mu
+from repro.detectors.validation import check_omega, check_sigma
+from repro.groups.topology import paper_figure1_topology, topology_from_indices
+from repro.model.errors import DetectorError
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import by_indices, make_processes, pset
 
 PROCS = make_processes(5)
 ALL = pset(PROCS)

@@ -3,30 +3,22 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.detectors import (
-    BOTTOM,
-    GammaOracle,
-    IndicatorOracle,
-    OmegaOracle,
-    PerfectOracle,
-    Restricted,
-    SigmaOracle,
+from repro.detectors.base import BOTTOM
+from repro.detectors.cyclicity import GammaOracle, gamma_groups
+from repro.detectors.indicator import IndicatorOracle
+from repro.detectors.leader import OmegaOracle
+from repro.detectors.quorum import SigmaOracle
+from repro.detectors.restriction import Restricted
+from repro.detectors.validation import (
     check_gamma,
     check_indicator,
     check_omega,
-    check_perfect,
     check_sigma,
-    gamma_groups,
 )
-from repro.groups import paper_figure1_topology
-from repro.model import (
-    DetectorError,
-    by_indices,
-    crash_pattern,
-    failure_free,
-    make_processes,
-    pset,
-)
+from repro.groups.topology import paper_figure1_topology
+from repro.model.errors import DetectorError
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import by_indices, make_processes, pset
 
 PROCS = make_processes(5)
 ALL = pset(PROCS)
@@ -174,24 +166,6 @@ class TestIndicatorOracle:
         ind = IndicatorOracle(pattern, watched, detection_lag=5)
         assert not ind.query(P1, 7)
         assert ind.query(P1, 8)
-
-
-class TestPerfectOracle:
-    def test_suspects_exactly_the_crashed(self):
-        pattern = crash_pattern(ALL, {P2: 4})
-        perfect = PerfectOracle(pattern)
-        assert perfect.query(P1, 3) == frozenset()
-        assert perfect.query(P1, 4) == {P2}
-        history = drive(perfect, PROCS, range(0, 8))
-        assert check_perfect(history, pattern) == []
-
-    def test_detection_lag_preserves_accuracy(self):
-        pattern = crash_pattern(ALL, {P2: 4})
-        perfect = PerfectOracle(pattern, detection_lag=3)
-        assert perfect.query(P1, 6) == frozenset()
-        assert perfect.query(P1, 7) == {P2}
-        history = drive(perfect, PROCS, range(0, 12))
-        assert check_perfect(history, pattern) == []
 
 
 class TestRestriction:

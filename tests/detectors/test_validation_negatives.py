@@ -2,21 +2,15 @@
 
 import pytest
 
-from repro.detectors import (
+from repro.detectors.validation import (
     check_gamma,
     check_indicator,
     check_omega,
-    check_perfect,
     check_sigma,
 )
-from repro.groups import paper_figure1_topology
-from repro.model import (
-    by_indices,
-    crash_pattern,
-    failure_free,
-    make_processes,
-    pset,
-)
+from repro.groups.topology import paper_figure1_topology
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import by_indices, make_processes, pset
 
 PROCS = make_processes(4)
 ALL = pset(PROCS)
@@ -107,17 +101,3 @@ class TestIndicatorNegatives:
         history = [(P1, 50, False)]
         violations = check_indicator(history, pattern, by_indices(2))
         assert any("Completeness" in v for v in violations)
-
-
-class TestPerfectNegatives:
-    def test_premature_suspicion_flagged(self):
-        pattern = crash_pattern(ALL, {P2: 10})
-        history = [(P1, 3, by_indices(2))]
-        violations = check_perfect(history, pattern)
-        assert any("accuracy" in v for v in violations)
-
-    def test_missing_final_suspicion_flagged(self):
-        pattern = crash_pattern(ALL, {P2: 1})
-        history = [(P1, 50, frozenset())]
-        violations = check_perfect(history, pattern)
-        assert any("completeness" in v for v in violations)

@@ -2,18 +2,14 @@
 
 import pytest
 
-from repro.detectors import check_gamma, check_indicator
-from repro.emulation import GammaExtraction, IndicatorExtraction
-from repro.groups import paper_figure1_topology
-from repro.model import (
-    DetectorError,
-    by_indices,
-    crash_pattern,
-    failure_free,
-    make_processes,
-    pset,
-)
-from repro.workloads import chain_topology, ring_topology
+from repro.detectors.validation import check_gamma, check_indicator
+from repro.emulation.gamma_extraction import GammaExtraction
+from repro.emulation.indicator_extraction import IndicatorExtraction
+from repro.groups.topology import paper_figure1_topology
+from repro.model.errors import DetectorError
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import by_indices, make_processes, pset
+from repro.workloads.topologies import chain_topology, ring_topology
 
 
 def drive_gamma(extraction, pattern, rounds):
@@ -86,7 +82,7 @@ class TestGammaExtraction:
 
 class TestIndicatorExtraction:
     def test_requires_intersecting_groups(self):
-        from repro.groups import topology_from_indices
+        from repro.groups.topology import topology_from_indices
 
         disjoint = topology_from_indices(4, {"a": [1, 2], "b": [3, 4]})
         with pytest.raises(DetectorError):
@@ -121,7 +117,7 @@ class TestIndicatorExtraction:
 
     def test_partial_intersection_death_is_not_reported(self):
         """|g∩h| = 2: killing one member must not raise the indicator."""
-        from repro.groups import topology_from_indices
+        from repro.groups.topology import topology_from_indices
 
         topo = topology_from_indices(4, {"g": [1, 2, 3], "h": [2, 3, 4]})
         procs = make_processes(4)
@@ -137,7 +133,7 @@ class TestIndicatorExtraction:
         assert not ext.query(procs[0], ext.time)
 
     def test_full_wide_intersection_death_is_reported(self):
-        from repro.groups import topology_from_indices
+        from repro.groups.topology import topology_from_indices
 
         topo = topology_from_indices(4, {"g": [1, 2, 3], "h": [2, 3, 4]})
         procs = make_processes(4)

@@ -1,7 +1,8 @@
 """Tests for the heartbeat ranking function of [6] (Algorithm 2)."""
 
-from repro.emulation import HeartbeatRanking
-from repro.model import by_indices, crash_pattern, failure_free, make_processes, pset
+from repro.emulation.heartbeats import HeartbeatRanking
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import by_indices, make_processes, pset
 
 PROCS = make_processes(3)
 ALL = pset(PROCS)

@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.detectors import BOTTOM, check_omega
+from repro.detectors.base import BOTTOM
+from repro.detectors.validation import check_omega
 from repro.emulation.omega_extraction import OmegaExtraction
-from repro.groups import topology_from_indices
-from repro.model import (
-    DetectorError,
-    crash_pattern,
-    failure_free,
-    make_processes,
-    pset,
-)
+from repro.groups.topology import topology_from_indices
+from repro.model.errors import DetectorError
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import make_processes, pset
 
 TOPO = topology_from_indices(4, {"g": [1, 2, 3], "h": [2, 3, 4]})
 PROCS = make_processes(4)

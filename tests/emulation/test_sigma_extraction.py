@@ -3,17 +3,13 @@ quorum-detector properties (validated with the same harness as oracles)."""
 
 import pytest
 
-from repro.detectors import BOTTOM, check_sigma
-from repro.emulation import SigmaExtraction
-from repro.groups import paper_figure1_topology, topology_from_indices
-from repro.model import (
-    DetectorError,
-    by_indices,
-    crash_pattern,
-    failure_free,
-    make_processes,
-    pset,
-)
+from repro.detectors.base import BOTTOM
+from repro.detectors.validation import check_sigma
+from repro.emulation.sigma_extraction import SigmaExtraction
+from repro.groups.topology import paper_figure1_topology, topology_from_indices
+from repro.model.errors import DetectorError
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import by_indices, make_processes, pset
 
 
 def drive(extraction, pattern, rounds, sample_every=5):

@@ -10,6 +10,7 @@ from repro.explore.corpus import Corpus
 from repro.explore.mutate import MAX_STACK, MutationEngine, random_event
 from repro.faults.nemesis import random_plan
 from repro.faults.plan import FaultEvent, FaultPlan
+from repro.model.errors import SimulationError
 from repro.workloads.runner import Send
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology
@@ -231,3 +232,22 @@ class TestMutationEngine:
                 seen.add(child.delay_model[0])
         # The kind switch reaches the slow-pairs search.
         assert "slow_pairs" in seen
+
+    def test_out_of_envelope_delay_keeps_the_parent(self, monkeypatch):
+        def refuse(candidate):
+            raise SimulationError("out of envelope")
+
+        parent = spec(backend="async", delay_model=("uniform", 0.1, 0.9))
+        monkeypatch.setattr("repro.runtime.delay.canonical_delay_spec", refuse)
+        engine = self.engine(mutate_delay=True)
+        assert engine._mutate_delay(parent, random.Random(0)) is parent
+
+    def test_a_bug_in_the_delay_axis_is_not_swallowed(self, monkeypatch):
+        def broken(candidate):
+            raise TypeError("not an envelope error")
+
+        parent = spec(backend="async", delay_model=("uniform", 0.1, 0.9))
+        monkeypatch.setattr("repro.runtime.delay.canonical_delay_spec", broken)
+        engine = self.engine(mutate_delay=True)
+        with pytest.raises(TypeError, match="not an envelope error"):
+            engine._mutate_delay(parent, random.Random(0))

@@ -13,13 +13,13 @@ increment agree, at every time up to two past the horizon.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.detectors import build_mu
+from repro.detectors.mu import build_mu
 from repro.faults.injector import injector_for
 from repro.faults.nemesis import random_plan
 from repro.faults.plan import FaultPlan
-from repro.groups import paper_figure1_topology
+from repro.groups.topology import paper_figure1_topology
 from repro.model.failures import FailurePattern
-from repro.substrates import OmegaSigmaSampler
+from repro.substrates.consensus import OmegaSigmaSampler
 from repro.workloads.topologies import disjoint_topology
 
 from ._oracle import _NoisySampler, delay_omega, pinned_required

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from repro.detectors import build_mu
+from repro.detectors.mu import build_mu
 from repro.faults.injector import (
     AdmissibilityError,
     BENIGN_SEND,
@@ -15,11 +15,12 @@ from repro.faults.injector import (
     injector_for,
 )
 from repro.faults.plan import FaultEvent, FaultPlan, FaultPlanError, plan_of
-from repro.groups import paper_figure1_topology
+from repro.groups.topology import paper_figure1_topology
 from repro.model.failures import crash_pattern, failure_free
 from repro.model.messages import MessageBuffer
 from repro.model.processes import make_processes, pset
-from repro.workloads import ScenarioSpec, Send, TopologySpec, run_scenario
+from repro.workloads.runner import Send, run_scenario
+from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology
 
 PROCS = make_processes(4)

@@ -18,8 +18,8 @@ import pytest
 
 from repro.faults.plan import FaultEvent, plan_of
 from repro.props.batch import batch_verdicts, verdicts_ok
-from repro.workloads import ScenarioSpec, Send, run_scenario
-from repro.workloads.spec import TopologySpec
+from repro.workloads.runner import Send, run_scenario
+from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology
 
 TOPO = TopologySpec.capture(disjoint_topology(2, group_size=3))
@@ -109,7 +109,7 @@ def test_pending_work_guards_an_understated_horizon():
     from repro.metrics.trace import TraceRecorder
     from repro.model.messages import MessageBuffer
     from repro.model.processes import make_processes
-    from repro.runtime import Scheduler
+    from repro.runtime.scheduler import Scheduler
     from tests.runtime._oracle import force_scan
 
     p1, p2 = make_processes(2)

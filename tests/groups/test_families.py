@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.groups import (
+from repro.groups.families import (
     cpaths,
     family_eventually_faulty,
     family_fault_time,
@@ -11,13 +11,14 @@ from repro.groups import (
     family_name,
     hamiltonian_cycles,
     is_cyclic_family,
-    paper_figure1_topology,
     path_direction,
     path_edges,
     paths_equivalent,
-    topology_from_indices,
 )
-from repro.model import TopologyError, crash_pattern, failure_free, make_processes, pset
+from repro.groups.topology import paper_figure1_topology, topology_from_indices
+from repro.model.errors import TopologyError
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import make_processes, pset
 
 
 @pytest.fixture()

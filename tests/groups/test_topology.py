@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.groups import (
+from repro.groups.topology import (
     Group,
     GroupTopology,
     paper_figure1_topology,
     topology_from_indices,
 )
-from repro.model import TopologyError, by_indices, make_processes
+from repro.model.errors import TopologyError
+from repro.model.processes import by_indices, make_processes
 
 
 @pytest.fixture()

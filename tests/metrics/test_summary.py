@@ -2,16 +2,17 @@
 
 import pytest
 
-from repro.metrics import RunSummary, format_table, latency_of, steps_at, summarize
-from repro.model import (
-    MessageFactory,
-    RunRecord,
-    by_indices,
-    crash_pattern,
-    failure_free,
-    make_processes,
-    pset,
+from repro.metrics.summary import (
+    RunSummary,
+    format_table,
+    latency_of,
+    steps_at,
+    summarize,
 )
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.messages import MessageFactory
+from repro.model.processes import by_indices, make_processes, pset
+from repro.model.runs import RunRecord
 
 PROCS = make_processes(3)
 ALL = pset(PROCS)

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.metrics import SweepAggregator, summarize_rows, sweep_table
-from repro.metrics.sweep import sweep_exit_status
+from repro.metrics.sweep import (
+    SweepAggregator,
+    summarize_rows,
+    sweep_exit_status,
+    sweep_table,
+)
 
 
 def _ok_row(name="r", rounds=5, delivered=True, truncated=False, violations=0):

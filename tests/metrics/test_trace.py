@@ -1,14 +1,17 @@
 """Tests for the per-round trace recorder and its JSONL exporter."""
 
-from repro.metrics import (
+from repro.metrics.trace import (
     TRACE_SCHEMA_VERSION,
     WAIT_IDLE,
     WAIT_QUORUM,
     TraceRecorder,
     read_jsonl,
 )
-from repro.model import failure_free, make_processes, pset
-from repro.workloads import ScenarioSpec, Send, chain_topology, run_scenario
+from repro.model.failures import failure_free
+from repro.model.processes import make_processes, pset
+from repro.workloads.runner import Send, run_scenario
+from repro.workloads.spec import ScenarioSpec
+from repro.workloads.topologies import chain_topology
 
 
 class TestRecorder:

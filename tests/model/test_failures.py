@@ -3,17 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.model import (
+from repro.model.errors import ModelError
+from repro.model.failures import (
     Environment,
     FailurePattern,
-    ModelError,
     all_patterns_environment,
-    by_indices,
     crash_pattern,
     failure_free,
-    make_processes,
-    pset,
 )
+from repro.model.processes import by_indices, make_processes, pset
 
 PROCS = make_processes(4)
 ALL = pset(PROCS)

@@ -5,15 +5,14 @@ import pickle
 
 import pytest
 
-from repro.model import (
+from repro.model.errors import ModelError
+from repro.model.messages import (
     MessageBuffer,
     MessageFactory,
-    ModelError,
-    MulticastMessage,
     MessageId,
-    by_indices,
-    make_processes,
+    MulticastMessage,
 )
+from repro.model.processes import by_indices, make_processes
 
 P1, P2, P3 = make_processes(3)
 

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro.model import ProcessId, by_indices, make_processes
+from repro.model.processes import ProcessId, by_indices, make_processes
 
 
 def test_make_processes_names_follow_paper_convention():

@@ -2,14 +2,10 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.model import (
-    MessageFactory,
-    RunRecord,
-    by_indices,
-    failure_free,
-    make_processes,
-    pset,
-)
+from repro.model.failures import failure_free
+from repro.model.messages import MessageFactory
+from repro.model.processes import by_indices, make_processes, pset
+from repro.model.runs import RunRecord
 
 P1, P2, P3 = make_processes(3)
 ALL = pset((P1, P2, P3))

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.model import SpecificationError
-from repro.objects import AdoptCommitObject, ConsensusObject
+from repro.model.errors import SpecificationError
+from repro.objects.consensus import AdoptCommitObject, ConsensusObject
 
 
 class TestConsensusObject:

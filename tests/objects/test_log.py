@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.model import SpecificationError
-from repro.objects import Log
+from repro.model.errors import SpecificationError
+from repro.objects.log import Log
 
 
 class TestAppend:
@@ -161,8 +161,8 @@ class TestHeterogeneousItems:
     def test_a_bare_message_id_is_a_record_not_a_message(self):
         """Ids are tuples, and tuples are records: a log holds messages
         (and records *headed* by an id), never a bare id as a message."""
-        from repro.model import MessageFactory, by_indices, make_processes
-        from repro.model.messages import MessageId
+        from repro.model.messages import MessageFactory, MessageId
+        from repro.model.processes import by_indices, make_processes
 
         (p1,) = make_processes(1)
         m = MessageFactory().multicast(p1, by_indices(1))

@@ -11,9 +11,10 @@ bump targets drawn so that slot ties happen — are replayed against
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.model import SpecificationError, make_processes, pset
+from repro.model.errors import SpecificationError
 from repro.model.messages import MessageFactory
-from repro.objects import Log
+from repro.model.processes import make_processes, pset
+from repro.objects.log import Log
 
 from . import _oracle
 

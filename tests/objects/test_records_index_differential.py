@@ -13,7 +13,7 @@ every read.
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.objects import Log
+from repro.objects.log import Log
 
 from . import _oracle
 

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.groups import paper_figure1_topology
-from repro.model import SpecificationError, make_processes
-from repro.objects import ObjectSpace
-from repro.objects.space import billing_order
+from repro.groups.topology import paper_figure1_topology
+from repro.model.errors import SpecificationError
+from repro.model.processes import make_processes
+from repro.objects.space import ObjectSpace, billing_order
 
 PROCS = make_processes(5)
 P1, P2, P3, P4, P5 = PROCS

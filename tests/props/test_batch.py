@@ -1,10 +1,13 @@
 """Batch verdicts: the checkers as sweep-ready violation counts."""
 
-from repro.baselines import BroadcastMulticast
-from repro.groups import paper_figure1_topology
-from repro.model import failure_free, make_processes, pset
-from repro.props import batch_verdicts, variant_checks, verdicts_ok
-from repro.workloads import ScenarioSpec, Send, chain_topology, run_scenario
+from repro.baselines.broadcast import BroadcastMulticast
+from repro.groups.topology import paper_figure1_topology
+from repro.model.failures import failure_free
+from repro.model.processes import make_processes, pset
+from repro.props.batch import batch_verdicts, variant_checks, verdicts_ok
+from repro.workloads.runner import Send, run_scenario
+from repro.workloads.spec import ScenarioSpec
+from repro.workloads.topologies import chain_topology
 
 
 def test_clean_run_has_zero_counts_everywhere():

@@ -3,17 +3,12 @@ from hand-crafted records."""
 
 import pytest
 
-from repro.model import (
-    MessageFactory,
-    PropertyViolation,
-    RunRecord,
-    by_indices,
-    crash_pattern,
-    failure_free,
-    make_processes,
-    pset,
-)
-from repro.props import (
+from repro.model.errors import PropertyViolation
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.messages import MessageFactory
+from repro.model.processes import by_indices, make_processes, pset
+from repro.model.runs import RunRecord
+from repro.props.checkers import (
     assert_run_ok,
     check_integrity,
     check_minimality,
@@ -21,9 +16,8 @@ from repro.props import (
     check_pairwise_ordering,
     check_strict_ordering,
     check_termination,
-    delivery_order_graph,
-    find_cycle,
 )
+from repro.props.relations import delivery_order_graph, find_cycle
 
 PROCS = make_processes(4)
 ALL = pset(PROCS)

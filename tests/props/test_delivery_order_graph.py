@@ -16,21 +16,13 @@ import random
 
 from repro.faults.nemesis import random_plan
 from repro.groups.topology import paper_figure1_topology
-from repro.model import (
-    MessageFactory,
-    RunRecord,
-    failure_free,
-    make_processes,
-    pset,
-)
-from repro.props import (
-    check_ordering,
-    check_strict_ordering,
-    delivery_order_graph,
-    find_cycle,
-    realtime_edges,
-)
-from repro.workloads import Send, run_scenario
+from repro.model.failures import failure_free
+from repro.model.messages import MessageFactory
+from repro.model.processes import make_processes, pset
+from repro.model.runs import RunRecord
+from repro.props.checkers import check_ordering, check_strict_ordering
+from repro.props.relations import delivery_order_graph, find_cycle, realtime_edges
+from repro.workloads.runner import Send, run_scenario
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from tests.props import _oracle
 

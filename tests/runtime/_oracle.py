@@ -46,7 +46,8 @@ from typing import Any
 
 from repro.core.algorithm1 import Algorithm1Process
 from repro.detectors.cyclicity import gamma_groups
-from repro.runtime import Scheduler, async_driver
+from repro.runtime import async_driver
+from repro.runtime.scheduler import Scheduler
 
 
 def scan_round(self, participation=None, responders=None, action_budget=None):

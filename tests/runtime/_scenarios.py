@@ -5,7 +5,7 @@ This module defines, as *data plus builders*, every scenario the
 
 * **engine scenarios** — Algorithm 1 deployments over several topologies,
   seeds, failure patterns and participation restrictions, fingerprinted
-  by their :class:`repro.model.RunRecord` (every multicast, delivery and
+  by their :class:`repro.model.runs.RunRecord` (every multicast, delivery and
   charged step, in order) and, under the scan oracle
   (:func:`tests.runtime._oracle.force_scan`), by the
   :class:`repro.metrics.trace.TraceRecorder` round stream;
@@ -15,7 +15,7 @@ This module defines, as *data plus builders*, every scenario the
 * **async scenarios** — Algorithm 1 on the async driver's virtual clock,
   Figure 1 and ``disjoint3x3`` under every delay-model kind, with and
   without a ``full`` nemesis plan, fingerprinted by their
-  :class:`repro.model.RunRecord`, logical rounds and transport stats.
+  :class:`repro.model.runs.RunRecord`, logical rounds and transport stats.
 
 ``generate_golden.py`` ran the engine and kernel builders against the
 **pre-refactor** engine and kernel (commit 91a52c1) and froze the
@@ -33,22 +33,17 @@ import hashlib
 import json
 from dataclasses import asdict
 
-from repro.core import MulticastSystem
+from repro.core.engine import MulticastSystem
 from repro.core.group_sequential import AtomicMulticast
 from repro.faults.nemesis import random_plan
-from repro.groups import paper_figure1_topology
-from repro.model import crash_pattern, failure_free, make_processes, pset
-from repro.sim import Automaton, Kernel
-from repro.substrates import ReplicatedLogCluster
-from repro.workloads import (
-    ScenarioSpec,
-    chain_topology,
-    disjoint_topology,
-    random_sends,
-    ring_topology,
-    run_scenario,
-)
-from repro.workloads.spec import TopologySpec
+from repro.groups.topology import paper_figure1_topology
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import make_processes, pset
+from repro.sim.kernel import Automaton, Kernel
+from repro.substrates.replicated_log import ReplicatedLogCluster
+from repro.workloads.runner import random_sends, run_scenario
+from repro.workloads.spec import ScenarioSpec, TopologySpec
+from repro.workloads.topologies import chain_topology, disjoint_topology, ring_topology
 from tests.runtime._oracle import force_scan, process_scoped
 
 #: Seeds of the differential matrix (acceptance floor: >= 20).

@@ -276,7 +276,7 @@ class TestAsyncTransport:
 class TestDriverValidation:
     def _system(self):
         from repro.core.engine import MulticastSystem
-        from repro.groups import paper_figure1_topology
+        from repro.groups.topology import paper_figure1_topology
         from repro.model.failures import FailurePattern
 
         topology = paper_figure1_topology()
@@ -296,7 +296,7 @@ class TestDriverValidation:
         after the surviving actors ran on to quiescence or the budget
         (on asyncio it sat in p1's task until the run was over)."""
         from repro.runtime.actors import SharedObjectActor
-        from repro.workloads import Send
+        from repro.workloads.runner import Send
 
         system = self._system()
         p1 = min(system.topology.processes)

@@ -3,7 +3,7 @@
 ``golden.json`` holds fingerprints of every scenario in
 :mod:`tests.runtime._scenarios`, produced by the **pre-refactor** engine
 and kernel (the loops duplicated in ``MulticastSystem.tick`` and
-``Kernel.round`` before the ``repro.runtime.Scheduler`` extraction).
+``Kernel.round`` before the ``repro.runtime.scheduler.Scheduler`` extraction).
 These tests re-run the same scenarios on the current tree and demand:
 
 * **engine, scan oracle** — identical :class:`RunRecord` *and* identical

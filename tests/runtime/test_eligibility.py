@@ -17,7 +17,7 @@ from repro.faults.plan import FaultEvent, plan_of
 from repro.metrics.trace import TraceRecorder
 from repro.model.failures import FailurePattern
 from repro.model.processes import make_processes, pset
-from repro.runtime import Actor, Scheduler
+from repro.runtime.scheduler import Actor, Scheduler
 
 from ._oracle import swept_eligible_order
 

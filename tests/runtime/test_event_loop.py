@@ -15,15 +15,11 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.nemesis import random_plan
-from repro.groups import paper_figure1_topology
+from repro.groups.topology import paper_figure1_topology
 from repro.runtime.async_driver import EventLoop
-from repro.workloads import ScenarioSpec, random_sends, run_scenario
-from repro.workloads.spec import TopologySpec
-from repro.workloads.topologies import (
-    disjoint_topology,
-    hub_topology,
-    ring_topology,
-)
+from repro.workloads.runner import random_sends, run_scenario
+from repro.workloads.spec import ScenarioSpec, TopologySpec
+from repro.workloads.topologies import disjoint_topology, hub_topology, ring_topology
 from tests.runtime._oracle import asyncio_everywhere, asyncio_loop
 from tests.runtime._scenarios import record_fingerprint
 

@@ -3,7 +3,7 @@
 ``MulticastSystem``, ``Kernel``, the three baselines and the four
 extractions are everything ``run_deployment`` (or anything else that
 drives rounds) can be handed.  The conformance half runs each of them
-through the members ``repro.runtime.RoundHost`` promises; the layout
+through the members ``repro.runtime.actors.RoundHost`` promises; the layout
 half reads the source (AST only, nothing imported) and fails when a
 whole-system host grows a private scheduler or clock again, or the
 fault layer a private pipeline.
@@ -14,18 +14,19 @@ import pathlib
 
 import pytest
 
-from repro.baselines import BroadcastMulticast, PartitionedMulticast, SkeenMulticast
-from repro.core import MulticastSystem
-from repro.emulation import (
-    GammaExtraction,
-    IndicatorExtraction,
-    OmegaExtraction,
-    SigmaExtraction,
-)
-from repro.groups import paper_figure1_topology
+from repro.baselines.broadcast import BroadcastMulticast
+from repro.baselines.partitioned import PartitionedMulticast
+from repro.baselines.skeen import SkeenMulticast
+from repro.core.engine import MulticastSystem
+from repro.emulation.gamma_extraction import GammaExtraction
+from repro.emulation.indicator_extraction import IndicatorExtraction
+from repro.emulation.omega_extraction import OmegaExtraction
+from repro.emulation.sigma_extraction import SigmaExtraction
+from repro.groups.topology import paper_figure1_topology
 from repro.metrics.trace import TraceRecorder
-from repro.model import failure_free, make_processes, pset
-from repro.runtime import RoundHost
+from repro.model.failures import failure_free
+from repro.model.processes import make_processes, pset
+from repro.runtime.actors import RoundHost
 from repro.sim.kernel import Kernel
 from repro.substrates.replicated_log import ReplicatedLogCluster
 from repro.workloads.topologies import disjoint_topology

@@ -1,4 +1,4 @@
-"""Unit tests of the shared :class:`repro.runtime.Scheduler`.
+"""Unit tests of the shared :class:`repro.runtime.scheduler.Scheduler`.
 
 The differential suite (``test_differential.py``) proves the scheduler
 reproduces the seed loops on real hosts; these tests pin the contract
@@ -15,7 +15,8 @@ import random
 from repro.metrics.trace import TraceRecorder
 from repro.model.failures import FailurePattern
 from repro.model.processes import make_processes, pset
-from repro.runtime import Actor, RunOutcome, Scheduler, SystemActor
+from repro.runtime.actors import SystemActor
+from repro.runtime.scheduler import Actor, RunOutcome, Scheduler
 from tests.runtime._oracle import force_scan
 
 
@@ -218,9 +219,9 @@ def test_no_host_takes_a_scheduling_mode():
 
     from repro.campaign.__main__ import smoke_campaign
     from repro.campaign.grid import Campaign
-    from repro.core import MulticastSystem
-    from repro.sim import Kernel
-    from repro.workloads import ScenarioSpec
+    from repro.core.engine import MulticastSystem
+    from repro.sim.kernel import Kernel
+    from repro.workloads.spec import ScenarioSpec
 
     for target in (
         Scheduler,
@@ -249,7 +250,7 @@ def test_a_scheduler_is_built_from_the_failure_pattern():
     import inspect
 
     import repro.runtime
-    from repro.runtime import AsyncDriver
+    from repro.runtime.async_driver import AsyncDriver
 
     taken = inspect.signature(Scheduler).parameters
     for name in ("is_alive", "alive_instants", "responders", "rng"):

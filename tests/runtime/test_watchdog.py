@@ -150,7 +150,7 @@ class TestPlantedStall:
     def test_fault_free_engine_row_is_byte_identical_under_watchdog(self):
         """The watchdog is not part of the spec: hashes, rows and
         traces of a healthy run cannot depend on whether it was armed."""
-        from repro.groups import paper_figure1_topology
+        from repro.groups.topology import paper_figure1_topology
         from repro.workloads.runner import random_sends
 
         topo = paper_figure1_topology()

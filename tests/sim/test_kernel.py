@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.model import (
-    SimulationError,
-    crash_pattern,
-    failure_free,
-    make_processes,
-    pset,
-)
-from repro.sim import Automaton, Kernel
+from repro.model.errors import SimulationError
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import make_processes, pset
+from repro.sim.kernel import Automaton, Kernel
 from tests.runtime._oracle import force_scan
 
 PROCS = make_processes(3)

@@ -3,10 +3,12 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.detectors import SigmaOracle
-from repro.model import crash_pattern, failure_free, make_processes, pset
-from repro.sim import Kernel
-from repro.substrates import AdoptCommitAutomaton, RegisterAutomaton
+from repro.detectors.quorum import SigmaOracle
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import make_processes, pset
+from repro.sim.kernel import Kernel
+from repro.substrates.abd import RegisterAutomaton
+from repro.substrates.adopt_commit import AdoptCommitAutomaton
 
 PROCS = make_processes(3)
 SCOPE = pset(PROCS)

@@ -3,10 +3,12 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.detectors import OmegaOracle, SigmaOracle
-from repro.model import crash_pattern, failure_free, make_processes, pset
-from repro.sim import Kernel
-from repro.substrates import ConsensusCluster, OmegaSigmaSampler
+from repro.detectors.leader import OmegaOracle
+from repro.detectors.quorum import SigmaOracle
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import make_processes, pset
+from repro.sim.kernel import Kernel
+from repro.substrates.consensus import ConsensusCluster, OmegaSigmaSampler
 
 PROCS = make_processes(4)
 SCOPE = pset(PROCS)

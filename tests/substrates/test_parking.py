@@ -22,10 +22,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.faults.nemesis import MIXES, random_plan
-from repro.model import make_processes, pset
 from repro.model.messages import MessageBuffer
+from repro.model.processes import make_processes, pset
 from repro.sim.kernel import Context
-from repro.substrates import ReplicatedLogAutomaton
+from repro.substrates.replicated_log import ReplicatedLogAutomaton
 from repro.workloads.runner import Send, run_scenario
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology

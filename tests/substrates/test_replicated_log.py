@@ -4,11 +4,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.model import crash_pattern, failure_free, make_processes, pset
+from repro.model.failures import crash_pattern, failure_free
 from repro.model.messages import MessageBuffer
-from repro.sim import Kernel
-from repro.sim.kernel import Context
-from repro.substrates import ReplicatedLogAutomaton, ReplicatedLogCluster
+from repro.model.processes import make_processes, pset
+from repro.sim.kernel import Context, Kernel
+from repro.substrates.replicated_log import ReplicatedLogAutomaton, ReplicatedLogCluster
 from repro.workloads.runner import Send, run_scenario
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology

@@ -21,20 +21,20 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.detectors import OmegaOracle, SigmaOracle
+from repro.detectors.leader import OmegaOracle
+from repro.detectors.quorum import SigmaOracle
 from repro.faults.nemesis import random_plan
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.model import crash_pattern, failure_free, make_processes, pset
+from repro.model.failures import crash_pattern, failure_free
 from repro.model.messages import MessageBuffer
-from repro.sim import Kernel
-from repro.sim.kernel import Context
-from repro.substrates import (
+from repro.model.processes import make_processes, pset
+from repro.sim.kernel import Context, Kernel
+from repro.substrates.consensus import (
     ConsensusAutomaton,
     ConsensusCluster,
     OmegaSigmaSampler,
-    ReplicatedLogAutomaton,
-    ReplicatedLogCluster,
 )
+from repro.substrates.replicated_log import ReplicatedLogAutomaton, ReplicatedLogCluster
 from repro.workloads.runner import Send, run_scenario
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology

@@ -21,11 +21,11 @@ import pytest
 
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.faults.shrink import load_repro, replay_repro
-from repro.model import make_processes, pset
 from repro.model.messages import MessageBuffer
+from repro.model.processes import make_processes, pset
 from repro.props.batch import verdicts_ok
 from repro.sim.kernel import Context
-from repro.substrates import ReplicatedLogAutomaton
+from repro.substrates.replicated_log import ReplicatedLogAutomaton
 from repro.workloads.runner import Send, run_scenario
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology

@@ -10,6 +10,9 @@ under ``src/``); ``path::name[::name]`` additionally needs each ``name``
 defined in that file.  Placeholders (an all-caps segment, as in
 ``DIR/manifest.json``) are skipped.  ROADMAP.md is not checked: it names
 files that do not exist yet.
+
+Code in the same documents runs: every ``from repro... import ...``
+inside a fenced block imports, and README's quickstart block executes.
 """
 
 import re
@@ -25,6 +28,7 @@ TOP_LEVEL = {entry.name for entry in ROOT.iterdir()}
 FENCE = re.compile(r"^```.*?^```", re.M | re.S)
 SPAN = re.compile(r"`([^`\n]+)`")
 PATH = re.compile(r"[\w.\-/*]+")
+IMPORT = re.compile(r"^[ \t]*from (repro[\w.]*) import (\([^)]*\)|[\w, ]+)", re.M)
 EXTENSION = re.compile(r"\.(py|json|jsonl|md|yml|yaml|toml|txt)$")
 
 
@@ -71,6 +75,34 @@ def test_cited_paths_resolve(doc):
     assert found, f"{doc} cites no path: the extractor is broken"
     stale = [f"{doc}:{lineno}: {span}" for lineno, span in found if not resolves(span)]
     assert not stale, "stale citations:\n" + "\n".join(stale)
+
+
+def fenced_imports(doc):
+    """``(line number, statement)`` for each repro import in a fenced block."""
+    text = (ROOT / doc).read_text()
+    for fence in FENCE.finditer(text):
+        for hit in IMPORT.finditer(fence.group()):
+            lineno = text.count("\n", 0, fence.start() + hit.start(1)) + 1
+            yield lineno, f"from {hit.group(1)} import {hit.group(2)}"
+
+
+def test_documented_imports_resolve():
+    found = [(doc, *hit) for doc in DOCS for hit in fenced_imports(doc)]
+    assert found, "no fenced repro import found: the extractor is broken"
+    broken = []
+    for doc, lineno, statement in found:
+        try:
+            exec(statement, {})
+        except ImportError as exc:
+            broken.append(f"{doc}:{lineno}: {exc}")
+    assert not broken, "documented imports that fail:\n" + "\n".join(broken)
+
+
+def test_readme_quickstart_runs(capsys):
+    quickstart = (ROOT / "README.md").read_text().split("## Quickstart", 1)[1]
+    block = re.search(r"^```python\n(.*?)^```", quickstart, re.M | re.S).group(1)
+    exec(compile(block, "README.md quickstart", "exec"), {})
+    assert capsys.readouterr().out
 
 
 def test_code_cites_no_roadmap_item():

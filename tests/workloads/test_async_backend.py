@@ -20,11 +20,11 @@ from repro.faults.shrink import (
     repro_payload,
     write_repro,
 )
-from repro.groups import paper_figure1_topology
+from repro.groups.topology import paper_figure1_topology
 from repro.model.errors import SimulationError
 from repro.props.batch import batch_verdicts, verdicts_ok
-from repro.workloads import ScenarioSpec, Send, run_scenario
-from repro.workloads.spec import SPEC_SCHEMA_VERSION, TopologySpec
+from repro.workloads.runner import Send, run_scenario
+from repro.workloads.spec import SPEC_SCHEMA_VERSION, ScenarioSpec, TopologySpec
 
 TOPO = TopologySpec.capture(paper_figure1_topology())
 SENDS = (Send(1, "g1", 0), Send(2, "g2", 1), Send(1, "g3", 2), Send(4, "g4", 3))

@@ -28,11 +28,10 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.groups import paper_figure1_topology
+from repro.groups.topology import paper_figure1_topology
 from repro.props.batch import batch_verdicts, verdicts_ok
-from repro.workloads import ScenarioSpec, run_scenario
-from repro.workloads.runner import random_sends
-from repro.workloads.spec import TopologySpec
+from repro.workloads.runner import random_sends, run_scenario
+from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology
 
 SEEDS = tuple(range(20))

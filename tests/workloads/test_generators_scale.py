@@ -18,17 +18,15 @@ import pytest
 
 from repro.groups.families import intersection_adjacency
 from repro.model.errors import SimulationError, TopologyError
-from repro.workloads import (
+from repro.workloads.runner import random_sends, run_scenario
+from repro.workloads.spec import ScenarioSpec, TopologySpec
+from repro.workloads.topologies import (
     GENERATORS,
-    ScenarioSpec,
-    TopologySpec,
     build_generator,
     chain_topology,
     disjoint_topology,
     hub_topology,
-    random_sends,
     ring_topology,
-    run_scenario,
     sparse_overlap_topology,
 )
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 import pytest
 
 from repro.campaign.grid import Campaign, case
-from repro.groups import paper_figure1_topology
+from repro.groups.topology import paper_figure1_topology
 from repro.model.errors import SimulationError, TopologyError
 from repro.props.batch import batch_verdicts, verdicts_ok
-from repro.workloads import ScenarioSpec, Send, run_scenario
-from repro.workloads.spec import SPEC_SCHEMA_VERSION, TopologySpec
+from repro.workloads.runner import Send, run_scenario
+from repro.workloads.spec import SPEC_SCHEMA_VERSION, ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology
 from tests.runtime._oracle import scan_everywhere
 

@@ -21,9 +21,9 @@ import statistics
 
 import pytest
 
-from repro.metrics import latency_of
-from repro.workloads import ScenarioSpec, Send, run_scenario
-from repro.workloads.spec import TopologySpec
+from repro.metrics.summary import latency_of
+from repro.workloads.runner import Send, run_scenario
+from repro.workloads.spec import ScenarioSpec, TopologySpec
 
 GROUPS, GROUP_SIZE, WAVES = 8, 5, 25
 TOPOLOGY = TopologySpec.from_generator(

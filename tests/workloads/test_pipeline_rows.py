@@ -20,9 +20,9 @@ import json
 import pytest
 
 from repro.faults.nemesis import random_plan
-from repro.groups import paper_figure1_topology
-from repro.workloads import ScenarioSpec, Send, run_scenario
-from repro.workloads.spec import TopologySpec
+from repro.groups.topology import paper_figure1_topology
+from repro.workloads.runner import Send, run_scenario
+from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology
 
 FIGURE1 = TopologySpec.capture(paper_figure1_topology())

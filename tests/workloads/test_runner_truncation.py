@@ -8,8 +8,11 @@ proves nothing, so the runner now reports the leftovers in
 ``unsent_sends`` and ``delivered_everywhere()`` refuses success.
 """
 
-from repro.model import crash_pattern, failure_free, make_processes, pset
-from repro.workloads import ScenarioSpec, Send, chain_topology, run_scenario
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import make_processes, pset
+from repro.workloads.runner import Send, run_scenario
+from repro.workloads.spec import ScenarioSpec
+from repro.workloads.topologies import chain_topology
 
 
 def _topo_and_pattern():

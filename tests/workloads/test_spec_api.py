@@ -4,16 +4,12 @@ import inspect
 
 import pytest
 
-from repro.model import failure_free, make_processes, pset
 from repro.model.errors import SimulationError
-from repro.workloads import (
-    ScenarioSpec,
-    Send,
-    chain_topology,
-    disjoint_topology,
-    run_scenario,
-)
-from repro.workloads.spec import TopologySpec
+from repro.model.failures import failure_free
+from repro.model.processes import make_processes, pset
+from repro.workloads.runner import Send, run_scenario
+from repro.workloads.spec import ScenarioSpec, TopologySpec
+from repro.workloads.topologies import chain_topology, disjoint_topology
 
 BACKENDS = ("engine", "kernel", "async")
 
@@ -48,7 +44,7 @@ class TestSpecForm:
         spec = ScenarioSpec.capture(topo, pattern, sends)
         path = str(tmp_path / "trace.jsonl")
         run_scenario(spec, trace_path=path)
-        from repro.metrics import read_jsonl
+        from repro.metrics.trace import read_jsonl
 
         records = read_jsonl(path)
         assert records[0]["type"] == "meta"

@@ -84,7 +84,7 @@ class TestSupersedeWait:
         result.assert_ok()
 
     def test_consensus_rejects_unknown_supersede_modes(self):
-        from repro.model import make_processes, pset
+        from repro.model.processes import make_processes, pset
 
         scope = pset(make_processes(3))
         pid = next(iter(scope)).index

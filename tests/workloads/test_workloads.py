@@ -3,18 +3,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.model import crash_pattern, failure_free, make_processes, pset
-from repro.props import assert_run_ok
-from repro.workloads import (
-    ScenarioSpec,
-    Send,
+from repro.model.failures import crash_pattern, failure_free
+from repro.model.processes import make_processes, pset
+from repro.props.checkers import assert_run_ok
+from repro.workloads.runner import Send, random_sends, run_scenario
+from repro.workloads.spec import ScenarioSpec
+from repro.workloads.topologies import (
     chain_topology,
     disjoint_topology,
     hub_topology,
-    random_sends,
     random_topology,
     ring_topology,
-    run_scenario,
 )
 
 
