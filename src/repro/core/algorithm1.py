@@ -25,6 +25,8 @@ the action that phase enables; the methods above hold the *remaining*
 preconditions and the effects.  The objects they touch — ``LOG_g`` and the
 ``LOG_{g∩h}`` of lines 13/22/27/36 — depend on ``dst(m)`` and ``G(p)``
 alone, and are resolved once per destination group into a :class:`_Route`.
+A route holds each log's handle, where a mutation is guarded and charged;
+a read is free, so the actions read the handle's :class:`Log` directly.
 
 The *strict* variation of §6.1 changes only the ``stable`` precondition:
 a process waits, for every intersecting group ``h``, for either the
@@ -127,8 +129,9 @@ class Algorithm1Process:
         self.phase: Dict[MessageId, Phase] = {}
         #: Messages known locally, keyed by id.
         self.known: Dict[MessageId, MulticastMessage] = {}
-        #: (message, group) pairs already stabilized by this process.
-        self._stabilized: Set[Tuple[MessageId, Group]] = set()
+        #: (message, group name) pairs already stabilized by this process
+        #: (a name hashes in C; ``Group.__hash__`` is a Python call).
+        self._stabilized: Set[Tuple[MessageId, str]] = set()
         #: Locally requested multicasts whose line-7 append is still
         #: waiting for a quorum (retried by the action scan).
         self._to_multicast: Set[MessageId] = set()
@@ -144,7 +147,7 @@ class Algorithm1Process:
         #: live ``arrivals`` list (append-only) and how many of them
         #: ``discover()`` has learned already.
         self._feeds: List[List[Any]] = [
-            [space.group_log(g).arrivals, 0] for g in self.my_groups
+            [space.group_log(g).log.arrivals, 0] for g in self.my_groups
         ]
         #: Per (log, threshold), how many leading messages of the log
         #: were seen at that phase or beyond (see :meth:`_order_clear`).
@@ -158,7 +161,7 @@ class Algorithm1Process:
         #: Why the last action scan ended blocked: a subset of the
         #: ``WAIT_*`` reasons of :mod:`repro.metrics.trace`.  Empty after
         #: a scan that fired actions, or when the process is simply idle.
-        #: The engine's wake-index and the trace exporter both read it.
+        #: The scheduler and the trace exporter both read it.
         self.wait_reasons: Set[str] = set()
 
     # -- Wait-reason reporting -------------------------------------------------
@@ -300,12 +303,12 @@ class Algorithm1Process:
         known = self.known
         phases = self.phase
         routes = self._routes
-        for mid in sorted(self._to_multicast):
+        for mid in sorted(self._to_multicast) if self._to_multicast else ():
             if budget is not None and fired >= budget:
                 return fired
             message = known[mid]
             log_g = (routes.get(message.dst) or self._route(message)).log
-            if phases.get(mid, START) != START or message in log_g:
+            if phases.get(mid, START) != START or message in log_g.log:
                 self._to_multicast.discard(mid)
                 continue
             if log_g.mutation_available(pid):
@@ -366,7 +369,7 @@ class Algorithm1Process:
 
     def _try_pending(self, t: int, m: MulticastMessage, route: _Route) -> bool:
         log_g = route.log
-        if m not in log_g:
+        if m not in log_g.log:
             return False
         if not self._order_clear(log_g, m, COMMIT):
             self._waiting(WAIT_ORDER)
@@ -390,7 +393,7 @@ class Algorithm1Process:
     def _gamma_partners(self, t: int, g: Group) -> Tuple[Group, ...]:
         """``gamma(g)`` as observed by this process now (§3)."""
         if self.stats is not None:
-            self.stats.note_gamma_query()
+            self.stats.gamma_queries += 1
         return self.mu.gamma_partners(t, g)
 
     def _consensus_family(self, g: Group) -> FrozenSet[str]:
@@ -419,15 +422,20 @@ class Algorithm1Process:
 
     def _try_commit(self, t: int, m: MulticastMessage, route: _Route) -> bool:
         g = route.g
-        records = route.log.position_records_for(m.mid)
-        recorded_groups = {r[1] for r in records}
-        for h in self._gamma_partners(t, g):
-            if h.name not in recorded_groups:
-                self._waiting(WAIT_GAMMA)
-                return False  # line 18
+        records = route.log.log.position_records_for(m.mid)
+        partners = self._gamma_partners(t, g)
+        if partners:
+            recorded_groups = {r[1] for r in records}
+            for h in partners:
+                if h.name not in recorded_groups:
+                    self._waiting(WAIT_GAMMA)
+                    return False  # line 18
         if not records:
             return False  # k undefined until some (m, h, i) exists
-        k = max(r[2] for r in records)  # line 19
+        k = 0  # line 19: the largest i of the (m, h, i) records
+        for record in records:
+            if record[2] > k:
+                k = record[2]
         family_key = self._consensus_family(g)  # line 20
         cons = self.space.consensus(m.mid, family_key, g)
         pid = self.pid
@@ -458,9 +466,9 @@ class Algorithm1Process:
         for h, ilog in route.carried:  # line 27: h in G(p), g ∩ h ≠ ∅
             if max_fires is not None and fired >= max_fires:
                 return fired
-            if (m.mid, h) in self._stabilized:
+            if (m.mid, h.name) in self._stabilized:
                 continue
-            if m not in ilog:
+            if m not in ilog.log:
                 continue
             if not self._order_clear(ilog, m, STABLE):
                 self._waiting(WAIT_ORDER)
@@ -469,7 +477,7 @@ class Algorithm1Process:
                 self._waiting(WAIT_QUORUM)
                 continue
             log_g.append(self.pid, (m.mid, h.name))  # line 29
-            self._stabilized.add((m.mid, h))
+            self._stabilized.add((m.mid, h.name))
             fired += 1
         return fired
 
@@ -479,8 +487,9 @@ class Algorithm1Process:
         self, t: int, m: MulticastMessage, route: _Route
     ) -> bool:
         g = route.g
-        recorded = {r[1] for r in route.log.stabilization_records_for(m.mid)}
+        records = route.log.log.stabilization_records_for(m.mid)
         if self.variant == "strict":
+            recorded = {r[1] for r in records}
             # §6.1: wait on every intersecting group, with the indicator
             # 1^{g∩h} as the escape hatch.
             for h in self.topology.groups:
@@ -490,15 +499,18 @@ class Algorithm1Process:
                     continue
                 indicator = self.indicators.get(g.intersection(h))
                 if self.stats is not None and indicator is not None:
-                    self.stats.note_indicator_query()
+                    self.stats.indicator_queries += 1
                 if indicator is None or not indicator.query(self.pid, t):
                     self._waiting(WAIT_INDICATOR)
                     return False
             return True
-        for h in self._gamma_partners(t, g):  # line 32
-            if h.name not in recorded:
-                self._waiting(WAIT_GAMMA)
-                return False
+        partners = self._gamma_partners(t, g)  # line 32
+        if partners:
+            recorded = {r[1] for r in records}
+            for h in partners:
+                if h.name not in recorded:
+                    self._waiting(WAIT_GAMMA)
+                    return False
         return True
 
     def _try_stable(self, t: int, m: MulticastMessage, route: _Route) -> bool:
@@ -511,7 +523,7 @@ class Algorithm1Process:
 
     def _try_deliver(self, t: int, m: MulticastMessage, route: _Route) -> bool:
         for _h, ilog in route.carried:  # line 36, over the logs at p holding m
-            if m not in ilog:
+            if m not in ilog.log:
                 continue
             if not self._order_clear(ilog, m, DELIVER):
                 self._waiting(WAIT_ORDER)

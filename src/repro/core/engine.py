@@ -23,8 +23,11 @@ scan fired nothing is parked until an event that can change its wait
 condition —
 
 * a write to a shared object it can read (its group logs, the
-  intersection logs of its groups, its reduction lists ``L_g``), via a
-  static *wake index* mapping object names to reader sets;
+  intersection logs of its groups, its reduction lists ``L_g``): every
+  log binds its reader set when it is created
+  (:func:`repro.objects.space.reader_set`), and a mutation hands it to
+  :meth:`MulticastSystem._write` with its charge — one call that records
+  the steps and wakes the readers;
 * a change of the participation/responder sets (quorum availability);
 * a detector transition or a crash — conservatively covered by falling
   back to a full scan while ``time <= settle_horizon()``, the window in
@@ -42,8 +45,8 @@ testing; the per-round counters land in :attr:`MulticastSystem.tracer`.
 Caveat for auxiliary :data:`Component` sources: a component is re-run
 only while its process is awake.  Components whose enabledness is driven
 by shared-object state (like the Proposition 1 reduction) wake up with
-their process; a component driven by state the wake index cannot see
-must call :meth:`MulticastSystem.wake_all`.
+their process; a component driven by state no reader set covers must
+call :meth:`MulticastSystem.wake_all`.
 """
 
 from __future__ import annotations
@@ -110,10 +113,6 @@ class MulticastSystem(RoundHost):
         self.injector = injector
         self.record = RunRecord(topology.processes, pattern)
         tracer = TraceRecorder()
-        #: Wake index: shared-object name -> processes that read it.
-        self._wake_index: Dict[str, FrozenSet[ProcessId]] = (
-            self._build_wake_index(topology)
-        )
         #: Processes whose wait condition may have changed since their
         #: last clean (zero-fired) scan.  Starts as everyone.
         self._dirty: Set[ProcessId] = set(topology.processes)
@@ -123,11 +122,10 @@ class MulticastSystem(RoundHost):
         #: execution) keeps the wake path untouched.
         self.wake_listener: Optional[Callable[[FrozenSet[ProcessId]], None]] = None
         self.space = ObjectSpace(
-            self._charge,
+            self._write,
             guard=self.quorum_ok,
             isolation=isolation,
             consensus_gate=self.consensus_ok,
-            on_write=self._on_object_write,
         )
         #: The run's detector (the pattern oracles when not given).
         self.mu = build_mu(pattern, topology) if mu is None else mu
@@ -183,45 +181,24 @@ class MulticastSystem(RoundHost):
 
     # -- Wiring ---------------------------------------------------------------
 
-    @staticmethod
-    def _build_wake_index(
-        topology: GroupTopology,
-    ) -> Dict[str, FrozenSet[ProcessId]]:
-        """Map each shared-object name to the processes that read it.
-
-        ``LOG_g`` and the reduction list ``L_g`` are read by the members
-        of ``g``; ``LOG_{g∩h}`` is read by the members of both groups.
-        Consensus objects need no entry: their state is only consumed by
-        the proposer within its own (already-fired) commit action.
-        """
-        index: Dict[str, Set[ProcessId]] = {}
-        for g in topology.groups:
-            index.setdefault(f"LOG_{g.name}", set()).update(g.members)
-            index.setdefault(f"L_{g.name}", set()).update(g.members)
-        for g, h in topology.intersecting_pairs():
-            first, second = sorted((g, h), key=lambda x: x.name)
-            readers = index.setdefault(
-                f"LOG_{first.name}∩{second.name}", set()
-            )
-            readers.update(g.members)
-            readers.update(h.members)
-        return {name: frozenset(pids) for name, pids in index.items()}
-
-    def _on_object_write(self, name: str) -> None:
-        """A shared object mutated: wake its readers (everyone if unknown)."""
-        woken = self._wake_index.get(name, self.topology.processes)
-        self._dirty |= woken
-        if self.wake_listener is not None:
-            self.wake_listener(woken)
+    def _write(
+        self,
+        processes: Tuple[ProcessId, ...],
+        reason: str,
+        readers: FrozenSet[ProcessId],
+    ) -> None:
+        """One shared-object operation: record its steps, wake its readers."""
+        self.record.note_steps(self._scheduler.time, processes, reason)
+        if readers:
+            self._dirty |= readers
+            if self.wake_listener is not None:
+                self.wake_listener(readers)
 
     def wake_all(self) -> None:
         """Force every process through the next action scan."""
         self._dirty = set(self.topology.processes)
         if self.wake_listener is not None:
             self.wake_listener(self.topology.processes)
-
-    def _charge(self, processes: Tuple[ProcessId, ...], reason: str) -> None:
-        self.record.note_steps(self._scheduler.time, processes, reason)
 
     def quorum_ok(self, caller: ProcessId, scope: ProcessSet) -> bool:
         """Whether a ``Sigma_scope`` quorum can respond right now.
@@ -236,9 +213,15 @@ class MulticastSystem(RoundHost):
         model: silent processes cannot be part of a responsive quorum.
         """
         scheduler = self._scheduler
-        required = self.mu.sigma_of(scope).query(caller, scheduler.time)
-        available = required <= scheduler.responders
-        self.tracer.note_quorum_query(available)
+        try:
+            sigma = self.mu.sigmas[scope]
+        except KeyError:
+            sigma = self.mu.sigma_of(scope)  # raises DetectorError
+        available = sigma.query(caller, scheduler.time) <= scheduler.responders
+        tracer = self.tracer
+        tracer.quorum_queries += 1
+        if not available:
+            tracer.quorum_stalls += 1
         return available
 
     def consensus_ok(self, caller: ProcessId, host: Group) -> bool:

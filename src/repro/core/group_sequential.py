@@ -30,7 +30,7 @@ from repro.model.errors import SimulationError
 from repro.model.messages import MessageId, MulticastMessage
 from repro.model.processes import ProcessId
 from repro.objects.log import Log
-from repro.objects.space import LogHandle
+from repro.objects.space import LogHandle, reader_set
 
 
 class AtomicMulticast:
@@ -44,14 +44,9 @@ class AtomicMulticast:
 
     def __init__(self, system: MulticastSystem) -> None:
         self.system = system
-        #: The shared lists ``L_g``, one per group.
+        #: The shared lists ``L_g``, one per group, read by its members.
         self._lists: Dict[Group, LogHandle] = {
-            g: LogHandle(
-                Log(f"L_{g.name}"),
-                g.members,
-                system._charge,
-                on_write=system._on_object_write,
-            )
+            g: LogHandle(Log(f"L_{g.name}"), g.members, reader_set(g), system._write)
             for g in system.topology.groups
         }
         self._pushed: Set[Tuple[ProcessId, MessageId]] = set()
@@ -59,7 +54,7 @@ class AtomicMulticast:
         #: of it: the live entry list of ``L_g`` (append-only) and how
         #: many leading entries of it the process has delivered.
         self._feeds: Dict[ProcessId, List[List[Any]]] = {
-            p: [[self._lists[g].arrivals, 0] for g in algo.my_groups]
+            p: [[self._lists[g].log.arrivals, 0] for g in algo.my_groups]
             for p, algo in system.processes.items()
         }
         system.add_component(self._reduction_actions)

@@ -81,9 +81,13 @@ class TraceRecorder:
     """Accumulates per-round counters for one run.
 
     The runtime drives it with :meth:`begin_round` / :meth:`end_round`;
-    in between, the guards and oracles report events through the
-    ``note_*`` methods.  Events reported outside a round (e.g. a direct
-    ``quorum_ok`` probe from a test) fall into the next round's window.
+    in between, the schedulers report through the ``note_*`` methods and
+    the quorum guard and the detector queries bump the public counters
+    (:attr:`quorum_queries`, :attr:`quorum_stalls`, :attr:`gamma_queries`,
+    :attr:`indicator_queries`) directly.  Events reported outside a round
+    (e.g. a direct ``quorum_ok`` probe from a test) are dropped:
+    :meth:`begin_round` zeroes every counter, and ``note_scanned`` /
+    ``note_skipped`` ignore calls with no round open.
     """
 
     def __init__(self) -> None:
@@ -99,10 +103,14 @@ class TraceRecorder:
         self._scanned = 0
         self._skipped = 0
         self._actions = 0
-        self._quorum_queries = 0
-        self._quorum_stalls = 0
-        self._gamma_queries = 0
-        self._indicator_queries = 0
+        #: Quorum-guard evaluations in the current round window.
+        self.quorum_queries = 0
+        #: Quorum-guard evaluations that returned False, same window.
+        self.quorum_stalls = 0
+        #: ``gamma`` consultations, same window.
+        self.gamma_queries = 0
+        #: Indicator consultations (strict variant), same window.
+        self.indicator_queries = 0
         self._wait_reasons: Dict[str, int] = {}
         # Interleaving transitions: compact signatures of *changes* in
         # the (eligible, responders) participation state, reported by
@@ -122,10 +130,10 @@ class TraceRecorder:
         self._scanned = 0
         self._skipped = 0
         self._actions = 0
-        self._quorum_queries = 0
-        self._quorum_stalls = 0
-        self._gamma_queries = 0
-        self._indicator_queries = 0
+        self.quorum_queries = 0
+        self.quorum_stalls = 0
+        self.gamma_queries = 0
+        self.indicator_queries = 0
         self._wait_reasons = {}
 
     def end_round(self) -> Optional[RoundTrace]:
@@ -139,17 +147,17 @@ class TraceRecorder:
             skipped=self._skipped,
             actions=self._actions,
             full_scan=self._full_scan,
-            quorum_queries=self._quorum_queries,
-            quorum_stalls=self._quorum_stalls,
-            gamma_queries=self._gamma_queries,
-            indicator_queries=self._indicator_queries,
+            quorum_queries=self.quorum_queries,
+            quorum_stalls=self.quorum_stalls,
+            gamma_queries=self.gamma_queries,
+            indicator_queries=self.indicator_queries,
             wait_reasons=dict(self._wait_reasons),
         )
         self.rounds.append(current)
         self._in_round = False
         return current
 
-    # -- Event sinks (called by guards, oracles, schedulers) ---------------
+    # -- Event sinks (called by the schedulers) -----------------------------
 
     def note_scanned(self, fired: int) -> None:
         if self._in_round:
@@ -159,17 +167,6 @@ class TraceRecorder:
     def note_skipped(self) -> None:
         if self._in_round:
             self._skipped += 1
-
-    def note_quorum_query(self, available: bool) -> None:
-        self._quorum_queries += 1
-        if not available:
-            self._quorum_stalls += 1
-
-    def note_gamma_query(self) -> None:
-        self._gamma_queries += 1
-
-    def note_indicator_query(self) -> None:
-        self._indicator_queries += 1
 
     def note_wait(self, reason: str) -> None:
         self._wait_reasons[reason] = self._wait_reasons.get(reason, 0) + 1

@@ -17,15 +17,17 @@ Carriers:
   backing consensus hosted by one of the two groups runs and that group is
   charged.
 
-The space receives a ``charge`` callback (processes, reason) from the
-runtime, which turns charges into :class:`repro.model.runs.RunRecord` steps.
-One operation is one call: the processes it charges arrive together, in
-charging order (:func:`billing_order`).
+The space receives one ``write`` sink (processes, reason, readers) from
+the runtime, which turns charges into :class:`repro.model.runs.RunRecord`
+steps and wakes the object's readers.  One operation is one call: the
+processes it charges arrive together, in charging order
+(:func:`billing_order`), with the reader set its object bound when it was
+created (:func:`reader_set`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.groups.topology import Group
 from repro.model.errors import SpecificationError
@@ -33,9 +35,12 @@ from repro.model.processes import ProcessId, ProcessSet
 from repro.objects.consensus import AdoptCommitObject, ConsensusObject
 from repro.objects.log import Log
 
-#: Charge callback: (processes to charge one step each, in charging
-#: order; human-readable reason).
-ChargeFn = Callable[[Tuple[ProcessId, ...], str], None]
+#: Write sink: (processes to charge one step each, in charging order;
+#: human-readable reason; the processes that read the object, to wake).
+WriteSink = Callable[[Tuple[ProcessId, ...], str, FrozenSet[ProcessId]], None]
+
+#: One operation path's memoised sink arguments.
+Bill = Tuple[Tuple[ProcessId, ...], str, FrozenSet[ProcessId]]
 
 #: Quorum guard: (caller, scope) -> True when a live quorum of ``scope``
 #: is currently able to respond (see MulticastSystem.quorum_ok).
@@ -46,10 +51,6 @@ GuardFn = Callable[[ProcessId, ProcessSet], bool]
 #: reading of ``Omega_g``: before the oracle stabilizes, ballots may be
 #: preempted forever — see MulticastSystem.consensus_ok).
 ConsensusGateFn = Callable[[ProcessId, Group], bool]
-
-#: Write notification: (object name) -> None, reported on every mutation
-#: so the runtime's wake index can re-run the object's readers.
-WriteFn = Callable[[str], None]
 
 
 def _det_label(key: Any) -> str:
@@ -65,8 +66,31 @@ def _det_label(key: Any) -> str:
     return str(key)
 
 
-def _no_charge(_processes: Tuple[ProcessId, ...], _reason: str) -> None:
-    """Default accounting sink: discard charges."""
+#: The readers of an object nobody reads (a consensus object: only its
+#: proposer consumes its state, inside the action that proposed).
+NO_READERS: FrozenSet[ProcessId] = frozenset()
+
+
+def _no_write(
+    _processes: Tuple[ProcessId, ...], _reason: str, _readers: FrozenSet[ProcessId]
+) -> None:
+    """Default write sink: discard charges, wake nobody."""
+
+
+def reader_set(*groups: Group) -> FrozenSet[ProcessId]:
+    """The processes that read an object kept for ``groups``: their
+    members, added group by group into one set, then frozen.
+
+    ``LOG_g`` and the reduction list ``L_g`` are read by the members of
+    ``g``; ``LOG_{g∩h}`` by the members of both groups, ``g`` and ``h`` in
+    the topology's order.  The async driver draws one wake latency per
+    reader as the set iterates, and two equal sets built differently may
+    iterate differently, so this is the one way a reader set is built.
+    """
+    readers: Set[ProcessId] = set()
+    for g in groups:
+        readers.update(g.members)
+    return frozenset(readers)
 
 
 def billing_order(caller: ProcessId, scope: ProcessSet) -> Tuple[ProcessId, ...]:
@@ -89,28 +113,28 @@ class LogHandle:
     """A shared log bound to its carrier set for step accounting.
 
     Mutations (``append``, ``bump_and_lock``) charge the invoker and the
-    carriers; read-only queries are free (each carrier maintains a local
-    replica in the universal construction, so reads are local).
+    carriers and wake the log's ``readers``, in one sink call; read-only
+    queries are free (each carrier maintains a local replica in the
+    universal construction, so reads are local).
     """
 
     def __init__(
         self,
         log: Log,
         carriers: ProcessSet,
-        charge: ChargeFn,
+        readers: FrozenSet[ProcessId],
+        write: WriteSink = _no_write,
         guard: GuardFn = _always_available,
-        on_write: Optional[WriteFn] = None,
     ) -> None:
         self.log = log
         self.carriers = carriers
-        self._charge = charge
+        #: Who reads this log: every mutation wakes them.
+        self.readers = readers
+        self._write = write
         self._guard = guard
-        self._on_write = on_write
-        #: ``(billing order, reason)`` per (caller, op, path) — the scope
-        #: a path charges and the log's name never change.
-        self._bills: Dict[
-            Tuple[ProcessId, str, str], Tuple[Tuple[ProcessId, ...], str]
-        ] = {}
+        #: ``(billing order, reason, readers)`` per (caller, op path) —
+        #: the scope a path charges and the log's name never change.
+        self._bills: Dict[Tuple[ProcessId, str], Bill] = {}
 
     @property
     def name(self) -> str:
@@ -125,30 +149,30 @@ class LogHandle:
         """
         return self._guard(caller, self.carriers)
 
-    def _bill(
-        self, caller: ProcessId, op: str, scope: ProcessSet, path: str = ""
-    ) -> None:
-        """Charge one ``op`` by ``caller`` to ``scope``, as one write."""
-        bill = self._bills.get((caller, op, path))
-        if bill is None:
-            bill = self._bills[caller, op, path] = (
-                billing_order(caller, scope),
-                f"{self.log.name}.{op}{path}",
-            )
-        self._charge(*bill)
+    def _bill(self, caller: ProcessId, op: str, scope: ProcessSet) -> Bill:
+        """Memoise the sink arguments of ``op`` (a path) by ``caller``,
+        charged to ``scope``; a mutation reads the memo first."""
+        bill = self._bills[caller, op] = (
+            billing_order(caller, scope),
+            f"{self.log.name}.{op}",
+            self.readers,
+        )
+        return bill
 
     # -- Mutations (charged) -----------------------------------------------
 
     def append(self, caller: ProcessId, datum: Any) -> int:
-        self._bill(caller, "append", self.carriers)
-        if self._on_write is not None:
-            self._on_write(self.log.name)
+        bill = self._bills.get((caller, "append")) or self._bill(
+            caller, "append", self.carriers
+        )
+        self._write(*bill)
         return self.log.append(datum)
 
     def bump_and_lock(self, caller: ProcessId, datum: Any, k: int) -> int:
-        self._bill(caller, "bumpAndLock", self.carriers)
-        if self._on_write is not None:
-            self._on_write(self.log.name)
+        bill = self._bills.get((caller, "bumpAndLock")) or self._bill(
+            caller, "bumpAndLock", self.carriers
+        )
+        self._write(*bill)
         return self.log.bump_and_lock(datum, k)
 
     # -- Reads (free) --------------------------------------------------------
@@ -197,12 +221,12 @@ class IntersectionLogHandle(LogHandle):
         log: Log,
         intersection: ProcessSet,
         host_group: Group,
-        charge: ChargeFn,
+        readers: FrozenSet[ProcessId],
+        write: WriteSink = _no_write,
         guard: GuardFn = _always_available,
         isolation: bool = False,
-        on_write: Optional[WriteFn] = None,
     ) -> None:
-        super().__init__(log, intersection, charge, guard, on_write=on_write)
+        super().__init__(log, intersection, readers, write, guard)
         self.host_group = host_group
         #: §6.2 configuration: the backing consensus runs inside ``g∩h``
         #: (from ``Sigma_{g∩h} ∧ Omega_{g∩h}``) instead of a host group.
@@ -236,33 +260,37 @@ class IntersectionLogHandle(LogHandle):
             return self._guard(caller, self._slow_scope())
         return True
 
-    def _classify(self, caller: ProcessId, signature: Tuple[Any, ...]) -> bool:
-        """Advance the caller's cursor; True when the op is contention-free."""
+    def _path_bill(
+        self, caller: ProcessId, op: str, signature: Tuple[Any, ...]
+    ) -> Bill:
+        """Classify ``op`` (advancing the caller's cursor) and return the
+        sink arguments of its path: ``g ∩ h`` on the fast path, the slow
+        scope on contention."""
         index = self._cursor.get(caller, 0)
         self._cursor[caller] = index + 1
-        if index < len(self._established):
-            return self._established[index] == signature
-        self._established.append(signature)
-        return True
-
-    def _bill_op(self, caller: ProcessId, op: str, signature: Tuple[Any, ...]) -> None:
-        if self._classify(caller, signature):
-            self.fast_ops += 1
-            self._bill(caller, op, self.carriers, "[fast]")
-        else:
+        established = self._established
+        if index < len(established) and established[index] != signature:
             self.slow_ops += 1
-            self._bill(caller, op, self._slow_scope(), "[slow]")
+            path = op + "[slow]"
+            return self._bills.get((caller, path)) or self._bill(
+                caller, path, self._slow_scope()
+            )
+        if index >= len(established):
+            established.append(signature)
+        self.fast_ops += 1
+        path = op + "[fast]"
+        return self._bills.get((caller, path)) or self._bill(
+            caller, path, self.carriers
+        )
 
     def append(self, caller: ProcessId, datum: Any) -> int:
-        self._bill_op(caller, "append", ("append", datum))
-        if self._on_write is not None:
-            self._on_write(self.log.name)
+        self._write(*self._path_bill(caller, "append", ("append", datum)))
         return self.log.append(datum)
 
     def bump_and_lock(self, caller: ProcessId, datum: Any, k: int) -> int:
-        self._bill_op(caller, "bumpAndLock", ("bumpAndLock", datum, k))
-        if self._on_write is not None:
-            self._on_write(self.log.name)
+        self._write(
+            *self._path_bill(caller, "bumpAndLock", ("bumpAndLock", datum, k))
+        )
         return self.log.bump_and_lock(datum, k)
 
 
@@ -273,13 +301,13 @@ class ConsensusHandle:
         self,
         cons: ConsensusObject,
         host_group: Group,
-        charge: ChargeFn,
+        write: WriteSink = _no_write,
         guard: GuardFn = _always_available,
         gate: Optional[ConsensusGateFn] = None,
     ) -> None:
         self.cons = cons
         self.host_group = host_group
-        self._charge = charge
+        self._write = write
         self._guard = guard
         self._gate = gate
 
@@ -293,9 +321,10 @@ class ConsensusHandle:
 
     def propose(self, caller: ProcessId, value: Any) -> Any:
         # No memo here: CONS_{m,f} sees one proposal per member of g.
-        self._charge(
+        self._write(
             billing_order(caller, self.host_group.members),
             f"{self.cons.name}.propose",
+            NO_READERS,
         )
         return self.cons.propose(value)
 
@@ -313,20 +342,21 @@ class ObjectSpace:
     * group logs, keyed by group;
     * intersection logs, keyed by the unordered group pair;
     * consensus objects, keyed by ``(message key, family key)``.
+
+    Every log binds its reader set (:func:`reader_set`) when it is
+    created; ``write`` receives it with each mutation's charge.
     """
 
     def __init__(
         self,
-        charge: ChargeFn = _no_charge,
+        write: WriteSink = _no_write,
         guard: GuardFn = _always_available,
         isolation: bool = False,
         consensus_gate: Optional[ConsensusGateFn] = None,
-        on_write: Optional[WriteFn] = None,
     ) -> None:
-        self._charge = charge
+        self._write = write
         self._guard = guard
         self._consensus_gate = consensus_gate
-        self._on_write = on_write
         #: §6.2 strongly-genuine configuration for intersection logs.
         self.isolation = isolation
         self._group_logs: Dict[Group, LogHandle] = {}
@@ -334,21 +364,22 @@ class ObjectSpace:
         self._consensus: Dict[Tuple[Any, Any], ConsensusHandle] = {}
 
     def group_log(self, g: Group) -> LogHandle:
-        """``LOG_g``, carried by the members of ``g``."""
+        """``LOG_g``, carried and read by the members of ``g``."""
         handle = self._group_logs.get(g)
         if handle is None:
             handle = LogHandle(
                 Log(f"LOG_{g.name}"),
                 g.members,
-                self._charge,
+                reader_set(g),
+                self._write,
                 self._guard,
-                on_write=self._on_write,
             )
             self._group_logs[g] = handle
         return handle
 
     def intersection_log(self, g: Group, h: Group) -> LogHandle:
-        """``LOG_{g∩h}`` (= ``LOG_g`` when ``g == h``).
+        """``LOG_{g∩h}`` (= ``LOG_g`` when ``g == h``), read by the
+        members of both groups.
 
         Hosted, on its slow path, by the smaller-named group of the pair,
         mirroring §4.3's "implemented atop some group, say g".
@@ -367,10 +398,11 @@ class ObjectSpace:
                 Log(f"LOG_{first.name}∩{second.name}"),
                 g.intersection(h),
                 host_group=first,
-                charge=self._charge,
+                # The topology's pair order (GroupTopology.intersecting_pairs).
+                readers=reader_set(*sorted((g, h))),
+                write=self._write,
                 guard=self._guard,
                 isolation=self.isolation,
-                on_write=self._on_write,
             )
             self._intersection_logs[key] = handle
         return handle
@@ -389,7 +421,7 @@ class ObjectSpace:
                     f"CONS[{_det_label(message_key)},{_det_label(family_key)}]"
                 ),
                 host,
-                self._charge,
+                self._write,
                 self._guard,
                 gate=self._consensus_gate,
             )

@@ -4,7 +4,7 @@ Three adapters cover every loop in the repo:
 
 * :class:`SharedObjectActor` — one Algorithm 1 process (plus its
   auxiliary components) inside a :class:`repro.core.engine.MulticastSystem`;
-  parking is driven by the system's wake-index dirty set.
+  parking is driven by the system's dirty set.
 * :class:`AutomatonActor` — one Appendix-A automaton inside a
   :class:`repro.sim.kernel.Kernel`; parking is driven by the automaton's
   :meth:`~repro.sim.kernel.Automaton.idle` declaration, the message
@@ -38,7 +38,7 @@ class SharedObjectActor(Actor):
 
     A process is parked when it is absent from the system's dirty set:
     its last scan fired nothing and no shared object it reads has been
-    written since (see the wake index in :mod:`repro.core.engine`).
+    written since (see :meth:`repro.core.engine.MulticastSystem._write`).
     The engine records no wait reason for skipped processes
     (``SKIP_WAIT = ()``) — only scanned-but-blocked processes are
     histogrammed.

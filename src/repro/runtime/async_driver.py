@@ -84,12 +84,12 @@ class EventLoop:
     """A FIFO ready queue and a timer heap under a logical clock.
 
     One *turn* drops cancelled timers off the heap's head; if nothing is
-    ready, advances the clock to the head's deadline; moves every timer
-    due within :data:`CLOCK_RESOLUTION` to the ready queue in ``(when,
-    seq)`` order; then runs the calls that were ready at that point —
-    calls queued by those run next turn.  So equal deadlines fire in
-    scheduling order, by rule, and a callback that raises leaves
-    :meth:`run` at once.
+    ready, advances the clock to the head's deadline; pops every timer
+    due within :data:`CLOCK_RESOLUTION` into a batch, in ``(when, seq)``
+    order; then runs the calls that were ready at that point, and then
+    the batch straight off the heap — calls and timers queued by those
+    run next turn.  So equal deadlines fire in scheduling order, by rule,
+    and a callback that raises leaves :meth:`run` at once.
 
     The loop clock is the attribute :attr:`now`, in round units from
     ``0.0``, and it moves only between calls: every call of one turn
@@ -124,9 +124,11 @@ class EventLoop:
     def run(self) -> None:
         """Take turns until stopped (or until nothing is left to run)."""
         ready, timers = self._ready, self._timers
+        popleft = ready.popleft
         while not self._stopping:
             while timers and timers[0][2] is None:
                 heappop(timers)
+            batch: List[_Timer] = []
             if timers:
                 if not ready:
                     delay = timers[0][0] - self.now
@@ -134,13 +136,17 @@ class EventLoop:
                         self.now += delay
                 due = self.now + CLOCK_RESOLUTION
                 while timers and timers[0][0] < due:
-                    ready.append(heappop(timers))
+                    batch.append(heappop(timers))
             elif not ready:
                 return
-            for _ in range(len(ready)):
-                call = ready.popleft()
-                if call[-2] is not None:
-                    call[-2](call[-1])
+            if ready:
+                for _ in range(len(ready)):
+                    fn, arg = popleft()
+                    fn(arg)
+            for timer in batch:
+                # A call of this turn may have cancelled a later timer.
+                if timer[2] is not None:
+                    timer[2](timer[3])
 
 
 def derive_async_seed(seed: int, delay_spec: Any) -> int:
@@ -359,7 +365,7 @@ class AsyncDriver:
                 transport.deliver_now(dst)
             return
         loop, injector, rng = self._loop, self.injector, self.rng
-        latency_of, land = self.delay.latency, transport._land
+        latency_of, land, call_at = self.delay.latency, transport._land, loop.call_at
         now, s = loop.now, src.index
         if injector is not None:
             t = self.now_t()
@@ -379,7 +385,7 @@ class AsyncDriver:
                 # Duplicated wakes would be harmless no-ops on an event
                 # channel; the verdict's copies need no realization.
             transport.in_flight += 1
-            loop.call_at(now + max(latency, 0.0), land, dst)
+            call_at(now + (latency if latency > 0.0 else 0.0), land, dst)
 
     def _retry_ladder(
         self,
@@ -416,10 +422,10 @@ class AsyncDriver:
         return ladder
 
     def _pace(self, key: Key) -> float:
-        """Scheduling latency between consecutive steps of ``key``."""
-        return max(
-            self.delay.latency(key.index, key.index, self.rng), MIN_PACE
-        )
+        """Scheduling latency between consecutive steps of ``key``, at
+        least :data:`MIN_PACE`."""
+        pace = self.delay.latency(key.index, key.index, self.rng)
+        return pace if pace > MIN_PACE else MIN_PACE
 
     # -- Tasks -------------------------------------------------------------
 

@@ -109,7 +109,8 @@ class ExponentialDelay(DelayModel):
         self._rate = 1.0 / self.mean
 
     def latency(self, src: int, dst: int, rng: random.Random) -> float:
-        return min(-log(1.0 - rng.random()) / self._rate, self.cap)
+        draw = -log(1.0 - rng.random()) / self._rate
+        return draw if draw < self.cap else self.cap
 
     def spec(self) -> Tuple[Any, ...]:
         return ("exponential", self.mean, self.cap)

@@ -19,14 +19,23 @@ body and the five phase-guarded entry checks, verbatim, plus the
 :func:`five_tests_scan`, the reference ``test_phase_dispatch.py`` runs
 every scan against.  The guards delegate to the process's own action
 bodies, so the two scans differ in the dispatch and in nothing else.
+
+So does the wake path.  Every shared log binds its reader set when it is
+created (``repro.objects.space.reader_set``); until it did, the engine
+looked each written object's readers up by name in a *wake index* built
+once per run, and woke everyone on a name it did not know.
+:func:`wake_index` is that builder, verbatim; ``test_reader_sets.py``
+checks every handle's reader set against its entry, in iteration order —
+the order the async driver draws wake latencies in.
 """
 
 from __future__ import annotations
 
 from types import MethodType
-from typing import Set
+from typing import Dict, FrozenSet, Set
 
 from repro.core.phases import COMMIT, DELIVER, PENDING, STABLE, START
+from repro.groups.topology import GroupTopology
 from repro.metrics.trace import WAIT_QUORUM
 from repro.model.failures import FailurePattern, Time
 from repro.model.processes import ProcessId, ProcessSet
@@ -145,3 +154,25 @@ def five_tests_scan(process):
     :func:`five_tests_try_actions`.  Returns ``process`` for chaining."""
     process.try_actions = MethodType(five_tests_try_actions, process)
     return process
+
+
+def wake_index(topology: GroupTopology) -> Dict[str, FrozenSet[ProcessId]]:
+    """Map each shared-object name to the processes that read it.
+
+    ``LOG_g`` and the reduction list ``L_g`` are read by the members
+    of ``g``; ``LOG_{g∩h}`` is read by the members of both groups.
+    Consensus objects need no entry: their state is only consumed by
+    the proposer within its own (already-fired) commit action.
+    """
+    index: Dict[str, Set[ProcessId]] = {}
+    for g in topology.groups:
+        index.setdefault(f"LOG_{g.name}", set()).update(g.members)
+        index.setdefault(f"L_{g.name}", set()).update(g.members)
+    for g, h in topology.intersecting_pairs():
+        first, second = sorted((g, h), key=lambda x: x.name)
+        readers = index.setdefault(
+            f"LOG_{first.name}∩{second.name}", set()
+        )
+        readers.update(g.members)
+        readers.update(h.members)
+    return {name: frozenset(pids) for name, pids in index.items()}

@@ -1,5 +1,7 @@
 """Tests for the per-round trace recorder and its JSONL exporter."""
 
+from repro.core.engine import MulticastSystem
+from repro.groups.topology import paper_figure1_topology
 from repro.metrics.trace import (
     TRACE_SCHEMA_VERSION,
     WAIT_IDLE,
@@ -21,8 +23,8 @@ class TestRecorder:
         tr.note_scanned(fired=2)
         tr.note_scanned(fired=0)
         tr.note_skipped()
-        tr.note_quorum_query(available=True)
-        tr.note_quorum_query(available=False)
+        tr.quorum_queries += 2  # what two quorum_ok calls do, one stalled
+        tr.quorum_stalls += 1
         tr.note_wait(WAIT_QUORUM)
         done = tr.end_round()
         assert done.round == 1
@@ -40,6 +42,22 @@ class TestRecorder:
         assert tr.end_round() is None
         tr.note_scanned(1)  # no open round: silently ignored
         assert tr.rounds == []
+
+    def test_events_before_a_round_are_dropped_not_carried_into_it(self):
+        """A guard probe made while no round is open (here: a direct
+        ``quorum_ok`` on a stalled scope) counts nowhere — the next
+        ``begin_round`` zeroes the window."""
+        topology = paper_figure1_topology()
+        p1 = min(topology.processes)
+        system = MulticastSystem(topology, failure_free(topology.processes))
+        g1 = topology.group("g1").members
+        system._scheduler.responders = frozenset()
+        assert not system.quorum_ok(p1, g1)
+        tr = system.tracer
+        assert (tr.quorum_queries, tr.quorum_stalls) == (1, 1)
+        tr.begin_round(time=1, eligible=5, full_scan=True)
+        done = tr.end_round()
+        assert (done.quorum_queries, done.quorum_stalls) == (0, 0)
 
     def test_summary_totals_and_ratio(self):
         tr = TraceRecorder()

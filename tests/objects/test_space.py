@@ -5,21 +5,23 @@ import pytest
 from repro.groups.topology import paper_figure1_topology
 from repro.model.errors import SpecificationError
 from repro.model.processes import make_processes
-from repro.objects.space import ObjectSpace, billing_order
+from repro.objects.space import NO_READERS, ObjectSpace, billing_order, reader_set
 
 PROCS = make_processes(5)
 P1, P2, P3, P4, P5 = PROCS
 
 
 class Ledger:
-    """Collects charges for assertions."""
+    """Collects the write sink's calls for assertions."""
 
     def __init__(self):
         self.charges = []
         self.writes = []
+        self.readers = []
 
-    def __call__(self, processes, reason):
+    def __call__(self, processes, reason, readers):
         self.writes.append((processes, reason))
+        self.readers.append(readers)
         self.charges.extend((process, reason) for process in processes)
 
     def charged(self):
@@ -180,6 +182,23 @@ def test_consensus_bills_one_write_in_loop_order(fig1):
         (loop_order(P4, g3.members), "CONS[m,f].propose"),
         (loop_order(P1, g3.members), "CONS[m,f].propose"),
     ]
+
+
+def test_every_write_hands_the_sink_its_objects_readers(fig1):
+    ledger = Ledger()
+    space = ObjectSpace(ledger)
+    g1, g3, g4 = fig1.group("g1"), fig1.group("g3"), fig1.group("g4")
+    space.group_log(g3).append(P3, "a")
+    space.intersection_log(g4, g3).append(P1, "a")
+    space.group_log(g3).bump_and_lock(P4, "a", 2)
+    space.consensus("m", "f", g1).propose(P1, 7)
+    assert ledger.readers == [
+        reader_set(g3),
+        reader_set(g3, g4),
+        reader_set(g3),
+        NO_READERS,
+    ]
+    assert ledger.readers[1] == g3.members | g4.members
 
 
 def test_stats_reporting(fig1):

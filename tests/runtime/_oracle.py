@@ -132,7 +132,7 @@ def process_gamma_partners(self, t, g):
     """``gamma(g)`` from ``self``'s (an :class:`Algorithm1Process`) own
     gamma sample over ``F(p)``."""
     if self.stats is not None:
-        self.stats.note_gamma_query()
+        self.stats.gamma_queries += 1
     return gamma_groups(self.mu.gamma.query(self.pid, t), g)
 
 

@@ -71,6 +71,25 @@ class TestTurnRule:
         loop.run()
         assert seen == ["first", "second"]
 
+    @pytest.mark.parametrize("make_loop", [EventLoop, asyncio_loop])
+    def test_a_timer_due_at_once_runs_after_the_calls_queued_beside_it(
+        self, make_loop
+    ):
+        """The due timers of a turn are taken before its ready calls run:
+        a zero-latency timer set by one of them waits for the next turn,
+        behind the calls queued with it — as on asyncio."""
+        loop = make_loop()
+        seen = []
+
+        def first(_):
+            loop.call_at(loop.now, seen.append, "timer")
+            loop.call_soon(seen.append, "queued")
+
+        loop.call_soon(first, None)
+        loop.call_at(1.0, lambda _: loop.stop(), None)
+        loop.run()
+        assert seen == ["queued", "timer"]
+
     def test_a_raising_callback_leaves_run_at_once(self):
         loop = EventLoop()
         seen = []
