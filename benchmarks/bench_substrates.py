@@ -3,11 +3,10 @@
 * consensus from ``Omega ∧ Sigma``: rounds to decision vs group size and
   crash fraction (expected: small constants; crashes add the failover
   delay of the ``Omega`` stabilization);
-* the consensus-based replicated log: rounds per appended entry;
-* the contention-free fast path (Proposition 47, ablation #2 of
-  DESIGN.md): uncontended intersection-log operations stay on the
-  adopt–commit fast path and charge only ``g∩h``; racing operations fall
-  back to the hosted consensus and charge the host group.
+* the consensus-based replicated log: rounds per appended entry.
+
+The contention-free fast path (Proposition 47, ablation #2 of DESIGN.md)
+is asserted in ``tests/objects/test_space.py``.
 """
 
 from __future__ import annotations
@@ -15,17 +14,12 @@ from __future__ import annotations
 import pytest
 
 from conftest import run_once
-from repro.core.engine import MulticastSystem
-from repro.groups.topology import topology_from_indices
 from repro.metrics.summary import format_table
 from repro.model.failures import crash_pattern, failure_free
 from repro.model.processes import make_processes, pset
 from repro.sim.kernel import Kernel
 from repro.substrates.consensus import ConsensusCluster
 from repro.substrates.replicated_log import ReplicatedLogCluster
-from repro.workloads.runner import random_sends, run_scenario
-from repro.workloads.spec import ScenarioSpec
-from repro.workloads.topologies import ring_topology
 
 CONSENSUS_ROWS = []
 LOG_ROWS = []
@@ -92,59 +86,3 @@ def test_replicated_log_throughput(benchmark, entries):
 
     rounds = run_once(benchmark, replicate)
     LOG_ROWS.append((entries, rounds, rounds / entries))
-
-
-def test_fast_path_dominates_uncontended_runs(benchmark):
-    """Proposition 47 at system level: a group-sequential workload keeps
-    every intersection log on the adopt–commit fast path."""
-    topo = ring_topology(4)
-    procs = make_processes(4)
-
-    spec = ScenarioSpec.capture(
-        topo,
-        failure_free(pset(procs)),
-        random_sends(topo, 8, seed=5),
-        seed=5,
-    )
-
-    def scenario():
-        return run_scenario(spec).system.space.intersection_log_stats()
-
-    stats = run_once(benchmark, scenario)
-    total_fast = sum(fast for fast, _ in stats.values())
-    total_slow = sum(slow for _, slow in stats.values())
-    assert total_fast > 0
-    # The overwhelming majority of intersection-log operations must stay
-    # on the fast path (slow ops only appear under racing schedules).
-    assert total_slow <= total_fast // 4
-    print(
-        f"\nE8c - Prop. 47 fast path: {total_fast} fast vs "
-        f"{total_slow} slow intersection-log ops"
-    )
-
-
-def test_slow_path_costs_the_host_group(benchmark):
-    """Ablation #2: forcing contention shows the fast path's value —
-    slow-path operations charge the whole host group."""
-    topo = topology_from_indices(4, {"g1": [1, 2, 3], "g2": [2, 3, 4]})
-    procs = make_processes(4)
-
-    def scenario():
-        system = MulticastSystem(topo, failure_free(pset(procs)), seed=6)
-        g1, g2 = topo.group("g1"), topo.group("g2")
-        ilog = system.space.intersection_log(g1, g2)
-        before = len(system.record.steps)
-        # Uncontended op: fast, charges only g1∩g2 = {p2, p3}.
-        ilog.append(procs[1], "fast-op")
-        fast_cost = len(system.record.steps) - before
-        # Forced contention: p3's cursor disagrees with the established
-        # order, so its op runs the hosted consensus.
-        ilog._established.append(("append", "phantom"))
-        before = len(system.record.steps)
-        ilog.append(procs[2], "slow-op")
-        slow_cost = len(system.record.steps) - before
-        return fast_cost, slow_cost
-
-    fast_cost, slow_cost = run_once(benchmark, scenario)
-    assert fast_cost == 2  # |g1∩g2|
-    assert slow_cost == 3  # |host group g1|

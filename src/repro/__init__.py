@@ -23,11 +23,12 @@ Packages:
 * :mod:`repro.model` — processes, failures, messages, runs (Appendix A);
 * :mod:`repro.groups` — destination groups, cyclic families (§3);
 * :mod:`repro.detectors` — Sigma, Omega, gamma, 1^P, mu (§3);
-* :mod:`repro.objects` — shared logs, consensus, adopt-commit (§4.3);
+* :mod:`repro.objects` — shared logs, consensus, the object space (§4.3);
 * :mod:`repro.core` — Algorithm 1 and its variants (§4, §6);
 * :mod:`repro.substrates` — message-passing constructions (§4.3);
 * :mod:`repro.emulation` — necessity extractions, Algorithms 2-5 (§5, §6);
-* :mod:`repro.baselines` — broadcast-based, Skeen, partitioned (§2.3, §7);
+* :mod:`repro.baselines` — broadcast, Skeen, partitioned, spanning tree
+  (§2.3, §7);
 * :mod:`repro.props` — executable correctness properties (§2.2);
 * :mod:`repro.workloads`, :mod:`repro.metrics` — harness utilities.
 

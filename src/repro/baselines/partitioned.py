@@ -41,7 +41,7 @@ class _Pending:
     message: MulticastMessage
     partitions: Tuple[int, ...]
     proposals: Dict[int, Stamp] = field(default_factory=dict)
-    final: Optional[Stamp] = None
+    stamp: Optional[Stamp] = None
 
 
 class PartitionedMulticast(BaselineMulticast):
@@ -79,7 +79,6 @@ class PartitionedMulticast(BaselineMulticast):
                 )
         self._clocks: List[int] = [0] * len(self.partitions)
         self._pending: Dict[object, _Pending] = {}
-        self._delivered: Set[Tuple[ProcessId, object]] = set()
 
     # -- Helpers ---------------------------------------------------------------------
 
@@ -104,7 +103,6 @@ class PartitionedMulticast(BaselineMulticast):
         )
 
     def _advance(self, t: Time) -> int:
-        fired = 0
         for pending in self._pending.values():
             # Each live partition proposes once ("logically correct": the
             # whole partition must be alive to answer for the entity).
@@ -120,56 +118,25 @@ class PartitionedMulticast(BaselineMulticast):
                         self.record.note_step(
                             self.time, p, received="part.propose"
                         )
-            if pending.final is None and set(pending.proposals) == set(
+            if pending.stamp is None and set(pending.proposals) == set(
                 pending.partitions
             ):
-                pending.final = max(pending.proposals.values())
+                pending.stamp = max(pending.proposals.values())
                 for index in pending.partitions:
                     self._clocks[index] = max(
-                        self._clocks[index], pending.final[0]
+                        self._clocks[index], pending.stamp[0]
                     )
-        # Deliver in final-stamp order per process.
-        ready = sorted(
-            (p for p in self._pending.values() if p.final is not None),
-            key=lambda p: p.final,
+        return self._deliver_in_stamp_order(
+            t,
+            list(self._pending.values()),
+            lambda a, b: not set(a.partitions).isdisjoint(b.partitions),
+            "part.deliver",
         )
-        for pending in ready:
-            if not self._deliverable(pending):
-                continue
-            for p in sorted(pending.message.dst):
-                key = (p, pending.message.mid)
-                if key in self._delivered:
-                    continue
-                if not self.pattern.is_alive(p, self.time):
-                    continue
-                self._delivered.add(key)
-                self.record.note_delivery(self.time, p, pending.message)
-                self.record.note_step(self.time, p, received="part.deliver")
-                fired += 1
-        return fired
-
-    def _deliverable(self, pending: _Pending) -> bool:
-        for other in self._pending.values():
-            if other is pending:
-                continue
-            if not set(other.partitions) & set(pending.partitions):
-                continue
-            if other.final is None:
-                return False  # unfinalized sharing a partition: wait
-            if other.final < pending.final:
-                delivered_everywhere = all(
-                    (p, other.message.mid) in self._delivered
-                    or not self.pattern.is_alive(p, self.time)
-                    for p in other.message.dst
-                )
-                if not delivered_everywhere:
-                    return False
-        return True
 
     def blocked_messages(self) -> Tuple[MulticastMessage, ...]:
         """Messages stuck behind a fully crashed partition."""
         return tuple(
             pending.message
             for pending in self._pending.values()
-            if pending.final is None
+            if pending.stamp is None
         )

@@ -20,7 +20,7 @@ members, so it is genuine and passes the Minimality audit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.baselines.base import BaselineMulticast
 from repro.groups.topology import GroupTopology
@@ -56,7 +56,6 @@ class SkeenMulticast(BaselineMulticast):
             p: 0 for p in topology.processes
         }
         self._states: Dict[object, _MessageState] = {}
-        self._delivered: Set[Tuple[ProcessId, object]] = set()
 
     def _admit(self, message: MulticastMessage) -> None:
         """Phase 1: the sender sends the message to its group."""

@@ -20,15 +20,13 @@ This module implements the failure-free sketch as an executable protocol:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
+from repro.baselines.base import BaselineMulticast
 from repro.groups.topology import Group, GroupTopology
-from repro.model.errors import SimulationError
 from repro.model.failures import FailurePattern, Time
-from repro.model.messages import MessageFactory, MulticastMessage
-from repro.model.processes import ProcessId
-from repro.model.runs import RunRecord
+from repro.model.messages import MulticastMessage
 
 
 def spanning_tree_order(
@@ -68,7 +66,7 @@ class _Pending:
     stamp: Optional[Tuple[int, int]] = None
 
 
-class SpanningTreeMulticast:
+class SpanningTreeMulticast(BaselineMulticast):
     """Failure-free strongly genuine atomic multicast (§7 sketch).
 
     Each group ``g`` owns a logical clock; a message to ``g`` is stamped
@@ -81,28 +79,15 @@ class SpanningTreeMulticast:
     def __init__(
         self, topology: GroupTopology, pattern: FailurePattern, seed: int = 0
     ) -> None:
-        self.topology = topology
-        self.pattern = pattern
-        self.rank, self.parent = spanning_tree_order(topology)
-        self.record = RunRecord(topology.processes, pattern)
-        self.factory = MessageFactory()
-        self.time: Time = 0
+        super().__init__(topology, pattern, seed)
+        self.rank, _ = spanning_tree_order(topology)
         self._clock = 0
         self._pending: List[_Pending] = []
-        self._delivered: Set[Tuple[ProcessId, object]] = set()
 
-    def multicast(
-        self, src: ProcessId, group: str, payload: object = None
-    ) -> MulticastMessage:
-        if not self.pattern.is_alive(src, self.time):
-            raise SimulationError(f"{src} is crashed and cannot multicast")
-        g = self.topology.group(group)
-        if src not in g:
-            raise SimulationError(f"{src.name} does not belong to {group}")
-        message = self.factory.multicast(src, g.members, payload)
-        self.record.note_multicast(self.time, src, message)
-        self._pending.append(_Pending(message, g))
-        return message
+    def _admit(self, message: MulticastMessage) -> None:
+        self._pending.append(
+            _Pending(message, self.topology.group_with_members(message.dst))
+        )
 
     def _may_stamp(self, pending: _Pending) -> bool:
         """Tree discipline: wait for unstamped messages at intersecting
@@ -116,8 +101,7 @@ class SpanningTreeMulticast:
                 return False
         return True
 
-    def tick(self) -> int:
-        self.time += 1
+    def _advance(self, t: Time) -> int:
         fired = 0
         for pending in sorted(
             self._pending, key=lambda item: self.rank[item.group]
@@ -126,58 +110,12 @@ class SpanningTreeMulticast:
                 self._clock += 1
                 pending.stamp = (self._clock, self.rank[pending.group])
                 for p in pending.group.members:
-                    if self.pattern.is_alive(p, self.time):
-                        self.record.note_step(
-                            self.time, p, received="tree.stamp"
-                        )
+                    if self.pattern.is_alive(p, t):
+                        self.record.note_step(t, p, received="tree.stamp")
                 fired += 1
-        for pending in sorted(
-            (item for item in self._pending if item.stamp is not None),
-            key=lambda item: item.stamp,
-        ):
-            if not self._stamp_stable(pending):
-                continue
-            for p in sorted(pending.message.dst):
-                key = (p, pending.message.mid)
-                if key in self._delivered:
-                    continue
-                if not self.pattern.is_alive(p, self.time):
-                    continue
-                self._delivered.add(key)
-                self.record.note_delivery(self.time, p, pending.message)
-                self.record.note_step(self.time, p, received="tree.deliver")
-                fired += 1
-        return fired
-
-    def _stamp_stable(self, pending: _Pending) -> bool:
-        """Deliverable once no intersecting message can stamp lower."""
-        for other in self._pending:
-            if other is pending:
-                continue
-            if not other.group.intersects(pending.group):
-                continue
-            if other.stamp is None:
-                return False
-            if other.stamp < pending.stamp:
-                delivered = all(
-                    (p, other.message.mid) in self._delivered
-                    for p in other.message.dst
-                    if self.pattern.is_alive(p, self.time)
-                )
-                if not delivered:
-                    return False
-        return True
-
-    def run(self, max_rounds: int = 200) -> int:
-        rounds = 0
-        idle = 0
-        while rounds < max_rounds and idle < 2:
-            if self.tick() == 0:
-                idle += 1
-            else:
-                idle = 0
-            rounds += 1
-        return rounds
-
-    def delivered_at(self, p: ProcessId) -> Tuple[MulticastMessage, ...]:
-        return self.record.local_order(p)
+        return fired + self._deliver_in_stamp_order(
+            t,
+            self._pending,
+            lambda a, b: a.group.intersects(b.group),
+            "tree.deliver",
+        )

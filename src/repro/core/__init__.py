@@ -6,6 +6,7 @@
 * ``variant="strict"`` — the real-time-ordered variation (§6.1).
 * :class:`ReplicatedStateMachine` — linearizable SMR over strict
   multicast (§6.1's motivating application).
-* :class:`SpanningTreeMulticast` — the §7 failure-free strongly genuine
-  sketch (spanning-tree delivery orders).
+
+The §7 spanning-tree sketch is a comparator protocol:
+:mod:`repro.baselines.spanning_tree`.
 """

@@ -1,20 +1,18 @@
-"""Consensus and adopt–commit objects (sequential specifications).
+"""The consensus object (sequential specification).
 
 Algorithm 1 uses one consensus object per ``(message, family)`` pair to
-agree on the final log position of a message.  The universal construction
-of §4.3 additionally guards each consensus instance with an adopt–commit
-object [20] so contention-free executions never reach consensus
-(Proposition 47's fast path).
+agree on the final log position of a message.  Proposition 47's
+adopt–commit fast path is a carrier classification on
+:class:`repro.objects.space.IntersectionLogHandle`, not an object here.
 
-These are the *sequential specifications*; linearizability comes from the
+This is the *sequential specification*; linearizability comes from the
 runtime (operations execute atomically inside actions).  The genuine
-message-passing constructions live in :mod:`repro.substrates`.
+message-passing consensus lives in :mod:`repro.substrates.consensus`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional
 
 from repro.model.errors import SpecificationError
 
@@ -25,7 +23,7 @@ class ConsensusObject:
     Validity, agreement and (in the linearized world) termination are
     immediate from the specification; the wait-free message-passing
     realization from ``Omega ∧ Sigma`` is
-    :class:`repro.substrates.consensus.LeaderConsensus`.
+    :class:`repro.substrates.consensus.ConsensusAutomaton`.
     """
 
     def __init__(self, name: str = "CONS") -> None:
@@ -55,48 +53,3 @@ class ConsensusObject:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = repr(self._decision) if self._decided else "?"
         return f"{self.name}={state}"
-
-
-@dataclass(frozen=True)
-class AdoptCommitOutcome:
-    """Result of an adopt–commit proposal.
-
-    Attributes:
-        committed: True when the object *commits* (no conflicting value
-            was observed) — callers may skip the backing consensus.
-        value: the adopted or committed value.
-    """
-
-    committed: bool
-    value: Any
-
-
-class AdoptCommitObject:
-    """Adopt–commit [20]: a contention detector in front of consensus.
-
-    Sequential specification: a proposal *commits* when every proposal
-    linearized so far (including itself) carries the same value; otherwise
-    it *adopts* the first proposed value.  This gives the two standard
-    guarantees: (i) if everyone proposes the same value, everyone commits
-    it; (ii) if someone commits ``v``, every outcome carries ``v``.
-    """
-
-    def __init__(self, name: str = "AC") -> None:
-        self.name = name
-        self._first: Optional[Any] = None
-        self._seen_values: List[Any] = []
-        self.proposal_count = 0
-
-    def propose(self, value: Any) -> AdoptCommitOutcome:
-        """Propose ``value``; commit on unanimity, adopt otherwise."""
-        self.proposal_count += 1
-        if self._first is None:
-            self._first = value
-        self._seen_values.append(value)
-        unanimous = all(v == self._first for v in self._seen_values)
-        if unanimous and value == self._first:
-            return AdoptCommitOutcome(committed=True, value=self._first)
-        return AdoptCommitOutcome(committed=False, value=self._first)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.name}(first={self._first!r})"

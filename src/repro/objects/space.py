@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.groups.topology import Group
 from repro.model.errors import SpecificationError
 from repro.model.processes import ProcessId, ProcessSet
-from repro.objects.consensus import AdoptCommitObject, ConsensusObject
+from repro.objects.consensus import ConsensusObject
 from repro.objects.log import Log
 
 #: Write sink: (processes to charge one step each, in charging order;

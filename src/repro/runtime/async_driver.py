@@ -161,10 +161,10 @@ def derive_async_seed(seed: int, delay_spec: Any) -> int:
 
 
 #: The ack/retransmit resilience layer's backoff: when the fault plan
-#: drops a wake, the sender schedules up to ``RETRY_BUDGET`` optimistic
+#: drops a wake, the sender probes up to ``RETRY_BUDGET`` optimistic
 #: retransmissions — the first ``RETRY_BASE`` round units out, each gap
 #: ``RETRY_FACTOR`` times the last and stretched by up to
-#: ``RETRY_JITTER`` of itself — plus the *unconditional* fair-lossy
+#: ``RETRY_JITTER`` of itself — before the *unconditional* fair-lossy
 #: landing at the lossy window's close (never part of the budget).
 RETRY_BASE = 0.5
 RETRY_FACTOR = 2.0
@@ -209,9 +209,10 @@ class AsyncTransport:
         #: Wakes scheduled but not yet landed — nonzero means the system
         #: is *not* quiescent no matter how idle it looks.
         self.in_flight = 0
-        #: Resilience-layer accounting (see :meth:`deliver_with_retries`):
-        #: retransmissions scheduled, acks observed (first landing of a
-        #: laddered wake), and retries the ack cancelled.
+        #: Resilience-layer accounting (see :meth:`AsyncDriver._retry_at`):
+        #: retransmissions scheduled and lost when a dropped wake is sent,
+        #: acks (its landing) and the backstops a landed retry made
+        #: unnecessary when it lands.
         self.stats: Dict[str, int] = {
             "retries_scheduled": 0,
             "retries_lost": 0,
@@ -242,33 +243,16 @@ class AsyncTransport:
             self.in_flight += 1
             self._land(key)
 
-    def deliver_with_retries(self, whens: Sequence[float], key: Key) -> None:
-        """Schedule one wake with a retransmission ladder.
+    def _ack(self, key: Key) -> None:
+        """A dropped wake lands at the fair-lossy backstop: the ack."""
+        self.stats["acked"] += 1
+        self._land(key)
 
-        ``whens`` are the attempt instants (loop times) — the bounded
-        optimistic retransmissions plus the unconditional fair-lossy
-        backstop.  The first attempt to land delivers the wake and
-        *acks* it, cancelling every later rung; cancelled rungs are
-        retransmissions the ack made unnecessary.  Exactly one landing
-        happens per call, so ``in_flight`` stays exact.
-        """
-        if key not in self.woken or not whens:
-            return
-        self.in_flight += 1
-        ordered = sorted(whens)
-        self.stats["retries_scheduled"] += len(ordered) - 1
-        handles: List[Any] = []
-
-        def _ack(which: int) -> None:
-            self.stats["acked"] += 1
-            for i, handle in enumerate(handles):
-                if i != which:
-                    handle.cancel()
-                    self.stats["retries_cancelled"] += 1
-            self._land(key)
-
-        for i, when in enumerate(ordered):
-            handles.append(self._loop.call_at(when, _ack, i))
+    def _ack_retry(self, key: Key) -> None:
+        """A dropped wake lands on a retransmission: the ack, and the
+        backstop it made unnecessary."""
+        self.stats["retries_cancelled"] += 1
+        self._ack(key)
 
     def _land(self, key: Key) -> None:
         """A wake counted in :attr:`in_flight` lands — as a timer
@@ -377,9 +361,8 @@ class AsyncDriver:
             if injector is not None:
                 verdict = injector.on_send(s, dst.index, t)
                 if verdict.dropped:
-                    transport.deliver_with_retries(
-                        self._retry_ladder(src, dst, t, verdict, latency), dst
-                    )
+                    transport.in_flight += 1
+                    call_at(*self._retry_at(src, dst, t, verdict, latency), dst)
                     continue
                 latency += float(verdict.delay)
                 # Duplicated wakes would be harmless no-ops on an event
@@ -387,39 +370,40 @@ class AsyncDriver:
             transport.in_flight += 1
             call_at(now + (latency if latency > 0.0 else 0.0), land, dst)
 
-    def _retry_ladder(
+    def _retry_at(
         self,
         src: Key,
         dst: Key,
         t: Time,
         verdict: Any,
         latency: float,
-    ) -> List[float]:
-        """Attempt instants (loop times) for one dropped wake.
+    ) -> Tuple[float, Callable[[Key], None]]:
+        """The landing instant (loop time) of one dropped wake, and the
+        transport callback that acks it there.
 
-        The ladder holds every bounded backoff retransmission whose
+        The wake lands on the first bounded backoff retransmission whose
         probe time faces a *clear* channel
         (:meth:`repro.faults.injector.FaultInjector.link_clear` — attempts
-        inside the lossy window are lost and not scheduled), plus the
-        unconditional fair-lossy landing at the window close.  The
-        earliest rung acks the rest, so with a clear early retry the
-        wake lands *before* the heal-time backstop — graceful
-        degradation the round hosts cannot express.
+        inside the lossy window are lost) and comes before the
+        unconditional fair-lossy landing at the window close; otherwise
+        on that backstop.  So with a clear early retry the wake lands
+        *before* the heal-time backstop — graceful degradation the round
+        hosts cannot express.  All ``RETRY_BUDGET`` offsets are drawn
+        either way, so the latency stream does not depend on the verdict.
         """
-        transport = self._transport
+        stats = self._transport.stats
         now = self._loop.now
         final = now + (max(float(verdict.retransmit_at - t), 1.0) + latency)
-        ladder = [final]
         for offset in _retry_offsets(self.rng):
             when = now + (1.0 + offset + latency)
             if when >= final:
                 break
             probe_t = t + 1 + int(offset)
             if self.injector.link_clear(src.index, dst.index, probe_t):
-                ladder.append(when)
-                break
-            transport.stats["retries_lost"] += 1
-        return ladder
+                stats["retries_scheduled"] += 1
+                return when, self._transport._ack_retry
+            stats["retries_lost"] += 1
+        return final, self._transport._ack
 
     def _pace(self, key: Key) -> float:
         """Scheduling latency between consecutive steps of ``key``, at

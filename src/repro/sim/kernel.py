@@ -9,8 +9,8 @@ well-formedness conditions hold: crashed processes take no steps and every
 message addressed to a live process is eventually received.
 
 The kernel hosts the genuine message-passing substrates of §4.3
-(:mod:`repro.substrates`): ABD registers from ``Sigma``, adopt–commit from
-``Sigma_{g∩h}`` and leader-driven consensus from ``Omega ∧ Sigma``.
+(:mod:`repro.substrates`): leader-driven consensus from ``Omega ∧ Sigma``
+and the replicated log built from it.
 """
 
 from __future__ import annotations

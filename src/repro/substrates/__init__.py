@@ -1,3 +1,4 @@
-"""Genuine message-passing substrates (§4.3): ABD registers from Sigma,
-adopt-commit from Sigma_{g∩h}, leader consensus from Omega ∧ Sigma, and a
-consensus-based replicated log (universal construction)."""
+"""Genuine message-passing substrates (§4.3): leader consensus from
+Omega ∧ Sigma and a consensus-based replicated log (universal
+construction).  Proposition 47's fast path is charged by the shared-object
+run (:class:`repro.objects.space.IntersectionLogHandle`), not here."""

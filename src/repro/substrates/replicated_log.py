@@ -23,10 +23,9 @@ through :meth:`ReplicatedLogAutomaton.idle` and takes no step until one
 of the two changes.  DESIGN.md §16 "What a slot costs" has the ledger
 and the arguments.
 
-The contention-free fast path of Proposition 47 (adopt–commit before
-consensus) is exercised separately in
-:mod:`repro.substrates.adopt_commit`; here every slot runs the full
-consensus, which is the slow-path cost the fast path avoids.
+Every slot runs the full consensus: this log has no Proposition 47
+fast path.  The shared-object run charges that fast path on
+:class:`repro.objects.space.IntersectionLogHandle`.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.spanning_tree import SpanningTreeMulticast, spanning_tree_order
+from repro.baselines.spanning_tree import SpanningTreeMulticast, spanning_tree_order
 from repro.groups.topology import paper_figure1_topology
 from repro.model.failures import failure_free
 from repro.model.processes import make_processes, pset

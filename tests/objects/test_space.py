@@ -1,11 +1,17 @@
-"""Tests for the object space: sharing, carriers and step accounting."""
+"""Tests for the object space: sharing, carriers, step accounting and
+Proposition 47's fast path."""
 
 import pytest
 
-from repro.groups.topology import paper_figure1_topology
+from repro.core.engine import MulticastSystem
+from repro.groups.topology import paper_figure1_topology, topology_from_indices
 from repro.model.errors import SpecificationError
+from repro.model.failures import failure_free
 from repro.model.processes import make_processes
 from repro.objects.space import NO_READERS, ObjectSpace, billing_order, reader_set
+from repro.workloads.runner import random_sends, run_scenario
+from repro.workloads.spec import ScenarioSpec
+from repro.workloads.topologies import ring_topology
 
 PROCS = make_processes(5)
 P1, P2, P3, P4, P5 = PROCS
@@ -208,3 +214,40 @@ def test_stats_reporting(fig1):
     log.append(P1, "x")
     stats = space.intersection_log_stats()
     assert stats[log.name] == (1, 0)
+
+
+# -- Proposition 47 at system level ------------------------------------------
+
+
+def test_group_sequential_workload_stays_on_the_fast_path():
+    """A group-sequential ring4 workload keeps the intersection logs on
+    the fast path: slow ops appear only under racing schedules."""
+    topo = ring_topology(4)
+    spec = ScenarioSpec.capture(
+        topo,
+        failure_free(topo.processes),
+        random_sends(topo, 8, seed=5),
+        seed=5,
+    )
+    stats = run_scenario(spec).system.space.intersection_log_stats()
+    total_fast = sum(fast for fast, _ in stats.values())
+    total_slow = sum(slow for _, slow in stats.values())
+    assert total_fast > 0
+    assert total_slow <= total_fast // 4
+
+
+def test_slow_path_charges_the_host_group_in_a_run():
+    """In a running system a fast op charges ``g1∩g2`` (2 steps); an op
+    forced off the established order charges the host group (3)."""
+    topo = topology_from_indices(4, {"g1": [1, 2, 3], "g2": [2, 3, 4]})
+    system = MulticastSystem(topo, failure_free(topo.processes), seed=6)
+    ilog = system.space.intersection_log(topo.group("g1"), topo.group("g2"))
+    p2, p3 = sorted(topo.processes)[1:3]
+    before = len(system.record.steps)
+    ilog.append(p2, "fast-op")
+    assert len(system.record.steps) - before == 2
+    # p3's cursor now disagrees with the established order.
+    ilog._established.append(("append", "phantom"))
+    before = len(system.record.steps)
+    ilog.append(p3, "slow-op")
+    assert len(system.record.steps) - before == 3

@@ -223,12 +223,19 @@ class TestAsyncTransport:
         loop.run()
         assert finished, "the scenario never ran to its end"
 
+    @staticmethod
+    def _send(loop, transport, delay, key):
+        """A timed wake, as the driver sends one: counted in flight, and
+        one timer that lands it."""
+        transport.in_flight += 1
+        loop.call_at(loop.now + delay, transport._land, key)
+
     def test_deliver_at_tracks_in_flight(self):
-        """A wake timed to land at a given instant (a one-rung ladder)
-        is in flight until it lands."""
+        """A wake timed to land at a given instant is in flight until it
+        lands."""
 
         def scenario(loop, transport):
-            transport.deliver_with_retries([loop.now + 2.0], "a")
+            self._send(loop, transport, 2.0, "a")
             assert transport.in_flight == 1
             yield 3.0
             assert transport.in_flight == 0
@@ -245,7 +252,7 @@ class TestAsyncTransport:
             assert loop.now == before
             assert not transport.woken["a"]
             # A wake that finds the task parked resumes it early.
-            transport.deliver_with_retries([loop.now + 0.5], "a")
+            self._send(loop, transport, 0.5, "a")
             yield from transport.wait("a", timeout=4.0)
             assert loop.now - before == 0.5
             assert not transport.woken["a"]
@@ -264,13 +271,49 @@ class TestAsyncTransport:
     def test_unknown_destination_is_a_noop(self):
         def scenario(loop, transport):
             transport.deliver_now("ghost")
-            transport.deliver_with_retries([loop.now + 1.0], "ghost")
             assert transport.in_flight == 0
             assert "ghost" not in transport.woken
             yield 2.0
             assert transport.woken == {"a": False}
 
         self._run(scenario, ["a"])
+
+
+@pytest.mark.parametrize(
+    "max_rounds, stats",
+    [
+        # Sent, none landed: the scheduled retry and the lost probes are
+        # counted already, the acks not yet.
+        (4, {"retries_scheduled": 1, "retries_lost": 4, "acked": 0, "retries_cancelled": 0}),
+        # The retried wake has landed; two wait for their backstop.
+        (6, {"retries_scheduled": 1, "retries_lost": 4, "acked": 1, "retries_cancelled": 1}),
+        (300, {"retries_scheduled": 1, "retries_lost": 4, "acked": 3, "retries_cancelled": 1}),
+    ],
+)
+def test_a_dropped_wake_lands_once(max_rounds, stats):
+    """Three wakes a ``links`` plan drops on Figure 1: one lands on a
+    clear retransmission, two on the fair-lossy backstop, each exactly
+    once.  The budgets cut the run before and between the landings; the
+    counts are the parent commit's, when a dropped wake was two timers."""
+    from repro.faults.nemesis import random_plan
+    from repro.groups.topology import paper_figure1_topology
+    from repro.workloads.runner import random_sends, run_scenario
+    from repro.workloads.spec import ScenarioSpec, TopologySpec
+
+    topology = paper_figure1_topology()
+    spec = ScenarioSpec(
+        topology=TopologySpec.capture(topology),
+        sends=tuple(random_sends(topology, 12, seed=3)),
+        seed=3,
+        max_rounds=max_rounds,
+        backend="async",
+        delay_model=("uniform", 0.1, 0.9),
+        faults=random_plan(3, "links", 5, ("g1", "g2", "g3", "g4"), horizon=12),
+    )
+    result = run_scenario(spec)
+    assert result.injector.stats["dropped"] == 3
+    assert result.transport_stats == stats
+    assert result.quiescent == (max_rounds == 300)
 
 
 class TestDriverValidation:

@@ -1,6 +1,6 @@
-"""One host protocol: the nine hosts conform to ``RoundHost``.
+"""One host protocol: the ten hosts conform to ``RoundHost``.
 
-``MulticastSystem``, ``Kernel``, the three baselines and the four
+``MulticastSystem``, ``Kernel``, the four baselines and the four
 extractions are everything ``run_deployment`` (or anything else that
 drives rounds) can be handed.  The conformance half runs each of them
 through the members ``repro.runtime.actors.RoundHost`` promises; the layout
@@ -17,6 +17,7 @@ import pytest
 from repro.baselines.broadcast import BroadcastMulticast
 from repro.baselines.partitioned import PartitionedMulticast
 from repro.baselines.skeen import SkeenMulticast
+from repro.baselines.spanning_tree import SpanningTreeMulticast
 from repro.core.engine import MulticastSystem
 from repro.emulation.gamma_extraction import GammaExtraction
 from repro.emulation.indicator_extraction import IndicatorExtraction
@@ -55,6 +56,9 @@ HOSTS = {
     "BroadcastMulticast": lambda: BroadcastMulticast(FIGURE1, failure_free(FIGURE1.processes)),
     "SkeenMulticast": lambda: SkeenMulticast(FIGURE1, failure_free(FIGURE1.processes)),
     "PartitionedMulticast": _partitioned,
+    "SpanningTreeMulticast": lambda: SpanningTreeMulticast(
+        FIGURE1, failure_free(FIGURE1.processes)
+    ),
     "SigmaExtraction": lambda: SigmaExtraction(
         FIGURE1, failure_free(FIGURE1.processes), ["g1"], max_subset_size=1
     ),

@@ -13,8 +13,12 @@ files that do not exist yet.
 
 Code in the same documents runs: every ``from repro... import ...``
 inside a fenced block imports, and README's quickstart block executes.
+A docstring's ``:class:`` / ``:mod:`` / ``:func:`` / ``:meth:`` /
+``:attr:`` reference to ``repro.…`` in ``src/`` names something that
+imports.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -105,6 +109,41 @@ def test_readme_quickstart_runs(capsys):
     assert capsys.readouterr().out
 
 
+ROLE = re.compile(r":(?:class|mod|func|meth|attr):`~?(repro\.[\w.]+)`")
+
+
+def cross_references():
+    """``(file:line, dotted target)`` of every ``repro.…`` role in ``src/``."""
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        text = path.read_text()
+        for hit in ROLE.finditer(text):
+            lineno = text.count("\n", 0, hit.start()) + 1
+            yield f"{path.relative_to(ROOT)}:{lineno}", hit.group(1)
+
+
+def importable(target):
+    """Whether ``target`` is a module, or a module's attribute chain."""
+    parts = target.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def test_docstring_cross_references_import():
+    found = list(cross_references())
+    assert found, "no cross-reference found: the extractor is broken"
+    stale = [f"{where}: {target}" for where, target in found if not importable(target)]
+    assert not stale, "stale cross-references:\n" + "\n".join(stale)
+
+
 def test_code_cites_no_roadmap_item():
     # Item numbers outlive their meaning; code cites DESIGN.md or
     # EXPERIMENTS.md sections instead.
@@ -126,3 +165,10 @@ def test_a_stale_citation_is_caught(tmp_path):
     assert resolves("tests/*.py", bases)
     assert not resolves("tests/a.py::Absent", bases)
     assert not resolves("tests/b.py", bases)
+
+
+def test_a_stale_cross_reference_is_caught():
+    assert importable("repro.substrates.consensus.ConsensusAutomaton")
+    assert importable("repro.runtime.async_driver.EventLoop.call_at")
+    assert not importable("repro.substrates.consensus.LeaderConsensus")
+    assert not importable("repro.no_such_module")
