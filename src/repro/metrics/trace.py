@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional
 
 #: Trace schema version, bumped on breaking field changes.
 TRACE_SCHEMA_VERSION = 1
@@ -50,8 +50,10 @@ class RoundTrace:
         eligible: processes that were alive and inside the participation
             set — what a scan-everything engine would have scanned.
         scanned: processes whose action scan actually ran.
-        skipped: processes the wake-index proved idle (``eligible -
-            scanned``).
+        skipped: processes the round skipped as parked (``eligible -
+            scanned``): absent from the engine's dirty set, or proven
+            parked by the kernel — by the scheduler's memo or a fresh
+            ``parked`` verdict.
         actions: actions fired across the system this round.
         full_scan: whether the scheduler fell back to scanning everyone
             (detector-settle window, participation change, zero budget).
@@ -87,7 +89,7 @@ class TraceRecorder:
     :attr:`indicator_queries`) directly.  Events reported outside a round
     (e.g. a direct ``quorum_ok`` probe from a test) are dropped:
     :meth:`begin_round` zeroes every counter, and ``note_scanned`` /
-    ``note_skipped`` ignore calls with no round open.
+    ``note_skipped`` / ``note_skips`` ignore calls with no round open.
     """
 
     def __init__(self) -> None:
@@ -167,6 +169,16 @@ class TraceRecorder:
     def note_skipped(self) -> None:
         if self._in_round:
             self._skipped += 1
+
+    def note_skips(self, count: int, reasons: Iterable[str]) -> None:
+        """``count`` skipped actors at once, each waiting for ``reasons``:
+        what ``count`` × (``note_skipped`` + ``note_wait`` per reason)
+        records, in one call."""
+        if self._in_round:
+            self._skipped += count
+            waits = self._wait_reasons
+            for reason in reasons:
+                waits[reason] = waits.get(reason, 0) + count
 
     def note_wait(self, reason: str) -> None:
         self._wait_reasons[reason] = self._wait_reasons.get(reason, 0) + 1

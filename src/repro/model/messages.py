@@ -19,7 +19,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Deque, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Deque, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.model.errors import ModelError
 from repro.model.processes import ProcessId, ProcessSet, pset
@@ -180,6 +180,10 @@ class MessageBuffer:
         #: ``receive`` until :meth:`release` moves them over.
         self._delayed: List[Tuple[int, int, Datagram]] = []
         self._now: int = 0
+        #: Processes whose scheduler proved them parked (the kernel binds
+        #: its scheduler's set here): mail is what wakes a parked process,
+        #: so enqueuing a datagram removes its destination.
+        self.proven_parked: Set[ProcessId] = set()
 
     def send(
         self,
@@ -191,6 +195,8 @@ class MessageBuffer:
         """Add a datagram to the buffer and return it."""
         datagram = Datagram(src=src, dst=dst, tag=tag, body=body, uid=next(self._uid))
         self.sent_count += 1
+        if dst in self.proven_parked:
+            self.proven_parked.discard(dst)
         if self._injector is None:
             self._pending.setdefault(dst, deque()).append(datagram)
             return datagram
@@ -232,6 +238,7 @@ class MessageBuffer:
         if self._injector is not None:
             return [self.send(src, dst, tag, body) for dst in dsts]
         pending = self._pending
+        proven = self.proven_parked
         uid = self._uid
         batch: List[Datagram] = []
         for dst in dsts:
@@ -243,6 +250,8 @@ class MessageBuffer:
                 pending[dst] = queue = deque()
             queue.append(datagram)
             batch.append(datagram)
+            if dst in proven:
+                proven.discard(dst)
         self.sent_count += len(batch)
         return batch
 
@@ -313,6 +322,7 @@ class MessageBuffer:
         while self._delayed and self._delayed[0][0] <= now:
             _, _, datagram = heapq.heappop(self._delayed)
             self._pending.setdefault(datagram.dst, deque()).append(datagram)
+            self.proven_parked.discard(datagram.dst)
             released += 1
         return released
 

@@ -8,7 +8,8 @@ Three adapters cover every loop in the repo:
 * :class:`AutomatonActor` — one Appendix-A automaton inside a
   :class:`repro.sim.kernel.Kernel`; parking is driven by the automaton's
   :meth:`~repro.sim.kernel.Automaton.idle` declaration, the message
-  buffer's pending queue and the detector sample of its last step.
+  buffer's pending queue and the detector sample of its last step, and
+  a verdict of parked is memoised until an event voids it.
 * :class:`SystemActor` — a whole subsystem as a single actor (the
   baselines and the §5/§6 emulation drivers, which advance an entire
   deployment per round and have no per-process schedule of their own).
@@ -25,7 +26,7 @@ very objects the actors consult.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Iterable, Optional, Set, Tuple
 
 from repro.metrics.trace import WAIT_IDLE, TraceRecorder
 from repro.model.failures import Time
@@ -88,6 +89,15 @@ class AutomatonActor(Actor):
     step was declared changeless beforehand, so quiescence detection
     sees through no-op steps.  Skipped automata are accounted as idle
     waits, matching the event-driven kernel's accounting.
+
+    A verdict of parked is memoised in :attr:`proven_parked` (the
+    scheduler's set, bound by the kernel) when the process's detector
+    lists its change :attr:`~repro.detectors.base.FailureDetector.instants`
+    or there is none: the verdict then stands until mail reaches the
+    process, a client call changes its automaton, it rejoins, or the
+    clock reaches one of those instants, and the kernel removes it on
+    each.  A perturbed sampler lists none — it builds its sample and
+    counts its faults per query — so its processes are asked every round.
     """
 
     SKIP_WAIT: Tuple[str, ...] = (WAIT_IDLE,)
@@ -100,10 +110,12 @@ class AutomatonActor(Actor):
         self._automaton = kernel.automata[pid]
         self._buffer = kernel.buffer
         self._detector = kernel.detectors.get(pid)
+        #: Where a parked verdict is memoised; ``None``: never.
+        self.proven_parked: Optional[Set[ProcessId]] = None
 
     def parked(self, t: Time) -> bool:
         pid = self._pid
-        return (
+        if (
             pid in self._kernel._started
             and not self._buffer.has_pending(pid)
             and self._automaton.idle()
@@ -112,7 +124,11 @@ class AutomatonActor(Actor):
                 self._detector is None
                 or self._detector.query(pid, t) == self._kernel._sampled[pid]
             )
-        )
+        ):
+            if self.proven_parked is not None:
+                self.proven_parked.add(pid)
+            return True
+        return False
 
     def fire(
         self,

@@ -29,21 +29,32 @@ thin delegations.  Two invariants make that safe:
 
 * **RNG compatibility** — the scheduler draws from the RNG exactly as
   the seed loops did: one shuffle of the sorted eligible set per round,
-  nothing else.  Parked actors are skipped *after* the shuffle, so the
-  schedule of the actors that do act — and therefore every
-  :class:`repro.model.runs.RunRecord` trace — is byte-identical to a
-  scan-everything run (``tests/runtime`` holds the pre-refactor golden
-  fingerprints that pin this down).
+  nothing else.  The shuffle is ``random.Random.shuffle``'s own
+  Fisher–Yates loop with its ``_randbelow`` written out
+  (:func:`shuffle`): the same ``getrandbits`` calls in the same order,
+  hence the same permutation and the same RNG state, with the bit
+  lengths looked up instead of recomputed per draw.  Parked actors are
+  skipped *after* the shuffle, so the schedule of the actors that do
+  act — and therefore every :class:`repro.model.runs.RunRecord` trace —
+  is byte-identical to a scan-everything run (``tests/runtime`` holds
+  the pre-refactor golden fingerprints that pin this down, and its scan
+  oracle still calls the stdlib ``shuffle``).
 
-* **Skip soundness** — an actor is skipped only when (a) the round is
-  not a *full scan* and (b) the actor reports :meth:`Actor.parked`.
-  Full scans are forced while ``time <= settle_horizon`` (detector
-  outputs may still move), whenever the (scheduled, responder) set pair
-  changes (quorum availability), and on non-positive action budgets.
-  These are soundness rules, not options: there is no
-  scan-everything mode.  The seed loops' full-scan body survives as a
-  test oracle (``tests/runtime/_oracle.py``), which the differential
-  suites bind over :meth:`Scheduler.round`.
+* **Skip soundness** — an actor is skipped only when the round is not a
+  *full scan* and either its key is in :attr:`Scheduler.proven_parked`
+  or it reports :meth:`Actor.parked`.  Full scans are forced while
+  ``time <= settle_horizon`` (detector outputs may still move), whenever
+  the (scheduled, responder) set pair changes (quorum availability),
+  and on non-positive action budgets; a full scan empties
+  ``proven_parked``.  The set is the host's memo of ``parked`` verdicts
+  that no event has voided since: the host adds a key when its
+  predicate held and removes it on every event that can unpark it, so
+  a member is skipped with one set lookup and no call into the actor.
+  These are soundness rules, not options: there is no scan-everything
+  mode.  The seed loops' full-scan body and the predicate-only round
+  the memo replaced survive as test oracles
+  (``tests/runtime/_oracle.py``), which the differential suites bind
+  over :meth:`Scheduler.round`.
 """
 
 from __future__ import annotations
@@ -61,11 +72,13 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Set,
     Tuple,
     TypeVar,
 )
 
 from repro.metrics.trace import TraceRecorder
+from repro.model.errors import SimulationError
 from repro.model.failures import FailurePattern, Time
 
 #: Sortable actor key — a ProcessId for per-process hosts, a string for
@@ -93,7 +106,9 @@ class Actor:
 
     ``SKIP_WAIT`` names the wait reasons recorded when the actor is
     skipped while parked (the kernel counts those as ``idle``; the
-    engine records nothing).
+    engine records nothing).  It is one tuple per scheduler — every
+    actor of a host is the same adapter — because a round adds its
+    skips to the histogram in one update, after its scanned actors.
     """
 
     SKIP_WAIT: Tuple[str, ...] = ()
@@ -111,6 +126,36 @@ class Actor:
 
     def wait_reasons(self) -> Iterable[str]:
         return ()
+
+
+def shuffle_draws(n: int) -> Tuple[Tuple[int, int], ...]:
+    """The draws :func:`shuffle` makes on a list of ``n``, last first:
+    ``(i, bits)`` for ``i`` from ``n - 1`` down to 1, where ``bits`` is
+    ``(i + 1).bit_length()`` — what ``random.Random._randbelow(i + 1)``
+    asks ``getrandbits`` for."""
+    return tuple((i, (i + 1).bit_length()) for i in range(n - 1, 0, -1))
+
+
+def shuffle(
+    order: List[Any],
+    getrandbits: Callable[[int], int],
+    draws: Tuple[Tuple[int, int], ...],
+) -> None:
+    """``random.Random.shuffle(order)``, with ``_randbelow`` written out.
+
+    ``getrandbits`` is the RNG's bound method and ``draws`` is
+    :func:`shuffle_draws` of any ``n >= len(order)``: its last
+    ``len(order) - 1`` entries are this list's.  Each swap partner is
+    drawn as the stdlib draws it — ``getrandbits(bits)`` until the value
+    is at most ``i`` — so the permutation and the RNG state afterwards
+    are the stdlib's, at one C call per draw instead of a Python frame
+    and two C calls.
+    """
+    for i, bits in draws[len(draws) + 1 - len(order):]:
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        order[i], order[j] = order[j], order[i]
 
 
 def transition_signature(
@@ -218,6 +263,16 @@ class Scheduler:
         self.injector = injector
         self._pending_work = pending_work
         self._rng = random.Random(seed)
+        #: The shuffle's draws for the largest eligible set, every key,
+        #: and the actors' one ``SKIP_WAIT``: set by the first
+        #: :meth:`round` (the async driver never runs one).
+        self._draws: Optional[Tuple[Tuple[int, int], ...]] = None
+        self._skip_wait: Tuple[str, ...] = ()
+        #: Keys the host has proven parked: a non-full-scan round skips
+        #: them without asking the actor.  The host fills it and removes
+        #: a key on every event that can unpark it; a full scan empties
+        #: it.  Hosts hold this very set, so it is cleared, never rebound.
+        self.proven_parked: Set[Key] = set()
         self.time: Time = 0
         #: Whether the most recent :meth:`run` ended in quiescence; True
         #: before any run call — nothing has been cut short yet.
@@ -344,40 +399,64 @@ class Scheduler:
         actions fired across the system.
         """
         self.time += 1
+        t = self.time
         if self.pre_round is not None:
-            self.pre_round(self.time)
-        order = self.eligible_order(self.time, participation)
+            self.pre_round(t)
+        order = self.eligible_order(t, participation)
         # ``order`` is already sorted (it filters the pre-sorted keys);
         # snapshot it before the shuffle for fingerprinting.
         eligible = tuple(order)
-        self.refresh_responders(self.time, eligible, responders)
-        self._rng.shuffle(order)
+        self.refresh_responders(t, eligible, responders)
+        if self._draws is None:
+            self._first_round()
+        shuffle(order, self._rng.getrandbits, self._draws)
         fingerprint_changed = self.note_fingerprint(eligible)
         full_scan = (
-            self.time <= self.settle_horizon
+            t <= self.settle_horizon
             or fingerprint_changed
             or (action_budget is not None and action_budget <= 0)
         )
+        proven = self.proven_parked
+        if full_scan and proven:
+            proven.clear()
         tracer = self.tracer
-        tracer.begin_round(self.time, len(order), full_scan)
+        tracer.begin_round(t, len(order), full_scan)
         fired = 0
+        skipped = 0
         parked_hint = None if full_scan else False
         actors = self.actors
         for key in order:
-            actor = actors[key]
-            if not full_scan and actor.parked(self.time):
-                tracer.note_skipped()
-                for reason in actor.SKIP_WAIT:
-                    tracer.note_wait(reason)
+            if key in proven:
+                skipped += 1
                 continue
-            count = actor.fire(self.time, action_budget, parked_hint)
+            actor = actors[key]
+            if not full_scan and actor.parked(t):
+                skipped += 1
+                continue
+            count = actor.fire(t, action_budget, parked_hint)
             fired += count
             tracer.note_scanned(count)
             if count == 0:
                 for reason in actor.wait_reasons():
                     tracer.note_wait(reason)
+        if skipped:
+            # After the scanned actors' reasons: the histogram's key
+            # order is the per-skip order wherever the skip reasons are
+            # none (the engine) or the scanned ones (the kernel's idle).
+            tracer.note_skips(skipped, self._skip_wait)
         tracer.end_round()
         return fired
+
+    def _first_round(self) -> None:
+        """Set up what only rounds use: the draw table and the one
+        ``SKIP_WAIT`` of the actors."""
+        skip_waits = {actor.SKIP_WAIT for actor in self.actors.values()}
+        if len(skip_waits) > 1:
+            raise SimulationError(
+                f"one scheduler's actors disagree on SKIP_WAIT: {sorted(skip_waits)}"
+            )
+        self._skip_wait = skip_waits.pop() if skip_waits else ()
+        self._draws = shuffle_draws(len(self.sorted_keys))
 
     # -- Many rounds -------------------------------------------------------
 

@@ -15,6 +15,7 @@ and the replicated log built from it.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._content import content_hash
@@ -118,9 +119,16 @@ class Automaton:
         The default is conservative — ``False`` keeps every process
         stepping each round, which is always sound.  Automata that wait
         on mail and on their detector only may override this to report
-        quiescence.
+        quiescence.  An automaton that does must call :meth:`wake` from
+        every method that changes it between steps.
         """
         return False
+
+    def wake(self) -> None:
+        """Hook: a call from outside a step (a client call, a restore)
+        changed this automaton.  Unhosted it does nothing; a
+        :class:`Kernel` rebinds it at construction so that a process it
+        proved parked takes its next step again."""
 
 
 class Kernel(RoundHost):
@@ -192,6 +200,24 @@ class Kernel(RoundHost):
                 ),
             )
         )
+        # Parking proofs: the scheduler skips the processes in this set
+        # unasked.  Mail (the buffer), a client call (``wake``), a rejoin
+        # and a detector change (``_drop_crashed``) each void a proof.
+        scheduler = self._scheduler
+        proven = scheduler.proven_parked
+        self.buffer.proven_parked = proven
+        for p, automaton in self.automata.items():
+            automaton.wake = partial(proven.discard, p)
+            detector = self.detectors.get(p)
+            if detector is None or detector.instants is not None:
+                scheduler.actors[p].proven_parked = proven
+        #: When a memoisable detector's answer may change.
+        self._sample_instants = frozenset(
+            t
+            for detector in self.detectors.values()
+            if detector.instants is not None
+            for t in detector.instants
+        )
 
     def _pre_round(self, t: Time) -> None:
         """Faulted-run round prologue: release delayed datagrams, then
@@ -213,7 +239,12 @@ class Kernel(RoundHost):
         crashed process would otherwise be released into a queue nobody
         will ever drain, distorting ``in_transit()`` and the
         delay-heap-aware quiescence check.
+
+        It also voids parking proofs: all of them when ``t`` is one of
+        the detectors' change instants, a process's own when it rejoins.
         """
+        if t in self._sample_instants:
+            self._scheduler.proven_parked.clear()
         schedule = self._crash_schedule
         while (
             self._crash_cursor < len(schedule)
@@ -237,6 +268,7 @@ class Kernel(RoundHost):
         ):
             when, p = rejoins[self._recover_cursor]
             self._recover_cursor += 1
+            self._scheduler.proven_parked.discard(p)
             if p in self._dead:
                 self._dead.remove(p)
             snapshot = self._snapshots.pop(p, None)

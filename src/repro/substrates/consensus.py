@@ -80,8 +80,9 @@ class OmegaSigmaSampler(FailureDetector):
 
     One sampler serves every member of the scope.  When both components
     list their change :attr:`~repro.detectors.base.FailureDetector.instants`
-    (the pattern oracles do; a perturbed component does not), a sample is
-    built once per process and inter-instant interval, not once per step.
+    (the pattern oracles do; a perturbed component does not), the
+    sampler lists their union as its own ``instants`` and builds a sample
+    once per process and inter-instant interval, not once per step.
     """
 
     kind = "OmegaSigma"
@@ -90,9 +91,10 @@ class OmegaSigmaSampler(FailureDetector):
         super().__init__()
         self.omega = omega
         self.sigma = sigma
-        self._instants: Optional[List[Time]] = None
         if omega.instants is not None and sigma.instants is not None:
-            self._instants = sorted(set(omega.instants) | set(sigma.instants))
+            self.instants: Optional[List[Time]] = sorted(
+                set(omega.instants) | set(sigma.instants)
+            )
         self._cache: Dict[Tuple[ProcessId, int], Dict[str, Any]] = {}
 
     @classmethod
@@ -102,9 +104,9 @@ class OmegaSigmaSampler(FailureDetector):
         return cls(OmegaOracle(restricted, scope), SigmaOracle(restricted, scope))
 
     def query(self, p: ProcessId, t: Time) -> Dict[str, Any]:
-        if self._instants is None:
+        if self.instants is None:
             return {"omega": self.omega.query(p, t), "sigma": self.sigma.query(p, t)}
-        key = (p, bisect_right(self._instants, t))
+        key = (p, bisect_right(self.instants, t))
         sample = self._cache.get(key)
         if sample is None:
             sample = self._cache[key] = {
@@ -171,6 +173,7 @@ class ConsensusAutomaton(Automaton):
         """Client call: submit a proposal (before or during the run)."""
         if self.proposal is None:
             self.proposal = value
+            self.wake()
 
     def withdraw(self) -> None:
         """Take the proposal back and stop proposing.  The acceptor state
@@ -220,6 +223,7 @@ class ConsensusAutomaton(Automaton):
         self._value_in_flight = None
         self._next_forward = 0
         self._next_resend = 0
+        self.wake()
 
     # -- Steps -----------------------------------------------------------------
 

@@ -109,6 +109,7 @@ class ReplicatedLogAutomaton(Automaton):
         it, applied at most once at every replica (values are identities
         and must be hashable: one appended twice is still applied once)."""
         self._pending.append(value)
+        self.wake()
 
     # -- Durable state (crash–recovery) ----------------------------------
 
@@ -156,6 +157,7 @@ class ReplicatedLogAutomaton(Automaton):
         self._slots = {}
         for slot, state in snapshot["slots"].items():
             self._slot(int(slot)).restore(state)
+        self.wake()
 
     def idle(self) -> bool:
         """A null step under the last step's sample would change nothing.

@@ -573,9 +573,10 @@ def _kernel_deployment(
 
     def finish() -> RunRecord:
         # Synthesize the delivery trace: a replica delivered m when its
-        # log applied m's id.  Sorted by (time, process, apply order) so
-        # the global event list is deterministic; per-process order is
-        # the apply order, which is what Ordering judges.
+        # log applied m's id.  Sorted by (time, process, apply order),
+        # which is unique, so the tuple sort never compares the last two
+        # fields.  The global event list is deterministic; per-process
+        # order is the apply order, which is what Ordering judges.
         applies: List[Tuple[Time, int, int, ProcessId, MulticastMessage]] = []
         for p, entries in kernel.outputs.items():
             for position, (when, value) in enumerate(entries):
@@ -586,7 +587,7 @@ def _kernel_deployment(
                     and value[2] in by_mid
                 ):
                     applies.append((when, p.index, position, p, by_mid[value[2]]))
-        for when, _, _, p, message in sorted(applies, key=lambda e: e[:3]):
+        for when, _, _, p, message in sorted(applies):
             record.note_delivery(when, p, message)
         return record
 

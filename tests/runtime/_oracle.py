@@ -11,6 +11,13 @@ Bind it over one host with :func:`force_scan`, or over every scheduler a
 test builds indirectly (``run_scenario``) with :func:`scan_everywhere`.
 It is reachable from ``tests/`` only; ``src/`` has no scan mode.
 
+One step closer to the shipped loop, :func:`predicate_round` is
+``Scheduler.round`` as it was before the parking memo: it asks every
+actor of a non-full-scan round ``parked(t)``, records each skip with its
+own tracer calls and shuffles with the stdlib.  The memo differential
+(``tests/runtime/test_parking_memo.py``) binds it with
+:func:`predicates_everywhere`.
+
 The eligible set has the same arrangement one level down.
 ``Scheduler.eligible_order`` recomputes the alive filter only when the
 clock crosses one of the failure pattern's change instants;
@@ -103,6 +110,54 @@ def scan_everywhere(monkeypatch):
     """Scan in every scheduler built until the test ends (pytest fixture
     ``monkeypatch``) — for hosts constructed inside ``run_scenario``."""
     monkeypatch.setattr(Scheduler, "round", scan_round)
+
+
+def predicate_round(self, participation=None, responders=None, action_budget=None):
+    """One round of ``self`` (a :class:`Scheduler`) as it ran before the
+    parking memo: every actor of a non-full-scan round is asked
+    ``parked(t)`` (nobody is skipped unasked), each skip is recorded as
+    it happens, and the shuffle is the stdlib's."""
+    self.time += 1
+    if self.pre_round is not None:
+        self.pre_round(self.time)
+    order = self.eligible_order(self.time, participation)
+    # ``order`` is already sorted (it filters the pre-sorted keys);
+    # snapshot it before the shuffle for fingerprinting.
+    eligible = tuple(order)
+    self.refresh_responders(self.time, eligible, responders)
+    self._rng.shuffle(order)
+    fingerprint_changed = self.note_fingerprint(eligible)
+    full_scan = (
+        self.time <= self.settle_horizon
+        or fingerprint_changed
+        or (action_budget is not None and action_budget <= 0)
+    )
+    tracer = self.tracer
+    tracer.begin_round(self.time, len(order), full_scan)
+    fired = 0
+    parked_hint = None if full_scan else False
+    actors = self.actors
+    for key in order:
+        actor = actors[key]
+        if not full_scan and actor.parked(self.time):
+            tracer.note_skipped()
+            for reason in actor.SKIP_WAIT:
+                tracer.note_wait(reason)
+            continue
+        count = actor.fire(self.time, action_budget, parked_hint)
+        fired += count
+        tracer.note_scanned(count)
+        if count == 0:
+            for reason in actor.wait_reasons():
+                tracer.note_wait(reason)
+    tracer.end_round()
+    return fired
+
+
+def predicates_everywhere(monkeypatch):
+    """Run every scheduler built until the test ends on
+    :func:`predicate_round` (pytest fixture ``monkeypatch``)."""
+    monkeypatch.setattr(Scheduler, "round", predicate_round)
 
 
 def swept_eligible_order(self, now, participation=None):

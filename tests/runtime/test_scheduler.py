@@ -12,11 +12,20 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.metrics.trace import TraceRecorder
+from repro.model.errors import SimulationError
 from repro.model.failures import FailurePattern
 from repro.model.processes import make_processes, pset
 from repro.runtime.actors import SystemActor
-from repro.runtime.scheduler import Actor, RunOutcome, Scheduler
+from repro.runtime.scheduler import (
+    Actor,
+    RunOutcome,
+    Scheduler,
+    shuffle,
+    shuffle_draws,
+)
 from tests.runtime._oracle import force_scan
 
 
@@ -63,6 +72,56 @@ def test_one_shuffle_of_the_sorted_set_per_round():
         reference.shuffle(order)
         expected.extend((t, k) for k in order)
     assert log == expected
+
+
+class TestShuffle:
+    """The round's shuffle is ``random.Random.shuffle``'s Fisher–Yates
+    loop with ``_randbelow`` written out in ``repro.runtime.scheduler``.
+    These twin-seed runs pin that it is bit-equal to the stdlib call it
+    replaced — the same permutation and the same RNG state afterwards —
+    so it replays every recorded schedule."""
+
+    LONGEST = 300
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_bit_equal_to_the_stdlib_shuffle(self, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        draws = shuffle_draws(self.LONGEST)
+        for n in range(self.LONGEST + 1):
+            mine, stdlib = list(range(n)), list(range(n))
+            shuffle(mine, ours.getrandbits, draws)
+            theirs.shuffle(stdlib)
+            assert mine == stdlib, n
+            assert ours.getstate() == theirs.getstate(), n
+
+    def test_a_scheduler_shuffles_with_its_own_draws(self):
+        sched = make({k: CountdownActor(0) for k in range(7)}, seed=3)
+        sched.round()
+        assert sched._draws == shuffle_draws(7)
+        assert [i for i, _ in sched._draws] == [6, 5, 4, 3, 2, 1]
+
+
+def test_actors_of_one_scheduler_share_their_skip_reasons():
+    class Other(CountdownActor):
+        SKIP_WAIT = ("elsewhere",)
+
+    with pytest.raises(SimulationError):
+        make({"a": CountdownActor(0), "b": Other(0)}).round()
+
+
+def test_skips_are_recorded_once_per_round_after_the_scans():
+    """Memoised skips and asked ones alike land in the round trace: the
+    skip count, and ``SKIP_WAIT`` once per skip, added after the
+    scanned actors' reasons."""
+    sched = make({k: CountdownActor(0 if k != "c" else 9) for k in "abc"})
+    sched.round()  # full scan: the first fingerprint
+    sched.proven_parked.add("a")  # what a host that proved it does
+    sched.round()
+    last = sched.tracer.rounds[-1]
+    assert (last.scanned, last.skipped) == (1, 2)
+    assert last.wait_reasons == {"drained": 2}
+    sched.round(action_budget=0)  # a full scan forgets every proof
+    assert not sched.proven_parked
 
 
 def test_parked_actors_skipped_after_the_shuffle():

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.detectors.base import FailureDetector
 from repro.model.errors import SimulationError
-from repro.model.failures import crash_pattern, failure_free
+from repro.model.failures import FailurePattern, crash_pattern, failure_free
 from repro.model.processes import make_processes, pset
 from repro.sim.kernel import Automaton, Kernel
+from repro.substrates.consensus import ConsensusAutomaton, ConsensusCluster
+from repro.substrates.replicated_log import ReplicatedLogCluster
 from tests.runtime._oracle import force_scan
 
 PROCS = make_processes(3)
@@ -190,3 +193,99 @@ def test_snapshot_hash_addresses_message_ids_by_their_fields():
     assert snapshot_hash(snapshot) != snapshot_hash(
         {"applied": [MessageId(1, 3)], "proposal": MessageId(2, 1)}
     )
+
+
+class ProposalDriven(ConsensusAutomaton):
+    """A consensus member that parks while it has decided or has nothing
+    to propose: a null step then runs ``_progress``, which returns at
+    once."""
+
+    def idle(self):
+        return self.decision is not None or self.proposal is None
+
+
+class SwitchAt(FailureDetector):
+    """Answers ``"before"`` until ``at``, then ``"after"``, and lists
+    ``at`` as its one change instant."""
+
+    def __init__(self, at):
+        super().__init__()
+        self.at = at
+        self.instants = [at]
+
+    def query(self, p, t):
+        return "before" if t < self.at else "after"
+
+
+class Watcher(Automaton):
+    """Outputs each new detector sample; a null step under the last one
+    changes nothing."""
+
+    def __init__(self):
+        self.last = None
+
+    def on_step(self, ctx, datagram):
+        if ctx.detector != self.last:
+            self.last = ctx.detector
+            ctx.output(ctx.detector)
+
+    def idle(self):
+        return True
+
+
+class TestAParkedAutomatonWakes:
+    """A process the kernel proved parked is skipped without being asked
+    until an event voids the proof.  A call made between two runs is
+    such an event: after a quiescent run, the automaton it changed must
+    step in the next one.  So is a change instant its detector lists."""
+
+    def test_at_a_detector_change_instant(self):
+        automata = {p: Watcher() for p in PROCS}
+        kernel = Kernel(failure_free(ALL), automata, dict.fromkeys(PROCS, SwitchAt(10)))
+        kernel.run(20)
+        assert all(kernel.outputs_of(p) == ("before", "after") for p in PROCS)
+        # Proven parked from round 2 to 9 and from 11 on.
+        assert all(count == 2 for count in kernel.steps_taken.values())
+
+    def quiescent(self, kernel):
+        kernel.run(40, quiescent_rounds=2)
+        assert kernel.last_run_quiescent
+        return dict(kernel.steps_taken)
+
+    def test_an_append(self):
+        pattern = failure_free(ALL)
+        cluster = ReplicatedLogCluster(pattern, ALL)
+        kernel = Kernel(pattern, cluster.automata, cluster.detectors, seed=1)
+        before = self.quiescent(kernel)
+        assert kernel._scheduler.proven_parked == set(PROCS)
+        cluster.append(PROCS[2], "v")
+        after = self.quiescent(kernel)
+        assert after[PROCS[2]] > before[PROCS[2]]
+        assert {cluster.applied_at(p) for p in PROCS} == {("v",)}
+
+    def test_a_proposal(self):
+        pattern = failure_free(ALL)
+        cluster = ConsensusCluster(pattern, ALL)
+        cluster.automata = {p: ProposalDriven(p, ALL) for p in PROCS}
+        kernel = Kernel(pattern, cluster.automata, cluster.detectors, seed=1)
+        before = self.quiescent(kernel)
+        assert kernel._scheduler.proven_parked == set(PROCS)
+        cluster.propose(PROCS[0], "v")  # the Omega leader
+        after = self.quiescent(kernel)
+        assert after[PROCS[0]] > before[PROCS[0]]
+        assert cluster.decided_everywhere(ALL)
+        assert {cluster.decision_at(p) for p in PROCS} == {"v"}
+
+    def test_a_rejoin(self):
+        victim = PROCS[1]
+        pattern = FailurePattern(ALL, {victim: 6}, {victim: 9})
+        cluster = ReplicatedLogCluster(pattern, ALL)
+        kernel = Kernel(pattern, cluster.automata, cluster.detectors, seed=1)
+        before = self.quiescent(kernel)
+        assert kernel.time < 6 and victim in kernel._scheduler.proven_parked
+        kernel.run(10)  # through the crash and the rejoin: no early halt
+        assert kernel.last_run_quiescent
+        assert [p for _, p, _ in kernel.recoveries] == [victim]
+        assert kernel.steps_taken[victim] == before[victim] + 1
+        # Its first step back asks both peers for what it missed.
+        assert kernel.total_messages() == 2
