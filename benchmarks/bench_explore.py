@@ -26,8 +26,6 @@ from __future__ import annotations
 import json
 import os
 
-import pytest
-
 from repro.explore.__main__ import base_cells
 from repro.explore.driver import Explorer
 from repro.metrics.summary import format_table
@@ -90,7 +88,6 @@ def teardown_module(module):
         fh.write("\n")
 
 
-@pytest.mark.xfail(strict=True, reason="619 vs 624 since spec schema 8 (605 at schema 7, 617 before); within corpus-order noise, ROADMAP item 6")
 def test_guided_dominates_random_on_healthy_bases():
     bases = base_cells(("engine", "kernel"))
     guided_avg, guided_finals, _ = _campaigns(bases, "guided")

@@ -1,19 +1,23 @@
-"""``python -m repro.campaign`` — the built-in smoke sweep.
+"""``python -m repro.campaign`` — the built-in sweeps.
 
-Runs a small campaign over the paper's Figure 1 topology plus a ring, a
-chain and a hub, across several seeds and both protocol variants, then
-writes the campaign artifacts (``manifest.json`` + ``results.jsonl``)
-and prints the aggregate.  CI uses this as the campaign smoke job; the
-exit status is non-zero when any scenario failed or violated a checked
-property.
+``--grid smoke`` (the default) runs a small campaign over the paper's
+Figure 1 topology plus a ring, a chain and a hub, across several seeds
+and both protocol variants.  ``--grid nemesis`` runs Algorithm 1 and the
+Appendix-A kernel under random admissible fault plans: every base, every
+backend it supports and every injector mix, one plan per seed.  Either
+way the sweep writes the campaign artifacts (``manifest.json`` +
+``results.jsonl``) and prints the aggregate; the exit status is non-zero
+when any scenario failed, tripped the admissibility auditor or violated
+a checked property.  CI runs both grids.
 
 ``--backends`` adds the Appendix-A kernel backend and/or the
-real-asynchrony ``async`` backend.  The kernel backend requires
-pairwise-disjoint destination groups, so asking for a non-engine
-backend swaps the smoke cases for a disjoint grid (which every
-requested backend then shares, keeping rows comparable across the
+real-asynchrony ``async`` backend to the smoke grid.  The kernel backend
+requires pairwise-disjoint destination groups, so asking for a
+non-engine backend swaps the smoke cases for a disjoint grid (which
+every requested backend then shares, keeping rows comparable across the
 backend axis — including engine-vs-kernel-vs-async agreement cells).
-``--delay-model`` sweeps the async backend's channel-latency axis.
+``--delay-model`` sweeps the async backend's channel-latency axis.  The
+nemesis grid fixes both axes, so it refuses the two flags.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ import sys
 
 from repro.campaign.executor import run_campaign
 from repro.campaign.grid import Campaign, case
+from repro.faults.nemesis import MIXES
 from repro.groups.topology import paper_figure1_topology
 from repro.metrics.sweep import sweep_exit_status, sweep_table
 from repro.runtime.delay import parse_delay_model
-from repro.workloads.runner import Send
+from repro.workloads.runner import Send, open_loop_sends
 from repro.workloads.topologies import (
     chain_topology,
     disjoint_topology,
@@ -118,10 +123,44 @@ def smoke_campaign(
     )
 
 
+def nemesis_campaign(seeds: int = 5) -> Campaign:
+    """The nemesis grid: 4 bases x their backends x 5 mixes x ``seeds``.
+
+    Figure 1, a 5-ring and a 4-hub run on the engine and async
+    backends, a 3x3 disjoint grid on all three (the kernel expands over
+    disjoint cases only), each with 12 open-loop sends, two per round.
+    Cell ``(base, backend, mix, s)`` runs ``random_plan(s, mix, ...)``
+    of its base at schedule seed ``s``: 45 cells per seed.
+    """
+    cases = tuple(
+        case(label, topology, sends=open_loop_sends(topology, 12))
+        for label, topology in (
+            ("figure1", paper_figure1_topology()),
+            ("ring5", ring_topology(5)),
+            ("hub4", hub_topology(4)),
+            ("disjoint3x3", disjoint_topology(3, group_size=3)),
+        )
+    )
+    return Campaign(
+        name="nemesis",
+        cases=cases,
+        seeds=tuple(range(seeds)),
+        backends=("engine", "kernel", "async"),
+        faults=MIXES,
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.campaign",
-        description="run the built-in campaign smoke sweep",
+        description="run a built-in campaign sweep",
+    )
+    parser.add_argument(
+        "--grid",
+        choices=("smoke", "nemesis"),
+        default="smoke",
+        help="which sweep: the smoke grid (default) or the nemesis "
+        "fault grid",
     )
     parser.add_argument(
         "--workers",
@@ -133,7 +172,8 @@ def main(argv=None) -> int:
         "--seeds",
         type=int,
         default=2,
-        help="seeds per case (scenario count = 8 x seeds)",
+        help="seeds per case (scenario count: smoke 8 x seeds, "
+        "nemesis 45 x seeds)",
     )
     parser.add_argument(
         "--out",
@@ -165,11 +205,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--backends",
-        default="engine",
+        default=None,
         metavar="BACKENDS",
         help="comma-separated execution backends to sweep "
         "('engine', 'kernel', 'async' or any mix; a non-engine backend "
-        "switches the smoke grid to disjoint topologies; default: engine)",
+        "switches the smoke grid to disjoint topologies; default: engine; "
+        "smoke grid only)",
     )
     parser.add_argument(
         "--delay-model",
@@ -179,7 +220,7 @@ def main(argv=None) -> int:
         help="delay model for the async backend, e.g. 'uniform:0.1:0.9', "
         "'exponential:1.0:8' or 'slow_pairs:4:1-2,2-1'; repeat the flag "
         "to sweep several (only async cells expand over this axis; "
-        "default: the backend's uniform default)",
+        "default: the backend's uniform default; smoke grid only)",
     )
     parser.add_argument(
         "--stall-window",
@@ -214,18 +255,29 @@ def main(argv=None) -> int:
             parser.error("--shard must look like K/N, e.g. 0/4")
         shard = (k, n)
 
-    delay_models = (
-        (None,)
-        if not args.delay_model
-        else tuple(parse_delay_model(text) for text in args.delay_model)
-    )
-    campaign = smoke_campaign(
-        seeds=args.seeds,
-        backends=tuple(
-            b.strip() for b in args.backends.split(",") if b.strip()
-        ),
-        delay_models=delay_models,
-    )
+    if args.grid == "nemesis":
+        for flag, value in (
+            ("--backends", args.backends),
+            ("--delay-model", args.delay_model),
+        ):
+            if value is not None:
+                parser.error(f"{flag} applies to the smoke grid only")
+        campaign = nemesis_campaign(seeds=args.seeds)
+    else:
+        delay_models = (
+            (None,)
+            if not args.delay_model
+            else tuple(parse_delay_model(text) for text in args.delay_model)
+        )
+        campaign = smoke_campaign(
+            seeds=args.seeds,
+            backends=tuple(
+                b.strip()
+                for b in (args.backends or "engine").split(",")
+                if b.strip()
+            ),
+            delay_models=delay_models,
+        )
     rows: list = []  # the smoke table below wants the rows
     report = run_campaign(
         campaign,

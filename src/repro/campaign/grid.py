@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Tuple, Union
 
+from repro.faults.nemesis import MIXES, random_plan
 from repro.faults.plan import FaultPlan
 from repro.groups.topology import GroupTopology
 from repro.model.failures import Time
@@ -72,9 +73,11 @@ class Campaign:
     The expansion order is the nested product, outermost to innermost:
     cases x seeds x variants x backends x faults x delay_models (the
     delay axis collapses to a single entry on non-async backends — see
-    :meth:`_delay_axis`).  Every expanded spec gets a deterministic
-    label of the form
-    ``case:s<seed>:<variant>[:<backend>][:f<hash6>][:d-<kind>]``
+    :meth:`_delay_axis`).  The ``"kernel"`` backend expands only over
+    cases whose groups are pairwise disjoint: it runs one replicated log
+    per group and rejects intersecting groups.  Every expanded spec gets
+    a deterministic label of the form
+    ``case:s<seed>:<variant>[:<backend>][:<mix>][:f<hash6>][:d-<kind>]``
     (non-default axes only, keeping labels short on simple sweeps).
 
     Attributes:
@@ -85,7 +88,10 @@ class Campaign:
         backends: execution backends (``"engine"`` / ``"kernel"`` /
             ``"async"``).
         faults: fault plans to sweep (the nemesis axis); ``None``
-            entries run fault-free.
+            entries run fault-free, and a mix name (one of
+            :data:`repro.faults.nemesis.MIXES`) runs
+            ``random_plan(seed, mix, ...)`` drawn from the cell's seed
+            and its case's topology.
         delay_models: channel-latency specs to sweep on the ``async``
             backend (see :mod:`repro.runtime.delay`); ``None`` entries
             use the backend default.
@@ -100,7 +106,7 @@ class Campaign:
     seeds: Tuple[int, ...] = (0,)
     variants: Tuple[str, ...] = ("vanilla",)
     backends: Tuple[str, ...] = ("engine",)
-    faults: Tuple[Optional[FaultPlan], ...] = (None,)
+    faults: Tuple[Union[None, FaultPlan, str], ...] = (None,)
     delay_models: Tuple[Optional[Tuple[Any, ...]], ...] = (None,)
     quirks: Tuple[str, ...] = ()
     max_rounds: int = 600
@@ -111,6 +117,11 @@ class Campaign:
         for axis in ("seeds", "variants", "backends", "faults", "delay_models"):
             if not getattr(self, axis):
                 raise ValueError(f"campaign axis {axis!r} must be non-empty")
+        for entry in self.faults:
+            if isinstance(entry, str) and entry not in MIXES:
+                raise ValueError(
+                    f"unknown nemesis mix {entry!r}; pick from {MIXES}"
+                )
         # Canonicalize eagerly so a malformed spec fails at build time.
         object.__setattr__(
             self,
@@ -124,9 +135,24 @@ class Campaign:
     def specs(self) -> Tuple[ScenarioSpec, ...]:
         """Expand the grid into frozen scenario specs, in grid order."""
         expanded = []
-        for kase, seed, variant, backend, plan in itertools.product(
+        topologies = {
+            kase.topology: kase.topology.build() for kase in self.cases
+        }
+        for kase, seed, variant, backend, entry in itertools.product(
             self.cases, self.seeds, self.variants, self.backends, self.faults
         ):
+            topology = topologies[kase.topology]
+            if backend == "kernel" and topology.intersecting_pairs():
+                continue
+            mix = entry if isinstance(entry, str) else None
+            plan = entry
+            if mix is not None:
+                plan = random_plan(
+                    seed,
+                    mix,
+                    process_count=kase.topology.process_count,
+                    groups=tuple(sorted(g.name for g in topology.groups)),
+                )
             for dm in self._delay_axis(backend):
                 axes = dict(
                     seed=seed,
@@ -142,7 +168,7 @@ class Campaign:
                         sends=kase.sends,
                         max_rounds=self.max_rounds,
                         quirks=self.quirks,
-                        name=self._label(kase.label, **axes),
+                        name=self._label(kase.label, mix=mix, **axes),
                         **axes,
                     )
                 )
@@ -169,12 +195,15 @@ class Campaign:
         seed: int,
         variant: str,
         backend: str,
+        mix: Optional[str],
         faults: Optional[FaultPlan],
         delay_model: Optional[Tuple[Any, ...]],
     ) -> str:
         parts = [base, f"s{seed}", variant]
         if len(self.backends) > 1 or backend != "engine":
             parts.append(backend)
+        if mix is not None:
+            parts.append(mix)
         if faults is not None:
             parts.append(f"f{faults.plan_hash()[:6]}")
         elif len(self.faults) > 1:

@@ -9,9 +9,10 @@ At process ``p``, ``gamma`` returns a set of cyclic families drawn from
   faulty is eventually excluded from the output forever.
 
 The oracle excludes a family once it has been faulty for ``detection_lag``
-time units (``0`` = eager, exact detection).  Because faultiness is
-monotone (crashes are permanent), lagged exclusion still satisfies
-Accuracy.
+time units (``0`` = eager, exact detection).  A family is faulty only
+through intersections whose members all crash and never recover (a
+member that rejoins is correct under the crash–recovery overlay), so
+faultiness is monotone and lagged exclusion still satisfies Accuracy.
 
 The module also provides :func:`gamma_groups`, the derived notation
 ``gamma(g)`` used by Algorithm 1: the groups ``h`` intersecting ``g`` such

@@ -60,30 +60,21 @@ class OmegaOracle(OracleDetector):
         self.eventual_leader = correct[0] if correct else None
         # Pre-stabilization samples change only at the scope's crash
         # and recovery instants; cache one per inter-change interval.
-        self._crash_instants = sorted(
-            {
-                when
-                for q, when in pattern.crash_times.items()
-                if q in self.scope
-            }
-            | {
-                when
-                for q, when in pattern.recovery_times.items()
-                if q in self.scope
-            }
-        )
+        self._change_instants = pattern.restricted_to(
+            self.scope
+        ).change_instants()
         self._samples: Dict[int, Optional[ProcessId]] = {}
 
     @property
     def instants(self) -> List[Time]:
         """The scope's crash and recovery instants and the stabilization time."""
-        return sorted(set(self._crash_instants) | {self.stabilization_time})
+        return sorted(set(self._change_instants) | {self.stabilization_time})
 
     def query(self, p: ProcessId, t: Time) -> ProcessId:
         """The current leader estimate for the scope."""
         if self.eventual_leader is not None and t >= self.stabilization_time:
             return self.eventual_leader
-        epoch = bisect_right(self._crash_instants, t)
+        epoch = bisect_right(self._change_instants, t)
         if epoch in self._samples:
             leader = self._samples[epoch]
         else:

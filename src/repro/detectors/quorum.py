@@ -50,17 +50,8 @@ class SigmaOracle(OracleDetector):
         # single constant sample on failure-free patterns, where kernel
         # runs issue one query per process per round).  Recovery makes
         # the alive set non-monotone, but each epoch is still constant.
-        self.instants = sorted(
-            {
-                when
-                for q, when in pattern.crash_times.items()
-                if q in self.scope
-            }
-            | {
-                when
-                for q, when in pattern.recovery_times.items()
-                if q in self.scope
-            }
+        self.instants = list(
+            pattern.restricted_to(self.scope).change_instants()
         )
         self._samples: Dict[int, FrozenSet[ProcessId]] = {}
 

@@ -17,4 +17,8 @@ closes the gap:
 * :mod:`repro.faults.shrink` — the ddmin counterexample shrinker and
   self-contained repro files (imported lazily: it depends on the
   workloads layer, which in turn imports :mod:`repro.faults.plan`).
+
+The package has no command line: ``python -m repro.campaign --grid
+nemesis`` sweeps the nemesis grid (a ``Campaign`` whose ``faults`` axis
+holds mix names), and ``examples/shrink_demo.py`` runs the shrinker.
 """

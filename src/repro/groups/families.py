@@ -350,11 +350,19 @@ def path_direction(path: ClosedPath) -> int:
 def faulty_edges_at(
     family: GroupFamily, pattern: FailurePattern, t: Time
 ) -> FrozenSet[Edge]:
-    """Edges ``(g, h)`` of the family whose intersection is crashed at ``t``."""
+    """Edges ``(g, h)`` of the family whose intersection is faulty at ``t``.
+
+    Faulty means crashed by ``t`` and never recovering: under the
+    crash–recovery overlay a member that is down but will rejoin is
+    correct, so its intersection is not faulty while it is down.
+    """
     dead: Set[Edge] = set()
     for g, h in itertools.combinations(sorted(family), 2):
         shared = g.intersection(h)
-        if shared and pattern.set_faulty_at(shared, t):
+        if not shared:
+            continue
+        died = pattern.crash_time_of_set(shared)
+        if died is not None and died <= t:
             dead.add(_edge(g, h))
     return frozenset(dead)
 
@@ -365,7 +373,7 @@ def family_faulty_at(
     """Whether a cyclic family is *faulty at time t* (§3).
 
     True when every closed path of the family visits some edge whose group
-    intersection is entirely crashed at ``t``.  Equivalent paths visit the
+    intersection is faulty at ``t`` (see :func:`faulty_edges_at`).  Equivalent paths visit the
     same edges, so this is a statement about hamiltonian cycles — and
     "every hamiltonian cycle contains a dead edge" is the same as "the
     intersection graph with the dead edges removed is not hamiltonian",

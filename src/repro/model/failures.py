@@ -107,15 +107,6 @@ class FailurePattern:
     def is_correct(self, p: ProcessId) -> bool:
         return p not in self.crash_times or p in self.recovery_times
 
-    def set_faulty_at(self, group: Iterable[ProcessId], t: Time) -> bool:
-        """Whether *every* process of ``group`` is crashed at time ``t``.
-
-        This is the building block of group-intersection faultiness: the
-        paper says ``g ∩ h`` is faulty at ``t`` when all its members are.
-        An empty group is vacuously faulty.
-        """
-        return all(not self.is_alive(p, t) for p in group)
-
     def crash_time_of_set(self, group: Iterable[ProcessId]) -> Optional[Time]:
         """First time at which all of ``group`` is crashed, if ever.
 
@@ -149,11 +140,12 @@ class FailurePattern:
             )
         )
 
-    # -- Derivation -------------------------------------------------------
-
     def restricted_to(self, subset: ProcessSet) -> "FailurePattern":
         """``F ∩ P``: the pattern obtained by dropping processes outside
-        ``subset`` (used to define set-restricted failure detectors)."""
+        ``subset`` (used to define set-restricted failure detectors).
+        A pattern already inside ``subset`` is its own restriction."""
+        if self.processes <= subset:
+            return self
         return FailurePattern(
             processes=pset(p for p in self.processes if p in subset),
             crash_times={p: t for p, t in self.crash_times.items() if p in subset},

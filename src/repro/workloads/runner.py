@@ -81,6 +81,24 @@ class Send:
     payload: object = None
 
 
+def open_loop_sends(topology: GroupTopology, count: int) -> Tuple[Send, ...]:
+    """``count`` multicasts, round-robin over groups and their members.
+
+    Arrivals are open-loop in logical time, two per round from round 1:
+    every send fires at its scripted round whether or not earlier
+    multicasts have been delivered.
+    """
+    groups = sorted(topology.groups, key=lambda g: g.name)
+    sends = []
+    for i in range(count):
+        group = groups[i % len(groups)]
+        members = sorted(group.members)
+        sends.append(
+            Send(members[i % len(members)].index, group.name, at_round=1 + i // 2)
+        )
+    return tuple(sends)
+
+
 def triage_record(spec: ScenarioSpec) -> Dict[str, Any]:
     """The one-line repro record attached to every failure.
 

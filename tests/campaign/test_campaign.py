@@ -6,12 +6,19 @@ import os
 import pytest
 
 from repro.campaign.aggregate import CAMPAIGN_SCHEMA_VERSION, sweep_hash
+from repro.campaign.__main__ import main
 from repro.campaign.executor import run_campaign
 from repro.campaign.grid import Campaign, CampaignCase, case
+from repro.faults.nemesis import random_plan
+from repro.groups.topology import paper_figure1_topology
 from repro.metrics.trace import read_jsonl
 from repro.workloads.runner import Send
 from repro.workloads.spec import ScenarioSpec, TopologySpec
-from repro.workloads.topologies import chain_topology, ring_topology
+from repro.workloads.topologies import (
+    chain_topology,
+    disjoint_topology,
+    ring_topology,
+)
 
 
 def small_campaign(seeds=(0, 1), variants=("vanilla",)) -> Campaign:
@@ -61,6 +68,66 @@ class TestGrid:
                 cases=(case("c", chain_topology(2)),),
                 seeds=(),
             )
+
+
+class TestMixEntries:
+    """A mix name on the ``faults`` axis draws the cell's plan from the
+    cell's seed and its case's topology."""
+
+    def campaign(self, **overrides):
+        base = dict(
+            name="mixes",
+            cases=(
+                case("fig1", paper_figure1_topology(), sends=(Send(1, "g1", 0),)),
+                case("disjoint", disjoint_topology(2, group_size=3)),
+            ),
+            seeds=(3, 4),
+            faults=("recovery", None),
+        )
+        base.update(overrides)
+        return Campaign(**base)
+
+    def test_a_mix_expands_to_the_cells_own_plan(self):
+        specs = self.campaign().specs()
+        assert len(specs) == 2 * 2 * 2
+        for spec in specs[::2]:
+            groups = tuple(name for name, _ in spec.topology.groups)
+            assert spec.faults == random_plan(
+                spec.seed,
+                "recovery",
+                process_count=spec.topology.process_count,
+                groups=groups,
+            )
+            assert spec.name.endswith(
+                f":recovery:f{spec.faults.plan_hash()[:6]}"
+            )
+        assert all(spec.faults is None for spec in specs[1::2])
+
+    def test_an_unknown_mix_fails_when_built(self):
+        with pytest.raises(ValueError, match="unknown nemesis mix 'storm'"):
+            self.campaign(faults=("links", "storm"))
+
+    def test_the_kernel_skips_intersecting_groups(self):
+        specs = self.campaign(backends=("engine", "kernel")).specs()
+        kernel = {s.name.split(":")[0] for s in specs if s.backend == "kernel"}
+        assert kernel == {"disjoint"}
+        assert len(specs) == 8 + 4
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "flag", [["--backends", "engine"], ["--delay-model", "uniform:0.1:0.9"]]
+    )
+    def test_the_nemesis_grid_refuses_smoke_only_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--grid", "nemesis", *flag])
+        assert exit_info.value.code == 2
+        assert "applies to the smoke grid only" in capsys.readouterr().err
+
+    def test_the_nemesis_grid_runs_clean(self, tmp_path, capsys):
+        assert main(["--grid", "nemesis", "--seeds", "1", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "campaign 'nemesis'" in out and "45 scenarios, 45 ok" in out
 
 
 def artifact_bytes(out_dir):

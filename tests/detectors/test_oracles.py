@@ -179,3 +179,50 @@ class TestRestriction:
     def test_scope_must_be_non_empty(self):
         with pytest.raises(DetectorError):
             Restricted(SigmaOracle(failure_free(ALL), ALL), frozenset())
+
+
+class TestRecoveryOverlay:
+    """DESIGN.md §16, "The overlay and the detectors": a process with a
+    rejoin is correct, and every oracle keeps its properties."""
+
+    # P1 is down over [2, 8) and rejoins, P2 crashes for good at 4, and P4
+    # (outside the scope) is down over [1, 5).
+    PATTERN = crash_pattern(ALL, {P1: 2, P2: 4, P4: 1}).with_recovery(
+        P1, 8
+    ).with_recovery(P4, 5)
+    SCOPE = by_indices(1, 2, 3)
+
+    def test_sigma_epochs_are_the_scopes_change_instants(self):
+        for pattern in (self.PATTERN, self.PATTERN.restricted_to(self.SCOPE)):
+            sigma = SigmaOracle(pattern, self.SCOPE)
+            assert sigma.instants == [2, 4, 8]
+            history = drive(sigma, PROCS, range(12))
+            assert check_sigma(history, self.PATTERN, self.SCOPE) == []
+            assert sigma.query(P3, 5) == {P1, P3}  # P1 down, still quoted
+
+    def test_omega_elects_the_recovering_member(self):
+        for pattern in (self.PATTERN, self.PATTERN.restricted_to(self.SCOPE)):
+            omega = OmegaOracle(pattern, self.SCOPE, stabilization_time=8)
+            assert omega.instants == [2, 4, 8]
+            assert omega.query(P3, 3) == P2
+            assert omega.query(P3, 8) == P1
+            history = drive(omega, [P1, P3], range(12))
+            assert check_omega(history, self.PATTERN, self.SCOPE) == []
+
+    def test_indicator_never_reports_a_set_that_comes_back(self):
+        assert not IndicatorOracle(self.PATTERN, by_indices(1, 2)).query(P3, 5)
+        dead = IndicatorOracle(self.PATTERN, by_indices(2))
+        assert not dead.query(P3, 3) and dead.query(P3, 4)
+
+    def test_gamma_keeps_a_family_whose_intersection_rejoins(self):
+        """p2 = g1 ∩ g2 down over [3, 10): no family is faulty."""
+        topology = paper_figure1_topology()
+        procs = sorted(topology.processes)
+        pattern = crash_pattern(pset(procs), {procs[1]: 3}).with_recovery(
+            procs[1], 10
+        )
+        gamma = GammaOracle(pattern, topology)
+        p1 = procs[0]
+        assert gamma.query(p1, 5) == gamma.query(p1, 0)
+        history = drive(gamma, procs, range(12))
+        assert check_gamma(history, pattern, topology) == []

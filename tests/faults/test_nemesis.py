@@ -1,20 +1,33 @@
-"""Tests for the random nemesis: plan generation and the smoke matrix.
+"""Tests for the random nemesis: plan generation and the nemesis grid.
 
-``test_matrix_passes_every_checker`` is the acceptance gate of the
-fault layer: Algorithm 1 on the Figure 1 topology (engine backend) and
-the Appendix-A kernel on a disjoint grid, under every injector mix at
-smoke intensity, across 20 seeds — every §2.2 checker must hold and
-every run must stay inside the admissibility envelope (the auditor
-raises otherwise, which surfaces here as a scenario failure).
+``test_grid_passes_every_checker`` is the acceptance gate of the fault
+layer: Algorithm 1 on Figure 1, a ring and a hub (engine and async
+backends) and all three backends on a disjoint grid, under every
+injector mix, 12 open-loop sends a cell, across 6 plans — every §2.2
+checker must hold and every run must stay inside the admissibility
+envelope (the auditor raises otherwise, which surfaces here as a
+scenario failure).  ``test_grid_catches_transient_faultiness`` shows the
+same grid is red on the retired faultiness body.
 """
 
 import pytest
 
-from repro.faults.__main__ import matrix_specs
+from repro.campaign.__main__ import nemesis_campaign
+from repro.campaign.executor import run_campaign
 from repro.faults.nemesis import MIXES, random_plan
 from repro.faults.plan import DETECTOR_KINDS, LINK_KINDS
 from repro.model.errors import ModelError
-from repro.workloads.runner import run_scenario
+from tests.groups import _oracle
+
+
+def red_cells(report, rows):
+    """Names of the rows that failed or violated a checked property."""
+    assert report.summary["scenarios"] == len(rows)
+    return [
+        row["name"]
+        for row in rows
+        if row["status"] != "ok" or any(row["verdicts"].values())
+    ]
 
 
 class TestRandomPlan:
@@ -50,17 +63,53 @@ class TestRandomPlan:
                 assert plan.horizon() < 100
 
 
-class TestSmokeMatrix:
-    def test_matrix_covers_backends_mixes_and_seeds(self):
-        specs = matrix_specs(seeds=2)
-        assert len(specs) == 2 * len(MIXES) * 2
-        assert {s.backend for s in specs} == {"engine", "kernel"}
-        assert all(s.faults is not None for s in specs)
+class TestNemesisGrid:
+    BASES = {
+        "figure1": {"engine", "async"},
+        "ring5": {"engine", "async"},
+        "hub4": {"engine", "async"},
+        "disjoint3x3": {"engine", "kernel", "async"},
+    }
 
-    def test_matrix_passes_every_checker(self):
-        for spec in matrix_specs(seeds=20):
-            result = run_scenario(spec)
-            result.assert_ok()
+    def test_grid_covers_bases_backends_and_mixes(self):
+        specs = nemesis_campaign(seeds=2).specs()
+        assert len(specs) == 45 * 2
+        cells = {}
+        for spec in specs:
+            base, seed, _, backend, mix = spec.name.split(":")[:5]
+            cells.setdefault((base, backend, mix), []).append(seed)
+            assert spec.faults is not None and len(spec.sends) == 12
+        assert set(cells) == {
+            (base, backend, mix)
+            for base, backends in self.BASES.items()
+            for backend in backends
+            for mix in MIXES
+        }
+        assert all(seeds == ["s0", "s1"] for seeds in cells.values())
+
+    def test_kernel_runs_only_on_the_disjoint_grid(self):
+        specs = nemesis_campaign(seeds=1).specs()
+        assert {s.name.split(":")[0] for s in specs if s.backend == "kernel"} == {
+            "disjoint3x3"
+        }
+
+    def test_grid_passes_every_checker(self):
+        rows = []
+        report = run_campaign(nemesis_campaign(seeds=6), on_row=rows.append)
+        assert len(rows) == 270
+        assert red_cells(report, rows) == []
+
+    def test_grid_catches_transient_faultiness(self, monkeypatch):
+        """With the retired body, a down-but-recovering member makes its
+        intersection faulty and gamma drops the family for good; the
+        grid sees the resulting Ordering violation within 5 plans."""
+        monkeypatch.setattr(
+            "repro.groups.families.faulty_edges_at", _oracle.faulty_edges_at
+        )
+        rows = []
+        report = run_campaign(nemesis_campaign(seeds=5), on_row=rows.append)
+        assert report.summary["violations"]["ordering"] >= 1
+        assert red_cells(report, rows)[0].startswith("ring5:s3:vanilla:async:chaos")
 
 
 class TestWeightedMixes:

@@ -1,8 +1,10 @@
 """Tests for ddmin counterexample shrinking and repro files."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
-from repro.faults.__main__ import shrink_demo_spec
 from repro.faults.injector import AdmissibilityError, FaultInjector
 from repro.faults.nemesis import random_plan
 from repro.faults.plan import FaultEvent, FaultPlan, plan_of
@@ -23,6 +25,15 @@ from repro.workloads.topologies import disjoint_topology
 from tests.faults._oracle import broadcast_outcome
 
 TOPOLOGY = TopologySpec.capture(disjoint_topology(2, group_size=3))
+
+
+def shrink_demo_spec():
+    """The spec ``examples/shrink_demo.py`` minimizes."""
+    path = Path(__file__).resolve().parents[2] / "examples" / "shrink_demo.py"
+    loader = importlib.util.spec_from_file_location("shrink_demo", path)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module.shrink_demo_spec()
 
 
 def spec_with(plan=None, sends=(Send(1, "g1", 0),), **kwargs):
@@ -170,7 +181,7 @@ class TestBroadcastOnThePipeline:
 
 
 def _at_round_zero_specs():
-    """Every spec the suite above and ``--shrink-demo`` hand the
+    """Every spec the suite above and ``examples/shrink_demo.py`` hand the
     broadcast harness, plus each one-event plan ddmin can probe, by a
     label that does not move with the spec's content address."""
     plan = random_plan(7, "full", process_count=6, groups=("g1", "g2"))

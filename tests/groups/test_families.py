@@ -113,6 +113,18 @@ class TestFaultiness:
         assert family_faulty_at(fam, pattern, 4)
         assert family_fault_time(fam, pattern) == 4
 
+    def test_a_recovering_member_leaves_its_family_live(self, fig1):
+        """p2 = g1 ∩ g2 down over rounds 3–9, then rejoining: p2 is
+        correct, so {g1, g2, g3} is never faulty (the retired body in
+        ``tests/groups/_oracle.py`` called it faulty for the outage)."""
+        procs = make_processes(5)
+        crashed = crash_pattern(pset(procs), {procs[1]: 3})
+        recovering = crashed.with_recovery(procs[1], 10)
+        fam = family_by_names(fig1, "g1", "g2", "g3")
+        assert not family_faulty_at(fam, recovering, 5)
+        assert family_fault_time(fam, recovering) is None
+        assert family_faulty_at(fam, crashed, 5)
+
     def test_paper_scenario_correct_p1_p4_p5(self, fig1):
         """With Correct = {p1, p4, p5}: f and f'' become faulty, f' stays."""
         procs = make_processes(5)

@@ -66,7 +66,7 @@ class TestAggregation:
 
 
 class TestExitStatus:
-    """The one exit rule of ``python -m repro.campaign`` / ``repro.faults``."""
+    """The one exit rule of ``python -m repro.campaign``."""
 
     @pytest.mark.parametrize(
         "rows, status",

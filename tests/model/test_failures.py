@@ -48,14 +48,13 @@ class TestFailurePattern:
     def test_set_faultiness_of_group_intersection(self):
         pattern = crash_pattern(ALL, {P1: 3, P2: 8})
         group = by_indices(1, 2)
-        assert not pattern.set_faulty_at(group, 7)
-        assert pattern.set_faulty_at(group, 8)
         assert pattern.crash_time_of_set(group) == 8
         assert pattern.crash_time_of_set(by_indices(1, 3)) is None
+        # A member that rejoins is correct: the set is never faulty.
+        assert pattern.with_recovery(P2, 12).crash_time_of_set(group) is None
 
     def test_empty_set_is_vacuously_faulty(self):
         pattern = failure_free(ALL)
-        assert pattern.set_faulty_at(frozenset(), 0)
         assert pattern.crash_time_of_set(frozenset()) == 0
 
     def test_restriction_drops_outside_processes(self):
@@ -63,6 +62,7 @@ class TestFailurePattern:
         sub = pattern.restricted_to(by_indices(1, 2))
         assert sub.processes == by_indices(1, 2)
         assert sub.faulty == {P1}
+        assert sub.restricted_to(by_indices(1, 2, 3)) is sub
 
     def test_with_crash_keeps_earliest_time(self):
         pattern = crash_pattern(ALL, {P1: 10})

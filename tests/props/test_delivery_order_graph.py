@@ -8,8 +8,9 @@ Three guards, one per way the sparse graph could go wrong:
   dense ``~>`` exactly);
 * *scaling* — the edge count is bounded by the deliveries, counted not
   timed;
-* *caught violation* — a run known to violate Ordering still does, so a
-  graph pruned too far cannot pass by reporting nothing.
+* *caught violation* — a run known to violate Ordering under the retired
+  faultiness body still does, so a graph pruned too far cannot pass by
+  reporting nothing; with the shipped body the same run is clean.
 """
 
 import random
@@ -22,8 +23,9 @@ from repro.model.processes import make_processes, pset
 from repro.model.runs import RunRecord
 from repro.props.checkers import check_ordering, check_strict_ordering
 from repro.props.relations import delivery_order_graph, find_cycle, realtime_edges
-from repro.workloads.runner import Send, run_scenario
+from repro.workloads.runner import open_loop_sends, run_scenario
 from repro.workloads.spec import ScenarioSpec, TopologySpec
+from tests.groups import _oracle as groups_oracle
 from tests.props import _oracle
 
 RECORDS = 12_000
@@ -124,26 +126,14 @@ def test_edge_count_is_bounded_by_the_deliveries_not_their_square():
     assert check_ordering(record) == []
 
 
-def test_known_ordering_violation_is_still_caught():
+def readme_triage_cell():
     """benchmarks/e2e/README.md, "Known at baseline": figure1/engine under
     ``random_plan(4, "recovery")`` at schedule seed 82."""
     topology = paper_figure1_topology()
-    groups = sorted(topology.groups, key=lambda g: g.name)
-    sends = []
-    for i in range(12):
-        group = groups[i % len(groups)]
-        members = sorted(group.members)
-        sends.append(
-            Send(
-                members[i % len(members)].index,
-                group.name,
-                at_round=1 + i // 2,
-            )
-        )
     captured = TopologySpec.capture(topology)
     spec = ScenarioSpec(
         topology=captured,
-        sends=tuple(sends),
+        sends=open_loop_sends(topology, 12),
         seed=82,
         faults=random_plan(
             4,
@@ -155,4 +145,20 @@ def test_known_ordering_violation_is_still_caught():
     # The README's triage line names this cell by its schema-6 address,
     # a653af6037821f9c…; spec schemas 7 and 8 moved it.
     assert spec.spec_hash().startswith("c5b2270df21fc53e")
-    assert run_scenario(spec).verdicts()["ordering"] == 1
+    return spec
+
+
+def test_a_recovering_intersection_keeps_ordering():
+    """p2 = g1 ∩ g2 is down for a while and rejoins: it is correct, so
+    gamma keeps every family it belongs to and the cell is clean."""
+    assert run_scenario(readme_triage_cell()).verdicts()["ordering"] == 0
+
+
+def test_known_ordering_violation_is_still_caught(monkeypatch):
+    """The same cell under the retired faultiness body
+    (``tests/groups/_oracle.py``) delivers a cycle; the sparse graph
+    must still report it."""
+    monkeypatch.setattr(
+        "repro.groups.families.faulty_edges_at", groups_oracle.faulty_edges_at
+    )
+    assert run_scenario(readme_triage_cell()).verdicts()["ordering"] == 1

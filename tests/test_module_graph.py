@@ -24,7 +24,6 @@ SRC = ROOT / "src"
 CLI_ROOTS = (
     "repro",
     "repro.campaign.__main__",
-    "repro.faults.__main__",
     "repro.explore.__main__",
     "repro.workloads.runner",
 )
