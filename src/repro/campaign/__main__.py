@@ -30,8 +30,10 @@ from repro.campaign.grid import Campaign, case
 from repro.faults.nemesis import MIXES
 from repro.groups.topology import paper_figure1_topology
 from repro.metrics.sweep import sweep_exit_status, sweep_table
+from repro.model.errors import SimulationError
 from repro.runtime.delay import parse_delay_model
 from repro.workloads.runner import Send, open_loop_sends
+from repro.workloads.spec import BACKENDS
 from repro.workloads.topologies import (
     chain_topology,
     disjoint_topology,
@@ -247,12 +249,17 @@ def main(argv=None) -> int:
 
     if args.resume and not args.out:
         parser.error("--resume requires --out")
+    for flag, count in (("--workers", args.workers), ("--seeds", args.seeds)):
+        if count < 1:
+            parser.error(f"{flag} must be at least 1, got {count}")
     shard = None
     if args.shard is not None:
         try:
             k, n = (int(part) for part in args.shard.split("/", 1))
         except ValueError:
             parser.error("--shard must look like K/N, e.g. 0/4")
+        if not 0 <= k < n:
+            parser.error(f"--shard K/N needs 0 <= K < N, got {args.shard}")
         shard = (k, n)
 
     if args.grid == "nemesis":
@@ -264,19 +271,21 @@ def main(argv=None) -> int:
                 parser.error(f"{flag} applies to the smoke grid only")
         campaign = nemesis_campaign(seeds=args.seeds)
     else:
-        delay_models = (
-            (None,)
-            if not args.delay_model
-            else tuple(parse_delay_model(text) for text in args.delay_model)
+        try:
+            delay_models = (
+                (None,)
+                if not args.delay_model
+                else tuple(parse_delay_model(text) for text in args.delay_model)
+            )
+        except (ValueError, SimulationError) as exc:
+            parser.error(f"--delay-model: {exc}")
+        backends = tuple(
+            b.strip() for b in (args.backends or "engine").split(",") if b.strip()
         )
+        if not backends or not set(backends) <= set(BACKENDS):
+            parser.error(f"--backends: pick from {BACKENDS}, got {args.backends!r}")
         campaign = smoke_campaign(
-            seeds=args.seeds,
-            backends=tuple(
-                b.strip()
-                for b in (args.backends or "engine").split(",")
-                if b.strip()
-            ),
-            delay_models=delay_models,
+            seeds=args.seeds, backends=backends, delay_models=delay_models
         )
     rows: list = []  # the smoke table below wants the rows
     report = run_campaign(

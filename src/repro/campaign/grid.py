@@ -95,9 +95,6 @@ class Campaign:
         delay_models: channel-latency specs to sweep on the ``async``
             backend (see :mod:`repro.runtime.delay`); ``None`` entries
             use the backend default.
-        quirks: retained-quirk names stamped onto *every* expanded spec
-            (not an axis: quirk sweeps would double grids for cells
-            whose backends ignore the quirk).
         max_rounds: round budget shared by every scenario.
     """
 
@@ -108,7 +105,6 @@ class Campaign:
     backends: Tuple[str, ...] = ("engine",)
     faults: Tuple[Union[None, FaultPlan, str], ...] = (None,)
     delay_models: Tuple[Optional[Tuple[Any, ...]], ...] = (None,)
-    quirks: Tuple[str, ...] = ()
     max_rounds: int = 600
 
     def __post_init__(self) -> None:
@@ -167,7 +163,6 @@ class Campaign:
                         crashes=kase.crashes,
                         sends=kase.sends,
                         max_rounds=self.max_rounds,
-                        quirks=self.quirks,
                         name=self._label(kase.label, mix=mix, **axes),
                         **axes,
                     )

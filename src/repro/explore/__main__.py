@@ -37,6 +37,7 @@ from typing import List, Optional, Tuple
 
 from repro.explore.driver import Explorer, load_baseline
 from repro.groups.topology import paper_figure1_topology
+from repro.model.errors import SimulationError
 from repro.workloads.runner import Send
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology
@@ -214,6 +215,13 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
+    # A budget that runs nothing would report a green soak.
+    for flag, budget in (
+        ("--iterations", args.iterations),
+        ("--wall-budget", args.wall_budget),
+    ):
+        if budget is not None and budget <= 0:
+            parser.error(f"{flag} must be positive, got {budget}")
     iterations = args.iterations
     if iterations is None and args.wall_budget is None:
         iterations = 64
@@ -221,17 +229,19 @@ def main(argv=None) -> int:
         b.strip() for b in args.backends.split(",") if b.strip()
     )
     quirks = tuple(q.strip() for q in args.quirks.split(",") if q.strip())
-    bases = base_cells(backends, quirks=quirks, max_rounds=args.max_rounds)
-
-    explorer = Explorer(
-        bases,
-        seed=args.seed,
-        strategy=args.strategy,
-        epsilon=args.epsilon,
-        corpus=args.corpus_dir,
-        cache=args.cache_dir,
-        out_dir=args.out,
-    )
+    try:
+        bases = base_cells(backends, quirks=quirks, max_rounds=args.max_rounds)
+        explorer = Explorer(
+            bases,
+            seed=args.seed,
+            strategy=args.strategy,
+            epsilon=args.epsilon,
+            corpus=args.corpus_dir,
+            cache=args.cache_dir,
+            out_dir=args.out,
+        )
+    except (ValueError, SimulationError) as exc:
+        parser.error(str(exc))
     stop = _GracefulStop().install()
     try:
         report = explorer.run(

@@ -65,14 +65,15 @@ HARNESS = "scenario"
 
 #: Error types that mark an *inadmissible probe*, not a violation.
 #: Mutated events are admissible one by one (the ``FaultEvent``
-#: constructor guarantees it), but whole-plan admissibility is a
-#: property of the plan against the topology and schedule — e.g. a
-#: crash burst that leaves some group without a live majority — and the
-#: runtime auditor is the authority on that envelope.  When it rejects
-#: a run, the *adversary* left the model, not the system: the paper's
-#: results only quantify over admissible environments, so the probe is
-#: counted (and its error fingerprint still buys coverage) but never
-#: triaged.
+#: constructor guarantees it), but a plan can still fail against its
+#: run: :meth:`repro.faults.injector.FaultInjector.perturb_pattern`
+#: raises ``AdmissibilityError`` on a target index the topology lacks,
+#: and the runner raises it when the post-run
+#: :meth:`repro.faults.injector.FaultInjector.audit` finds a violation.
+#: Either way the *adversary* left the model, not the system: the
+#: paper's results only quantify over admissible environments, so the
+#: probe is counted (and its error fingerprint still buys coverage) but
+#: never triaged.
 INADMISSIBLE_ERRORS = ("AdmissibilityError",)
 
 

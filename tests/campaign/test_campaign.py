@@ -124,6 +124,17 @@ class TestCommandLine:
         assert exit_info.value.code == 2
         assert "applies to the smoke grid only" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--workers", "0"], ["--workers", "-2"], ["--seeds", "0"], ["--shard", "4/4"],
+         ["--delay-model", "fixed:abc"], ["--backends", "quantum"]],
+    )
+    def test_bad_input_fails_at_the_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert argv[0] in capsys.readouterr().err
+
     def test_the_nemesis_grid_runs_clean(self, tmp_path, capsys):
         assert main(["--grid", "nemesis", "--seeds", "1", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out

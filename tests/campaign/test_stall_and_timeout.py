@@ -13,6 +13,8 @@ late-Omega rotation — a genuine liveness bug that would otherwise burn
 the full round budget of every affected cell.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.campaign.cache import CampaignCache
@@ -29,23 +31,23 @@ OMEGA_ROTATION = FaultPlan(
 SENDS = (Send(1, "g1", 0), Send(4, "g2", 0))
 
 
-def stall_campaign(max_rounds: int = 240) -> Campaign:
+def stall_specs(max_rounds: int = 240) -> list:
     """One kernel cell carrying the planted supersede-wait stall."""
-    return Campaign(
+    (spec,) = Campaign(
         name="planted-stall",
         cases=(
             case("stall", disjoint_topology(2, group_size=3), sends=SENDS),
         ),
         backends=("kernel",),
         faults=(OMEGA_ROTATION,),
-        quirks=("supersede-wait",),
         max_rounds=max_rounds,
-    )
+    ).specs()
+    return [replace(spec, quirks=("supersede-wait",))]
 
 
 class TestStallRows:
     def test_execute_spec_converts_the_stall_into_a_failed_row(self):
-        (spec,) = stall_campaign().specs()
+        (spec,) = stall_specs()
         row = execute_spec((7, spec, 100))
         assert row["status"] == "failed"
         assert row["error"] == "stall"
@@ -60,7 +62,7 @@ class TestStallRows:
         assert row["triage"]["spec_hash"] == spec.spec_hash()
 
     def test_run_campaign_fails_the_cell_instead_of_hanging(self):
-        report = run_campaign(stall_campaign(), stall_window=100)
+        report = run_campaign(stall_specs(), stall_window=100)
         assert report.summary["scenarios"] == 1
         assert report.summary["failed"] == 1
         (row,) = report.rows
@@ -68,7 +70,7 @@ class TestStallRows:
         assert row["stall"]["at_time"] < 240
 
     def test_without_the_watchdog_the_cell_burns_its_budget(self):
-        report = run_campaign(stall_campaign())
+        report = run_campaign(stall_specs())
         (row,) = report.rows
         # Same cell, no watchdog: a 240-round truncated burn, not a
         # descriptive failure.  This is the behavior the backstop buys
@@ -79,14 +81,14 @@ class TestStallRows:
 
     def test_stall_rows_are_never_cached(self, tmp_path):
         cache = CampaignCache(str(tmp_path / "cache"))
-        campaign = stall_campaign()
-        first = run_campaign(campaign, cache=cache, stall_window=100)
+        specs = stall_specs()
+        first = run_campaign(specs, cache=cache, stall_window=100)
         assert first.executed == 1 and first.cached == 0
         # The failed row was refused by the cache, so the rerun
         # re-executes the cell instead of replaying the failure.
-        second = run_campaign(campaign, cache=cache, stall_window=100)
+        second = run_campaign(specs, cache=cache, stall_window=100)
         assert second.executed == 1 and second.cached == 0
-        assert cache.get(campaign.specs()[0]) is None
+        assert cache.get(specs[0]) is None
 
 
 class TestCellTimeout:
@@ -94,14 +96,14 @@ class TestCellTimeout:
         # The stall grinds ~25k rounds/sec, so a 150k-round budget is
         # ~6s of wall clock — far past the 1s cell budget, while the
         # sweep itself returns promptly with a failed row.
-        campaign = stall_campaign(max_rounds=150_000)
-        report = run_campaign(campaign, workers=2, cell_timeout=1.0)
+        specs = stall_specs(max_rounds=150_000)
+        report = run_campaign(specs, workers=2, cell_timeout=1.0)
         assert report.summary["failed"] == 1
         (row,) = report.rows
         assert row["status"] == "failed"
         assert row["error"] == "timeout"
         assert row["timeout"] == 1.0
-        assert row["spec_hash"] == campaign.specs()[0].spec_hash()
+        assert row["spec_hash"] == specs[0].spec_hash()
 
     def test_one_worker_process_mode_still_enforces_the_budget(self):
         # One worker is still a pool: run in-process, the cell could not
@@ -109,7 +111,7 @@ class TestCellTimeout:
         # can be ready a nanosecond after submission, so the short cell
         # times out without leaving a long-running worker behind.
         report = run_campaign(
-            stall_campaign(), mode="process", workers=1, cell_timeout=1e-9
+            stall_specs(), mode="process", workers=1, cell_timeout=1e-9
         )
         assert (report.mode, report.workers) == ("process", 1)
         (row,) = report.rows
@@ -118,7 +120,7 @@ class TestCellTimeout:
 
     def test_cell_timeout_requires_process_mode(self):
         with pytest.raises(ValueError):
-            run_campaign(stall_campaign(), cell_timeout=1.0)
+            run_campaign(stall_specs(), cell_timeout=1.0)
 
     def test_timeout_rows_are_never_cached(self, tmp_path):
         cache = CampaignCache(str(tmp_path / "cache"))
@@ -128,4 +130,4 @@ class TestCellTimeout:
             "error": "timeout",
             "timeout": 1.0,
         }
-        assert cache.put(stall_campaign().specs()[0], row) is False
+        assert cache.put(stall_specs()[0], row) is False

@@ -1,5 +1,7 @@
 """Tests for Algorithm 1 on the engine (group-sequential interface)."""
 
+from types import MethodType
+
 import pytest
 
 from repro.core.engine import MulticastSystem
@@ -15,6 +17,11 @@ from repro.workloads.topologies import chain_topology, disjoint_topology, ring_t
 PROCS = make_processes(5)
 ALL = pset(PROCS)
 P1, P2, P3, P4, P5 = PROCS
+
+
+def wide_family(process, g):
+    """DESIGN.md §7 ablation 1: line 20's key over every group meeting ``g``."""
+    return frozenset(h.name for h in process.topology.groups if g.intersects(h))
 
 
 @pytest.fixture()
@@ -175,6 +182,31 @@ class TestConsensusUsage:
         system.multicast(procs[1], "g2")
         system.run()
         assert system.space.consensus_objects_used() == 1
+
+    @pytest.mark.parametrize(
+        "topology, widened, families, steps",
+        [(chain_topology(4), False, 1, 124), (chain_topology(4), True, 4, 124),
+         (ring_topology(4), False, 4, 136), (ring_topology(4), True, 4, 136)],
+    )
+    def test_the_widened_scope_costs_the_same(self, topology, widened, families, steps):
+        """One multicast per group; the keys differ on the chain only."""
+        system = MulticastSystem(topology, failure_free(topology.processes), seed=51)
+        if widened:
+            for process in system.processes.values():
+                process._consensus_family = MethodType(wide_family, process)
+        for g in topology.groups:
+            system.multicast(min(g.members), g.name)
+            system.run(max_rounds=100)
+        assert_run_ok(system.record)
+        assert system.space.consensus_objects_used() == len(topology.groups)
+        assert len({family for _, family in system.space._consensus}) == families
+        assert sum(system.record.step_counts().values()) == steps
+
+    def test_the_scopes_agree_on_rings(self):
+        system = MulticastSystem(ring_topology(5), failure_free(pset(make_processes(5))))
+        for process in system.processes.values():
+            for g in process.my_groups:
+                assert process._consensus_family(g) == wide_family(process, g)
 
 
 class TestScanList:

@@ -84,3 +84,24 @@ class TestVanillaInterface:
         amc.multicast(P1, "g1")
         amc.run()
         assert len(system.record.multicasts) == 1
+
+    def test_reduction_serializes_concurrent_load(self):
+        """EXPERIMENTS.md "E9": n multicasts to g3, all at once or one by one."""
+
+        def rounds(n, reduction):
+            system, amc = fresh(seed=41)
+            issue = amc.multicast if reduction else system.multicast
+            total = 0
+            for i in range(n):
+                issue((P1, P3, P4)[i % 3], "g3", i)
+                if not reduction:
+                    total += system.run(max_rounds=100)
+            if reduction:
+                total = amc.run(max_rounds=800)
+            assert_run_ok(system.record)
+            assert len(system.record.local_order(P1)) == n
+            return total
+
+        loads = (1, 2, 4, 8)
+        assert [rounds(n, reduction=True) for n in loads] == [4, 6, 12, 20]
+        assert [rounds(n, reduction=False) for n in loads] == [4, 9, 19, 37]

@@ -79,6 +79,27 @@ class TestGammaExtraction:
         names = {frozenset(g.name for g in fam) for fam in final}
         assert names == {frozenset({"g1", "g3", "g4"})}
 
+    def test_exclusion_latency_and_chain_length_on_rings(self):
+        """EXPERIMENTS.md "E6": p2 of a k-ring dies at round 4."""
+
+        def latencies(k):
+            procs = make_processes(k)
+            pattern = crash_pattern(pset(procs), {procs[1]: 4})
+            ext = GammaExtraction(ring_topology(k), pattern, seed=k)
+            history, excluded, chained = [], None, None
+            while None in (excluded, chained) and ext.time < 400:
+                history += drive_gamma(ext, pattern, rounds=1)
+                if excluded is None and not ext.query(procs[0], ext.time):
+                    excluded = ext.time - 4
+                if chained is None and ext.full_chain_received(procs[0]):
+                    chained = ext.time - 4
+            assert check_gamma(history, pattern, ext.topology) == []
+            return excluded, chained
+
+        # (rounds to exclusion at p1, to its full chain): one relay per
+        # live edge, so the chain grows with k and exclusion does not.
+        assert [latencies(k) for k in (3, 4, 5)] == [(1, 2), (1, 3), (1, 4)]
+
 
 class TestIndicatorExtraction:
     def test_requires_intersecting_groups(self):

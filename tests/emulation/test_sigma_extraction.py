@@ -98,6 +98,23 @@ class TestEmulatedProperties:
         # p1 is correct: its quorum stabilizes to itself.
         assert ext.query(procs[0], ext.time) == by_indices(1)
 
+    @pytest.mark.parametrize("width, converged_at", [(1, None), (2, 5)])
+    def test_survivor_quorum_convergence(self, width, converged_at):
+        """EXPERIMENTS.md "E5": p2 of a ``width``-member g∩h dies at round 5."""
+        overlap = list(range(2, 2 + width))
+        groups = {"g": [1, *overlap], "h": [*overlap, 2 + width]}
+        topo = topology_from_indices(2 + width, groups)
+        procs = make_processes(2 + width)
+        pattern = crash_pattern(pset(procs), {procs[1]: 5})
+        ext = SigmaExtraction(topo, pattern, ["g", "h"], seed=width)
+        history, converged = [], None
+        while converged is None and ext.time < 150:
+            history += drive(ext, pattern, rounds=1)
+            if width > 1 and ext.query(procs[2], ext.time) <= pattern.correct:
+                converged = ext.time
+        assert check_sigma(history, pattern, ext.scope) == []
+        assert converged == converged_at
+
 
 class TestResponsiveness:
     def test_only_quorate_subsets_become_responsive(self, wide_intersection):

@@ -52,6 +52,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Explorer([kernel_base()]).run()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--iterations", "0"], ["--iterations", "-5"], ["--wall-budget", "0"],
+         ["--epsilon", "0"], ["--backends", "quantum"]],
+    )
+    def test_bad_input_fails_at_the_parser(self, argv, capsys):
+        """Not a green soak that ran nothing, nor a traceback."""
+        with pytest.raises(SystemExit) as error:
+            main(argv)
+        assert error.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_same_seed_same_campaign(self):

@@ -1,5 +1,7 @@
 """Tests for cyclic families, closed paths and faultiness (§3, §5.2)."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +21,7 @@ from repro.groups.topology import paper_figure1_topology, topology_from_indices
 from repro.model.errors import TopologyError
 from repro.model.failures import crash_pattern, failure_free
 from repro.model.processes import make_processes, pset
+from repro.workloads.topologies import hub_topology, ring_topology
 
 
 @pytest.fixture()
@@ -61,6 +64,20 @@ class TestHamiltonicity:
         fam = frozenset(topo.groups)
         # K4 has 3 undirected hamiltonian cycles.
         assert len(hamiltonian_cycles(fam)) == 3
+
+    @pytest.mark.parametrize(
+        "topology, families, paths",
+        [(paper_figure1_topology(), 3, 6 + 6 + 8)]
+        + [(ring_topology(k), 1, 2 * k) for k in (4, 6, 8, 10)]
+        # A hub's intersection graph is K_k: any >= 3 of its groups cycle.
+        + [(hub_topology(k), sum(comb(k, s) for s in range(3, k + 1)), paths)
+           for k, paths in ((3, 6), (4, 48), (5, 300))],
+        ids=["figure-1", *(f"ring-{k}" for k in (4, 6, 8, 10)), "hub-3", "hub-4", "hub-5"],
+    )
+    def test_family_and_closed_path_counts(self, topology, families, paths):
+        """EXPERIMENTS.md "Figure 1": |F| and the sum of |cpaths(f)|."""
+        found = topology.cyclic_families()
+        assert (len(found), sum(len(cpaths(f)) for f in found)) == (families, paths)
 
 
 class TestClosedPaths:

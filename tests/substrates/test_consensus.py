@@ -15,13 +15,14 @@ SCOPE = pset(PROCS)
 
 
 def run_consensus(pattern, proposals, seed, rounds=300, omega_stab=None):
-    cluster = ConsensusCluster(pattern, SCOPE)
+    scope = pattern.processes
+    cluster = ConsensusCluster(pattern, scope)
     detectors = cluster.detectors
     if omega_stab is not None:
-        restricted = pattern.restricted_to(SCOPE)
-        omega = OmegaOracle(restricted, SCOPE, stabilization_time=omega_stab)
-        sampler = OmegaSigmaSampler(omega, SigmaOracle(restricted, SCOPE))
-        detectors = dict.fromkeys(SCOPE, sampler)
+        restricted = pattern.restricted_to(scope)
+        omega = OmegaOracle(restricted, scope, stabilization_time=omega_stab)
+        sampler = OmegaSigmaSampler(omega, SigmaOracle(restricted, scope))
+        detectors = dict.fromkeys(scope, sampler)
     for p, value in proposals.items():
         cluster.propose(p, value)
     kernel = Kernel(pattern, cluster.automata, detectors, seed=seed)
@@ -74,6 +75,18 @@ class TestWithCrashes:
         cluster, _ = run_consensus(pattern, proposals, seed=5, rounds=400)
         decisions = {cluster.decision_at(p) for p in pattern.correct}
         assert len(decisions) == 1
+
+    @pytest.mark.parametrize(
+        "size, crashes, rounds", [(3, 0, 5), (5, 0, 9), (5, 1, 16), (5, 2, 12)]
+    )
+    def test_rounds_to_decision(self, size, crashes, rounds):
+        """EXPERIMENTS.md "E8": crashes inside the leader's accept phase."""
+        procs = make_processes(size)
+        pattern = crash_pattern(pset(procs), dict.fromkeys(procs[:crashes], 6))
+        proposals = {p: f"v{p.index}" for p in procs}
+        cluster, kernel = run_consensus(pattern, proposals, seed=size, rounds=500)
+        assert kernel.time == rounds
+        assert len({cluster.decision_at(p) for p in pattern.correct}) == 1
 
 
 class TestRandomized:

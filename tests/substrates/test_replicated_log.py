@@ -62,6 +62,21 @@ def test_replicas_agree_on_a_total_order():
     assert set(sequences.pop()) == {"a", "b", "c"}
 
 
+@pytest.mark.parametrize("entries, rounds", [(1, 3), (3, 8), (5, 9)])
+def test_rounds_to_apply_a_burst(entries, rounds):
+    """EXPERIMENTS.md "E8": a slot decides its opener's whole queue."""
+    pattern = failure_free(SCOPE)
+    cluster = ReplicatedLogCluster(pattern, SCOPE)
+    for i in range(entries):
+        cluster.append(PROCS[i % 3], f"entry-{i}")
+    kernel = Kernel(pattern, cluster.automata, cluster.detectors, seed=entries)
+    rounds_run = kernel.run(
+        1500, stop_when=lambda: all(len(cluster.applied_at(p)) >= entries for p in PROCS)
+    )
+    assert rounds_run == rounds
+    assert len({cluster.applied_at(p) for p in PROCS}) == 1
+
+
 def test_every_append_by_a_correct_process_is_applied():
     appends = [(PROCS[1], f"x{i}") for i in range(4)]
     cluster = run_log(failure_free(SCOPE), appends, seed=3, rounds=900)

@@ -15,7 +15,8 @@ Code in the same documents runs: every ``from repro... import ...``
 inside a fenced block imports, and README's quickstart block executes.
 A docstring's ``:class:`` / ``:mod:`` / ``:func:`` / ``:meth:`` /
 ``:attr:`` reference to ``repro.…`` in ``src/`` names something that
-imports.
+imports, and every ``benchmarks/bench_*.py`` is named in the CI
+workflow (a script no job runs checks nothing).
 """
 
 import importlib
@@ -155,6 +156,14 @@ def test_code_cites_no_roadmap_item():
                 lineno = text.count("\n", 0, hit.start()) + 1
                 cited.append(f"{path.relative_to(ROOT)}:{lineno}")
     assert not cited, "roadmap citations:\n" + "\n".join(cited)
+
+
+def test_every_bench_script_runs_in_ci():
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    scripts = sorted((ROOT / "benchmarks").glob("bench_*.py"))
+    assert scripts, "no bench script found: the glob is broken"
+    unrun = [p.name for p in scripts if f"benchmarks/{p.name}" not in ci]
+    assert not unrun, f"bench scripts no CI job runs: {unrun}"
 
 
 def test_a_stale_citation_is_caught(tmp_path):
