@@ -17,10 +17,8 @@ The pipeline is ``spec -> executor -> aggregator``:
 The scale-out layer rides on the same pipeline: a
 :class:`repro.campaign.cache.CampaignCache` replays previously executed
 cells byte-identically (``run_campaign(cache=...)``), ``out_dir=``
-appends each row to the artifact as it arrives, ``resume=True``
-continues an interrupted sweep from its first missing cell, and
-``shard=(k, n)`` splits the grid by ``spec_hash`` prefix for multi-host
-sweeps.
+appends each row to the artifact as it arrives, and ``resume=True``
+continues an interrupted sweep from its first missing cell.
 
 ``python -m repro.campaign`` runs a small built-in smoke sweep (see
 :mod:`repro.campaign.__main__`).

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.campaign.aggregate import ResumeRefused
 from repro.campaign.executor import run_campaign
 from repro.campaign.grid import Campaign, case
 from repro.faults.nemesis import MIXES
@@ -199,13 +200,6 @@ def main(argv=None) -> int:
         "missing row (requires --out)",
     )
     parser.add_argument(
-        "--shard",
-        metavar="K/N",
-        default=None,
-        help="run only hash-prefix shard K of N (e.g. '0/4'); rows keep "
-        "their global grid indices so per-shard artifacts merge cleanly",
-    )
-    parser.add_argument(
         "--backends",
         default=None,
         metavar="BACKENDS",
@@ -252,15 +246,6 @@ def main(argv=None) -> int:
     for flag, count in (("--workers", args.workers), ("--seeds", args.seeds)):
         if count < 1:
             parser.error(f"{flag} must be at least 1, got {count}")
-    shard = None
-    if args.shard is not None:
-        try:
-            k, n = (int(part) for part in args.shard.split("/", 1))
-        except ValueError:
-            parser.error("--shard must look like K/N, e.g. 0/4")
-        if not 0 <= k < n:
-            parser.error(f"--shard K/N needs 0 <= K < N, got {args.shard}")
-        shard = (k, n)
 
     if args.grid == "nemesis":
         for flag, value in (
@@ -288,18 +273,20 @@ def main(argv=None) -> int:
             seeds=args.seeds, backends=backends, delay_models=delay_models
         )
     rows: list = []  # the smoke table below wants the rows
-    report = run_campaign(
-        campaign,
-        workers=args.workers,
-        mode="process" if args.cell_timeout is not None else None,
-        cache=args.cache_dir,
-        out_dir=args.out,
-        resume=args.resume,
-        shard=shard,
-        stall_window=args.stall_window,
-        cell_timeout=args.cell_timeout,
-        on_row=rows.append,
-    )
+    try:
+        report = run_campaign(
+            campaign,
+            workers=args.workers,
+            mode="process" if args.cell_timeout is not None else None,
+            cache=args.cache_dir,
+            out_dir=args.out,
+            resume=args.resume,
+            stall_window=args.stall_window,
+            cell_timeout=args.cell_timeout,
+            on_row=rows.append,
+        )
+    except ResumeRefused as exc:
+        parser.error(str(exc))
 
     print(sweep_table(rows))
     print()

@@ -65,28 +65,15 @@ def sweep_hash(name: str, specs: Sequence[ScenarioSpec]) -> str:
 # -- Line formats (the single source of results.jsonl bytes) ----------------
 
 
-def meta_line(
-    name: str,
-    campaign_hash: str,
-    scenarios: int,
-    shard: Optional[Tuple[int, int]] = None,
-) -> str:
-    """The results file's first line.
-
-    ``scenarios`` is the number of row lines this file will carry — the
-    whole grid normally, the shard's cell count for a sharded sweep
-    (which also records its ``shard`` so merged artifacts self-describe;
-    unsharded sweeps keep the historical layout byte-for-byte).
-    """
-    body: Dict[str, Any] = {
+def meta_line(name: str, campaign_hash: str, scenarios: int) -> str:
+    """The results file's first line; ``scenarios`` row lines follow."""
+    body = {
         "type": "meta",
         "schema": CAMPAIGN_SCHEMA_VERSION,
         "name": name,
         "campaign_hash": campaign_hash,
         "scenarios": scenarios,
     }
-    if shard is not None:
-        body["shard"] = list(shard)
     return json.dumps(body, sort_keys=True)
 
 
@@ -124,8 +111,6 @@ class CampaignReport:
             hits, resumed rows and already-complete files excluded).
         cached: rows replayed from the result cache.
         resumed: rows recovered from a partial results file.
-        shard: ``(shard index, shard count)`` for a sharded sweep, else
-            ``None``.
     """
 
     name: str
@@ -139,7 +124,6 @@ class CampaignReport:
     executed: int = 0
     cached: int = 0
     resumed: int = 0
-    shard: Optional[Tuple[int, int]] = None
 
     # -- Row access -------------------------------------------------------
 
@@ -243,6 +227,11 @@ class ResultsWriter:
 # -- Resume -----------------------------------------------------------------
 
 
+class ResumeRefused(ValueError):
+    """A results file this sweep must not resume: another sweep's, or
+    corrupt."""
+
+
 @dataclass(frozen=True)
 class PartialScan:
     """What a partial results file still holds.
@@ -265,21 +254,21 @@ def scan_partial_results(
     path: str,
     *,
     meta: str,
-    expected: Sequence[int],
+    scenarios: int,
     consume: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> PartialScan:
     """Walk a partial results file and find the resume point.
 
     The file must open with ``meta``, the :func:`meta_line` this sweep
-    would write, byte for byte — name, sweep hash, cell count and shard
-    in one comparison.  Any other complete first line raises
-    :class:`ValueError` rather than silently clobbering some other
+    would write, byte for byte — name, sweep hash and cell count in one
+    comparison.  Any other complete first line raises
+    :class:`ResumeRefused` rather than silently clobbering some other
     sweep's artifact (a torn one means nothing was written: start
-    fresh).  Rows are validated against ``expected`` (the
-    global grid indices this sweep will emit, in order); the scan stops
-    at the first torn, unparsable or out-of-sequence line, and each
-    valid row is passed to ``consume`` (the executor feeds its
-    aggregator and row sinks) without retaining any of them.
+    fresh).  Rows must carry the grid indices ``0 .. scenarios - 1`` in
+    order; the scan stops at the first torn, unparsable or
+    out-of-sequence line, and each valid row is passed to ``consume``
+    (the executor feeds its aggregator and row sinks) without retaining
+    any of them.
     """
     rows = 0
     offset = 0
@@ -291,7 +280,7 @@ def scan_partial_results(
             if lineno == 0:
                 found = raw[:-1].decode("utf-8", "replace")
                 if found != meta:
-                    raise ValueError(
+                    raise ResumeRefused(
                         f"results file {path!r} belongs to a different "
                         f"campaign: expected meta line {meta}, found "
                         f"{found}; refusing to resume over it"
@@ -306,10 +295,10 @@ def scan_partial_results(
                 break
             kind = record.get("type")
             if kind == "summary":
-                if rows != len(expected):
-                    raise ValueError(
+                if rows != scenarios:
+                    raise ResumeRefused(
                         f"results file {path!r} carries a summary line "
-                        f"after only {rows} of {len(expected)} rows; the "
+                        f"after only {rows} of {scenarios} rows; the "
                         f"artifact is corrupt — delete it to re-run"
                     )
                 offset += len(raw)
@@ -317,7 +306,7 @@ def scan_partial_results(
                 break
             if kind != "row":
                 break
-            if rows >= len(expected) or record.get("index") != expected[rows]:
+            if rows >= scenarios or record.get("index") != rows:
                 break
             if consume is not None:
                 consume(record)

@@ -1,4 +1,4 @@
-"""The campaign result cache and the hash-prefix grid shards.
+"""The campaign result cache.
 
 A sweep row is a pure function of its grid cell, and a cell's one
 content address is :meth:`repro.workloads.spec.ScenarioSpec.spec_hash`.
@@ -21,18 +21,11 @@ Three policies keep cached sweeps honest:
 * **Corruption is a miss.**  A torn or unparsable cache file (a killed
   writer, a disk hiccup) silently degrades to re-execution; writes are
   atomic (`os.replace`) so a reader never observes a half-written row.
-
-:func:`shard_of` / :func:`shard_cells` split a grid by ``spec_hash`` prefix
-— the first step toward multi-host sweeps: every host runs
-``run_campaign(campaign, shard=(k, n))``, the shards partition the grid
-deterministically (the address is content-derived, so the split is stable
-across hosts and reruns), and the per-shard artifacts keep the global
-grid indices so they can be merged by concatenation.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro._content import entry_path, read_entry, write_entry
 from repro.workloads.spec import ScenarioSpec
@@ -133,38 +126,3 @@ def ensure_cache(
     raise TypeError(
         f"cache must be a CampaignCache or a directory path, got {cache!r}"
     )
-
-
-# -- Grid sharding ----------------------------------------------------------
-
-
-def shard_of(spec: ScenarioSpec, shards: int) -> int:
-    """Which of ``shards`` hash-prefix shards this cell belongs to.
-
-    Derived from the leading 64 bits of the cell's ``spec_hash``, so the
-    assignment is a pure function of content — stable across hosts,
-    reruns and grid re-orderings — and uniform for any shard count.
-    """
-    if shards < 1:
-        raise ValueError(f"shard count must be >= 1, got {shards}")
-    return int(spec.spec_hash()[:16], 16) % shards
-
-
-def shard_cells(
-    cells: Iterable[Tuple[int, ScenarioSpec]], shards: int, shard: int
-) -> List[Tuple[int, ScenarioSpec]]:
-    """The ``(global index, spec)`` cells owned by ``shard`` of ``shards``.
-
-    Global indices are preserved so a shard's ``results.jsonl`` rows
-    carry their position in the *whole* grid — merging the per-host
-    artifacts back into one sweep is a sort-by-index concatenation.
-    """
-    if not 0 <= shard < shards:
-        raise ValueError(
-            f"shard index must be in [0, {shards}), got {shard}"
-        )
-    return [
-        (index, spec)
-        for index, spec in cells
-        if shard_of(spec, shards) == shard
-    ]

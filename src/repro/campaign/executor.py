@@ -29,10 +29,7 @@ On top of the seed executor this module owns the *scale-out* layer:
 * resume-after-interrupt (``resume=True``) — a partial results file is
   scanned, its valid row prefix kept, and execution continues from the
   first missing cell; the finished artifact is byte-identical to an
-  uninterrupted run;
-* hash-prefix grid sharding (``shard=(k, n)``) — the first step toward
-  multi-host sweeps: each host owns a deterministic, content-addressed
-  subset of the cells while rows keep their global grid indices.
+  uninterrupted run.
 
 ``execute_spec`` being a module-level function of a picklable argument
 is what keeps the pool start-method agnostic: it works under ``fork``
@@ -67,7 +64,7 @@ from repro.campaign.aggregate import (
     sweep_inventory,
     write_manifest,
 )
-from repro.campaign.cache import CampaignCache, ensure_cache, shard_cells
+from repro.campaign.cache import CampaignCache, ensure_cache
 from repro.campaign.grid import Campaign
 from repro.metrics.sweep import SweepAggregator
 from repro.runtime.watchdog import StallError
@@ -248,7 +245,6 @@ def run_campaign(
     cache: Optional[Union[CampaignCache, str]] = None,
     out_dir: Optional[str] = None,
     resume: bool = False,
-    shard: Optional[Tuple[int, int]] = None,
     stall_window: Optional[int] = None,
     cell_timeout: Optional[float] = None,
 ) -> CampaignReport:
@@ -273,7 +269,7 @@ def run_campaign(
             byte-identically instead of executing; fresh rows are
             stored back.  ``failed`` rows are never cache-hit.
         out_dir: write the artifacts while running: ``manifest.json``
-            up front, then each row appended (and flushed) to
+            before the first row, then each row appended (and flushed) to
             ``results.jsonl`` as it arrives, so an interrupt loses at
             most one torn line.  The artifact then holds the rows and
             the returned report does not (``rows == ()``; collect them
@@ -282,12 +278,10 @@ def run_campaign(
             its valid row prefix is kept (fed to the aggregator, not
             re-executed) and execution picks up at the first missing
             cell.  The file's meta line must be the one this sweep
-            writes (name, sweep hash, cell count, shard); any other
-            raises :class:`ValueError`.  Requires ``out_dir``.
-        shard: ``(shard index, shard count)`` — execute only this
-            sweep's hash-prefix shard of the grid (see
-            :func:`repro.campaign.cache.shard_cells`).  Rows keep their
-            global grid indices.
+            writes (name, sweep hash, cell count); any other raises
+            :class:`repro.campaign.aggregate.ResumeRefused` (a
+            :class:`ValueError`) and leaves both artifacts untouched.
+            Requires ``out_dir``.
         stall_window: arm the runner's stall watchdog for every cell —
             a cell making no progress for this many rounds past its
             settle horizon fails fast as a ``status="failed"`` row with
@@ -334,10 +328,6 @@ def run_campaign(
     campaign_hash = inventory_hash(name, inventory)
 
     cells: List[Tuple[int, ScenarioSpec]] = list(enumerate(specs))
-    if shard is not None:
-        shard_index, shard_count = shard
-        cells = shard_cells(cells, shard_count, shard_index)
-    expected = [index for index, _ in cells]
 
     aggregator = SweepAggregator()
     rows: List[Dict[str, Any]] = []
@@ -355,6 +345,20 @@ def run_campaign(
     started = time.perf_counter()
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        results_path = os.path.join(out_dir, "results.jsonl")
+        meta = meta_line(name, campaign_hash, len(cells))
+        writer = ResultsWriter(results_path, meta)
+        offset = 0
+        if resume and os.path.exists(results_path):
+            # Scan before writing anything: a refused resume must leave
+            # the other sweep's manifest and results pair as it was.
+            scan = scan_partial_results(
+                results_path,
+                meta=meta,
+                scenarios=len(cells),
+                consume=consume,
+            )
+            resumed, complete, offset = scan.rows, scan.complete, scan.offset
         write_manifest(
             os.path.join(out_dir, "manifest.json"),
             name=name,
@@ -362,23 +366,10 @@ def run_campaign(
             specs=specs,
             inventory=inventory,
         )
-        results_path = os.path.join(out_dir, "results.jsonl")
-        meta = meta_line(name, campaign_hash, len(cells), shard)
-        writer = ResultsWriter(results_path, meta)
-        if resume and os.path.exists(results_path):
-            scan = scan_partial_results(
-                results_path,
-                meta=meta,
-                expected=expected,
-                consume=consume,
-            )
-            resumed, complete = scan.rows, scan.complete
-            if complete:
-                writer = None
-            elif scan.offset > 0:
-                writer.resume_at(scan.offset)
-            else:
-                writer.start()
+        if complete:
+            writer = None
+        elif offset > 0:
+            writer.resume_at(offset)
         else:
             writer.start()
 
@@ -416,5 +407,4 @@ def run_campaign(
         executed=counters["executed"],
         cached=counters["cached"],
         resumed=resumed,
-        shard=shard,
     )

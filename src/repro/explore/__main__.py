@@ -5,23 +5,15 @@ standard base scenarios (one fault-free cell per requested backend),
 prints the deduplicated triage ledger, and writes ``report.json`` plus
 one self-contained repro file per distinct violation into ``--out``.
 
-Two flags turn this into the nightly soak lane:
-
-* ``--baseline FILE`` compares the triage keys against a committed
-  ``{"known": [...]}`` baseline and exits non-zero **only when a new
-  distinct violation appears** — known violations (retained quirks,
-  intrinsic baselines) keep the lane green;
-* ``--wall-budget SECONDS`` bounds the campaign by wall clock instead
-  of (or in addition to) ``--iterations``, so the nightly job costs a
-  fixed amount regardless of how fast the runners are.
-
-``--compare-random`` additionally runs the pure-sampling ablation
-(``strategy="random"``) under the same seed and budget and prints the
-coverage comparison — the quick console version of the committed
-guided-vs-random curves in ``BENCH_explore.json`` at the repo root.
+The exit status is 1 when the triage ledger holds any violation, 128 +
+the signal number when a SIGINT / SIGTERM cut the campaign short, and 0
+otherwise: there is no allow-list of known findings.  ``--wall-budget
+SECONDS`` bounds the campaign by wall clock instead of (or in addition
+to) ``--iterations``, so the nightly soak costs a fixed amount however
+fast the runners are.
 
 The ``supersede-wait`` rediscovery (EXPERIMENTS.md "Exploring the fault
-space") is::
+space") exits 1, having found the stall::
 
     python -m repro.explore --backends kernel --quirks supersede-wait \\
         --iterations 48 --seed 7 --out explore-artifacts
@@ -30,26 +22,24 @@ space") is::
 from __future__ import annotations
 
 import argparse
-import json
 import signal
 import sys
 from typing import List, Optional, Tuple
 
-from repro.explore.driver import Explorer, load_baseline
+from repro.explore.driver import Explorer
 from repro.groups.topology import paper_figure1_topology
 from repro.model.errors import SimulationError
 from repro.workloads.runner import Send
-from repro.workloads.spec import ScenarioSpec, TopologySpec
+from repro.workloads.spec import BACKENDS, ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology
 
-#: Backends the CLI can build a base cell for.
-BACKENDS = ("engine", "kernel", "async")
+#: Round budget of the engine and kernel base cells (the async cell
+#: runs 400).
+MAX_ROUNDS = 240
 
 
 def base_cells(
-    backends: Tuple[str, ...],
-    quirks: Tuple[str, ...] = (),
-    max_rounds: int = 240,
+    backends: Tuple[str, ...], quirks: Tuple[str, ...] = ()
 ) -> List[ScenarioSpec]:
     """One fault-free base scenario per requested backend.
 
@@ -57,12 +47,18 @@ def base_cells(
     (overlapping groups); the kernel backend needs pairwise-disjoint
     groups, so it runs a two-group disjoint grid.  ``quirks`` attach to
     the **kernel** cell only — the quirk axis selects replicated-log
-    kernel behaviour (see ``KNOWN_QUIRKS``) and is inert elsewhere.
+    kernel behaviour (see ``KNOWN_QUIRKS``) — so quirks without a kernel
+    cell raise :class:`ValueError` rather than run unquirked.
     """
     unknown = set(backends) - set(BACKENDS)
     if unknown:
         raise ValueError(
             f"unknown backends {sorted(unknown)}; pick from {BACKENDS}"
+        )
+    if quirks and "kernel" not in backends:
+        raise ValueError(
+            f"quirks {list(quirks)} apply to the kernel cell only; "
+            f"add kernel to the backends"
         )
     figure1 = TopologySpec.capture(paper_figure1_topology())
     disjoint = TopologySpec.capture(disjoint_topology(2, group_size=3))
@@ -78,7 +74,7 @@ def base_cells(
                     Send(5, "g4", 1),
                 ),
                 backend="engine",
-                max_rounds=max_rounds,
+                max_rounds=MAX_ROUNDS,
                 name="engine-base",
             )
         )
@@ -88,7 +84,7 @@ def base_cells(
                 topology=disjoint,
                 sends=(Send(1, "g1", 0), Send(4, "g2", 0)),
                 backend="kernel",
-                max_rounds=max_rounds,
+                max_rounds=MAX_ROUNDS,
                 quirks=quirks,
                 name="kernel-base",
             )
@@ -99,7 +95,7 @@ def base_cells(
                 topology=figure1,
                 sends=(Send(1, "g1", 0), Send(2, "g2", 1)),
                 backend="async",
-                max_rounds=max(400, max_rounds),
+                max_rounds=400,
                 delay_model=("uniform", 0.1, 0.9),
                 name="async-base",
             )
@@ -172,24 +168,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--strategy", choices=("guided", "random"), default="guided",
-    )
-    parser.add_argument(
-        "--epsilon", type=float, default=0.25,
-        help="fresh-draw probability once the corpus is non-empty",
-    )
-    parser.add_argument(
         "--backends", default="engine,kernel", metavar="BACKENDS",
         help="comma-separated base backends (default: engine,kernel)",
     )
     parser.add_argument(
         "--quirks", default="", metavar="QUIRKS",
         help="comma-separated retained quirks for the kernel base "
-        "(e.g. supersede-wait)",
-    )
-    parser.add_argument(
-        "--max-rounds", type=int, default=240,
-        help="round budget per run (default: 240; async floors at 400)",
+        "(e.g. supersede-wait; needs kernel among the backends)",
     )
     parser.add_argument(
         "--corpus-dir", default=None, metavar="DIR",
@@ -203,15 +188,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--out", default=None, metavar="DIR",
         help="directory for report.json and repro-*.json files",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="known-violations baseline; exit non-zero only on NEW "
-        "distinct violations",
-    )
-    parser.add_argument(
-        "--compare-random", action="store_true",
-        help="also run the pure-random ablation under the same budget",
     )
     args = parser.parse_args(argv)
 
@@ -230,12 +206,9 @@ def main(argv=None) -> int:
     )
     quirks = tuple(q.strip() for q in args.quirks.split(",") if q.strip())
     try:
-        bases = base_cells(backends, quirks=quirks, max_rounds=args.max_rounds)
         explorer = Explorer(
-            bases,
+            base_cells(backends, quirks=quirks),
             seed=args.seed,
-            strategy=args.strategy,
-            epsilon=args.epsilon,
             corpus=args.corpus_dir,
             cache=args.cache_dir,
             out_dir=args.out,
@@ -275,41 +248,16 @@ def main(argv=None) -> int:
             f"(first at iteration {record['first_iteration']})"
         )
 
-    if args.compare_random and not report.interrupted:
-        ablation = Explorer(bases, seed=args.seed, strategy="random")
-        random_report = ablation.run(
-            iterations=iterations, wall_budget=args.wall_budget
-        )
-        print(
-            f"compare: guided {report.coverage} vs random "
-            f"{random_report.coverage} distinct fingerprints under the "
-            f"same budget "
-            f"({report.coverage - random_report.coverage:+d} guided)"
-        )
-
     if args.out:
         path = report.write(args.out)
         print(f"wrote {path}")
 
-    if args.baseline is not None:
-        new = report.new_keys(load_baseline(args.baseline))
-        if new:
-            print(f"NEW violations vs {args.baseline}:")
-            for key in new:
-                print(f"  {key}")
-            if not report.interrupted:
-                return 1
-        elif not report.interrupted:
-            print(
-                f"no new violations vs {args.baseline} "
-                f"({len(report.triage)} known)"
-            )
     if report.interrupted:
         # Conventional interrupted-by-signal exit code: the partial
         # report is on disk, but the campaign did not run to budget, so
         # neither a green soak lane nor a red one can be claimed.
         return 128 + (stop.signum or signal.SIGINT)
-    return 0
+    return 1 if report.triage else 0
 
 
 if __name__ == "__main__":

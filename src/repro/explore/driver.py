@@ -3,7 +3,7 @@
 One :class:`Explorer` iteration is the classic fuzzing loop transplanted
 onto scenario specs:
 
-1. **choose** — with probability ``epsilon`` (or always, before the
+1. **choose** — with probability :data:`EPSILON` (or always, before the
    corpus has entries) draw a fresh adversary for a random base scenario
    via :func:`repro.faults.nemesis.random_plan`; otherwise pick an
    energy-weighted corpus parent and breed from it with the
@@ -42,7 +42,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.campaign.cache import CampaignCache, ensure_cache
 from repro.campaign.executor import execute_spec
@@ -58,6 +58,10 @@ from repro.workloads.spec import ScenarioSpec
 #: ``random`` the pure-sampling ablation (fresh ``random_plan`` draws
 #: only, no corpus feedback).
 STRATEGIES = ("guided", "random")
+
+#: The guided search's fresh-draw probability once the corpus is
+#: non-empty; the rest of its draws breed from a corpus parent.
+EPSILON = 0.25
 
 #: The judge every triage key, record and repro file names: the real
 #: system, run by :func:`execute_spec` and read off its row.
@@ -114,17 +118,6 @@ class ExploreReport:
     def triage_keys(self) -> List[str]:
         return [record["key"] for record in self.triage]
 
-    def new_keys(self, known: Iterable[str]) -> List[str]:
-        """Triage keys no baseline entry covers — the soak failure signal."""
-        baseline = list(known)
-        return [
-            record["key"]
-            for record in self.triage
-            if not any(
-                matches_baseline(record, entry) for entry in baseline
-            )
-        ]
-
     def to_json(self) -> Dict[str, Any]:
         return {
             "kind": "explore-report",
@@ -152,48 +145,6 @@ class ExploreReport:
         return path
 
 
-def matches_baseline(record: Dict[str, Any], entry: str) -> bool:
-    """Whether one baseline entry covers one triage record.
-
-    Two entry forms:
-
-    * an **exact key** — ``harness|properties|shrunk plan hash`` — pins
-      one specific minimized counterexample;
-    * a **class pattern** — ``harness|properties|kind:<k>`` — covers
-      every finding with the same harness and violated properties whose
-      minimal plan *contains* an event of kind ``<k>``.  This is how a
-      known finding class (e.g. the kernel's crash-induced
-      non-quiescence, whose shrunk plans differ in timing and targets
-      on every rediscovery) stays baselined without enumerating hashes.
-    """
-    if entry == record["key"]:
-        return True
-    parts = entry.split("|")
-    if len(parts) == 3 and parts[2].startswith("kind:"):
-        return (
-            parts[0] == record["harness"]
-            and parts[1] == ",".join(record["properties"])
-            and parts[2][len("kind:"):] in record.get("kinds", ())
-        )
-    return False
-
-
-def load_baseline(path: str) -> List[str]:
-    """The known-violation entries of a committed soak baseline.
-
-    The file is ``{"known": [entry, ...]}`` (exact keys and/or
-    ``kind:`` class patterns — see :func:`matches_baseline`); a missing
-    file is an empty baseline (every violation is new — the bootstrap
-    case).
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError:
-        return []
-    return list(data.get("known", ()))
-
-
 class Explorer:
     """The coverage-guided fault/schedule explorer.
 
@@ -204,7 +155,6 @@ class Explorer:
         seed: the campaign seed; the whole run is a pure function of
             ``(bases, seed, budget, caches on disk)``.
         strategy: ``"guided"`` or ``"random"`` (the ablation).
-        epsilon: fresh-draw probability once the corpus is non-empty.
         corpus: a :class:`Corpus`, a directory path, or ``None`` for an
             in-memory corpus.
         cache: campaign result cache (instance, path or ``None``);
@@ -221,7 +171,6 @@ class Explorer:
         bases: Sequence[ScenarioSpec],
         seed: int = 0,
         strategy: str = "guided",
-        epsilon: float = 0.25,
         corpus: Optional[Any] = None,
         cache: Optional[Any] = None,
         out_dir: Optional[str] = None,
@@ -232,12 +181,9 @@ class Explorer:
             raise ValueError(
                 f"unknown strategy {strategy!r}; pick from {STRATEGIES}"
             )
-        if not 0.0 < epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
         self.bases = tuple(bases)
         self.seed = seed
         self.strategy = strategy
-        self.epsilon = epsilon
         if isinstance(corpus, str):
             corpus = Corpus(corpus)
         self.corpus = corpus if corpus is not None else Corpus()
@@ -290,7 +236,7 @@ class Explorer:
         if (
             self.strategy == "random"
             or not self.corpus.entries
-            or self.rng.random() < self.epsilon
+            or self.rng.random() < EPSILON
         ):
             return self._fresh()
         parent = self.corpus.pick(self.rng)
@@ -391,10 +337,6 @@ class Explorer:
             "harness": HARNESS,
             "properties": violated,
             "plan_hash": plan_hash,
-            # The minimal plan's kind set — the coarse *class* of the
-            # finding, which baseline entries can match with a
-            # ``kind:<k>`` pattern (see :func:`matches_baseline`).
-            "kinds": sorted({event.kind for event in triaged_plan}),
             "count": 1,
             "first_iteration": iteration,
             "witness": triage_record(spec),

@@ -1,43 +1,16 @@
-"""Run metrics: the quantities the benchmark harness reports.
+"""Run metrics: delivery latency and the benchmarks' table formatter.
 
-Given a :class:`repro.model.runs.RunRecord`, compute per-process step counts,
-delivery latencies (multicast round -> delivery round), protocol work
-distribution and the genuineness footprint (steps at processes no message
-was addressed to).  Also provides a minimal fixed-width table formatter
-so every benchmark prints its rows uniformly.
+:func:`latency_of` reads a :class:`repro.model.runs.RunRecord` for the
+rounds from a multicast to its last correct delivery, and
+:func:`format_table` prints every benchmark's rows uniformly.
 """
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.model.messages import MulticastMessage
-from repro.model.processes import ProcessId
 from repro.model.runs import RunRecord
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    """Aggregated metrics of one run.
-
-    Attributes:
-        total_steps: steps across all processes.
-        steps_per_process: individual step counts.
-        idle_steps: steps charged to processes outside every destination
-            group (non-zero only for non-genuine protocols).
-        mean_latency: mean rounds from multicast to last correct delivery.
-        max_latency: worst such latency.
-        deliveries: number of delivery events.
-    """
-
-    total_steps: int
-    steps_per_process: Mapping[ProcessId, int]
-    idle_steps: int
-    mean_latency: float
-    max_latency: int
-    deliveries: int
 
 
 def latency_of(
@@ -64,35 +37,6 @@ def latency_of(
     if not times:
         return None
     return max(times) - sent
-
-
-def summarize(record: RunRecord) -> RunSummary:
-    """Compute the aggregate metrics of a finished run."""
-    steps = record.step_counts()
-    addressed = set()
-    for m in record.multicast_messages():
-        addressed |= set(m.dst)
-    idle_steps = sum(
-        count for p, count in steps.items() if p not in addressed
-    )
-    latencies = []
-    for m in record.multicast_messages():
-        latency = latency_of(record, m)
-        if latency is not None:
-            latencies.append(latency)
-    return RunSummary(
-        total_steps=sum(steps.values()),
-        steps_per_process=dict(steps),
-        idle_steps=idle_steps,
-        mean_latency=statistics.mean(latencies) if latencies else 0.0,
-        max_latency=max(latencies) if latencies else 0,
-        deliveries=len(record.deliveries),
-    )
-
-
-def steps_at(record: RunRecord, processes: Iterable[ProcessId]) -> int:
-    """Total steps charged to the given processes."""
-    return sum(record.steps_of(p) for p in processes)
 
 
 def format_table(

@@ -15,7 +15,7 @@ Strict Ordering, Minimality and Group Parallelism after the fact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.model.failures import FailurePattern, Time
@@ -29,12 +29,12 @@ class Step:
 
     ``received`` is a descriptive token (datagram repr or ``None``) rather
     than the datagram object itself so records stay cheap to keep around.
+    The detector sample ``d`` is not kept: no checker reads it.
     """
 
     time: Time
     process: ProcessId
     received: Optional[str]
-    detector_sample: Any = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,14 +73,14 @@ class RunRecord:
         self.pattern = pattern
         self.multicasts: List[MulticastEvent] = []
         self.deliveries: List[DeliveryEvent] = []
-        # Steps are kept as one ``(time, processes, received, sample)``
-        # entry per charge: the step flood (invoker + every carrier, per
+        # Steps are kept as one ``(time, processes, received)`` entry
+        # per charge: the step flood (invoker + every carrier, per
         # shared-object operation) dominates record growth, and one
         # tuple append per operation is far cheaper than one frozen
         # dataclass per step.  ``steps`` materializes the Step view
         # lazily for checkers and tests.
         self._entries: List[
-            Tuple[Time, Tuple[ProcessId, ...], Optional[str], Any]
+            Tuple[Time, Tuple[ProcessId, ...], Optional[str]]
         ] = []
         self._steps_cache: List[Step] = []
         #: How many entries ``_steps_cache`` has flattened so far.
@@ -115,9 +115,8 @@ class RunRecord:
         time: Time,
         process: ProcessId,
         received: Optional[str] = None,
-        detector_sample: Any = None,
     ) -> None:
-        self._entries.append((time, (process,), received, detector_sample))
+        self._entries.append((time, (process,), received))
         self._step_counts[process] = self._step_counts.get(process, 0) + 1
 
     def note_steps(
@@ -135,7 +134,7 @@ class RunRecord:
         """
         if type(processes) is not tuple:
             processes = tuple(processes)
-        self._entries.append((time, processes, received, None))
+        self._entries.append((time, processes, received))
         counts = self._step_counts
         for process in processes:
             try:
@@ -155,8 +154,8 @@ class RunRecord:
         entries = self._entries
         if self._steps_flattened < len(entries):
             cache.extend(
-                Step(t, p, r, d)
-                for t, ps, r, d in entries[self._steps_flattened :]
+                Step(t, p, r)
+                for t, ps, r in entries[self._steps_flattened :]
                 for p in ps
             )
             self._steps_flattened = len(entries)

@@ -9,7 +9,7 @@ budget, backend, delay model, fault plan, quirks) as a frozen,
 hashable, JSON-round-trippable dataclass.  Two specs that compare equal
 describe byte-identical runs; :meth:`ScenarioSpec.spec_hash` is the one
 content address a cell has — manifests, result rows, the campaign
-cache, grid shards and the explorer's corpus all key on it.
+cache and the explorer's corpus all key on it.
 
 Deliberately *not* part of a spec: output sinks such as
 ``trace_path``.  Where a trace lands does not change what the scenario

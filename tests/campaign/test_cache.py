@@ -1,4 +1,4 @@
-"""The campaign scale-out layer: cache, streaming, resume, shards."""
+"""The campaign scale-out layer: cache, streaming, resume."""
 
 import json
 import os
@@ -15,8 +15,6 @@ from repro.campaign.cache import (
     CACHE_SCHEMA_VERSION,
     CampaignCache,
     ensure_cache,
-    shard_cells,
-    shard_of,
 )
 from repro.campaign.executor import run_campaign
 from repro.campaign.grid import Campaign, case
@@ -56,6 +54,9 @@ def matrix_campaign(seeds=20):
         faults=(None, PLAN),
         max_rounds=400,
     )
+
+
+ARTIFACTS = ("manifest.json", "results.jsonl")
 
 
 def read_bytes(path):
@@ -312,8 +313,11 @@ class TestResume:
     def test_resume_refuses_a_foreign_artifact(self, tmp_path):
         _, out = self.interrupted_sweep(tmp_path, stop_at=2, torn=False)
         other = small_campaign(name="other", seeds=(5, 6))
+        before = {name: read_bytes(f"{out}/{name}") for name in ARTIFACTS}
         with pytest.raises(ValueError, match="different campaign"):
             run_campaign(other, out_dir=out, resume=True)
+        # Both files still describe the interrupted sweep, as one pair.
+        assert {name: read_bytes(f"{out}/{name}") for name in ARTIFACTS} == before
 
     def refused(self, out, resume):
         """``resume()`` raises, naming the meta line it expected and the
@@ -353,32 +357,6 @@ class TestResume:
         expected = meta_line("adhoc", sweep_hash("adhoc", other), 2)
         assert f"expected meta line {expected}" in message
 
-    def test_resume_refuses_another_shards_file(self, tmp_path):
-        campaign = small_campaign(seeds=(0, 1, 2, 3))
-        cells = list(enumerate(campaign.specs()))
-        count, k, other = next(
-            (n, k, j)
-            for n in range(2, 8)
-            for k in range(n)
-            for j in range(k + 1, n)
-            if len(shard_cells(cells, n, k)) == len(shard_cells(cells, n, j)) > 0
-        )
-        out = str(tmp_path / "shard")
-        run_campaign(campaign, out_dir=out, shard=(k, count))
-        path = f"{out}/results.jsonl"
-        with open(path, "rb") as fh:
-            meta = fh.readline()
-        with open(path, "wb") as fh:
-            fh.write(meta)  # cut back to the meta line
-        message = self.refused(
-            out,
-            lambda: run_campaign(
-                campaign, out_dir=out, resume=True, shard=(other, count)
-            ),
-        )
-        assert f'"shard": [{other}, {count}]' in message
-        assert f'"shard": [{k}, {count}]' in message
-
     def test_scan_stops_at_an_out_of_sequence_row(self, tmp_path):
         campaign, out = self.interrupted_sweep(tmp_path, stop_at=2, torn=False)
         path = f"{out}/results.jsonl"
@@ -388,7 +366,7 @@ class TestResume:
         scan = scan_partial_results(
             path,
             meta=campaign_meta(campaign),
-            expected=list(range(len(campaign.specs()))),
+            scenarios=len(campaign.specs()),
             consume=seen.append,
         )
         assert not scan.complete
@@ -404,7 +382,7 @@ class TestResume:
             scan_partial_results(
                 path,
                 meta=campaign_meta(campaign),
-                expected=list(range(len(campaign.specs()))),
+                scenarios=len(campaign.specs()),
             )
 
     def test_resume_with_cache_replays_instead_of_executing(self, tmp_path):
@@ -419,80 +397,4 @@ class TestResume:
         run_campaign(campaign, out_dir=full)
         assert read_bytes(f"{out}/results.jsonl") == read_bytes(
             f"{full}/results.jsonl"
-        )
-
-
-class TestSharding:
-    def test_shards_partition_the_grid(self):
-        specs = matrix_campaign(seeds=6).specs()
-        cells = list(enumerate(specs))
-        pieces = [shard_cells(cells, 3, k) for k in range(3)]
-        assert sum(len(p) for p in pieces) == len(cells)
-        merged = sorted(
-            (index for piece in pieces for index, _ in piece)
-        )
-        assert merged == list(range(len(cells)))
-        for k, piece in enumerate(pieces):
-            assert all(shard_of(spec, 3) == k for _, spec in piece)
-
-    def test_shard_bounds_are_checked(self):
-        spec = matrix_campaign(seeds=1).specs()[0]
-        with pytest.raises(ValueError):
-            shard_of(spec, 0)
-        with pytest.raises(ValueError):
-            shard_cells([], 2, 2)
-
-    def test_sharded_artifacts_merge_into_the_full_sweep(self, tmp_path):
-        campaign = small_campaign()
-        full = str(tmp_path / "full")
-        run_campaign(campaign, out_dir=full)
-        full_rows = {}
-        with open(f"{full}/results.jsonl") as fh:
-            for line in fh:
-                record = json.loads(line)
-                if record.get("type") == "row":
-                    full_rows[record["index"]] = line
-
-        merged = {}
-        owned = 0
-        for k in range(2):
-            out = str(tmp_path / f"shard{k}")
-            report = run_campaign(campaign, out_dir=out, shard=(k, 2))
-            assert report.shard == (k, 2)
-            owned += report.summary["scenarios"]
-            with open(f"{out}/results.jsonl") as fh:
-                meta = json.loads(fh.readline())
-                assert meta["shard"] == [k, 2]
-                assert meta["scenarios"] == report.summary["scenarios"]
-                for line in fh:
-                    record = json.loads(line)
-                    if record.get("type") == "row":
-                        merged[record["index"]] = line
-        assert owned == len(campaign.specs())
-        assert merged == full_rows  # same bytes, same global indices
-
-    def test_sharded_sweep_resumes_too(self, tmp_path):
-        campaign = small_campaign(seeds=(0, 1, 2, 3))
-        # The larger of two shards holds at least half the 8 cells, so it
-        # can be interrupted after its first row whatever the addresses.
-        shard, cells = max(
-            ((k, shard_cells(list(enumerate(campaign.specs())), 2, k)) for k in range(2)),
-            key=lambda owned: len(owned[1]),
-        )
-        out = str(tmp_path / "shard")
-        count = {"n": 0}
-
-        def bomb(row):
-            count["n"] += 1
-            if count["n"] == 2:
-                raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            run_campaign(campaign, out_dir=out, shard=(shard, 2), on_row=bomb)
-        report = run_campaign(campaign, out_dir=out, shard=(shard, 2), resume=True)
-        assert report.resumed + report.executed == len(cells)
-        ref = str(tmp_path / "ref")
-        run_campaign(campaign, out_dir=ref, shard=(shard, 2))
-        assert read_bytes(f"{out}/results.jsonl") == read_bytes(
-            f"{ref}/results.jsonl"
         )

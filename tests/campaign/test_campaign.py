@@ -126,7 +126,7 @@ class TestCommandLine:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--workers", "0"], ["--workers", "-2"], ["--seeds", "0"], ["--shard", "4/4"],
+        [["--workers", "0"], ["--workers", "-2"], ["--seeds", "0"], ["--resume"],
          ["--delay-model", "fixed:abc"], ["--backends", "quantum"]],
     )
     def test_bad_input_fails_at_the_parser(self, argv, capsys):
@@ -134,6 +134,16 @@ class TestCommandLine:
             main(argv)
         assert exit_info.value.code == 2
         assert argv[0] in capsys.readouterr().err
+
+    def test_a_refused_resume_exits_2_and_keeps_the_artifacts(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert main(["--seeds", "1", "--out", out]) == 0
+        before = artifact_bytes(out)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--seeds", "2", "--out", out, "--resume"])
+        assert exit_info.value.code == 2
+        assert "belongs to a different campaign" in capsys.readouterr().err
+        assert artifact_bytes(out) == before
 
     def test_the_nemesis_grid_runs_clean(self, tmp_path, capsys):
         assert main(["--grid", "nemesis", "--seeds", "1", "--out", str(tmp_path)]) == 0

@@ -1,15 +1,9 @@
-"""The explorer driver: determinism, cache reuse, triage, baselines."""
-
-import json
+"""The explorer driver: determinism, cache reuse, triage, exit status."""
 
 import pytest
 
 from repro.explore import driver
-from repro.explore.driver import (
-    Explorer,
-    load_baseline,
-    matches_baseline,
-)
+from repro.explore.driver import Explorer
 from repro.explore.__main__ import base_cells, main
 from repro.faults import shrink
 from repro.workloads.runner import Send
@@ -45,8 +39,6 @@ class TestConstruction:
             Explorer([])
         with pytest.raises(ValueError):
             Explorer([kernel_base()], strategy="psychic")
-        with pytest.raises(ValueError):
-            Explorer([kernel_base()], epsilon=0.0)
 
     def test_needs_a_budget(self):
         with pytest.raises(ValueError):
@@ -55,7 +47,8 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "argv",
         [["--iterations", "0"], ["--iterations", "-5"], ["--wall-budget", "0"],
-         ["--epsilon", "0"], ["--backends", "quantum"]],
+         ["--backends", "quantum"],
+         ["--backends", "engine", "--quirks", "supersede-wait"]],
     )
     def test_bad_input_fails_at_the_parser(self, argv, capsys):
         """Not a green soak that ran nothing, nor a traceback."""
@@ -99,10 +92,10 @@ class TestStrategies:
         assert explorer.corpus.evaluated == 12
 
     def test_guided_breeds_from_the_corpus(self):
-        explorer = Explorer([kernel_base()], seed=3, epsilon=0.25)
+        explorer = Explorer([kernel_base()], seed=3)
         explorer.run(iterations=24)
         assert explorer.corpus.admitted >= 1
-        # With epsilon=0.25 and a non-empty corpus, some of 24 draws
+        # With EPSILON = 0.25 and a non-empty corpus, some of 24 draws
         # must be mutants; mutants execute (not cache-replay) unless
         # they collide with an earlier cell.
         assert explorer.executed <= 24
@@ -234,55 +227,17 @@ class TestViolatedProperties:
         assert Explorer.violated_properties(row) == []
 
 
-class TestBaseline:
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(str(tmp_path / "absent.json")) == []
+class TestExitStatus:
+    """Any finding fails the run: there is no allow-list to match."""
 
-    def test_exact_entries_match_exact_keys(self):
-        record = {
-            "key": "scenario|truncated|abc123",
-            "harness": "scenario",
-            "properties": ["truncated"],
-            "kinds": ["crash_burst"],
-        }
-        assert matches_baseline(record, "scenario|truncated|abc123")
-        assert not matches_baseline(record, "scenario|truncated|def456")
+    def test_the_quirked_rediscovery_exits_1(self, capsys):
+        argv = ["--backends", "kernel", "--quirks", "supersede-wait",
+                "--iterations", str(BUDGET_ITERATIONS), "--seed", "7"]
+        assert main(argv) == 1
+        assert "distinct violations" in capsys.readouterr().out
 
-    def test_kind_class_patterns_cover_a_finding_family(self):
-        record = {
-            "key": "scenario|truncated|abc123",
-            "harness": "scenario",
-            "properties": ["truncated"],
-            "kinds": ["crash_burst", "link_delay"],
-        }
-        assert matches_baseline(record, "scenario|truncated|kind:crash_burst")
-        assert not matches_baseline(
-            record, "scenario|truncated|kind:omega_late"
-        )
-        # Harness and properties must match exactly.
-        assert not matches_baseline(
-            record, "broadcast|truncated|kind:crash_burst"
-        )
-        assert not matches_baseline(
-            record, "scenario|termination,truncated|kind:crash_burst"
-        )
-
-    def test_triage_records_carry_their_kind_class(self):
-        explorer = Explorer(
-            [kernel_base(quirks=("supersede-wait",))], seed=7
-        )
-        explorer.run(iterations=24)
-        for record in explorer.triage.values():
-            assert record["kinds"] == sorted(set(record["kinds"]))
-
-    def test_new_keys_against_a_baseline(self, tmp_path):
-        report = quirked().run(iterations=BUDGET_ITERATIONS)
-        assert report.triage_keys  # the quirk yields violations
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"known": report.triage_keys}))
-        assert report.new_keys(load_baseline(str(path))) == []
-        partial = set(report.triage_keys[1:])
-        assert report.new_keys(partial) == [report.triage_keys[0]]
+    def test_a_clean_search_exits_0(self):
+        assert main(["--backends", "kernel", "--iterations", "8"]) == 0
 
 
 class TestBaseCells:

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.metrics.summary import (
-    RunSummary,
-    format_table,
-    latency_of,
-    steps_at,
-    summarize,
-)
+from repro.metrics.summary import format_table, latency_of
 from repro.model.failures import crash_pattern, failure_free
 from repro.model.messages import MessageFactory
 from repro.model.processes import by_indices, make_processes, pset
@@ -43,22 +37,6 @@ def test_latency_none_for_undelivered():
     m = factory.multicast(P1, by_indices(1))
     record.note_multicast(0, P1, m)
     assert latency_of(record, m) is None
-
-
-def test_summary_aggregates():
-    record, _ = sample_record()
-    summary = summarize(record)
-    assert summary.total_steps == 3
-    assert summary.idle_steps == 1  # p3's step
-    assert summary.deliveries == 2
-    assert summary.max_latency == 5
-    assert summary.mean_latency == 5.0
-
-
-def test_steps_at_subsets():
-    record, _ = sample_record()
-    assert steps_at(record, [P1, P2]) == 2
-    assert steps_at(record, []) == 0
 
 
 def faulty_deliverer_record():

@@ -16,10 +16,15 @@ inside a fenced block imports, and README's quickstart block executes.
 A docstring's ``:class:`` / ``:mod:`` / ``:func:`` / ``:meth:`` /
 ``:attr:`` reference to ``repro.…`` in ``src/`` names something that
 imports, and every ``benchmarks/bench_*.py`` is named in the CI
-workflow (a script no job runs checks nothing).
+workflow (a script no job runs checks nothing).  Every ``--flag`` those
+documents or the two workflows pass to ``python -m repro.campaign`` or
+``python -m repro.explore`` is one the module's parser accepts: no PR
+job runs the nightly soak, so a stale flag there would break unseen.
 """
 
+import contextlib
 import importlib
+import io
 import re
 from pathlib import Path
 
@@ -164,6 +169,76 @@ def test_every_bench_script_runs_in_ci():
     assert scripts, "no bench script found: the glob is broken"
     unrun = [p.name for p in scripts if f"benchmarks/{p.name}" not in ci]
     assert not unrun, f"bench scripts no CI job runs: {unrun}"
+
+
+COMMAND = re.compile(r"python -m (repro\.(?:campaign|explore))(?![\w.])")
+FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+COMMAND_END = re.compile(r"[`;|&]| #")
+EXPRESSION = re.compile(r"\$\{\{.*?\}\}")
+CLI_SOURCES = (".github/workflows/ci.yml", ".github/workflows/explore-soak.yml", *DOCS)
+
+
+def command_flags(text):
+    """``(line number, module, flag)`` for each flag a command passes.
+
+    A command runs from ``python -m repro.…`` to the first backtick,
+    ``;``, ``|``, ``&`` or `` #``, and on over the next line while the
+    line ends in ``\\`` or the next one starts with ``--`` (a wrapped
+    inline span, a folded YAML block).  A workflow's ``${{ … }}``
+    expression is one argument, whatever it holds.
+    """
+    lines = [EXPRESSION.sub("X", line) for line in text.splitlines()]
+    for lineno, line in enumerate(lines, 1):
+        for hit in COMMAND.finditer(line):
+            tail, at = line[hit.end():], lineno
+            while True:
+                stop = COMMAND_END.search(tail)
+                command = tail[: stop.start()] if stop else tail
+                yield from ((at, hit.group(1), flag) for flag in FLAG.findall(command))
+                following = lines[at].lstrip() if at < len(lines) else ""
+                if stop or not (command.rstrip().endswith("\\") or following.startswith("--")):
+                    break
+                tail, at = following, at + 1
+
+
+def parser_flags(module):
+    """The option strings ``python -m module --help`` lists."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        importlib.import_module(f"{module}.__main__").main(["--help"])
+    return set(FLAG.findall(out.getvalue()))
+
+
+def test_documented_cli_flags_exist():
+    found = [
+        (source, *hit)
+        for source in CLI_SOURCES
+        for hit in command_flags((ROOT / source).read_text())
+    ]
+    assert found, "no CLI flag found: the extractor is broken"
+    known = {module: parser_flags(module) for module in ("repro.campaign", "repro.explore")}
+    stale = [
+        f"{source}:{lineno}: {module} {flag}"
+        for source, lineno, module, flag in found
+        if flag not in known[module]
+    ]
+    assert not stale, "flags the parser does not accept:\n" + "\n".join(stale)
+
+
+def test_a_stale_cli_flag_is_caught():
+    text = (
+        "run: >-\n  python -m repro.explore\n  --seed ${{ a || b }}\n  --no-such-flag b.json\n"
+        "x `python -m repro.campaign --grid nemesis\n--seeds 5` and --not-a-flag\n"
+        "python -m repro.campaign \\\n    --out D  # --comment\n"
+    )
+    assert list(command_flags(text)) == [
+        (3, "repro.explore", "--seed"),
+        (4, "repro.explore", "--no-such-flag"),
+        (5, "repro.campaign", "--grid"),
+        (6, "repro.campaign", "--seeds"),
+        (8, "repro.campaign", "--out"),
+    ]
+    assert "--no-such-flag" not in parser_flags("repro.explore")
 
 
 def test_a_stale_citation_is_caught(tmp_path):
