@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.base import BaselineMulticast
+from repro.groups.families import intersection_adjacency
 from repro.groups.topology import Group, GroupTopology
 from repro.model.failures import FailurePattern, Time
 from repro.model.messages import MulticastMessage
@@ -37,7 +38,7 @@ def spanning_tree_order(
     Returns ``(rank, parent)``: a BFS numbering per connected component
     (roots first — the order ``<_T``) and each group's tree parent.
     """
-    adjacency = topology.intersection_graph()
+    adjacency = intersection_adjacency(topology.groups)
     rank: Dict[Group, int] = {}
     parent: Dict[Group, Optional[Group]] = {}
     counter = 0

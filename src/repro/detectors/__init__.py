@@ -1,2 +1,3 @@
-"""Failure detectors: Sigma, Omega, gamma, 1^P, restriction, conjunction,
-the candidate mu (§3), and a property-validation harness."""
+"""Failure detectors: Sigma, Omega, gamma, 1^P, the candidate mu (§3) —
+whose ``query`` is the restricted conjunction — and a property-validation
+harness."""

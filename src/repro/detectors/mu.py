@@ -9,7 +9,8 @@ wait-free solvable inside every destination group (§4).
 :class:`Mu` is a value, the record of those components; :func:`build_mu`
 builds the pattern-oracle one, and any component answering the same
 queries may stand in (:meth:`repro.faults.injector.FaultInjector.perturb_mu`'s
-do).  It also exposes itself as a plain :class:`Conjunction`.
+do).  :meth:`Mu.query` is the conjunction itself: named component
+samples, each restricted to its scope (``D_P`` is ``⊥`` outside ``P``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from repro.detectors.base import BOTTOM, FailureDetector
 from repro.detectors.cyclicity import GammaOracle, gamma_groups
 from repro.detectors.leader import OmegaOracle
 from repro.detectors.quorum import SigmaOracle
-from repro.detectors.restriction import Conjunction, Restricted
 from repro.groups.topology import Group, GroupTopology
 from repro.model.errors import DetectorError
 from repro.model.failures import FailurePattern, Time
@@ -121,7 +121,11 @@ class Mu(FailureDetector):
     # -- FailureDetector interface ----------------------------------------
 
     def query(self, p: ProcessId, t: Time) -> Dict[str, object]:
-        """The full conjunction sample, keyed by component name."""
+        """The full conjunction sample, keyed by component name.
+
+        Set restriction ``D_P`` (§3) is applied here: a ``sigma:`` or
+        ``omega:`` component answers ``⊥`` at a process outside its scope.
+        """
         sample: Dict[str, object] = {}
         for members, sigma in self.sigmas.items():
             sample[_sigma_key(members)] = (
@@ -133,16 +137,6 @@ class Mu(FailureDetector):
             )
         sample["gamma"] = self.gamma.query(p, t)
         return sample
-
-    def as_conjunction(self) -> Conjunction:
-        """This detector as a plain named conjunction (for comparisons)."""
-        components: Dict[str, FailureDetector] = {}
-        for members, sigma in self.sigmas.items():
-            components[_sigma_key(members)] = Restricted(sigma, members)
-        for g, omega in self.omegas.items():
-            components[f"omega:{g.name}"] = Restricted(omega, g.members)
-        components["gamma"] = self.gamma
-        return Conjunction(components)
 
 
 def build_mu(

@@ -60,7 +60,7 @@ class SigmaOracle(OracleDetector):
 
         The caller need not belong to the scope: the restriction semantics
         (return ``⊥`` outside ``P``) is layered on by
-        :class:`repro.detectors.restriction.Restricted`.
+        :meth:`repro.detectors.mu.Mu.query`.
         """
         if not self._scope_correct or not self.instants:
             # Entire scope eventually crashes: Liveness is vacuous, keep

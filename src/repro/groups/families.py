@@ -14,12 +14,14 @@ hamiltonian cycle, as an edge set, contains a dead edge).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+import math
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.groups.topology import Group, GroupFamily
 from repro.model.errors import TopologyError
 from repro.model.failures import FailurePattern, Time
-from repro.model.processes import ProcessSet
 
 #: A closed path: a group sequence with ``path[0] == path[-1]`` whose
 #: consecutive groups intersect, visiting every group of the family once.
@@ -28,20 +30,19 @@ ClosedPath = Tuple[Group, ...]
 #: An undirected edge of the intersection graph, canonically ordered.
 Edge = Tuple[Group, Group]
 
-_CYCLE_CACHE: Dict[GroupFamily, Tuple[Tuple[Group, ...], ...]] = {}
+#: ``hamiltonian_cycles`` per family, as positions in ``sorted(family)``:
+#: positions, not groups, so two topologies whose families share their
+#: members each get their own ``Group`` objects back.
+_CYCLE_SHAPES: Dict[GroupFamily, Tuple[Tuple[int, ...], ...]] = {}
 _CYCLICITY_CACHE: Dict[GroupFamily, bool] = {}
 _CHORDLESS_CACHE: Dict[GroupFamily, bool] = {}
 
-#: Work budget (neighbor inspections) for the output-sensitive cycle
-#: sweeps.  Sparse intersection graphs (rings, chains, bounded-overlap
-#: randoms) finish in a vanishing fraction of this; dense graphs (hub
-#: cliques) have exponentially many cyclic families and exhaust it —
-#: callers get a :class:`TopologyError` instead of a silent multi-hour
-#: enumeration.  Counting inspections rather than path extensions keeps
-#: the worst-case cost of the refusal itself proportional to the budget
-#: (an extension on a 200-clique scans ~200 neighbors; charging only the
-#: extension made hitting the cap two orders of magnitude slower than
-#: the cap suggests).
+#: Work budget of the cycle walk, in neighbor inspections.  Sparse
+#: intersection graphs (rings, chains, bounded-overlap randoms) use a
+#: vanishing fraction of it; dense ones (hub cliques) have exponentially
+#: many cycles and get a :class:`TopologyError` instead of a multi-hour
+#: walk.  Charging inspections, not extensions, keeps the refusal itself
+#: O(budget): an extension on a 200-clique scans ~200 neighbors.
 DEFAULT_CYCLE_BUDGET = 2_000_000
 
 
@@ -74,53 +75,81 @@ def intersection_adjacency(family: Iterable[Group]) -> Dict[Group, Set[Group]]:
     }
 
 
+def _simple_cycles(
+    vertices: Sequence[Group],
+    adjacency: Dict[Group, Set[Group]],
+    budget: float,
+    roots: Optional[int] = None,
+) -> Iterator[List[int]]:
+    """Every simple cycle (length >= 3) of the graph, from its smallest vertex.
+
+    The one graph walk of this module; ``vertices`` is ``sorted(adjacency)``
+    and cycles come out as positions in it.  Rooted at each of the
+    ``roots`` smallest vertices in turn (all by default), a depth-first
+    search whose interior vertices are larger than the root explores only
+    simple paths, so every cycle is found from exactly one root — once
+    per direction.  Neighbours are tried in sorted order; the yielded
+    list is the walk's live path ``[root, ...]`` (copy it to keep it).
+
+    Each neighbour inspection costs one unit of ``budget`` (see
+    :data:`DEFAULT_CYCLE_BUDGET`); past it the walk raises
+    :class:`TopologyError` instead of hanging.
+    """
+    index = {v: i for i, v in enumerate(vertices)}
+    neighbors = [sorted(index[u] for u in adjacency[v]) for v in vertices]
+    work = 0
+    for root in range(len(vertices))[:roots]:
+        path = [root]
+        on_path = {root}
+        stack = [iter(neighbors[root])]
+        while stack:
+            advanced = False
+            for nxt in stack[-1]:
+                work += 1
+                if work > budget:
+                    raise TopologyError(
+                        f"cycle walk exceeded {budget} steps: the "
+                        f"intersection graph ({len(vertices)} groups) is too "
+                        "dense and irregular to walk exhaustively — use a "
+                        "sparser topology"
+                    )
+                if nxt <= root:
+                    if nxt == root and len(path) >= 3:
+                        yield path
+                    continue
+                if nxt in on_path:
+                    continue
+                path.append(nxt)
+                on_path.add(nxt)
+                stack.append(iter(neighbors[nxt]))
+                advanced = True
+                break
+            if not advanced:
+                stack.pop()
+                on_path.discard(path.pop())
+
+
 def hamiltonian_cycles(family: GroupFamily) -> Tuple[Tuple[Group, ...], ...]:
     """All hamiltonian cycles of the family's intersection graph.
 
     Each cycle is returned once, canonically: as an *open* vertex sequence
     ``(v0, v1, ..., vK-1)`` starting at the smallest group, with
-    ``v1 < vK-1`` fixing the direction.  Results are memoized per family.
-    Families with fewer than three groups have no hamiltonian cycle.
+    ``v1 < vK-1`` fixing the direction, in the walk's (sorted-neighbour,
+    depth-first) order, with no budget.  The cycles are built from
+    ``family``'s own groups; only their positions are memoized.  Families
+    with fewer than three groups have no hamiltonian cycle.
     """
-    if family in _CYCLE_CACHE:
-        return _CYCLE_CACHE[family]
-
     vertices = sorted(family)
-    cycles: List[Tuple[Group, ...]] = []
-    if len(vertices) >= 3:
+    shapes = _CYCLE_SHAPES.get(family)
+    if shapes is None:
         adjacency = intersection_adjacency(vertices)
-        start = vertices[0]
-        _extend_cycle(start, [start], {start}, adjacency, len(vertices), cycles)
-    result = tuple(cycles)
-    _CYCLE_CACHE[family] = result
-    return result
-
-
-def _extend_cycle(
-    start: Group,
-    path: List[Group],
-    visited: Set[Group],
-    adjacency: Dict[Group, Set[Group]],
-    total: int,
-    out: List[Tuple[Group, ...]],
-) -> None:
-    """Depth-first search for hamiltonian cycles rooted at ``start``."""
-    current = path[-1]
-    if len(path) == total:
-        if start in adjacency[current] and path[1] < path[-1]:
-            out.append(tuple(path))
-        return
-    for neighbor in sorted(adjacency[current]):
-        if neighbor not in visited:
-            # Prune mirrored traversals early: once two vertices are on the
-            # path the direction constraint path[1] < path[-1] is checked at
-            # the end; exploring both directions is still necessary for
-            # correctness, so no pruning beyond the visited set.
-            path.append(neighbor)
-            visited.add(neighbor)
-            _extend_cycle(start, path, visited, adjacency, total, out)
-            visited.remove(neighbor)
-            path.pop()
+        shapes = tuple(
+            tuple(path)
+            for path in _simple_cycles(vertices, adjacency, math.inf, 1)
+            if len(path) == len(vertices) and path[1] < path[-1]
+        )
+        _CYCLE_SHAPES[family] = shapes
+    return tuple(tuple(vertices[i] for i in shape) for shape in shapes)
 
 
 def has_hamiltonian_cycle(
@@ -132,10 +161,11 @@ def has_hamiltonian_cycle(
     of degree < 2 or a disconnected graph cannot be hamiltonian; a
     complete graph, a connected 2-regular graph (a single cycle) and any
     graph meeting Dirac's bound (min degree >= n/2, n >= 3) always are.
-    Only the residual cases run a depth-first search, and that search
-    returns on the *first* cycle found instead of enumerating all of
-    them — the difference between O(1)-ish and exponential on the dense
-    families that :func:`hamiltonian_cycles` cannot touch.
+    Only the residual cases walk the cycles through the smallest vertex,
+    and the walk stops at the *first* hamiltonian one instead of
+    enumerating all of them — the difference between O(1)-ish and
+    exponential on the dense families that :func:`hamiltonian_cycles`
+    cannot touch.
     """
     n = len(adjacency)
     if n < 3:
@@ -151,38 +181,8 @@ def has_hamiltonian_cycle(
         return True
     if 2 * min(degrees) >= n:
         return True
-    vertices = sorted(adjacency)
-    start = vertices[0]
-    neighbors = {v: sorted(adjacency[v]) for v in vertices}
-    # Iterative DFS for one hamiltonian cycle rooted at the smallest
-    # vertex; an explicit stack keeps deep paths off the Python stack.
-    path = [start]
-    on_path = {start}
-    stack = [iter(neighbors[start])]
-    work = 0
-    while stack:
-        advanced = False
-        for nxt in stack[-1]:
-            work += 1
-            if work > budget:
-                raise TopologyError(
-                    f"hamiltonicity search exceeded {budget} steps; "
-                    "the intersection graph is too dense and irregular "
-                    "for the certificate fast paths"
-                )
-            if nxt in on_path:
-                if nxt == start and len(path) == n:
-                    return True
-                continue
-            path.append(nxt)
-            on_path.add(nxt)
-            stack.append(iter(neighbors[nxt]))
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
-            on_path.discard(path.pop())
-    return False
+    walk = _simple_cycles(sorted(adjacency), adjacency, budget, roots=1)
+    return any(len(path) == n for path in walk)
 
 
 def cycle_vertex_sets(
@@ -194,69 +194,28 @@ def cycle_vertex_sets(
     cyclic iff its induced intersection subgraph is hamiltonian, and a
     hamiltonian cycle of an induced subgraph is a simple cycle of the
     whole graph (and vice versa, taking the cycle's vertex set as the
-    family).  Enumeration is output-sensitive — rooted at each vertex in
-    turn, a DFS over strictly-larger vertices explores only simple paths,
-    so sparse graphs (rings: one cycle; chains: none) cost O(V * E)
-    instead of the 2^|G| subset sweep.  Dense graphs have exponentially
-    many cycles by nature; the work ``budget`` turns that into a
-    :class:`TopologyError` rather than a hang.
+    family).  The walk is output-sensitive, so sparse graphs (rings: one
+    cycle; chains: none) cost O(V * E) instead of the 2^|G| subset
+    sweep.  Dense graphs have exponentially many cycles by nature; the
+    work ``budget`` turns that into a :class:`TopologyError` rather than
+    a hang.
     """
     vertices = sorted(adjacency)
-    index = {v: i for i, v in enumerate(vertices)}
-    neighbors = {v: sorted(adjacency[v]) for v in vertices}
-    found: Set[FrozenSet[Group]] = set()
-    work = 0
-    for i, root in enumerate(vertices):
-        # Enumerate the simple cycles whose smallest vertex is ``root``:
-        # interior path vertices are restricted to indices > i, so every
-        # cycle is discovered from exactly one root (twice, once per
-        # direction — the frozenset dedups).
-        path = [root]
-        on_path = {root}
-        stack = [iter(neighbors[root])]
-        while stack:
-            advanced = False
-            for nxt in stack[-1]:
-                work += 1
-                if work > budget:
-                    raise TopologyError(
-                        f"cyclic-family enumeration exceeded {budget} steps: "
-                        f"the intersection graph ({len(vertices)} groups) is "
-                        "too dense for exhaustive family enumeration — use a "
-                        "sparser topology or the per-family predicates "
-                        "(is_cyclic_family, has_hamiltonian_cycle)"
-                    )
-                if index[nxt] <= i:
-                    if nxt == root and len(path) >= 3:
-                        found.add(frozenset(path))
-                    continue
-                if nxt in on_path:
-                    continue
-                path.append(nxt)
-                on_path.add(nxt)
-                stack.append(iter(neighbors[nxt]))
-                advanced = True
-                break
-            if not advanced:
-                stack.pop()
-                on_path.discard(path.pop())
-    return found
+    found = set(map(frozenset, _simple_cycles(vertices, adjacency, budget)))
+    return {frozenset(vertices[i] for i in cycle) for cycle in found}
 
 
 def is_cyclic_family(family: GroupFamily) -> bool:
     """Whether the intersection graph of ``family`` is hamiltonian (§3).
 
     Decided via :func:`has_hamiltonian_cycle` (certificates plus
-    early-exit search) and memoized — unlike :func:`hamiltonian_cycles`
+    early-exit walk) and memoized — unlike :func:`hamiltonian_cycles`
     this never enumerates, so it stays fast on dense families like hub
     cliques where the cycle count is factorial.
     """
     cached = _CYCLICITY_CACHE.get(family)
     if cached is None:
-        if family in _CYCLE_CACHE:
-            cached = bool(_CYCLE_CACHE[family])
-        else:
-            cached = has_hamiltonian_cycle(intersection_adjacency(family))
+        cached = has_hamiltonian_cycle(intersection_adjacency(family))
         _CYCLICITY_CACHE[family] = cached
     return cached
 
@@ -328,21 +287,14 @@ def path_direction(path: ClosedPath) -> int:
     :func:`hamiltonian_cycles`; a path traversing its edges in that
     rotational order is clockwise (+1), the reverse is -1.
     """
-    family = frozenset(path[:-1])
-    open_path = path[:-1]
-    for cycle in hamiltonian_cycles(family):
-        if path_edges(path) != path_edges(cycle + (cycle[0],)):
+    open_path, edges = path[:-1], path_edges(path)
+    for cycle in hamiltonian_cycles(frozenset(open_path)):
+        if path_edges(cycle + (cycle[0],)) != edges:
             continue
-        k = len(cycle)
-        start = open_path[0]
-        if start not in cycle:
-            continue
-        offset = cycle.index(start)
-        forward = tuple(cycle[(offset + i) % k] for i in range(k))
-        if open_path == forward:
+        offset = cycle.index(open_path[0])
+        if open_path == cycle[offset:] + cycle[:offset]:
             return 1
-        backward = tuple(cycle[(offset - i) % k] for i in range(k))
-        if open_path == backward:
+        if open_path == cycle[offset::-1] + cycle[:offset:-1]:
             return -1
     raise TopologyError(f"not a closed path of its family: {path}")
 
@@ -391,19 +343,6 @@ def family_faulty_at(
         for g, neighbors in adjacency.items()
     }
     return not has_hamiltonian_cycle(alive)
-
-
-def family_eventually_faulty(
-    family: GroupFamily, pattern: FailurePattern
-) -> bool:
-    """Whether the family becomes faulty at some time under ``pattern``.
-
-    Evaluated on the suffix after the last alive-set change, so a
-    family whose members all *recover* is (correctly) not eventually
-    faulty.
-    """
-    horizon = max(pattern.change_instants(), default=0)
-    return family_faulty_at(family, pattern, horizon)
 
 
 def family_fault_time(

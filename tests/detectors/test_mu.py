@@ -93,14 +93,16 @@ def test_full_query_returns_named_samples(fig1):
     assert any(key.startswith("sigma:") for key in sample)
     # p1 is not in g2, so the omega:g2 sample is bottom at p1.
     assert sample["omega:g2"] is BOTTOM
+    # Sigma_{g2} is restricted to g2 too: bottom at p1, a quorum inside.
+    assert sample["sigma:p2,p3"] is BOTTOM
+    assert mu.query(P2, 0)["sigma:p2,p3"] == by_indices(2, 3)
 
 
-def test_conjunction_view_components_validate(fig1):
+def test_omega_component_validates(fig1):
     pattern = crash_pattern(ALL, {P2: 5})
     mu = build_mu(pattern, fig1)
-    conj = mu.as_conjunction()
     g1 = fig1.group("g1")
-    omega_g1 = conj.component("omega:g1")
+    omega_g1 = mu.omega(g1)
     history = []
     for t in range(0, 12, 2):
         for p in sorted(g1.members):

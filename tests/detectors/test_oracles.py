@@ -7,8 +7,8 @@ from repro.detectors.base import BOTTOM
 from repro.detectors.cyclicity import GammaOracle, gamma_groups
 from repro.detectors.indicator import IndicatorOracle
 from repro.detectors.leader import OmegaOracle
+from repro.detectors.mu import build_mu
 from repro.detectors.quorum import SigmaOracle
-from repro.detectors.restriction import Restricted
 from repro.detectors.validation import (
     check_gamma,
     check_indicator,
@@ -169,16 +169,16 @@ class TestIndicatorOracle:
 
 
 class TestRestriction:
-    def test_bottom_outside_scope(self):
-        pattern = failure_free(ALL)
-        sigma = SigmaOracle(pattern, ALL)
-        restricted = Restricted(sigma, by_indices(1, 2))
-        assert restricted.query(P3, 0) is BOTTOM
-        assert restricted.query(P1, 0) is not BOTTOM
+    """Set restriction ``D_P`` (§3), as applied by ``Mu.query``."""
 
-    def test_scope_must_be_non_empty(self):
-        with pytest.raises(DetectorError):
-            Restricted(SigmaOracle(failure_free(ALL), ALL), frozenset())
+    def test_bottom_outside_scope(self):
+        mu = build_mu(failure_free(ALL), paper_figure1_topology())
+        # Sigma_{g2} has scope g2 = {p2, p3}: bottom outside, a quorum inside.
+        assert mu.query(P1, 0)["sigma:p2,p3"] is BOTTOM
+        assert mu.query(P2, 0)["sigma:p2,p3"] is not BOTTOM
+        # Sigma_{g1 ∩ g3} has scope {p1}.
+        assert mu.query(P3, 0)["sigma:p1"] is BOTTOM
+        assert mu.query(P1, 0)["sigma:p1"] is not BOTTOM
 
 
 class TestRecoveryOverlay:

@@ -5,7 +5,8 @@ import pytest
 from repro.detectors.validation import check_gamma, check_indicator
 from repro.emulation.gamma_extraction import GammaExtraction
 from repro.emulation.indicator_extraction import IndicatorExtraction
-from repro.groups.topology import paper_figure1_topology
+from repro.groups.families import cpaths, hamiltonian_cycles
+from repro.groups.topology import paper_figure1_topology, topology_from_indices
 from repro.model.errors import DetectorError
 from repro.model.failures import crash_pattern, failure_free
 from repro.model.processes import by_indices, make_processes, pset
@@ -99,6 +100,27 @@ class TestGammaExtraction:
         # (rounds to exclusion at p1, to its full chain): one relay per
         # live edge, so the chain grows with k and exclusion does not.
         assert [latencies(k) for k in (3, 4, 5)] == [(1, 2), (1, 3), (1, 4)]
+
+
+    def test_cycles_of_another_topology_never_leak_in(self):
+        """Two topologies with equal families but other group names: the
+        first one's closed paths must not hand their groups to the
+        second's extraction (it would multicast to foreign names)."""
+        a = topology_from_indices(3, {"g1": [1, 2], "g2": [2, 3], "g3": [3, 1]})
+        b = topology_from_indices(3, {"g1": [2, 3], "g2": [3, 1], "g3": [1, 2]})
+        cpaths(a.cyclic_families()[0])
+
+        def queries(topo):
+            ext = GammaExtraction(topo, failure_free(topo.processes), seed=0)
+            ext.run(40)
+            return [ext.query(p, ext.time) for p in sorted(topo.processes)]
+
+        fresh = topology_from_indices(
+            3, {"g1": [2, 3], "g2": [3, 1], "g3": [1, 2]}
+        )
+        assert queries(b) == queries(fresh)
+        for cycle in hamiltonian_cycles(b.cyclic_families()[0]):
+            assert all(g is b.group(g.name) for g in cycle)
 
 
 class TestIndicatorExtraction:

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.groups.families import (
     cpaths,
-    family_eventually_faulty,
     family_fault_time,
     family_faulty_at,
     family_name,
@@ -149,15 +148,14 @@ class TestFaultiness:
         f = family_by_names(fig1, "g1", "g2", "g3")
         f_prime = family_by_names(fig1, "g1", "g3", "g4")
         f_second = family_by_names(fig1, "g1", "g2", "g3", "g4")
-        assert family_eventually_faulty(f, pattern)
-        assert family_eventually_faulty(f_second, pattern)
-        assert not family_eventually_faulty(f_prime, pattern)
+        assert family_fault_time(f, pattern) is not None
+        assert family_fault_time(f_second, pattern) is not None
+        assert family_fault_time(f_prime, pattern) is None
 
     def test_failure_free_family_never_faulty(self, fig1):
         procs = make_processes(5)
         fam = family_by_names(fig1, "g1", "g3", "g4")
         pattern = failure_free(pset(procs))
-        assert not family_eventually_faulty(fam, pattern)
         assert family_fault_time(fam, pattern) is None
 
     def test_faultiness_needs_every_cycle_broken(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.groups.families import intersection_adjacency
 from repro.groups.topology import (
     Group,
     GroupTopology,
@@ -116,7 +117,8 @@ class TestFigure1:
         assert fig1.families_of_process(p5) == ()
 
     def test_intersection_graph_of_full_family(self, fig1):
-        graph = fig1.intersection_graph()
+        graph = intersection_adjacency(fig1.groups)
+        assert list(graph) == list(fig1.groups)
         g2 = fig1.group("g2")
         g4 = fig1.group("g4")
         assert g4 not in graph[g2]

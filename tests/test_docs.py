@@ -12,7 +12,9 @@ defined in that file.  Placeholders (an all-caps segment, as in
 files that do not exist yet.
 
 Code in the same documents runs: every ``from repro... import ...``
-inside a fenced block imports, and README's quickstart block executes.
+inside a fenced block imports, every dotted ``repro.…`` name in a
+backticked span imports (the longest module prefix, then attributes),
+and README's quickstart block executes.
 A docstring's ``:class:`` / ``:mod:`` / ``:func:`` / ``:meth:`` /
 ``:attr:`` reference to ``repro.…`` in ``src/`` names something that
 imports, and every ``benchmarks/bench_*.py`` is named in the CI
@@ -42,23 +44,29 @@ IMPORT = re.compile(r"^[ \t]*from (repro[\w.]*) import (\([^)]*\)|[\w, ]+)", re.
 EXTENSION = re.compile(r"\.(py|json|jsonl|md|yml|yaml|toml|txt)$")
 
 
-def citations(doc):
-    """``(line number, citation)`` for every path-like span of ``doc``."""
-    text = FENCE.sub(lambda m: "\n" * m.group().count("\n"), (ROOT / doc).read_text())
+def spans(text):
+    """``(line number, span)`` for every backticked span outside fences."""
+    text = FENCE.sub(lambda m: "\n" * m.group().count("\n"), text)
     for lineno, line in enumerate(text.splitlines(), 1):
         for span in SPAN.findall(line):
-            path = span.partition("::")[0]
-            if not PATH.fullmatch(path) or "/" not in path or path.startswith("/"):
-                continue
-            if not (
-                EXTENSION.search(path)
-                or path.endswith("/")
-                or path.split("/")[0] in TOP_LEVEL
-            ):
-                continue
-            if any(part.isupper() for part in path.split("/")):
-                continue
             yield lineno, span
+
+
+def citations(doc):
+    """``(line number, citation)`` for every path-like span of ``doc``."""
+    for lineno, span in spans((ROOT / doc).read_text()):
+        path = span.partition("::")[0]
+        if not PATH.fullmatch(path) or "/" not in path or path.startswith("/"):
+            continue
+        if not (
+            EXTENSION.search(path)
+            or path.endswith("/")
+            or path.split("/")[0] in TOP_LEVEL
+        ):
+            continue
+        if any(part.isupper() for part in path.split("/")):
+            continue
+        yield lineno, span
 
 
 def resolves(citation, bases=BASES):
@@ -148,6 +156,42 @@ def test_docstring_cross_references_import():
     assert found, "no cross-reference found: the extractor is broken"
     stale = [f"{where}: {target}" for where, target in found if not importable(target)]
     assert not stale, "stale cross-references:\n" + "\n".join(stale)
+
+
+DOTTED = re.compile(r"(?<![\w./])repro(?:\.\w+)+")
+
+
+def dotted_names(text):
+    """``(line number, name)`` for each dotted ``repro.…`` name in a span."""
+    for lineno, span in spans(text):
+        for name in DOTTED.findall(span):
+            yield lineno, name
+
+
+def test_documented_names_import():
+    found = [
+        (doc, *hit) for doc in DOCS for hit in dotted_names((ROOT / doc).read_text())
+    ]
+    assert len(found) > 40, "few dotted repro names found: the extractor is broken"
+    stale = [f"{doc}:{lineno}: {name}" for doc, lineno, name in found if not importable(name)]
+    assert not stale, "documented names that do not import:\n" + "\n".join(stale)
+
+
+def test_a_stale_documented_name_is_caught():
+    text = (
+        "`repro.detectors.mu.Mu.query` and\n"
+        "`python -m repro.campaign --grid nemesis`, `x.repro.no`\n"
+        "```\nrepro.inside.a.fence\n```\n"
+        "`repro.detectors.mu.Mu.as_conjunction(...)`\n"
+    )
+    assert list(dotted_names(text)) == [
+        (1, "repro.detectors.mu.Mu.query"),
+        (2, "repro.campaign"),
+        (6, "repro.detectors.mu.Mu.as_conjunction"),
+    ]
+    assert importable("repro.detectors.mu.Mu.query")
+    assert not importable("repro.detectors.mu.Mu.as_conjunction")
+    assert not importable("repro.detectors.restriction.Restricted")
 
 
 def test_code_cites_no_roadmap_item():
