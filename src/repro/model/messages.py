@@ -34,9 +34,9 @@ class MessageId(NamedTuple):
     A two-field tuple, for the reason :class:`ProcessId` is a one-field
     one: ``PHASE``, the scan order and every log index are keyed by it, so
     it hashes and compares in C.  ``hash(MessageId(a, b)) == hash((a, b))``
-    is pinned by ``tests/model/test_messages.py``.  Being a tuple, a bare
-    id is *not* a message item of a :class:`repro.objects.log.Log` — logs
-    tell records from messages by ``isinstance(_, tuple)``.
+    is pinned by ``tests/model/test_messages.py``.  A bare id is a
+    record, not a message item, of a :class:`repro.objects.log.Log`
+    (:func:`repro.objects.log.is_record`).
     """
 
     sender_index: int
@@ -46,9 +46,20 @@ class MessageId(NamedTuple):
         return f"m(p{self.sender_index}#{self.sequence})"
 
 
-@dataclass(frozen=True)
-class MulticastMessage:
+class _MulticastMessageFields(NamedTuple):
+    mid: MessageId
+    src: ProcessId
+    dst: ProcessSet
+    payload: Any = None
+
+
+class MulticastMessage(_MulticastMessageFields):
     """A message of the atomic-multicast problem.
+
+    A four-field tuple, like :class:`MessageId`: hashing (pinned by
+    ``tests/model/`` to ``hash((mid, src, dst, payload))``), ``==`` and
+    ``<`` (decided by the unique ``mid``) are ``tuple``'s own, in C.  A
+    message equals the plain 4-tuple of its fields.
 
     Attributes:
         mid: globally unique identity; also the log tie-break order.
@@ -58,42 +69,19 @@ class MulticastMessage:
             payload-sensitive, §2.2).
     """
 
-    mid: MessageId
-    src: ProcessId
-    dst: ProcessSet
-    payload: Any = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.src not in self.dst:
+    def __new__(
+        cls, mid: MessageId, src: ProcessId, dst: ProcessSet, payload: Any = None
+    ) -> "MulticastMessage":
+        if src not in dst:
             raise ModelError(
                 f"closed dissemination model requires src in dst: "
-                f"{self.src} not in {sorted(self.dst)}"
+                f"{src} not in {sorted(dst)}"
             )
-        if self.src.index != self.mid.sender_index:
+        if src.index != mid.sender_index:
             raise ModelError("message id must carry the sender index")
-
-    def __hash__(self) -> int:
-        # The four-field hash the dataclass would generate, computed once:
-        # every ``m in log`` hashes the message.  Lazy, because a message
-        # with an unhashable payload must still construct.
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            value = hash((self.mid, self.src, self.dst, self.payload))
-            self.__dict__["_hash"] = value
-            return value
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # A ``str`` payload hashes differently in every interpreter, so
-        # the cached hash must not travel through pickle or copy.
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, MulticastMessage):
-            return NotImplemented
-        return self.mid < other.mid
+        return tuple.__new__(cls, (mid, src, dst, payload))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         group = ",".join(p.name for p in sorted(self.dst))
@@ -113,10 +101,11 @@ class MessageFactory:
         self, src: ProcessId, dst: Iterable[ProcessId], payload: Any = None
     ) -> MulticastMessage:
         """Create a fresh message from ``src`` to group ``dst``."""
-        group = pset(dst)
-        counter = self._counters.setdefault(src, itertools.count(1))
+        counter = self._counters.get(src)
+        if counter is None:
+            counter = self._counters[src] = itertools.count(1)
         mid = MessageId(sender_index=src.index, sequence=next(counter))
-        return MulticastMessage(mid=mid, src=src, dst=group, payload=payload)
+        return MulticastMessage(mid=mid, src=src, dst=pset(dst), payload=payload)
 
 
 @dataclass(frozen=True, slots=True)

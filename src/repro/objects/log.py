@@ -18,12 +18,12 @@ Logs hold heterogeneous items in Algorithm 1 — messages, position records
 ``(m, h, i)`` and stabilization records ``(m, h)`` — so ordering queries
 are only issued between mutually comparable items; the convenience
 accessors (:meth:`messages_before` etc.) filter by item kind first.
-The kinds are told apart by ``isinstance(item, tuple)``: every tuple is a
-record.  :class:`repro.model.messages.MessageId` and
-:class:`repro.model.processes.ProcessId` are tuples, so a *bare* id is
-not a message item — Algorithm 1 appends
-:class:`repro.model.messages.MulticastMessage` objects (not tuples) and
-records headed by an id, never an id on its own.
+The kinds are told apart by :func:`is_record`: a record is a tuple other
+than a :class:`repro.model.messages.MulticastMessage` (a plain tuple or
+a message is told by its exact type alone).  A *bare*
+:class:`repro.model.messages.MessageId` is a record, not a message item —
+Algorithm 1 appends messages and records headed by an id, never an id
+on its own.
 
 The message items are kept sorted by their ``<_L`` key ``(slot, item)``
 as the log mutates, and the prefix of that order whose items are all
@@ -48,6 +48,13 @@ from bisect import bisect_left, insort
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.model.errors import SpecificationError
+from repro.model.messages import MulticastMessage
+
+
+def is_record(datum: Any) -> bool:
+    """The item-kind rule; ``append`` and ``bump_and_lock`` inline it."""
+    kind = type(datum)
+    return kind is tuple or kind is not MulticastMessage and isinstance(datum, tuple)
 
 
 class Log:
@@ -103,7 +110,8 @@ class Log:
         position = self._head
         self._positions[datum] = position
         self._head = position + 1
-        if isinstance(datum, tuple):
+        kind = type(datum)
+        if kind is tuple or kind is not MulticastMessage and isinstance(datum, tuple):
             self._records_cache = None
             if datum:
                 rows = self._rows
@@ -138,7 +146,8 @@ class Log:
         self._locked.add(datum)
         if final >= self._head:
             self._head = final + 1
-        if isinstance(datum, tuple):
+        kind = type(datum)
+        if kind is tuple or kind is not MulticastMessage and isinstance(datum, tuple):
             self._records_cache = None
             if final != current and datum:
                 self._refile(datum, current)
@@ -190,11 +199,7 @@ class Log:
     # -- Convenience accessors ---------------------------------------------
 
     def messages(self) -> Tuple[Any, ...]:
-        """The *message* items of the log, in ``<_L`` order.
-
-        Messages are recognized by not being tuples (Algorithm 1 stores
-        records as tuples).
-        """
+        """The *message* items of the log, in ``<_L`` order."""
         if self._messages_cache is None:
             self._messages_cache = tuple(item for _, item in self.order)
         return self._messages_cache
@@ -211,14 +216,14 @@ class Log:
     def messages_before(self, datum: Any) -> Tuple[Any, ...]:
         """Messages ``m'`` with ``m' <_L datum``; ``()`` unless ``datum``
         is a message of the log."""
-        if isinstance(datum, tuple) or datum not in self._positions:
+        if is_record(datum) or datum not in self._positions:
             return ()
         return self.messages()[: self.rank(datum)]
 
     def records(self) -> Tuple[Tuple[Any, ...], ...]:
-        """The tuple-shaped records of the log, in insertion-slot order."""
+        """The records (:func:`is_record`) of the log, in insertion-slot order."""
         if self._records_cache is None:
-            present = [d for d in self._positions if isinstance(d, tuple)]
+            present = [d for d in self._positions if is_record(d)]
             present.sort(key=lambda d: self._positions[d])
             self._records_cache = tuple(present)
         return self._records_cache

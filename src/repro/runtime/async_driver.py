@@ -89,7 +89,8 @@ class EventLoop:
     order; then runs the calls that were ready at that point, and then
     the batch straight off the heap — calls and timers queued by those
     run next turn.  So equal deadlines fire in scheduling order, by rule,
-    and a callback that raises leaves :meth:`run` at once.
+    and a callback that raises leaves :meth:`run` at once.  A wake timer
+    landing on a set flag only counts off ``in_flight`` (nobody is parked).
 
     The loop clock is the attribute :attr:`now`, in round units from
     ``0.0``, and it moves only between calls: every call of one turn
@@ -104,6 +105,7 @@ class EventLoop:
         self._stopping = False
         #: The loop clock, in round units.
         self.now = 0.0
+        self.transport: Optional[AsyncTransport] = None  # set by the transport
 
     def call_soon(self, fn: Callable, arg: Any) -> None:
         """Queue ``fn(arg)`` behind everything already ready."""
@@ -125,6 +127,8 @@ class EventLoop:
         """Take turns until stopped (or until nothing is left to run)."""
         ready, timers = self._ready, self._timers
         popleft = ready.popleft
+        transport = self.transport
+        land, woken = (transport.land, transport.woken) if transport else (None, None)
         while not self._stopping:
             while timers and timers[0][2] is None:
                 heappop(timers)
@@ -144,9 +148,14 @@ class EventLoop:
                     fn, arg = popleft()
                     fn(arg)
             for timer in batch:
-                # A call of this turn may have cancelled a later timer.
-                if timer[2] is not None:
-                    timer[2](timer[3])
+                fn = timer[2]
+                if fn is None:
+                    continue  # a call of this turn cancelled it
+                if fn is land and woken[timer[3]]:
+                    # A task parks only on a clear flag: nobody to resume.
+                    transport.in_flight -= 1
+                else:
+                    fn(timer[3])
 
 
 def derive_async_seed(seed: int, delay_spec: Any) -> int:
@@ -202,6 +211,9 @@ class AsyncTransport:
 
     def __init__(self, loop: Any, keys: Sequence[Key]) -> None:
         self._loop = loop
+        #: :meth:`_land` bound once, so the loop knows a wake timer by it.
+        self.land = self._land
+        loop.transport = self
         #: Per key, whether a wake has arrived that no wait has consumed.
         self.woken: Dict[Key, bool] = dict.fromkeys(keys, False)
         #: Per parked key, its task and the timer of its park timeout.
@@ -255,16 +267,15 @@ class AsyncTransport:
         self._ack(key)
 
     def _land(self, key: Key) -> None:
-        """A wake counted in :attr:`in_flight` lands — as a timer
-        callback, or at once from :meth:`deliver_now`: a parked task
-        resumes on the loop's next turn, any other finds the flag at its
-        next :meth:`wait`."""
+        """A wake counted in :attr:`in_flight` lands — a timer's, an ack
+        or :meth:`deliver_now`'s: a parked task resumes on the loop's next
+        turn, any other finds the flag at its next :meth:`wait`."""
         self.in_flight -= 1
         self.woken[key] = True
-        parked = self._parked.pop(key, None)
-        if parked is not None:
-            parked[1].cancel()
-            self._loop.call_soon(self.step, parked[0])
+        if key in self._parked:
+            task, timeout = self._parked.pop(key)
+            timeout.cancel()
+            self._loop.call_soon(self.step, task)
 
     def wait(self, key: Key, timeout: float) -> Task:
         """Park on ``key``'s channel until a wake (or the timeout); a
@@ -321,7 +332,7 @@ class AsyncDriver:
 
     def now_t(self) -> Time:
         """Logical time: the round the loop clock is in, from 1."""
-        return int(self._loop.now + 1e-9) + 1
+        return int(self._loop.now + CLOCK_RESOLUTION) + 1
 
     def _sync_time(self, t: Time) -> None:
         """Push logical time into the host's scheduler clock (monotone:
@@ -338,7 +349,7 @@ class AsyncDriver:
 
         A writer's wake to each other reader draws one channel latency,
         takes the fault plan's verdict when one is installed, and becomes
-        one timer that lands it (:meth:`AsyncTransport._land`).
+        one timer carrying :attr:`AsyncTransport.land`.
         """
         transport = self._transport
         if transport is None:
@@ -349,7 +360,7 @@ class AsyncDriver:
                 transport.deliver_now(dst)
             return
         loop, injector, rng = self._loop, self.injector, self.rng
-        latency_of, land, call_at = self.delay.latency, transport._land, loop.call_at
+        latency_of, land, call_at = self.delay.latency, transport.land, loop.call_at
         now, s = loop.now, src.index
         if injector is not None:
             t = self.now_t()
@@ -405,12 +416,6 @@ class AsyncDriver:
             stats["retries_lost"] += 1
         return final, self._transport._ack
 
-    def _pace(self, key: Key) -> float:
-        """Scheduling latency between consecutive steps of ``key``, at
-        least :data:`MIN_PACE`."""
-        pace = self.delay.latency(key.index, key.index, self.rng)
-        return pace if pace > MIN_PACE else MIN_PACE
-
     # -- Tasks -------------------------------------------------------------
 
     def _actor(self, key: Key) -> Task:
@@ -446,7 +451,8 @@ class AsyncDriver:
                     self._current = None
                 self._fired_window += fired
                 self._total_fired += fired
-                yield self._pace(key)
+                pace = self.delay.latency(key.index, key.index, self.rng)
+                yield pace if pace > MIN_PACE else MIN_PACE
                 continue
             yield from transport.wait(key, POLL_ROUNDS)
 

@@ -51,8 +51,9 @@ class TestMulticastMessage:
 
 
 class TestIdentityContract:
-    """A message id is a two-field tuple, hashed and compared in C; a
-    message computes its four-field hash once and keeps it to itself."""
+    """Ids and messages are tuples — two and four fields — hashed and
+    compared in C, with the hash values the generated dataclass methods
+    used to give."""
 
     def test_id_hash_is_the_field_tuples_hash(self):
         # Frozen like a golden: these values order sets of ids.
@@ -79,31 +80,58 @@ class TestIdentityContract:
             assert type(clone) is MessageId
             assert clone == mid and hash(clone) == hash(mid)
 
-    def test_message_hash_is_the_four_field_hash_computed_once(self):
-        m = MessageFactory().multicast(P1, by_indices(1, 2), payload="x")
-        assert "_hash" not in vars(m)
-        assert hash(m) == hash((m.mid, m.src, m.dst, m.payload))
-        assert vars(m)["_hash"] == hash(m)
-        twin = MulticastMessage(m.mid, m.src, m.dst, "x")
-        assert twin == m and hash(twin) == hash(m)
-        assert len({m, twin}) == 1
+    def test_message_hash_is_the_four_field_hash(self):
+        # Frozen like a golden: these values order sets of messages.
+        pinned = MulticastMessage(MessageId(1, 1), P1, by_indices(1, 2), 7)
+        assert hash(pinned) == 3564175236656393971
+        factory = MessageFactory()
+        for m in (
+            pinned,
+            factory.multicast(P1, by_indices(1, 2), payload="x"),
+            factory.multicast(P2, by_indices(1, 2, 3)),
+            factory.multicast(P3, by_indices(3), payload=("op", 1)),
+        ):
+            assert hash(m) == hash((m.mid, m.src, m.dst, m.payload))
+            twin = MulticastMessage(m.mid, m.src, m.dst, m.payload)
+            assert twin == m and hash(twin) == hash(m)
+            assert len({m, twin}) == 1
 
-    def test_message_hash_cache_does_not_travel(self):
-        # A str payload hashes differently in every interpreter: a
-        # message pickled after being hashed must not carry the value.
+    def test_message_hash_and_comparisons_are_tuples_own(self):
+        for dunder in ("__hash__", "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+            assert getattr(MulticastMessage, dunder) is getattr(tuple, dunder), dunder
+
+    def test_message_equals_the_plain_four_tuple_of_its_fields(self):
+        m = MessageFactory().multicast(P1, by_indices(1, 2), payload="x")
+        assert m == (m.mid, P1, by_indices(1, 2), "x")
+        assert (m.mid, m.src, m.dst, m.payload) == tuple(m)
+        assert m != m.mid and m.mid not in {m}
+
+    def test_message_order_is_the_id_order(self):
+        factory = MessageFactory()
+        ms = [
+            factory.multicast(p, by_indices(1, 2, 3), payload=payload)
+            for p, payload in ((P2, {"a": 1}), (P1, None), (P3, "z"), (P1, 5))
+        ]
+        assert sorted(ms) == sorted(ms, key=lambda m: m.mid)
+
+    def test_message_pickle_and_copies_keep_the_type(self):
         m = MessageFactory().multicast(P1, by_indices(1, 2), payload="x")
         hash(m)
         for clone in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
-            assert "_hash" not in vars(clone)
+            assert type(clone) is MulticastMessage
             assert clone == m and hash(clone) == hash(m)
-        assert "_hash" not in m.__getstate__()
 
     def test_unhashable_payload_constructs_and_raises_only_when_hashed(self):
         m = MessageFactory().multicast(P1, by_indices(1), payload={"op": "put"})
         assert m == MulticastMessage(m.mid, m.src, m.dst, {"op": "put"})
         with pytest.raises(TypeError):
             hash(m)
-        assert "_hash" not in vars(m)
+
+    def test_both_model_checks_fire_on_construction(self):
+        with pytest.raises(ModelError, match="closed dissemination"):
+            MulticastMessage(MessageId(1, 1), P1, by_indices(2, 3))
+        with pytest.raises(ModelError, match="sender index"):
+            MulticastMessage(MessageId(2, 1), P1, by_indices(1, 2))
 
 
 class TestMessageBuffer:

@@ -13,7 +13,9 @@ filter-and-sort accessors it replaced are the reference of
 ``test_records_index_differential.py``.
 
 All of them read only the log's slot table (``pos`` / ``in``, in
-insertion order), never the structures under test.  O(n log n) per
+insertion order), never the structures under test, and tell records
+from messages by the log's own item-kind rule,
+:func:`repro.objects.log.is_record`.  O(n log n) per
 read — test logs only.
 """
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, List, Tuple
 
-from repro.objects.log import Log
+from repro.objects.log import Log, is_record
 
 
 def precedes(log: Log, d: Any, d_prime: Any) -> bool:
@@ -38,17 +40,16 @@ def precedes(log: Log, d: Any, d_prime: Any) -> bool:
 def messages(log: Log) -> Tuple[Any, ...]:
     """The *message* items of the log, in ``<_L`` order.
 
-    Messages are recognized by not being tuples (Algorithm 1 stores
-    records as tuples).
+    Messages are the items that are not records.
     """
-    present = [d for d in log._positions if not isinstance(d, tuple)]
+    present = [d for d in log._positions if not is_record(d)]
     present.sort(key=lambda d: (log._positions[d], d))
     return tuple(present)
 
 
 def messages_before(log: Log, datum: Any) -> Tuple[Any, ...]:
     """Messages ``m'`` with ``m' <_L datum``."""
-    if not isinstance(datum, tuple) and datum in log._positions:
+    if not is_record(datum) and datum in log._positions:
         # ``messages()`` is sorted by exactly the ``<_L`` key, so the
         # predecessors of a present message form a prefix.
         out: List[Any] = []
@@ -67,7 +68,7 @@ def _records_for(log: Log, message: Any, arity: int) -> Tuple[Tuple[Any, ...], .
     rows = [
         r
         for r in log._positions
-        if isinstance(r, tuple) and len(r) == arity and r[0] == message
+        if is_record(r) and len(r) == arity and r[0] == message
     ]
     rows.sort(key=lambda r: log._positions[r])
     return tuple(rows)

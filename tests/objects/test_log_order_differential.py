@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.model.errors import SpecificationError
 from repro.model.messages import MessageFactory
 from repro.model.processes import make_processes, pset
-from repro.objects.log import Log
+from repro.objects.log import Log, is_record
 
 from . import _oracle
 
@@ -50,7 +50,7 @@ def test_order_views_match_the_oracle_after_every_operation(ops):
     arrivals = []
     for op, datum, k in ops:
         if op == "append":
-            if datum not in log and not isinstance(datum, tuple):
+            if datum not in log and not is_record(datum):
                 arrivals.append(datum)
             log.append(datum)
         elif datum in log:

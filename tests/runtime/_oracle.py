@@ -272,7 +272,11 @@ class _FifoTimer(asyncio.TimerHandle):
 
 class asyncio_loop:
     """``EventLoop``'s surface — ``now`` / ``call_soon`` / ``call_at``
-    (cancellable) / ``stop`` / ``run`` — over a real asyncio loop."""
+    (cancellable) / ``stop`` / ``run`` — over a real asyncio loop.
+
+    It ignores the ``transport`` an ``AsyncTransport`` sets on its loop,
+    so every wake lands through ``AsyncTransport._land``: the reference
+    for ``EventLoop``'s inline landing of a wake on a set flag."""
 
     def __init__(self):
         self._loop = asyncio.new_event_loop()

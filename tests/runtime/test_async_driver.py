@@ -228,7 +228,7 @@ class TestAsyncTransport:
         """A timed wake, as the driver sends one: counted in flight, and
         one timer that lands it."""
         transport.in_flight += 1
-        loop.call_at(loop.now + delay, transport._land, key)
+        loop.call_at(loop.now + delay, transport.land, key)
 
     def test_deliver_at_tracks_in_flight(self):
         """A wake timed to land at a given instant is in flight until it
@@ -265,6 +265,28 @@ class TestAsyncTransport:
             yield from transport.wait("a", timeout=2.0)
             assert loop.now - before >= 2.0
             assert not transport.woken["a"]
+
+        self._run(scenario, ["a"])
+
+    def test_a_wake_on_a_set_flag_lands_without_a_call(self, monkeypatch):
+        """The second of two wakes to an idle reader finds the flag set:
+        the loop counts it off ``in_flight`` without calling ``_land``."""
+        landed = []
+        land = AsyncTransport._land
+
+        def counted(transport, key):
+            landed.append(key)
+            land(transport, key)
+
+        monkeypatch.setattr(AsyncTransport, "_land", counted)
+
+        def scenario(loop, transport):
+            self._send(loop, transport, 1.0, "a")
+            self._send(loop, transport, 2.0, "a")
+            assert transport.in_flight == 2
+            yield 3.0
+            assert transport.in_flight == 0 and transport.woken["a"]
+            assert landed == ["a"]
 
         self._run(scenario, ["a"])
 
@@ -314,6 +336,82 @@ def test_a_dropped_wake_lands_once(max_rounds, stats):
     assert result.injector.stats["dropped"] == 3
     assert result.transport_stats == stats
     assert result.quiescent == (max_rounds == 300)
+
+
+class _CheckedFlags(dict):
+    """A transport's ``woken`` that checks the landing invariant — a set
+    flag has no task parked behind it — whenever the loop reads a flag
+    to land a timed wake, and counts those reads."""
+
+    def __init__(self, transport, reads):
+        super().__init__(transport.woken)
+        self._transport, self._reads = transport, reads
+
+    def __getitem__(self, key):
+        flag = dict.__getitem__(self, key)
+        if sys._getframe(1).f_code is EventLoop.run.__code__:
+            assert not (flag and key in self._transport._parked), key
+            self._reads[flag] += 1
+        return flag
+
+
+def _plan_cell(mix):
+    """The Figure 1 cell of the asyncio-oracle differential under one
+    nemesis mix."""
+    from repro.faults.nemesis import random_plan
+    from repro.groups.topology import paper_figure1_topology
+    from repro.workloads.runner import random_sends, run_scenario
+    from repro.workloads.spec import ScenarioSpec, TopologySpec
+
+    topology = paper_figure1_topology()
+    captured = TopologySpec.capture(topology)
+    spec = ScenarioSpec(
+        topology=captured,
+        sends=tuple(random_sends(topology, 12, seed=3)),
+        seed=3,
+        max_rounds=300,
+        backend="async",
+        delay_model=("uniform", 0.1, 0.9),
+        faults=random_plan(
+            1,
+            mix,
+            process_count=captured.process_count,
+            groups=tuple(name for name, _ in captured.groups),
+            horizon=12,
+        ),
+    )
+    return lambda: run_scenario(spec)
+
+
+LANDING_CELLS = dict(async_scenarios())
+LANDING_CELLS.update({f"figure1:{mix}": _plan_cell(mix) for mix in ("links", "recovery")})
+
+
+@pytest.mark.parametrize("cell", sorted(LANDING_CELLS))
+def test_a_set_flag_has_nobody_parked_at_every_timed_landing(cell, monkeypatch):
+    """``woken[key]`` implies ``key not in _parked`` wherever a timed
+    wake lands: on the flag read by which the loop lands a wake inline
+    or hands it to ``_land``, and on entry to ``_land`` (acks of dropped
+    wakes and zero-latency wakes included).  The 16 ``async:*`` golden
+    cells plus a ``links`` and a ``recovery`` plan."""
+    reads = {True: 0, False: 0}
+    landings = []
+    init, land = AsyncTransport.__init__, AsyncTransport._land
+
+    def checked_init(transport, loop, keys):
+        init(transport, loop, keys)
+        transport.woken = _CheckedFlags(transport, reads)
+
+    def checked_land(transport, key):
+        assert not (transport.woken[key] and key in transport._parked), key
+        landings.append(key)
+        land(transport, key)
+
+    monkeypatch.setattr(AsyncTransport, "__init__", checked_init)
+    monkeypatch.setattr(AsyncTransport, "_land", checked_land)
+    result = LANDING_CELLS[cell]()
+    assert result.delivered_everywhere()
+    assert reads[True] + reads[False] > 0 and landings
 
 
 class TestDriverValidation:
@@ -371,18 +469,17 @@ class TestDriverValidation:
 
 
 #: Frames of ``runtime/async_driver.py`` and ``runtime/delay.py`` per
-#: landed wake or fire on :func:`test_wake_cost_ledger`'s cell: the
-#: measured 4.91 plus 10 %.
-WAKE_FRAMES_CEILING = 5.40
+#: wake or fire on :func:`test_wake_cost_ledger`'s cell: the measured
+#: 4.04 plus 10 %.
+WAKE_FRAMES_CEILING = 4.45
 
-#: Builtin calls made from those files' frames per landed wake or fire:
-#: the measured 6.39 plus 10 %.
-WAKE_BUILTINS_CEILING = 7.03
+#: Builtin calls made from those files' frames per wake or fire: the
+#: measured 5.59 plus 10 %.
+WAKE_BUILTINS_CEILING = 6.15
 
 
 def test_wake_cost_ledger():
-    """The async driver's own frames and builtin calls per landed wake
-    or fire.
+    """The async driver's own frames and builtin calls per wake or fire.
 
     The golden Figure 1 ``exponential`` cell without a plan
     (``tests/runtime/_scenarios.py``) runs under ``sys.setprofile``.
@@ -390,24 +487,29 @@ def test_wake_cost_ledger():
     whose code lives in ``runtime/async_driver.py`` or
     ``runtime/delay.py``, and the ``c_call`` events those frames make
     (``heappush``, ``rng.random``, ``deque.append`` …), and divides each
-    by the wakes that landed (every landing, timed or zero-latency, runs
-    ``AsyncTransport._land`` once) plus the actors' fires.  Only the
-    repository's own frames count, so no stdlib frame (``random``,
-    ``heapq``) moves the numbers between Python versions.
+    by the wakes plus the actors' fires.  A wake is counted where it is
+    sent, since a timed wake that lands on a set flag opens no frame:
+    one ``latency`` frame ``_on_wake`` opens per timed wake, plus one
+    ``deliver_now`` call per zero-latency one.  Only the repository's
+    own frames count, so no stdlib frame (``random``, ``heapq``) moves
+    the numbers between Python versions.
 
     With a wake routed ``_on_wake`` → ``_deliver`` → ``latency`` →
     ``expovariate`` → ``deliver_at`` → ``call_at``, landed by ``_land``
     → ``deliver_now``, and the loop clock read through ``EventLoop.time()``,
-    this cell read 12.02 frames (``deliver_now`` counting the landings).
-    With every due timer passed through the ready ``deque`` and each
-    latency clamped by ``max`` / ``min``, it made 10.16 builtin calls.
+    this cell read 12.02 frames per landing or fire.  With every due
+    timer passed through the ready ``deque`` and each latency clamped by
+    ``max`` / ``min``, it made 10.16 builtin calls.  With every timed
+    wake landed by a ``_land`` call and the pacing latency drawn in its
+    own ``_pace`` frame, it read 4.91 frames and 6.39 builtin calls
+    (494 wakes and 75 fires).
     """
     run = dict(async_scenarios())["async:figure1:exponential:none"]
     own = tuple(
         os.path.join("runtime", name) for name in ("async_driver.py", "delay.py")
     )
     actors = os.path.join("runtime", "actors.py")
-    counts = {"own": 0, "builtins": 0, "landed": 0, "fires": 0}
+    counts = {"own": 0, "builtins": 0, "wakes": 0, "fires": 0}
 
     def profile(frame, event, _arg):
         if event == "c_call":
@@ -419,8 +521,11 @@ def test_wake_cost_ledger():
         code = frame.f_code
         if code.co_filename.endswith(own):
             counts["own"] += 1
-            if code.co_name == "_land":
-                counts["landed"] += 1
+            if code.co_name == "deliver_now" or (
+                code.co_name == "latency"
+                and frame.f_back.f_code.co_name == "_on_wake"
+            ):
+                counts["wakes"] += 1
         elif code.co_name == "fire" and code.co_filename.endswith(actors):
             counts["fires"] += 1
 
@@ -429,7 +534,7 @@ def test_wake_cost_ledger():
         result = run()
     finally:
         sys.setprofile(None)
-    assert result.delivered_everywhere() and counts["landed"] > 0
-    events = counts["landed"] + counts["fires"]
+    assert result.delivered_everywhere() and counts["wakes"] > 0
+    events = counts["wakes"] + counts["fires"]
     assert counts["own"] / events <= WAKE_FRAMES_CEILING, counts
     assert counts["builtins"] / events <= WAKE_BUILTINS_CEILING, counts
