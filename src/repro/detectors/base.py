@@ -1,12 +1,12 @@
 """Failure-detector base abstractions (Appendix A).
 
 A failure detector is an oracle queried locally: ``D.query(p, t)`` returns
-the local sample ``H(p, t)`` of some history ``H in D(F)``.  Oracle-backed
-implementations compute their answers from the run's failure pattern —
-this is exactly the model's definition of a detector (a mapping from
-failure patterns to histories).  Emulated detectors (Algorithms 2–5)
-instead derive their answers from protocol executions; both expose the
-same :class:`FailureDetector` interface.
+the local sample ``H(p, t)`` of some history ``H in D(F)``.  The pattern
+oracles are :class:`Timeline` values: histories computed from the run's
+failure pattern when they are built — exactly the model's definition of
+a detector (a mapping from failure patterns to histories).  Emulated
+detectors (Algorithms 2–5) instead derive their answers from protocol
+executions; both expose the same :class:`FailureDetector` interface.
 
 The special value :data:`BOTTOM` is the ``⊥`` returned by set-restricted
 detectors outside their scope.
@@ -14,9 +14,10 @@ detectors outside their scope.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.model.failures import FailurePattern, Time
+from repro.model.failures import Time
 from repro.model.processes import ProcessId
 
 
@@ -42,13 +43,9 @@ BOTTOM = _Bottom()
 
 
 class FailureDetector:
-    """Interface of a failure-detector module.
-
-    Subclasses implement :meth:`query`.  The base class records a history
-    of all samples handed out, which the validation harness in
-    :mod:`repro.detectors.validation` replays against the class
-    properties (Intersection, Liveness, Leadership, Accuracy, ...).
-    """
+    """Interface of a failure-detector module.  The validation harness in
+    :mod:`repro.detectors.validation` judges lists of :meth:`query`
+    samples against the class properties (Intersection, Liveness, ...)."""
 
     #: short class label, e.g. "Sigma", used in diagnostics.
     kind: str = "D"
@@ -56,34 +53,31 @@ class FailureDetector:
     #: The sorted times at which :meth:`query`'s answer may change, when
     #: the answer is a pure function of that epoch; ``None`` when it is
     #: not, and a caller caching samples must then ask on every call.
-    instants: Optional[Sequence[Time]] = None
-
-    def __init__(self) -> None:
-        self._history: List[Tuple[ProcessId, Time, Any]] = []
+    instants: Optional[List[Time]] = None
 
     def query(self, p: ProcessId, t: Time) -> Any:
         """Return the sample ``H(p, t)``; must be overridden."""
         raise NotImplementedError
 
-    def sample(self, p: ProcessId, t: Time) -> Any:
-        """Query and record the sample in the observable history."""
-        value = self.query(p, t)
-        self._history.append((p, t, value))
-        return value
 
-    @property
-    def history(self) -> Tuple[Tuple[ProcessId, Time, Any], ...]:
-        """All recorded ``(process, time, value)`` samples, in query order."""
-        return tuple(self._history)
+def epoch_starts(instants: Sequence[Time]) -> Tuple[Time, ...]:
+    """The first time of each epoch ``instants`` cut: 0, then each instant."""
+    return (0, *instants)
 
 
-class OracleDetector(FailureDetector):
-    """A detector computed from the run's failure pattern.
-
-    Attributes:
-        pattern: the failure pattern ``F`` of the current run.
+class Timeline(FailureDetector):
+    """A detector output as data, the same at every process: ``values[i]``
+    over the ``i``-th epoch the sorted :attr:`instants` cut, so there is
+    one more value than instants.  A pattern oracle computes each value
+    once, at its epoch's first time (:func:`epoch_starts`), when built.
     """
 
-    def __init__(self, pattern: FailurePattern) -> None:
-        super().__init__()
-        self.pattern = pattern
+    def __init__(self, instants: Sequence[Time], values: Sequence[Any]) -> None:
+        self.instants = list(instants)
+        self.values = tuple(values)
+
+    def query(self, p: ProcessId, t: Time) -> Any:
+        instants = self.instants
+        if instants:
+            return self.values[bisect_right(instants, t)]
+        return self.values[0]

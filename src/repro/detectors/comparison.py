@@ -45,7 +45,6 @@ class GammaFromIndicators(FailureDetector):
         topology: GroupTopology,
         indicators: Dict[FrozenSet[ProcessId], IndicatorOracle],
     ) -> None:
-        super().__init__()
         self.topology = topology
         self.indicators = indicators
 

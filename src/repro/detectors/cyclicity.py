@@ -22,23 +22,24 @@ detector.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Dict, FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable, Tuple
 
-from repro.detectors.base import OracleDetector
-from repro.groups.families import family_fault_time
+from repro.detectors.base import FailureDetector, Timeline, epoch_starts
+from repro.groups.families import family_fault_time, is_chordless_cycle_family
 from repro.groups.topology import Group, GroupFamily, GroupTopology
 from repro.model.failures import FailurePattern, Time
 from repro.model.processes import ProcessId
 
 
-class GammaOracle(OracleDetector):
+class GammaOracle(FailureDetector):
     """Oracle-backed cyclicity detector.
 
     Attributes:
         topology: the destination groups; fixes ``F`` and ``F(p)``.
         detection_lag: delay, in time units, between a family becoming
             faulty and its exclusion from the output.
+        trusted: the cyclic families not (yet) excluded, as a timeline
+            whose instants are the fault times plus the lag.
     """
 
     kind = "gamma"
@@ -49,80 +50,35 @@ class GammaOracle(OracleDetector):
         topology: GroupTopology,
         detection_lag: Time = 0,
     ) -> None:
-        super().__init__(pattern)
+        self.pattern = pattern
         self.topology = topology
         self.detection_lag = detection_lag
-        #: Precomputed fault time per cyclic family (None = never faulty).
-        self._fault_times = {
-            family: family_fault_time(family, pattern)
-            for family in topology.cyclic_families()
-        }
-        # The output at ``p`` is a pure function of which families are
-        # excluded, which only changes when some fault time plus the lag
-        # elapses; queries inside one such epoch share a cached sample.
-        self._exclusion_instants = sorted(
-            {
-                fault_time + detection_lag
-                for fault_time in self._fault_times.values()
-                if fault_time is not None
-            }
-        )
-        self._samples: Dict[Tuple[ProcessId, int], FrozenSet[GroupFamily]] = {}
-        self._group_samples: Dict[Tuple[Group, int], FrozenSet[GroupFamily]] = {}
-
-    def epoch(self, t: Time) -> int:
-        """The exclusion-state epoch of time ``t``.
-
-        Samples (and anything derived from them, like the ``gamma(g)``
-        partner sets) are constant within one epoch — callers may use
-        this as a memoization key.
-        """
-        return bisect_right(self._exclusion_instants, t)
-
-    def _excluded(self, family: GroupFamily, t: Time) -> bool:
-        """Whether ``family`` is excluded from outputs at time ``t``."""
-        fault_time = self._fault_times[family]
-        return fault_time is not None and t >= fault_time + self.detection_lag
+        families = topology.cyclic_families()
+        excluded_at = {}  # family -> its fault time plus the lag
+        for family in families:
+            fault_time = family_fault_time(family, pattern)
+            if fault_time is not None:
+                excluded_at[family] = fault_time + detection_lag
+        instants = sorted(set(excluded_at.values()))
+        trusted = [
+            frozenset(f for f in families if f not in excluded_at or t < excluded_at[f])
+            for t in epoch_starts(instants)
+        ]
+        self.trusted = Timeline(instants, trusted)
 
     def query(self, p: ProcessId, t: Time) -> FrozenSet[GroupFamily]:
         """The families of ``F(p)`` not (yet) detected as faulty."""
-        key = (p, self.epoch(t))
-        sample = self._samples.get(key)
-        if sample is None:
-            sample = frozenset(
-                family
-                for family in self.topology.families_of_process(p)
-                if not self._excluded(family, t)
-            )
-            self._samples[key] = sample
-        return sample
+        trusted = self.trusted.query(p, t)
+        return frozenset(
+            f for f in self.topology.families_of_process(p) if f in trusted
+        )
 
-    def trusted_families_of_group(
-        self, g: Group, t: Time
-    ) -> FrozenSet[GroupFamily]:
-        """The families of ``F(g)`` not (yet) detected as faulty.
-
-        A *group-uniform* view: unlike :meth:`query`, the answer does not
-        depend on which member asks.  Algorithm 1's commit gate needs
-        this uniformity — a member of ``g`` that carries no intersection
-        of a live family ``f ∋ g`` (so ``f ∉ F(p)``) would otherwise see
-        an empty partner set and propose an ordering position before the
-        carriers of ``f`` have written their ``(m, h, ·)`` records,
-        poisoning ``CONS_m`` with a stale value (the termination gap of
-        DESIGN.md §13, "Golden-versioning policy").  The oracle's exclusion state is the same one
-        :meth:`query` consults, so Accuracy and Completeness carry over
-        family-by-family.
-        """
-        key = (g, self.epoch(t))
-        sample = self._group_samples.get(key)
-        if sample is None:
-            sample = frozenset(
-                family
-                for family in self.topology.families_of_group(g)
-                if not self._excluded(family, t)
-            )
-            self._group_samples[key] = sample
-        return sample
+    def partners(self, g: Group) -> Timeline:
+        """``gamma(g)`` (:func:`gamma_groups`) over :attr:`trusted`: the
+        same at every member of ``g``, which Algorithm 1's commit gate
+        needs (see :meth:`repro.detectors.mu.Mu.gamma_partners`)."""
+        trusted = self.trusted
+        return Timeline(trusted.instants, [gamma_groups(v, g) for v in trusted.values])
 
 
 def gamma_groups(
@@ -149,8 +105,6 @@ def gamma_groups(
         output: the family set returned by a gamma query.
         g: the destination group of interest.
     """
-    from repro.groups.families import is_chordless_cycle_family
-
     partners = set()
     for family in output:
         if g not in family or not is_chordless_cycle_family(family):

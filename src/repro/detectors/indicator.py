@@ -14,14 +14,15 @@ the intersection that reads ``True`` is itself crashed).
 
 from __future__ import annotations
 
-from repro.detectors.base import OracleDetector
+from repro.detectors.base import Timeline
 from repro.model.errors import DetectorError
 from repro.model.failures import FailurePattern, Time
-from repro.model.processes import ProcessId, ProcessSet, pset
+from repro.model.processes import ProcessSet, pset
 
 
-class IndicatorOracle(OracleDetector):
-    """Oracle-backed ``1^P``.
+class IndicatorOracle(Timeline):
+    """Oracle-backed ``1^P``: whether ``watched`` is (detectably)
+    entirely crashed.
 
     Attributes:
         watched: the set ``P`` whose collective death is reported.
@@ -37,15 +38,13 @@ class IndicatorOracle(OracleDetector):
         watched: ProcessSet,
         detection_lag: Time = 0,
     ) -> None:
-        super().__init__(pattern)
         if not watched:
             raise DetectorError("indicator scope must be non-empty")
+        self.pattern = pattern
         self.watched = pset(watched)
         self.detection_lag = detection_lag
-        self._death_time = pattern.crash_time_of_set(self.watched)
-
-    def query(self, p: ProcessId, t: Time) -> bool:
-        """Whether ``watched`` is (detectably) entirely crashed at ``t``."""
-        if self._death_time is None:
-            return False
-        return t >= self._death_time + self.detection_lag
+        death_time = pattern.crash_time_of_set(self.watched)
+        if death_time is None:
+            super().__init__([], [False])
+        else:
+            super().__init__([death_time + detection_lag], [False, True])

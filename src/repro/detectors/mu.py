@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Tuple
 
-from repro.detectors.base import BOTTOM, FailureDetector
-from repro.detectors.cyclicity import GammaOracle, gamma_groups
+from repro.detectors.base import BOTTOM, FailureDetector, Timeline
+from repro.detectors.cyclicity import GammaOracle
 from repro.detectors.leader import OmegaOracle
 from repro.detectors.quorum import SigmaOracle
 from repro.groups.topology import Group, GroupTopology
@@ -52,15 +52,13 @@ class Mu(FailureDetector):
         omegas: Dict[Group, FailureDetector],
         gamma: GammaOracle,
     ) -> None:
-        super().__init__()
         self.topology = topology
         self.sigmas = sigmas
         self.omegas = omegas
         self.gamma = gamma
-        # ``gamma(g)`` partner sets are constant within one gamma
-        # exclusion epoch; Algorithm 1 recomputes them on every commit /
-        # stable scan, so this cache carries the engine's hottest path.
-        self._partner_cache: Dict[Tuple[Group, int], Tuple[Group, ...]] = {}
+        #: ``gamma(g)`` per group asked, as a timeline: Algorithm 1 asks
+        #: on every commit / stable scan, the engine's hottest path.
+        self._partners: Dict[Group, Timeline] = {}
 
     # -- Component accessors (the API Algorithm 1 consumes) ---------------
 
@@ -101,22 +99,19 @@ class Mu(FailureDetector):
     def gamma_partners(self, t: Time, g: Group) -> Tuple[Group, ...]:
         """``gamma(g)`` at ``t`` (§3 derived notation), group-uniform.
 
-        Derived from the oracle's exclusion state over ``F(g)`` rather
-        than from the asking member's own sample over ``F(p)``: every
-        member of ``g`` must gate commit/stabilize on the *same* partner
-        set, or a member carrying no intersection of a live family of
-        ``g`` sees no partners, commits early, and decides a stale
-        ordering position for everyone (DESIGN.md §13, "Golden-versioning
-        policy").
+        Derived from the oracle's exclusions over ``F(g)``
+        (:meth:`GammaOracle.partners`, built once per group) rather than
+        from the asking member's own sample over ``F(p)``: every member
+        of ``g`` must gate commit/stabilize on the *same* partner set, or
+        a member carrying no intersection of a live family of ``g`` sees
+        no partners, commits early, and decides a stale ordering position
+        for everyone (DESIGN.md §13, "Golden-versioning policy").
         """
-        key = (g, self.gamma.epoch(t))
-        partners = self._partner_cache.get(key)
-        if partners is None:
-            partners = gamma_groups(
-                self.gamma.trusted_families_of_group(g, t), g
-            )
-            self._partner_cache[key] = partners
-        return partners
+        try:
+            partners = self._partners[g]
+        except KeyError:
+            partners = self._partners[g] = self.gamma.partners(g)
+        return partners.query(None, t)
 
     # -- FailureDetector interface ----------------------------------------
 

@@ -16,17 +16,18 @@ still holds.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Dict, FrozenSet
-
-from repro.detectors.base import OracleDetector
+from repro.detectors.base import Timeline, epoch_starts
 from repro.model.errors import DetectorError
-from repro.model.failures import FailurePattern, Time
-from repro.model.processes import ProcessId, ProcessSet, pset
+from repro.model.failures import FailurePattern
+from repro.model.processes import ProcessSet, pset
 
 
-class SigmaOracle(OracleDetector):
+class SigmaOracle(Timeline):
     """Oracle-backed ``Sigma_P``.
+
+    The caller need not belong to the scope: the restriction semantics
+    (return ``⊥`` outside ``P``) is layered on by
+    :meth:`repro.detectors.mu.Mu.query`.
 
     Attributes:
         scope: the process set ``P`` the detector is restricted to;
@@ -37,47 +38,31 @@ class SigmaOracle(OracleDetector):
     kind = "Sigma"
 
     def __init__(self, pattern: FailurePattern, scope: ProcessSet) -> None:
-        super().__init__(pattern)
         if not scope:
             raise DetectorError("Sigma scope must be non-empty")
+        self.pattern = pattern
         self.scope = pset(scope)
-        self._scope_correct = pset(
-            p for p in self.scope if pattern.is_correct(p)
-        )
+        correct = pset(p for p in self.scope if pattern.is_correct(p))
         # The sample is a pure function of which scope members are alive,
-        # which only changes at the scope's crash *and* recovery
-        # instants — one cached sample per inter-change interval (a
-        # single constant sample on failure-free patterns, where kernel
-        # runs issue one query per process per round).  Recovery makes
-        # the alive set non-monotone, but each epoch is still constant.
-        self.instants = list(
-            pattern.restricted_to(self.scope).change_instants()
-        )
-        self._samples: Dict[int, FrozenSet[ProcessId]] = {}
-
-    def query(self, p: ProcessId, t: Time) -> FrozenSet[ProcessId]:
-        """A quorum of ``scope`` at time ``t``.
-
-        The caller need not belong to the scope: the restriction semantics
-        (return ``⊥`` outside ``P``) is layered on by
-        :meth:`repro.detectors.mu.Mu.query`.
-        """
-        if not self._scope_correct or not self.instants:
+        # which only changes at the scope's crash *and* recovery instants.
+        instants = list(pattern.restricted_to(self.scope).change_instants())
+        if not correct or not instants:
             # Entire scope eventually crashes: Liveness is vacuous, keep
-            # Intersection by answering the constant full scope.  With no
-            # crash or recovery in the scope, the full scope is also what
-            # the epoch path below would compute: everyone, always alive.
-            return self.scope
-        epoch = bisect_right(self.instants, t)
-        sample = self._samples.get(epoch)
-        if sample is None:
-            alive = pset(q for q in self.scope if self.pattern.is_alive(q, t))
+            # Intersection by answering the constant full scope (which is
+            # everyone alive when no member ever crashes).
+            values = [self.scope] * (len(instants) + 1)
+        else:
             # Union in the correct members: on crash-stop patterns this
             # is a no-op (every correct member is alive), and under
             # crash–recovery it keeps Intersection — a temporarily-down
             # recovering member stays in every sample, so any two
             # samples intersect on ``Correct ∩ P``.  Operations quoting
             # such a member stall, admissibly, until its rejoin.
-            sample = pset(alive | self._scope_correct)
-            self._samples[epoch] = sample
-        return sample
+            values = [
+                pset(pset(q for q in self.scope if pattern.is_alive(q, t)) | correct)
+                for t in epoch_starts(instants)
+            ]
+        super().__init__(instants, values)
+
+    # Bound here, not inherited: benchmarks/e2e/shim.py wraps it by name.
+    query = Timeline.query

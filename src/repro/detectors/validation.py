@@ -18,6 +18,7 @@ emulated detectors must pass the very same checks as the ideal ones.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.groups.families import family_faulty_at
@@ -39,21 +40,25 @@ def _samples_by_process(history: History) -> Dict[ProcessId, List[Tuple[Time, An
 def check_sigma(
     history: History, pattern: FailurePattern, scope: ProcessSet
 ) -> List[str]:
-    """Check the Intersection and Liveness properties of ``Sigma_P``."""
+    """Check the Intersection and Liveness properties of ``Sigma_P``.
+    Intersection is judged once per pair of distinct quorums, each named
+    by the first ``(process, time)`` that returned it."""
     violations: List[str] = []
-    values = [(p, t, v) for p, t, v in history if v is not None]
-    for p, t, v in values:
+    first = {}  # quorum -> (process, time)
+    for p, t, v in history:
+        if v is None:
+            continue
         if not v:
             violations.append(f"empty quorum at {p.name} t={t}")
         if not set(v) <= set(scope):
             violations.append(f"quorum outside scope at {p.name} t={t}: {v}")
-    for i, (p, t, v) in enumerate(values):
-        for q, u, w in values[i + 1 :]:
-            if not (set(v) & set(w)):
-                violations.append(
-                    f"Intersection violated: {p.name}@{t} -> {sorted(v)} vs "
-                    f"{q.name}@{u} -> {sorted(w)}"
-                )
+        first.setdefault(frozenset(v), (p, t))
+    for (v, (p, t)), (w, (q, u)) in combinations(first.items(), 2):
+        if not v & w:
+            violations.append(
+                f"Intersection violated: {p.name}@{t} -> {sorted(v)} vs "
+                f"{q.name}@{u} -> {sorted(w)}"
+            )
     correct_scope = {p for p in scope if pattern.is_correct(p)}
     if correct_scope:
         for p, samples in _samples_by_process(history).items():

@@ -24,7 +24,6 @@ class Extraction(RoundHost, FailureDetector):
         self, topology: GroupTopology, pattern: FailurePattern, seed: int
     ) -> None:
         RoundHost.__init__(self, seed)
-        FailureDetector.__init__(self)
         self.topology = topology
         self.pattern = pattern
 

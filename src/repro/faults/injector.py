@@ -496,7 +496,6 @@ class NoisySigma(FailureDetector):
     kind = "Sigma"
 
     def __init__(self, inner: FailureDetector, injector: FaultInjector) -> None:
-        super().__init__()
         self.inner = inner
         self.scope = inner.scope
         self._indices = frozenset(q.index for q in inner.scope)
@@ -519,7 +518,6 @@ class LateOmega(FailureDetector):
     def __init__(
         self, inner: FailureDetector, floor: Time, injector: FaultInjector
     ) -> None:
-        super().__init__()
         self.inner = inner
         self.eventual_leader = inner.eventual_leader
         self.stabilization_time = max(inner.stabilization_time, floor)

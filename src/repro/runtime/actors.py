@@ -92,12 +92,13 @@ class AutomatonActor(Actor):
 
     A verdict of parked is memoised in :attr:`proven_parked` (the
     scheduler's set, bound by the kernel) when the process's detector
-    lists its change :attr:`~repro.detectors.base.FailureDetector.instants`
-    or there is none: the verdict then stands until mail reaches the
-    process, a client call changes its automaton, it rejoins, or the
-    clock reaches one of those instants, and the kernel removes it on
-    each.  A perturbed sampler lists none — it builds its sample and
-    counts its faults per query — so its processes are asked every round.
+    is a :class:`~repro.detectors.base.Timeline`, constant between its
+    change ``instants``, or there is none: the verdict then stands until
+    mail reaches the process, a client call changes its automaton, it
+    rejoins, or the clock reaches one of those instants, and the kernel
+    removes it on each.  A perturbed sampler lists none — it builds its
+    sample and counts its faults per query — so its processes are asked
+    every round.
     """
 
     SKIP_WAIT: Tuple[str, ...] = (WAIT_IDLE,)

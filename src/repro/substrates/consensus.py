@@ -27,9 +27,9 @@ slot costs" has the ledger and the safety arguments.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, NamedTuple, Optional, Set, Tuple
 
-from repro.detectors.base import FailureDetector
+from repro.detectors.base import FailureDetector, Timeline, epoch_starts
 from repro.detectors.leader import OmegaOracle
 from repro.detectors.quorum import SigmaOracle
 from repro.model.failures import FailurePattern, Time
@@ -75,27 +75,29 @@ class Membership(NamedTuple):
         return cls(members, tuple(p for p in members if p != pid))
 
 
-class OmegaSigmaSampler(FailureDetector):
+class OmegaSigmaSampler(Timeline):
     """Bundles ``Omega_P`` and ``Sigma_P`` samples for the consensus code.
 
-    One sampler serves every member of the scope.  When both components
-    list their change :attr:`~repro.detectors.base.FailureDetector.instants`
-    (the pattern oracles do; a perturbed component does not), the
-    sampler lists their union as its own ``instants`` and builds a sample
-    once per process and inter-instant interval, not once per step.
+    One sampler serves every member of the scope.  Over two components
+    that list their change ``instants`` (the pattern oracles do, a
+    perturbed one does not) it is their merged
+    :class:`~repro.detectors.base.Timeline`; otherwise it lists none and
+    asks both components on every query.
     """
 
     kind = "OmegaSigma"
+    values = None
 
     def __init__(self, omega: FailureDetector, sigma: FailureDetector) -> None:
-        super().__init__()
         self.omega = omega
         self.sigma = sigma
         if omega.instants is not None and sigma.instants is not None:
-            self.instants: Optional[List[Time]] = sorted(
-                set(omega.instants) | set(sigma.instants)
-            )
-        self._cache: Dict[Tuple[ProcessId, int], Dict[str, Any]] = {}
+            instants = sorted(set(omega.instants) | set(sigma.instants))
+            samples = [
+                {"omega": omega.query(None, t), "sigma": sigma.query(None, t)}
+                for t in epoch_starts(instants)
+            ]
+            super().__init__(instants, samples)
 
     @classmethod
     def of(cls, pattern: FailurePattern, scope: ProcessSet) -> "OmegaSigmaSampler":
@@ -104,16 +106,13 @@ class OmegaSigmaSampler(FailureDetector):
         return cls(OmegaOracle(restricted, scope), SigmaOracle(restricted, scope))
 
     def query(self, p: ProcessId, t: Time) -> Dict[str, Any]:
-        if self.instants is None:
+        # ``Timeline.query`` written out: a kernel step asks once, and a
+        # nested frame would show in every step's host calls.
+        values = self.values
+        if values is None:
             return {"omega": self.omega.query(p, t), "sigma": self.sigma.query(p, t)}
-        key = (p, bisect_right(self.instants, t))
-        sample = self._cache.get(key)
-        if sample is None:
-            sample = self._cache[key] = {
-                "omega": self.omega.query(p, t),
-                "sigma": self.sigma.query(p, t),
-            }
-        return sample
+        instants = self.instants
+        return values[bisect_right(instants, t)] if instants else values[0]
 
 
 class ConsensusAutomaton(Automaton):

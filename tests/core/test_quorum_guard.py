@@ -155,10 +155,7 @@ def test_runs_under_recovery_plans_gate_on_a_sigma_history(
         for scope in gated:
             history = histories.get(scope)
             assert history, f"guard never asked Sigma about {sorted(scope)}"
-            # Intersection quantifies over sample pairs; one witness per
-            # distinct sample keeps check_sigma's pair loop short.
-            distinct = {sample: (p, t, sample) for p, t, sample in reversed(history)}
-            lines = check_sigma(list(distinct.values()), pattern, scope)
+            lines = check_sigma(history, pattern, scope)
             # The Liveness line judges the last sample, and a run may
             # quiesce before a late crash; only Intersection is asserted.
             assert not [x for x in lines if x.startswith("Intersection violated")]

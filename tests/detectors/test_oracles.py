@@ -27,10 +27,7 @@ P1, P2, P3, P4, P5 = PROCS
 
 def drive(detector, processes, times):
     """Sample the detector at each process/time and return the history."""
-    for t in times:
-        for p in processes:
-            detector.sample(p, t)
-    return detector.history
+    return [(p, t, detector.query(p, t)) for t in times for p in processes]
 
 
 class TestSigmaOracle:

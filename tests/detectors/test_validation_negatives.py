@@ -27,6 +27,14 @@ class TestSigmaNegatives:
         violations = check_sigma(history, pattern, ALL)
         assert any("Intersection" in v for v in violations)
 
+    def test_each_disjoint_pair_is_reported_once(self):
+        history = [(P1, t, by_indices(1, 2)) for t in range(50)]
+        history += [(P3, t, by_indices(3, 4)) for t in range(50, 100)]
+        violations = check_sigma(history, failure_free(ALL), ALL)
+        assert violations == [
+            "Intersection violated: p1@0 -> [p1, p2] vs p3@50 -> [p3, p4]"
+        ]
+
     def test_empty_quorum_flagged(self):
         history = [(P1, 0, frozenset())]
         violations = check_sigma(history, failure_free(ALL), ALL)
