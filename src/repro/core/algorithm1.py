@@ -24,9 +24,10 @@ Every precondition opens with ``PHASE[m] = …`` (lines 9/17/26/31/35), so
 the action that phase enables; the methods above hold the *remaining*
 preconditions and the effects.  The objects they touch — ``LOG_g`` and the
 ``LOG_{g∩h}`` of lines 13/22/27/36 — depend on ``dst(m)`` and ``G(p)``
-alone, and are resolved once per destination group into a :class:`_Route`.
-A route holds each log's handle, where a mutation is guarded and charged;
-a read is free, so the actions read the handle's :class:`Log` directly.
+alone, and are resolved once per destination group into a :class:`_Route`,
+together with ``gamma(g)``'s timeline.  A route holds each log's handle,
+where a mutation is guarded and charged; a read is free, so the actions
+read the handle's :class:`Log` directly.
 
 The *strict* variation of §6.1 changes only the ``stable`` precondition:
 a process waits, for every intersecting group ``h``, for either the
@@ -36,9 +37,10 @@ stabilization record ``(m, h)`` or the indicator ``1^{g∩h}`` — supply
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.detectors.base import Timeline
 from repro.detectors.indicator import IndicatorOracle
 from repro.detectors.mu import Mu
 from repro.core.phases import COMMIT, DELIVER, PENDING, STABLE, START, Phase
@@ -73,9 +75,10 @@ class _Route:
         log: ``LOG_g``.
         carried: ``((h, LOG_{g∩h}), …)`` over the ``h ∈ G(p)`` with
             ``g ∩ h ≠ ∅`` (lines 13/22/27/36), ``g`` itself included.
+        gamma: ``gamma(g)``'s timeline (:meth:`Mu.gamma_timeline`).
     """
 
-    __slots__ = ("g", "member", "log", "carried")
+    __slots__ = ("g", "member", "log", "carried", "gamma")
 
     def __init__(
         self,
@@ -83,11 +86,13 @@ class _Route:
         member: bool,
         log: Optional[LogHandle],
         carried: Tuple[Tuple[Group, LogHandle], ...],
+        gamma: Optional[Timeline],
     ) -> None:
         self.g = g
         self.member = member
         self.log = log
         self.carried = carried
+        self.gamma = gamma
 
 
 class Algorithm1Process:
@@ -164,11 +169,6 @@ class Algorithm1Process:
         #: The scheduler and the trace exporter both read it.
         self.wait_reasons: Set[str] = set()
 
-    # -- Wait-reason reporting -------------------------------------------------
-
-    def _waiting(self, reason: str) -> None:
-        self.wait_reasons.add(reason)
-
     # -- Phase bookkeeping ---------------------------------------------------
 
     def phase_of(self, message: MulticastMessage) -> Phase:
@@ -192,13 +192,13 @@ class Algorithm1Process:
         checked afresh on every call.
         """
         shared = log.log
-        rank = shared.rank(m)
+        order = shared.order
+        rank = bisect_left(order, (shared.positions[m], m))  # Log.rank
         key = (log, threshold)
         cursor = self._order_cursors.get(key, 0)
         if rank <= cursor:
             return True
         phase = self.phase
-        order = shared.order
         settled = shared.settled
         if settled > rank:
             settled = rank
@@ -239,9 +239,11 @@ class Algorithm1Process:
             g = self._destination_group(message)
             if self.pid in g:
                 carried = tuple((h, self._ilog(g, h)) for h in self._targets(g))
-                route = _Route(g, True, self._log(g), carried)
+                route = _Route(
+                    g, True, self._log(g), carried, self.mu.gamma_timeline(g)
+                )
             else:
-                route = _Route(g, False, None, ())
+                route = _Route(g, False, None, (), None)
             self._routes[message.dst] = route
         return route
 
@@ -308,7 +310,7 @@ class Algorithm1Process:
                 return fired
             message = known[mid]
             log_g = (routes.get(message.dst) or self._route(message)).log
-            if phases.get(mid, START) != START or message in log_g.log:
+            if phases.get(mid, START) != START or message in log_g.log.positions:
                 self._to_multicast.discard(mid)
                 continue
             if log_g.mutation_available(pid):
@@ -316,7 +318,7 @@ class Algorithm1Process:
                 self._to_multicast.discard(mid)
                 fired += 1
             else:
-                self._waiting(WAIT_QUORUM)
+                self.wait_reasons.add(WAIT_QUORUM)
         done = self._done
         retired = len(done)
         try:
@@ -369,18 +371,18 @@ class Algorithm1Process:
 
     def _try_pending(self, t: int, m: MulticastMessage, route: _Route) -> bool:
         log_g = route.log
-        if m not in log_g.log:
+        if m not in log_g.log.positions:
             return False
         if not self._order_clear(log_g, m, COMMIT):
-            self._waiting(WAIT_ORDER)
+            self.wait_reasons.add(WAIT_ORDER)
             return False
         pid = self.pid
         if not log_g.mutation_available(pid):
-            self._waiting(WAIT_QUORUM)
+            self.wait_reasons.add(WAIT_QUORUM)
             return False
         for _h, ilog in route.carried:
             if not ilog.mutation_available(pid, "append", m):
-                self._waiting(WAIT_QUORUM)
+                self.wait_reasons.add(WAIT_QUORUM)
                 return False  # wait for a quorum of the carrier
         for h, ilog in route.carried:
             position = ilog.append(pid, m)
@@ -391,10 +393,12 @@ class Algorithm1Process:
     # -- commit(m), lines 16-24 ---------------------------------------------------
 
     def _gamma_partners(self, t: int, g: Group) -> Tuple[Group, ...]:
-        """``gamma(g)`` as observed by this process now (§3)."""
+        """``gamma(g)`` as observed by this process now (§3): the timeline
+        bound in ``g``'s route, sampled at ``t``."""
         if self.stats is not None:
             self.stats.gamma_queries += 1
-        return self.mu.gamma_partners(t, g)
+        gamma = self._routes[g.members].gamma
+        return gamma.values[bisect_right(gamma.instants, t)]  # Timeline.query
 
     def _consensus_family(self, g: Group) -> FrozenSet[str]:
         """Line 20: ``f = {h : ∃f' ∈ F(g). h ∈ f' ∧ g ∩ h ≠ ∅}``.
@@ -423,13 +427,14 @@ class Algorithm1Process:
     def _try_commit(self, t: int, m: MulticastMessage, route: _Route) -> bool:
         g = route.g
         records = route.log.log.position_records_for(m.mid)
-        partners = self._gamma_partners(t, g)
-        if partners:
-            recorded_groups = {r[1] for r in records}
-            for h in partners:
-                if h.name not in recorded_groups:
-                    self._waiting(WAIT_GAMMA)
-                    return False  # line 18
+        for h in self._gamma_partners(t, g):  # line 18
+            name = h.name
+            for record in records:
+                if record[1] == name:
+                    break
+            else:
+                self.wait_reasons.add(WAIT_GAMMA)
+                return False
         if not records:
             return False  # k undefined until some (m, h, i) exists
         k = 0  # line 19: the largest i of the (m, h, i) records
@@ -440,11 +445,11 @@ class Algorithm1Process:
         cons = self.space.consensus(m.mid, family_key, g)
         pid = self.pid
         if not cons.mutation_available(pid):
-            self._waiting(WAIT_CONSENSUS)
+            self.wait_reasons.add(WAIT_CONSENSUS)
             return False
         for _h, ilog in route.carried:
             if not ilog.mutation_available(pid, "bumpAndLock", m, k):
-                self._waiting(WAIT_QUORUM)
+                self.wait_reasons.add(WAIT_QUORUM)
                 return False
         k = cons.propose(pid, k)  # line 21
         for _h, ilog in route.carried:  # lines 22-23
@@ -468,13 +473,13 @@ class Algorithm1Process:
                 return fired
             if (m.mid, h.name) in self._stabilized:
                 continue
-            if m not in ilog.log:
+            if m not in ilog.log.positions:
                 continue
             if not self._order_clear(ilog, m, STABLE):
-                self._waiting(WAIT_ORDER)
+                self.wait_reasons.add(WAIT_ORDER)
                 continue  # line 28
             if not log_g.mutation_available(self.pid):
-                self._waiting(WAIT_QUORUM)
+                self.wait_reasons.add(WAIT_QUORUM)
                 continue
             log_g.append(self.pid, (m.mid, h.name))  # line 29
             self._stabilized.add((m.mid, h.name))
@@ -501,16 +506,17 @@ class Algorithm1Process:
                 if self.stats is not None and indicator is not None:
                     self.stats.indicator_queries += 1
                 if indicator is None or not indicator.query(self.pid, t):
-                    self._waiting(WAIT_INDICATOR)
+                    self.wait_reasons.add(WAIT_INDICATOR)
                     return False
             return True
-        partners = self._gamma_partners(t, g)  # line 32
-        if partners:
-            recorded = {r[1] for r in records}
-            for h in partners:
-                if h.name not in recorded:
-                    self._waiting(WAIT_GAMMA)
-                    return False
+        for h in self._gamma_partners(t, g):  # line 32
+            name = h.name
+            for record in records:
+                if record[1] == name:
+                    break
+            else:
+                self.wait_reasons.add(WAIT_GAMMA)
+                return False
         return True
 
     def _try_stable(self, t: int, m: MulticastMessage, route: _Route) -> bool:
@@ -523,10 +529,10 @@ class Algorithm1Process:
 
     def _try_deliver(self, t: int, m: MulticastMessage, route: _Route) -> bool:
         for _h, ilog in route.carried:  # line 36, over the logs at p holding m
-            if m not in ilog.log:
+            if m not in ilog.log.positions:
                 continue
             if not self._order_clear(ilog, m, DELIVER):
-                self._waiting(WAIT_ORDER)
+                self.wait_reasons.add(WAIT_ORDER)
                 return False
         self.phase[m.mid] = DELIVER  # line 37
         self._on_deliver(self.pid, m)

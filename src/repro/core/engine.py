@@ -112,6 +112,8 @@ class MulticastSystem(RoundHost):
         #: engine.
         self.injector = injector
         self.record = RunRecord(topology.processes, pattern)
+        #: Where :meth:`_write` records a charge: the record's charge list.
+        self._charge = self.record.charges.append
         tracer = TraceRecorder()
         #: Processes whose wait condition may have changed since their
         #: last clean (zero-fired) scan.  Starts as everyone.
@@ -187,8 +189,8 @@ class MulticastSystem(RoundHost):
         reason: str,
         readers: FrozenSet[ProcessId],
     ) -> None:
-        """One shared-object operation: record its steps, wake its readers."""
-        self.record.note_steps(self._scheduler.time, processes, reason)
+        """One shared-object operation: record its charge, wake its readers."""
+        self._charge((self._scheduler.time, processes, reason))
         if readers:
             self._dirty |= readers
             if self.wake_listener is not None:

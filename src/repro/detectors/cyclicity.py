@@ -76,7 +76,7 @@ class GammaOracle(FailureDetector):
     def partners(self, g: Group) -> Timeline:
         """``gamma(g)`` (:func:`gamma_groups`) over :attr:`trusted`: the
         same at every member of ``g``, which Algorithm 1's commit gate
-        needs (see :meth:`repro.detectors.mu.Mu.gamma_partners`)."""
+        needs (see :meth:`repro.detectors.mu.Mu.gamma_timeline`)."""
         trusted = self.trusted
         return Timeline(trusted.instants, [gamma_groups(v, g) for v in trusted.values])
 

@@ -56,8 +56,8 @@ class Mu(FailureDetector):
         self.sigmas = sigmas
         self.omegas = omegas
         self.gamma = gamma
-        #: ``gamma(g)`` per group asked, as a timeline: Algorithm 1 asks
-        #: on every commit / stable scan, the engine's hottest path.
+        #: ``gamma(g)`` per group asked, as a timeline, built on the
+        #: first ask (Algorithm 1 binds it once per destination group).
         self._partners: Dict[Group, Timeline] = {}
 
     # -- Component accessors (the API Algorithm 1 consumes) ---------------
@@ -96,8 +96,8 @@ class Mu(FailureDetector):
             (o.stabilization_time for o in self.omegas.values()), default=0
         )
 
-    def gamma_partners(self, t: Time, g: Group) -> Tuple[Group, ...]:
-        """``gamma(g)`` at ``t`` (§3 derived notation), group-uniform.
+    def gamma_timeline(self, g: Group) -> Timeline:
+        """``gamma(g)`` (§3 derived notation) over time, group-uniform.
 
         Derived from the oracle's exclusions over ``F(g)``
         (:meth:`GammaOracle.partners`, built once per group) rather than
@@ -106,12 +106,17 @@ class Mu(FailureDetector):
         a member carrying no intersection of a live family of ``g`` sees
         no partners, commits early, and decides a stale ordering position
         for everyone (DESIGN.md §13, "Golden-versioning policy").
+        Algorithm 1 binds it into each destination group's route.
         """
         try:
-            partners = self._partners[g]
+            return self._partners[g]
         except KeyError:
             partners = self._partners[g] = self.gamma.partners(g)
-        return partners.query(None, t)
+            return partners
+
+    def gamma_partners(self, t: Time, g: Group) -> Tuple[Group, ...]:
+        """``gamma(g)`` at ``t``: :meth:`gamma_timeline` sampled."""
+        return self.gamma_timeline(g).query(None, t)
 
     # -- FailureDetector interface ----------------------------------------
 

@@ -73,17 +73,19 @@ class RunRecord:
         self.pattern = pattern
         self.multicasts: List[MulticastEvent] = []
         self.deliveries: List[DeliveryEvent] = []
-        # Steps are kept as one ``(time, processes, received)`` entry
-        # per charge: the step flood (invoker + every carrier, per
-        # shared-object operation) dominates record growth, and one
-        # tuple append per operation is far cheaper than one frozen
-        # dataclass per step.  ``steps`` materializes the Step view
-        # lazily for checkers and tests.
-        self._entries: List[
+        #: The charges, one ``(time, processes, received)`` entry each,
+        #: append-only: the step flood (invoker + every carrier, per
+        #: shared-object operation) dominates record growth, so a
+        #: charge is one tuple append and nothing else.  The
+        #: :class:`Step` view and the per-process counts are derived on
+        #: read, each from its own cursor into this list.  A writer
+        #: appends here directly (the engine's charge sink does) or
+        #: through :meth:`note_steps`; ``processes`` is a tuple.
+        self.charges: List[
             Tuple[Time, Tuple[ProcessId, ...], Optional[str]]
         ] = []
         self._steps_cache: List[Step] = []
-        #: How many entries ``_steps_cache`` has flattened so far.
+        #: How many charges ``_steps_cache`` has flattened so far.
         self._steps_flattened = 0
         self._local_orders: Dict[ProcessId, List[MulticastMessage]] = {}
         self._delivery_times: Dict[Tuple[ProcessId, Any], Time] = {}
@@ -91,6 +93,8 @@ class RunRecord:
         self._pair_counts: Dict[Tuple[ProcessId, Any], int] = {}
         self._multicast_times: Dict[Any, Time] = {}
         self._step_counts: Dict[ProcessId, int] = {}
+        #: How many charges ``_step_counts`` has counted so far.
+        self._steps_counted = 0
 
     # -- Recording (called by the simulator) -----------------------------
 
@@ -116,8 +120,7 @@ class RunRecord:
         process: ProcessId,
         received: Optional[str] = None,
     ) -> None:
-        self._entries.append((time, (process,), received))
-        self._step_counts[process] = self._step_counts.get(process, 0) + 1
+        self.charges.append((time, (process,), received))
 
     def note_steps(
         self,
@@ -125,41 +128,48 @@ class RunRecord:
         processes: Tuple[ProcessId, ...],
         received: Optional[str] = None,
     ) -> None:
-        """One :meth:`note_step` per process, in order, as one write.
+        """One :meth:`note_step` per process, in order, as one charge.
 
-        A shared-object operation charges its invoker and every carrier
-        at once (:mod:`repro.objects.space`); this is that flood's entry
-        point.  The entry keeps ``processes`` itself, so any other
-        sequence than a tuple is copied first.
+        The entry keeps ``processes`` itself, so any other sequence than
+        a tuple is copied first.
         """
         if type(processes) is not tuple:
             processes = tuple(processes)
-        self._entries.append((time, processes, received))
-        counts = self._step_counts
-        for process in processes:
-            try:
-                counts[process] += 1
-            except KeyError:
-                counts[process] = 1
+        self.charges.append((time, processes, received))
 
     @property
     def steps(self) -> List[Step]:
         """The recorded steps as :class:`Step` objects (lazy view).
 
-        Flattened from the per-charge entries on access, extending the
-        cached list by the entries recorded since; treat the returned
-        list as read-only.
+        Flattened from the charges on access, extending the cached list
+        by the charges recorded since; treat the returned list as
+        read-only.
         """
         cache = self._steps_cache
-        entries = self._entries
-        if self._steps_flattened < len(entries):
+        charges = self.charges
+        if self._steps_flattened < len(charges):
             cache.extend(
                 Step(t, p, r)
-                for t, ps, r in entries[self._steps_flattened :]
+                for t, ps, r in charges[self._steps_flattened :]
                 for p in ps
             )
-            self._steps_flattened = len(entries)
+            self._steps_flattened = len(charges)
         return cache
+
+    def _counts(self) -> Dict[ProcessId, int]:
+        """The per-process step counts, folded forward over the charges
+        recorded since the last read (keys in first-charge order)."""
+        counts = self._step_counts
+        charges = self.charges
+        if self._steps_counted < len(charges):
+            for _t, processes, _r in charges[self._steps_counted :]:
+                for process in processes:
+                    try:
+                        counts[process] += 1
+                    except KeyError:
+                        counts[process] = 1
+            self._steps_counted = len(charges)
+        return counts
 
     # -- Derived queries (used by checkers and metrics) -------------------
 
@@ -197,10 +207,10 @@ class RunRecord:
 
     def steps_of(self, p: ProcessId) -> int:
         """Number of computational steps charged to ``p`` in the run."""
-        return self._step_counts.get(p, 0)
+        return self._counts().get(p, 0)
 
     def step_counts(self) -> Mapping[ProcessId, int]:
-        return dict(self._step_counts)
+        return dict(self._counts())
 
     def delivery_count(self, p: ProcessId, message: MulticastMessage) -> int:
         """How many times ``p`` delivered ``message`` (Integrity wants <= 1)."""
@@ -210,5 +220,5 @@ class RunRecord:
         return (
             f"RunRecord({len(self.multicasts)} multicasts, "
             f"{len(self.deliveries)} deliveries, "
-            f"{sum(self._step_counts.values())} steps)"
+            f"{sum(self._counts().values())} steps)"
         )

@@ -69,7 +69,9 @@ class Log:
 
     def __init__(self, name: str = "LOG") -> None:
         self.name = name
-        self._positions: Dict[Any, int] = {}
+        #: The slot of every item, ``pos`` as a mapping: an item is in
+        #: the log iff it is a key.  Readers never mutate it.
+        self.positions: Dict[Any, int] = {}
         self._locked: Set[Any] = set()
         self._head = 1
         #: ``(slot, item)`` of every message item, sorted — the ``<_L``
@@ -104,11 +106,11 @@ class Log:
 
         Returns the (possibly pre-existing) position of ``datum``.
         """
-        existing = self._positions.get(datum)
+        existing = self.positions.get(datum)
         if existing is not None:
             return existing
         position = self._head
-        self._positions[datum] = position
+        self.positions[datum] = position
         self._head = position + 1
         kind = type(datum)
         if kind is tuple or kind is not MulticastMessage and isinstance(datum, tuple):
@@ -125,7 +127,7 @@ class Log:
 
     def pos(self, datum: Any) -> int:
         """The slot of ``datum``; 0 when absent."""
-        return self._positions.get(datum, 0)
+        return self.positions.get(datum, 0)
 
     def bump_and_lock(self, datum: Any, k: int) -> int:
         """Move ``datum`` to ``max(k, current slot)`` and lock it.
@@ -134,7 +136,7 @@ class Log:
         untouched (locked data cannot be bumped anymore).  Returns the
         final position.
         """
-        current = self._positions.get(datum)
+        current = self.positions.get(datum)
         if current is None:
             raise SpecificationError(
                 f"{self.name}: bumpAndLock on absent datum {datum!r}"
@@ -142,7 +144,7 @@ class Log:
         if datum in self._locked:
             return current
         final = max(k, current)
-        self._positions[datum] = final
+        self.positions[datum] = final
         self._locked.add(datum)
         if final >= self._head:
             self._head = final + 1
@@ -167,7 +169,7 @@ class Log:
     def _refile(self, record: Tuple[Any, ...], origin: int) -> None:
         """Re-sort the rows of ``record``'s head and arity after a bump
         moved it away from ``origin``, its append slot."""
-        positions, origins = self._positions, self._record_origins
+        positions, origins = self.positions, self._record_origins
         origins[record] = origin
         key = (record[0], len(record))
         self._rows[key] = tuple(
@@ -182,14 +184,14 @@ class Log:
         return datum in self._locked
 
     def __contains__(self, datum: Any) -> bool:
-        return datum in self._positions
+        return datum in self.positions
 
     # -- Ordering ----------------------------------------------------------
 
     def precedes(self, d: Any, d_prime: Any) -> bool:
         """``d <_L d'``: both present, lower slot or slot tie-break."""
-        pos_d = self._positions.get(d)
-        pos_dp = self._positions.get(d_prime)
+        pos_d = self.positions.get(d)
+        pos_dp = self.positions.get(d_prime)
         if pos_d is None or pos_dp is None:
             return False
         if pos_d != pos_dp:
@@ -206,7 +208,7 @@ class Log:
 
     def rank(self, message: Any) -> int:
         """How many messages precede ``message``: its index in ``messages()``."""
-        position = self._positions.get(message)
+        position = self.positions.get(message)
         if position is None:
             raise SpecificationError(
                 f"{self.name}: rank of absent message {message!r}"
@@ -216,15 +218,15 @@ class Log:
     def messages_before(self, datum: Any) -> Tuple[Any, ...]:
         """Messages ``m'`` with ``m' <_L datum``; ``()`` unless ``datum``
         is a message of the log."""
-        if is_record(datum) or datum not in self._positions:
+        if is_record(datum) or datum not in self.positions:
             return ()
         return self.messages()[: self.rank(datum)]
 
     def records(self) -> Tuple[Tuple[Any, ...], ...]:
         """The records (:func:`is_record`) of the log, in insertion-slot order."""
         if self._records_cache is None:
-            present = [d for d in self._positions if is_record(d)]
-            present.sort(key=lambda d: self._positions[d])
+            present = [d for d in self.positions if is_record(d)]
+            present.sort(key=lambda d: self.positions[d])
             self._records_cache = tuple(present)
         return self._records_cache
 
@@ -237,4 +239,4 @@ class Log:
         return self._rows.get((message, 2), ())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.name}[{len(self._positions)} items, head={self._head}]"
+        return f"{self.name}[{len(self.positions)} items, head={self._head}]"

@@ -100,6 +100,8 @@ class EventLoop:
 
     def __init__(self) -> None:
         self._ready: Deque[Sequence[Any]] = deque()
+        #: The timer heap and its scheduling counter; the driver's
+        #: ``_on_wake`` pushes wake landings onto it as ``call_at`` does.
         self._timers: List[_Timer] = []
         self._seq = 0
         self._stopping = False
@@ -349,7 +351,8 @@ class AsyncDriver:
 
         A writer's wake to each other reader draws one channel latency,
         takes the fault plan's verdict when one is installed, and becomes
-        one timer carrying :attr:`AsyncTransport.land`.
+        one timer carrying :attr:`AsyncTransport.land`, pushed straight
+        onto the loop's heap (:meth:`EventLoop.call_at`, inlined).
         """
         transport = self._transport
         if transport is None:
@@ -360,7 +363,7 @@ class AsyncDriver:
                 transport.deliver_now(dst)
             return
         loop, injector, rng = self._loop, self.injector, self.rng
-        latency_of, land, call_at = self.delay.latency, transport.land, loop.call_at
+        latency_of, land, timers = self.delay.latency, transport.land, loop._timers
         now, s = loop.now, src.index
         if injector is not None:
             t = self.now_t()
@@ -373,13 +376,15 @@ class AsyncDriver:
                 verdict = injector.on_send(s, dst.index, t)
                 if verdict.dropped:
                     transport.in_flight += 1
-                    call_at(*self._retry_at(src, dst, t, verdict, latency), dst)
+                    loop.call_at(*self._retry_at(src, dst, t, verdict, latency), dst)
                     continue
                 latency += float(verdict.delay)
                 # Duplicated wakes would be harmless no-ops on an event
                 # channel; the verdict's copies need no realization.
             transport.in_flight += 1
-            call_at(now + (latency if latency > 0.0 else 0.0), land, dst)
+            loop._seq = seq = loop._seq + 1
+            when = now + (latency if latency > 0.0 else 0.0)
+            heappush(timers, _Timer((when, seq, land, dst)))
 
     def _retry_at(
         self,

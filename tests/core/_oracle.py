@@ -108,7 +108,7 @@ def five_tests_try_actions(self, t, budget=None):
             self._to_multicast.discard(mid)
             fired += 1
         else:
-            self._waiting(WAIT_QUORUM)
+            self.wait_reasons.add(WAIT_QUORUM)
     done = self._done
     retired = len(done)
     try:

@@ -74,18 +74,28 @@ def test_delivered_and_multicast_message_sets_deduplicate():
 
 _PROCESSES = st.sampled_from((P1, P2, P3))
 _REASONS = st.sampled_from((None, "LOG_g1.append", "LOG_g1∩g2.bumpAndLock[fast]"))
+_READS = st.sampled_from((None, "steps_of", "step_counts", "steps"))
+
+
+def eager_counts(steps):
+    """Per-process step counts over ``steps``, keys in first-step order."""
+    counts = {}
+    for step in steps:
+        counts[step.process] = counts.get(step.process, 0) + 1
+    return counts
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
         st.one_of(
-            st.tuples(st.just("one"), st.integers(0, 9), _PROCESSES, _REASONS),
+            st.tuples(st.just("one"), st.integers(0, 9), _PROCESSES, _REASONS, _READS),
             st.tuples(
                 st.sampled_from(("many", "many-list")),
                 st.integers(0, 9),
                 st.lists(_PROCESSES, max_size=4).map(tuple),
                 _REASONS,
+                _READS,
             ),
         ),
         max_size=30,
@@ -97,9 +107,13 @@ def test_note_steps_is_one_note_step_per_process(writes):
 
     A list handed to ``note_steps`` is cleared and refilled right after
     the call: the record keeps a copy, so what it read back is unchanged.
+    The counts are folded from the charges on read: a ``steps_of``,
+    ``step_counts()`` or ``steps`` read may fall between any two writes,
+    and after it the counts, keys in order, are an eager count over
+    ``steps``.
     """
     record, flat = make_record(), make_record()
-    for kind, time, who, reason in writes:
+    for kind, time, who, reason, read in writes:
         if kind == "one":
             record.note_step(time, who, received=reason)
             flat.note_step(time, who, received=reason)
@@ -113,7 +127,16 @@ def test_note_steps_is_one_note_step_per_process(writes):
             processes[:] = [P3, P2, P1]
             for process in who:
                 flat.note_step(time, process, received=reason)
-        assert len(record.steps) == len(flat.steps)  # the lazy view keeps up
+        if read == "steps_of":
+            record.steps_of(P1)
+        elif read == "step_counts":
+            record.step_counts()
+        elif read == "steps":
+            assert len(record.steps) == len(flat.steps)  # the lazy view keeps up
+        if read is not None:
+            eager = eager_counts(record.steps)
+            assert record.step_counts() == eager
+            assert list(record.step_counts()) == list(eager)
     assert record.steps == flat.steps
     assert record.step_counts() == flat.step_counts()
     assert list(record.step_counts()) == list(flat.step_counts())

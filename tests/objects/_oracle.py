@@ -28,8 +28,8 @@ from repro.objects.log import Log, is_record
 
 def precedes(log: Log, d: Any, d_prime: Any) -> bool:
     """``d <_L d'``: both present, lower slot or slot tie-break."""
-    pos_d = log._positions.get(d)
-    pos_dp = log._positions.get(d_prime)
+    pos_d = log.positions.get(d)
+    pos_dp = log.positions.get(d_prime)
     if pos_d is None or pos_dp is None:
         return False
     if pos_d != pos_dp:
@@ -42,14 +42,14 @@ def messages(log: Log) -> Tuple[Any, ...]:
 
     Messages are the items that are not records.
     """
-    present = [d for d in log._positions if not is_record(d)]
-    present.sort(key=lambda d: (log._positions[d], d))
+    present = [d for d in log.positions if not is_record(d)]
+    present.sort(key=lambda d: (log.positions[d], d))
     return tuple(present)
 
 
 def messages_before(log: Log, datum: Any) -> Tuple[Any, ...]:
     """Messages ``m'`` with ``m' <_L datum``."""
-    if not is_record(datum) and datum in log._positions:
+    if not is_record(datum) and datum in log.positions:
         # ``messages()`` is sorted by exactly the ``<_L`` key, so the
         # predecessors of a present message form a prefix.
         out: List[Any] = []
@@ -67,10 +67,10 @@ def _records_for(log: Log, message: Any, arity: int) -> Tuple[Tuple[Any, ...], .
     (stable: ties stay in insertion order)."""
     rows = [
         r
-        for r in log._positions
+        for r in log.positions
         if is_record(r) and len(r) == arity and r[0] == message
     ]
-    rows.sort(key=lambda r: log._positions[r])
+    rows.sort(key=lambda r: log.positions[r])
     return tuple(rows)
 
 

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import asyncio
 import heapq
-import itertools
 from types import MethodType
 from typing import Any
 
@@ -257,14 +256,13 @@ class VirtualClock:
 
 
 class _FifoTimer(asyncio.TimerHandle):
-    """A ``TimerHandle`` whose heap order breaks equal deadlines by
-    creation order instead of leaving them to ``heapq``'s layout."""
+    """A ``TimerHandle`` whose heap order breaks equal deadlines by the
+    sequence number it was scheduled with instead of leaving them to
+    ``heapq``'s layout."""
 
-    _created = itertools.count()
-
-    def __init__(self, when, fn, arg, loop):
+    def __init__(self, when, seq, fn, arg, loop):
         super().__init__(when, fn, (arg,), loop)
-        self._seq = next(self._created)
+        self._seq = seq
 
     def __lt__(self, other):
         return (self._when, self._seq) < (other._when, other._seq)
@@ -272,7 +270,11 @@ class _FifoTimer(asyncio.TimerHandle):
 
 class asyncio_loop:
     """``EventLoop``'s surface — ``now`` / ``call_soon`` / ``call_at``
-    (cancellable) / ``stop`` / ``run`` — over a real asyncio loop.
+    (cancellable) / ``stop`` / ``run``, and the ``_timers`` heap and
+    ``_seq`` counter the driver pushes wake landings with — over a real
+    asyncio loop.  Each asyncio iteration first moves what was pushed
+    onto ``_timers`` to the asyncio heap, in ``(when, seq)`` order, so a
+    pushed timer is scheduled as if by ``call_at``.
 
     It ignores the ``transport`` an ``AsyncTransport`` sets on its loop,
     so every wake lands through ``AsyncTransport._land``: the reference
@@ -283,14 +285,29 @@ class asyncio_loop:
         VirtualClock().install(self._loop)
         self.call_soon = self._loop.call_soon
         self.stop = self._loop.stop
+        self._timers = []
+        self._seq = 0
+        run_once = self._loop._run_once
+
+        def schedule_pushed_then_run_once():
+            while self._timers:
+                self._schedule(*heapq.heappop(self._timers))
+            run_once()
+
+        # Instance attribute shadows the bound method ``run_forever`` calls.
+        self._loop._run_once = schedule_pushed_then_run_once
 
     @property
     def now(self):
         return self._loop.time()
 
     def call_at(self, when, fn, arg):
+        self._seq += 1
+        return self._schedule(when, self._seq, fn, arg)
+
+    def _schedule(self, when, seq, fn, arg):
         # ``BaseEventLoop.call_at`` with the handle class swapped.
-        timer = _FifoTimer(when, fn, arg, self._loop)
+        timer = _FifoTimer(when, seq, fn, arg, self._loop)
         heapq.heappush(self._loop._scheduled, timer)
         timer._scheduled = True
         return timer
