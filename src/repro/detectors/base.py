@@ -2,9 +2,10 @@
 
 A failure detector is an oracle queried locally: ``D.query(p, t)`` returns
 the local sample ``H(p, t)`` of some history ``H in D(F)``.  The pattern
-oracles are :class:`Timeline` values: histories computed from the run's
-failure pattern when they are built — exactly the model's definition of
-a detector (a mapping from failure patterns to histories).  Emulated
+oracles, and the fault layer's perturbed forms of them, are
+:class:`Timeline` values: histories computed from the run's failure
+pattern (and fault plan) when they are built — exactly the model's
+definition of a detector (a mapping from failure patterns to histories).  Emulated
 detectors (Algorithms 2–5) instead derive their answers from protocol
 executions; both expose the same :class:`FailureDetector` interface.
 
@@ -15,7 +16,7 @@ detectors outside their scope.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
 from repro.model.failures import Time
 from repro.model.processes import ProcessId
@@ -49,11 +50,6 @@ class FailureDetector:
 
     #: short class label, e.g. "Sigma", used in diagnostics.
     kind: str = "D"
-
-    #: The sorted times at which :meth:`query`'s answer may change, when
-    #: the answer is a pure function of that epoch; ``None`` when it is
-    #: not, and a caller caching samples must then ask on every call.
-    instants: Optional[List[Time]] = None
 
     def query(self, p: ProcessId, t: Time) -> Any:
         """Return the sample ``H(p, t)``; must be overridden."""

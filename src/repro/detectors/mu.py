@@ -6,9 +6,9 @@ Note that the first conjunct ranges over *all* pairs, including ``g = h``:
 ``Sigma_{g∩g} = Sigma_g``, which combined with ``Omega_g`` makes consensus
 wait-free solvable inside every destination group (§4).
 
-:class:`Mu` is a value, the record of those components; :func:`build_mu`
-builds the pattern-oracle one, and any component answering the same
-queries may stand in (:meth:`repro.faults.injector.FaultInjector.perturb_mu`'s
+:class:`Mu` is a value, the record of those components, each a history
+(a ``Timeline``); :func:`build_mu` builds the pattern-oracle one, and any
+other history may stand in (:meth:`repro.faults.injector.FaultInjector.perturb_mu`'s
 do).  :meth:`Mu.query` is the conjunction itself: named component
 samples, each restricted to its scope (``D_P`` is ``⊥`` outside ``P``).
 """
@@ -48,8 +48,8 @@ class Mu(FailureDetector):
     def __init__(
         self,
         topology: GroupTopology,
-        sigmas: Dict[FrozenSet[ProcessId], FailureDetector],
-        omegas: Dict[Group, FailureDetector],
+        sigmas: Dict[FrozenSet[ProcessId], Timeline],
+        omegas: Dict[Group, Timeline],
         gamma: GammaOracle,
     ) -> None:
         self.topology = topology
@@ -62,7 +62,7 @@ class Mu(FailureDetector):
 
     # -- Component accessors (the API Algorithm 1 consumes) ---------------
 
-    def sigma_of(self, scope: ProcessSet) -> FailureDetector:
+    def sigma_of(self, scope: ProcessSet) -> Timeline:
         """``Sigma_scope``, for the member sets ``mu`` has a conjunct
         for: a group, or the intersection of two groups."""
         try:
@@ -73,11 +73,11 @@ class Mu(FailureDetector):
                 f"mu has no Sigma component scoped to {names}"
             ) from None
 
-    def sigma(self, g: Group, h: Group) -> FailureDetector:
+    def sigma(self, g: Group, h: Group) -> Timeline:
         """``Sigma_{g∩h}`` (``Sigma_g`` when ``g == h``)."""
         return self.sigma_of(g.intersection(h))
 
-    def omega(self, g: Group) -> FailureDetector:
+    def omega(self, g: Group) -> Timeline:
         """``Omega_g``."""
         try:
             return self.omegas[g]
@@ -145,8 +145,8 @@ def build_mu(
     """The pattern-oracle ``mu`` of a run: each ``Sigma`` / ``Omega``
     component over its scope's restriction of ``pattern``, and ``gamma``
     with detection lag ``gamma_lag``."""
-    sigmas: Dict[FrozenSet[ProcessId], FailureDetector] = {}
-    omegas: Dict[Group, FailureDetector] = {}
+    sigmas: Dict[FrozenSet[ProcessId], Timeline] = {}
+    omegas: Dict[Group, Timeline] = {}
     for g in topology.groups:
         restricted = pattern.restricted_to(g.members)
         omegas[g] = OmegaOracle(restricted, g.members)

@@ -13,10 +13,10 @@ slice of the injector they understand:
 * the detectors the hosts sample are the run's ``mu`` components, and
   :meth:`FaultInjector.perturb_mu` maps them the way
   :meth:`FaultInjector.perturb_pattern` maps the failure pattern: each
-  detector event kind is one component wrapper (:class:`NoisySigma`,
-  :class:`LateOmega`, a re-lagged ``gamma``), and the two wrappers ask
-  the window predicates :meth:`FaultInjector.sigma_noisy` /
-  :meth:`FaultInjector.omega_unstable`.
+  detector event kind yields one component built once as a history
+  (:class:`NoisySigma`, :class:`LateOmega`, a re-lagged ``gamma``),
+  its epochs decided by the window predicates
+  :meth:`FaultInjector.sigma_noisy` / :meth:`FaultInjector.omega_unstable`.
 
 Three invariants keep faulted runs honest:
 
@@ -38,14 +38,15 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.detectors.base import FailureDetector
+from repro.detectors.base import Timeline, epoch_starts
 from repro.detectors.cyclicity import GammaOracle
 from repro.detectors.mu import Mu
 from repro.model.errors import ModelError
 from repro.model.failures import FailurePattern, Time
-from repro.model.processes import ProcessId, ProcessSet
+from repro.model.processes import ProcessSet
 from repro.faults.plan import FaultEvent, FaultPlan, FaultPlanError
 
 
@@ -334,12 +335,14 @@ class FaultInjector:
 
     def perturb_mu(self, mu: Mu) -> Mu:
         """``mu`` under the plan's detector events — the detector twin of
-        :meth:`perturb_pattern`, one component wrapper per kind: a
-        :class:`NoisySigma` for every ``Sigma`` a ``sigma_noise`` event
-        covers, a :class:`LateOmega` for every ``Omega_g`` an
-        ``omega_late`` event covers, and ``gamma`` rebuilt with the
-        ``gamma_delay`` lags added.  An event naming a group the
-        topology lacks raises :class:`FaultPlanError`."""
+        :meth:`perturb_pattern`.  Each perturbed component is a history
+        built once, here: a :class:`NoisySigma` for every ``Sigma`` a
+        ``sigma_noise`` event covers, a :class:`LateOmega` for every
+        ``Omega_g`` an ``omega_late`` event covers, and ``gamma`` rebuilt
+        with the ``gamma_delay`` lags added.  ``sigma_noised`` /
+        ``omega_rotated`` count the rounds the fault decided, per scope.
+        An event naming a group the topology lacks raises
+        :class:`FaultPlanError`."""
         if not (self._sigma_noise or self._omega_late or self._gamma):
             return mu
         gamma = mu.gamma
@@ -347,22 +350,23 @@ class FaultInjector:
             lag = gamma.detection_lag + sum(e.amount for e in self._gamma)
             gamma = GammaOracle(gamma.pattern, gamma.topology, detection_lag=lag)
         sigmas = dict(mu.sigmas)
+        edges = [t for e in self._sigma_noise for t in (e.start, e.until)]
         for scope, sigma in mu.sigmas.items():
             if self._covers(self._sigma_noise, scope):
-                sigmas[scope] = NoisySigma(sigma, self)
+                pinned = partial(self.sigma_noisy, _indices(scope))
+                sigmas[scope] = noisy = NoisySigma(sigma, edges, pinned)
+                self.stats["sigma_noised"] += noisy.noised
         omegas = dict(mu.omegas)
         for g, omega in mu.omegas.items():
             if self._covers(self._omega_late, g.members):
-                floor = max(
-                    (e.until for e in self._omega_late if e.group in (None, g.name)),
-                    default=0,
-                )
-                omegas[g] = LateOmega(omega, floor, self)
+                unstable = partial(self.omega_unstable, _indices(g.members))
+                omegas[g] = late = LateOmega(omega, unstable)
+                self.stats["omega_rotated"] += late.rotated
         return Mu(mu.topology, sigmas, omegas, gamma)
 
     def _covers(self, events: Tuple[FaultEvent, ...], scope: ProcessSet) -> bool:
         """Whether one of ``events`` covers ``scope`` (each is resolved)."""
-        indices = frozenset(q.index for q in scope)
+        indices = _indices(scope)
         return any([self._scopes(event, indices) for event in events])
 
     def _scopes(self, event: FaultEvent, scope_indices: FrozenSet[int]) -> bool:
@@ -386,7 +390,6 @@ class FaultInjector:
         """
         for event in self._sigma_noise:
             if event.active(t) and self._scopes(event, scope_indices):
-                self.stats["sigma_noised"] += 1
                 return True
         return False
 
@@ -488,59 +491,67 @@ class FaultInjector:
         }
 
 
-class NoisySigma(FailureDetector):
-    """``Sigma`` under ``sigma_noise``: the full scope inside a window
-    (operations stall, admissibly, until it closes), the wrapped sample
-    outside.  :meth:`FaultInjector.sigma_noisy` is asked on every query."""
+class NoisySigma(Timeline):
+    """``Sigma`` under ``sigma_noise``, as a history: the full scope while
+    ``noisy`` (operations stall, admissibly, until the window closes),
+    the wrapped history elsewhere.  ``noisy`` decides each epoch that
+    ``inner``'s instants and the windows' ``edges`` cut, once; the last
+    is past every window.  :attr:`noised` counts the pinned rounds."""
 
     kind = "Sigma"
 
-    def __init__(self, inner: FailureDetector, injector: FaultInjector) -> None:
-        self.inner = inner
+    def __init__(
+        self, inner: Timeline, edges: Iterable[Time], noisy: Callable[[Time], bool]
+    ) -> None:
         self.scope = inner.scope
-        self._indices = frozenset(q.index for q in inner.scope)
-        self._injector = injector
+        instants = sorted({t for t in (*inner.instants, *edges) if t > 0})
+        starts = epoch_starts(instants)
+        pinned = [noisy(t) for t in starts]
+        values = [
+            self.scope if pin else inner.query(None, t)
+            for t, pin in zip(starts, pinned)
+        ]
+        super().__init__(instants, values)
+        self.noised = sum(b - a for a, b, pin in zip(starts, instants, pinned) if pin)
 
-    def query(self, p: ProcessId, t: Time) -> Any:
-        if self._injector.sigma_noisy(self._indices, t):
-            return self.scope
-        return self.inner.query(p, t)
 
-
-class LateOmega(FailureDetector):
-    """``Omega_g`` under ``omega_late``: :attr:`stabilization_time` floored
-    at ``floor`` (the engine reads that), and samples rotating among the
-    alive members by time while :meth:`FaultInjector.omega_unstable`
-    holds (the kernel reads those), the wrapped ones otherwise."""
+class LateOmega(Timeline):
+    """``Omega_g`` under ``omega_late``, as a history: while ``unstable``,
+    the leader rotates among the alive members by round (no injector
+    randomness); from the first stable round on, the wrapped history.
+    That round floors :attr:`stabilization_time` (the engine reads it),
+    so from it on every answer is :attr:`eventual_leader`.
+    :attr:`rotated` counts the rotated rounds."""
 
     kind = "Omega"
 
-    def __init__(
-        self, inner: FailureDetector, floor: Time, injector: FaultInjector
-    ) -> None:
-        self.inner = inner
+    def __init__(self, inner: Timeline, unstable: Callable[[Time], bool]) -> None:
+        self.scope = inner.scope
         self.eventual_leader = inner.eventual_leader
+        members = sorted(self.scope)
+        values: List[Any] = []
+        self.rotated = floor = 0
+        while unstable(floor):
+            alive = [q for q in members if inner.pattern.is_alive(q, floor)]
+            self.rotated += bool(alive)
+            values.append(
+                alive[floor % len(alive)] if alive else inner.query(None, floor)
+            )
+            floor += 1
         self.stabilization_time = max(inner.stabilization_time, floor)
-        self._members = sorted(inner.scope)
-        self._indices = frozenset(q.index for q in inner.scope)
-        self._injector = injector
+        later = [t for t in inner.instants if t > floor]
+        values.extend(inner.query(None, t) for t in (floor, *later))
+        super().__init__([*range(1, floor + 1), *later], values)
 
-    def query(self, p: ProcessId, t: Time) -> Any:
-        if self._injector.omega_unstable(self._indices, t):
-            pattern = self.inner.pattern
-            alive = [q for q in self._members if pattern.is_alive(q, t)]
-            if alive:
-                self._injector.stats["omega_rotated"] += 1
-                return alive[t % len(alive)]
-        return self.inner.query(p, t)
+
+def _indices(scope: ProcessSet) -> FrozenSet[int]:
+    """A scope as the member indices fault events name."""
+    return frozenset(q.index for q in scope)
 
 
 def group_index_map(topology) -> Dict[str, FrozenSet[int]]:
     """Group name -> member indices, the injector's scoping map."""
-    return {
-        g.name: frozenset(p.index for p in g.members)
-        for g in topology.groups
-    }
+    return {g.name: _indices(g.members) for g in topology.groups}
 
 
 def injector_for(

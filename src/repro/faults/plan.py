@@ -138,8 +138,9 @@ class FaultEvent:
         ``[start, until)`` — transient false information that still
         satisfies Intersection, and Liveness on the suffix.
     ``omega_late``
-        ``Omega_group`` stabilizes no earlier than ``until``; before
-        that the reported leader may rotate among alive members.
+        every ``Omega_P`` with ``P`` inside ``group`` (every one when
+        ``group`` is None) stabilizes no earlier than ``until``; before
+        that the reported leader rotates among alive members.
     ``gamma_delay``
         the gamma oracle's detection lag grows by ``amount``.
     ``crash_burst``

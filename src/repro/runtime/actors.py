@@ -91,17 +91,17 @@ class AutomatonActor(Actor):
     waits, matching the event-driven kernel's accounting.
 
     A verdict of parked is memoised in :attr:`proven_parked` (the
-    scheduler's set, bound by the kernel) when the process's detector
-    is a :class:`~repro.detectors.base.Timeline`, constant between its
-    change ``instants``, or there is none: the verdict then stands until
-    mail reaches the process, a client call changes its automaton, it
-    rejoins, or the clock reaches one of those instants, and the kernel
-    removes it on each.  A perturbed sampler lists none — it builds its
-    sample and counts its faults per query — so its processes are asked
-    every round.
+    scheduler's set, bound by the kernel): the detector is a
+    :class:`~repro.detectors.base.Timeline`, constant between its change
+    ``instants``, so the verdict stands until mail reaches the process,
+    a client call changes its automaton, it rejoins, or the clock
+    reaches one of those instants, and the kernel removes it on each.
     """
 
     SKIP_WAIT: Tuple[str, ...] = (WAIT_IDLE,)
+    #: Where a parked verdict is memoised: the scheduler's set, which the
+    #: kernel binds once its scheduler exists.
+    proven_parked: Set[ProcessId]
 
     def __init__(self, kernel, pid: ProcessId) -> None:
         self._kernel = kernel
@@ -111,8 +111,6 @@ class AutomatonActor(Actor):
         self._automaton = kernel.automata[pid]
         self._buffer = kernel.buffer
         self._detector = kernel.detectors.get(pid)
-        #: Where a parked verdict is memoised; ``None``: never.
-        self.proven_parked: Optional[Set[ProcessId]] = None
 
     def parked(self, t: Time) -> bool:
         pid = self._pid
@@ -120,14 +118,12 @@ class AutomatonActor(Actor):
             pid in self._kernel._started
             and not self._buffer.has_pending(pid)
             and self._automaton.idle()
-            # By value: a perturbed sampler builds its sample per query.
             and (
                 self._detector is None
                 or self._detector.query(pid, t) == self._kernel._sampled[pid]
             )
         ):
-            if self.proven_parked is not None:
-                self.proven_parked.add(pid)
+            self.proven_parked.add(pid)
             return True
         return False
 
@@ -140,8 +136,7 @@ class AutomatonActor(Actor):
         kernel, pid = self._kernel, self._pid
         if parked is None:
             # A full scan never asked.  The step samples the module
-            # itself, so judge it against the sample before: a second
-            # query would double what a perturbed component counts per step.
+            # itself: judging it against the sample before costs no query.
             parked = (
                 pid in kernel._started
                 and not self._buffer.has_pending(pid)

@@ -19,7 +19,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._content import content_hash
-from repro.detectors.base import FailureDetector
+from repro.detectors.base import Timeline
 from repro.metrics.trace import TraceRecorder
 from repro.model.errors import SimulationError
 from repro.model.failures import FailurePattern, Time
@@ -143,7 +143,7 @@ class Kernel(RoundHost):
         self,
         pattern: FailurePattern,
         automata: Dict[ProcessId, Automaton],
-        detectors: Optional[Dict[ProcessId, FailureDetector]] = None,
+        detectors: Optional[Dict[ProcessId, Timeline]] = None,
         seed: int = 0,
         injector: Optional[Any] = None,
     ) -> None:
@@ -208,15 +208,10 @@ class Kernel(RoundHost):
         self.buffer.proven_parked = proven
         for p, automaton in self.automata.items():
             automaton.wake = partial(proven.discard, p)
-            detector = self.detectors.get(p)
-            if detector is None or detector.instants is not None:
-                scheduler.actors[p].proven_parked = proven
-        #: When a memoisable detector's answer may change.
+            scheduler.actors[p].proven_parked = proven
+        #: When a detector's answer may change.
         self._sample_instants = frozenset(
-            t
-            for detector in self.detectors.values()
-            if detector.instants is not None
-            for t in detector.instants
+            t for detector in self.detectors.values() for t in detector.instants
         )
 
     def _pre_round(self, t: Time) -> None:

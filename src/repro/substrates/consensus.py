@@ -29,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Any, Dict, Iterable, NamedTuple, Optional, Set, Tuple
 
-from repro.detectors.base import FailureDetector, Timeline, epoch_starts
+from repro.detectors.base import Timeline, epoch_starts
 from repro.detectors.leader import OmegaOracle
 from repro.detectors.quorum import SigmaOracle
 from repro.model.failures import FailurePattern, Time
@@ -76,28 +76,22 @@ class Membership(NamedTuple):
 
 
 class OmegaSigmaSampler(Timeline):
-    """Bundles ``Omega_P`` and ``Sigma_P`` samples for the consensus code.
-
-    One sampler serves every member of the scope.  Over two components
-    that list their change ``instants`` (the pattern oracles do, a
-    perturbed one does not) it is their merged
-    :class:`~repro.detectors.base.Timeline`; otherwise it lists none and
-    asks both components on every query.
+    """Bundles ``Omega_P`` and ``Sigma_P`` samples for the consensus code:
+    the two components' merged :class:`~repro.detectors.base.Timeline`,
+    built once, one sampler for every member of the scope.
     """
 
     kind = "OmegaSigma"
-    values = None
 
-    def __init__(self, omega: FailureDetector, sigma: FailureDetector) -> None:
+    def __init__(self, omega: Timeline, sigma: Timeline) -> None:
         self.omega = omega
         self.sigma = sigma
-        if omega.instants is not None and sigma.instants is not None:
-            instants = sorted(set(omega.instants) | set(sigma.instants))
-            samples = [
-                {"omega": omega.query(None, t), "sigma": sigma.query(None, t)}
-                for t in epoch_starts(instants)
-            ]
-            super().__init__(instants, samples)
+        instants = sorted(set(omega.instants) | set(sigma.instants))
+        samples = [
+            {"omega": omega.query(None, t), "sigma": sigma.query(None, t)}
+            for t in epoch_starts(instants)
+        ]
+        super().__init__(instants, samples)
 
     @classmethod
     def of(cls, pattern: FailurePattern, scope: ProcessSet) -> "OmegaSigmaSampler":
@@ -108,11 +102,8 @@ class OmegaSigmaSampler(Timeline):
     def query(self, p: ProcessId, t: Time) -> Dict[str, Any]:
         # ``Timeline.query`` written out: a kernel step asks once, and a
         # nested frame would show in every step's host calls.
-        values = self.values
-        if values is None:
-            return {"omega": self.omega.query(p, t), "sigma": self.sigma.query(p, t)}
         instants = self.instants
-        return values[bisect_right(instants, t)] if instants else values[0]
+        return self.values[bisect_right(instants, t)] if instants else self.values[0]
 
 
 class ConsensusAutomaton(Automaton):

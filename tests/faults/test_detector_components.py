@@ -1,5 +1,5 @@
-"""Each detector fault kind is one component wrapper, equal to the hooks
-it replaced.
+"""Each detector fault kind is one component, a history built once,
+equal to the hooks it replaced.
 
 ``FaultInjector.perturb_mu`` hands both backends the components they
 sample.  The bodies it retired live in ``_oracle``: the kernel's
@@ -7,8 +7,10 @@ sample.  The bodies it retired live in ``_oracle``: the kernel's
 ``delay_omega`` floors (with ``gamma_delay`` folded into the gamma lag)
 and its quorum-guard noise pin ``pinned_required``.  Over detector-mix
 plans, crash and crash–recovery patterns, on Figure 1 and on disjoint
-3×3, every answer, every stabilization time and every ``injector.stats``
-increment agree, at every time up to two past the horizon.
+3×3, every answer and every stabilization time agree, at every time up
+to two past the horizon.  The components are built once, and so are
+their ``injector.stats`` counts: they equal what the retired hooks
+counted when asked once per scope and time.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -28,11 +30,11 @@ TOPOLOGIES = (paper_figure1_topology(), disjoint_topology(3, group_size=3))
 
 
 @st.composite
-def cases(draw):
+def cases(draw, topologies=TOPOLOGIES):
     """``(topology, pattern, plan, gamma_lag, seed)``: a crash map with
     rejoin times for a random subset of the crashed, and the union of two
     ``detectors``-mix plans (so a kind may appear twice)."""
-    topology = draw(st.sampled_from(TOPOLOGIES))
+    topology = draw(st.sampled_from(topologies))
     processes = sorted(topology.processes)
     crashes = draw(st.dictionaries(st.sampled_from(processes), st.integers(0, 12)))
     gaps = draw(
@@ -49,15 +51,17 @@ def cases(draw):
     return topology, pattern, plan, draw(st.integers(0, 3)), draw(st.integers(0, 99))
 
 
-def counted(injector, ask):
-    """``ask()``'s answer, and what it added to ``injector.stats``."""
-    before = dict(injector.stats)
-    answer = ask()
-    return answer, {
-        key: value - before[key]
-        for key, value in injector.stats.items()
-        if value != before[key]
-    }
+def count_noise(injector):
+    """Give ``injector`` the ``sigma_noisy`` the retired hooks asked,
+    which bumped ``sigma_noised`` on every True answer."""
+    pure = injector.sigma_noisy
+
+    def sigma_noisy(scope_indices, t):
+        noisy = pure(scope_indices, t)
+        injector.stats["sigma_noised"] += noisy
+        return noisy
+
+    injector.sigma_noisy = sigma_noisy
 
 
 @settings(
@@ -70,6 +74,8 @@ def test_perturbed_components_answer_what_the_retired_hooks_did(case):
     topology, pattern, plan, gamma_lag, seed = case
     new, engine, kernel = (injector_for(plan, topology, seed) for _ in range(3))
     mu = new.perturb_mu(build_mu(pattern, topology, gamma_lag))
+    built = dict(new.stats)
+    count_noise(engine)
 
     # The engine's retired build: gamma lag plus the plan's, then floors.
     extra = sum(e.amount for e in plan.by_kind("gamma_delay"))
@@ -96,13 +102,16 @@ def test_perturbed_components_answer_what_the_retired_hooks_did(case):
     processes = sorted(topology.processes)
     for t in range(horizon + 1):
         for scope, sigma in mu.sigmas.items():
+            # Counted once per (scope, t): the first ask counts.
+            asked = pinned_required(retired, engine, processes[0], scope, t)
             for p in processes:
-                assert counted(new, lambda: sigma.query(p, t)) == counted(
-                    engine, lambda: pinned_required(retired, engine, p, scope, t)
-                )
+                assert sigma.query(p, t) == asked
         for g in topology.groups:
-            for p in sorted(g.members):
-                assert counted(new, lambda: samplers[g].query(p, t)) == counted(
-                    kernel, lambda: wrapped[g].query(p, t)
-                )
+            members = sorted(g.members)
+            asked = wrapped[g].query(members[0], t)
+            for p in members:
+                assert samplers[g].query(p, t) == asked
             assert mu.gamma_partners(t, g) == retired.gamma_partners(t, g)
+    assert new.stats == built
+    assert built["sigma_noised"] == engine.stats["sigma_noised"]
+    assert built["omega_rotated"] == kernel.stats["omega_rotated"]

@@ -9,7 +9,6 @@ from repro.faults.injector import (
     AdmissibilityError,
     BENIGN_SEND,
     FaultInjector,
-    LateOmega,
     derive_injector_seed,
     group_index_map,
     injector_for,
@@ -161,15 +160,16 @@ class TestDetectorHooks:
         mu = injector.perturb_mu(build_mu(failure_free(ALL), PAIRS))
         g1, g2 = PAIRS.groups
         late = mu.omega(g2)
-        assert isinstance(late, LateOmega)
         assert late.stabilization_time == 7 == mu.omega_settle_time()
-        assert not isinstance(mu.omega(g1), LateOmega)
+        assert mu.omega(g1).stabilization_time == 0
         assert injector.omega_unstable(frozenset({3, 4}), 5)
         assert not injector.omega_unstable(frozenset({3, 4}), 7)
+        # Counted when built: one rotation per round of [0, 7).
+        assert injector.stats["omega_rotated"] == 7
         # Rotating among the alive members before the floor, then the
         # eventual leader.
         assert [late.query(P3, t) for t in (5, 6, 7, 8)] == [P4, P3, P3, P3]
-        assert injector.stats["omega_rotated"] == 2
+        assert injector.stats["omega_rotated"] == 7
 
     def test_gamma_lag_accumulates(self):
         injector = injector_for(

@@ -107,11 +107,14 @@ PINS = {
     # values live on in tests/substrates/test_slot_cost.py.
     "disjoint-kernel-event": "8508f61f9b847c1d51ee4abe780aa54a1829cf7fdbf51c8efe96da574d975aec",
     "figure1-async-uniform": "e93afe8ef013fbacce4fa79ad777e289bd528b8ff45fbd6c89dc6ea93b72de15",
-    "figure1-engine-faulted": "6bd0b67a5f45485045373d3c57e3e73075d14131d42e4c0161fb4c25114a51b2",
+    # The three detector-faulted pins were re-recorded when
+    # ``sigma_noised`` / ``omega_rotated`` became counts of the built
+    # history (one per scope and round the fault decided) instead of per
+    # query; minus those two keys each row hashes as before.
+    "figure1-engine-faulted": "d4af43cf0c339bcfadb4bbef8df4e12a815345f2a8f04a72dc09fa782777e8b8",
     "disjoint-kernel-faulted": "031c9b648152fac67eec4f956b26784c20d219a3a946aaba4b0d4a48de38c5ef",
-    "figure1-async-faulted": "a33a2d0e44fc14d24651b8a13c12ba34d727e170c566a656a5a67965ec83ff26",
-    # Recorded at the commit before ``mu`` became a record of components.
-    "disjoint-kernel-detectors": "856460009b6d2e8839d186ae2ab9aec48192a9cb37918b3dceea47e5c2e82066",
+    "figure1-async-faulted": "86bce2c33153168c63c5f2d6734c0ac7b28faf78f4fe1f574d32e9cb7c8e8861",
+    "disjoint-kernel-detectors": "c257c28fb3c47fe4fc56908f6fde1e7afdad9718ab851724ab88fc0be752ab9f",
     "figure1-engine-truncated": "99f25ecce7d102655af978704d5913a5b40905ee995310b4c812dac41164fff3",
 }
 
