@@ -25,9 +25,11 @@ the action that phase enables; the methods above hold the *remaining*
 preconditions and the effects.  The objects they touch — ``LOG_g`` and the
 ``LOG_{g∩h}`` of lines 13/22/27/36 — depend on ``dst(m)`` and ``G(p)``
 alone, and are resolved once per destination group into a :class:`_Route`,
-together with ``gamma(g)``'s timeline.  A route holds each log's handle,
-where a mutation is guarded and charged; a read is free, so the actions
-read the handle's :class:`Log` directly.
+together with ``gamma(g)``'s timeline and the quorum :data:`Guard` of each
+operation.  A route holds each log's handle, where a mutation is charged;
+a read is free, so the actions read the handle's :class:`Log` directly.
+Before an operation an action asks the engine's guard memo once, with the
+route's guards (:meth:`repro.core.engine.MulticastSystem.blocked`).
 
 The *strict* variation of §6.1 changes only the ``stable`` precondition:
 a process waits, for every intersecting group ``h``, for either the
@@ -55,11 +57,27 @@ from repro.metrics.trace import (
 )
 from repro.model.errors import SimulationError
 from repro.model.messages import MessageId, MulticastMessage
-from repro.model.processes import ProcessId
-from repro.objects.space import LogHandle, ObjectSpace
+from repro.model.processes import ProcessId, ProcessSet
+from repro.objects.space import IntersectionLogHandle, LogHandle, ObjectSpace
 
 #: Upcall invoked on delivery: (process, message).
 DeliverFn = Callable[[ProcessId, MulticastMessage], None]
+
+#: One object's quorum precondition for an operation (§4.3),
+#: ``(scope, reason, ilog, gate)``: a ``Sigma`` quorum of ``scope``
+#: responds.  For ``LOG_{g∩h}`` (``ilog``) an operation off Proposition
+#: 47's fast path also needs a quorum of the log's slow scope; for
+#: ``CONS_{m,f}`` hosted by the group ``gate``, the group's ``Omega`` must
+#: also have stabilized.  ``reason`` is the wait reason when it fails.
+#: A plain tuple, so building and unpacking one makes no call.
+Guard = Tuple[ProcessSet, str, Optional[IntersectionLogHandle], Optional[Group]]
+
+#: The guard of one operation: (caller, guards, signature) -> the wait
+#: reason of the first failing guard, or ``None`` when all hold
+#: (:meth:`repro.core.engine.MulticastSystem.blocked`).
+BlockedFn = Callable[
+    [ProcessId, Tuple[Guard, ...], Optional[Tuple[Any, ...]]], Optional[str]
+]
 
 #: Supported algorithm variants.
 VARIANTS = ("vanilla", "strict")
@@ -76,23 +94,44 @@ class _Route:
         carried: ``((h, LOG_{g∩h}), …)`` over the ``h ∈ G(p)`` with
             ``g ∩ h ≠ ∅`` (lines 13/22/27/36), ``g`` itself included.
         gamma: ``gamma(g)``'s timeline (:meth:`Mu.gamma_timeline`).
+        quorum: the guards of one ``LOG_g`` mutation (lines 7 and 29).
+        pending: the guards of line 13's appends: ``LOG_g``, then each
+            carried log.
+        commit: the guards of lines 21–23: ``CONS_{m,f}``, hosted by
+            ``g``, then each carried log.
     """
 
-    __slots__ = ("g", "member", "log", "carried", "gamma")
+    __slots__ = (
+        "g", "member", "log", "carried", "gamma", "quorum", "pending", "commit"
+    )
 
     def __init__(
         self,
         g: Group,
         member: bool,
-        log: Optional[LogHandle],
-        carried: Tuple[Tuple[Group, LogHandle], ...],
-        gamma: Optional[Timeline],
+        log: Optional[LogHandle] = None,
+        carried: Tuple[Tuple[Group, LogHandle], ...] = (),
+        gamma: Optional[Timeline] = None,
     ) -> None:
         self.g = g
         self.member = member
         self.log = log
         self.carried = carried
         self.gamma = gamma
+        self.quorum: Tuple[Guard, ...] = ()
+        self.pending: Tuple[Guard, ...] = ()
+        self.commit: Tuple[Guard, ...] = ()
+        if log is not None:
+            self.quorum = ((log.carriers, WAIT_QUORUM, None, None),)
+            # ``carried`` holds LOG_g itself (``g ∩ g``): no classification.
+            carriers = tuple(
+                [
+                    (ilog.carriers, WAIT_QUORUM, None if ilog is log else ilog, None)
+                    for _h, ilog in carried
+                ]
+            )
+            self.pending = self.quorum + carriers
+            self.commit = ((g.members, WAIT_CONSENSUS, None, g), *carriers)
 
 
 class Algorithm1Process:
@@ -117,6 +156,7 @@ class Algorithm1Process:
         variant: str = "vanilla",
         indicators: Optional[Dict[FrozenSet[ProcessId], IndicatorOracle]] = None,
         stats: Optional[TraceRecorder] = None,
+        blocked: Optional[BlockedFn] = None,
     ) -> None:
         if variant not in VARIANTS:
             raise SimulationError(f"unknown variant {variant!r}")
@@ -163,6 +203,9 @@ class Algorithm1Process:
         self._routes: Dict[FrozenSet[ProcessId], _Route] = {}
         #: Instrumentation sink (detector-query counters); optional.
         self.stats = stats
+        #: The quorum guard of an operation inside an action scan; the
+        #: engine passes its own (actions cannot run without one).
+        self._blocked = blocked
         #: Why the last action scan ended blocked: a subset of the
         #: ``WAIT_*`` reasons of :mod:`repro.metrics.trace`.  Empty after
         #: a scan that fired actions, or when the process is simply idle.
@@ -243,7 +286,7 @@ class Algorithm1Process:
                     g, True, self._log(g), carried, self.mu.gamma_timeline(g)
                 )
             else:
-                route = _Route(g, False, None, (), None)
+                route = _Route(g, False)
             self._routes[message.dst] = route
         return route
 
@@ -309,11 +352,12 @@ class Algorithm1Process:
             if budget is not None and fired >= budget:
                 return fired
             message = known[mid]
-            log_g = (routes.get(message.dst) or self._route(message)).log
+            route = routes.get(message.dst) or self._route(message)
+            log_g = route.log
             if phases.get(mid, START) != START or message in log_g.log.positions:
                 self._to_multicast.discard(mid)
                 continue
-            if log_g.mutation_available(pid):
+            if self._blocked(pid, route.quorum, None) is None:
                 log_g.append(pid, message)
                 self._to_multicast.discard(mid)
                 fired += 1
@@ -377,13 +421,10 @@ class Algorithm1Process:
             self.wait_reasons.add(WAIT_ORDER)
             return False
         pid = self.pid
-        if not log_g.mutation_available(pid):
-            self.wait_reasons.add(WAIT_QUORUM)
-            return False
-        for _h, ilog in route.carried:
-            if not ilog.mutation_available(pid, "append", m):
-                self.wait_reasons.add(WAIT_QUORUM)
-                return False  # wait for a quorum of the carrier
+        reason = self._blocked(pid, route.pending, ("append", m))
+        if reason is not None:
+            self.wait_reasons.add(reason)
+            return False  # wait for a quorum of LOG_g or of a carrier
         for h, ilog in route.carried:
             position = ilog.append(pid, m)
             log_g.append(pid, (m.mid, h.name, position))
@@ -444,13 +485,10 @@ class Algorithm1Process:
         family_key = self._consensus_family(g)  # line 20
         cons = self.space.consensus(m.mid, family_key, g)
         pid = self.pid
-        if not cons.mutation_available(pid):
-            self.wait_reasons.add(WAIT_CONSENSUS)
+        reason = self._blocked(pid, route.commit, ("bumpAndLock", m, k))
+        if reason is not None:
+            self.wait_reasons.add(reason)
             return False
-        for _h, ilog in route.carried:
-            if not ilog.mutation_available(pid, "bumpAndLock", m, k):
-                self.wait_reasons.add(WAIT_QUORUM)
-                return False
         k = cons.propose(pid, k)  # line 21
         for _h, ilog in route.carried:  # lines 22-23
             ilog.bump_and_lock(pid, m, k)
@@ -478,7 +516,7 @@ class Algorithm1Process:
             if not self._order_clear(ilog, m, STABLE):
                 self.wait_reasons.add(WAIT_ORDER)
                 continue  # line 28
-            if not log_g.mutation_available(self.pid):
+            if self._blocked(self.pid, route.quorum, None) is not None:
                 self.wait_reasons.add(WAIT_QUORUM)
                 continue
             log_g.append(self.pid, (m.mid, h.name))  # line 29

@@ -42,6 +42,22 @@ have fired nothing and recorded nothing).  The seed loop itself is kept
 as a test oracle (``tests/runtime/_oracle.py``) for differential
 testing; the per-round counters land in :attr:`MulticastSystem.tracer`.
 
+The quorum guard
+================
+
+An operation completes only when a ``Sigma`` quorum of its scope responds
+(:meth:`MulticastSystem.quorum_ok`).  ``mu``'s components are histories
+built once, so a verdict changes only when the scheduler's responder set
+changes or the clock crosses a ``Sigma`` instant or an ``Omega_g``
+stabilization time.  Algorithm 1's actions therefore read the guard from
+a memo (:meth:`MulticastSystem.blocked`), one call per operation with the
+guards their route binds; a miss asks ``quorum_ok``, the one body that
+decides a verdict.  The memo holds for one ``responders`` object and one
+epoch of those instants; an action scan checks both when it starts and
+:meth:`MulticastSystem.renew_verdicts` empties it when either moved.  The
+guard counters count every check, hit or miss, as before.  The
+host-called :meth:`MulticastSystem.multicast` asks the guard directly.
+
 Caveat for auxiliary :data:`Component` sources: a component is re-run
 only while its process is awake.  Components whose enabledness is driven
 by shared-object state (like the Proposition 1 reduction) wake up with
@@ -51,9 +67,10 @@ call :meth:`MulticastSystem.wake_all`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.core.algorithm1 import Algorithm1Process
+from repro.core.algorithm1 import Algorithm1Process, Guard
 from repro.detectors.indicator import IndicatorOracle
 from repro.detectors.mu import Mu, build_mu
 from repro.groups.topology import Group, GroupTopology
@@ -123,14 +140,29 @@ class MulticastSystem(RoundHost):
         #: wakes through latency-modelled channels; ``None`` (round
         #: execution) keeps the wake path untouched.
         self.wake_listener: Optional[Callable[[FrozenSet[ProcessId]], None]] = None
-        self.space = ObjectSpace(
-            self._write,
-            guard=self.quorum_ok,
-            isolation=isolation,
-            consensus_gate=self.consensus_ok,
-        )
+        self.space = ObjectSpace(self._write, guard=self.quorum_ok, isolation=isolation)
         #: The run's detector (the pattern oracles when not given).
         self.mu = build_mu(pattern, topology) if mu is None else mu
+        #: The guard's memo (:meth:`blocked`): ``quorum_ok``'s verdict per
+        #: scope and ``consensus_ok``'s per hosting group name.  Both are
+        #: functions of the clock's epoch between two of
+        #: :attr:`_verdict_instants` and of the responder set, so the
+        #: memo holds for one epoch and one ``responders`` object
+        #: (:meth:`renew_verdicts`).
+        self._verdicts: Dict[Any, bool] = {}
+        #: Where a verdict can change with the clock: every ``Sigma``
+        #: instant and every ``Omega_g`` stabilization time.
+        self._verdict_instants: Tuple[Time, ...] = tuple(
+            sorted(
+                {t for sigma in self.mu.sigmas.values() for t in sigma.instants}
+                | {omega.stabilization_time for omega in self.mu.omegas.values()}
+            )
+        )
+        #: The responders and the epoch ``[since, until)`` the memo holds
+        #: for; the first scan renews it.
+        self._verdicts_for: Optional[FrozenSet[ProcessId]] = None
+        self._verdicts_since: Time = 0
+        self._verdicts_until: float = -1
         self.indicators: Dict[FrozenSet[ProcessId], IndicatorOracle] = {}
         if variant == "strict":
             for g, h in topology.intersecting_pairs():
@@ -150,6 +182,7 @@ class MulticastSystem(RoundHost):
                 variant=variant,
                 indicators=self.indicators,
                 stats=tracer,
+                blocked=self.blocked,
             )
             for p in sorted(topology.processes)
         }
@@ -225,6 +258,69 @@ class MulticastSystem(RoundHost):
         if not available:
             tracer.quorum_stalls += 1
         return available
+
+    def renew_verdicts(self) -> None:
+        """Empty the guard's memo and key it to the scheduler's responder
+        set (the very object) and the epoch of its clock.  An action scan
+        calls it when the memo was kept for other ones
+        (:meth:`SharedObjectActor.fire`); both hold still during a scan."""
+        scheduler = self._scheduler
+        self._verdicts.clear()
+        self._verdicts_for = scheduler.responders
+        instants = self._verdict_instants
+        epoch = bisect_right(instants, scheduler.time)
+        self._verdicts_since = instants[epoch - 1] if epoch else 0
+        self._verdicts_until = (
+            instants[epoch] if epoch < len(instants) else float("inf")
+        )
+
+    def blocked(
+        self,
+        caller: ProcessId,
+        guards: Tuple[Guard, ...],
+        signature: Optional[Tuple[Any, ...]],
+    ) -> Optional[str]:
+        """The quorum guard of one operation by ``caller`` inside an
+        action scan: the ``reason`` of the first of ``guards`` that fails
+        now, or ``None`` when all hold.
+
+        Each guard's scope is asked of the memo; a miss asks
+        :meth:`quorum_ok`, the one body that decides a verdict, and keeps
+        its answer.  A hit counts ``quorum_queries`` / ``quorum_stalls``
+        as that call would have, so every check counts once, in order,
+        up to the first failure.  A guard on ``LOG_{g∩h}`` then peeks the
+        log's classification of ``signature`` (the operation's; ``None``
+        only for guards without a log): off the fast path the slow scope
+        is one more guard.  A ``CONS_{m,f}`` guard then reads its
+        host's gate (:meth:`consensus_ok`) the same way, uncounted.
+        Valid only inside a scan, whose start checked the memo.
+        """
+        verdicts = self._verdicts
+        tracer = self.tracer
+        for scope, reason, ilog, gate in guards:
+            if scope in verdicts:
+                ok = verdicts[scope]
+                tracer.quorum_queries += 1
+                if not ok:
+                    tracer.quorum_stalls += 1
+            else:
+                ok = verdicts[scope] = self.quorum_ok(caller, scope)
+            if not ok:
+                return reason
+            if ilog is not None and not ilog.would_be_fast(caller, signature):
+                slow_guard = (ilog.slow_scope(), reason, None, None)
+                slow = self.blocked(caller, (slow_guard,), None)
+                if slow is not None:
+                    return slow
+            if gate is not None:
+                name = gate.name
+                if name in verdicts:
+                    ok = verdicts[name]
+                else:
+                    ok = verdicts[name] = self.consensus_ok(caller, gate)
+                if not ok:
+                    return reason
+        return None
 
     def consensus_ok(self, caller: ProcessId, host: Group) -> bool:
         """Whether the consensus hosted by ``host`` can terminate now.

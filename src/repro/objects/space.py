@@ -27,7 +27,7 @@ created (:func:`reader_set`).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Set, Tuple
 
 from repro.groups.topology import Group
 from repro.model.errors import SpecificationError
@@ -45,12 +45,6 @@ Bill = Tuple[Tuple[ProcessId, ...], str, FrozenSet[ProcessId]]
 #: Quorum guard: (caller, scope) -> True when a live quorum of ``scope``
 #: is currently able to respond (see MulticastSystem.quorum_ok).
 GuardFn = Callable[[ProcessId, ProcessSet], bool]
-
-#: Consensus gate: (caller, host group) -> True when the leader-driven
-#: consensus hosted by the group can terminate now (the adversarial
-#: reading of ``Omega_g``: before the oracle stabilizes, ballots may be
-#: preempted forever — see MulticastSystem.consensus_ok).
-ConsensusGateFn = Callable[[ProcessId, Group], bool]
 
 
 def _det_label(key: Any) -> str:
@@ -140,12 +134,16 @@ class LogHandle:
     def name(self) -> str:
         return self.log.name
 
-    def mutation_available(self, caller: ProcessId, *_signature: object) -> bool:
+    def mutation_available(self, caller: ProcessId) -> bool:
         """Whether a mutation by ``caller`` can gather its quorum now.
 
         Operations of the universal construction complete only once a
         quorum of the carrier scope (per ``Sigma_carriers``) responds;
-        action systems consult this as an extra precondition.
+        action systems consult this as an extra precondition.  Algorithm
+        1's actions read the engine's memo of the guard instead
+        (:meth:`repro.core.engine.MulticastSystem.blocked`), which keeps
+        this path's verdicts and counters; a line-7 append the host
+        requests outside an action scan asks here.
         """
         return self._guard(caller, self.carriers)
 
@@ -213,7 +211,10 @@ class IntersectionLogHandle(LogHandle):
     process applies the same operations in the same order, each mutation
     runs on the adopt–commit fast path and charges only ``g ∩ h``.  The
     first out-of-order mutation (step contention) falls back to the
-    consensus hosted by the carrier group and charges it.
+    consensus hosted by the carrier group and charges it.  A fast-path
+    operation needs a ``Sigma_{g∩h}`` quorum; a slow-path one also a
+    quorum of :meth:`slow_scope` — the guard peeks the classification
+    (:meth:`would_be_fast`) before the operation.
     """
 
     def __init__(
@@ -236,29 +237,19 @@ class IntersectionLogHandle(LogHandle):
         self.fast_ops = 0
         self.slow_ops = 0
 
-    def _would_be_fast(self, caller: ProcessId, signature: Tuple[Any, ...]) -> bool:
-        """Peek the fast/slow classification without advancing cursors."""
+    def would_be_fast(self, caller: ProcessId, signature: Tuple[Any, ...]) -> bool:
+        """Peek the fast/slow classification without advancing cursors:
+        whether ``caller``'s next operation, ``signature``, keeps to the
+        established order."""
         index = self._cursor.get(caller, 0)
         if index < len(self._established):
             return self._established[index] == signature
         return True
 
-    def _slow_scope(self) -> ProcessSet:
+    def slow_scope(self) -> ProcessSet:
+        """Who runs the backing consensus on the slow path: the host
+        group, or ``g ∩ h`` itself under §6.2 isolation."""
         return self.carriers if self.isolation else self.host_group.members
-
-    def mutation_available(self, caller: ProcessId, *signature: object) -> bool:
-        """Quorum availability, classified per Proposition 47.
-
-        Fast-path operations (consistent with the established order) need
-        a ``Sigma_{g∩h}`` quorum; slow-path operations additionally run
-        the backing consensus, hosted by a full group — unless the §6.2
-        isolation configuration keeps it inside the intersection.
-        """
-        if not self._guard(caller, self.carriers):
-            return False
-        if signature and not self._would_be_fast(caller, tuple(signature)):
-            return self._guard(caller, self._slow_scope())
-        return True
 
     def _path_bill(
         self, caller: ProcessId, op: str, signature: Tuple[Any, ...]
@@ -273,7 +264,7 @@ class IntersectionLogHandle(LogHandle):
             self.slow_ops += 1
             path = op + "[slow]"
             return self._bills.get((caller, path)) or self._bill(
-                caller, path, self._slow_scope()
+                caller, path, self.slow_scope()
             )
         if index >= len(established):
             established.append(signature)
@@ -298,26 +289,11 @@ class ConsensusHandle:
     """A consensus object bound to the group that hosts it."""
 
     def __init__(
-        self,
-        cons: ConsensusObject,
-        host_group: Group,
-        write: WriteSink = _no_write,
-        guard: GuardFn = _always_available,
-        gate: Optional[ConsensusGateFn] = None,
+        self, cons: ConsensusObject, host_group: Group, write: WriteSink = _no_write
     ) -> None:
         self.cons = cons
         self.host_group = host_group
         self._write = write
-        self._guard = guard
-        self._gate = gate
-
-    def mutation_available(self, caller: ProcessId) -> bool:
-        """Whether a proposal can terminate now: a quorum of the host
-        group responds *and* the group's leader oracle has stabilized
-        (``Omega_g ∧ Sigma_g``, the §4.3 consensus construction)."""
-        if not self._guard(caller, self.host_group.members):
-            return False
-        return self._gate is None or self._gate(caller, self.host_group)
 
     def propose(self, caller: ProcessId, value: Any) -> Any:
         # No memo here: CONS_{m,f} sees one proposal per member of g.
@@ -352,11 +328,9 @@ class ObjectSpace:
         write: WriteSink = _no_write,
         guard: GuardFn = _always_available,
         isolation: bool = False,
-        consensus_gate: Optional[ConsensusGateFn] = None,
     ) -> None:
         self._write = write
         self._guard = guard
-        self._consensus_gate = consensus_gate
         #: §6.2 strongly-genuine configuration for intersection logs.
         self.isolation = isolation
         self._group_logs: Dict[Group, LogHandle] = {}
@@ -422,8 +396,6 @@ class ObjectSpace:
                 ),
                 host,
                 self._write,
-                self._guard,
-                gate=self._consensus_gate,
             )
             self._consensus[key] = handle
         return handle

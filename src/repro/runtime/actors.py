@@ -61,6 +61,13 @@ class SharedObjectActor(Actor):
     ) -> int:
         system, pid = self._system, self._pid
         system._dirty.discard(pid)
+        # The clock and the responders hold still for the whole scan:
+        # the guard's memo serves it if it was kept for both.
+        scheduler = system._scheduler
+        if scheduler.responders is not system._verdicts_for or not (
+            system._verdicts_since <= scheduler.time < system._verdicts_until
+        ):
+            system.renew_verdicts()
         fired = 0
         for component in system._components:
             fired += component(pid, t)

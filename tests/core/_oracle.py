@@ -27,16 +27,31 @@ once per run, and woke everyone on a name it did not know.
 :func:`wake_index` is that builder, verbatim; ``test_reader_sets.py``
 checks every handle's reader set against its entry, in iteration order —
 the order the async driver draws wake latencies in.
+
+So does the quorum guard's call path.  Algorithm 1's actions ask the
+engine's memo once per operation, with the guards their route binds
+(``MulticastSystem.blocked``); until they did, every check was a call
+chain at its site — the handle's ``mutation_available``, then
+``MulticastSystem.quorum_ok``, then the ``Sigma`` query — and the
+intersection and consensus handles each kept their own.
+:func:`per_check_guards` binds those sites back, verbatim: the line-7
+retry loop of ``try_actions`` and the guards of ``_try_pending``,
+``_try_commit`` and ``_try_stabilize``, over the retired handle bodies
+:func:`ilog_mutation_available` and :func:`cons_mutation_available`.
+``test_guard_memo.py`` runs cells under both.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from types import MethodType
 from typing import Dict, FrozenSet, Set
 
+from repro.core.engine import MulticastSystem
 from repro.core.phases import COMMIT, DELIVER, PENDING, STABLE, START
 from repro.groups.topology import GroupTopology
-from repro.metrics.trace import WAIT_QUORUM
+from repro.metrics.trace import WAIT_CONSENSUS, WAIT_GAMMA, WAIT_ORDER, WAIT_QUORUM
+from repro.objects.space import IntersectionLogHandle
 from repro.model.failures import FailurePattern, Time
 from repro.model.processes import ProcessId, ProcessSet
 
@@ -176,3 +191,200 @@ def wake_index(topology: GroupTopology) -> Dict[str, FrozenSet[ProcessId]]:
         readers.update(g.members)
         readers.update(h.members)
     return {name: frozenset(pids) for name, pids in index.items()}
+
+
+def ilog_mutation_available(handle, caller, *signature):
+    """``IntersectionLogHandle.mutation_available``: quorum availability,
+    classified per Proposition 47 — a fast-path operation needs a
+    ``Sigma_{g∩h}`` quorum, a slow-path one also the slow scope's.  On a
+    plain ``LogHandle`` (``LOG_g`` among a route's carried logs) the
+    signature is ignored, as that handle's method ignored it."""
+    if not isinstance(handle, IntersectionLogHandle):
+        return handle.mutation_available(caller)
+    if not handle._guard(caller, handle.carriers):
+        return False
+    if signature and not handle.would_be_fast(caller, tuple(signature)):
+        return handle._guard(caller, handle.slow_scope())
+    return True
+
+
+def cons_mutation_available(system, handle, caller):
+    """``ConsensusHandle.mutation_available``: a quorum of the host group
+    responds *and* the group's leader oracle has stabilized."""
+    if not system.quorum_ok(caller, handle.host_group.members):
+        return False
+    return system.consensus_ok(caller, handle.host_group)
+
+
+def per_check_try_actions(self, t, budget=None):
+    """``Algorithm1Process.try_actions`` with the line-7 retry asking the
+    handle's guard."""
+    self.discover()
+    self.wait_reasons = set()
+    fired = 0
+    pid = self.pid
+    known = self.known
+    phases = self.phase
+    routes = self._routes
+    for mid in sorted(self._to_multicast) if self._to_multicast else ():
+        if budget is not None and fired >= budget:
+            return fired
+        message = known[mid]
+        log_g = (routes.get(message.dst) or self._route(message)).log
+        if phases.get(mid, START) != START or message in log_g.log.positions:
+            self._to_multicast.discard(mid)
+            continue
+        if log_g.mutation_available(pid):
+            log_g.append(pid, message)
+            self._to_multicast.discard(mid)
+            fired += 1
+        else:
+            self.wait_reasons.add(WAIT_QUORUM)
+    done = self._done
+    retired = len(done)
+    try:
+        for mid in self._scan_order:
+            if budget is not None and fired >= budget:
+                return fired
+            phase = phases.get(mid, START)
+            if phase == DELIVER:
+                # Delivered messages satisfy no action precondition
+                # and report no wait reason — retire them.
+                done.add(mid)
+                continue
+            message = known[mid]
+            route = routes.get(message.dst) or self._route(message)
+            if not route.member:
+                done.add(mid)  # never actionable at a non-member
+                continue
+            if phase == START:
+                if not self._try_pending(t, message, route):
+                    continue
+                fired += 1
+                if budget is not None and fired >= budget:
+                    return fired
+                phase = PENDING
+            if phase == PENDING:
+                if not self._try_commit(t, message, route):
+                    continue
+                fired += 1
+                if budget is not None and fired >= budget:
+                    return fired
+                phase = COMMIT
+            if phase == COMMIT:
+                remaining = None if budget is None else budget - fired
+                fired += self._try_stabilize(t, message, route, remaining)
+                if budget is not None and fired >= budget:
+                    return fired
+                if not self._try_stable(t, message, route):
+                    continue
+                fired += 1
+                if budget is not None and fired >= budget:
+                    return fired
+            if self._try_deliver(t, message, route):  # PHASE[m] = stable
+                fired += 1
+        return fired
+    finally:
+        if len(done) > retired:
+            self._scan_order = [m for m in self._scan_order if m not in done]
+
+
+def per_check_try_pending(self, t, m, route):
+    log_g = route.log
+    if m not in log_g.log.positions:
+        return False
+    if not self._order_clear(log_g, m, COMMIT):
+        self.wait_reasons.add(WAIT_ORDER)
+        return False
+    pid = self.pid
+    if not log_g.mutation_available(pid):
+        self.wait_reasons.add(WAIT_QUORUM)
+        return False
+    for _h, ilog in route.carried:
+        if not ilog_mutation_available(ilog, pid, "append", m):
+            self.wait_reasons.add(WAIT_QUORUM)
+            return False  # wait for a quorum of the carrier
+    for h, ilog in route.carried:
+        position = ilog.append(pid, m)
+        log_g.append(pid, (m.mid, h.name, position))
+    self.phase[m.mid] = PENDING
+    return True
+
+
+def per_check_try_commit(system, self, t, m, route):
+    g = route.g
+    records = route.log.log.position_records_for(m.mid)
+    for h in self._gamma_partners(t, g):  # line 18
+        name = h.name
+        for record in records:
+            if record[1] == name:
+                break
+        else:
+            self.wait_reasons.add(WAIT_GAMMA)
+            return False
+    if not records:
+        return False  # k undefined until some (m, h, i) exists
+    k = 0  # line 19: the largest i of the (m, h, i) records
+    for record in records:
+        if record[2] > k:
+            k = record[2]
+    family_key = self._consensus_family(g)  # line 20
+    cons = self.space.consensus(m.mid, family_key, g)
+    pid = self.pid
+    if not cons_mutation_available(system, cons, pid):
+        self.wait_reasons.add(WAIT_CONSENSUS)
+        return False
+    for _h, ilog in route.carried:
+        if not ilog_mutation_available(ilog, pid, "bumpAndLock", m, k):
+            self.wait_reasons.add(WAIT_QUORUM)
+            return False
+    k = cons.propose(pid, k)  # line 21
+    for _h, ilog in route.carried:  # lines 22-23
+        ilog.bump_and_lock(pid, m, k)
+    self.phase[m.mid] = COMMIT
+    return True
+
+
+def per_check_try_stabilize(self, t, m, route, max_fires=None):
+    fired = 0
+    log_g = route.log
+    for h, ilog in route.carried:  # line 27: h in G(p), g ∩ h ≠ ∅
+        if max_fires is not None and fired >= max_fires:
+            return fired
+        if (m.mid, h.name) in self._stabilized:
+            continue
+        if m not in ilog.log.positions:
+            continue
+        if not self._order_clear(ilog, m, STABLE):
+            self.wait_reasons.add(WAIT_ORDER)
+            continue  # line 28
+        if not log_g.mutation_available(self.pid):
+            self.wait_reasons.add(WAIT_QUORUM)
+            continue
+        log_g.append(self.pid, (m.mid, h.name))  # line 29
+        self._stabilized.add((m.mid, h.name))
+        fired += 1
+    return fired
+
+
+def per_check_guards(system):
+    """Bind the per-check guard sites on every process of ``system`` (a
+    ``MulticastSystem``).  Returns ``system`` for chaining."""
+    for process in system.processes.values():
+        process.try_actions = MethodType(per_check_try_actions, process)
+        process._try_pending = MethodType(per_check_try_pending, process)
+        process._try_commit = MethodType(partial(per_check_try_commit, system), process)
+        process._try_stabilize = MethodType(per_check_try_stabilize, process)
+    return system
+
+
+def per_check_guards_everywhere(monkeypatch):
+    """:func:`per_check_guards` on every ``MulticastSystem`` built while
+    ``monkeypatch`` is active."""
+    init = MulticastSystem.__init__
+
+    def per_check_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        per_check_guards(self)
+
+    monkeypatch.setattr(MulticastSystem, "__init__", per_check_init)

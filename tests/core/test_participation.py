@@ -82,7 +82,7 @@ class TestGroupParallelism:
         g1, g2 = topo.group("g1"), topo.group("g2")
         ilog = system.space.intersection_log(g1, g2)
         assert ilog.isolation
-        assert ilog._slow_scope() == g1.intersection(g2)
+        assert ilog.slow_scope() == g1.intersection(g2)
 
     def test_hosted_slow_path_requires_the_host_group(self):
         topo, procs = two_groups()
@@ -90,7 +90,7 @@ class TestGroupParallelism:
         g1, g2 = topo.group("g1"), topo.group("g2")
         ilog = system.space.intersection_log(g1, g2)
         assert not ilog.isolation
-        assert ilog._slow_scope() == g1.members  # host = smaller name
+        assert ilog.slow_scope() == g1.members  # host = smaller name
 
     def test_wider_intersection_contention_blocks_in_isolation(self):
         """|g1 n g2| = 2: out-of-order appends on LOG_{g1∩g2} force the
