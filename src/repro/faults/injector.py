@@ -90,6 +90,12 @@ class SendVerdict:
 #: The verdict of an unfaulted send — shared, immutable by convention.
 BENIGN_SEND = SendVerdict()
 
+#: The kinds :meth:`FaultInjector.on_send` consults, and the kind
+#: :meth:`FaultInjector.suppresses` consults: their windows fix
+#: :attr:`FaultInjector.links_quiet_from` / ``churn_quiet_from``.
+SEND_KINDS = ("link_delay", "link_dup", "link_drop", "partition", "link_flaky")
+CHURN_KINDS = ("churn",)
+
 
 class FaultInjector:
     """One plan bound to one run: the hosts' shared nemesis.
@@ -146,8 +152,19 @@ class FaultInjector:
         self._omega_late = plan.by_kind("omega_late")
         self._gamma = plan.by_kind("gamma_delay")
         self._bursts = plan.by_kind("crash_burst")
-        self._churn = plan.by_kind("churn")
+        self._churn = plan.by_kind(*CHURN_KINDS)
         self._base_pattern: Optional[FailurePattern] = None
+        #: From this time on no event :meth:`on_send` consults is active,
+        #: so it answers :data:`BENIGN_SEND` and moves neither ``rng`` nor
+        #: ``stats``; hosts skip the hook from here (0 without such events).
+        self.links_quiet_from: Time = max(
+            (e.until for e in plan.by_kind(*SEND_KINDS)), default=0
+        )
+        #: From this time on :meth:`suppresses` answers False without
+        #: counting, so hosts skip it (0 without ``churn`` events).
+        self.churn_quiet_from: Time = max(
+            (e.until for e in self._churn), default=0
+        )
 
     # -- Failure pattern (crash bursts) -----------------------------------
 
@@ -217,13 +234,7 @@ class FaultInjector:
 
     def on_send(self, src_index: int, dst_index: int, t: Time) -> SendVerdict:
         """Judge one datagram send on the ``src -> dst`` link at ``t``."""
-        if not (
-            self._delays
-            or self._dups
-            or self._drops
-            or self._partitions
-            or self._flaky
-        ):
+        if t >= self.links_quiet_from:
             return BENIGN_SEND
         for event in self._partitions:
             if event.active(t) and event.cuts(src_index, dst_index):

@@ -164,6 +164,11 @@ class MessageBuffer:
         self.sent_count = 0
         self.received_count = 0
         self._injector = injector
+        #: From this time on ``on_send`` judges every send benign, so
+        #: :meth:`send` skips it (0 without an injector).
+        self._links_quiet_from = (
+            injector.links_quiet_from if injector is not None else 0
+        )
         #: Min-heap of ``(release time, uid, datagram)`` — datagrams a
         #: link fault is holding back; invisible to ``pending_for`` /
         #: ``receive`` until :meth:`release` moves them over.
@@ -186,7 +191,7 @@ class MessageBuffer:
         self.sent_count += 1
         if dst in self.proven_parked:
             self.proven_parked.discard(dst)
-        if self._injector is None:
+        if self._now >= self._links_quiet_from:
             self._pending.setdefault(dst, deque()).append(datagram)
             return datagram
         verdict = self._injector.on_send(src.index, dst.index, self._now)

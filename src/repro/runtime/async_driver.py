@@ -65,8 +65,9 @@ POLL_ROUNDS = 4.0
 CLOCK_RESOLUTION = 1e-9
 
 #: What a task yields to suspend itself: a float sleeps that many round
-#: units, a ``(key, timeout)`` pair parks on ``key``'s wake channel.
-Task = Iterator[Union[float, Tuple[Key, float]]]
+#: units, a ``(key, timeout)`` pair parks on ``key``'s wake channel, and
+#: ``None`` means the task pushed its own wake-up timer.
+Task = Iterator[Optional[Union[float, Tuple[Key, float]]]]
 
 
 class _Timer(list):
@@ -84,13 +85,16 @@ class EventLoop:
     """A FIFO ready queue and a timer heap under a logical clock.
 
     One *turn* drops cancelled timers off the heap's head; if nothing is
-    ready, advances the clock to the head's deadline; pops every timer
-    due within :data:`CLOCK_RESOLUTION` into a batch, in ``(when, seq)``
-    order; then runs the calls that were ready at that point, and then
-    the batch straight off the heap — calls and timers queued by those
-    run next turn.  So equal deadlines fire in scheduling order, by rule,
-    and a callback that raises leaves :meth:`run` at once.  A wake timer
-    landing on a set flag only counts off ``in_flight`` (nobody is parked).
+    ready, advances the clock to the head's deadline; fixes the turn's
+    deadline, ``now + CLOCK_RESOLUTION``, and its ``_seq`` mark; runs
+    the calls that were ready at that point; then pops the due timers
+    straight off the heap in ``(when, seq)`` order and runs them.  A
+    timer numbered past the mark was pushed by a call of this turn: it
+    is set aside and pushed back, so calls and timers queued during a
+    turn run next turn, as when the due timers were taken first.  So
+    equal deadlines fire in scheduling order, by rule, and a callback
+    that raises leaves :meth:`run` at once.  A wake timer landing on a
+    set flag only counts off ``in_flight`` (nobody is parked).
 
     The loop clock is the attribute :attr:`now`, in round units from
     ``0.0``, and it moves only between calls: every call of one turn
@@ -134,22 +138,27 @@ class EventLoop:
         while not self._stopping:
             while timers and timers[0][2] is None:
                 heappop(timers)
-            batch: List[_Timer] = []
+            due = -1.0
             if timers:
                 if not ready:
                     delay = timers[0][0] - self.now
                     if delay > 0:
                         self.now += delay
                 due = self.now + CLOCK_RESOLUTION
-                while timers and timers[0][0] < due:
-                    batch.append(heappop(timers))
             elif not ready:
                 return
+            mark = self._seq
             if ready:
                 for _ in range(len(ready)):
                     fn, arg = popleft()
                     fn(arg)
-            for timer in batch:
+            later = None
+            while timers and timers[0][0] < due:
+                timer = heappop(timers)
+                if timer[1] > mark:
+                    # Pushed by a call of this turn: it runs next turn.
+                    later = [timer] if later is None else [*later, timer]
+                    continue
                 fn = timer[2]
                 if fn is None:
                     continue  # a call of this turn cancelled it
@@ -158,6 +167,9 @@ class EventLoop:
                     transport.in_flight -= 1
                 else:
                     fn(timer[3])
+            if later is not None:
+                for timer in later:
+                    heappush(timers, timer)
 
 
 def derive_async_seed(seed: int, delay_spec: Any) -> int:
@@ -237,7 +249,8 @@ class AsyncTransport:
     def step(self, task: Task) -> None:
         """Resume ``task`` until it suspends again (or retires): a sleep's
         end and a park's timeout call this straight from their timer, a
-        wake resumes a parked task through the ready queue."""
+        wake resumes a parked task through the ready queue.  A task that
+        yields ``None`` has pushed its own wake-up timer."""
         request, loop = next(task, None), self._loop
         if type(request) is tuple:
             key, timeout = request
@@ -328,6 +341,17 @@ class AsyncDriver:
         self._transport: Optional[AsyncTransport] = None
         self._current: Optional[Key] = None
         self._fired_window = self._total_fired = 0
+        #: Per actor key, its task, and the loop instant its current
+        #: sleep ends (``inf`` once retired; stale while it runs or parks).
+        self._tasks: Dict[Key, Task] = {}
+        self._resume_at: Dict[Key, float] = {}
+        #: The loop instant the supervisor next reads ``in_flight``.
+        self._next_tick = 0.0
+        #: The logical time from which the fault plan can no longer
+        #: perturb a wake (0 without a plan).
+        self._links_quiet_from = (
+            self.injector.links_quiet_from if self.injector is not None else 0
+        )
         self._quiescent = self._stopped = False
 
     # -- Time --------------------------------------------------------------
@@ -350,9 +374,19 @@ class AsyncDriver:
         or from driver-level events like send injection (writer None).
 
         A writer's wake to each other reader draws one channel latency,
-        takes the fault plan's verdict when one is installed, and becomes
+        takes the fault plan's verdict while a link fault can still be
+        active (before the injector's ``links_quiet_from``), and becomes
         one timer carrying :attr:`AsyncTransport.land`, pushed straight
-        onto the loop's heap (:meth:`EventLoop.call_at`, inlined).
+        onto the loop's heap (:meth:`EventLoop.call_at`, inlined) —
+        unless it cannot land.  A wake gets no timer when the reader's
+        flag is set and it lands in a later turn
+        (``now + CLOCK_RESOLUTION <= when``), before the reader's task
+        runs again (``when < resume_at``: only that task clears the
+        flag, and a task with its flag set is not parked, so it sleeps
+        until its own timer) and before the supervisor reads
+        ``in_flight`` again (``when < next_tick``).  Its timer would only
+        have found the flag still set and counted itself off
+        ``in_flight``, with nobody reading the count in between.
         """
         transport = self._transport
         if transport is None:
@@ -362,11 +396,13 @@ class AsyncDriver:
             for dst in woken:
                 transport.deliver_now(dst)
             return
-        loop, injector, rng = self._loop, self.injector, self.rng
+        loop, rng = self._loop, self.rng
         latency_of, land, timers = self.delay.latency, transport.land, loop._timers
+        flags, resume_at = transport.woken, self._resume_at
         now, s = loop.now, src.index
-        if injector is not None:
-            t = self.now_t()
+        earliest, next_tick = now + CLOCK_RESOLUTION, self._next_tick
+        t = int(earliest) + 1
+        injector = self.injector if t < self._links_quiet_from else None
         for dst in woken:
             if dst == src:
                 # The writer re-checks itself on its next loop turn.
@@ -381,9 +417,11 @@ class AsyncDriver:
                 latency += float(verdict.delay)
                 # Duplicated wakes would be harmless no-ops on an event
                 # channel; the verdict's copies need no realization.
+            when = now + (latency if latency > 0.0 else 0.0)
+            if flags[dst] and earliest <= when < next_tick and when < resume_at[dst]:
+                continue  # it would land on the flag it finds set now
             transport.in_flight += 1
             loop._seq = seq = loop._seq + 1
-            when = now + (latency if latency > 0.0 else 0.0)
             heappush(timers, _Timer((when, seq, land, dst)))
 
     def _retry_at(
@@ -424,31 +462,41 @@ class AsyncDriver:
     # -- Tasks -------------------------------------------------------------
 
     def _actor(self, key: Key) -> Task:
+        """One actor's task.  Every sleep pushes its own wake-up timer
+        (:meth:`EventLoop.call_at`, inlined) and records its instant in
+        :attr:`_resume_at` (``inf`` once the task retires), then yields
+        ``None``; only parks go through :meth:`AsyncTransport.step`."""
         sched = self._sched
         pattern = sched.pattern
         actor = sched.actors[key]
         transport = self._transport
+        loop, timers, step = self._loop, self._loop._timers, transport.step
+        task = self._tasks[key]
         injector = self.injector
+        churn_quiet = injector.churn_quiet_from if injector is not None else 0
+        resume_at = self._resume_at
+        latency_of, rng, i = self.delay.latency, self.rng, key.index
         while not self._stopped:
-            t = self.now_t()
+            now = loop.now
+            t = int(now + CLOCK_RESOLUTION) + 1
             if not pattern.is_alive(key, t):
                 rejoin = pattern.recovery_times.get(key)
                 if rejoin is None or rejoin <= t:
+                    resume_at[key] = float("inf")
                     return  # crash-stop: the task retires
                 # Crash-recovery: park until the rejoin instant.  The
                 # actor's in-memory state stands in for the durable
                 # substrate snapshot (the kernel backend exercises the
                 # explicit snapshot/restore path).
-                yield max(rejoin - 1 - self._loop.now, 1.0)
-                continue
-            if injector is not None and injector.suppresses(key, t):
+                sleep = max(rejoin - 1 - now, 1.0)
+            elif t < churn_quiet and injector.suppresses(key, t):
                 # Participation churn: sleep through the window.
-                yield 1.0
-                continue
-            if t <= sched.settle_horizon or not actor.parked(t):
+                sleep = 1.0
+            elif t <= sched.settle_horizon or not actor.parked(t):
                 # Forced scans while detectors may still move mirror the
                 # round driver's full-scan window.
-                self._sync_time(t)
+                if t > sched.time:
+                    sched.time = t
                 self._current = key
                 try:
                     fired = actor.fire(t, None, None)
@@ -456,10 +504,15 @@ class AsyncDriver:
                     self._current = None
                 self._fired_window += fired
                 self._total_fired += fired
-                pace = self.delay.latency(key.index, key.index, self.rng)
-                yield pace if pace > MIN_PACE else MIN_PACE
+                pace = latency_of(i, i, rng)
+                sleep = pace if pace > MIN_PACE else MIN_PACE
+            else:
+                yield from transport.wait(key, POLL_ROUNDS)
                 continue
-            yield from transport.wait(key, POLL_ROUNDS)
+            resume_at[key] = when = now + sleep
+            loop._seq = seq = loop._seq + 1
+            heappush(timers, _Timer((when, seq, step, task)))
+            yield None
 
     def _inject(
         self,
@@ -494,7 +547,11 @@ class AsyncDriver:
         # availability just as a crash does, so it forces wakes too.
         instants = sched.instants
         instant_cursor = 0
+        loop = self._loop
         while True:
+            # Wakes landing before this instant need no timer of their
+            # own to be counted off ``in_flight`` in time (``_on_wake``).
+            self._next_tick = loop.now + 1.0
             yield 1.0
             t = self.now_t()
             self._sync_time(t)
@@ -575,13 +632,16 @@ class AsyncDriver:
         transport = self._transport = AsyncTransport(loop, keys)
         self._stopped = self._quiescent = False
         self._fired_window = self._total_fired = self.sends_cursor = 0
+        self._tasks = {key: self._actor(key) for key in keys}
+        self._resume_at = dict.fromkeys(keys, 0.0)
+        self._next_tick = 0.0
         self.system.wake_listener = self._on_wake
         # The injection task is queued first: the loop starts tasks in
         # queueing order, so sends due at the clock's first instant are
         # issued before any actor fires — as the round loop does.
         for task in (
             self._inject(pending, issue),
-            *map(self._actor, keys),
+            *self._tasks.values(),
             self._supervise(pending, max_rounds, quiescent_rounds, watchdog),
         ):
             loop.call_soon(transport.step, task)
@@ -591,6 +651,7 @@ class AsyncDriver:
             final_t = min(self.now_t(), max_rounds)
         finally:
             self.last_transport_stats = dict(transport.stats)
+            self._tasks = {}
             self.system.wake_listener = None
             self._loop = None
             self._transport = None

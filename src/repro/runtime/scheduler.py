@@ -222,8 +222,9 @@ class Scheduler:
             participation churn — a suppressed actor takes no step this
             round (finite asynchrony: churn windows are bounded, so
             fairness holds in the suffix) and answers no quorum request.
-            ``None`` leaves every code path byte-identical to the
-            fault-free scheduler.
+            It is asked only before its ``churn_quiet_from``.  ``None``
+            leaves every code path byte-identical to the fault-free
+            scheduler.
         pending_work: optional callable returning the amount of work the
             actors cannot see yet but that is still due — e.g. datagrams
             a link fault holds sequestered in the message buffer's delay
@@ -261,6 +262,11 @@ class Scheduler:
         self.settle_horizon = settle_horizon
         self.pre_round = pre_round
         self.injector = injector
+        #: The time from which the injector suppresses nobody: from here
+        #: on eligibility and responders skip its hook (0 without one).
+        self._churn_quiet_from: Time = (
+            injector.churn_quiet_from if injector is not None else 0
+        )
         self._pending_work = pending_work
         self._rng = random.Random(seed)
         #: The shuffle's draws for the largest eligible set, every key,
@@ -321,11 +327,11 @@ class Scheduler:
                 for key in self.sorted_keys
                 if is_alive(key, now) and key in participation
             ]
-        if self.injector is not None:
+        if now < self._churn_quiet_from:
             # Participation churn: suppressed actors take no step this
             # round and answer no quorum requests.  Only faulted runs
-            # ever reach this branch, so the fault-free RNG stream is
-            # untouched.
+            # with a churn window still open reach this branch, so the
+            # fault-free RNG stream is untouched.
             order = [
                 key
                 for key in order
@@ -353,7 +359,7 @@ class Scheduler:
                 for key in responders
                 if self.pattern.is_alive(key, now)
                 and (
-                    self.injector is None
+                    now >= self._churn_quiet_from
                     or not self.injector.suppresses(key, now)
                 )
             )

@@ -32,6 +32,15 @@ loop minus the I/O, with equal deadlines fired in scheduling order;
 while it still ran on asyncio — and :func:`asyncio_everywhere` binds it
 over every driver a test builds.
 
+The driver's wake path has one more.  ``AsyncDriver._on_wake`` pushes no
+timer for a wake that can only land on a flag it finds set, and
+``EventLoop.run`` pops a turn's due timers straight off the heap;
+:func:`one_timer_per_wake` and :func:`batched_run` are the bodies they
+replaced — one timer per wake, and a turn whose due timers are popped
+into a local batch before its ready calls run.
+:func:`one_timer_per_wake_everywhere` binds both over every driver a
+test builds (``tests/runtime/test_wake_elision.py`` diffs the two).
+
 So does ``gamma(g)``.  ``src/`` scopes the partner sets and the
 ``CONS_{m,f}`` family key to the group, ``F(g)``; ``golden.json`` was
 frozen while both were still derived from the asking process's own
@@ -47,12 +56,14 @@ from __future__ import annotations
 
 import asyncio
 import heapq
+from heapq import heappop, heappush
 from types import MethodType
-from typing import Any
+from typing import Any, List
 
 from repro.core.algorithm1 import Algorithm1Process
 from repro.detectors.cyclicity import gamma_groups
 from repro.runtime import async_driver
+from repro.runtime.async_driver import CLOCK_RESOLUTION, AsyncDriver, EventLoop, _Timer
 from repro.runtime.scheduler import Scheduler
 
 
@@ -334,3 +345,84 @@ def asyncio_everywhere(monkeypatch):
     """Run every :class:`AsyncDriver` built until the test ends on
     :class:`asyncio_loop` (pytest fixture ``monkeypatch``)."""
     monkeypatch.setattr(async_driver, "EventLoop", asyncio_loop)
+
+
+def one_timer_per_wake(self, woken: Any) -> None:
+    """``AsyncDriver._on_wake`` as it was before dead wakes went
+    timer-free: every timed wake is one timer, whatever flag it will
+    find, and the fault plan is asked whenever one is installed."""
+    transport = self._transport
+    if transport is None:
+        return
+    src = self._current
+    if src is None:
+        for dst in woken:
+            transport.deliver_now(dst)
+        return
+    loop, injector, rng = self._loop, self.injector, self.rng
+    latency_of, land, timers = self.delay.latency, transport.land, loop._timers
+    now, s = loop.now, src.index
+    if injector is not None:
+        t = self.now_t()
+    for dst in woken:
+        if dst == src:
+            # The writer re-checks itself on its next loop turn.
+            continue
+        latency = latency_of(s, dst.index, rng)
+        if injector is not None:
+            verdict = injector.on_send(s, dst.index, t)
+            if verdict.dropped:
+                transport.in_flight += 1
+                loop.call_at(*self._retry_at(src, dst, t, verdict, latency), dst)
+                continue
+            latency += float(verdict.delay)
+            # Duplicated wakes would be harmless no-ops on an event
+            # channel; the verdict's copies need no realization.
+        transport.in_flight += 1
+        loop._seq = seq = loop._seq + 1
+        when = now + (latency if latency > 0.0 else 0.0)
+        heappush(timers, _Timer((when, seq, land, dst)))
+
+
+def batched_run(self) -> None:
+    """``EventLoop.run`` as it was before turns ran their timers off the
+    heap: the due timers are popped into a local batch first, so a timer
+    pushed during the turn is not in it."""
+    ready, timers = self._ready, self._timers
+    popleft = ready.popleft
+    transport = self.transport
+    land, woken = (transport.land, transport.woken) if transport else (None, None)
+    while not self._stopping:
+        while timers and timers[0][2] is None:
+            heappop(timers)
+        batch: List[_Timer] = []
+        if timers:
+            if not ready:
+                delay = timers[0][0] - self.now
+                if delay > 0:
+                    self.now += delay
+            due = self.now + CLOCK_RESOLUTION
+            while timers and timers[0][0] < due:
+                batch.append(heappop(timers))
+        elif not ready:
+            return
+        if ready:
+            for _ in range(len(ready)):
+                fn, arg = popleft()
+                fn(arg)
+        for timer in batch:
+            fn = timer[2]
+            if fn is None:
+                continue  # a call of this turn cancelled it
+            if fn is land and woken[timer[3]]:
+                # A task parks only on a clear flag: nobody to resume.
+                transport.in_flight -= 1
+            else:
+                fn(timer[3])
+
+
+def one_timer_per_wake_everywhere(monkeypatch):
+    """Run every :class:`AsyncDriver` built until the test ends with one
+    timer per wake and batched turns (pytest fixture ``monkeypatch``)."""
+    monkeypatch.setattr(AsyncDriver, "_on_wake", one_timer_per_wake)
+    monkeypatch.setattr(EventLoop, "run", batched_run)

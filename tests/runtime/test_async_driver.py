@@ -470,12 +470,12 @@ class TestDriverValidation:
 
 #: Frames of ``runtime/async_driver.py`` and ``runtime/delay.py`` per
 #: wake or fire on :func:`test_wake_cost_ledger`'s cell: the measured
-#: 4.04 plus 10 %.
-WAKE_FRAMES_CEILING = 4.45
+#: 2.74 plus 10 %.
+WAKE_FRAMES_CEILING = 3.01
 
 #: Builtin calls made from those files' frames per wake or fire: the
-#: measured 5.59 plus 10 %.
-WAKE_BUILTINS_CEILING = 6.15
+#: measured 4.28 plus 10 %.
+WAKE_BUILTINS_CEILING = 4.71
 
 
 def test_wake_cost_ledger():
@@ -502,7 +502,10 @@ def test_wake_cost_ledger():
     ``max`` / ``min``, it made 10.16 builtin calls.  With every timed
     wake landed by a ``_land`` call and the pacing latency drawn in its
     own ``_pace`` frame, it read 4.91 frames and 6.39 builtin calls
-    (494 wakes and 75 fires).
+    (494 wakes and 75 fires).  With a timer for every timed wake, each
+    turn's due timers popped into a batch and every sleep's timer pushed
+    by ``AsyncTransport.step``, it read 3.23 frames and 5.59 builtin
+    calls.
     """
     run = dict(async_scenarios())["async:figure1:exponential:none"]
     own = tuple(
