@@ -2,7 +2,7 @@
 
 One canonical form behind every hash the repo hands out (spec, plan,
 campaign, snapshot) and one layout behind every store keyed by such a
-hash (campaign cache, corpus).
+hash (the campaign cache).
 """
 
 from __future__ import annotations

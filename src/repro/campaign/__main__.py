@@ -127,13 +127,13 @@ def smoke_campaign(
 
 
 def nemesis_campaign(seeds: int = 5) -> Campaign:
-    """The nemesis grid: 4 bases x their backends x 5 mixes x ``seeds``.
+    """The nemesis grid: 4 bases x their backends x 6 mixes x ``seeds``.
 
     Figure 1, a 5-ring and a 4-hub run on the engine and async
     backends, a 3x3 disjoint grid on all three (the kernel expands over
     disjoint cases only), each with 12 open-loop sends, two per round.
     Cell ``(base, backend, mix, s)`` runs ``random_plan(s, mix, ...)``
-    of its base at schedule seed ``s``: 45 cells per seed.
+    of its base at schedule seed ``s``: 54 cells per seed.
     """
     cases = tuple(
         case(label, topology, sends=open_loop_sends(topology, 12))

@@ -31,9 +31,9 @@ from repro._content import entry_path, read_entry, write_entry
 from repro.workloads.spec import ScenarioSpec
 
 #: Bumped on breaking changes to the cached-row layout.  Version 2 grew
-#: the row's ``trace`` section with the coverage signals the explorer
-#: fingerprints runs by (wait reasons, oracle query totals, the
-#: interleaving transition stream); version-1 entries miss and re-run.
+#: the row's ``trace`` section with wait reasons, oracle query totals
+#: and the interleaving transition stream; version-1 entries miss and
+#: re-run.
 CACHE_SCHEMA_VERSION = 2
 
 

@@ -1,4 +1,4 @@
-"""``python -m repro.explore`` — the coverage-guided exploration CLI.
+"""``python -m repro.explore`` — the fault/schedule exploration CLI.
 
 Runs a budgeted :class:`repro.explore.driver.Explorer` campaign over the
 standard base scenarios (one fault-free cell per requested backend),
@@ -107,12 +107,11 @@ class _GracefulStop:
     """SIGINT/SIGTERM → stop at the next iteration boundary.
 
     The first signal requests a graceful stop: the explorer finishes
-    its in-flight iteration (corpus entries and cached rows are
-    write-through, so nothing needs an explicit flush), prints the
-    partial ledger and writes a partial ``report.json`` marked
-    ``interrupted``.  A second signal restores the default disposition
-    and re-raises itself — an explorer wedged inside one iteration can
-    still be killed the ordinary way.
+    its in-flight iteration (cached rows are write-through, so nothing
+    needs an explicit flush), prints the partial ledger and writes a
+    partial ``report.json`` marked ``interrupted``.  A second signal
+    restores the default disposition and re-raises itself — an explorer
+    wedged inside one iteration can still be killed the ordinary way.
     """
 
     def __init__(self) -> None:
@@ -156,7 +155,7 @@ class _GracefulStop:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.explore",
-        description="coverage-guided fault/schedule exploration",
+        description="random fault/schedule search with shrink and triage",
     )
     parser.add_argument(
         "--iterations", type=int, default=None, metavar="N",
@@ -175,10 +174,6 @@ def main(argv=None) -> int:
         "--quirks", default="", metavar="QUIRKS",
         help="comma-separated retained quirks for the kernel base "
         "(e.g. supersede-wait; needs kernel among the backends)",
-    )
-    parser.add_argument(
-        "--corpus-dir", default=None, metavar="DIR",
-        help="persistent corpus directory (default: in-memory)",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -209,7 +204,6 @@ def main(argv=None) -> int:
         explorer = Explorer(
             base_cells(backends, quirks=quirks),
             seed=args.seed,
-            corpus=args.corpus_dir,
             cache=args.cache_dir,
             out_dir=args.out,
         )
@@ -227,9 +221,8 @@ def main(argv=None) -> int:
 
     partial = " (partial: interrupted)" if report.interrupted else ""
     print(
-        f"explore[{report.strategy}]{partial}: "
+        f"explore{partial}: "
         f"{report.iterations} iterations, "
-        f"{report.coverage} distinct fingerprints, "
         f"{explorer.violations} violating runs, "
         f"{len(report.triage)} distinct violations, "
         f"{explorer.inadmissible} inadmissible probes "

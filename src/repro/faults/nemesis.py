@@ -25,11 +25,12 @@ from typing import List, Sequence
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.model.errors import ModelError
 
-#: The named injector mixes a nemesis campaign sweeps.  ``"recovery"``
-#: and ``"chaos"`` are additive: the pre-existing names keep their
-#: seeded draw streams byte-identical (each name seeds its own RNG), so
-#: every frozen plan hash of the old mixes survives the new kinds.
-MIXES = ("links", "detectors", "full", "recovery", "chaos")
+#: The named injector mixes a nemesis campaign sweeps.  ``"recovery"``,
+#: ``"chaos"`` and ``"crash"`` are additive: the pre-existing names keep
+#: their seeded draw streams byte-identical (each name seeds its own
+#: RNG), so every frozen plan hash of the old mixes survives the new
+#: ones.
+MIXES = ("links", "detectors", "full", "recovery", "chaos", "crash")
 
 
 def _link_events(
@@ -160,6 +161,23 @@ def _recovery_events(
     return events
 
 
+def _crash_events(
+    rng: random.Random, process_count: int, horizon: int
+) -> List[FaultEvent]:
+    """One permanent crash: a single-victim ``crash_burst`` from round 2
+    on, drawn only among at least three processes."""
+    if process_count < 3:
+        return []
+    victim = rng.randint(1, process_count)
+    start = rng.randint(2, max(2, horizon // 2))
+    return [
+        FaultEvent(
+            kind="crash_burst", start=start, amount=rng.randint(1, 3),
+            targets=(victim,),
+        )
+    ]
+
+
 def random_plan(
     seed: int,
     mix: str = "full",
@@ -176,8 +194,11 @@ def random_plan(
         mix: ``"links"`` (delay/reorder/dup/drop), ``"detectors"``
             (sigma noise, late omega, gamma delay), ``"full"`` (both,
             plus churn), ``"recovery"`` (partition / crash-recover /
-            flaky link) or ``"chaos"`` (everything).
-        process_count: universe size (for churn victim selection).
+            flaky link), ``"chaos"`` (all of those) or ``"crash"``
+            (one permanent ``crash_burst``, the crash-stop failures the
+            paper quantifies over).
+        process_count: universe size (for churn and crash victim
+            selection).
         groups: group names (for detector-noise scoping).
         horizon: rough upper bound for window starts; actual plan
             horizons run a few rounds past it (windows opened near the
@@ -195,4 +216,6 @@ def random_plan(
         events.extend(_schedule_events(rng, process_count, horizon))
     if mix in ("recovery", "chaos"):
         events.extend(_recovery_events(rng, process_count, horizon))
+    if mix == "crash":
+        events.extend(_crash_events(rng, process_count, horizon))
     return FaultPlan(tuple(events))

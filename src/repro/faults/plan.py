@@ -349,7 +349,7 @@ class FaultPlan:
         """The plan's events of the given kinds, in canonical order."""
         return tuple(e for e in self.events if e.kind in kinds)
 
-    # -- Derivation (shrinker + explorer mutations) -----------------------
+    # -- Derivation (shrinker) ---------------------------------------------
 
     def subset(self, indices: Iterable[int]) -> "FaultPlan":
         """The sub-plan keeping only the events at ``indices``."""
@@ -363,50 +363,6 @@ class FaultPlan:
         events = list(self.events)
         events.remove(event)
         return FaultPlan(tuple(events))
-
-    def adding(self, event: FaultEvent) -> "FaultPlan":
-        """The plan with one event added (idempotent on duplicates).
-
-        The event has already passed ``FaultEvent.__post_init__``, so
-        the result is admissible by construction — the explorer's add
-        mutation never needs a separate validity check.
-        """
-        if event in self.events:
-            return self
-        return FaultPlan(self.events + (event,))
-
-    def replacing(self, old: FaultEvent, new: FaultEvent) -> "FaultPlan":
-        """The plan with ``old`` swapped for ``new`` (retime/retarget).
-
-        Raises :class:`FaultPlanError` when ``old`` is absent — a
-        mutation over a stale parent is a bug, not a no-op.
-        """
-        if old not in self.events:
-            raise FaultPlanError(f"replacing: {old!r} not in plan")
-        events = list(self.events)
-        events[events.index(old)] = new
-        return FaultPlan(tuple(events))
-
-    def spliced(
-        self,
-        other: "FaultPlan",
-        keep_self: Iterable[int],
-        keep_other: Iterable[int],
-    ) -> "FaultPlan":
-        """A crossover child: chosen events of ``self`` + ``other``.
-
-        The explorer's splice mutation — both parents are admissible and
-        admissibility is closed under union (every event is individually
-        bounded and kinds do not interact in ``__post_init__``), so the
-        child is admissible by construction.  Duplicate events collapse
-        through canonical ordering's sibling, set union.
-        """
-        mine = set(keep_self)
-        theirs = set(keep_other)
-        merged = {
-            e for i, e in enumerate(self.events) if i in mine
-        } | {e for i, e in enumerate(other.events) if i in theirs}
-        return FaultPlan(tuple(merged))
 
     # -- Serialization ----------------------------------------------------
 

@@ -118,8 +118,8 @@ class TraceRecorder:
         # the (eligible, responders) participation state, reported by
         # Scheduler.note_fingerprint.  A whole-run stream — not a
         # per-round counter — because transitions are rare (crash
-        # epochs, churn windows) and their *sequence* is the coverage
-        # signal the explorer fingerprints schedules by.
+        # epochs, churn windows) and their *sequence* tells two
+        # schedules apart.
         self.transitions: List[str] = []
 
     # -- Round lifecycle (driven by the engine/kernel) ---------------------
@@ -219,8 +219,8 @@ class TraceRecorder:
             "wait_reasons": waits,
             # The interleaving fingerprint: the ordered transition
             # signatures (capped — a pathological schedule cannot bloat
-            # the summary) plus the full count, enough for the explorer
-            # to tell two schedules apart without storing round logs.
+            # the summary) plus the full count, enough to tell two
+            # schedules apart without storing round logs.
             "interleaving": {
                 "transitions": len(self.transitions),
                 "signatures": self.transitions[:64],

@@ -128,9 +128,8 @@ def triage_line(spec: ScenarioSpec) -> str:
 
 
 #: The :meth:`TraceRecorder.summary` totals a result row carries: the
-#: scan counters, then the coverage inputs (cache schema 2) — the
-#: explorer fingerprints runs from rows alone, so the row holds every
-#: signal :mod:`repro.explore.coverage` consumes.
+#: scan counters, then the wait reasons, oracle query totals and the
+#: interleaving stream (cache schema 2).
 ROW_TRACE_KEYS = (
     "eligible", "scanned", "actions", "quorum_stalls",
     "rounds", "skipped", "full_scan_rounds",

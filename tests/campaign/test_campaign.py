@@ -148,7 +148,7 @@ class TestCommandLine:
     def test_the_nemesis_grid_runs_clean(self, tmp_path, capsys):
         assert main(["--grid", "nemesis", "--seeds", "1", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "campaign 'nemesis'" in out and "45 scenarios, 45 ok" in out
+        assert "campaign 'nemesis'" in out and "54 scenarios, 54 ok" in out
 
 
 def artifact_bytes(out_dir):

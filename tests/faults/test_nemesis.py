@@ -15,7 +15,7 @@ import pytest
 from repro.campaign.__main__ import nemesis_campaign
 from repro.campaign.executor import run_campaign
 from repro.faults.nemesis import MIXES, random_plan
-from repro.faults.plan import DETECTOR_KINDS, LINK_KINDS
+from repro.faults.plan import DETECTOR_KINDS, EVENT_KINDS, LINK_KINDS
 from repro.model.errors import ModelError
 from tests.groups import _oracle
 
@@ -54,6 +54,19 @@ class TestRandomPlan:
             detectors = random_plan(seed, "detectors", groups=("g1",))
             assert {e.kind for e in detectors} <= set(DETECTOR_KINDS)
 
+    def test_every_kind_is_drawn_by_some_mix(self):
+        """No fault kind is reachable only by hand: the explorer draws
+        through the named mixes alone."""
+        drawn = {
+            event.kind
+            for mix in MIXES
+            for seed in range(100)
+            for event in random_plan(
+                seed, mix, process_count=5, groups=("g1", "g2")
+            )
+        }
+        assert set(EVENT_KINDS) - drawn == set()
+
     def test_every_plan_has_a_finite_horizon(self):
         for mix in MIXES:
             for seed in range(20):
@@ -73,7 +86,7 @@ class TestNemesisGrid:
 
     def test_grid_covers_bases_backends_and_mixes(self):
         specs = nemesis_campaign(seeds=2).specs()
-        assert len(specs) == 45 * 2
+        assert len(specs) == 54 * 2
         cells = {}
         for spec in specs:
             base, seed, _, backend, mix = spec.name.split(":")[:5]
@@ -96,7 +109,7 @@ class TestNemesisGrid:
     def test_grid_passes_every_checker(self):
         rows = []
         report = run_campaign(nemesis_campaign(seeds=6), on_row=rows.append)
-        assert len(rows) == 270
+        assert len(rows) == 324
         assert red_cells(report, rows) == []
 
     def test_grid_catches_transient_faultiness(self, monkeypatch):
@@ -117,8 +130,8 @@ class TestWeightedMixes:
     axis this class was named for is gone)."""
 
     #: Frozen plan hashes: the named-mix RNG streams are pinned so
-    #: refactors cannot silently re-seed them — corpus entries, cached
-    #: rows and repro files all address plans by these hashes.
+    #: refactors cannot silently re-seed them — cached rows and repro
+    #: files all address plans by these hashes.
     LEGACY_FULL_S11 = (
         "aa08df74eff7bc25723c289ead559133fe206b17a2c04c38995a38a1fb0de112"
     )
@@ -130,6 +143,9 @@ class TestWeightedMixes:
     )
     CHAOS_S11 = (
         "bcbcbf319d106c42a4b6d0901e8c560a1fda5db75044596b1f126a3f11fab065"
+    )
+    CRASH_S11 = (
+        "5b6b817823dd9909b277c438be38ec70ba8877468ac7be24e7c2a3c1a6bb0381"
     )
 
     def test_legacy_stream_is_frozen(self):
@@ -156,6 +172,11 @@ class TestWeightedMixes:
         kinds = {e.kind for e in chaos.events}
         assert "partition" in kinds or "crash_recover" in kinds
         assert any(k.startswith("link_") for k in kinds)
+        crash = random_plan(11, "crash", **kwargs)
+        assert crash.plan_hash() == self.CRASH_S11
+        assert [e.kind for e in crash.events] == ["crash_burst"]
+        # Below three processes the mix draws nothing.
+        assert random_plan(11, "crash", process_count=2).is_empty()
 
     @pytest.mark.parametrize(
         "weights",
