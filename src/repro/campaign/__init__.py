@@ -20,6 +20,9 @@ cells byte-identically (``run_campaign(cache=...)``), ``out_dir=``
 appends each row to the artifact as it arrives, and ``resume=True``
 continues an interrupted sweep from its first missing cell.
 
-``python -m repro.campaign`` runs a small built-in smoke sweep (see
-:mod:`repro.campaign.__main__`).
+:func:`repro.campaign.triage.triage` shrinks and deduplicates the
+violating rows of a red sweep through the same cell path and cache.
+
+``python -m repro.campaign`` runs the built-in smoke and nemesis sweeps
+(see :mod:`repro.campaign.__main__`).
 """

@@ -6,9 +6,15 @@ and both protocol variants.  ``--grid nemesis`` runs Algorithm 1 and the
 Appendix-A kernel under random admissible fault plans: every base, every
 backend it supports and every injector mix, one plan per seed.  Either
 way the sweep writes the campaign artifacts (``manifest.json`` +
-``results.jsonl``) and prints the aggregate; the exit status is non-zero
-when any scenario failed, tripped the admissibility auditor or violated
-a checked property.  CI runs both grids.
+``results.jsonl``), prints the rows that are not clean and the
+aggregate; the exit status is non-zero when any scenario failed, tripped
+the admissibility auditor or violated a checked property.  CI runs both
+grids.
+
+``--seeds A:B`` sweeps a half-open seed range, so a soak runs seeds no
+earlier sweep ran.  A red sweep triages its own rows
+(:func:`repro.campaign.triage.triage`); with ``--out`` the repro files
+and the ``triage.json`` ledger land beside the artifacts.
 
 ``--backends`` adds the Appendix-A kernel backend and/or the
 real-asynchrony ``async`` backend to the smoke grid.  The kernel backend
@@ -24,10 +30,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Union
 
 from repro.campaign.aggregate import ResumeRefused
+from repro.campaign.cache import ensure_cache
 from repro.campaign.executor import run_campaign
 from repro.campaign.grid import Campaign, case
+from repro.campaign.triage import triage, violated_properties
 from repro.faults.nemesis import MIXES
 from repro.groups.topology import paper_figure1_topology
 from repro.metrics.sweep import sweep_exit_status, sweep_table
@@ -44,7 +53,7 @@ from repro.workloads.topologies import (
 
 
 def smoke_campaign(
-    seeds: int = 2,
+    seeds: Union[int, range] = 2,
     max_rounds: int = 600,
     backends: tuple = ("engine",),
     delay_models: tuple = (None,),
@@ -118,7 +127,7 @@ def smoke_campaign(
     return Campaign(
         name="smoke",
         cases=cases,
-        seeds=tuple(range(seeds)),
+        seeds=_seed_axis(seeds),
         variants=variants,
         backends=tuple(backends),
         delay_models=tuple(delay_models),
@@ -126,14 +135,16 @@ def smoke_campaign(
     )
 
 
-def nemesis_campaign(seeds: int = 5) -> Campaign:
+def nemesis_campaign(seeds: Union[int, range] = 5) -> Campaign:
     """The nemesis grid: 4 bases x their backends x 6 mixes x ``seeds``.
 
     Figure 1, a 5-ring and a 4-hub run on the engine and async
     backends, a 3x3 disjoint grid on all three (the kernel expands over
     disjoint cases only), each with 12 open-loop sends, two per round.
     Cell ``(base, backend, mix, s)`` runs ``random_plan(s, mix, ...)``
-    of its base at schedule seed ``s``: 54 cells per seed.
+    of its base at schedule seed ``s``: 54 cells per seed.  Async cells
+    use the backend's default delay model
+    (:data:`repro.runtime.delay.DEFAULT_DELAY_SPEC`).
     """
     cases = tuple(
         case(label, topology, sends=open_loop_sends(topology, 12))
@@ -147,9 +158,41 @@ def nemesis_campaign(seeds: int = 5) -> Campaign:
     return Campaign(
         name="nemesis",
         cases=cases,
-        seeds=tuple(range(seeds)),
+        seeds=_seed_axis(seeds),
         backends=("engine", "kernel", "async"),
         faults=MIXES,
+    )
+
+
+def _seed_axis(seeds: Union[int, range]) -> tuple:
+    """``N`` is seeds ``0..N-1``; a range is itself."""
+    return tuple(range(seeds) if isinstance(seeds, int) else seeds)
+
+
+def seed_range(text: str) -> range:
+    """``--seeds``: ``N`` is ``0:N``; ``A:B`` the half-open range.
+
+    A range that runs no seed, or starts below 0, is refused: a sweep
+    that runs nothing would report a green soak.
+    """
+    start, colon, stop = text.partition(":")
+    try:
+        seeds = range(int(start), int(stop)) if colon else range(int(start))
+    except ValueError:
+        seeds = range(0)
+    if not seeds or seeds.start < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected N >= 1 or A:B with 0 <= A < B, got {text!r}"
+        )
+    return seeds
+
+
+def is_clean(row: dict) -> bool:
+    """An ok row that delivered everywhere and violates nothing."""
+    return (
+        row.get("status") == "ok"
+        and bool(row.get("delivered_everywhere"))
+        and not violated_properties(row)
     )
 
 
@@ -173,10 +216,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--seeds",
-        type=int,
-        default=2,
-        help="seeds per case (scenario count: smoke 8 x seeds, "
-        "nemesis 45 x seeds)",
+        type=seed_range,
+        default=range(2),
+        metavar="N|A:B",
+        help="seeds per case: N runs seeds 0..N-1, A:B the half-open "
+        f"range (scenario count: smoke {len(smoke_campaign(1).specs())} "
+        f"x seeds, nemesis {len(nemesis_campaign(1).specs())} x seeds)",
     )
     parser.add_argument(
         "--out",
@@ -243,9 +288,8 @@ def main(argv=None) -> int:
 
     if args.resume and not args.out:
         parser.error("--resume requires --out")
-    for flag, count in (("--workers", args.workers), ("--seeds", args.seeds)):
-        if count < 1:
-            parser.error(f"{flag} must be at least 1, got {count}")
+    if args.workers < 1:
+        parser.error(f"--workers must be at least 1, got {args.workers}")
 
     if args.grid == "nemesis":
         for flag, value in (
@@ -272,24 +316,29 @@ def main(argv=None) -> int:
         campaign = smoke_campaign(
             seeds=args.seeds, backends=backends, delay_models=delay_models
         )
-    rows: list = []  # the smoke table below wants the rows
+    # Only the rows the table and triage act on: a clean row is on disk
+    # (with --out) and in the summary, and holding it would undo the
+    # executor's bounded-memory streaming.
+    red: list = []
+    cache = ensure_cache(args.cache_dir)
     try:
         report = run_campaign(
             campaign,
             workers=args.workers,
             mode="process" if args.cell_timeout is not None else None,
-            cache=args.cache_dir,
+            cache=cache,
             out_dir=args.out,
             resume=args.resume,
             stall_window=args.stall_window,
             cell_timeout=args.cell_timeout,
-            on_row=rows.append,
+            on_row=lambda row: None if is_clean(row) else red.append(row),
         )
     except ResumeRefused as exc:
         parser.error(str(exc))
 
-    print(sweep_table(rows))
-    print()
+    if red:
+        print(sweep_table(red))
+        print()
     summary = report.summary
     print(
         f"campaign {report.name!r} ({report.campaign_hash[:12]}): "
@@ -303,6 +352,19 @@ def main(argv=None) -> int:
     )
     if args.out:
         print(f"streamed {args.out}/manifest.json and {args.out}/results.jsonl")
+
+    ledger = triage(
+        red, cache=cache, stall_window=args.stall_window, out_dir=args.out
+    )
+    if ledger:
+        print(f"triage: {len(ledger)} distinct violations")
+    for record in ledger:
+        print(
+            f"  [{','.join(record['properties'])}] x{record['count']} "
+            f"events {record['original_events']}->"
+            f"{record.get('minimal_events', 'unshrunk')} "
+            f"plan={record['plan_hash'][:10]} (first {record['first_cell']})"
+        )
 
     return sweep_exit_status(summary)
 

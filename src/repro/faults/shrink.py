@@ -7,9 +7,10 @@ re-runs the scenario under event subsets and their complements, keeping
 the smallest plan whose run still *fails* — where "fails" is any
 predicate, by default "some §2.2 property checker reports a violation
 (or the run never proves anything because it was truncated)".  The
-shrinker is pure ddmin over that predicate with an in-run memo; the
-explorer passes its own judgement (:meth:`Explorer._violates` — the
-cache-fronted ``execute_spec`` row through ``violated_properties``), and
+shrinker is pure ddmin over that predicate with an in-run memo; a red
+sweep's triage passes the sweep's own judgement
+(:func:`repro.campaign.triage.triage` — one cell through the executor's
+cache-fronted cell path, its row read by ``violated_properties``), and
 the named :data:`HARNESSES` serve the ``"broadcast"`` demo and the
 replay of committed repro files.
 

@@ -115,7 +115,7 @@ class ConsensusAutomaton(Automaton):
     ``"wait"`` replays the pre-fix behaviour — ignore the message and
     keep waiting — which is a known liveness stall under late-Omega
     leader rotation, retained as the ``"supersede-wait"`` scenario quirk
-    so the explorer has a real historical bug to rediscover.
+    so a nemesis sweep has a real historical bug to rediscover.
 
     ``retransmit_interval`` arms the proposer's fair-lossy-link timer: a
     leader parked in a phase re-broadcasts that phase's message every

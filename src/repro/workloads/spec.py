@@ -8,8 +8,8 @@ failure pattern, send script, seed, variant, detector lag, round
 budget, backend, delay model, fault plan, quirks) as a frozen,
 hashable, JSON-round-trippable dataclass.  Two specs that compare equal
 describe byte-identical runs; :meth:`ScenarioSpec.spec_hash` is the one
-content address a cell has — manifests, result rows, the campaign
-cache and the explorer's triage memo all key on it.
+content address a cell has — manifests, result rows and the campaign
+cache (sweep cells and shrink probes alike) all key on it.
 
 Deliberately *not* part of a spec: output sinks such as
 ``trace_path``.  Where a trace lands does not change what the scenario
@@ -48,7 +48,7 @@ BACKENDS = ("engine", "kernel", "async")
 #: Named, replayable legacy behaviours a scenario may opt back into.
 #: A *quirk* re-enables a retired code path byte-for-byte
 #: so a historical bug stays a reachable, content-addressed target for
-#: the fault/schedule explorer instead of vanishing with its fix:
+#: a nemesis sweep and its triage instead of vanishing with its fix:
 #:
 #: * ``"supersede-wait"`` — the pre-PR-4 :class:`ConsensusAutomaton`
 #:   prepare phase: a proposer superseded by a higher promised ballot

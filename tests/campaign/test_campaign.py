@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.campaign.aggregate import CAMPAIGN_SCHEMA_VERSION, sweep_hash
-from repro.campaign.__main__ import main
+from repro.campaign.__main__ import main, nemesis_campaign, seed_range
 from repro.campaign.executor import run_campaign
 from repro.campaign.grid import Campaign, CampaignCase, case
 from repro.faults.nemesis import random_plan
@@ -127,13 +127,22 @@ class TestCommandLine:
     @pytest.mark.parametrize(
         "argv",
         [["--workers", "0"], ["--workers", "-2"], ["--seeds", "0"], ["--resume"],
-         ["--delay-model", "fixed:abc"], ["--backends", "quantum"]],
+         ["--delay-model", "fixed:abc"], ["--backends", "quantum"],
+         ["--seeds", "5:5"], ["--seeds", "7:3"], ["--seeds=-2:4"],
+         ["--seeds", "1:x"]],
     )
     def test_bad_input_fails_at_the_parser(self, argv, capsys):
+        """Not a green sweep that ran nothing, nor a traceback."""
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
-        assert argv[0] in capsys.readouterr().err
+        assert argv[0].partition("=")[0] in capsys.readouterr().err
+
+    def test_a_seed_range_is_the_grid_at_those_seeds(self):
+        assert seed_range("3") == range(0, 3) and seed_range("2:5") == range(2, 5)
+        assert nemesis_campaign(range(1, 2)).specs() == tuple(
+            spec for spec in nemesis_campaign(2).specs() if spec.seed == 1
+        )
 
     def test_a_refused_resume_exits_2_and_keeps_the_artifacts(self, tmp_path, capsys):
         out = str(tmp_path)

@@ -55,8 +55,8 @@ class TestRandomPlan:
             assert {e.kind for e in detectors} <= set(DETECTOR_KINDS)
 
     def test_every_kind_is_drawn_by_some_mix(self):
-        """No fault kind is reachable only by hand: the explorer draws
-        through the named mixes alone."""
+        """No fault kind is reachable only by hand: the nemesis grid
+        draws through the named mixes alone."""
         drawn = {
             event.kind
             for mix in MIXES

@@ -206,7 +206,7 @@ def test_pipeline_agrees_with_the_retired_broadcast_body(spec):
 class TestShrinkCache:
     """The shrinker's cost accounting (the class name is the test's id;
     probes are cached as ``CampaignCache`` cells, pinned in
-    ``tests/explore/test_driver.py``)."""
+    ``tests/campaign/test_triage.py``)."""
 
     def _plan(self):
         return random_plan(7, "full", process_count=6, groups=("g1", "g2"))

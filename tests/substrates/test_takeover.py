@@ -5,8 +5,8 @@ slot whose proposer died stayed open: the kernel burned its round budget
 (``truncated``) or, when the members that had decided and delivered died
 too, Termination was violated outright.  Each witness here is red at
 PR 22: the static crash sweep, the three shrunk plans of the seed-11
-soak (``tests/explore/repros/``, written by ``python -m repro.explore``
-at that commit), a trimmed sweep of the family they belong to, and the
+soak (``tests/explore/repros/``, written by the random explorer the
+nemesis grid has since replaced), a trimmed sweep of the family they belong to, and the
 rejoined replica that decides alone.  The last section holds the other
 half of the bargain: a failure-free run never executes the path.
 """

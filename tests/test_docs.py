@@ -19,9 +19,9 @@ A docstring's ``:class:`` / ``:mod:`` / ``:func:`` / ``:meth:`` /
 ``:attr:`` reference to ``repro.…`` in ``src/`` names something that
 imports, and every ``benchmarks/bench_*.py`` is named in the CI
 workflow (a script no job runs checks nothing).  Every ``--flag`` those
-documents or the two workflows pass to ``python -m repro.campaign`` or
-``python -m repro.explore`` is one the module's parser accepts: no PR
-job runs the nightly soak, so a stale flag there would break unseen.
+documents or the two workflows pass to ``python -m repro.campaign`` is
+one its parser accepts: no PR job runs the nightly soak, so a stale
+flag there would break unseen.
 """
 
 import contextlib
@@ -215,7 +215,7 @@ def test_every_bench_script_runs_in_ci():
     assert not unrun, f"bench scripts no CI job runs: {unrun}"
 
 
-COMMAND = re.compile(r"python -m (repro\.(?:campaign|explore))(?![\w.])")
+COMMAND = re.compile(r"python -m (repro\.campaign)(?![\w.])")
 FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
 COMMAND_END = re.compile(r"[`;|&]| #")
 EXPRESSION = re.compile(r"\$\{\{.*?\}\}")
@@ -260,7 +260,7 @@ def test_documented_cli_flags_exist():
         for hit in command_flags((ROOT / source).read_text())
     ]
     assert found, "no CLI flag found: the extractor is broken"
-    known = {module: parser_flags(module) for module in ("repro.campaign", "repro.explore")}
+    known = {"repro.campaign": parser_flags("repro.campaign")}
     stale = [
         f"{source}:{lineno}: {module} {flag}"
         for source, lineno, module, flag in found
@@ -271,18 +271,18 @@ def test_documented_cli_flags_exist():
 
 def test_a_stale_cli_flag_is_caught():
     text = (
-        "run: >-\n  python -m repro.explore\n  --seed ${{ a || b }}\n  --no-such-flag b.json\n"
+        "run: >-\n  python -m repro.campaign\n  --seeds ${{ a || b }}\n  --no-such-flag b.json\n"
         "x `python -m repro.campaign --grid nemesis\n--seeds 5` and --not-a-flag\n"
         "python -m repro.campaign \\\n    --out D  # --comment\n"
     )
     assert list(command_flags(text)) == [
-        (3, "repro.explore", "--seed"),
-        (4, "repro.explore", "--no-such-flag"),
+        (3, "repro.campaign", "--seeds"),
+        (4, "repro.campaign", "--no-such-flag"),
         (5, "repro.campaign", "--grid"),
         (6, "repro.campaign", "--seeds"),
         (8, "repro.campaign", "--out"),
     ]
-    assert "--no-such-flag" not in parser_flags("repro.explore")
+    assert "--no-such-flag" not in parser_flags("repro.campaign")
 
 
 def test_a_stale_citation_is_caught(tmp_path):

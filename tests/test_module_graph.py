@@ -2,10 +2,10 @@
 
 The graph is read from source (AST only, nothing imported): an edge is
 an ``import`` or ``from ... import`` anywhere in a module, lazy imports
-inside functions included.  Its roots are the three ``__main__`` CLIs,
-``repro.workloads.runner`` (the module of ``run_scenario``), the
-``repro`` package and the tier-1 tests named in DESIGN.md §5's
-"Checked by" column.  A module none of them reaches backs no run and no
+inside functions included.  Its roots are the campaign CLI
+(``repro.campaign.__main__``), ``repro.workloads.runner`` (the module of
+``run_scenario``), the ``repro`` package and the tier-1 tests named in
+DESIGN.md §5's "Checked by" column.  A module none of them reaches backs no run and no
 paper claim.
 
 The graph is only honest if a package import pulls in nothing: so no
@@ -24,7 +24,6 @@ SRC = ROOT / "src"
 CLI_ROOTS = (
     "repro",
     "repro.campaign.__main__",
-    "repro.explore.__main__",
     "repro.workloads.runner",
 )
 

@@ -1,8 +1,8 @@
 """The ``quirks`` axis (spec schema v6) and the supersede-wait quirk.
 
 A quirk re-enables a retired code path so a *fixed* bug stays
-reachable as a search target: the explorer's rediscovery gate
-(``tests/explore/test_rediscovery.py``) needs the superseded-proposer
+reachable as a search target: the grid's rediscovery gate
+(``tests/campaign/test_triage.py``) needs the superseded-proposer
 stall to exist somewhere.  These tests pin the axis's contract — schema
 round-trip, content addressing, validation
 — and the quirk's behaviour at the workloads layer: a quirked kernel
