@@ -16,9 +16,9 @@ The pipeline is ``spec -> executor -> aggregator``:
 
 The scale-out layer rides on the same pipeline: a
 :class:`repro.campaign.cache.CampaignCache` replays previously executed
-cells byte-identically (``run_campaign(cache=...)``), ``out_dir=``
-appends each row to the artifact as it arrives, and ``resume=True``
-continues an interrupted sweep from its first missing cell.
+cells byte-identically (``run_campaign(cache=...)``) — which is also how
+an interrupted sweep continues: rerun it over the same cache — and
+``out_dir=`` appends each row to the artifact as it arrives.
 
 :func:`repro.campaign.triage.triage` shrinks and deduplicates the
 violating rows of a red sweep through the same cell path and cache.

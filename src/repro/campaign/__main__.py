@@ -32,7 +32,6 @@ import argparse
 import sys
 from typing import Union
 
-from repro.campaign.aggregate import ResumeRefused
 from repro.campaign.cache import ensure_cache
 from repro.campaign.executor import run_campaign
 from repro.campaign.grid import Campaign, case
@@ -234,15 +233,10 @@ def main(argv=None) -> int:
         "--cache-dir",
         metavar="DIR",
         default=None,
-        help="result cache directory: cells already executed under the "
-        "same (spec_hash, seed, backend, fault_plan) replay their stored "
-        "row instead of re-running",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue a partial results.jsonl in --out from its first "
-        "missing row (requires --out)",
+        help="result cache directory: a cell already executed under the "
+        "same spec_hash replays its stored row instead of re-running, so "
+        "an interrupted sweep rerun over the same cache continues where "
+        "it stopped",
     )
     parser.add_argument(
         "--backends",
@@ -286,8 +280,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.resume and not args.out:
-        parser.error("--resume requires --out")
     if args.workers < 1:
         parser.error(f"--workers must be at least 1, got {args.workers}")
 
@@ -321,20 +313,16 @@ def main(argv=None) -> int:
     # executor's bounded-memory streaming.
     red: list = []
     cache = ensure_cache(args.cache_dir)
-    try:
-        report = run_campaign(
-            campaign,
-            workers=args.workers,
-            mode="process" if args.cell_timeout is not None else None,
-            cache=cache,
-            out_dir=args.out,
-            resume=args.resume,
-            stall_window=args.stall_window,
-            cell_timeout=args.cell_timeout,
-            on_row=lambda row: None if is_clean(row) else red.append(row),
-        )
-    except ResumeRefused as exc:
-        parser.error(str(exc))
+    report = run_campaign(
+        campaign,
+        workers=args.workers,
+        mode="process" if args.cell_timeout is not None else None,
+        cache=cache,
+        out_dir=args.out,
+        stall_window=args.stall_window,
+        cell_timeout=args.cell_timeout,
+        on_row=lambda row: None if is_clean(row) else red.append(row),
+    )
 
     if red:
         print(sweep_table(red))
@@ -347,8 +335,8 @@ def main(argv=None) -> int:
         f"{summary['truncated']} truncated, "
         f"{sum(summary['violations'].values())} property violations "
         f"[{report.mode}, workers={report.workers}, "
-        f"executed={report.executed} cached={report.cached} "
-        f"resumed={report.resumed}, {report.elapsed:.2f}s]"
+        f"executed={report.executed} cached={report.cached}, "
+        f"{report.elapsed:.2f}s]"
     )
     if args.out:
         print(f"streamed {args.out}/manifest.json and {args.out}/results.jsonl")

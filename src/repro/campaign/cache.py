@@ -30,11 +30,10 @@ from typing import Any, Dict, Optional
 from repro._content import entry_path, read_entry, write_entry
 from repro.workloads.spec import ScenarioSpec
 
-#: Bumped on breaking changes to the cached-row layout.  Version 2 grew
-#: the row's ``trace`` section with wait reasons, oracle query totals
-#: and the interleaving transition stream; version-1 entries miss and
-#: re-run.
-CACHE_SCHEMA_VERSION = 2
+#: Bumped on breaking changes to the cached-row layout.  Version 3
+#: dropped the interleaving transition stream from the row's ``trace``
+#: section; older entries miss and re-run.
+CACHE_SCHEMA_VERSION = 3
 
 
 class CampaignCache:
@@ -46,15 +45,10 @@ class CampaignCache:
 
     Attributes:
         root: the cache directory (created lazily on first store).
-        hits / misses / stored: what this instance actually did —
-            surfaced in campaign reports and the CLI summary.
     """
 
     def __init__(self, root: str) -> None:
         self.root = root
-        self.hits = 0
-        self.misses = 0
-        self.stored = 0
 
     # -- Addressing --------------------------------------------------------
 
@@ -79,9 +73,7 @@ class CampaignCache:
             or entry.get("schema") != CACHE_SCHEMA_VERSION
             or row.get("status") != "ok"
         ):
-            self.misses += 1
             return None
-        self.hits += 1
         row["name"] = spec.name
         row["spec"] = spec.to_json()
         return row
@@ -107,12 +99,7 @@ class CampaignCache:
                 "row": {k: v for k, v in row.items() if k != "index"},
             },
         )
-        self.stored += 1
         return True
-
-    def stats(self) -> Dict[str, int]:
-        """What this cache instance did, row-ready."""
-        return {"hits": self.hits, "misses": self.misses, "stored": self.stored}
 
 
 def ensure_cache(

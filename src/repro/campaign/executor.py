@@ -20,16 +20,15 @@ Two invariants the rest of the subsystem leans on:
 On top of the seed executor this module owns the *scale-out* layer:
 
 * a result cache (``cache=``, :mod:`repro.campaign.cache`) keyed on the
-  cell's ``(spec_hash, seed, backend, fault_plan_hash)`` so reruns
-  execute only new grid cells — a hit replays the stored row
-  byte-identically;
+  cell's ``spec_hash`` — which covers its seed, backend and fault plan —
+  so reruns execute only new grid cells: a hit replays the stored row
+  byte-identically.  It is also how an interrupted sweep continues: the
+  rerun replays every cell the killed run finished and executes the
+  rest, and the artifacts it writes are byte-identical to an
+  uninterrupted run's;
 * the artifacts (``out_dir=``, their only writer) — rows go straight
   to ``results.jsonl`` through the :class:`SweepAggregator` without the
-  executor retaining them;
-* resume-after-interrupt (``resume=True``) — a partial results file is
-  scanned, its valid row prefix kept, and execution continues from the
-  first missing cell; the finished artifact is byte-identical to an
-  uninterrupted run.
+  executor retaining them.
 
 ``execute_spec`` being a module-level function of a picklable argument
 is what keeps the pool start-method agnostic: it works under ``fork``
@@ -38,12 +37,14 @@ as well as the spawn semantics Windows and macOS default to.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import (
+    IO,
     Any,
     Callable,
     Dict,
@@ -57,10 +58,10 @@ from typing import (
 
 from repro.campaign.aggregate import (
     CampaignReport,
-    ResultsWriter,
     inventory_hash,
     meta_line,
-    scan_partial_results,
+    row_line,
+    summary_line,
     sweep_inventory,
     write_manifest,
 )
@@ -124,6 +125,14 @@ def _failed_row(spec: ScenarioSpec, error: str, **extra: Any) -> Dict[str, Any]:
         "triage": triage_record(spec),
         "spec": spec.to_json(),
     }
+
+
+def _write_line(fh: IO[str], line: str) -> None:
+    """Append one results.jsonl line, flushed: an interrupted sweep
+    leaves at worst one torn line after its row prefix (a rerun
+    rewrites the whole file)."""
+    fh.write(line + "\n")
+    fh.flush()
 
 
 def _timed_pool_rows(
@@ -244,7 +253,6 @@ def run_campaign(
     on_row: Optional[Callable[[Dict[str, Any]], None]] = None,
     cache: Optional[Union[CampaignCache, str]] = None,
     out_dir: Optional[str] = None,
-    resume: bool = False,
     stall_window: Optional[int] = None,
     cell_timeout: Optional[float] = None,
 ) -> CampaignReport:
@@ -263,7 +271,7 @@ def run_campaign(
             :class:`ValueError` — silently running serial would mask a
             misconfigured sweep.
         on_row: optional callback invoked with each row as it streams
-            in (progress reporting).  Also sees resumed rows.
+            in (progress reporting).
         cache: a :class:`repro.campaign.cache.CampaignCache` (or a
             directory path) — cells with a stored ``ok`` row replay it
             byte-identically instead of executing; fresh rows are
@@ -273,15 +281,8 @@ def run_campaign(
             ``results.jsonl`` as it arrives, so an interrupt loses at
             most one torn line.  The artifact then holds the rows and
             the returned report does not (``rows == ()``; collect them
-            through ``on_row`` if needed).
-        resume: continue a partial ``results.jsonl`` in ``out_dir``:
-            its valid row prefix is kept (fed to the aggregator, not
-            re-executed) and execution picks up at the first missing
-            cell.  The file's meta line must be the one this sweep
-            writes (name, sweep hash, cell count); any other raises
-            :class:`repro.campaign.aggregate.ResumeRefused` (a
-            :class:`ValueError`) and leaves both artifacts untouched.
-            Requires ``out_dir``.
+            through ``on_row`` if needed).  A rerun rewrites both
+            files from the first row.
         stall_window: arm the runner's stall watchdog for every cell —
             a cell making no progress for this many rounds past its
             settle horizon fails fast as a ``status="failed"`` row with
@@ -291,8 +292,7 @@ def run_campaign(
             (``mode="process"`` only): a cell whose worker blows the
             budget becomes a ``status="failed"`` row with
             ``error="timeout"`` and the sweep continues.  Timeout rows
-            are never cached, so reruns and resumes retry the cell —
-            cache/resume semantics are otherwise unchanged.
+            are never cached, so a rerun retries the cell.
 
     Returns:
         a :class:`CampaignReport` whose rows are in spec order and
@@ -314,9 +314,6 @@ def run_campaign(
             f"runs in-process on one worker — drop the workers argument or "
             f"ask for mode='process'"
         )
-    if resume and out_dir is None:
-        raise ValueError("resume=True needs an out_dir holding the partial "
-                         "results.jsonl")
     if cell_timeout is not None and mode != "process":
         raise ValueError(
             "cell_timeout needs mode='process': an in-process sweep cannot "
@@ -327,72 +324,42 @@ def run_campaign(
     inventory = sweep_inventory(specs)
     campaign_hash = inventory_hash(name, inventory)
 
-    cells: List[Tuple[int, ScenarioSpec]] = list(enumerate(specs))
-
     aggregator = SweepAggregator()
     rows: List[Dict[str, Any]] = []
-
-    def consume(row: Dict[str, Any]) -> None:
-        aggregator.add(row)
-        if out_dir is None:
-            rows.append(row)
-        if on_row is not None:
-            on_row(row)
-
-    writer: Optional[ResultsWriter] = None
-    resumed = 0
-    complete = False
-    started = time.perf_counter()
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        results_path = os.path.join(out_dir, "results.jsonl")
-        meta = meta_line(name, campaign_hash, len(cells))
-        writer = ResultsWriter(results_path, meta)
-        offset = 0
-        if resume and os.path.exists(results_path):
-            # Scan before writing anything: a refused resume must leave
-            # the other sweep's manifest and results pair as it was.
-            scan = scan_partial_results(
-                results_path,
-                meta=meta,
-                scenarios=len(cells),
-                consume=consume,
-            )
-            resumed, complete, offset = scan.rows, scan.complete, scan.offset
-        write_manifest(
-            os.path.join(out_dir, "manifest.json"),
-            name=name,
-            campaign_hash=campaign_hash,
-            specs=specs,
-            inventory=inventory,
-        )
-        if complete:
-            writer = None
-        elif offset > 0:
-            writer.resume_at(offset)
-        else:
-            writer.start()
-
     counters: Dict[str, int] = {"executed": 0, "cached": 0}
-    try:
-        if not complete:
-            for row in _iter_cell_rows(
-                cells[resumed:],
-                workers=pool_workers,
-                cache=cache_obj,
-                counters=counters,
-                stall_window=stall_window,
-                cell_timeout=cell_timeout,
-            ):
-                consume(row)
-                if writer is not None:
-                    writer.append(row)
-            if writer is not None:
-                writer.finish(aggregator.summary())
-                writer = None
-    finally:
-        if writer is not None:
-            writer.close()
+    started = time.perf_counter()
+    with contextlib.ExitStack() as stack:
+        results: Optional[IO[str]] = None
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            write_manifest(
+                os.path.join(out_dir, "manifest.json"),
+                name=name,
+                campaign_hash=campaign_hash,
+                specs=specs,
+                inventory=inventory,
+            )
+            results = stack.enter_context(
+                open(os.path.join(out_dir, "results.jsonl"), "w", encoding="utf-8")
+            )
+            _write_line(results, meta_line(name, campaign_hash, len(specs)))
+        for row in _iter_cell_rows(
+            list(enumerate(specs)),
+            workers=pool_workers,
+            cache=cache_obj,
+            counters=counters,
+            stall_window=stall_window,
+            cell_timeout=cell_timeout,
+        ):
+            aggregator.add(row)
+            if on_row is not None:
+                on_row(row)
+            if results is None:
+                rows.append(row)
+            else:
+                _write_line(results, row_line(row))
+        if results is not None:
+            _write_line(results, summary_line(aggregator.summary()))
     elapsed = time.perf_counter() - started
 
     return CampaignReport(
@@ -406,5 +373,4 @@ def run_campaign(
         elapsed=elapsed,
         executed=counters["executed"],
         cached=counters["cached"],
-        resumed=resumed,
     )

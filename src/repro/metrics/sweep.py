@@ -101,10 +101,10 @@ def summarize_results_file(path: str) -> Dict[str, Any]:
     """Re-aggregate the row lines of a ``results.jsonl`` artifact.
 
     Walks the file and folds every ``type="row"`` line through a fresh
-    :class:`SweepAggregator` — an integrity check for streamed or
-    resumed sweeps: the result must equal the file's own trailing
-    summary line (minus its ``type`` tag), whatever mix of executed,
-    cached and resumed rows produced the file.
+    :class:`SweepAggregator` — an integrity check for streamed sweeps:
+    the result must equal the file's own trailing summary line (minus
+    its ``type`` tag), whatever mix of executed and cached rows
+    produced the file, a rerun after an interrupt included.
     """
     aggregator = SweepAggregator()
     with open(path, encoding="utf-8") as fh:

@@ -114,13 +114,6 @@ class TraceRecorder:
         #: Indicator consultations (strict variant), same window.
         self.indicator_queries = 0
         self._wait_reasons: Dict[str, int] = {}
-        # Interleaving transitions: compact signatures of *changes* in
-        # the (eligible, responders) participation state, reported by
-        # Scheduler.note_fingerprint.  A whole-run stream — not a
-        # per-round counter — because transitions are rare (crash
-        # epochs, churn windows) and their *sequence* tells two
-        # schedules apart.
-        self.transitions: List[str] = []
 
     # -- Round lifecycle (driven by the engine/kernel) ---------------------
 
@@ -183,10 +176,6 @@ class TraceRecorder:
     def note_wait(self, reason: str) -> None:
         self._wait_reasons[reason] = self._wait_reasons.get(reason, 0) + 1
 
-    def note_transition(self, signature: str) -> None:
-        """Record one participation-state transition (see ``transitions``)."""
-        self.transitions.append(signature)
-
     # -- Aggregation --------------------------------------------------------
 
     def summary(self) -> Dict[str, Any]:
@@ -217,14 +206,6 @@ class TraceRecorder:
             ),
             "scan_ratio": (eligible / scanned) if scanned else 0.0,
             "wait_reasons": waits,
-            # The interleaving fingerprint: the ordered transition
-            # signatures (capped — a pathological schedule cannot bloat
-            # the summary) plus the full count, enough to tell two
-            # schedules apart without storing round logs.
-            "interleaving": {
-                "transitions": len(self.transitions),
-                "signatures": self.transitions[:64],
-            },
         }
 
     # -- Export --------------------------------------------------------------

@@ -557,10 +557,6 @@ class AsyncDriver:
             self._sync_time(t)
             eligible = sched.eligible_order(t)
             sched.refresh_responders(t, tuple(eligible), None)
-            # Record participation transitions exactly like the round
-            # loop does, so async rows carry the same interleaving
-            # stream.
-            sched.note_fingerprint(tuple(eligible))
             # Forced wakes: the async analogue of the round driver's
             # full-scan triggers — detector settle window, and crossings
             # of crash instants (quorum availability changed).

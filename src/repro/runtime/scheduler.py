@@ -59,7 +59,6 @@ thin delegations.  Two invariants make that safe:
 
 from __future__ import annotations
 
-import hashlib
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -156,29 +155,6 @@ def shuffle(
         while j > i:
             j = getrandbits(bits)
         order[i], order[j] = order[j], order[i]
-
-
-def transition_signature(
-    eligible: Iterable[Any], responders: Iterable[Any]
-) -> str:
-    """A compact, deterministic digest of one participation state.
-
-    The signature covers *which* actors may act and *which* can answer
-    quorum requests — the schedule-level state whose transitions
-    fingerprint an interleaving.  Keys are reduced to their sortable
-    identity (``ProcessId.index`` or the string key itself) so the
-    digest is stable across processes and runs.
-    """
-
-    def _ident(key: Any) -> str:
-        return str(getattr(key, "index", key))
-
-    body = (
-        ",".join(_ident(k) for k in eligible)
-        + "|"
-        + ",".join(sorted(_ident(k) for k in responders))
-    )
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -376,14 +352,6 @@ class Scheduler:
         )
         self._fp_eligible = eligible
         self._fp_responders = self.responders
-        if changed:
-            # Surface the transition to the tracer as a compact
-            # signature.  Digesting only on *changes* keeps the round
-            # loop cost-free in the steady state (transitions happen at
-            # crash epochs and churn windows, not every round).
-            self.tracer.note_transition(
-                transition_signature(eligible, self.responders)
-            )
         return changed
 
     # -- One round ---------------------------------------------------------
@@ -516,4 +484,4 @@ class Scheduler:
         return RunOutcome(rounds=rounds, quiescent=quiescent, fired=total_fired)
 
 
-__all__ = ["Actor", "Key", "RunOutcome", "Scheduler", "transition_signature"]
+__all__ = ["Actor", "Key", "RunOutcome", "Scheduler"]

@@ -128,13 +128,12 @@ def triage_line(spec: ScenarioSpec) -> str:
 
 
 #: The :meth:`TraceRecorder.summary` totals a result row carries: the
-#: scan counters, then the wait reasons, oracle query totals and the
-#: interleaving stream (cache schema 2).
+#: scan counters, then the wait reasons and oracle query totals.
 ROW_TRACE_KEYS = (
     "eligible", "scanned", "actions", "quorum_stalls",
     "rounds", "skipped", "full_scan_rounds",
     "quorum_queries", "gamma_queries", "indicator_queries",
-    "wait_reasons", "interleaving",
+    "wait_reasons",
 )
 
 

@@ -1,16 +1,11 @@
-"""The campaign scale-out layer: cache, streaming, resume."""
+"""The campaign scale-out layer: cache, streaming, interrupted sweeps."""
 
 import json
 import os
 
 import pytest
 
-from repro.campaign.aggregate import (
-    meta_line,
-    scan_partial_results,
-    sweep_hash,
-    write_manifest,
-)
+from repro.campaign.aggregate import sweep_hash, write_manifest
 from repro.campaign.cache import (
     CACHE_SCHEMA_VERSION,
     CampaignCache,
@@ -64,20 +59,6 @@ def read_bytes(path):
         return fh.read()
 
 
-def campaign_meta(campaign):
-    """The meta line ``run_campaign(campaign, out_dir=...)`` writes."""
-    specs = campaign.specs()
-    return meta_line(campaign.name, sweep_hash(campaign.name, specs), len(specs))
-
-
-def adhoc_specs(tag, seeds=(0, 1)):
-    """A bare spec list: ``run_campaign`` names it ``"adhoc"``."""
-    return [
-        ScenarioSpec(topology=TOPO, sends=SENDS, seed=seed, name=f"{tag}{seed}")
-        for seed in seeds
-    ]
-
-
 class TestCacheKey:
     def test_key_ignores_the_label(self):
         a = ScenarioSpec(topology=TOPO, sends=SENDS, seed=3, name="one")
@@ -117,7 +98,6 @@ class TestCampaignCache:
         hit = cache.get(spec)
         assert hit is not None and "index" not in hit
         assert hit["rounds"] == 7
-        assert cache.stats() == {"hits": 1, "misses": 1, "stored": 1}
 
     def test_stored_bytes_are_the_json_dump_rendering(self, tmp_path):
         # ``put`` writes through ``json.dumps`` (the C encoder); the file
@@ -215,10 +195,6 @@ class TestSerialWorkersContradiction:
         with pytest.raises(ValueError, match="serial"):
             run_campaign(small_campaign(), mode="serial", workers=8)
 
-    def test_resume_without_out_dir_raises(self):
-        with pytest.raises(ValueError, match="out_dir"):
-            run_campaign(small_campaign(), resume=True)
-
     def test_unknown_mode_still_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             run_campaign(small_campaign(), mode="turbo")
@@ -267,10 +243,14 @@ class TestStreaming:
         assert summarize_results_file(f"{out}/results.jsonl") == report.summary
 
 
-class TestResume:
-    def interrupted_sweep(self, tmp_path, stop_at, torn=True):
+class TestInterrupt:
+    """An interrupted sweep continues by rerunning it over its cache."""
+
+    def interrupted_sweep(self, tmp_path, stop_at, workers):
+        """Run the small sweep over a fresh cache and stop it as the
+        ``stop_at``-th row arrives: that row is cached, not written."""
         campaign = small_campaign()
-        out = str(tmp_path / "part")
+        out, cache_dir = str(tmp_path / "part"), str(tmp_path / "cache")
         count = {"n": 0}
 
         def bomb(row):
@@ -279,122 +259,40 @@ class TestResume:
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            run_campaign(campaign, out_dir=out, on_row=bomb)
-        if torn:
-            with open(f"{out}/results.jsonl", "a") as fh:
-                fh.write('{"type": "row", "index": 99, "trunc')
-        return campaign, out
-
-    def test_resume_at_half_matches_uninterrupted_bytes(self, tmp_path):
-        campaign, out = self.interrupted_sweep(tmp_path, stop_at=2)
-        full = str(tmp_path / "full")
-        run_campaign(campaign, out_dir=full)
-
-        report = run_campaign(campaign, out_dir=out, resume=True)
-        assert report.resumed == 1  # the bombed row was never written
-        assert report.executed == 3
-        assert read_bytes(f"{out}/results.jsonl") == read_bytes(
-            f"{full}/results.jsonl"
-        )
-        assert read_bytes(f"{out}/manifest.json") == read_bytes(
-            f"{full}/manifest.json"
-        )
-
-    def test_resuming_a_complete_sweep_is_a_no_op(self, tmp_path):
-        campaign = small_campaign()
-        out = str(tmp_path / "done")
-        run_campaign(campaign, out_dir=out)
-        before = read_bytes(f"{out}/results.jsonl")
-        report = run_campaign(campaign, out_dir=out, resume=True)
-        assert report.executed == 0
-        assert report.resumed == len(campaign.specs())
-        assert read_bytes(f"{out}/results.jsonl") == before
-
-    def test_resume_refuses_a_foreign_artifact(self, tmp_path):
-        _, out = self.interrupted_sweep(tmp_path, stop_at=2, torn=False)
-        other = small_campaign(name="other", seeds=(5, 6))
-        before = {name: read_bytes(f"{out}/{name}") for name in ARTIFACTS}
-        with pytest.raises(ValueError, match="different campaign"):
-            run_campaign(other, out_dir=out, resume=True)
-        # Both files still describe the interrupted sweep, as one pair.
-        assert {name: read_bytes(f"{out}/{name}") for name in ARTIFACTS} == before
-
-    def refused(self, out, resume):
-        """``resume()`` raises, naming the meta line it expected and the
-        one it found in ``out``; the artifact is left untouched."""
-        path = f"{out}/results.jsonl"
-        before = read_bytes(path)
-        found = before.split(b"\n", 1)[0].decode()
-        with pytest.raises(ValueError, match="different campaign") as info:
-            resume()
-        assert f"found {found}" in str(info.value)
-        assert read_bytes(path) == before
-        return str(info.value)
-
-    def test_resume_refuses_a_partial_foreign_adhoc_sweep(self, tmp_path):
-        out = str(tmp_path / "adhoc")
-
-        def bomb(row):
-            raise KeyboardInterrupt  # after the first row is written
-
-        with pytest.raises(KeyboardInterrupt):
-            run_campaign(adhoc_specs("a"), out_dir=out, on_row=bomb)
-        other = adhoc_specs("b", seeds=(5, 6))  # same cell count
-        message = self.refused(
-            out, lambda: run_campaign(other, out_dir=out, resume=True)
-        )
-        expected = meta_line("adhoc", sweep_hash("adhoc", other), 2)
-        assert f"expected meta line {expected}" in message
-
-    def test_resume_refuses_a_complete_foreign_adhoc_sweep(self, tmp_path):
-        out = str(tmp_path / "adhoc")
-        run_campaign(adhoc_specs("a"), out_dir=out)
-        # The same cells under other labels are another sweep.
-        other = adhoc_specs("b")
-        message = self.refused(
-            out, lambda: run_campaign(other, out_dir=out, resume=True)
-        )
-        expected = meta_line("adhoc", sweep_hash("adhoc", other), 2)
-        assert f"expected meta line {expected}" in message
-
-    def test_scan_stops_at_an_out_of_sequence_row(self, tmp_path):
-        campaign, out = self.interrupted_sweep(tmp_path, stop_at=2, torn=False)
-        path = f"{out}/results.jsonl"
-        with open(path, "a") as fh:
-            fh.write('{"type": "row", "index": 3}\n')  # skips index 1
-        seen = []
-        scan = scan_partial_results(
-            path,
-            meta=campaign_meta(campaign),
-            scenarios=len(campaign.specs()),
-            consume=seen.append,
-        )
-        assert not scan.complete
-        assert scan.rows == len(seen) == 1
-        assert seen[0]["index"] == 0
-
-    def test_premature_summary_line_is_corruption(self, tmp_path):
-        campaign, out = self.interrupted_sweep(tmp_path, stop_at=2, torn=False)
-        path = f"{out}/results.jsonl"
-        with open(path, "a") as fh:
-            fh.write('{"type": "summary", "scenarios": 1}\n')
-        with pytest.raises(ValueError, match="corrupt"):
-            scan_partial_results(
-                path,
-                meta=campaign_meta(campaign),
-                scenarios=len(campaign.specs()),
+            run_campaign(
+                campaign, workers=workers, out_dir=out, cache=cache_dir, on_row=bomb
             )
+        # A kill mid-write leaves a torn line after the row prefix.
+        with open(f"{out}/results.jsonl", "a") as fh:
+            fh.write('{"type": "row", "index": 99, "trunc')
+        return campaign, out, cache_dir
 
-    def test_resume_with_cache_replays_instead_of_executing(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        campaign, out = self.interrupted_sweep(tmp_path, stop_at=2)
-        run_campaign(campaign, cache=cache_dir)  # warm the cache elsewhere
-        report = run_campaign(
-            campaign, out_dir=out, resume=True, cache=cache_dir
-        )
-        assert report.executed == 0 and report.cached == 3
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_a_rerun_matches_the_uninterrupted_bytes(self, tmp_path, workers):
+        stop_at = 2
+        campaign, out, cache_dir = self.interrupted_sweep(tmp_path, stop_at, workers)
+        # The meta line, the rows written before the interrupt, the torn tail.
+        lines = read_bytes(f"{out}/results.jsonl").split(b"\n")
+        assert len(lines) == 1 + (stop_at - 1) + 1
         full = str(tmp_path / "full")
         run_campaign(campaign, out_dir=full)
-        assert read_bytes(f"{out}/results.jsonl") == read_bytes(
-            f"{full}/results.jsonl"
-        )
+
+        report = run_campaign(campaign, workers=workers, out_dir=out, cache=cache_dir)
+        assert report.cached == stop_at
+        assert report.executed == len(campaign.specs()) - stop_at
+        for name in ARTIFACTS:
+            assert read_bytes(f"{out}/{name}") == read_bytes(f"{full}/{name}")
+
+
+class TestResume:
+    def test_resuming_a_complete_sweep_is_a_no_op(self, tmp_path):
+        """Rerunning a finished sweep into its own directory over its
+        cache executes nothing and leaves both artifacts as they were."""
+        campaign = small_campaign()
+        out, cache_dir = str(tmp_path / "done"), str(tmp_path / "cache")
+        run_campaign(campaign, out_dir=out, cache=cache_dir)
+        before = {name: read_bytes(f"{out}/{name}") for name in ARTIFACTS}
+        report = run_campaign(campaign, out_dir=out, cache=cache_dir)
+        assert report.executed == 0
+        assert report.cached == len(campaign.specs())
+        assert {name: read_bytes(f"{out}/{name}") for name in ARTIFACTS} == before

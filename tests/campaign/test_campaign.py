@@ -126,7 +126,7 @@ class TestCommandLine:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--workers", "0"], ["--workers", "-2"], ["--seeds", "0"], ["--resume"],
+        [["--workers", "0"], ["--workers", "-2"], ["--seeds", "0"],
          ["--delay-model", "fixed:abc"], ["--backends", "quantum"],
          ["--seeds", "5:5"], ["--seeds", "7:3"], ["--seeds=-2:4"],
          ["--seeds", "1:x"]],
@@ -144,15 +144,15 @@ class TestCommandLine:
             spec for spec in nemesis_campaign(2).specs() if spec.seed == 1
         )
 
-    def test_a_refused_resume_exits_2_and_keeps_the_artifacts(self, tmp_path, capsys):
-        out = str(tmp_path)
-        assert main(["--seeds", "1", "--out", out]) == 0
-        before = artifact_bytes(out)
-        with pytest.raises(SystemExit) as exit_info:
-            main(["--seeds", "2", "--out", out, "--resume"])
-        assert exit_info.value.code == 2
-        assert "belongs to a different campaign" in capsys.readouterr().err
-        assert artifact_bytes(out) == before
+    def test_a_rerun_over_the_cache_reports_what_it_replayed(self, tmp_path, capsys):
+        argv = ["--seeds", "1", "--cache-dir", str(tmp_path / "cache")]
+        assert main([*argv, "--out", str(tmp_path / "cold")]) == 0
+        assert "executed=8 cached=0," in capsys.readouterr().out
+        assert main([*argv, "--out", str(tmp_path / "warm")]) == 0
+        assert "executed=0 cached=8," in capsys.readouterr().out
+        assert artifact_bytes(str(tmp_path / "cold")) == artifact_bytes(
+            str(tmp_path / "warm")
+        )
 
     def test_the_nemesis_grid_runs_clean(self, tmp_path, capsys):
         assert main(["--grid", "nemesis", "--seeds", "1", "--out", str(tmp_path)]) == 0

@@ -8,8 +8,7 @@ miss.  The sites used to ask the handle's ``mutation_available`` →
 ``_oracle.per_check_guards`` binds them back.  Each cell below runs under
 both, on the engine and on the async driver: the rows, the charges of the
 run record, the per-round ``quorum_queries`` / ``quorum_stalls`` and
-wait-reason histograms, the whole-run counters and the participation
-transitions must be equal.
+wait-reason histograms and the whole-run counters must be equal.
 
 The cells are the parking-memo bases (two and three disjoint groups,
 ``tests/substrates/test_parking.py``) and Figure 1, whose intersection
@@ -74,7 +73,6 @@ def observed(result):
             for r in tracer.rounds
         ],
         (tracer.quorum_queries, tracer.quorum_stalls),
-        list(tracer.transitions),
     )
 
 

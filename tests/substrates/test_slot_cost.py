@@ -262,8 +262,9 @@ def assert_goldens_reproduce(retired):
 class TestTheOraclesAreTheParents:
     """Under the oracles, what earlier commits pinned comes back byte for byte.
 
-    The row pins were re-recorded through the oracles once, when
-    ``row_digest`` stopped covering a row's ``spec`` and ``spec_hash``.
+    The row pins were re-recorded through the oracles twice: when
+    ``row_digest`` stopped covering a row's ``spec`` and ``spec_hash``,
+    and when rows lost ``trace.interleaving``.
     """
 
     def test_relaying_reproduces_the_pr22_goldens(self):
@@ -273,8 +274,8 @@ class TestTheOraclesAreTheParents:
     @pytest.mark.parametrize(
         "label, retired",
         [
-            ("disjoint-kernel-event", "c1850e6212ccd5137313904baee9dbcde0eef5cf9c504f78cd73f53424dfa471"),
-            ("disjoint-kernel-faulted", "b9e2078743291a056cc01bc404a967503217e2fb2887a9e85d7df039fea774b8"),
+            ("disjoint-kernel-event", "3036534480a18dec31b1f1662b91ae043266310bc1ce2a268efe376d2b49ed43"),
+            ("disjoint-kernel-faulted", "97d75a6911aa426d98e8755eeec748aa810a7842f20886de538d8b3904043c46"),
         ],
     )
     def test_relaying_reproduces_the_pr22_row_pins(self, label, retired):
@@ -286,7 +287,7 @@ class TestTheOraclesAreTheParents:
             assert_goldens_reproduce(retired_goldens("replog3_pr20.json"))
 
     def test_single_value_slots_reproduce_the_pr20_row_pin(self):
-        retired = "4d09f0e0c36718ab8f40d9534d654ca9b7a166728dab536e379c826ba6351ff4"
+        retired = "0f30ec1ffcb1ed17495cf6d42b5628d0d968de002d9106b8f8e0f4a032785276"
         spec = pipeline_rows.SPECS["disjoint-kernel-faulted"]
         with relaying(), single_value_slots():
             assert pipeline_rows.row_digest(spec) == retired
@@ -295,10 +296,10 @@ class TestTheOraclesAreTheParents:
 @pytest.mark.parametrize("label", ["disjoint-kernel-event", "disjoint-kernel-faulted"])
 def test_the_oracle_is_the_parents_protocol(label):
     """Under all three oracles the kernel row pins recorded before PR 20 come
-    back (re-recorded, like the class above, without the row's address)."""
+    back (re-recorded like the class above)."""
     retired = {
-        "disjoint-kernel-event": "77574542c4b1ec0fe4bd46819faa1b8c60e340addea1f87976e2a7a2ca867036",
-        "disjoint-kernel-faulted": "4339e5304c3417cf2955a7f2e7af7298661dda9d9a6db965be5a8413c22e09e7",
+        "disjoint-kernel-event": "a0dfac95074a11b273358fd274cb20766a4465c5d480bbc55fdbbbe01a0170a9",
+        "disjoint-kernel-faulted": "eb6d5a015b889a43186535cc68ad497ee3c0e49dfddfa3e611dcb2bd73d854c2",
     }
     with relaying(), single_value_slots(), flooding():
         assert pipeline_rows.row_digest(pipeline_rows.SPECS[label]) == retired[label]

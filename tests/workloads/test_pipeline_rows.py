@@ -98,24 +98,27 @@ SPECS = {
 #: Recorded at the parent commit (11cd75c), before the runner changed.
 #: Every pin was re-recorded once, at spec schema 7, when the digest
 #: stopped covering the row's address; spec schema 8 replayed them as is.
+#: All eight were re-recorded again when the row's ``trace`` section lost
+#: its ``interleaving`` stream (cache schema 3); each equals the old row's
+#: digest with ``trace.interleaving`` removed.
 PINS = {
-    "figure1-engine-crash": "88d159f5ec03995f5d89a7c1c82f301b597cc4491c03cde1855a54009c46f357",
+    "figure1-engine-crash": "f8845ed46b53d4a6ddcc1c55a1ceea45a780e09db193216b5dbf094884b3ca14",
     # The two kernel pins were re-recorded in PR 20 (the §4.3 consensus
     # sends fewer datagrams), PR 21 (a log slot decides a batch) and PR 23
     # (DECIDE is not relayed, a waiting replica is parked, ``Omega_g`` takes
     # an orphaned slot over) — each on purpose, DESIGN.md §16; the parents'
     # values live on in tests/substrates/test_slot_cost.py.
-    "disjoint-kernel-event": "8508f61f9b847c1d51ee4abe780aa54a1829cf7fdbf51c8efe96da574d975aec",
-    "figure1-async-uniform": "e93afe8ef013fbacce4fa79ad777e289bd528b8ff45fbd6c89dc6ea93b72de15",
+    "disjoint-kernel-event": "225a9dd7e605b87a1e6f7e1a52b2b5c74606a05551cdc7a396ea6712ddd660d9",
+    "figure1-async-uniform": "ad6c26ffa30a448a182d5e706822e01b8db714ce9eae3fc06809ca74fd5e2889",
     # The three detector-faulted pins were re-recorded when
     # ``sigma_noised`` / ``omega_rotated`` became counts of the built
     # history (one per scope and round the fault decided) instead of per
     # query; minus those two keys each row hashes as before.
-    "figure1-engine-faulted": "d4af43cf0c339bcfadb4bbef8df4e12a815345f2a8f04a72dc09fa782777e8b8",
-    "disjoint-kernel-faulted": "031c9b648152fac67eec4f956b26784c20d219a3a946aaba4b0d4a48de38c5ef",
-    "figure1-async-faulted": "86bce2c33153168c63c5f2d6734c0ac7b28faf78f4fe1f574d32e9cb7c8e8861",
-    "disjoint-kernel-detectors": "c257c28fb3c47fe4fc56908f6fde1e7afdad9718ab851724ab88fc0be752ab9f",
-    "figure1-engine-truncated": "99f25ecce7d102655af978704d5913a5b40905ee995310b4c812dac41164fff3",
+    "figure1-engine-faulted": "e93dfc9201a72320d78d6d6aea02943db850e1db2f300c734a46c01b5c295c70",
+    "disjoint-kernel-faulted": "d5286acf6bdb47f26298cc090b62aa3dc58467e00e933c2b86171c5998f83d2d",
+    "figure1-async-faulted": "25d51ebc6a4b7cabebe1962452751455e23e9d0165ea8adca2d26437c7d7bda4",
+    "disjoint-kernel-detectors": "6677d45315571f95a0b20f214b08fb813db5e98ffae6289fa3fbf86b8b59492e",
+    "figure1-engine-truncated": "f92c53eb75677103a0aad740736437bb12626186f224d87b8b3c47b62be80e2b",
 }
 
 
