@@ -38,9 +38,9 @@ def read_entry(path: str) -> Optional[Any]:
 
 def write_entry(path: str, body: Any) -> None:
     """Store ``body`` atomically: a reader sees the old entry or the new
-    one, never a torn file."""
+    one, never a torn file, even with two processes writing one key."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
+    tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         # ``dumps``, not ``dump``: same bytes, through the C encoder.
         fh.write(json.dumps(body, sort_keys=True, default=str) + "\n")

@@ -273,15 +273,17 @@ def main(argv=None) -> int:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-cell wall-clock budget: the sweep runs on a process "
-        "pool (of one with --workers 1) and a cell that exceeds the "
-        "budget yields a failed row with error='timeout' instead of "
-        "hanging the sweep",
+        help="per-cell wall-clock budget, armed inside the cell (serial "
+        "or pool): a cell still running after SECONDS stops and yields a "
+        "failed row with error='timeout' instead of hanging the sweep; "
+        "triage's shrink probes run under the same budget",
     )
     args = parser.parse_args(argv)
 
     if args.workers < 1:
         parser.error(f"--workers must be at least 1, got {args.workers}")
+    if args.cell_timeout is not None and args.cell_timeout <= 0:
+        parser.error(f"--cell-timeout must be positive, got {args.cell_timeout}")
 
     if args.grid == "nemesis":
         for flag, value in (
@@ -312,16 +314,17 @@ def main(argv=None) -> int:
     # (with --out) and in the summary, and holding it would undo the
     # executor's bounded-memory streaming.
     red: list = []
-    cache = ensure_cache(args.cache_dir)
-    report = run_campaign(
-        campaign,
-        workers=args.workers,
-        mode="process" if args.cell_timeout is not None else None,
-        cache=cache,
+    shared = dict(  # triage's probes share the sweep's cache and backstops
+        cache=ensure_cache(args.cache_dir),
         out_dir=args.out,
         stall_window=args.stall_window,
         cell_timeout=args.cell_timeout,
+    )
+    report = run_campaign(
+        campaign,
+        workers=args.workers,
         on_row=lambda row: None if is_clean(row) else red.append(row),
+        **shared,
     )
 
     if red:
@@ -341,9 +344,7 @@ def main(argv=None) -> int:
     if args.out:
         print(f"streamed {args.out}/manifest.json and {args.out}/results.jsonl")
 
-    ledger = triage(
-        red, cache=cache, stall_window=args.stall_window, out_dir=args.out
-    )
+    ledger = triage(red, **shared)
     if ledger:
         print(f"triage: {len(ledger)} distinct violations")
     for record in ledger:

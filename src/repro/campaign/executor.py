@@ -3,46 +3,34 @@
 The executor maps frozen :class:`repro.workloads.spec.ScenarioSpec`
 values over worker processes (:class:`concurrent.futures.ProcessPoolExecutor`)
 or runs them in-process (``mode="serial"`` — the debugging path and the
-byte-identity reference).  Both paths funnel every scenario through the
-same module-level :func:`execute_spec`, so a serial and a parallel sweep
-of the same campaign produce byte-identical rows.
+byte-identity reference).  Both paths hand every cell to one
+module-level unit of a picklable argument (so any start method works):
+it runs :func:`execute_spec` under the cell's backstops and stores the
+row in the cache where it ran.  The parent only probes the cache, puts
+rows in cell order and writes the artifacts.  Hence:
 
-Two invariants the rest of the subsystem leans on:
-
-* **Failure isolation** — a scenario that raises becomes a
-  ``status="failed"`` row carrying the exception and traceback; the
-  sweep continues.  Only the executor machinery itself (a broken pool,
-  an unpicklable spec) propagates.
-* **Deterministic ordering** — rows are emitted in spec order no matter
-  which worker finished first (``Executor.map`` preserves submission
-  order), so results files are byte-stable across worker counts.
-
-On top of the seed executor this module owns the *scale-out* layer:
-
-* a result cache (``cache=``, :mod:`repro.campaign.cache`) keyed on the
-  cell's ``spec_hash`` — which covers its seed, backend and fault plan —
-  so reruns execute only new grid cells: a hit replays the stored row
-  byte-identically.  It is also how an interrupted sweep continues: the
-  rerun replays every cell the killed run finished and executes the
-  rest, and the artifacts it writes are byte-identical to an
-  uninterrupted run's;
-* the artifacts (``out_dir=``, their only writer) — rows go straight
-  to ``results.jsonl`` through the :class:`SweepAggregator` without the
-  executor retaining them.
-
-``execute_spec`` being a module-level function of a picklable argument
-is what keeps the pool start-method agnostic: it works under ``fork``
-as well as the spawn semantics Windows and macOS default to.
+* **Failure isolation** — a scenario that raises, stalls or outruns its
+  budget is a ``status="failed"`` row, as is a cell whose worker died;
+  the sweep continues.  Only the executor machinery itself (an
+  unpicklable spec, an unwritable cache) propagates.
+* **Deterministic ordering** — rows come in spec order whichever worker
+  finished first, so results files are byte-stable across worker counts.
+* **A finished cell is stored** (``cache=``, by ``spec_hash``), drained
+  or not: a rerun over the cache replays it, and an interrupted sweep's
+  artifacts come out byte-identical to an uninterrupted run's.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
+import signal
+import threading
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures.process import BrokenProcessPool
 from typing import (
     IO,
     Any,
@@ -75,31 +63,91 @@ from repro.workloads.spec import ScenarioSpec
 #: Execution modes of :func:`run_campaign`.
 MODES = ("serial", "process")
 
-#: Cells probed against the cache (and dispatched to the pool) at a time
-#: when a cache is attached — bounds the rows held in flight regardless
-#: of grid size.
+#: Cells probed against the cache (and dispatched) at a time — bounds
+#: the rows held in flight regardless of grid size.
 CACHE_CHUNK = 256
 
+#: Cells a pool worker takes per dispatch: an interrupted sweep waits
+#: for a few batches, and the per-task round trip stays off the wall.
+POOL_BATCH = 8
 
-def execute_spec(task: Tuple[int, ScenarioSpec]) -> Dict[str, Any]:
+
+class _CellTimeout(BaseException):
+    """The cell's budget ran out (no ``except Exception`` swallows it)."""
+
+
+#: Set before the timer is armed, cleared by the first alarm and on the
+#: way out of the run: an alarm that lands late stops nothing.
+_armed = False
+
+
+def _on_alarm(signum: int, frame: Any) -> None:
+    global _armed
+    if _armed:
+        _armed = False
+        raise _CellTimeout
+
+
+def _timed_run(
+    spec: ScenarioSpec, stall_window: Optional[int], budget: Optional[float]
+) -> Dict[str, Any]:
+    """The cell's row, stopped by :class:`_CellTimeout` after ``budget``
+    seconds; the outer ``SIGALRM`` handler and timer are put back."""
+    global _armed
+    if budget is None:
+        return run_scenario(spec, stall_window=stall_window).to_row()
+    outer_handler = signal.signal(signal.SIGALRM, _on_alarm)
+    outer_delay, outer_interval = signal.getitimer(signal.ITIMER_REAL)
+    started = time.monotonic()
+    try:
+        try:
+            _armed = True
+            signal.setitimer(signal.ITIMER_REAL, budget)
+            return run_scenario(spec, stall_window=stall_window).to_row()
+        finally:
+            _armed = False
+    finally:
+        # Reached disarmed however the run ended (an alarm at the edge
+        # raises out of the inner block), so nothing interrupts this.
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, outer_handler)
+        if outer_delay:
+            left = outer_delay - (time.monotonic() - started)
+            signal.setitimer(signal.ITIMER_REAL, max(left, 1e-6), outer_interval)
+
+
+def _refuse_unarmable(cell_timeout: Optional[float], in_process: bool) -> None:
+    """Refuse a budget no cell could arm: it must be positive, with
+    ``signal.setitimer`` and, in-process, the main thread."""
+    if cell_timeout is not None and (
+        cell_timeout <= 0
+        or not hasattr(signal, "setitimer")
+        or (in_process and threading.current_thread() is not threading.main_thread())
+    ):
+        raise ValueError(
+            f"cell_timeout={cell_timeout!r} cannot be armed: it needs to be "
+            f"positive, signal.setitimer and, in-process, the main thread"
+        )
+
+
+def execute_spec(task: Tuple) -> Dict[str, Any]:
     """Run one indexed spec; never raises for scenario-level failures.
 
-    This is the single code path both executor modes use (and the unit a
-    worker process receives).  A raising scenario is converted into a
-    ``status="failed"`` row that still self-describes its spec, so one
-    bad grid point cannot take down a sweep.
-
-    ``task`` is ``(index, spec)`` or ``(index, spec, stall_window)`` —
-    the third element arms the runner's stall watchdog (see
-    :func:`repro.workloads.runner.run_scenario`).  A watchdog-detected
-    stall becomes a ``status="failed"`` row with ``error="stall"`` plus
-    a ``stall`` payload carrying the wait-reason histogram: the cell
-    fails fast and descriptive instead of burning its whole budget.
+    A raising scenario becomes a ``status="failed"`` row that still
+    self-describes its spec, so one bad grid point cannot take down a
+    sweep.  ``task`` is ``(index, spec[, stall_window[, budget]])``: the
+    runner's stall watchdog turns a stall into an ``error="stall"`` row
+    carrying the wait-reason histogram, and ``budget`` (seconds) arms a
+    one-shot ``SIGALRM`` timer around the run — call from the main
+    thread — that turns a run still going into an ``error="timeout"`` row.
     """
     index, spec = task[0], task[1]
     stall_window = task[2] if len(task) > 2 else None
+    budget = task[3] if len(task) > 3 else None
     try:
-        row = run_scenario(spec, stall_window=stall_window).to_row()
+        row = _timed_run(spec, stall_window, budget)
+    except _CellTimeout:
+        row = _failed_row(spec, "timeout", timeout=budget)
     except StallError as exc:
         row = _failed_row(spec, "stall", stall=exc.to_triage())
     except Exception as exc:  # noqa: BLE001 — isolation is the contract
@@ -127,40 +175,21 @@ def _failed_row(spec: ScenarioSpec, error: str, **extra: Any) -> Dict[str, Any]:
     }
 
 
+def _run_cell(cache: Optional[CampaignCache], task: Tuple) -> Dict[str, Any]:
+    """The unit of work: run one cell and store its row where it ran,
+    whether or not the parent drains it (``put`` keeps ``ok`` rows only)."""
+    row = execute_spec(task)
+    if cache is not None:
+        cache.put(task[1], row)
+    return row
+
+
 def _write_line(fh: IO[str], line: str) -> None:
     """Append one results.jsonl line, flushed: an interrupted sweep
     leaves at worst one torn line after its row prefix (a rerun
     rewrites the whole file)."""
     fh.write(line + "\n")
     fh.flush()
-
-
-def _timed_pool_rows(
-    pool: ProcessPoolExecutor,
-    batch: Sequence[Tuple[int, ScenarioSpec]],
-    tasks: Sequence[Tuple],
-    budget: float,
-    timed_out: List[bool],
-) -> Iterator[Dict[str, Any]]:
-    """Pool execution with a per-cell wall-clock budget.
-
-    Futures are submitted up front and drained in cell order; a cell
-    whose result is not available ``budget`` seconds after we start
-    waiting on it yields a ``status="failed"`` row with
-    ``error="timeout"`` and the sweep moves on.  The stuck worker cannot
-    be killed without tearing down the whole pool, so it is left to
-    finish (or linger) in the background and the pool is shut down
-    without waiting at the end — the *sweep* never hangs, which is the
-    contract.  Timeout rows are never cached (the cache refuses non-OK
-    rows), so a rerun retries the cell.
-    """
-    futures = [pool.submit(execute_spec, task) for task in tasks]
-    for (index, spec), future in zip(batch, futures):
-        try:
-            yield future.result(timeout=budget)
-        except FutureTimeoutError:
-            timed_out[0] = True
-            yield {**_failed_row(spec, "timeout", timeout=budget), "index": index}
 
 
 def _iter_cell_rows(
@@ -175,74 +204,46 @@ def _iter_cell_rows(
     """Stream rows for ``(global index, spec)`` cells, in cell order.
 
     ``workers`` is the process-pool size; ``None`` runs the cells
-    in-process.  One worker is still a pool: the per-cell budget needs a
-    process it can stop waiting on.
-
-    The cache-aware path works in bounded chunks: probe the cache for
-    :data:`CACHE_CHUNK` cells, dispatch only the misses (serially or to
-    the pool), then merge hits and fresh rows back into cell order —
-    at no point does the generator hold more than a chunk of rows, so
-    warm sweeps of arbitrarily large grids stay O(1) memory.  Executed
-    rows are stored back into the cache as they stream out.
+    in-process.  Per :data:`CACHE_CHUNK` cells: probe the cache,
+    dispatch the misses, merge hits and fresh rows back into cell order.
+    A dead worker breaks the pool: the chunk's undrained cells are
+    probed again (a finished one was stored by its worker), the rest
+    are ``error="worker-died"`` rows, and the next chunk gets a new
+    pool.  On exit, queued cells are cancelled and running ones finish.
     """
-    counters = counters if counters is not None else {}
-    counters.setdefault("executed", 0)
-    counters.setdefault("cached", 0)
-    tasks = list(cells)
+    counters = counters if counters is not None else {"cached": 0}
+    unit = functools.partial(_run_cell, cache)
     pool: Optional[ProcessPoolExecutor] = None
-    timed_out = [False]
     try:
-        if workers is not None:
-            pool = ProcessPoolExecutor(max_workers=workers)
-
-        def run_batch(batch: List[Tuple[int, ScenarioSpec]]) -> Iterator[Dict[str, Any]]:
-            if not batch:
-                return iter(())
-            units: List[Tuple] = (
-                [(index, spec, stall_window) for index, spec in batch]
-                if stall_window is not None
-                else list(batch)
-            )
-            if pool is None:
-                return map(execute_spec, units)
-            if cell_timeout is not None:
-                return _timed_pool_rows(
-                    pool, batch, units, cell_timeout, timed_out
-                )
-            chunksize = max(1, len(batch) // (workers * 4))
-            return pool.map(execute_spec, units, chunksize=chunksize)
-
-        if cache is None:
-            for row in run_batch(tasks):
-                counters["executed"] += 1
-                yield row
-            return
-
-        for base in range(0, len(tasks), CACHE_CHUNK):
-            chunk = tasks[base : base + CACHE_CHUNK]
-            probes = [(index, spec, cache.get(spec)) for index, spec in chunk]
-            fresh = run_batch(
-                [(index, spec) for index, spec, hit in probes if hit is None]
-            )
-            for index, spec, hit in probes:
-                if hit is None:
-                    row = next(fresh)
-                    cache.put(spec, row)
-                    counters["executed"] += 1
-                else:
-                    row = dict(hit)
-                    row["index"] = index
+        for base in range(0, len(cells), CACHE_CHUNK):
+            chunk = cells[base : base + CACHE_CHUNK]
+            probes = [(index, spec, cache and cache.get(spec)) for index, spec in chunk]
+            units = [
+                (index, spec, stall_window, cell_timeout)
+                for index, spec, hit in probes
+                if hit is None
+            ]
+            if workers is None:
+                fresh: Optional[Iterator[Dict[str, Any]]] = map(unit, units)
+            else:
+                pool = pool or ProcessPoolExecutor(max_workers=workers)
+                fresh = pool.map(unit, units, chunksize=POOL_BATCH)
+            for index, spec, row in probes:
+                if row is not None:
                     counters["cached"] += 1
+                elif fresh is not None:
+                    try:
+                        row = next(fresh)
+                    except BrokenProcessPool:
+                        pool.shutdown()
+                        pool = fresh = None
+                if row is None:  # undrained when its worker died
+                    row = cache and cache.get(spec) or _failed_row(spec, "worker-died")
+                row["index"] = index
                 yield row
     finally:
         if pool is not None:
-            # After a per-cell timeout a worker may still be grinding on
-            # the stuck cell; waiting on it would turn a contained cell
-            # failure back into a hung sweep.
-            if timed_out[0]:
-                pool.shutdown(wait=False, cancel_futures=True)
-            else:
-                pool.shutdown()
+            pool.shutdown(cancel_futures=True)
 
 
 def run_campaign(
@@ -264,35 +265,30 @@ def run_campaign(
         workers: worker processes for ``mode="process"``.
         mode: ``"serial"`` or ``"process"``; default is serial for
             ``workers <= 1`` and a process pool otherwise.  An explicit
-            ``"process"`` always builds the pool, one worker included,
-            so ``cell_timeout`` is enforced and the reported mode is
-            the one that ran.  Asking for ``mode="serial"`` *and*
-            ``workers > 1`` is a contradiction and raises
-            :class:`ValueError` — silently running serial would mask a
-            misconfigured sweep.
+            ``"process"`` always builds the pool, one worker included.
+            Asking for ``mode="serial"`` *and* ``workers > 1`` is a
+            contradiction and raises :class:`ValueError` — silently
+            running serial would mask a misconfigured sweep.
         on_row: optional callback invoked with each row as it streams
             in (progress reporting).
         cache: a :class:`repro.campaign.cache.CampaignCache` (or a
             directory path) — cells with a stored ``ok`` row replay it
-            byte-identically instead of executing; fresh rows are
-            stored back.  ``failed`` rows are never cache-hit.
+            byte-identically instead of executing; each executed ``ok``
+            row is stored where it ran.
         out_dir: write the artifacts while running: ``manifest.json``
             before the first row, then each row appended (and flushed) to
-            ``results.jsonl`` as it arrives, so an interrupt loses at
-            most one torn line.  The artifact then holds the rows and
-            the returned report does not (``rows == ()``; collect them
-            through ``on_row`` if needed).  A rerun rewrites both
-            files from the first row.
+            ``results.jsonl`` as it arrives.  The returned report then
+            holds no rows (collect them through ``on_row``).  A rerun
+            rewrites both files from the first row.
         stall_window: arm the runner's stall watchdog for every cell —
             a cell making no progress for this many rounds past its
-            settle horizon fails fast as a ``status="failed"`` row with
-            ``error="stall"`` and a wait-reason histogram, instead of
-            burning its whole round budget.
-        cell_timeout: per-cell wall-clock budget in seconds
-            (``mode="process"`` only): a cell whose worker blows the
-            budget becomes a ``status="failed"`` row with
-            ``error="timeout"`` and the sweep continues.  Timeout rows
-            are never cached, so a rerun retries the cell.
+            settle horizon fails fast as an ``error="stall"`` row with a
+            wait-reason histogram instead of burning its round budget.
+        cell_timeout: per-cell wall-clock budget in seconds, armed
+            inside the cell in either mode: a cell still running when
+            it runs out is an ``error="timeout"`` row, never cached.
+            Refused where no cell could arm it (no ``signal.setitimer``,
+            or an in-process sweep off the main thread).
 
     Returns:
         a :class:`CampaignReport` whose rows are in spec order and
@@ -314,19 +310,15 @@ def run_campaign(
             f"runs in-process on one worker — drop the workers argument or "
             f"ask for mode='process'"
         )
-    if cell_timeout is not None and mode != "process":
-        raise ValueError(
-            "cell_timeout needs mode='process': an in-process sweep cannot "
-            "preempt its own cell — arm stall_window instead"
-        )
     pool_workers = workers if mode == "process" else None
+    _refuse_unarmable(cell_timeout, in_process=pool_workers is None)
     cache_obj = ensure_cache(cache)
     inventory = sweep_inventory(specs)
     campaign_hash = inventory_hash(name, inventory)
 
     aggregator = SweepAggregator()
     rows: List[Dict[str, Any]] = []
-    counters: Dict[str, int] = {"executed": 0, "cached": 0}
+    counters = {"cached": 0}
     started = time.perf_counter()
     with contextlib.ExitStack() as stack:
         results: Optional[IO[str]] = None
@@ -371,6 +363,6 @@ def run_campaign(
         mode=mode,
         workers=pool_workers or 1,
         elapsed=elapsed,
-        executed=counters["executed"],
+        executed=len(specs) - counters["cached"],
         cached=counters["cached"],
     )

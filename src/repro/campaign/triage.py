@@ -4,12 +4,12 @@
 (:func:`repro.faults.shrink.shrink_plan`) over each violating cell's
 fault plan.  The shrinker's predicate is the sweep's own judgement:
 every probe is one cell through the executor's cell path
-(:func:`repro.campaign.executor._iter_cell_rows`), fronted by the
-sweep's :class:`repro.campaign.cache.CampaignCache` and labelled like
-the witness was, so a second triage of a known red cell executes
-nothing.  Records are deduplicated by ``(violated properties, shrunk
-plan hash)``: forty witnesses of one bug are one record with
-``count=40``.  Runs are pure functions of their specs, so the ledger is
+(:func:`repro.campaign.executor._iter_cell_rows`) under the sweep's
+backstops, fronted by its :class:`repro.campaign.cache.CampaignCache`
+and labelled like the witness was, so a second triage of a known red
+cell executes nothing.  Records are deduplicated by ``(violated
+properties, shrunk plan hash)``: forty witnesses of one bug are one
+record with ``count=40``.  Runs are pure functions of their specs, so the ledger is
 a pure function of the rows.
 """
 
@@ -20,7 +20,7 @@ import os
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.campaign.cache import CampaignCache
-from repro.campaign.executor import _iter_cell_rows
+from repro.campaign.executor import _iter_cell_rows, _refuse_unarmable
 from repro.faults.plan import FaultPlan
 from repro.faults.shrink import repro_payload, shrink_plan, write_repro
 from repro.workloads.runner import triage_record
@@ -75,20 +75,26 @@ def triage(
     *,
     cache: Optional[CampaignCache] = None,
     stall_window: Optional[int] = None,
+    cell_timeout: Optional[float] = None,
     out_dir: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
     """Shrink and deduplicate the violating ``rows``; returns the ledger.
 
-    ``cache`` and ``stall_window`` are the sweep's: a probe is judged
-    the way its cells were.  With ``out_dir`` each shrunk record's
-    repro file and, when there is any record, ``triage.json`` are
-    written there; without it the payload rides in the record.
+    ``cache``, ``stall_window`` and ``cell_timeout`` are the sweep's: a
+    probe (in-process) is judged the way its cells were.  With
+    ``out_dir`` each shrunk record's repro file and, when there is any
+    record, ``triage.json`` are written there; without it the payload
+    rides in the record.
     Records come in the order of their first witness.
     """
+    _refuse_unarmable(cell_timeout, in_process=True)
 
     def violates(spec: ScenarioSpec) -> bool:
         [row] = _iter_cell_rows(
-            [(0, spec)], cache=cache, stall_window=stall_window
+            [(0, spec)],
+            cache=cache,
+            stall_window=stall_window,
+            cell_timeout=cell_timeout,
         )
         return bool(violated_properties(row))
 

@@ -278,8 +278,11 @@ class TestInterrupt:
         run_campaign(campaign, out_dir=full)
 
         report = run_campaign(campaign, workers=workers, out_dir=out, cache=cache_dir)
-        assert report.cached == stop_at
-        assert report.executed == len(campaign.specs()) - stop_at
+        # A pool worker stores every cell it finished, drained or not.
+        assert report.cached >= stop_at
+        if workers == 1:
+            assert report.cached == stop_at
+        assert report.executed + report.cached == len(campaign.specs())
         for name in ARTIFACTS:
             assert read_bytes(f"{out}/{name}") == read_bytes(f"{full}/{name}")
 

@@ -129,7 +129,7 @@ class TestCommandLine:
         [["--workers", "0"], ["--workers", "-2"], ["--seeds", "0"],
          ["--delay-model", "fixed:abc"], ["--backends", "quantum"],
          ["--seeds", "5:5"], ["--seeds", "7:3"], ["--seeds=-2:4"],
-         ["--seeds", "1:x"]],
+         ["--seeds", "1:x"], ["--cell-timeout", "0"]],
     )
     def test_bad_input_fails_at_the_parser(self, argv, capsys):
         """Not a green sweep that ran nothing, nor a traceback."""

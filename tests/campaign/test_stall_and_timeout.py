@@ -1,21 +1,26 @@
 """Liveness backstops at the campaign layer.
 
-A sweep must never hang on one sick cell.  Two backstops guarantee it:
-the *stall watchdog* (``stall_window=``, in-process: the runner detects
-a no-progress window and fails the cell with a triaged wait-reason
-histogram) and the *per-cell timeout* (``cell_timeout=``, process mode:
-a worker that blows its wall-clock budget yields a failed row and the
-sweep moves on).  Both produce ``status="failed"`` rows that are never
-cached, so reruns retry the cell.
+A sweep must never hang on one sick cell.  Two backstops guarantee it,
+both inside the cell: the *stall watchdog* (``stall_window=``: the
+runner detects a no-progress window and fails the cell with a triaged
+wait-reason histogram) and the *per-cell timeout* (``cell_timeout=``, a
+one-shot ``SIGALRM`` timer that :func:`execute_spec` arms around the
+run, serial or on a pool: a cell that blows its wall-clock budget
+yields a failed row and the sweep moves on).  Both produce
+``status="failed"`` rows that are never cached, so reruns retry the
+cell.  The other failure paths of a sweep are
+``tests/campaign/test_failure_matrix.py``.
 
 The planted stall is the retained PR 4 ``supersede-wait`` quirk under a
 late-Omega rotation — a genuine liveness bug that would otherwise burn
 the full round budget of every affected cell.
 """
 
+import multiprocessing
+import signal
+import threading
+import time
 from dataclasses import replace
-
-import pytest
 
 from repro.campaign.cache import CampaignCache
 from repro.campaign.executor import execute_spec, run_campaign
@@ -104,23 +109,30 @@ class TestCellTimeout:
         assert row["error"] == "timeout"
         assert row["timeout"] == 1.0
         assert row["spec_hash"] == specs[0].spec_hash()
+        # The cell stopped where it ran: no worker is left grinding it,
+        # so nothing keeps the process from exiting.
+        assert multiprocessing.active_children() == []
 
-    def test_one_worker_process_mode_still_enforces_the_budget(self):
-        # One worker is still a pool: run in-process, the cell could not
-        # be preempted and the reported mode would be a lie.  No result
-        # can be ready a nanosecond after submission, so the short cell
-        # times out without leaving a long-running worker behind.
-        report = run_campaign(
-            stall_specs(), mode="process", workers=1, cell_timeout=1e-9
-        )
-        assert (report.mode, report.workers) == ("process", 1)
+    def test_the_same_cell_times_out_in_a_serial_sweep(self):
+        report = run_campaign(stall_specs(max_rounds=150_000), cell_timeout=1.0)
+        assert report.mode == "serial"
         (row,) = report.rows
-        assert row["status"] == "failed"
-        assert row["error"] == "timeout"
+        assert (row["error"], row["timeout"]) == ("timeout", 1.0)
 
-    def test_cell_timeout_requires_process_mode(self):
-        with pytest.raises(ValueError):
-            run_campaign(stall_specs(), cell_timeout=1.0)
+    def test_an_in_process_sweep_off_the_main_thread_is_refused(self):
+        # Only the main thread receives the alarm; a pool is fine.
+        outcome = {}
+
+        def sweep():
+            try:
+                run_campaign(stall_specs(), cell_timeout=1.0)
+            except ValueError as exc:
+                outcome["refused"] = str(exc)
+
+        thread = threading.Thread(target=sweep)
+        thread.start()
+        thread.join()
+        assert "main thread" in outcome["refused"]
 
     def test_timeout_rows_are_never_cached(self, tmp_path):
         cache = CampaignCache(str(tmp_path / "cache"))
@@ -131,3 +143,46 @@ class TestCellTimeout:
             "timeout": 1.0,
         }
         assert cache.put(stall_specs()[0], row) is False
+
+
+class TestAlarm:
+    """The budget's timer leaves the process's own ``SIGALRM`` as it was."""
+
+    def test_the_outer_handler_and_timer_are_put_back(self):
+        def outer(signum, frame):  # pragma: no cover — never fires
+            raise AssertionError("the outer alarm fired early")
+
+        previous = signal.signal(signal.SIGALRM, outer)
+        previous_timer = signal.setitimer(signal.ITIMER_REAL, 100.0)
+        try:
+            (spec,) = stall_specs()
+            row = execute_spec((0, spec, None, 5.0))
+            assert row["status"] == "ok"
+            assert signal.getsignal(signal.SIGALRM) is outer
+            left, _ = signal.getitimer(signal.ITIMER_REAL)
+            assert 90.0 < left < 100.0
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, *previous_timer)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_an_alarm_at_the_edge_of_the_run_is_contained(self):
+        # Budgets around the cell's own wall time put the alarm before,
+        # inside and just after the end of the run: every row is either
+        # the cell's or a timeout, and the process's own SIGALRM (a test
+        # runner's timeout, or none) is as it was.
+        handler = signal.getsignal(signal.SIGALRM)
+        outer_left, _ = signal.getitimer(signal.ITIMER_REAL)
+        (spec,) = stall_specs()
+        started = time.perf_counter()
+        expected = execute_spec((0, spec))
+        wall = time.perf_counter() - started
+        errors = set()
+        for step in range(24):
+            row = execute_spec((0, spec, None, wall * (0.5 + step / 16)))
+            errors.add(row.get("error"))
+            if row["status"] == "ok":
+                assert row == expected
+            left, _ = signal.getitimer(signal.ITIMER_REAL)
+            assert left <= outer_left and (left > 0) == (outer_left > 0)
+            assert signal.getsignal(signal.SIGALRM) is handler
+        assert errors <= {None, "timeout"}
