@@ -30,10 +30,13 @@ from typing import Any, Dict, Optional
 from repro._content import entry_path, read_entry, write_entry
 from repro.workloads.spec import ScenarioSpec
 
-#: Bumped on breaking changes to the cached-row layout.  Version 3
-#: dropped the interleaving transition stream from the row's ``trace``
-#: section; older entries miss and re-run.
-CACHE_SCHEMA_VERSION = 3
+#: Bumped when a stored row would no longer be what its cell produces:
+#: a change to the row's layout, or to the engine's step order (a row
+#: is a function of the cell *and* of that order).  Version 3 dropped
+#: the interleaving transition stream from the row's ``trace`` section;
+#: version 4 is the engine's helper–scan turns within one step.  Older
+#: entries miss and re-run.
+CACHE_SCHEMA_VERSION = 4
 
 
 class CampaignCache:

@@ -71,6 +71,26 @@ CACHE_CHUNK = 256
 #: for a few batches, and the per-task round trip stays off the wall.
 POOL_BATCH = 8
 
+#: How often (seconds) a pool worker checks that its sweep is alive.
+ORPHAN_POLL_S = 0.5
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit once the sweep's process is gone.
+
+    A worker forked from the sweep holds both ends of the call-queue
+    pipes, so a sweep killed outright (SIGKILL) leaves it blocked on a
+    read that never sees EOF.  A daemon thread watches the parent pid
+    instead and ends the worker when it changes (reparented)."""
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(ORPHAN_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+
 
 class _CellTimeout(BaseException):
     """The cell's budget ran out (no ``except Exception`` swallows it)."""
@@ -226,7 +246,9 @@ def _iter_cell_rows(
             if workers is None:
                 fresh: Optional[Iterator[Dict[str, Any]]] = map(unit, units)
             else:
-                pool = pool or ProcessPoolExecutor(max_workers=workers)
+                pool = pool or ProcessPoolExecutor(
+                    max_workers=workers, initializer=_exit_with_parent
+                )
                 fresh = pool.map(unit, units, chunksize=POOL_BATCH)
             for index, spec, row in probes:
                 if row is not None:

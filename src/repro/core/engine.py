@@ -38,7 +38,16 @@ The seeded random schedule is *unchanged*: the full eligible order is
 shuffled exactly as before and parked processes are merely skipped, so
 the RNG stream — and therefore the :class:`repro.model.runs.RunRecord` trace —
 is byte-identical to the scan-everything engine (a skipped process would
-have fired nothing and recorded nothing).  The seed loop itself is kept
+have fired nothing and recorded nothing).
+
+One process's step runs its components (the Prop 1 helper) and then its
+action scan.  Unbudgeted, the two take turns until one of them fires
+nothing (:meth:`SharedObjectActor.fire`): a scan that delivers
+``L_g[i]`` lets the helper push ``L_g[i+1]`` in the same step, not a
+round later.  Each action is still one atomic operation of that one
+process and no communication is merged; a step may just take several.
+A budgeted step (``action_budget``) is one helper pass and one budgeted
+scan.  The seed loop itself is kept
 as a test oracle (``tests/runtime/_oracle.py``) for differential
 testing; the per-round counters land in :attr:`MulticastSystem.tracer`.
 
@@ -342,7 +351,8 @@ class MulticastSystem(RoundHost):
         self.record.note_delivery(self.time, p, m)
 
     def add_component(self, component: Component) -> None:
-        """Register an auxiliary action source, run before the algorithm."""
+        """Register an auxiliary action source, run before the algorithm's
+        scan and again after every scan that fired (unbudgeted steps)."""
         self._components.append(component)
         self.wake_all()
 

@@ -43,6 +43,12 @@ class SharedObjectActor(Actor):
     The engine records no wait reason for skipped processes
     (``SKIP_WAIT = ()``) — only scanned-but-blocked processes are
     histogrammed.
+
+    A fire runs the system's components (the Prop 1 helper), then the
+    action scan.  Unbudgeted, it keeps alternating — components again
+    after a scan that fired, a scan again after components that fired —
+    until one of them fires nothing.  A budgeted fire is one component
+    pass and one budgeted scan.
     """
 
     def __init__(self, system, pid: ProcessId) -> None:
@@ -68,10 +74,25 @@ class SharedObjectActor(Actor):
             system._verdicts_since <= scheduler.time < system._verdicts_until
         ):
             system.renew_verdicts()
+        components = system._components
+        process = self._process
         fired = 0
-        for component in system._components:
+        for component in components:
             fired += component(pid, t)
-        fired += self._process.try_actions(t, budget=budget)
+        scanned = process.try_actions(t, budget=budget)
+        fired += scanned
+        # Unbudgeted, the components and the scan take turns until one
+        # of them fires nothing: a scan that delivered L_g[i] lets the
+        # Prop 1 helper push L_g[i+1] in this step, not the next round.
+        # Each (pid, mid) is pushed at most once, so the turns end.
+        while scanned and components and budget is None:
+            pushed = 0
+            for component in components:
+                pushed += component(pid, t)
+            if not pushed:
+                break
+            scanned = process.try_actions(t)
+            fired += pushed + scanned
         if fired:
             # Its own local state moved: its next action may already be
             # enabled without any further shared-object write.

@@ -20,6 +20,11 @@ leaves a marker for every run that finished.
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +36,7 @@ from repro.workloads.runner import Send
 from repro.workloads.topologies import chain_topology
 
 ARTIFACTS = ("manifest.json", "results.jsonl")
+ROOT = Path(__file__).resolve().parents[2]
 
 GRID = Campaign(
     name="matrix",
@@ -252,3 +258,60 @@ def test_worker_dies(mode, matrix, monkeypatch):
     stored = matrix.check_cache(every_ok_run_stored=False)
     assert not {rows[i]["spec_hash"] for i in failed} & set(stored)
     assert matrix.rerun().executed == 3
+
+
+#: A 2-worker sweep that writes its pool's pids to ``workers.pids`` and
+#: SIGKILLs itself at row 16, as CI's ``campaign-interrupt`` leg does.
+KILLED_SWEEP = """
+import multiprocessing, os, signal
+from repro.campaign.__main__ import smoke_campaign
+from repro.campaign.executor import run_campaign
+
+def kill_at_16(row, seen=[]):
+    seen.append(row)
+    if len(seen) == 16:
+        with open("workers.pids", "w") as fh:
+            fh.write(" ".join(str(c.pid) for c in multiprocessing.active_children()))
+        os.kill(os.getpid(), signal.SIGKILL)
+
+run_campaign(smoke_campaign(seeds=4), workers=2, on_row=kill_at_16)
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork" or not os.path.isdir("/proc"),
+    reason="inherited pipe ends are a fork matter; liveness is read from /proc",
+)
+def test_workers_exit_when_the_sweep_is_killed(tmp_path):
+    """Red at the parent: the workers of a SIGKILLed sweep lived on with
+    ppid 1, each blocked on a call queue whose write end it holds."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # No pipes: an orphan holding one would keep the wait from ending.
+    with open(tmp_path / "stderr", "w") as err:
+        done = subprocess.run(
+            [sys.executable, "-c", KILLED_SWEEP],
+            cwd=tmp_path,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=err,
+            timeout=120,
+        )
+    assert done.returncode == -signal.SIGKILL, (tmp_path / "stderr").read_text()
+    workers = [int(pid) for pid in (tmp_path / "workers.pids").read_text().split()]
+    assert len(workers) == 2
+    deadline = time.monotonic() + 5.0
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    orphans = [pid for pid in workers if _running(pid)]
+    for pid in orphans:  # leave no process behind when red
+        os.kill(pid, signal.SIGKILL)
+    assert not orphans

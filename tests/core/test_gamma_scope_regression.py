@@ -26,6 +26,11 @@ control — the gap is still there to be reproduced.
 Falsifying example: seed=365019, topo_seed=42, send_count=10,
 crash_indices={0}, crash_time=0 (found by
 ``test_random_runs.py::test_random_topology_runs_satisfy_all_properties``).
+The cycle above is that seed's.  Since the engine lets a member push the
+next ``L_g`` entry in the step that delivered the last one, seed 365019
+no longer reaches the gap under the ``F(p)`` oracle; the pinned seed is
+188, which reaches it under both step orders (five messages miss a
+correct member).
 """
 
 from repro.model.failures import crash_pattern
@@ -36,15 +41,16 @@ from repro.workloads.spec import ScenarioSpec
 from repro.workloads.topologies import random_topology
 from tests.runtime._oracle import process_scoped_everywhere, scan_everywhere
 
+#: The falsifying seed: of the send script and of the schedule.
+SEED = 188
+
 
 def _falsifying_spec(**overrides):
     topology = random_topology(42)
     procs = sorted(topology.processes)
     pattern = crash_pattern(pset(procs), {procs[0]: 0})
-    sends = random_sends(topology, 10, seed=365019)
-    return ScenarioSpec.capture(
-        topology, pattern, sends, seed=365019, **overrides
-    )
+    sends = random_sends(topology, 10, seed=SEED)
+    return ScenarioSpec.capture(topology, pattern, sends, seed=SEED, **overrides)
 
 
 def test_wholly_crashed_intersection_terminates():
@@ -90,7 +96,7 @@ def test_process_scoping_still_reproduces_the_gap(monkeypatch):
     process_scoped_everywhere(monkeypatch)
     result = run_scenario(_falsifying_spec())
     assert result.quiescent
-    assert len(check_termination(result.record)) == 4
+    assert len(check_termination(result.record)) == 5
     assert check_integrity(result.record) == []
     minted = [message_key for message_key, _family in result.system.space._consensus]
     assert len(minted) > len(set(minted)), "every message kept to one CONS instance"

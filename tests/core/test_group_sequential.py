@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.algorithm1 import Algorithm1Process
 from repro.core.engine import MulticastSystem
 from repro.core.group_sequential import AtomicMulticast
 from repro.groups.topology import paper_figure1_topology
@@ -20,6 +21,54 @@ def fresh(pattern=None, seed=0):
         paper_figure1_topology(), pattern or failure_free(ALL), seed=seed
     )
     return system, AtomicMulticast(system)
+
+
+def first_delivery_and_push(monkeypatch, action_budget=None):
+    """Two multicasts to g3 through the reduction, ticked to the end:
+    the round in which the first is first delivered, and the round of
+    the first line-7 push of the second (``Algorithm1Process.multicast``)
+    by that deliverer."""
+    system, amc = fresh()
+    pushes = []
+    real = Algorithm1Process.multicast
+
+    def noting(process, message):
+        pushes.append((system.time, process.pid, message))
+        return real(process, message)
+
+    monkeypatch.setattr(Algorithm1Process, "multicast", noting)
+    first = amc.multicast(P1, "g3", "first")
+    second = amc.multicast(P3, "g3", "second")
+    while not system.everyone_delivered(second):
+        assert system.time < 200
+        system.tick(action_budget=action_budget)
+    assert_run_ok(system.record)
+    event = next(e for e in system.record.deliveries if e.message == first)
+    pushed = next(
+        t for t, p, m in pushes if m == second and p == event.process
+    )
+    return event.time, pushed
+
+
+class TestStepOrder:
+    """``SharedObjectActor.fire``: unbudgeted, the Prop 1 helper and the
+    action scan take turns until one of them fires nothing."""
+
+    def test_the_deliverer_pushes_the_next_entry_in_the_same_round(
+        self, monkeypatch
+    ):
+        # Red under the old body (helper once, then one scan): the push
+        # waited for the deliverer's next round.
+        delivered, pushed = first_delivery_and_push(monkeypatch)
+        assert pushed == delivered
+
+    def test_a_budgeted_fire_keeps_one_helper_pass_and_one_scan(
+        self, monkeypatch
+    ):
+        # action_budget=1 fires the helper once, then one action: the
+        # push lands in a later round, as before the turns existed.
+        delivered, pushed = first_delivery_and_push(monkeypatch, action_budget=1)
+        assert pushed > delivered
 
 
 class TestVanillaInterface:
@@ -103,5 +152,5 @@ class TestVanillaInterface:
             return total
 
         loads = (1, 2, 4, 8)
-        assert [rounds(n, reduction=True) for n in loads] == [4, 6, 12, 20]
+        assert [rounds(n, reduction=True) for n in loads] == [4, 6, 9, 14]
         assert [rounds(n, reduction=False) for n in loads] == [4, 9, 19, 37]

@@ -122,7 +122,7 @@ class TestNemesisGrid:
         rows = []
         report = run_campaign(nemesis_campaign(seeds=5), on_row=rows.append)
         assert report.summary["violations"]["ordering"] >= 1
-        assert red_cells(report, rows)[0].startswith("ring5:s3:vanilla:async:chaos")
+        assert red_cells(report, rows)[0].startswith("figure1:s0:vanilla:engine:chaos")
 
 
 class TestWeightedMixes:

@@ -14,6 +14,7 @@ Three guards, one per way the sparse graph could go wrong:
 """
 
 import random
+from dataclasses import replace
 
 from repro.faults.nemesis import random_plan
 from repro.groups.topology import paper_figure1_topology
@@ -154,11 +155,23 @@ def test_a_recovering_intersection_keeps_ordering():
     assert run_scenario(readme_triage_cell()).verdicts()["ordering"] == 0
 
 
+def known_violating_cell():
+    """The README cell at schedule seed 1.  Seed 82 delivered a cycle
+    under the retired faultiness body until the engine let a member push
+    the next ``L_g`` entry in the step that delivered the last one;
+    seed 1 does under the new step order."""
+    return replace(readme_triage_cell(), seed=1)
+
+
+def test_the_known_violating_cell_is_clean():
+    assert run_scenario(known_violating_cell()).verdicts()["ordering"] == 0
+
+
 def test_known_ordering_violation_is_still_caught(monkeypatch):
-    """The same cell under the retired faultiness body
+    """The cell under the retired faultiness body
     (``tests/groups/_oracle.py``) delivers a cycle; the sparse graph
     must still report it."""
     monkeypatch.setattr(
         "repro.groups.families.faulty_edges_at", groups_oracle.faulty_edges_at
     )
-    assert run_scenario(readme_triage_cell()).verdicts()["ordering"] == 1
+    assert run_scenario(known_violating_cell()).verdicts()["ordering"] == 1

@@ -24,7 +24,10 @@ them against the current tree and compares.  A mismatch means the shared
 scheduler changed an observable schedule — the one thing the refactor
 promised not to do.  The async entries were frozen before the driver's
 wake path became one timer per landing, and pin that schedule the same
-way: every latency draw, deadline and ``(when, seq)`` tie.
+way: every latency draw, deadline and ``(when, seq)`` tie.  All but the
+8 ``engine:figure1:participation:*`` engine entries, and every async
+one, were re-versioned once on purpose (DESIGN.md §13 policy (2)): the
+step order inside ``SharedObjectActor.fire``.
 """
 
 from __future__ import annotations

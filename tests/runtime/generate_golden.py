@@ -6,10 +6,15 @@ Usage::
 
 The committed ``golden.json`` is exactly what this script writes on the
 committed tree; CI's ``runtime-differential`` job re-runs it and fails on
-any diff.  The 168 engine and 80 ``kernel:pingpong*`` fingerprints are
-still the ones produced at the last commit *before* the
-``repro.runtime`` extraction (91a52c1) — they pin the runtime loop, and
-every commit since reproduces them byte for byte.  The 20
+any diff.  The 80 ``kernel:pingpong*`` and the 8
+``engine:figure1:participation:*`` fingerprints are still the ones
+produced at the last commit *before* the ``repro.runtime`` extraction
+(91a52c1) — they pin the runtime loop, and every commit since
+reproduces them byte for byte.  The other 160 engine fingerprints and
+the 16 ``async:*`` ones were re-versioned once under DESIGN.md §13
+policy (2), when ``SharedObjectActor.fire`` let the Prop 1 helper and
+the action scan take turns within one step; rebinding the old fire body
+reproduces their old values.  The 20
 ``kernel:replog3:*`` fingerprints were re-versioned three times under
 DESIGN.md §13 policy (2): in PR 20 (the §4.3 consensus deliberately
 sends fewer datagrams), in PR 21 (a log slot decides a batch) and in
@@ -17,7 +22,7 @@ PR 23 (a learner does not relay DECIDE); CHANGES.md lists the keys and
 the reason each time, and ``tests/substrates/replog3_pr2*.json`` keep
 the retired values for the oracles to reproduce.  The 16 ``async:*``
 fingerprints were recorded before the async driver's wake path was
-folded into one timer per landing; that change replays them unchanged.
+folded into one timer per landing; that change replayed them unchanged.
 
 Regenerate only for such a deliberate, documented behaviour change, in
 the PR that makes it — never to paper over a differential failure.

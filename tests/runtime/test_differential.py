@@ -31,8 +31,11 @@ schedule.  Fix the scheduler — never regenerate ``golden.json`` to make
 a failure disappear.  (The 20 ``kernel:replog3:*`` entries are the one
 exception on record: PR 20 and PR 23 changed the consensus protocol's
 message pattern and PR 21 what a log slot decides, each on purpose, and
-re-versioned them under DESIGN.md §13 policy (2);
-the engine and ``pingpong`` entries are still the pre-refactor ones.)
+re-versioned them under DESIGN.md §13 policy (2).  The second: 160
+engine entries and the 16 ``async:*`` ones moved once, when
+``SharedObjectActor.fire`` let the Prop 1 helper and the action scan
+take turns within one step; the 8 ``engine:figure1:participation:*``
+entries and the ``pingpong`` ones are still the pre-refactor ones.)
 """
 
 from __future__ import annotations

@@ -100,9 +100,13 @@ SPECS = {
 #: stopped covering the row's address; spec schema 8 replayed them as is.
 #: All eight were re-recorded again when the row's ``trace`` section lost
 #: its ``interleaving`` stream (cache schema 3); each equals the old row's
-#: digest with ``trace.interleaving`` removed.
+#: digest with ``trace.interleaving`` removed.  The two engine pins
+#: whose runs send twice to one group (``figure1-engine-crash``,
+#: ``figure1-engine-truncated``) were re-recorded when the engine let a
+#: member push the next ``L_g`` entry in the step that delivered the
+#: last one (DESIGN.md §13); the old step order reproduces the old pins.
 PINS = {
-    "figure1-engine-crash": "f8845ed46b53d4a6ddcc1c55a1ceea45a780e09db193216b5dbf094884b3ca14",
+    "figure1-engine-crash": "7d2b9f60633538996cf2ba60e6e0620b368f406c955e38e4788a62f9dc1c6b7d",
     # The two kernel pins were re-recorded in PR 20 (the §4.3 consensus
     # sends fewer datagrams), PR 21 (a log slot decides a batch) and PR 23
     # (DECIDE is not relayed, a waiting replica is parked, ``Omega_g`` takes
@@ -118,7 +122,7 @@ PINS = {
     "disjoint-kernel-faulted": "d5286acf6bdb47f26298cc090b62aa3dc58467e00e933c2b86171c5998f83d2d",
     "figure1-async-faulted": "25d51ebc6a4b7cabebe1962452751455e23e9d0165ea8adca2d26437c7d7bda4",
     "disjoint-kernel-detectors": "6677d45315571f95a0b20f214b08fb813db5e98ffae6289fa3fbf86b8b59492e",
-    "figure1-engine-truncated": "f92c53eb75677103a0aad740736437bb12626186f224d87b8b3c47b62be80e2b",
+    "figure1-engine-truncated": "0f0abda35b7253999dbc73d6e67a99b949201fe1164bdfa2ad2207d144a63894",
 }
 
 
