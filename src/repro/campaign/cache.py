@@ -34,9 +34,10 @@ from repro.workloads.spec import ScenarioSpec
 #: a change to the row's layout, or to the engine's step order (a row
 #: is a function of the cell *and* of that order).  Version 3 dropped
 #: the interleaving transition stream from the row's ``trace`` section;
-#: version 4 is the engine's helper–scan turns within one step.  Older
-#: entries miss and re-run.
-CACHE_SCHEMA_VERSION = 4
+#: version 4 is the engine's helper–scan turns within one step; version
+#: 5 is line 7's one precondition (no append of a message already in
+#: ``LOG_g``).  Older entries miss and re-run.
+CACHE_SCHEMA_VERSION = 5
 
 
 class CampaignCache:

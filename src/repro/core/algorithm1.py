@@ -11,7 +11,8 @@ Mapping to the pseudo-code:
 =================  ====================================================
 paper              here
 =================  ====================================================
-lines 5–7          :meth:`Algorithm1Process.multicast`
+lines 5–7          :meth:`Algorithm1Process.multicast`,
+                   :meth:`Algorithm1Process._push` (line 7)
 lines 8–15         :meth:`Algorithm1Process._try_pending`
 lines 16–24        :meth:`Algorithm1Process._try_commit`
 lines 25–29        :meth:`Algorithm1Process._try_stabilize`
@@ -153,10 +154,10 @@ class Algorithm1Process:
         space: ObjectSpace,
         mu: Mu,
         on_deliver: DeliverFn,
+        blocked: BlockedFn,
         variant: str = "vanilla",
         indicators: Optional[Dict[FrozenSet[ProcessId], IndicatorOracle]] = None,
         stats: Optional[TraceRecorder] = None,
-        blocked: Optional[BlockedFn] = None,
     ) -> None:
         if variant not in VARIANTS:
             raise SimulationError(f"unknown variant {variant!r}")
@@ -178,7 +179,7 @@ class Algorithm1Process:
         #: (a name hashes in C; ``Group.__hash__`` is a Python call).
         self._stabilized: Set[Tuple[MessageId, str]] = set()
         #: Locally requested multicasts whose line-7 append is still
-        #: waiting for a quorum (retried by the action scan).
+        #: waiting for a quorum (retried by the action scan, :meth:`_push`).
         self._to_multicast: Set[MessageId] = set()
         #: Per-destination-group consensus family, memoized (line 20).
         self._family_keys: Dict[Group, FrozenSet[str]] = {}
@@ -203,8 +204,8 @@ class Algorithm1Process:
         self._routes: Dict[FrozenSet[ProcessId], _Route] = {}
         #: Instrumentation sink (detector-query counters); optional.
         self.stats = stats
-        #: The quorum guard of an operation inside an action scan; the
-        #: engine passes its own (actions cannot run without one).
+        #: The quorum guard of an operation: the engine's memo
+        #: (:meth:`repro.core.engine.MulticastSystem.blocked`).
         self._blocked = blocked
         #: Why the last action scan ended blocked: a subset of the
         #: ``WAIT_*`` reasons of :mod:`repro.metrics.trace`.  Empty after
@@ -304,13 +305,26 @@ class Algorithm1Process:
         if not route.member:
             raise SimulationError(f"{self.pid} is not in {route.g.name}")
         self._learn(message)
-        if self.phase_of(message) != START:
-            return  # pre: PHASE[m] = start
-        log_g = route.log
-        if not log_g.mutation_available(self.pid):
-            self._to_multicast.add(message.mid)  # retried by the scan
-            return
-        log_g.append(self.pid, message)
+        self._push(message, route)
+
+    def _push(self, message: MulticastMessage, route: _Route) -> bool:
+        """Line 7 — pre ``PHASE[m] = start`` and ``m ∉ LOG_g``, eff
+        ``LOG_g.append(m)`` — the one body of :meth:`multicast` and of
+        the scan's retry; returns whether it fired.  A message another
+        member already appended is not appended again (the append would
+        charge every carrier of ``g`` for nothing).  An append whose
+        quorum does not answer yet waits in ``_to_multicast``."""
+        if (
+            self.phase.get(message.mid, START) != START
+            or message in route.log.log.positions
+        ):
+            return False
+        if self._blocked(self.pid, route.quorum, None) is not None:
+            self._to_multicast.add(message.mid)
+            self.wait_reasons.add(WAIT_QUORUM)
+            return False
+        route.log.append(self.pid, message)
+        return True
 
     # -- The action scan -------------------------------------------------------
 
@@ -344,25 +358,17 @@ class Algorithm1Process:
         self.discover()
         self.wait_reasons = set()
         fired = 0
-        pid = self.pid
         known = self.known
         phases = self.phase
         routes = self._routes
         for mid in sorted(self._to_multicast) if self._to_multicast else ():
             if budget is not None and fired >= budget:
                 return fired
+            self._to_multicast.discard(mid)  # _push puts it back if blocked
             message = known[mid]
             route = routes.get(message.dst) or self._route(message)
-            log_g = route.log
-            if phases.get(mid, START) != START or message in log_g.log.positions:
-                self._to_multicast.discard(mid)
-                continue
-            if self._blocked(pid, route.quorum, None) is None:
-                log_g.append(pid, message)
-                self._to_multicast.discard(mid)
+            if self._push(message, route):
                 fired += 1
-            else:
-                self.wait_reasons.add(WAIT_QUORUM)
         done = self._done
         retired = len(done)
         try:

@@ -19,20 +19,22 @@ Scheduling
 The seed engine re-scanned every scheduled process each round, paying
 O(processes × rounds) even when almost everyone was blocked on a quorum
 or a ``gamma`` wait.  The engine is now *event-driven*: a process whose
-scan fired nothing is parked until an event that can change its wait
-condition —
+step fired nothing is parked — its key joins the scheduler's
+``proven_parked``, the set the kernel parks in too — until an event that
+can change its wait condition removes it:
 
 * a write to a shared object it can read (its group logs, the
   intersection logs of its groups, its reduction lists ``L_g``): every
   log binds its reader set when it is created
   (:func:`repro.objects.space.reader_set`), and a mutation hands it to
   :meth:`MulticastSystem._write` with its charge — one call that records
-  the steps and wakes the readers;
-* a change of the participation/responder sets (quorum availability);
-* a detector transition or a crash — conservatively covered by falling
-  back to a full scan while ``time <= settle_horizon()``, the window in
-  which gamma, the indicators and Omega may still move and processes may
-  still crash.
+  the steps and unparks the readers;
+* a host-called :meth:`MulticastSystem.multicast` by the process;
+* a change of the participation/responder sets (quorum availability) or
+  a detector transition or a crash — covered by the scheduler's full
+  scans (which empty the set), forced on such a change and while
+  ``time <= settle_horizon()``, the window in which gamma, the
+  indicators and Omega may still move and processes may still crash.
 
 The seeded random schedule is *unchanged*: the full eligible order is
 shuffled exactly as before and parked processes are merely skipped, so
@@ -62,10 +64,12 @@ stabilization time.  Algorithm 1's actions therefore read the guard from
 a memo (:meth:`MulticastSystem.blocked`), one call per operation with the
 guards their route binds; a miss asks ``quorum_ok``, the one body that
 decides a verdict.  The memo holds for one ``responders`` object and one
-epoch of those instants; an action scan checks both when it starts and
-:meth:`MulticastSystem.renew_verdicts` empties it when either moved.  The
-guard counters count every check, hit or miss, as before.  The
-host-called :meth:`MulticastSystem.multicast` asks the guard directly.
+epoch of those instants: :meth:`MulticastSystem.fresh_verdicts` checks
+both before an action scan and before a host-called
+:meth:`MulticastSystem.multicast`, and empties it when either moved, so
+line 7 reads it on both of its paths.  The guard counters count every
+check, hit or miss, as before.  The object space knows nothing of
+availability: the guard is the actions' precondition.
 
 Caveat for auxiliary :data:`Component` sources: a component is re-run
 only while its process is awake.  Components whose enabledness is driven
@@ -141,15 +145,12 @@ class MulticastSystem(RoundHost):
         #: Where :meth:`_write` records a charge: the record's charge list.
         self._charge = self.record.charges.append
         tracer = TraceRecorder()
-        #: Processes whose wait condition may have changed since their
-        #: last clean (zero-fired) scan.  Starts as everyone.
-        self._dirty: Set[ProcessId] = set(topology.processes)
         #: Optional observer of wake events, called with the processes
-        #: just dirtied.  The async driver installs itself here to route
+        #: just unparked.  The async driver installs itself here to route
         #: wakes through latency-modelled channels; ``None`` (round
         #: execution) keeps the wake path untouched.
         self.wake_listener: Optional[Callable[[FrozenSet[ProcessId]], None]] = None
-        self.space = ObjectSpace(self._write, guard=self.quorum_ok, isolation=isolation)
+        self.space = ObjectSpace(self._write, isolation=isolation)
         #: The run's detector (the pattern oracles when not given).
         self.mu = build_mu(pattern, topology) if mu is None else mu
         #: The guard's memo (:meth:`blocked`): ``quorum_ok``'s verdict per
@@ -157,7 +158,7 @@ class MulticastSystem(RoundHost):
         #: functions of the clock's epoch between two of
         #: :attr:`_verdict_instants` and of the responder set, so the
         #: memo holds for one epoch and one ``responders`` object
-        #: (:meth:`renew_verdicts`).
+        #: (:meth:`fresh_verdicts`).
         self._verdicts: Dict[Any, bool] = {}
         #: Where a verdict can change with the clock: every ``Sigma``
         #: instant and every ``Omega_g`` stabilization time.
@@ -168,7 +169,7 @@ class MulticastSystem(RoundHost):
             )
         )
         #: The responders and the epoch ``[since, until)`` the memo holds
-        #: for; the first scan renews it.
+        #: for; the first read renews it (:meth:`fresh_verdicts`).
         self._verdicts_for: Optional[FrozenSet[ProcessId]] = None
         self._verdicts_since: Time = 0
         self._verdicts_until: float = -1
@@ -222,6 +223,11 @@ class MulticastSystem(RoundHost):
                 injector=injector,
             )
         )
+        #: Who is parked: the scheduler's memo, as on the kernel.  A
+        #: process enters it with a fire that fired nothing and leaves it
+        #: on a write to an object it reads, :meth:`wake_all` or its own
+        #: host-called :meth:`multicast`; a full scan empties it.
+        self._parked: Set[ProcessId] = self._scheduler.proven_parked
 
     # -- Wiring ---------------------------------------------------------------
 
@@ -234,13 +240,13 @@ class MulticastSystem(RoundHost):
         """One shared-object operation: record its charge, wake its readers."""
         self._charge((self._scheduler.time, processes, reason))
         if readers:
-            self._dirty |= readers
+            self._parked -= readers
             if self.wake_listener is not None:
                 self.wake_listener(readers)
 
     def wake_all(self) -> None:
         """Force every process through the next action scan."""
-        self._dirty = set(self.topology.processes)
+        self._parked.clear()
         if self.wake_listener is not None:
             self.wake_listener(self.topology.processes)
 
@@ -268,12 +274,18 @@ class MulticastSystem(RoundHost):
             tracer.quorum_stalls += 1
         return available
 
-    def renew_verdicts(self) -> None:
-        """Empty the guard's memo and key it to the scheduler's responder
-        set (the very object) and the epoch of its clock.  An action scan
-        calls it when the memo was kept for other ones
-        (:meth:`SharedObjectActor.fire`); both hold still during a scan."""
+    def fresh_verdicts(self) -> None:
+        """Keep the guard's memo if it was kept for the scheduler's
+        responder set (the very object) and the epoch of its clock;
+        otherwise empty it and key it to both.  Called before an action
+        scan (:meth:`SharedObjectActor.fire`) and before a host-called
+        line-7 push (:meth:`multicast`): the clock and the responders
+        hold still during either."""
         scheduler = self._scheduler
+        if scheduler.responders is self._verdicts_for and (
+            self._verdicts_since <= scheduler.time < self._verdicts_until
+        ):
+            return
         self._verdicts.clear()
         self._verdicts_for = scheduler.responders
         instants = self._verdict_instants
@@ -289,9 +301,9 @@ class MulticastSystem(RoundHost):
         guards: Tuple[Guard, ...],
         signature: Optional[Tuple[Any, ...]],
     ) -> Optional[str]:
-        """The quorum guard of one operation by ``caller`` inside an
-        action scan: the ``reason`` of the first of ``guards`` that fails
-        now, or ``None`` when all hold.
+        """The quorum guard of one operation by ``caller``: the
+        ``reason`` of the first of ``guards`` that fails now, or ``None``
+        when all hold.
 
         Each guard's scope is asked of the memo; a miss asks
         :meth:`quorum_ok`, the one body that decides a verdict, and keeps
@@ -302,7 +314,8 @@ class MulticastSystem(RoundHost):
         only for guards without a log): off the fast path the slow scope
         is one more guard.  A ``CONS_{m,f}`` guard then reads its
         host's gate (:meth:`consensus_ok`) the same way, uncounted.
-        Valid only inside a scan, whose start checked the memo.
+        Valid only after :meth:`fresh_verdicts` at the current clock and
+        responders.
         """
         verdicts = self._verdicts
         tracer = self.tracer
@@ -385,9 +398,10 @@ class MulticastSystem(RoundHost):
         self.record.note_multicast(self.time, src, message)
         # The sender must retry its line-7 append even when the append is
         # deferred on a quorum (no object write happens in that case).
-        self._dirty.add(src)
+        self._parked.discard(src)
         if self.wake_listener is not None:
             self.wake_listener((src,))
+        self.fresh_verdicts()
         self.processes[src].multicast(message)
         return message
 

@@ -25,10 +25,9 @@ from typing import Any, Dict, List, Set, Tuple
 from repro.core.algorithm1 import Algorithm1Process
 from repro.core.engine import MulticastSystem
 from repro.core.phases import DELIVER
-from repro.groups.topology import Group
 from repro.model.errors import SimulationError
 from repro.model.messages import MessageId, MulticastMessage
-from repro.model.processes import ProcessId
+from repro.model.processes import ProcessId, ProcessSet
 from repro.objects.log import Log
 from repro.objects.space import LogHandle, reader_set
 
@@ -44,9 +43,12 @@ class AtomicMulticast:
 
     def __init__(self, system: MulticastSystem) -> None:
         self.system = system
-        #: The shared lists ``L_g``, one per group, read by its members.
-        self._lists: Dict[Group, LogHandle] = {
-            g: LogHandle(Log(f"L_{g.name}"), g.members, reader_set(g), system._write)
+        #: The shared lists ``L_g``, one per group (keyed by its members,
+        #: a message's ``dst``), read by its members.
+        self._lists: Dict[ProcessSet, LogHandle] = {
+            g.members: LogHandle(
+                Log(f"L_{g.name}"), g.members, reader_set(g), system._write
+            )
             for g in system.topology.groups
         }
         self._pushed: Set[Tuple[ProcessId, MessageId]] = set()
@@ -54,7 +56,7 @@ class AtomicMulticast:
         #: of it: the live entry list of ``L_g`` (append-only) and how
         #: many leading entries of it the process has delivered.
         self._feeds: Dict[ProcessId, List[List[Any]]] = {
-            p: [[self._lists[g].log.arrivals, 0] for g in algo.my_groups]
+            p: [[self._lists[g.members].log.arrivals, 0] for g in algo.my_groups]
             for p, algo in system.processes.items()
         }
         system.add_component(self._reduction_actions)
@@ -65,16 +67,12 @@ class AtomicMulticast:
         self, src: ProcessId, group: str, payload: object = None
     ) -> MulticastMessage:
         """Multicast ``payload`` from ``src`` to ``group`` (vanilla)."""
-        if not self.system.is_alive(src):
+        system = self.system
+        if not system.is_alive(src):
             raise SimulationError(f"{src} is crashed and cannot multicast")
-        g = self.system.topology.group(group)
-        if src not in g:
-            raise SimulationError(
-                f"closed model: {src.name} does not belong to {group}"
-            )
-        message = self.system.factory.multicast(src, g.members, payload)
-        self.system.record.note_multicast(self.system.time, src, message)
-        self._lists[g].append(src, message)
+        message = system.make_message(src, group, payload)
+        system.record.note_multicast(system.time, src, message)
+        self._lists[message.dst].append(src, message)
         return message
 
     # -- The helping component, ticked by the engine -------------------------------

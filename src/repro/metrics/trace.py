@@ -51,12 +51,13 @@ class RoundTrace:
             set — what a scan-everything engine would have scanned.
         scanned: processes whose action scan actually ran.
         skipped: processes the round skipped as parked (``eligible -
-            scanned``): absent from the engine's dirty set, or proven
-            parked by the kernel — by the scheduler's memo or a fresh
-            ``parked`` verdict.
+            scanned``): in the scheduler's ``proven_parked`` memo (the
+            engine's only parking record; the kernel's too), or, on the
+            kernel, by a fresh ``parked`` verdict.
         actions: actions fired across the system this round.
         full_scan: whether the scheduler fell back to scanning everyone
-            (detector-settle window, participation change, zero budget).
+            (detector-settle window, a change of the scheduled or
+            responder set).
         quorum_queries: quorum-guard evaluations this round.
         quorum_stalls: quorum-guard evaluations that returned False.
         gamma_queries: gamma oracle consultations.

@@ -42,10 +42,6 @@ WriteSink = Callable[[Tuple[ProcessId, ...], str, FrozenSet[ProcessId]], None]
 #: One operation path's memoised sink arguments.
 Bill = Tuple[Tuple[ProcessId, ...], str, FrozenSet[ProcessId]]
 
-#: Quorum guard: (caller, scope) -> True when a live quorum of ``scope``
-#: is currently able to respond (see MulticastSystem.quorum_ok).
-GuardFn = Callable[[ProcessId, ProcessSet], bool]
-
 
 def _det_label(key: Any) -> str:
     """A hash-seed-independent rendering of an object-name key.
@@ -98,18 +94,15 @@ def billing_order(caller: ProcessId, scope: ProcessSet) -> Tuple[ProcessId, ...]
     return (caller, *[c for c in scope if c != caller])
 
 
-def _always_available(_p: ProcessId, _scope: ProcessSet) -> bool:
-    """Default quorum guard: the linearized world never blocks."""
-    return True
-
-
 class LogHandle:
     """A shared log bound to its carrier set for step accounting.
 
     Mutations (``append``, ``bump_and_lock``) charge the invoker and the
     carriers and wake the log's ``readers``, in one sink call; read-only
     queries are free (each carrier maintains a local replica in the
-    universal construction, so reads are local).
+    universal construction, so reads are local).  Whether a quorum can
+    answer a mutation is the caller's precondition, not the handle's
+    (:meth:`repro.core.engine.MulticastSystem.blocked`).
     """
 
     def __init__(
@@ -118,14 +111,12 @@ class LogHandle:
         carriers: ProcessSet,
         readers: FrozenSet[ProcessId],
         write: WriteSink = _no_write,
-        guard: GuardFn = _always_available,
     ) -> None:
         self.log = log
         self.carriers = carriers
         #: Who reads this log: every mutation wakes them.
         self.readers = readers
         self._write = write
-        self._guard = guard
         #: ``(billing order, reason, readers)`` per (caller, op path) —
         #: the scope a path charges and the log's name never change.
         self._bills: Dict[Tuple[ProcessId, str], Bill] = {}
@@ -133,19 +124,6 @@ class LogHandle:
     @property
     def name(self) -> str:
         return self.log.name
-
-    def mutation_available(self, caller: ProcessId) -> bool:
-        """Whether a mutation by ``caller`` can gather its quorum now.
-
-        Operations of the universal construction complete only once a
-        quorum of the carrier scope (per ``Sigma_carriers``) responds;
-        action systems consult this as an extra precondition.  Algorithm
-        1's actions read the engine's memo of the guard instead
-        (:meth:`repro.core.engine.MulticastSystem.blocked`), which keeps
-        this path's verdicts and counters; a line-7 append the host
-        requests outside an action scan asks here.
-        """
-        return self._guard(caller, self.carriers)
 
     def _bill(self, caller: ProcessId, op: str, scope: ProcessSet) -> Bill:
         """Memoise the sink arguments of ``op`` (a path) by ``caller``,
@@ -213,8 +191,8 @@ class IntersectionLogHandle(LogHandle):
     first out-of-order mutation (step contention) falls back to the
     consensus hosted by the carrier group and charges it.  A fast-path
     operation needs a ``Sigma_{g∩h}`` quorum; a slow-path one also a
-    quorum of :meth:`slow_scope` — the guard peeks the classification
-    (:meth:`would_be_fast`) before the operation.
+    quorum of :meth:`slow_scope` — the caller's guard peeks the
+    classification (:meth:`would_be_fast`) before the operation.
     """
 
     def __init__(
@@ -224,10 +202,9 @@ class IntersectionLogHandle(LogHandle):
         host_group: Group,
         readers: FrozenSet[ProcessId],
         write: WriteSink = _no_write,
-        guard: GuardFn = _always_available,
         isolation: bool = False,
     ) -> None:
-        super().__init__(log, intersection, readers, write, guard)
+        super().__init__(log, intersection, readers, write)
         self.host_group = host_group
         #: §6.2 configuration: the backing consensus runs inside ``g∩h``
         #: (from ``Sigma_{g∩h} ∧ Omega_{g∩h}``) instead of a host group.
@@ -326,11 +303,9 @@ class ObjectSpace:
     def __init__(
         self,
         write: WriteSink = _no_write,
-        guard: GuardFn = _always_available,
         isolation: bool = False,
     ) -> None:
         self._write = write
-        self._guard = guard
         #: §6.2 strongly-genuine configuration for intersection logs.
         self.isolation = isolation
         self._group_logs: Dict[Group, LogHandle] = {}
@@ -346,7 +321,6 @@ class ObjectSpace:
                 g.members,
                 reader_set(g),
                 self._write,
-                self._guard,
             )
             self._group_logs[g] = handle
         return handle
@@ -375,7 +349,6 @@ class ObjectSpace:
                 # The topology's pair order (GroupTopology.intersecting_pairs).
                 readers=reader_set(*sorted((g, h))),
                 write=self._write,
-                guard=self._guard,
                 isolation=self.isolation,
             )
             self._intersection_logs[key] = handle

@@ -4,21 +4,23 @@ Three adapters cover every loop in the repo:
 
 * :class:`SharedObjectActor` — one Algorithm 1 process (plus its
   auxiliary components) inside a :class:`repro.core.engine.MulticastSystem`;
-  parking is driven by the system's dirty set.
+  a fire that fired nothing parks it until a write wakes it.
 * :class:`AutomatonActor` — one Appendix-A automaton inside a
   :class:`repro.sim.kernel.Kernel`; parking is driven by the automaton's
   :meth:`~repro.sim.kernel.Automaton.idle` declaration, the message
-  buffer's pending queue and the detector sample of its last step, and
-  a verdict of parked is memoised until an event voids it.
+  buffer's pending queue and the detector sample of its last step.
 * :class:`SystemActor` — a whole subsystem as a single actor (the
   baselines and the §5/§6 emulation drivers, which advance an entire
   deployment per round and have no per-process schedule of their own).
+
+The first two keep a verdict of parked in the scheduler's
+``proven_parked`` set until an event voids it.
 
 :class:`RoundHost` is the one base of every host: it owns the scheduler
 the actors run under.
 
 The adapters deliberately hold a back-reference to their host instead of
-copying its state: the dirty set, the started set and the message buffer
+copying its state: the parked set, the started set and the message buffer
 are live, shared structures, and the host's public mutators
 (``wake_all``, ``multicast``, ``step_process``) must keep affecting the
 very objects the actors consult.
@@ -35,11 +37,12 @@ from repro.runtime.scheduler import Actor, Scheduler
 
 
 class SharedObjectActor(Actor):
-    """One Algorithm 1 process + components, parked via the dirty set.
+    """One Algorithm 1 process + components, parked in the scheduler's set.
 
-    A process is parked when it is absent from the system's dirty set:
-    its last scan fired nothing and no shared object it reads has been
-    written since (see :meth:`repro.core.engine.MulticastSystem._write`).
+    A process is parked while it is in ``proven_parked``: its last fire
+    fired nothing and no shared object it reads has been written since
+    (see :meth:`repro.core.engine.MulticastSystem._write`).  The round
+    skips it with that one lookup; the async driver asks :meth:`parked`.
     The engine records no wait reason for skipped processes
     (``SKIP_WAIT = ()``) — only scanned-but-blocked processes are
     histogrammed.
@@ -57,7 +60,7 @@ class SharedObjectActor(Actor):
         self._process = system.processes[pid]
 
     def parked(self, t: Time) -> bool:
-        return self._pid not in self._system._dirty
+        return self._pid in self._system._parked
 
     def fire(
         self,
@@ -66,14 +69,7 @@ class SharedObjectActor(Actor):
         parked: Optional[bool] = None,
     ) -> int:
         system, pid = self._system, self._pid
-        system._dirty.discard(pid)
-        # The clock and the responders hold still for the whole scan:
-        # the guard's memo serves it if it was kept for both.
-        scheduler = system._scheduler
-        if scheduler.responders is not system._verdicts_for or not (
-            system._verdicts_since <= scheduler.time < system._verdicts_until
-        ):
-            system.renew_verdicts()
+        system.fresh_verdicts()
         components = system._components
         process = self._process
         fired = 0
@@ -96,7 +92,9 @@ class SharedObjectActor(Actor):
         if fired:
             # Its own local state moved: its next action may already be
             # enabled without any further shared-object write.
-            system._dirty.add(pid)
+            system._parked.discard(pid)
+        else:
+            system._parked.add(pid)
         return fired
 
     def wait_reasons(self) -> Iterable[str]:

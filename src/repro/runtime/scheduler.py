@@ -43,13 +43,15 @@ thin delegations.  Two invariants make that safe:
 * **Skip soundness** — an actor is skipped only when the round is not a
   *full scan* and either its key is in :attr:`Scheduler.proven_parked`
   or it reports :meth:`Actor.parked`.  Full scans are forced while
-  ``time <= settle_horizon`` (detector outputs may still move), whenever
-  the (scheduled, responder) set pair changes (quorum availability),
-  and on non-positive action budgets; a full scan empties
-  ``proven_parked``.  The set is the host's memo of ``parked`` verdicts
-  that no event has voided since: the host adds a key when its
-  predicate held and removes it on every event that can unpark it, so
-  a member is skipped with one set lookup and no call into the actor.
+  ``time <= settle_horizon`` (detector outputs may still move) and
+  whenever the (scheduled, responder) set pair changes (quorum
+  availability); a full scan empties ``proven_parked``.  The set is the
+  host's memo of ``parked`` verdicts that no event has voided since: the
+  host adds a key when its predicate held and removes it on every event
+  that can unpark it, so a member is skipped with one set lookup and no
+  call into the actor.  A round's ``action_budget`` is at least 1: a
+  budget of 0 would fire nothing, and every actor it scanned would read
+  as parked with its work still due.
   These are soundness rules, not options: there is no scan-everything
   mode.  The seed loops' full-scan body and the predicate-only round
   the memo replaced survive as test oracles
@@ -369,9 +371,12 @@ class Scheduler:
         quorum requests — CHT-style simulated runs schedule one actor
         per step while the other scheduled processes still serve
         quorums.  ``action_budget`` caps actions per actor per round
-        (finest interleaving = 1).  Returns the number of productive
-        actions fired across the system.
+        (finest interleaving = 1; below 1 raises ``ValueError``).
+        Returns the number of productive actions fired across the
+        system.
         """
+        if action_budget is not None and action_budget < 1:
+            raise ValueError(f"action_budget {action_budget} is below 1")
         self.time += 1
         t = self.time
         if self.pre_round is not None:
@@ -385,11 +390,7 @@ class Scheduler:
             self._first_round()
         shuffle(order, self._rng.getrandbits, self._draws)
         fingerprint_changed = self.note_fingerprint(eligible)
-        full_scan = (
-            t <= self.settle_horizon
-            or fingerprint_changed
-            or (action_budget is not None and action_budget <= 0)
-        )
+        full_scan = t <= self.settle_horizon or fingerprint_changed
         proven = self.proven_parked
         if full_scan and proven:
             proven.clear()

@@ -31,13 +31,13 @@ the order the async driver draws wake latencies in.
 So does the quorum guard's call path.  Algorithm 1's actions ask the
 engine's memo once per operation, with the guards their route binds
 (``MulticastSystem.blocked``); until they did, every check was a call
-chain at its site — the handle's ``mutation_available``, then
-``MulticastSystem.quorum_ok``, then the ``Sigma`` query — and the
-intersection and consensus handles each kept their own.
-:func:`per_check_guards` binds those sites back, verbatim: the line-7
+chain at its site — ``MulticastSystem.quorum_ok`` on the log's carriers
+(through the handle's ``mutation_available``, since deleted), then the
+``Sigma`` query — and the intersection and consensus handles each kept
+their own.  :func:`per_check_guards` binds those sites back: the line-7
 retry loop of ``try_actions`` and the guards of ``_try_pending``,
 ``_try_commit`` and ``_try_stabilize``, over the retired handle bodies
-:func:`ilog_mutation_available` and :func:`cons_mutation_available`.
+:func:`ilog_quorum_ok` and :func:`cons_quorum_ok`.
 ``test_guard_memo.py`` runs cells under both.
 """
 
@@ -114,9 +114,7 @@ def five_tests_try_actions(self, t, budget=None):
         ):
             self._to_multicast.discard(mid)
             continue
-        if self._log(self._destination_group(message)).mutation_available(
-            self.pid
-        ):
+        if self._blocked(self.pid, self._route(message).quorum, None) is None:
             self._log(self._destination_group(message)).append(
                 self.pid, message
             )
@@ -193,22 +191,24 @@ def wake_index(topology: GroupTopology) -> Dict[str, FrozenSet[ProcessId]]:
     return {name: frozenset(pids) for name, pids in index.items()}
 
 
-def ilog_mutation_available(handle, caller, *signature):
+def ilog_quorum_ok(system, handle, caller, *signature):
     """``IntersectionLogHandle.mutation_available``: quorum availability,
     classified per Proposition 47 — a fast-path operation needs a
     ``Sigma_{g∩h}`` quorum, a slow-path one also the slow scope's.  On a
     plain ``LogHandle`` (``LOG_g`` among a route's carried logs) the
     signature is ignored, as that handle's method ignored it."""
-    if not isinstance(handle, IntersectionLogHandle):
-        return handle.mutation_available(caller)
-    if not handle._guard(caller, handle.carriers):
+    if not system.quorum_ok(caller, handle.carriers):
         return False
-    if signature and not handle.would_be_fast(caller, tuple(signature)):
-        return handle._guard(caller, handle.slow_scope())
+    if (
+        isinstance(handle, IntersectionLogHandle)
+        and signature
+        and not handle.would_be_fast(caller, tuple(signature))
+    ):
+        return system.quorum_ok(caller, handle.slow_scope())
     return True
 
 
-def cons_mutation_available(system, handle, caller):
+def cons_quorum_ok(system, handle, caller):
     """``ConsensusHandle.mutation_available``: a quorum of the host group
     responds *and* the group's leader oracle has stabilized."""
     if not system.quorum_ok(caller, handle.host_group.members):
@@ -216,9 +216,9 @@ def cons_mutation_available(system, handle, caller):
     return system.consensus_ok(caller, handle.host_group)
 
 
-def per_check_try_actions(self, t, budget=None):
-    """``Algorithm1Process.try_actions`` with the line-7 retry asking the
-    handle's guard."""
+def per_check_try_actions(system, self, t, budget=None):
+    """``Algorithm1Process.try_actions`` with the line-7 retry asking
+    ``quorum_ok`` on ``LOG_g``'s carriers."""
     self.discover()
     self.wait_reasons = set()
     fired = 0
@@ -234,7 +234,7 @@ def per_check_try_actions(self, t, budget=None):
         if phases.get(mid, START) != START or message in log_g.log.positions:
             self._to_multicast.discard(mid)
             continue
-        if log_g.mutation_available(pid):
+        if system.quorum_ok(pid, log_g.carriers):
             log_g.append(pid, message)
             self._to_multicast.discard(mid)
             fired += 1
@@ -289,7 +289,7 @@ def per_check_try_actions(self, t, budget=None):
             self._scan_order = [m for m in self._scan_order if m not in done]
 
 
-def per_check_try_pending(self, t, m, route):
+def per_check_try_pending(system, self, t, m, route):
     log_g = route.log
     if m not in log_g.log.positions:
         return False
@@ -297,11 +297,11 @@ def per_check_try_pending(self, t, m, route):
         self.wait_reasons.add(WAIT_ORDER)
         return False
     pid = self.pid
-    if not log_g.mutation_available(pid):
+    if not system.quorum_ok(pid, log_g.carriers):
         self.wait_reasons.add(WAIT_QUORUM)
         return False
     for _h, ilog in route.carried:
-        if not ilog_mutation_available(ilog, pid, "append", m):
+        if not ilog_quorum_ok(system, ilog, pid, "append", m):
             self.wait_reasons.add(WAIT_QUORUM)
             return False  # wait for a quorum of the carrier
     for h, ilog in route.carried:
@@ -331,11 +331,11 @@ def per_check_try_commit(system, self, t, m, route):
     family_key = self._consensus_family(g)  # line 20
     cons = self.space.consensus(m.mid, family_key, g)
     pid = self.pid
-    if not cons_mutation_available(system, cons, pid):
+    if not cons_quorum_ok(system, cons, pid):
         self.wait_reasons.add(WAIT_CONSENSUS)
         return False
     for _h, ilog in route.carried:
-        if not ilog_mutation_available(ilog, pid, "bumpAndLock", m, k):
+        if not ilog_quorum_ok(system, ilog, pid, "bumpAndLock", m, k):
             self.wait_reasons.add(WAIT_QUORUM)
             return False
     k = cons.propose(pid, k)  # line 21
@@ -345,7 +345,7 @@ def per_check_try_commit(system, self, t, m, route):
     return True
 
 
-def per_check_try_stabilize(self, t, m, route, max_fires=None):
+def per_check_try_stabilize(system, self, t, m, route, max_fires=None):
     fired = 0
     log_g = route.log
     for h, ilog in route.carried:  # line 27: h in G(p), g ∩ h ≠ ∅
@@ -358,7 +358,7 @@ def per_check_try_stabilize(self, t, m, route, max_fires=None):
         if not self._order_clear(ilog, m, STABLE):
             self.wait_reasons.add(WAIT_ORDER)
             continue  # line 28
-        if not log_g.mutation_available(self.pid):
+        if not system.quorum_ok(self.pid, log_g.carriers):
             self.wait_reasons.add(WAIT_QUORUM)
             continue
         log_g.append(self.pid, (m.mid, h.name))  # line 29
@@ -371,10 +371,13 @@ def per_check_guards(system):
     """Bind the per-check guard sites on every process of ``system`` (a
     ``MulticastSystem``).  Returns ``system`` for chaining."""
     for process in system.processes.values():
-        process.try_actions = MethodType(per_check_try_actions, process)
-        process._try_pending = MethodType(per_check_try_pending, process)
-        process._try_commit = MethodType(partial(per_check_try_commit, system), process)
-        process._try_stabilize = MethodType(per_check_try_stabilize, process)
+        for name, body in (
+            ("try_actions", per_check_try_actions),
+            ("_try_pending", per_check_try_pending),
+            ("_try_commit", per_check_try_commit),
+            ("_try_stabilize", per_check_try_stabilize),
+        ):
+            setattr(process, name, MethodType(partial(body, system), process))
     return system
 
 

@@ -98,7 +98,27 @@ def test_fine_and_coarse_agree_on_delivery_sets():
     assert run(fine=True) == run(fine=False)
 
 
-@pytest.mark.parametrize("budget", [0, 1])
+@pytest.mark.parametrize("before", [(), (1,), (None,)])
+def test_a_zero_budget_round_is_refused_and_strands_nothing(before):
+    """A round with ``action_budget=0`` fires nothing, so every process
+    it scanned used to be parked with its work still due: after
+    ``before`` and that round, a pending multicast ended quiescent in 2
+    rounds with 0 deliveries.  The round is refused, and the run goes
+    on to deliver."""
+    topo = paper_figure1_topology()
+    p1 = min(topo.processes)
+    system = MulticastSystem(topo, failure_free(topo.processes), seed=1)
+    amc = AtomicMulticast(system)
+    m = amc.multicast(p1, "g1")
+    for budget in before:
+        system.tick(action_budget=budget)
+    with pytest.raises(ValueError):
+        system.tick(action_budget=0)
+    amc.run()
+    assert system.last_run_quiescent and system.everyone_delivered(m)
+
+
+@pytest.mark.parametrize("budget", [1])
 def test_deferred_line7_appends_count_against_the_budget(budget):
     """Two multicasts deferred on their quorums become appendable in the
     same scan: a budgeted scan fires at most ``budget`` of them (the

@@ -71,6 +71,36 @@ class TestStepOrder:
         assert pushed > delivered
 
 
+class TestLineSeven:
+    """Line 7 is one action, pre ``PHASE[m] = start`` and ``m ∉ LOG_g``:
+    the Prop 1 helper pushes the first undelivered ``L_g`` entry at every
+    member, and the members after the first find it in ``LOG_g``."""
+
+    def test_every_push_adds_its_message_to_the_log(self, monkeypatch):
+        # Red before line 7 shared one precondition: 6 of the 20 pushes
+        # below appended a message another member had appended, charging
+        # every carrier of g again (506 steps; 490 without them).
+        system, amc = fresh()
+        pushes = []
+        real = Algorithm1Process.multicast
+
+        def noting(process, message):
+            g = system.topology.group_with_members(message.dst)
+            log = process.space.group_log(g)
+            was_there = message in log
+            charges = len(system.record.charges)
+            real(process, message)
+            pushes.append((was_there, len(system.record.charges) > charges))
+
+        monkeypatch.setattr(Algorithm1Process, "multicast", noting)
+        senders = ((P1, "g1"), (P2, "g2"), (P3, "g3"), (P4, "g4"))
+        sent = [amc.multicast(*senders[i % 4], i) for i in range(8)]
+        amc.run()
+        assert all(system.everyone_delivered(m) for m in sent)
+        assert_run_ok(system.record)
+        assert pushes and not [p for p in pushes if p == (True, True)]
+
+
 class TestVanillaInterface:
     def test_concurrent_multicasts_to_same_group_are_serialized(self):
         system, amc = fresh()

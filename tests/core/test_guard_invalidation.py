@@ -2,7 +2,7 @@
 
 ``MulticastSystem.blocked`` reads a verdict per scope (and per hosting
 group, for the ``CONS`` gate) from a memo that
-``MulticastSystem.renew_verdicts`` keeps for one ``scheduler.responders``
+``MulticastSystem.fresh_verdicts`` keeps for one ``scheduler.responders``
 object and one epoch of the ``Sigma`` instants and ``Omega``
 stabilization times.  Each test below moves one of those inputs while an
 operation waits on it and pins when the operation went through; the

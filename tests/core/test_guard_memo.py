@@ -3,8 +3,8 @@
 Algorithm 1's actions ask ``MulticastSystem.blocked`` once per operation:
 it reads each guard's verdict from a memo kept for one responder set and
 one epoch of the detector instants, and asks ``quorum_ok`` only on a
-miss.  The sites used to ask the handle's ``mutation_available`` →
-``quorum_ok`` → ``Sigma.query`` chain at every check;
+miss.  The sites used to ask ``quorum_ok`` → ``Sigma.query`` at every
+check (through the handle's ``mutation_available``, since deleted);
 ``_oracle.per_check_guards`` binds them back.  Each cell below runs under
 both, on the engine and on the async driver: the rows, the charges of the
 run record, the per-round ``quorum_queries`` / ``quorum_stalls`` and

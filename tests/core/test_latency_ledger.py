@@ -108,9 +108,12 @@ def test_the_latency_splits_into_queue_and_service(ledger):
 
 
 def test_steps_per_delivery_by_charge_reason(ledger):
+    # Before line 7 took ``m ∉ LOG_g`` into its precondition, 133 pushes
+    # appended a message already in LOG_g: "LOG_g.append" read 18 262 and
+    # the total 24.76 a delivery.
     assert dict(ledger["steps"]) == {
         "L_g.append": 1200,
-        "LOG_g.append": 18262,
+        "LOG_g.append": 17892,
         "LOG_g.bumpAndLock": 3120,
         "LOG_g∩h.append[fast]": 1742,
         "LOG_g∩h.append[slow]": 267,
@@ -119,4 +122,4 @@ def test_steps_per_delivery_by_charge_reason(ledger):
         "CONS.propose": 3120,
     }
     total = sum(ledger["steps"].values())
-    assert round(total / ledger["deliveries"], 2) == 24.76
+    assert round(total / ledger["deliveries"], 2) == 24.45

@@ -37,7 +37,7 @@ def every_handle(topology):
     for g, h in topology.intersecting_pairs():
         handles.append(system.space.intersection_log(h, g))
         assert system.space.intersection_log(g, h) is handles[-1]
-    handles.extend(amc._lists[g] for g in topology.groups)
+    handles.extend(amc._lists[g.members] for g in topology.groups)
     return handles
 
 

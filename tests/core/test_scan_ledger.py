@@ -69,7 +69,8 @@ def test_scan_ledger():
     test, rank and wait reason, 147.23.  With every quorum check a
     ``mutation_available`` → ``quorum_ok`` → ``Sigma.query`` chain
     instead of one read of the engine's verdict memo per operation,
-    107.37.
+    107.37 (the handle method is gone; ``MulticastSystem.blocked`` is
+    the only guard Algorithm 1 asks).
     """
     frames, deliveries = scan_frames(figure1_cell())
     assert deliveries > 0

@@ -56,6 +56,7 @@ class TestStrictDelivery:
                 None,
                 None,
                 on_deliver=lambda p, m: None,
+                blocked=lambda p, guards, signature: None,
                 variant="strict",
                 indicators=None,
             )

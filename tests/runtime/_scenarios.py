@@ -24,10 +24,11 @@ them against the current tree and compares.  A mismatch means the shared
 scheduler changed an observable schedule — the one thing the refactor
 promised not to do.  The async entries were frozen before the driver's
 wake path became one timer per landing, and pin that schedule the same
-way: every latency draw, deadline and ``(when, seq)`` tie.  All but the
-8 ``engine:figure1:participation:*`` engine entries, and every async
-one, were re-versioned once on purpose (DESIGN.md §13 policy (2)): the
-step order inside ``SharedObjectActor.fire``.
+way: every latency draw, deadline and ``(when, seq)`` tie.  The engine
+and async entries were re-versioned on purpose (DESIGN.md §13 policy
+(2)): all but the 8 ``engine:figure1:participation:*`` ones for the step
+order inside ``SharedObjectActor.fire``, then all of them for line 7's
+one precondition (no append of a message already in ``LOG_g``).
 """
 
 from __future__ import annotations

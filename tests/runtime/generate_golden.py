@@ -6,15 +6,17 @@ Usage::
 
 The committed ``golden.json`` is exactly what this script writes on the
 committed tree; CI's ``runtime-differential`` job re-runs it and fails on
-any diff.  The 80 ``kernel:pingpong*`` and the 8
-``engine:figure1:participation:*`` fingerprints are still the ones
+any diff.  The 80 ``kernel:pingpong*`` fingerprints are still the ones
 produced at the last commit *before* the ``repro.runtime`` extraction
 (91a52c1) — they pin the runtime loop, and every commit since
-reproduces them byte for byte.  The other 160 engine fingerprints and
-the 16 ``async:*`` ones were re-versioned once under DESIGN.md §13
-policy (2), when ``SharedObjectActor.fire`` let the Prop 1 helper and
-the action scan take turns within one step; rebinding the old fire body
-reproduces their old values.  The 20
+reproduces them byte for byte.  The engine fingerprints and the 16
+``async:*`` ones were re-versioned twice under DESIGN.md §13 policy (2):
+160 engine and the 16 async ones when ``SharedObjectActor.fire`` let the
+Prop 1 helper and the action scan take turns within one step (rebinding
+the old fire body reproduces their old values), then all 168 engine and
+the 16 async ones when line 7 took ``m ∉ LOG_g`` into its one
+precondition (every engine cell keeps its delivery stream; its charges
+moved).  The 20
 ``kernel:replog3:*`` fingerprints were re-versioned three times under
 DESIGN.md §13 policy (2): in PR 20 (the §4.3 consensus deliberately
 sends fewer datagrams), in PR 21 (a log slot decides a batch) and in

@@ -34,8 +34,9 @@ message pattern and PR 21 what a log slot decides, each on purpose, and
 re-versioned them under DESIGN.md §13 policy (2).  The second: 160
 engine entries and the 16 ``async:*`` ones moved once, when
 ``SharedObjectActor.fire`` let the Prop 1 helper and the action scan
-take turns within one step; the 8 ``engine:figure1:participation:*``
-entries and the ``pingpong`` ones are still the pre-refactor ones.)
+take turns within one step.  The third: all 168 engine entries and the
+16 async ones, when line 7 stopped appending a message already in
+``LOG_g``.  The ``pingpong`` entries are still the pre-refactor ones.)
 """
 
 from __future__ import annotations

@@ -120,7 +120,8 @@ def test_skips_are_recorded_once_per_round_after_the_scans():
     last = sched.tracer.rounds[-1]
     assert (last.scanned, last.skipped) == (1, 2)
     assert last.wait_reasons == {"drained": 2}
-    sched.round(action_budget=0)  # a full scan forgets every proof
+    sched.round(participation={"a", "b"})  # a full scan forgets every proof
+    assert sched.tracer.rounds[-1].full_scan
     assert not sched.proven_parked
 
 
@@ -233,12 +234,14 @@ def test_responders_filtered_by_liveness_and_default_to_scheduled():
     assert sched.responders == frozenset((a,))
 
 
-def test_zero_action_budget_forces_full_scan():
-    sched = make({k: CountdownActor(0) for k in "ab"})
+def test_an_action_budget_below_one_is_rejected():
+    """A budget that fires nothing is refused before the clock moves."""
+    sched = make({k: CountdownActor(1) for k in "ab"})
     sched.round()
-    sched.round(action_budget=0)
-    assert sched.tracer.rounds[-1].full_scan
-    assert sched.tracer.rounds[-1].scanned == 2
+    for budget in (0, -1):
+        with pytest.raises(ValueError):
+            sched.round(action_budget=budget)
+    assert (sched.time, len(sched.tracer.rounds)) == (1, 1)
 
 
 def test_pending_work_defers_quiescence():

@@ -105,8 +105,11 @@ SPECS = {
 #: ``figure1-engine-truncated``) were re-recorded when the engine let a
 #: member push the next ``L_g`` entry in the step that delivered the
 #: last one (DESIGN.md §13); the old step order reproduces the old pins.
+#: All three engine pins were re-recorded when line 7 stopped appending
+#: a message already in ``LOG_g``: only ``trace.quorum_queries`` moved
+#: (95 → 91, 144 → 136, 140 → 132): a skipped append asks no guard.
 PINS = {
-    "figure1-engine-crash": "7d2b9f60633538996cf2ba60e6e0620b368f406c955e38e4788a62f9dc1c6b7d",
+    "figure1-engine-crash": "439a792796ae9dd98be9ba2a6b9ad4c12a2a9f48e9a084508c4bb58fada565f8",
     # The two kernel pins were re-recorded in PR 20 (the §4.3 consensus
     # sends fewer datagrams), PR 21 (a log slot decides a batch) and PR 23
     # (DECIDE is not relayed, a waiting replica is parked, ``Omega_g`` takes
@@ -118,11 +121,11 @@ PINS = {
     # ``sigma_noised`` / ``omega_rotated`` became counts of the built
     # history (one per scope and round the fault decided) instead of per
     # query; minus those two keys each row hashes as before.
-    "figure1-engine-faulted": "e93dfc9201a72320d78d6d6aea02943db850e1db2f300c734a46c01b5c295c70",
+    "figure1-engine-faulted": "66413d7899e80927101e20950e765b6f56f82c04687ce964972a9c2e0793c88d",
     "disjoint-kernel-faulted": "d5286acf6bdb47f26298cc090b62aa3dc58467e00e933c2b86171c5998f83d2d",
     "figure1-async-faulted": "25d51ebc6a4b7cabebe1962452751455e23e9d0165ea8adca2d26437c7d7bda4",
     "disjoint-kernel-detectors": "6677d45315571f95a0b20f214b08fb813db5e98ffae6289fa3fbf86b8b59492e",
-    "figure1-engine-truncated": "0f0abda35b7253999dbc73d6e67a99b949201fe1164bdfa2ad2207d144a63894",
+    "figure1-engine-truncated": "ba57fdc34b9a72eec02095ded24613616f9b80cfbb359ad9b6dedd29a8de0d39",
 }
 
 
