@@ -8,8 +8,9 @@ the seeds with a violating cell and the number of such cells — a cell
 violates when :func:`repro.campaign.triage.violated_properties` labels
 its row, the judgement a red sweep triages by:
 
-* ``supersede-wait`` — the replicated-log kernel's retained quirk (a
-  superseded proposer waits), stamped onto the grid's kernel cells;
+* ``supersede-wait`` — a superseded proposer waits instead of abandoning
+  its ballot (``tests/substrates/_oracle.py``), on the grid's kernel
+  cells;
 * ``faultiness`` — the retired ``faulty_edges_at``
   (``tests/groups/_oracle.py``), which counts a down-but-recovering
   member as faulty, on every cell;
@@ -17,7 +18,8 @@ its row, the judgement a red sweep triages by:
   ``F(p)`` instead of the group (``tests/runtime/_oracle.py``), on
   every cell.
 
-The last two are test-only patches.  The ledger is committed to
+All three are test-only patches, which no spec records: the sweeps
+run without a cache.  The ledger is committed to
 ``BENCH_explore.json`` at the repo root and regenerates byte for byte
 (runs are pure functions of their specs).  The one assertion is the
 gate EXPERIMENTS.md wrote before measuring: some seed in 0–4 kills
@@ -29,7 +31,6 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import replace
 
 from repro.campaign.__main__ import nemesis_campaign
 from repro.campaign.executor import run_campaign
@@ -37,6 +38,7 @@ from repro.campaign.triage import violated_properties
 from repro.metrics.summary import format_table
 from tests.groups import _oracle as groups_oracle
 from tests.runtime import _oracle as runtime_oracle
+from tests.substrates import _oracle as substrates_oracle
 
 SEEDS = 30
 
@@ -80,11 +82,10 @@ def teardown_module(module):
         fh.write("\n")
 
 
-def test_a_seed_in_0_to_4_kills_supersede_wait():
+def test_a_seed_in_0_to_4_kills_supersede_wait(monkeypatch):
+    substrates_oracle.supersede_wait_everywhere(monkeypatch)
     specs = [
-        replace(spec, quirks=("supersede-wait",))
-        for spec in nemesis_campaign(SEEDS).specs()
-        if spec.backend == "kernel"
+        spec for spec in nemesis_campaign(SEEDS).specs() if spec.backend == "kernel"
     ]
     entry = record("supersede-wait", specs)
     assert set(entry["killed_seeds"]) & set(range(5)), entry

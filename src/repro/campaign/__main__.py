@@ -266,7 +266,8 @@ def main(argv=None) -> int:
         "apply progress for this many rounds fails its cell with a "
         "triaged wait-reason histogram instead of burning its round "
         "budget (pick a window above the protocol's natural commit "
-        "latency; the planted supersede-wait stall trips at 100)",
+        "latency; a consensus stalled by the test-only supersede-wait "
+        "patch trips a window of 100 at round 124)",
     )
     parser.add_argument(
         "--cell-timeout",

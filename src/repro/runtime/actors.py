@@ -42,10 +42,10 @@ class SharedObjectActor(Actor):
     A process is parked while it is in ``proven_parked``: its last fire
     fired nothing and no shared object it reads has been written since
     (see :meth:`repro.core.engine.MulticastSystem._write`).  The round
-    skips it with that one lookup; the async driver asks :meth:`parked`.
-    The engine records no wait reason for skipped processes
-    (``SKIP_WAIT = ()``) — only scanned-but-blocked processes are
-    histogrammed.
+    and the async driver skip it with that one lookup; the adapter has
+    no :meth:`parked` test of its own.  The engine records no wait
+    reason for skipped processes (``SKIP_WAIT = ()``) — only
+    scanned-but-blocked processes are histogrammed.
 
     A fire runs the system's components (the Prop 1 helper), then the
     action scan.  Unbudgeted, it keeps alternating — components again
@@ -58,9 +58,6 @@ class SharedObjectActor(Actor):
         self._system = system
         self._pid = pid
         self._process = system.processes[pid]
-
-    def parked(self, t: Time) -> bool:
-        return self._pid in self._system._parked
 
     def fire(
         self,

@@ -469,6 +469,7 @@ class AsyncDriver:
         sched = self._sched
         pattern = sched.pattern
         actor = sched.actors[key]
+        parked = sched.proven_parked
         transport = self._transport
         loop, timers, step = self._loop, self._loop._timers, transport.step
         task = self._tasks[key]
@@ -492,7 +493,7 @@ class AsyncDriver:
             elif t < churn_quiet and injector.suppresses(key, t):
                 # Participation churn: sleep through the window.
                 sleep = 1.0
-            elif t <= sched.settle_horizon or not actor.parked(t):
+            elif t <= sched.settle_horizon or key not in parked:
                 # Forced scans while detectors may still move mirror the
                 # round driver's full-scan window.
                 if t > sched.time:
@@ -583,7 +584,7 @@ class AsyncDriver:
                 or t < sched.settle_horizon
                 or sched.has_pending_work()
             )
-            if not busy and self._all_parked(t, eligible):
+            if not busy and self._all_parked(eligible):
                 idle += 1
                 if idle >= quiescent_rounds:
                     self._quiescent = True
@@ -595,12 +596,10 @@ class AsyncDriver:
         self._stopped = True
         self._loop.stop()
 
-    def _all_parked(self, t: Time, eligible: Sequence[Key]) -> bool:
-        woken, actors = self._transport.woken, self._sched.actors
+    def _all_parked(self, eligible: Sequence[Key]) -> bool:
+        woken, parked = self._transport.woken, self._sched.proven_parked
         # An unconsumed wake counts as not parked: someone will act.
-        return not any(
-            woken[key] or not actors[key].parked(t) for key in eligible
-        )
+        return not any(woken[key] or key not in parked for key in eligible)
 
     # -- Entry point -------------------------------------------------------
 

@@ -42,7 +42,8 @@ thin delegations.  Two invariants make that safe:
 
 * **Skip soundness** — an actor is skipped only when the round is not a
   *full scan* and either its key is in :attr:`Scheduler.proven_parked`
-  or it reports :meth:`Actor.parked`.  Full scans are forced while
+  or it reports :meth:`Actor.parked` (asked only of actors that define
+  a parking test of their own).  Full scans are forced while
   ``time <= settle_horizon`` (detector outputs may still move) and
   whenever the (scheduled, responder) set pair changes (quorum
   availability); a full scan empties ``proven_parked``.  The set is the
@@ -94,8 +95,10 @@ class Actor:
 
     * :meth:`parked` — whether skipping this actor in a non-full-scan
       round is provably a no-op.  The round loop consults it *after*
-      the shuffle, so parking never changes the RNG stream; the async
-      driver uses it to decide when a task may sleep on its channel.
+      the shuffle, so parking never changes the RNG stream, and only
+      when the adapter overrides it: the default answers False, and an
+      adapter that parks by adding its key to
+      :attr:`Scheduler.proven_parked` needs no test beside that set.
     * :meth:`fire` — take the actor's step(s); returns the number of
       *productive* actions (0 = the step provably changed nothing),
       which feeds both the tracer and quiescence detection.  The
@@ -109,7 +112,9 @@ class Actor:
     skipped while parked (the kernel counts those as ``idle``; the
     engine records nothing).  It is one tuple per scheduler — every
     actor of a host is the same adapter — because a round adds its
-    skips to the histogram in one update, after its scanned actors.
+    skips to the histogram in one update, after its scanned actors;
+    likewise the actors of one scheduler all override :meth:`parked`
+    or none does.
     """
 
     SKIP_WAIT: Tuple[str, ...] = ()
@@ -248,10 +253,12 @@ class Scheduler:
         self._pending_work = pending_work
         self._rng = random.Random(seed)
         #: The shuffle's draws for the largest eligible set, every key,
-        #: and the actors' one ``SKIP_WAIT``: set by the first
+        #: the actors' one ``SKIP_WAIT`` and whether any of them has a
+        #: :meth:`Actor.parked` of its own: set by the first
         #: :meth:`round` (the async driver never runs one).
         self._draws: Optional[Tuple[Tuple[int, int], ...]] = None
         self._skip_wait: Tuple[str, ...] = ()
+        self._asks_parked = False
         #: Keys the host has proven parked: a non-full-scan round skips
         #: them without asking the actor.  The host fills it and removes
         #: a key on every event that can unpark it; a full scan empties
@@ -399,13 +406,14 @@ class Scheduler:
         fired = 0
         skipped = 0
         parked_hint = None if full_scan else False
+        asks = not full_scan and self._asks_parked
         actors = self.actors
         for key in order:
             if key in proven:
                 skipped += 1
                 continue
             actor = actors[key]
-            if not full_scan and actor.parked(t):
+            if asks and actor.parked(t):
                 skipped += 1
                 continue
             count = actor.fire(t, action_budget, parked_hint)
@@ -423,14 +431,21 @@ class Scheduler:
         return fired
 
     def _first_round(self) -> None:
-        """Set up what only rounds use: the draw table and the one
-        ``SKIP_WAIT`` of the actors."""
-        skip_waits = {actor.SKIP_WAIT for actor in self.actors.values()}
-        if len(skip_waits) > 1:
+        """Set up what only rounds use: the draw table, and the one
+        ``SKIP_WAIT`` of the actors with whether they override
+        :meth:`Actor.parked` (a round asks them only if they do)."""
+        adapters = {
+            (actor.SKIP_WAIT, type(actor).parked is not Actor.parked)
+            for actor in self.actors.values()
+        }
+        if len(adapters) > 1:
             raise SimulationError(
-                f"one scheduler's actors disagree on SKIP_WAIT: {sorted(skip_waits)}"
+                "one scheduler's actors disagree on SKIP_WAIT or on "
+                f"having a parked test: {sorted(adapters)}"
             )
-        self._skip_wait = skip_waits.pop() if skip_waits else ()
+        self._skip_wait, self._asks_parked = (
+            adapters.pop() if adapters else ((), False)
+        )
         self._draws = shuffle_draws(len(self.sorted_keys))
 
     # -- Many rounds -------------------------------------------------------

@@ -1,9 +1,10 @@
 """Stall watchdog: a liveness backstop for every execution loop.
 
 A *stall* is a run that keeps consuming budget without making useful
-progress — the superseded-proposer bug (``supersede-wait`` quirk) is the
-canonical specimen: the kernel keeps circulating datagrams forever while
-no replica ever applies another log entry.  Without a backstop such a
+progress — the superseded-proposer bug (the ``supersede-wait`` test
+patch of ``tests/substrates/_oracle.py``) is the canonical specimen:
+the kernel keeps circulating datagrams forever while no replica ever
+applies another log entry.  Without a backstop such a
 run burns its entire round budget; with one, it fails *fast* and fails
 *descriptive*.
 

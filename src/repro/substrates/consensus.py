@@ -43,13 +43,8 @@ Ballot = Tuple[int, int]
 NO_BALLOT: Ballot = (0, 0)
 
 
-def check_policy(supersede: str, retransmit_interval: Optional[int]) -> None:
-    """Reject an unknown ``supersede`` policy or a non-positive timer."""
-    if supersede not in ("abandon", "wait"):
-        raise ValueError(
-            f"unknown supersede policy {supersede!r}; "
-            "expected 'abandon' or 'wait'"
-        )
+def check_policy(retransmit_interval: Optional[int]) -> None:
+    """Reject a non-positive retransmission timer."""
     if retransmit_interval is not None and retransmit_interval < 1:
         raise ValueError(
             f"retransmit_interval must be >= 1 round, "
@@ -109,13 +104,12 @@ class OmegaSigmaSampler(Timeline):
 class ConsensusAutomaton(Automaton):
     """Per-process code of the leader-driven consensus.
 
-    ``supersede`` selects the proposer's reaction to a PROMISE carrying a
-    higher promised ballot mid-prepare: ``"abandon"`` (the default)
-    abandons the ballot and retries above the observed round;
-    ``"wait"`` replays the pre-fix behaviour — ignore the message and
-    keep waiting — which is a known liveness stall under late-Omega
-    leader rotation, retained as the ``"supersede-wait"`` scenario quirk
-    so a nemesis sweep has a real historical bug to rediscover.
+    A proposer superseded mid-prepare — a PROMISE carrying a promised
+    ballot above its own — abandons the ballot and retries above the
+    observed round.  Waiting on instead is the liveness stall the
+    protocol once had under late-``Omega`` leader rotation; it survives
+    only as a test patch, the planted defect of the kill ledger
+    (``tests/substrates/_oracle.py``).
 
     ``retransmit_interval`` arms the proposer's fair-lossy-link timer: a
     leader parked in a phase re-broadcasts that phase's message every
@@ -133,12 +127,10 @@ class ConsensusAutomaton(Automaton):
         self,
         pid: ProcessId,
         scope: Iterable[ProcessId],
-        supersede: str = "abandon",
         retransmit_interval: Optional[int] = None,
     ) -> None:
-        check_policy(supersede, retransmit_interval)
+        check_policy(retransmit_interval)
         self.pid = pid
-        self.supersede = supersede
         self.retransmit_interval = retransmit_interval
         # A replicated log hands every slot its replica's one Membership.
         self.scope, self._others = (
@@ -243,15 +235,13 @@ class ConsensusAutomaton(Automaton):
             if ballot == self._ballot and self._phase == "prepare":
                 if promised <= ballot:
                     self._promises[src] = (acc_ballot, acc_value)
-                elif self.supersede == "abandon":
+                else:
                     # Superseded mid-prepare: the acceptor has promised a
                     # higher ballot, so this quorum can never complete.
                     # Abandon the ballot and retry above the highest
                     # round observed — without this, a demoted-then-
                     # re-elected leader (an unstable Omega prefix) waits
-                    # forever on promises that cannot arrive.  The
-                    # ``"wait"`` policy does exactly that waiting: it is
-                    # the retained pre-fix stall (see class docstring).
+                    # forever on promises that cannot arrive.
                     self._ballot = (
                         max(self._ballot[0], promised[0]),
                         self.pid.index,

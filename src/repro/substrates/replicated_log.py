@@ -66,18 +66,16 @@ class ReplicatedLogAutomaton(Automaton):
         self,
         pid: ProcessId,
         scope: ProcessSet,
-        supersede: str = "abandon",
         retransmit_interval: Optional[int] = None,
     ) -> None:
         # Here, not at the first slot: a bad argument must fail the
         # construction, not a step in the middle of a run.
-        check_policy(supersede, retransmit_interval)
+        check_policy(retransmit_interval)
         self.pid = pid
         #: One sorted scope and one "everyone else" sequence, shared by
         #: every slot's automaton.
         self._membership = Membership.of(pid, scope)
         self.scope = self._membership.members
-        self.supersede = supersede
         self.retransmit_interval = retransmit_interval
         self._slots: Dict[int, ConsensusAutomaton] = {}
         self._pending: List[Any] = []
@@ -187,7 +185,6 @@ class ReplicatedLogAutomaton(Automaton):
             automaton = self._slots[index] = ConsensusAutomaton(
                 self.pid,
                 self._membership,
-                supersede=self.supersede,
                 retransmit_interval=self.retransmit_interval,
             )
             if index > self._horizon:
@@ -347,15 +344,11 @@ class ReplicatedLogCluster:
         self,
         pattern: FailurePattern,
         scope: ProcessSet,
-        supersede: str = "abandon",
         retransmit_interval: Optional[int] = None,
     ) -> None:
         self.automata: Dict[ProcessId, ReplicatedLogAutomaton] = {
             p: ReplicatedLogAutomaton(
-                p,
-                scope,
-                supersede=supersede,
-                retransmit_interval=retransmit_interval,
+                p, scope, retransmit_interval=retransmit_interval
             )
             for p in sorted(scope)
         }

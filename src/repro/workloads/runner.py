@@ -533,7 +533,6 @@ def _kernel_deployment(
                 f"(intersecting groups need Algorithm 1 — the engine "
                 f"backend)"
             )
-    supersede = "wait" if "supersede-wait" in spec.quirks else "abandon"
     # Faulted runs arm the proposer's fair-lossy retransmission timer: a
     # PREPARE/ACCEPT lost to a drop, a partition crossing, or an
     # acceptor's crash–rejoin window must eventually be re-offered or
@@ -542,10 +541,7 @@ def _kernel_deployment(
     retransmit_interval = 8 if injector is not None else None
     clusters = {
         g.name: ReplicatedLogCluster(
-            pattern,
-            g.members,
-            supersede=supersede,
-            retransmit_interval=retransmit_interval,
+            pattern, g.members, retransmit_interval=retransmit_interval
         )
         for g in topology.groups
     }
@@ -581,10 +577,10 @@ def _kernel_deployment(
         return message
 
     def applied() -> int:
-        # Kernel progress = log entries applied anywhere: the
-        # supersede-wait stall keeps datagrams circulating (steps fire
-        # every round), so step counts cannot be the fingerprint —
-        # applied outputs can.
+        # Kernel progress = log entries applied anywhere: a stalled
+        # consensus can keep datagrams circulating (steps fire every
+        # round), so step counts cannot be the fingerprint — applied
+        # outputs can.
         return sum(len(entries) for entries in kernel.outputs.values())
 
     def finish() -> RunRecord:

@@ -5,7 +5,7 @@ could only be described by an argument list — impossible to hash, store
 in a manifest, or ship to a worker process.  A :class:`ScenarioSpec`
 fixes that: it captures **everything that determines a run** (topology,
 failure pattern, send script, seed, variant, detector lag, round
-budget, backend, delay model, fault plan, quirks) as a frozen,
+budget, backend, delay model, fault plan) as a frozen,
 hashable, JSON-round-trippable dataclass.  Two specs that compare equal
 describe byte-identical runs; :meth:`ScenarioSpec.spec_hash` is the one
 content address a cell has — manifests, result rows and the campaign
@@ -44,18 +44,6 @@ SPEC_SCHEMA_VERSION = 8
 #: shared-object engine of §4.4, the step-level Appendix-A kernel, or
 #: the asynchronous driver over the engine's actors.
 BACKENDS = ("engine", "kernel", "async")
-
-#: Named, replayable legacy behaviours a scenario may opt back into.
-#: A *quirk* re-enables a retired code path byte-for-byte
-#: so a historical bug stays a reachable, content-addressed target for
-#: a nemesis sweep and its triage instead of vanishing with its fix:
-#:
-#: * ``"supersede-wait"`` — the pre-PR-4 :class:`ConsensusAutomaton`
-#:   prepare phase: a proposer superseded by a higher promised ballot
-#:   keeps waiting for promises that can never arrive instead of
-#:   abandoning the ballot (the consensus liveness stall surfaced by
-#:   ``omega_late`` leader rotation).  Kernel backend only.
-KNOWN_QUIRKS = ("supersede-wait",)
 
 
 def _delay_spec_to_json(spec: Any) -> Any:
@@ -207,8 +195,6 @@ class ScenarioSpec:
         faults: optional :class:`repro.faults.plan.FaultPlan` — the nemesis
             perturbations applied to the run.  ``None``, the default,
             runs fault-free.
-        quirks: named legacy behaviours to replay, each a member of
-            :data:`KNOWN_QUIRKS`; stored sorted.
         name: free-form label for reports.  Excluded from equality and
             from :meth:`spec_hash` — a label is not part of the
             scenario's identity.
@@ -224,7 +210,6 @@ class ScenarioSpec:
     backend: str = "engine"
     faults: Optional["FaultPlan"] = None
     delay_model: Optional[Tuple[Any, ...]] = None
-    quirks: Tuple[str, ...] = ()
     name: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
@@ -232,14 +217,6 @@ class ScenarioSpec:
             raise SimulationError(
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
-        for quirk in self.quirks:
-            if quirk not in KNOWN_QUIRKS:
-                raise SimulationError(
-                    f"unknown quirk {quirk!r}; expected members of {KNOWN_QUIRKS}"
-                )
-        # Canonical form: sorted, deduplicated — equal quirk sets must
-        # compare (and hash) equal regardless of the order given.
-        object.__setattr__(self, "quirks", tuple(sorted(set(self.quirks))))
         if self.delay_model is not None:
             from repro.runtime.delay import canonical_delay_spec
 
@@ -296,7 +273,8 @@ class ScenarioSpec:
     # -- Serialization -----------------------------------------------------
 
     def to_json(self) -> Dict[str, Any]:
-        """Every field, plus the schema; inverse of :meth:`from_json`."""
+        """Every field, plus the schema and the ``quirks`` constant;
+        inverse of :meth:`from_json`."""
         return {
             "schema": SPEC_SCHEMA_VERSION,
             "topology": self.topology.to_json(),
@@ -311,7 +289,9 @@ class ScenarioSpec:
             "backend": self.backend,
             "faults": None if self.faults is None else self.faults.to_json(),
             "delay_model": _delay_spec_to_json(self.delay_model),
-            "quirks": list(self.quirks),
+            # The retired quirks axis, a wire constant until the next
+            # schema bump: dropping it would move every address.
+            "quirks": [],
             "name": self.name,
         }
 
@@ -324,7 +304,15 @@ class ScenarioSpec:
                 f"spec payload has schema {data.get('schema')!r}; only schema "
                 f"{SPEC_SCHEMA_VERSION} loads (its content address would differ)"
             )
-        _check_keys("spec", data, {f.name for f in fields(cls)} | {"schema"})
+        _check_keys(
+            "spec", data, {f.name for f in fields(cls)} | {"schema", "quirks"}
+        )
+        if data["quirks"] != []:
+            # A planted defect is a test patch, not a spec value: loading
+            # this payload would run the shipped protocol under its name.
+            raise SimulationError(
+                f"spec payload has quirks {data['quirks']!r}; only [] loads"
+            )
         return cls(
             topology=TopologySpec.from_json(data["topology"]),
             crashes=tuple(
@@ -351,7 +339,6 @@ class ScenarioSpec:
             ),
             # __post_init__ canonicalizes the JSON lists back into tuples.
             delay_model=data["delay_model"],
-            quirks=tuple(data["quirks"]),
             name=data["name"],
         )
 

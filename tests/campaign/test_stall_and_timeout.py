@@ -11,16 +11,20 @@ yields a failed row and the sweep moves on).  Both produce
 cell.  The other failure paths of a sweep are
 ``tests/campaign/test_failure_matrix.py``.
 
-The planted stall is the retained PR 4 ``supersede-wait`` quirk under a
-late-Omega rotation — a genuine liveness bug that would otherwise burn
-the full round budget of every affected cell.
+The planted stall is the ``supersede-wait`` patch
+(:func:`tests.substrates._oracle.supersede_wait_everywhere`, on for the
+whole module) under a late-Omega rotation — a genuine liveness bug that
+would otherwise burn the full round budget of every affected cell.  A
+patch is not part of the spec's address, so these cells use no cache
+but the ``tmp_path`` ones only they write.
 """
 
 import multiprocessing
 import signal
 import threading
 import time
-from dataclasses import replace
+
+import pytest
 
 from repro.campaign.cache import CampaignCache
 from repro.campaign.executor import execute_spec, run_campaign
@@ -28,6 +32,7 @@ from repro.campaign.grid import Campaign, case
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.workloads.runner import Send
 from repro.workloads.topologies import disjoint_topology
+from tests.substrates._oracle import supersede_wait_everywhere
 
 OMEGA_ROTATION = FaultPlan(
     (FaultEvent(kind="omega_late", group="g1", until=24),)
@@ -36,9 +41,14 @@ OMEGA_ROTATION = FaultPlan(
 SENDS = (Send(1, "g1", 0), Send(4, "g2", 0))
 
 
+@pytest.fixture(autouse=True)
+def supersede_wait(monkeypatch):
+    supersede_wait_everywhere(monkeypatch)
+
+
 def stall_specs(max_rounds: int = 240) -> list:
-    """One kernel cell carrying the planted supersede-wait stall."""
-    (spec,) = Campaign(
+    """One kernel cell that stalls under the supersede-wait patch."""
+    return Campaign(
         name="planted-stall",
         cases=(
             case("stall", disjoint_topology(2, group_size=3), sends=SENDS),
@@ -47,7 +57,6 @@ def stall_specs(max_rounds: int = 240) -> list:
         faults=(OMEGA_ROTATION,),
         max_rounds=max_rounds,
     ).specs()
-    return [replace(spec, quirks=("supersede-wait",))]
 
 
 class TestStallRows:
@@ -97,6 +106,10 @@ class TestStallRows:
 
 
 class TestCellTimeout:
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patch reaches pool workers only by fork inheritance",
+    )
     def test_timed_out_cell_yields_a_timeout_row(self):
         # The stall grinds ~25k rounds/sec, so a 150k-round budget is
         # ~6s of wall clock — far past the 1s cell budget, while the

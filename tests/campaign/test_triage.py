@@ -1,7 +1,13 @@
-"""Triage of a red sweep: labels, one judgement, rediscovery, the CLI."""
+"""Triage of a red sweep: labels, one judgement, rediscovery, the CLI.
+
+The red sweeps run the nemesis grid's kernel cells under the
+``supersede-wait`` patch
+(:func:`tests.substrates._oracle.supersede_wait_everywhere`).  A patch
+is not part of a cell's address, so a patched sweep uses no cache but a
+``tmp_path`` one that only it writes.
+"""
 
 import os
-from dataclasses import replace
 
 import pytest
 
@@ -16,16 +22,13 @@ from repro.faults.shrink import load_repro, replay_repro
 from repro.props.batch import verdicts_ok
 from repro.workloads.spec import ScenarioSpec
 from tests.groups import _oracle as groups_oracle
+from tests.substrates._oracle import supersede_wait_everywhere
 
-QUIRK = ("supersede-wait",)
 
-
-def kernel_cells(seeds, quirks=QUIRK):
-    """The nemesis grid's kernel cells at ``seeds``, under ``quirks``."""
+def kernel_cells(seeds):
+    """The nemesis grid's kernel cells at ``seeds``."""
     return [
-        replace(spec, quirks=quirks)
-        for spec in nemesis_campaign(seeds).specs()
-        if spec.backend == "kernel"
+        spec for spec in nemesis_campaign(seeds).specs() if spec.backend == "kernel"
     ]
 
 
@@ -66,18 +69,25 @@ def executed(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def supersede_wait(monkeypatch):
+    supersede_wait_everywhere(monkeypatch)
+
+
 @pytest.fixture(scope="module")
 def rediscovery():
-    """The quirked kernel cells at ``--seeds 2``: red rows and ledger."""
-    rows = red_rows(kernel_cells(2))
-    return rows, triage(rows)
+    """The patched kernel cells at ``--seeds 2``: red rows and ledger."""
+    with pytest.MonkeyPatch.context() as patch:
+        supersede_wait_everywhere(patch)
+        rows = red_rows(kernel_cells(2))
+        return rows, triage(rows)
 
 
 class TestOneJudgement:
     """A shrink probe is run, judged and cached like a sweep cell."""
 
     def test_every_probe_goes_through_execute_spec(
-        self, monkeypatch, probes, executed
+        self, monkeypatch, supersede_wait, probes, executed
     ):
         harness_runs = []
         run_harness = shrink.run_harness
@@ -101,7 +111,9 @@ class TestOneJudgement:
             for event in minimal:
                 assert not judged(spec.faulted(minimal.without(event)))
 
-    def test_probes_share_the_sweep_cache(self, tmp_path, probes, executed):
+    def test_probes_share_the_sweep_cache(
+        self, tmp_path, supersede_wait, probes, executed
+    ):
         cache = CampaignCache(str(tmp_path / "cache"))
         rows = red_rows(kernel_cells(2), cache=cache)
         first = triage(rows, cache=cache)
@@ -123,7 +135,7 @@ class TestOneJudgement:
 
 
 class TestDeterminism:
-    def test_same_seeds_same_sweep(self):
+    def test_same_seeds_same_sweep(self, supersede_wait):
         first = run_campaign(kernel_cells(2))
         second = run_campaign(kernel_cells(2))
         assert first.rows == second.rows
@@ -132,7 +144,9 @@ class TestDeterminism:
 
 
 class TestCacheReuse:
-    def test_a_second_sweep_hits_the_shared_cache(self, tmp_path, executed):
+    def test_a_second_sweep_hits_the_shared_cache(
+        self, tmp_path, supersede_wait, executed
+    ):
         cache = CampaignCache(str(tmp_path / "cache"))
         first = run_campaign(kernel_cells(2), cache=cache)
         ran = len(executed)
@@ -179,7 +193,8 @@ class TestViolatedProperties:
 
 class TestRediscovery:
     """The superseded-proposer stall, found by the grid with zero
-    hand-written plans: ``supersede-wait`` on the kernel cells."""
+    hand-written plans: the ``supersede-wait`` patch on the kernel
+    cells."""
 
     def test_the_stall_is_found_at_seed_1(self, rediscovery):
         rows, _ = rediscovery
@@ -195,7 +210,7 @@ class TestRediscovery:
         kinds = {e["kind"] for e in first["minimal_plan"]["events"]}
         assert kinds == {"omega_late"}
 
-    def test_the_repro_replays_deterministically(self, rediscovery):
+    def test_the_repro_replays_deterministically(self, rediscovery, supersede_wait):
         _, ledger = rediscovery
         payload = ledger[0]["payload"]  # no out_dir: payload rides along
         replay = replay_repro(payload)
@@ -204,10 +219,12 @@ class TestRediscovery:
         assert not verdicts_ok(replay["verdicts"]) or replay["truncated"]
 
     def test_the_unquirked_cells_are_clean(self):
-        rows = red_rows(kernel_cells(2, quirks=()))
+        # The patch is off unless a test turns it on: the same cells
+        # run the shipped proposer, which abandons a superseded ballot.
+        rows = red_rows(kernel_cells(2))
         assert rows == [] and triage(rows) == []
 
-    def test_two_runs_write_the_same_ledger(self, tmp_path):
+    def test_two_runs_write_the_same_ledger(self, tmp_path, supersede_wait):
         written = []
         for run in ("a", "b"):
             out = tmp_path / run

@@ -16,6 +16,12 @@ with the object's name folded to its kind: ``L_g``, ``LOG_g``,
 ledger" has the table, with the row of the step order before the Prop 1
 helper and the scan took turns within one step (queue 75, service 3,
 25.55 steps a delivery).
+
+The Prop 1 helper (``AtomicMulticast._reduction_actions``) counts a push
+as fired even when line 7 appended nothing, and such a count keeps
+``SharedObjectActor.fire``'s helper–scan turns going for one more scan.
+The ledger counts those pushes, the scans they buy and how many of
+those scans fire an action anyway.
 """
 
 from __future__ import annotations
@@ -26,8 +32,10 @@ from collections import Counter
 import pytest
 
 from repro.core.algorithm1 import Algorithm1Process
+from repro.core.group_sequential import AtomicMulticast
 from repro.groups.topology import paper_figure1_topology
 from repro.metrics.summary import latency_of
+from repro.runtime.actors import SharedObjectActor
 from repro.workloads import runner
 from repro.workloads.runner import open_loop_sends
 from repro.workloads.spec import ScenarioSpec, TopologySpec
@@ -67,13 +75,48 @@ def ledger():
 
     first_push = {}
     real = Algorithm1Process.multicast
+    push, helper = Algorithm1Process._push, AtomicMulticast._reduction_actions
+    scan, fire = Algorithm1Process.try_actions, SharedObjectActor.fire
+    #: Every line-7 push's outcome; per process, whether its last helper
+    #: pass counted pushes that all appended nothing, and the scans of
+    #: its current fire.
+    appended, idle_pass, scans = [], {}, Counter()
+    pushes = Counter()
 
     def noting(process, message):
         first_push.setdefault(message.mid, hosts[0].time)
-        return real(process, message)
+        before = len(appended)
+        real(process, message)
+        pushes["pushes"] += 1
+        pushes["idle"] += not appended[before]
+
+    def pushing(process, message, route):
+        appended.append(push(process, message, route))
+        return appended[-1]
+
+    def helping(multicaster, pid, t):
+        idle_before, counted = pushes["idle"], helper(multicaster, pid, t)
+        idle_pass[pid] = counted > 0 and pushes["idle"] - idle_before == counted
+        return counted
+
+    def scanning(process, t, budget=None):
+        fired = scan(process, t, budget=budget)
+        if scans[process.pid] and idle_pass[process.pid]:
+            pushes["followup_scans"] += 1
+            pushes["productive_followups"] += fired > 0
+        scans[process.pid] += 1
+        return fired
+
+    def firing(actor, t, budget=None, parked=None):
+        scans[actor._pid] = 0
+        return fire(actor, t, budget, parked)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Algorithm1Process, "multicast", noting)
+        patch.setattr(Algorithm1Process, "_push", pushing)
+        patch.setattr(AtomicMulticast, "_reduction_actions", helping)
+        patch.setattr(Algorithm1Process, "try_actions", scanning)
+        patch.setattr(SharedObjectActor, "fire", firing)
         result = runner.run_deployment(spec, build)
     result.assert_ok()
     record = result.record
@@ -94,6 +137,7 @@ def ledger():
         "service": statistics.median(service),
         "latency": statistics.median(latency),
         "steps": steps,
+        "pushes": dict(pushes),
     }
 
 
@@ -123,3 +167,17 @@ def test_steps_per_delivery_by_charge_reason(ledger):
     }
     total = sum(ledger["steps"].values())
     assert round(total / ledger["deliveries"], 2) == 24.45
+
+
+def test_helper_pushes_that_append_nothing_and_the_scans_they_buy(ledger):
+    # 712 of the helper's 1 192 pushes find the message already in LOG_g
+    # (or past start) and still count as fired.  In 421 helper passes
+    # every counted push was such a push, so the fire took one more
+    # scan; 259 of those scans fired an action (``discover()`` read an
+    # entry another member appended), 162 fired none.
+    assert ledger["pushes"] == {
+        "pushes": 1192,
+        "idle": 712,
+        "followup_scans": 421,
+        "productive_followups": 259,
+    }

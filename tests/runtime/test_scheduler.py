@@ -274,6 +274,37 @@ def test_pending_work_combines_with_settle_horizon():
     assert outcome.rounds == 4  # horizon still gates the idle streak
 
 
+def test_an_engine_run_asks_no_actor_whether_it_is_parked(monkeypatch):
+    """The engine parks in ``proven_parked`` alone: ``SharedObjectActor``
+    has no ``parked`` of its own, so neither a round nor the async driver
+    asks one (the base answer, False, would repeat the set's lookup)."""
+    from dataclasses import replace
+
+    from repro.groups.topology import paper_figure1_topology
+    from repro.runtime.actors import SharedObjectActor
+    from repro.workloads.runner import random_sends, run_scenario
+    from repro.workloads.spec import ScenarioSpec, TopologySpec
+
+    assert "parked" not in vars(SharedObjectActor)
+
+    def asked(self, t):
+        raise AssertionError(f"{type(self).__name__}.parked asked at {t}")
+
+    monkeypatch.setattr(Actor, "parked", asked)
+    topology = paper_figure1_topology()
+    spec = ScenarioSpec(
+        topology=TopologySpec.capture(topology),
+        sends=tuple(random_sends(topology, count=8, seed=3)),
+        seed=3,
+        max_rounds=300,
+    )
+    for backend in ("engine", "async"):
+        result = run_scenario(replace(spec, backend=backend))
+        result.assert_ok()
+    rounds = run_scenario(spec).tracer.rounds
+    assert sum(r.skipped for r in rounds) > 0
+
+
 def test_no_host_takes_a_scheduling_mode():
     """Scan-vs-event is not an option anywhere: the scan loop is a test
     oracle (``_oracle.py``), so no constructor, spec or grid names it."""

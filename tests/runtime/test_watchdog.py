@@ -4,9 +4,10 @@ Unit half: :class:`StallWatchdog` fires exactly at its no-progress
 window (never during grace, never while the fingerprint moves) and
 ``_retry_offsets`` draws deterministic, strictly increasing
 backoff ladders.  Integration half: the planted ``supersede-wait``
-stall — the retained PR 4 liveness bug — converts from a 240-round
-budget burn into a :class:`StallError` carrying the wait-reason
-histogram, while the *fixed* protocol under the identical watchdog is
+stall — the superseded-proposer liveness bug, put back by
+:func:`tests.substrates._oracle.supersede_wait_everywhere` — converts
+from a 240-round budget burn into a :class:`StallError` carrying the
+wait-reason histogram, while the *fixed* protocol under the identical watchdog is
 untouched, and a fault-free engine run produces a byte-identical row
 with and without the watchdog (the watchdog is a harness concern, not
 part of the scenario).
@@ -23,12 +24,13 @@ from repro.runtime.watchdog import StallError, StallWatchdog
 from repro.workloads.runner import Send, run_scenario
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology
+from tests.substrates._oracle import supersede_wait_everywhere
 
 TOPO = TopologySpec.capture(disjoint_topology(2, group_size=3))
 SENDS = (Send(1, "g1", 0), Send(4, "g2", 0))
 
 #: The PR 4 trigger: a late Omega rotating suspicion through g1 makes
-#: the quirked proposer wait forever on promises that cannot arrive.
+#: the patched proposer wait forever on promises that cannot arrive.
 OMEGA_ROTATION = FaultPlan(
     (FaultEvent(kind="omega_late", group="g1", until=24),)
 )
@@ -122,20 +124,18 @@ class TestRetransmitPolicy:
 class TestPlantedStall:
     """The supersede-wait stall under the runner's watchdog."""
 
-    def test_stall_converts_to_stall_error_with_histogram(self):
-        spec = kernel_spec(
-            quirks=("supersede-wait",), faults=OMEGA_ROTATION
-        )
+    def test_stall_converts_to_stall_error_with_histogram(self, monkeypatch):
+        supersede_wait_everywhere(monkeypatch)
+        spec = kernel_spec(faults=OMEGA_ROTATION)
         with pytest.raises(StallError) as err:
             run_scenario(spec, stall_window=100)
         assert err.value.at_time < spec.max_rounds
         assert err.value.stalled_checks >= 100
         assert sum(err.value.wait_reasons.values()) > 0
 
-    def test_without_watchdog_the_stall_burns_the_budget(self):
-        result = run_scenario(
-            kernel_spec(quirks=("supersede-wait",), faults=OMEGA_ROTATION)
-        )
+    def test_without_watchdog_the_stall_burns_the_budget(self, monkeypatch):
+        supersede_wait_everywhere(monkeypatch)
+        result = run_scenario(kernel_spec(faults=OMEGA_ROTATION))
         assert result.rounds == 240
         assert not result.quiescent
 

@@ -26,6 +26,16 @@ is PR 23's parent, ``relaying(), single_value_slots()`` PR 21's, and
 ``tests/substrates/test_slot_cost.py`` checks they are faithful: the 20
 ``kernel:replog3:*`` goldens and the kernel row pins recorded before
 each PR reproduce byte for byte.
+
+Before the superseded-ballot fix, a proposer superseded mid-prepare — a
+PROMISE naming a promised ballot above its own — ignored the reply and
+kept waiting for a quorum that could never complete: a liveness stall once an unstable
+``Omega`` prefix demotes and re-elects a leader (``omega_late``).
+:func:`supersede_wait_everywhere` puts that proposer back, as the
+planted defect of the kill ledger (``benchmarks/bench_explore.py``), the
+rediscovery test (``tests/campaign/test_triage.py``) and the stall
+backstops.  A patch is not part of any ``spec_hash``: a patched run
+reads and writes no shared cache.
 """
 
 from __future__ import annotations
@@ -90,6 +100,21 @@ class FloodingConsensus:
             self._announce(ctx, "PREPARE", self._ballot)
         else:
             super()._start_accept(ctx, value)
+
+
+def supersede_wait_everywhere(monkeypatch):
+    """Until the test ends (pytest fixture ``monkeypatch``), every
+    consensus instance drops a PROMISE whose promised ballot is above
+    the ballot it answers — the one reply the shipped proposer abandons
+    its ballot on."""
+    handle = consensus.ConsensusAutomaton._handle
+
+    def waiting(self, ctx, src, tag, body):
+        if tag == "PROMISE" and body[1] > body[0]:
+            return
+        handle(self, ctx, src, tag, body)
+
+    monkeypatch.setattr(consensus.ConsensusAutomaton, "_handle", waiting)
 
 
 def flooding():

@@ -36,7 +36,7 @@ def run_log(pattern, appends, seed, rounds=600):
 @pytest.mark.parametrize(
     "bad, message",
     [
-        ({"supersede": "bogus"}, "unknown supersede policy 'bogus'"),
+        ({"retransmit_interval": -1}, "retransmit_interval must be >= 1 round"),
         ({"retransmit_interval": 0}, "retransmit_interval must be >= 1 round"),
     ],
 )

@@ -43,7 +43,12 @@ from tests.runtime._scenarios import (
     kernel_fingerprint,
     kernel_scenarios,
 )
-from tests.substrates._oracle import flooding, relaying, single_value_slots
+from tests.substrates._oracle import (
+    flooding,
+    relaying,
+    single_value_slots,
+    supersede_wait_everywhere,
+)
 from tests.workloads import test_pipeline_rows as pipeline_rows
 
 
@@ -133,19 +138,21 @@ class TestNoSelfAddressedMail:
         assert wire and all(d.src != d.dst for d in wire)
 
     @pytest.mark.parametrize(
-        "fields",
+        "fields, patch",
         [
-            {},
-            {"crashes": ((3, 5),)},
-            {"quirks": ("supersede-wait",)},
+            ({}, None),
+            ({"crashes": ((3, 5),)}, None),
+            ({}, supersede_wait_everywhere),
             # Armed retransmission timer, drops, rotation, crash-recovery.
-            {"faults": random_plan(4, "links", 10, ("g1", "g2"))},
-            {"faults": random_plan(2, "full", 10, ("g1", "g2"))},
-            {"faults": random_plan(5, "recovery", 10, ("g1", "g2"))},
+            ({"faults": random_plan(4, "links", 10, ("g1", "g2"))}, None),
+            ({"faults": random_plan(2, "full", 10, ("g1", "g2"))}, None),
+            ({"faults": random_plan(5, "recovery", 10, ("g1", "g2"))}, None),
         ],
         ids=["failure-free", "crash", "supersede-wait", "links", "full", "recovery"],
     )
-    def test_replicated_log_runs(self, wire, fields):
+    def test_replicated_log_runs(self, monkeypatch, wire, fields, patch):
+        if patch is not None:
+            patch(monkeypatch)
         sends = (Send(1, "g1", 0), Send(7, "g2", 0), Send(3, "g1", 1), Send(6, "g2", 4))
         run_scenario(kernel_spec(5, sends, groups=2, seed=3, **fields))
         assert wire and all(d.src != d.dst for d in wire)

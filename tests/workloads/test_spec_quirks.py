@@ -1,26 +1,41 @@
-"""The ``quirks`` axis (spec schema v6) and the supersede-wait quirk.
+"""The retired ``quirks`` axis and the supersede-wait patch.
 
-A quirk re-enables a retired code path so a *fixed* bug stays
-reachable as a search target: the grid's rediscovery gate
-(``tests/campaign/test_triage.py``) needs the superseded-proposer
-stall to exist somewhere.  These tests pin the axis's contract — schema
-round-trip, content addressing, validation
-— and the quirk's behaviour at the workloads layer: a quirked kernel
-run under late-Omega rotation stalls forever, the fixed path and the
-quirk-free spec do not.
+A spec used to carry ``quirks=("supersede-wait",)``, and the kernel
+backend then built its consensus with the proposer from before the
+superseded-ballot fix.  The planted defect is a test patch now
+(:func:`tests.substrates._oracle.supersede_wait_everywhere`), like the
+kill ledger's other two: no spec field, registry or constructor
+parameter selects it.  The wire form keeps ``"quirks": []`` as a
+constant so no content address moves; a payload naming a quirk fails to
+load instead of running the shipped protocol under its name.
+
+The behavioural half pins the patch at the workloads layer: a patched
+kernel run under late-Omega rotation stalls forever, the shipped
+proposer under the same rotation and the patch alone do not.
 """
+
+import inspect
+import json
+import pathlib
 
 import pytest
 
+from repro._content import content_hash
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.model.errors import SimulationError
 from repro.substrates.consensus import ConsensusAutomaton
+from repro.substrates.replicated_log import (
+    ReplicatedLogAutomaton,
+    ReplicatedLogCluster,
+)
 from repro.workloads.runner import Send, run_scenario
-from repro.workloads.spec import KNOWN_QUIRKS, ScenarioSpec, TopologySpec
+from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology
+from tests.substrates._oracle import supersede_wait_everywhere
 
 TOPO = TopologySpec.capture(disjoint_topology(2, group_size=3))
 SENDS = (Send(1, "g1", 0), Send(4, "g2", 0))
+REPROS = pathlib.Path(__file__).parents[1] / "explore" / "repros"
 
 
 def kernel_spec(**overrides):
@@ -37,40 +52,55 @@ OMEGA_ROTATION = FaultPlan(
 )
 
 
+@pytest.fixture
+def supersede_wait(monkeypatch):
+    supersede_wait_everywhere(monkeypatch)
+
+
 class TestQuirksAxis:
     def test_round_trips_through_json(self):
-        spec = kernel_spec(quirks=("supersede-wait",))
-        twin = ScenarioSpec.from_json(spec.to_json())
-        assert twin == spec
-        assert twin.quirks == ("supersede-wait",)
+        spec = kernel_spec(faults=OMEGA_ROTATION)
+        assert spec.to_json()["quirks"] == []
+        assert ScenarioSpec.from_json(spec.to_json()) == spec
 
     def test_quirks_are_part_of_the_content_address(self):
-        assert (
-            kernel_spec(quirks=("supersede-wait",)).spec_hash()
-            != kernel_spec().spec_hash()
-        )
-
-    def test_quirks_are_sorted_and_deduplicated(self):
-        spec = kernel_spec(
-            quirks=("supersede-wait", "supersede-wait")
-        )
-        assert spec.quirks == ("supersede-wait",)
+        # The constant stays until a schema bump: without it every
+        # address would move.
+        body = kernel_spec().to_json()
+        del body["name"]
+        assert kernel_spec().spec_hash() == content_hash(body)
+        del body["quirks"]
+        assert kernel_spec().spec_hash() != content_hash(body)
 
     def test_unknown_quirks_fail_loudly(self):
-        with pytest.raises(SimulationError):
-            kernel_spec(quirks=("tabs-vs-spaces",))
+        for quirks in (["supersede-wait"], ["tabs-vs-spaces"], None):
+            payload = kernel_spec().to_json()
+            payload["quirks"] = quirks
+            with pytest.raises(SimulationError, match="quirks"):
+                ScenarioSpec.from_json(payload)
 
-    def test_known_quirks_is_the_registry(self):
-        assert "supersede-wait" in KNOWN_QUIRKS
+    def test_no_spec_or_substrate_takes_a_quirk(self):
+        assert "quirks" not in inspect.signature(ScenarioSpec).parameters
+        for target in (
+            ConsensusAutomaton,
+            ReplicatedLogAutomaton,
+            ReplicatedLogCluster,
+        ):
+            assert "supersede" not in inspect.signature(target).parameters
+
+    @pytest.mark.parametrize(
+        "path", sorted(REPROS.glob("*.json")), ids=lambda path: path.name
+    )
+    def test_the_committed_repros_keep_their_address(self, path):
+        payload = json.loads(path.read_text())
+        spec = ScenarioSpec.from_json(payload["spec"])
+        assert spec.spec_hash() == payload["triage"]["spec_hash"]
+        assert spec.to_json() == payload["spec"]
 
 
 class TestSupersedeWait:
-    def test_quirked_run_stalls_under_omega_rotation(self):
-        result = run_scenario(
-            kernel_spec(
-                quirks=("supersede-wait",), faults=OMEGA_ROTATION
-            )
-        )
+    def test_quirked_run_stalls_under_omega_rotation(self, supersede_wait):
+        result = run_scenario(kernel_spec(faults=OMEGA_ROTATION))
         assert result.truncated  # the superseded proposer waits forever
 
     def test_fixed_path_quiesces_under_the_same_rotation(self):
@@ -78,15 +108,7 @@ class TestSupersedeWait:
         assert not result.truncated
         result.assert_ok()
 
-    def test_quirk_alone_is_benign(self):
-        result = run_scenario(kernel_spec(quirks=("supersede-wait",)))
+    def test_quirk_alone_is_benign(self, supersede_wait):
+        result = run_scenario(kernel_spec())
         assert not result.truncated
         result.assert_ok()
-
-    def test_consensus_rejects_unknown_supersede_modes(self):
-        from repro.model.processes import make_processes, pset
-
-        scope = pset(make_processes(3))
-        pid = next(iter(scope)).index
-        with pytest.raises(ValueError):
-            ConsensusAutomaton(pid, scope, supersede="retry-forever")
