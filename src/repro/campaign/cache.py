@@ -36,8 +36,10 @@ from repro.workloads.spec import ScenarioSpec
 #: the interleaving transition stream from the row's ``trace`` section;
 #: version 4 is the engine's helper–scan turns within one step; version
 #: 5 is line 7's one precondition (no append of a message already in
-#: ``LOG_g``).  Older entries miss and re-run.
-CACHE_SCHEMA_VERSION = 5
+#: ``LOG_g``); version 6 is the action scan's own fixpoint (a fired
+#: action requeues the order waits it ends).  Older entries miss and
+#: re-run.
+CACHE_SCHEMA_VERSION = 6
 
 
 class CampaignCache:

@@ -198,6 +198,10 @@ class Algorithm1Process:
         #: Per (log, threshold), how many leading messages of the log
         #: were seen at that phase or beyond (see :meth:`_order_clear`).
         self._order_cursors: Dict[Tuple[LogHandle, Phase], int] = {}
+        #: Per message id, the ids whose order wait stopped at it during
+        #: the current scan (see :meth:`_order_clear`); a new scan starts
+        #: with none.
+        self._waiters: Dict[MessageId, List[MessageId]] = {}
         #: The route of each destination group seen so far, keyed by
         #: ``dst(m)`` (``my_groups`` and the intersection structure never
         #: change, and the space hands out one handle per object).
@@ -208,9 +212,10 @@ class Algorithm1Process:
         #: (:meth:`repro.core.engine.MulticastSystem.blocked`).
         self._blocked = blocked
         #: Why the last action scan ended blocked: a subset of the
-        #: ``WAIT_*`` reasons of :mod:`repro.metrics.trace`.  Empty after
-        #: a scan that fired actions, or when the process is simply idle.
-        #: The scheduler and the trace exporter both read it.
+        #: ``WAIT_*`` reasons of :mod:`repro.metrics.trace`, empty when
+        #: the process is simply idle.  A scan that fired actions may
+        #: leave reasons too (a wait it later cleared); the scheduler and
+        #: the trace exporter read it only after a scan that fired nothing.
         self.wait_reasons: Set[str] = set()
 
     # -- Phase bookkeeping ---------------------------------------------------
@@ -234,6 +239,10 @@ class Algorithm1Process:
         moves back.  It advances only inside the settled prefix; the
         entries between that prefix and ``m`` can still move, and are
         checked afresh on every call.
+
+        When the wait fails, ``m`` waits on the first entry below
+        ``threshold``: it joins that entry's list in ``_waiters``, and the
+        scan revisits it once the entry's phase rises.
         """
         shared = log.log
         order = shared.order
@@ -249,12 +258,19 @@ class Algorithm1Process:
         while cursor < settled and phase.get(order[cursor][1].mid, START) >= threshold:
             cursor += 1
         self._order_cursors[key] = cursor
-        if cursor < settled:
-            return False
-        for r in range(settled, rank):
-            if phase.get(order[r][1].mid, START) < threshold:
-                return False
-        return True
+        if cursor == settled:
+            for cursor in range(settled, rank):
+                if phase.get(order[cursor][1].mid, START) < threshold:
+                    break
+            else:
+                return True
+        blocker = order[cursor][1].mid
+        waiters = self._waiters
+        if blocker not in waiters:
+            waiters[blocker] = [m.mid]
+        elif m.mid not in waiters[blocker]:  # two logs, or a revisit
+            waiters[blocker] += (m.mid,)
+        return False
 
     # -- Shared-object accessors ----------------------------------------------
 
@@ -293,8 +309,9 @@ class Algorithm1Process:
 
     # -- multicast(m), lines 5-7 ---------------------------------------------
 
-    def multicast(self, message: MulticastMessage) -> None:
-        """Append ``m`` to the log of its destination group.
+    def multicast(self, message: MulticastMessage) -> bool:
+        """Append ``m`` to the log of its destination group; return
+        whether this call appended it (:meth:`_push`).
 
         The caller must be a member of the destination group (closed
         dissemination) and the workload must be group-sequential — the
@@ -305,7 +322,7 @@ class Algorithm1Process:
         if not route.member:
             raise SimulationError(f"{self.pid} is not in {route.g.name}")
         self._learn(message)
-        self._push(message, route)
+        return self._push(message, route)
 
     def _push(self, message: MulticastMessage, route: _Route) -> bool:
         """Line 7 — pre ``PHASE[m] = start`` and ``m ∉ LOG_g``, eff
@@ -342,7 +359,7 @@ class Algorithm1Process:
                 feed[1] = len(arrivals)
 
     def try_actions(self, t: int, budget: Optional[int] = None) -> int:
-        """Run one pass over all enabled actions; return how many fired.
+        """Run every enabled action, to a fixpoint; return how many fired.
 
         ``budget`` caps the number of actions fired in this scan (finer
         interleaving for latency measurements); ``None`` = fire all.
@@ -354,9 +371,19 @@ class Algorithm1Process:
         (``tests/core/_oracle.py::five_tests_scan``) fires the same
         actions — the four whose phase test fails return before any
         effect.
+
+        The scan visits the known ids in order, and revisits an id whose
+        order wait (lines 10/28/36) stopped at an entry whose phase a
+        later visit raised: :meth:`_order_clear` files the waiter under
+        that entry, and the visit that raises its phase pushes the entry's
+        waiters onto a stack the scan drains before it moves on.  Only a
+        rising ``PHASE`` clears an order wait (a commit's ``bumpAndLock``
+        moves only the message it commits), so an unbudgeted scan ends at
+        its own fixpoint: a second scan at the same instant fires nothing.
         """
         self.discover()
         self.wait_reasons = set()
+        self._waiters = waiters = {}
         fired = 0
         known = self.known
         phases = self.phase
@@ -371,11 +398,21 @@ class Algorithm1Process:
                 fired += 1
         done = self._done
         retired = len(done)
+        order = self._scan_order
+        index, size = 0, len(order)
+        requeued: List[MessageId] = []
         try:
-            for mid in self._scan_order:
+            while True:
+                if requeued:
+                    mid = requeued.pop()
+                elif index < size:
+                    mid = order[index]
+                    index += 1
+                else:
+                    return fired
                 if budget is not None and fired >= budget:
                     return fired
-                phase = phases.get(mid, START)
+                phase = was = phases.get(mid, START)
                 if phase == DELIVER:
                     # Delivered messages satisfy no action precondition
                     # and report no wait reason — retire them.
@@ -386,16 +423,12 @@ class Algorithm1Process:
                 if not route.member:
                     done.add(mid)  # never actionable at a non-member
                     continue
-                if phase == START:
-                    if not self._try_pending(t, message, route):
-                        continue
+                if phase == START and self._try_pending(t, message, route):
                     fired += 1
                     if budget is not None and fired >= budget:
                         return fired
                     phase = PENDING
-                if phase == PENDING:
-                    if not self._try_commit(t, message, route):
-                        continue
+                if phase == PENDING and self._try_commit(t, message, route):
                     fired += 1
                     if budget is not None and fired >= budget:
                         return fired
@@ -405,14 +438,18 @@ class Algorithm1Process:
                     fired += self._try_stabilize(t, message, route, remaining)
                     if budget is not None and fired >= budget:
                         return fired
-                    if not self._try_stable(t, message, route):
-                        continue
+                    if self._try_stable(t, message, route):
+                        fired += 1
+                        if budget is not None and fired >= budget:
+                            return fired
+                        phase = STABLE
+                if phase == STABLE and self._try_deliver(t, message, route):
                     fired += 1
-                    if budget is not None and fired >= budget:
-                        return fired
-                if self._try_deliver(t, message, route):  # PHASE[m] = stable
-                    fired += 1
-            return fired
+                    phase = DELIVER
+                if phase != was and mid in waiters:
+                    # In filing order: the stack pops its last entry first.
+                    requeued += waiters[mid][::-1]
+                    del waiters[mid]
         finally:
             if len(done) > retired:
                 self._scan_order = [m for m in self._scan_order if m not in done]

@@ -19,7 +19,7 @@ Scheduling
 The seed engine re-scanned every scheduled process each round, paying
 O(processes × rounds) even when almost everyone was blocked on a quorum
 or a ``gamma`` wait.  The engine is now *event-driven*: a process whose
-step fired nothing is parked — its key joins the scheduler's
+step left it at its fixpoint is parked — its key joins the scheduler's
 ``proven_parked``, the set the kernel parks in too — until an event that
 can change its wait condition removes it:
 
@@ -43,13 +43,18 @@ is byte-identical to the scan-everything engine (a skipped process would
 have fired nothing and recorded nothing).
 
 One process's step runs its components (the Prop 1 helper) and then its
-action scan.  Unbudgeted, the two take turns until one of them fires
-nothing (:meth:`SharedObjectActor.fire`): a scan that delivers
-``L_g[i]`` lets the helper push ``L_g[i+1]`` in the same step, not a
-round later.  Each action is still one atomic operation of that one
+action scan, which runs to its own fixpoint: a visit that raises a
+message's phase revisits the messages whose order wait stopped at it
+(:meth:`Algorithm1Process.try_actions`).  Unbudgeted, the scan and the
+helper take turns while the helper appends to ``LOG_g``
+(:meth:`SharedObjectActor.fire`): a scan that delivers ``L_g[i]`` lets
+the helper push ``L_g[i+1]`` in the same step, not a round later.  Such
+a step ends at the process's fixpoint, so it parks the process whatever
+it fired.  Each action is still one atomic operation of that one
 process and no communication is merged; a step may just take several.
 A budgeted step (``action_budget``) is one helper pass and one budgeted
-scan.  The seed loop itself is kept
+scan, and parks the process only when it fired nothing.  The seed loop
+itself is kept
 as a test oracle (``tests/runtime/_oracle.py``) for differential
 testing; the per-round counters land in :attr:`MulticastSystem.tracer`.
 
@@ -224,7 +229,8 @@ class MulticastSystem(RoundHost):
             )
         )
         #: Who is parked: the scheduler's memo, as on the kernel.  A
-        #: process enters it with a fire that fired nothing and leaves it
+        #: process enters it with a fire that left it at its fixpoint (an
+        #: unbudgeted one, or one that fired nothing) and leaves it
         #: on a write to an object it reads, :meth:`wake_all` or its own
         #: host-called :meth:`multicast`; a full scan empties it.
         self._parked: Set[ProcessId] = self._scheduler.proven_parked

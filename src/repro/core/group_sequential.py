@@ -78,7 +78,13 @@ class AtomicMulticast:
     # -- The helping component, ticked by the engine -------------------------------
 
     def _reduction_actions(self, pid: ProcessId, t: int) -> int:
-        """Push the first locally-undelivered entry of each ``L_g``."""
+        """Push the first locally-undelivered entry of each ``L_g``;
+        return how many pushes appended to ``LOG_g``.
+
+        A push of an entry another member already appended, or that waits
+        for a quorum, appends nothing and counts nothing: it enables no
+        action of the scan (the scan's line-7 retry owns a waiting push).
+        """
         fired = 0
         algo: Algorithm1Process = self.system.processes[pid]
         phase = algo.phase
@@ -96,9 +102,9 @@ class AtomicMulticast:
             message = entries[first]  # wait for it before pushing the next
             key = (pid, message.mid)
             if key not in self._pushed:
-                algo.multicast(message)
                 self._pushed.add(key)
-                fired += 1
+                if algo.multicast(message):
+                    fired += 1
         return fired
 
     # -- Convenience ------------------------------------------------------------------

@@ -4,7 +4,7 @@ Three adapters cover every loop in the repo:
 
 * :class:`SharedObjectActor` — one Algorithm 1 process (plus its
   auxiliary components) inside a :class:`repro.core.engine.MulticastSystem`;
-  a fire that fired nothing parks it until a write wakes it.
+  a fire that leaves it at its fixpoint parks it until a write wakes it.
 * :class:`AutomatonActor` — one Appendix-A automaton inside a
   :class:`repro.sim.kernel.Kernel`; parking is driven by the automaton's
   :meth:`~repro.sim.kernel.Automaton.idle` declaration, the message
@@ -40,18 +40,22 @@ class SharedObjectActor(Actor):
     """One Algorithm 1 process + components, parked in the scheduler's set.
 
     A process is parked while it is in ``proven_parked``: its last fire
-    fired nothing and no shared object it reads has been written since
-    (see :meth:`repro.core.engine.MulticastSystem._write`).  The round
-    and the async driver skip it with that one lookup; the adapter has
-    no :meth:`parked` test of its own.  The engine records no wait
-    reason for skipped processes (``SKIP_WAIT = ()``) — only
+    left it at its fixpoint and no shared object it reads has been
+    written since (see :meth:`repro.core.engine.MulticastSystem._write`).
+    The round and the async driver skip it with that one lookup; the
+    adapter has no :meth:`parked` test of its own.  The engine records
+    no wait reason for skipped processes (``SKIP_WAIT = ()``) — only
     scanned-but-blocked processes are histogrammed.
 
     A fire runs the system's components (the Prop 1 helper), then the
-    action scan.  Unbudgeted, it keeps alternating — components again
-    after a scan that fired, a scan again after components that fired —
-    until one of them fires nothing.  A budgeted fire is one component
-    pass and one budgeted scan.
+    action scan, which runs to its own fixpoint
+    (:meth:`repro.core.algorithm1.Algorithm1Process.try_actions`).
+    Unbudgeted, the two keep taking turns while each moves something: a
+    scan that fired lets the helper push again, and a helper pass that
+    appended to ``LOG_g`` gets another scan.  The fire then ends at the
+    process's fixpoint, so it parks the process whatever it fired.  A
+    budgeted fire is one component pass and one budgeted scan, and parks
+    the process only when it fired nothing.
     """
 
     def __init__(self, system, pid: ProcessId) -> None:
@@ -74,9 +78,10 @@ class SharedObjectActor(Actor):
             fired += component(pid, t)
         scanned = process.try_actions(t, budget=budget)
         fired += scanned
-        # Unbudgeted, the components and the scan take turns until one
-        # of them fires nothing: a scan that delivered L_g[i] lets the
-        # Prop 1 helper push L_g[i+1] in this step, not the next round.
+        # Unbudgeted, the scan and the components take turns while the
+        # helper appends: a scan that delivered L_g[i] lets the Prop 1
+        # helper push L_g[i+1] in this step, not the next round, and only
+        # an append can enable an action the scan's fixpoint left off.
         # Each (pid, mid) is pushed at most once, so the turns end.
         while scanned and components and budget is None:
             pushed = 0
@@ -86,9 +91,9 @@ class SharedObjectActor(Actor):
                 break
             scanned = process.try_actions(t)
             fired += pushed + scanned
-        if fired:
-            # Its own local state moved: its next action may already be
-            # enabled without any further shared-object write.
+        if fired and budget is not None:
+            # A budget may have cut the scan short: its next action may
+            # already be enabled without any further shared-object write.
             system._parked.discard(pid)
         else:
             system._parked.add(pid)

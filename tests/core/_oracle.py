@@ -39,6 +39,22 @@ retry loop of ``try_actions`` and the guards of ``_try_pending``,
 ``_try_commit`` and ``_try_stabilize``, over the retired handle bodies
 :func:`ilog_quorum_ok` and :func:`cons_quorum_ok`.
 ``test_guard_memo.py`` runs cells under both.
+
+Both scans above revisit, within one pass, the ids whose order wait
+stopped at an entry whose phase a later visit raised, in the order
+``Algorithm1Process.try_actions`` does (:func:`_worklist`), so each
+differential compares scans that reach the same fixpoint.
+
+So does the fire's accounting.  The Prop 1 helper
+(``AtomicMulticast._reduction_actions``) counts only the pushes that
+appended to ``LOG_g``, and an unbudgeted ``SharedObjectActor.fire``
+parks its process whatever it fired, since the scan runs to its own
+fixpoint.  Until it did, the helper counted every push it made, also one
+where line 7 appended nothing, each such count bought the fire one more
+scan, and a fire that fired anything left its process unparked.
+:func:`idle_counting_everywhere` binds both back;
+``test_scan_fixpoint.py`` shows that on the engine they change no
+record, only the scans taken.
 """
 
 from __future__ import annotations
@@ -48,12 +64,14 @@ from types import MethodType
 from typing import Dict, FrozenSet, Set
 
 from repro.core.engine import MulticastSystem
+from repro.core.group_sequential import AtomicMulticast
 from repro.core.phases import COMMIT, DELIVER, PENDING, STABLE, START
 from repro.groups.topology import GroupTopology
 from repro.metrics.trace import WAIT_CONSENSUS, WAIT_GAMMA, WAIT_ORDER, WAIT_QUORUM
 from repro.objects.space import IntersectionLogHandle
 from repro.model.failures import FailurePattern, Time
 from repro.model.processes import ProcessId, ProcessSet
+from repro.runtime.actors import SharedObjectActor
 
 
 def handrolled_required(
@@ -125,7 +143,7 @@ def five_tests_try_actions(self, t, budget=None):
     done = self._done
     retired = len(done)
     try:
-        for mid in self._scan_order:
+        for mid in _worklist(self):
             if budget is not None and fired >= budget:
                 return fired
             message = self.known[mid]
@@ -138,6 +156,7 @@ def five_tests_try_actions(self, t, budget=None):
             if self.pid not in g:
                 done.add(mid)  # never actionable at a non-member
                 continue
+            was = self.phase_of(message)
             if _try_pending(self, t, message, g):
                 fired += 1
             if budget is not None and fired >= budget:
@@ -156,10 +175,29 @@ def five_tests_try_actions(self, t, budget=None):
                 return fired
             if _try_deliver(self, t, message, g):
                 fired += 1
+            if self.phase_of(message) != was:
+                _requeue(self, mid)
         return fired
     finally:
         if len(done) > retired:
             self._scan_order = [m for m in self._scan_order if m not in done]
+
+
+def _worklist(self):
+    """The ids a scan of ``self`` visits: its scan order, and before each
+    next id every id :func:`_requeue` pushed onto ``self._requeued``."""
+    self._waiters = {}
+    self._requeued = []
+    for mid in list(self._scan_order):
+        yield mid
+        while self._requeued:
+            yield self._requeued.pop()
+
+
+def _requeue(self, mid):
+    """Push the waiters ``_order_clear`` filed under ``mid`` (whose phase
+    just rose), so that the first filed is revisited first."""
+    self._requeued.extend(reversed(self._waiters.pop(mid, [])))
 
 
 def five_tests_scan(process):
@@ -243,10 +281,10 @@ def per_check_try_actions(system, self, t, budget=None):
     done = self._done
     retired = len(done)
     try:
-        for mid in self._scan_order:
+        for mid in _worklist(self):
             if budget is not None and fired >= budget:
                 return fired
-            phase = phases.get(mid, START)
+            phase = was = phases.get(mid, START)
             if phase == DELIVER:
                 # Delivered messages satisfy no action precondition
                 # and report no wait reason — retire them.
@@ -257,16 +295,12 @@ def per_check_try_actions(system, self, t, budget=None):
             if not route.member:
                 done.add(mid)  # never actionable at a non-member
                 continue
-            if phase == START:
-                if not self._try_pending(t, message, route):
-                    continue
+            if phase == START and self._try_pending(t, message, route):
                 fired += 1
                 if budget is not None and fired >= budget:
                     return fired
                 phase = PENDING
-            if phase == PENDING:
-                if not self._try_commit(t, message, route):
-                    continue
+            if phase == PENDING and self._try_commit(t, message, route):
                 fired += 1
                 if budget is not None and fired >= budget:
                     return fired
@@ -276,13 +310,16 @@ def per_check_try_actions(system, self, t, budget=None):
                 fired += self._try_stabilize(t, message, route, remaining)
                 if budget is not None and fired >= budget:
                     return fired
-                if not self._try_stable(t, message, route):
-                    continue
+                if self._try_stable(t, message, route):
+                    fired += 1
+                    if budget is not None and fired >= budget:
+                        return fired
+                    phase = STABLE
+            if phase == STABLE and self._try_deliver(t, message, route):
                 fired += 1
-                if budget is not None and fired >= budget:
-                    return fired
-            if self._try_deliver(t, message, route):  # PHASE[m] = stable
-                fired += 1
+                phase = DELIVER
+            if phase != was:
+                _requeue(self, mid)
         return fired
     finally:
         if len(done) > retired:
@@ -391,3 +428,44 @@ def per_check_guards_everywhere(monkeypatch):
         per_check_guards(self)
 
     monkeypatch.setattr(MulticastSystem, "__init__", per_check_init)
+
+
+def idle_counting_reduction_actions(self, pid, t):
+    """``AtomicMulticast._reduction_actions`` counting every push as
+    fired, also one where line 7 appended nothing."""
+    fired = 0
+    algo = self.system.processes[pid]
+    phase = algo.phase
+    for feed in self._feeds[pid]:
+        entries, first = feed
+        size = len(entries)
+        while first < size and phase.get(entries[first].mid) == DELIVER:
+            first += 1  # move on to the next entry of L_g
+        feed[1] = first
+        if first == size:
+            continue
+        message = entries[first]  # wait for it before pushing the next
+        key = (pid, message.mid)
+        if key not in self._pushed:
+            algo.multicast(message)
+            self._pushed.add(key)
+            fired += 1
+    return fired
+
+
+def idle_counting_everywhere(monkeypatch):
+    """The helper's count and the fire's parking rule as they were while
+    ``monkeypatch`` is active: every push counts as fired, and a fire
+    that fired anything leaves its process unparked."""
+    monkeypatch.setattr(
+        AtomicMulticast, "_reduction_actions", idle_counting_reduction_actions
+    )
+    fire = SharedObjectActor.fire
+
+    def unparking_fire(self, t, budget=None, parked=None):
+        fired = fire(self, t, budget, parked)
+        if fired:
+            self._system._parked.discard(self._pid)
+        return fired
+
+    monkeypatch.setattr(SharedObjectActor, "fire", unparking_fire)

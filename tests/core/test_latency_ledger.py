@@ -17,11 +17,12 @@ ledger" has the table, with the row of the step order before the Prop 1
 helper and the scan took turns within one step (queue 75, service 3,
 25.55 steps a delivery).
 
-The Prop 1 helper (``AtomicMulticast._reduction_actions``) counts a push
-as fired even when line 7 appended nothing, and such a count keeps
-``SharedObjectActor.fire``'s helper–scan turns going for one more scan.
-The ledger counts those pushes, the scans they buy and how many of
-those scans fire an action anyway.
+The action scan runs to its own fixpoint: a visit that raises a
+message's phase revisits, in the same scan, the messages whose order
+wait stopped at it.  The ledger counts those revisits and the phase
+moves they make.  The Prop 1 helper (``AtomicMulticast._reduction_actions``)
+counts only the pushes that appended to ``LOG_g``; the ledger counts the
+pushes that appended nothing too, and the scans.
 """
 
 from __future__ import annotations
@@ -35,12 +36,24 @@ from repro.core.algorithm1 import Algorithm1Process
 from repro.core.group_sequential import AtomicMulticast
 from repro.groups.topology import paper_figure1_topology
 from repro.metrics.summary import latency_of
-from repro.runtime.actors import SharedObjectActor
 from repro.workloads import runner
 from repro.workloads.runner import open_loop_sends
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 
 MULTICASTS = 480
+
+FIGURE1 = paper_figure1_topology()
+
+#: The ledger's cell (``tests/core/test_scan_fixpoint.py`` runs it too).
+CELL = ScenarioSpec(
+    topology=TopologySpec.capture(FIGURE1),
+    sends=open_loop_sends(FIGURE1, MULTICASTS),
+    seed=0,
+    max_rounds=4 * (MULTICASTS // 2) + 400,
+)
+
+#: The action bodies a visit of the scan calls, in chain order.
+ACTIONS = ("_try_pending", "_try_commit", "_try_stabilize", "_try_stable", "_try_deliver")
 
 
 def charge_kind(reason: str) -> str:
@@ -59,13 +72,7 @@ def charge_kind(reason: str) -> str:
 
 @pytest.fixture(scope="module")
 def ledger():
-    topology = paper_figure1_topology()
-    spec = ScenarioSpec(
-        topology=TopologySpec.capture(topology),
-        sends=open_loop_sends(topology, MULTICASTS),
-        seed=0,
-        max_rounds=4 * (MULTICASTS // 2) + 400,
-    )
+    spec = CELL
     hosts = []
 
     def build(*args):
@@ -75,48 +82,50 @@ def ledger():
 
     first_push = {}
     real = Algorithm1Process.multicast
-    push, helper = Algorithm1Process._push, AtomicMulticast._reduction_actions
-    scan, fire = Algorithm1Process.try_actions, SharedObjectActor.fire
-    #: Every line-7 push's outcome; per process, whether its last helper
-    #: pass counted pushes that all appended nothing, and the scans of
-    #: its current fire.
-    appended, idle_pass, scans = [], {}, Counter()
+    helper = AtomicMulticast._reduction_actions
+    scan = Algorithm1Process.try_actions
+    #: Every line-7 push by the helper and whether it appended; what the
+    #: helper counted; the scans; per scan, the ids of its visits in
+    #: order, and each visit's phase before and after.
     pushes = Counter()
+    visits = []
 
     def noting(process, message):
         first_push.setdefault(message.mid, hosts[0].time)
-        before = len(appended)
-        real(process, message)
+        appended = real(process, message)
         pushes["pushes"] += 1
-        pushes["idle"] += not appended[before]
-
-    def pushing(process, message, route):
-        appended.append(push(process, message, route))
-        return appended[-1]
+        pushes["idle"] += not appended
+        return appended
 
     def helping(multicaster, pid, t):
-        idle_before, counted = pushes["idle"], helper(multicaster, pid, t)
-        idle_pass[pid] = counted > 0 and pushes["idle"] - idle_before == counted
+        counted = helper(multicaster, pid, t)
+        pushes["counted"] += counted
         return counted
 
     def scanning(process, t, budget=None):
-        fired = scan(process, t, budget=budget)
-        if scans[process.pid] and idle_pass[process.pid]:
-            pushes["followup_scans"] += 1
-            pushes["productive_followups"] += fired > 0
-        scans[process.pid] += 1
-        return fired
+        pushes["scans"] += 1
+        visits.append([])
+        return scan(process, t, budget=budget)
 
-    def firing(actor, t, budget=None, parked=None):
-        scans[actor._pid] = 0
-        return fire(actor, t, budget, parked)
+    def visiting(action):
+        def visit(process, t, m, *args):
+            scan_visits = visits[-1]
+            if not scan_visits or scan_visits[-1][0] != m.mid:
+                scan_visits.append([m.mid, process.phase_of(m), None])
+            out = action(process, t, m, *args)
+            scan_visits[-1][2] = process.phase_of(m)
+            return out
+
+        return visit
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Algorithm1Process, "multicast", noting)
-        patch.setattr(Algorithm1Process, "_push", pushing)
         patch.setattr(AtomicMulticast, "_reduction_actions", helping)
         patch.setattr(Algorithm1Process, "try_actions", scanning)
-        patch.setattr(SharedObjectActor, "fire", firing)
+        for name in ACTIONS:
+            patch.setattr(
+                Algorithm1Process, name, visiting(getattr(Algorithm1Process, name))
+            )
         result = runner.run_deployment(spec, build)
     result.assert_ok()
     record = result.record
@@ -127,6 +136,15 @@ def ledger():
         latency.append(latency_of(record, m))
         service.append(latency[-1] - waited)
     deliveries = len(record.deliveries)
+    revisits = Counter()
+    for scan_visits in visits:
+        seen = set()
+        for mid, before, after in scan_visits:
+            if mid in seen:
+                revisits["revisits"] += 1
+                if after != before:
+                    revisits[f"{before.name.lower()}→{after.name.lower()}"] += 1
+            seen.add(mid)
     steps = Counter()
     for _t, payers, reason in record.charges:
         steps[charge_kind(reason)] += len(payers)
@@ -136,8 +154,10 @@ def ledger():
         "queue": statistics.median(queue),
         "service": statistics.median(service),
         "latency": statistics.median(latency),
+        "means": tuple(round(statistics.mean(x), 3) for x in (queue, service, latency)),
         "steps": steps,
         "pushes": dict(pushes),
+        "revisits": dict(revisits),
     }
 
 
@@ -149,35 +169,57 @@ def test_the_latency_splits_into_queue_and_service(ledger):
     # The old step order read queue 75, service 3, latency 77.5: the
     # push of L_g[i+1] waited a round behind the delivery of L_g[i].
     assert (ledger["queue"], ledger["service"], ledger["latency"]) == (1, 2, 4)
+    # Before the scan revisited its order waits, the means read 1.902,
+    # 2.377 and 4.279.
+    assert ledger["means"] == (1.623, 2.263, 3.885)
 
 
 def test_steps_per_delivery_by_charge_reason(ledger):
     # Before line 7 took ``m ∉ LOG_g`` into its precondition, 133 pushes
     # appended a message already in LOG_g: "LOG_g.append" read 18 262 and
-    # the total 24.76 a delivery.
+    # the total 24.76 a delivery.  Before the scan revisited its order
+    # waits, "LOG_g.append" read 17 892 and the total 24.45.
     assert dict(ledger["steps"]) == {
         "L_g.append": 1200,
-        "LOG_g.append": 17892,
+        "LOG_g.append": 17826,
         "LOG_g.bumpAndLock": 3120,
-        "LOG_g∩h.append[fast]": 1742,
-        "LOG_g∩h.append[slow]": 267,
-        "LOG_g∩h.bumpAndLock[fast]": 1756,
-        "LOG_g∩h.bumpAndLock[slow]": 246,
+        "LOG_g∩h.append[fast]": 1756,
+        "LOG_g∩h.append[slow]": 246,
+        "LOG_g∩h.bumpAndLock[fast]": 1708,
+        "LOG_g∩h.bumpAndLock[slow]": 318,
         "CONS.propose": 3120,
     }
     total = sum(ledger["steps"].values())
-    assert round(total / ledger["deliveries"], 2) == 24.45
+    assert round(total / ledger["deliveries"], 2) == 24.41
 
 
 def test_helper_pushes_that_append_nothing_and_the_scans_they_buy(ledger):
-    # 712 of the helper's 1 192 pushes find the message already in LOG_g
-    # (or past start) and still count as fired.  In 421 helper passes
-    # every counted push was such a push, so the fire took one more
-    # scan; 259 of those scans fired an action (``discover()`` read an
-    # entry another member appended), 162 fired none.
-    assert ledger["pushes"] == {
-        "pushes": 1192,
-        "idle": 712,
-        "followup_scans": 421,
-        "productive_followups": 259,
+    # 704 of the helper's 1 184 pushes find the message already in LOG_g
+    # (or past start) and count for nothing, so they buy no scan: the
+    # helper counts its 480 appends, one a message.  Before, it counted
+    # all 1 192 of its pushes.  In 421 helper passes every counted push
+    # appended nothing, and each bought the fire one more scan; 259 of
+    # those scans fired an action.  What they fired were order waits
+    # whose blocker a later visit of the previous scan had advanced —
+    # within one fire no other process acts, so no unread entry of
+    # another member was there to read.  The scan now revisits those
+    # waits itself (``test_the_scan_revisits_the_order_waits_it_ends``),
+    # and the cell takes 1 481 scans instead of 2 000.
+    pushes = ledger["pushes"]
+    assert pushes["counted"] == pushes["pushes"] - pushes["idle"]
+    assert pushes == {"pushes": 1184, "idle": 704, "counted": 480, "scans": 1481}
+
+
+def test_the_scan_revisits_the_order_waits_it_ends(ledger):
+    # A revisit is a second visit of one id in one scan: its order wait
+    # stopped at an entry whose phase a later visit raised.  Most end a
+    # line-36 wait (commit → deliver, stable → deliver); without them
+    # each of those deliveries waited for the process's next scan.
+    assert ledger["revisits"] == {
+        "revisits": 651,
+        "commit→deliver": 200,
+        "stable→deliver": 58,
+        "start→pending": 7,
+        "start→commit": 4,
+        "commit→stable": 1,
     }

@@ -17,6 +17,7 @@ from repro.core.algorithm1 import Algorithm1Process
 from repro.core.phases import DELIVER
 from repro.groups.topology import paper_figure1_topology
 from repro.objects.space import ObjectSpace
+from repro.runtime.actors import SharedObjectActor
 from repro.workloads.runner import Send, random_sends, run_scenario
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 
@@ -32,11 +33,15 @@ ACTIONS = ("_try_pending", "_try_commit", "_try_stabilize", "_try_stable", "_try
 
 
 def run_recording_scans(spec, budget, oracle):
-    """Run ``spec`` with every scan capped at ``budget`` (the actors pass
-    none, so the cap is forced where the scan is entered) and return what
+    """Run ``spec`` with every fire capped at ``budget`` (the hosts pass
+    none, so the cap is forced where the fire is entered) and return what
     each scan fired and left behind, plus the result."""
     scans = []
     init = Algorithm1Process.__init__
+    fire = SharedObjectActor.fire
+
+    def capped(actor, t, _budget=None, parked=None):
+        return fire(actor, t, budget, parked)
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -44,8 +49,8 @@ def run_recording_scans(spec, budget, oracle):
             five_tests_scan(self)
         scan = self.try_actions
 
-        def recorded(t, budget=None, _cap=budget):
-            fired = scan(t, budget=_cap)
+        def recorded(t, budget=None):
+            fired = scan(t, budget=budget)
             scans.append(
                 (
                     self.pid,
@@ -62,6 +67,7 @@ def run_recording_scans(spec, budget, oracle):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Algorithm1Process, "__init__", recording_init)
+        patch.setattr(SharedObjectActor, "fire", capped)
         result = run_scenario(spec)
     return scans, result
 
@@ -100,21 +106,29 @@ def test_dispatch_tries_one_action_per_visit_over_resolved_routes(monkeypatch):
     """Host-independent guard on a 120-multicast Figure 1 cell.
 
     A visit of a live id tries the action its phase enables, and one more
-    per action fired, so tries stay within visits + fired (2 861 tries for
-    1 046 visits and 1 858 actions here; the five-tests scan: 5 × visits =
-    5 230).  Every object an action touches is on the
+    per action fired, so tries stay within visits + fired.  A scan visits
+    every live id once, and again each id whose order wait stopped at an
+    entry whose phase a later visit raised: 2 679 tries for 838 + 139
+    visits and 1 851 actions here (the five-tests scan: 5 × visits =
+    4 885).  Every object an action touches is on the
     route of the destination group, resolved on the process's first visit
     of that group: after it, the space is never asked for an intersection
     log again.
     """
     tries = {name: 0 for name in ACTIONS}
-    visits = fired = 0
+    visits = revisits = fired = 0
     lookups = {}  # (process, destination group) -> intersection_log calls
+    visited = []  # per scan: the ids visited so far, the last one last
 
     for name in ACTIONS:
-        def counted(self, *args, _action=getattr(Algorithm1Process, name), _name=name):
+        def counted(self, t, m, *args, _action=getattr(Algorithm1Process, name), _name=name):
+            nonlocal revisits
             tries[_name] += 1
-            return _action(self, *args)
+            seen = visited[-1]
+            if not seen or seen[-1] != m.mid:  # a visit's tries are adjacent
+                revisits += m.mid in seen
+                seen.append(m.mid)
+            return _action(self, t, m, *args)
 
         monkeypatch.setattr(Algorithm1Process, name, counted)
 
@@ -126,6 +140,7 @@ def test_dispatch_tries_one_action_per_visit_over_resolved_routes(monkeypatch):
         self.discover()  # idempotent: the scan's own call then learns nothing
         visits += sum(1 for mid in self._scan_order if self.phase.get(mid) != DELIVER)
         scanning.append(self)
+        visited.append([])
         try:
             count = try_actions(self, t, budget=budget)
         finally:
@@ -179,6 +194,7 @@ def test_dispatch_tries_one_action_per_visit_over_resolved_routes(monkeypatch):
     assert result.delivered_everywhere()
     assert visits > 500 and fired > visits
     assert all(tries.values())
-    assert sum(tries.values()) <= visits + fired
+    assert revisits > 0
+    assert sum(tries.values()) <= visits + revisits + fired
     assert len(resolved) >= len(groups)
     assert not lookups

@@ -28,7 +28,8 @@ way: every latency draw, deadline and ``(when, seq)`` tie.  The engine
 and async entries were re-versioned on purpose (DESIGN.md §13 policy
 (2)): all but the 8 ``engine:figure1:participation:*`` ones for the step
 order inside ``SharedObjectActor.fire``, then all of them for line 7's
-one precondition (no append of a message already in ``LOG_g``).
+one precondition (no append of a message already in ``LOG_g``), then
+all engine and 12 async ones for the action scan's own fixpoint.
 """
 
 from __future__ import annotations

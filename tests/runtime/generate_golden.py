@@ -10,13 +10,15 @@ any diff.  The 80 ``kernel:pingpong*`` fingerprints are still the ones
 produced at the last commit *before* the ``repro.runtime`` extraction
 (91a52c1) — they pin the runtime loop, and every commit since
 reproduces them byte for byte.  The engine fingerprints and the 16
-``async:*`` ones were re-versioned twice under DESIGN.md §13 policy (2):
+``async:*`` ones were re-versioned three times under DESIGN.md §13 policy (2):
 160 engine and the 16 async ones when ``SharedObjectActor.fire`` let the
 Prop 1 helper and the action scan take turns within one step (rebinding
 the old fire body reproduces their old values), then all 168 engine and
 the 16 async ones when line 7 took ``m ∉ LOG_g`` into its one
 precondition (every engine cell keeps its delivery stream; its charges
-moved).  The 20
+moved), then all 168 engine and 12 async ones when the action scan
+reached its own fixpoint (under ``tests/core/_oracle.py::idle_counting_everywhere``
+every engine record is the new one: only the fixpoint moves them).  The 20
 ``kernel:replog3:*`` fingerprints were re-versioned three times under
 DESIGN.md §13 policy (2): in PR 20 (the §4.3 consensus deliberately
 sends fewer datagrams), in PR 21 (a log slot decides a batch) and in

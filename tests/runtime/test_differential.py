@@ -36,7 +36,9 @@ engine entries and the 16 ``async:*`` ones moved once, when
 ``SharedObjectActor.fire`` let the Prop 1 helper and the action scan
 take turns within one step.  The third: all 168 engine entries and the
 16 async ones, when line 7 stopped appending a message already in
-``LOG_g``.  The ``pingpong`` entries are still the pre-refactor ones.)
+``LOG_g``.  The fourth: all 168 engine entries and 12 async ones, when
+the action scan reached its own fixpoint.  The ``pingpong`` entries are
+still the pre-refactor ones.)
 """
 
 from __future__ import annotations

@@ -108,8 +108,13 @@ SPECS = {
 #: All three engine pins were re-recorded when line 7 stopped appending
 #: a message already in ``LOG_g``: only ``trace.quorum_queries`` moved
 #: (95 → 91, 144 → 136, 140 → 132): a skipped append asks no guard.
+#: And again when the action scan reached its own fixpoint: only trace
+#: counters moved — ``actions`` (72 → 67, 108 → 98, 107 → 98; the Prop 1
+#: helper counts only its appends), ``gamma_queries``, and in the crash
+#: and truncated rows ``scanned`` / ``skipped`` / ``wait_reasons`` (a fire
+#: parks its process at its fixpoint).
 PINS = {
-    "figure1-engine-crash": "439a792796ae9dd98be9ba2a6b9ad4c12a2a9f48e9a084508c4bb58fada565f8",
+    "figure1-engine-crash": "4f4a586a7221bcc3ae010c2b961e6978bd3bfaf7706c5b173709db97f60cab2c",
     # The two kernel pins were re-recorded in PR 20 (the §4.3 consensus
     # sends fewer datagrams), PR 21 (a log slot decides a batch) and PR 23
     # (DECIDE is not relayed, a waiting replica is parked, ``Omega_g`` takes
@@ -121,11 +126,11 @@ PINS = {
     # ``sigma_noised`` / ``omega_rotated`` became counts of the built
     # history (one per scope and round the fault decided) instead of per
     # query; minus those two keys each row hashes as before.
-    "figure1-engine-faulted": "66413d7899e80927101e20950e765b6f56f82c04687ce964972a9c2e0793c88d",
+    "figure1-engine-faulted": "debdb3e087d88e4b45f1f9b21caa482352718fd727f854d1a5bae586855c1841",
     "disjoint-kernel-faulted": "d5286acf6bdb47f26298cc090b62aa3dc58467e00e933c2b86171c5998f83d2d",
     "figure1-async-faulted": "25d51ebc6a4b7cabebe1962452751455e23e9d0165ea8adca2d26437c7d7bda4",
     "disjoint-kernel-detectors": "6677d45315571f95a0b20f214b08fb813db5e98ffae6289fa3fbf86b8b59492e",
-    "figure1-engine-truncated": "ba57fdc34b9a72eec02095ded24613616f9b80cfbb359ad9b6dedd29a8de0d39",
+    "figure1-engine-truncated": "5545cacec472060ef9fd0f0f89361dcae91d08177a645e5f049aac21dcf2f998",
 }
 
 
