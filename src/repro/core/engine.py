@@ -26,9 +26,11 @@ can change its wait condition removes it:
 * a write to a shared object it can read (its group logs, the
   intersection logs of its groups, its reduction lists ``L_g``): every
   log binds its reader set when it is created
-  (:func:`repro.objects.space.reader_set`), and a mutation hands it to
-  :meth:`MulticastSystem._write` with its charge — one call that records
-  the steps and unparks the readers;
+  (:func:`repro.objects.space.reader_set`), and the mutation itself
+  records its charge and unparks the readers through the engine's
+  :class:`repro.objects.space.Sink` (the record's charge list, the
+  scheduler's clock and ``proven_parked``, the wake listener) — no
+  call beyond the mutation's own frame;
 * a host-called :meth:`MulticastSystem.multicast` by the process;
 * a change of the participation/responder sets (quorum availability) or
   a detector transition or a crash — covered by the scheduler's full
@@ -86,7 +88,7 @@ call :meth:`MulticastSystem.wake_all`.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.algorithm1 import Algorithm1Process, Guard
 from repro.detectors.indicator import IndicatorOracle
@@ -98,7 +100,7 @@ from repro.model.failures import FailurePattern, Time
 from repro.model.messages import MessageFactory, MulticastMessage
 from repro.model.processes import ProcessId, ProcessSet
 from repro.model.runs import RunRecord
-from repro.objects.space import ObjectSpace
+from repro.objects.space import ObjectSpace, Sink
 from repro.runtime.actors import RoundHost, SharedObjectActor
 from repro.runtime.scheduler import Scheduler
 
@@ -147,15 +149,12 @@ class MulticastSystem(RoundHost):
         #: engine.
         self.injector = injector
         self.record = RunRecord(topology.processes, pattern)
-        #: Where :meth:`_write` records a charge: the record's charge list.
-        self._charge = self.record.charges.append
         tracer = TraceRecorder()
-        #: Optional observer of wake events, called with the processes
-        #: just unparked.  The async driver installs itself here to route
-        #: wakes through latency-modelled channels; ``None`` (round
-        #: execution) keeps the wake path untouched.
-        self.wake_listener: Optional[Callable[[FrozenSet[ProcessId]], None]] = None
-        self.space = ObjectSpace(self._write, isolation=isolation)
+        #: Where every shared-object operation charges and wakes: the
+        #: record's charge list, and (once the scheduler exists) its
+        #: clock and ``proven_parked``; :attr:`wake_listener` is its slot.
+        self.sink = Sink(self.record.charges)
+        self.space = ObjectSpace(self.sink, isolation=isolation)
         #: The run's detector (the pattern oracles when not given).
         self.mu = build_mu(pattern, topology) if mu is None else mu
         #: The guard's memo (:meth:`blocked`): ``quorum_ok``'s verdict per
@@ -234,27 +233,32 @@ class MulticastSystem(RoundHost):
         #: on a write to an object it reads, :meth:`wake_all` or its own
         #: host-called :meth:`multicast`; a full scan empties it.
         self._parked: Set[ProcessId] = self._scheduler.proven_parked
+        self.sink.clock = self._scheduler
+        self.sink.parked = self._parked
 
     # -- Wiring ---------------------------------------------------------------
 
-    def _write(
-        self,
-        processes: Tuple[ProcessId, ...],
-        reason: str,
-        readers: FrozenSet[ProcessId],
+    @property
+    def wake_listener(self) -> Optional[Callable[[Iterable[ProcessId]], None]]:
+        """Optional observer of wake events, called with the processes
+        just unparked (a write's reader set, every process, or a
+        sender's one-tuple).  The async driver installs itself here to
+        route wakes through latency-modelled channels; ``None`` (round
+        execution) keeps the wake path untouched.  Stored in the sink."""
+        return self.sink.wake_listener
+
+    @wake_listener.setter
+    def wake_listener(
+        self, listener: Optional[Callable[[Iterable[ProcessId]], None]]
     ) -> None:
-        """One shared-object operation: record its charge, wake its readers."""
-        self._charge((self._scheduler.time, processes, reason))
-        if readers:
-            self._parked -= readers
-            if self.wake_listener is not None:
-                self.wake_listener(readers)
+        self.sink.wake_listener = listener
 
     def wake_all(self) -> None:
         """Force every process through the next action scan."""
-        self._parked.clear()
-        if self.wake_listener is not None:
-            self.wake_listener(self.topology.processes)
+        sink = self.sink
+        sink.parked.clear()
+        if sink.wake_listener is not None:
+            sink.wake_listener(self.topology.processes)
 
     def quorum_ok(self, caller: ProcessId, scope: ProcessSet) -> bool:
         """Whether a ``Sigma_scope`` quorum can respond right now.
@@ -404,9 +408,10 @@ class MulticastSystem(RoundHost):
         self.record.note_multicast(self.time, src, message)
         # The sender must retry its line-7 append even when the append is
         # deferred on a quorum (no object write happens in that case).
-        self._parked.discard(src)
-        if self.wake_listener is not None:
-            self.wake_listener((src,))
+        sink = self.sink
+        sink.parked.discard(src)
+        if sink.wake_listener is not None:
+            sink.wake_listener((src,))
         self.fresh_verdicts()
         self.processes[src].multicast(message)
         return message

@@ -47,7 +47,7 @@ class AtomicMulticast:
         #: a message's ``dst``), read by its members.
         self._lists: Dict[ProcessSet, LogHandle] = {
             g.members: LogHandle(
-                Log(f"L_{g.name}"), g.members, reader_set(g), system._write
+                Log(f"L_{g.name}"), g.members, reader_set(g), system.sink
             )
             for g in system.topology.groups
         }

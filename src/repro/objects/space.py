@@ -17,17 +17,20 @@ Carriers:
   backing consensus hosted by one of the two groups runs and that group is
   charged.
 
-The space receives one ``write`` sink (processes, reason, readers) from
-the runtime, which turns charges into :class:`repro.model.runs.RunRecord`
-steps and wakes the object's readers.  One operation is one call: the
-processes it charges arrive together, in charging order
-(:func:`billing_order`), with the reader set its object bound when it was
-created (:func:`reader_set`).
+The space charges into one :class:`Sink` the runtime hands it: the run
+record's charge list, the clock that stamps a charge, the set of parked
+processes and the slot of a wake listener.  One operation is one frame:
+the handle's mutator appends its ``(time, billing order, reason)`` charge
+(:func:`billing_order`), unparks the reader set its object bound when it
+was created (:func:`reader_set`) and hands it to the listener, then
+applies the operation.  An ``append`` of a datum already in the log still
+charges and wakes, as the message-passing construction still runs, but
+leaves the log alone.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.groups.topology import Group
 from repro.model.errors import SpecificationError
@@ -35,12 +38,9 @@ from repro.model.processes import ProcessId, ProcessSet
 from repro.objects.consensus import ConsensusObject
 from repro.objects.log import Log
 
-#: Write sink: (processes to charge one step each, in charging order;
-#: human-readable reason; the processes that read the object, to wake).
-WriteSink = Callable[[Tuple[ProcessId, ...], str, FrozenSet[ProcessId]], None]
-
-#: One operation path's memoised sink arguments.
-Bill = Tuple[Tuple[ProcessId, ...], str, FrozenSet[ProcessId]]
+#: One recorded charge: (time, processes charged one step each, in
+#: charging order, human-readable reason).
+Charge = Tuple[int, Tuple[ProcessId, ...], str]
 
 
 def _det_label(key: Any) -> str:
@@ -61,10 +61,39 @@ def _det_label(key: Any) -> str:
 NO_READERS: FrozenSet[ProcessId] = frozenset()
 
 
-def _no_write(
-    _processes: Tuple[ProcessId, ...], _reason: str, _readers: FrozenSet[ProcessId]
-) -> None:
-    """Default write sink: discard charges, wake nobody."""
+class _StoppedClock:
+    """The clock of a sink no scheduler drives: it reads time 0."""
+
+    time = 0
+
+
+class Sink:
+    """Where every shared-object operation lands.
+
+    Attributes:
+        charges: the run record's charge list; an operation appends one
+            :data:`Charge`.
+        clock: supplies ``.time``, the instant a charge is stamped with
+            (the engine's scheduler).
+        parked: the processes parked at their fixpoint (the scheduler's
+            ``proven_parked``); a write removes its object's readers.
+        wake_listener: called with a write's readers once they left
+            ``parked``, or ``None``.  The async driver installs its hook
+            here to route wakes through latency-modelled channels.
+    """
+
+    __slots__ = ("charges", "clock", "parked", "wake_listener")
+
+    def __init__(
+        self,
+        charges: Optional[List[Charge]] = None,
+        clock: Any = None,
+        parked: Optional[Set[ProcessId]] = None,
+    ) -> None:
+        self.charges: List[Charge] = [] if charges is None else charges
+        self.clock = _StoppedClock() if clock is None else clock
+        self.parked: Set[ProcessId] = set() if parked is None else parked
+        self.wake_listener: Optional[Callable[[Iterable[ProcessId]], None]] = None
 
 
 def reader_set(*groups: Group) -> FrozenSet[ProcessId]:
@@ -94,14 +123,55 @@ def billing_order(caller: ProcessId, scope: ProcessSet) -> Tuple[ProcessId, ...]
     return (caller, *[c for c in scope if c != caller])
 
 
+class _Bill(dict):
+    """One operation path of one object: the reason its charges carry,
+    and per caller its billing order over ``scope``, built on the
+    caller's first operation.  A mutator reads it by subscript."""
+
+    __slots__ = ("scope", "reason")
+
+    def __init__(self, scope: ProcessSet, reason: str) -> None:
+        super().__init__()
+        self.scope = scope
+        self.reason = reason
+
+    def __missing__(self, caller: ProcessId) -> Tuple[ProcessId, ...]:
+        order = self[caller] = billing_order(caller, self.scope)
+        return order
+
+
+class _HostOrders(dict):
+    """Billing orders by ``(caller, host members)``, each built on its
+    first use.  Hosts are a topology's groups, one object per membership,
+    so keying by the member set memoises per scope object."""
+
+    __slots__ = ()
+
+    def __missing__(
+        self, key: Tuple[ProcessId, ProcessSet]
+    ) -> Tuple[ProcessId, ...]:
+        order = self[key] = billing_order(*key)
+        return order
+
+
+class _Labels(dict):
+    """:func:`_det_label` per key, each rendered on its first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: Any) -> str:
+        label = self[key] = _det_label(key)
+        return label
+
+
 class LogHandle:
     """A shared log bound to its carrier set for step accounting.
 
     Mutations (``append``, ``bump_and_lock``) charge the invoker and the
-    carriers and wake the log's ``readers``, in one sink call; read-only
-    queries are free (each carrier maintains a local replica in the
-    universal construction, so reads are local).  Whether a quorum can
-    answer a mutation is the caller's precondition, not the handle's
+    carriers and wake the log's ``readers``, each in a frame of its own;
+    read-only queries are free (each carrier maintains a local replica in
+    the universal construction, so reads are local).  Whether a quorum
+    can answer a mutation is the caller's precondition, not the handle's
     (:meth:`repro.core.engine.MulticastSystem.blocked`).
     """
 
@@ -110,45 +180,44 @@ class LogHandle:
         log: Log,
         carriers: ProcessSet,
         readers: FrozenSet[ProcessId],
-        write: WriteSink = _no_write,
+        sink: Optional[Sink] = None,
     ) -> None:
         self.log = log
         self.carriers = carriers
         #: Who reads this log: every mutation wakes them.
         self.readers = readers
-        self._write = write
-        #: ``(billing order, reason, readers)`` per (caller, op path) —
-        #: the scope a path charges and the log's name never change.
-        self._bills: Dict[Tuple[ProcessId, str], Bill] = {}
+        self._sink = Sink() if sink is None else sink
+        #: Each path's bill: the scope it charges and the log's name
+        #: never change.
+        self._append_bill = _Bill(carriers, f"{log.name}.append")
+        self._bump_bill = _Bill(carriers, f"{log.name}.bumpAndLock")
 
     @property
     def name(self) -> str:
         return self.log.name
 
-    def _bill(self, caller: ProcessId, op: str, scope: ProcessSet) -> Bill:
-        """Memoise the sink arguments of ``op`` (a path) by ``caller``,
-        charged to ``scope``; a mutation reads the memo first."""
-        bill = self._bills[caller, op] = (
-            billing_order(caller, scope),
-            f"{self.log.name}.{op}",
-            self.readers,
-        )
-        return bill
-
     # -- Mutations (charged) -----------------------------------------------
 
     def append(self, caller: ProcessId, datum: Any) -> int:
-        bill = self._bills.get((caller, "append")) or self._bill(
-            caller, "append", self.carriers
-        )
-        self._write(*bill)
-        return self.log.append(datum)
+        bill, sink, readers = self._append_bill, self._sink, self.readers
+        sink.charges.append((sink.clock.time, bill[caller], bill.reason))
+        parked = sink.parked
+        parked -= readers
+        if sink.wake_listener is not None:
+            sink.wake_listener(readers)
+        log = self.log
+        positions = log.positions
+        if datum in positions:
+            return positions[datum]
+        return log.append(datum)
 
     def bump_and_lock(self, caller: ProcessId, datum: Any, k: int) -> int:
-        bill = self._bills.get((caller, "bumpAndLock")) or self._bill(
-            caller, "bumpAndLock", self.carriers
-        )
-        self._write(*bill)
+        bill, sink, readers = self._bump_bill, self._sink, self.readers
+        sink.charges.append((sink.clock.time, bill[caller], bill.reason))
+        parked = sink.parked
+        parked -= readers
+        if sink.wake_listener is not None:
+            sink.wake_listener(readers)
         return self.log.bump_and_lock(datum, k)
 
     # -- Reads (free) --------------------------------------------------------
@@ -193,6 +262,10 @@ class IntersectionLogHandle(LogHandle):
     operation needs a ``Sigma_{g∩h}`` quorum; a slow-path one also a
     quorum of :meth:`slow_scope` — the caller's guard peeks the
     classification (:meth:`would_be_fast`) before the operation.
+
+    Each mutation classifies itself (advancing the caller's cursor) and
+    charges its path's bill: ``g ∩ h`` on the fast path, the slow scope
+    on contention.
     """
 
     def __init__(
@@ -201,18 +274,26 @@ class IntersectionLogHandle(LogHandle):
         intersection: ProcessSet,
         host_group: Group,
         readers: FrozenSet[ProcessId],
-        write: WriteSink = _no_write,
+        sink: Optional[Sink] = None,
         isolation: bool = False,
     ) -> None:
-        super().__init__(log, intersection, readers, write)
+        super().__init__(log, intersection, readers, sink)
         self.host_group = host_group
         #: §6.2 configuration: the backing consensus runs inside ``g∩h``
         #: (from ``Sigma_{g∩h} ∧ Omega_{g∩h}``) instead of a host group.
         self.isolation = isolation
         self._established: List[Tuple[Any, ...]] = []
+        #: Per process, the index of its next operation in
+        #: ``_established`` (0 before its first).
         self._cursor: Dict[ProcessId, int] = {}
         self.fast_ops = 0
         self.slow_ops = 0
+        # The fast path's bills replace the plain ones of a group log.
+        name, slow = log.name, self.slow_scope()
+        self._append_bill = _Bill(intersection, f"{name}.append[fast]")
+        self._bump_bill = _Bill(intersection, f"{name}.bumpAndLock[fast]")
+        self._append_slow_bill = _Bill(slow, f"{name}.append[slow]")
+        self._bump_slow_bill = _Bill(slow, f"{name}.bumpAndLock[slow]")
 
     def would_be_fast(self, caller: ProcessId, signature: Tuple[Any, ...]) -> bool:
         """Peek the fast/slow classification without advancing cursors:
@@ -228,37 +309,54 @@ class IntersectionLogHandle(LogHandle):
         group, or ``g ∩ h`` itself under §6.2 isolation."""
         return self.carriers if self.isolation else self.host_group.members
 
-    def _path_bill(
-        self, caller: ProcessId, op: str, signature: Tuple[Any, ...]
-    ) -> Bill:
-        """Classify ``op`` (advancing the caller's cursor) and return the
-        sink arguments of its path: ``g ∩ h`` on the fast path, the slow
-        scope on contention."""
-        index = self._cursor.get(caller, 0)
-        self._cursor[caller] = index + 1
-        established = self._established
-        if index < len(established) and established[index] != signature:
-            self.slow_ops += 1
-            path = op + "[slow]"
-            return self._bills.get((caller, path)) or self._bill(
-                caller, path, self.slow_scope()
-            )
+    def append(self, caller: ProcessId, datum: Any) -> int:
+        cursor, established = self._cursor, self._established
+        index = cursor[caller] if caller in cursor else 0
+        cursor[caller] = index + 1
+        signature = ("append", datum)
         if index >= len(established):
             established.append(signature)
-        self.fast_ops += 1
-        path = op + "[fast]"
-        return self._bills.get((caller, path)) or self._bill(
-            caller, path, self.carriers
-        )
-
-    def append(self, caller: ProcessId, datum: Any) -> int:
-        self._write(*self._path_bill(caller, "append", ("append", datum)))
-        return self.log.append(datum)
+            self.fast_ops += 1
+            bill = self._append_bill
+        elif established[index] == signature:
+            self.fast_ops += 1
+            bill = self._append_bill
+        else:
+            self.slow_ops += 1
+            bill = self._append_slow_bill
+        sink, readers = self._sink, self.readers
+        sink.charges.append((sink.clock.time, bill[caller], bill.reason))
+        parked = sink.parked
+        parked -= readers
+        if sink.wake_listener is not None:
+            sink.wake_listener(readers)
+        log = self.log
+        positions = log.positions
+        if datum in positions:
+            return positions[datum]
+        return log.append(datum)
 
     def bump_and_lock(self, caller: ProcessId, datum: Any, k: int) -> int:
-        self._write(
-            *self._path_bill(caller, "bumpAndLock", ("bumpAndLock", datum, k))
-        )
+        cursor, established = self._cursor, self._established
+        index = cursor[caller] if caller in cursor else 0
+        cursor[caller] = index + 1
+        signature = ("bumpAndLock", datum, k)
+        if index >= len(established):
+            established.append(signature)
+            self.fast_ops += 1
+            bill = self._bump_bill
+        elif established[index] == signature:
+            self.fast_ops += 1
+            bill = self._bump_bill
+        else:
+            self.slow_ops += 1
+            bill = self._bump_slow_bill
+        sink, readers = self._sink, self.readers
+        sink.charges.append((sink.clock.time, bill[caller], bill.reason))
+        parked = sink.parked
+        parked -= readers
+        if sink.wake_listener is not None:
+            sink.wake_listener(readers)
         return self.log.bump_and_lock(datum, k)
 
 
@@ -266,18 +364,26 @@ class ConsensusHandle:
     """A consensus object bound to the group that hosts it."""
 
     def __init__(
-        self, cons: ConsensusObject, host_group: Group, write: WriteSink = _no_write
+        self,
+        cons: ConsensusObject,
+        host_group: Group,
+        sink: Optional[Sink] = None,
+        orders: Optional[_HostOrders] = None,
     ) -> None:
         self.cons = cons
         self.host_group = host_group
-        self._write = write
+        self._sink = Sink() if sink is None else sink
+        #: The space's billing orders by (caller, host members).
+        self._orders = _HostOrders() if orders is None else orders
+        self._host = host_group.members
+        self._reason = f"{cons.name}.propose"
 
     def propose(self, caller: ProcessId, value: Any) -> Any:
-        # No memo here: CONS_{m,f} sees one proposal per member of g.
-        self._write(
-            billing_order(caller, self.host_group.members),
-            f"{self.cons.name}.propose",
-            NO_READERS,
+        # CONS_{m,f} sees one proposal per member of g, so its billing
+        # order comes from the space's memo, shared by every object g hosts.
+        sink = self._sink
+        sink.charges.append(
+            (sink.clock.time, self._orders[caller, self._host], self._reason)
         )
         return self.cons.propose(value)
 
@@ -297,20 +403,24 @@ class ObjectSpace:
     * consensus objects, keyed by ``(message key, family key)``.
 
     Every log binds its reader set (:func:`reader_set`) when it is
-    created; ``write`` receives it with each mutation's charge.
+    created; each of its mutations wakes it through ``sink``.
     """
 
     def __init__(
         self,
-        write: WriteSink = _no_write,
+        sink: Optional[Sink] = None,
         isolation: bool = False,
     ) -> None:
-        self._write = write
+        self.sink = Sink() if sink is None else sink
         #: §6.2 strongly-genuine configuration for intersection logs.
         self.isolation = isolation
         self._group_logs: Dict[Group, LogHandle] = {}
         self._intersection_logs: Dict[frozenset, IntersectionLogHandle] = {}
         self._consensus: Dict[Tuple[Any, Any], ConsensusHandle] = {}
+        #: ``propose``'s billing orders, by (caller, host members).
+        self._host_orders = _HostOrders()
+        #: The rendered family keys of consensus-object names.
+        self._family_labels = _Labels()
 
     def group_log(self, g: Group) -> LogHandle:
         """``LOG_g``, carried and read by the members of ``g``."""
@@ -320,7 +430,7 @@ class ObjectSpace:
                 Log(f"LOG_{g.name}"),
                 g.members,
                 reader_set(g),
-                self._write,
+                self.sink,
             )
             self._group_logs[g] = handle
         return handle
@@ -348,7 +458,7 @@ class ObjectSpace:
                 host_group=first,
                 # The topology's pair order (GroupTopology.intersecting_pairs).
                 readers=reader_set(*sorted((g, h))),
-                write=self._write,
+                sink=self.sink,
                 isolation=self.isolation,
             )
             self._intersection_logs[key] = handle
@@ -361,16 +471,17 @@ class ObjectSpace:
         (§4.3): the message and the computed family.
         """
         key = (message_key, family_key)
-        handle = self._consensus.get(key)
-        if handle is None:
-            handle = ConsensusHandle(
-                ConsensusObject(
-                    f"CONS[{_det_label(message_key)},{_det_label(family_key)}]"
-                ),
-                host,
-                self._write,
-            )
-            self._consensus[key] = handle
+        consensus = self._consensus
+        if key in consensus:
+            return consensus[key]
+        handle = consensus[key] = ConsensusHandle(
+            ConsensusObject(
+                f"CONS[{_det_label(message_key)},{self._family_labels[family_key]}]"
+            ),
+            host,
+            self.sink,
+            self._host_orders,
+        )
         return handle
 
     # -- Introspection for tests and metrics -------------------------------

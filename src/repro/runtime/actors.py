@@ -41,7 +41,7 @@ class SharedObjectActor(Actor):
 
     A process is parked while it is in ``proven_parked``: its last fire
     left it at its fixpoint and no shared object it reads has been
-    written since (see :meth:`repro.core.engine.MulticastSystem._write`).
+    written since (see :class:`repro.objects.space.Sink`).
     The round and the async driver skip it with that one lookup; the
     adapter has no :meth:`parked` test of its own.  The engine records
     no wait reason for skipped processes (``SKIP_WAIT = ()``) — only

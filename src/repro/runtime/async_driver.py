@@ -45,6 +45,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
 from typing import Sequence, Tuple, Union
 
+from repro.model.errors import SimulationError
 from repro.model.failures import Time
 from repro.runtime.delay import DelayModel, build_delay_model
 from repro.runtime.scheduler import Key, RunOutcome
@@ -55,37 +56,29 @@ from repro.runtime.scheduler import Key, RunOutcome
 #: transitions to mean anything.
 MIN_PACE = 0.125
 
-#: How long a parked actor waits on its channel before re-checking its
-#: wait condition anyway (round units).  A pure liveness backstop: with
-#: correct wake accounting the event always arrives first.
-POLL_ROUNDS = 4.0
-
 #: Timers closer than this to the loop clock count as due (round units):
 #: slack for the float arithmetic of ``now + (when - now)``.
 CLOCK_RESOLUTION = 1e-9
 
 #: What a task yields to suspend itself: a float sleeps that many round
-#: units, a ``(key, timeout)`` pair parks on ``key``'s wake channel, and
-#: ``None`` means the task pushed its own wake-up timer.
-Task = Iterator[Optional[Union[float, Tuple[Key, float]]]]
+#: units, a ``(key,)`` one-tuple parks on ``key``'s wake channel until a
+#: wake lands, and ``None`` means the task pushed its own wake-up timer.
+Task = Iterator[Optional[Union[float, Tuple[Key]]]]
 
 
 class _Timer(list):
     """One scheduled call, ``[when, seq, fn, arg]``.  Being a list, the
-    heap compares timers in C — deadline first, scheduling order on a
-    tie — and cancelling blanks ``fn`` in place, wherever the timer is."""
+    heap compares timers in C: deadline first, scheduling order on a
+    tie.  A timer is never called off: it runs when it is due."""
 
     __slots__ = ()
-
-    def cancel(self) -> None:
-        self[2] = None
 
 
 class EventLoop:
     """A FIFO ready queue and a timer heap under a logical clock.
 
-    One *turn* drops cancelled timers off the heap's head; if nothing is
-    ready, advances the clock to the head's deadline; fixes the turn's
+    One *turn*, if nothing is ready, advances the clock to the timer
+    heap's head deadline; fixes the turn's
     deadline, ``now + CLOCK_RESOLUTION``, and its ``_seq`` mark; runs
     the calls that were ready at that point; then pops the due timers
     straight off the heap in ``(when, seq)`` order and runs them.  A
@@ -117,13 +110,10 @@ class EventLoop:
         """Queue ``fn(arg)`` behind everything already ready."""
         self._ready.append((fn, arg))
 
-    def call_at(self, when: float, fn: Callable, arg: Any) -> _Timer:
-        """Schedule ``fn(arg)`` at loop time ``when``; ``.cancel()`` the
-        returned timer to call it off."""
+    def call_at(self, when: float, fn: Callable, arg: Any) -> None:
+        """Schedule ``fn(arg)`` at loop time ``when``."""
         self._seq += 1
-        timer = _Timer((when, self._seq, fn, arg))
-        heappush(self._timers, timer)
-        return timer
+        heappush(self._timers, _Timer((when, self._seq, fn, arg)))
 
     def stop(self) -> None:
         """Make :meth:`run` return once the current turn is over."""
@@ -136,8 +126,6 @@ class EventLoop:
         transport = self.transport
         land, woken = (transport.land, transport.woken) if transport else (None, None)
         while not self._stopping:
-            while timers and timers[0][2] is None:
-                heappop(timers)
             due = -1.0
             if timers:
                 if not ready:
@@ -160,8 +148,6 @@ class EventLoop:
                     later = [timer] if later is None else [*later, timer]
                     continue
                 fn = timer[2]
-                if fn is None:
-                    continue  # a call of this turn cancelled it
                 if fn is land and woken[timer[3]]:
                     # A task parks only on a clear flag: nobody to resume.
                     transport.in_flight -= 1
@@ -230,8 +216,8 @@ class AsyncTransport:
         loop.transport = self
         #: Per key, whether a wake has arrived that no wait has consumed.
         self.woken: Dict[Key, bool] = dict.fromkeys(keys, False)
-        #: Per parked key, its task and the timer of its park timeout.
-        self._parked: Dict[Key, Tuple[Task, Any]] = {}
+        #: Per parked key, its task: only a wake resumes it.
+        self._parked: Dict[Key, Task] = {}
         #: Wakes scheduled but not yet landed — nonzero means the system
         #: is *not* quiescent no matter how idle it looks.
         self.in_flight = 0
@@ -248,20 +234,15 @@ class AsyncTransport:
 
     def step(self, task: Task) -> None:
         """Resume ``task`` until it suspends again (or retires): a sleep's
-        end and a park's timeout call this straight from their timer, a
-        wake resumes a parked task through the ready queue.  A task that
-        yields ``None`` has pushed its own wake-up timer."""
-        request, loop = next(task, None), self._loop
+        end calls this straight from its timer, a wake resumes a parked
+        task through the ready queue.  A park arms no timer, and a task
+        that yields ``None`` has pushed its own wake-up timer."""
+        request = next(task, None)
         if type(request) is tuple:
-            key, timeout = request
-            self._parked[key] = task, loop.call_at(
-                loop.now + timeout, self._unpark, key
-            )
+            self._parked[request[0]] = task
         elif request is not None:
+            loop = self._loop
             loop.call_at(loop.now + request, self.step, task)
-
-    def _unpark(self, key: Key) -> None:
-        self.step(self._parked.pop(key)[0])
 
     def deliver_now(self, key: Key) -> None:
         """Zero-latency wake (local events: injection, detector ticks):
@@ -287,16 +268,19 @@ class AsyncTransport:
         turn, any other finds the flag at its next :meth:`wait`."""
         self.in_flight -= 1
         self.woken[key] = True
-        if key in self._parked:
-            task, timeout = self._parked.pop(key)
-            timeout.cancel()
+        parked = self._parked
+        if key in parked:
+            task = parked[key]
+            del parked[key]
             self._loop.call_soon(self.step, task)
 
-    def wait(self, key: Key, timeout: float) -> Task:
-        """Park on ``key``'s channel until a wake (or the timeout); a
-        wake that already arrived is consumed without suspending."""
+    def wait(self, key: Key) -> Task:
+        """Park on ``key``'s channel until a wake lands; a wake that
+        already arrived is consumed without suspending.  No timer backs
+        the park: a wake that never lands is the supervisor's error
+        (:meth:`AsyncDriver._supervise`), not a timeout's to hide."""
         if not self.woken[key]:
-            yield key, timeout
+            yield (key,)
         self.woken[key] = False
 
 
@@ -508,7 +492,7 @@ class AsyncDriver:
                 pace = latency_of(i, i, rng)
                 sleep = pace if pace > MIN_PACE else MIN_PACE
             else:
-                yield from transport.wait(key, POLL_ROUNDS)
+                yield from transport.wait(key)
                 continue
             resume_at[key] = when = now + sleep
             loop._seq = seq = loop._seq + 1
@@ -543,6 +527,8 @@ class AsyncDriver:
     ) -> Task:
         sched = self._sched
         transport = self._transport
+        # The tasks parked on their channels, and who the host holds parked.
+        channel_parked, proven = transport._parked, sched.proven_parked
         idle = 0
         # Crash *and* recovery instants: a rejoin changes quorum
         # availability just as a crash does, so it forces wakes too.
@@ -558,6 +544,17 @@ class AsyncDriver:
             self._sync_time(t)
             eligible = sched.eligible_order(t)
             sched.refresh_responders(t, tuple(eligible), None)
+            if transport.in_flight == 0:
+                # Every wake has landed, so a task still parked on its
+                # channel must still be parked in the host: one a write
+                # unparked lost the wake that would have resumed it.
+                for key in channel_parked:
+                    if key not in proven:
+                        raise SimulationError(
+                            f"lost wake: {key} is parked on its channel at "
+                            f"t={t}, unparked in the host, and no wake is "
+                            "in flight"
+                        )
             # Forced wakes: the async analogue of the round driver's
             # full-scan triggers — detector settle window, and crossings
             # of crash instants (quorum availability changed).

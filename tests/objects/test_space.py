@@ -8,7 +8,13 @@ from repro.groups.topology import paper_figure1_topology, topology_from_indices
 from repro.model.errors import SpecificationError
 from repro.model.failures import failure_free
 from repro.model.processes import make_processes
-from repro.objects.space import NO_READERS, ObjectSpace, billing_order, reader_set
+from repro.objects.space import (
+    NO_READERS,
+    ObjectSpace,
+    Sink,
+    billing_order,
+    reader_set,
+)
 from repro.workloads.runner import random_sends, run_scenario
 from repro.workloads.spec import ScenarioSpec
 from repro.workloads.topologies import ring_topology
@@ -17,21 +23,41 @@ PROCS = make_processes(5)
 P1, P2, P3, P4, P5 = PROCS
 
 
-class Ledger:
-    """Collects the write sink's calls for assertions."""
+class Clock:
+    """A sink's clock held at one instant."""
 
-    def __init__(self):
-        self.charges = []
-        self.writes = []
-        self.readers = []
+    def __init__(self, time):
+        self.time = time
 
-    def __call__(self, processes, reason, readers):
-        self.writes.append((processes, reason))
-        self.readers.append(readers)
-        self.charges.extend((process, reason) for process in processes)
+
+class Ledger(Sink):
+    """A recording sink: every charge, and every wake with how many
+    charges preceded it.  Every process starts parked."""
+
+    __slots__ = ("wakes",)
+
+    def __init__(self, time=0):
+        super().__init__(clock=Clock(time), parked=set(PROCS))
+        self.wakes = []
+        self.wake_listener = self._woke
+
+    def _woke(self, readers):
+        self.wakes.append((len(self.charges), readers))
+
+    @property
+    def writes(self):
+        """``(billing order, reason)`` per charge."""
+        return [(processes, reason) for _, processes, reason in self.charges]
+
+    @property
+    def readers(self):
+        """Per charge, the readers woken right after it (``NO_READERS``
+        when it woke nobody)."""
+        woken = dict(self.wakes)
+        return [woken.get(n, NO_READERS) for n in range(1, len(self.charges) + 1)]
 
     def charged(self):
-        return {p for p, _ in self.charges}
+        return {p for _, processes, _ in self.charges for p in processes}
 
 
 @pytest.fixture()
@@ -205,6 +231,110 @@ def test_every_write_hands_the_sink_its_objects_readers(fig1):
         NO_READERS,
     ]
     assert ledger.readers[1] == g3.members | g4.members
+
+
+CONTRACT_CASES = (
+    "append new",
+    "append present",
+    "bump unlocked",
+    "bump locked",
+    "intersection append fast",
+    "intersection append present",
+    "intersection append slow",
+    "intersection bump fast",
+    "intersection bump slow",
+    "propose",
+)
+
+
+@pytest.mark.parametrize("case", CONTRACT_CASES)
+def test_an_operation_is_one_charge_and_one_wake_of_its_readers(fig1, case):
+    """Every operation records exactly one charge, stamped by the sink's
+    clock, then unparks and wakes exactly its object's readers, once: the
+    set the object bound, so they iterate in its order.  A proposal
+    wakes nobody.  An append of a present datum and a bump of a locked
+    one change nothing in the log and still charge and wake: that is
+    where a fast path could stop charging."""
+    ledger = Ledger(time=7)
+    space = ObjectSpace(ledger)
+    g3, g4 = fig1.group("g3"), fig1.group("g4")  # g3 ∩ g4 = {p1, p4}
+    log, ilog = space.group_log(g3), space.intersection_log(g3, g4)
+    cons = space.consensus("m", "f", g3)
+    shared, host = ilog.carriers, g3.members  # host = smaller name
+    # case: (setup, operation, object, billing order, reason, result)
+    cases = {
+        "append new": (
+            lambda: None,
+            lambda: log.append(P3, "a"),
+            log, loop_order(P3, host), "LOG_g3.append", 1,
+        ),
+        "append present": (
+            lambda: (log.append(P4, "a"), log.append(P4, "b")),
+            lambda: log.append(P3, "a"),
+            log, loop_order(P3, host), "LOG_g3.append", 1,
+        ),
+        "bump unlocked": (
+            lambda: (log.append(P3, "a"), log.append(P3, "b")),
+            lambda: log.bump_and_lock(P4, "a", 5),
+            log, loop_order(P4, host), "LOG_g3.bumpAndLock", 5,
+        ),
+        "bump locked": (
+            lambda: (log.append(P3, "a"), log.bump_and_lock(P3, "a", 5)),
+            lambda: log.bump_and_lock(P4, "a", 9),
+            log, loop_order(P4, host), "LOG_g3.bumpAndLock", 5,
+        ),
+        "intersection append fast": (
+            lambda: None,
+            lambda: ilog.append(P1, "a"),
+            ilog, loop_order(P1, shared), "LOG_g3∩g4.append[fast]", 1,
+        ),
+        "intersection append present": (
+            lambda: ilog.append(P1, "a"),
+            lambda: ilog.append(P4, "a"),
+            ilog, loop_order(P4, shared), "LOG_g3∩g4.append[fast]", 1,
+        ),
+        "intersection append slow": (
+            lambda: (ilog.append(P1, "a"), ilog.append(P1, "b")),
+            lambda: ilog.append(P4, "b"),
+            ilog, loop_order(P4, host), "LOG_g3∩g4.append[slow]", 2,
+        ),
+        "intersection bump fast": (
+            lambda: (
+                ilog.append(P1, "a"),
+                ilog.append(P4, "a"),
+                ilog.bump_and_lock(P1, "a", 3),
+            ),
+            lambda: ilog.bump_and_lock(P4, "a", 3),
+            ilog, loop_order(P4, shared), "LOG_g3∩g4.bumpAndLock[fast]", 3,
+        ),
+        "intersection bump slow": (
+            lambda: (
+                ilog.append(P1, "a"),
+                ilog.append(P4, "a"),
+                ilog.bump_and_lock(P1, "a", 3),
+            ),
+            lambda: ilog.bump_and_lock(P4, "a", 4),
+            ilog, loop_order(P4, host), "LOG_g3∩g4.bumpAndLock[slow]", 3,
+        ),
+        "propose": (
+            lambda: cons.propose(P1, 9),
+            lambda: cons.propose(P4, 7),
+            cons, loop_order(P4, host), "CONS[m,f].propose", 9,
+        ),
+    }
+    setup, operation, handle, order, reason, result = cases[case]
+    setup()
+    charges, wakes = len(ledger.charges), len(ledger.wakes)
+    ledger.parked.update(PROCS)
+    assert operation() == result
+    assert ledger.charges[charges:] == [(7, order, reason)]
+    readers = getattr(handle, "readers", NO_READERS)
+    if readers:
+        assert ledger.wakes[wakes:] == [(charges + 1, readers)]
+        assert ledger.wakes[-1][1] is readers
+    else:
+        assert ledger.wakes[wakes:] == []
+    assert ledger.parked == set(PROCS) - readers
 
 
 def test_stats_reporting(fig1):

@@ -3,8 +3,8 @@
 ``EventLoop`` replaced an asyncio loop under a patched selector.  Two
 things are pinned here.  The turn rule, case by case: equal deadlines
 fire in scheduling order (asyncio fires ``x, B, A`` on the first
-schedule below — ``heapq`` layout, not a rule), a cancelled timer is as
-good as absent, and near-equal deadlines share a turn.  And the claim that nothing else changed: whole scenario
+schedule below — ``heapq`` layout, not a rule), and near-equal
+deadlines share a turn.  And the claim that nothing else changed: whole scenario
 rows and delivery streams agree with the same driver run on
 ``tests.runtime._oracle.asyncio_loop`` — a real asyncio loop whose only
 edit is that FIFO tie rule.
@@ -39,16 +39,6 @@ class TestTurnRule:
     def test_equal_deadlines_fire_in_scheduling_order(self, make_loop):
         schedule = [("x", 0.5), ("A", 1.0), ("B", 1.0)]
         assert fired_on(make_loop(), schedule, 2.0) == ["x", "A", "B"]
-
-    def test_cancelled_head_neither_fires_nor_stops_the_clock(self):
-        loop = EventLoop()
-        seen = []
-        head = loop.call_at(1.0, seen.append, "cancelled")
-        loop.call_at(3.0, lambda _: seen.append(loop.now), None)
-        head.cancel()
-        loop.run()
-        # One advance, 0 -> 3: the clock never rested at the dead deadline.
-        assert seen == [3.0]
 
     def test_timers_within_the_resolution_share_a_turn(self):
         loop = EventLoop()

@@ -225,7 +225,7 @@ def test_a_wake_to_a_running_reader_gets_a_timer():
 def test_a_wake_to_a_parked_reader_gets_a_timer():
     wake = _Wake()
     wake.transport.woken[wake.dst] = False
-    wake.transport._parked[wake.dst] = (iter(()), None)
+    wake.transport._parked[wake.dst] = iter(())
     assert wake.send()
 
 
