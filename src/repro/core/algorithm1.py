@@ -27,8 +27,8 @@ preconditions and the effects.  The objects they touch — ``LOG_g`` and the
 ``LOG_{g∩h}`` of lines 13/22/27/36 — depend on ``dst(m)`` and ``G(p)``
 alone, and are resolved once per destination group into a :class:`_Route`,
 together with ``gamma(g)``'s timeline and the quorum :data:`Guard` of each
-operation.  A route holds each log's handle, where a mutation is charged;
-a read is free, so the actions read the handle's :class:`Log` directly.
+operation.  A route holds each shared log: a mutation is charged, a read
+is free, so the actions read its state in place.
 Before an operation an action asks the engine's guard memo once, with the
 route's guards (:meth:`repro.core.engine.MulticastSystem.blocked`).
 
@@ -155,9 +155,9 @@ class Algorithm1Process:
         mu: Mu,
         on_deliver: DeliverFn,
         blocked: BlockedFn,
+        stats: TraceRecorder,
         variant: str = "vanilla",
         indicators: Optional[Dict[FrozenSet[ProcessId], IndicatorOracle]] = None,
-        stats: Optional[TraceRecorder] = None,
     ) -> None:
         if variant not in VARIANTS:
             raise SimulationError(f"unknown variant {variant!r}")
@@ -193,7 +193,7 @@ class Algorithm1Process:
         #: live ``arrivals`` list (append-only) and how many of them
         #: ``discover()`` has learned already.
         self._feeds: List[List[Any]] = [
-            [space.group_log(g).log.arrivals, 0] for g in self.my_groups
+            [space.group_log(g).arrivals, 0] for g in self.my_groups
         ]
         #: Per (log, threshold), how many leading messages of the log
         #: were seen at that phase or beyond (see :meth:`_order_clear`).
@@ -206,7 +206,7 @@ class Algorithm1Process:
         #: ``dst(m)`` (``my_groups`` and the intersection structure never
         #: change, and the space hands out one handle per object).
         self._routes: Dict[FrozenSet[ProcessId], _Route] = {}
-        #: Instrumentation sink (detector-query counters); optional.
+        #: Instrumentation sink (detector-query counters).
         self.stats = stats
         #: The quorum guard of an operation: the engine's memo
         #: (:meth:`repro.core.engine.MulticastSystem.blocked`).
@@ -244,15 +244,14 @@ class Algorithm1Process:
         ``threshold``: it joins that entry's list in ``_waiters``, and the
         scan revisits it once the entry's phase rises.
         """
-        shared = log.log
-        order = shared.order
-        rank = bisect_left(order, (shared.positions[m], m))  # Log.rank
+        order = log.order
+        rank = bisect_left(order, (log.positions[m], m))  # LogHandle.rank
         key = (log, threshold)
         cursor = self._order_cursors.get(key, 0)
         if rank <= cursor:
             return True
         phase = self.phase
-        settled = shared.settled
+        settled = log.settled
         if settled > rank:
             settled = rank
         while cursor < settled and phase.get(order[cursor][1].mid, START) >= threshold:
@@ -333,7 +332,7 @@ class Algorithm1Process:
         quorum does not answer yet waits in ``_to_multicast``."""
         if (
             self.phase.get(message.mid, START) != START
-            or message in route.log.log.positions
+            or message in route.log.positions
         ):
             return False
         if self._blocked(self.pid, route.quorum, None) is not None:
@@ -458,7 +457,7 @@ class Algorithm1Process:
 
     def _try_pending(self, t: int, m: MulticastMessage, route: _Route) -> bool:
         log_g = route.log
-        if m not in log_g.log.positions:
+        if m not in log_g.positions:
             return False
         if not self._order_clear(log_g, m, COMMIT):
             self.wait_reasons.add(WAIT_ORDER)
@@ -479,8 +478,7 @@ class Algorithm1Process:
     def _gamma_partners(self, t: int, g: Group) -> Tuple[Group, ...]:
         """``gamma(g)`` as observed by this process now (§3): the timeline
         bound in ``g``'s route, sampled at ``t``."""
-        if self.stats is not None:
-            self.stats.gamma_queries += 1
+        self.stats.gamma_queries += 1
         gamma = self._routes[g.members].gamma
         return gamma.values[bisect_right(gamma.instants, t)]  # Timeline.query
 
@@ -510,7 +508,7 @@ class Algorithm1Process:
 
     def _try_commit(self, t: int, m: MulticastMessage, route: _Route) -> bool:
         g = route.g
-        records = route.log.log.position_records_for(m.mid)
+        records = route.log.position_records_for(m.mid)
         for h in self._gamma_partners(t, g):  # line 18
             name = h.name
             for record in records:
@@ -554,7 +552,7 @@ class Algorithm1Process:
                 return fired
             if (m.mid, h.name) in self._stabilized:
                 continue
-            if m not in ilog.log.positions:
+            if m not in ilog.positions:
                 continue
             if not self._order_clear(ilog, m, STABLE):
                 self.wait_reasons.add(WAIT_ORDER)
@@ -573,7 +571,7 @@ class Algorithm1Process:
         self, t: int, m: MulticastMessage, route: _Route
     ) -> bool:
         g = route.g
-        records = route.log.log.stabilization_records_for(m.mid)
+        records = route.log.stabilization_records_for(m.mid)
         if self.variant == "strict":
             recorded = {r[1] for r in records}
             # §6.1: wait on every intersecting group, with the indicator
@@ -584,7 +582,7 @@ class Algorithm1Process:
                 if h.name in recorded:
                     continue
                 indicator = self.indicators.get(g.intersection(h))
-                if self.stats is not None and indicator is not None:
+                if indicator is not None:
                     self.stats.indicator_queries += 1
                 if indicator is None or not indicator.query(self.pid, t):
                     self.wait_reasons.add(WAIT_INDICATOR)
@@ -610,7 +608,7 @@ class Algorithm1Process:
 
     def _try_deliver(self, t: int, m: MulticastMessage, route: _Route) -> bool:
         for _h, ilog in route.carried:  # line 36, over the logs at p holding m
-            if m not in ilog.log.positions:
+            if m not in ilog.positions:
                 continue
             if not self._order_clear(ilog, m, DELIVER):
                 self.wait_reasons.add(WAIT_ORDER)

@@ -28,7 +28,6 @@ from repro.core.phases import DELIVER
 from repro.model.errors import SimulationError
 from repro.model.messages import MessageId, MulticastMessage
 from repro.model.processes import ProcessId, ProcessSet
-from repro.objects.log import Log
 from repro.objects.space import LogHandle, reader_set
 
 
@@ -46,9 +45,7 @@ class AtomicMulticast:
         #: The shared lists ``L_g``, one per group (keyed by its members,
         #: a message's ``dst``), read by its members.
         self._lists: Dict[ProcessSet, LogHandle] = {
-            g.members: LogHandle(
-                Log(f"L_{g.name}"), g.members, reader_set(g), system.sink
-            )
+            g.members: LogHandle(f"L_{g.name}", g.members, reader_set(g), system.sink)
             for g in system.topology.groups
         }
         self._pushed: Set[Tuple[ProcessId, MessageId]] = set()
@@ -56,7 +53,7 @@ class AtomicMulticast:
         #: of it: the live entry list of ``L_g`` (append-only) and how
         #: many leading entries of it the process has delivered.
         self._feeds: Dict[ProcessId, List[List[Any]]] = {
-            p: [[self._lists[g.members].log.arrivals, 0] for g in algo.my_groups]
+            p: [[self._lists[g.members].arrivals, 0] for g in algo.my_groups]
             for p, algo in system.processes.items()
         }
         system.add_component(self._reduction_actions)

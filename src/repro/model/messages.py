@@ -35,8 +35,8 @@ class MessageId(NamedTuple):
     one: ``PHASE``, the scan order and every log index are keyed by it, so
     it hashes and compares in C.  ``hash(MessageId(a, b)) == hash((a, b))``
     is pinned by ``tests/model/test_messages.py``.  A bare id is a
-    record, not a message item, of a :class:`repro.objects.log.Log`
-    (:func:`repro.objects.log.is_record`).
+    record, not a message item, of a shared log
+    (:func:`repro.objects.space.is_record`).
     """
 
     sender_index: int

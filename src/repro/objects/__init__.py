@@ -1,3 +1,3 @@
-"""Shared objects of Algorithm 1: logs, consensus, and the object space
-with genuineness-aware step accounting and Proposition 47's fast path
-(§4.3)."""
+"""Shared objects of Algorithm 1 (§4.3): logs and consensus objects, each
+one class with its genuineness-aware step accounting, in one object
+space with Proposition 47's fast path."""

@@ -1,11 +1,13 @@
-"""The shared-object space: objects, carriers and step accounting.
+"""The shared objects of Algorithm 1 (§4.3) and their step accounting.
 
 Algorithm 1 is expressed over wait-free linearizable shared objects, and
-the paper reasons "directly upon the linearization" (§4.4).  The object
-space realizes that linearization *and* keeps the genuineness audit
-honest: every mutating operation charges computational steps to the
-processes that would take steps in the message-passing construction of
-§4.3 — the invoker plus the object's *carrier set*.
+the paper reasons "directly upon the linearization" (§4.4).  Each object
+here is one class that holds the object's state and realizes that
+linearization (operations run atomically inside simulator actions), *and*
+keeps the genuineness audit honest: every mutating operation charges
+computational steps to the processes that would take steps in the
+message-passing construction of §4.3 — the invoker plus the object's
+*carrier set*.
 
 Carriers:
 
@@ -20,27 +22,77 @@ Carriers:
 The space charges into one :class:`Sink` the runtime hands it: the run
 record's charge list, the clock that stamps a charge, the set of parked
 processes and the slot of a wake listener.  One operation is one frame:
-the handle's mutator appends its ``(time, billing order, reason)`` charge
-(:func:`billing_order`), unparks the reader set its object bound when it
+the object's mutator appends its ``(time, billing order, reason)`` charge
+(:func:`billing_order`), unparks the reader set the object bound when it
 was created (:func:`reader_set`) and hands it to the listener, then
-applies the operation.  An ``append`` of a datum already in the log still
-charges and wakes, as the message-passing construction still runs, but
-leaves the log alone.
+applies the operation.  An ``append`` of a datum already in the log and a
+``bumpAndLock`` of a locked one still charge and wake, as the
+message-passing construction still runs, but leave the log alone.  A
+``bumpAndLock`` of a datum absent from the log is refused
+(:class:`SpecificationError`) before it charges anything.
+
+The log (:class:`LogHandle`) is an infinite array of slots numbered from
+1, each holding zero or more data items, with exactly the paper's
+sequential interface:
+
+* ``append(d)`` inserts ``d`` at the head slot (idempotent when ``d`` is
+  already present) and returns its position;
+* ``pos(d)`` returns the slot of ``d`` (0 when absent);
+* ``bumpAndLock(d, k)`` moves ``d`` from its slot ``l`` to ``max(k, l)``
+  and locks it; locked data can no longer be bumped;
+* ``locked(d)`` tells whether ``d`` is locked.
+
+The log induces an order: ``d <_L d'`` iff ``pos(d) < pos(d')``, or they
+share a slot and ``d < d'`` for the a-priori total order over data items
+(here: Python's ``<`` on the items, e.g. message identifiers).
+
+Logs hold heterogeneous items in Algorithm 1 — messages, position records
+``(m, h, i)`` and stabilization records ``(m, h)`` — so ordering queries
+are only issued between mutually comparable items; the convenience
+accessors (:meth:`LogHandle.messages_before` etc.) filter by item kind
+first.  The kinds are told apart by :func:`is_record`: a record is a
+tuple other than a :class:`repro.model.messages.MulticastMessage` (a
+plain tuple or a message is told by its exact type alone).  A *bare*
+:class:`repro.model.messages.MessageId` is a record, not a message item —
+Algorithm 1 appends messages and records headed by an id, never an id
+on its own.
+
+The message items are kept sorted by their ``<_L`` key ``(slot, item)``
+as the log mutates, and the prefix of that order whose items are all
+locked — its length is :attr:`LogHandle.settled` — never changes again:
+
+* a locked item never moves (``bumpAndLock`` on it is a no-op);
+* an unlocked item only moves to a later slot, and it sits after the
+  all-locked prefix already;
+* ``append`` lands at the head slot, after every occupied slot.
+
+So ``messages()[r]`` is final for every ``r < settled``, which is what
+lets a reader keep a cursor over the prefix instead of rescanning it.
+
+Records are filed at insertion too: per message head, the ``(m, h, i)``
+rows and the ``(m, h)`` rows each keep their own tuple in slot order, so
+the per-message accessors return a stored tuple.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.groups.topology import Group
 from repro.model.errors import SpecificationError
+from repro.model.messages import MulticastMessage
 from repro.model.processes import ProcessId, ProcessSet
-from repro.objects.consensus import ConsensusObject
-from repro.objects.log import Log
 
 #: One recorded charge: (time, processes charged one step each, in
 #: charging order, human-readable reason).
 Charge = Tuple[int, Tuple[ProcessId, ...], str]
+
+
+def is_record(datum: Any) -> bool:
+    """The item-kind rule; ``append`` and ``bump_and_lock`` inline it."""
+    kind = type(datum)
+    return kind is tuple or kind is not MulticastMessage and isinstance(datum, tuple)
 
 
 def _det_label(key: Any) -> str:
@@ -165,96 +217,218 @@ class _Labels(dict):
 
 
 class LogHandle:
-    """A shared log bound to its carrier set for step accounting.
+    """A shared log (§4.3), bound to its carrier set for step accounting.
 
-    Mutations (``append``, ``bump_and_lock``) charge the invoker and the
-    carriers and wake the log's ``readers``, each in a frame of its own;
-    read-only queries are free (each carrier maintains a local replica in
-    the universal construction, so reads are local).  Whether a quorum
-    can answer a mutation is the caller's precondition, not the handle's
+    The object is long-lived and grow-only.  Mutations (``append``,
+    ``bump_and_lock``) charge the invoker and the carriers and wake the
+    log's ``readers``, each in a frame of its own; reads are free (each
+    carrier maintains a local replica in the universal construction, so
+    reads are local).  Whether a quorum can answer a mutation is the
+    caller's precondition, not the log's
     (:meth:`repro.core.engine.MulticastSystem.blocked`).
+
+    Attributes:
+        name: diagnostic label, e.g. ``"LOG_g1∩g3"``.
     """
 
     def __init__(
         self,
-        log: Log,
+        name: str,
         carriers: ProcessSet,
         readers: FrozenSet[ProcessId],
-        sink: Optional[Sink] = None,
+        sink: Sink,
     ) -> None:
-        self.log = log
+        self.name = name
         self.carriers = carriers
         #: Who reads this log: every mutation wakes them.
         self.readers = readers
-        self._sink = Sink() if sink is None else sink
+        self._sink = sink
         #: Each path's bill: the scope it charges and the log's name
         #: never change.
-        self._append_bill = _Bill(carriers, f"{log.name}.append")
-        self._bump_bill = _Bill(carriers, f"{log.name}.bumpAndLock")
-
-    @property
-    def name(self) -> str:
-        return self.log.name
+        self._append_bill = _Bill(carriers, f"{name}.append")
+        self._bump_bill = _Bill(carriers, f"{name}.bumpAndLock")
+        #: The slot of every item, ``pos`` as a mapping: an item is in
+        #: the log iff it is a key.  Readers never mutate it.
+        self.positions: Dict[Any, int] = {}
+        self._locked: Set[Any] = set()
+        self._head = 1
+        #: ``(slot, item)`` of every message item, sorted — the ``<_L``
+        #: order, so ``order[r][1]`` is ``messages()[r]``.  ``append``
+        #: pushes at the tail (the head slot exceeds every occupied one);
+        #: ``bump_and_lock`` re-keys one entry.  Readers index it in
+        #: place and never mutate it.
+        self.order: List[Tuple[int, Any]] = []
+        #: Length of the longest all-locked prefix of ``order``.
+        #: Monotone, and ``order[r]`` never changes once ``r < settled``
+        #: (see the module docstring).
+        self.settled = 0
+        #: The message items in append order.  Append-only: readers keep
+        #: an index into it and read only what arrived since.
+        self.arrivals: List[Any] = []
+        #: The records of each ``(head, arity)`` in slot order, ties in
+        #: append order — what the per-message accessors return.  An
+        #: append lands last; a bump re-sorts only its own row tuple.
+        self._rows: Dict[Tuple[Any, int], Tuple[Tuple[Any, ...], ...]] = {}
+        #: The append slot of each record a bump moved: slot ties among
+        #: rows break on it (append slots grow with append order).
+        self._record_origins: Dict[Tuple[Any, ...], int] = {}
 
     # -- Mutations (charged) -----------------------------------------------
 
-    def append(self, caller: ProcessId, datum: Any) -> int:
-        bill, sink, readers = self._append_bill, self._sink, self.readers
+    def append(
+        self, caller: ProcessId, datum: Any, _bill: Optional[_Bill] = None
+    ) -> int:
+        """Insert ``datum`` at the head slot; a no-op on the log if it is
+        already present.  Returns the (possibly pre-existing) position of
+        ``datum``.  ``_bill`` is the path an intersection log classified
+        the operation onto."""
+        bill = self._append_bill if _bill is None else _bill
+        sink, readers = self._sink, self.readers
         sink.charges.append((sink.clock.time, bill[caller], bill.reason))
         parked = sink.parked
         parked -= readers
         if sink.wake_listener is not None:
             sink.wake_listener(readers)
-        log = self.log
-        positions = log.positions
+        positions = self.positions
         if datum in positions:
             return positions[datum]
-        return log.append(datum)
+        position = self._head
+        positions[datum] = position
+        self._head = position + 1
+        kind = type(datum)
+        if kind is tuple or kind is not MulticastMessage and isinstance(datum, tuple):
+            if datum:
+                rows = self._rows
+                key = (datum[0], len(datum))
+                rows[key] = rows[key] + (datum,) if key in rows else (datum,)
+        else:
+            self.order.append((position, datum))
+            self.arrivals.append(datum)
+        return position
 
-    def bump_and_lock(self, caller: ProcessId, datum: Any, k: int) -> int:
-        bill, sink, readers = self._bump_bill, self._sink, self.readers
+    def bump_and_lock(
+        self, caller: ProcessId, datum: Any, k: int, _bill: Optional[_Bill] = None
+    ) -> int:
+        """Move ``datum`` to ``max(k, current slot)`` and lock it.
+
+        Locking is idempotent: once locked, further calls leave the datum
+        untouched (locked data cannot be bumped anymore).  Returns the
+        final position.  ``_bill`` is as for :meth:`append`.
+        """
+        positions = self.positions
+        if datum not in positions:
+            raise SpecificationError(
+                f"{self.name}: bumpAndLock on absent datum {datum!r}"
+            )
+        bill = self._bump_bill if _bill is None else _bill
+        sink, readers = self._sink, self.readers
         sink.charges.append((sink.clock.time, bill[caller], bill.reason))
         parked = sink.parked
         parked -= readers
         if sink.wake_listener is not None:
             sink.wake_listener(readers)
-        return self.log.bump_and_lock(datum, k)
+        current = positions[datum]
+        locked = self._locked
+        if datum in locked:
+            return current
+        final = k if k > current else current
+        positions[datum] = final
+        locked.add(datum)
+        if final >= self._head:
+            self._head = final + 1
+        kind = type(datum)
+        if kind is tuple or kind is not MulticastMessage and isinstance(datum, tuple):
+            if final != current and datum:
+                self._refile(datum, current)
+            return final
+        keys = self.order
+        if final != current:
+            del keys[bisect_left(keys, (current, datum))]
+            insort(keys, (final, datum))
+        settled = self.settled
+        while settled < len(keys) and keys[settled][1] in locked:
+            settled += 1
+        self.settled = settled
+        return final
+
+    #: The mutators' bodies, for :class:`IntersectionLogHandle` to apply
+    #: a classified operation through (bound here, so instrumentation
+    #: that wraps ``append`` / ``bump_and_lock`` sees it once).
+    _apply_append = append
+    _apply_bump = bump_and_lock
+
+    def _refile(self, record: Tuple[Any, ...], origin: int) -> None:
+        """Re-sort the rows of ``record``'s head and arity after a bump
+        moved it away from ``origin``, its append slot."""
+        positions, origins = self.positions, self._record_origins
+        origins[record] = origin
+        key = (record[0], len(record))
+        self._rows[key] = tuple(
+            sorted(
+                self._rows[key],
+                key=lambda r: (positions[r], origins.get(r, positions[r])),
+            )
+        )
 
     # -- Reads (free) --------------------------------------------------------
 
     def pos(self, datum: Any) -> int:
-        return self.log.pos(datum)
+        """The slot of ``datum``; 0 when absent."""
+        return self.positions.get(datum, 0)
 
     def locked(self, datum: Any) -> bool:
-        return self.log.locked(datum)
+        """Whether ``datum`` is locked in the log."""
+        return datum in self._locked
 
     def __contains__(self, datum: Any) -> bool:
-        return datum in self.log
+        return datum in self.positions
 
     def precedes(self, d: Any, d_prime: Any) -> bool:
-        return self.log.precedes(d, d_prime)
+        """``d <_L d'``: both present, lower slot or slot tie-break."""
+        pos_d = self.positions.get(d)
+        pos_dp = self.positions.get(d_prime)
+        if pos_d is None or pos_dp is None:
+            return False
+        if pos_d != pos_dp:
+            return pos_d < pos_dp
+        return d < d_prime
 
     def messages(self) -> Tuple[Any, ...]:
-        return self.log.messages()
+        """The *message* items of the log, in ``<_L`` order."""
+        return tuple(item for _, item in self.order)
+
+    def rank(self, message: Any) -> int:
+        """How many messages precede ``message``: its index in ``messages()``."""
+        position = self.positions.get(message)
+        if position is None:
+            raise SpecificationError(
+                f"{self.name}: rank of absent message {message!r}"
+            )
+        return bisect_left(self.order, (position, message))
 
     def messages_before(self, datum: Any) -> Tuple[Any, ...]:
-        return self.log.messages_before(datum)
+        """Messages ``m'`` with ``m' <_L datum``; ``()`` unless ``datum``
+        is a message of the log."""
+        if is_record(datum) or datum not in self.positions:
+            return ()
+        return self.messages()[: self.rank(datum)]
 
-    @property
-    def arrivals(self) -> List[Any]:
-        return self.log.arrivals
+    def position_records_for(self, message: Any) -> Tuple[Tuple[Any, Any, int], ...]:
+        """Records ``(m, h, i)`` of ``message`` (written at line 14)."""
+        return self._rows.get((message, 3), ())
 
-    def position_records_for(self, message: Any):
-        return self.log.position_records_for(message)
+    def stabilization_records_for(self, message: Any) -> Tuple[Tuple[Any, Any], ...]:
+        """Records ``(m, h)`` of ``message`` (written at line 29)."""
+        return self._rows.get((message, 2), ())
 
-    def stabilization_records_for(self, message: Any):
-        return self.log.stabilization_records_for(message)
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{self.name}[{len(self.positions)} items, head={self._head}]"
 
 
 class IntersectionLogHandle(LogHandle):
     """``LOG_{g∩h}`` with the contention-free fast path of Proposition 47.
 
-    The handle watches the per-process operation sequences.  While every
+    The log watches the per-process operation sequences.  While every
     process applies the same operations in the same order, each mutation
     runs on the adopt–commit fast path and charges only ``g ∩ h``.  The
     first out-of-order mutation (step contention) falls back to the
@@ -263,21 +437,21 @@ class IntersectionLogHandle(LogHandle):
     quorum of :meth:`slow_scope` — the caller's guard peeks the
     classification (:meth:`would_be_fast`) before the operation.
 
-    Each mutation classifies itself (advancing the caller's cursor) and
-    charges its path's bill: ``g ∩ h`` on the fast path, the slow scope
-    on contention.
+    Each mutation classifies itself (advancing the caller's cursor), then
+    applies through the group log's body with its path's bill: ``g ∩ h``
+    on the fast path, the slow scope on contention.
     """
 
     def __init__(
         self,
-        log: Log,
+        name: str,
         intersection: ProcessSet,
         host_group: Group,
         readers: FrozenSet[ProcessId],
-        sink: Optional[Sink] = None,
+        sink: Sink,
         isolation: bool = False,
     ) -> None:
-        super().__init__(log, intersection, readers, sink)
+        super().__init__(name, intersection, readers, sink)
         self.host_group = host_group
         #: §6.2 configuration: the backing consensus runs inside ``g∩h``
         #: (from ``Sigma_{g∩h} ∧ Omega_{g∩h}``) instead of a host group.
@@ -289,7 +463,7 @@ class IntersectionLogHandle(LogHandle):
         self.fast_ops = 0
         self.slow_ops = 0
         # The fast path's bills replace the plain ones of a group log.
-        name, slow = log.name, self.slow_scope()
+        slow = self.slow_scope()
         self._append_bill = _Bill(intersection, f"{name}.append[fast]")
         self._bump_bill = _Bill(intersection, f"{name}.bumpAndLock[fast]")
         self._append_slow_bill = _Bill(slow, f"{name}.append[slow]")
@@ -324,17 +498,7 @@ class IntersectionLogHandle(LogHandle):
         else:
             self.slow_ops += 1
             bill = self._append_slow_bill
-        sink, readers = self._sink, self.readers
-        sink.charges.append((sink.clock.time, bill[caller], bill.reason))
-        parked = sink.parked
-        parked -= readers
-        if sink.wake_listener is not None:
-            sink.wake_listener(readers)
-        log = self.log
-        positions = log.positions
-        if datum in positions:
-            return positions[datum]
-        return log.append(datum)
+        return self._apply_append(caller, datum, bill)
 
     def bump_and_lock(self, caller: ProcessId, datum: Any, k: int) -> int:
         cursor, established = self._cursor, self._established
@@ -351,45 +515,56 @@ class IntersectionLogHandle(LogHandle):
         else:
             self.slow_ops += 1
             bill = self._bump_slow_bill
-        sink, readers = self._sink, self.readers
-        sink.charges.append((sink.clock.time, bill[caller], bill.reason))
-        parked = sink.parked
-        parked -= readers
-        if sink.wake_listener is not None:
-            sink.wake_listener(readers)
-        return self.log.bump_and_lock(datum, k)
+        return self._apply_bump(caller, datum, k, bill)
 
 
 class ConsensusHandle:
-    """A consensus object bound to the group that hosts it."""
+    """Single-shot consensus ``CONS_{m,f}``, hosted by a group: the first
+    proposed value is decided.
+
+    Validity, agreement and (in the linearized world) termination are
+    immediate from the specification; the wait-free message-passing
+    realization from ``Omega ∧ Sigma`` is
+    :class:`repro.substrates.consensus.ConsensusAutomaton`.
+    """
 
     def __init__(
-        self,
-        cons: ConsensusObject,
-        host_group: Group,
-        sink: Optional[Sink] = None,
-        orders: Optional[_HostOrders] = None,
+        self, name: str, host_group: Group, sink: Sink, orders: _HostOrders
     ) -> None:
-        self.cons = cons
+        self.name = name
         self.host_group = host_group
-        self._sink = Sink() if sink is None else sink
+        self._sink = sink
         #: The space's billing orders by (caller, host members).
-        self._orders = _HostOrders() if orders is None else orders
+        self._orders = orders
         self._host = host_group.members
-        self._reason = f"{cons.name}.propose"
+        self._reason = f"{name}.propose"
+        self.decided = False
+        self._decision: Any = None
+        self.proposal_count = 0
 
     def propose(self, caller: ProcessId, value: Any) -> Any:
+        """Propose ``value``; returns the (unique) decided value."""
         # CONS_{m,f} sees one proposal per member of g, so its billing
         # order comes from the space's memo, shared by every object g hosts.
         sink = self._sink
         sink.charges.append(
             (sink.clock.time, self._orders[caller, self._host], self._reason)
         )
-        return self.cons.propose(value)
+        self.proposal_count += 1
+        if not self.decided:
+            self._decision = value
+            self.decided = True
+        return self._decision
 
     @property
-    def decided(self) -> bool:
-        return self.cons.decided
+    def decision(self) -> Any:
+        if not self.decided:
+            raise SpecificationError(f"{self.name}: no decision yet")
+        return self._decision
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        state = repr(self._decision) if self.decided else "?"
+        return f"{self.name}={state}"
 
 
 class ObjectSpace:
@@ -427,10 +602,7 @@ class ObjectSpace:
         handle = self._group_logs.get(g)
         if handle is None:
             handle = LogHandle(
-                Log(f"LOG_{g.name}"),
-                g.members,
-                reader_set(g),
-                self.sink,
+                f"LOG_{g.name}", g.members, reader_set(g), self.sink
             )
             self._group_logs[g] = handle
         return handle
@@ -453,7 +625,7 @@ class ObjectSpace:
         if handle is None:
             first, second = sorted((g, h), key=lambda x: x.name)
             handle = IntersectionLogHandle(
-                Log(f"LOG_{first.name}∩{second.name}"),
+                f"LOG_{first.name}∩{second.name}",
                 g.intersection(h),
                 host_group=first,
                 # The topology's pair order (GroupTopology.intersecting_pairs).
@@ -475,9 +647,7 @@ class ObjectSpace:
         if key in consensus:
             return consensus[key]
         handle = consensus[key] = ConsensusHandle(
-            ConsensusObject(
-                f"CONS[{_det_label(message_key)},{self._family_labels[family_key]}]"
-            ),
+            f"CONS[{_det_label(message_key)},{self._family_labels[family_key]}]",
             host,
             self.sink,
             self._host_orders,

@@ -269,7 +269,7 @@ def per_check_try_actions(system, self, t, budget=None):
             return fired
         message = known[mid]
         log_g = (routes.get(message.dst) or self._route(message)).log
-        if phases.get(mid, START) != START or message in log_g.log.positions:
+        if phases.get(mid, START) != START or message in log_g.positions:
             self._to_multicast.discard(mid)
             continue
         if system.quorum_ok(pid, log_g.carriers):
@@ -328,7 +328,7 @@ def per_check_try_actions(system, self, t, budget=None):
 
 def per_check_try_pending(system, self, t, m, route):
     log_g = route.log
-    if m not in log_g.log.positions:
+    if m not in log_g.positions:
         return False
     if not self._order_clear(log_g, m, COMMIT):
         self.wait_reasons.add(WAIT_ORDER)
@@ -350,7 +350,7 @@ def per_check_try_pending(system, self, t, m, route):
 
 def per_check_try_commit(system, self, t, m, route):
     g = route.g
-    records = route.log.log.position_records_for(m.mid)
+    records = route.log.position_records_for(m.mid)
     for h in self._gamma_partners(t, g):  # line 18
         name = h.name
         for record in records:
@@ -390,7 +390,7 @@ def per_check_try_stabilize(system, self, t, m, route, max_fires=None):
             return fired
         if (m.mid, h.name) in self._stabilized:
             continue
-        if m not in ilog.log.positions:
+        if m not in ilog.positions:
             continue
         if not self._order_clear(ilog, m, STABLE):
             self.wait_reasons.add(WAIT_ORDER)

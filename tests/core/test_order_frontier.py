@@ -105,7 +105,7 @@ def audit(monkeypatch):
             seen.waiting = False
         by_definition = all(
             self.phase_of(earlier) >= threshold
-            for earlier in _oracle.messages_before(log.log, m)
+            for earlier in _oracle.messages_before(log, m)
         )
         assert got == by_definition, (self.pid, log.name, m, threshold)
         seen.outcomes[got] += 1
@@ -202,7 +202,7 @@ def test_order_wait_needs_only_monotone_phases_and_the_log_contract(ops):
         elif op == "raise":
             process.phase[m.mid] = max(process.phase_of(m), Phase(k % 5))
         for present in log.messages():
-            earlier = _oracle.messages_before(log.log, present)
+            earlier = _oracle.messages_before(log, present)
             for threshold in (COMMIT, STABLE, DELIVER):
                 assert process._order_clear(log, present, threshold) == all(
                     process.phase_of(x) >= threshold for x in earlier

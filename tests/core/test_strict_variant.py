@@ -48,6 +48,7 @@ class TestStrictDelivery:
 
     def test_strict_needs_indicators(self):
         from repro.core.algorithm1 import Algorithm1Process
+        from repro.metrics.trace import TraceRecorder
 
         with pytest.raises(SimulationError):
             Algorithm1Process(
@@ -57,6 +58,7 @@ class TestStrictDelivery:
                 None,
                 on_deliver=lambda p, m: None,
                 blocked=lambda p, guards, signature: None,
+                stats=TraceRecorder(),
                 variant="strict",
                 indicators=None,
             )

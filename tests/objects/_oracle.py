@@ -1,7 +1,7 @@
 """The log's orders by definition: sort everything, probe every pair.
 
-``repro.objects.log.Log`` keeps its message items in an incrementally
-maintained sorted key list and answers the order waits of Algorithm 1
+``repro.objects.space.LogHandle`` keeps its message items in an
+incrementally maintained sorted key list and answers the order waits of Algorithm 1
 from ranks and a settled-prefix length; these are the per-read re-sort
 and the pairwise ``precedes`` walk it replaced, kept verbatim (as
 functions of the log) as the reference the differential tests in
@@ -15,7 +15,7 @@ filter-and-sort accessors it replaced are the reference of
 All of them read only the log's slot table (``pos`` / ``in``, in
 insertion order), never the structures under test, and tell records
 from messages by the log's own item-kind rule,
-:func:`repro.objects.log.is_record`.  O(n log n) per
+:func:`repro.objects.space.is_record`.  O(n log n) per
 read — test logs only.
 """
 
@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from typing import Any, List, Tuple
 
-from repro.objects.log import Log, is_record
+from repro.objects.space import LogHandle, is_record
 
 
-def precedes(log: Log, d: Any, d_prime: Any) -> bool:
+def precedes(log: LogHandle, d: Any, d_prime: Any) -> bool:
     """``d <_L d'``: both present, lower slot or slot tie-break."""
     pos_d = log.positions.get(d)
     pos_dp = log.positions.get(d_prime)
@@ -37,7 +37,7 @@ def precedes(log: Log, d: Any, d_prime: Any) -> bool:
     return d < d_prime
 
 
-def messages(log: Log) -> Tuple[Any, ...]:
+def messages(log: LogHandle) -> Tuple[Any, ...]:
     """The *message* items of the log, in ``<_L`` order.
 
     Messages are the items that are not records.
@@ -47,7 +47,7 @@ def messages(log: Log) -> Tuple[Any, ...]:
     return tuple(present)
 
 
-def messages_before(log: Log, datum: Any) -> Tuple[Any, ...]:
+def messages_before(log: LogHandle, datum: Any) -> Tuple[Any, ...]:
     """Messages ``m'`` with ``m' <_L datum``."""
     if not is_record(datum) and datum in log.positions:
         # ``messages()`` is sorted by exactly the ``<_L`` key, so the
@@ -62,7 +62,7 @@ def messages_before(log: Log, datum: Any) -> Tuple[Any, ...]:
     return tuple(m for m in messages(log) if precedes(log, m, datum))
 
 
-def _records_for(log: Log, message: Any, arity: int) -> Tuple[Tuple[Any, ...], ...]:
+def _records_for(log: LogHandle, message: Any, arity: int) -> Tuple[Tuple[Any, ...], ...]:
     """The ``arity``-long records headed by ``message``, sorted by slot
     (stable: ties stay in insertion order)."""
     rows = [
@@ -74,11 +74,11 @@ def _records_for(log: Log, message: Any, arity: int) -> Tuple[Tuple[Any, ...], .
     return tuple(rows)
 
 
-def position_records_for(log: Log, message: Any) -> Tuple[Tuple[Any, ...], ...]:
+def position_records_for(log: LogHandle, message: Any) -> Tuple[Tuple[Any, ...], ...]:
     """Records ``(m, h, i)`` of ``message``."""
     return _records_for(log, message, 3)
 
 
-def stabilization_records_for(log: Log, message: Any) -> Tuple[Tuple[Any, ...], ...]:
+def stabilization_records_for(log: LogHandle, message: Any) -> Tuple[Tuple[Any, ...], ...]:
     """Records ``(m, h)`` of ``message``."""
     return _records_for(log, message, 2)

@@ -1,6 +1,6 @@
 """The log's incremental message order against the sort-and-probe oracle.
 
-``Log`` answers ``messages()`` / ``messages_before`` / ``rank`` from a
+``LogHandle`` answers ``messages()`` / ``messages_before`` / ``rank`` from a
 sorted key list (``order``) it patches on every mutation, and promises
 that the all-locked prefix of that order (``settled``) is final.  Random
 ``append`` / ``bump_and_lock`` sequences — messages and records mixed,
@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 from repro.model.errors import SpecificationError
 from repro.model.messages import MessageFactory
 from repro.model.processes import make_processes, pset
-from repro.objects.log import Log, is_record
+from repro.objects.space import is_record
 
 from . import _oracle
+from ._objects import P, new_log
 
 MESSAGES = [f"d{i}" for i in range(7)]
 RECORDS = [(m, "g") for m in MESSAGES[:3]] + [(m, "g", 1) for m in MESSAGES[:3]]
@@ -44,7 +45,7 @@ def settled_by_definition(log):
 @settings(max_examples=300, deadline=None)
 @given(OPS)
 def test_order_views_match_the_oracle_after_every_operation(ops):
-    log = Log()
+    log = new_log()
     settled = 0
     frozen = ()
     arrivals = []
@@ -52,9 +53,9 @@ def test_order_views_match_the_oracle_after_every_operation(ops):
         if op == "append":
             if datum not in log and not is_record(datum):
                 arrivals.append(datum)
-            log.append(datum)
+            log.append(P, datum)
         elif datum in log:
-            log.bump_and_lock(datum, k)
+            log.bump_and_lock(P, datum, k)
         expected = _oracle.messages(log)
         assert log.messages() == expected
         assert log.arrivals == arrivals
@@ -72,20 +73,20 @@ def test_order_views_match_the_oracle_after_every_operation(ops):
 
 
 def test_rank_of_an_absent_message_raises():
-    log = Log()
-    log.append("m1")
+    log = new_log()
+    log.append(P, "m1")
     with pytest.raises(SpecificationError):
         log.rank("ghost")
 
 
 def test_an_unlocked_message_ahead_holds_settled_back():
-    log = Log()
+    log = new_log()
     for m in ("a", "b", "c"):
-        log.append(m)
-    log.bump_and_lock("b", 0)
-    log.bump_and_lock("c", 0)
+        log.append(P, m)
+    log.bump_and_lock(P, "b", 0)
+    log.bump_and_lock(P, "c", 0)
     assert log.settled == 0  # "a" is still unlocked at rank 0
-    log.bump_and_lock("a", 9)  # moves behind both, and locks
+    log.bump_and_lock(P, "a", 9)  # moves behind both, and locks
     assert log.messages() == ("b", "c", "a")
     assert log.settled == 3
 

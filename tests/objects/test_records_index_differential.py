@@ -1,6 +1,6 @@
 """The log's per-message record index against the filter-and-sort oracle.
 
-``Log`` files every ``(m, h, i)`` and ``(m, h)`` record under its head
+``LogHandle`` files every ``(m, h, i)`` and ``(m, h)`` record under its head
 and arity when it is appended, and re-sorts only that row tuple when a
 bump moves a record, so ``position_records_for`` /
 ``stabilization_records_for`` return a stored tuple.  Random ``append`` /
@@ -13,9 +13,8 @@ every read.
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.objects.log import Log
-
 from . import _oracle
+from ._objects import P, new_log
 
 HEADS = ["d0", "d1"]
 #: Two rows of each arity under ``d0`` (so they can tie), one under ``d1``.
@@ -62,24 +61,24 @@ def assert_index_matches_the_oracle(log, heads=HEADS):
 @given(OPS)
 @example(LATE_TIE)
 def test_record_index_matches_the_oracle_after_every_operation(ops):
-    log = Log()
+    log = new_log()
     for op, datum, target in ops:
         if op == "append":
-            log.append(datum)
+            log.append(P, datum)
         elif datum in log:
             k = target if isinstance(target, int) else log.pos(target)
-            log.bump_and_lock(datum, k)
+            log.bump_and_lock(P, datum, k)
         assert_index_matches_the_oracle(log)
 
 
 def test_a_record_bumped_onto_a_message_slot_moves_behind_later_rows():
-    log = Log()
-    log.append("m")  # slot 1
+    log = new_log()
+    log.append(P, "m")  # slot 1
     record, later = ("m", "g"), ("m", "h")
-    log.append(record)  # slot 2
-    log.append(later)  # slot 3
-    log.append("x")  # slot 4
-    log.bump_and_lock(record, log.pos("x"))
+    log.append(P, record)  # slot 2
+    log.append(P, later)  # slot 3
+    log.append(P, "x")  # slot 4
+    log.bump_and_lock(P, record, log.pos("x"))
     assert log.stabilization_records_for("m") == (later, record)
     assert log.messages() == ("m", "x")
     assert_index_matches_the_oracle(log, ["m"])

@@ -337,6 +337,20 @@ def test_an_operation_is_one_charge_and_one_wake_of_its_readers(fig1, case):
     assert ledger.parked == set(PROCS) - readers
 
 
+def test_a_refused_operation_charges_nothing_and_wakes_nobody(fig1):
+    """A ``bumpAndLock`` of a datum absent from the log is refused before
+    it charges a carrier or unparks a reader."""
+    ledger = Ledger()
+    space = ObjectSpace(ledger)
+    g1, g3, g4 = fig1.group("g1"), fig1.group("g3"), fig1.group("g4")
+    for log in (space.group_log(g1), space.intersection_log(g3, g4)):
+        with pytest.raises(SpecificationError):
+            log.bump_and_lock(P1, "ghost", 2)
+    assert ledger.charges == []
+    assert ledger.wakes == []
+    assert ledger.parked == set(PROCS)
+
+
 def test_stats_reporting(fig1):
     space = ObjectSpace()
     g1, g3 = fig1.group("g1"), fig1.group("g3")
