@@ -155,9 +155,11 @@ class TraceRecorder:
 
     # -- Event sinks (called by the schedulers) -----------------------------
 
-    def note_scanned(self, fired: int) -> None:
+    def note_scanned(self, fired: int, scanned: int = 1) -> None:
+        """``scanned`` actors ran their scan and fired ``fired`` actions
+        between them: a round tallies its scans once, after its loop."""
         if self._in_round:
-            self._scanned += 1
+            self._scanned += scanned
             self._actions += fired
 
     def note_skipped(self) -> None:

@@ -256,6 +256,12 @@ class MessageBuffer:
     def has_pending(self, p: ProcessId) -> bool:
         return bool(self._pending.get(p))
 
+    def inbox(self, p: ProcessId) -> Deque[Datagram]:
+        """The live queue of datagrams receivable by ``p``, for reading
+        only: the buffer keeps this very deque for ``p`` from now on, so
+        a holder tests ``p``'s mail without a call."""
+        return self._pending.setdefault(p, deque())
+
     def receive(self, p: ProcessId) -> Optional[Datagram]:
         """Remove and return the oldest datagram addressed to ``p``.
 
@@ -294,7 +300,11 @@ class MessageBuffer:
         :meth:`release` push them into a dead process's queue later,
         inflating :meth:`in_transit` and stalling quiescence accounting.
         Returns the number of dropped datagrams (pending + sequestered)."""
-        dropped = len(self._pending.pop(p, ()))
+        # Emptied in place: an :meth:`inbox` holder keeps reading it.
+        queue = self._pending.get(p)
+        dropped = len(queue) if queue else 0
+        if dropped:
+            queue.clear()
         if self._delayed:
             kept = [entry for entry in self._delayed if entry[2].dst != p]
             purged = len(self._delayed) - len(kept)

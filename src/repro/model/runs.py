@@ -109,10 +109,11 @@ class RunRecord:
     ) -> None:
         self.deliveries.append(DeliveryEvent(time, process, message))
         self._local_orders.setdefault(process, []).append(message)
-        self._delivery_times[(process, message.mid)] = time
-        self._times_by_mid.setdefault(message.mid, {})[process] = time
         pair = (process, message.mid)
-        self._pair_counts[pair] = self._pair_counts.get(pair, 0) + 1
+        self._delivery_times[pair] = time
+        self._times_by_mid.setdefault(message.mid, {})[process] = time
+        counts = self._pair_counts
+        counts[pair] = counts[pair] + 1 if pair in counts else 1
 
     def note_step(
         self,

@@ -317,9 +317,7 @@ class LogHandle:
         """
         positions = self.positions
         if datum not in positions:
-            raise SpecificationError(
-                f"{self.name}: bumpAndLock on absent datum {datum!r}"
-            )
+            self._refuse(datum)
         bill = self._bump_bill if _bill is None else _bill
         sink, readers = self._sink, self.readers
         sink.charges.append((sink.clock.time, bill[caller], bill.reason))
@@ -356,6 +354,13 @@ class LogHandle:
     #: that wraps ``append`` / ``bump_and_lock`` sees it once).
     _apply_append = append
     _apply_bump = bump_and_lock
+
+    def _refuse(self, datum: Any) -> None:
+        """A ``bumpAndLock`` of ``datum``, absent from the log, is refused
+        before it charges or wakes anyone."""
+        raise SpecificationError(
+            f"{self.name}: bumpAndLock on absent datum {datum!r}"
+        )
 
     def _refile(self, record: Tuple[Any, ...], origin: int) -> None:
         """Re-sort the rows of ``record``'s head and arity after a bump
@@ -501,6 +506,10 @@ class IntersectionLogHandle(LogHandle):
         return self._apply_append(caller, datum, bill)
 
     def bump_and_lock(self, caller: ProcessId, datum: Any, k: int) -> int:
+        if datum not in self.positions:
+            # Refused before it classifies: a refused operation is no
+            # operation of the caller's sequence.
+            self._refuse(datum)
         cursor, established = self._cursor, self._established
         index = cursor[caller] if caller in cursor else 0
         cursor[caller] = index + 1

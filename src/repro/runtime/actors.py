@@ -137,14 +137,16 @@ class AutomatonActor(Actor):
         # Live references (the kernel never rebinds these attributes);
         # resolving them per parked() call showed up in profiles.
         self._automaton = kernel.automata[pid]
-        self._buffer = kernel.buffer
+        #: The process's own queue in the kernel's buffer: an empty inbox
+        #: is one truth test, not a buffer call.
+        self._inbox = kernel.buffer.inbox(pid)
         self._detector = kernel.detectors.get(pid)
 
     def parked(self, t: Time) -> bool:
         pid = self._pid
         if (
             pid in self._kernel._started
-            and not self._buffer.has_pending(pid)
+            and not self._inbox
             and self._automaton.idle()
             and (
                 self._detector is None
@@ -167,7 +169,7 @@ class AutomatonActor(Actor):
             # itself: judging it against the sample before costs no query.
             parked = (
                 pid in kernel._started
-                and not self._buffer.has_pending(pid)
+                and not self._inbox
                 and self._automaton.idle()
             )
             before = kernel._sampled.get(pid)

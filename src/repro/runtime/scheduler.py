@@ -418,10 +418,11 @@ class Scheduler:
                 continue
             count = actor.fire(t, action_budget, parked_hint)
             fired += count
-            tracer.note_scanned(count)
             if count == 0:
                 for reason in actor.wait_reasons():
                     tracer.note_wait(reason)
+        # Every actor neither proven parked nor found parked was scanned.
+        tracer.note_scanned(fired, len(order) - skipped)
         if skipped:
             # After the scanned actors' reasons: the histogram's key
             # order is the per-skip order wherever the skip reasons are

@@ -32,13 +32,21 @@ from repro.runtime.scheduler import Scheduler
 class Context:
     """The per-step view an automaton gets of the world.
 
+    The kernel keeps one instance and re-points it at each step: automata
+    use it synchronously within the step.
+
     Attributes:
         pid: the stepping process.
         time: the global time of this step.
         detector: the sample obtained from the local detector module.
+        buffer: the shared message buffer the step sends through.
+        outputs: the stepping process's output queue (OUT of Appendix A),
+            ``(time, value)`` entries.  A view that tags what an automaton
+            sends or outputs (a replicated log's slot) writes through these
+            two, not through a frame of this class.
     """
 
-    __slots__ = ("pid", "time", "detector", "_buffer", "_outputs")
+    __slots__ = ("pid", "time", "detector", "buffer", "outputs")
 
     def __init__(
         self,
@@ -51,39 +59,20 @@ class Context:
         self.pid = pid
         self.time = time
         self.detector = detector
-        self._buffer = buffer
-        self._outputs = outputs
-
-    def bind(
-        self,
-        pid: ProcessId,
-        time: Time,
-        detector: Any,
-        outputs: List[Any],
-    ) -> "Context":
-        """Re-point this view at another step (kernel-internal reuse).
-
-        Automata only use the context synchronously within one step, so
-        the kernel keeps a single instance instead of allocating one per
-        step.
-        """
-        self.pid = pid
-        self.time = time
-        self.detector = detector
-        self._outputs = outputs
-        return self
+        self.buffer = buffer
+        self.outputs = outputs
 
     def send(self, dst: ProcessId, tag: str, *body: Any) -> None:
         """Queue a datagram to ``dst``."""
-        self._buffer.send(self.pid, dst, tag, tuple(body))
+        self.buffer.send(self.pid, dst, tag, body)
 
     def broadcast(self, dsts: Sequence[ProcessId], tag: str, *body: Any) -> None:
         """Queue one datagram per destination (including self if listed)."""
-        self._buffer.broadcast(self.pid, dsts, tag, tuple(body))
+        self.buffer.broadcast(self.pid, dsts, tag, body)
 
     def output(self, value: Any) -> None:
         """Append to the process's output queue (OUT of Appendix A)."""
-        self._outputs.append((self.time, value))
+        self.outputs.append((self.time, value))
 
 
 def snapshot_hash(snapshot: Any) -> str:
@@ -162,7 +151,7 @@ class Kernel(RoundHost):
         self._started: set = set()
         #: The detector sample each process took its last step under.
         self._sampled: Dict[ProcessId, Any] = {}
-        #: Reusable per-step context view (see :meth:`Context.bind`).
+        #: The one per-step context view, re-pointed at every step.
         self._ctx = Context(None, 0, None, self.buffer, [])
         #: Crash-time drop schedule: instead of sweeping every inbox each
         #: round, pending datagrams are dropped once when their owner's
@@ -286,8 +275,13 @@ class Kernel(RoundHost):
         if not self.pattern.is_alive(p, t):
             raise SimulationError(f"{p} is crashed and cannot step")
         detector = self.detectors.get(p)
-        sample = self._sampled[p] = detector.query(p, t) if detector else None
-        ctx = self._ctx.bind(p, t, sample, self.outputs[p])
+        ctx = self._ctx
+        ctx.pid = p
+        ctx.time = t
+        ctx.detector = self._sampled[p] = (
+            detector.query(p, t) if detector else None
+        )
+        ctx.outputs = self.outputs[p]
         automaton = self.automata[p]
         if p not in self._started:
             self._started.add(p)

@@ -42,6 +42,10 @@ Ballot = Tuple[int, int]
 
 NO_BALLOT: Ballot = (0, 0)
 
+#: The quorum of a step with no ``Sigma`` sample.  A sample is a
+#: frozenset, so "every member replied" is one subset test.
+NO_QUORUM: ProcessSet = frozenset()
+
 
 def check_policy(retransmit_interval: Optional[int]) -> None:
     """Reject a non-positive retransmission timer."""
@@ -283,7 +287,7 @@ class ConsensusAutomaton(Automaton):
     def _progress(self, ctx: Context) -> None:
         sample = ctx.detector or {}
         leader = sample.get("omega")
-        quorum = sample.get("sigma", ())
+        quorum = sample.get("sigma", NO_QUORUM)
         if self.decision is not None or self.proposal is None:
             return
         if leader != self.pid:
@@ -310,9 +314,7 @@ class ConsensusAutomaton(Automaton):
                 self._promises = {}
                 self._arm_resend(ctx)
                 self._announce(ctx, "PREPARE", self._ballot)
-        elif self._phase == "prepare" and all(
-            q in self._promises for q in quorum
-        ):
+        elif self._phase == "prepare" and quorum <= self._promises.keys():
             # Adopt the value of the highest accepted ballot, if any.
             best: Tuple[Ballot, Any] = (NO_BALLOT, None)
             for acc in self._promises.values():
@@ -321,9 +323,7 @@ class ConsensusAutomaton(Automaton):
             self._start_accept(
                 ctx, best[1] if best[0] > NO_BALLOT else self.proposal
             )
-        elif self._phase == "accept" and all(
-            q in self._accepts for q in quorum
-        ):
+        elif self._phase == "accept" and quorum <= self._accepts:
             if self.decision is None:
                 self.decision = self._value_in_flight
                 ctx.output(("decide", self._value_in_flight))
@@ -361,12 +361,12 @@ class ConsensusAutomaton(Automaton):
         if sample.get("omega") != self.pid or self.retransmit_interval is not None:
             return False
         if self._phase == "prepare":
-            replied = self._promises
+            replied = self._promises.keys()
         elif self._phase == "accept":
             replied = self._accepts
         else:
             return False
-        return not all(q in replied for q in sample.get("sigma", ()))
+        return not sample.get("sigma", NO_QUORUM) <= replied
 
     def _start_accept(self, ctx: Context, value: Any) -> None:
         self._value_in_flight = value

@@ -97,10 +97,10 @@ class ReplicatedLogAutomaton(Automaton):
         #: The detector sample of the last step (volatile): ``idle`` is
         #: relative to it, and ``Omega`` *moved* when a step's differs.
         self._sample: Dict[str, Any] = {}
-        #: One reusable slot-context view, rebound per call — the kernel
+        #: One reusable slot-context view, re-pointed per call — the kernel
         #: steps this automaton once per process per round, and a fresh
         #: wrapper allocation per step showed up in profiles.
-        self._slot_ctx = _SlotContext()
+        self._slot_ctx = _SlotContext(pid)
 
     def append(self, value: Any) -> None:
         """Client call: replicate ``value`` — queued until a slot carries
@@ -202,6 +202,10 @@ class ReplicatedLogAutomaton(Automaton):
 
     def on_step(self, ctx: Context, datagram: Optional[Datagram]) -> None:
         slot_ctx = self._slot_ctx
+        slot_ctx._ctx = ctx
+        slot_ctx.time = ctx.time
+        slot_ctx.detector = ctx.detector
+        slots = self._slots
         sample = ctx.detector or {}
         leader = sample.get("omega")
         last_leader = self._sample.get("omega")
@@ -247,14 +251,16 @@ class ReplicatedLogAutomaton(Automaton):
                 ):
                     self._pending.append(value)
         elif tag is not None:
-            slot_index = datagram.body[0]
-            slot_ctx.bind(ctx, slot_index)
-            self._slot(slot_index)._handle(
+            slot_index = slot_ctx._slot = datagram.body[0]
+            if slot_index not in slots:
+                # Most datagrams are for a slot this replica holds.
+                self._slot(slot_index)
+            slots[slot_index]._handle(
                 slot_ctx, datagram.src, tag, datagram.body[1:]
             )
         # Drive the current head slot: opening it proposes everything
         # queued as one batch, and it keeps progressing while undecided.
-        head = self._slots.get(self._next_slot)
+        head = slots.get(self._next_slot)
         if head is not None and head.proposal == () and leader != self.pid:
             # The no-op is the leader's to propose, not a value to
             # forward: demoted, this replica is a learner again.
@@ -266,11 +272,11 @@ class ReplicatedLogAutomaton(Automaton):
             elif leader == self.pid and self._next_slot <= self._horizon:
                 head = self._take_over()
         if head is not None and head.decision is None:
-            slot_ctx.bind(ctx, self._next_slot)
+            slot_ctx._slot = self._next_slot
             head._progress(slot_ctx)
         # Apply decided slots in order, each value at most once.
         while True:
-            head = self._slots.get(self._next_slot)
+            head = slots.get(self._next_slot)
             if head is None or head.decision is None:
                 break
             batch = head.decision
@@ -280,11 +286,12 @@ class ReplicatedLogAutomaton(Automaton):
                     self._applied_values.add(value)
                     ctx.output(("applied", len(self.applied), value))
                     self.applied.append(value)
-            self._pending = [
-                value
-                for value in self._pending
-                if value not in self._applied_values
-            ]
+            if self._pending:
+                self._pending = [
+                    value
+                    for value in self._pending
+                    if value not in self._applied_values
+                ]
             self._next_slot += 1
         if (
             leader != last_leader
@@ -301,39 +308,34 @@ class ReplicatedLogAutomaton(Automaton):
 class _SlotContext:
     """A context view that prefixes every message with its slot index.
 
-    Rebindable: the replicated-log automaton keeps one instance and
-    re-points it at the current step context and slot (the view is only
-    used synchronously within one ``_handle``/``_progress`` call).
+    Reusable: the replicated-log automaton keeps one instance, points it
+    at each step's context, copies the step's ``time`` and ``detector``
+    into it and sets ``_slot`` before each
+    ``_handle`` / ``_progress`` call (the view is only used synchronously
+    within one).  It sends through the context's buffer and outputs into
+    its queue directly, so a slot's datagram costs no frame of
+    :class:`~repro.sim.kernel.Context`.
     """
 
     __slots__ = ("_ctx", "_slot", "pid", "time", "detector")
 
-    def __init__(
-        self, ctx: Optional[Context] = None, slot: int = 0
-    ) -> None:
-        self._ctx = ctx
-        self._slot = slot
-        self.pid = ctx.pid if ctx is not None else None
-        self.time = ctx.time if ctx is not None else 0
-        self.detector = ctx.detector if ctx is not None else None
-
-    def bind(self, ctx: Context, slot: int) -> None:
-        self._ctx = ctx
-        self._slot = slot
-        self.pid = ctx.pid
-        self.time = ctx.time
-        self.detector = ctx.detector
+    def __init__(self, pid: ProcessId) -> None:
+        self._ctx: Optional[Context] = None
+        self._slot = 0
+        self.pid = pid
+        self.time = 0
+        self.detector = None
 
     def send(self, dst: ProcessId, tag: str, *body: Any) -> None:
-        self._ctx.send(dst, tag, self._slot, *body)
+        self._ctx.buffer.send(self.pid, dst, tag, (self._slot,) + body)
 
     def broadcast(self, dsts, tag: str, *body: Any) -> None:
         # One batched buffer call (the buffer mints uids in destination
         # order, identical to per-destination sends).
-        self._ctx.broadcast(dsts, tag, self._slot, *body)
+        self._ctx.buffer.broadcast(self.pid, dsts, tag, (self._slot,) + body)
 
     def output(self, value: Any) -> None:
-        self._ctx.output((self._slot, value))
+        self._ctx.outputs.append((self.time, (self._slot, value)))
 
 
 class ReplicatedLogCluster:

@@ -207,10 +207,9 @@ class ScenarioResult:
         # Judged on the record alone (not the live system), so both
         # backends share one definition: every *correct* destination
         # member delivered every scripted message.
-        pattern = self.record.pattern
+        faulty = self.record.pattern.faulty
         for m in self.messages:
-            wanted = {p for p in m.dst if pattern.is_correct(p)}
-            if not wanted <= self.record.delivered_by(m):
+            if not m.dst - faulty <= self.record.delivered_by(m):
                 return False
         return True
 
@@ -588,16 +587,13 @@ def _kernel_deployment(
         # log applied m's id.  Sorted by (time, process, apply order),
         # which is unique, so the tuple sort never compares the last two
         # fields.  The global event list is deterministic; per-process
-        # order is the apply order, which is what Ordering judges.
+        # order is the apply order, which is what Ordering judges.  A
+        # replica's outputs are tuples: its ``("applied", position,
+        # value)`` and its slots' ``(slot, ("decide", batch))``.
         applies: List[Tuple[Time, int, int, ProcessId, MulticastMessage]] = []
         for p, entries in kernel.outputs.items():
             for position, (when, value) in enumerate(entries):
-                if (
-                    isinstance(value, tuple)
-                    and len(value) == 3
-                    and value[0] == "applied"
-                    and value[2] in by_mid
-                ):
+                if value[0] == "applied" and value[2] in by_mid:
                     applies.append((when, p.index, position, p, by_mid[value[2]]))
         for when, _, _, p, message in sorted(applies):
             record.note_delivery(when, p, message)

@@ -62,22 +62,25 @@ def figure1_cell(multicasts: int = 60) -> ScenarioSpec:
     )
 
 
-def ledger_frames(spec: ScenarioSpec):
+def ledger_frames(spec: ScenarioSpec, files=LEDGER_FILES):
     """``(frames, builtins, deliveries)``: the ``call`` events whose code
-    lives in :data:`LEDGER_FILES` while ``spec`` runs, the ``c_call``
-    events those files' frames make, and the run's deliveries."""
+    lives in ``files`` while ``spec`` runs, the ``c_call`` events those
+    files' frames make, and the run's deliveries."""
     frames = builtins = 0
+
+    def in_ledger(filename: str) -> bool:
+        return any(part in filename for part in files)
 
     def profile(frame, event, _arg):
         nonlocal frames, builtins
         if event == "c_call":
-            if _in_ledger(frame.f_code.co_filename):
+            if in_ledger(frame.f_code.co_filename):
                 builtins += 1
             return
         if event != "call":
             return
         code = frame.f_code
-        if code.co_name not in INLINED and _in_ledger(code.co_filename):
+        if code.co_name not in INLINED and in_ledger(code.co_filename):
             frames += 1
 
     sys.setprofile(profile)
@@ -87,10 +90,6 @@ def ledger_frames(spec: ScenarioSpec):
         sys.setprofile(None)
     assert result.delivered_everywhere()
     return frames, builtins, len(result.record.deliveries)
-
-
-def _in_ledger(filename: str) -> bool:
-    return any(part in filename for part in LEDGER_FILES)
 
 
 def test_shared_object_ledger():

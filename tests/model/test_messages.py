@@ -182,6 +182,19 @@ class TestMessageBuffer:
         assert buff.drop_all_for(P2) == 2
         assert buff.receive(P2) is None
 
+    def test_an_inbox_stays_live_across_drops(self):
+        """A held inbox is the buffer's own queue for good: a drop empties
+        it in place, and later mail lands in it."""
+        buff = MessageBuffer()
+        inbox = buff.inbox(P2)
+        buff.send(P1, P2, "A")
+        assert [d.tag for d in inbox] == ["A"]
+        assert buff.drop_all_for(P2) == 1
+        assert not inbox
+        buff.broadcast(P1, [P2, P3], "B")
+        assert [d.tag for d in inbox] == ["B"]
+        assert buff.receive(P2).tag == "B" and not inbox
+
     def test_counters_track_traffic(self):
         buff = MessageBuffer()
         buff.send(P1, P2, "A")

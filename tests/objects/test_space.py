@@ -349,6 +349,15 @@ def test_a_refused_operation_charges_nothing_and_wakes_nobody(fig1):
     assert ledger.charges == []
     assert ledger.wakes == []
     assert ledger.parked == set(PROCS)
+    # Nor is it an operation of the caller's sequence: the intersection
+    # log counted nothing, and P1's next append, then the same append by
+    # another member, keep to the fast path.
+    log = space.intersection_log(g3, g4)
+    assert space.intersection_log_stats()[log.name] == (0, 0)
+    assert log.would_be_fast(P1, ("append", "x"))
+    log.append(P1, "x")
+    log.append(P4, "x")
+    assert space.intersection_log_stats()[log.name] == (2, 0)
 
 
 def test_stats_reporting(fig1):

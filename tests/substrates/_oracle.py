@@ -173,6 +173,7 @@ class SingleValueSlots:
 
     def on_step(self, ctx, datagram):
         slot_ctx = self._slot_ctx
+        slot_ctx._ctx, slot_ctx.time, slot_ctx.detector = ctx, ctx.time, ctx.detector
         if self._catchup_needed:
             self._catchup_needed = False
             if self._membership.others:
@@ -181,7 +182,7 @@ class SingleValueSlots:
             for slot in range(datagram.body[0], self._next_slot):
                 ctx.send(datagram.src, "DECIDE", slot, self.applied[slot])
         elif datagram is not None:
-            slot_ctx.bind(ctx, datagram.body[0])
+            slot_ctx._slot = datagram.body[0]
             self._slot(datagram.body[0])._handle(
                 slot_ctx, datagram.src, datagram.tag, datagram.body[1:]
             )
@@ -190,7 +191,7 @@ class SingleValueSlots:
             head = self._slot(self._next_slot)
             head.propose(self._pending[0])
         if head is not None and head.decision is None:
-            slot_ctx.bind(ctx, self._next_slot)
+            slot_ctx._slot = self._next_slot
             head._progress(slot_ctx)
         while (head := self._slots.get(self._next_slot)) and head.decision is not None:
             self.applied.append(head.decision)

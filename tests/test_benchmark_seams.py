@@ -23,7 +23,19 @@ SHIM_PATH = os.path.join(
 )
 
 
-def load_seams():
+#: The call metrics of the seams a kernel step passes through.
+KERNEL_PATH_CALLS = (
+    "sim.kernel.steps",
+    "substrates.replicated_log.on_step_calls",
+    "substrates.consensus.handle_calls",
+    "substrates.consensus.progress_calls",
+    "model.messages.send_calls",
+    "model.messages.receive_calls",
+    "detectors.query_calls",
+)
+
+
+def load_shim():
     # The module must be registered while it executes: its dataclasses
     # resolve their string annotations through ``sys.modules``.
     name = "_benchmark_e2e_shim_under_test"
@@ -34,7 +46,11 @@ def load_seams():
         spec.loader.exec_module(module)
     finally:
         del sys.modules[name]
-    return module.SEAMS
+    return module
+
+
+def load_seams():
+    return load_shim().SEAMS
 
 
 def test_every_seam_names_a_callable_defined_on_its_owner():
@@ -56,3 +72,37 @@ def test_every_seam_names_a_callable_defined_on_its_owner():
             # ``owner.__dict__[attr]``.
             broken.append(f"{where} — not defined directly on the owner")
     assert not broken, "benchmarks/e2e/shim.py SEAMS out of date:\n" + "\n".join(broken)
+
+
+def test_a_kernel_step_reaches_every_seam_on_its_path():
+    """A fold that steps around a seam leaves its name defined but zeroes
+    its per-layer metric; run a small kernel cell under the shim's tracer
+    and check every seam of the step path still counts."""
+    from repro.workloads.runner import Send, run_scenario
+    from repro.workloads.spec import ScenarioSpec, TopologySpec
+
+    shim = load_shim()
+    spec = ScenarioSpec(
+        topology=TopologySpec.from_generator(
+            {"kind": "disjoint", "k": 2, "group_size": 3}
+        ),
+        sends=tuple(
+            Send(sender=sender, group=group, at_round=wave)
+            for wave in range(3)
+            for sender, group in ((1, "g1"), (4, "g2"))
+        ),
+        seed=0,
+        backend="kernel",
+    )
+    tracer = shim.Tracer()
+    tracer.install()
+    try:
+        result = run_scenario(spec)
+    finally:
+        tracer.uninstall()
+    assert result.delivered_everywhere()
+    totals = shim.seam_totals(tracer.spans)
+    assert all(totals[metric] > 0 for metric in KERNEL_PATH_CALLS), {
+        metric: totals[metric] for metric in KERNEL_PATH_CALLS
+    }
+    assert totals["sim.kernel.steps"] == sum(result.kernel.steps_taken.values())
