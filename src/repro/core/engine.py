@@ -455,10 +455,3 @@ class MulticastSystem(RoundHost):
     def delivered_at(self, p: ProcessId) -> Tuple[MulticastMessage, ...]:
         """The delivery sequence at ``p``."""
         return self.record.local_order(p)
-
-    def everyone_delivered(self, message: MulticastMessage) -> bool:
-        """Whether every *correct* destination member delivered it."""
-        wanted = {
-            p for p in message.dst if self.pattern.is_correct(p)
-        }
-        return wanted <= self.record.delivered_by(message)

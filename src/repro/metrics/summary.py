@@ -1,7 +1,8 @@
 """Run metrics: delivery latency and the benchmarks' table formatter.
 
 :func:`latency_of` reads a :class:`repro.model.runs.RunRecord` for the
-rounds from a multicast to its last correct delivery, and
+rounds from a multicast to its last delivery at a correct process (the
+record's one ``faulty`` set), and
 :func:`format_table` prints every benchmark's rows uniformly.
 """
 
@@ -13,30 +14,23 @@ from repro.model.messages import MulticastMessage
 from repro.model.runs import RunRecord
 
 
-def latency_of(
-    record: RunRecord,
-    message: MulticastMessage,
-    correct_only: bool = True,
-) -> Optional[int]:
-    """Rounds from the multicast of ``message`` to its last delivery.
+def latency_of(record: RunRecord, message: MulticastMessage) -> Optional[int]:
+    """Rounds from the multicast of ``message`` to its last delivery at a
+    correct process.
 
-    Uniform Total Order obliges only *correct* members to deliver, so by
-    default deliveries at processes that later crash are excluded: a
-    faulty member that squeezes a delivery in just before (or long
-    after) everyone else would otherwise skew the latency.  Pass
-    ``correct_only=False`` to keep every deliverer.
+    Uniform Total Order obliges only *correct* members to deliver, so
+    deliveries at processes that later crash (``record.faulty``) are
+    excluded: a faulty member that squeezes a delivery in just before
+    (or long after) everyone else would otherwise skew the latency.
     """
     sent = record.multicast_time(message)
     if sent is None:
         return None
-    deliverers = record.delivered_by(message)
-    if correct_only:
-        deliverers = [p for p in deliverers if record.pattern.is_correct(p)]
-    times = [record.delivery_time(p, message) for p in deliverers]
-    times = [t for t in times if t is not None]
-    if not times:
-        return None
-    return max(times) - sent
+    times = [
+        record.delivery_time(p, message)
+        for p in record.delivered_by(message) - record.faulty
+    ]
+    return max(times) - sent if times else None
 
 
 def format_table(

@@ -24,20 +24,6 @@ from repro.model.processes import ProcessId, ProcessSet
 
 
 @dataclass(frozen=True, slots=True)
-class Step:
-    """One step ``(p, m, d)`` of an automaton, with its time.
-
-    ``received`` is a descriptive token (datagram repr or ``None``) rather
-    than the datagram object itself so records stay cheap to keep around.
-    The detector sample ``d`` is not kept: no checker reads it.
-    """
-
-    time: Time
-    process: ProcessId
-    received: Optional[str]
-
-
-@dataclass(frozen=True, slots=True)
 class MulticastEvent:
     """``multicast(m)`` was invoked."""
 
@@ -63,7 +49,12 @@ class RunRecord:
 
     * ``local_order(p)`` — the delivery sequence at ``p`` (yields the
       local order ``m |->_p m'``);
-    * ``delivered_by(m)`` — who delivered ``m`` and when;
+    * ``delivered_by(m)`` — who delivered ``m``, and ``delivery_time(p,
+      m)`` when;
+    * ``undelivered(m)`` — the correct members of ``dst(m)`` that still
+      owe ``m`` a delivery: Termination, Group Parallelism and the
+      runner's success verdict all read this one rule, over the
+      ``faulty`` set the record computes once;
     * ``steps_of(p)`` — computational steps charged to ``p``, the basis of
       the Minimality audit (§2.3).
     """
@@ -73,24 +64,24 @@ class RunRecord:
         self.pattern = pattern
         self.multicasts: List[MulticastEvent] = []
         self.deliveries: List[DeliveryEvent] = []
+        #: ``Faulty(F)``, once per run: the processes no delivery is
+        #: owed to (``pattern.faulty`` rebuilds the set on every read).
+        self.faulty: ProcessSet = pattern.faulty
         #: The charges, one ``(time, processes, received)`` entry each,
         #: append-only: the step flood (invoker + every carrier, per
         #: shared-object operation) dominates record growth, so a
-        #: charge is one tuple append and nothing else.  The
-        #: :class:`Step` view and the per-process counts are derived on
-        #: read, each from its own cursor into this list.  A writer
-        #: appends here directly (the engine's charge sink does) or
-        #: through :meth:`note_steps`; ``processes`` is a tuple.
+        #: charge is one tuple append and nothing else.  A step
+        #: ``(p, m, d)`` of ``p`` is one ``p`` in some entry's
+        #: ``processes``; the per-process counts are derived on read,
+        #: from a cursor into this list.  A writer appends here directly
+        #: (the engine's charge sink does) or through :meth:`note_steps`;
+        #: ``processes`` is a tuple.
         self.charges: List[
             Tuple[Time, Tuple[ProcessId, ...], Optional[str]]
         ] = []
-        self._steps_cache: List[Step] = []
-        #: How many charges ``_steps_cache`` has flattened so far.
-        self._steps_flattened = 0
         self._local_orders: Dict[ProcessId, List[MulticastMessage]] = {}
-        self._delivery_times: Dict[Tuple[ProcessId, Any], Time] = {}
+        #: ``mid -> {process: time of its (last) delivery}``.
         self._times_by_mid: Dict[Any, Dict[ProcessId, Time]] = {}
-        self._pair_counts: Dict[Tuple[ProcessId, Any], int] = {}
         self._multicast_times: Dict[Any, Time] = {}
         self._step_counts: Dict[ProcessId, int] = {}
         #: How many charges ``_step_counts`` has counted so far.
@@ -109,11 +100,7 @@ class RunRecord:
     ) -> None:
         self.deliveries.append(DeliveryEvent(time, process, message))
         self._local_orders.setdefault(process, []).append(message)
-        pair = (process, message.mid)
-        self._delivery_times[pair] = time
         self._times_by_mid.setdefault(message.mid, {})[process] = time
-        counts = self._pair_counts
-        counts[pair] = counts[pair] + 1 if pair in counts else 1
 
     def note_step(
         self,
@@ -137,25 +124,6 @@ class RunRecord:
         if type(processes) is not tuple:
             processes = tuple(processes)
         self.charges.append((time, processes, received))
-
-    @property
-    def steps(self) -> List[Step]:
-        """The recorded steps as :class:`Step` objects (lazy view).
-
-        Flattened from the charges on access, extending the cached list
-        by the charges recorded since; treat the returned list as
-        read-only.
-        """
-        cache = self._steps_cache
-        charges = self.charges
-        if self._steps_flattened < len(charges):
-            cache.extend(
-                Step(t, p, r)
-                for t, ps, r in charges[self._steps_flattened :]
-                for p in ps
-            )
-            self._steps_flattened = len(charges)
-        return cache
 
     def _counts(self) -> Dict[ProcessId, int]:
         """The per-process step counts, folded forward over the charges
@@ -197,7 +165,15 @@ class RunRecord:
     def delivery_time(
         self, p: ProcessId, message: MulticastMessage
     ) -> Optional[Time]:
-        return self._delivery_times.get((p, message.mid))
+        times = self._times_by_mid.get(message.mid)
+        return times.get(p) if times else None
+
+    def undelivered(self, message: MulticastMessage) -> ProcessSet:
+        """The correct members of ``dst(message)`` that have not delivered
+        it: who still owes a delivery (Termination, §2.2)."""
+        owed = message.dst - self.faulty
+        times = self._times_by_mid.get(message.mid)
+        return owed.difference(times) if times else owed
 
     def first_delivery_time(self, message: MulticastMessage) -> Optional[Time]:
         times = self._times_by_mid.get(message.mid)
@@ -212,10 +188,6 @@ class RunRecord:
 
     def step_counts(self) -> Mapping[ProcessId, int]:
         return dict(self._counts())
-
-    def delivery_count(self, p: ProcessId, message: MulticastMessage) -> int:
-        """How many times ``p`` delivered ``message`` (Integrity wants <= 1)."""
-        return self._pair_counts.get((p, message.mid), 0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

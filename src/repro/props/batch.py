@@ -2,34 +2,20 @@
 
 Campaign rows must carry a machine-readable verdict per property — not
 an exception — so a single misbehaving scenario reads as data instead of
-killing a thousand-scenario sweep.  :func:`batch_verdicts` runs every
-registered checker and returns a ``{property: violation count}`` map;
+killing a thousand-scenario sweep.  :func:`batch_verdicts` runs
+:data:`repro.props.checkers.BATCH_CHECKS` — the list
+:func:`~repro.props.checkers.assert_run_ok` raises from — and returns a
+``{property: violation count}`` map;
 :func:`variant_checks` names the extra checkers a protocol variant is
 additionally accountable to (e.g. ``"strict"`` adds real-time order).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.model.runs import RunRecord
-from repro.props.checkers import (
-    check_integrity,
-    check_minimality,
-    check_ordering,
-    check_strict_ordering,
-    check_termination,
-)
-
-#: One checker per correctness property every run is accountable to.
-Checker = Callable[[RunRecord], List[str]]
-
-BATCH_CHECKS: Tuple[Tuple[str, Checker], ...] = (
-    ("integrity", check_integrity),
-    ("termination", check_termination),
-    ("ordering", check_ordering),
-    ("minimality", check_minimality),
-)
+from repro.props.checkers import BATCH_CHECKS, Checker, check_strict_ordering
 
 #: Extra checkers owed by specific protocol variants.
 VARIANT_CHECKS: Dict[str, Tuple[Tuple[str, Checker], ...]] = {

@@ -13,14 +13,18 @@ returns a list of violations (empty = the property holds on this run):
 * :func:`check_group_parallelism` — §6.2 Group Parallelism, for runs
   executed under a participation set.
 
-:func:`assert_run_ok` bundles the §2.2 properties and raises
-:class:`repro.model.errors.PropertyViolation` on the first failure — the idiom
-used throughout the test-suite.
+:data:`BATCH_CHECKS` lists the properties every run owes (§2.2 plus
+Minimality), once: :func:`repro.props.batch.batch_verdicts` counts their
+violations for a sweep row, and :func:`assert_run_ok` raises
+:class:`repro.model.errors.PropertyViolation` on the first failure — the
+idiom used throughout the test-suite.  The quantifier over the correct
+members of ``dst(m)`` is :meth:`RunRecord.undelivered`, for Termination
+and Group Parallelism alike.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 from repro.model.errors import PropertyViolation
 from repro.model.messages import MulticastMessage
@@ -62,17 +66,15 @@ def check_termination(record: RunRecord) -> List[str]:
     delivered it by the end of the run.
     """
     violations: List[str] = []
-    pattern = record.pattern
+    faulty = record.faulty
     obligated: Dict[object, MulticastMessage] = {}
     for event in record.multicasts:
-        if pattern.is_correct(event.process):
+        if event.process not in faulty:
             obligated.setdefault(event.message.mid, event.message)
     for event in record.deliveries:
         obligated.setdefault(event.message.mid, event.message)
     for m in obligated.values():
-        expected = {p for p in m.dst if pattern.is_correct(p)}
-        got = record.delivered_by(m)
-        missing = expected - got
+        missing = record.undelivered(m)
         if missing:
             violations.append(
                 f"{m.mid}: not delivered at correct members "
@@ -131,12 +133,12 @@ def check_minimality(record: RunRecord) -> List[str]:
     """§2.3 Minimality: a correct process takes steps only when some
     multicast message is addressed to it."""
     violations: List[str] = []
-    pattern = record.pattern
+    faulty = record.faulty
     addressed: Set[ProcessId] = set()
     for m in record.multicast_messages():
         addressed |= set(m.dst)
     for p, steps in record.step_counts().items():
-        if steps > 0 and pattern.is_correct(p) and p not in addressed:
+        if steps > 0 and p not in faulty and p not in addressed:
             violations.append(
                 f"{p.name} took {steps} steps but no message is addressed "
                 f"to it"
@@ -155,11 +157,7 @@ def check_group_parallelism(
     process of ``P`` must have delivered ``m``.
     """
     violations: List[str] = []
-    pattern = record.pattern
-    expected = {
-        p for p in message.dst if pattern.is_correct(p) and p in participation
-    }
-    missing = expected - record.delivered_by(message)
+    missing = record.undelivered(message).intersection(participation)
     if missing:
         violations.append(
             f"{message.mid}: not delivered in isolation at "
@@ -168,17 +166,24 @@ def check_group_parallelism(
     return violations
 
 
-def assert_run_ok(record: RunRecord, genuineness: bool = True) -> None:
-    """Assert the §2.2 properties (and optionally Minimality) on a run."""
-    for prop, checker in (
-        ("Integrity", check_integrity),
-        ("Termination", check_termination),
-        ("Ordering", check_ordering),
-    ):
+#: One checker per correctness property every run is accountable to.
+Checker = Callable[[RunRecord], List[str]]
+
+#: The properties of genuine atomic multicast (§2.2 plus Minimality,
+#: §2.3), in the order they are judged.
+BATCH_CHECKS: Tuple[Tuple[str, Checker], ...] = (
+    ("integrity", check_integrity),
+    ("termination", check_termination),
+    ("ordering", check_ordering),
+    ("minimality", check_minimality),
+)
+
+
+def assert_run_ok(record: RunRecord) -> None:
+    """Raise :class:`PropertyViolation` for the first of
+    :data:`BATCH_CHECKS` the run fails, named as the paper names it
+    ("Integrity", ...), with every violation as evidence."""
+    for name, checker in BATCH_CHECKS:
         violations = checker(record)
         if violations:
-            raise PropertyViolation(prop, "; ".join(violations))
-    if genuineness:
-        violations = check_minimality(record)
-        if violations:
-            raise PropertyViolation("Minimality", "; ".join(violations))
+            raise PropertyViolation(name.capitalize(), "; ".join(violations))

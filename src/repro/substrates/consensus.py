@@ -60,7 +60,9 @@ class Membership(NamedTuple):
     """A scope as one of its members addresses it.
 
     Immutable, so the slots of one replicated-log replica share a single
-    instance instead of sorting the scope once per slot.
+    instance instead of sorting the scope once per slot.  It is that
+    replica's hand-off: a :class:`ConsensusAutomaton` built on one takes
+    its ``retransmit_interval`` as already checked.
     """
 
     #: Every member, sorted — ``members[0]`` owns the lowest ballot.
@@ -123,8 +125,10 @@ class ConsensusAutomaton(Automaton):
     ``None`` (the default) never retransmits, so a reliable-link run's
     datagram count is exact — the golden differential suite pins it.
 
-    ``scope`` is the instance's member set, or the :class:`Membership`
-    a caller already derived from it for this ``pid``.
+    ``scope`` is the instance's member set, checked here with the
+    interval, or the :class:`Membership` a replicated-log replica derived
+    for this ``pid``: the replica checked its interval once at its own
+    construction, so a slot it opens takes both as given.
     """
 
     def __init__(
@@ -133,13 +137,13 @@ class ConsensusAutomaton(Automaton):
         scope: Iterable[ProcessId],
         retransmit_interval: Optional[int] = None,
     ) -> None:
-        check_policy(retransmit_interval)
         self.pid = pid
         self.retransmit_interval = retransmit_interval
-        # A replicated log hands every slot its replica's one Membership.
-        self.scope, self._others = (
-            scope if isinstance(scope, Membership) else Membership.of(pid, scope)
-        )
+        if type(scope) is Membership:
+            self.scope, self._others = scope
+        else:
+            check_policy(retransmit_interval)
+            self.scope, self._others = Membership.of(pid, scope)
         self.proposal: Any = None
         self.decision: Any = None
         # Acceptor state.

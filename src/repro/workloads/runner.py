@@ -161,8 +161,6 @@ class ScenarioResult:
             never finished".
         host: the deployment's :class:`RoundHost`, also readable by type
             as ``system`` (Algorithm 1) or ``kernel``.
-        multicaster: the engine deployment's front end (``None`` for
-            every other host).
     """
 
     record: RunRecord
@@ -170,7 +168,6 @@ class ScenarioResult:
     host: RoundHost
     rounds: int
     spec: ScenarioSpec
-    multicaster: Optional[AtomicMulticast] = None
     skipped_sends: List[Send] = field(default_factory=list)
     unsent_sends: List[Send] = field(default_factory=list)
     truncated: bool = False
@@ -204,14 +201,10 @@ class ScenarioResult:
     def delivered_everywhere(self) -> bool:
         if self.unsent_sends or self.truncated:
             return False
-        # Judged on the record alone (not the live system), so both
-        # backends share one definition: every *correct* destination
-        # member delivered every scripted message.
-        faulty = self.record.pattern.faulty
-        for m in self.messages:
-            if not m.dst - faulty <= self.record.delivered_by(m):
-                return False
-        return True
+        # Judged on the record alone (not the live system), so every
+        # backend shares one definition: no *correct* destination member
+        # still owes a scripted message its delivery.
+        return not any(map(self.record.undelivered, self.messages))
 
     def verdicts(self) -> Dict[str, int]:
         """The §2.2 violation counts of the record, plus the spec
@@ -408,7 +401,6 @@ def run_deployment(
         host=host,
         rounds=driven.rounds,
         spec=spec,
-        multicaster=deployment.multicaster,
         skipped_sends=skipped,
         unsent_sends=unsent,
         truncated=bool(unsent) or not driven.quiescent,
@@ -461,7 +453,6 @@ class _Deployment:
     finish: Callable[[], RunRecord]
     #: Backend-specific trace ``meta`` entries.
     meta: Dict[str, Any] = field(default_factory=dict)
-    multicaster: Optional[AtomicMulticast] = None
     #: The datagram buffer the admissibility audit inspects (kernel only).
     buffer: Optional[MessageBuffer] = None
 
@@ -489,16 +480,14 @@ def _algorithm1_deployment(
         seed=spec.seed,
         injector=injector,
     )
-    multicaster = AtomicMulticast(system)
     return _Deployment(
         host=system,
         step=system.tick,
         drive=_drive_async if spec.backend == "async" else _drive_rounds,
-        multicast=multicaster.multicast,
+        multicast=AtomicMulticast(system).multicast,
         progress=lambda: len(system.record.deliveries),
         finish=lambda: system.record,
         meta={"variant": spec.variant},
-        multicaster=multicaster,
     )
 
 

@@ -47,7 +47,7 @@ def test_chord_death_does_not_block_delivery(chorded):
     system = MulticastSystem(topo, pattern, seed=0)
     m = system.multicast(procs[0], "g")
     system.run(max_rounds=300)
-    assert system.everyone_delivered(m)
+    assert not system.record.undelivered(m)
     assert_run_ok(system.record)
 
 
@@ -61,7 +61,7 @@ def test_failure_free_chorded_topology_delivers(chorded):
     ]
     system.run(max_rounds=300)
     for m in messages:
-        assert system.everyone_delivered(m)
+        assert not system.record.undelivered(m)
     assert_run_ok(system.record)
 
 

@@ -33,7 +33,7 @@ class TestOmegaInstability:
         )
         m = system.multicast(PROCS5[0], "g1")
         system.run(max_rounds=300)
-        assert system.everyone_delivered(m)
+        assert not system.record.undelivered(m)
         assert_run_ok(system.record)
 
     @settings(
@@ -90,7 +90,7 @@ class TestCombinedLags:
         )
         m = system.multicast(PROCS5[0], "g1")
         system.run(max_rounds=400)
-        assert system.everyone_delivered(m)
+        assert not system.record.undelivered(m)
         assert_run_ok(system.record)
 
 

@@ -36,7 +36,7 @@ def record_fingerprint(system):
     return (
         [(e.time, e.process, e.message.mid) for e in r.multicasts],
         [(e.time, e.process, e.message.mid) for e in r.deliveries],
-        [(s.time, s.process, s.received) for s in r.steps],
+        [(t, p, received) for t, ps, received in r.charges for p in ps],
     )
 
 
@@ -108,7 +108,7 @@ class TestOmegaSettleHorizon:
         p1 = sorted(topo.processes)[0]
         message = amc.multicast(p1, topo.groups[0].name)
         amc.run(max_rounds=300)
-        assert system.everyone_delivered(message)
+        assert not system.record.undelivered(message)
         # The gate opens at t == stabilization_time, so the earliest
         # possible delivery is exactly then — never before.
         assert system.record.first_delivery_time(message) >= 40
@@ -127,5 +127,5 @@ class TestOmegaSettleHorizon:
         p1 = sorted(topo.processes)[0]
         message = amc.multicast(p1, topo.groups[0].name)
         amc.run(max_rounds=300)
-        assert system.everyone_delivered(message)
+        assert not system.record.undelivered(message)
         assert system.time > 40

@@ -31,7 +31,7 @@ class TestStrictDelivery:
         system = strict_system()
         m = system.multicast(P1, "g1")
         system.run()
-        assert system.everyone_delivered(m)
+        assert not system.record.undelivered(m)
         assert_run_ok(system.record)
         assert check_strict_ordering(system.record) == []
 
@@ -78,7 +78,7 @@ class TestStrictUnderCrashes:
         system = strict_system(pattern, seed=3)
         m = system.multicast(P1, "g1")
         system.run()
-        assert system.everyone_delivered(m)
+        assert not system.record.undelivered(m)
         assert_run_ok(system.record)
         assert check_strict_ordering(system.record) == []
 
@@ -90,8 +90,8 @@ class TestStrictUnderCrashes:
         ms = slow.multicast(P1, "g1")
         fast.run()
         slow.run(max_rounds=300)
-        assert fast.everyone_delivered(mf)
-        assert slow.everyone_delivered(ms)
+        assert not fast.record.undelivered(mf)
+        assert not slow.record.undelivered(ms)
         assert slow.time >= fast.time
 
     def test_strict_on_ring_with_crash(self):
@@ -101,7 +101,7 @@ class TestStrictUnderCrashes:
         system = MulticastSystem(topo, pattern, variant="strict", seed=5)
         m = system.multicast(procs[0], "g1")
         system.run()
-        assert system.everyone_delivered(m)
+        assert not system.record.undelivered(m)
         assert check_strict_ordering(system.record) == []
 
 
@@ -125,8 +125,8 @@ class TestStrictVsVanillaBehaviour:
         ms = strict.multicast(procs[1], "g2")
         strict.run()
 
-        assert vanilla.everyone_delivered(mv)
-        assert strict.everyone_delivered(ms)
+        assert not vanilla.record.undelivered(mv)
+        assert not strict.record.undelivered(ms)
         # Strict produces at least as many stabilization records.
         v_recs = vanilla.space.group_log(topo.group("g2")).stabilization_records_for(mv.mid)
         s_recs = strict.space.group_log(topo.group("g2")).stabilization_records_for(ms.mid)

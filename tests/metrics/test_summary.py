@@ -58,11 +58,6 @@ def test_latency_excludes_faulty_deliverers_by_default():
     assert latency_of(record, m) == 2
 
 
-def test_latency_correct_only_flag_restores_all_deliverers():
-    record, m = faulty_deliverer_record()
-    assert latency_of(record, m, correct_only=False) == 8
-
-
 def test_latency_none_when_only_faulty_processes_delivered():
     pattern = crash_pattern(ALL, {P2: 10})
     record = RunRecord(ALL, pattern)
@@ -71,7 +66,6 @@ def test_latency_none_when_only_faulty_processes_delivered():
     record.note_multicast(1, P1, m)
     record.note_delivery(9, P2, m)
     assert latency_of(record, m) is None
-    assert latency_of(record, m, correct_only=False) == 8
 
 
 def test_format_table_alignment():

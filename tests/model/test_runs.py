@@ -2,10 +2,11 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.model.failures import failure_free
+from repro.model.failures import crash_pattern, failure_free
 from repro.model.messages import MessageFactory
 from repro.model.processes import by_indices, make_processes, pset
 from repro.model.runs import RunRecord
+from repro.props.checkers import check_integrity
 
 P1, P2, P3 = make_processes(3)
 ALL = pset((P1, P2, P3))
@@ -55,9 +56,24 @@ def test_delivery_count_detects_duplicates():
     factory = MessageFactory()
     record = make_record()
     m = factory.multicast(P1, by_indices(1))
+    record.note_multicast(0, P1, m)
     record.note_delivery(1, P1, m)
     record.note_delivery(2, P1, m)
-    assert record.delivery_count(P1, m) == 2
+    assert record.local_order(P1).count(m) == 2
+    assert record.delivery_time(P1, m) == 2  # the last delivery's time
+    assert check_integrity(record) == [f"{P1.name} delivered {m.mid} twice"]
+
+
+def test_undelivered_is_the_correct_members_still_owing_a_delivery():
+    factory = MessageFactory()
+    record = RunRecord(ALL, crash_pattern(ALL, {P3: 4}))
+    m = factory.multicast(P1, ALL)
+    assert record.faulty == pset((P3,))
+    assert record.undelivered(m) == pset((P1, P2))
+    record.note_delivery(1, P2, m)
+    assert record.undelivered(m) == pset((P1,))
+    record.note_delivery(2, P1, m)
+    assert record.undelivered(m) == frozenset()
 
 
 def test_delivered_and_multicast_message_sets_deduplicate():
@@ -77,11 +93,17 @@ _REASONS = st.sampled_from((None, "LOG_g1.append", "LOG_g1∩g2.bumpAndLock[fast
 _READS = st.sampled_from((None, "steps_of", "step_counts", "steps"))
 
 
+def flat_steps(record):
+    """The record's steps ``(time, process, received)``, one per process
+    of each charge, in charge order."""
+    return [(t, p, r) for t, ps, r in record.charges for p in ps]
+
+
 def eager_counts(steps):
     """Per-process step counts over ``steps``, keys in first-step order."""
     counts = {}
-    for step in steps:
-        counts[step.process] = counts.get(step.process, 0) + 1
+    for _time, process, _received in steps:
+        counts[process] = counts.get(process, 0) + 1
     return counts
 
 
@@ -108,9 +130,9 @@ def test_note_steps_is_one_note_step_per_process(writes):
     A list handed to ``note_steps`` is cleared and refilled right after
     the call: the record keeps a copy, so what it read back is unchanged.
     The counts are folded from the charges on read: a ``steps_of``,
-    ``step_counts()`` or ``steps`` read may fall between any two writes,
-    and after it the counts, keys in order, are an eager count over
-    ``steps``.
+    ``step_counts()`` or flattened-charges read may fall between any two
+    writes, and after it the counts, keys in order, are an eager count
+    over the flattened charges.
     """
     record, flat = make_record(), make_record()
     for kind, time, who, reason, read in writes:
@@ -132,12 +154,12 @@ def test_note_steps_is_one_note_step_per_process(writes):
         elif read == "step_counts":
             record.step_counts()
         elif read == "steps":
-            assert len(record.steps) == len(flat.steps)  # the lazy view keeps up
+            assert len(flat_steps(record)) == len(flat_steps(flat))
         if read is not None:
-            eager = eager_counts(record.steps)
+            eager = eager_counts(flat_steps(record))
             assert record.step_counts() == eager
             assert list(record.step_counts()) == list(eager)
-    assert record.steps == flat.steps
+    assert flat_steps(record) == flat_steps(flat)
     assert record.step_counts() == flat.step_counts()
     assert list(record.step_counts()) == list(flat.step_counts())
     for process in ALL:

@@ -1,18 +1,23 @@
-"""The delivery relations by definition: every pair, probed one by one.
+"""The delivery relations and the owed deliveries by definition.
 
 ``repro.props.relations`` decides Ordering on a sparse graph and builds
-``~>`` by bisection; these are the dense pair-probing bodies they
-replaced, kept verbatim as the reference the differential tests in
+``~>`` by bisection; :func:`local_delivery_edges` and
+:func:`realtime_edges` are the dense pair-probing bodies they replaced.
+Termination, Group Parallelism, the latency metric and the runner's
+success verdict read one owed-delivery set
+(:meth:`repro.model.runs.RunRecord.undelivered`); the judges below are
+their retired bodies, asking ``pattern.is_correct`` member by member.
+All are kept verbatim as the reference the differential tests in
 ``test_delivery_order_graph.py`` compare against.  O(P·D·M) — test
 records only.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.model.messages import MulticastMessage
-from repro.model.processes import ProcessId
+from repro.model.processes import ProcessId, ProcessSet
 from repro.model.runs import RunRecord
 from repro.props.relations import Edge
 
@@ -61,3 +66,78 @@ def realtime_edges(record: RunRecord) -> Set[Edge]:
             if sent is not None and first < sent:
                 edges.add((m.mid, m_prime.mid))
     return edges
+
+
+def owed(record: RunRecord, m: MulticastMessage) -> Set[ProcessId]:
+    """The correct members of ``dst(m)`` that did not deliver ``m``."""
+    pattern = record.pattern
+    expected = {p for p in m.dst if pattern.is_correct(p)}
+    return expected - record.delivered_by(m)
+
+
+def check_termination(record: RunRecord) -> List[str]:
+    """§2.2 Termination, one ``is_correct`` probe per destination member."""
+    violations: List[str] = []
+    pattern = record.pattern
+    obligated: Dict[object, MulticastMessage] = {}
+    for event in record.multicasts:
+        if pattern.is_correct(event.process):
+            obligated.setdefault(event.message.mid, event.message)
+    for event in record.deliveries:
+        obligated.setdefault(event.message.mid, event.message)
+    for m in obligated.values():
+        expected = {p for p in m.dst if pattern.is_correct(p)}
+        got = record.delivered_by(m)
+        missing = expected - got
+        if missing:
+            violations.append(
+                f"{m.mid}: not delivered at correct members "
+                f"{sorted(q.name for q in missing)}"
+            )
+    return violations
+
+
+def check_group_parallelism(
+    record: RunRecord,
+    message: MulticastMessage,
+    participation: ProcessSet,
+) -> List[str]:
+    """§6.2 Group Parallelism, one probe per destination member."""
+    violations: List[str] = []
+    pattern = record.pattern
+    expected = {
+        p for p in message.dst if pattern.is_correct(p) and p in participation
+    }
+    missing = expected - record.delivered_by(message)
+    if missing:
+        violations.append(
+            f"{message.mid}: not delivered in isolation at "
+            f"{sorted(q.name for q in missing)}"
+        )
+    return violations
+
+
+def latency_of(record: RunRecord, message: MulticastMessage) -> Optional[int]:
+    """Rounds from the multicast to the last delivery at a correct
+    process, filtering the deliverers one ``is_correct`` probe each."""
+    sent = record.multicast_time(message)
+    if sent is None:
+        return None
+    deliverers = record.delivered_by(message)
+    deliverers = [p for p in deliverers if record.pattern.is_correct(p)]
+    times = [record.delivery_time(p, message) for p in deliverers]
+    times = [t for t in times if t is not None]
+    if not times:
+        return None
+    return max(times) - sent
+
+
+def delivered_everywhere(
+    record: RunRecord, messages: Iterable[MulticastMessage]
+) -> bool:
+    """Every correct destination member delivered every message."""
+    for m in messages:
+        wanted = {p for p in m.dst if record.pattern.is_correct(p)}
+        if not wanted <= record.delivered_by(m):
+            return False
+    return True

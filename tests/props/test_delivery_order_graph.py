@@ -18,13 +18,19 @@ from dataclasses import replace
 
 from repro.faults.nemesis import random_plan
 from repro.groups.topology import paper_figure1_topology
-from repro.model.failures import failure_free
+from repro.metrics.summary import latency_of
+from repro.model.failures import FailurePattern, failure_free
 from repro.model.messages import MessageFactory
 from repro.model.processes import make_processes, pset
 from repro.model.runs import RunRecord
-from repro.props.checkers import check_ordering, check_strict_ordering
+from repro.props.checkers import (
+    check_group_parallelism,
+    check_ordering,
+    check_strict_ordering,
+    check_termination,
+)
 from repro.props.relations import delivery_order_graph, find_cycle, realtime_edges
-from repro.workloads.runner import open_loop_sends, run_scenario
+from repro.workloads.runner import ScenarioResult, open_loop_sends, run_scenario
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from tests.groups import _oracle as groups_oracle
 from tests.props import _oracle
@@ -32,12 +38,22 @@ from tests.props import _oracle
 RECORDS = 12_000
 
 
-def random_record(rng: random.Random) -> RunRecord:
+def random_record(rng: random.Random, faults: random.Random) -> RunRecord:
     """A small record with overlapping groups, partial delivery, and now
     and then a duplicate delivery, a non-member delivery, a message
-    delivered but never multicast or multicast but never delivered."""
+    delivered but never multicast or multicast but never delivered —
+    under a failure pattern with crashed and crash-recovered members.
+
+    The pattern is drawn from ``faults``, so the records ``rng`` draws
+    are those of a failure-free generator."""
     procs = make_processes(rng.randint(2, 6))
-    record = RunRecord(pset(procs), failure_free(pset(procs)))
+    crashes, recoveries = {}, {}
+    for p in procs:
+        if faults.random() < 0.3:
+            crashes[p] = faults.randint(0, 12)
+            if faults.random() < 0.4:
+                recoveries[p] = crashes[p] + faults.randint(1, 6)
+    record = RunRecord(pset(procs), FailurePattern(pset(procs), crashes, recoveries))
     factory = MessageFactory()
     groups = [
         rng.sample(procs, rng.randint(1, len(procs)))
@@ -69,10 +85,10 @@ def random_record(rng: random.Random) -> RunRecord:
 
 
 def test_sparse_graph_agrees_with_the_dense_relation_on_generated_records():
-    rng = random.Random(20220725)
+    rng, faults = random.Random(20220725), random.Random(7)
     cyclic = 0
     for _ in range(RECORDS):
-        record = random_record(rng)
+        record = random_record(rng, faults)
         dense = _oracle.local_delivery_edges(record)
         sparse = delivery_order_graph(record)
         assert sparse <= dense
@@ -93,6 +109,41 @@ def test_sparse_graph_agrees_with_the_dense_relation_on_generated_records():
     # A generator that drifts to one side would make the agreement above
     # vacuous.
     assert RECORDS // 3 <= cyclic <= 2 * RECORDS // 3, cyclic
+
+
+def test_the_judges_agree_with_their_retired_bodies_on_generated_records():
+    """One owed-delivery set (``RunRecord.undelivered``) against the
+    per-member ``is_correct`` bodies it replaced, on the same records."""
+    rng, faults = random.Random(20220725), random.Random(7)
+    crashed = recovered = owing = 0
+    for _ in range(RECORDS):
+        record = random_record(rng, faults)
+        pattern = record.pattern
+        crashed += bool(pattern.faulty)
+        recovered += bool(pattern.recovery_times)
+        assert check_termination(record) == _oracle.check_termination(record)
+        messages = {
+            m.mid: m
+            for m in (*record.multicast_messages(), *record.delivered_messages())
+        }.values()
+        participation = pset(
+            p for p in record.processes if faults.random() < 0.7
+        )
+        for m in messages:
+            assert record.undelivered(m) == _oracle.owed(record, m)
+            owing += bool(record.undelivered(m))
+            assert check_group_parallelism(
+                record, m, participation
+            ) == _oracle.check_group_parallelism(record, m, participation)
+            assert latency_of(record, m) == _oracle.latency_of(record, m)
+        result = ScenarioResult(
+            record=record, messages=list(messages), host=None, rounds=0, spec=None
+        )
+        assert result.delivered_everywhere() == _oracle.delivered_everywhere(
+            record, messages
+        )
+    # Not vacuous: faulty and recovered members, and owed deliveries.
+    assert min(crashed, recovered, owing) > RECORDS // 10, (crashed, recovered, owing)
 
 
 def wide_disjoint_record(groups=40, size=5, waves=25) -> RunRecord:

@@ -81,7 +81,11 @@ def record_fingerprint(record):
         "deliveries": [
             [e.time, e.process.name, str(e.message.mid)] for e in record.deliveries
         ],
-        "steps": [[s.time, s.process.name, s.received] for s in record.steps],
+        "steps": [
+            [t, p.name, received]
+            for t, processes, received in record.charges
+            for p in processes
+        ],
     }
 
 

@@ -8,6 +8,8 @@ from repro.model.failures import crash_pattern, failure_free
 from repro.model.messages import MessageBuffer
 from repro.model.processes import make_processes, pset
 from repro.sim.kernel import Context, Kernel
+from repro.substrates import consensus, replicated_log
+from repro.substrates.consensus import ConsensusAutomaton, check_policy
 from repro.substrates.replicated_log import ReplicatedLogAutomaton, ReplicatedLogCluster
 from repro.workloads.runner import Send, run_scenario
 from repro.workloads.spec import ScenarioSpec, TopologySpec
@@ -46,6 +48,28 @@ def test_bad_policy_arguments_fail_at_construction(bad, message):
         ReplicatedLogAutomaton(PROCS[0], SCOPE, **bad)
     with pytest.raises(ValueError, match=message):
         ReplicatedLogCluster(failure_free(SCOPE), SCOPE, **bad)
+    with pytest.raises(ValueError, match=message):
+        ConsensusAutomaton(PROCS[0], SCOPE, **bad)
+
+
+def test_a_log_checks_its_policy_once_for_all_its_slots(monkeypatch):
+    """A slot takes the interval and the Membership its log checked and
+    derived at construction."""
+    calls = []
+
+    def counted(retransmit_interval):
+        calls.append(retransmit_interval)
+        return check_policy(retransmit_interval)
+
+    monkeypatch.setattr(consensus, "check_policy", counted)
+    monkeypatch.setattr(replicated_log, "check_policy", counted)
+    log = ReplicatedLogAutomaton(PROCS[0], SCOPE, retransmit_interval=8)
+    slots = [log._slot(index) for index in range(5)]
+    assert calls == [8]
+    assert {slot.retransmit_interval for slot in slots} == {8}
+    assert {(slot.scope, slot._others) for slot in slots} == {
+        (tuple(PROCS), tuple(PROCS[1:]))
+    }
 
 
 def test_single_append_replicates_everywhere():
