@@ -8,7 +8,7 @@ A finished sweep is two artifacts:
   sweep) without the code that built the grid.
 * ``results.jsonl`` — one meta line, one line per scenario row (in spec
   order), one summary line; the same ``meta / body / summary`` layout as
-  the engine traces, readable with :func:`repro.metrics.trace.read_jsonl`.
+  the engine traces, one JSON object a line.
 
 Neither artifact records wall-clock times, worker counts or execution
 mode: those describe the machine, not the campaign, and keeping them

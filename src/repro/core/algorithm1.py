@@ -220,9 +220,6 @@ class Algorithm1Process:
 
     # -- Phase bookkeeping ---------------------------------------------------
 
-    def phase_of(self, message: MulticastMessage) -> Phase:
-        return self.phase.get(message.mid, START)
-
     def _learn(self, message: MulticastMessage) -> None:
         if message.mid not in self.known:
             self.known[message.mid] = message
@@ -616,15 +613,6 @@ class Algorithm1Process:
         self.phase[m.mid] = DELIVER  # line 37
         self._on_deliver(self.pid, m)
         return True
-
-    # -- Introspection ---------------------------------------------------------------
-
-    def delivered(self) -> Tuple[MulticastMessage, ...]:
-        return tuple(
-            self.known[mid]
-            for mid in sorted(self.known)
-            if self.phase.get(mid) == DELIVER
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Algorithm1Process({self.pid.name}, {self.variant})"

@@ -152,7 +152,10 @@ class MulticastSystem(RoundHost):
         tracer = TraceRecorder()
         #: Where every shared-object operation charges and wakes: the
         #: record's charge list, and (once the scheduler exists) its
-        #: clock and ``proven_parked``; :attr:`wake_listener` is its slot.
+        #: clock and ``proven_parked``.  Its ``wake_listener`` slot is
+        #: called with the processes each wake unparks (a write's readers,
+        #: every process, or a sender's one-tuple): the async driver sets
+        #: it to route wakes through latency-modelled channels.
         self.sink = Sink(self.record.charges)
         self.space = ObjectSpace(self.sink, isolation=isolation)
         #: The run's detector (the pattern oracles when not given).
@@ -237,21 +240,6 @@ class MulticastSystem(RoundHost):
         self.sink.parked = self._parked
 
     # -- Wiring ---------------------------------------------------------------
-
-    @property
-    def wake_listener(self) -> Optional[Callable[[Iterable[ProcessId]], None]]:
-        """Optional observer of wake events, called with the processes
-        just unparked (a write's reader set, every process, or a
-        sender's one-tuple).  The async driver installs itself here to
-        route wakes through latency-modelled channels; ``None`` (round
-        execution) keeps the wake path untouched.  Stored in the sink."""
-        return self.sink.wake_listener
-
-    @wake_listener.setter
-    def wake_listener(
-        self, listener: Optional[Callable[[Iterable[ProcessId]], None]]
-    ) -> None:
-        self.sink.wake_listener = listener
 
     def wake_all(self) -> None:
         """Force every process through the next action scan."""
@@ -380,9 +368,6 @@ class MulticastSystem(RoundHost):
         self.wake_all()
 
     # -- Interface -----------------------------------------------------------------
-
-    def group(self, name: str) -> Group:
-        return self.topology.group(name)
 
     def is_alive(self, p: ProcessId) -> bool:
         return self.pattern.is_alive(p, self.time)

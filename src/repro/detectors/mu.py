@@ -27,11 +27,6 @@ from repro.model.failures import FailurePattern, Time
 from repro.model.processes import ProcessId, ProcessSet
 
 
-def _sigma_key(members: ProcessSet) -> str:
-    """The conjunction's component name of ``Sigma_members``."""
-    return "sigma:" + ",".join(q.name for q in sorted(members))
-
-
 class Mu(FailureDetector):
     """``mu_G`` as the record of its components.
 
@@ -72,10 +67,6 @@ class Mu(FailureDetector):
             raise DetectorError(
                 f"mu has no Sigma component scoped to {names}"
             ) from None
-
-    def sigma(self, g: Group, h: Group) -> Timeline:
-        """``Sigma_{g∩h}`` (``Sigma_g`` when ``g == h``)."""
-        return self.sigma_of(g.intersection(h))
 
     def omega(self, g: Group) -> Timeline:
         """``Omega_g``."""
@@ -128,7 +119,7 @@ class Mu(FailureDetector):
         """
         sample: Dict[str, object] = {}
         for members, sigma in self.sigmas.items():
-            sample[_sigma_key(members)] = (
+            sample["sigma:" + ",".join(q.name for q in sorted(members))] = (
                 sigma.query(p, t) if p in members else BOTTOM
             )
         for g, omega in self.omegas.items():

@@ -183,16 +183,6 @@ class GammaExtraction(Extraction):
                     return True
         return False
 
-    def full_chain_received(self, p: ProcessId) -> bool:
-        """Whether some path's complete chain (stage ``|π|-3``) reached
-        ``p`` — the paper's primary detection mechanism, whose latency is
-        one multicast hop per cycle edge (used by the E6 benchmark)."""
-        inbox = self._received[p]
-        for path, stages in inbox.items():
-            if (len(path) - 1 - 2) in stages:
-                return True
-        return False
-
     # -- The emulated detector (lines 15-16) -------------------------------------------
 
     def query(self, p: ProcessId, t: Time) -> FrozenSet[GroupFamily]:

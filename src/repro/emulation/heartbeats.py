@@ -41,6 +41,3 @@ class HeartbeatRanking:
         """``rank(x)``: the lowest member rank (0 for the empty set)."""
         ranks = [self._beats[p] for p in member_set]
         return min(ranks) if ranks else 0
-
-    def rank_of(self, p: ProcessId) -> int:
-        return self._beats[p]

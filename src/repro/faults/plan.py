@@ -61,7 +61,7 @@ promises after every run.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro._content import content_hash
 from repro.model.errors import ModelError
@@ -330,9 +330,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.events)
 
-    def __iter__(self):
-        return iter(self.events)
-
     def is_empty(self) -> bool:
         return not self.events
 
@@ -348,21 +345,6 @@ class FaultPlan:
     def by_kind(self, *kinds: str) -> Tuple[FaultEvent, ...]:
         """The plan's events of the given kinds, in canonical order."""
         return tuple(e for e in self.events if e.kind in kinds)
-
-    # -- Derivation (shrinker) ---------------------------------------------
-
-    def subset(self, indices: Iterable[int]) -> "FaultPlan":
-        """The sub-plan keeping only the events at ``indices``."""
-        keep = set(indices)
-        return FaultPlan(
-            tuple(e for i, e in enumerate(self.events) if i in keep)
-        )
-
-    def without(self, event: FaultEvent) -> "FaultPlan":
-        """The plan with one event removed (first occurrence)."""
-        events = list(self.events)
-        events.remove(event)
-        return FaultPlan(tuple(events))
 
     # -- Serialization ----------------------------------------------------
 
@@ -400,8 +382,3 @@ class FaultPlan:
             kinds[event.kind] = kinds.get(event.kind, 0) + 1
         summary = ", ".join(f"{k}x{n}" for k, n in sorted(kinds.items()))
         return f"FaultPlan({summary}; horizon={self.horizon()})"
-
-
-def plan_of(*events: FaultEvent) -> FaultPlan:
-    """Convenience constructor: a plan from loose events."""
-    return FaultPlan(tuple(events))

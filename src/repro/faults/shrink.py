@@ -159,7 +159,7 @@ class PlanShrinker:
         empty = FaultPlan()
         if self._fails(empty):
             return empty
-        events = list(plan)
+        events = list(plan.events)
         n = 2
         while len(events) >= 2:
             chunks = _partition(events, n)

@@ -275,11 +275,6 @@ def path_edges(path: ClosedPath) -> FrozenSet[Edge]:
     return frozenset(_edge(path[i], path[i + 1]) for i in range(len(path) - 1))
 
 
-def paths_equivalent(path_a: ClosedPath, path_b: ClosedPath) -> bool:
-    """``π ≡ π'``: the two closed paths visit the same edges (§5.2)."""
-    return path_edges(path_a) == path_edges(path_b)
-
-
 def path_direction(path: ClosedPath) -> int:
     """``dir(π)``: +1 when π follows the canonical cycle orientation.
 
@@ -358,8 +353,3 @@ def family_fault_time(
         if family_faulty_at(family, pattern, t):
             return t
     return None
-
-
-def family_name(family: GroupFamily) -> str:
-    """Deterministic human-readable name, e.g. ``{g1,g2,g3}``."""
-    return "{" + ",".join(g.name for g in sorted(family, key=lambda g: g.name)) + "}"

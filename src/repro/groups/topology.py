@@ -12,7 +12,7 @@ cyclic families ``F`` (the intersection graph itself is
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.model.errors import TopologyError
 from repro.model.processes import ProcessId, ProcessSet, make_processes, pset
@@ -40,12 +40,6 @@ class Group:
 
     def __contains__(self, p: ProcessId) -> bool:
         return p in self.members
-
-    def __iter__(self) -> Iterator[ProcessId]:
-        return iter(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Group) and self.members == other.members
@@ -167,15 +161,6 @@ class GroupTopology:
                 if g.intersects(h)
             )
         return self._intersecting_pairs
-
-    def intersections(self) -> Tuple[ProcessSet, ...]:
-        """The distinct non-empty proper intersections ``g ∩ h``."""
-        seen: List[ProcessSet] = []
-        for g, h in self.intersecting_pairs():
-            shared = g.intersection(h)
-            if shared not in seen:
-                seen.append(shared)
-        return tuple(seen)
 
     # -- Cyclic families ----------------------------------------------------
 

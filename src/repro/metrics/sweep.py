@@ -15,7 +15,7 @@ byte-stable regardless of how many workers produced them.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Mapping, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.metrics.summary import format_table
 
@@ -87,14 +87,6 @@ def sweep_exit_status(summary: Mapping[str, Any]) -> int:
     property or truncated."""
     bad = summary["failed"] + summary["violating_scenarios"] + summary["truncated"]
     return 1 if bad else 0
-
-
-def summarize_rows(rows: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
-    """One-shot aggregation (equivalent to streaming every row)."""
-    aggregator = SweepAggregator()
-    for row in rows:
-        aggregator.add(row)
-    return aggregator.summary()
 
 
 def summarize_results_file(path: str) -> Dict[str, Any]:

@@ -90,7 +90,7 @@ class TraceRecorder:
     :attr:`indicator_queries`) directly.  Events reported outside a round
     (e.g. a direct ``quorum_ok`` probe from a test) are dropped:
     :meth:`begin_round` zeroes every counter, and ``note_scanned`` /
-    ``note_skipped`` / ``note_skips`` ignore calls with no round open.
+    ``note_skips`` ignore calls with no round open.
     """
 
     def __init__(self) -> None:
@@ -162,14 +162,10 @@ class TraceRecorder:
             self._scanned += scanned
             self._actions += fired
 
-    def note_skipped(self) -> None:
-        if self._in_round:
-            self._skipped += 1
-
     def note_skips(self, count: int, reasons: Iterable[str]) -> None:
         """``count`` skipped actors at once, each waiting for ``reasons``:
-        what ``count`` × (``note_skipped`` + ``note_wait`` per reason)
-        records, in one call."""
+        what ``count`` skips and a ``note_wait`` per reason each would
+        record, in one call."""
         if self._in_round:
             self._skipped += count
             waits = self._wait_reasons
@@ -240,14 +236,3 @@ class TraceRecorder:
             for line in self.iter_jsonl(meta):
                 fh.write(line + "\n")
         return path
-
-
-def read_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Load a trace file back into a list of dicts (tests, tooling)."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records

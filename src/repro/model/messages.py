@@ -170,8 +170,8 @@ class MessageBuffer:
             injector.links_quiet_from if injector is not None else 0
         )
         #: Min-heap of ``(release time, uid, datagram)`` — datagrams a
-        #: link fault is holding back; invisible to ``pending_for`` /
-        #: ``receive`` until :meth:`release` moves them over.
+        #: link fault is holding back; invisible to :meth:`inbox` /
+        #: :meth:`receive` until :meth:`release` moves them over.
         self._delayed: List[Tuple[int, int, Datagram]] = []
         self._now: int = 0
         #: Processes whose scheduler proved them parked (the kernel binds
@@ -249,10 +249,6 @@ class MessageBuffer:
         self.sent_count += len(batch)
         return batch
 
-    def pending_for(self, p: ProcessId) -> Tuple[Datagram, ...]:
-        """A snapshot of the datagrams currently addressed to ``p``."""
-        return tuple(self._pending.get(p, ()))
-
     def has_pending(self, p: ProcessId) -> bool:
         return bool(self._pending.get(p))
 
@@ -284,21 +280,13 @@ class MessageBuffer:
         del queue[index]
         return datagram
 
-    def receive_specific(self, p: ProcessId, datagram: Datagram) -> Datagram:
-        """Remove a specific pending datagram (adversarial schedulers)."""
-        queue = self._pending.get(p)
-        if not queue or datagram not in queue:
-            raise ModelError(f"{datagram!r} is not pending for {p}")
-        queue.remove(datagram)
-        self.received_count += 1
-        return datagram
-
     def drop_all_for(self, p: ProcessId) -> int:
         """Discard every datagram addressed to ``p`` (crashed processes
         never receive) — including datagrams a link fault is still
         holding back.  Leaving delayed entries behind would let
         :meth:`release` push them into a dead process's queue later,
-        inflating :meth:`in_transit` and stalling quiescence accounting.
+        where no step would ever drain them and the buffer would never
+        read as empty.
         Returns the number of dropped datagrams (pending + sequestered)."""
         # Emptied in place: an :meth:`inbox` holder keeps reading it.
         queue = self._pending.get(p)
@@ -333,15 +321,3 @@ class MessageBuffer:
     def delayed_count(self) -> int:
         """Datagrams currently sequestered by link faults."""
         return len(self._delayed)
-
-    def delayed_for(self, p: ProcessId) -> int:
-        """Sequestered datagrams addressed to ``p`` specifically."""
-        return sum(1 for _, _, d in self._delayed if d.dst == p)
-
-    def in_transit(self) -> int:
-        """Total number of datagrams currently buffered.
-
-        Folds in the delay heap: a datagram pending release is still in
-        transit, and quiescence accounting must see it — a buffer is
-        only drained when both the inboxes and the heap are empty."""
-        return sum(len(q) for q in self._pending.values()) + len(self._delayed)

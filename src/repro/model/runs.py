@@ -67,6 +67,10 @@ class RunRecord:
         #: ``Faulty(F)``, once per run: the processes no delivery is
         #: owed to (``pattern.faulty`` rebuilds the set on every read).
         self.faulty: ProcessSet = pattern.faulty
+        #: Set by the runner when the run ended on its round budget, not
+        #: at quiescence: Termination is then unjudged, so the run proves
+        #: nothing (:func:`repro.props.checkers.assert_run_ok` refuses it).
+        self.truncated = False
         #: The charges, one ``(time, processes, received)`` entry each,
         #: append-only: the step flood (invoker + every carrier, per
         #: shared-object operation) dominates record growth, so a
@@ -74,7 +78,7 @@ class RunRecord:
         #: ``(p, m, d)`` of ``p`` is one ``p`` in some entry's
         #: ``processes``; the per-process counts are derived on read,
         #: from a cursor into this list.  A writer appends here directly
-        #: (the engine's charge sink does) or through :meth:`note_steps`;
+        #: (the engine's charge sink does) or through :meth:`note_step`;
         #: ``processes`` is a tuple.
         self.charges: List[
             Tuple[Time, Tuple[ProcessId, ...], Optional[str]]
@@ -109,21 +113,6 @@ class RunRecord:
         received: Optional[str] = None,
     ) -> None:
         self.charges.append((time, (process,), received))
-
-    def note_steps(
-        self,
-        time: Time,
-        processes: Tuple[ProcessId, ...],
-        received: Optional[str] = None,
-    ) -> None:
-        """One :meth:`note_step` per process, in order, as one charge.
-
-        The entry keeps ``processes`` itself, so any other sequence than
-        a tuple is copied first.
-        """
-        if type(processes) is not tuple:
-            processes = tuple(processes)
-        self.charges.append((time, processes, received))
 
     def _counts(self) -> Dict[ProcessId, int]:
         """The per-process step counts, folded forward over the charges

@@ -565,12 +565,6 @@ class ConsensusHandle:
             self.decided = True
         return self._decision
 
-    @property
-    def decision(self) -> Any:
-        if not self.decided:
-            raise SpecificationError(f"{self.name}: no decision yet")
-        return self._decision
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = repr(self._decision) if self.decided else "?"
         return f"{self.name}={state}"
@@ -662,15 +656,3 @@ class ObjectSpace:
             self._host_orders,
         )
         return handle
-
-    # -- Introspection for tests and metrics -------------------------------
-
-    def intersection_log_stats(self) -> Dict[str, Tuple[int, int]]:
-        """Per-intersection-log (fast, slow) operation counts."""
-        return {
-            handle.name: (handle.fast_ops, handle.slow_ops)
-            for handle in self._intersection_logs.values()
-        }
-
-    def consensus_objects_used(self) -> int:
-        return len(self._consensus)

@@ -182,8 +182,14 @@ BATCH_CHECKS: Tuple[Tuple[str, Checker], ...] = (
 def assert_run_ok(record: RunRecord) -> None:
     """Raise :class:`PropertyViolation` for the first of
     :data:`BATCH_CHECKS` the run fails, named as the paper names it
-    ("Integrity", ...), with every violation as evidence."""
+    ("Integrity", ...), with every violation as evidence — or, when all
+    hold, for a run the runner marked ``truncated``: one cut off by its
+    round budget proves nothing."""
     for name, checker in BATCH_CHECKS:
         violations = checker(record)
         if violations:
             raise PropertyViolation(name.capitalize(), "; ".join(violations))
+    if record.truncated:
+        raise PropertyViolation(
+            "Termination", "run truncated before quiescence — proves nothing"
+        )

@@ -291,8 +291,8 @@ class AsyncDriver:
         system: the engine deployment to drive.  The driver drives the
             system's :class:`repro.runtime.scheduler.Scheduler` (actors,
             eligibility, responders, settle horizon, failure pattern)
-            and installs itself as the system's wake listener for the
-            duration of :meth:`run`.
+            and installs itself as the wake listener of the system's
+            ``sink`` for the duration of :meth:`run`.
         delay_model: a :class:`DelayModel`, a delay spec tuple, or
             ``None`` for the default (see :mod:`repro.runtime.delay`).
         seed: scenario seed; the driver derives its private latency RNG
@@ -627,7 +627,7 @@ class AsyncDriver:
         self._tasks = {key: self._actor(key) for key in keys}
         self._resume_at = dict.fromkeys(keys, 0.0)
         self._next_tick = 0.0
-        self.system.wake_listener = self._on_wake
+        self.system.sink.wake_listener = self._on_wake
         # The injection task is queued first: the loop starts tasks in
         # queueing order, so sends due at the clock's first instant are
         # issued before any actor fires — as the round loop does.
@@ -644,7 +644,7 @@ class AsyncDriver:
         finally:
             self.last_transport_stats = dict(transport.stats)
             self._tasks = {}
-            self.system.wake_listener = None
+            self.system.sink.wake_listener = None
             self._loop = None
             self._transport = None
         self._sync_time(final_t)

@@ -221,8 +221,7 @@ class Kernel(RoundHost):
         before).  Datagrams a link fault is still sequestering for a
         dead destination are purged too — a delayed datagram to a
         crashed process would otherwise be released into a queue nobody
-        will ever drain, distorting ``in_transit()`` and the
-        delay-heap-aware quiescence check.
+        will ever drain, so the buffer would never read as empty.
 
         It also voids parking proofs: all of them when ``t`` is one of
         the detectors' change instants, a process's own when it rejoins.
@@ -326,11 +325,3 @@ class Kernel(RoundHost):
             halt_on_quiescence=quiescent_rounds is not None,
         )
         return outcome.rounds
-
-    # -- Introspection -------------------------------------------------------------
-
-    def outputs_of(self, p: ProcessId) -> Tuple[Any, ...]:
-        return tuple(value for _, value in self.outputs[p])
-
-    def total_messages(self) -> int:
-        return self.buffer.sent_count

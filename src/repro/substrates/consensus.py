@@ -397,30 +397,3 @@ class ConsensusAutomaton(Automaton):
         """PREPARE / ACCEPT to the whole scope, this process included."""
         ctx.broadcast(self._others, tag, *body)
         self._handle(ctx, self.pid, tag, body)
-
-
-class ConsensusCluster:
-    """Convenience wrapper: one consensus instance over a process set.
-
-    Builds the automata and the ``Omega ∧ Sigma`` sampler they share, exposes
-    ``propose`` / ``decided`` and runs on a caller-provided kernel.
-    """
-
-    def __init__(self, pattern: FailurePattern, scope: ProcessSet) -> None:
-        self.automata: Dict[ProcessId, ConsensusAutomaton] = {
-            p: ConsensusAutomaton(p, scope) for p in sorted(scope)
-        }
-        self.detectors: Dict[ProcessId, OmegaSigmaSampler] = dict.fromkeys(
-            self.automata, OmegaSigmaSampler.of(pattern, scope)
-        )
-
-    def propose(self, p: ProcessId, value: Any) -> None:
-        self.automata[p].propose(value)
-
-    def decision_at(self, p: ProcessId) -> Any:
-        return self.automata[p].decision
-
-    def decided_everywhere(self, alive: ProcessSet) -> bool:
-        return all(
-            self.automata[p].decision is not None for p in alive
-        )

@@ -360,6 +360,3 @@ class ReplicatedLogCluster:
 
     def append(self, p: ProcessId, value: Any) -> None:
         self.automata[p].append(value)
-
-    def applied_at(self, p: ProcessId) -> Tuple[Any, ...]:
-        return tuple(self.automata[p].applied)

@@ -49,7 +49,7 @@ from repro.detectors.mu import build_mu
 from repro.faults.injector import AdmissibilityError, FaultInjector, injector_for
 from repro.groups.topology import GroupTopology
 from repro.metrics.trace import TraceRecorder
-from repro.model.errors import PropertyViolation, SimulationError, TopologyError
+from repro.model.errors import SimulationError, TopologyError
 from repro.model.failures import FailurePattern, Time
 from repro.model.messages import MessageBuffer, MessageFactory, MulticastMessage
 from repro.model.processes import ProcessId
@@ -160,7 +160,7 @@ class ScenarioResult:
             sweep rows can distinguish "budget ran out" from "script was
             never finished".
         host: the deployment's :class:`RoundHost`, also readable by type
-            as ``system`` (Algorithm 1) or ``kernel``.
+            as ``kernel``.
     """
 
     record: RunRecord
@@ -184,10 +184,6 @@ class ScenarioResult:
     def backend(self) -> str:
         """Which execution loop produced this result."""
         return self.spec.backend
-
-    @property
-    def system(self) -> Optional[MulticastSystem]:
-        return self.host if isinstance(self.host, MulticastSystem) else None
 
     @property
     def kernel(self) -> Optional[Kernel]:
@@ -245,26 +241,6 @@ class ScenarioResult:
         if self.transport_stats is not None:
             row["transport"] = dict(self.transport_stats)
         return row
-
-    def assert_ok(self) -> None:
-        """Raise :class:`PropertyViolation` unless every checker passes.
-
-        Unlike a bare assertion on :func:`batch_verdicts`, the raised
-        exception carries the triage line (spec hash, seed, backend,
-        fault plan hash), so a red run is replayable from the error
-        message alone.
-        """
-        triage = triage_line(self.spec)
-        bad = {name: count for name, count in self.verdicts().items() if count}
-        if bad:
-            raise PropertyViolation(
-                "+".join(sorted(bad)), f"violation counts {bad} {triage}"
-            )
-        if self.truncated:
-            raise PropertyViolation(
-                "termination",
-                f"run truncated before quiescence — proves nothing {triage}",
-            )
 
 
 def run_scenario(
@@ -380,6 +356,8 @@ def run_deployment(
         injector, spec, host.time, buffer=deployment.buffer, pattern=pattern
     )
     record = deployment.finish()
+    truncated = bool(unsent) or not driven.quiescent
+    record.truncated = truncated
     if trace_path is not None:
         host.tracer.write_jsonl(
             trace_path,
@@ -403,7 +381,7 @@ def run_deployment(
         spec=spec,
         skipped_sends=skipped,
         unsent_sends=unsent,
-        truncated=bool(unsent) or not driven.quiescent,
+        truncated=truncated,
         quiescent=driven.quiescent,
         injector=injector,
         transport_stats=driven.transport_stats,

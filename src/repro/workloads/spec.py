@@ -254,10 +254,6 @@ class ScenarioSpec:
         """The same scenario under a (possibly absent) fault plan."""
         return replace(self, faults=plan)
 
-    def labelled(self, name: str) -> "ScenarioSpec":
-        """The same scenario under a different report label."""
-        return replace(self, name=name)
-
     # -- Reconstruction ----------------------------------------------------
 
     def build_topology(self) -> GroupTopology:

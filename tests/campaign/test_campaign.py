@@ -11,7 +11,6 @@ from repro.campaign.executor import run_campaign
 from repro.campaign.grid import Campaign, CampaignCase, case
 from repro.faults.nemesis import random_plan
 from repro.groups.topology import paper_figure1_topology
-from repro.metrics.trace import read_jsonl
 from repro.workloads.runner import Send
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import (
@@ -227,7 +226,8 @@ class TestArtifacts:
         out = str(tmp_path / "out")
         report = run_campaign(campaign, workers=1, out_dir=out)
         assert report.rows == ()  # the artifact holds them
-        records = read_jsonl(os.path.join(out, "results.jsonl"))
+        with open(os.path.join(out, "results.jsonl")) as fh:
+            records = [json.loads(line) for line in fh]
         assert records[0]["type"] == "meta"
         assert records[0]["schema"] == CAMPAIGN_SCHEMA_VERSION
         assert records[0]["campaign_hash"] == sweep_hash(campaign.name, campaign.specs())
@@ -244,7 +244,8 @@ class TestArtifacts:
     def test_rows_replay_from_the_results_file(self, tmp_path):
         run_campaign(small_campaign(), workers=1, out_dir=str(tmp_path))
         results = os.path.join(str(tmp_path), "results.jsonl")
-        row = [r for r in read_jsonl(results) if r["type"] == "row"][0]
+        with open(results) as fh:
+            row = [r for r in map(json.loads, fh) if r["type"] == "row"][0]
         spec = ScenarioSpec.from_json(row["spec"])
         assert spec.spec_hash() == row["spec_hash"]
         from repro.workloads.runner import run_scenario

@@ -1,6 +1,7 @@
 """ScenarioSpec: value semantics, hashing, JSON round-trip."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -61,7 +62,7 @@ class TestScenarioSpec:
         assert _spec().spec_hash() != _spec(variant="vanilla").spec_hash()
 
     def test_label_excluded_from_identity(self):
-        named = _spec().labelled("row-7")
+        named = replace(_spec(), name="row-7")
         assert named == _spec()
         assert named.spec_hash() == _spec().spec_hash()
         assert named.name == "row-7"
@@ -114,7 +115,7 @@ class TestWireForm:
         )
 
     def test_the_label_is_the_one_key_left_out(self):
-        for spec in (self.FIGURE1, _spec().labelled("row-7")):
+        for spec in (self.FIGURE1, replace(_spec(), name="row-7")):
             body = spec.to_json()
             del body["name"]
             assert spec.spec_hash() == content_hash(body)

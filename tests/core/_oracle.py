@@ -88,31 +88,31 @@ def handrolled_required(
 
 
 def _try_pending(self, t, m, g):
-    if self.phase_of(m) != START:
+    if self.phase.get(m.mid, START) != START:
         return False
     return self._try_pending(t, m, self._route(m))
 
 
 def _try_commit(self, t, m, g):
-    if self.phase_of(m) != PENDING:
+    if self.phase.get(m.mid, START) != PENDING:
         return False
     return self._try_commit(t, m, self._route(m))
 
 
 def _try_stabilize(self, t, m, g, max_fires=None):
-    if self.phase_of(m) != COMMIT:
+    if self.phase.get(m.mid, START) != COMMIT:
         return 0  # pre at line 26: PHASE[m] = commit
     return self._try_stabilize(t, m, self._route(m), max_fires)
 
 
 def _try_stable(self, t, m, g):
-    if self.phase_of(m) != COMMIT:
+    if self.phase.get(m.mid, START) != COMMIT:
         return False
     return self._try_stable(t, m, self._route(m))
 
 
 def _try_deliver(self, t, m, g):
-    if self.phase_of(m) != STABLE:
+    if self.phase.get(m.mid, START) != STABLE:
         return False
     return self._try_deliver(t, m, self._route(m))
 
@@ -127,7 +127,7 @@ def five_tests_try_actions(self, t, budget=None):
         if budget is not None and fired >= budget:
             return fired
         message = self.known[mid]
-        if self.phase_of(message) != START or message in self._log(
+        if self.phase.get(message.mid, START) != START or message in self._log(
             self._destination_group(message)
         ):
             self._to_multicast.discard(mid)
@@ -156,7 +156,7 @@ def five_tests_try_actions(self, t, budget=None):
             if self.pid not in g:
                 done.add(mid)  # never actionable at a non-member
                 continue
-            was = self.phase_of(message)
+            was = self.phase.get(message.mid, START)
             if _try_pending(self, t, message, g):
                 fired += 1
             if budget is not None and fired >= budget:
@@ -175,7 +175,7 @@ def five_tests_try_actions(self, t, budget=None):
                 return fired
             if _try_deliver(self, t, message, g):
                 fired += 1
-            if self.phase_of(message) != was:
+            if self.phase.get(message.mid, START) != was:
                 _requeue(self, mid)
         return fired
     finally:

@@ -51,7 +51,7 @@ class TestBasicDelivery:
         m = fig1_system.multicast(P2, "g2")
         fig1_system.run()
         proc = fig1_system.processes[P2]
-        assert proc.phase_of(m) == DELIVER
+        assert proc.phase.get(m.mid) == DELIVER
 
     def test_crashed_process_cannot_multicast(self):
         pattern = crash_pattern(ALL, {P1: 0})
@@ -171,7 +171,7 @@ class TestConsensusUsage:
         fig1_system.multicast(P3, "g3")
         fig1_system.run()
         # Each message committed through its own consensus instance.
-        assert fig1_system.space.consensus_objects_used() == 2
+        assert len(fig1_system.space._consensus) == 2
 
     def test_acyclic_topology_still_uses_consensus_for_commit(self):
         # F(p) empty => family key is empty; a consensus object still
@@ -181,7 +181,7 @@ class TestConsensusUsage:
         system = MulticastSystem(topo, failure_free(pset(procs)))
         system.multicast(procs[1], "g2")
         system.run()
-        assert system.space.consensus_objects_used() == 1
+        assert len(system.space._consensus) == 1
 
     @pytest.mark.parametrize(
         "topology, widened, families, steps",
@@ -198,7 +198,7 @@ class TestConsensusUsage:
             system.multicast(min(g.members), g.name)
             system.run(max_rounds=100)
         assert_run_ok(system.record)
-        assert system.space.consensus_objects_used() == len(topology.groups)
+        assert len(system.space._consensus) == len(topology.groups)
         assert len({family for _, family in system.space._consensus}) == families
         assert sum(system.record.step_counts().values()) == steps
 

@@ -76,7 +76,7 @@ def test_group_scope_consensus_instances_are_shared():
     a non-carrier's empty key); group scoping must collapse them.
     """
     result = run_scenario(_falsifying_spec())
-    space = result.system.space
+    space = result.host.space
     seen = {}
     for (message_key, family_key) in space._consensus:
         seen.setdefault(message_key, []).append(family_key)
@@ -98,5 +98,5 @@ def test_process_scoping_still_reproduces_the_gap(monkeypatch):
     assert result.quiescent
     assert len(check_termination(result.record)) == 5
     assert check_integrity(result.record) == []
-    minted = [message_key for message_key, _family in result.system.space._consensus]
+    minted = [message_key for message_key, _family in result.host.space._consensus]
     assert len(minted) > len(set(minted)), "every message kept to one CONS instance"

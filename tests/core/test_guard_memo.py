@@ -100,8 +100,8 @@ def test_memo_matches_the_per_check_guard(monkeypatch, asked, base, backend):
             asked[0] = 0
             memoised = run_scenario(spec)
             memo_calls += asked[0]
-            stats = memoised.system.space.intersection_log_stats()
-            slow_ops += sum(slow for _fast, slow in stats.values())
+            logs = memoised.host.space._intersection_logs.values()
+            slow_ops += sum(log.slow_ops for log in logs)
             with monkeypatch.context() as patch:
                 per_check_guards_everywhere(patch)
                 asked[0] = 0

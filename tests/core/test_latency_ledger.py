@@ -34,8 +34,10 @@ import pytest
 
 from repro.core.algorithm1 import Algorithm1Process
 from repro.core.group_sequential import AtomicMulticast
+from repro.core.phases import START
 from repro.groups.topology import paper_figure1_topology
 from repro.metrics.summary import latency_of
+from repro.props.checkers import assert_run_ok
 from repro.workloads import runner
 from repro.workloads.runner import open_loop_sends
 from repro.workloads.spec import ScenarioSpec, TopologySpec
@@ -111,9 +113,9 @@ def ledger():
         def visit(process, t, m, *args):
             scan_visits = visits[-1]
             if not scan_visits or scan_visits[-1][0] != m.mid:
-                scan_visits.append([m.mid, process.phase_of(m), None])
+                scan_visits.append([m.mid, process.phase.get(m.mid, START), None])
             out = action(process, t, m, *args)
-            scan_visits[-1][2] = process.phase_of(m)
+            scan_visits[-1][2] = process.phase.get(m.mid, START)
             return out
 
         return visit
@@ -127,7 +129,7 @@ def ledger():
                 Algorithm1Process, name, visiting(getattr(Algorithm1Process, name))
             )
         result = runner.run_deployment(spec, build)
-    result.assert_ok()
+    assert_run_ok(result.record)
     record = result.record
     queue, service, latency = [], [], []
     for m in result.messages:

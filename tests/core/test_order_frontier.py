@@ -104,7 +104,7 @@ def audit(monkeypatch):
         finally:
             seen.waiting = False
         by_definition = all(
-            self.phase_of(earlier) >= threshold
+            self.phase.get(earlier.mid, START) >= threshold
             for earlier in _oracle.messages_before(log, m)
         )
         assert got == by_definition, (self.pid, log.name, m, threshold)
@@ -200,12 +200,12 @@ def test_order_wait_needs_only_monotone_phases_and_the_log_contract(ops):
         elif op == "bump" and m in log:
             log.bump_and_lock(p, m, k)
         elif op == "raise":
-            process.phase[m.mid] = max(process.phase_of(m), Phase(k % 5))
+            process.phase[m.mid] = max(process.phase.get(m.mid, START), Phase(k % 5))
         for present in log.messages():
             earlier = _oracle.messages_before(log, present)
             for threshold in (COMMIT, STABLE, DELIVER):
                 assert process._order_clear(log, present, threshold) == all(
-                    process.phase_of(x) >= threshold for x in earlier
+                    process.phase.get(x.mid, START) >= threshold for x in earlier
                 )
 
 

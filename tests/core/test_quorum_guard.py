@@ -149,7 +149,7 @@ def test_runs_under_recovery_plans_gate_on_a_sigma_history(
             **BACKENDS[backend],
         )
         result = run_scenario(spec)
-        pattern = result.system.pattern  # perturbed by the plan
+        pattern = result.host.pattern  # perturbed by the plan
         assert pattern.recovery_times, "the plan drew no crash_recover"
         assert gated
         for scope in gated:

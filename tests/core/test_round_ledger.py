@@ -75,10 +75,10 @@ def test_parked_evaluations_per_delivery(monkeypatch):
 
     monkeypatch.setattr(AutomatonActor, "parked", counted)
     result = run_scenario(kernel_wide_cell())
-    kernel = result.kernel
+    kernel = result.host
     deliveries = len(result.record.deliveries)
     # The cell is the benchmark's: its step and datagram ledger.
-    assert (deliveries, sum(kernel.steps_taken.values()), kernel.total_messages()) == (
+    assert (deliveries, sum(kernel.steps_taken.values()), kernel.buffer.sent_count) == (
         5000,
         8263,
         7536,

@@ -43,7 +43,7 @@ def test_route_gamma_answers_what_mu_does(name, mix):
             max_rounds=300,
             faults=random_plan(seed, mix, len(processes), groups),
         )
-        system = run_scenario(spec).system
+        system = run_scenario(spec).host
         mu = system.mu
         lagged += mu.gamma.detection_lag > 0
         last = max(

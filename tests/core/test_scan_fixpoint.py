@@ -26,6 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.algorithm1 import Algorithm1Process
+from repro.props.checkers import assert_run_ok
 from repro.runtime.actors import SharedObjectActor
 from repro.workloads.runner import open_loop_sends, random_sends, run_scenario
 from repro.workloads.spec import ScenarioSpec, TopologySpec
@@ -56,7 +57,7 @@ def rescans(spec):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SharedObjectActor, "fire", checked)
         result = run_scenario(spec)
-    result.assert_ok()
+    assert_run_ok(result.record)
     return fired_again, result
 
 

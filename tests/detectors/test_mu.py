@@ -23,7 +23,7 @@ def fig1():
 def test_sigma_component_per_intersection(fig1):
     mu = build_mu(failure_free(ALL), fig1)
     g1, g3 = fig1.group("g1"), fig1.group("g3")
-    sigma = mu.sigma(g1, g3)
+    sigma = mu.sigma_of(g1.intersection(g3))
     assert sigma.scope == by_indices(1)
     assert sigma.query(P1, 0) == by_indices(1)
 
@@ -31,13 +31,13 @@ def test_sigma_component_per_intersection(fig1):
 def test_sigma_of_group_itself(fig1):
     mu = build_mu(failure_free(ALL), fig1)
     g3 = fig1.group("g3")
-    assert mu.sigma(g3, g3).scope == g3.members
+    assert mu.sigma_of(g3.intersection(g3)).scope == g3.members
 
 
 def test_sigma_for_disjoint_pair_raises(fig1):
     mu = build_mu(failure_free(ALL), fig1)
     with pytest.raises(DetectorError):
-        mu.sigma(fig1.group("g2"), fig1.group("g4"))
+        mu.sigma_of(fig1.group("g2").intersection(fig1.group("g4")))
 
 
 def test_sigma_of_group_scope(fig1):
@@ -65,9 +65,9 @@ def test_sigma_of_unknown_scope_raises(fig1):
 def test_sigma_is_sigma_of_the_intersection(fig1):
     mu = build_mu(failure_free(ALL), fig1)
     for g, h in fig1.intersecting_pairs():
-        assert mu.sigma(g, h) is mu.sigma_of(g.intersection(h))
+        assert mu.sigma_of(g.intersection(h)) is mu.sigmas[g.intersection(h)]
     for g in fig1.groups:
-        assert mu.sigma(g, g) is mu.sigma_of(g.members)
+        assert mu.sigma_of(g.intersection(g)) is mu.sigmas[g.members]
 
 
 def test_omega_component_scoped_to_group(fig1):

@@ -92,7 +92,11 @@ class TestGammaExtraction:
                 history += drive_gamma(ext, pattern, rounds=1)
                 if excluded is None and not ext.query(procs[0], ext.time):
                     excluded = ext.time - 4
-                if chained is None and ext.full_chain_received(procs[0]):
+                # Some path's complete chain (stage |π|-3) reached p1.
+                inbox = ext._received[procs[0]]
+                if chained is None and any(
+                    len(path) - 3 in stages for path, stages in inbox.items()
+                ):
                     chained = ext.time - 4
             assert check_gamma(history, pattern, ext.topology) == []
             return excluded, chained

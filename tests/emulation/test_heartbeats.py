@@ -13,7 +13,7 @@ def test_ranks_grow_while_alive():
     ranking = HeartbeatRanking(failure_free(ALL))
     for t in range(1, 6):
         ranking.advance(t)
-    assert ranking.rank_of(P1) == 5
+    assert ranking.rank([P1]) == 5
     assert ranking.rank([P1, P2]) == 5
 
 
@@ -22,8 +22,8 @@ def test_crashed_process_rank_stalls():
     ranking = HeartbeatRanking(pattern)
     for t in range(1, 10):
         ranking.advance(t)
-    assert ranking.rank_of(P2) == 2  # beats at t=1, 2 only
-    assert ranking.rank_of(P1) == 9
+    assert ranking.rank([P2]) == 2  # beats at t=1, 2 only
+    assert ranking.rank([P1]) == 9
 
 
 def test_set_rank_is_minimum_of_members():

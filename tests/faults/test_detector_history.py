@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.detectors.mu import build_mu
 from repro.faults.injector import injector_for
-from repro.faults.plan import FaultEvent, plan_of
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.model.failures import FailurePattern, failure_free
 from repro.workloads.topologies import random_topology
 
@@ -77,7 +77,7 @@ def test_omega_answers_its_eventual_leader_from_stabilization(case):
     ids=["failure-free", "p1-crashes"],
 )
 def test_omega_late_on_a_group_covers_the_groups_inside_it(pattern):
-    plan = plan_of(FaultEvent(kind="omega_late", group="g4", until=9))
+    plan = FaultPlan((FaultEvent(kind="omega_late", group="g4", until=9),))
     injector = injector_for(plan, NESTED)
     mu = injector.perturb_mu(build_mu(pattern, NESTED))
     g1, g4 = NESTED.group("g1"), NESTED.group("g4")

@@ -10,11 +10,12 @@ of randomness in the fault layer goes through a per-run seeded
 
 import random
 import re
+from dataclasses import replace
 
 import repro.faults.injector as injector_module
 import repro.faults.nemesis as nemesis_module
 from repro.faults.nemesis import random_plan
-from repro.faults.plan import FaultEvent, plan_of
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.workloads.runner import Send, run_scenario, triage_line, triage_record
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology
@@ -25,10 +26,10 @@ TOPOLOGY = TopologySpec.capture(disjoint_topology(2, group_size=3))
 def faulted_spec(backend):
     # The seed-3 "full" draw plus a staggered crash burst (crash axes
     # otherwise come from the spec's own pattern).
-    plan = plan_of(
-        *random_plan(3, "full", process_count=6, groups=("g1", "g2")),
+    plan = FaultPlan((
+        *random_plan(3, "full", process_count=6, groups=("g1", "g2")).events,
         FaultEvent(kind="crash_burst", start=6, amount=2, targets=(3,)),
-    )
+    ))
     return ScenarioSpec(
         topology=TOPOLOGY,
         sends=(Send(1, "g1", 0), Send(4, "g2", 1), Send(2, "g1", 2)),
@@ -121,5 +122,5 @@ class TestSpecFaultsAxis:
     def test_faulted_and_labelled_derivations(self):
         spec = faulted_spec("engine")
         assert spec.faulted(None).faults is None
-        assert spec.labelled("x").name == "x"
-        assert spec.labelled("x") == spec  # name is not identity
+        assert replace(spec, name="x").name == "x"
+        assert replace(spec, name="x") == spec  # name is not identity

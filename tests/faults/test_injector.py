@@ -13,7 +13,7 @@ from repro.faults.injector import (
     group_index_map,
     injector_for,
 )
-from repro.faults.plan import FaultEvent, FaultPlan, FaultPlanError, plan_of
+from repro.faults.plan import FaultEvent, FaultPlan, FaultPlanError
 from repro.groups.topology import paper_figure1_topology
 from repro.model.failures import crash_pattern, failure_free
 from repro.model.messages import MessageBuffer
@@ -30,15 +30,15 @@ PAIRS = disjoint_topology(2, group_size=2)
 
 
 def make_injector(*events, seed=0):
-    return FaultInjector(plan_of(*events), seed=seed)
+    return FaultInjector(FaultPlan(tuple(events)), seed=seed)
 
 
 class TestSeedDerivation:
     def test_pure_function_of_plan_and_seed(self):
-        plan = plan_of(FaultEvent(kind="link_delay", until=4, amount=2))
+        plan = FaultPlan((FaultEvent(kind="link_delay", until=4, amount=2),))
         assert derive_injector_seed(plan, 3) == derive_injector_seed(plan, 3)
         assert derive_injector_seed(plan, 3) != derive_injector_seed(plan, 4)
-        other = plan_of(FaultEvent(kind="link_delay", until=5, amount=2))
+        other = FaultPlan((FaultEvent(kind="link_delay", until=5, amount=2),))
         assert derive_injector_seed(plan, 3) != derive_injector_seed(other, 3)
 
     def test_injector_for_returns_none_without_plan(self):
@@ -137,8 +137,8 @@ class TestScheduleHooks:
 
 class TestDetectorHooks:
     def test_sigma_noise_scopes_by_group(self):
-        plan = plan_of(
-            FaultEvent(kind="sigma_noise", group="g1", start=2, until=5)
+        plan = FaultPlan(
+            (FaultEvent(kind="sigma_noise", group="g1", start=2, until=5),)
         )
         injector = FaultInjector(
             plan, {"g1": frozenset({1, 2}), "g2": frozenset({3, 4})}
@@ -155,7 +155,7 @@ class TestDetectorHooks:
 
     def test_omega_delays_and_instability(self):
         injector = injector_for(
-            plan_of(FaultEvent(kind="omega_late", group="g2", until=7)), PAIRS
+            FaultPlan((FaultEvent(kind="omega_late", group="g2", until=7),)), PAIRS
         )
         mu = injector.perturb_mu(build_mu(failure_free(ALL), PAIRS))
         g1, g2 = PAIRS.groups
@@ -173,10 +173,10 @@ class TestDetectorHooks:
 
     def test_gamma_lag_accumulates(self):
         injector = injector_for(
-            plan_of(
+            FaultPlan((
                 FaultEvent(kind="gamma_delay", amount=2),
                 FaultEvent(kind="gamma_delay", amount=3),
-            ),
+            )),
             PAIRS,
         )
         mu = build_mu(failure_free(ALL), PAIRS, gamma_lag=1)
@@ -185,7 +185,7 @@ class TestDetectorHooks:
 
     def test_plan_without_detector_events_leaves_mu_alone(self):
         injector = injector_for(
-            plan_of(FaultEvent(kind="link_delay", until=4, amount=2)), PAIRS
+            FaultPlan((FaultEvent(kind="link_delay", until=4, amount=2),)), PAIRS
         )
         mu = build_mu(failure_free(ALL), PAIRS)
         assert injector.perturb_mu(mu) is mu
@@ -210,7 +210,7 @@ class TestUnknownDetectorGroups:
             topology=TopologySpec.capture(topology),
             sends=(Send(1, "g1", 0),),
             backend=backend,
-            faults=plan_of(event),
+            faults=FaultPlan((event,)),
             max_rounds=200,
         )
         names = sorted(g.name for g in topology.groups)
@@ -242,7 +242,7 @@ class TestBufferIntegration:
         buffer.release(0)
         for _ in range(10):
             buffer.send(P1, P2, "PING")
-        queue = buffer.pending_for(P2)
+        queue = buffer.inbox(P2)
         assert len(queue) == 10 + injector.stats["duplicated"]
         assert len({d.uid for d in queue}) == len(queue)
 
@@ -258,7 +258,7 @@ class TestBufferIntegration:
         dropped = injector.stats["dropped"]
         assert dropped > 0
         buffer.release(event.until + 1)
-        assert len(buffer.pending_for(P2)) == sent
+        assert len(buffer.inbox(P2)) == sent
         assert buffer.delayed_count() == 0
 
     def test_without_injector_buffer_is_fifo(self):
@@ -317,7 +317,7 @@ class TestAudit:
         assert any("monotonicity" in v for v in violations)
 
     def test_summary_reports_plan_identity(self):
-        plan = plan_of(FaultEvent(kind="gamma_delay", amount=1))
+        plan = FaultPlan((FaultEvent(kind="gamma_delay", amount=1),))
         injector = FaultInjector(plan)
         summary = injector.summary()
         assert summary["plan_hash"] == plan.plan_hash()

@@ -4,7 +4,7 @@ Link faults sequester datagrams in the buffer's delay heap.  Two
 lifecycle bugs used to hide there: a run could be declared quiescent
 while datagrams still sat in the heap (the scheduler only counted
 visible queues), and a crashed destination's sequestered datagrams were
-released into its dead inbox after the crash (inflating ``in_transit``
+released into its dead inbox after the crash (where no step drains them,
 and tripping the post-run admissibility audit).  These scenarios pin
 the fixes end-to-end: a kernel run under an ``omega_late`` +
 ``link_delay`` plan — with and without a crash — must terminate
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults.plan import FaultEvent, plan_of
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.props.batch import batch_verdicts, verdicts_ok
 from repro.workloads.runner import Send, run_scenario
 from repro.workloads.spec import ScenarioSpec, TopologySpec
@@ -28,10 +28,10 @@ SENDS = (Send(1, "g1", 0), Send(4, "g2", 0), Send(2, "g1", 1))
 #: Delays straddle the omega instability window, so released datagrams
 #: land while leadership is still unsettled — the mix that used to fake
 #: quiescence.
-PLAN = plan_of(
+PLAN = FaultPlan((
     FaultEvent(kind="link_delay", start=0, until=6, amount=4),
     FaultEvent(kind="omega_late", group="g1", until=8),
-)
+))
 
 
 def faulted_spec(**overrides):
@@ -114,7 +114,7 @@ def test_pending_work_guards_an_understated_horizon():
 
     p1, p2 = make_processes(2)
     injector = FaultInjector(
-        plan_of(FaultEvent(kind="link_delay", start=0, until=2, amount=6)),
+        FaultPlan((FaultEvent(kind="link_delay", start=0, until=2, amount=6),)),
         seed=0,
     )
     buffer = MessageBuffer(injector)
@@ -136,4 +136,4 @@ def test_pending_work_guards_an_understated_horizon():
     outcome = sched.run(max_rounds=30, quiescent_rounds=2)
     assert outcome.quiescent
     assert drain.got == ["SLOW"]  # delivered, not stranded
-    assert buffer.in_transit() == 0
+    assert not any(buffer._pending.values()) and buffer.delayed_count() == 0

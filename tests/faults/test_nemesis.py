@@ -50,9 +50,9 @@ class TestRandomPlan:
     def test_mixes_draw_from_their_kinds(self):
         for seed in range(10):
             links = random_plan(seed, "links", process_count=5)
-            assert {e.kind for e in links} <= set(LINK_KINDS)
+            assert {e.kind for e in links.events} <= set(LINK_KINDS)
             detectors = random_plan(seed, "detectors", groups=("g1",))
-            assert {e.kind for e in detectors} <= set(DETECTOR_KINDS)
+            assert {e.kind for e in detectors.events} <= set(DETECTOR_KINDS)
 
     def test_every_kind_is_drawn_by_some_mix(self):
         """No fault kind is reachable only by hand: the nemesis grid
@@ -63,7 +63,7 @@ class TestRandomPlan:
             for seed in range(100)
             for event in random_plan(
                 seed, mix, process_count=5, groups=("g1", "g2")
-            )
+            ).events
         }
         assert set(EVENT_KINDS) - drawn == set()
 

@@ -29,7 +29,7 @@ from repro.faults.injector import (
     group_index_map,
 )
 from repro.faults.nemesis import MIXES, random_plan
-from repro.faults.plan import EVENT_KINDS, FaultEvent, plan_of
+from repro.faults.plan import EVENT_KINDS, FaultEvent, FaultPlan
 from repro.groups.topology import paper_figure1_topology
 
 TOPOLOGY = paper_figure1_topology()
@@ -109,8 +109,8 @@ def one_event(kind):
     every link and process 1."""
     targets = (1,) if kind in ("crash_burst", "churn", "partition", "crash_recover") else ()
     amount = 2 if kind in ("link_reorder", "link_delay", "link_dup", "link_drop") else 1
-    return plan_of(
-        FaultEvent(kind=kind, start=START, until=UNTIL, amount=amount, targets=targets)
+    return FaultPlan(
+        (FaultEvent(kind=kind, start=START, until=UNTIL, amount=amount, targets=targets),)
     )
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.faults.injector import AdmissibilityError, FaultInjector
 from repro.faults.nemesis import random_plan
-from repro.faults.plan import FaultEvent, FaultPlan, plan_of
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.faults.shrink import (
     HARNESSES,
     PlanShrinker,
@@ -60,22 +60,22 @@ class TestDdmin:
         plan = FaultPlan(tuple(noise_events(6)) + (CULPRIT_A, CULPRIT_B))
 
         def violates(spec):
-            events = set(spec.faults or FaultPlan())
+            events = (spec.faults or FaultPlan()).events
             return CULPRIT_A in events and CULPRIT_B in events
 
         shrinker = PlanShrinker(spec_with(), violates)
         minimal = shrinker.shrink(plan)
-        assert minimal == plan_of(CULPRIT_A, CULPRIT_B)
+        assert minimal == FaultPlan((CULPRIT_A, CULPRIT_B))
         assert len(minimal) <= 3
 
     def test_single_culprit(self):
         plan = FaultPlan(tuple(noise_events(7)) + (CULPRIT_A,))
 
         def violates(spec):
-            return CULPRIT_A in set(spec.faults or FaultPlan())
+            return CULPRIT_A in (spec.faults or FaultPlan()).events
 
         minimal = PlanShrinker(spec_with(), violates).shrink(plan)
-        assert minimal == plan_of(CULPRIT_A)
+        assert minimal == FaultPlan((CULPRIT_A,))
 
     def test_intrinsic_failure_shrinks_to_the_empty_plan(self):
         shrinker = PlanShrinker(spec_with(), lambda spec: True)
@@ -96,7 +96,7 @@ class TestDdmin:
         def violates(spec):
             plan = spec.faults or FaultPlan()
             seen.append(plan.plan_hash())
-            return CULPRIT_A in set(plan)
+            return CULPRIT_A in plan.events
 
         shrinker = PlanShrinker(spec_with(), violates)
         shrinker.shrink(FaultPlan((CULPRIT_A,) + tuple(noise_events(4))))
@@ -174,7 +174,7 @@ class TestBroadcastOnThePipeline:
         monkeypatch.setattr(
             FaultInjector, "audit", lambda self, *a, **kw: ["left the envelope"]
         )
-        spec = spec_with(plan_of(CULPRIT_A))
+        spec = spec_with(FaultPlan((CULPRIT_A,)))
         with pytest.raises(AdmissibilityError, match="left the envelope") as err:
             run_harness("broadcast", spec)
         assert f"[triage spec_hash={spec.spec_hash()}" in str(err.value)
@@ -191,8 +191,8 @@ def _at_round_zero_specs():
         pytest.param(shrink_demo_spec(), id="shrink-demo"),
     ]
     specs += [
-        pytest.param(spec_with(plan_of(event)), id=f"event-{i}")
-        for i, event in enumerate(plan)
+        pytest.param(spec_with(FaultPlan((event,))), id=f"event-{i}")
+        for i, event in enumerate(plan.events)
     ]
     return specs
 

@@ -1,10 +1,12 @@
 """Sweep aggregation: streaming totals and table rendering."""
 
+import json
+
 import pytest
 
 from repro.metrics.sweep import (
     SweepAggregator,
-    summarize_rows,
+    summarize_results_file,
     sweep_exit_status,
     sweep_table,
 )
@@ -27,13 +29,24 @@ def _failed_row(name="boom"):
     return {"name": name, "status": "failed", "error": "ValueError('x')"}
 
 
+def summarize_rows(rows):
+    aggregator = SweepAggregator()
+    for row in rows:
+        aggregator.add(row)
+    return aggregator.summary()
+
+
 class TestAggregation:
-    def test_streaming_matches_one_shot(self):
+    def test_streaming_matches_one_shot(self, tmp_path):
+        # Re-aggregating a results file's row lines equals the summary
+        # streamed while the rows were written.
         rows = [_ok_row("a"), _ok_row("b", rounds=9, violations=2), _failed_row()]
-        aggregator = SweepAggregator()
-        for row in rows:
-            aggregator.add(row)
-        assert aggregator.summary() == summarize_rows(rows)
+        path = tmp_path / "results.jsonl"
+        path.write_text(
+            json.dumps({"type": "meta"}) + "\n"
+            + "".join(json.dumps({"type": "row", **row}) + "\n" for row in rows)
+        )
+        assert summarize_results_file(str(path)) == summarize_rows(rows)
 
     def test_totals(self):
         summary = summarize_rows(

@@ -1,5 +1,7 @@
 """Tests for the per-round trace recorder and its JSONL exporter."""
 
+import json
+
 from repro.core.engine import MulticastSystem
 from repro.groups.topology import paper_figure1_topology
 from repro.metrics.trace import (
@@ -7,7 +9,6 @@ from repro.metrics.trace import (
     WAIT_IDLE,
     WAIT_QUORUM,
     TraceRecorder,
-    read_jsonl,
 )
 from repro.model.failures import failure_free
 from repro.model.processes import make_processes, pset
@@ -22,7 +23,7 @@ class TestRecorder:
         tr.begin_round(time=1, eligible=3, full_scan=True)
         tr.note_scanned(fired=2)
         tr.note_scanned(fired=0)
-        tr.note_skipped()
+        tr.note_skips(1, ())
         tr.quorum_queries += 2  # what two quorum_ok calls do, one stalled
         tr.quorum_stalls += 1
         tr.note_wait(WAIT_QUORUM)
@@ -64,9 +65,7 @@ class TestRecorder:
         for _ in range(2):
             tr.begin_round(time=1, eligible=4, full_scan=False)
             tr.note_scanned(1)
-            tr.note_skipped()
-            tr.note_skipped()
-            tr.note_skipped()
+            tr.note_skips(3, ())
             tr.note_wait(WAIT_IDLE)
             tr.end_round()
         summary = tr.summary()
@@ -90,7 +89,8 @@ class TestJsonl:
         tr.end_round()
         path = str(tmp_path / "trace.jsonl")
         tr.write_jsonl(path, meta={"seed": 7})
-        records = read_jsonl(path)
+        with open(path) as fh:
+            records = [json.loads(line) for line in fh]
         assert [r["type"] for r in records] == ["meta", "round", "summary"]
         meta, round_line, summary = records
         assert meta["schema"] == TRACE_SCHEMA_VERSION
@@ -111,7 +111,8 @@ class TestJsonl:
         )
         result = run_scenario(spec, trace_path=path)
         assert result.delivered_everywhere()
-        records = read_jsonl(path)
+        with open(path) as fh:
+            records = [json.loads(line) for line in fh]
         assert records[0]["type"] == "meta"
         assert records[-1]["type"] == "summary"
         round_lines = [r for r in records if r["type"] == "round"]

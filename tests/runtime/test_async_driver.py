@@ -477,7 +477,7 @@ class TestDriverValidation:
         system = self._system()
         driver = AsyncDriver(system, seed=1)
         outcome = driver.run(max_rounds=50)
-        assert system.wake_listener is None
+        assert system.sink.wake_listener is None
         assert outcome.quiescent
 
     def test_a_raising_fire_leaves_run_where_it_happened(self, monkeypatch):
@@ -507,7 +507,7 @@ class TestDriverValidation:
             )
         assert system.time == 5
         # Torn down as on a clean exit.
-        assert system.wake_listener is None
+        assert system.sink.wake_listener is None
         assert set(driver.last_transport_stats) == {
             "retries_scheduled",
             "retries_lost",

@@ -13,7 +13,7 @@ anything changes.
 from hypothesis import given, settings, strategies as st
 
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultEvent, plan_of
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.metrics.trace import TraceRecorder
 from repro.model.failures import FailurePattern
 from repro.model.processes import make_processes, pset
@@ -55,7 +55,7 @@ def runs(draw, recoveries):
 
 
 def assert_matches_the_sweep(pattern, churn, participation):
-    injector = FaultInjector(plan_of(*churn), seed=0) if churn else None
+    injector = FaultInjector(FaultPlan(tuple(churn)), seed=0) if churn else None
     sched = Scheduler(
         {p: Actor() for p in pattern.processes},
         0,

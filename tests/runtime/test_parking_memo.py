@@ -93,7 +93,7 @@ def perturbed_replicas(spec):
 
 
 def observed(result):
-    kernel = result.kernel
+    kernel = result.host
     deliveries = {}
     for event in result.record.deliveries:
         deliveries.setdefault(event.process, []).append(event.message.mid)
@@ -101,7 +101,7 @@ def observed(result):
         [(r, list(r.wait_reasons.items())) for r in result.tracer.rounds],
         dict(kernel.steps_taken),
         deliveries,
-        kernel.total_messages(),
+        kernel.buffer.sent_count,
     )
 
 

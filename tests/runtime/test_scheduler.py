@@ -18,6 +18,7 @@ from repro.metrics.trace import TraceRecorder
 from repro.model.errors import SimulationError
 from repro.model.failures import FailurePattern
 from repro.model.processes import make_processes, pset
+from repro.props.checkers import assert_run_ok
 from repro.runtime.actors import SystemActor
 from repro.runtime.scheduler import (
     Actor,
@@ -300,7 +301,7 @@ def test_an_engine_run_asks_no_actor_whether_it_is_parked(monkeypatch):
     )
     for backend in ("engine", "async"):
         result = run_scenario(replace(spec, backend=backend))
-        result.assert_ok()
+        assert_run_ok(result.record)
     rounds = run_scenario(spec).tracer.rounds
     assert sum(r.skipped for r in rounds) > 0
 

@@ -28,7 +28,7 @@ import pytest
 
 from repro.core.engine import MulticastSystem
 from repro.faults.nemesis import random_plan
-from repro.faults.plan import FaultEvent, plan_of
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.groups.topology import paper_figure1_topology
 from repro.model.failures import FailurePattern
 from repro.runtime import async_driver
@@ -58,10 +58,10 @@ DELAY_MODELS = {
 
 #: A churn window over two processes, with a link delay that closes
 #: earlier, so the two quiet instants differ.
-CHURN_PLAN = plan_of(
+CHURN_PLAN = FaultPlan((
     FaultEvent(kind="churn", start=2, until=9, targets=(1, 3)),
     FaultEvent(kind="link_delay", start=1, until=5, amount=2),
-)
+))
 
 
 def _plan_cell(mix, delay):

@@ -7,7 +7,7 @@ from repro.model.errors import SimulationError
 from repro.model.failures import FailurePattern, crash_pattern, failure_free
 from repro.model.processes import make_processes, pset
 from repro.sim.kernel import Automaton, Kernel
-from repro.substrates.consensus import ConsensusAutomaton, ConsensusCluster
+from repro.substrates.consensus import ConsensusAutomaton, OmegaSigmaSampler
 from repro.substrates.replicated_log import ReplicatedLogCluster
 from tests.runtime._oracle import force_scan
 
@@ -70,12 +70,12 @@ class TestStepSemantics:
         assert automata[PROCS[1]].seen == ["PING"]
         assert automata[PROCS[2]].seen == ["PING"]
         # The chatter got both PONGs (consumed silently).
-        assert kernel.buffer.in_transit() == 0
+        assert not any(kernel.buffer._pending.values()) and not kernel.buffer._delayed
 
     def test_outputs_are_recorded_with_time(self):
         automata, kernel = build()
         kernel.run(6)
-        assert kernel.outputs_of(PROCS[1]) == ("PING",)
+        assert [value for _, value in kernel.outputs[PROCS[1]]] == ["PING"]
 
     def test_crashed_process_takes_no_step(self):
         pattern = crash_pattern(ALL, {PROCS[1]: 1})
@@ -113,7 +113,7 @@ class TestStepSemantics:
     def test_total_messages_counter(self):
         automata, kernel = build()
         kernel.run(6)
-        assert kernel.total_messages() == 4  # 2 PINGs + 2 PONGs
+        assert kernel.buffer.sent_count == 4  # 2 PINGs + 2 PONGs
 
     def test_same_seed_is_deterministic(self):
         def trace(seed):
@@ -153,7 +153,7 @@ class TestEventDrivenKernel:
         # No quiescent_rounds: both run the full budget, idle or not.
         assert scan.run(6) == event.run(6) == 6
         assert str(scan.outputs) == str(event.outputs)
-        assert scan.total_messages() == event.total_messages()
+        assert scan.buffer.sent_count == event.buffer.sent_count
 
     def test_idle_skip_saves_steps(self):
         _, event = build_quiet(seed=9)
@@ -243,7 +243,9 @@ class TestAParkedAutomatonWakes:
         automata = {p: Watcher() for p in PROCS}
         kernel = Kernel(failure_free(ALL), automata, dict.fromkeys(PROCS, SwitchAt(10)))
         kernel.run(20)
-        assert all(kernel.outputs_of(p) == ("before", "after") for p in PROCS)
+        assert all(
+            [value for _, value in kernel.outputs[p]] == ["before", "after"] for p in PROCS
+        )
         # Proven parked from round 2 to 9 and from 11 on.
         assert all(count == 2 for count in kernel.steps_taken.values())
 
@@ -261,20 +263,19 @@ class TestAParkedAutomatonWakes:
         cluster.append(PROCS[2], "v")
         after = self.quiescent(kernel)
         assert after[PROCS[2]] > before[PROCS[2]]
-        assert {cluster.applied_at(p) for p in PROCS} == {("v",)}
+        assert {tuple(cluster.automata[p].applied) for p in PROCS} == {("v",)}
 
     def test_a_proposal(self):
         pattern = failure_free(ALL)
-        cluster = ConsensusCluster(pattern, ALL)
-        cluster.automata = {p: ProposalDriven(p, ALL) for p in PROCS}
-        kernel = Kernel(pattern, cluster.automata, cluster.detectors, seed=1)
+        automata = {p: ProposalDriven(p, ALL) for p in PROCS}
+        sampler = OmegaSigmaSampler.of(pattern, ALL)
+        kernel = Kernel(pattern, automata, dict.fromkeys(PROCS, sampler), seed=1)
         before = self.quiescent(kernel)
         assert kernel._scheduler.proven_parked == set(PROCS)
-        cluster.propose(PROCS[0], "v")  # the Omega leader
+        automata[PROCS[0]].propose("v")  # the Omega leader
         after = self.quiescent(kernel)
         assert after[PROCS[0]] > before[PROCS[0]]
-        assert cluster.decided_everywhere(ALL)
-        assert {cluster.decision_at(p) for p in PROCS} == {"v"}
+        assert {automata[p].decision for p in PROCS} == {"v"}
 
     def test_a_rejoin(self):
         victim = PROCS[1]
@@ -288,4 +289,4 @@ class TestAParkedAutomatonWakes:
         assert [p for _, p, _ in kernel.recoveries] == [victim]
         assert kernel.steps_taken[victim] == before[victim] + 1
         # Its first step back asks both peers for what it missed.
-        assert kernel.total_messages() == 2
+        assert kernel.buffer.sent_count == 2

@@ -8,7 +8,7 @@ from repro.detectors.quorum import SigmaOracle
 from repro.model.failures import crash_pattern, failure_free
 from repro.model.processes import make_processes, pset
 from repro.sim.kernel import Kernel
-from repro.substrates.consensus import ConsensusCluster, OmegaSigmaSampler
+from repro.substrates.consensus import ConsensusAutomaton, OmegaSigmaSampler
 
 PROCS = make_processes(4)
 SCOPE = pset(PROCS)
@@ -16,54 +16,53 @@ SCOPE = pset(PROCS)
 
 def run_consensus(pattern, proposals, seed, rounds=300, omega_stab=None):
     scope = pattern.processes
-    cluster = ConsensusCluster(pattern, scope)
-    detectors = cluster.detectors
+    automata = {p: ConsensusAutomaton(p, scope) for p in sorted(scope)}
+    sampler = OmegaSigmaSampler.of(pattern, scope)
     if omega_stab is not None:
         restricted = pattern.restricted_to(scope)
         omega = OmegaOracle(restricted, scope, stabilization_time=omega_stab)
         sampler = OmegaSigmaSampler(omega, SigmaOracle(restricted, scope))
-        detectors = dict.fromkeys(scope, sampler)
     for p, value in proposals.items():
-        cluster.propose(p, value)
-    kernel = Kernel(pattern, cluster.automata, detectors, seed=seed)
+        automata[p].propose(value)
+    kernel = Kernel(pattern, automata, dict.fromkeys(automata, sampler), seed=seed)
     kernel.run(
         rounds,
-        stop_when=lambda: cluster.decided_everywhere(pattern.correct),
+        stop_when=lambda: all(automata[p].decision is not None for p in pattern.correct),
     )
-    return cluster, kernel
+    return automata, kernel
 
 
 class TestFailureFree:
     def test_agreement_validity_termination(self):
         pattern = failure_free(SCOPE)
         proposals = {p: f"v{p.index}" for p in PROCS}
-        cluster, _ = run_consensus(pattern, proposals, seed=1)
-        decisions = {cluster.decision_at(p) for p in PROCS}
+        automata, _ = run_consensus(pattern, proposals, seed=1)
+        decisions = {automata[p].decision for p in PROCS}
         assert len(decisions) == 1
         assert decisions.pop() in proposals.values()
 
     def test_single_proposer_decides_own_value(self):
         pattern = failure_free(SCOPE)
-        cluster, _ = run_consensus(pattern, {PROCS[2]: "only"}, seed=2)
-        assert all(cluster.decision_at(p) == "only" for p in PROCS)
+        automata, _ = run_consensus(pattern, {PROCS[2]: "only"}, seed=2)
+        assert all(automata[p].decision == "only" for p in PROCS)
 
 
 class TestWithCrashes:
     def test_minority_crash_tolerated(self):
         pattern = crash_pattern(SCOPE, {PROCS[0]: 15})
         proposals = {p: f"v{p.index}" for p in PROCS}
-        cluster, _ = run_consensus(pattern, proposals, seed=3)
-        decisions = {cluster.decision_at(p) for p in pattern.correct}
+        automata, _ = run_consensus(pattern, proposals, seed=3)
+        decisions = {automata[p].decision for p in pattern.correct}
         assert len(decisions) == 1
 
     def test_leader_crash_triggers_takeover(self):
         # p1 is the pre-stabilization leader; it dies mid-run.
         pattern = crash_pattern(SCOPE, {PROCS[0]: 10})
         proposals = {PROCS[1]: "x", PROCS[3]: "y"}
-        cluster, _ = run_consensus(
+        automata, _ = run_consensus(
             pattern, proposals, seed=4, omega_stab=12
         )
-        decisions = {cluster.decision_at(p) for p in pattern.correct}
+        decisions = {automata[p].decision for p in pattern.correct}
         assert len(decisions) == 1
         assert decisions.pop() in {"x", "y"}
 
@@ -72,8 +71,8 @@ class TestWithCrashes:
         2-of-4 survivor set terminates (no majority assumption)."""
         pattern = crash_pattern(SCOPE, {PROCS[0]: 12, PROCS[3]: 12})
         proposals = {p: f"v{p.index}" for p in PROCS}
-        cluster, _ = run_consensus(pattern, proposals, seed=5, rounds=400)
-        decisions = {cluster.decision_at(p) for p in pattern.correct}
+        automata, _ = run_consensus(pattern, proposals, seed=5, rounds=400)
+        decisions = {automata[p].decision for p in pattern.correct}
         assert len(decisions) == 1
 
     @pytest.mark.parametrize(
@@ -84,9 +83,9 @@ class TestWithCrashes:
         procs = make_processes(size)
         pattern = crash_pattern(pset(procs), dict.fromkeys(procs[:crashes], 6))
         proposals = {p: f"v{p.index}" for p in procs}
-        cluster, kernel = run_consensus(pattern, proposals, seed=size, rounds=500)
+        automata, kernel = run_consensus(pattern, proposals, seed=size, rounds=500)
         assert kernel.time == rounds
-        assert len({cluster.decision_at(p) for p in pattern.correct}) == 1
+        assert len({automata[p].decision for p in pattern.correct}) == 1
 
 
 class TestRandomized:
@@ -105,16 +104,16 @@ class TestRandomized:
     ):
         pattern = crash_pattern(SCOPE, {PROCS[crash_index]: crash_time})
         proposals = {p: f"v{p.index}" for p in PROCS}
-        cluster, _ = run_consensus(pattern, proposals, seed=seed, rounds=400)
+        automata, _ = run_consensus(pattern, proposals, seed=seed, rounds=400)
         decisions = {
-            cluster.decision_at(p)
+            automata[p].decision
             for p in pattern.correct
-            if cluster.decision_at(p) is not None
+            if automata[p].decision is not None
         }
         assert len(decisions) <= 1
         # Termination for correct processes.
         assert all(
-            cluster.decision_at(p) is not None for p in pattern.correct
+            automata[p].decision is not None for p in pattern.correct
         )
         if decisions:
             assert decisions.pop() in proposals.values()

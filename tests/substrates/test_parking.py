@@ -192,7 +192,7 @@ def observed(result):
     return (
         deliveries,
         result.verdicts(),
-        result.kernel.total_messages(),
+        result.host.buffer.sent_count,
         result.truncated,
         result.delivered_everywhere(),
     )
@@ -208,7 +208,7 @@ def test_parking_changes_nothing_a_run_can_show(monkeypatch, base, mix):
             scan_everywhere(patch)
             scanned = run_scenario(spec)
         assert observed(parked) == observed(scanned), seed
-        steps = sum(parked.kernel.steps_taken.values())
-        assert steps <= sum(scanned.kernel.steps_taken.values())
+        steps = sum(parked.host.steps_taken.values())
+        assert steps <= sum(scanned.host.steps_taken.values())
         skipped = parked.tracer.summary()["skipped"]
-        assert (skipped > 0) == (steps < sum(scanned.kernel.steps_taken.values()))
+        assert (skipped > 0) == (steps < sum(scanned.host.steps_taken.values()))

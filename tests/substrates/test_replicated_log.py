@@ -7,6 +7,7 @@ from repro.faults.plan import FaultEvent, FaultPlan
 from repro.model.failures import crash_pattern, failure_free
 from repro.model.messages import MessageBuffer
 from repro.model.processes import make_processes, pset
+from repro.props.checkers import assert_run_ok
 from repro.sim.kernel import Context, Kernel
 from repro.substrates import consensus, replicated_log
 from repro.substrates.consensus import ConsensusAutomaton, check_policy
@@ -29,7 +30,7 @@ def run_log(pattern, appends, seed, rounds=600):
     kernel.run(
         rounds,
         stop_when=lambda: all(
-            len(cluster.applied_at(p)) >= total for p in pattern.correct
+            len(cluster.automata[p].applied) >= total for p in pattern.correct
         ),
     )
     return cluster
@@ -75,13 +76,13 @@ def test_a_log_checks_its_policy_once_for_all_its_slots(monkeypatch):
 def test_single_append_replicates_everywhere():
     cluster = run_log(failure_free(SCOPE), [(PROCS[0], "a")], seed=1)
     for p in PROCS:
-        assert cluster.applied_at(p) == ("a",)
+        assert tuple(cluster.automata[p].applied) == ("a",)
 
 
 def test_replicas_agree_on_a_total_order():
     appends = [(PROCS[0], "a"), (PROCS[1], "b"), (PROCS[2], "c")]
     cluster = run_log(failure_free(SCOPE), appends, seed=2)
-    sequences = {cluster.applied_at(p) for p in PROCS}
+    sequences = {tuple(cluster.automata[p].applied) for p in PROCS}
     assert len(sequences) == 1
     assert set(sequences.pop()) == {"a", "b", "c"}
 
@@ -95,17 +96,17 @@ def test_rounds_to_apply_a_burst(entries, rounds):
         cluster.append(PROCS[i % 3], f"entry-{i}")
     kernel = Kernel(pattern, cluster.automata, cluster.detectors, seed=entries)
     rounds_run = kernel.run(
-        1500, stop_when=lambda: all(len(cluster.applied_at(p)) >= entries for p in PROCS)
+        1500, stop_when=lambda: all(len(cluster.automata[p].applied) >= entries for p in PROCS)
     )
     assert rounds_run == rounds
-    assert len({cluster.applied_at(p) for p in PROCS}) == 1
+    assert len({tuple(cluster.automata[p].applied) for p in PROCS}) == 1
 
 
 def test_every_append_by_a_correct_process_is_applied():
     appends = [(PROCS[1], f"x{i}") for i in range(4)]
     cluster = run_log(failure_free(SCOPE), appends, seed=3, rounds=900)
     for p in PROCS:
-        assert set(cluster.applied_at(p)) == {f"x{i}" for i in range(4)}
+        assert set(cluster.automata[p].applied) == {f"x{i}" for i in range(4)}
 
 
 def test_crash_of_a_replica_does_not_fork_the_log():
@@ -113,12 +114,12 @@ def test_crash_of_a_replica_does_not_fork_the_log():
     appends = [(PROCS[0], "a"), (PROCS[1], "b")]
     cluster = run_log(pattern, appends, seed=4, rounds=900)
     survivors = sorted(pattern.correct)
-    seq0 = cluster.applied_at(survivors[0])
-    seq1 = cluster.applied_at(survivors[1])
+    seq0 = tuple(cluster.automata[survivors[0]].applied)
+    seq1 = tuple(cluster.automata[survivors[1]].applied)
     assert seq0 == seq1
     assert set(seq0) == {"a", "b"}
     # The crashed replica's prefix is consistent with the survivors.
-    dead_seq = cluster.applied_at(PROCS[2])
+    dead_seq = tuple(cluster.automata[PROCS[2]].applied)
     assert dead_seq == seq0[: len(dead_seq)]
 
 
@@ -147,7 +148,7 @@ def test_rejoined_replica_catches_up_on_decisions_made_before_its_crash():
         faults=plan,
     )
     result = run_scenario(spec)
-    result.assert_ok()
+    assert_run_ok(result.record)
     row = result.to_row()
     assert not row["truncated"]
     assert row["verdicts"]["termination"] == 0
@@ -186,7 +187,7 @@ def test_a_forwarded_value_rides_the_next_slot(seed, faults):
         faults=faults,
     )
     result = run_scenario(spec)
-    result.assert_ok()
+    assert_run_ok(result.record)
     assert result.delivered_everywhere()
     (forwarded,) = [m for m in result.messages if m.src == PROCS[2]]
     applied_by = max(
@@ -211,7 +212,7 @@ def test_a_value_that_reached_two_leaders_is_applied_once(wire):
             max_rounds=300, seed=seed, faults=plan,
         )
         result = run_scenario(spec)
-        result.assert_ok()
+        assert_run_ok(result.record)
         assert result.delivered_everywhere()
         twice = result.messages[0].mid
         forwarded_to = {
@@ -221,7 +222,7 @@ def test_a_value_that_reached_two_leaders_is_applied_once(wire):
             d.src for d in wire if d.tag == "ACCEPT" and twice in d.body[2]
         }
         assert PROCS[2] in forwarded_to and PROCS[0] in proposers
-        for log in result.kernel.automata.values():
+        for log in result.host.automata.values():
             assert log.applied.count(twice) == 1
             assert sorted(log.applied) == sorted(m.mid for m in result.messages)
 
@@ -254,7 +255,7 @@ def test_a_value_decided_in_two_batches_is_applied_once():
 def test_random_schedules_preserve_prefix_consistency(seed):
     appends = [(PROCS[seed % 3], "m1"), (PROCS[(seed + 1) % 3], "m2")]
     cluster = run_log(failure_free(SCOPE), appends, seed=seed)
-    sequences = [cluster.applied_at(p) for p in PROCS]
+    sequences = [tuple(cluster.automata[p].applied) for p in PROCS]
     shortest = min(sequences, key=len)
     for seq in sequences:
         assert seq[: len(shortest)] == shortest

@@ -28,12 +28,9 @@ from repro.faults.plan import FaultEvent, FaultPlan
 from repro.model.failures import crash_pattern, failure_free
 from repro.model.messages import MessageBuffer
 from repro.model.processes import make_processes, pset
+from repro.props.checkers import assert_run_ok
 from repro.sim.kernel import Context, Kernel
-from repro.substrates.consensus import (
-    ConsensusAutomaton,
-    ConsensusCluster,
-    OmegaSigmaSampler,
-)
+from repro.substrates.consensus import ConsensusAutomaton, OmegaSigmaSampler
 from repro.substrates.replicated_log import ReplicatedLogAutomaton, ReplicatedLogCluster
 from repro.workloads.runner import Send, run_scenario
 from repro.workloads.spec import ScenarioSpec, TopologySpec
@@ -62,8 +59,9 @@ def run_log(scope, appends, seed=1, pattern=None, rounds=600):
     kernel = Kernel(pattern, cluster.automata, cluster.detectors, seed=seed)
     kernel.run(
         rounds,
-        stop_when=lambda: kernel.buffer.in_transit() == 0
-        and all(len(cluster.applied_at(p)) >= len(appends) for p in pattern.correct),
+        stop_when=lambda: not any(kernel.buffer._pending.values())
+        and not kernel.buffer._delayed
+        and all(len(cluster.automata[p].applied) >= len(appends) for p in pattern.correct),
     )
     return cluster, kernel
 
@@ -109,7 +107,7 @@ class Bench:
 
     def pending(self, tag):
         return [
-            d for p in self.procs for d in self.buffer.pending_for(p) if d.tag == tag
+            d for p in self.procs for d in self.buffer.inbox(p) if d.tag == tag
         ]
 
 
@@ -125,16 +123,17 @@ class TestNoSelfAddressedMail:
         procs = make_processes(4)
         scope = pset(procs)
         pattern = crash_pattern(scope, {procs[0]: crash_at})
-        cluster = ConsensusCluster(pattern, scope)
+        automata = {p: ConsensusAutomaton(p, scope) for p in procs}
         restricted = pattern.restricted_to(scope)
         omega = OmegaOracle(restricted, scope, stabilization_time=crash_at + 2)
         sampler = OmegaSigmaSampler(omega, SigmaOracle(restricted, scope))
         for p in procs:
-            cluster.propose(p, f"v{p.index}")
-        kernel = Kernel(pattern, cluster.automata, dict.fromkeys(procs, sampler), seed=4)
-        kernel.run(300, stop_when=lambda: cluster.decided_everywhere(pattern.correct))
-        assert cluster.decided_everywhere(pattern.correct)
-        assert len({cluster.decision_at(p) for p in pattern.correct}) == 1
+            automata[p].propose(f"v{p.index}")
+        kernel = Kernel(pattern, automata, dict.fromkeys(procs, sampler), seed=4)
+        correct = [automata[p] for p in pattern.correct]
+        kernel.run(300, stop_when=lambda: all(a.decision is not None for a in correct))
+        decisions = {a.decision for a in correct}
+        assert None not in decisions and len(decisions) == 1
         assert wire and all(d.src != d.dst for d in wire)
 
     @pytest.mark.parametrize(
@@ -160,7 +159,7 @@ class TestNoSelfAddressedMail:
     def test_a_single_member_scope_decides_without_any_datagram(self, wire):
         (p,) = make_processes(1)
         cluster, _ = run_log(pset([p]), [(p, "a"), (p, "b")])
-        assert cluster.applied_at(p) == ("a", "b")
+        assert tuple(cluster.automata[p].applied) == ("a", "b")
         assert wire == []
 
 
@@ -173,7 +172,7 @@ class TestTheLedger:
         procs = make_processes(5)
         appends = [(procs[0], f"v{i}") for i in range(self.APPENDS)]
         cluster, kernel = run_log(pset(procs), appends)
-        assert all(len(cluster.applied_at(p)) == self.APPENDS for p in procs)
+        assert all(len(cluster.automata[p].applied) == self.APPENDS for p in procs)
         assert kernel.buffer.received_count == len(wire)
         per_tag = Counter(d.tag for d in wire)
         leader_receipts = sum(1 for d in wire if d.dst == procs[0])
@@ -197,7 +196,7 @@ class TestTheLedger:
             cluster.append(procs[0], f"v{slot}")
             kernel.run(40, quiescent_rounds=2)
             assert kernel.last_run_quiescent
-        assert {cluster.applied_at(p) for p in procs} == {("v0", "v1", "v2")}
+        assert {tuple(cluster.automata[p].applied) for p in procs} == {("v0", "v1", "v2")}
         # The ACCEPT and the DECIDE: a learner that has accepted is parked.
         assert [kernel.steps_taken[p] - 1 for p in procs[1:]] == [2 * slots] * 4
         # The opening and the 4 ACCEPTED (``Sigma`` is the whole scope here).
@@ -212,8 +211,8 @@ class TestTheLedger:
         kernel.round()  # the leader opens slot 0 with what it holds
         cluster.append(procs[0], "v1")
         cluster.append(procs[0], "v2")
-        kernel.run(100, stop_when=lambda: kernel.buffer.in_transit() == 0)
-        assert {cluster.applied_at(p) for p in procs} == {("v0", "v1", "v2")}
+        kernel.run(100, stop_when=lambda: not any(kernel.buffer._pending.values()))
+        assert {tuple(cluster.automata[p].applied) for p in procs} == {("v0", "v1", "v2")}
         decided = {d.body for d in wire if d.tag == "DECIDE"}
         assert decided == {(0, ("v0",)), (1, ("v1", "v2"))}
         assert len(wire) == 2 * 12
@@ -330,14 +329,14 @@ class TestRelay:
         for crash_at in range(decided_at - 1, decided_at + size + 2):
             pattern = crash_pattern(scope, {leader: crash_at})
             cluster, kernel = run_log(scope, appends, seed=seed, pattern=pattern)
-            sequences = {cluster.applied_at(p) for p in pattern.correct}
+            sequences = {tuple(cluster.automata[p].applied) for p in pattern.correct}
             assert len(sequences) == 1, (crash_at, sequences)
             (sequence,) = sequences
             # Uniform agreement: what the dead leader applied is a prefix.
-            dead = cluster.applied_at(leader)
+            dead = tuple(cluster.automata[leader].applied)
             assert sequence[: len(dead)] == dead
             assert "b" in sequence and set(sequence) <= {"a", "b"}
-            assert kernel.buffer.in_transit() == 0
+            assert not any(kernel.buffer._pending.values()) and not kernel.buffer._delayed
 
     @pytest.mark.parametrize("size", [3, 5])
     @pytest.mark.parametrize("seed", range(10))
@@ -362,7 +361,7 @@ class TestRelay:
                 assert {d.dst for d in decides} >= set(others)
                 for d in decides:
                     if d.dst != bench.procs[sole_recipient]:
-                        bench.buffer.receive_specific(d.dst, d)
+                        bench.buffer.inbox(d.dst).remove(d)
                 bench.leader, bench.quorum = bench.procs[successor], pset(others)
                 order.shuffle(others)
                 for p in others:
@@ -381,7 +380,7 @@ class TestRelay:
         )
         sends = (Send(1, "g1", 0), Send(4, "g2", 0), Send(6, "g2", 1))
         result = run_scenario(kernel_spec(3, sends, groups=2, seed=seed, faults=plan))
-        result.assert_ok()
+        assert_run_ok(result.record)
         assert result.delivered_everywhere() and not result.truncated
 
 
@@ -605,7 +604,7 @@ def test_safe_and_as_live_as_the_retired_protocol(wire, cell):
 def test_batched_slots_next_to_single_value_slots(cell):
     _, spec = cell
     result = run_scenario(spec)
-    logs = result.kernel.automata
+    logs = result.host.automata
     longest = max((log.applied for log in logs.values()), key=len)
     for p, log in logs.items():
         # At most once, one order, and the batches are where it came from.
@@ -621,4 +620,4 @@ def test_batched_slots_next_to_single_value_slots(cell):
     if parent.delivered_everywhere():
         assert result.delivered_everywhere()
         for p in result.record.pattern.correct:
-            assert set(logs[p].applied) == set(parent.kernel.automata[p].applied)
+            assert set(logs[p].applied) == set(parent.host.automata[p].applied)

@@ -135,7 +135,7 @@ def test_a_replica_that_rejoins_alone_decides_what_it_had_accepted():
     assert rejoined.snapshot()["batches"] == [("v",)]
     assert rejoined.idle()
     # What it mailed the dead went unread; it needed no reply to any of it.
-    mailed = {d.tag for p in (p1, p2) for d in buffer.pending_for(p)}
+    mailed = {d.tag for p in (p1, p2) for d in buffer.inbox(p)}
     assert mailed == {"CATCHUP", "PREPARE", "ACCEPT", "DECIDE"}
 
 
@@ -196,11 +196,11 @@ def test_a_failure_free_run_never_takes_over_and_sends_no_catchup(wire, monkeypa
     # + 1) — plus the first step of a process that had no mail yet.
     slots = sum(
         log.snapshot()["next_slot"]
-        for log in result.kernel.automata.values()
+        for log in result.host.automata.values()
         if log.pid == log.scope[0]
     )
     assert len(wire) == 12 * slots
-    steps = sum(result.kernel.steps_taken.values())
+    steps = sum(result.host.steps_taken.values())
     assert 13 * slots <= steps <= 13 * slots + groups * size
 
 

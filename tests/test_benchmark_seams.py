@@ -105,4 +105,4 @@ def test_a_kernel_step_reaches_every_seam_on_its_path():
     assert all(totals[metric] > 0 for metric in KERNEL_PATH_CALLS), {
         metric: totals[metric] for metric in KERNEL_PATH_CALLS
     }
-    assert totals["sim.kernel.steps"] == sum(result.kernel.steps_taken.values())
+    assert totals["sim.kernel.steps"] == sum(result.host.steps_taken.values())

@@ -12,6 +12,7 @@ import pytest
 
 from repro.campaign.aggregate import sweep_hash
 from repro.campaign.grid import Campaign, case
+from repro.core.engine import MulticastSystem
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.faults.shrink import (
     PlanShrinker,
@@ -50,7 +51,7 @@ class TestAsyncBackend:
     def test_delivers_and_satisfies_properties(self):
         result = run_scenario(async_spec())
         assert result.backend == "async"
-        assert result.system is not None and result.kernel is None
+        assert isinstance(result.host, MulticastSystem)
         assert result.quiescent and not result.truncated
         assert result.delivered_everywhere()
         assert verdicts_ok(batch_verdicts(result.record))

@@ -16,6 +16,7 @@ from repro.campaign.grid import Campaign, case
 from repro.groups.topology import paper_figure1_topology
 from repro.model.errors import SimulationError, TopologyError
 from repro.props.batch import batch_verdicts, verdicts_ok
+from repro.sim.kernel import Kernel
 from repro.workloads.runner import Send, run_scenario
 from repro.workloads.spec import SPEC_SCHEMA_VERSION, ScenarioSpec, TopologySpec
 from repro.workloads.topologies import disjoint_topology
@@ -37,7 +38,7 @@ class TestKernelBackend:
     def test_delivers_and_satisfies_properties(self):
         result = run_scenario(kernel_spec())
         assert result.backend == "kernel"
-        assert result.kernel is not None and result.system is None
+        assert isinstance(result.host, Kernel)
         assert result.quiescent and not result.truncated
         assert result.delivered_everywhere()
         assert verdicts_ok(batch_verdicts(result.record))

@@ -53,11 +53,11 @@ def test_open_loop_arrivals_are_served_in_batches(seed):
     assert result.delivered_everywhere()
     verdicts = result.verdicts()
     assert verdicts["ordering"] == 0 and verdicts["integrity"] == 0
-    logs = {p.index: log for p, log in result.kernel.automata.items()}
+    logs = {p.index: log for p, log in result.host.automata.items()}
     slots = [len(logs[leader].snapshot()["batches"]) for leader in LEADERS]
     latency = statistics.median(latency_of(result.record, m) for m in result.messages)
     assert latency <= 8
-    assert (result.rounds, result.kernel.total_messages(), slots, latency) == PINS[seed]
+    assert (result.rounds, result.host.buffer.sent_count, slots, latency) == PINS[seed]
     # 12 datagrams a slot since PR 23 (it was 24 while every learner
     # relayed DECIDE): ACCEPT, ACCEPTED and DECIDE, four of each.
-    assert result.kernel.total_messages() == 12 * sum(slots)
+    assert result.host.buffer.sent_count == 12 * sum(slots)

@@ -1,6 +1,7 @@
 """The spec-only run_scenario API and the truncation clamp."""
 
 import inspect
+import json
 
 import pytest
 
@@ -44,9 +45,8 @@ class TestSpecForm:
         spec = ScenarioSpec.capture(topo, pattern, sends)
         path = str(tmp_path / "trace.jsonl")
         run_scenario(spec, trace_path=path)
-        from repro.metrics.trace import read_jsonl
-
-        records = read_jsonl(path)
+        with open(path) as fh:
+            records = [json.loads(line) for line in fh]
         assert records[0]["type"] == "meta"
         assert records[0]["spec_hash"] == spec.spec_hash()
 

@@ -23,6 +23,7 @@ import pytest
 from repro._content import content_hash
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.model.errors import SimulationError
+from repro.props.checkers import assert_run_ok
 from repro.substrates.consensus import ConsensusAutomaton
 from repro.substrates.replicated_log import (
     ReplicatedLogAutomaton,
@@ -106,9 +107,9 @@ class TestSupersedeWait:
     def test_fixed_path_quiesces_under_the_same_rotation(self):
         result = run_scenario(kernel_spec(faults=OMEGA_ROTATION))
         assert not result.truncated
-        result.assert_ok()
+        assert_run_ok(result.record)
 
     def test_quirk_alone_is_benign(self, supersede_wait):
         result = run_scenario(kernel_spec())
         assert not result.truncated
-        result.assert_ok()
+        assert_run_ok(result.record)
