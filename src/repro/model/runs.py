@@ -67,10 +67,6 @@ class RunRecord:
         #: ``Faulty(F)``, once per run: the processes no delivery is
         #: owed to (``pattern.faulty`` rebuilds the set on every read).
         self.faulty: ProcessSet = pattern.faulty
-        #: Set by the runner when the run ended on its round budget, not
-        #: at quiescence: Termination is then unjudged, so the run proves
-        #: nothing (:func:`repro.props.checkers.assert_run_ok` refuses it).
-        self.truncated = False
         #: The charges, one ``(time, processes, received)`` entry each,
         #: append-only: the step flood (invoker + every carrier, per
         #: shared-object operation) dominates record growth, so a

@@ -356,8 +356,6 @@ def run_deployment(
         injector, spec, host.time, buffer=deployment.buffer, pattern=pattern
     )
     record = deployment.finish()
-    truncated = bool(unsent) or not driven.quiescent
-    record.truncated = truncated
     if trace_path is not None:
         host.tracer.write_jsonl(
             trace_path,
@@ -381,7 +379,7 @@ def run_deployment(
         spec=spec,
         skipped_sends=skipped,
         unsent_sends=unsent,
-        truncated=truncated,
+        truncated=bool(unsent) or not driven.quiescent,
         quiescent=driven.quiescent,
         injector=injector,
         transport_stats=driven.transport_stats,

@@ -130,6 +130,7 @@ def ledger():
             )
         result = runner.run_deployment(spec, build)
     assert_run_ok(result.record)
+    assert not result.truncated
     record = result.record
     queue, service, latency = [], [], []
     for m in result.messages:

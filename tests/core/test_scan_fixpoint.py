@@ -58,6 +58,7 @@ def rescans(spec):
         patch.setattr(SharedObjectActor, "fire", checked)
         result = run_scenario(spec)
     assert_run_ok(result.record)
+    assert not result.truncated
     return fired_again, result
 
 

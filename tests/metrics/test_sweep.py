@@ -29,26 +29,33 @@ def _failed_row(name="boom"):
     return {"name": name, "status": "failed", "error": "ValueError('x')"}
 
 
-def summarize_rows(rows):
-    aggregator = SweepAggregator()
-    for row in rows:
-        aggregator.add(row)
-    return aggregator.summary()
+@pytest.fixture
+def summarize_rows(tmp_path):
+    """Summarise rows the way a sweep's results file is re-read: written
+    as its row lines, then folded by ``summarize_results_file``."""
 
-
-class TestAggregation:
-    def test_streaming_matches_one_shot(self, tmp_path):
-        # Re-aggregating a results file's row lines equals the summary
-        # streamed while the rows were written.
-        rows = [_ok_row("a"), _ok_row("b", rounds=9, violations=2), _failed_row()]
+    def summarize(rows):
         path = tmp_path / "results.jsonl"
         path.write_text(
             json.dumps({"type": "meta"}) + "\n"
             + "".join(json.dumps({"type": "row", **row}) + "\n" for row in rows)
         )
-        assert summarize_results_file(str(path)) == summarize_rows(rows)
+        return summarize_results_file(str(path))
 
-    def test_totals(self):
+    return summarize
+
+
+class TestAggregation:
+    def test_streaming_matches_one_shot(self, summarize_rows):
+        # Re-aggregating a results file's row lines equals the summary
+        # streamed while the rows were written.
+        rows = [_ok_row("a"), _ok_row("b", rounds=9, violations=2), _failed_row()]
+        aggregator = SweepAggregator()
+        for row in rows:
+            aggregator.add(row)
+        assert summarize_rows(rows) == aggregator.summary()
+
+    def test_totals(self, summarize_rows):
         summary = summarize_rows(
             [
                 _ok_row("a", rounds=4),
@@ -65,14 +72,14 @@ class TestAggregation:
         assert summary["violations"] == {"integrity": 3, "ordering": 0}
         assert summary["violating_scenarios"] == 1
 
-    def test_failed_rows_do_not_pollute_run_metrics(self):
+    def test_failed_rows_do_not_pollute_run_metrics(self, summarize_rows):
         summary = summarize_rows([_failed_row(), _failed_row("boom2")])
         assert summary["failed"] == 2
         assert summary["total_rounds"] == 0
         assert summary["mean_rounds"] == 0.0
         assert summary["violations"] == {}
 
-    def test_empty_sweep(self):
+    def test_empty_sweep(self, summarize_rows):
         summary = summarize_rows([])
         assert summary["scenarios"] == 0
         assert summary["mean_rounds"] == 0.0
@@ -91,7 +98,9 @@ class TestExitStatus:
             ([_ok_row(truncated=True)], 1),
         ],
     )
-    def test_red_on_failed_violating_or_truncated(self, rows, status):
+    def test_red_on_failed_violating_or_truncated(
+        self, rows, status, summarize_rows
+    ):
         assert sweep_exit_status(summarize_rows(rows)) == status
 
 

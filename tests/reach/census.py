@@ -9,8 +9,7 @@ interpreter under a profile hook, and reports every ``def`` in
 ``unreached.txt`` next to the claim that keeps it; a function that is
 unreached and unlisted, or listed and reached, fails the census::
 
-    PYTHONPATH=src python tests/reach/census.py             # check (exit 1 on drift)
-    PYTHONPATH=src python tests/reach/census.py --print     # list what no lane reached
+    PYTHONPATH=src python tests/reach/census.py     # exit 1 on drift, 2 on a lost hook
 
 A lane that clears or replaces the hook (``sys.setprofile(None)``, or a
 C-level profiler such as cProfile) would make everything after it read as
@@ -24,7 +23,6 @@ tier-1 test runs on every supported Python.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import contextlib
 import cProfile
@@ -331,12 +329,7 @@ def drift(table: Sequence[Def], reached: Set[str], listed: Dict[str, Tuple[str, 
     )
 
 
-def main(argv: Sequence[str] = ()) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--print", action="store_true",
-                        help="print every unreached key with its def span, then exit 0")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     table = defs()
     census = Census()
     with tempfile.TemporaryDirectory(prefix="census-") as tmp:
@@ -356,10 +349,6 @@ def main(argv: Sequence[str] = ()) -> int:
         f"census: {len(table) - len(unreached)} of {len(table)} defs reached; "
         f"{len(unreached)} unreached ({sum(d.lines for d in unreached)} lines by def span)"
     )
-    if args.print:
-        for d in unreached:
-            print(f"{d.key}  {d.lines}")
-        return 0
     unlisted, stale, missing = drift(table, reached, read_list())
     for title, keys in (
         ("unreached and not listed in unreached.txt", unlisted),
@@ -372,4 +361,4 @@ def main(argv: Sequence[str] = ()) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

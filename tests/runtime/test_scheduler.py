@@ -302,6 +302,7 @@ def test_an_engine_run_asks_no_actor_whether_it_is_parked(monkeypatch):
     for backend in ("engine", "async"):
         result = run_scenario(replace(spec, backend=backend))
         assert_run_ok(result.record)
+        assert not result.truncated
     rounds = run_scenario(spec).tracer.rounds
     assert sum(r.skipped for r in rounds) > 0
 

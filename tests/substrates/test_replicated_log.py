@@ -188,6 +188,7 @@ def test_a_forwarded_value_rides_the_next_slot(seed, faults):
     )
     result = run_scenario(spec)
     assert_run_ok(result.record)
+    assert not result.truncated
     assert result.delivered_everywhere()
     (forwarded,) = [m for m in result.messages if m.src == PROCS[2]]
     applied_by = max(
@@ -213,6 +214,7 @@ def test_a_value_that_reached_two_leaders_is_applied_once(wire):
         )
         result = run_scenario(spec)
         assert_run_ok(result.record)
+        assert not result.truncated
         assert result.delivered_everywhere()
         twice = result.messages[0].mid
         forwarded_to = {
