@@ -234,9 +234,9 @@ def main(argv=None) -> int:
         metavar="DIR",
         default=None,
         help="result cache directory: a cell already executed under the "
-        "same spec_hash replays its stored row instead of re-running, so "
-        "an interrupted sweep rerun over the same cache continues where "
-        "it stopped",
+        "same spec_hash and schedule fingerprint replays its stored row "
+        "instead of re-running, so an interrupted sweep rerun over the "
+        "same cache continues where it stopped",
     )
     parser.add_argument(
         "--backends",

@@ -21,6 +21,12 @@ Three policies keep cached sweeps honest:
 * **Corruption is a miss.**  A torn or unparsable cache file (a killed
   writer, a disk hiccup) silently degrades to re-execution; writes are
   atomic (`os.replace`) so a reader never observes a half-written row.
+
+An entry is ``{"fingerprint", "key", "row"}``: the
+:data:`SCHEDULE_FINGERPRINT` it was stored under, the cell's
+``spec_hash`` and the row minus its grid ``index``.  A row is a function
+of its cell *and* of the schedule, so an entry stored under another
+fingerprint misses and its cell re-runs.
 """
 
 from __future__ import annotations
@@ -30,16 +36,11 @@ from typing import Any, Dict, Optional
 from repro._content import entry_path, read_entry, write_entry
 from repro.workloads.spec import ScenarioSpec
 
-#: Bumped when a stored row would no longer be what its cell produces:
-#: a change to the row's layout, or to the engine's step order (a row
-#: is a function of the cell *and* of that order).  Version 3 dropped
-#: the interleaving transition stream from the row's ``trace`` section;
-#: version 4 is the engine's helper–scan turns within one step; version
-#: 5 is line 7's one precondition (no append of a message already in
-#: ``LOG_g``); version 6 is the action scan's own fixpoint (a fired
-#: action requeues the order waits it ends).  Older entries miss and
-#: re-run.
-CACHE_SCHEMA_VERSION = 6
+#: ``content_hash`` of ``tests/runtime/golden.json``, the fingerprints of
+#: every scenario and row that witnesses the schedule; a row-layout change
+#: moves the row pins in it too.  Written by
+#: ``tests/runtime/generate_golden.py``, never by hand.
+SCHEDULE_FINGERPRINT = "b473990fd5cc1079b44f1439bad25f9da50a80a2d9f9020ebe7f5703fbdeaca2"
 
 
 class CampaignCache:
@@ -67,16 +68,17 @@ class CampaignCache:
     def get(self, spec: ScenarioSpec) -> Optional[Dict[str, Any]]:
         """The stored row for ``spec``'s cell, or ``None`` to execute.
 
-        Misses on absent files, unparsable files, schema mismatches and
-        non-``ok`` rows (a failed row is never cache-hit).  A hit is
-        re-labelled from the live spec so the replayed row is
-        byte-identical to what executing this spec would have produced.
+        Misses on absent files, unparsable files, entries stored under
+        another :data:`SCHEDULE_FINGERPRINT` and non-``ok`` rows (a
+        failed row is never cache-hit).  A hit is re-labelled from the
+        live spec so the replayed row is byte-identical to what
+        executing this spec would have produced.
         """
         entry = read_entry(self.path_for(spec))
         row = entry.get("row") if isinstance(entry, dict) else None
         if (
             not isinstance(row, dict)
-            or entry.get("schema") != CACHE_SCHEMA_VERSION
+            or entry.get("fingerprint") != SCHEDULE_FINGERPRINT
             or row.get("status") != "ok"
         ):
             return None
@@ -100,7 +102,7 @@ class CampaignCache:
         write_entry(
             entry_path(self.root, key),
             {
-                "schema": CACHE_SCHEMA_VERSION,
+                "fingerprint": SCHEDULE_FINGERPRINT,
                 "key": key,
                 "row": {k: v for k, v in row.items() if k != "index"},
             },

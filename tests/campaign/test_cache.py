@@ -5,9 +5,11 @@ import os
 
 import pytest
 
+from repro._content import content_hash
+from repro.campaign import cache as cache_module
 from repro.campaign.aggregate import sweep_hash, write_manifest
 from repro.campaign.cache import (
-    CACHE_SCHEMA_VERSION,
+    SCHEDULE_FINGERPRINT,
     CampaignCache,
     ensure_cache,
 )
@@ -18,6 +20,8 @@ from repro.metrics.sweep import summarize_results_file
 from repro.workloads.runner import Send
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import chain_topology, disjoint_topology
+from tests.core._oracle import idle_counting_everywhere
+from tests.runtime._scenarios import load_golden, row_pins
 
 TOPO = TopologySpec.capture(disjoint_topology(2, group_size=3))
 SENDS = (Send(1, "g1", 0), Send(4, "g2", 0))
@@ -107,7 +111,7 @@ class TestCampaignCache:
         row = self.ok_row(spec, scope=frozenset({2}), nested={"b": (1, 2), "a": None})
         assert cache.put(spec, row)
         body = {
-            "schema": CACHE_SCHEMA_VERSION,
+            "fingerprint": SCHEDULE_FINGERPRINT,
             "key": spec.spec_hash(),
             "row": {k: v for k, v in row.items() if k != "index"},
         }
@@ -156,6 +160,47 @@ class TestCampaignCache:
         assert ensure_cache(None) is None
         with pytest.raises(TypeError):
             ensure_cache(42)
+
+
+class TestScheduleFingerprint:
+    """A cache answers only for the schedule whose witnesses it was
+    stored under: ``SCHEDULE_FINGERPRINT`` is the hash of ``golden.json``."""
+
+    def test_the_fingerprint_is_the_hash_of_the_committed_goldens(self):
+        assert content_hash(load_golden()) == SCHEDULE_FINGERPRINT
+
+    def test_a_cache_warmed_under_another_fingerprint_misses(self, tmp_path, monkeypatch):
+        campaign = small_campaign()
+        cells = len(campaign.specs())
+        cache_dir = str(tmp_path / "cache")
+        a, b = str(tmp_path / "before"), str(tmp_path / "after")
+        assert run_campaign(campaign, cache=cache_dir, out_dir=a).executed == cells
+        moved = "f" * 64
+        monkeypatch.setattr(cache_module, "SCHEDULE_FINGERPRINT", moved)
+        stale = run_campaign(campaign, cache=cache_dir, out_dir=b)
+        assert (stale.executed, stale.cached) == (cells, 0)
+        assert read_bytes(f"{a}/results.jsonl") == read_bytes(f"{b}/results.jsonl")
+        cache = CampaignCache(cache_dir)
+        for spec in campaign.specs():
+            with open(cache.path_for(spec), encoding="utf-8") as fh:
+                assert json.load(fh)["fingerprint"] == moved
+        warm = run_campaign(campaign, cache=cache_dir)
+        assert (warm.executed, warm.cached) == (0, cells)
+
+    def test_a_schedule_move_moves_the_row_pins_and_the_fingerprint(self, monkeypatch):
+        # The helper's old count and the fire's old parking rule move
+        # engine trace counters, and only those.
+        golden = load_golden()
+        idle_counting_everywhere(monkeypatch)
+        moved = row_pins()
+        assert moved["oracle_rows"] == golden["oracle_rows"]
+        changed = {
+            label
+            for label, digest in moved["rows"].items()
+            if digest != golden["rows"][label]
+        }
+        assert changed and all("-engine-" in label for label in changed)
+        assert content_hash({**golden, **moved}) != SCHEDULE_FINGERPRINT
 
 
 class TestWarmSweep:

@@ -15,41 +15,51 @@ This module defines, as *data plus builders*, every scenario the
 * **async scenarios** — Algorithm 1 on the async driver's virtual clock,
   Figure 1 and ``disjoint3x3`` under every delay-model kind, with and
   without a ``full`` nemesis plan, fingerprinted by their
-  :class:`repro.model.runs.RunRecord`, logical rounds and transport stats.
+  :class:`repro.model.runs.RunRecord`, logical rounds and transport stats;
+* **row cells** — ``run_scenario`` cells on all three backends,
+  fingerprinted by their whole row (:func:`row_digest`), alone and, for
+  two kernel cells, under the retired §4.3 patterns
+  (:func:`oracle_rows`).
 
-``generate_golden.py`` ran the engine and kernel builders against the
-**pre-refactor** engine and kernel (commit 91a52c1) and froze the
-resulting hashes into ``golden.json``; ``test_differential.py`` re-runs
-them against the current tree and compares.  A mismatch means the shared
-scheduler changed an observable schedule — the one thing the refactor
-promised not to do.  The async entries were frozen before the driver's
-wake path became one timer per landing, and pin that schedule the same
-way: every latency draw, deadline and ``(when, seq)`` tie.  The engine
-and async entries were re-versioned on purpose (DESIGN.md §13 policy
-(2)): all but the 8 ``engine:figure1:participation:*`` ones for the step
-order inside ``SharedObjectActor.fire``, then all of them for line 7's
-one precondition (no append of a message already in ``LOG_g``), then
-all engine and 12 async ones for the action scan's own fixpoint.
+``generate_golden.py`` writes all of them into ``golden.json`` and its
+hash into ``repro.campaign.cache.SCHEDULE_FINGERPRINT``.  The engine and
+kernel entries were first frozen against the **pre-refactor** engine
+and kernel (commit 91a52c1); ``test_differential.py`` re-runs them
+against the current tree and compares.  A mismatch means the shared
+scheduler changed an observable schedule; the keys a deliberate change
+moved are listed in CHANGES.md (DESIGN.md §13 policy (2)).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import ExitStack
 from dataclasses import asdict
 
 from repro.core.engine import MulticastSystem
 from repro.core.group_sequential import AtomicMulticast
 from repro.faults.nemesis import random_plan
+from repro.faults.plan import FaultPlan
 from repro.groups.topology import paper_figure1_topology
 from repro.model.failures import crash_pattern, failure_free
 from repro.model.processes import make_processes, pset
 from repro.sim.kernel import Automaton, Kernel
 from repro.substrates.replicated_log import ReplicatedLogCluster
-from repro.workloads.runner import random_sends, run_scenario
+from repro.workloads.runner import Send, random_sends, run_scenario
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import chain_topology, disjoint_topology, ring_topology
 from tests.runtime._oracle import force_scan, process_scoped
+from tests.substrates._oracle import flooding, relaying, single_value_slots
+
+#: Where ``generate_golden.py`` writes every fingerprint of this module.
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden.json")
+
+
+def load_golden():
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        return json.load(fh)
 
 #: Seeds of the differential matrix (acceptance floor: >= 20).
 SEEDS = tuple(range(20))
@@ -331,3 +341,144 @@ def _async_runner(factory, delay, mix):
         return run_scenario(spec)
 
     return run
+
+
+# -- Row cells ----------------------------------------------------------------
+
+_FIGURE1 = TopologySpec.capture(paper_figure1_topology())
+_FIGURE1_GROUPS = ("g1", "g2", "g3", "g4")
+_FIGURE1_SENDS = (
+    Send(1, "g1", 0),
+    Send(2, "g2", 1),
+    Send(1, "g3", 2),
+    Send(4, "g4", 3),
+    Send(3, "g2", 3),
+    Send(5, "g4", 6),
+)
+_DISJOINT = TopologySpec.capture(disjoint_topology(3, group_size=3))
+_DISJOINT_GROUPS = ("g1", "g2", "g3")
+_DISJOINT_SENDS = (
+    Send(1, "g1", 0),
+    Send(4, "g2", 0),
+    Send(7, "g3", 1),
+    Send(2, "g1", 1),
+    Send(5, "g2", 4),
+)
+
+
+def _figure1(**fields) -> ScenarioSpec:
+    return ScenarioSpec(
+        topology=_FIGURE1, sends=_FIGURE1_SENDS, max_rounds=400, **fields
+    )
+
+
+def _disjoint(**fields) -> ScenarioSpec:
+    return ScenarioSpec(
+        topology=_DISJOINT, sends=_DISJOINT_SENDS, max_rounds=400, **fields
+    )
+
+
+def _every_kind(seed, process_count, groups) -> FaultPlan:
+    """The ``chaos`` and ``crash`` draws at one seed, in one plan."""
+    return FaultPlan(
+        random_plan(seed, "chaos", process_count, groups).events
+        + random_plan(seed, "crash", process_count, groups).events
+    )
+
+
+#: The ``run_scenario`` cells whose whole row is pinned.  The three
+#: ``*-chaos`` cells give every backend every fault kind: each seed is
+#: the first whose plan holds all of ``EVENT_KINDS`` and whose run moves
+#: every injector counter its backend feeds.
+ROW_SPECS = {
+    "figure1-engine-crash": _figure1(seed=5, crashes=((4, 2),)),
+    # The default kernel spec ("event": the kernel skips idle automata).
+    "disjoint-kernel-event": _disjoint(
+        seed=3, backend="kernel", crashes=((3, 5),)
+    ),
+    "figure1-async-uniform": _figure1(
+        seed=11, backend="async", delay_model=("uniform", 0.1, 0.9)
+    ),
+    "figure1-engine-faulted": _figure1(
+        seed=2, faults=random_plan(2, "full", 5, _FIGURE1_GROUPS)
+    ),
+    "disjoint-kernel-faulted": _disjoint(
+        seed=4,
+        backend="kernel",
+        faults=random_plan(4, "links", 9, _DISJOINT_GROUPS),
+    ),
+    "figure1-async-faulted": _figure1(
+        seed=6,
+        backend="async",
+        faults=random_plan(6, "detectors", 5, _FIGURE1_GROUPS),
+    ),
+    # All three detector kinds on the kernel: the group samplers run over
+    # the perturbed ``Sigma_g`` / ``Omega_g`` components.
+    "disjoint-kernel-detectors": _disjoint(
+        seed=3,
+        backend="kernel",
+        faults=random_plan(3, "detectors", 9, _DISJOINT_GROUPS),
+    ),
+    "figure1-engine-truncated": ScenarioSpec(
+        topology=_FIGURE1,
+        sends=_FIGURE1_SENDS + (Send(2, "g1", 500),),
+        seed=1,
+        max_rounds=10,
+    ),
+    "figure1-engine-chaos": _figure1(
+        seed=77, faults=_every_kind(77, 5, _FIGURE1_GROUPS)
+    ),
+    "disjoint-kernel-chaos": _disjoint(
+        seed=238, backend="kernel", faults=_every_kind(238, 9, _DISJOINT_GROUPS)
+    ),
+    "figure1-async-chaos": _figure1(
+        seed=165, backend="async", faults=_every_kind(165, 5, _FIGURE1_GROUPS)
+    ),
+}
+
+
+def row_digest(spec: ScenarioSpec, **runner_options) -> str:
+    """sha256 of the cell's row minus its address (``spec`` and
+    ``spec_hash``, which ``tests/campaign/test_spec.py`` pins), so a
+    spec schema bump leaves the digest alone."""
+    row = run_scenario(spec, **runner_options).to_row()
+    del row["spec"], row["spec_hash"]
+    return hashlib.sha256(
+        json.dumps(row, sort_keys=True).encode("utf-8")
+    ).hexdigest()
+
+
+def oracle_rows():
+    """Yield ``(key, run)``: ``run()`` is the row digest of a kernel row
+    cell under a stack of the retired §4.3 patterns
+    (``tests/substrates/_oracle.py``), oldest habit innermost; the key
+    names the stack and the cell."""
+    for stack, labels in (
+        ((relaying,), ("disjoint-kernel-event", "disjoint-kernel-faulted")),
+        ((relaying, single_value_slots), ("disjoint-kernel-faulted",)),
+        (
+            (relaying, single_value_slots, flooding),
+            ("disjoint-kernel-event", "disjoint-kernel-faulted"),
+        ),
+    ):
+        for label in labels:
+            key = "+".join(oracle.__name__ for oracle in stack) + ":" + label
+            yield key, _oracle_runner(stack, ROW_SPECS[label])
+
+
+def _oracle_runner(stack, spec):
+    def run():
+        with ExitStack() as patches:
+            for oracle in stack:
+                patches.enter_context(oracle())
+            return row_digest(spec)
+
+    return run
+
+
+def row_pins():
+    """The ``rows`` and ``oracle_rows`` sections of ``golden.json``."""
+    return {
+        "oracle_rows": {key: run() for key, run in oracle_rows()},
+        "rows": {label: row_digest(spec) for label, spec in ROW_SPECS.items()},
+    }

@@ -1,49 +1,46 @@
-"""Regenerate ``golden.json`` — the differential suite's fingerprints.
+"""Regenerate ``golden.json`` and the schedule fingerprint.
 
 Usage::
 
     PYTHONPATH=src:tests python tests/runtime/generate_golden.py
 
-The committed ``golden.json`` is exactly what this script writes on the
-committed tree; CI's ``runtime-differential`` job re-runs it and fails on
-any diff.  The 80 ``kernel:pingpong*`` fingerprints are still the ones
-produced at the last commit *before* the ``repro.runtime`` extraction
-(91a52c1) — they pin the runtime loop, and every commit since
-reproduces them byte for byte.  The engine fingerprints and the 16
-``async:*`` ones were re-versioned three times under DESIGN.md §13 policy (2):
-160 engine and the 16 async ones when ``SharedObjectActor.fire`` let the
-Prop 1 helper and the action scan take turns within one step (rebinding
-the old fire body reproduces their old values), then all 168 engine and
-the 16 async ones when line 7 took ``m ∉ LOG_g`` into its one
-precondition (every engine cell keeps its delivery stream; its charges
-moved), then all 168 engine and 12 async ones when the action scan
-reached its own fixpoint (under ``tests/core/_oracle.py::idle_counting_everywhere``
-every engine record is the new one: only the fixpoint moves them).  The 20
-``kernel:replog3:*`` fingerprints were re-versioned three times under
-DESIGN.md §13 policy (2): in PR 20 (the §4.3 consensus deliberately
-sends fewer datagrams), in PR 21 (a log slot decides a batch) and in
-PR 23 (a learner does not relay DECIDE); CHANGES.md lists the keys and
-the reason each time, and ``tests/substrates/replog3_pr2*.json`` keep
-the retired values for the oracles to reproduce.  The 16 ``async:*``
-fingerprints were recorded before the async driver's wake path was
-folded into one timer per landing; that change replayed them unchanged.
+``golden.json`` holds every fingerprint that witnesses the schedule: the
+engine, kernel and async scenarios of ``_scenarios.py`` that
+``test_differential.py`` replays, the ``run_scenario`` row pins
+(``rows``, read by ``tests/workloads/test_pipeline_rows.py``) and the
+same rows under the retired §4.3 patterns (``oracle_rows``, read by
+``tests/substrates/test_slot_cost.py``).  The script then writes
+``content_hash`` of that file into ``SCHEDULE_FINGERPRINT`` in
+``src/repro/campaign/cache.py``: a cache entry stored under another
+fingerprint misses, and the nightly soak keys its restored cache on it.
 
-Regenerate only for such a deliberate, documented behaviour change, in
-the PR that makes it — never to paper over a differential failure.
+The committed files are exactly what this script writes on the committed
+tree; CI's ``runtime-differential`` job re-runs it and fails on any
+diff.  The 80 ``kernel:pingpong*`` fingerprints are still the ones
+produced before the ``repro.runtime`` extraction (91a52c1): they pin the
+runtime loop.  The 20 ``kernel:replog3:*`` ones moved with the §4.3
+consensus; ``tests/substrates/replog3_pr2*.json`` keep the retired
+values for the oracles to reproduce.
+
+Regenerate only for a deliberate, documented behaviour change, in the PR
+that makes it (DESIGN.md §13 policy (2)) — never to paper over a
+differential failure.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", ".."))
-sys.path.insert(
-    0, os.path.join(os.path.dirname(__file__), "..", "..", "src")
-)
+ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
+sys.path.insert(0, ROOT)
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from repro._content import content_hash  # noqa: E402
 from _scenarios import (  # noqa: E402
+    GOLDEN_PATH,
     async_fingerprint,
     async_scenarios,
     canonical_hash,
@@ -51,10 +48,25 @@ from _scenarios import (  # noqa: E402
     kernel_fingerprint,
     kernel_scenarios,
     record_fingerprint,
+    row_pins,
     trace_fingerprint,
 )
 
-OUT = os.path.join(os.path.dirname(__file__), "golden.json")
+CACHE_PY = os.path.join(ROOT, "src", "repro", "campaign", "cache.py")
+FINGERPRINT_LINE = re.compile(r'^SCHEDULE_FINGERPRINT = "[0-9a-f]{64}"$', re.M)
+
+
+def write_fingerprint(fingerprint: str) -> None:
+    """Rewrite the one ``SCHEDULE_FINGERPRINT`` line of ``cache.py``."""
+    with open(CACHE_PY, encoding="utf-8") as fh:
+        source = fh.read()
+    source, count = FINGERPRINT_LINE.subn(
+        f'SCHEDULE_FINGERPRINT = "{fingerprint}"', source
+    )
+    if count != 1:
+        raise SystemExit(f"{CACHE_PY}: {count} SCHEDULE_FINGERPRINT lines, want 1")
+    with open(CACHE_PY, "w", encoding="utf-8") as fh:
+        fh.write(source)
 
 
 def main() -> None:
@@ -74,13 +86,19 @@ def main() -> None:
         }
     for key, run in async_scenarios():
         golden["async"][key] = async_fingerprint(run())
-    with open(OUT, "w", encoding="utf-8") as fh:
+    golden.update(row_pins())
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
         json.dump(golden, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        fingerprint = content_hash(json.load(fh))
+    write_fingerprint(fingerprint)
     print(
-        f"wrote {OUT}: {len(golden['engine'])} engine + "
-        f"{len(golden['kernel'])} kernel + "
-        f"{len(golden['async'])} async scenarios"
+        f"wrote {GOLDEN_PATH}: {len(golden['engine'])} engine + "
+        f"{len(golden['kernel'])} kernel + {len(golden['async'])} async "
+        f"scenarios, {len(golden['rows'])} rows + "
+        f"{len(golden['oracle_rows'])} oracle rows; "
+        f"SCHEDULE_FINGERPRINT = {fingerprint}"
     )
 
 

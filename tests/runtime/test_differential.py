@@ -14,13 +14,11 @@ These tests re-run the same scenarios on the current tree and demand:
   the full-set shuffle, so the schedule of the processes that do act is
   the scan schedule);
 * **kernel, both** — identical output queues and message-buffer
-  accounting (``sent_count`` / ``received_count`` — this is also the
-  satellite guarantee that the crash-time-driven drop schedule changes
-  no message count), with the scan oracle additionally pinned to the
+  accounting (``sent_count`` / ``received_count``, so the
+  crash-time-driven drop schedule changes no message count), with the scan oracle additionally pinned to the
   exact pre-refactor step total;
 * **async, virtual clock** — identical :class:`RunRecord`, logical
-  rounds and transport stats, recorded before the driver's wake path
-  became one timer per landing.
+  rounds and transport stats.
 
 "Scan" is no run-time mode: it is the seed loops' full-scan round body,
 kept in ``_oracle.py`` and bound over ``Scheduler.round`` by
@@ -28,23 +26,12 @@ kept in ``_oracle.py`` and bound over ``Scheduler.round`` by
 
 A failure here means the shared scheduler changed an observable
 schedule.  Fix the scheduler — never regenerate ``golden.json`` to make
-a failure disappear.  (The 20 ``kernel:replog3:*`` entries are the one
-exception on record: PR 20 and PR 23 changed the consensus protocol's
-message pattern and PR 21 what a log slot decides, each on purpose, and
-re-versioned them under DESIGN.md §13 policy (2).  The second: 160
-engine entries and the 16 ``async:*`` ones moved once, when
-``SharedObjectActor.fire`` let the Prop 1 helper and the action scan
-take turns within one step.  The third: all 168 engine entries and the
-16 async ones, when line 7 stopped appending a message already in
-``LOG_g``.  The fourth: all 168 engine entries and 12 async ones, when
-the action scan reached its own fixpoint.  The ``pingpong`` entries are
-still the pre-refactor ones.)
+a failure disappear; a deliberate schedule change regenerates it under
+DESIGN.md §13 policy (2), and CHANGES.md records which keys moved and
+why.  The ``pingpong`` entries are still the pre-refactor ones.
 """
 
 from __future__ import annotations
-
-import json
-import os
 
 import pytest
 
@@ -55,13 +42,13 @@ from tests.runtime._scenarios import (
     engine_scenarios,
     kernel_fingerprint,
     kernel_scenarios,
+    load_golden,
+    oracle_rows,
     record_fingerprint,
     trace_fingerprint,
 )
 
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden.json")
-with open(GOLDEN_PATH, encoding="utf-8") as fh:
-    GOLDEN = json.load(fh)
+GOLDEN = load_golden()
 
 ENGINE_RUNS = dict(engine_scenarios())
 KERNEL_RUNS = dict(kernel_scenarios())
@@ -78,6 +65,7 @@ def test_matrix_meets_acceptance_floor():
     assert set(ENGINE_RUNS) == keys
     assert set(KERNEL_RUNS) == set(GOLDEN["kernel"])
     assert set(ASYNC_RUNS) == set(GOLDEN["async"])
+    assert set(dict(oracle_rows())) == set(GOLDEN["oracle_rows"])
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN["engine"]))

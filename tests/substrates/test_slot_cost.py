@@ -39,6 +39,8 @@ from tests.runtime._scenarios import (
     canonical_hash,
     kernel_fingerprint,
     kernel_scenarios,
+    load_golden,
+    oracle_rows,
 )
 from tests.substrates._oracle import (
     flooding,
@@ -46,7 +48,6 @@ from tests.substrates._oracle import (
     single_value_slots,
     supersede_wait_everywhere,
 )
-from tests.workloads import test_pipeline_rows as pipeline_rows
 
 
 def run_log(scope, appends, seed=1, pattern=None, rounds=600):
@@ -265,50 +266,40 @@ def assert_goldens_reproduce(retired):
     assert not retired
 
 
-class TestTheOraclesAreTheParents:
-    """Under the oracles, what earlier commits pinned comes back byte for byte.
+ORACLE_ROWS = dict(oracle_rows())
+ORACLE_PINS = load_golden()["oracle_rows"]
 
-    The row pins were re-recorded through the oracles twice: when
-    ``row_digest`` stopped covering a row's ``spec`` and ``spec_hash``,
-    and when rows lost ``trace.interleaving``.
-    """
+
+def assert_oracle_row_reproduces(key):
+    assert ORACLE_ROWS[key]() == ORACLE_PINS[key]
+
+
+class TestTheOraclesAreTheParents:
+    """Under the oracles, what earlier commits pinned comes back byte for
+    byte: the retired kernel goldens, and the kernel row pins as
+    ``golden.json``'s ``oracle_rows`` hold them."""
 
     def test_relaying_reproduces_the_pr22_goldens(self):
         with relaying():
             assert_goldens_reproduce(retired_goldens("replog3_pr22.json"))
 
-    @pytest.mark.parametrize(
-        "label, retired",
-        [
-            ("disjoint-kernel-event", "3036534480a18dec31b1f1662b91ae043266310bc1ce2a268efe376d2b49ed43"),
-            ("disjoint-kernel-faulted", "97d75a6911aa426d98e8755eeec748aa810a7842f20886de538d8b3904043c46"),
-        ],
-    )
-    def test_relaying_reproduces_the_pr22_row_pins(self, label, retired):
-        with relaying():
-            assert pipeline_rows.row_digest(pipeline_rows.SPECS[label]) == retired
+    @pytest.mark.parametrize("label", ["disjoint-kernel-event", "disjoint-kernel-faulted"])
+    def test_relaying_reproduces_the_pr22_row_pins(self, label):
+        assert_oracle_row_reproduces(f"relaying:{label}")
 
     def test_single_value_slots_reproduce_the_pr20_goldens(self):
         with relaying(), single_value_slots():
             assert_goldens_reproduce(retired_goldens("replog3_pr20.json"))
 
     def test_single_value_slots_reproduce_the_pr20_row_pin(self):
-        retired = "0f30ec1ffcb1ed17495cf6d42b5628d0d968de002d9106b8f8e0f4a032785276"
-        spec = pipeline_rows.SPECS["disjoint-kernel-faulted"]
-        with relaying(), single_value_slots():
-            assert pipeline_rows.row_digest(spec) == retired
+        assert_oracle_row_reproduces("relaying+single_value_slots:disjoint-kernel-faulted")
 
 
 @pytest.mark.parametrize("label", ["disjoint-kernel-event", "disjoint-kernel-faulted"])
 def test_the_oracle_is_the_parents_protocol(label):
-    """Under all three oracles the kernel row pins recorded before PR 20 come
-    back (re-recorded like the class above)."""
-    retired = {
-        "disjoint-kernel-event": "a0dfac95074a11b273358fd274cb20766a4465c5d480bbc55fdbbbe01a0170a9",
-        "disjoint-kernel-faulted": "eb6d5a015b889a43186535cc68ad497ee3c0e49dfddfa3e611dcb2bd73d854c2",
-    }
-    with relaying(), single_value_slots(), flooding():
-        assert pipeline_rows.row_digest(pipeline_rows.SPECS[label]) == retired[label]
+    """Under all three oracles the kernel rows of the flooding protocol
+    come back."""
+    assert_oracle_row_reproduces(f"relaying+single_value_slots+flooding:{label}")
 
 
 # -- (B) DECIDE goes decider -> others; Omega carries the relay ---------------
