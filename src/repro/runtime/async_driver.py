@@ -98,7 +98,7 @@ class EventLoop:
     def __init__(self) -> None:
         self._ready: Deque[Sequence[Any]] = deque()
         #: The timer heap and its scheduling counter; the driver's
-        #: ``_on_wake`` pushes wake landings onto it as ``call_at`` does.
+        #: actors push sleeps and wake landings onto it as ``call_at`` does.
         self._timers: List[_Timer] = []
         self._seq = 0
         self._stopping = False
@@ -325,12 +325,12 @@ class AsyncDriver:
         self._transport: Optional[AsyncTransport] = None
         self._current: Optional[Key] = None
         self._fired_window = self._total_fired = 0
-        #: Per actor key, its task, and the loop instant its current
-        #: sleep ends (``inf`` once retired; stale while it runs or parks).
+        #: Per actor key, its task.
         self._tasks: Dict[Key, Task] = {}
-        self._resume_at: Dict[Key, float] = {}
-        #: The loop instant the supervisor next reads ``in_flight``.
-        self._next_tick = 0.0
+        #: Per reader the current fire woke, in first-wake order, the
+        #: earliest landing its wakes drew (``_on_wake``); ``_actor``
+        #: pushes one timer per entry when the fire returns.
+        self._landings: Dict[Key, float] = {}
         #: The logical time from which the fault plan can no longer
         #: perturb a wake (0 without a plan).
         self._links_quiet_from = (
@@ -357,20 +357,14 @@ class AsyncDriver:
         channels.  Called synchronously from inside a fire (writer known)
         or from driver-level events like send injection (writer None).
 
-        A writer's wake to each other reader draws one channel latency,
-        takes the fault plan's verdict while a link fault can still be
-        active (before the injector's ``links_quiet_from``), and becomes
-        one timer carrying :attr:`AsyncTransport.land`, pushed straight
-        onto the loop's heap (:meth:`EventLoop.call_at`, inlined) —
-        unless it cannot land.  A wake gets no timer when the reader's
-        flag is set and it lands in a later turn
-        (``now + CLOCK_RESOLUTION <= when``), before the reader's task
-        runs again (``when < resume_at``: only that task clears the
-        flag, and a task with its flag set is not parked, so it sleeps
-        until its own timer) and before the supervisor reads
-        ``in_flight`` again (``when < next_tick``).  Its timer would only
-        have found the flag still set and counted itself off
-        ``in_flight``, with nobody reading the count in between.
+        A writer's wake to each other reader draws one channel latency
+        and takes the fault plan's verdict while a link fault can still
+        be active (before the injector's ``links_quiet_from``).  A dropped
+        wake gets its own retry or ack timer at once.  Any other only
+        lowers the reader's entry in :attr:`_landings`: the reader's next
+        step reads every write of the fire, whichever wake brought it
+        there, so the fire lands one wake per reader, at the first of its
+        landings (``_actor`` pushes the timers).
         """
         transport = self._transport
         if transport is None:
@@ -381,11 +375,9 @@ class AsyncDriver:
                 transport.deliver_now(dst)
             return
         loop, rng = self._loop, self.rng
-        latency_of, land, timers = self.delay.latency, transport.land, loop._timers
-        flags, resume_at = transport.woken, self._resume_at
+        latency_of, landings = self.delay.latency, self._landings
         now, s = loop.now, src.index
-        earliest, next_tick = now + CLOCK_RESOLUTION, self._next_tick
-        t = int(earliest) + 1
+        t = int(now + CLOCK_RESOLUTION) + 1
         injector = self.injector if t < self._links_quiet_from else None
         for dst in woken:
             if dst == src:
@@ -402,11 +394,8 @@ class AsyncDriver:
                 # Duplicated wakes would be harmless no-ops on an event
                 # channel; the verdict's copies need no realization.
             when = now + (latency if latency > 0.0 else 0.0)
-            if flags[dst] and earliest <= when < next_tick and when < resume_at[dst]:
-                continue  # it would land on the flag it finds set now
-            transport.in_flight += 1
-            loop._seq = seq = loop._seq + 1
-            heappush(timers, _Timer((when, seq, land, dst)))
+            if dst not in landings or when < landings[dst]:
+                landings[dst] = when
 
     def _retry_at(
         self,
@@ -446,20 +435,21 @@ class AsyncDriver:
     # -- Tasks -------------------------------------------------------------
 
     def _actor(self, key: Key) -> Task:
-        """One actor's task.  Every sleep pushes its own wake-up timer
-        (:meth:`EventLoop.call_at`, inlined) and records its instant in
-        :attr:`_resume_at` (``inf`` once the task retires), then yields
-        ``None``; only parks go through :meth:`AsyncTransport.step`."""
+        """One actor's task.  A fire is followed by one ``land`` timer
+        per reader it woke (:attr:`_landings`, in first-wake order), then
+        every sleep pushes its own wake-up timer (both
+        :meth:`EventLoop.call_at`, inlined) and yields ``None``; only
+        parks go through :meth:`AsyncTransport.step`."""
         sched = self._sched
         pattern = sched.pattern
         actor = sched.actors[key]
         parked = sched.proven_parked
         transport = self._transport
         loop, timers, step = self._loop, self._loop._timers, transport.step
+        land = transport.land
         task = self._tasks[key]
         injector = self.injector
         churn_quiet = injector.churn_quiet_from if injector is not None else 0
-        resume_at = self._resume_at
         latency_of, rng, i = self.delay.latency, self.rng, key.index
         while not self._stopped:
             now = loop.now
@@ -467,7 +457,6 @@ class AsyncDriver:
             if not pattern.is_alive(key, t):
                 rejoin = pattern.recovery_times.get(key)
                 if rejoin is None or rejoin <= t:
-                    resume_at[key] = float("inf")
                     return  # crash-stop: the task retires
                 # Crash-recovery: park until the rejoin instant.  The
                 # actor's in-memory state stands in for the durable
@@ -487,6 +476,13 @@ class AsyncDriver:
                     fired = actor.fire(t, None, None)
                 finally:
                     self._current = None
+                landings = self._landings
+                if landings:
+                    self._landings = {}
+                    for dst in landings:
+                        transport.in_flight += 1
+                        loop._seq = seq = loop._seq + 1
+                        heappush(timers, _Timer((landings[dst], seq, land, dst)))
                 self._fired_window += fired
                 self._total_fired += fired
                 pace = latency_of(i, i, rng)
@@ -494,9 +490,8 @@ class AsyncDriver:
             else:
                 yield from transport.wait(key)
                 continue
-            resume_at[key] = when = now + sleep
             loop._seq = seq = loop._seq + 1
-            heappush(timers, _Timer((when, seq, step, task)))
+            heappush(timers, _Timer((now + sleep, seq, step, task)))
             yield None
 
     def _inject(
@@ -534,11 +529,7 @@ class AsyncDriver:
         # availability just as a crash does, so it forces wakes too.
         instants = sched.instants
         instant_cursor = 0
-        loop = self._loop
         while True:
-            # Wakes landing before this instant need no timer of their
-            # own to be counted off ``in_flight`` in time (``_on_wake``).
-            self._next_tick = loop.now + 1.0
             yield 1.0
             t = self.now_t()
             self._sync_time(t)
@@ -625,8 +616,7 @@ class AsyncDriver:
         self._stopped = self._quiescent = False
         self._fired_window = self._total_fired = self.sends_cursor = 0
         self._tasks = {key: self._actor(key) for key in keys}
-        self._resume_at = dict.fromkeys(keys, 0.0)
-        self._next_tick = 0.0
+        self._landings = {}
         self.system.sink.wake_listener = self._on_wake
         # The injection task is queued first: the loop starts tasks in
         # queueing order, so sends due at the clock's first instant are

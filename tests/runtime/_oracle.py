@@ -32,14 +32,16 @@ loop minus the I/O, with equal deadlines fired in scheduling order;
 while it still ran on asyncio — and :func:`asyncio_everywhere` binds it
 over every driver a test builds.
 
-The driver's wake path has one more.  ``AsyncDriver._on_wake`` pushes no
-timer for a wake that can only land on a flag it finds set, and
-``EventLoop.run`` pops a turn's due timers straight off the heap;
+The driver's wake path has one more.  An async fire lands one wake per
+reader, at the earliest of the latencies its wakes to that reader drew,
+and ``EventLoop.run`` pops a turn's due timers straight off the heap;
 :func:`one_timer_per_wake` and :func:`batched_run` are the bodies they
 replaced — one timer per wake, and a turn whose due timers are popped
 into a local batch before its ready calls run.
 :func:`one_timer_per_wake_everywhere` binds both over every driver a
-test builds (``tests/runtime/test_wake_elision.py`` diffs the two).
+test builds: ``golden.json``'s ``oracle_async`` section pins the async
+cells under it, and ``tests/runtime/test_wake_elision.py`` diffs the
+shipped driver against it.
 
 So does ``gamma(g)``.  ``src/`` scopes the partner sets and the
 ``CONS_{m,f}`` family key to the group, ``F(g)``; ``golden.json`` was
@@ -348,9 +350,10 @@ def asyncio_everywhere(monkeypatch):
 
 
 def one_timer_per_wake(self, woken: Any) -> None:
-    """``AsyncDriver._on_wake`` as it was before dead wakes went
-    timer-free: every timed wake is one timer, whatever flag it will
-    find, and the fault plan is asked whenever one is installed."""
+    """``AsyncDriver._on_wake`` as it was before a fire landed one wake
+    per reader (and before dead wakes went timer-free, which changed no
+    run): every timed wake is one timer, whatever flag it will find, and
+    the fault plan is asked whenever one is installed."""
     transport = self._transport
     if transport is None:
         return

@@ -19,7 +19,9 @@ This module defines, as *data plus builders*, every scenario the
 * **row cells** — ``run_scenario`` cells on all three backends,
   fingerprinted by their whole row (:func:`row_digest`), alone and, for
   two kernel cells, under the retired §4.3 patterns
-  (:func:`oracle_rows`).
+  (:func:`oracle_rows`);
+* **retired async wakes** — the async cells again, under the retired
+  one-timer-per-wake discipline (:func:`oracle_async`).
 
 ``generate_golden.py`` writes all of them into ``golden.json`` and its
 hash into ``repro.campaign.cache.SCHEDULE_FINGERPRINT``.  The engine and
@@ -38,6 +40,8 @@ import os
 from contextlib import ExitStack
 from dataclasses import asdict
 
+import pytest
+
 from repro.core.engine import MulticastSystem
 from repro.core.group_sequential import AtomicMulticast
 from repro.faults.nemesis import random_plan
@@ -50,7 +54,11 @@ from repro.substrates.replicated_log import ReplicatedLogCluster
 from repro.workloads.runner import Send, random_sends, run_scenario
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from repro.workloads.topologies import chain_topology, disjoint_topology, ring_topology
-from tests.runtime._oracle import force_scan, process_scoped
+from tests.runtime._oracle import (
+    force_scan,
+    one_timer_per_wake_everywhere,
+    process_scoped,
+)
 from tests.substrates._oracle import flooding, relaying, single_value_slots
 
 #: Where ``generate_golden.py`` writes every fingerprint of this module.
@@ -314,6 +322,24 @@ def async_scenarios():
             for mix in ("none", "full"):
                 key = f"async:{topo_name}:{delay_name}:{mix}"
                 yield key, _async_runner(factory, delay, mix)
+
+
+def oracle_async():
+    """Yield ``(key, run)`` for every async cell: ``run()`` is its
+    :func:`async_fingerprint` with one timer per wake and batched turns
+    (:func:`tests.runtime._oracle.one_timer_per_wake_everywhere`), the
+    discipline the driver had before a fire landed one wake per reader."""
+    for key, run in async_scenarios():
+        yield key, _one_timer_per_wake_runner(run)
+
+
+def _one_timer_per_wake_runner(run):
+    def retired():
+        with pytest.MonkeyPatch.context() as patch:
+            one_timer_per_wake_everywhere(patch)
+            return async_fingerprint(run())
+
+    return retired
 
 
 def _async_runner(factory, delay, mix):

@@ -6,10 +6,14 @@ Usage::
 
 ``golden.json`` holds every fingerprint that witnesses the schedule: the
 engine, kernel and async scenarios of ``_scenarios.py`` that
-``test_differential.py`` replays, the ``run_scenario`` row pins
-(``rows``, read by ``tests/workloads/test_pipeline_rows.py``) and the
-same rows under the retired §4.3 patterns (``oracle_rows``, read by
-``tests/substrates/test_slot_cost.py``).  The script then writes
+``test_differential.py`` replays, the async ones again under the retired
+one-timer-per-wake discipline (``oracle_async``, replayed there too), the
+``run_scenario`` row pins (``rows``, read by
+``tests/workloads/test_pipeline_rows.py``), the same rows under the
+retired §4.3 patterns (``oracle_rows``, read by
+``tests/substrates/test_slot_cost.py``) and the helper's push and scan
+counts on the latency ledger's cell (``latency_ledger``, read by
+``tests/core/test_latency_ledger.py``).  The script then writes
 ``content_hash`` of that file into ``SCHEDULE_FINGERPRINT`` in
 ``src/repro/campaign/cache.py``: a cache entry stored under another
 fingerprint misses, and the nightly soak keys its restored cache on it.
@@ -47,10 +51,12 @@ from _scenarios import (  # noqa: E402
     engine_scenarios,
     kernel_fingerprint,
     kernel_scenarios,
+    oracle_async,
     record_fingerprint,
     row_pins,
     trace_fingerprint,
 )
+from tests.core.test_latency_ledger import measure, push_pins  # noqa: E402
 
 CACHE_PY = os.path.join(ROOT, "src", "repro", "campaign", "cache.py")
 FINGERPRINT_LINE = re.compile(r'^SCHEDULE_FINGERPRINT = "[0-9a-f]{64}"$', re.M)
@@ -86,7 +92,9 @@ def main() -> None:
         }
     for key, run in async_scenarios():
         golden["async"][key] = async_fingerprint(run())
+    golden["oracle_async"] = {key: run() for key, run in oracle_async()}
     golden.update(row_pins())
+    golden["latency_ledger"] = push_pins(measure())
     with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
         json.dump(golden, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -96,8 +104,9 @@ def main() -> None:
     print(
         f"wrote {GOLDEN_PATH}: {len(golden['engine'])} engine + "
         f"{len(golden['kernel'])} kernel + {len(golden['async'])} async "
-        f"scenarios, {len(golden['rows'])} rows + "
-        f"{len(golden['oracle_rows'])} oracle rows; "
+        f"(+ {len(golden['oracle_async'])} oracle) scenarios, "
+        f"{len(golden['rows'])} rows + {len(golden['oracle_rows'])} oracle "
+        "rows, the latency ledger's pushes; "
         f"SCHEDULE_FINGERPRINT = {fingerprint}"
     )
 

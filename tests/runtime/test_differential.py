@@ -18,7 +18,11 @@ These tests re-run the same scenarios on the current tree and demand:
   crash-time-driven drop schedule changes no message count), with the scan oracle additionally pinned to the
   exact pre-refactor step total;
 * **async, virtual clock** — identical :class:`RunRecord`, logical
-  rounds and transport stats.
+  rounds and transport stats; and the same cells under the retired
+  one-timer-per-wake discipline identical to ``oracle_async``, the
+  ``async`` section as it stood before a fire landed one wake per
+  reader (so a regeneration shows which keys only the wake discipline
+  moved).
 
 "Scan" is no run-time mode: it is the seed loops' full-scan round body,
 kept in ``_oracle.py`` and bound over ``Scheduler.round`` by
@@ -43,6 +47,7 @@ from tests.runtime._scenarios import (
     kernel_fingerprint,
     kernel_scenarios,
     load_golden,
+    oracle_async,
     oracle_rows,
     record_fingerprint,
     trace_fingerprint,
@@ -53,6 +58,7 @@ GOLDEN = load_golden()
 ENGINE_RUNS = dict(engine_scenarios())
 KERNEL_RUNS = dict(kernel_scenarios())
 ASYNC_RUNS = dict(async_scenarios())
+ORACLE_ASYNC_RUNS = dict(oracle_async())
 
 
 def test_matrix_meets_acceptance_floor():
@@ -64,7 +70,7 @@ def test_matrix_meets_acceptance_floor():
     assert any(":participation:" in k for k in keys)
     assert set(ENGINE_RUNS) == keys
     assert set(KERNEL_RUNS) == set(GOLDEN["kernel"])
-    assert set(ASYNC_RUNS) == set(GOLDEN["async"])
+    assert set(ASYNC_RUNS) == set(GOLDEN["async"]) == set(GOLDEN["oracle_async"])
     assert set(dict(oracle_rows())) == set(GOLDEN["oracle_rows"])
 
 
@@ -100,3 +106,8 @@ def test_kernel_matches_pre_refactor(key):
 @pytest.mark.parametrize("key", sorted(GOLDEN["async"]))
 def test_async_matches_golden(key):
     assert async_fingerprint(ASYNC_RUNS[key]()) == GOLDEN["async"][key]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN["oracle_async"]))
+def test_async_under_one_timer_per_wake_matches_its_golden(key):
+    assert ORACLE_ASYNC_RUNS[key]() == GOLDEN["oracle_async"][key]

@@ -1,32 +1,37 @@
-"""The async driver schedules only wakes that can land.
+"""An async fire wakes each reader once.
 
-``AsyncDriver._on_wake`` pushes no timer for a wake that would find its
-reader's flag set, and ``EventLoop.run`` pops a turn's due timers straight
-off the heap.  The claim is that neither changes a run.  The reference is
-the pair of bodies they replaced, kept in ``tests/runtime/_oracle.py``:
-one timer per wake (:func:`~tests.runtime._oracle.one_timer_per_wake`) and
-a turn that pops its due timers into a batch first
+``AsyncDriver._on_wake`` draws one latency and takes one fault verdict
+per (operation, reader), as the retired one-timer-per-wake body did
+(:func:`~tests.runtime._oracle.one_timer_per_wake`), but only records
+each reader's earliest landing; when the fire returns, ``_actor`` pushes
+one ``land`` timer per reader it woke, in first-wake order.  A dropped
+wake keeps its own retry or ack timer.  So the wakes of one fire after
+a reader's first are elided: the reader's next step reads every write
+of the fire, whichever wake brought it there (DESIGN.md §14).
+
+The differential below runs the retired body and folds, per fire, the
+timers it pushed for one reader into the earliest, then lands them as
+``_actor`` does; it also runs the turns batched
 (:func:`~tests.runtime._oracle.batched_run`).  Whole rows, delivery
 streams, ``transport`` stats, the number of latency draws and the
-schedule (every task resumption and flag-setting landing, at its instant,
-and each ``in_flight`` the supervisor reads) must agree on the 16
-``async:*`` golden cells and on Figure 1 under a ``links``,
-``full``, ``recovery`` and churn plan with every delay-model kind, and
-with a ``fixed`` latency whose sums round.
+schedule (every task resumption and flag-setting landing, at its
+instant, and each ``in_flight`` the supervisor reads) must agree with
+the shipped driver on the 16 ``async:*`` golden cells and on Figure 1
+under a ``links``, ``full``, ``recovery`` and churn plan with every
+delay-model kind, and with a ``fixed`` latency whose sums round.
 
-The unit cases below pin each bound of the rule: a wake keeps its timer
-while the reader runs or parks, when it lands at or after the reader's
-``resume_at`` or the supervisor's next look, and when it lands inside
-the current turn.
+The unit cases below fire one actor once, with scripted latencies and
+fault verdicts, and read the timers the fire pushed.
 """
 
 from __future__ import annotations
 
-import math
+from heapq import heapify
 
 import pytest
 
 from repro.core.engine import MulticastSystem
+from repro.faults.injector import BENIGN_SEND, SendVerdict
 from repro.faults.nemesis import random_plan
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.groups.topology import paper_figure1_topology
@@ -41,7 +46,7 @@ from repro.runtime.async_driver import (
 from repro.runtime.delay import DelayModel
 from repro.workloads.runner import random_sends, run_scenario
 from repro.workloads.spec import ScenarioSpec, TopologySpec
-from tests.runtime._oracle import batched_run, one_timer_per_wake_everywhere
+from tests.runtime._oracle import batched_run, one_timer_per_wake
 from tests.runtime._scenarios import async_scenarios, record_fingerprint
 
 DELAY_MODELS = {
@@ -151,133 +156,218 @@ def observed(run, monkeypatch):
     )
 
 
+def first_landings_of_one_timer_per_wake(driver, woken):
+    """The retired body, then its ``land`` timers folded into
+    ``driver._landings``: each reader keeps the earliest, in first-wake
+    order, for ``_actor`` to push when the fire returns.  The dropped
+    wakes' timers stay where the body pushed them."""
+    if driver._current is None:
+        one_timer_per_wake(driver, woken)
+        return
+    loop, land, landings = driver._loop, driver._transport.land, driver._landings
+    mark, timers = loop._seq, loop._timers
+    one_timer_per_wake(driver, woken)
+    pushed = sorted(
+        (timer for timer in timers if timer[1] > mark and timer[2] is land),
+        key=lambda timer: timer[1],
+    )
+    timers[:] = [timer for timer in timers if timer[1] <= mark or timer[2] is not land]
+    heapify(timers)
+    for when, _seq, _land, dst in pushed:
+        driver._transport.in_flight -= 1
+        if dst not in landings or when < landings[dst]:
+            landings[dst] = when
+
+
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_runs_agree_with_one_timer_per_wake(cell, monkeypatch):
+    """One timer per wake, each fire's timers for a reader folded into
+    the earliest, on batched turns: the shipped run, to the schedule."""
     ours = observed(CELLS[cell], monkeypatch)
     assert ours[3] > 0
-    one_timer_per_wake_everywhere(monkeypatch)
+    monkeypatch.setattr(AsyncDriver, "_on_wake", first_landings_of_one_timer_per_wake)
+    monkeypatch.setattr(EventLoop, "run", batched_run)
     assert observed(CELLS[cell], monkeypatch) == ours
 
 
 def test_the_rule_elides_wakes_on_a_golden_cell(monkeypatch):
     """The rule is not vacuous: on the Figure 1 ``uniform`` golden cell
-    some timed wakes get a timer and some get none."""
-    counts = {"pushed": 0, "elided": 0}
-    on_wake = AsyncDriver._on_wake
+    fires push ``land`` timers, and fewer than the timed wakes they sent.
+    A timer is counted once by its ``seq``: a turn pushes back the due
+    timers pushed during it."""
+    wakes, pushed = [0], set()
+    on_wake, push = AsyncDriver._on_wake, async_driver.heappush
 
     def counting(driver, woken):
-        before = driver._transport.in_flight
-        on_wake(driver, woken)
         if driver._current is not None:
-            pushed = driver._transport.in_flight - before
-            counts["pushed"] += pushed
-            counts["elided"] += sum(dst != driver._current for dst in woken) - pushed
+            wakes[0] += sum(dst != driver._current for dst in woken)
+        on_wake(driver, woken)
+
+    def pushing(timers, timer):
+        if getattr(timer[2], "__func__", None) is _LAND:
+            pushed.add(timer[1])
+        push(timers, timer)
 
     monkeypatch.setattr(AsyncDriver, "_on_wake", counting)
+    monkeypatch.setattr(async_driver, "heappush", pushing)
     CELLS["async:figure1:uniform:none"]()
-    assert counts["pushed"] > 0 and counts["elided"] > 0, counts
+    assert 0 < len(pushed) < wakes[0], (len(pushed), wakes[0])
 
 
-# -- The rule's bounds, one wake at a time -----------------------------------
+# -- One fire, one reader -----------------------------------------------------
 
 
-class _Wake:
-    """A driver stopped mid-turn at ``now``, with ``p1`` firing and
-    ``p2`` a reader: :meth:`send` routes one wake from ``p1`` to ``p2``
-    and reports whether it got a timer."""
+class _Scripted(DelayModel):
+    """Channel latencies from a list, in draw order; ``pace`` for a
+    process's draw for itself (the pacing sleep)."""
 
-    def __init__(self, latency=0.5, now=3.0):
+    def __init__(self, latencies, pace=0.5):
+        self.latencies, self.pace, self.drawn = list(latencies), pace, []
+
+    def latency(self, src, dst, rng):
+        if src == dst:
+            return self.pace
+        self.drawn.append(dst)
+        return self.latencies.pop(0)
+
+    def spec(self):
+        return ("scripted",)
+
+
+class _Dropping:
+    """A fault plan that drops the wakes whose index is in ``drops`` and
+    whose links never clear before the backstop at ``retransmit_at``."""
+
+    churn_quiet_from = 0
+    links_quiet_from = 10**9
+
+    def __init__(self, drops, retransmit_at=20):
+        self.drops, self.sent, self.retransmit_at = set(drops), 0, retransmit_at
+
+    def on_send(self, src, dst, t):
+        self.sent += 1
+        if self.sent - 1 in self.drops:
+            return SendVerdict(dropped=True, retransmit_at=self.retransmit_at)
+        return BENIGN_SEND
+
+    def link_clear(self, src, dst, t):
+        return False
+
+
+class _Fire:
+    """A driver at loop time ``now`` in which this object is the actor
+    ``p1``: its one fire wakes the reader ``p2`` once per scripted
+    latency (with ``drops``, the fault plan drops those wakes, by
+    index)."""
+
+    def __init__(self, latencies, now=3.0, drops=None, crashes=None):
         topology = paper_figure1_topology()
-        system = MulticastSystem(topology, FailurePattern(topology.processes, {}))
-        self.driver = driver = AsyncDriver(system, delay_model=("fixed", latency))
+        system = MulticastSystem(
+            topology, FailurePattern(topology.processes, crashes or {})
+        )
+        self.delay = _Scripted(latencies)
+        self.driver = driver = AsyncDriver(system, delay_model=self.delay)
+        if drops is not None:
+            driver.injector = _Dropping(drops)
+            driver._links_quiet_from = driver.injector.links_quiet_from
         keys = driver._sched.sorted_keys
-        self.src, self.dst = keys[0], keys[1]
+        self.src, self.dst, self.wakes = keys[0], keys[1], len(latencies)
         driver._loop = loop = EventLoop()
         loop.now = now
         driver._transport = self.transport = AsyncTransport(loop, keys)
-        driver._resume_at = dict.fromkeys(keys, 0.0)
-        driver._current = self.src
-        # By default the reader sleeps and the supervisor looks well
-        # after the wake lands, and the reader's flag is set.
-        driver._resume_at[self.dst] = now + 2.0
-        driver._next_tick = now + 1.0
-        self.transport.woken[self.dst] = True
+        driver._sched.actors[self.src] = self
+        driver._tasks[self.src] = self.task = driver._actor(self.src)
 
-    def send(self):
-        timers, in_flight = len(self.driver._loop._timers), self.transport.in_flight
-        self.driver._on_wake([self.dst])
-        pushed = len(self.driver._loop._timers) - timers
-        assert self.transport.in_flight - in_flight == pushed
-        return pushed == 1
+    def fire(self, t, budget, parked):
+        """``p1``'s fire, as the driver calls it."""
+        for _ in range(self.wakes):
+            self.driver._on_wake((self.dst,))
+        self.wakes = 0
+        return 1
+
+    def landings(self):
+        """Step ``p1``'s task through its fire: ``(when, dst)`` of every
+        ``land`` timer it pushed, and ``in_flight``."""
+        next(self.task)
+        land = self.transport.land
+        timers = sorted(self.driver._loop._timers)
+        return [(when, dst) for when, _, fn, dst in timers if fn is land], (
+            self.transport.in_flight
+        )
 
 
-def test_a_wake_that_finds_the_flag_set_before_everything_gets_no_timer():
-    assert not _Wake().send()
+def test_a_fire_that_wakes_a_reader_k_times_pushes_one_timer_at_the_least():
+    fire = _Fire([0.75, 0.25, 0.5])
+    landings, in_flight = fire.landings()
+    assert landings == [(3.25, fire.dst)]
+    assert in_flight == 1
+
+
+def test_the_fire_still_draws_once_per_wake():
+    fire = _Fire([0.75, 0.25, 0.5])
+    fire.landings()
+    assert fire.delay.drawn == [fire.dst.index] * 3
+    assert fire.delay.latencies == []
+
+
+def test_a_dropped_wake_keeps_its_own_timer_and_is_not_the_least():
+    fire = _Fire([0.125, 0.5, 0.75], drops={0})
+    landings, in_flight = fire.landings()
+    assert landings == [(3.5, fire.dst)]
+    acks = [
+        (fn.__name__, dst)
+        for _, _, fn, dst in fire.driver._loop._timers
+        if fn not in (fire.transport.land, fire.transport.step)
+    ]
+    assert acks == [("_ack", fire.dst)]
+    assert in_flight == 2
+    assert fire.delay.drawn == [fire.dst.index] * 3
 
 
 def test_a_wake_to_a_running_reader_gets_a_timer():
-    wake = _Wake()
-    # Its last sleep is over: it is running, or queued to run.
-    wake.driver._resume_at[wake.dst] = wake.driver._loop.now
-    assert wake.send()
+    """A reader whose flag is set and that is not parked gets the fire's
+    one timer too: no wake is dropped for what the reader is doing."""
+    fire = _Fire([0.5, 0.25])
+    fire.transport.woken[fire.dst] = True
+    assert fire.landings() == ([(3.25, fire.dst)], 1)
 
 
 def test_a_wake_to_a_parked_reader_gets_a_timer():
-    wake = _Wake()
-    wake.transport.woken[wake.dst] = False
-    wake.transport._parked[wake.dst] = iter(())
-    assert wake.send()
+    fire = _Fire([0.5, 0.25])
+    fire.transport._parked[fire.dst] = iter(())
+    assert fire.landings() == ([(3.25, fire.dst)], 1)
 
 
-def test_a_wake_landing_at_resume_at_gets_a_timer():
-    wake = _Wake(latency=0.5)
-    # It would land as the reader's sleep timer fires, and after it.
-    wake.driver._resume_at[wake.dst] = wake.driver._loop.now + 0.5
-    assert wake.send()
-    wake.driver._resume_at[wake.dst] = wake.driver._loop.now + 0.25
-    assert wake.send()
-
-
-def test_a_wake_landing_at_the_supervisor_look_gets_a_timer():
-    wake = _Wake(latency=0.5)
-    wake.driver._next_tick = wake.driver._loop.now + 0.5
-    assert wake.send()
-    wake.driver._next_tick = wake.driver._loop.now + 0.25
-    assert wake.send()
+def test_a_wake_to_a_crash_stopped_reader():
+    """A reader crashed at t = 1 (its task retired, its flag never
+    cleared again) still gets the fire's one timer."""
+    p2 = sorted(paper_figure1_topology().processes)[1]
+    fire = _Fire([0.5], crashes={p2: 1})
+    assert fire.dst == p2
+    fire.transport.woken[fire.dst] = True
+    assert fire.landings() == ([(3.5, fire.dst)], 1)
 
 
 @pytest.mark.parametrize("latency", [0.0, CLOCK_RESOLUTION / 2])
 def test_a_wake_landing_inside_the_current_turn_gets_a_timer(latency):
-    assert _Wake(latency=latency).send()
+    """A wake due within the fire's own turn gets its timer and lands on
+    the next turn, after every call of the fire's turn, at its deadline."""
+    fire = _Fire([0.75, latency])
+    loop, seen = fire.driver._loop, []
+    land = fire.transport.land
 
+    def landing(key):
+        seen.append(("land", loop.now))
+        land(key)
 
-def test_a_wake_just_past_the_current_turn_gets_none():
-    assert not _Wake(latency=CLOCK_RESOLUTION * 4).send()
-
-
-def test_a_wake_to_a_crash_stopped_reader():
-    """A retired task never clears its flag: once set, a wake gets no
-    timer before the supervisor's look; while clear, the first one does
-    (it sets the flag)."""
-    wake = _Wake()
-    wake.driver._resume_at[wake.dst] = math.inf
-    assert not wake.send()
-    wake.driver._next_tick = wake.driver._loop.now + 0.5
-    assert wake.send()
-    wake.driver._next_tick = wake.driver._loop.now + 1.0
-    wake.transport.woken[wake.dst] = False
-    assert wake.send()
-
-
-def test_a_retired_actor_records_that_it_sleeps_forever():
-    topology = paper_figure1_topology()
-    p1 = min(topology.processes)
-    system = MulticastSystem(topology, FailurePattern(topology.processes, {p1: 3}))
-    driver = AsyncDriver(system, seed=1)
-    driver.run(max_rounds=40)
-    resume_at = driver._resume_at
-    assert resume_at[p1] == math.inf
-    assert all(when < math.inf for key, when in resume_at.items() if key != p1)
+    fire.transport.land = landing
+    fire.task = fire.driver._tasks[fire.src] = fire.driver._actor(fire.src)
+    loop.call_soon(fire.transport.step, fire.task)
+    loop.call_soon(lambda _: seen.append(("queued", loop.now)), None)
+    loop.call_at(loop.now + 0.25, lambda _: loop.stop(), None)
+    loop.run()
+    assert seen == [("queued", 3.0), ("land", 3.0 + latency)]
+    assert fire.transport.woken[fire.dst] and fire.transport.in_flight == 0
 
 
 # -- The turn rule, without the batch ----------------------------------------
