@@ -327,9 +327,12 @@ class AsyncDriver:
         self._fired_window = self._total_fired = 0
         #: Per actor key, its task.
         self._tasks: Dict[Key, Task] = {}
-        #: Per reader the current fire woke, in first-wake order, the
-        #: earliest landing its wakes drew (``_on_wake``); ``_actor``
-        #: pushes one timer per entry when the fire returns.
+        #: Per reader a quiet fire woke, in first-wake order, the least
+        #: uniform draw its wakes spent (``_on_wake``); ``_actor`` maps
+        #: it through the quantile and pushes one timer per entry when
+        #: the fire returns.
+        self._least_draw: Dict[Key, float] = {}
+        #: The same for a faulted fire, holding the earliest landing.
         self._landings: Dict[Key, float] = {}
         #: The logical time from which the fault plan can no longer
         #: perturb a wake (0 without a plan).
@@ -357,14 +360,20 @@ class AsyncDriver:
         channels.  Called synchronously from inside a fire (writer known)
         or from driver-level events like send injection (writer None).
 
-        A writer's wake to each other reader draws one channel latency
-        and takes the fault plan's verdict while a link fault can still
-        be active (before the injector's ``links_quiet_from``).  A dropped
-        wake gets its own retry or ack timer at once.  Any other only
-        lowers the reader's entry in :attr:`_landings`: the reader's next
-        step reads every write of the fire, whichever wake brought it
-        there, so the fire lands one wake per reader, at the first of its
-        landings (``_actor`` pushes the timers).
+        A writer's wake to each other reader spends one draw of the
+        driver's RNG.  A fire is *quiet* once the fault plan can no longer
+        perturb a wake (no plan, or from the injector's
+        ``links_quiet_from`` on): then a wake only lowers the reader's
+        entry in :attr:`_least_draw`, and ``_actor`` maps the least draw
+        through the model's quantile once.  Every quantile is
+        nondecreasing, so that is the first of the landings the draws
+        name, bit for bit.  On a faulted fire each wake draws its
+        latency and takes the plan's verdict: a dropped wake gets its own
+        retry or ack timer at once, any other lowers the reader's entry
+        in :attr:`_landings`.  Either way the reader's next step reads
+        every write of the fire, whichever wake brought it there, so the
+        fire lands one wake per reader, at the first of its landings
+        (``_actor`` pushes the timers).
         """
         transport = self._transport
         if transport is None:
@@ -374,25 +383,34 @@ class AsyncDriver:
             for dst in woken:
                 transport.deliver_now(dst)
             return
-        loop, rng = self._loop, self.rng
-        latency_of, landings = self.delay.latency, self._landings
-        now, s = loop.now, src.index
+        loop = self._loop
+        now = loop.now
         t = int(now + CLOCK_RESOLUTION) + 1
-        injector = self.injector if t < self._links_quiet_from else None
+        if t >= self._links_quiet_from:
+            least, draw = self._least_draw, self.rng.random
+            draws = self.delay.draws
+            for dst in woken:
+                if dst == src:
+                    # The writer re-checks itself on its next loop turn.
+                    continue
+                u = draw() if draws else 0.0
+                if dst not in least or u < least[dst]:
+                    least[dst] = u
+            return
+        injector, rng, s = self.injector, self.rng, src.index
+        latency_of, landings = self.delay.latency, self._landings
         for dst in woken:
             if dst == src:
-                # The writer re-checks itself on its next loop turn.
                 continue
             latency = latency_of(s, dst.index, rng)
-            if injector is not None:
-                verdict = injector.on_send(s, dst.index, t)
-                if verdict.dropped:
-                    transport.in_flight += 1
-                    loop.call_at(*self._retry_at(src, dst, t, verdict, latency), dst)
-                    continue
-                latency += float(verdict.delay)
-                # Duplicated wakes would be harmless no-ops on an event
-                # channel; the verdict's copies need no realization.
+            verdict = injector.on_send(s, dst.index, t)
+            if verdict.dropped:
+                transport.in_flight += 1
+                loop.call_at(*self._retry_at(src, dst, t, verdict, latency), dst)
+                continue
+            latency += float(verdict.delay)
+            # Duplicated wakes would be harmless no-ops on an event
+            # channel; the verdict's copies need no realization.
             when = now + (latency if latency > 0.0 else 0.0)
             if dst not in landings or when < landings[dst]:
                 landings[dst] = when
@@ -436,12 +454,14 @@ class AsyncDriver:
 
     def _actor(self, key: Key) -> Task:
         """One actor's task.  A fire is followed by one ``land`` timer
-        per reader it woke (:attr:`_landings`, in first-wake order), then
-        every sleep pushes its own wake-up timer (both
-        :meth:`EventLoop.call_at`, inlined) and yields ``None``; only
-        parks go through :meth:`AsyncTransport.step`."""
+        per reader it woke (:attr:`_least_draw` or :attr:`_landings`, in
+        first-wake order), then every sleep pushes its own wake-up timer
+        (both :meth:`EventLoop.call_at`, inlined) and yields ``None``;
+        only parks go through :meth:`AsyncTransport.step`."""
         sched = self._sched
         pattern = sched.pattern
+        # The pattern is frozen: before its crash instant the actor is up.
+        crash = pattern.crash_times.get(key)
         actor = sched.actors[key]
         parked = sched.proven_parked
         transport = self._transport
@@ -451,10 +471,11 @@ class AsyncDriver:
         injector = self.injector
         churn_quiet = injector.churn_quiet_from if injector is not None else 0
         latency_of, rng, i = self.delay.latency, self.rng, key.index
+        quantile = self.delay.quantile
         while not self._stopped:
             now = loop.now
             t = int(now + CLOCK_RESOLUTION) + 1
-            if not pattern.is_alive(key, t):
+            if crash is not None and t >= crash and not pattern.is_alive(key, t):
                 rejoin = pattern.recovery_times.get(key)
                 if rejoin is None or rejoin <= t:
                     return  # crash-stop: the task retires
@@ -476,6 +497,14 @@ class AsyncDriver:
                     fired = actor.fire(t, None, None)
                 finally:
                     self._current = None
+                least = self._least_draw
+                if least:
+                    self._least_draw = {}
+                    for dst in least:
+                        transport.in_flight += 1
+                        loop._seq = seq = loop._seq + 1
+                        when = now + quantile(i, dst.index, least[dst])
+                        heappush(timers, _Timer((when, seq, land, dst)))
                 landings = self._landings
                 if landings:
                     self._landings = {}
@@ -616,7 +645,7 @@ class AsyncDriver:
         self._stopped = self._quiescent = False
         self._fired_window = self._total_fired = self.sends_cursor = 0
         self._tasks = {key: self._actor(key) for key in keys}
-        self._landings = {}
+        self._least_draw, self._landings = {}, {}
         self.system.sink.wake_listener = self._on_wake
         # The injection task is queued first: the loop starts tasks in
         # queueing order, so sends due at the clock's first instant are

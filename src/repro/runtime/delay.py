@@ -7,6 +7,17 @@ loop clock to place wake deliveries on the event loop, and uses the
 self-pair ``(i, i)`` as a process's local scheduling latency between
 consecutive steps.
 
+A model is the inverse CDF of one ``rng.random()``:
+:meth:`DelayModel.quantile` maps a uniform draw ``u`` in ``[0, 1)`` to a
+latency, nondecreasing in ``u``, and :meth:`DelayModel.latency` is that
+map at a fresh draw.  Monotonicity is what lets the driver fold a
+reader's wakes: the least of ``quantile(u)`` over a batch of draws is
+``quantile`` of the least ``u``, bit for bit.  A model whose latency
+does not vary sets ``draws = False`` and spends no ``rng.random()``.
+``uniform`` and ``exponential`` write the formula out in ``latency``
+rather than call ``quantile``, so a pacing or faulted draw opens one
+frame; twin tests pin the two forms bit-equal draw by draw.
+
 Models are addressed by *spec* — a flat JSON-able tuple such as
 ``("uniform", 0.1, 0.9)`` — so a scenario's delay axis lives inside its
 :class:`repro.workloads.spec.ScenarioSpec` (schema v5) and hashes with
@@ -40,7 +51,16 @@ DEFAULT_DELAY_SPEC: Tuple[Any, ...] = ("uniform", 0.1, 0.9)
 
 
 class DelayModel:
-    """Base: a distribution over per-channel latencies (round units)."""
+    """Base: a distribution over per-channel latencies (round units),
+    given by its inverse CDF."""
+
+    #: Whether a latency spends one ``rng.random()``.
+    draws = True
+
+    def quantile(self, src: int, dst: int, u: float) -> float:
+        """The ``src -> dst`` latency at the uniform draw ``u`` in
+        ``[0, 1)``: >= 0 and nondecreasing in ``u``."""
+        raise NotImplementedError
 
     def latency(self, src: int, dst: int, rng: random.Random) -> float:
         """One latency draw for the ``src -> dst`` channel, >= 0."""
@@ -55,10 +75,15 @@ class FixedDelay(DelayModel):
     """Every channel takes exactly ``amount`` rounds (degenerate but
     useful for pinning the driver's mechanics in tests)."""
 
+    draws = False
+
     def __init__(self, amount: float) -> None:
         if amount < 0:
             raise SimulationError("fixed delay must be >= 0")
         self.amount = float(amount)
+
+    def quantile(self, src: int, dst: int, u: float) -> float:
+        return self.amount
 
     def latency(self, src: int, dst: int, rng: random.Random) -> float:
         return self.amount
@@ -81,6 +106,9 @@ class UniformDelay(DelayModel):
             )
         self.lo = float(lo)
         self.hi = float(hi)
+
+    def quantile(self, src: int, dst: int, u: float) -> float:
+        return self.lo + (self.hi - self.lo) * u
 
     def latency(self, src: int, dst: int, rng: random.Random) -> float:
         return self.lo + (self.hi - self.lo) * rng.random()
@@ -107,6 +135,10 @@ class ExponentialDelay(DelayModel):
         self.mean = float(mean)
         self.cap = float(cap)
         self._rate = 1.0 / self.mean
+
+    def quantile(self, src: int, dst: int, u: float) -> float:
+        draw = -log(1.0 - u) / self._rate
+        return draw if draw < self.cap else self.cap
 
     def latency(self, src: int, dst: int, rng: random.Random) -> float:
         draw = -log(1.0 - rng.random()) / self._rate
@@ -142,11 +174,14 @@ class SlowPairsDelay(DelayModel):
             raise SimulationError("slow_pairs needs at least one pair")
         self._base = UniformDelay(lo, hi)
 
-    def latency(self, src: int, dst: int, rng: random.Random) -> float:
-        base = self._base.latency(src, dst, rng)
+    def quantile(self, src: int, dst: int, u: float) -> float:
+        base = self._base.quantile(src, dst, u)
         if (src, dst) in self.pairs:
             return base * self.factor
         return base
+
+    def latency(self, src: int, dst: int, rng: random.Random) -> float:
+        return self.quantile(src, dst, rng.random())
 
     def spec(self) -> Tuple[Any, ...]:
         return (

@@ -12,9 +12,11 @@ benchmark's own sim pass (``run.spawn_pass``: a fresh interpreter under
 ``PYTHONHASHSEED=0``, this checkout's ``src/``) and prints one markdown
 row: p50 and p99 of the delivery latency in rounds (the benchmark's
 grouped percentile) and host calls a delivery, the same three numbers
-``run.py`` reports at that seed.  The last row holds their means.
+``run.py`` reports at that seed, and the first 12 hex digits of the
+pass's ``sim_digest``.  The last row holds the three means.
 
-Run it on two checkouts to compare a schedule change pool by pool: a
+Run it on two checkouts to compare a change pool by pool: equal digests
+say the change moved no schedule of that pool.  For a schedule change, a
 single seed's p99 rests on the tail of 20 cells, so one pool can move
 past a bound that the mean over disjoint pools does not.
 """
@@ -38,7 +40,8 @@ SEEDS = range(0, 1200, 20)
 
 
 def pool(seed: int) -> tuple:
-    """``(p50, p99, host calls a delivery)`` of the pool at ``seed``."""
+    """``(p50, p99, host calls a delivery, sim_digest prefix)`` of the
+    pool at ``seed``."""
     sim = run.spawn_pass(WORKLOAD, seed, None, "sim")
     if sim["failed"]:
         raise SystemExit(f"seed {seed}: {sim['failed']} cells failed")
@@ -46,19 +49,20 @@ def pool(seed: int) -> tuple:
         stats.grouped_percentile(sim["latencies"], 50),
         stats.grouped_percentile(sim["latencies"], 99),
         sim["host_calls"] / sim["deliveries"],
+        sim["sim_digest"][:12],
     )
 
 
 def main() -> None:
-    print("| seed | p50 | p99 | host calls |")
-    print("|---|---|---|---|")
+    print("| seed | p50 | p99 | host calls | digest |")
+    print("|---|---|---|---|---|")
     rows = []
     for seed in SEEDS:
         rows.append(pool(seed))
-        p50, p99, calls = rows[-1]
-        print(f"| {seed} | {p50:.3f} | {p99:.3f} | {calls:.1f} |", flush=True)
-    p50, p99, calls = (statistics.mean(column) for column in zip(*rows))
-    print(f"| mean | {p50:.3f} | {p99:.3f} | {calls:.1f} |")
+        p50, p99, calls, digest = rows[-1]
+        print(f"| {seed} | {p50:.3f} | {p99:.3f} | {calls:.1f} | {digest} |", flush=True)
+    p50, p99, calls = (statistics.mean(column) for column in list(zip(*rows))[:3])
+    print(f"| mean | {p50:.3f} | {p99:.3f} | {calls:.1f} | |")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ pieces in isolation so a regression names its layer.
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import sys
@@ -144,7 +145,8 @@ STDLIB_DRAWS = [
 
 class TestDelayFormulas:
     """The uniform and exponential draws are the stdlib's formulas,
-    written out in ``repro.runtime.delay``.  So the formula is the
+    written out in ``repro.runtime.delay`` (in ``latency`` and in
+    ``quantile``).  So the formula is the
     repository's own: a CPython change to ``uniform`` or
     ``expovariate`` can no longer move a replay.  These
     twin-seed runs pin that the written-out forms are bit-equal to the
@@ -158,9 +160,11 @@ class TestDelayFormulas:
         ids=[repr(model.spec()) for model, _ in STDLIB_DRAWS],
     )
     def test_bit_equal_to_the_stdlib_draw(self, model, stdlib):
-        ours, theirs = random.Random(11), random.Random(11)
+        ours, theirs, via = (random.Random(11) for _ in range(3))
         drawn = [model.latency(1, 2, ours) for _ in range(self.DRAWS)]
         assert drawn == [stdlib(theirs) for _ in range(self.DRAWS)]
+        # A quiet fire's path: the quantile at the draw.
+        assert drawn == [model.quantile(1, 2, via.random()) for _ in range(self.DRAWS)]
         if isinstance(model, ExponentialDelay) and model.cap <= 4 * model.mean:
             assert drawn.count(model.cap) > 0  # the cap binds
 
@@ -168,13 +172,57 @@ class TestDelayFormulas:
         slow = [(1, 2), (3, 3)]
         model = SlowPairsDelay(4.0, slow, lo=0.2, hi=1.1)
         channels = [(1, 2), (2, 1), (3, 3), (4, 5)]
-        ours, theirs = random.Random(12), random.Random(12)
+        ours, theirs, via = (random.Random(12) for _ in range(3))
         for i in range(self.DRAWS):
             src, dst = channels[i % len(channels)]
             expected = theirs.uniform(0.2, 1.1)
             if (src, dst) in slow:
                 expected *= 4.0
             assert model.latency(src, dst, ours) == expected
+            assert model.quantile(src, dst, via.random()) == expected
+
+
+#: Every model kind on a channel: ``exponential`` with a cap that binds
+#: (mean 1, cap 2) and one that almost never does, ``slow_pairs`` on a
+#: slow and on a fast pair.
+FOLD_CASES = {
+    "fixed": (FixedDelay(0.5), (1, 2)),
+    "uniform": (UniformDelay(0.1, 0.9), (1, 2)),
+    "uniform_wide": (UniformDelay(0.0, 3.7), (1, 2)),
+    "exponential_capped": (ExponentialDelay(1.0, 2.0), (1, 2)),
+    "exponential": (ExponentialDelay(0.3, 50.0), (1, 2)),
+    "slow_pairs_slow": (SlowPairsDelay(4.0, [(1, 2)], lo=0.2, hi=1.1), (1, 2)),
+    "slow_pairs_fast": (SlowPairsDelay(4.0, [(1, 2)], lo=0.2, hi=1.1), (2, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+class TestQuantileFold:
+    """The identity a quiet fire rests on: a reader's first landing is
+    the quantile of its least draw.  Every quantile is nondecreasing in
+    ``u``, so ``quantile(min(us))`` is the least of ``quantile(u)``, bit
+    for bit (``float.hex`` tells ``-0.0`` from ``0.0``)."""
+
+    DRAWS = 10_000
+
+    def test_nondecreasing_in_u(self, case):
+        model, channel = FOLD_CASES[case]
+        rng = random.Random(21)
+        us = sorted([rng.random() for _ in range(self.DRAWS)] + [0.0, 1.0 - 2.0**-53])
+        values = [model.quantile(*channel, u) for u in us]
+        assert all(a <= b for a, b in zip(values, values[1:]))
+        assert values[0] >= 0.0
+        if case == "exponential_capped":
+            assert values.count(model.cap) > 0  # the cap binds
+
+    def test_the_least_draw_maps_to_the_least_latency(self, case):
+        model, channel = FOLD_CASES[case]
+        rng, drawn = random.Random(22), 0
+        while drawn < self.DRAWS:
+            us = [rng.random() for _ in range(rng.randint(1, 8))]
+            drawn += len(us)
+            least = min(model.quantile(*channel, u) for u in us)
+            assert model.quantile(*channel, min(us)).hex() == least.hex(), us
 
 
 class TestDerivedSeed:
@@ -518,12 +566,12 @@ class TestDriverValidation:
 
 #: Frames of ``runtime/async_driver.py`` and ``runtime/delay.py`` per
 #: wake or fire on :func:`test_wake_cost_ledger`'s cell: the measured
-#: 2.22 plus 10 %.
-WAKE_FRAMES_CEILING = 2.44
+#: 1.50 plus 10 %.
+WAKE_FRAMES_CEILING = 1.65
 
 #: Builtin calls made from those files' frames per wake or fire: the
-#: measured 2.70 plus 10 %.
-WAKE_BUILTINS_CEILING = 2.97
+#: measured 1.99 plus 10 %.
+WAKE_BUILTINS_CEILING = 2.19
 
 
 def test_wake_cost_ledger():
@@ -537,10 +585,14 @@ def test_wake_cost_ledger():
     (``heappush``, ``rng.random``, ``deque.append`` …), and divides each
     by the wakes plus the actors' fires.  A wake is counted where it is
     sent, since a timed wake that lands on a set flag opens no frame and
-    a fire lands one wake per reader: one ``latency`` frame ``_on_wake``
-    opens per timed wake, plus one ``deliver_now`` call per zero-latency
-    one.  Only the repository's own frames count, so no stdlib frame
-    (``random``, ``heapq``) moves the numbers between Python versions.
+    a fire lands one wake per reader: one draw of the driver's RNG per
+    timed wake (an ``rng.random`` call ``_on_wake`` makes on a quiet
+    fire, a ``latency`` frame it opens on a faulted one), plus one
+    ``deliver_now`` call per zero-latency one.  Only the repository's
+    own frames count, so no stdlib frame (``random``, ``heapq``) moves
+    the numbers between Python versions, and the cyclic collector is
+    off while it runs: collecting an earlier test's driver closes its
+    suspended tasks, each a frame in ``runtime/async_driver.py``.
 
     With a wake routed ``_on_wake`` → ``_deliver`` → ``latency`` →
     ``expovariate`` → ``deliver_at`` → ``call_at``, landed by ``_land``
@@ -557,8 +609,11 @@ def test_wake_cost_ledger():
     the wake that ended it, 2.63 frames and 4.13 builtin calls (477
     wakes and 46 fires); a park arms no timer now.  With a timer pushed
     for every timed wake that could land (the elision rule), 2.48 frames
-    and 3.94 builtin calls; a fire now pushes one timer per reader it
-    woke.
+    and 3.94 builtin calls.  With one timer per reader a fire woke, but
+    a ``latency`` frame (an ``rng.random`` and a ``log``) per timed wake,
+    2.22 frames and 2.70 builtin calls (1 160 and 1 412 over 477 wakes
+    and 46 fires); a quiet fire now spends only the ``rng.random`` per
+    wake and maps each reader's least draw through ``quantile`` once.
     """
     run = dict(async_scenarios())["async:figure1:exponential:none"]
     own = tuple(
@@ -567,14 +622,16 @@ def test_wake_cost_ledger():
     actors = os.path.join("runtime", "actors.py")
     counts = {"own": 0, "builtins": 0, "wakes": 0, "fires": 0}
 
-    def profile(frame, event, _arg):
+    def profile(frame, event, arg):
+        code = frame.f_code
         if event == "c_call":
-            if frame.f_code.co_filename.endswith(own):
+            if code.co_filename.endswith(own):
                 counts["builtins"] += 1
+                if code.co_name == "_on_wake" and arg.__name__ == "random":
+                    counts["wakes"] += 1
             return
         if event != "call":
             return
-        code = frame.f_code
         if code.co_filename.endswith(own):
             counts["own"] += 1
             if code.co_name == "deliver_now" or (
@@ -585,11 +642,18 @@ def test_wake_cost_ledger():
         elif code.co_name == "fire" and code.co_filename.endswith(actors):
             counts["fires"] += 1
 
+    # Collecting an earlier run's tasks closes their generators, which
+    # opens frames in the driver's file: collect before, not during.
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         result = run()
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     assert result.delivered_everywhere() and counts["wakes"] > 0
     events = counts["wakes"] + counts["fires"]
     assert counts["own"] / events <= WAKE_FRAMES_CEILING, counts

@@ -1,27 +1,33 @@
 """An async fire wakes each reader once.
 
-``AsyncDriver._on_wake`` draws one latency and takes one fault verdict
-per (operation, reader), as the retired one-timer-per-wake body did
-(:func:`~tests.runtime._oracle.one_timer_per_wake`), but only records
-each reader's earliest landing; when the fire returns, ``_actor`` pushes
-one ``land`` timer per reader it woke, in first-wake order.  A dropped
-wake keeps its own retry or ack timer.  So the wakes of one fire after
-a reader's first are elided: the reader's next step reads every write
-of the fire, whichever wake brought it there (DESIGN.md §14).
+``AsyncDriver._on_wake`` spends one draw of the driver's RNG per
+(operation, reader), as the retired one-timer-per-wake body did
+(:func:`~tests.runtime._oracle.one_timer_per_wake`), but records only
+each reader's first landing; when the fire returns, ``_actor`` pushes
+one ``land`` timer per reader it woke, in first-wake order.  On a quiet
+fire (no fault plan can perturb its wakes) the driver keeps each
+reader's least uniform draw and maps it through the model's quantile
+once; on a faulted fire each wake draws its latency and takes the plan's
+verdict, and a dropped wake keeps its own retry or ack timer.  So the
+wakes of one fire after a reader's first are elided: the reader's next
+step reads every write of the fire, whichever wake brought it there
+(DESIGN.md §14).
 
-The differential below runs the retired body and folds, per fire, the
-timers it pushed for one reader into the earliest, then lands them as
-``_actor`` does; it also runs the turns batched
+The differential below runs the retired body, which draws a latency per
+wake through ``DelayModel.latency`` on every fire, and folds, per fire,
+the timers it pushed for one reader into the earliest, then lands them
+as ``_actor`` does; it also runs the turns batched
 (:func:`~tests.runtime._oracle.batched_run`).  Whole rows, delivery
-streams, ``transport`` stats, the number of latency draws and the
-schedule (every task resumption and flag-setting landing, at its
+streams, ``transport`` stats, the number of draws the driver's RNG made
+and the schedule (every task resumption and flag-setting landing, at its
 instant, and each ``in_flight`` the supervisor reads) must agree with
 the shipped driver on the 16 ``async:*`` golden cells and on Figure 1
 under a ``links``, ``full``, ``recovery`` and churn plan with every
 delay-model kind, and with a ``fixed`` latency whose sums round.
 
-The unit cases below fire one actor once, with scripted latencies and
-fault verdicts, and read the timers the fire pushed.
+The unit cases below fire one actor once, with scripted draws under a
+``uniform`` model on ``[0, 1)`` (whose quantile is the draw itself) and
+scripted fault verdicts, and read the timers the fire pushed.
 """
 
 from __future__ import annotations
@@ -39,11 +45,12 @@ from repro.model.failures import FailurePattern
 from repro.runtime import async_driver
 from repro.runtime.async_driver import (
     CLOCK_RESOLUTION,
+    RETRY_BUDGET,
     AsyncDriver,
     AsyncTransport,
     EventLoop,
 )
-from repro.runtime.delay import DelayModel
+from repro.runtime.delay import FixedDelay, UniformDelay
 from repro.workloads.runner import random_sends, run_scenario
 from repro.workloads.spec import ScenarioSpec, TopologySpec
 from tests.runtime._oracle import batched_run, one_timer_per_wake
@@ -101,35 +108,33 @@ CELLS.update(
 )
 
 
-class _Counted(DelayModel):
-    """A delay model that counts its draws into ``drawn``."""
+class _CountedRandom:
+    """The driver's RNG, counting its ``random()`` calls into ``drawn``."""
 
     def __init__(self, inner, drawn):
         self._inner, self._drawn = inner, drawn
 
-    def latency(self, src, dst, rng):
+    def random(self):
         self._drawn[0] += 1
-        return self._inner.latency(src, dst, rng)
-
-    def spec(self):
-        return self._inner.spec()
+        return self._inner.random()
 
 
 #: The bodies :func:`observed` wraps, taken before any test patches them.
-_BUILD = async_driver.build_delay_model
+_INIT = AsyncDriver.__init__
 _STEP, _LAND = AsyncTransport.step, AsyncTransport._land
 
 
 def observed(run, monkeypatch):
-    """Row, delivery stream, transport stats and latency draws of one
+    """Row, delivery stream, transport stats and the RNG draws of one
     run of ``run``, and its schedule: every task resumption and every
     landing that sets a flag, with the loop instant, and ``in_flight``
     as the supervisor resumes to read it."""
     drawn, schedule = [0], []
     step, land = _STEP, _LAND
 
-    def counted(spec):
-        return _Counted(_BUILD(spec), drawn)
+    def counted(driver, *args, **kwargs):
+        _INIT(driver, *args, **kwargs)
+        driver.rng = _CountedRandom(driver.rng, drawn)
 
     def stepping(transport, task):
         frame, name = task.gi_frame, task.__name__
@@ -142,7 +147,7 @@ def observed(run, monkeypatch):
         schedule.append((transport._loop.now, "land", key, None))
         land(transport, key)
 
-    monkeypatch.setattr(async_driver, "build_delay_model", counted)
+    monkeypatch.setattr(AsyncDriver, "__init__", counted)
     monkeypatch.setattr(AsyncTransport, "step", stepping)
     monkeypatch.setattr(AsyncTransport, "_land", landing)
     result = run()
@@ -160,7 +165,9 @@ def first_landings_of_one_timer_per_wake(driver, woken):
     """The retired body, then its ``land`` timers folded into
     ``driver._landings``: each reader keeps the earliest, in first-wake
     order, for ``_actor`` to push when the fire returns.  The dropped
-    wakes' timers stay where the body pushed them."""
+    wakes' timers stay where the body pushed them.  Quiet fires included:
+    the body leaves ``driver._least_draw`` empty, so ``_actor`` pushes
+    these landings as the retired body computed them."""
     if driver._current is None:
         one_timer_per_wake(driver, woken)
         return
@@ -184,7 +191,8 @@ def test_runs_agree_with_one_timer_per_wake(cell, monkeypatch):
     """One timer per wake, each fire's timers for a reader folded into
     the earliest, on batched turns: the shipped run, to the schedule."""
     ours = observed(CELLS[cell], monkeypatch)
-    assert ours[3] > 0
+    # The counter is wired: only a ``fixed`` model may spend no draw.
+    assert ours[3] > 0 or "fixed" in cell
     monkeypatch.setattr(AsyncDriver, "_on_wake", first_landings_of_one_timer_per_wake)
     monkeypatch.setattr(EventLoop, "run", batched_run)
     assert observed(CELLS[cell], monkeypatch) == ours
@@ -217,21 +225,16 @@ def test_the_rule_elides_wakes_on_a_golden_cell(monkeypatch):
 # -- One fire, one reader -----------------------------------------------------
 
 
-class _Scripted(DelayModel):
-    """Channel latencies from a list, in draw order; ``pace`` for a
-    process's draw for itself (the pacing sleep)."""
+class _Scripted:
+    """The driver's RNG with scripted draws: ``random()`` returns the
+    listed values in order, then ``pace`` (the pacing sleep's draw)."""
 
-    def __init__(self, latencies, pace=0.5):
-        self.latencies, self.pace, self.drawn = list(latencies), pace, []
+    def __init__(self, draws, pace=0.5):
+        self.draws, self.pace, self.calls = list(draws), pace, 0
 
-    def latency(self, src, dst, rng):
-        if src == dst:
-            return self.pace
-        self.drawn.append(dst)
-        return self.latencies.pop(0)
-
-    def spec(self):
-        return ("scripted",)
+    def random(self):
+        self.calls += 1
+        return self.draws.pop(0) if self.draws else self.pace
 
 
 class _Dropping:
@@ -258,15 +261,23 @@ class _Fire:
     """A driver at loop time ``now`` in which this object is the actor
     ``p1``: its one fire wakes the reader ``p2`` once per scripted
     latency (with ``drops``, the fault plan drops those wakes, by
-    index)."""
+    index).  The model is ``uniform`` on ``[0, 1)``, so a draw is its
+    latency; a dropped wake's retry ladder spends ``RETRY_BUDGET`` more
+    draws, scripted as zeros."""
 
-    def __init__(self, latencies, now=3.0, drops=None, crashes=None):
+    def __init__(self, latencies, now=3.0, drops=None, crashes=None, model=None):
         topology = paper_figure1_topology()
         system = MulticastSystem(
             topology, FailurePattern(topology.processes, crashes or {})
         )
-        self.delay = _Scripted(latencies)
-        self.driver = driver = AsyncDriver(system, delay_model=self.delay)
+        model = UniformDelay(0.0, 1.0) if model is None else model
+        self.driver = driver = AsyncDriver(system, delay_model=model)
+        script = []
+        for index, latency in enumerate(latencies):
+            script.append(latency)
+            if drops is not None and index in drops:
+                script.extend([0.0] * RETRY_BUDGET)
+        driver.rng = self.rng = _Scripted(script)
         if drops is not None:
             driver.injector = _Dropping(drops)
             driver._links_quiet_from = driver.injector.links_quiet_from
@@ -283,6 +294,7 @@ class _Fire:
         for _ in range(self.wakes):
             self.driver._on_wake((self.dst,))
         self.wakes = 0
+        self.drawn_in_fire = self.rng.calls
         return 1
 
     def landings(self):
@@ -304,10 +316,20 @@ def test_a_fire_that_wakes_a_reader_k_times_pushes_one_timer_at_the_least():
 
 
 def test_the_fire_still_draws_once_per_wake():
+    """A quiet fire spends one RNG draw per wake, in order, then the
+    pacing sleep spends one: the stream a draw-per-wake body spends."""
     fire = _Fire([0.75, 0.25, 0.5])
     fire.landings()
-    assert fire.delay.drawn == [fire.dst.index] * 3
-    assert fire.delay.latencies == []
+    assert fire.drawn_in_fire == 3
+    assert fire.rng.draws == [] and fire.rng.calls == 4
+
+
+def test_a_fixed_model_spends_no_draw():
+    """``fixed`` has ``draws = False``: its wakes and its pacing sleep
+    leave the RNG alone, and every wake lands at the constant."""
+    fire = _Fire([0.75, 0.25], model=FixedDelay(0.5))
+    assert fire.landings() == ([(3.5, fire.dst)], 1)
+    assert fire.rng.calls == 0
 
 
 def test_a_dropped_wake_keeps_its_own_timer_and_is_not_the_least():
@@ -321,7 +343,8 @@ def test_a_dropped_wake_keeps_its_own_timer_and_is_not_the_least():
     ]
     assert acks == [("_ack", fire.dst)]
     assert in_flight == 2
-    assert fire.delay.drawn == [fire.dst.index] * 3
+    assert fire.drawn_in_fire == 3 + RETRY_BUDGET
+    assert fire.rng.draws == []
 
 
 def test_a_wake_to_a_running_reader_gets_a_timer():
