@@ -32,11 +32,13 @@ can change its wait condition removes it:
   scheduler's clock and ``proven_parked``, the wake listener) — no
   call beyond the mutation's own frame;
 * a host-called :meth:`MulticastSystem.multicast` by the process;
-* a change of the participation/responder sets (quorum availability) or
-  a detector transition or a crash — covered by the scheduler's full
-  scans (which empty the set), forced on such a change and while
-  ``time <= settle_horizon()``, the window in which gamma, the
-  indicators and Omega may still move and processes may still crash.
+* a change of the participation/responder sets (quorum availability,
+  which a crash or a rejoin moves) or a detector transition — covered
+  by the scheduler's full scans (which empty the set), forced on such a
+  change and at the deployment's :attr:`MulticastSystem.scan_instants`:
+  every ``Sigma`` instant, every ``Omega_g`` stabilization time, every
+  ``gamma(g)`` instant and every indicator instant, the only times at
+  which a detector output a process reads can move.
 
 The seeded random schedule is *unchanged*: the full eligible order is
 shuffled exactly as before and parked processes are merely skipped, so
@@ -188,6 +190,18 @@ class MulticastSystem(RoundHost):
                     self.indicators[shared] = IndicatorOracle(
                         pattern, shared, detection_lag=indicator_lag
                     )
+        #: Where an input of a parked process other than a shared object
+        #: can change with the clock: :attr:`_verdict_instants`, every
+        #: ``gamma(g)`` instant and every indicator instant.  The
+        #: scheduler makes a round at each of them a full scan.
+        self.scan_instants: Tuple[Time, ...] = tuple(
+            sorted(
+                set(self._verdict_instants).union(
+                    *(self.mu.gamma_timeline(g).instants for g in topology.groups),
+                    *(indicator.instants for indicator in self.indicators.values()),
+                )
+            )
+        )
         self.factory = MessageFactory()
         self.processes: Dict[ProcessId, Algorithm1Process] = {
             p: Algorithm1Process(
@@ -211,12 +225,14 @@ class MulticastSystem(RoundHost):
         # last crash plus the gamma and indicator detection lags, *and*
         # the Omega stabilization time — actions blocked on the §4.3
         # consensus construction only re-enable once the leader oracles
-        # have settled (see :meth:`consensus_ok`).
+        # have settled (see :meth:`consensus_ok`) — and past every scan
+        # instant, even those of a hand-built ``mu``.
         settle_time: Time = (
             max(
                 last_change + self.mu.gamma.detection_lag + indicator_lag,
                 self.mu.omega_settle_time(),
                 injector.horizon if injector is not None else 0,
+                self.scan_instants[-1] if self.scan_instants else 0,
             )
             + 1
         )
@@ -227,6 +243,7 @@ class MulticastSystem(RoundHost):
                 tracer,
                 pattern,
                 settle_horizon=settle_time,
+                scan_instants=self.scan_instants,
                 injector=injector,
             )
         )

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_right
 from functools import partial
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -135,12 +136,9 @@ class FaultInjector:
             "flaky_retransmitted": 0,
             "recovered": 0,
         }
-        self._delays = plan.by_kind("link_delay")
         self._reorders = plan.by_kind("link_reorder")
-        self._dups = list(plan.by_kind("link_dup"))
-        self._drops = list(plan.by_kind("link_drop"))
-        self._partitions = plan.by_kind("partition")
-        self._flaky = plan.by_kind("link_flaky")
+        self._dups = plan.by_kind("link_dup")
+        self._drops = plan.by_kind("link_drop")
         self._recovers = plan.by_kind("crash_recover")
         self._dup_budget: Dict[FaultEvent, int] = {
             e: e.amount for e in self._dups
@@ -154,6 +152,29 @@ class FaultInjector:
         self._bursts = plan.by_kind("crash_burst")
         self._churn = plan.by_kind(*CHURN_KINDS)
         self._base_pattern: Optional[FailurePattern] = None
+        #: The link windows compiled: the sorted window edges of the
+        #: events :meth:`on_send` consults, and per epoch they cut
+        #: (:func:`epoch_starts`) its partitions, flaky links, delays,
+        #: drops and duplications active there, each in plan order — an
+        #: event is active over a whole epoch or over none of it.
+        self._send_edges: Tuple[Time, ...] = tuple(
+            sorted({t for e in plan.by_kind(*SEND_KINDS) for t in (e.start, e.until)})
+        )
+        consulted = (
+            plan.by_kind("partition"),
+            plan.by_kind("link_flaky"),
+            plan.by_kind("link_delay"),
+            self._drops,
+            self._dups,
+        )
+        self._send_windows = [
+            [[e for e in events if e.active(start)] for events in consulted]
+            for start in epoch_starts(self._send_edges)
+        ]
+        #: The time :meth:`on_send` last judged a send at, and the
+        #: windows of its epoch: the sends of one round share one lookup.
+        self._send_t: Time = -1
+        self._send_now: List[List[FaultEvent]] = self._send_windows[0]
         #: From this time on no event :meth:`on_send` consults is active,
         #: so it answers :data:`BENIGN_SEND` and moves neither ``rng`` nor
         #: ``stats``; hosts skip the hook from here (0 without such events).
@@ -236,8 +257,12 @@ class FaultInjector:
         """Judge one datagram send on the ``src -> dst`` link at ``t``."""
         if t >= self.links_quiet_from:
             return BENIGN_SEND
-        for event in self._partitions:
-            if event.active(t) and event.cuts(src_index, dst_index):
+        if t != self._send_t:
+            self._send_t = t
+            self._send_now = self._send_windows[bisect_right(self._send_edges, t)]
+        partitions, flaky, delays, drops, dups = self._send_now
+        for event in partitions:
+            if event.cuts(src_index, dst_index):
                 self.stats["partitioned"] += 1
                 # The cut heals at ``until``: every crossing datagram
                 # is retransmitted then (fair lossy by construction —
@@ -245,12 +270,8 @@ class FaultInjector:
                 return SendVerdict(
                     dropped=True, retransmit_at=max(event.until, t + 1)
                 )
-        for event in self._flaky:
-            if (
-                event.active(t)
-                and event.matches_link(src_index, dst_index)
-                and self.rng.random() < 0.5
-            ):
+        for event in flaky:
+            if event.matches_link(src_index, dst_index) and self.rng.random() < 0.5:
                 self.stats["flaky_dropped"] += 1
                 self.stats["flaky_retransmitted"] += 1
                 jitter = (
@@ -261,13 +282,12 @@ class FaultInjector:
                 # messages.
                 return SendVerdict(dropped=True, retransmit_at=t + 1 + jitter)
         delay = 0
-        for event in self._delays:
-            if event.active(t) and event.matches_link(src_index, dst_index):
+        for event in delays:
+            if event.matches_link(src_index, dst_index):
                 delay = max(delay, event.amount)
-        for event in self._drops:
+        for event in drops:
             if (
-                event.active(t)
-                and event.matches_link(src_index, dst_index)
+                event.matches_link(src_index, dst_index)
                 and self._drop_budget[event] > 0
                 and self.rng.random() < 0.5
             ):
@@ -280,10 +300,9 @@ class FaultInjector:
                     dropped=True, retransmit_at=max(event.until, t + 1)
                 )
         copies = 0
-        for event in self._dups:
+        for event in dups:
             if (
-                event.active(t)
-                and event.matches_link(src_index, dst_index)
+                event.matches_link(src_index, dst_index)
                 and self._dup_budget[event] > 0
                 and self.rng.random() < 0.5
             ):
@@ -307,16 +326,18 @@ class FaultInjector:
         always admissible; it only delays delivery to the fair-lossy
         backstop).
         """
-        for event in self._partitions:
-            if event.active(t) and event.cuts(src_index, dst_index):
+        partitions, flaky, _, drops, _ = self._send_windows[
+            bisect_right(self._send_edges, t)
+        ]
+        for event in partitions:
+            if event.cuts(src_index, dst_index):
                 return False
-        for event in self._flaky:
-            if event.active(t) and event.matches_link(src_index, dst_index):
+        for event in flaky:
+            if event.matches_link(src_index, dst_index):
                 return False
-        for event in self._drops:
+        for event in drops:
             if (
-                event.active(t)
-                and event.matches_link(src_index, dst_index)
+                event.matches_link(src_index, dst_index)
                 and self._drop_budget[event] > 0
             ):
                 return False

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_right
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
@@ -457,7 +458,14 @@ class AsyncDriver:
         per reader it woke (:attr:`_least_draw` or :attr:`_landings`, in
         first-wake order), then every sleep pushes its own wake-up timer
         (both :meth:`EventLoop.call_at`, inlined) and yields ``None``;
-        only parks go through :meth:`AsyncTransport.step`."""
+        only parks go through :meth:`AsyncTransport.step`.
+
+        Inside the settle window a task turns on every pacing sleep; it
+        fires unless it is parked under the epoch of the scheduler's
+        ``scan_instants`` and the responders of its last fire, the async
+        twin of the round's full scans.  Past the window it fires when
+        unparked, or once if its last fire came before a scan instant,
+        and otherwise waits for a wake."""
         sched = self._sched
         pattern = sched.pattern
         # The pattern is frozen: before its crash instant the actor is up.
@@ -472,6 +480,12 @@ class AsyncDriver:
         churn_quiet = injector.churn_quiet_from if injector is not None else 0
         latency_of, rng, i = self.delay.latency, self.rng, key.index
         quantile = self.delay.quantile
+        # The epoch of the scan instants and the responders the task last
+        # fired under.  Every instant is at most the settle horizon, so
+        # past it the epoch is ``final``.
+        instants = sched.scan_instants
+        final = len(instants)
+        fired_epoch, fired_for = -1, None
         while not self._stopped:
             now = loop.now
             t = int(now + CLOCK_RESOLUTION) + 1
@@ -487,38 +501,52 @@ class AsyncDriver:
             elif t < churn_quiet and injector.suppresses(key, t):
                 # Participation churn: sleep through the window.
                 sleep = 1.0
-            elif t <= sched.settle_horizon or key not in parked:
-                # Forced scans while detectors may still move mirror the
-                # round driver's full-scan window.
-                if t > sched.time:
-                    sched.time = t
-                self._current = key
-                try:
-                    fired = actor.fire(t, None, None)
-                finally:
-                    self._current = None
-                least = self._least_draw
-                if least:
-                    self._least_draw = {}
-                    for dst in least:
-                        transport.in_flight += 1
-                        loop._seq = seq = loop._seq + 1
-                        when = now + quantile(i, dst.index, least[dst])
-                        heappush(timers, _Timer((when, seq, land, dst)))
-                landings = self._landings
-                if landings:
-                    self._landings = {}
-                    for dst in landings:
-                        transport.in_flight += 1
-                        loop._seq = seq = loop._seq + 1
-                        heappush(timers, _Timer((landings[dst], seq, land, dst)))
-                self._fired_window += fired
-                self._total_fired += fired
+            else:
+                if t <= sched.settle_horizon:
+                    # The responders too: the supervisor's tick may run at
+                    # this very loop time, before or after this turn.
+                    epoch, responders = bisect_right(instants, t), sched.responders
+                    fire = (
+                        key not in parked
+                        or epoch != fired_epoch
+                        or responders is not fired_for
+                    )
+                    fired_epoch, fired_for = epoch, responders
+                elif key in parked and fired_epoch == final:
+                    yield from transport.wait(key)
+                    continue
+                else:
+                    # Past the window a parked task whose last fire came
+                    # before a scan instant fires once more: a pacing
+                    # sleep may span the window's end.
+                    fire, fired_epoch = True, final
+                if fire:
+                    if t > sched.time:
+                        sched.time = t
+                    self._current = key
+                    try:
+                        fired = actor.fire(t, None, None)
+                    finally:
+                        self._current = None
+                    least = self._least_draw
+                    if least:
+                        self._least_draw = {}
+                        for dst in least:
+                            transport.in_flight += 1
+                            loop._seq = seq = loop._seq + 1
+                            when = now + quantile(i, dst.index, least[dst])
+                            heappush(timers, _Timer((when, seq, land, dst)))
+                    landings = self._landings
+                    if landings:
+                        self._landings = {}
+                        for dst in landings:
+                            transport.in_flight += 1
+                            loop._seq = seq = loop._seq + 1
+                            heappush(timers, _Timer((landings[dst], seq, land, dst)))
+                    self._fired_window += fired
+                    self._total_fired += fired
                 pace = latency_of(i, i, rng)
                 sleep = pace if pace > MIN_PACE else MIN_PACE
-            else:
-                yield from transport.wait(key)
-                continue
             loop._seq = seq = loop._seq + 1
             heappush(timers, _Timer((now + sleep, seq, step, task)))
             yield None
@@ -575,9 +603,10 @@ class AsyncDriver:
                             f"t={t}, unparked in the host, and no wake is "
                             "in flight"
                         )
-            # Forced wakes: the async analogue of the round driver's
-            # full-scan triggers — detector settle window, and crossings
-            # of crash instants (quorum availability changed).
+            # Forced wakes through the settle window and at crossings of
+            # crash instants (quorum availability changed).  Until a task
+            # consumes its flag ``_all_parked`` reads it as busy, so the
+            # flags time the quiescence round.
             woke = False
             while (
                 instant_cursor < len(instants)

@@ -43,10 +43,12 @@ thin delegations.  Two invariants make that safe:
 * **Skip soundness** — an actor is skipped only when the round is not a
   *full scan* and either its key is in :attr:`Scheduler.proven_parked`
   or it reports :meth:`Actor.parked` (asked only of actors that define
-  a parking test of their own).  Full scans are forced while
-  ``time <= settle_horizon`` (detector outputs may still move) and
-  whenever the (scheduled, responder) set pair changes (quorum
-  availability); a full scan empties ``proven_parked``.  The set is the
+  a parking test of their own).  Full scans are forced at the host's
+  :attr:`Scheduler.scan_instants` (where an input of a parked actor
+  other than a shared object can change: the engine's detector change
+  instants, every round of the kernel's fault window) and whenever the
+  (scheduled, responder) set pair changes (quorum availability); a full
+  scan empties ``proven_parked``.  The set is the
   host's memo of ``parked`` verdicts that no event has voided since: the
   host adds a key when its predicate held and removes it on every event
   that can unpark it, so a member is skipped with one set lookup and no
@@ -196,8 +198,11 @@ class Scheduler:
             before any round are the keys alive at 0.  ``None`` (the
             whole-system hosts) means every key is always alive.
         settle_horizon: the time by which detector outputs have
-            stabilized; full scans are forced up to it and quiescence is
-            only trusted past it.
+            stabilized; quiescence is only trusted past it.
+        scan_instants: the times at which a round is a full scan: the
+            instants where an input of a parked actor, other than a
+            shared object, can change (the host's detector change
+            instants, say).  Every one is at most ``settle_horizon``.
         pre_round: optional hook run right after the clock advances and
             before eligibility is computed (crash-time cleanup).
         injector: optional :class:`repro.faults.injector.FaultInjector`; its
@@ -225,6 +230,7 @@ class Scheduler:
         tracer: TraceRecorder,
         pattern: Optional[FailurePattern] = None,
         settle_horizon: Time = 0,
+        scan_instants: Iterable[Time] = (),
         pre_round: Optional[Callable[[Time], None]] = None,
         injector: Optional[Any] = None,
         pending_work: Optional[Callable[[], int]] = None,
@@ -243,6 +249,10 @@ class Scheduler:
         #: between two of them.
         self.instants: Tuple[Time, ...] = self.pattern.change_instants()
         self.settle_horizon = settle_horizon
+        #: The full-scan instants, sorted (the async driver counts the
+        #: epochs they cut), and as a set for the round's one lookup.
+        self.scan_instants: Tuple[Time, ...] = tuple(sorted(set(scan_instants)))
+        self._scan_at: FrozenSet[Time] = frozenset(self.scan_instants)
         self.pre_round = pre_round
         self.injector = injector
         #: The time from which the injector suppresses nobody: from here
@@ -397,7 +407,7 @@ class Scheduler:
             self._first_round()
         shuffle(order, self._rng.getrandbits, self._draws)
         fingerprint_changed = self.note_fingerprint(eligible)
-        full_scan = t <= self.settle_horizon or fingerprint_changed
+        full_scan = t in self._scan_at or fingerprint_changed
         proven = self.proven_parked
         if full_scan and proven:
             proven.clear()

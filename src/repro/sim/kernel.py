@@ -175,13 +175,16 @@ class Kernel(RoundHost):
         self._recover_cursor = 0
         self._snapshots: Dict[ProcessId, Any] = {}
         self.recoveries: List[Tuple[Time, ProcessId, Optional[str]]] = []
+        horizon = injector.horizon if injector is not None else 0
         super().__init__(
             scheduler=Scheduler(
                 {p: AutomatonActor(self, p) for p in sorted(self.automata)},
                 seed,
                 TraceRecorder(),
                 pattern,
-                settle_horizon=injector.horizon if injector is not None else 0,
+                settle_horizon=horizon,
+                # Every round of the fault window is a full scan.
+                scan_instants=range(1, horizon + 1),
                 pre_round=self._pre_round if injector is not None else self._drop_crashed,
                 injector=injector,
                 pending_work=(

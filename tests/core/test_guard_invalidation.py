@@ -60,6 +60,20 @@ def fresh():
     return MulticastSystem(TOPOLOGY, failure_free(pset(PROCS)))
 
 
+def fire_times(system, pid):
+    """Log the times ``pid``'s actor fires at in ``system`` from now on:
+    the rounds that scan it.  Returns the (live) log."""
+    actor = system._scheduler.actors[pid]
+    fire, times = actor.fire, []
+
+    def logged(t, *args):
+        times.append(t)
+        return fire(t, *args)
+
+    actor.fire = logged
+    return times
+
+
 def charge_times(system, reason):
     """The times of the charges whose reason starts with ``reason``."""
     return [t for t, _, why in system.record.charges if why.startswith(reason)]
@@ -124,7 +138,8 @@ def test_direct_responders_rebind():
 def test_recovery_witness():
     """DESIGN.md §6's witness on Figure 1: p1 is down on [2, 5), p2 crashes
     at 6, and quorum_ok(·, g1) is False on [2, 5) and True from 5.  p2's
-    append to LOG_g1, asked at 2, goes through at 5."""
+    append to LOG_g1, asked at 2, goes through at 5: p2 stalls at 3, is
+    skipped as parked at 4 and is scanned again at p1's rejoin."""
     topology = paper_figure1_topology()
     p1, p2, *_ = sorted(topology.processes)
     pattern = FailurePattern(topology.processes, {p1: 2, p2: 6}, {p1: 5})
@@ -137,7 +152,10 @@ def test_recovery_witness():
         for _ in range(6):
             system.tick()
 
-    system = run_both(lambda: MulticastSystem(topology, pattern), script)
+    def build():
+        return MulticastSystem(topology, pattern)
+
+    system = run_both(build, script)
     appends = [
         t
         for t, who, why in system.record.charges
@@ -146,7 +164,11 @@ def test_recovery_witness():
     assert 5 in appends
     assert not [t for t in appends if 2 <= t < 5]
     stalled = {r.time for r in system.tracer.rounds if r.quorum_stalls}
-    assert {3, 4} <= stalled
+    assert 3 in stalled and 4 not in stalled
+    spied = build()
+    scans = fire_times(spied, p2)
+    script(spied)
+    assert [t for t in scans if 3 <= t <= 5] == [3, 5]
 
 
 def test_sigma_noise_window():
@@ -161,12 +183,11 @@ def test_sigma_noise_window():
         sigmas[G1.members] = NoisySigma(
             mu.sigmas[G1.members], (4, 8), lambda t: 4 <= t < 8
         )
-        system = MulticastSystem(
+        # The window's edges are Sigma instants: the rounds at 4 and 8
+        # are full scans.
+        return MulticastSystem(
             TOPOLOGY, pattern, mu=Mu(TOPOLOGY, sigmas, mu.omegas, mu.gamma)
         )
-        # Scan everyone through the window, as an injector's horizon would.
-        system._scheduler.settle_horizon = 10
-        return system
 
     def script(system):
         system.multicast(P1, "g1")
@@ -185,7 +206,8 @@ def test_sigma_noise_window():
 
 def test_consensus_gate_opens_at_omega_stabilization():
     """With every Omega_g stabilizing at 6, CONS_{m,f} takes no proposal
-    before 6 and takes p1's at 6."""
+    before 6 and takes p1's at 6: p1 waits on it at 2, is skipped as
+    parked on [3, 6) and is scanned again at the stabilization time."""
     pattern = failure_free(pset(PROCS))
 
     def script(system):
@@ -194,8 +216,16 @@ def test_consensus_gate_opens_at_omega_stabilization():
             system.tick()
 
     mu = late_omega_mu(pattern, TOPOLOGY, 6)
-    system = run_both(lambda: MulticastSystem(TOPOLOGY, pattern, mu=mu), script)
+
+    def build():
+        return MulticastSystem(TOPOLOGY, pattern, mu=mu)
+
+    system = run_both(build, script)
     assert min(charge_times(system, "CONS[")) == 6
     waits = {r.time for r in system.tracer.rounds if WAIT_CONSENSUS in r.wait_reasons}
-    assert {2, 3, 4, 5} <= waits
+    assert 2 in waits and not waits & {3, 4, 5}
     assert len(system.record.deliveries) == 2
+    spied = build()
+    scans = fire_times(spied, P1)
+    script(spied)
+    assert [t for t in scans if 2 <= t <= 6] == [2, 6]

@@ -8,6 +8,7 @@ layer, the detectors and the record — per delivery, on the object
 ledger's Figure 1 cell (``test_object_ledger.py``).
 """
 
+import gc
 import os
 import sys
 
@@ -47,11 +48,18 @@ def scan_frames(spec):
         elif event == "return" and code is scan:
             counts["depth"] -= 1
 
+    # Collecting an earlier test's suspended async tasks closes their
+    # generators, which opens package frames: collect before, not during.
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         result = run_scenario(spec)
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     assert result.delivered_everywhere()
     return counts["frames"], len(result.record.deliveries)
 

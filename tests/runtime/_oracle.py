@@ -43,6 +43,16 @@ test builds: ``golden.json``'s ``oracle_async`` section pins the async
 cells under it, and ``tests/runtime/test_wake_elision.py`` diffs the
 shipped driver against it.
 
+The settle window has one too.  A round is a full scan at the host's
+``Scheduler.scan_instants`` (for the engine, where a detector output a
+process reads can move), and an async task inside the settle window
+skips ``fire`` while it is parked and neither that epoch nor the
+responders moved.  Before, every round up to ``settle_horizon`` was a
+full scan and every in-window turn fired: :func:`settle_window_round`
+and :func:`settle_window_actor` are that rule, and
+:func:`settle_window_everywhere` binds both over every host a test
+builds (``tests/runtime/test_scan_instants.py`` diffs the two).
+
 So does ``gamma(g)``.  ``src/`` scopes the partner sets and the
 ``CONS_{m,f}`` family key to the group, ``F(g)``; ``golden.json`` was
 frozen while both were still derived from the asking process's own
@@ -65,8 +75,17 @@ from typing import Any, List
 from repro.core.algorithm1 import Algorithm1Process
 from repro.detectors.cyclicity import gamma_groups
 from repro.runtime import async_driver
-from repro.runtime.async_driver import CLOCK_RESOLUTION, AsyncDriver, EventLoop, _Timer
+from repro.runtime.async_driver import (
+    CLOCK_RESOLUTION,
+    MIN_PACE,
+    AsyncDriver,
+    EventLoop,
+    _Timer,
+)
 from repro.runtime.scheduler import Scheduler
+
+#: The shipped round, which :func:`settle_window_round` wraps.
+_ROUND = Scheduler.round
 
 
 def scan_round(self, participation=None, responders=None, action_budget=None):
@@ -193,6 +212,94 @@ def swept_eligible_order(self, now, participation=None):
             if not self.injector.suppresses(key, now)
         ]
     return order
+
+
+def settle_window_round(self, participation=None, responders=None, action_budget=None):
+    """``self.round(...)`` (a :class:`Scheduler`) with every round up to
+    ``settle_horizon`` a full scan, as before the scan instants: the
+    round about to run joins them if it is inside the window."""
+    t = self.time + 1
+    if t <= self.settle_horizon and t not in self._scan_at:
+        self._scan_at = self._scan_at | {t}
+    return _ROUND(self, participation, responders, action_budget)
+
+
+def settle_window_actor(self, key):
+    """``AsyncDriver._actor`` as it was while every in-window turn fired:
+    while ``t <= settle_horizon`` a task fires on every pacing turn, and
+    past it a parked task waits for a wake."""
+    sched = self._sched
+    pattern = sched.pattern
+    # The pattern is frozen: before its crash instant the actor is up.
+    crash = pattern.crash_times.get(key)
+    actor = sched.actors[key]
+    parked = sched.proven_parked
+    transport = self._transport
+    loop, timers, step = self._loop, self._loop._timers, transport.step
+    land = transport.land
+    task = self._tasks[key]
+    injector = self.injector
+    churn_quiet = injector.churn_quiet_from if injector is not None else 0
+    latency_of, rng, i = self.delay.latency, self.rng, key.index
+    quantile = self.delay.quantile
+    while not self._stopped:
+        now = loop.now
+        t = int(now + CLOCK_RESOLUTION) + 1
+        if crash is not None and t >= crash and not pattern.is_alive(key, t):
+            rejoin = pattern.recovery_times.get(key)
+            if rejoin is None or rejoin <= t:
+                return  # crash-stop: the task retires
+            # Crash-recovery: park until the rejoin instant.  The
+            # actor's in-memory state stands in for the durable
+            # substrate snapshot (the kernel backend exercises the
+            # explicit snapshot/restore path).
+            sleep = max(rejoin - 1 - now, 1.0)
+        elif t < churn_quiet and injector.suppresses(key, t):
+            # Participation churn: sleep through the window.
+            sleep = 1.0
+        elif t <= sched.settle_horizon or key not in parked:
+            # Forced scans while detectors may still move mirror the
+            # round driver's full-scan window.
+            if t > sched.time:
+                sched.time = t
+            self._current = key
+            try:
+                fired = actor.fire(t, None, None)
+            finally:
+                self._current = None
+            least = self._least_draw
+            if least:
+                self._least_draw = {}
+                for dst in least:
+                    transport.in_flight += 1
+                    loop._seq = seq = loop._seq + 1
+                    when = now + quantile(i, dst.index, least[dst])
+                    heappush(timers, _Timer((when, seq, land, dst)))
+            landings = self._landings
+            if landings:
+                self._landings = {}
+                for dst in landings:
+                    transport.in_flight += 1
+                    loop._seq = seq = loop._seq + 1
+                    heappush(timers, _Timer((landings[dst], seq, land, dst)))
+            self._fired_window += fired
+            self._total_fired += fired
+            pace = latency_of(i, i, rng)
+            sleep = pace if pace > MIN_PACE else MIN_PACE
+        else:
+            yield from transport.wait(key)
+            continue
+        loop._seq = seq = loop._seq + 1
+        heappush(timers, _Timer((now + sleep, seq, step, task)))
+        yield None
+
+
+def settle_window_everywhere(monkeypatch):
+    """Scan through the settle window in every scheduler, and fire on
+    every in-window turn in every async driver, built until the test
+    ends (pytest fixture ``monkeypatch``)."""
+    monkeypatch.setattr(Scheduler, "round", settle_window_round)
+    monkeypatch.setattr(AsyncDriver, "_actor", settle_window_actor)
 
 
 def process_gamma_partners(self, t, g):

@@ -170,18 +170,20 @@ def test_participation_change_forces_full_scan():
     assert sched.tracer.rounds[-1].scanned == 1
 
 
-def test_settle_horizon_forces_scans_and_defers_quiescence():
+def test_scan_instants_force_scans_and_settle_horizon_defers_quiescence():
     horizon = 3
     sched = make(
         {"a": CountdownActor(0)},
         settle_horizon=horizon,
+        scan_instants=(2,),
     )
     outcome = sched.run(max_rounds=10, quiescent_rounds=2)
     # Idle rounds strictly before the horizon do not count toward
-    # quiescence; every round up to it is a forced full scan.
+    # quiescence; a round is a full scan at a scan instant or on a new
+    # fingerprint (the first round), and nowhere else.
     assert outcome.quiescent
     assert outcome.rounds == 4  # idle streak starts at t = horizon
-    assert all(r.full_scan for r in sched.tracer.rounds[:horizon])
+    assert [r.full_scan for r in sched.tracer.rounds] == [True, True, False, False]
 
 
 def test_run_halts_on_quiescence_and_reports_outcome():
