@@ -193,7 +193,8 @@ class MulticastSystem(RoundHost):
         #: Where an input of a parked process other than a shared object
         #: can change with the clock: :attr:`_verdict_instants`, every
         #: ``gamma(g)`` instant and every indicator instant.  The
-        #: scheduler makes a round at each of them a full scan.
+        #: scheduler makes a round at each of them a full scan, and its
+        #: settle horizon is past the last of them.
         self.scan_instants: Tuple[Time, ...] = tuple(
             sorted(
                 set(self._verdict_instants).union(
@@ -218,31 +219,12 @@ class MulticastSystem(RoundHost):
             for p in sorted(topology.processes)
         }
         self._components: List[Component] = []
-        # Last alive-set change: the final crash, or (under the
-        # crash–recovery overlay) the final rejoin if later.
-        last_change = max(pattern.change_instants(), default=0)
-        # The time by which all detector outputs have stabilized: the
-        # last crash plus the gamma and indicator detection lags, *and*
-        # the Omega stabilization time — actions blocked on the §4.3
-        # consensus construction only re-enable once the leader oracles
-        # have settled (see :meth:`consensus_ok`) — and past every scan
-        # instant, even those of a hand-built ``mu``.
-        settle_time: Time = (
-            max(
-                last_change + self.mu.gamma.detection_lag + indicator_lag,
-                self.mu.omega_settle_time(),
-                injector.horizon if injector is not None else 0,
-                self.scan_instants[-1] if self.scan_instants else 0,
-            )
-            + 1
-        )
         super().__init__(
             scheduler=Scheduler(
                 {p: SharedObjectActor(self, p) for p in sorted(topology.processes)},
                 seed,
                 tracer,
                 pattern,
-                settle_horizon=settle_time,
                 scan_instants=self.scan_instants,
                 injector=injector,
             )

@@ -75,18 +75,6 @@ class Mu(FailureDetector):
         except KeyError:
             raise DetectorError(f"unknown group {g.name}") from None
 
-    def omega_settle_time(self) -> Time:
-        """The latest stabilization time across the ``Omega_g`` components.
-
-        From this time on every group's leader oracle reports its
-        eventual leader; it is part of the engine's detector settle
-        horizon (liveness of the §4.3 consensus construction is only
-        guaranteed after Omega stabilizes).
-        """
-        return max(
-            (o.stabilization_time for o in self.omegas.values()), default=0
-        )
-
     def gamma_timeline(self, g: Group) -> Timeline:
         """``gamma(g)`` (§3 derived notation) over time, group-uniform.
 

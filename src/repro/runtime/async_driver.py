@@ -23,7 +23,10 @@ continuously in round units; the model-facing *logical* time is ``t =
 floor(now) + 1``, so crash times, detector lags and settle horizons keep
 their meaning.  The scheduler's clock is synced to logical time before
 every fire, so records, quorum guards and detector queries see a
-monotone clock.
+monotone clock.  A supervisor task wakes every eligible task on each
+round up to one past the scheduler's settle horizon (past its last scan
+instant and the fault plan's horizon, so past every crash and rejoin);
+from then on a parked task resumes only on a wake.
 
 Fault plans carry over: the driver maps the injector's link verdicts
 onto channel perturbations (``link_delay`` adds rounds of latency to a
@@ -582,10 +585,6 @@ class AsyncDriver:
         # The tasks parked on their channels, and who the host holds parked.
         channel_parked, proven = transport._parked, sched.proven_parked
         idle = 0
-        # Crash *and* recovery instants: a rejoin changes quorum
-        # availability just as a crash does, so it forces wakes too.
-        instants = sched.instants
-        instant_cursor = 0
         while True:
             yield 1.0
             t = self.now_t()
@@ -603,18 +602,13 @@ class AsyncDriver:
                             f"t={t}, unparked in the host, and no wake is "
                             "in flight"
                         )
-            # Forced wakes through the settle window and at crossings of
-            # crash instants (quorum availability changed).  Until a task
-            # consumes its flag ``_all_parked`` reads it as busy, so the
-            # flags time the quiescence round.
-            woke = False
-            while (
-                instant_cursor < len(instants)
-                and instants[instant_cursor] <= t
-            ):
-                instant_cursor += 1
-                woke = True
-            if woke or t <= sched.settle_horizon + 1:
+            # Forced wakes through the settle window.  It covers every
+            # crash and rejoin instant (each ``Omega_g`` stabilizes no
+            # earlier than its members' last one), so quorum availability
+            # changes inside it.  Until a task consumes its flag
+            # ``_all_parked`` reads it as busy, so the flags time the
+            # quiescence round.
+            if t <= sched.settle_horizon + 1:
                 for key in eligible:
                     transport.deliver_now(key)
             if watchdog is not None:

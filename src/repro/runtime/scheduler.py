@@ -197,12 +197,11 @@ class Scheduler:
             clock crosses one of its change instants, and the responders
             before any round are the keys alive at 0.  ``None`` (the
             whole-system hosts) means every key is always alive.
-        settle_horizon: the time by which detector outputs have
-            stabilized; quiescence is only trusted past it.
         scan_instants: the times at which a round is a full scan: the
             instants where an input of a parked actor, other than a
             shared object, can change (the host's detector change
-            instants, say).  Every one is at most ``settle_horizon``.
+            instants, say).  The last of them, with the injector's
+            horizon, fixes :attr:`settle_horizon`.
         pre_round: optional hook run right after the clock advances and
             before eligibility is computed (crash-time cleanup).
         injector: optional :class:`repro.faults.injector.FaultInjector`; its
@@ -229,7 +228,6 @@ class Scheduler:
         seed: int,
         tracer: TraceRecorder,
         pattern: Optional[FailurePattern] = None,
-        settle_horizon: Time = 0,
         scan_instants: Iterable[Time] = (),
         pre_round: Optional[Callable[[Time], None]] = None,
         injector: Optional[Any] = None,
@@ -248,13 +246,18 @@ class Scheduler:
         #: rejoins): the eligible set is a pure function of the epoch
         #: between two of them.
         self.instants: Tuple[Time, ...] = self.pattern.change_instants()
-        self.settle_horizon = settle_horizon
         #: The full-scan instants, sorted (the async driver counts the
         #: epochs they cut), and as a set for the round's one lookup.
         self.scan_instants: Tuple[Time, ...] = tuple(sorted(set(scan_instants)))
         self._scan_at: FrozenSet[Time] = frozenset(self.scan_instants)
         self.pre_round = pre_round
         self.injector = injector
+        #: The first time past every scan instant and the injector's
+        #: horizon: from it on nothing a parked actor reads can change,
+        #: so quiescence is only trusted there.
+        last = self.scan_instants[-1] if self.scan_instants else 0
+        horizon = injector.horizon if injector is not None else 0
+        self.settle_horizon: Time = (last if last > horizon else horizon) + 1
         #: The time from which the injector suppresses nobody: from here
         #: on eligibility and responders skip its hook (0 without one).
         self._churn_quiet_from: Time = (

@@ -182,7 +182,6 @@ class Kernel(RoundHost):
                 seed,
                 TraceRecorder(),
                 pattern,
-                settle_horizon=horizon,
                 # Every round of the fault window is a full scan.
                 scan_instants=range(1, horizon + 1),
                 pre_round=self._pre_round if injector is not None else self._drop_crashed,

@@ -55,6 +55,14 @@ scan, and a fire that fired anything left its process unparked.
 :func:`idle_counting_everywhere` binds both back;
 ``test_scan_fixpoint.py`` shows that on the engine they change no
 record, only the scans taken.
+
+So does the settle horizon.  ``Scheduler`` derives it as one past the
+last scan instant and the fault plan's horizon; until it did, the engine
+handed it a hand formula: the pattern's last change plus the ``gamma``
+and indicator lags, the latest ``Omega_g`` stabilization, the plan's
+horizon and the last scan instant, plus one.  :func:`retired_settle_horizon`
+is that formula, verbatim; ``test_settle_horizon.py`` shows that no
+detector answer moves between the two.
 """
 
 from __future__ import annotations
@@ -469,3 +477,22 @@ def idle_counting_everywhere(monkeypatch):
         return fired
 
     monkeypatch.setattr(SharedObjectActor, "fire", unparking_fire)
+
+
+def retired_settle_horizon(system: MulticastSystem, indicator_lag: Time = 0) -> Time:
+    """The settle horizon the engine handed its scheduler, for ``system``
+    built with ``indicator_lag``."""
+    last_change = max(system.pattern.change_instants(), default=0)
+    injector = system.injector
+    return (
+        max(
+            last_change + system.mu.gamma.detection_lag + indicator_lag,
+            max(
+                (o.stabilization_time for o in system.mu.omegas.values()),
+                default=0,
+            ),
+            injector.horizon if injector is not None else 0,
+            system.scan_instants[-1] if system.scan_instants else 0,
+        )
+        + 1
+    )

@@ -86,7 +86,9 @@ class TestClockAndCrash:
         pattern = crash_pattern(ALL, {PROCS[1]: 7})
         topo = paper_figure1_topology()
         system = MulticastSystem(topo, pattern, mu=build_mu(pattern, topo, 5))
-        assert system.settle_horizon() >= 12
+        # The lagged gamma change is a scan instant; the horizon is past it.
+        assert 7 + 5 in system.scan_instants
+        assert system.settle_horizon() > system.scan_instants[-1]
 
     def test_is_alive_tracks_pattern(self):
         pattern = crash_pattern(ALL, {PROCS[2]: 2})

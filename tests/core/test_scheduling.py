@@ -11,7 +11,8 @@ Two families of regression tests:
 * ``settle_horizon`` must cover ``Omega``'s stabilization (seed bug: it
   only covered crashes + gamma/indicator lags, so a run could be
   declared quiescent — and consensus-blocked messages abandoned —
-  before the leader oracles ever stabilized).
+  before the leader oracles ever stabilized).  Each stabilization time
+  is a scan instant, and the horizon is past the last of them.
 """
 
 import pytest
@@ -93,7 +94,8 @@ class TestOmegaSettleHorizon:
         system = MulticastSystem(
             topo, pattern, mu=late_omega_mu(pattern, topo, 50)
         )
-        assert system.settle_horizon() > 50
+        assert 50 in system.scan_instants
+        assert system.settle_horizon() > system.scan_instants[-1]
 
     def test_no_consensus_delivery_before_omega_stabilizes(self):
         # Liveness of the §4.3 consensus construction is guaranteed

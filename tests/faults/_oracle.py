@@ -111,7 +111,8 @@ def delay_omega(mu, group_name, until):  # noqa: ANN001 - was a Mu method
     scope member (which may be faulty and may change) — exactly the
     arbitrary-finite-prefix misbehaviour the detector definition
     allows.  ``group_name=None`` delays every group's oracle.  Callers
-    relying on :meth:`omega_settle_time` must re-read it afterwards.
+    relying on the latest stabilization time over ``mu.omegas`` must
+    re-read it afterwards.
     """
     for g, omega in mu.omegas.items():
         if group_name is None or g.name == group_name:

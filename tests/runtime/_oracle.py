@@ -147,7 +147,9 @@ def predicate_round(self, participation=None, responders=None, action_budget=Non
     """One round of ``self`` (a :class:`Scheduler`) as it ran before the
     parking memo: every actor of a non-full-scan round is asked
     ``parked(t)`` (nobody is skipped unasked), each skip is recorded as
-    it happens, and the shuffle is the stdlib's."""
+    it happens, and the shuffle is the stdlib's.  Every round of the
+    kernel's fault window (through its last scan instant) is a full
+    scan, as the window then was."""
     self.time += 1
     if self.pre_round is not None:
         self.pre_round(self.time)
@@ -159,7 +161,7 @@ def predicate_round(self, participation=None, responders=None, action_budget=Non
     self._rng.shuffle(order)
     fingerprint_changed = self.note_fingerprint(eligible)
     full_scan = (
-        self.time <= self.settle_horizon
+        self.time <= (self.scan_instants[-1] if self.scan_instants else 0)
         or fingerprint_changed
         or (action_budget is not None and action_budget <= 0)
     )

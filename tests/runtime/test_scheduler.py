@@ -171,12 +171,9 @@ def test_participation_change_forces_full_scan():
 
 
 def test_scan_instants_force_scans_and_settle_horizon_defers_quiescence():
-    horizon = 3
-    sched = make(
-        {"a": CountdownActor(0)},
-        settle_horizon=horizon,
-        scan_instants=(2,),
-    )
+    sched = make({"a": CountdownActor(0)}, scan_instants=(2,))
+    # The horizon is the first time past the last scan instant.
+    assert sched.settle_horizon == 3
     outcome = sched.run(max_rounds=10, quiescent_rounds=2)
     # Idle rounds strictly before the horizon do not count toward
     # quiescence; a round is a full scan at a scan instant or on a new
@@ -269,9 +266,10 @@ def test_pending_work_defers_quiescence():
 def test_pending_work_combines_with_settle_horizon():
     sched = make(
         {"a": CountdownActor(0)},
-        settle_horizon=3,
+        scan_instants=(2,),
         pending_work=lambda: 0,
     )
+    assert sched.settle_horizon == 3
     outcome = sched.run(max_rounds=10, quiescent_rounds=2)
     assert outcome.quiescent
     assert outcome.rounds == 4  # horizon still gates the idle streak
